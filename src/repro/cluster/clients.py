@@ -54,8 +54,8 @@ class WorkloadReport:
     client_operations: Dict[str, int] = field(default_factory=dict)
     #: simulated cost attributed per client id
     client_cost: Dict[str, float] = field(default_factory=dict)
-    #: operations that ended in a cluster error (concurrent runs record
-    #: the failure and move on; serial runs propagate, leaving this 0)
+    #: operations that ended in a cluster error (e.g. a write against a
+    #: crashed server); the run records the failure and moves on
     failed_operations: int = 0
     #: event-timeline makespan of a concurrent run; None for serial runs
     #: (whose wall time is the analytic two-limit bound below)
@@ -135,7 +135,12 @@ class ClientPool:
         experiment windows.  With ``rebalance_every=N`` the cluster's
         imbalance trigger is checked every N operations and the
         lightweight repartitioner runs when it fires (online operation,
-        as in a deployed Hermes).
+        as in a deployed Hermes).  An operation that fails with a cluster
+        error is counted in ``failed_operations`` and the run moves on —
+        one crashed write must not drop the rest of the trace — and a
+        rebalance aborted by an injected fault has rolled back exactly,
+        so traffic keeps flowing.  A malformed trace is not a failed
+        operation: :class:`~repro.exceptions.WorkloadError` propagates.
         """
         concurrency = getattr(self.cluster, "concurrency", None)
         if concurrency is not None and concurrency.enabled:
@@ -168,7 +173,7 @@ class ClientPool:
                 report.server_busy[server.server_id] = busy_delta(server)
             report.max_server_busy = max(report.server_busy.values(), default=0.0)
 
-        for operation in trace:
+        for index, operation in enumerate(trace):
             if max_operations is not None and report.operations >= max_operations:
                 break
             if duration is not None:
@@ -181,45 +186,68 @@ class ClientPool:
                 )
                 if report.wall_time >= duration:
                     break
-            self._execute(operation, report)
+            try:
+                outcome, cost = self._execute(operation)
+            except WorkloadError:
+                raise
+            except HermesError:
+                report.failed_operations += 1
+                continue
+            self._account(report, index, operation, outcome, cost)
             if (
                 rebalance_every is not None
                 and report.operations % rebalance_every == 0
             ):
                 update_server_busy()
-                self.cluster.rebalance()
+                try:
+                    self.cluster.rebalance()
+                except MigrationAbortedError:
+                    pass
         update_server_busy()
         return report
 
-    def _execute(self, operation: Operation, report: WorkloadReport) -> None:
-        client = self.client_of(report.operations)
-        report.operations += 1
+    def _execute(self, operation: Operation):
+        """Run one operation to completion; returns ``(outcome, cost)``."""
         if isinstance(operation, Traversal):
             result = self.cluster.traverse(operation.start, operation.hops)
-            report.traversals += 1
-            report.processed_vertices += result.processed
-            report.response_vertices += len(result.response)
-            report.remote_hops += result.remote_hops
-            cost = result.cost
-        elif isinstance(operation, ReadVertex):
-            _, cost = self.cluster.read_vertex(operation.vertex)
-            report.reads += 1
-            report.processed_vertices += 1
-            report.response_vertices += 1
-        elif isinstance(operation, InsertVertex):
-            cost = self.cluster.add_vertex(
+            return result, result.cost
+        if isinstance(operation, ReadVertex):
+            return self.cluster.read_vertex(operation.vertex)
+        if isinstance(operation, InsertVertex):
+            return None, self.cluster.add_vertex(
                 operation.vertex,
                 weight=operation.weight,
                 properties=operation.properties,
             )
-            report.writes += 1
-        elif isinstance(operation, InsertEdge):
-            cost = self.cluster.add_edge(
+        if isinstance(operation, InsertEdge):
+            return None, self.cluster.add_edge(
                 operation.u, operation.v, properties=operation.properties
             )
-            report.writes += 1
+        raise WorkloadError(f"unknown operation type: {operation!r}")
+
+    def _account(
+        self,
+        report: WorkloadReport,
+        index: int,
+        operation: Operation,
+        outcome,
+        cost: float,
+    ) -> None:
+        """Fold one completed operation (the trace's ``index``-th) into
+        the report and its submitting client's ledger."""
+        client = self.client_of(index)
+        report.operations += 1
+        if isinstance(operation, Traversal):
+            report.traversals += 1
+            report.processed_vertices += outcome.processed
+            report.response_vertices += len(outcome.response)
+            report.remote_hops += outcome.remote_hops
+        elif isinstance(operation, ReadVertex):
+            report.reads += 1
+            report.processed_vertices += 1
+            report.response_vertices += 1
         else:
-            raise WorkloadError(f"unknown operation type: {operation!r}")
+            report.writes += 1
         report.total_cost += cost
         report.client_operations[client] = (
             report.client_operations.get(client, 0) + 1
@@ -244,10 +272,8 @@ class ClientPool:
         share of the trace in order; the scheduler interleaves all
         clients (and any online migration they trigger) at hop
         granularity.  ``wall_time`` becomes the *measured* event-timeline
-        makespan instead of the serial two-limit bound.  An operation
-        that fails with a cluster error is counted in
-        ``failed_operations`` and its client moves on — one crashed
-        write must not silently drop the rest of that client's trace.
+        makespan instead of the serial two-limit bound.  Failed
+        operations and aborted rebalances are handled as in :meth:`run`.
         """
         from repro.concurrency.engine import ConcurrentExecutor
 
@@ -256,14 +282,11 @@ class ClientPool:
             server.server_id: server.busy_seconds
             for server in self.cluster.servers
         }
-        ops = []
+        per_client: list = [[] for _ in range(self.num_clients)]
         for index, operation in enumerate(trace):
             if max_operations is not None and index >= max_operations:
                 break
-            ops.append(operation)
-        per_client: list = [[] for _ in range(self.num_clients)]
-        for index, operation in enumerate(ops):
-            per_client[index % self.num_clients].append(operation)
+            per_client[index % self.num_clients].append((index, operation))
 
         engine = ConcurrentExecutor(self.cluster)
         self.last_engine = engine
@@ -273,39 +296,20 @@ class ClientPool:
         self.cluster._concurrent_engine = engine
         scheduler = engine.scheduler
 
-        def account(operation, outcome, cost: float, client: str) -> None:
-            report.operations += 1
-            if isinstance(operation, Traversal):
-                report.traversals += 1
-                report.processed_vertices += outcome.processed
-                report.response_vertices += len(outcome.response)
-                report.remote_hops += outcome.remote_hops
-            elif isinstance(operation, ReadVertex):
-                report.reads += 1
-                report.processed_vertices += 1
-                report.response_vertices += 1
-            else:
-                report.writes += 1
-            report.total_cost += cost
-            report.client_operations[client] = (
-                report.client_operations.get(client, 0) + 1
-            )
-            report.client_cost[client] = (
-                report.client_cost.get(client, 0.0) + cost
-            )
-            if self.accounts is not None:
-                self.accounts.record_admitted(client, cost)
-
-        def client_task(client: str, assigned):
-            for operation in assigned:
+        def client_task(assigned):
+            for index, operation in assigned:
                 if duration is not None and scheduler.now >= duration:
                     break
                 try:
                     outcome, cost = yield from engine.operation_task(operation)
+                except WorkloadError:
+                    # Malformed trace: ends this client's task; re-raised
+                    # from run() below once the scheduler has drained.
+                    raise
                 except HermesError:
                     report.failed_operations += 1
                     continue
-                account(operation, outcome, cost, client)
+                self._account(report, index, operation, outcome, cost)
                 if (
                     rebalance_every is not None
                     and report.operations % rebalance_every == 0
@@ -313,14 +317,17 @@ class ClientPool:
                     try:
                         yield from engine.rebalance_task()
                     except MigrationAbortedError:
-                        # Rolled back exactly; traffic keeps flowing.
                         pass
 
         for client_index, assigned in enumerate(per_client):
             if assigned:
-                client = self.client_ids[client_index]
-                engine.submit(client_task(client, assigned), label=client)
+                engine.submit(
+                    client_task(assigned), label=self.client_ids[client_index]
+                )
         report.measured_wall_time = engine.run()
+        for handle in engine.failures():
+            if isinstance(handle.error, WorkloadError):
+                raise handle.error
 
         for server in self.cluster.servers:
             baseline = busy_before.setdefault(

@@ -17,9 +17,15 @@ system distributes across servers:
 * ``aux`` — the :class:`~repro.core.AuxiliaryData` that in Hermes is
   sharded per server; centralizing it changes nothing observable because
   every read the algorithm performs is one a hosting server could answer
-  locally.  Pass ``sharded_aux=True`` to run on the paper's per-server
-  :class:`~repro.core.ShardedAuxiliaryData` layout instead — the
-  repartitioner produces identical moves either way.
+  locally (:class:`~repro.core.ShardedAuxiliaryData` is the tested
+  reference for the paper's per-server layout — the repartitioner
+  produces identical moves on either).
+
+Operations that can pause (traversals, rebalances) are implemented once,
+as generators that do the work and yield each slice's cost; the serial
+entry points (:meth:`HermesCluster.traverse`,
+:meth:`HermesCluster.rebalance`) drain them and fold the total into the
+clock, the concurrent engine resumes them slice by slice.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.catalog import Catalog, LocationCache
@@ -44,7 +50,6 @@ from repro.cluster.server import HermesServer
 from repro.cluster.traversal import TraversalEngine, TraversalResult
 from repro.core.auxiliary import AuxiliaryData
 from repro.core.config import RepartitionerConfig
-from repro.core.sharded import ShardedAuxiliaryData
 from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner, RepartitionResult
 from repro.core.triggers import ImbalanceTrigger, TriggerDecision
@@ -73,8 +78,6 @@ class HermesCluster:
         network: Optional[NetworkConfig] = None,
         repartitioner: Optional[RepartitionerConfig] = None,
         lock_timeout: float = 1.0,
-        track_weights: bool = True,
-        sharded_aux: bool = False,
         telemetry: Optional[Telemetry] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
         durability: bool = False,
@@ -115,16 +118,11 @@ class HermesCluster:
             self.catalog, num_servers, telemetry=self.telemetry
         )
         self.graph = SocialGraph()
-        self.aux = (
-            ShardedAuxiliaryData(num_servers)
-            if sharded_aux
-            else AuxiliaryData(num_servers)
-        )
+        self.aux = AuxiliaryData(num_servers)
         self.repartitioner_config = repartitioner or RepartitionerConfig()
         self.trigger = ImbalanceTrigger(
             self.repartitioner_config.epsilon, telemetry=self.telemetry
         )
-        self.track_weights = track_weights
         self._engine = TraversalEngine(
             self.servers,
             self.catalog,
@@ -143,9 +141,8 @@ class HermesCluster:
         #: optional WorkloadModel observing traversal traffic (see
         #: attach_workload_model); None keeps the read path untouched
         self.workload_model = None
-        #: event-queue scheduler knobs; the default (enabled=False) keeps
-        #: every operation running serially, byte-identical to the
-        #: historical simulator
+        #: event-queue scheduler knobs; the default (enabled=False) runs
+        #: every operation to completion before the next one starts
         self.concurrency = concurrency or ConcurrencyConfig()
         # In-flight traversals re-resolve their frontiers when a
         # migration commits underneath them (serial mode never observes
@@ -313,10 +310,9 @@ class HermesCluster:
         """Distributed k-hop traversal; updates popularity weights."""
         result = self._engine.traverse(start, hops)
         self._advance(result.cost)
-        if self.track_weights:
-            for vertex in result.response:
-                self.graph.add_weight(vertex, 1.0)
-                self.aux.add_weight(vertex, 1.0)
+        for vertex in result.response:
+            self.graph.add_weight(vertex, 1.0)
+            self.aux.add_weight(vertex, 1.0)
         return result
 
     def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
@@ -340,12 +336,11 @@ class HermesCluster:
             self._advance(cost)
             return {}, cost
         properties = self.servers[server].read_vertex(vertex)
-        self.servers[server].busy_seconds += self.network.local_visit()
+        self.servers[server].busy_counter.inc(self.network.local_visit())
         cost = self.network.config.client_dispatch_cost + self.network.local_visit()
         self._advance(cost)
-        if self.track_weights:
-            self.graph.add_weight(vertex, 1.0)
-            self.aux.add_weight(vertex, 1.0)
+        self.graph.add_weight(vertex, 1.0)
+        self.aux.add_weight(vertex, 1.0)
         return properties, cost
 
     # ==================================================================
@@ -421,11 +416,53 @@ class HermesCluster:
     def rebalance(
         self, force: bool = False
     ) -> Optional[Tuple[RepartitionResult, MigrationReport]]:
-        """Run the lightweight repartitioner end to end.
+        """Run the lightweight repartitioner end to end, to completion.
 
-        Phase 1 (logical, auxiliary-data only) computes the moves; phase 2
-        physically migrates records with the copy/remove protocol.  Returns
-        None when the trigger does not fire (and ``force`` is False).
+        Drains :meth:`rebalance_steps` without pausing and folds the
+        whole migration cost into the clock once.  Returns None when the
+        trigger does not fire (and ``force`` is False).
+        """
+        steps = self.rebalance_steps(force=force)
+        try:
+            while True:
+                next(steps)
+        except StopIteration as stop:
+            outcome = stop.value
+        except MigrationAbortedError as exc:
+            # The wasted copy/rollback work still consumed simulated time.
+            self._advance(exc.report.total_cost)
+            raise
+        if outcome is not None:
+            self._advance(outcome[1].total_cost)
+        return outcome
+
+    def rebalance_steps(
+        self, force: bool = False
+    ) -> Generator[
+        MigrationStep, None, Optional[Tuple[RepartitionResult, MigrationReport]]
+    ]:
+        """The rebalance as a resumable task.
+
+        Phase 1 (logical, auxiliary-data only) computes the moves against
+        the cluster state at call time; phase 2 physically migrates the
+        records with the copy/remove protocol, streaming one
+        :class:`~repro.cluster.migration_executor.MigrationStep` per
+        copied vertex, the barrier, and one per removed source copy — so
+        the concurrent engine interleaves queries and writes with the
+        physical migration.  Copied vertices sit in a double-write window
+        until the atomic catalog commit; an abort rolls back copy-steps
+        and mirrored writes together and re-points the auxiliary data.
+        Because the plan is fixed up front and commit is atomic, the
+        final placement (and therefore the edge-cut) is the same however
+        the steps are interleaved.
+
+        The generator does the work and yields each step's cost; the
+        *consumer* folds costs into the clock (``_advance``), as with
+        :meth:`TraversalEngine.traverse_steps` — :meth:`rebalance`
+        charges the total once, the concurrent engine per step.  Yields
+        nothing when the trigger does not fire and ``force`` is False;
+        the generator's return value is ``(RepartitionResult,
+        MigrationReport)`` or ``None``.
         """
         decision = self.check_trigger()
         if not decision.should_repartition and not force:
@@ -443,94 +480,14 @@ class HermesCluster:
         result = repartitioner.run(
             self.graph, scratch, aux=self.aux, telemetry=self.telemetry
         )
+        plan = build_migration_plan(result.moves)
         try:
-            report = self._apply_moves(result.moves)
+            report = yield from self._executor.migrate_steps(plan)
         except MigrationAbortedError as exc:
             # Phase 1 already retargeted the auxiliary data; the physical
             # migration rolled itself back, so undo the logical moves too
             # and the cluster is exactly where it was before the attempt.
             self._rollback_aux(result.moves)
-            self.telemetry.counter(
-                "rebalance_aborts_total",
-                "rebalance runs aborted by injected faults",
-            ).inc()
-            self.telemetry.event(
-                "rebalance_aborted",
-                forced=force,
-                vertices_moved=result.vertices_moved,
-                error=str(exc.cause),
-            )
-            span.set_attribute("aborted", True)
-            span.finish(duration=exc.report.total_cost)
-            raise
-        self.telemetry.counter(
-            "rebalances_total", "repartitioner end-to-end runs"
-        ).inc()
-        self.telemetry.event(
-            "rebalance",
-            forced=force,
-            iterations=result.iterations,
-            vertices_moved=result.vertices_moved,
-            initial_edge_cut=result.initial_edge_cut,
-            final_edge_cut=result.final_edge_cut,
-            final_imbalance=result.final_imbalance,
-            migration_cost=report.total_cost,
-        )
-        span.set_attribute("vertices_moved", result.vertices_moved)
-        span.finish(duration=report.total_cost)
-        return result, report
-
-    def rebalance_steps(self, force: bool = False):
-        """Online rebalance: generator variant of :meth:`rebalance`.
-
-        Phase 1 runs exactly as in the serial path (the plan is computed
-        against the cluster state at call time), then phase 2 streams
-        :class:`~repro.cluster.migration_executor.MigrationStep` events —
-        one per copied vertex, the barrier, one per removed source copy —
-        so the concurrent engine interleaves queries and writes with the
-        physical migration.  Copied vertices sit in a double-write window
-        until the atomic catalog commit; an abort rolls back copy-steps
-        and mirrored writes together and re-points the auxiliary data,
-        exactly as the serial path does.  Because the plan is fixed up
-        front and commit is atomic, the final placement (and therefore
-        the edge-cut) equals what :meth:`rebalance` produces from the
-        same start state.  Yields nothing when the trigger does not fire
-        and ``force`` is False; the generator's return value is
-        ``(RepartitionResult, MigrationReport)`` or ``None``.
-        """
-        decision = self.check_trigger()
-        if not decision.should_repartition and not force:
-            return None
-        span = self.telemetry.span("rebalance", forced=force, online=True)
-        scratch = self.catalog.snapshot()
-        if (
-            self.workload_model is not None
-            and self.repartitioner_config.workload_alpha > 0.0
-        ):
-            self.aux.attach_heat(self.workload_model.normalized_edge_heat())
-        repartitioner = LightweightRepartitioner(self.repartitioner_config)
-        result = repartitioner.run(
-            self.graph, scratch, aux=self.aux, telemetry=self.telemetry
-        )
-        plan = build_migration_plan(result.moves)
-        steps = self._executor.migrate_steps(plan)
-        advanced = 0.0
-        report: Optional[MigrationReport] = None
-        try:
-            while True:
-                try:
-                    step: MigrationStep = next(steps)
-                except StopIteration as stop:
-                    report = stop.value
-                    break
-                self._advance(step.cost)
-                advanced += step.cost
-                yield step
-        except MigrationAbortedError as exc:
-            self._rollback_aux(result.moves)
-            # Per-step costs were folded into the clock as they ran; the
-            # abort's wasted timeout/backoff is the only remainder.
-            self._advance(max(0.0, exc.report.total_cost - advanced))
             self.telemetry.counter(
                 "rebalance_aborts_total",
                 "rebalance runs aborted by injected faults",

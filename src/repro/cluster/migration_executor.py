@@ -25,12 +25,17 @@ copy step is journalled, and a failure before the catalog flips (a crash
 window or message loss surviving all retries, a stale plan naming a
 vertex a server no longer hosts) rolls the journal back so every store,
 the catalog and the migration counters are exactly as they were before
-``execute`` was called — the paper's "failure mid-migration cannot
+the migration started — the paper's "failure mid-migration cannot
 corrupt the database" guarantee.  The aborted attempt surfaces as a
 :class:`~repro.exceptions.MigrationAbortedError` carrying its wasted
 simulated cost, and the same plan can be retried idempotently once the
 fault clears.  After the catalog flips, the remaining work (the remove
 step) is purely server-local and cannot fault.
+
+There is one implementation of the protocol,
+:meth:`MigrationExecutor.migrate_steps`, a generator that pauses after
+every copy, the barrier and every remove so the event scheduler can
+interleave traffic; :meth:`MigrationExecutor.execute` drains it.
 """
 
 from __future__ import annotations
@@ -116,22 +121,22 @@ class MigrationExecutor:
         self.network = network
         self.retry = retry or RetryPolicy()
         self.location_cache = location_cache
-        #: the undo journal of the migration currently inside ``execute``.
+        #: the undo journal of the migration currently in flight.
         #: None whenever no migration is in flight — both a committed and
         #: an aborted attempt must leave it None (the simtest auditor's
         #: journal-emptiness invariant between schedule steps).
         self.active_journal: Optional[List[Tuple]] = None
-        #: double-write window of an *online* migration: vertex -> target
+        #: double-write window of the migration in flight: vertex -> target
         #: server for every vertex whose copy-step has run but whose
         #: catalog entry has not flipped yet.  Writes that touch a
         #: windowed vertex mirror onto the target (``mirror_edge``);
         #: reads keep forwarding through the catalog to the source.
         #: Always empty outside ``migrate_steps``.
         self._window: Dict[int, int] = {}
-        #: final placement of the online migration owning the window
+        #: final placement of the migration owning the window
         self._window_final_home: Optional[Dict[int, int]] = None
-        #: called after every catalog commit (online or stop-the-world);
-        #: in-flight traversals use this to re-resolve their frontiers.
+        #: called after every catalog commit; in-flight traversals use
+        #: this to re-resolve their frontiers.
         self.topology_listeners: List[Callable[[], None]] = []
         self.attach_telemetry(telemetry or NULL_TELEMETRY)
 
@@ -172,11 +177,34 @@ class MigrationExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, plan: MigrationPlan) -> MigrationReport:
-        """Run the full two-step protocol for ``plan``.
+        """Run the full two-step protocol for ``plan`` to completion.
 
+        Drains :meth:`migrate_steps` without pausing between steps.
         Raises :class:`~repro.exceptions.MigrationAbortedError` if the
         copy step or the barrier fails; the cluster is then rolled back
         to its exact pre-call state and the plan may be retried.
+        """
+        steps = self.migrate_steps(plan)
+        try:
+            while True:
+                next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+    def migrate_steps(
+        self, plan: MigrationPlan
+    ) -> Generator[MigrationStep, None, MigrationReport]:
+        """Run the two-step protocol as a resumable task.
+
+        One vertex at a time: yields a :class:`MigrationStep` after
+        every copy, after the barrier and after every remove so the
+        event scheduler can interleave queries and writes with the
+        migration (:meth:`execute` drains it in one go).  Every copied
+        vertex enters the double-write window until the (atomic) catalog
+        commit: writes mirror onto the target via :meth:`mirror_edge`,
+        reads keep forwarding to the source.  An abort rolls back
+        copy-steps *and* mirrored writes through the shared undo journal
+        and clears the window — exactly the pre-call state.
         """
         report = MigrationReport()
         if not plan.moves:
@@ -185,27 +213,39 @@ class MigrationExecutor:
         #: reverse journal of every store mutation, for rollback on abort
         undo: List[Tuple] = []
         self.active_journal = undo
+        self._window_final_home = final_home
         payload_sizes: List[int] = []
 
         span = self.telemetry.span("migration", moves=plan.num_moves)
         try:
             copy_span = self.telemetry.span("migration.copy")
-            payloads = self._copy_step(
-                plan, final_home, report, undo, payload_sizes
-            )
+            for move in plan.moves:
+                cost_before = report.copy_cost
+                self._copy_one(move, final_home, report, undo, payload_sizes)
+                self._window[move.vertex] = move.target
+                yield MigrationStep(
+                    "copy",
+                    report.copy_cost - cost_before,
+                    (move.source, move.target),
+                )
             copy_span.set_attribute("bytes", report.bytes_transferred)
             copy_span.finish(duration=report.copy_cost)
 
             barrier_span = self.telemetry.span("migration.barrier")
             report.barrier_cost = self._barrier(plan)
             barrier_span.finish(duration=report.barrier_cost)
+            participants = sorted(
+                {move.source for move in plan.moves}
+                | {move.target for move in plan.moves}
+            )
+            yield MigrationStep("barrier", report.barrier_cost, tuple(participants))
         except HermesError as exc:
             if isinstance(exc, FaultInjectedError):
                 # The timeouts and backoff of the failed attempt are real
                 # simulated time even though no records moved.
                 report.copy_cost += exc.cost
             self._rollback(undo)
-            self.active_journal = None
+            self._close_window()
             self.telemetry.counter(
                 "migration_aborts_total", "migrations aborted and rolled back"
             ).inc()
@@ -220,21 +260,31 @@ class MigrationExecutor:
             span.finish(duration=report.copy_cost + report.barrier_cost)
             raise MigrationAbortedError(exc, report) from exc
 
-        # The catalog flips between the steps: queries now route to the
-        # fresh replicas while the originals are being removed.  The
-        # migration participants update their location caches as part of
-        # the commit; non-participants keep stale entries that resolve
-        # via a forwarding hop on next use.
+        # Atomic commit: the catalog flips for every move at once, so
+        # queries now route to the fresh replicas while the originals
+        # are being removed.  The migration participants update their
+        # location caches as part of the commit; non-participants keep
+        # stale entries that resolve via a forwarding hop on next use.
+        # Past this point the journal will never be replayed: the window
+        # closes and in-flight traversals are told to re-resolve.
         for move in plan.moves:
             self.catalog.move(move.vertex, move.target)
             if self.location_cache is not None:
                 self.location_cache.on_moved(move.vertex, move.source, move.target)
-        # Past the commit point: the journal will never be replayed.
-        self.active_journal = None
+        self._close_window()
         self._notify_topology_change()
 
         remove_span = self.telemetry.span("migration.remove")
-        self._remove_step(plan, final_home, payloads, report)
+        # First pass: the unavailable state, so no query can lock them.
+        for move in plan.moves:
+            self.servers[move.source].store.set_available(move.vertex, False)
+        # Second pass: relationship record surgery + node removal.
+        for move in plan.moves:
+            cost_before = report.remove_cost
+            self._remove_one(move, final_home, report)
+            yield MigrationStep(
+                "remove", report.remove_cost - cost_before, (move.source,)
+            )
         remove_span.set_attribute(
             "relationships_rewritten", report.relationships_rewritten
         )
@@ -256,6 +306,13 @@ class MigrationExecutor:
         span.finish(duration=report.total_cost)
         return report
 
+    def _close_window(self) -> None:
+        """Retire the undo journal and the double-write window (commit
+        and abort both end with no migration in flight)."""
+        self.active_journal = None
+        self._window.clear()
+        self._window_final_home = None
+
     def _final_placement(self, plan: MigrationPlan) -> Dict[int, int]:
         """Vertex -> server map *after* the plan completes."""
         placement = {move.vertex: move.target for move in plan.moves}
@@ -270,25 +327,6 @@ class MigrationExecutor:
     # ------------------------------------------------------------------
     # Step 1: copy
     # ------------------------------------------------------------------
-    def _copy_step(
-        self,
-        plan: MigrationPlan,
-        final_home: Dict[int, int],
-        report: MigrationReport,
-        undo: List[Tuple],
-        payload_sizes: List[int],
-    ) -> Dict[int, Dict[str, Any]]:
-        """Replicate every moving vertex on its target server.
-
-        Every store mutation appends its inverse to ``undo`` *after* it
-        succeeds, so a failure at any point leaves a journal that undoes
-        exactly the mutations that happened.
-        """
-        payloads: Dict[int, Dict[str, Any]] = {}
-        for move in plan.moves:
-            self._copy_one(move, final_home, report, undo, payload_sizes, payloads)
-        return payloads
-
     def _copy_one(
         self,
         move,
@@ -296,9 +334,13 @@ class MigrationExecutor:
         report: MigrationReport,
         undo: List[Tuple],
         payload_sizes: List[int],
-        payloads: Dict[int, Dict[str, Any]],
     ) -> None:
-        """Replicate one moving vertex on its target server (journalled)."""
+        """Replicate one moving vertex on its target server.
+
+        Every store mutation appends its inverse to ``undo`` *after* it
+        succeeds, so a failure at any point leaves a journal that undoes
+        exactly the mutations that happened.
+        """
         source = self.servers[move.source]
         target = self.servers[move.target]
         if not source.store.has_node(move.vertex):
@@ -306,7 +348,6 @@ class MigrationExecutor:
                 f"server {move.source} does not host vertex {move.vertex}"
             )
         payload = source.store.export_node(move.vertex)
-        payloads[move.vertex] = payload
         size = _payload_size(payload)
         payload_sizes.append(size)
         report.bytes_transferred += size
@@ -456,21 +497,6 @@ class MigrationExecutor:
     # ------------------------------------------------------------------
     # Step 2: remove
     # ------------------------------------------------------------------
-    def _remove_step(
-        self,
-        plan: MigrationPlan,
-        final_home: Dict[int, int],
-        payloads: Dict[int, Dict[str, Any]],
-        report: MigrationReport,
-    ) -> None:
-        """Mark originals unavailable, fix up chains, drop the records."""
-        # First pass: the unavailable state, so no query can lock them.
-        for move in plan.moves:
-            self.servers[move.source].store.set_available(move.vertex, False)
-        # Second pass: relationship record surgery + node removal.
-        for move in plan.moves:
-            self._remove_one(move, final_home, report)
-
     def _remove_one(
         self,
         move,
@@ -509,7 +535,7 @@ class MigrationExecutor:
         report.remove_cost += self.network.local_visit()
 
     # ------------------------------------------------------------------
-    # Online migration (double-write window)
+    # Double-write window
     # ------------------------------------------------------------------
     def _notify_topology_change(self) -> None:
         for listener in self.topology_listeners:
@@ -595,114 +621,3 @@ class MigrationExecutor:
                     f"source {source_id} and target {target_id}"
                 )
         return problems
-
-    def migrate_steps(
-        self, plan: MigrationPlan
-    ) -> Generator[MigrationStep, None, MigrationReport]:
-        """Online variant of :meth:`execute`: yield between copy-steps.
-
-        Runs the same two-step protocol but one vertex at a time,
-        yielding a :class:`MigrationStep` after every copy, after the
-        barrier and after every remove so the event scheduler can
-        interleave queries and writes with the migration.  Every copied
-        vertex enters the double-write window until the (atomic) catalog
-        commit: writes mirror onto the target via :meth:`mirror_edge`,
-        reads keep forwarding to the source.  An abort rolls back
-        copy-steps *and* mirrored writes through the shared undo journal
-        and clears the window — exactly the pre-call state, as with the
-        stop-the-world path.
-        """
-        report = MigrationReport()
-        if not plan.moves:
-            return report
-        final_home = self._final_placement(plan)
-        undo: List[Tuple] = []
-        self.active_journal = undo
-        self._window_final_home = final_home
-        payload_sizes: List[int] = []
-        payloads: Dict[int, Dict[str, Any]] = {}
-
-        span = self.telemetry.span("migration", moves=plan.num_moves, online=True)
-        try:
-            copy_span = self.telemetry.span("migration.copy")
-            for move in plan.moves:
-                cost_before = report.copy_cost
-                self._copy_one(
-                    move, final_home, report, undo, payload_sizes, payloads
-                )
-                self._window[move.vertex] = move.target
-                yield MigrationStep(
-                    "copy",
-                    report.copy_cost - cost_before,
-                    (move.source, move.target),
-                )
-            copy_span.set_attribute("bytes", report.bytes_transferred)
-            copy_span.finish(duration=report.copy_cost)
-
-            barrier_span = self.telemetry.span("migration.barrier")
-            report.barrier_cost = self._barrier(plan)
-            barrier_span.finish(duration=report.barrier_cost)
-            participants = sorted(
-                {move.source for move in plan.moves}
-                | {move.target for move in plan.moves}
-            )
-            yield MigrationStep("barrier", report.barrier_cost, tuple(participants))
-        except HermesError as exc:
-            if isinstance(exc, FaultInjectedError):
-                report.copy_cost += exc.cost
-            self._rollback(undo)
-            self.active_journal = None
-            self._window.clear()
-            self._window_final_home = None
-            self.telemetry.counter(
-                "migration_aborts_total", "migrations aborted and rolled back"
-            ).inc()
-            self.telemetry.event(
-                "migration_aborted",
-                moves=plan.num_moves,
-                rolled_back=report.vertices_moved,
-                reason=type(exc).__name__,
-                error=str(exc),
-                online=True,
-            )
-            span.set_attribute("aborted", True)
-            span.finish(duration=report.copy_cost + report.barrier_cost)
-            raise MigrationAbortedError(exc, report) from exc
-
-        # Atomic commit: the catalog flips for every move at once, the
-        # window closes, and in-flight traversals are told to re-resolve.
-        for move in plan.moves:
-            self.catalog.move(move.vertex, move.target)
-            if self.location_cache is not None:
-                self.location_cache.on_moved(move.vertex, move.source, move.target)
-        self.active_journal = None
-        self._window.clear()
-        self._window_final_home = None
-        self._notify_topology_change()
-
-        remove_span = self.telemetry.span("migration.remove")
-        for move in plan.moves:
-            self.servers[move.source].store.set_available(move.vertex, False)
-        for move in plan.moves:
-            cost_before = report.remove_cost
-            self._remove_one(move, final_home, report)
-            yield MigrationStep(
-                "remove", report.remove_cost - cost_before, (move.source,)
-            )
-        remove_span.set_attribute(
-            "relationships_rewritten", report.relationships_rewritten
-        )
-        remove_span.finish(duration=report.remove_cost)
-
-        for size in payload_sizes:
-            self._payload_sizes.observe(size)
-        self._vertices_moved.inc(report.vertices_moved)
-        self._rels_transferred.inc(report.relationships_transferred)
-        self._rels_rewritten.inc(report.relationships_rewritten)
-        self._bytes.inc(report.bytes_transferred)
-        self._phase_seconds["copy"].inc(report.copy_cost)
-        self._phase_seconds["barrier"].inc(report.barrier_cost)
-        self._phase_seconds["remove"].inc(report.remove_cost)
-        span.set_attribute("vertices_moved", report.vertices_moved)
-        span.finish(duration=report.total_cost)
-        return report

@@ -56,14 +56,10 @@ class NetworkConfig:
     #: sender-side wait before a lost/unanswered message is declared dead
     #: (a few RTTs, as a TCP-ish retransmission timeout would be)
     fault_timeout_cost: float = 2e-3
-    #: Aggregate all traversal frontier work bound for one server into a
-    #: single request per hop (one round trip per (src, dst) link per
-    #: depth) instead of one message per frontier entry.  Disable for the
-    #: pre-batching legacy cost model, which the reference fixtures pin
-    #: byte for byte.
-    batch_remote_hops: bool = True
-    #: marginal cost of one extra frontier entry riding an already-paid
-    #: round trip (serialization of one vertex id + one response row)
+    #: Traversal frontier work bound for one server rides a single
+    #: request per (src, dst) link per depth; this is the marginal cost
+    #: of one extra frontier entry riding that already-paid round trip
+    #: (serialization of one vertex id + one response row)
     batch_entry_cost: float = 25e-6
     #: wire framing of one batched request (header, routing, checksums)
     batch_base_bytes: int = 128

@@ -84,39 +84,23 @@ class HermesServer:
         )
 
     # ------------------------------------------------------------------
-    # Legacy counter attribute API (now thin property views)
+    # Read-only attribute views of the counters
     # ------------------------------------------------------------------
     @property
     def visits(self) -> int:
         return int(self.visits_counter.value)
 
-    @visits.setter
-    def visits(self, value: int) -> None:
-        self.visits_counter.set(value)
-
     @property
     def reads(self) -> int:
         return int(self.reads_counter.value)
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self.reads_counter.set(value)
 
     @property
     def writes(self) -> int:
         return int(self.writes_counter.value)
 
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self.writes_counter.set(value)
-
     @property
     def busy_seconds(self) -> float:
         return self.busy_counter.value
-
-    @busy_seconds.setter
-    def busy_seconds(self, value: float) -> None:
-        self.busy_counter.set(value)
 
     # ------------------------------------------------------------------
     # Fault injection

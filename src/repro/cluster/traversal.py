@@ -22,9 +22,7 @@ evaluations optimize for).  Vertex locations come from a per-server
 :class:`~repro.cluster.catalog.LocationCache` instead of a catalog call
 per step; a stale entry (the vertex migrated and this server was not a
 migration participant) resolves via a forwarding hop charged to the
-query, after which the cache entry is corrected.  Setting
-``NetworkConfig.batch_remote_hops=False`` restores the legacy
-one-message-per-entry cost model byte for byte.
+query, after which the cache entry is corrected.
 
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
@@ -39,8 +37,8 @@ query, every frontier entry hosted there — remote *and* same-host — is
 skipped, and the result carries the servers it could not reach in
 ``failed_partitions`` — a partial response, exactly what a production
 client would get from a cluster with a crashed replica-less server.
-In batched mode retries and timeouts apply once per aggregated message,
-not once per frontier entry.
+Retries and timeouts apply once per aggregated message, not once per
+frontier entry.
 """
 
 from __future__ import annotations
@@ -105,7 +103,7 @@ class DepthStep:
 
 
 class _QueryState:
-    """Mutable accounting shared by the per-depth execution paths."""
+    """Mutable accounting of one query, threaded through its depths."""
 
     __slots__ = (
         "cost",
@@ -116,10 +114,9 @@ class _QueryState:
         "visited",
         "hops",
         "local_visit",
-        "cached",
     )
 
-    def __init__(self, cost: float, hops: int, local_visit: float, cached: bool):
+    def __init__(self, cost: float, hops: int, local_visit: float):
         self.cost = cost
         self.processed = 0
         self.remote = 0
@@ -129,7 +126,6 @@ class _QueryState:
         self.visited: Set[int] = set()
         self.hops = hops
         self.local_visit = local_visit
-        self.cached = cached
 
 
 class TraversalEngine:
@@ -186,8 +182,7 @@ class TraversalEngine:
         """Run a ``hops``-hop traversal from ``start`` to completion.
 
         Drives :meth:`traverse_steps` without pausing between depths —
-        the serial execution model, byte-identical to the historical
-        inline implementation.
+        the serial execution model.
         """
         steps = self.traverse_steps(start, hops)
         while True:
@@ -210,8 +205,7 @@ class TraversalEngine:
         The query is dispatched to the server hosting ``start``; each
         frontier vertex is expanded on its hosting server, and stepping to
         a vertex hosted elsewhere is charged as a remote traversal (one
-        aggregated message per destination server per depth in batched
-        mode, one message per frontier entry in legacy mode).
+        aggregated message per ``(src, dst)`` link per depth).
 
         Yields one :class:`DepthStep` for the client dispatch and one per
         frontier depth, after that slice's work has executed — the
@@ -233,10 +227,7 @@ class TraversalEngine:
             yield DepthStep(kind="dispatch", cost=result.cost)
             return result
 
-        batched = self.network.config.batch_remote_hops
-        state = _QueryState(
-            cost, hops, self.network.local_visit(), cached=batched
-        )
+        state = _QueryState(cost, hops, self.network.local_visit())
         span = self.telemetry.span("traversal", start=start, hops=hops)
         # Client dispatch happens before the first hop: push the causal
         # cursor so depth spans line up after it.
@@ -255,9 +246,8 @@ class TraversalEngine:
                 # A migration committed while this task was paused: the
                 # frontier's cached hosts may be stale.  Re-resolve
                 # through the location cache (participants already know
-                # the new homes) instead of paying forwarding charges —
-                # or, in legacy mode, silently dropping moved vertices.
-                frontier = self._refresh_frontier(frontier, state)
+                # the new homes) instead of paying forwarding charges.
+                frontier = self._refresh_frontier(frontier)
                 epoch = self.topology_epoch
             depth_span = self.telemetry.span(
                 "hop", depth=depth, frontier=len(frontier)
@@ -266,10 +256,7 @@ class TraversalEngine:
             busy_before = [
                 server.busy_counter.value for server in self.servers
             ]
-            if batched:
-                next_frontier = self._run_depth_batched(frontier, depth, state)
-            else:
-                next_frontier = self._run_depth_legacy(frontier, depth, state)
+            next_frontier = self._run_depth(frontier, depth, state)
             depth_span.finish(duration=state.cost - cost_before)
             busy = {}
             for server_id, before in enumerate(busy_before):
@@ -313,25 +300,19 @@ class TraversalEngine:
         )
 
     def _refresh_frontier(
-        self,
-        frontier: List[Tuple[int, int, int]],
-        state: _QueryState,
+        self, frontier: List[Tuple[int, int, int]]
     ) -> List[Tuple[int, int, int]]:
         """Re-resolve every frontier entry's host after a topology change.
 
-        Cached mode consults the discovering server's location cache
-        (fresh for migration participants, self-correcting otherwise);
-        legacy mode goes straight to the authoritative catalog.  Entries
+        Consults the discovering server's location cache (fresh for
+        migration participants, self-correcting otherwise).  Entries
         whose vertex left the catalog entirely keep their stale host and
         degrade through the normal unavailable-vertex path.
         """
         refreshed: List[Tuple[int, int, int]] = []
         for vertex, host, from_host in frontier:
             try:
-                if state.cached:
-                    resolved = self.location_cache.lookup_from(from_host, vertex)
-                else:
-                    resolved = self.catalog.lookup(vertex)
+                resolved = self.location_cache.lookup_from(from_host, vertex)
             except CatalogError:
                 resolved = host
             refreshed.append((vertex, resolved, from_host))
@@ -340,38 +321,7 @@ class TraversalEngine:
     # ------------------------------------------------------------------
     # Per-depth execution
     # ------------------------------------------------------------------
-    def _run_depth_legacy(
-        self,
-        frontier: List[Tuple[int, int, int]],
-        depth: int,
-        state: _QueryState,
-    ) -> List[Tuple[int, int, int]]:
-        """One message per remote frontier entry (the pre-batching model)."""
-        remote_service = self.network.config.remote_service_cost
-        next_frontier: List[Tuple[int, int, int]] = []
-        for vertex, host, from_host in frontier:
-            if host in state.failed:
-                # Already unreachable this query: don't retry on every
-                # frontier entry — and don't keep landing same-host
-                # entries on a crashed server either — just degrade.
-                continue
-            if host != from_host:
-                try:
-                    state.cost += self._hop(from_host, host)
-                except FaultInjectedError as exc:
-                    state.cost += exc.cost
-                    state.failed.add(host)
-                    continue
-                state.remote += 1
-                # Servicing the hop consumes CPU on both endpoints --
-                # the "network IO" load that edge-cuts impose.
-                self.servers[from_host].busy_counter.inc(remote_service)
-                self.servers[host].busy_counter.inc(remote_service)
-                state.cost += remote_service
-            self._process_entry(vertex, host, depth, state, next_frontier)
-        return next_frontier
-
-    def _run_depth_batched(
+    def _run_depth(
         self,
         frontier: List[Tuple[int, int, int]],
         depth: int,
@@ -411,6 +361,8 @@ class TraversalEngine:
         next_frontier: List[Tuple[int, int, int]] = []
         for vertex, host, from_host in frontier:
             if host in state.failed:
+                # Unreachable this query — same-host entries included: a
+                # server that crashed mid-depth serves nothing further.
                 continue
             if not self._process_entry(vertex, host, depth, state, next_frontier):
                 # The cached location may be stale (vertex migrated since
@@ -468,17 +420,11 @@ class TraversalEngine:
             for entry in entries:
                 model.observe_edge(vertex, entry.neighbor)
             self._model_observations.inc(len(entries))
-        if state.cached:
-            cache = self.location_cache
-            for entry in entries:
-                next_frontier.append(
-                    (entry.neighbor, cache.lookup_from(host, entry.neighbor), host)
-                )
-        else:
-            for entry in entries:
-                next_frontier.append(
-                    (entry.neighbor, self.catalog.lookup(entry.neighbor), host)
-                )
+        cache = self.location_cache
+        for entry in entries:
+            next_frontier.append(
+                (entry.neighbor, cache.lookup_from(host, entry.neighbor), host)
+            )
         return True
 
     def _forward_stale(
@@ -496,8 +442,6 @@ class TraversalEngine:
         unreachable this query).  The querying server's cache entry is
         corrected so it pays the forward only once.
         """
-        if not state.cached:
-            return None
         try:
             actual = self.catalog.lookup(vertex)
         except CatalogError:

@@ -2,17 +2,12 @@
 
 The paper evaluates Hermes under 32 *concurrent* clients (Section 5.3);
 xDGP migrates vertices *during* computation.  ``ConcurrencyConfig`` is
-the switch between the historical serial simulator (one operation runs
-to completion against a logically shared world) and the event-queue
+the switch between the serial simulator (one operation runs to
+completion against a logically shared world) and the event-queue
 scheduler in :mod:`repro.concurrency.scheduler` that interleaves
 traversal hops, reads, writes and migration copy-steps on a shared
-simulated timeline.
-
-``enabled=False`` (the default) must keep every code path byte-identical
-to the serial simulator — the same contract as
-``NetworkConfig.batch_remote_hops`` and
-``RepartitionerConfig.workload_alpha``: the knob's off position is the
-reference behavior the fixtures pin.
+simulated timeline.  Both run the same generators: serial drains each
+one before starting the next, the scheduler resumes them step by step.
 """
 
 from __future__ import annotations
@@ -25,15 +20,8 @@ class ConcurrencyConfig:
     """Knobs of the per-server event-queue scheduler."""
 
     #: run operations through the event scheduler (interleaved) instead
-    #: of to completion inline (serial).  Off keeps the simulator
-    #: byte-identical to its historical serial behavior.
+    #: of to completion inline (serial)
     enabled: bool = False
-    #: migrations submitted while the scheduler is active run *online*:
-    #: per-vertex copy-steps interleave with queries and a double-write
-    #: window covers each copied-but-uncommitted vertex.  With False a
-    #: rebalance inside a concurrent run still stops the world (useful
-    #: as an ablation arm in the experiments).
-    online_migration: bool = True
     #: audit the double-write window after every dispatched event
     #: (copied replica present, catalog still pointing at the source);
     #: disable only in benchmarks where the per-event sweep dominates.
@@ -42,15 +30,15 @@ class ConcurrencyConfig:
     def to_dict(self) -> dict:
         return {
             "enabled": self.enabled,
-            "online_migration": self.online_migration,
             "check_window_coherence": self.check_window_coherence,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConcurrencyConfig":
+        """Inverse of :meth:`to_dict`; unknown keys (e.g. a retired
+        ``online_migration`` in an old artifact) are ignored."""
         return cls(
             enabled=bool(data.get("enabled", False)),
-            online_migration=bool(data.get("online_migration", True)),
             check_window_coherence=bool(
                 data.get("check_window_coherence", True)
             ),

@@ -11,10 +11,10 @@ migrations in flight.
 
 Two guarantees the executor layers on top of the raw scheduler:
 
-* **clock parity** — every step folds its cost into the cluster clock
-  via ``cluster._advance`` exactly as the serial path does, just in
-  per-step slices; a task's summed step costs equal the cost the serial
-  execution would have charged in one piece;
+* **clock parity** — the cluster's generators do the work and yield
+  costs; the executor, as their consumer, folds every step's cost into
+  the cluster clock via ``cluster._advance`` — the serial drivers charge
+  the same total in one piece;
 * **window auditing** — with
   :attr:`~repro.concurrency.config.ConcurrencyConfig.
   check_window_coherence` on, the double-write window is swept after
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.concurrency.scheduler import EventScheduler, TaskHandle, Work
-from repro.exceptions import WorkloadError
+from repro.exceptions import MigrationAbortedError, WorkloadError
 from repro.workloads.queries import (
     InsertEdge,
     InsertVertex,
@@ -98,8 +98,7 @@ class ConcurrentExecutor:
     def run_until(self, deadline: float) -> None:
         """Dispatch every event ready at or before ``deadline`` (the
         serving front door drains in-flight work up to each arrival)."""
-        while self.scheduler.pending and self.scheduler._ready[0][0] <= deadline:
-            self.step()
+        self.scheduler.run_until(deadline, step=self.step)
 
     # ------------------------------------------------------------------
     # Task builders
@@ -165,10 +164,9 @@ class ConcurrentExecutor:
                 latency=max(0.0, step.cost - occupied),
                 kind=f"traversal-{step.kind}",
             )
-        if cluster.track_weights:
-            for vertex in result.response:
-                cluster.graph.add_weight(vertex, 1.0)
-                cluster.aux.add_weight(vertex, 1.0)
+        for vertex in result.response:
+            cluster.graph.add_weight(vertex, 1.0)
+            cluster.aux.add_weight(vertex, 1.0)
         return result, result.cost
 
     def _sampled_task(
@@ -202,32 +200,32 @@ class ConcurrentExecutor:
     ) -> Generator[Work, None, Optional[Tuple[Any, Any]]]:
         """A rebalance as a task.
 
-        With :attr:`~repro.concurrency.config.ConcurrencyConfig.
-        online_migration` the physical migration streams through
+        The physical migration streams through
         :meth:`~repro.cluster.hermes.HermesCluster.rebalance_steps` —
         queries run between copy-steps while the double-write window
-        covers copied vertices.  Without it the whole rebalance executes
-        inside one event (stop-the-world, the ablation arm).
+        covers copied vertices.
         """
-        if not self.config.online_migration:
-            outcome = self.cluster.rebalance(force=force)
-            cost = outcome[1].total_cost if outcome is not None else 0.0
-            yield Work(demands=(), latency=cost, kind="migration-stw")
-            return outcome
-        steps = self.cluster.rebalance_steps(force=force)
-        outcome = None
-        while True:
-            try:
-                step = next(steps)
-            except StopIteration as stop:
-                outcome = stop.value
-                break
-            yield Work(
-                demands=tuple((server, step.cost) for server in step.servers),
-                latency=0.0,
-                kind=f"migration-{step.kind}",
-            )
-        return outcome
+        cluster = self.cluster
+        steps = cluster.rebalance_steps(force=force)
+        advanced = 0.0
+        try:
+            while True:
+                try:
+                    step = next(steps)
+                except StopIteration as stop:
+                    return stop.value
+                cluster._advance(step.cost)
+                advanced += step.cost
+                yield Work(
+                    demands=tuple((server, step.cost) for server in step.servers),
+                    latency=0.0,
+                    kind=f"migration-{step.kind}",
+                )
+        except MigrationAbortedError as exc:
+            # Per-step costs were folded into the clock as they ran; the
+            # abort's wasted timeout/backoff is the only remainder.
+            cluster._advance(max(0.0, exc.report.total_cost - advanced))
+            raise
 
     # ------------------------------------------------------------------
     # Auditor hooks

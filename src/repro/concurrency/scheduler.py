@@ -38,7 +38,7 @@ finish.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.exceptions import HermesError
@@ -202,13 +202,18 @@ class EventScheduler:
             self.step()
         return self.now
 
-    def run_until(self, deadline: float) -> None:
+    def run_until(
+        self, deadline: float, step: Optional[Callable[[], Any]] = None
+    ) -> None:
         """Dispatch every step whose ready time is at or before
         ``deadline`` — the hook the serving front door uses to execute
         pending events (migration copy-steps, replica-update
-        deliveries) that precede a new arrival."""
+        deliveries) that precede a new arrival.  ``step`` replaces
+        :meth:`step` as the per-event dispatcher (the executor wraps it
+        with its coherence sweep)."""
+        dispatch = step or self.step
         while self._ready and self._ready[0][0] <= deadline:
-            self.step()
+            dispatch()
 
     # ------------------------------------------------------------------
     # Introspection (auditor hooks)

@@ -151,15 +151,12 @@ class ServingFrontend:
     def rebalance(self, force: bool = False):
         """Run the cluster's repartitioner and refresh replica placement.
 
-        With an engine attached (and online migration enabled) the
-        physical migration streams through the event scheduler — pending
-        events interleave with its copy-steps and the double-write
-        window covers copied vertices until the atomic commit.
+        With an engine attached the physical migration streams through
+        the event scheduler — pending events interleave with its
+        copy-steps and the double-write window covers copied vertices
+        until the atomic commit.
         """
-        if (
-            self.engine is not None
-            and self.engine.config.online_migration
-        ):
+        if self.engine is not None:
             handle = self.engine.submit_rebalance(force=force, at=self.now)
             self.engine.run()
             if handle.error is not None:

@@ -189,8 +189,7 @@ class GraphRouter:
         replica.busy_counter.inc(network.local_visit())
         cost = network.config.client_dispatch_cost + network.local_visit()
         cluster._advance(cost)
-        if cluster.track_weights:
-            cluster.graph.add_weight(vertex, 1.0)
-            cluster.aux.add_weight(vertex, 1.0)
+        cluster.graph.add_weight(vertex, 1.0)
+        cluster.aux.add_weight(vertex, 1.0)
         staleness = self.sync.note_served(vertex, now)
         return dict(properties), cost, staleness, False

@@ -48,8 +48,7 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """Monotonically increasing count (simulation code may also ``set``
-    it when restoring legacy attribute semantics)."""
+    """Monotonically increasing count."""
 
     kind = "counter"
     __slots__ = ("name", "labels", "value")
@@ -61,9 +60,6 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Gauge:

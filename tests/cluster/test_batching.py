@@ -3,9 +3,9 @@
 Three concerns share this module because they share machinery:
 
 * the batched RPC cost model (``SimulatedNetwork.batched_hop`` plus the
-  per-depth aggregation in the traversal engine) must change *costs*,
-  never *results* — parity with the legacy per-entry model is the core
-  invariant;
+  per-depth aggregation in the traversal engine) is pinned against the
+  closed-form per-entry model: one round trip per remote frontier entry
+  is the baseline, and batching saves exactly the amortized round trips;
 * the per-server location cache must stay correct across migrations:
   participants are updated at commit, everyone else resolves stale hints
   via one forwarding charge;
@@ -31,6 +31,7 @@ from tests.conftest import (
     link_down_plan,
     make_random_graph,
     migrate_moves as migrate,
+    per_entry_model,
 )
 
 
@@ -71,62 +72,66 @@ class TestBatchedHop:
 
 
 # ======================================================================
-# batched vs legacy parity (zero faults)
+# closed-form cost model (zero faults, cold cache)
 # ======================================================================
-class TestBatchedLegacyParity:
-    @pytest.fixture()
-    def clusters(self):
+class TestCostModel:
+    def build(self, network=None):
         graph = make_random_graph(num_vertices=120, num_edges=500, seed=11)
         placement = HashPartitioner(salt=11).partition(graph, 4)
-        batched = HermesCluster.from_graph(
-            graph.copy(), num_servers=4, partitioning=placement,
-            network=NetworkConfig(batch_remote_hops=True),
+        return HermesCluster.from_graph(
+            graph, num_servers=4, partitioning=placement, network=network
         )
-        legacy = HermesCluster.from_graph(
-            graph.copy(), num_servers=4, partitioning=placement,
-            network=NetworkConfig(batch_remote_hops=False),
-        )
-        return batched, legacy
 
-    def test_identical_results_lower_cost(self, clusters):
-        batched, legacy = clusters
-        batched_cost = 0.0
-        legacy_cost = 0.0
-        for start in sorted(batched.graph.vertices())[:30]:
-            a = batched.traverse(start, hops=2)
-            b = legacy.traverse(start, hops=2)
-            assert a.response == b.response
-            assert a.processed == b.processed
-            assert a.remote_hops == b.remote_hops
-            assert not a.partial and not b.partial
-            batched_cost += a.cost
-            legacy_cost += b.cost
-        assert batched_cost < legacy_cost
+    def test_batching_saves_exactly_the_amortized_round_trips(self):
+        """Per query: the per-entry model, minus one round trip + RPC
+        dispatch for every entry that rode someone else's message, plus
+        the per-entry marginal."""
+        cluster = self.build()
+        cfg = cluster.network.config
+        saved_any = False
+        for start in sorted(cluster.graph.vertices())[:30]:
+            messages_before = cluster.network.stats.messages
+            result = cluster.traverse(start, hops=2)
+            messages = cluster.network.stats.messages - messages_before
+            assert not result.partial
+            assert messages <= result.remote_hops
+            saved_any |= messages < result.remote_hops
+            expected = (
+                per_entry_model(cfg, result)
+                - (result.remote_hops - messages)
+                * (cfg.remote_hop_cost + cfg.remote_service_cost)
+                + result.remote_hops * cfg.batch_entry_cost
+            )
+            assert result.cost == pytest.approx(expected)
+        assert saved_any, "trace never put two entries on one link"
 
-    def test_fewer_messages_same_remote_hops(self, clusters):
-        batched, legacy = clusters
-        for start in sorted(batched.graph.vertices())[:30]:
-            batched.traverse(start, hops=2)
-            legacy.traverse(start, hops=2)
-        assert batched.network.stats.messages < legacy.network.stats.messages
+    def test_never_costlier_than_per_entry_without_the_marginal(self):
+        cluster = self.build(network=NetworkConfig(batch_entry_cost=0.0))
+        cfg = cluster.network.config
+        for start in sorted(cluster.graph.vertices())[:30]:
+            result = cluster.traverse(start, hops=2)
+            assert result.cost <= per_entry_model(cfg, result) * (1 + 1e-9)
 
-    def test_legacy_mode_matches_pre_batching_cost_model(self):
-        """With batching off, a 1-hop remote step costs exactly the
-        dispatch + hop + service + two visits of the historic model."""
+    def test_equals_per_entry_model_when_every_link_carries_one_entry(self):
+        """A single cut edge: one entry on one link, nothing amortized —
+        the batched cost is the per-entry model plus that entry's
+        marginal."""
         graph = SocialGraph.from_edges([(0, 1)])
-        cluster = build_cluster(
-            graph, {0: 0, 1: 1}, num_servers=2,
-            network=NetworkConfig(batch_remote_hops=False),
-        )
+        cluster = build_cluster(graph, {0: 0, 1: 1}, num_servers=2)
         result = cluster.traverse(0, hops=1)
         cfg = cluster.network.config
-        expected = (
+        assert result.remote_hops == 1
+        # the bulk load's ghost shipment + the query's one message
+        assert cluster.network.stats.messages == 2
+        assert result.cost == pytest.approx(
+            per_entry_model(cfg, result) + cfg.batch_entry_cost
+        )
+        assert per_entry_model(cfg, result) == pytest.approx(
             cfg.client_dispatch_cost
             + 2 * cfg.local_visit_cost
             + cfg.remote_hop_cost
             + cfg.remote_service_cost
         )
-        assert result.cost == pytest.approx(expected)
 
 
 # ======================================================================
@@ -252,28 +257,24 @@ class TestCacheAfterMigration:
 # Fault-path regressions
 # ======================================================================
 class TestFaultRegressions:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_same_host_entries_skip_crashed_server(self, batched):
+    def test_same_host_entries_skip_crashed_server(self):
         """A server that crashes mid-query must stop serving *local*
         frontier entries too, not only remote ones.
 
-        Server 1 hosts the start vertex and crashes 0.4 ms in — after the
-        depth-1 hop to server 0 has advanced the simulated clock past the
-        window start.  In legacy mode the depth-2 entry for v9 is served,
-        expanding it raises ServerDownError, and the same-host entry for
-        v8 queued right behind it must be dropped: before the fix it was
-        visited on the crashed server and v8 leaked into the response.
-        In batched mode the crash surfaces one depth earlier (the
-        aggregated message advances the clock before any entry runs), so
-        the response is smaller still — and nothing on server 1 is served
-        after the failure in either mode.
+        Server 1 hosts the start vertex and crashes 0.4 ms in.  The
+        aggregated depth-1 message to server 0 advances the simulated
+        clock past the window start before any depth-1 entry runs, so
+        the first of v3/v4 to be expanded on server 1 hits the crash: it
+        stays in the response, its expansions are lost, and the other —
+        a same-host entry queued right behind it — must be dropped
+        (before the fix it was visited on the crashed server and leaked
+        into the response), as is every depth-2 entry hosted there.
         """
         graph = SocialGraph.from_edges(
-            [(1, 3), (0, 1), (3, 9), (3, 8), (0, 5)]
+            [(1, 3), (1, 4), (0, 1), (3, 9), (3, 8), (0, 5)]
         )
         cluster = build_cluster(
-            graph, {0: 0, 1: 1, 3: 1, 5: 1, 8: 1, 9: 1}, num_servers=2,
-            network=NetworkConfig(batch_remote_hops=batched),
+            graph, {0: 0, 1: 1, 3: 1, 4: 1, 5: 1, 8: 1, 9: 1}, num_servers=2
         )
         cluster.attach_faults(
             FaultPlan(
@@ -283,13 +284,9 @@ class TestFaultRegressions:
         result = cluster.traverse(1, hops=3)
         assert result.partial
         assert result.failed_partitions == (1,)
-        # v8's same-host entry is queued behind the expansion that hits
-        # the crash: before the fix it was served anyway.
-        assert 8 not in result.response
-        if batched:
-            assert set(result.response) == {0, 1, 3}
-        else:
-            assert set(result.response) == {0, 1, 3, 9}
+        assert {0, 1} <= set(result.response)
+        assert len({3, 4} & set(result.response)) == 1
+        assert not {5, 8, 9} & set(result.response)
 
     def test_read_vertex_degraded_when_host_down(self):
         graph = SocialGraph.from_edges([(0, 1)])

@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) on whole-cluster invariants.
 
-Two properties the simulation harness leans on, checked here in
+Three properties the simulation harness leans on, checked here in
 isolation over hypothesis-driven random inputs:
 
-* **batched/legacy parity** — the batched remote-traversal RPCs are a
-  pure cost optimization: on any graph/placement (fault-free) they must
-  visit exactly the same vertex sets and report the same failed
-  partitions as the legacy per-entry protocol;
+* **traversal reference model** — on any graph/placement (fault-free) a
+  k-hop traversal returns exactly the k-ball of its start vertex in the
+  logical graph, and its cost is the closed-form per-entry model minus
+  the round trips batching amortized;
+* **serial = drained generator** — ``execute(plan)`` and a hand-drained
+  ``migrate_steps(plan)`` from identical start states leave identical
+  stores, catalog, auxiliary data, report and telemetry;
 * **rollback atomicity** — wherever an injected fault lands inside
   ``migrate()``, the abort path must restore byte-identical store,
   catalog and auxiliary state, and the same plan must succeed verbatim
@@ -20,12 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.hermes import HermesCluster
-from repro.cluster.network import NetworkConfig
 from repro.core.migration import build_migration_plan
 from repro.exceptions import MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
-from tests.conftest import deep_snapshot, link_down_plan
+from tests.conftest import (
+    deep_snapshot,
+    drain,
+    link_down_plan,
+    per_entry_model,
+    telemetry_snapshot,
+)
 
 
 @st.composite
@@ -48,42 +56,51 @@ def placed_graph(draw):
     return graph, placement, num_servers, seed
 
 
+def k_ball(graph, start, hops):
+    """Vertices within ``hops`` edges of ``start`` (plain BFS)."""
+    seen = {start}
+    frontier = [start]
+    for _ in range(hops):
+        reached = []
+        for vertex in frontier:
+            for neighbor in graph.neighbors(vertex):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    reached.append(neighbor)
+        frontier = reached
+    return seen
+
+
 @given(placed_graph())
 @settings(max_examples=40, deadline=None)
-def test_batched_and_legacy_traversals_agree(data):
-    graph, placement, num_servers, seed = data
-    batched = HermesCluster.from_graph(
-        graph.copy(),
-        num_servers=num_servers,
-        partitioning=placement,
-        network=NetworkConfig(batch_remote_hops=True),
-    )
-    legacy = HermesCluster.from_graph(
-        graph.copy(),
-        num_servers=num_servers,
-        partitioning=placement,
-        network=NetworkConfig(batch_remote_hops=False),
-    )
-    rng = random.Random(seed)
-    starts = [rng.randrange(graph.num_vertices) for _ in range(6)]
-    for start in starts:
-        hops = rng.choice([1, 2, 3])
-        a = batched.traverse(start, hops=hops)
-        b = legacy.traverse(start, hops=hops)
-        assert set(a.response) == set(b.response)
-        assert a.failed_partitions == b.failed_partitions
-        assert a.processed == b.processed
-
-
-@given(placed_graph())
-@settings(max_examples=30, deadline=None)
-def test_aborted_migration_restores_state_exactly(data):
+def test_traversal_matches_reference_ball_and_cost_model(data):
     graph, placement, num_servers, seed = data
     cluster = HermesCluster.from_graph(
         graph.copy(), num_servers=num_servers, partitioning=placement
     )
+    cfg = cluster.network.config
     rng = random.Random(seed)
-    # A random multi-vertex plan with at least one genuine move.
+    for _ in range(6):
+        start = rng.randrange(graph.num_vertices)
+        hops = rng.choice([1, 2, 3])
+        messages_before = cluster.network.stats.messages
+        result = cluster.traverse(start, hops=hops)
+        messages = cluster.network.stats.messages - messages_before
+        assert set(result.response) == k_ball(graph, start, hops)
+        assert result.failed_partitions == ()
+        amortized = (result.remote_hops - messages) * (
+            cfg.remote_hop_cost + cfg.remote_service_cost
+        )
+        assert amortized >= 0
+        assert result.cost == pytest.approx(
+            per_entry_model(cfg, result)
+            - amortized
+            + result.remote_hops * cfg.batch_entry_cost
+        )
+
+
+def random_moves(cluster, graph, num_servers, rng):
+    """A random multi-vertex plan with at least one genuine move."""
     moves = {}
     for vertex in sorted(graph.vertices()):
         if rng.random() < 0.4:
@@ -95,6 +112,47 @@ def test_aborted_migration_restores_state_exactly(data):
         vertex = sorted(graph.vertices())[0]
         source = cluster.catalog.lookup(vertex)
         moves[vertex] = (source, (source + 1) % num_servers)
+    return moves
+
+
+@given(placed_graph())
+@settings(max_examples=30, deadline=None)
+def test_execute_equals_hand_drained_migrate_steps(data):
+    graph, placement, num_servers, seed = data
+    outcomes = []
+    for drain_by_hand in (False, True):
+        cluster = HermesCluster.from_graph(
+            graph.copy(), num_servers=num_servers, partitioning=placement
+        )
+        moves = random_moves(cluster, graph, num_servers, random.Random(seed))
+        for vertex, (_, target) in moves.items():
+            cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+        plan = build_migration_plan(moves)
+        if drain_by_hand:
+            _, report = drain(cluster._executor.migrate_steps(plan))
+        else:
+            report = cluster._executor.execute(plan)
+        cluster.validate()
+        outcomes.append(
+            (
+                report,
+                deep_snapshot(cluster),
+                telemetry_snapshot(cluster),
+                cluster.network.stats,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+@given(placed_graph())
+@settings(max_examples=30, deadline=None)
+def test_aborted_migration_restores_state_exactly(data):
+    graph, placement, num_servers, seed = data
+    cluster = HermesCluster.from_graph(
+        graph.copy(), num_servers=num_servers, partitioning=placement
+    )
+    rng = random.Random(seed)
+    moves = random_moves(cluster, graph, num_servers, rng)
 
     before = deep_snapshot(cluster)
     # Fail a random copy direction used by the plan: any transfer along

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan, RetryPolicy
 from repro.cluster.hermes import HermesCluster
-from repro.cluster.network import NetworkConfig, SimulatedNetwork
+from repro.cluster.network import SimulatedNetwork
 from repro.core.migration import build_migration_plan
 from repro.exceptions import (
     ClusterError,
@@ -421,17 +421,13 @@ class TestFaultConservation:
         assert net.stats.messages_received == delivered
         assert network_conservation_violations(net.stats) == []
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "legacy"])
-    def test_traversals_under_loss_and_crashes_conserve(self, batched):
-        """End-to-end: aggressive loss plus a crash window, batched and
-        legacy engines both keep send == receive on every link."""
+    def test_traversals_under_loss_and_crashes_conserve(self):
+        """End-to-end: aggressive loss plus a crash window, the engine
+        keeps send == receive on every link."""
         graph = make_random_graph(num_vertices=80, num_edges=300, seed=23)
         placement = HashPartitioner(salt=23).partition(graph, 3)
         cluster = HermesCluster.from_graph(
-            graph,
-            num_servers=3,
-            partitioning=placement,
-            network=NetworkConfig(batch_remote_hops=batched),
+            graph, num_servers=3, partitioning=placement
         )
         cluster.attach_faults(
             FaultPlan(

@@ -1,10 +1,14 @@
 """Online migration: copy-steps, the double-write window, abort parity.
 
-The serial migration executes copy/commit/remove in one opaque call;
 :meth:`~repro.cluster.migration_executor.MigrationExecutor.migrate_steps`
-streams the same protocol one vertex at a time so queries and writes can
-interleave.  These tests pin the protocol's contract:
+streams the copy/commit/remove protocol one vertex at a time so queries
+and writes can interleave; ``execute`` (and ``HermesCluster.rebalance``
+over ``rebalance_steps``) is that generator drained in one call.  These
+tests pin the protocol's contract:
 
+* a serial call and a hand-drained generator from identical start
+  states leave identical stores, catalog, report and telemetry —
+  including when the migration aborts mid-copy and rolls back;
 * writes landing on a windowed vertex are mirrored to the in-flight
   target copy, and the coherence sweep stays clean throughout;
 * an abort rolls back copy-steps *and* mirrored writes together,
@@ -30,7 +34,9 @@ from tests.conftest import (
     build_placed_cluster,
     crash_plan,
     deep_snapshot,
+    drain,
     make_random_graph,
+    telemetry_snapshot,
 )
 
 
@@ -42,13 +48,7 @@ def plan_for(cluster, moves):
 
 def drive(executor, plan):
     """Drain migrate_steps, collecting the yielded MigrationSteps."""
-    generator = executor.migrate_steps(plan)
-    steps = []
-    while True:
-        try:
-            steps.append(next(generator))
-        except StopIteration as stop:
-            return steps, stop.value
+    return drain(executor.migrate_steps(plan))
 
 
 class TestMigrateSteps:
@@ -83,17 +83,55 @@ class TestMigrateSteps:
             report.total_cost
         )
 
-    def test_matches_serial_execute_exactly(self):
+    def test_execute_is_the_drained_generator(self):
         serial = self.build()
-        online = self.build()
+        drained = self.build()
         moves = {0: (0, 1), 3: (0, 2), 6: (0, 1)}
         serial_report = serial._executor.execute(plan_for(serial, moves))
-        _, online_report = drive(online._executor, plan_for(online, moves))
-        assert deep_snapshot(serial) == deep_snapshot(online)
-        assert serial_report.total_cost == pytest.approx(
-            online_report.total_cost
-        )
-        assert serial_report.vertices_moved == online_report.vertices_moved
+        _, drained_report = drive(drained._executor, plan_for(drained, moves))
+        assert serial_report == drained_report
+        assert deep_snapshot(serial) == deep_snapshot(drained)
+        assert telemetry_snapshot(serial) == telemetry_snapshot(drained)
+        assert serial.network.stats == drained.network.stats
+        serial.validate()
+
+    def test_execute_and_drained_generator_abort_identically(self):
+        """Abort mid-copy: the first move's copy lands, the second's
+        target is down — both forms roll back to the same state and
+        publish the same abort telemetry."""
+        outcomes = []
+        for run in (
+            lambda cluster, plan: cluster._executor.execute(plan),
+            lambda cluster, plan: drive(cluster._executor, plan),
+        ):
+            cluster = self.build()
+            before = deep_snapshot(cluster)
+            moves = {0: (0, 1), 3: (0, 2)}
+            plan = plan_for(cluster, moves)
+            cluster.attach_faults(crash_plan(2))
+            with pytest.raises(MigrationAbortedError) as excinfo:
+                run(cluster, plan)
+            cluster.attach_faults(None)
+            for vertex, (source, _) in moves.items():
+                cluster.aux.apply_move(
+                    vertex, source, cluster.graph.neighbors(vertex)
+                )
+            assert excinfo.value.report.vertices_moved == 1
+            assert deep_snapshot(cluster) == before
+            assert not cluster._executor.window_open
+            assert not cluster._executor.journal_open
+            cluster.validate()
+            registry = cluster.telemetry.registry
+            assert registry.value("migration_aborts_total") == 1
+            assert registry.value("migration_vertices_moved_total") == 0
+            outcomes.append(
+                (
+                    excinfo.value.report,
+                    telemetry_snapshot(cluster),
+                    cluster.network.stats,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDoubleWriteWindow:
@@ -228,26 +266,56 @@ class TestMatchedScheduleParity:
     def placement(self, cluster):
         return sorted(cluster.catalog.as_mapping().items())
 
-    def test_rebalance_steps_matches_serial_rebalance(self):
-        serial = self.build(concurrent=False)
-        online = self.build(concurrent=True)
-        serial_outcome = serial.rebalance(force=True)
+    def drain(self, cluster):
+        """Hand-drain rebalance_steps; returns (steps, outcome)."""
+        return drain(cluster.rebalance_steps(force=True))
 
-        generator = online.rebalance_steps(force=True)
-        while True:
-            try:
-                next(generator)
-            except StopIteration as stop:
-                online_outcome = stop.value
-                break
-        assert serial_outcome is not None and online_outcome is not None
-        assert self.placement(serial) == self.placement(online)
-        assert serial.edge_cut() == online.edge_cut()
-        assert len(serial_outcome[0].moves) == len(online_outcome[0].moves)
-        assert serial_outcome[1].total_cost == pytest.approx(
-            online_outcome[1].total_cost
-        )
-        online.validate()
+    def test_rebalance_is_the_drained_generator(self):
+        serial = self.build(concurrent=False)
+        drained = self.build(concurrent=False)
+        serial_outcome = serial.rebalance(force=True)
+        steps, drained_outcome = self.drain(drained)
+
+        assert serial_outcome is not None and drained_outcome is not None
+        assert serial_outcome[0].moves == drained_outcome[0].moves
+        assert serial_outcome[0].history == drained_outcome[0].history
+        assert serial_outcome[1] == drained_outcome[1]
+        assert serial_outcome[1].vertices_moved > 0
+        assert deep_snapshot(serial) == deep_snapshot(drained)
+        assert telemetry_snapshot(serial) == telemetry_snapshot(drained)
+        assert serial.network.stats == drained.network.stats
+        # The generator yields costs; only its consumer moves the clock.
+        assert drained.now == 0.0
+        assert serial.now == serial_outcome[1].total_cost
+        assert sum(step.cost for step in steps) == pytest.approx(serial.now)
+        drained.validate()
+
+    def test_rebalance_and_drained_generator_abort_identically(self):
+        outcomes = []
+        for run in (lambda c: c.rebalance(force=True), self.drain):
+            cluster = self.build(concurrent=False)
+            before = deep_snapshot(cluster)
+            # Server 1 is down: the first copy bound for it exhausts its
+            # retries mid-copy and the whole rebalance rolls back.
+            cluster.attach_faults(crash_plan(1))
+            with pytest.raises(MigrationAbortedError) as excinfo:
+                run(cluster)
+            cluster.attach_faults(None)
+            assert deep_snapshot(cluster) == before
+            assert not cluster._executor.window_open
+            assert not cluster._executor.journal_open
+            cluster.validate()
+            registry = cluster.telemetry.registry
+            assert registry.value("rebalance_aborts_total") == 1
+            assert registry.value("rebalances_total") == 0
+            outcomes.append(
+                (
+                    excinfo.value.report,
+                    telemetry_snapshot(cluster),
+                    cluster.network.stats,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
 
     def test_parity_holds_with_read_traffic_interleaved(self):
         serial = self.build(concurrent=False)
@@ -281,17 +349,3 @@ class TestMatchedScheduleParity:
         with pytest.raises(StopIteration) as stop:
             next(generator)
         assert stop.value.value is None
-
-    def test_stop_the_world_arm_matches_serial_too(self):
-        serial = self.build(concurrent=False)
-        stw = self.build(concurrent=True)
-        stw.concurrency = ConcurrencyConfig(
-            enabled=True, online_migration=False
-        )
-        serial.rebalance(force=True)
-        engine = ConcurrentExecutor(stw)
-        handle = engine.submit_rebalance(force=True)
-        engine.run()
-        assert handle.ok
-        assert self.placement(serial) == self.placement(stw)
-        assert serial.edge_cut() == stw.edge_cut()

@@ -4,7 +4,9 @@ Beyond the small deterministic graph/cluster fixtures, this module hosts
 the scenario builders the cluster test modules used to duplicate:
 explicitly-placed clusters (:func:`build_placed_cluster`), direct
 migrations (:func:`migrate_moves`), deep multi-layer state snapshots
-(:func:`deep_snapshot`), canned fault plans (:func:`link_down_plan`,
+(:func:`deep_snapshot`), metric dumps (:func:`telemetry_snapshot`),
+hand-draining of step generators (:func:`drain`), the per-entry traversal
+cost model (:func:`per_entry_model`), canned fault plans (:func:`link_down_plan`,
 :func:`crash_plan`) and the :class:`FixedPartitioner` test double.
 """
 
@@ -135,6 +137,40 @@ def deep_snapshot(cluster):
         for vertex in cluster.graph.vertices()
     }
     return {"servers": servers, "catalog": catalog, "aux": aux}
+
+
+def drain(generator):
+    """Run a step generator to exhaustion by hand; returns
+    ``(yielded steps, StopIteration value)``."""
+    steps = []
+    while True:
+        try:
+            steps.append(next(generator))
+        except StopIteration as stop:
+            return steps, stop.value
+
+
+def per_entry_model(config, result):
+    """What a traversal would cost at one message per remote frontier
+    entry: every remote step pays its own round trip and RPC dispatch
+    (the closed-form baseline of DESIGN.md section 9)."""
+    return (
+        config.client_dispatch_cost
+        + result.remote_hops
+        * (config.remote_hop_cost + config.remote_service_cost)
+        + result.processed * config.local_visit_cost
+    )
+
+
+def telemetry_snapshot(cluster):
+    """Every metric series of the cluster's hub (counters, gauges,
+    histograms), with the process-wide ``cluster`` id label stripped so
+    two clusters built the same way compare equal."""
+    samples = []
+    for sample in cluster.telemetry.registry.snapshot():
+        sample["labels"].pop("cluster", None)
+        samples.append(sample)
+    return samples
 
 
 @pytest.fixture

@@ -97,6 +97,10 @@ class TestDeterminism:
         data = json.loads(blob)
         assert ScenarioSpec.from_dict(data["spec"]) == spec
         assert schedule_from_dicts(data["schedule"]) == schedule
+        # Replay artifacts written before the per-entry traversal mode
+        # was deleted carry its spec key; they must still load.
+        stale = dict(data["spec"], batch_remote_hops=False)
+        assert ScenarioSpec.from_dict(stale) == spec
 
 
 class TestShrinkAndReplay:

@@ -20,12 +20,9 @@ class TestCounter:
         counter.inc(2.5)
         assert counter.value == 3.5
 
-    def test_set_supports_legacy_attribute_semantics(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("visits_total")
-        counter.inc(10)
-        counter.set(0)
-        assert counter.value == 0.0
+    def test_counters_cannot_be_set(self):
+        counter = MetricsRegistry().counter("visits_total")
+        assert not hasattr(counter, "set")
 
     def test_get_or_create_returns_same_series(self):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.clients import ClientPool
+from repro.cluster.faults import FaultPlan
 from repro.cluster.server import HermesServer
 from repro.concurrency import ConcurrencyConfig
 from repro.exceptions import WorkloadError
@@ -11,7 +12,7 @@ from repro.cluster.hermes import HermesCluster
 from repro.partitioning.hashing import HashPartitioner
 from repro.workloads.mixed import mixed_trace
 from repro.workloads.queries import InsertEdge, InsertVertex, ReadVertex, Traversal
-from tests.conftest import make_random_graph
+from tests.conftest import crash_plan, make_random_graph
 
 
 class TestMixedTrace:
@@ -163,6 +164,85 @@ class TestClientPoolConcurrent:
         assert report.reads == 2
 
 
+class TestFailedOperationAccounting:
+    """Regression: serial ``run`` used to propagate the first cluster
+    error (dropping the rest of the trace, ``failed_operations`` stuck
+    at 0) while concurrent ``run`` counted it and moved on.  Both modes
+    now share one accounting path."""
+
+    def build(self, concurrent):
+        return HermesCluster.from_graph(
+            community_graph(80, seed=6),
+            num_servers=3,
+            partitioner=HashPartitioner(),
+            concurrency=ConcurrencyConfig(enabled=True) if concurrent else None,
+        )
+
+    def test_serial_failed_operation_counted_and_trace_continues(self):
+        cluster = self.build(concurrent=False)
+        pool = ClientPool(cluster, num_clients=1)
+        vertex = next(iter(cluster.graph.vertices()))
+        report = pool.run(
+            [ReadVertex(10**9), ReadVertex(vertex), ReadVertex(vertex)]
+        )
+        assert report.failed_operations == 1
+        assert report.operations == 2
+        assert report.reads == 2
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_crashed_placement_target_fails_one_insert_only(self, concurrent):
+        cluster = self.build(concurrent)
+        new_vertex = 10**6
+        cluster.attach_faults(crash_plan(cluster.placement_target(new_vertex)))
+        survivor = next(
+            v
+            for v in sorted(cluster.graph.vertices())
+            if not cluster.faults.is_down(cluster.catalog.lookup(v))
+        )
+        pool = ClientPool(cluster, num_clients=2)
+        report = pool.run(
+            [ReadVertex(survivor), InsertVertex(new_vertex), ReadVertex(survivor)]
+        )
+        assert report.failed_operations == 1
+        assert report.operations == 2
+        assert report.reads == 2 and report.writes == 0
+        assert new_vertex not in cluster.catalog
+        # Clients keep their round-robin slots: the failed insert was
+        # client-1's, both reads were client-0's.
+        assert report.client_operations == {"client-0": 2}
+        cluster.attach_faults(None)
+        cluster.validate()
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_aborted_periodic_rebalance_does_not_end_the_run(self, concurrent):
+        cluster = self.build(concurrent)
+        for vertex in list(cluster.catalog.vertices_on(0)):
+            cluster.aux.add_weight(vertex, 50.0)
+            cluster.graph.add_weight(vertex, 50.0)
+        assert cluster.check_trigger().should_repartition
+        # Every link is dead: each triggered rebalance aborts and rolls
+        # back; single-record reads never cross a link and keep flowing.
+        cluster.attach_faults(FaultPlan(loss_rate=1.0))
+        vertices = sorted(cluster.graph.vertices())[:6]
+        report = ClientPool(cluster, num_clients=1).run(
+            [ReadVertex(v) for v in vertices], rebalance_every=2
+        )
+        assert report.operations == 6
+        assert report.failed_operations == 0
+        registry = cluster.telemetry.registry
+        assert registry.value("rebalance_aborts_total") == 3
+        cluster.attach_faults(None)
+        cluster.validate()
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_malformed_trace_is_not_a_failed_operation(self, concurrent):
+        cluster = self.build(concurrent)
+        pool = ClientPool(cluster, num_clients=2)
+        vertex = next(iter(cluster.graph.vertices()))
+        with pytest.raises(WorkloadError):
+            pool.run([ReadVertex(vertex), "not-an-operation"])
+
+
 class TestMidRunServerRegistration:
     """Satellite regression: a server registered after the run starts
     (elastic scale-out) must be baselined at first observation — its
@@ -189,7 +269,7 @@ class TestMidRunServerRegistration:
             clock=lambda: cluster.now,
             telemetry=cluster.telemetry,
         )
-        server.busy_seconds = busy
+        server.busy_counter.inc(busy)
         cluster.servers.append(server)
         return server
 
