@@ -645,7 +645,6 @@ class HermesCluster:
         serving = getattr(self, "serving", None)
         if serving is not None:
             serving.queue.add_server()
-            serving.note_topology_change()
         engine = getattr(self, "_concurrent_engine", None)
         if engine is not None:
             engine.scheduler.add_server()
@@ -726,9 +725,6 @@ class HermesCluster:
             raise
         self.location_cache.purge_host(server_id)
         server.state = server_states.DETACHED
-        serving = getattr(self, "serving", None)
-        if serving is not None:
-            serving.note_topology_change()
         self.telemetry.event(
             "server_drained", server=server_id, vertices_moved=len(moves)
         )

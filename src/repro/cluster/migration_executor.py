@@ -41,7 +41,7 @@ interleave traffic; :meth:`MigrationExecutor.execute` drains it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
@@ -135,6 +135,9 @@ class MigrationExecutor:
         self._window: Dict[int, int] = {}
         #: final placement of the migration owning the window
         self._window_final_home: Optional[Dict[int, int]] = None
+        #: windowed vertices a copy-step or a mirrored write touched since
+        #: the last :meth:`sweep_window_changes` (all of them at the barrier)
+        self._window_unswept: Set[int] = set()
         #: called after every catalog commit; in-flight traversals use
         #: this to re-resolve their frontiers.
         self.topology_listeners: List[Callable[[], None]] = []
@@ -223,6 +226,7 @@ class MigrationExecutor:
                 cost_before = report.copy_cost
                 self._copy_one(move, final_home, report, undo, payload_sizes)
                 self._window[move.vertex] = move.target
+                self._window_unswept.add(move.vertex)
                 yield MigrationStep(
                     "copy",
                     report.copy_cost - cost_before,
@@ -234,6 +238,9 @@ class MigrationExecutor:
             barrier_span = self.telemetry.span("migration.barrier")
             report.barrier_cost = self._barrier(plan)
             barrier_span.finish(duration=report.barrier_cost)
+            # Last pause before the commit: the next sweep covers the
+            # whole window, not only what the events announced.
+            self._window_unswept.update(self._window)
             participants = sorted(
                 {move.source for move in plan.moves}
                 | {move.target for move in plan.moves}
@@ -312,6 +319,7 @@ class MigrationExecutor:
         self.active_journal = None
         self._window.clear()
         self._window_final_home = None
+        self._window_unswept.clear()
 
     def _final_placement(self, plan: MigrationPlan) -> Dict[int, int]:
         """Vertex -> server map *after* the plan completes."""
@@ -572,12 +580,13 @@ class MigrationExecutor:
         if target_id is None or self.active_journal is None:
             return
         final_home = self._window_final_home or {}
+        self._window_unswept.add(vertex)
         self._install_relationship(
             self.servers[target_id], vertex, rel, final_home, self.active_journal
         )
 
     def check_window_coherence(self) -> List[str]:
-        """Audit the open double-write window (the simtest invariant).
+        """Audit the whole open double-write window (the simtest invariant).
 
         For every windowed vertex: the journal must be open, the target
         must hold a replica, the catalog must still route reads to the
@@ -586,10 +595,25 @@ class MigrationExecutor:
         i.e. every write that landed during the window reached both
         sides.  Returns human-readable problems (empty when coherent).
         """
+        return self._window_problems(self._window)
+
+    def sweep_window_changes(self) -> List[str]:
+        """The same audit over the windowed vertices changed since the
+        previous call: the vertex a copy-step just added, the endpoints
+        :meth:`mirror_edge` was called for — and, once the barrier has
+        run, every windowed vertex, so a change no event announced is
+        still caught before the catalog commits.  The per-event sweep
+        of the concurrent engine; O(changes), not O(window)."""
+        changed = self._window_unswept
+        self._window_unswept = set()
+        return self._window_problems(changed)
+
+    def _window_problems(self, vertices: Iterable[int]) -> List[str]:
         problems: List[str] = []
         if self._window and not self.journal_open:
             problems.append("double-write window open without a live journal")
-        for vertex, target_id in sorted(self._window.items()):
+        for vertex in sorted(vertices):
+            target_id = self._window[vertex]
             try:
                 source_id = self.catalog.lookup(vertex)
             except HermesError:

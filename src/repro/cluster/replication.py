@@ -16,13 +16,17 @@ fully local.  The trade-offs the paper points out:
 partitioning and quantifies those trade-offs, so the ``spar`` experiment
 can put Hermes and SPAR side by side.
 
-Since the serving layer (PR 7) wires the replicator into the live read
-path, the class is instrumented: an attached
+The class is instrumented: an attached
 :class:`~repro.telemetry.Telemetry` hub counts placement computations
 and the replica copies they produced, and exports the headline
 trade-off numbers (replication factor, total replicas, write
 amplification) as gauges every time :meth:`OneHopReplicator.stats`
-runs.  With the default null hub all of it is no-ops.
+runs.  With the default null hub all of it is no-ops.  The serving path
+does not tick ``replication_placements_total`` /
+``replication_copies_total``: :class:`~repro.serving.replicas.
+ReplicaIndex` reads the same placement from the auxiliary data, and this
+class is the from-scratch oracle it is tested against (the simtest
+``replica-staleness-bound`` invariant, the ``spar`` experiment).
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ Two guarantees the executor layers on top of the raw scheduler:
   the same total in one piece;
 * **window auditing** — with
   :attr:`~repro.concurrency.config.ConcurrencyConfig.
-  check_window_coherence` on, the double-write window is swept after
-  every dispatched event while a migration is in flight; any violation
-  is collected in :attr:`coherence_violations` (the simtest auditor
-  fails the run if it is non-empty).
+  check_window_coherence` on, every dispatched event is followed by a
+  sweep of the windowed vertices it could have changed (a copy-step's
+  vertex, a mirrored write's endpoints) and the barrier step by a sweep
+  of the whole window; any violation is collected in
+  :attr:`coherence_violations` (the simtest auditor fails the run if it
+  is non-empty).
 """
 
 from __future__ import annotations
@@ -75,14 +77,15 @@ class ConcurrentExecutor:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> Optional[TaskHandle]:
-        """One scheduler event + the double-write coherence sweep."""
+        """One scheduler event + the double-write coherence sweep of
+        the windowed vertices that event could have changed."""
         handle = self.scheduler.step()
         if (
             handle is not None
             and self.config.check_window_coherence
             and self.cluster._executor.window_open
         ):
-            for problem in self.cluster._executor.check_window_coherence():
+            for problem in self.cluster._executor.sweep_window_changes():
                 self.coherence_violations.append(
                     f"after event {len(self.scheduler.records)} "
                     f"({handle.label or 'task'} #{handle.task_id}): {problem}"

@@ -141,32 +141,23 @@ class ServingFrontend:
         """One asynchronous replica-update delivery as an event."""
         yield Work(demands=((host, cost),), kind="replica-update")
 
-    # ------------------------------------------------------------------
-    # Topology hooks
-    # ------------------------------------------------------------------
-    def note_topology_change(self) -> None:
-        """A rebalance re-homed vertices; replica placement is stale."""
-        self.index.note_topology_change()
-
     def rebalance(self, force: bool = False):
-        """Run the cluster's repartitioner and refresh replica placement.
+        """Run the cluster's repartitioner from the front door.
 
         With an engine attached the physical migration streams through
         the event scheduler — pending events interleave with its
         copy-steps and the double-write window covers copied vertices
-        until the atomic commit.
+        until the atomic commit.  Replica placement is read from the
+        auxiliary data, which phase 1 retargets (and an abort restores),
+        so there is nothing to refresh afterwards.
         """
         if self.engine is not None:
             handle = self.engine.submit_rebalance(force=force, at=self.now)
             self.engine.run()
             if handle.error is not None:
                 raise handle.error
-            result = handle.result
-        else:
-            result = self.cluster.rebalance(force=force)
-        if result is not None:
-            self.note_topology_change()
-        return result
+            return handle.result
+        return self.cluster.rebalance(force=force)
 
     # ------------------------------------------------------------------
     # The submission pipeline

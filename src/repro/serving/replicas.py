@@ -1,14 +1,19 @@
 """Live SPAR replica placement and the replica-update staleness model.
 
-:class:`~repro.cluster.replication.OneHopReplicator` (in-tree since the
-``spar`` comparison experiment, previously unused by any serving path)
-computes the replica set implied by the current partitioning.  This
-module keeps that placement *live* in front of a running cluster:
+SPAR's replica set of a vertex is the set of partitions hosting one of
+its neighbours, minus its home.  The paper's auxiliary data (Section
+3.1) already keeps, per vertex, the neighbour count in every partition
+and maintains it in O(1) per edge, so the live placement is a *view* of
+``cluster.aux`` and nothing here is cached or refreshed:
 
-* :class:`ReplicaIndex` caches the placement and recomputes it lazily —
-  automatically when the logical graph grows (new vertices/edges change
-  which partitions need copies), and on demand after a migration
-  re-homes vertices (``note_topology_change``);
+* :class:`ReplicaIndex` reads the placement straight from the auxiliary
+  data.  Outside a rebalance it equals
+  :meth:`~repro.cluster.replication.OneHopReplicator.placements` of the
+  current partitioning exactly (the simtest ``replica-staleness-bound``
+  invariant checks that).  Inside an open double-write window it shows
+  the plan's *target* placement: phase 1 retargets the auxiliary data
+  before the catalog commits, and an aborted migration's
+  ``_rollback_aux`` restores the pre-rebalance view;
 * :class:`ReplicaSynchronizer` models update propagation on the
   simulated clock: a primary write at time *t* ships one replica-update
   message per replica copy over the
@@ -22,55 +27,36 @@ module keeps that placement *live* in front of a running cluster:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
-from repro.cluster.replication import OneHopReplicator
-from repro.exceptions import FaultInjectedError
+from repro.exceptions import FaultInjectedError, VertexNotFoundError
 from repro.serving.config import ServingConfig
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-#: no replicas: shared fallback for vertices absent from the placement
-_NO_REPLICAS: frozenset = frozenset()
-
 
 class ReplicaIndex:
-    """The cluster's current one-hop replica placement, kept fresh."""
+    """The cluster's one-hop replica placement, read from ``cluster.aux``."""
 
     def __init__(self, cluster, telemetry: Optional[Telemetry] = None):
+        # ``telemetry`` stays in the signature for callers; a view does
+        # no work worth counting.
         self.cluster = cluster
-        self.telemetry = telemetry or NULL_TELEMETRY
-        self.replicator = OneHopReplicator(telemetry=self.telemetry)
-        self._placements: Optional[Dict[int, Set[int]]] = None
-        #: (num_vertices, num_edges) the cached placement was computed at;
-        #: growth invalidates the cache (migrations do not change counts,
-        #: so they must invalidate via note_topology_change)
-        self._signature: Tuple[int, int] = (-1, -1)
-
-    def _current(self) -> Dict[int, Set[int]]:
-        graph = self.cluster.graph
-        signature = (graph.num_vertices, graph.num_edges)
-        if self._placements is None or signature != self._signature:
-            self._placements = self.replicator.placements(
-                graph, self.cluster.partitioning()
-            )
-            self._signature = signature
-        return self._placements
-
-    def note_topology_change(self) -> None:
-        """A migration (rebalance) re-homed vertices: placement is stale."""
-        self._placements = None
 
     def replicas_of(self, vertex: int) -> frozenset:
         """Partitions holding a replica of ``vertex`` (primary excluded)."""
-        placements = self._current()
-        parts = placements.get(vertex)
-        if not parts:
-            return _NO_REPLICAS
-        return frozenset(parts)
+        aux = self.cluster.aux
+        try:
+            home = aux.partition_of(vertex)
+            return frozenset(aux.neighbor_counts(vertex)) - {home}
+        except VertexNotFoundError:
+            return frozenset()
 
     def placements(self) -> Dict[int, Set[int]]:
-        """The full (fresh) vertex -> replica-partition map."""
-        return {v: set(parts) for v, parts in self._current().items()}
+        """The full vertex -> replica-partition map."""
+        return {
+            vertex: set(self.replicas_of(vertex))
+            for vertex in self.cluster.aux.vertices()
+        }
 
 
 class ReplicaSynchronizer:

@@ -61,10 +61,10 @@ and TESTING.md):
     accountant.
 ``replica-staleness-bound``
     (Serving clusters only.)  No replica read ever served data older
-    than the configured ``max_staleness``, and the live replica index
-    agrees with a from-scratch one-hop placement computed against the
-    current partitioning — a rebalance that forgot to refresh the
-    index shows up here.
+    than the configured ``max_staleness``, and the replica placement
+    the router reads from the auxiliary data agrees with a from-scratch
+    one-hop placement computed against the catalog's partitioning —
+    aux/catalog drift, as seen by the router, shows up here.
 ``workload-model-conservation``
     (Clusters with an attached workload model only.)  Every edge and
     link heat is non-negative, the model clock never trails the cluster
@@ -83,9 +83,11 @@ and TESTING.md):
     (Clusters that ran interleaved schedules only.)  Every mid-step
     double-write coherence sweep came back clean (windowed vertices
     readable at the source, mirrored verbatim at the target, journal
-    open while the window is), and no double-write window survives past
-    the step that opened it — online migrations commit or roll back
-    within their schedule step.
+    open while the window is): after each event over the vertices it
+    changed, at the barrier over the whole window.  And no double-write
+    window survives past the step that opened it — online migrations
+    commit or roll back within their schedule step; a survivor is
+    swept whole once more here.
 """
 
 from __future__ import annotations
@@ -514,8 +516,9 @@ class InvariantAuditor:
                     f"stale, past the {bound * 1e3:.3f} ms bound",
                 )
             )
-        # The live index must agree with a from-scratch placement; a
-        # fresh replicator keeps counters off the cluster's registry.
+        # The view over the auxiliary data must agree with a
+        # from-scratch placement over the catalog; a fresh replicator
+        # keeps counters off the cluster's registry.
         expected = OneHopReplicator().placements(
             cluster.graph, cluster.partitioning()
         )
@@ -531,8 +534,8 @@ class InvariantAuditor:
             out.append(
                 InvariantViolation(
                     "replica-staleness-bound",
-                    f"live replica index disagrees with a fresh one-hop "
-                    f"placement for {len(drifted)} vertices "
+                    f"replica view of the auxiliary data disagrees with a "
+                    f"fresh one-hop placement for {len(drifted)} vertices "
                     f"(first: {drifted[:5]})",
                 )
             )
@@ -648,4 +651,8 @@ class InvariantAuditor:
                     f"{len(leaked)} vertices (first: {leaked[:5]})",
                 )
             )
+            out += [
+                InvariantViolation("double-write-coherence", detail)
+                for detail in cluster._executor.check_window_coherence()
+            ]
         return out

@@ -26,8 +26,8 @@ them abort the run:
 ``serve`` steps route through the spec's
 :class:`~repro.serving.frontend.ServingFrontend` (attached to the
 cluster as ``cluster.serving`` by ``build_cluster``); rebalances on a
-serving cluster go through the frontend too, so the live replica index
-is refreshed exactly when a migration re-homes vertices.
+serving cluster go through the frontend too, so they run on its engine
+at its arrival time.
 
 After every step (or every ``audit_every`` steps) the
 :class:`~repro.simtest.invariants.InvariantAuditor` sweeps the cluster;
@@ -145,8 +145,6 @@ class ScenarioRunner:
         elif kind == "rebalance":
             frontend = getattr(cluster, "serving", None)
             if frontend is not None:
-                # Through the front door: refreshes the replica index
-                # iff the repartitioner actually moved vertices.
                 frontend.rebalance(force=bool(args.get("force", False)))
             else:
                 cluster.rebalance(force=bool(args.get("force", False)))

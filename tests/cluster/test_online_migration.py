@@ -28,7 +28,7 @@ from repro.graph.generators import community_graph
 from repro.cluster.hermes import HermesCluster
 from repro.core import RepartitionerConfig
 from repro.partitioning import MultilevelPartitioner
-from repro.workloads.queries import Traversal
+from repro.workloads.queries import InsertEdge, InsertVertex, Traversal
 
 from tests.conftest import (
     build_placed_cluster,
@@ -349,3 +349,75 @@ class TestMatchedScheduleParity:
         with pytest.raises(StopIteration) as stop:
             next(generator)
         assert stop.value.value is None
+
+
+class TestPerEventSweep:
+    """The engine's per-event sweep looks at what the event changed; the
+    barrier's looks at the whole window, so nothing commits unswept."""
+
+    def start(self, copies=1):
+        """An online rebalance stepped until ``copies`` vertices are
+        windowed; returns ``(cluster, engine)``."""
+        cluster = TestMatchedScheduleParity().build(concurrent=True)
+        engine = ConcurrentExecutor(cluster)
+        engine.submit_rebalance(force=True)
+        while len(cluster._executor.window_vertices) < copies:
+            assert engine.step() is not None
+        assert engine.coherence_violations == []
+        return cluster, engine
+
+    def kinds(self, engine):
+        return {record.kind for record in engine.scheduler.records}
+
+    def test_a_broken_copy_step_is_caught_at_its_own_event(self, monkeypatch):
+        cluster, engine = self.start(copies=1)
+        executor = cluster._executor
+        before = set(executor.window_vertices)
+        # The next copy ships the node record but none of its edges.
+        monkeypatch.setattr(
+            executor, "_install_relationship", lambda *args, **kwargs: None
+        )
+        engine.step()
+        (copied,) = set(executor.window_vertices) - before
+        assert cluster.graph.degree(copied) > 0
+        assert len(engine.coherence_violations) == 1
+        assert f"windowed vertex {copied} adjacency diverged" in (
+            engine.coherence_violations[0]
+        )
+
+    def test_a_lost_mirrored_write_is_caught_at_the_write(self, monkeypatch):
+        cluster, engine = self.start(copies=2)
+        executor = cluster._executor
+        windowed = min(executor.window_vertices)
+        monkeypatch.setattr(
+            executor, "_install_relationship", lambda *args, **kwargs: None
+        )
+        # Ready before the migration's next step: these run first.
+        engine.submit_operation(InsertVertex(vertex=10_000))
+        engine.step()
+        engine.submit_operation(InsertEdge(u=10_000, v=windowed))
+        engine.step()
+        assert cluster.graph.has_edge(10_000, windowed)
+        assert "migration-barrier" not in self.kinds(engine)
+        assert len(engine.coherence_violations) == 1
+        assert f"windowed vertex {windowed} adjacency diverged" in (
+            engine.coherence_violations[0]
+        )
+
+    def test_an_unannounced_divergence_is_caught_at_the_barrier(self):
+        cluster, engine = self.start(copies=2)
+        executor = cluster._executor
+        windowed = min(executor.window_vertices)
+        target = cluster.servers[executor.window_target(windowed)].store
+        entry = next(iter(target.neighbor_entries(windowed, include_unavailable=True)))
+        # No copy-step and no mirrored write touches this vertex again.
+        target.detach_endpoint(entry.rel_id, windowed)
+        while "migration-barrier" not in self.kinds(engine):
+            engine.step()
+        # Swept with the window still open: the commit has not run.
+        assert executor.window_open
+        assert cluster.catalog.lookup(windowed) != executor.window_target(windowed)
+        assert any(
+            f"windowed vertex {windowed} adjacency diverged" in problem
+            for problem in engine.coherence_violations
+        )

@@ -3,7 +3,8 @@
 Beyond the small deterministic graph/cluster fixtures, this module hosts
 the scenario builders the cluster test modules used to duplicate:
 explicitly-placed clusters (:func:`build_placed_cluster`), direct
-migrations (:func:`migrate_moves`), deep multi-layer state snapshots
+migrations (:func:`migrate_moves`), the replica-placement oracle and view
+(:func:`oracle_placements`, :func:`view_placements`), deep multi-layer state snapshots
 (:func:`deep_snapshot`), metric dumps (:func:`telemetry_snapshot`),
 hand-draining of step generators (:func:`drain`), the per-entry traversal
 cost model (:func:`per_entry_model`), canned fault plans (:func:`link_down_plan`,
@@ -18,6 +19,7 @@ import pytest
 
 from repro.cluster.faults import CrashWindow, FaultPlan
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.replication import OneHopReplicator
 from repro.core.config import RepartitionerConfig
 from repro.core.migration import build_migration_plan
 from repro.graph.adjacency import SocialGraph
@@ -62,6 +64,20 @@ def migrate_moves(cluster, moves):
     for vertex, (_, target) in moves.items():
         cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
     return cluster._executor.execute(plan)
+
+
+def oracle_placements(cluster):
+    """Non-empty entries of the from-scratch one-hop replica placement
+    over the catalog's partitioning (the oracle the replica view is
+    held to)."""
+    fresh = OneHopReplicator().placements(cluster.graph, cluster.partitioning())
+    return {vertex: parts for vertex, parts in fresh.items() if parts}
+
+
+def view_placements(frontend):
+    """Non-empty entries of the front door's replica view."""
+    placements = frontend.index.placements()
+    return {vertex: parts for vertex, parts in placements.items() if parts}
 
 
 class FixedPartitioner:

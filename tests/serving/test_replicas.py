@@ -1,13 +1,25 @@
-"""Replica index freshness and the replica-update staleness model."""
+"""The replica index (a view of the auxiliary data) and the
+replica-update staleness model."""
 
 import pytest
 
+from repro.cluster.clients import ClientPool
 from repro.cluster.hermes import HermesCluster
 from repro.partitioning.base import Partitioning
-from repro.serving import ReplicaIndex, ReplicaSynchronizer
+from repro.partitioning.hashing import HashPartitioner
+from repro.serving import ReplicaIndex, ReplicaSynchronizer, ServingFrontend
 from repro.serving.config import ServingConfig
+from repro.serving.frontend import COMPLETED
+from repro.telemetry import Telemetry
 from repro.telemetry.conservation import network_conservation_violations
-from tests.conftest import link_down_plan, make_random_graph
+from repro.workloads.queries import Traversal
+from tests.conftest import (
+    link_down_plan,
+    make_random_graph,
+    migrate_moves,
+    oracle_placements,
+    view_placements,
+)
 
 
 def cut_pair_cluster():
@@ -40,7 +52,7 @@ class TestReplicaIndex:
         assert index.replicas_of(0) == frozenset()
         assert index.replicas_of(2) == frozenset()
 
-    def test_graph_growth_invalidates_automatically(self):
+    def test_graph_growth_is_visible(self):
         cluster = cut_pair_cluster()
         index = ReplicaIndex(cluster)
         assert index.replicas_of(0) == {1}
@@ -49,20 +61,88 @@ class TestReplicaIndex:
         home_2 = cluster.catalog.lookup(2)
         if home_2 != 0:
             assert home_2 in index.replicas_of(0)
-        assert index.replicas_of(2) is not None  # recomputed, no stale KeyError
+        assert index.replicas_of(2) == ({0} if home_2 != 0 else frozenset())
 
-    def test_note_topology_change_forces_recompute(self):
+    def test_migration_is_visible_without_notification(self):
         cluster = cut_pair_cluster()
         index = ReplicaIndex(cluster)
-        index.replicas_of(0)
-        # Move vertex 1 onto server 0: the edge is now internal, but the
-        # cached placement (same vertex/edge counts) says otherwise.
-        from tests.conftest import migrate_moves
-
+        assert index.replicas_of(0) == {1}
+        # Move vertex 1 onto server 0: the edge is now internal.  The
+        # vertex and edge counts did not change and nobody tells the
+        # index — it reads the auxiliary data the migration retargeted.
         migrate_moves(cluster, {1: (1, 0)})
-        assert index.replicas_of(0) == {1}  # stale cache
-        index.note_topology_change()
         assert index.replicas_of(0) == frozenset()
+        assert index.replicas_of(1) == frozenset()
+
+    def test_unknown_vertex_has_no_replicas(self):
+        assert ReplicaIndex(cut_pair_cluster()).replicas_of(99) == frozenset()
+
+
+class TestPlacementChangesBehindTheFrontDoor:
+    """Placement changes that never go through ``frontend.rebalance``
+    (each left the parent's cached index stale)."""
+
+    def make_frontend(self):
+        # Half the vertices on server 0: the imbalance trigger fires.
+        graph = make_random_graph(60, 150, seed=3)
+        skewed = {v: 0 if v < 30 else 1 + v % 3 for v in range(60)}
+        cluster = HermesCluster.from_graph(
+            graph,
+            num_servers=4,
+            partitioning=Partitioning.from_mapping(skewed, num_partitions=4),
+        )
+        frontend = ServingFrontend(cluster)
+        cluster.serving = frontend
+        assert view_placements(frontend) == oracle_placements(cluster)
+        return cluster, frontend
+
+    def test_direct_cluster_rebalance(self):
+        cluster, frontend = self.make_frontend()
+        result, _ = cluster.rebalance()
+        assert result.vertices_moved > 0
+        assert view_placements(frontend) == oracle_placements(cluster)
+
+    def test_repartition_static(self):
+        cluster, frontend = self.make_frontend()
+        report = cluster.repartition_static(HashPartitioner(salt=11))
+        assert report.vertices_moved > 0
+        assert view_placements(frontend) == oracle_placements(cluster)
+
+    def test_client_pool_periodic_rebalance(self):
+        cluster, frontend = self.make_frontend()
+        before = dict(cluster.partitioning().items())
+        trace = [Traversal(start=v, hops=1) for v in range(40)]
+        ClientPool(cluster, num_clients=2).run(trace, rebalance_every=10)
+        assert dict(cluster.partitioning().items()) != before
+        assert view_placements(frontend) == oracle_placements(cluster)
+
+
+def test_front_door_writes_never_recompute_the_placement(monkeypatch):
+    """Count guard (no timing): the O(|E|)-per-write path — one
+    ``OneHopReplicator.placements`` over a ``catalog.snapshot()`` per
+    front-door write — must not come back unnoticed."""
+    graph = make_random_graph(40, 80, seed=2)
+    cluster = HermesCluster.from_graph(
+        graph, num_servers=4, telemetry=Telemetry(record=True)
+    )
+    frontend = ServingFrontend(cluster)
+    cluster.serving = frontend
+    snapshots = []
+    real_snapshot = cluster.catalog.snapshot
+    monkeypatch.setattr(
+        cluster.catalog, "snapshot", lambda: snapshots.append(1) or real_snapshot()
+    )
+    shipped_before = cluster.telemetry.registry.total("replica_updates_total")
+    for new in range(40, 60):
+        arrival = frontend.now + 1.0
+        assert frontend.submit("add_vertex", new, now=arrival).status == COMPLETED
+        outcome = frontend.submit("add_edge", new, new - 40, now=arrival + 0.5)
+        assert outcome.status == COMPLETED
+    registry = cluster.telemetry.registry
+    assert registry.total("replica_updates_total") > shipped_before
+    assert registry.total("replication_placements_total") == 0
+    assert registry.total("replication_copies_total") == 0
+    assert snapshots == []
 
 
 class TestSynchronizer:
