@@ -164,7 +164,36 @@ def test_bench_btree_lookup(benchmark):
     benchmark(lambda: tree.get(rng.randrange(5000)))
 
 
-def test_bench_store_edge_insert(benchmark):
+def star_store(degree=32):
+    """Node 0 with ``degree`` neighbours, inside a 500-node store."""
+    store = GraphStore()
+    for i in range(500):
+        store.create_node(i)
+    for neighbor in range(1, degree + 1):
+        store.create_relationship(store.allocate_rel_id(), 0, neighbor)
+    return store
+
+
+def test_bench_record_read(benchmark):
+    """One record access: index probe + in-place decode."""
+    store = star_store()
+    rng = random.Random(6)
+    benchmark(lambda: store.nodes.read(rng.randrange(500)))
+
+
+def test_bench_is_available(benchmark):
+    store = star_store()
+    rng = random.Random(7)
+    benchmark(lambda: store.is_available(rng.randrange(600)))
+
+
+def test_bench_chain_walk(benchmark):
+    """The adjacency list of a degree-32 node: 1 node + 32 relationship reads."""
+    store = star_store(degree=32)
+    assert len(benchmark(store.neighbor_entries, 0)) == 32
+
+
+def test_bench_create_relationship(benchmark):
     store = GraphStore()
     for i in range(500):
         store.create_node(i)

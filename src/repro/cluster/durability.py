@@ -27,22 +27,23 @@ Record key scheme inside the journal's record store::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from repro.exceptions import RecordNotFoundError
 from repro.storage.durable import DurableRecordStore
 from repro.storage.graph_store import GraphStore
-from repro.storage.records import RecordCodec
 from repro.storage.wal import RecoveryReport
 
 #: journal key of the allocator-state record
 META_RECORD = -2
 
 
-class _ImageCodec(RecordCodec):
-    """JSON logical images — variable length, canonical key order."""
+class _ImageCodec:
+    """JSON logical images — variable length, canonical key order.
 
-    FORMAT = ""  # never placed in fixed page slots
+    Only the ``pack``/``unpack`` half of the codec surface: images are
+    never placed in fixed page slots, so there is no struct layout.
+    """
 
     def pack(self, record: Any) -> bytes:
         return json.dumps(record, sort_keys=True).encode("utf-8")
@@ -50,15 +51,12 @@ class _ImageCodec(RecordCodec):
     def unpack(self, payload: bytes) -> Any:
         return json.loads(payload.decode("utf-8"))
 
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        return True, -1  # only consulted by page-slot scans; never here
-
 
 class _DictStore:
     """Dict-backed record store with the FixedRecordStore surface the
     durable layer uses (write/read/delete/contains/len/ids)."""
 
-    def __init__(self, codec: Optional[RecordCodec] = None):
+    def __init__(self, codec: Optional[_ImageCodec] = None):
         self.codec = codec
         self._records: Dict[int, Any] = {}
 

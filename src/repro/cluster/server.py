@@ -20,7 +20,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.faults import FaultInjector
-from repro.exceptions import ClusterError
+from repro.exceptions import (
+    ClusterError,
+    RecordNotFoundError,
+    VertexUnavailableError,
+)
 from repro.storage.graph_store import GraphStore, NeighborEntry
 from repro.telemetry import Telemetry
 from repro.txn.locks import LockMode
@@ -140,9 +144,14 @@ class HermesServer:
         expanded), so this method does not touch ``visits``.
         """
         self._check_up()
-        if not self.store.is_available(node_id):
-            raise ClusterError(f"vertex {node_id} is not served by server {self.server_id}")
-        return list(self.store.neighbor_entries(node_id))
+        try:
+            return self.store.neighbor_entries(node_id)
+        except (RecordNotFoundError, VertexUnavailableError) as exc:
+            # The chain walk reads the node record anyway; its own
+            # missing/unavailable answer is the availability check.
+            raise ClusterError(
+                f"vertex {node_id} is not served by server {self.server_id}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Write path (transactional)

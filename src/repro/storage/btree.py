@@ -15,10 +15,13 @@ property-based tests via :meth:`check_invariants`).
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.exceptions import StorageError
+
+#: ``__contains__``'s "absent" marker (any value, ``None`` included, may be stored)
+_MISSING = object()
 
 
 class _Node:
@@ -57,21 +60,23 @@ class BPlusTree:
     # ------------------------------------------------------------------
     def _find_leaf(self, key: int) -> _Node:
         node = self._root
-        while not node.is_leaf:
-            index = bisect.bisect_right(node.keys, key)
-            node = node.children[index]
+        children = node.children
+        while children is not None:
+            node = children[bisect_right(node.keys, key)]
+            children = node.children
         return node
 
     def get(self, key: int, default: Any = None) -> Any:
+        """One probe: root-to-leaf descent plus one leaf search."""
         leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        keys = leaf.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             return leaf.values[index]
         return default
 
     def __contains__(self, key: int) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
+        return self.get(key, _MISSING) is not _MISSING
 
     def __len__(self) -> int:
         return self._size
@@ -82,7 +87,7 @@ class BPlusTree:
     def insert(self, key: int, value: Any) -> None:
         """Insert a key or overwrite its value if present."""
         leaf = self._find_leaf(key)
-        index = bisect.bisect_left(leaf.keys, key)
+        index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             leaf.values[index] = value
             return
@@ -118,7 +123,7 @@ class BPlusTree:
                 node.children = node.children[: mid + 1]
             if path:
                 parent = path.pop()
-                index = bisect.bisect_right(parent.keys, separator)
+                index = bisect_right(parent.keys, separator)
                 parent.keys.insert(index, separator)
                 parent.children.insert(index + 1, right)
                 node = parent
@@ -141,7 +146,7 @@ class BPlusTree:
             if key is None:
                 # Empty target can only be the root mid-delete; not expected.
                 raise StorageError("cannot locate empty interior node")
-            index = bisect.bisect_right(node.keys, key)
+            index = bisect_right(node.keys, key)
             child = node.children[index]
             if child is target:
                 return path
@@ -160,13 +165,13 @@ class BPlusTree:
 
     def _delete(self, node: _Node, key: int) -> Any:
         if node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index >= len(node.keys) or node.keys[index] != key:
                 raise KeyError(key)
             node.keys.pop(index)
             self._size -= 1
             return node.values.pop(index)
-        index = bisect.bisect_right(node.keys, key)
+        index = bisect_right(node.keys, key)
         child = node.children[index]
         value = self._delete(child, key)
         if self._underfull(child):
@@ -261,7 +266,7 @@ class BPlusTree:
     def range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
         """(key, value) pairs with ``low <= key <= high``, ascending."""
         leaf: Optional[_Node] = self._find_leaf(low)
-        start = bisect.bisect_left(leaf.keys, low)
+        start = bisect_left(leaf.keys, low)
         while leaf is not None:
             for index in range(start, len(leaf.keys)):
                 key = leaf.keys[index]

@@ -17,6 +17,17 @@ node store, a relationship store and a property store, and maintains:
 Record ownership convention for cross-partition relationships: the
 partition hosting the relationship's ``src`` endpoint holds the primary
 (property-bearing) record; the other side holds the ghost.
+
+Access discipline (DESIGN.md "Storage access path"): a record is reached
+through one ``get``/``read`` of its store — one index probe, one in-place
+decode — and the caller works from the value it got.  The read path and
+the chain writers do not probe for existence and then read, re-read a
+record they just built, or walk a chain to learn what a record's own link
+fields already say; a 1-hop traversal from a vertex of degree *d* costs
+2 + 2d record accesses cluster-wide.  The functions the wall-clock
+benchmark traces (``is_available``, ``node``, ``neighbor_entries``,
+``node_properties`` and the mutators) are the boundary the cluster calls
+through.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage.ids import IdAllocator
@@ -34,8 +45,7 @@ from repro.storage.records import NULL_REF
 from repro.storage.relationship_store import RelationshipRecord, RelationshipStore
 
 
-@dataclass(frozen=True)
-class NeighborEntry:
+class NeighborEntry(NamedTuple):
     """One hop out of a local node's adjacency chain."""
 
     neighbor: int
@@ -106,10 +116,12 @@ class GraphStore:
             raise StorageError(f"node {node_id} already exists")
         record = NodeRecord(node_id=node_id, weight=weight, available=available)
         self.nodes.write(record)
-        for key, value in (properties or {}).items():
-            self.set_node_property(node_id, key, value)
+        if properties:
+            for key, value in properties.items():
+                self.set_node_property(node_id, key, value)
+            record = self.nodes.read(node_id)  # first_prop moved
         self._notify_node(node_id)
-        return self.nodes.read(node_id)
+        return record
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self.nodes
@@ -120,9 +132,8 @@ class GraphStore:
     def is_available(self, node_id: int) -> bool:
         """False for missing nodes and for nodes in the migration
         *unavailable* state — queries treat both identically."""
-        if node_id not in self.nodes:
-            return False
-        return self.nodes.read(node_id).available
+        record = self.nodes.get(node_id)
+        return record is not None and record.available
 
     def set_available(self, node_id: int, available: bool) -> None:
         self.nodes.write(self.nodes.read(node_id).with_available(available))
@@ -206,30 +217,32 @@ class GraphStore:
             raise StorageError(f"relationship {rel_id} already exists here")
         if ghost and properties:
             raise StorageError("ghost relationships cannot carry properties")
-        src_local = src in self.nodes
-        dst_local = dst in self.nodes
-        if not (src_local or dst_local):
+        src_node = self.nodes.get(src)
+        dst_node = self.nodes.get(dst)
+        if src_node is None and dst_node is None:
             raise StorageError(
                 f"neither endpoint of relationship {rel_id} is local"
             )
         self._rel_ids.observe(rel_id)
         record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
-        if src_local:
-            record = self._link_into_chain(record, src)
-        if dst_local:
-            record = self._link_into_chain(record, dst)
+        if src_node is not None:
+            record = self._link_into_chain(record, src_node)
+        if dst_node is not None:
+            record = self._link_into_chain(record, dst_node)
         self.relationships.write(record)
-        for key, value in (properties or {}).items():
-            self.set_relationship_property(rel_id, key, value)
+        if properties:
+            for key, value in properties.items():
+                self.set_relationship_property(rel_id, key, value)
+            record = self.relationships.read(rel_id)  # first_prop moved
         self._notify_rel(rel_id)
-        return self.relationships.read(rel_id)
+        return record
 
     def _link_into_chain(
-        self, record: RelationshipRecord, node_id: int
+        self, record: RelationshipRecord, node: NodeRecord
     ) -> RelationshipRecord:
-        """Head-insert ``record`` into ``node_id``'s chain (record not yet
+        """Head-insert ``record`` into ``node``'s chain (record not yet
         written; the updated record is returned for the caller to write)."""
-        node = self.nodes.read(node_id)
+        node_id = node.node_id
         old_first = node.first_rel
         record = record.with_next_for(node_id, old_first)
         record = record.with_prev_for(node_id, NULL_REF)
@@ -261,12 +274,16 @@ class GraphStore:
         Guards against double-linking when a record was created with both
         endpoints local (``create_relationship`` links every local
         endpoint) and a later path would attach one of them again.
+
+        Answered from the record's own link fields, not by walking the
+        chain: a linked record has a neighbour on ``node_id``'s side or
+        is the chain head, and ``detach_endpoint`` NULLs both pointers.
         """
-        return any(
-            entry.rel_id == rel_id
-            for entry in self.neighbor_entries(
-                node_id, include_unavailable=True
-            )
+        record = self.relationships.read(rel_id)
+        return (
+            record.prev_for(node_id) != NULL_REF
+            or record.next_for(node_id) != NULL_REF
+            or self.nodes.read(node_id).first_rel == rel_id
         )
 
     def relationship(self, rel_id: int) -> RelationshipRecord:
@@ -291,10 +308,10 @@ class GraphStore:
         endpoint arrives.
         """
         record = self.relationships.read(rel_id)
-        if node_id not in self.nodes:
+        node = self.nodes.get(node_id)
+        if node is None:
             raise StorageError(f"node {node_id} is not local")
-        record = self._link_into_chain(record, node_id)
-        self.relationships.write(record)
+        self.relationships.write(self._link_into_chain(record, node))
 
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that
@@ -334,32 +351,41 @@ class GraphStore:
     # ==================================================================
     # Adjacency (fully local thanks to ghost records)
     # ==================================================================
+    def _chain(self, node_id: int, first_rel: int) -> Iterator[RelationshipRecord]:
+        """The records of ``node_id``'s relationship chain, head first:
+        one read per hop."""
+        read = self.relationships.read
+        rel_id = first_rel
+        for _ in range(len(self.relationships) + 1):
+            if rel_id == NULL_REF:
+                return
+            rel = read(rel_id)
+            yield rel
+            # next_for also covers src; testing it here first keeps the
+            # common side of the hop free of a method call.
+            rel_id = rel.src_next if rel.src == node_id else rel.next_for(node_id)
+        raise StorageError(f"cyclic relationship chain at node {node_id}")
+
     def neighbor_entries(
         self, node_id: int, include_unavailable: bool = False
-    ) -> Iterator[NeighborEntry]:
+    ) -> List[NeighborEntry]:
         """Walk ``node_id``'s relationship chain; no remote access needed.
 
-        ``include_unavailable`` is for internal maintenance (the migration
-        remove step walks chains of nodes it already marked unavailable).
+        Raises :class:`VertexUnavailableError` for a node in the
+        migration *unavailable* state unless ``include_unavailable`` is
+        set (internal maintenance: the migration remove step walks chains
+        of nodes it already marked unavailable).
         """
         if include_unavailable:
             record = self.nodes.read(node_id)
         else:
             record = self._require_available(node_id)
-        rel_id = record.first_rel
-        steps = 0
-        limit = len(self.relationships) + 1
-        while rel_id != NULL_REF:
-            steps += 1
-            if steps > limit:
-                raise StorageError(f"cyclic relationship chain at node {node_id}")
-            rel = self.relationships.read(rel_id)
-            yield NeighborEntry(
-                neighbor=rel.other_endpoint(node_id),
-                rel_id=rel_id,
-                ghost=rel.ghost,
+        return [
+            NeighborEntry(
+                rel.dst if rel.src == node_id else rel.src, rel.rel_id, rel.ghost
             )
-            rel_id = rel.next_for(node_id)
+            for rel in self._chain(node_id, record.first_rel)
+        ]
 
     def neighbors(self, node_id: int) -> List[int]:
         return [entry.neighbor for entry in self.neighbor_entries(node_id)]
@@ -492,27 +518,25 @@ class GraphStore:
     # ==================================================================
     def export_node(self, node_id: int) -> Dict[str, Any]:
         """Everything the copy step must ship for one node."""
-        record = self.nodes.read(node_id)
-        relationships = []
-        for entry in self.neighbor_entries(node_id):
-            rel = self.relationships.read(entry.rel_id)
-            relationships.append(
-                {
-                    "rel_id": rel.rel_id,
-                    "src": rel.src,
-                    "dst": rel.dst,
-                    "ghost": rel.ghost,
-                    "properties": (
-                        {} if rel.ghost else self.relationship_properties(rel.rel_id)
-                    ),
-                }
-            )
+        record = self._require_available(node_id)
+        relationships = [
+            {
+                "rel_id": rel.rel_id,
+                "src": rel.src,
+                "dst": rel.dst,
+                "ghost": rel.ghost,
+                "properties": (
+                    {} if rel.ghost else self._collect_properties(rel.first_prop)
+                ),
+            }
+            for rel in self._chain(node_id, record.first_rel)
+        ]
         return {
             "node": {
                 "node_id": node_id,
                 "weight": record.weight,
             },
-            "properties": self.node_properties(node_id),
+            "properties": self._collect_properties(record.first_prop),
             "relationships": relationships,
         }
 

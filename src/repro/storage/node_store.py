@@ -10,20 +10,22 @@ is treated by queries as if it were not part of the local vertex set.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    FixedRecordStore,
+    RecordCodec,
+    tuple_new,
+)
 
-_FLAG_IN_USE = 0x1
 _FLAG_AVAILABLE = 0x2
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One fixed-size node record."""
+class NodeRecord(NamedTuple):
+    """One fixed-size node record (immutable; ``with_*`` return copies)."""
 
     node_id: int
     first_rel: int = NULL_REF
@@ -32,90 +34,43 @@ class NodeRecord:
     available: bool = True
 
     def with_first_rel(self, rel_id: int) -> "NodeRecord":
-        return replace(self, first_rel=rel_id)
+        return self._replace(first_rel=rel_id)
 
     def with_first_prop(self, prop_id: int) -> "NodeRecord":
-        return replace(self, first_prop=prop_id)
+        return self._replace(first_prop=prop_id)
 
     def with_weight(self, weight: float) -> "NodeRecord":
-        return replace(self, weight=weight)
+        return self._replace(weight=weight)
 
     def with_available(self, available: bool) -> "NodeRecord":
-        return replace(self, available=available)
+        return self._replace(available=available)
 
 
 class NodeCodec(RecordCodec):
-    FORMAT = "<Bqqqd"
+    FORMAT = "<Bqqqd"  # flags, node_id, first_rel, first_prop, weight
 
-    def pack(self, record: NodeRecord) -> bytes:
-        flags = _FLAG_IN_USE
-        if record.available:
-            flags |= _FLAG_AVAILABLE
-        return struct.pack(
-            self.FORMAT,
-            flags,
-            record.node_id,
-            record.first_rel,
-            record.first_prop,
-            record.weight,
+    def encode(self, record: NodeRecord) -> Tuple:
+        node_id, first_rel, first_prop, weight, available = record
+        flags = FLAG_IN_USE | _FLAG_AVAILABLE if available else FLAG_IN_USE
+        return flags, node_id, first_rel, first_prop, weight
+
+    def decode(self, fields: Tuple) -> NodeRecord:
+        flags, node_id, first_rel, first_prop, weight = fields
+        return tuple_new(
+            NodeRecord,
+            (node_id, first_rel, first_prop, weight, flags & _FLAG_AVAILABLE != 0),
         )
 
-    def unpack(self, payload: bytes) -> NodeRecord:
-        flags, node_id, first_rel, first_prop, weight = struct.unpack(
-            self.FORMAT, payload
-        )
-        return NodeRecord(
-            node_id=node_id,
-            first_rel=first_rel,
-            first_prop=first_prop,
-            weight=weight,
-            available=bool(flags & _FLAG_AVAILABLE),
-        )
 
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, node_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), node_id
-
-
-class NodeStore:
-    """Typed facade over the node record store."""
+class NodeStore(FixedRecordStore):
+    """The node record store, keyed by each record's own ``node_id``."""
 
     def __init__(self, paged_file: Optional[PagedFile] = None):
-        self._store = FixedRecordStore(NodeCodec(), paged_file=paged_file)
+        super().__init__(NodeCodec(), paged_file=paged_file)
 
     def write(self, record: NodeRecord) -> None:
-        self._store.write(record.node_id, record)
-
-    def read(self, node_id: int) -> NodeRecord:
-        return self._store.read(node_id)
-
-    def delete(self, node_id: int) -> None:
-        self._store.delete(node_id)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def ids(self) -> Iterator[int]:
-        return self._store.ids()
-
-    def records(self) -> Iterator[NodeRecord]:
-        return self._store.records()
-
-    def max_id(self) -> Optional[int]:
-        return self._store.max_id()
-
-    @property
-    def size_bytes(self) -> int:
-        return self._store.pages.size_bytes
-
-    def save(self, path: str) -> None:
-        self._store.save(path)
+        super().write(record.node_id, record)
 
     @classmethod
     def load(cls, path: str) -> "NodeStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, NodeCodec())
-        return store
+        return cls(paged_file=PagedFile.load(path))

@@ -29,11 +29,14 @@ class PagedFile:
         if page_size < 64:
             raise PageError(f"page size must be >= 64 bytes, got {page_size}")
         self.page_size = page_size
-        self._pages: List[bytearray] = []
+        #: the pages themselves, in order.  Record stores hold this list
+        #: and pack/unpack records in place on its bytearrays (no copy);
+        #: the list object is never replaced, only appended to.
+        self.buffers: List[bytearray] = []
 
     @property
     def num_pages(self) -> int:
-        return len(self._pages)
+        return len(self.buffers)
 
     @property
     def size_bytes(self) -> int:
@@ -41,13 +44,13 @@ class PagedFile:
 
     def allocate_page(self) -> int:
         """Append a zeroed page; returns its index."""
-        self._pages.append(bytearray(self.page_size))
-        return len(self._pages) - 1
+        self.buffers.append(bytearray(self.page_size))
+        return len(self.buffers) - 1
 
     def _page(self, index: int) -> bytearray:
-        if not 0 <= index < len(self._pages):
-            raise PageError(f"page {index} out of range [0, {len(self._pages)})")
-        return self._pages[index]
+        if not 0 <= index < len(self.buffers):
+            raise PageError(f"page {index} out of range [0, {len(self.buffers)})")
+        return self.buffers[index]
 
     def read(self, page: int, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` within one page."""
@@ -78,9 +81,9 @@ class PagedFile:
             handle.write(
                 _HEADER.pack(_MAGIC, _VERSION, self.page_size, self.num_pages)
             )
-            for page in self._pages:
+            for page in self.buffers:
                 handle.write(struct.pack("<I", zlib.crc32(page)))
-            for page in self._pages:
+            for page in self.buffers:
                 handle.write(page)
 
     @classmethod
@@ -110,5 +113,5 @@ class PagedFile:
                     raise StoreCorruptionError(f"{path}: truncated page {index}")
                 if zlib.crc32(payload) != checksums[index]:
                     raise StoreCorruptionError(f"{path}: CRC mismatch on page {index}")
-                paged._pages.append(bytearray(payload))
+                paged.buffers.append(bytearray(payload))
             return paged

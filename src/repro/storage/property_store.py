@@ -8,20 +8,22 @@ dynamic store (key, value) and links to the owner's next property record.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, NamedTuple, Optional, Tuple
 
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, DynamicStore, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    DynamicStore,
+    FixedRecordStore,
+    RecordCodec,
+    tuple_new,
+)
 from repro.storage.values import decode_value, encode_value
 
-_FLAG_IN_USE = 0x1
 
-
-@dataclass(frozen=True)
-class PropertyRecord:
-    """One fixed-size property index record."""
+class PropertyRecord(NamedTuple):
+    """One fixed-size property index record (immutable)."""
 
     prop_id: int
     owner_id: int
@@ -30,41 +32,20 @@ class PropertyRecord:
     value_blob: int = NULL_REF
 
     def with_next_prop(self, prop_id: int) -> "PropertyRecord":
-        return replace(self, next_prop=prop_id)
+        return self._replace(next_prop=prop_id)
 
     def with_value_blob(self, blob: int) -> "PropertyRecord":
-        return replace(self, value_blob=blob)
+        return self._replace(value_blob=blob)
 
 
 class PropertyCodec(RecordCodec):
-    FORMAT = "<B5q"
+    FORMAT = "<B5q"  # flags, prop_id, owner_id, next_prop, key_blob, value_blob
 
-    def pack(self, record: PropertyRecord) -> bytes:
-        return struct.pack(
-            self.FORMAT,
-            _FLAG_IN_USE,
-            record.prop_id,
-            record.owner_id,
-            record.next_prop,
-            record.key_blob,
-            record.value_blob,
-        )
+    def encode(self, record: PropertyRecord) -> Tuple:
+        return (FLAG_IN_USE,) + record
 
-    def unpack(self, payload: bytes) -> PropertyRecord:
-        _, prop_id, owner_id, next_prop, key_blob, value_blob = struct.unpack(
-            self.FORMAT, payload
-        )
-        return PropertyRecord(
-            prop_id=prop_id,
-            owner_id=owner_id,
-            next_prop=next_prop,
-            key_blob=key_blob,
-            value_blob=value_blob,
-        )
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, prop_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), prop_id
+    def decode(self, fields: Tuple) -> PropertyRecord:
+        return tuple_new(PropertyRecord, fields[1:])
 
 
 class PropertyStore:
@@ -136,7 +117,7 @@ class PropertyStore:
 
     @property
     def size_bytes(self) -> int:
-        return self._store.pages.size_bytes + self._dynamic._store.pages.size_bytes
+        return self._store.size_bytes + self._dynamic.size_bytes
 
     def save(self, index_path: str, dynamic_path: str) -> None:
         self._store.save(index_path)
@@ -144,7 +125,7 @@ class PropertyStore:
 
     @classmethod
     def load(cls, index_path: str, dynamic_path: str) -> "PropertyStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(index_path, PropertyCodec())
-        store._dynamic = DynamicStore.load(dynamic_path)
-        return store
+        return cls(
+            paged_file=PagedFile.load(index_path),
+            dynamic_file=PagedFile.load(dynamic_path),
+        )

@@ -9,6 +9,13 @@ Two storage primitives live here:
 * :class:`DynamicStore` — variable-length blobs split across fixed-size
   chained chunks, exactly like Neo4j's dynamic string/array stores; the
   property store keeps its keys and values here.
+
+**What one record access costs** (DESIGN.md "Storage access path"): one
+B+Tree probe for the slot, one ``Struct.unpack_from`` straight off the
+page ``bytearray`` (no intermediate ``bytes``), the in-use and stored-id
+checks on those same unpacked fields, and one immutable record value.
+Nothing decoded is kept: there is no record cache to invalidate, and the
+page bytes stay the only copy of the data.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.exceptions import (
     RecordDeletedError,
     RecordNotFoundError,
     StorageError,
+    StoreCorruptionError,
 )
 from repro.storage.btree import BPlusTree
 from repro.storage.pages import PagedFile
@@ -29,28 +37,53 @@ from repro.storage.pages import PagedFile
 #: Null pointer in record link fields (chains end here).
 NULL_REF = -1
 
+#: Every record layout starts ``<Bq``: a flags byte whose low bit is
+#: *in use*, then the record's own id.  A zeroed slot is a free slot.
+FLAG_IN_USE = 0x1
+_HEADER = struct.Struct("<Bq")
+
+#: How codecs build ``NamedTuple`` records in ``decode``: the fields come
+#: straight out of ``unpack_from``, so the keyword/default handling of
+#: ``NodeRecord(...)`` (or ``_make``'s length check) would be pure overhead
+#: on every read.
+tuple_new = tuple.__new__
+
 
 class RecordCodec(abc.ABC):
-    """Packs one record type to/from its fixed-size byte layout."""
+    """Maps one record type to/from its fixed-size byte layout.
 
-    #: struct format of the record (little-endian, no padding)
+    A subclass names the struct ``FORMAT`` (little-endian, no padding,
+    starting with the ``<Bq`` header) and converts between record
+    objects and the tuple of struct fields; the layout is compiled once
+    per codec instance.
+    """
+
     FORMAT: str = ""
 
-    @property
-    def record_size(self) -> int:
-        return struct.calcsize(self.FORMAT)
+    def __init__(self) -> None:
+        self.layout = struct.Struct(self.FORMAT)
+        self.record_size = self.layout.size
 
     @abc.abstractmethod
+    def encode(self, record: Any) -> Tuple:
+        """Record object -> struct fields ``(flags, record_id, ...)``."""
+
+    @abc.abstractmethod
+    def decode(self, fields: Tuple) -> Any:
+        """Struct fields of an in-use slot -> record object."""
+
     def pack(self, record: Any) -> bytes:
         """Record object -> exactly ``record_size`` bytes."""
+        return self.layout.pack(*self.encode(record))
 
-    @abc.abstractmethod
     def unpack(self, payload: bytes) -> Any:
         """Bytes -> record object."""
+        return self.decode(self.layout.unpack(payload))
 
-    @abc.abstractmethod
-    def header(self, payload: bytes) -> Tuple[bool, int]:
+    def header(self, buffer: bytes, offset: int = 0) -> Tuple[bool, int]:
         """Cheap peek: ``(in_use, record_id)`` — used to rebuild indexes."""
+        flags, record_id = _HEADER.unpack_from(buffer, offset)
+        return bool(flags & FLAG_IN_USE), record_id
 
 
 class FixedRecordStore:
@@ -64,12 +97,14 @@ class FixedRecordStore:
     ):
         self.codec = codec
         self.pages = paged_file or PagedFile()
-        if self.codec.record_size > self.pages.page_size:
+        self.record_size = codec.record_size
+        if self.record_size > self.pages.page_size:
             raise PageError(
-                f"record size {self.codec.record_size} exceeds page size "
+                f"record size {self.record_size} exceeds page size "
                 f"{self.pages.page_size}"
             )
-        self.slots_per_page = self.pages.page_size // self.codec.record_size
+        self.slots_per_page = self.pages.page_size // self.record_size
+        self._buffers = self.pages.buffers
         self._index = BPlusTree(order=btree_order)
         self._free_slots: List[int] = []
         self._next_slot = self.pages.num_pages * self.slots_per_page
@@ -77,10 +112,6 @@ class FixedRecordStore:
             self._rebuild_index()
 
     # ------------------------------------------------------------------
-    def _slot_location(self, slot: int) -> Tuple[int, int]:
-        page, slot_in_page = divmod(slot, self.slots_per_page)
-        return page, slot_in_page * self.codec.record_size
-
     def _allocate_slot(self) -> int:
         if self._free_slots:
             return self._free_slots.pop()
@@ -93,32 +124,52 @@ class FixedRecordStore:
     # ------------------------------------------------------------------
     def write(self, record_id: int, record: Any) -> None:
         """Insert or update the record stored under ``record_id``."""
-        payload = self.codec.pack(record)
+        fields = self.codec.encode(record)
         slot = self._index.get(record_id)
         if slot is None:
             slot = self._allocate_slot()
             self._index.insert(record_id, slot)
-        page, offset = self._slot_location(slot)
-        self.pages.write(page, offset, payload)
+        page, index = divmod(slot, self.slots_per_page)
+        self.codec.layout.pack_into(
+            self._buffers[page], index * self.record_size, *fields
+        )
 
-    def read(self, record_id: int) -> Any:
+    def get(self, record_id: int) -> Any:
+        """The record stored under ``record_id``, or ``None`` when there
+        is none — one index probe, one in-place decode, nothing raised
+        for the ordinary "not here" answer."""
         slot = self._index.get(record_id)
         if slot is None:
-            raise RecordNotFoundError(f"record {record_id} not found")
-        page, offset = self._slot_location(slot)
-        payload = self.pages.read(page, offset, self.codec.record_size)
-        in_use, _ = self.codec.header(payload)
-        if not in_use:
+            return None
+        page, index = divmod(slot, self.slots_per_page)
+        fields = self.codec.layout.unpack_from(
+            self._buffers[page], index * self.record_size
+        )
+        if not fields[0] & FLAG_IN_USE:
             raise RecordDeletedError(f"record {record_id} is deleted")
-        return self.codec.unpack(payload)
+        if fields[1] != record_id:
+            raise StoreCorruptionError(
+                f"index entry for record {record_id} points at the slot of "
+                f"record {fields[1]}"
+            )
+        return self.codec.decode(fields)
+
+    def read(self, record_id: int) -> Any:
+        record = self.get(record_id)
+        if record is None:
+            raise RecordNotFoundError(f"record {record_id} not found")
+        return record
 
     def delete(self, record_id: int) -> None:
         """Tombstone the record and recycle its slot."""
         slot = self._index.get(record_id)
         if slot is None:
             raise RecordNotFoundError(f"record {record_id} not found")
-        page, offset = self._slot_location(slot)
-        self.pages.write(page, offset, bytes(self.codec.record_size))
+        page, index = divmod(slot, self.slots_per_page)
+        offset = index * self.record_size
+        self._buffers[page][offset : offset + self.record_size] = bytes(
+            self.record_size
+        )
         self._index.delete(record_id)
         self._free_slots.append(slot)
 
@@ -138,6 +189,10 @@ class FixedRecordStore:
     def max_id(self) -> Optional[int]:
         return self._index.max_key()
 
+    @property
+    def size_bytes(self) -> int:
+        return self.pages.size_bytes
+
     # ------------------------------------------------------------------
     def _rebuild_index(self) -> None:
         """Scan pages after reopening: index in-use slots, free the rest."""
@@ -146,9 +201,10 @@ class FixedRecordStore:
         total_slots = self.pages.num_pages * self.slots_per_page
         self._next_slot = total_slots
         for slot in range(total_slots):
-            page, offset = self._slot_location(slot)
-            payload = self.pages.read(page, offset, self.codec.record_size)
-            in_use, record_id = self.codec.header(payload)
+            page, index = divmod(slot, self.slots_per_page)
+            in_use, record_id = self.codec.header(
+                self._buffers[page], index * self.record_size
+            )
             if in_use:
                 if record_id in self._index:
                     raise StorageError(
@@ -169,38 +225,25 @@ class FixedRecordStore:
 # ----------------------------------------------------------------------
 # Dynamic (chained-chunk) storage
 # ----------------------------------------------------------------------
-_CHUNK_HEADER = struct.Struct("<BqqH")  # flags, chunk_id, next_chunk, length
 _CHUNK_SIZE = 64
-_CHUNK_PAYLOAD = _CHUNK_SIZE - _CHUNK_HEADER.size
-_FLAG_IN_USE = 0x1
+_CHUNK_PAYLOAD = _CHUNK_SIZE - struct.calcsize("<BqqH")
 
 
 class _ChunkCodec(RecordCodec):
-    FORMAT = f"<BqqH{_CHUNK_PAYLOAD}s"
+    """Chunks are plain ``(in_use, chunk_id, next_chunk, payload)`` tuples."""
 
-    def pack(self, record: Tuple[bool, int, int, bytes]) -> bytes:
+    FORMAT = f"<BqqH{_CHUNK_PAYLOAD}s"  # flags, chunk_id, next_chunk, length, data
+
+    def encode(self, record: Tuple[bool, int, int, bytes]) -> Tuple:
         in_use, chunk_id, next_chunk, payload = record
         if len(payload) > _CHUNK_PAYLOAD:
             raise StorageError("chunk payload too large")
-        flags = _FLAG_IN_USE if in_use else 0
-        return struct.pack(
-            self.FORMAT,
-            flags,
-            chunk_id,
-            next_chunk,
-            len(payload),
-            payload.ljust(_CHUNK_PAYLOAD, b"\0"),
-        )
+        # ``s`` fields are NUL-padded to their width by struct itself.
+        return FLAG_IN_USE if in_use else 0, chunk_id, next_chunk, len(payload), payload
 
-    def unpack(self, payload: bytes) -> Tuple[bool, int, int, bytes]:
-        flags, chunk_id, next_chunk, length, data = struct.unpack(
-            self.FORMAT, payload
-        )
-        return bool(flags & _FLAG_IN_USE), chunk_id, next_chunk, data[:length]
-
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, chunk_id, _, _ = _CHUNK_HEADER.unpack_from(payload)
-        return bool(flags & _FLAG_IN_USE), chunk_id
+    def decode(self, fields: Tuple) -> Tuple[bool, int, int, bytes]:
+        flags, chunk_id, next_chunk, length, data = fields
+        return bool(flags & FLAG_IN_USE), chunk_id, next_chunk, data[:length]
 
 
 class DynamicStore:
@@ -251,13 +294,13 @@ class DynamicStore:
     def num_chunks(self) -> int:
         return len(self._store)
 
+    @property
+    def size_bytes(self) -> int:
+        return self._store.size_bytes
+
     def save(self, path: str) -> None:
         self._store.save(path)
 
     @classmethod
     def load(cls, path: str) -> "DynamicStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, _ChunkCodec())
-        max_existing = store._store.max_id()
-        store._next_chunk_id = 0 if max_existing is None else max_existing + 1
-        return store
+        return cls(paged_file=PagedFile.load(path))

@@ -15,21 +15,23 @@ chain.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.pages import PagedFile
-from repro.storage.records import NULL_REF, FixedRecordStore, RecordCodec
+from repro.storage.records import (
+    FLAG_IN_USE,
+    NULL_REF,
+    FixedRecordStore,
+    RecordCodec,
+    tuple_new,
+)
 
-_FLAG_IN_USE = 0x1
 _FLAG_GHOST = 0x2
 
 
-@dataclass(frozen=True)
-class RelationshipRecord:
-    """One fixed-size relationship record."""
+class RelationshipRecord(NamedTuple):
+    """One fixed-size relationship record (immutable; ``with_*`` copy)."""
 
     rel_id: int
     src: int
@@ -41,14 +43,17 @@ class RelationshipRecord:
     first_prop: int = NULL_REF
     ghost: bool = False
 
+    def _not_an_endpoint(self, node_id: int) -> StorageError:
+        return StorageError(
+            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
+        )
+
     def other_endpoint(self, node_id: int) -> int:
         if node_id == self.src:
             return self.dst
         if node_id == self.dst:
             return self.src
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
 
     def next_for(self, node_id: int) -> int:
         """Next relationship in ``node_id``'s chain."""
@@ -56,132 +61,59 @@ class RelationshipRecord:
             return self.src_next
         if node_id == self.dst:
             return self.dst_next
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
 
     def prev_for(self, node_id: int) -> int:
         if node_id == self.src:
             return self.src_prev
         if node_id == self.dst:
             return self.dst_prev
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+        raise self._not_an_endpoint(node_id)
 
     def with_next_for(self, node_id: int, rel_id: int) -> "RelationshipRecord":
         if node_id == self.src:
-            return replace(self, src_next=rel_id)
+            return self._replace(src_next=rel_id)
         if node_id == self.dst:
-            return replace(self, dst_next=rel_id)
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+            return self._replace(dst_next=rel_id)
+        raise self._not_an_endpoint(node_id)
 
     def with_prev_for(self, node_id: int, rel_id: int) -> "RelationshipRecord":
         if node_id == self.src:
-            return replace(self, src_prev=rel_id)
+            return self._replace(src_prev=rel_id)
         if node_id == self.dst:
-            return replace(self, dst_prev=rel_id)
-        raise StorageError(
-            f"node {node_id} is not an endpoint of relationship {self.rel_id}"
-        )
+            return self._replace(dst_prev=rel_id)
+        raise self._not_an_endpoint(node_id)
 
     def with_first_prop(self, prop_id: int) -> "RelationshipRecord":
-        return replace(self, first_prop=prop_id)
+        return self._replace(first_prop=prop_id)
 
     def with_ghost(self, ghost: bool) -> "RelationshipRecord":
-        return replace(self, ghost=ghost)
+        return self._replace(ghost=ghost)
 
 
 class RelationshipCodec(RecordCodec):
+    #: flags, rel_id, src, dst, src_prev, src_next, dst_prev, dst_next, first_prop
     FORMAT = "<B8q"
 
-    def pack(self, record: RelationshipRecord) -> bytes:
-        flags = _FLAG_IN_USE
-        if record.ghost:
-            flags |= _FLAG_GHOST
-        return struct.pack(
-            self.FORMAT,
-            flags,
-            record.rel_id,
-            record.src,
-            record.dst,
-            record.src_prev,
-            record.src_next,
-            record.dst_prev,
-            record.dst_next,
-            record.first_prop,
+    def encode(self, record: RelationshipRecord) -> Tuple:
+        flags = FLAG_IN_USE | _FLAG_GHOST if record.ghost else FLAG_IN_USE
+        return (flags,) + record[:8]
+
+    def decode(self, fields: Tuple) -> RelationshipRecord:
+        return tuple_new(
+            RelationshipRecord, fields[1:] + (fields[0] & _FLAG_GHOST != 0,)
         )
 
-    def unpack(self, payload: bytes) -> RelationshipRecord:
-        (
-            flags,
-            rel_id,
-            src,
-            dst,
-            src_prev,
-            src_next,
-            dst_prev,
-            dst_next,
-            first_prop,
-        ) = struct.unpack(self.FORMAT, payload)
-        return RelationshipRecord(
-            rel_id=rel_id,
-            src=src,
-            dst=dst,
-            src_prev=src_prev,
-            src_next=src_next,
-            dst_prev=dst_prev,
-            dst_next=dst_next,
-            first_prop=first_prop,
-            ghost=bool(flags & _FLAG_GHOST),
-        )
 
-    def header(self, payload: bytes) -> Tuple[bool, int]:
-        flags, rel_id = struct.unpack_from("<Bq", payload)
-        return bool(flags & _FLAG_IN_USE), rel_id
-
-
-class RelationshipStore:
-    """Typed facade over the relationship record store."""
+class RelationshipStore(FixedRecordStore):
+    """The relationship record store, keyed by each record's ``rel_id``."""
 
     def __init__(self, paged_file: Optional[PagedFile] = None):
-        self._store = FixedRecordStore(RelationshipCodec(), paged_file=paged_file)
+        super().__init__(RelationshipCodec(), paged_file=paged_file)
 
     def write(self, record: RelationshipRecord) -> None:
-        self._store.write(record.rel_id, record)
-
-    def read(self, rel_id: int) -> RelationshipRecord:
-        return self._store.read(rel_id)
-
-    def delete(self, rel_id: int) -> None:
-        self._store.delete(rel_id)
-
-    def __contains__(self, rel_id: int) -> bool:
-        return rel_id in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def ids(self) -> Iterator[int]:
-        return self._store.ids()
-
-    def records(self) -> Iterator[RelationshipRecord]:
-        return self._store.records()
-
-    def max_id(self) -> Optional[int]:
-        return self._store.max_id()
-
-    @property
-    def size_bytes(self) -> int:
-        return self._store.pages.size_bytes
-
-    def save(self, path: str) -> None:
-        self._store.save(path)
+        super().write(record.rel_id, record)
 
     @classmethod
     def load(cls, path: str) -> "RelationshipStore":
-        store = cls.__new__(cls)
-        store._store = FixedRecordStore.load(path, RelationshipCodec())
-        return store
+        return cls(paged_file=PagedFile.load(path))

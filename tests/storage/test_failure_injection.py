@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.exceptions import (
+    RecordDeletedError,
     StorageError,
     StoreCorruptionError,
 )
@@ -81,6 +82,36 @@ class TestDuplicateRecordScan:
         paged.write(0, codec.record_size, payload)  # duplicate!
         with pytest.raises(StorageError, match="duplicate"):
             FixedRecordStore(codec, paged_file=paged)
+
+
+class TestIndexSlotDisagreement:
+    """The id->slot index and the slot's own bytes must tell one story."""
+
+    def make_store(self):
+        store = FixedRecordStore(NodeCodec())
+        for node_id in (1, 2, 3):
+            store.write(node_id, NodeRecord(node_id=node_id, weight=float(node_id)))
+        return store
+
+    def test_index_entry_pointing_at_another_records_slot(self):
+        """Every slot stores its record's id; a read that lands on a slot
+        holding a different id is corruption, not an answer."""
+        store = self.make_store()
+        store._index.insert(1, store._index.get(2))
+        with pytest.raises(StoreCorruptionError, match="record 2"):
+            store.read(1)
+        with pytest.raises(StoreCorruptionError):
+            store.get(1)
+        assert store.read(2).weight == 2.0  # the slot's owner still reads
+
+    def test_index_entry_pointing_at_a_zeroed_slot(self):
+        store = self.make_store()
+        slot = store._index.get(3)
+        page, index = divmod(slot, store.slots_per_page)
+        size = store.codec.record_size
+        store.pages.write(page, index * size, bytes(size))
+        with pytest.raises(RecordDeletedError):
+            store.read(3)
 
 
 class TestChainCycleGuard:

@@ -276,3 +276,75 @@ def test_chain_consistency_under_random_churn(pairs):
             if vertex in key
         )
         assert sorted(store.neighbors(vertex)) == expected
+
+
+LOCAL_NODES = range(6)
+REMOTE_NODES = (100, 101)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(("create", "detach", "attach", "delete")),
+            st.integers(0, 2**16),
+            st.integers(0, 2**16),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_chain_contains_matches_the_chain_walk(steps):
+    """``chain_contains`` answers from the record's own link fields; after
+    any create / attach / detach / delete sequence it must agree with
+    walking the chain, for every (local endpoint, relationship) pair."""
+    store = GraphStore()
+    for node in LOCAL_NODES:
+        store.create_node(node)
+    endpoints = {}  # rel_id -> (src, dst)
+    linked = set()  # (local node, rel_id) pairs currently in a chain
+    candidates = list(LOCAL_NODES) + list(REMOTE_NODES)
+
+    def local_sides(rel_id):
+        return [node for node in endpoints[rel_id] if node in LOCAL_NODES]
+
+    def step(action, a, b):
+        if action == "create":
+            src = LOCAL_NODES[a % len(LOCAL_NODES)]
+            dst = candidates[b % len(candidates)]
+            if src == dst:
+                return
+            if b % 2:
+                src, dst = dst, src
+            rel_id = store.allocate_rel_id()
+            store.create_relationship(rel_id, src, dst)
+            endpoints[rel_id] = (src, dst)
+            linked.update((node, rel_id) for node in local_sides(rel_id))
+            return
+        if not endpoints:
+            return
+        rel_id = sorted(endpoints)[a % len(endpoints)]
+        sides = local_sides(rel_id)
+        node = sides[b % len(sides)]
+        if action == "detach" and (node, rel_id) in linked:
+            store.detach_endpoint(rel_id, node)
+            linked.discard((node, rel_id))
+        elif action == "attach" and (node, rel_id) not in linked:
+            store.attach_endpoint(rel_id, node)
+            linked.add((node, rel_id))
+        elif action == "delete" and all((n, rel_id) in linked for n in sides):
+            # (a record with a detached local side is mid-migration state
+            # the executor never deletes through this call)
+            store.delete_relationship(rel_id)
+            linked.difference_update((n, rel_id) for n in sides)
+            del endpoints[rel_id]
+
+    for action, a, b in steps:
+        step(action, a, b)
+        for rel_id in endpoints:
+            for node in local_sides(rel_id):
+                walked = any(
+                    entry.rel_id == rel_id
+                    for entry in store.neighbor_entries(node, include_unavailable=True)
+                )
+                assert store.chain_contains(node, rel_id) == walked
+                assert walked == ((node, rel_id) in linked)
