@@ -15,7 +15,7 @@ from repro.core.auxiliary import AuxiliaryData
 from repro.core.candidates import STAGE_LOW_TO_HIGH, get_target_partition
 from repro.core.config import RepartitionerConfig
 from repro.core.repartitioner import LightweightRepartitioner
-from repro.graph.generators import orkut_like
+from repro.graph.generators import compact_powerlaw_graph, orkut_like
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.storage.btree import BPlusTree
@@ -57,7 +57,7 @@ def test_bench_candidate_selection(benchmark, partitioned):
 def test_bench_selection_full_scan_reference(benchmark, partitioned):
     """Pre-optimization candidate selection: every hosted vertex of the
     source partition is evaluated through the reference Algorithm 1.
-    Kept as the comparison baseline for the boundary-scan bench below."""
+    Kept as the comparison baseline for the engine's selection below."""
     graph, _, aux = partitioned
 
     def select_full():
@@ -76,9 +76,8 @@ def test_bench_selection_full_scan_reference(benchmark, partitioned):
 
 
 def test_bench_selection_boundary_scan(benchmark, partitioned):
-    """Optimized candidate selection via the incremental engine: only the
-    stage's directional boundary set is scanned (full member set only
-    when the source is overloaded), through the inlined hot loop."""
+    """The engine's candidate selection: Algorithm 1 evaluated for each
+    source partition at once over its rows of the count matrix."""
     graph, _, aux = partitioned
     config = RepartitionerConfig(k=10)
     repartitioner = LightweightRepartitioner(config)
@@ -86,22 +85,45 @@ def test_bench_selection_boundary_scan(benchmark, partitioned):
 
     def select_boundary():
         total = 0
-        average = aux.average_weight()
         for source in range(aux.num_partitions):
             total += len(
-                repartitioner._select_candidates(
-                    aux, source, STAGE_LOW_TO_HIGH, k, average
-                )
+                repartitioner._select_candidates(aux, source, STAGE_LOW_TO_HIGH, k)
             )
         return total
 
     benchmark(select_boundary)
 
 
+@pytest.fixture(scope="module")
+def csr_20k():
+    graph = compact_powerlaw_graph(20_000, seed=3)
+    return graph, HashPartitioner(salt=3).partition(graph, 8)
+
+
+def test_bench_aux_bootstrap_csr(benchmark, csr_20k):
+    """Auxiliary-data bootstrap from a 20 000-vertex CSR graph."""
+    benchmark.pedantic(AuxiliaryData.from_graph, args=csr_20k, rounds=5, iterations=1)
+
+
+def test_bench_phase1_stage(benchmark, csr_20k):
+    """One stage at n=20 000: eight selections, then the chosen moves
+    (k=200 per partition) applied to the auxiliary data."""
+    graph, partitioning = csr_20k
+    repartitioner = LightweightRepartitioner()
+
+    def fresh():
+        aux = AuxiliaryData.from_graph(graph, partitioning)
+        return (graph, partitioning.copy(), aux, STAGE_LOW_TO_HIGH, 200, {}), {}
+
+    moved = benchmark.pedantic(
+        repartitioner._run_stage, setup=fresh, rounds=5, iterations=1
+    )
+    assert moved > 1000
+
+
 def test_bench_phase1_end_to_end(benchmark):
-    """End-to-end phase-1 run at n=5000 / 8 partitions — the acceptance
-    workload for the boundary-tracking engine (see BENCH_repartitioner.json
-    at the repo root for the recorded before/after numbers)."""
+    """End-to-end phase-1 run at n=5000 / 8 partitions (see
+    BENCH_repartitioner.json at the repo root for the recorded numbers)."""
     dataset = orkut_like(n=5000, seed=21)
     graph = dataset.graph
 

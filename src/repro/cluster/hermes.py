@@ -17,9 +17,9 @@ system distributes across servers:
 * ``aux`` — the :class:`~repro.core.AuxiliaryData` that in Hermes is
   sharded per server; centralizing it changes nothing observable because
   every read the algorithm performs is one a hosting server could answer
-  locally (:class:`~repro.core.ShardedAuxiliaryData` is the tested
-  reference for the paper's per-server layout — the repartitioner
-  produces identical moves on either).
+  locally: a partition's selection reads only its own hosted records and
+  the alpha partition weights (``tests/core/test_selection_engine.py``
+  carries that locality claim as a test).
 
 Operations that can pause (traversals, rebalances) are implemented once,
 as generators that do the work and yield each slice's cost; the serial
@@ -536,18 +536,25 @@ class HermesCluster:
             if source != target:
                 moves[vertex] = (source, target)
         # Keep auxiliary data in sync with the new placement.
-        for vertex, (_, target) in moves.items():
-            self.aux.apply_move(vertex, target, self.graph.neighbors(vertex))
+        self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
         try:
             return self._apply_moves(moves)
         except MigrationAbortedError:
             self._rollback_aux(moves)
             raise
 
+    def _point_aux(self, placement: Dict[int, int]) -> None:
+        """Logically move each vertex of ``placement`` to its partition,
+        as one all-or-nothing batch (in the map's order)."""
+        self.aux.apply_moves(
+            list(placement),
+            list(placement.values()),
+            [self.graph.neighbors(vertex) for vertex in placement],
+        )
+
     def _rollback_aux(self, moves: Dict[int, Tuple[int, int]]) -> None:
         """Re-point the auxiliary data at the pre-move placement."""
-        for vertex, (source, _) in moves.items():
-            self.aux.apply_move(vertex, source, self.graph.neighbors(vertex))
+        self._point_aux({vertex: source for vertex, (source, _) in moves.items()})
 
     def _apply_moves(self, moves: Dict[int, Tuple[int, int]]) -> MigrationReport:
         plan = build_migration_plan(moves)
@@ -709,8 +716,7 @@ class HermesCluster:
         server.capacity = 0.0
         self.aux.set_capacity(server_id, 0.0)
         moves = self._drain_plan(server_id)
-        for vertex, (_, target) in moves.items():
-            self.aux.apply_move(vertex, target, self.graph.neighbors(vertex))
+        self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
         report: Optional[MigrationReport] = None
         try:
             if moves:

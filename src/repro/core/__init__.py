@@ -16,23 +16,16 @@ from repro.core.migration import MigrationPlan, build_migration_plan
 from repro.core.repartitioner import (
     IterationStats,
     LightweightRepartitioner,
-    ParallelSelectionStrategy,
     RepartitionResult,
-    SerialSelectionStrategy,
 )
-from repro.core.sharded import AuxiliaryShard, ShardedAuxiliaryData
 from repro.core.triggers import ImbalanceTrigger
 
 __all__ = [
     "AuxiliaryData",
-    "ShardedAuxiliaryData",
-    "AuxiliaryShard",
     "RepartitionerConfig",
     "LightweightRepartitioner",
     "RepartitionResult",
     "IterationStats",
-    "SerialSelectionStrategy",
-    "ParallelSelectionStrategy",
     "MigrationCandidate",
     "get_target_partition",
     "gain",

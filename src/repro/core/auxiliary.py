@@ -3,57 +3,60 @@
 Per the paper (Sections 2.2 and 3.1) the auxiliary data consists of:
 
 * for each hosted vertex ``v``, alpha integers: the number of neighbors of
-  ``v`` in each of the alpha partitions (stored sparsely — only partitions
-  where the count is non-zero — which is what makes the amortized size
-  ``n + Theta(alpha)`` of Theorem 2 achievable);
+  ``v`` in each of the alpha partitions;
 * the aggregate weight of *all* partitions (every server knows the total
   weight of every other partition);
 * each hosted vertex's own weight and current partition.
 
-The auxiliary data is maintained incrementally as user requests execute:
-adding an edge increments two integers, reading a vertex bumps its weight,
-and a logical migration moves one vertex's record and adjusts its
-neighbors' counters.  Maintenance cost is therefore proportional to the
-rate of change of the graph, never to its size.
+That is an array, and it is stored as one (DESIGN.md §6, "Phase 1 on
+arrays"): row ``r`` of ``partition[r]`` / ``weight[r]`` /
+``counts[r, alpha]`` (int32) is one vertex's record, with an optional
+``heat[r, alpha]`` overlay of observed traffic.  The vertex-id -> row map
+is the identity while ids are ``0..n-1`` (no per-vertex Python object
+exists at all then) and a dict otherwise; rows grow by amortised
+doubling, a new partition appends a column.
 
-On top of the paper's counters this implementation keeps three derived
-structures up to date under the same incremental maintenance (see
-DESIGN.md, "Hot-path engineering"):
+The data is maintained incrementally as user requests execute: adding an
+edge increments two integers, reading a vertex bumps its weight, and a
+logical migration re-points one record and shifts its neighbors'
+counters (:meth:`AuxiliaryData.apply_moves` does that for a whole stage
+in two scatter operations; the single-cell request paths go through
+``memoryview``s of the columns).  Maintenance cost is proportional to the
+rate of change of the graph, never to its size.  Everything derived —
+boundary sets, external degree, edge-cut, imbalance — is computed from
+the arrays on demand in one vectorised pass; nothing derived is stored.
 
-* per-partition **directional boundary sets** — the vertices with >= 1
-  neighbor in a higher-ID (resp. lower-ID) partition, i.e. the only
-  vertices a non-overloaded partition ever needs to scan during a
-  stage-1 (resp. stage-2) candidate selection;
-* an **incremental external-degree total**, making ``edge_cut()`` O(1);
-* a **memoized total/max of the partition-weight vector**, making
-  ``average_weight()`` and ``max_imbalance()`` O(1) between weight
-  changes (the refreshed values are computed with exactly the same
-  ``sum``/``max`` expressions as before, so results are bit-identical).
+Every public scalar is a Python ``int`` / ``float``; ``partition_weights``
+and ``capacities`` are Python lists, because their float accumulation
+order is part of the pinned outputs (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from itertools import chain
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.exceptions import PartitioningError, VertexNotFoundError
-from repro.graph.compact import GraphRead
+from repro.graph.compact import CompactGraph, GraphRead
 from repro.partitioning.base import Partitioning
 
-
-def decayed_weight(weight: float, factor: float, floor: float) -> float:
-    """The shared popularity-aging rule: multiply, but never below floor."""
-    return max(floor, weight * factor)
-
-
-def is_uniform_capacity(capacities: Iterable[float]) -> bool:
-    """True when every partition has the default capacity of exactly 1.0.
-
-    The uniform case keeps the historical balance expressions (weight
-    divided by the plain average), so capacity-unaware clusters stay
-    bit-identical to the pre-capacity implementation.
-    """
-    return all(capacity == 1.0 for capacity in capacities)
+#: ulp-scale heat residue below this is treated as zero when heat is dropped
+_HEAT_EPSILON = 1e-12
 
 
 def check_capacity(capacity: float) -> None:
@@ -66,10 +69,9 @@ def check_capacity(capacity: float) -> None:
 def capacity_targets(total_weight: float, capacities: List[float]) -> List[float]:
     """Capacity-weighted balance target per partition.
 
-    ``target_p = total_weight * cap_p / sum(cap)``.  Both auxiliary
-    implementations evaluate this one shared expression, so they agree on
-    weighted imbalance bit for bit.  An all-zero capacity vector yields
-    all-zero targets (every non-empty partition reads as overloaded).
+    ``target_p = total_weight * cap_p / sum(cap)``.  An all-zero capacity
+    vector yields all-zero targets (every non-empty partition reads as
+    overloaded).
     """
     total_capacity = sum(capacities)
     if total_capacity <= 0.0:
@@ -92,9 +94,24 @@ def weighted_imbalance(weight: float, target: float) -> float:
     return weight / target
 
 
-def check_decay_factor(factor: float) -> None:
-    if not 0.0 < factor <= 1.0:
-        raise PartitioningError(f"decay factor must be in (0, 1], got {factor}")
+def _nonzero(cells: np.ndarray) -> dict:
+    """Sparse ``{partition: value}`` view of one row of a per-partition matrix."""
+    return {
+        partition: value for partition, value in enumerate(cells.tolist()) if value
+    }
+
+
+class PartitionRecords(NamedTuple):
+    """What one server hosts: its vertices' records, ascending vertex id.
+
+    The arrays are copies (a stage's selection snapshot); row ``i`` of
+    each belongs to ``vertices[i]``.
+    """
+
+    vertices: np.ndarray  #: int64 vertex ids
+    weights: np.ndarray  #: float64
+    counts: np.ndarray  #: int32 ``[m, alpha]`` neighbor counts
+    heat: Optional[np.ndarray]  #: float64 ``[m, alpha]``, None when unheated
 
 
 class AuxiliaryData:
@@ -104,25 +121,20 @@ class AuxiliaryData:
         "num_partitions",
         "partition_weights",
         "capacities",
-        "_uniform_capacity",
-        "_vertex_partition",
-        "_vertex_weights",
-        "_neighbor_counts",
-        "_members",
-        "_boundary_high",
-        "_boundary_low",
-        "_ext_high",
-        "_ext_low",
-        "_total_external",
-        "_weights_dirty",
-        "_cached_total_weight",
-        "_cached_max_weight",
+        "_partition",
+        "_weight",
+        "_counts",
+        "_partition_cell",
+        "_weight_cell",
+        "_count_cell",
+        "_heat",
         "_edge_heat",
-        "_heat_counts",
+        "_rows",
+        "_ids",
+        "_free",
+        "_used",
+        "_live",
     )
-
-    #: shared empty heat map returned for unheated vertices (do not mutate)
-    _NO_HEAT: Dict[int, float] = {}
 
     def __init__(
         self, num_partitions: int, capacities: Optional[List[float]] = None
@@ -143,28 +155,27 @@ class AuxiliaryData:
         for capacity in capacities:
             check_capacity(capacity)
         self.capacities: List[float] = list(capacities)
-        self._uniform_capacity = is_uniform_capacity(self.capacities)
-        self._vertex_partition: Dict[int, int] = {}
-        self._vertex_weights: Dict[int, float] = {}
-        #: sparse counters: vertex -> {partition: neighbor count > 0}
-        self._neighbor_counts: Dict[int, Dict[int, int]] = {}
-        self._members: List[Set[int]] = [set() for _ in range(num_partitions)]
-        #: vertices with >= 1 neighbor on a higher-ID / lower-ID partition
-        #: (stage 1 / stage 2 scan sets; their union is the boundary)
-        self._boundary_high: List[Set[int]] = [set() for _ in range(num_partitions)]
-        self._boundary_low: List[Set[int]] = [set() for _ in range(num_partitions)]
-        self._ext_high: Dict[int, int] = {}
-        self._ext_low: Dict[int, int] = {}
-        self._total_external = 0
-        self._weights_dirty = True
-        self._cached_total_weight = 0.0
-        self._cached_max_weight = 0.0
+        # partition: row -> partition, -1 for a free row; counts: dense and
+        # C-contiguous, so ``reshape(-1)`` is a view.
+        self._install(
+            np.full(0, -1, dtype=np.int32),
+            np.zeros(0, dtype=np.float64),
+            np.zeros((0, num_partitions), dtype=np.int32),
+        )
+        #: heat[r, p] = sum of heat of r's edges whose other endpoint lives
+        #: on p — the weighted analogue of the counters (None until attached)
+        self._heat: Optional[np.ndarray] = None
         #: observed-traffic heat per canonical edge (None until attached)
         self._edge_heat: Optional[Dict[Tuple[int, int], float]] = None
-        #: per-vertex heat toward each partition, the weighted analogue of
-        #: the neighbor counters: heat_counts[v][p] = sum of heat of v's
-        #: edges whose other endpoint lives on p
-        self._heat_counts: Optional[Dict[int, Dict[int, float]]] = None
+        #: vertex id -> row; None while the map is the identity
+        self._rows: Optional[Dict[int, int]] = None
+        #: row -> vertex id; None while the map is the identity
+        self._ids: Optional[np.ndarray] = None
+        #: reusable rows below ``_used`` (mapped ids only; an identity-mapped
+        #: vertex can only ever return to its own row)
+        self._free: List[int] = []
+        self._used = 0  # rows handed out so far (high-water mark)
+        self._live = 0  # tracked vertices
 
     # ------------------------------------------------------------------
     # Construction
@@ -176,81 +187,260 @@ class AuxiliaryData:
         """Bootstrap auxiliary data from a full graph + assignment.
 
         In the real system this state accretes from request execution; the
-        simulator builds it in one pass when a cluster is loaded.  Any
-        read-protocol substrate works: counter accumulation is
-        commutative and candidate selection resolves partition ties by ID,
-        so dict-of-sets and CSR inputs yield identical phase-1 outputs.
+        simulator builds it in one pass when a cluster is loaded: the
+        counter matrix is one ``bincount`` over ``(row, partition[col])``
+        of the directed edge list, the weight vector one weighted
+        ``bincount`` (which accumulates in vertex order, like the
+        per-vertex loop it replaces).  Any read-protocol substrate works
+        and yields identical phase-1 outputs; a CSR graph hands over its
+        columns, anything else is read through the protocol.
         """
         aux = cls(partitioning.num_partitions)
-        for vertex in graph.vertices():
-            aux.add_vertex(
-                vertex, partitioning.partition_of(vertex), graph.weight_of(vertex)
+        n = graph.num_vertices
+        alpha = aux.num_partitions
+        csr = isinstance(graph, CompactGraph)
+        if csr:
+            ids = graph.ids_column
+            weights = graph.weights_column.astype(np.float64)
+        else:
+            ids = np.fromiter(graph.vertices(), dtype=np.int64, count=n)
+            weights = np.fromiter(
+                map(graph.weight_of, ids.tolist()), dtype=np.float64, count=n
             )
-        for u, v in graph.edges():
-            aux.add_edge(u, v)
+            if np.array_equal(ids, np.arange(n)):
+                ids = None
+        vertex_list = range(n) if ids is None else ids.tolist()
+        partition = np.fromiter(
+            map(partitioning.partition_of, vertex_list), dtype=np.int32, count=n
+        )
+        if ids is not None:
+            aux._ids = ids.astype(np.int64)
+            aux._rows = dict(zip(vertex_list, range(n)))
+        # The directed edge list in row space: every edge in both directions.
+        if csr:
+            heads = np.repeat(np.arange(n), np.diff(graph.indptr))
+            tails = graph.neighbor_indices
+        else:
+            ends = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64)
+            if ids is not None:
+                ends = np.fromiter(
+                    map(aux._rows.__getitem__, ends.tolist()),
+                    dtype=np.int64,
+                    count=len(ends),
+                )
+            heads = np.concatenate([ends[0::2], ends[1::2]])
+            tails = np.concatenate([ends[1::2], ends[0::2]])
+        cells = heads * alpha + partition[tails]
+        counts = np.bincount(cells, minlength=n * alpha).astype(np.int32)
+        aux._install(partition, weights, counts.reshape(n, alpha))
+        aux._used = aux._live = n
+        aux.partition_weights = np.bincount(
+            partition, weights=weights, minlength=alpha
+        ).tolist()
         return aux
+
+    # ------------------------------------------------------------------
+    # Columns
+    # ------------------------------------------------------------------
+    def _install(
+        self, partition: np.ndarray, weight: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Adopt (re)allocated columns and open cell views on them.
+
+        Per-request upkeep (``add_weight`` on every vertex a traversal
+        returns, ``add_edge``, the id lookups) touches single cells, where
+        indexing an ndarray costs ~3x a list access.  A ``memoryview`` of
+        the same buffer reads and writes a cell as a Python scalar at
+        close to list speed — without boxing the column.
+        """
+        self._partition, self._weight, self._counts = partition, weight, counts
+        self._partition_cell = memoryview(partition)
+        self._weight_cell = memoryview(weight)
+        self._count_cell = memoryview(counts)
+
+    def __getstate__(self) -> dict:
+        # memoryviews can be neither copied nor pickled; they are re-opened.
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if not name.endswith("_cell")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._install(self._partition, self._weight, self._counts)
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows (amortised doubling)."""
+        capacity = len(self._partition)
+        if rows <= capacity:
+            return
+        grown = max(rows, 2 * capacity, 16)
+
+        def extend(column: np.ndarray, fill) -> np.ndarray:
+            out = np.full((grown,) + column.shape[1:], fill, dtype=column.dtype)
+            out[:capacity] = column
+            return out
+
+        self._install(
+            extend(self._partition, -1),
+            extend(self._weight, 0.0),
+            extend(self._counts, 0),
+        )
+        if self._heat is not None:
+            self._heat = extend(self._heat, 0.0)
+        if self._ids is not None:
+            self._ids = extend(self._ids, -1)
+
+    # ------------------------------------------------------------------
+    # Vertex id <-> row
+    # ------------------------------------------------------------------
+    def _locate(self, vertex: int) -> Tuple[int, int]:
+        """``(row, partition)`` of a tracked vertex (one cell read)."""
+        row = vertex if self._rows is None else self._rows.get(vertex, -1)
+        if 0 <= row < self._used:
+            partition = self._partition_cell[row]
+            if partition >= 0:
+                return row, partition
+        raise VertexNotFoundError(vertex)
+
+    def _rows_of(self, vertices) -> np.ndarray:
+        """Rows of a batch of tracked vertex ids (int64 array)."""
+        if self._rows is None:
+            rows = np.asarray(vertices, dtype=np.int64)
+            if len(rows):
+                known = (rows >= 0) & (rows < self._used)
+                if known.all() and self._live < self._used:  # free rows exist
+                    known = self._partition[rows] >= 0
+                if not known.all():
+                    raise VertexNotFoundError(int(rows[~known][0]))
+            return rows
+        if isinstance(vertices, np.ndarray):
+            vertices = vertices.tolist()
+        try:
+            return np.fromiter(
+                map(self._rows.__getitem__, vertices),
+                dtype=np.int64,
+                count=len(vertices),
+            )
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+
+    def _ids_of(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self._ids is None else self._ids[rows]
+
+    def _live_rows(self) -> np.ndarray:
+        return (self._partition[: self._used] >= 0).nonzero()[0]
+
+    def _by_vertex_id(self, rows: np.ndarray) -> np.ndarray:
+        """Ascending rows re-ordered by ascending *vertex id*."""
+        if self._ids is None:
+            return rows
+        return rows[np.argsort(self._ids[rows], kind="stable")]
+
+    def _member_rows(self, partition: int) -> np.ndarray:
+        """Rows hosted on ``partition``, in ascending vertex id order."""
+        return self._by_vertex_id(
+            (self._partition[: self._used] == partition).nonzero()[0]
+        )
+
+    def _claim_row(self, vertex: int) -> int:
+        """A free row for a new vertex; grows the arrays when full."""
+        if self._rows is None:
+            if vertex == self._used:
+                self._reserve(vertex + 1)
+                self._used += 1
+                return vertex
+            if 0 <= vertex < self._used:
+                if self._partition[vertex] >= 0:
+                    raise PartitioningError(f"vertex {vertex} already tracked")
+                return vertex
+            # First id that does not extend 0..n-1: switch to an explicit map.
+            live = self._live_rows().tolist()
+            self._rows = dict(zip(live, live))
+            self._ids = np.arange(len(self._partition), dtype=np.int64)
+            self._free = sorted(set(range(self._used)) - self._rows.keys())
+        if vertex in self._rows:
+            raise PartitioningError(f"vertex {vertex} already tracked")
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self._used
+            self._reserve(row + 1)
+            self._used += 1
+        self._rows[vertex] = row
+        self._ids[row] = vertex
+        return row
 
     # ------------------------------------------------------------------
     # Incremental maintenance (driven by user requests)
     # ------------------------------------------------------------------
     def add_vertex(self, vertex: int, partition: int, weight: float) -> None:
-        if vertex in self._vertex_partition:
-            raise PartitioningError(f"vertex {vertex} already tracked")
         self._check_partition(partition)
-        self._vertex_partition[vertex] = partition
-        self._vertex_weights[vertex] = weight
-        self._neighbor_counts[vertex] = {}
-        self._members[partition].add(vertex)
-        self._ext_high[vertex] = 0
-        self._ext_low[vertex] = 0
+        row = self._claim_row(vertex)
+        self._partition_cell[row] = partition
+        self._weight_cell[row] = weight
         self.partition_weights[partition] += weight
-        self._weights_dirty = True
+        self._live += 1
 
     def remove_vertex(self, vertex: int) -> None:
-        partition = self.partition_of(vertex)
-        counts = self._neighbor_counts[vertex]
-        if any(counts.values()):
+        row, partition = self._locate(vertex)
+        if self._counts[row].any():
             raise PartitioningError(
                 f"vertex {vertex} still has incident edges; remove them first"
             )
-        if self._heat_counts is not None:
-            self._heat_counts.pop(vertex, None)
-        self.partition_weights[partition] -= self._vertex_weights[vertex]
-        self._weights_dirty = True
-        self._members[partition].discard(vertex)
-        self._boundary_high[partition].discard(vertex)
-        self._boundary_low[partition].discard(vertex)
-        del self._vertex_partition[vertex]
-        del self._vertex_weights[vertex]
-        del self._neighbor_counts[vertex]
-        del self._ext_high[vertex]
-        del self._ext_low[vertex]
+        self.partition_weights[partition] -= self._weight_cell[row]
+        self._partition[row] = -1
+        self._weight[row] = 0.0
+        if self._heat is not None:
+            self._heat[row] = 0.0
+        if self._rows is not None:
+            del self._rows[vertex]
+            self._free.append(row)
+        self._live -= 1
 
     def add_edge(self, u: int, v: int) -> None:
         """A new relationship: two integers get incremented (Section 3.1)."""
-        pu, pv = self.partition_of(u), self.partition_of(v)
-        self._bump(u, pu, pv, +1)
-        self._bump(v, pv, pu, +1)
+        row_u, partition_u = self._locate(u)
+        row_v, partition_v = self._locate(v)
+        counts = self._count_cell
+        counts[row_u, partition_v] += 1
+        counts[row_v, partition_u] += 1
 
     def remove_edge(self, u: int, v: int) -> None:
-        pu, pv = self.partition_of(u), self.partition_of(v)
-        self._bump(u, pu, pv, -1)
-        self._bump(v, pv, pu, -1)
+        row_u, partition_u = self._locate(u)
+        row_v, partition_v = self._locate(v)
+        counts = self._count_cell
+        for row, partition, vertex in (
+            (row_u, partition_v, u),
+            (row_v, partition_u, v),
+        ):
+            if counts[row, partition] < 1:
+                raise PartitioningError(
+                    f"neighbor count of vertex {vertex} in partition "
+                    f"{partition} would become negative"
+                )
+        counts[row_u, partition_v] -= 1
+        counts[row_v, partition_u] -= 1
         if self._edge_heat:
             heat = self._edge_heat.pop((u, v) if u <= v else (v, u), 0.0)
             if heat:
-                self._drop_heat(u, pv, heat)
-                self._drop_heat(v, pu, heat)
+                self._drop_heat(row_u, partition_v, heat)
+                self._drop_heat(row_v, partition_u, heat)
 
     def add_weight(self, vertex: int, delta: float) -> None:
         """A read request increments the vertex's popularity weight."""
-        partition = self.partition_of(vertex)
-        self._vertex_weights[vertex] += delta
+        # _locate, inlined: this runs for every vertex a traversal returns.
+        row = vertex if self._rows is None else self._rows.get(vertex, -1)
+        partition = self._partition_cell[row] if 0 <= row < self._used else -1
+        if partition < 0:
+            raise VertexNotFoundError(vertex)
+        self._weight_cell[row] += delta
         self.partition_weights[partition] += delta
-        self._weights_dirty = True
 
     def set_weight(self, vertex: int, weight: float) -> None:
-        self.add_weight(vertex, weight - self._vertex_weights[vertex])
+        self.add_weight(vertex, weight - self.weight_of(vertex))
 
     def decay_weights(self, factor: float, floor: float = 1.0) -> None:
         """Age popularity: multiply every weight by ``factor`` (0..1].
@@ -258,58 +448,19 @@ class AuxiliaryData:
         Read-count weights grow without bound; real deployments age them
         so the balancer tracks *current* traffic rather than all-time
         totals.  ``floor`` keeps every vertex minimally weighted so empty
-        partitions remain comparable.
-
-        Both auxiliary implementations share this semantics: each vertex
-        weight becomes ``max(floor, weight * factor)`` and each
-        partition's aggregate is rebuilt as the sum of its members'
-        decayed weights in sorted-vertex order, so centralized and
-        sharded stores end up with identical weight vectors.
+        partitions remain comparable.  Each vertex weight becomes
+        ``max(floor, weight * factor)`` and each partition's aggregate is
+        rebuilt as the sum of its members' decayed weights in ascending
+        vertex order.
         """
-        check_decay_factor(factor)
-        weights = self._vertex_weights
-        for vertex, weight in weights.items():
-            weights[vertex] = decayed_weight(weight, factor, floor)
-        for partition, members in enumerate(self._members):
-            self.partition_weights[partition] = sum(
-                weights[vertex] for vertex in sorted(members)
-            )
-        self._weights_dirty = True
-
-    def _bump(self, vertex: int, home: int, partition: int, delta: int) -> None:
-        """Adjust ``vertex``'s neighbor count in ``partition`` by ``delta``.
-
-        ``home`` is the vertex's own partition; counts toward any *other*
-        partition are external degree, so the boundary set and the running
-        external-degree total are maintained here, in the same O(1) step.
-        """
-        counts = self._neighbor_counts[vertex]
-        new_value = counts.get(partition, 0) + delta
-        if new_value < 0:
-            raise PartitioningError(
-                f"neighbor count of vertex {vertex} in partition {partition} "
-                "would become negative"
-            )
-        if new_value == 0:
-            counts.pop(partition, None)
-        else:
-            counts[partition] = new_value
-        if partition > home:
-            ext = self._ext_high[vertex] + delta
-            self._ext_high[vertex] = ext
-            self._total_external += delta
-            if ext == 0:
-                self._boundary_high[home].discard(vertex)
-            elif ext == delta:  # first neighbor in a higher partition
-                self._boundary_high[home].add(vertex)
-        elif partition < home:
-            ext = self._ext_low[vertex] + delta
-            self._ext_low[vertex] = ext
-            self._total_external += delta
-            if ext == 0:
-                self._boundary_low[home].discard(vertex)
-            elif ext == delta:  # first neighbor in a lower partition
-                self._boundary_low[home].add(vertex)
+        if not 0.0 < factor <= 1.0:
+            raise PartitioningError(f"decay factor must be in (0, 1], got {factor}")
+        rows = self._by_vertex_id(self._live_rows())
+        decayed = np.maximum(floor, self._weight[rows] * factor)
+        self._weight[rows] = decayed
+        self.partition_weights[:] = np.bincount(
+            self._partition[rows], weights=decayed, minlength=self.num_partitions
+        ).tolist()
 
     # ------------------------------------------------------------------
     # Logical migration
@@ -322,130 +473,116 @@ class AuxiliaryData:
         decrements, "count in target" increments) plus the two partition
         weights.  ``neighbors`` is the vertex's adjacency list, which the
         *source server* knows locally — the migration message carries the
-        updates; no global state is consulted.
+        updates; no global state is consulted.  A batch of one: see
+        :meth:`apply_moves` for validation and atomicity.
         """
-        self._check_partition(target)
         source = self.partition_of(vertex)
-        if source == target:
-            return source
-        weight = self._vertex_weights[vertex]
-        self.partition_weights[source] -= weight
-        self.partition_weights[target] += weight
-        self._weights_dirty = True
-        self._members[source].discard(vertex)
-        self._members[target].add(vertex)
-        self._vertex_partition[vertex] = target
-        # The vertex's own external degree is re-derived from its (sparse)
-        # counters against the new home; its neighbors' external degrees
-        # adjust inside the per-neighbor counter bumps below.
-        counts = self._neighbor_counts[vertex]
-        new_high = 0
-        new_low = 0
-        for partition, count in counts.items():
-            if partition > target:
-                new_high += count
-            elif partition < target:
-                new_low += count
-        self._total_external += (
-            new_high + new_low - self._ext_high[vertex] - self._ext_low[vertex]
-        )
-        self._ext_high[vertex] = new_high
-        self._ext_low[vertex] = new_low
-        self._boundary_high[source].discard(vertex)
-        self._boundary_low[source].discard(vertex)
-        if new_high:
-            self._boundary_high[target].add(vertex)
-        if new_low:
-            self._boundary_low[target].add(vertex)
-        # Per-neighbor counter transfer, inlined from _bump: each
-        # neighbor's "count in source" decrements and "count in target"
-        # increments.  Total external degree only changes for neighbors
-        # hosted on the source or target; a neighbor elsewhere keeps its
-        # total but may shift one unit between its high/low direction
-        # when source and target straddle its home partition.
-        vertex_partition = self._vertex_partition
-        neighbor_counts = self._neighbor_counts
-        ext_high = self._ext_high
-        ext_low = self._ext_low
-        boundary_high = self._boundary_high
-        boundary_low = self._boundary_low
-        edge_heat = self._edge_heat
-        for nbr in neighbors:
-            nbr_counts = neighbor_counts[nbr]
-            value = nbr_counts.get(source, 0) - 1
-            if value < 0:
-                raise PartitioningError(
-                    f"neighbor count of vertex {nbr} in partition {source} "
-                    "would become negative"
-                )
-            if value == 0:
-                del nbr_counts[source]
-            else:
-                nbr_counts[source] = value
-            nbr_counts[target] = nbr_counts.get(target, 0) + 1
-            if edge_heat is not None:
-                # The weighted counters move in lockstep with the integer
-                # ones: the neighbor's heat toward the source partition
-                # follows the vertex to the target.
-                heat = edge_heat.get(
-                    (vertex, nbr) if vertex <= nbr else (nbr, vertex)
-                )
-                if heat:
-                    self._drop_heat(nbr, source, heat)
-                    self._add_heat(nbr, target, heat)
-            home = vertex_partition[nbr]
-            if home == source:
-                # The edge to ``vertex`` turned external, toward target.
-                if target > home:
-                    ext = ext_high[nbr] + 1
-                    ext_high[nbr] = ext
-                    if ext == 1:
-                        boundary_high[home].add(nbr)
-                else:
-                    ext = ext_low[nbr] + 1
-                    ext_low[nbr] = ext
-                    if ext == 1:
-                        boundary_low[home].add(nbr)
-                self._total_external += 1
-            elif home == target:
-                # The edge to ``vertex`` turned internal; it pointed
-                # toward source before the move.
-                if source > home:
-                    ext = ext_high[nbr] - 1
-                    ext_high[nbr] = ext
-                    if ext == 0:
-                        boundary_high[home].discard(nbr)
-                else:
-                    ext = ext_low[nbr] - 1
-                    ext_low[nbr] = ext
-                    if ext == 0:
-                        boundary_low[home].discard(nbr)
-                self._total_external -= 1
-            else:
-                # Third-party host: total external degree is unchanged,
-                # but the edge may swap direction if source and target
-                # lie on opposite sides of the neighbor's home.
-                source_high = source > home
-                if source_high != (target > home):
-                    if source_high:
-                        ext = ext_high[nbr] - 1
-                        ext_high[nbr] = ext
-                        if ext == 0:
-                            boundary_high[home].discard(nbr)
-                        ext = ext_low[nbr] + 1
-                        ext_low[nbr] = ext
-                        if ext == 1:
-                            boundary_low[home].add(nbr)
-                    else:
-                        ext = ext_low[nbr] - 1
-                        ext_low[nbr] = ext
-                        if ext == 0:
-                            boundary_low[home].discard(nbr)
-                        ext = ext_high[nbr] + 1
-                        ext_high[nbr] = ext
-                        if ext == 1:
-                            boundary_high[home].add(nbr)
+        if not isinstance(neighbors, np.ndarray):
+            neighbors = list(neighbors)
+        self.apply_moves([vertex], [target], [neighbors])
         return source
+
+    def apply_moves(
+        self,
+        vertices: Sequence[int],
+        targets: Sequence[int],
+        neighbor_lists: Sequence[Collection[int]],
+    ) -> None:
+        """Logically migrate a batch of vertices, all or nothing.
+
+        Equivalent to ``apply_move(vertices[i], targets[i],
+        neighbor_lists[i])`` for ascending ``i``: the integer counters
+        commute, so they move in two scatter operations for the whole
+        batch, while the partition weights (and attached heat) are floats
+        whose accumulation order is observable and stay a scalar loop in
+        batch order.  The batch is validated before anything changes —
+        every target in range, every vertex and neighbor tracked, no
+        vertex twice, every decremented counter >= 1 — and a violation
+        raises :class:`PartitioningError` / :class:`VertexNotFoundError`
+        with the auxiliary data untouched.
+        """
+        if not len(vertices) == len(targets) == len(neighbor_lists):
+            raise PartitioningError("apply_moves arguments differ in length")
+        alpha = self.num_partitions
+        target_column = np.asarray(targets, dtype=np.int64)
+        if len(target_column) and not (
+            0 <= target_column.min() and target_column.max() < alpha
+        ):
+            raise PartitioningError(f"target partition out of range [0, {alpha})")
+        if len(set(vertices)) != len(vertices):
+            raise PartitioningError("a vertex may move only once per batch")
+        rows = self._rows_of(vertices)
+        source_column = self._partition[rows].astype(np.int64)
+        moving = source_column != target_column
+        if not moving.all():
+            rows = rows[moving]
+            source_column = source_column[moving]
+            target_column = target_column[moving]
+            vertices = [v for v, keep in zip(vertices, moving.tolist()) if keep]
+            neighbor_lists = [
+                n for n, keep in zip(neighbor_lists, moving.tolist()) if keep
+            ]
+        if not len(rows):
+            return
+        lengths = np.fromiter(
+            map(len, neighbor_lists), dtype=np.int64, count=len(neighbor_lists)
+        )
+        if isinstance(neighbor_lists[0], np.ndarray):
+            neighbor_ids = np.concatenate(neighbor_lists)
+        else:
+            neighbor_ids = np.fromiter(
+                chain.from_iterable(neighbor_lists), dtype=np.int64
+            )
+        neighbor_rows = self._rows_of(neighbor_ids)
+
+        # Counter transfer: each neighbor's "count in source" decrements
+        # and "count in target" increments.  Decrement first and look for
+        # a negative cell — the only way to see a non-neighbor without a
+        # sort — restoring the integers exactly before raising.
+        cells = neighbor_rows * alpha
+        counts = self._counts.reshape(-1)
+        one = counts.dtype.type(1)  # a Python int would take ufunc.at's slow path
+        decrement = cells + np.repeat(source_column, lengths)
+        np.subtract.at(counts, decrement, one)
+        if len(decrement) and counts[decrement].min() < 0:
+            bad = int(np.flatnonzero(counts[decrement] < 0)[0])
+            np.add.at(counts, decrement, one)
+            raise PartitioningError(
+                f"neighbor count of vertex {int(neighbor_ids[bad])} in "
+                f"partition {int(decrement[bad] % alpha)} would become negative"
+            )
+        np.add.at(counts, cells + np.repeat(target_column, lengths), one)
+
+        sources = source_column.tolist()
+        targets = target_column.tolist()
+        partition_weights = self.partition_weights
+        for source, target, weight in zip(
+            sources, targets, self._weight[rows].tolist()
+        ):
+            partition_weights[source] -= weight
+            partition_weights[target] += weight
+        self._partition[rows] = target_column
+
+        if self._edge_heat:
+            # The weighted counters move in lockstep with the integer
+            # ones: each neighbor's heat toward the source partition
+            # follows the vertex to the target, in (batch, neighbor) order.
+            edge_heat = self._edge_heat
+            neighbor_ids = neighbor_ids.tolist()
+            neighbor_rows = neighbor_rows.tolist()
+            start = 0
+            for vertex, source, target, length in zip(
+                vertices, sources, targets, lengths.tolist()
+            ):
+                for i in range(start, start + length):
+                    nbr = neighbor_ids[i]
+                    heat = edge_heat.get(
+                        (vertex, nbr) if vertex <= nbr else (nbr, vertex)
+                    )
+                    if heat:
+                        self._drop_heat(neighbor_rows[i], source, heat)
+                        self._heat[neighbor_rows[i], target] += heat
+                start += length
 
     # ------------------------------------------------------------------
     # Workload heat (observed-traffic weighting for the gain function)
@@ -459,34 +596,44 @@ class AuxiliaryData:
         untracked endpoint are dropped.  Heat must describe *real* edges:
         the weighted selection only considers target partitions the
         vertex has neighbors in, so heat toward a partition with no
-        counted neighbor is never read.  From here on :meth:`apply_move`
+        counted neighbor is never read.  From here on :meth:`apply_moves`
         and :meth:`remove_edge` keep the weighted counters in lockstep
         with the integer ones; new edges start cold until re-attached.
         """
-        vertex_partition = self._vertex_partition
         canonical: Dict[Tuple[int, int], float] = {}
         for (u, v), heat in edge_heat.items():
             if heat <= 0.0 or u == v:
                 continue
             if u > v:
                 u, v = v, u
-            if u not in vertex_partition or v not in vertex_partition:
+            if not (self._tracks(u) and self._tracks(v)):
                 continue
             canonical[(u, v)] = canonical.get((u, v), 0.0) + heat
-        heat_counts: Dict[int, Dict[int, float]] = {}
-        for (u, v), heat in canonical.items():
-            pu, pv = vertex_partition[u], vertex_partition[v]
-            counts_u = heat_counts.setdefault(u, {})
-            counts_u[pv] = counts_u.get(pv, 0.0) + heat
-            counts_v = heat_counts.setdefault(v, {})
-            counts_v[pu] = counts_v.get(pu, 0.0) + heat
+        alpha = self.num_partitions
+        size = self._counts.size
+        if canonical:
+            # One weighted bincount over the (u-cell, v-cell) sequence
+            # accumulates per cell in edge order, like a per-edge loop.
+            u = self._rows_of([edge[0] for edge in canonical])
+            v = self._rows_of([edge[1] for edge in canonical])
+            cells = np.empty(2 * len(canonical), dtype=np.int64)
+            cells[0::2] = u * alpha + self._partition[v]
+            cells[1::2] = v * alpha + self._partition[u]
+            values = np.fromiter(
+                canonical.values(), dtype=np.float64, count=len(canonical)
+            )
+            heat_cells = np.bincount(
+                cells, weights=np.repeat(values, 2), minlength=size
+            )
+        else:
+            heat_cells = np.zeros(size, dtype=np.float64)
         self._edge_heat = canonical
-        self._heat_counts = heat_counts
+        self._heat = heat_cells.reshape(self._counts.shape)
 
     def detach_heat(self) -> None:
         """Drop the heat overlay; gain falls back to pure edge counts."""
         self._edge_heat = None
-        self._heat_counts = None
+        self._heat = None
 
     @property
     def has_heat(self) -> bool:
@@ -494,83 +641,83 @@ class AuxiliaryData:
         return bool(self._edge_heat)
 
     def heat_counts(self, vertex: int) -> Dict[int, float]:
-        """Sparse view {partition: heat} — the weighted analogue of
-        :meth:`neighbor_counts` (do not mutate; empty when unheated)."""
-        if not self._heat_counts:
-            return self._NO_HEAT
-        return self._heat_counts.get(vertex, self._NO_HEAT)
+        """Sparse ``{partition: heat}`` — the weighted analogue of
+        :meth:`neighbor_counts` (a fresh dict; empty when unheated)."""
+        row, _ = self._locate(vertex)
+        return {} if self._heat is None else _nonzero(self._heat[row])
 
-    def heat_selection_view(self, partition: int) -> Dict[int, Dict[int, float]]:
-        """Per-vertex heat counters readable for ``partition``'s hosted
-        vertices (do not mutate) — the weighted companion map of
-        :meth:`selection_view`; vertices absent from it are unheated."""
-        self._check_partition(partition)
-        return self._heat_counts if self._heat_counts is not None else {}
-
-    def _add_heat(self, vertex: int, partition: int, heat: float) -> None:
-        counts = self._heat_counts.setdefault(vertex, {})
-        counts[partition] = counts.get(partition, 0.0) + heat
-
-    def _drop_heat(self, vertex: int, partition: int, heat: float) -> None:
-        counts = self._heat_counts.get(vertex)
-        if counts is None:
+    def _drop_heat(self, row: int, partition: int, heat: float) -> None:
+        cells = self._heat[row]
+        if not cells.any():
             return
-        value = counts.get(partition, 0.0) - heat
+        value = cells[partition] - heat
         # Exact cancellation is not guaranteed in floats; treat ulp-scale
-        # residue as zero so empty entries do not accumulate.
-        if abs(value) < 1e-12:
-            counts.pop(partition, None)
-            if not counts:
-                self._heat_counts.pop(vertex, None)
-        else:
-            counts[partition] = value
+        # residue as zero so phantom heat does not accumulate.
+        cells[partition] = 0.0 if abs(value) < _HEAT_EPSILON else value
 
     # ------------------------------------------------------------------
     # Queries used by Algorithm 1
     # ------------------------------------------------------------------
-    def partition_of(self, vertex: int) -> int:
+    def _tracks(self, vertex: int) -> bool:
         try:
-            return self._vertex_partition[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
+            self._locate(vertex)
+        except VertexNotFoundError:
+            return False
+        return True
+
+    def partition_of(self, vertex: int) -> int:
+        return self._locate(vertex)[1]
 
     def weight_of(self, vertex: int) -> float:
-        try:
-            return self._vertex_weights[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
+        return self._weight_cell[self._locate(vertex)[0]]
 
     def neighbor_count(self, vertex: int, partition: int) -> int:
         """``d_v(partition)``: how many neighbors of v live in partition."""
         self._check_partition(partition)
-        counts = self._neighbor_counts.get(vertex)
-        if counts is None:
-            raise VertexNotFoundError(vertex)
-        return counts.get(partition, 0)
+        return self._count_cell[self._locate(vertex)[0], partition]
 
     def neighbor_counts(self, vertex: int) -> Dict[int, int]:
-        """Sparse view {partition: count} (do not mutate)."""
-        counts = self._neighbor_counts.get(vertex)
-        if counts is None:
-            raise VertexNotFoundError(vertex)
-        return counts
+        """Sparse ``{partition: count > 0}`` (a fresh dict)."""
+        return _nonzero(self._counts[self._locate(vertex)[0]])
 
     def degree(self, vertex: int) -> int:
-        return sum(self.neighbor_counts(vertex).values())
+        return int(self._counts[self._locate(vertex)[0]].sum())
 
     def external_degree(self, vertex: int) -> int:
-        """``d_ex(v)``: neighbors in partitions other than v's own.  O(1)."""
-        try:
-            return self._ext_high[vertex] + self._ext_low[vertex]
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
+        """``d_ex(v)``: neighbors in partitions other than v's own."""
+        row, partition = self._locate(vertex)
+        counts = self._counts[row]
+        return int(counts.sum() - counts[partition])
+
+    def records_of(self, partition: int) -> PartitionRecords:
+        """The records ``partition``'s server hosts, ascending vertex id.
+
+        This — plus the alpha partition weights — is everything a server
+        reads to select its migration candidates (Algorithm 1 evaluated
+        for the whole partition at once in
+        :class:`~repro.core.repartitioner.LightweightRepartitioner`).
+        """
+        self._check_partition(partition)
+        rows = self._member_rows(partition)
+        return PartitionRecords(
+            self._ids_of(rows),
+            self._weight[rows],
+            self._counts[rows],
+            None if self._heat is None else self._heat[rows],
+        )
 
     def vertices_in(self, partition: int) -> Set[int]:
+        """The vertices hosted on ``partition`` (a fresh set)."""
         self._check_partition(partition)
-        return self._members[partition]
+        return set(self._ids_of(self._member_rows(partition)).tolist())
+
+    def _external_degrees(self, rows: np.ndarray) -> np.ndarray:
+        counts = self._counts[rows]
+        own = counts[np.arange(len(rows)), self._partition[rows]]
+        return counts.sum(axis=1) - own
 
     def boundary_vertices(self, partition: int) -> Set[int]:
-        """Hosted vertices with >= 1 external neighbor (fresh set).
+        """Hosted vertices with >= 1 external neighbor (a fresh set).
 
         These are the only admissible migration candidates of a partition
         that is not overloaded: an interior vertex's gain toward every
@@ -578,45 +725,23 @@ class AuxiliaryData:
         unless the source may shed load at negative gain.
         """
         self._check_partition(partition)
-        return self._boundary_high[partition] | self._boundary_low[partition]
-
-    def boundary_toward_higher(self, partition: int) -> Set[int]:
-        """Hosted vertices with >= 1 neighbor in a *higher-ID* partition
-        (do not mutate) — the stage-1 candidate scan set: a positive-gain
-        move toward a higher partition requires a neighbor there.
-        """
-        self._check_partition(partition)
-        return self._boundary_high[partition]
-
-    def boundary_toward_lower(self, partition: int) -> Set[int]:
-        """Stage-2 counterpart of :meth:`boundary_toward_higher`."""
-        self._check_partition(partition)
-        return self._boundary_low[partition]
+        rows = self._member_rows(partition)
+        boundary = rows[self._external_degrees(rows) > 0]
+        return set(self._ids_of(boundary).tolist())
 
     def boundary_sizes(self) -> List[int]:
-        return [
-            len(high | low)
-            for high, low in zip(self._boundary_high, self._boundary_low)
-        ]
-
-    def selection_view(
-        self, partition: int
-    ) -> Tuple[Dict[int, float], Dict[int, Dict[int, int]]]:
-        """(vertex weights, neighbor counters) readable for ``partition``'s
-        hosted vertices — the raw maps Algorithm 1 evaluates, exposed so
-        the selection hot loop can use plain dict lookups (do not mutate).
-        The centralized store shares one map across partitions; the
-        sharded store returns the hosting shard's local maps.
-        """
-        self._check_partition(partition)
-        return self._vertex_weights, self._neighbor_counts
+        rows = self._live_rows()
+        boundary = rows[self._external_degrees(rows) > 0]
+        return np.bincount(
+            self._partition[boundary], minlength=self.num_partitions
+        ).tolist()
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._vertex_partition)
+        return iter(self._ids_of(self._live_rows()).tolist())
 
     @property
     def num_vertices(self) -> int:
-        return len(self._vertex_partition)
+        return self._live
 
     # ------------------------------------------------------------------
     # Capacity management (heterogeneous and elastic clusters)
@@ -624,8 +749,10 @@ class AuxiliaryData:
     @property
     def uniform_capacity(self) -> bool:
         """True while every partition has the default capacity 1.0 —
-        balance queries then take the exact historical code path."""
-        return self._uniform_capacity
+        balance queries then divide by the plain average weight (the
+        historical expression, kept bit-identical) instead of the
+        capacity-weighted target."""
+        return self.capacities.count(1.0) == len(self.capacities)
 
     def capacity_of(self, partition: int) -> float:
         self._check_partition(partition)
@@ -636,32 +763,30 @@ class AuxiliaryData:
         self._check_partition(partition)
         check_capacity(capacity)
         self.capacities[partition] = capacity
-        self._uniform_capacity = is_uniform_capacity(self.capacities)
 
     def add_partition(self, capacity: float = 1.0) -> int:
         """Grow the cluster by one (initially empty) partition.
 
-        Returns the new partition's ID.  All derived structures — the
-        weight vector, membership and directional boundary sets — gain an
-        empty slot; existing vertices' high/low boundary classification
-        is unaffected because nobody has a neighbor there yet.
+        Returns the new partition's ID.  The counter matrix (and the heat
+        overlay) gain a zero column: nobody has a neighbor there yet.
         """
         check_capacity(capacity)
         partition = self.num_partitions
         self.num_partitions += 1
         self.partition_weights.append(0.0)
         self.capacities.append(capacity)
-        self._members.append(set())
-        self._boundary_high.append(set())
-        self._boundary_low.append(set())
-        self._weights_dirty = True
-        self._uniform_capacity = is_uniform_capacity(self.capacities)
+
+        def widen(matrix: np.ndarray) -> np.ndarray:
+            column = np.zeros((len(matrix), 1), dtype=matrix.dtype)
+            return np.ascontiguousarray(np.hstack([matrix, column]))
+
+        self._install(self._partition, self._weight, widen(self._counts))
+        if self._heat is not None:
+            self._heat = widen(self._heat)
         return partition
 
     def total_weight(self) -> float:
-        if self._weights_dirty:
-            self._refresh_weight_cache()
-        return self._cached_total_weight
+        return sum(self.partition_weights)
 
     def balance_targets(self) -> List[float]:
         """Capacity-weighted target weight per partition (fresh list)."""
@@ -670,17 +795,10 @@ class AuxiliaryData:
     # ------------------------------------------------------------------
     # Balance queries (Algorithm 1 lines 2, 5 and 11)
     # ------------------------------------------------------------------
-    def _refresh_weight_cache(self) -> None:
-        # Same expressions as the historical per-call computation, so the
-        # memoized values are bit-identical to a fresh sum()/max().
-        self._cached_total_weight = sum(self.partition_weights)
-        self._cached_max_weight = max(self.partition_weights)
-        self._weights_dirty = False
-
     def average_weight(self) -> float:
-        if self._weights_dirty:
-            self._refresh_weight_cache()
-        return self._cached_total_weight / self.num_partitions
+        # Python's left-to-right ``sum`` of the list: its rounding is part
+        # of the pinned outputs (``np.sum`` adds pairwise).
+        return sum(self.partition_weights) / self.num_partitions
 
     def imbalance_factor(self, partition: int, weight_delta: float = 0.0) -> float:
         """Ratio of (partition weight + delta) to its balance target.
@@ -694,14 +812,14 @@ class AuxiliaryData:
         the capacity-weighted share from :func:`capacity_targets`.
         """
         self._check_partition(partition)
-        if self._uniform_capacity:
+        if self.uniform_capacity:
             average = self.average_weight()
             if average == 0:
                 return 1.0
             return (self.partition_weights[partition] + weight_delta) / average
-        target = capacity_targets(self.total_weight(), self.capacities)[partition]
         return weighted_imbalance(
-            self.partition_weights[partition] + weight_delta, target
+            self.partition_weights[partition] + weight_delta,
+            self.balance_targets()[partition],
         )
 
     def is_overloaded(self, partition: int, epsilon: float) -> bool:
@@ -711,69 +829,41 @@ class AuxiliaryData:
         return self.imbalance_factor(partition) < 2.0 - epsilon
 
     def max_imbalance(self) -> float:
-        if self._uniform_capacity:
+        if self.uniform_capacity:
             average = self.average_weight()
             if average == 0:
                 return 1.0
-            return self._cached_max_weight / average
-        targets = self.balance_targets()
+            return max(self.partition_weights) / average
         return max(
             weighted_imbalance(weight, target)
-            for weight, target in zip(self.partition_weights, targets)
+            for weight, target in zip(self.partition_weights, self.balance_targets())
         )
 
     # ------------------------------------------------------------------
     # Derived whole-system metrics (for instrumentation, not the algorithm)
     # ------------------------------------------------------------------
     def edge_cut(self) -> int:
-        """Edge-cut from the incremental counter: sum d_ex(v) / 2.  O(1)."""
-        return self._total_external // 2
+        """Edge-cut: ``sum d_ex(v) / 2``, one pass over the counters."""
+        return int(self._external_degrees(self._live_rows()).sum()) // 2
 
     def to_partitioning(self) -> Partitioning:
         """Materialize the current assignment as a Partitioning object."""
         partitioning = Partitioning(self.num_partitions)
-        for vertex, partition in self._vertex_partition.items():
+        rows = self._live_rows()
+        for vertex, partition in zip(
+            self._ids_of(rows).tolist(), self._partition[rows].tolist()
+        ):
             partitioning.assign(vertex, partition)
         return partitioning
 
-    def ingest_counts(self, vertex: int, counts: Dict[int, int]) -> None:
-        """Bulk-install a vertex's counter record (shard materialization).
-
-        Replaces the vertex's sparse counters wholesale while keeping the
-        external-degree total and boundary sets consistent.
-        """
-        home = self.partition_of(vertex)
-        old_ext = self._ext_high[vertex] + self._ext_low[vertex]
-        self._neighbor_counts[vertex] = {
-            partition: count for partition, count in counts.items() if count
-        }
-        new_high = 0
-        new_low = 0
-        for partition, count in counts.items():
-            if partition > home:
-                new_high += count
-            elif partition < home:
-                new_low += count
-        self._total_external += new_high + new_low - old_ext
-        self._ext_high[vertex] = new_high
-        self._ext_low[vertex] = new_low
-        if new_high:
-            self._boundary_high[home].add(vertex)
-        else:
-            self._boundary_high[home].discard(vertex)
-        if new_low:
-            self._boundary_low[home].add(vertex)
-        else:
-            self._boundary_low[home].discard(vertex)
-
     def memory_entries(self) -> Tuple[int, int]:
-        """(counter entries, weight entries) actually stored.
+        """(non-zero counters, weight entries) — the information content.
 
-        Theorem 2 bounds the amortized counter entries by n + Theta(alpha);
-        tests verify this against the sparse representation.
+        Theorem 2 bounds the amortized non-zero counters by
+        ``n + Theta(alpha)``; the dense matrix trades those bytes for
+        vectorised access (DESIGN.md §6 has the numbers).
         """
-        counter_entries = sum(len(c) for c in self._neighbor_counts.values())
-        return counter_entries, self.num_partitions
+        return int(np.count_nonzero(self._counts)), self.num_partitions
 
     def _check_partition(self, partition: int) -> None:
         if not 0 <= partition < self.num_partitions:

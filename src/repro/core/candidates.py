@@ -13,25 +13,24 @@ migration to ``P_t`` iff all of the following hold (Section 3.1):
 
 Among admissible targets the one with maximum gain wins.
 
-Hot-path engineering (see DESIGN.md): migrations never change the total
-system weight, so within one selection stage the average weight is a
-constant.  Callers that evaluate many vertices against the same snapshot
-pass a **frozen** ``average`` (and the source's precomputed ``overloaded``
-flag) so no per-candidate weight-vector re-summing happens; the balance
-tests below then reduce to one multiply-free comparison each, with float
-semantics identical to the historical ``imbalance_factor`` calls.  When a
-source is *not* overloaded, only targets the vertex actually has
-neighbors in can beat the strictly-positive-gain bar, so the target scan
-iterates the vertex's sparse counter keys (in ascending partition ID, the
-same tie-break order as the dense scan) instead of all alpha partitions.
+This module is the readable, one-vertex-at-a-time statement of the
+algorithm and the oracle the tests hold the vectorised engine to:
+:class:`~repro.core.repartitioner.LightweightRepartitioner` evaluates the
+same rules for a whole source partition at once over the count matrix
+(DESIGN.md §6) and must return exactly what :func:`get_target_partition`
+returns per member.  When a source is *not* overloaded, only targets the
+vertex actually has neighbors in can beat the strictly-positive-gain bar,
+so the scan iterates the vertex's non-zero counters (ascending partition
+ID, the same tie-break order as the dense scan) instead of all alpha
+partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.core.auxiliary import AuxiliaryData
+from repro.core.auxiliary import AuxiliaryData, weighted_imbalance
 
 #: Stage constants: stage 1 moves lower ID -> higher ID, stage 2 the reverse.
 STAGE_LOW_TO_HIGH = 1
@@ -73,6 +72,7 @@ def get_target_partition(
     average: Optional[float] = None,
     overloaded: Optional[bool] = None,
     alpha: float = 0.0,
+    targets: Optional[Sequence[float]] = None,
 ) -> Tuple[Optional[int], float]:
     """Paper Algorithm 1: returns ``(target, gain)``; target None if no move.
 
@@ -82,29 +82,45 @@ def get_target_partition(
     ``average`` and ``overloaded`` let a per-stage caller freeze the
     (migration-invariant) average weight and the source's overload status
     instead of re-deriving them per vertex; when omitted they are computed
-    from ``aux`` exactly as the historical per-call code did.
+    from ``aux``.
+
+    ``targets`` switches the balance tests from the plain average to
+    capacity-weighted targets (:meth:`AuxiliaryData.balance_targets`): a
+    partition's weight is compared against *its own* target, a
+    zero-target partition (a draining server) is never an admissible
+    destination, and as a source it skips the underload guard — it must
+    shed everything.
 
     ``alpha`` > 0 blends observed-traffic heat into the gain:
     ``(1 - alpha) * (d_t - d_s) + alpha * (h_t - h_s)``.  Heat only
     exists toward partitions the vertex has real neighbors in (it is
-    learned from traversed edges), so the sparse counter-key scan below
+    learned from traversed edges), so the non-zero-counter scan below
     still covers every target a non-overloaded source could admit, and
     at alpha == 0 the arithmetic — integer gains included — is exactly
-    the historical static path.
+    the static path.
     """
     source = aux.partition_of(vertex)
     weight = aux.weight_of(vertex)
     partition_weights = aux.partition_weights
-    if average is None:
+    if targets is None and average is None:
         average = aux.average_weight()
 
-    # Line 2: moving v away must not underload the source.  The factor
-    # expressions mirror ``imbalance_factor`` term for term so a frozen
-    # average yields bit-identical floats.
-    source_factor = (
-        1.0 if average == 0 else (partition_weights[source] + -weight) / average
-    )
-    if source_factor < 2.0 - epsilon:
+    def factor(partition: int, delta: float) -> float:
+        """Imbalance of ``partition`` after its weight changes by ``delta``;
+        the expressions mirror ``AuxiliaryData.imbalance_factor`` term for
+        term so frozen denominators yield bit-identical floats."""
+        if targets is not None:
+            return weighted_imbalance(
+                partition_weights[partition] + delta, targets[partition]
+            )
+        if average == 0:
+            return 1.0
+        return (partition_weights[partition] + delta) / average
+
+    # Line 2: moving v away must not underload the source (a draining
+    # source has no floor to respect).
+    draining = targets is not None and targets[source] == 0.0
+    if not draining and factor(source, -weight) < 2.0 - epsilon:
         return None, 0
 
     # Lines 4-6: an overloaded source may shed vertices at negative gain;
@@ -118,9 +134,7 @@ def get_target_partition(
     # treat the overloaded bound as unbounded below; the top-k selection
     # still prefers the least-damaging (maximum-gain) vertices.
     if overloaded is None:
-        overloaded = (
-            1.0 if average == 0 else partition_weights[source] / average
-        ) > epsilon
+        overloaded = factor(source, 0.0) > epsilon
 
     counts = aux.neighbor_counts(vertex)
     d_source = counts.get(source, 0)
@@ -152,12 +166,9 @@ def get_target_partition(
             candidate_gain = counts.get(candidate, 0) - d_source
         if candidate_gain <= max_gain:
             continue  # cheap reject before the balance check
-        candidate_factor = (
-            1.0
-            if average == 0
-            else (partition_weights[candidate] + weight) / average
-        )
-        if candidate_factor < epsilon:
+        if targets is not None and targets[candidate] == 0.0:
+            continue
+        if factor(candidate, weight) < epsilon:
             target = candidate
             max_gain = candidate_gain
 

@@ -43,15 +43,6 @@ class RepartitionerConfig:
         controls these only through small k); the plateau rule turns such
         cycles into a stable stop.  ``None`` disables it (used by the
         oscillation ablation).
-    parallel_selection:
-        Fan the per-partition candidate selection of each stage out over
-        a thread pool (the paper's "each partition selects its candidates
-        in parallel").  Selection is read-only against the stage snapshot
-        and results are gathered in partition order, so the move sequence
-        is identical to the serial default.
-    selection_workers:
-        Thread-pool size for ``parallel_selection``; ``None`` lets the
-        executor pick (one thread per partition up to the CPU default).
     workload_alpha:
         Blend factor between static edge-cut gain and observed-traffic
         gain: candidate gain becomes ``(1 - alpha) * (d_t - d_s) +
@@ -68,8 +59,6 @@ class RepartitionerConfig:
     max_iterations: int = 100
     two_stage: bool = True
     stall_iterations: Optional[int] = 8
-    parallel_selection: bool = False
-    selection_workers: Optional[int] = None
     workload_alpha: float = 0.0
 
     def __post_init__(self) -> None:
@@ -90,10 +79,6 @@ class RepartitionerConfig:
         if self.stall_iterations is not None and self.stall_iterations < 1:
             raise PartitioningError(
                 f"stall_iterations must be >= 1 or None, got {self.stall_iterations}"
-            )
-        if self.selection_workers is not None and self.selection_workers < 1:
-            raise PartitioningError(
-                f"selection_workers must be >= 1 or None, got {self.selection_workers}"
             )
         if not 0.0 <= self.workload_alpha <= 1.0:
             raise PartitioningError(

@@ -10,25 +10,29 @@ when an entire iteration selects no candidate; the resulting set of moves
 is then handed to the physical-migration phase (:mod:`repro.core.migration`
 and :mod:`repro.cluster.migration_executor`).
 
-Hot-path engineering (DESIGN.md): selection freezes the stage's average
-weight once (migrations never change the total), scans only the source
-partition's *boundary set* unless the source is overloaded (interior
-vertices can then be shed at negative gain, so the full member set is
-admissible), and may fan the per-partition selection out over a thread
-pool via :class:`ParallelSelectionStrategy` — selection is read-only
-against the snapshot, matching the paper's "each partition selects its
-candidates in parallel".  All three optimizations preserve the exact move
-sequence of the straightforward implementation.
+Phase 1 on arrays (DESIGN.md §6): a source partition's selection is one
+pass over its members' rows of the count matrix — gain matrix, balance
+and direction masks, a masked ``argmax`` per row — followed by the top-k
+min-heap over the admissible vertices in ascending id order, and a stage's
+chosen moves are applied as one batch
+(:meth:`~repro.core.auxiliary.AuxiliaryData.apply_moves`).  The heap and
+the partition-weight updates stay scalar on purpose: the heap's final
+array order is the order moves apply in, and float weights accumulate in
+that order, so both are part of the pinned outputs.
+:func:`~repro.core.candidates.get_target_partition` is the scalar
+statement of the same rules and the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.auxiliary import AuxiliaryData, weighted_imbalance
+import numpy as np
+
+from repro.core.auxiliary import AuxiliaryData
 from repro.core.candidates import (
     STAGE_ANY_DIRECTION,
     STAGE_HIGH_TO_LOW,
@@ -40,6 +44,10 @@ from repro.exceptions import PartitioningError
 from repro.graph.compact import GraphRead
 from repro.partitioning.base import Partitioning
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+
+#: masks an inadmissible cell of an integer gain matrix (counters are int32)
+_NO_INT_GAIN = np.iinfo(np.int32).min
 
 
 @dataclass(frozen=True)
@@ -84,48 +92,6 @@ class RepartitionResult:
         return len(self.moves)
 
 
-class SerialSelectionStrategy:
-    """Select each partition's candidates one after the other (default)."""
-
-    def select(
-        self, select_one: Callable[[int], List[MigrationCandidate]], sources: range
-    ) -> List[List[MigrationCandidate]]:
-        return [select_one(source) for source in sources]
-
-    def close(self) -> None:
-        pass
-
-
-class ParallelSelectionStrategy:
-    """Fan per-partition selection out over a thread pool.
-
-    The paper's stage semantics — every partition selects against the same
-    auxiliary-data snapshot, moves apply only afterwards — make selection
-    embarrassingly parallel: it reads the snapshot and writes nothing.
-    Results are gathered in source-partition order, so the applied move
-    sequence is identical to the serial strategy's.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def select(
-        self, select_one: Callable[[int], List[MigrationCandidate]], sources: range
-    ) -> List[List[MigrationCandidate]]:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="hermes-select",
-            )
-        return list(self._pool.map(select_one, sources))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
 class LightweightRepartitioner:
     """The paper's dynamic repartitioner (Sections 3.1-3.3).
 
@@ -145,11 +111,6 @@ class LightweightRepartitioner:
 
     def __init__(self, config: Optional[RepartitionerConfig] = None):
         self.config = config or RepartitionerConfig()
-
-    def _make_selection_strategy(self):
-        if self.config.parallel_selection:
-            return ParallelSelectionStrategy(self.config.selection_workers)
-        return SerialSelectionStrategy()
 
     # ------------------------------------------------------------------
     def run(
@@ -186,7 +147,8 @@ class LightweightRepartitioner:
             )
         telemetry = telemetry or NULL_TELEMETRY
 
-        original = {v: partitioning.partition_of(v) for v in graph.vertices()}
+        #: vertex -> partition it started on, for every vertex phase 1 touched
+        origin: Dict[int, int] = {}
         result = RepartitionResult(
             converged=False,
             iterations=0,
@@ -202,7 +164,6 @@ class LightweightRepartitioner:
             else (STAGE_ANY_DIRECTION,)
         )
         k = self.config.effective_k(graph.num_vertices)
-        selection = self._make_selection_strategy()
 
         run_span = telemetry.span(
             "repartition.phase1",
@@ -220,55 +181,52 @@ class LightweightRepartitioner:
         imbalance_gauge = telemetry.gauge(
             "repartitioner_imbalance", "max imbalance after the latest iteration"
         )
-        try:
-            best_cut = result.initial_edge_cut
-            best_cut_iteration = 0
-            previous_cut = result.initial_edge_cut
-            for iteration in range(1, self.config.max_iterations + 1):
-                iter_span = telemetry.span(
-                    "repartition.iteration", iteration=iteration
+        best_cut = result.initial_edge_cut
+        best_cut_iteration = 0
+        previous_cut = result.initial_edge_cut
+        for iteration in range(1, self.config.max_iterations + 1):
+            iter_span = telemetry.span(
+                "repartition.iteration", iteration=iteration
+            )
+            migrations = 0
+            for stage in stages:
+                migrations += self._run_stage(
+                    graph, partitioning, aux, stage, k, origin
                 )
-                migrations = 0
-                for stage in stages:
-                    migrations += self._run_stage(
-                        graph, partitioning, aux, stage, k, selection
-                    )
-                stats = IterationStats(
-                    iteration=iteration,
-                    migrations=migrations,
-                    edge_cut=aux.edge_cut(),
-                    max_imbalance=aux.max_imbalance(),
-                )
-                result.history.append(stats)
-                result.iterations = iteration
-                migrations_counter.inc(migrations)
-                cut_gauge.set(stats.edge_cut)
-                imbalance_gauge.set(stats.max_imbalance)
-                telemetry.event(
-                    "repartition_iteration",
-                    iteration=iteration,
-                    migrations=migrations,
-                    edge_cut=stats.edge_cut,
-                    max_imbalance=stats.max_imbalance,
-                    gain=previous_cut - stats.edge_cut,
-                )
-                previous_cut = stats.edge_cut
-                iter_span.set_attribute("migrations", migrations)
-                iter_span.set_attribute("edge_cut", stats.edge_cut)
-                iter_span.finish()
-                if on_iteration is not None:
-                    on_iteration(stats)
-                if migrations == 0:
-                    result.converged = True
-                    break
-                if stats.edge_cut < best_cut:
-                    best_cut = stats.edge_cut
-                    best_cut_iteration = iteration
-                if self._stalled(stats, iteration, best_cut_iteration):
-                    result.stalled = True
-                    break
-        finally:
-            selection.close()
+            stats = IterationStats(
+                iteration=iteration,
+                migrations=migrations,
+                edge_cut=aux.edge_cut(),
+                max_imbalance=aux.max_imbalance(),
+            )
+            result.history.append(stats)
+            result.iterations = iteration
+            migrations_counter.inc(migrations)
+            cut_gauge.set(stats.edge_cut)
+            imbalance_gauge.set(stats.max_imbalance)
+            telemetry.event(
+                "repartition_iteration",
+                iteration=iteration,
+                migrations=migrations,
+                edge_cut=stats.edge_cut,
+                max_imbalance=stats.max_imbalance,
+                gain=previous_cut - stats.edge_cut,
+            )
+            previous_cut = stats.edge_cut
+            iter_span.set_attribute("migrations", migrations)
+            iter_span.set_attribute("edge_cut", stats.edge_cut)
+            iter_span.finish()
+            if on_iteration is not None:
+                on_iteration(stats)
+            if migrations == 0:
+                result.converged = True
+                break
+            if stats.edge_cut < best_cut:
+                best_cut = stats.edge_cut
+                best_cut_iteration = iteration
+            if self._stalled(stats, iteration, best_cut_iteration):
+                result.stalled = True
+                break
 
         result.final_edge_cut = aux.edge_cut()
         result.final_imbalance = aux.max_imbalance()
@@ -276,11 +234,13 @@ class LightweightRepartitioner:
         run_span.set_attribute("final_edge_cut", result.final_edge_cut)
         run_span.set_attribute("converged", result.converged)
         run_span.finish()
-        result.moves = {
-            vertex: (source, partitioning.partition_of(vertex))
-            for vertex, source in original.items()
-            if partitioning.partition_of(vertex) != source
-        }
+        # In graph order: it is the order a rollback re-applies moves in.
+        for vertex in graph.vertices():
+            source = origin.get(vertex)
+            if source is not None:
+                final = partitioning.partition_of(vertex)
+                if final != source:
+                    result.moves[vertex] = (source, final)
         return result
 
     def _stalled(
@@ -306,450 +266,146 @@ class LightweightRepartitioner:
         aux: AuxiliaryData,
         stage: int,
         k: int,
-        selection: Optional[SerialSelectionStrategy] = None,
+        origin: Dict[int, int],
     ) -> int:
-        """One stage: parallel per-partition selection, then apply moves.
+        """One stage: per-partition selection, then apply all moves.
 
         Every partition evaluates its candidates against the same snapshot
         of the auxiliary data (matching the paper's parallel execution:
         "the algorithm does not know the target partition of other
         vertices"), selects its top-k by gain, and all chosen vertices then
-        migrate logically.  The average weight is frozen once per stage:
-        logical migration moves weight between partitions but never
-        changes the total, and no moves apply until selection finishes.
+        migrate logically as one batch.  No move applies until selection
+        finishes, so every source sees the same partition weights.
+        ``origin`` learns the starting partition of each vertex moved for
+        the first time.
         """
-        if selection is None:
-            selection = SerialSelectionStrategy()
-        if getattr(aux, "uniform_capacity", True):
-            average = aux.average_weight()
-
-            def select_one(source: int) -> List[MigrationCandidate]:
-                return self._select_candidates(aux, source, stage, k, average)
-
-        else:
-            # Heterogeneous capacities: freeze the capacity-weighted
-            # targets once per stage, exactly as the average is frozen on
-            # the uniform path (migrations never change the total weight).
-            targets = aux.balance_targets()
-
-            def select_one(source: int) -> List[MigrationCandidate]:
-                return self._select_candidates_capacity(
-                    aux, source, stage, k, targets
-                )
-
-        per_source = selection.select(select_one, range(aux.num_partitions))
-        chosen = [candidate for batch in per_source for candidate in batch]
+        chosen = [
+            candidate
+            for source in range(aux.num_partitions)
+            for candidate in self._select_candidates(aux, source, stage, k)
+        ]
+        if not chosen:
+            return 0
+        # Per-partition selection cannot pick the same vertex twice.
+        aux.apply_moves(
+            [candidate.vertex for candidate in chosen],
+            [candidate.target for candidate in chosen],
+            [graph.neighbors(candidate.vertex) for candidate in chosen],
+        )
         for candidate in chosen:
-            # Current partition may have changed only if the same vertex was
-            # selected twice, which per-partition selection rules out.
-            aux.apply_move(
-                candidate.vertex, candidate.target, graph.neighbors(candidate.vertex)
-            )
-            partitioning.move(candidate.vertex, candidate.target)
+            previous = partitioning.move(candidate.vertex, candidate.target)
+            origin.setdefault(candidate.vertex, previous)
         return len(chosen)
 
     def _select_candidates(
-        self,
-        aux: AuxiliaryData,
-        source: int,
-        stage: int,
-        k: int,
-        average: Optional[float] = None,
+        self, aux: AuxiliaryData, source: int, stage: int, k: int
     ) -> List[MigrationCandidate]:
         """Algorithm 2 lines 4-9 for one source partition.
 
         Returns at most ``k`` candidates, the ones with maximum gain.
-        This is the selection hot loop, so Algorithm 1 (the per-vertex
-        target choice, reference implementation in
-        :func:`~repro.core.candidates.get_target_partition`) is inlined
-        against the raw weight/counter maps with the stage's frozen
-        average.  Only the boundary set is scanned unless the source is
-        overloaded: an interior vertex's best gain is ``-d_v(source) <= 0``,
-        which Algorithm 1 only admits for overload shedding.  The inlined
-        target scan picks the maximum-gain balance-admissible target,
-        lowest partition ID on ties — provably the same winner as the
-        reference's ascending scan — and its balance tests reuse the
-        historical ``imbalance_factor`` float expressions term for term,
-        so the selected candidates are bit-identical.
+        Algorithm 1 (reference: :func:`~repro.core.candidates.get_target_partition`)
+        is evaluated for every member of ``source`` at once, reading only
+        the source's own records and the alpha partition weights:
+
+        * balance denominators — the plain average under uniform
+          capacities, each partition's capacity-weighted target otherwise
+          (a zero target, i.e. a draining server, is never admissible as a
+          destination and skips the underload guard as a source);
+        * gain matrix — count rows minus the own-partition column, blended
+          with the heat overlay when ``workload_alpha`` > 0 (uniform
+          capacities only);
+        * mask — stage direction, destination stays under ``epsilon``, and
+          unless the source is overloaded: a neighbor in the destination
+          and strictly positive gain;
+        * winner — masked ``argmax`` per row (first hit = lowest partition
+          ID among equal gains, as in the reference's ascending scan).
+
+        The float expressions repeat ``imbalance_factor``'s term for term,
+        so the candidates are bit-identical to the scalar reference.
         """
-        if not getattr(aux, "uniform_capacity", True):
-            # Heterogeneous capacities select against capacity-weighted
-            # targets in their own method, keeping this static hot loop's
-            # float arithmetic untouched (capacity=1 everywhere stays
-            # bit-identical to the pinned fixture).
-            return self._select_candidates_capacity(
-                aux, source, stage, k, aux.balance_targets()
-            )
+        # The stage's direction rule is a column slice of the records.
+        if stage == STAGE_LOW_TO_HIGH:
+            low, high = source + 1, aux.num_partitions
+        elif stage == STAGE_HIGH_TO_LOW:
+            low, high = 0, source
+        else:  # STAGE_ANY_DIRECTION (ablation only)
+            low, high = 0, aux.num_partitions
+        if low == high:
+            return []
+        epsilon = self.config.epsilon
         alpha = self.config.workload_alpha
-        if alpha > 0.0 and getattr(aux, "has_heat", False):
-            # Workload-aware selection runs in its own method so the
-            # static path below keeps its historical float arithmetic
-            # untouched (alpha == 0 stays bit-identical to older runs).
-            return self._select_candidates_weighted(
-                aux, source, stage, k, alpha, average
-            )
-        epsilon = self.config.epsilon
-        if average is None:
-            average = aux.average_weight()
-        partition_weights = aux.partition_weights
-        source_weight = partition_weights[source]
-        overloaded = (
-            1.0 if average == 0 else source_weight / average
-        ) > epsilon
-        weights, counters = aux.selection_view(source)
-        two_minus_eps = 2.0 - epsilon
-        # Admissible-target ID bounds for the stage, hoisted out of the
-        # inner loops.  The overload path scans the dense range ascending
-        # (as in the reference); the non-overloaded path instead walks the
-        # vertex's sparse counters, since only partitions it has neighbors
-        # in can clear the strictly-positive-gain bar — and therefore only
-        # needs to scan the stage's *directional* boundary set: a vertex
-        # with no neighbor in an allowed-direction partition cannot
-        # produce a candidate this stage.
-        if stage == STAGE_LOW_TO_HIGH:
-            cp_lo, cp_hi = source + 1, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_higher(source)
-            )
-        elif stage == STAGE_HIGH_TO_LOW:
-            cp_lo, cp_hi = 0, source - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_lower(source)
-            )
-        else:  # STAGE_ANY_DIRECTION (ablation only)
-            cp_lo, cp_hi = 0, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_vertices(source)
-            )
-        dense_targets = range(cp_lo, cp_hi + 1)
+        uniform = aux.uniform_capacity
+        if uniform:
+            denominators = [aux.average_weight()] * aux.num_partitions
+        else:
+            denominators = aux.balance_targets()
+        overloaded = aux.is_overloaded(source, epsilon)
+        records = aux.records_of(source)
+        weights, counts = records.weights, records.counts
 
-        # Min-heap of (gain, tiebreak, vertex, target); the unique tiebreak
-        # means the trailing fields never get compared, and the winning
-        # MigrationCandidate objects are only materialized for the <= k
-        # survivors rather than every admissible vertex.
-        top_k: List[Tuple[int, int, int, int]] = []
-        heappush, heapreplace = heapq.heappush, heapq.heapreplace
-        tiebreak = 0
-        # Sorted scan: deterministic tie-breaking regardless of how the
-        # auxiliary store (centralized or sharded) orders its vertex sets.
-        for vertex in sorted(scan):
-            weight = weights[vertex]
+        toward = counts[:, low:high]
+        own = counts[:, source, None]
+        heated = uniform and alpha > 0.0 and aux.has_heat
+        if heated:
+            heat = records.heat
+            gain = (1.0 - alpha) * (toward - own) + alpha * (
+                heat[:, low:high] - heat[:, source, None]
+            )
+            no_gain = -np.inf
+        else:
+            gain = toward - own
+            no_gain = _NO_INT_GAIN
+
+        denominator = np.asarray(denominators[low:high])
+        unbalanced = denominator == 0 if 0 in denominators[low:high] else None
+        if unbalanced is not None:
+            denominator = np.where(unbalanced, 1.0, denominator)
+        admissible = (
+            np.asarray(aux.partition_weights[low:high]) + weights[:, None]
+        ) / denominator < epsilon
+        if unbalanced is not None:
+            # average == 0 (an all-zero-weight system) admits every target;
+            # a zero capacity target admits none.
+            admissible[:, unbalanced] = uniform
+        if denominators[source] != 0:
             # Algorithm 1 line 2: moving v must not underload the source.
-            if (
-                average != 0
-                and (source_weight + -weight) / average < two_minus_eps
-            ):
-                continue
-            counts = counters[vertex]
-            d_source = counts.get(source, 0)
-            target = None
-            if overloaded:
-                best_gain = float("-inf")
-                for candidate_partition in dense_targets:
-                    if candidate_partition == source:
-                        continue
-                    candidate_gain = (
-                        counts.get(candidate_partition, 0) - d_source
-                    )
-                    if candidate_gain <= best_gain:
-                        continue
-                    if (
-                        average == 0
-                        or (partition_weights[candidate_partition] + weight)
-                        / average
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            else:
-                best_gain = 0
-                for candidate_partition, count in counts.items():
-                    if (
-                        candidate_partition < cp_lo
-                        or candidate_partition > cp_hi
-                        or candidate_partition == source
-                    ):
-                        continue
-                    candidate_gain = count - d_source
-                    if candidate_gain < best_gain or (
-                        candidate_gain == best_gain
-                        and (target is None or candidate_partition > target)
-                    ):
-                        continue
-                    if (
-                        average == 0
-                        or (partition_weights[candidate_partition] + weight)
-                        / average
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            if target is None:
-                continue
-            entry = (best_gain, tiebreak, vertex, target)
-            tiebreak += 1
-            if len(top_k) < k:
-                heappush(top_k, entry)
-            elif best_gain > top_k[0][0]:
-                heapreplace(top_k, entry)
-        return [
-            MigrationCandidate(entry[2], source, entry[3], entry[0])
-            for entry in top_k
-        ]
+            underloads = (
+                aux.partition_weights[source] - weights
+            ) / denominators[source] < 2.0 - epsilon
+            admissible &= ~underloads[:, None]
+        if low <= source < high:
+            admissible[:, source - low] = False
+        if not overloaded:
+            # Interior vertices and zero-gain moves are only for shedding.
+            # (A positive count difference implies a neighbor in the target;
+            # heat can be positive toward a partition without one.)
+            admissible &= gain > 0
+            if heated:
+                admissible &= toward > 0
+        if not admissible.any():
+            return []
 
-    def _select_candidates_capacity(
-        self,
-        aux: AuxiliaryData,
-        source: int,
-        stage: int,
-        k: int,
-        targets: List[float],
-    ) -> List[MigrationCandidate]:
-        """Capacity-aware variant of :meth:`_select_candidates`.
+        gain = np.where(admissible, gain, no_gain)
+        movable = admissible.any(axis=1).nonzero()[0]
+        best = gain[movable].argmax(axis=1)
 
-        Same structure — frozen per-stage targets, directional boundary
-        scan, top-k min-heap — but every balance test compares a
-        partition's weight against its *capacity-weighted* target
-        (:func:`~repro.core.auxiliary.capacity_targets`) instead of the
-        plain average.  A zero-capacity partition (a draining server) has
-        target 0: it reads as infinitely overloaded while non-empty, so
-        it sheds interior vertices at negative gain, and it is never an
-        admissible move target.
-        """
-        epsilon = self.config.epsilon
-        partition_weights = aux.partition_weights
-        source_weight = partition_weights[source]
-        overloaded = weighted_imbalance(source_weight, targets[source]) > epsilon
-        draining = targets[source] == 0.0
-        weights, counters = aux.selection_view(source)
-        two_minus_eps = 2.0 - epsilon
-        if stage == STAGE_LOW_TO_HIGH:
-            cp_lo, cp_hi = source + 1, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_higher(source)
-            )
-        elif stage == STAGE_HIGH_TO_LOW:
-            cp_lo, cp_hi = 0, source - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_lower(source)
-            )
-        else:  # STAGE_ANY_DIRECTION (ablation only)
-            cp_lo, cp_hi = 0, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_vertices(source)
-            )
-        dense_targets = range(cp_lo, cp_hi + 1)
-
-        top_k: List[Tuple[int, int, int, int]] = []
-        heappush, heapreplace = heapq.heappush, heapq.heapreplace
-        tiebreak = 0
-        for vertex in sorted(scan):
-            weight = weights[vertex]
-            # Algorithm 1 line 2: moving v must not underload the source —
-            # unless the source is draining, which must shed everything.
-            if (
-                not draining
-                and weighted_imbalance(source_weight - weight, targets[source])
-                < two_minus_eps
-            ):
-                continue
-            counts = counters[vertex]
-            d_source = counts.get(source, 0)
-            target = None
-            if overloaded:
-                best_gain = float("-inf")
-                for candidate_partition in dense_targets:
-                    if candidate_partition == source:
-                        continue
-                    candidate_gain = (
-                        counts.get(candidate_partition, 0) - d_source
-                    )
-                    if candidate_gain <= best_gain:
-                        continue
-                    if (
-                        targets[candidate_partition] > 0.0
-                        and weighted_imbalance(
-                            partition_weights[candidate_partition] + weight,
-                            targets[candidate_partition],
-                        )
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            else:
-                best_gain = 0
-                for candidate_partition, count in counts.items():
-                    if (
-                        candidate_partition < cp_lo
-                        or candidate_partition > cp_hi
-                        or candidate_partition == source
-                    ):
-                        continue
-                    candidate_gain = count - d_source
-                    if candidate_gain < best_gain or (
-                        candidate_gain == best_gain
-                        and (target is None or candidate_partition > target)
-                    ):
-                        continue
-                    if (
-                        targets[candidate_partition] > 0.0
-                        and weighted_imbalance(
-                            partition_weights[candidate_partition] + weight,
-                            targets[candidate_partition],
-                        )
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            if target is None:
-                continue
-            entry = (best_gain, tiebreak, vertex, target)
-            tiebreak += 1
-            if len(top_k) < k:
-                heappush(top_k, entry)
-            elif best_gain > top_k[0][0]:
-                heapreplace(top_k, entry)
-        return [
-            MigrationCandidate(entry[2], source, entry[3], entry[0])
-            for entry in top_k
-        ]
-
-    def _select_candidates_weighted(
-        self,
-        aux: AuxiliaryData,
-        source: int,
-        stage: int,
-        k: int,
-        alpha: float,
-        average: Optional[float] = None,
-    ) -> List[MigrationCandidate]:
-        """Workload-aware variant of :meth:`_select_candidates`.
-
-        Same structure — frozen average, directional boundary scan,
-        top-k min-heap — but each candidate is ranked by the blended
-        gain ``(1 - alpha) * (d_t - d_s) + alpha * (h_t - h_s)``, where
-        ``h`` comes from the attached observed-traffic heat.  Heat only
-        exists on traversed (real) edges, so every partition a vertex
-        has heat toward also appears in its integer counters: the sparse
-        counter-key scan and the directional boundary sets remain
-        complete for the strictly-positive-gain bar, exactly as in the
-        static path.
-        """
-        epsilon = self.config.epsilon
-        if average is None:
-            average = aux.average_weight()
-        partition_weights = aux.partition_weights
-        source_weight = partition_weights[source]
-        overloaded = (
-            1.0 if average == 0 else source_weight / average
-        ) > epsilon
-        weights, counters = aux.selection_view(source)
-        heat_view = aux.heat_selection_view(source)
-        no_heat: Dict[int, float] = {}
-        two_minus_eps = 2.0 - epsilon
-        one_minus_alpha = 1.0 - alpha
-        if stage == STAGE_LOW_TO_HIGH:
-            cp_lo, cp_hi = source + 1, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_higher(source)
-            )
-        elif stage == STAGE_HIGH_TO_LOW:
-            cp_lo, cp_hi = 0, source - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_toward_lower(source)
-            )
-        else:  # STAGE_ANY_DIRECTION (ablation only)
-            cp_lo, cp_hi = 0, aux.num_partitions - 1
-            scan = (
-                aux.vertices_in(source)
-                if overloaded
-                else aux.boundary_vertices(source)
-            )
-        dense_targets = range(cp_lo, cp_hi + 1)
-
+        # Min-heap of (gain, arrival, vertex, target) over the admissible
+        # vertices in ascending id order.  The real heapq with
+        # strict-greater replacement, not a sort: its final array order is
+        # the order the stage applies moves in.
+        entries = zip(
+            gain[movable, best].tolist(),
+            range(len(movable)),
+            records.vertices[movable].tolist(),
+            (best + low).tolist(),
+        )
         top_k: List[Tuple[float, int, int, int]] = []
-        heappush, heapreplace = heapq.heappush, heapq.heapreplace
-        tiebreak = 0
-        for vertex in sorted(scan):
-            weight = weights[vertex]
-            if (
-                average != 0
-                and (source_weight + -weight) / average < two_minus_eps
-            ):
-                continue
-            counts = counters[vertex]
-            d_source = counts.get(source, 0)
-            heat = heat_view.get(vertex, no_heat)
-            h_source = heat.get(source, 0.0)
-            target = None
-            if overloaded:
-                best_gain = float("-inf")
-                for candidate_partition in dense_targets:
-                    if candidate_partition == source:
-                        continue
-                    candidate_gain = one_minus_alpha * (
-                        counts.get(candidate_partition, 0) - d_source
-                    ) + alpha * (heat.get(candidate_partition, 0.0) - h_source)
-                    if candidate_gain <= best_gain:
-                        continue
-                    if (
-                        average == 0
-                        or (partition_weights[candidate_partition] + weight)
-                        / average
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            else:
-                best_gain = 0.0
-                for candidate_partition, count in counts.items():
-                    if (
-                        candidate_partition < cp_lo
-                        or candidate_partition > cp_hi
-                        or candidate_partition == source
-                    ):
-                        continue
-                    candidate_gain = one_minus_alpha * (
-                        count - d_source
-                    ) + alpha * (heat.get(candidate_partition, 0.0) - h_source)
-                    if candidate_gain < best_gain or (
-                        candidate_gain == best_gain
-                        and (target is None or candidate_partition > target)
-                    ):
-                        continue
-                    if (
-                        average == 0
-                        or (partition_weights[candidate_partition] + weight)
-                        / average
-                        < epsilon
-                    ):
-                        target = candidate_partition
-                        best_gain = candidate_gain
-            if target is None:
-                continue
-            entry = (best_gain, tiebreak, vertex, target)
-            tiebreak += 1
-            if len(top_k) < k:
-                heappush(top_k, entry)
-            elif best_gain > top_k[0][0]:
-                heapreplace(top_k, entry)
+        for entry in itertools.islice(entries, k):
+            heapq.heappush(top_k, entry)
+        for entry in entries:
+            if entry[0] > top_k[0][0]:
+                heapq.heapreplace(top_k, entry)
         return [
-            MigrationCandidate(entry[2], source, entry[3], entry[0])
-            for entry in top_k
+            MigrationCandidate(vertex, source, target, best_gain)
+            for best_gain, _, vertex, target in top_k
         ]

@@ -203,3 +203,137 @@ class TestBalanceQueries:
         aux = AuxiliaryData(2)
         with pytest.raises(PartitioningError):
             aux.imbalance_factor(5)
+
+
+def public_state(aux):
+    """Every public query's answer, for before/after comparisons."""
+    vertices = sorted(aux.vertices())
+    partitions = range(aux.num_partitions)
+    return {
+        "partition_weights": list(aux.partition_weights),
+        "capacities": list(aux.capacities),
+        "num_vertices": aux.num_vertices,
+        "partition_of": [aux.partition_of(v) for v in vertices],
+        "weight_of": [aux.weight_of(v) for v in vertices],
+        "neighbor_counts": [aux.neighbor_counts(v) for v in vertices],
+        "heat_counts": [aux.heat_counts(v) for v in vertices],
+        "degree": [aux.degree(v) for v in vertices],
+        "external_degree": [aux.external_degree(v) for v in vertices],
+        "vertices_in": [aux.vertices_in(p) for p in partitions],
+        "boundary_vertices": [aux.boundary_vertices(p) for p in partitions],
+        "boundary_sizes": aux.boundary_sizes(),
+        "edge_cut": aux.edge_cut(),
+        "max_imbalance": aux.max_imbalance(),
+        "memory_entries": aux.memory_entries(),
+    }
+
+
+class TestMovesAreAllOrNothing:
+    """A rejected ``apply_move`` / ``apply_moves`` leaves no trace.
+
+    The dict-based implementation raised *after* moving the vertex, both
+    partition weights and the counters of the neighbors listed before
+    the bad one, and an untracked neighbor surfaced as a bare ``KeyError``.
+    """
+
+    @pytest.fixture
+    def aux(self):
+        """Edges 0-1 (both on partition 0) and 2-3 (both on partition 1)."""
+        aux = AuxiliaryData(3)
+        for vertex, partition, weight in [(0, 0, 1.5), (1, 0, 2.0), (2, 1, 4.0), (3, 1, 0.5)]:
+            aux.add_vertex(vertex, partition, weight)
+        aux.add_edge(0, 1)
+        aux.add_edge(2, 3)
+        aux.attach_heat({(0, 1): 0.75, (2, 3): 1.25})
+        return aux
+
+    def assert_rejected(self, aux, error, call, *args):
+        before = public_state(aux)
+        with pytest.raises(error):
+            call(*args)
+        assert public_state(aux) == before
+
+    def test_non_neighbor_in_the_list(self, aux):
+        # Vertex 2 is no neighbor of 0: its count toward partition 0 is
+        # zero and cannot be decremented.
+        self.assert_rejected(aux, PartitioningError, aux.apply_move, 0, 2, [1, 2])
+
+    def test_untracked_neighbor(self, aux):
+        self.assert_rejected(aux, VertexNotFoundError, aux.apply_move, 0, 2, [1, 99])
+
+    def test_untracked_vertex(self, aux):
+        self.assert_rejected(aux, VertexNotFoundError, aux.apply_move, 99, 2, [])
+
+    def test_target_out_of_range(self, aux):
+        self.assert_rejected(aux, PartitioningError, aux.apply_move, 0, 3, [1])
+
+    def test_bad_move_poisons_the_whole_batch(self, aux):
+        # The first move is valid; the second lists a non-neighbor.
+        self.assert_rejected(
+            aux, PartitioningError, aux.apply_moves, [2, 0], [2, 1], [[3], [1, 3]]
+        )
+
+    def test_vertex_twice_in_a_batch(self, aux):
+        self.assert_rejected(
+            aux, PartitioningError, aux.apply_moves, [0, 0], [1, 2], [[1], [1]]
+        )
+
+    def test_batch_equals_the_moves_one_by_one(self, aux):
+        import copy
+
+        one_by_one = copy.deepcopy(aux)
+        one_by_one.apply_move(1, 2, [0])
+        one_by_one.apply_move(2, 0, [3])
+        one_by_one.apply_move(0, 0, [1])  # a no-op move
+        aux.apply_moves([1, 2, 0], [2, 0, 0], [[0], [3], [1]])
+        assert public_state(aux) == public_state(one_by_one)
+        assert aux.neighbor_counts(0) == {2: 1} and aux.neighbor_counts(3) == {0: 1}
+        assert aux.heat_counts(0) == {2: 0.75}
+
+
+class TestRows:
+    def test_sparse_id_churn_reuses_rows(self):
+        aux = AuxiliaryData(2)
+        for i in range(1000):
+            aux.add_vertex(10 * i + 3, i % 2, 1.0)
+            aux.remove_vertex(10 * i + 3)
+        aux.add_vertex(7, 0, 1.0)
+        assert len(aux._partition) == 16  # the first allocation, never grown
+        assert aux.num_vertices == 1 and list(aux.vertices()) == [7]
+
+    def test_reused_row_starts_clean(self):
+        aux = AuxiliaryData(2)
+        aux.add_vertex(10, 0, 1.0)
+        aux.add_vertex(20, 1, 1.0)
+        # Heat on a pair that is not an edge never gets dropped by
+        # remove_edge; it must not leak to the row's next tenant.
+        aux.attach_heat({(10, 20): 2.0})
+        assert aux.heat_counts(10) == {1: 2.0}
+        aux.remove_vertex(10)
+        aux.add_vertex(30, 0, 1.0)
+        assert aux.heat_counts(30) == {} and aux.neighbor_counts(30) == {}
+
+    def test_identity_ids_keep_no_per_vertex_objects(self):
+        aux = AuxiliaryData(2)
+        for vertex in range(40):
+            aux.add_vertex(vertex, vertex % 2, 1.0)
+        aux.remove_vertex(5)
+        aux.add_vertex(5, 1, 2.0)  # back into its own row
+        assert aux._rows is None and aux.partition_of(5) == 1
+        aux.add_vertex(1000, 0, 1.0)  # a gap: the map becomes explicit
+        assert aux._rows is not None
+        assert sorted(aux.vertices()) == list(range(40)) + [1000]
+
+    def test_copies_reopen_their_cell_views(self):
+        import copy
+        import pickle
+
+        aux = AuxiliaryData(2)
+        aux.add_vertex(0, 0, 1.0)
+        aux.add_vertex(1, 1, 1.0)
+        aux.add_edge(0, 1)
+        for clone in (copy.deepcopy(aux), pickle.loads(pickle.dumps(aux))):
+            clone.add_weight(0, 2.0)
+            clone.remove_edge(0, 1)
+            assert clone.weight_of(0) == 3.0 and clone.neighbor_counts(0) == {}
+        assert aux.weight_of(0) == 1.0 and aux.neighbor_counts(0) == {1: 1}

@@ -1,21 +1,22 @@
-"""Invariant tests for the incremental boundary/edge-cut/weight caches.
+"""Invariant tests: the array-backed auxiliary data against a scalar model.
 
-The hot-path engineering in :mod:`repro.core.auxiliary` and
-:mod:`repro.core.sharded` keeps three derived structures up to date under
-every mutation: per-partition directional boundary sets, a running
-external-degree total (making ``edge_cut()`` O(1)) and a memoized
-total/max of the weight vector (making ``average_weight()`` and
-``max_imbalance()`` O(1)).  These tests drive random operation sequences
-— edge churn, weight churn, migrations, vertex add/remove, decay — on
-both auxiliary implementations in lockstep and compare every derived
-structure against a from-scratch recompute.
+:class:`~repro.core.auxiliary.AuxiliaryData` stores counters, partitions
+and weights in arrays and derives everything else — boundary sets,
+external degree, edge-cut, imbalance — on demand (DESIGN.md §6).  These
+tests drive random operation sequences — vertex and edge churn, weight
+churn, single and batched migrations, a partition joining, decay, heat
+attached and detached — and compare every public query against a
+trivially-correct from-scratch model, with identity-mapped ids
+(``0..n-1``, removed ids re-added into their old rows) and with sparse
+ids (the dict map and its free list).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Set
+from typing import Dict, Set, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +25,13 @@ from repro.core.candidates import (
     STAGE_ANY_DIRECTION,
     STAGE_HIGH_TO_LOW,
     STAGE_LOW_TO_HIGH,
-    get_target_partition,
 )
 from repro.core.config import RepartitionerConfig
 from repro.core.repartitioner import LightweightRepartitioner
-from repro.core.sharded import ShardedAuxiliaryData
+from tests.core.test_selection_engine import (
+    assert_same_candidates,
+    reference_selection,
+)
 
 
 class ModelState:
@@ -39,18 +42,26 @@ class ModelState:
         self.adjacency: Dict[int, Set[int]] = {}
         self.partition: Dict[int, int] = {}
         self.weight: Dict[int, float] = {}
+        #: canonical edge -> heat while an overlay is attached, else None
+        self.heat: Dict[Tuple[int, int], float] = None
+
+    def counts(self, vertex: int) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        for nbr in self.adjacency[vertex]:
+            out[self.partition[nbr]] = out.get(self.partition[nbr], 0) + 1
+        return out
+
+    def heat_counts(self, vertex: int) -> Dict[int, float]:
+        out: Dict[int, float] = {}
+        for nbr in self.adjacency[vertex]:
+            heat = self.heat.get((min(vertex, nbr), max(vertex, nbr)), 0.0)
+            if heat:
+                out[self.partition[nbr]] = out.get(self.partition[nbr], 0.0) + heat
+        return out
 
     def external_degree(self, vertex: int) -> int:
         home = self.partition[vertex]
         return sum(1 for n in self.adjacency[vertex] if self.partition[n] != home)
-
-    def directional_degree(self, vertex: int, higher: bool) -> int:
-        home = self.partition[vertex]
-        return sum(
-            1
-            for n in self.adjacency[vertex]
-            if (self.partition[n] > home) == higher and self.partition[n] != home
-        )
 
     def edge_cut(self) -> int:
         cut = 0
@@ -60,6 +71,9 @@ class ModelState:
                     cut += 1
         return cut
 
+    def members(self, partition: int) -> Set[int]:
+        return {v for v, p in self.partition.items() if p == partition}
+
     def partition_weights(self):
         totals = [0.0] * self.num_partitions
         for vertex, weight in self.weight.items():
@@ -67,102 +81,153 @@ class ModelState:
         return totals
 
 
-def drive_random_ops(aux_list, model: ModelState, rng: random.Random, num_ops: int):
-    """Apply the same random operation stream to every aux and the model."""
-    next_vertex = 0
+def drive_random_ops(
+    aux: AuxiliaryData,
+    model: ModelState,
+    rng: random.Random,
+    num_ops: int,
+    stride: int = 1,
+):
+    """Apply the same random operation stream to the aux and the model.
+
+    ``stride`` 1 hands out ids ``0, 1, 2, ...`` (the identity id -> row
+    map); a larger stride leaves gaps (the dict map).
+    """
+    retired = []  # removed ids, eligible for re-adding
+    next_index = 0
 
     def existing():
         return rng.choice(sorted(model.adjacency))
 
+    def add_vertex():
+        nonlocal next_index
+        if retired and rng.random() < 0.5:
+            vertex = retired.pop(rng.randrange(len(retired)))
+        else:
+            vertex = 5 * (stride - 1) + stride * next_index
+            next_index += 1
+        partition = rng.randrange(model.num_partitions)
+        weight = rng.choice([0.5, 1.0, 2.0, 3.25, 5.0])
+        aux.add_vertex(vertex, partition, weight)
+        model.adjacency[vertex] = set()
+        model.partition[vertex] = partition
+        model.weight[vertex] = weight
+
     # Seed a few vertices so edge ops have something to work with.
     for _ in range(4):
-        partition = rng.randrange(model.num_partitions)
-        weight = float(rng.randint(1, 5))
-        for aux in aux_list:
-            aux.add_vertex(next_vertex, partition, weight)
-        model.adjacency[next_vertex] = set()
-        model.partition[next_vertex] = partition
-        model.weight[next_vertex] = weight
-        next_vertex += 1
+        add_vertex()
 
     for _ in range(num_ops):
-        op = rng.randrange(8)
-        if op == 0:  # add_vertex
-            partition = rng.randrange(model.num_partitions)
-            weight = float(rng.randint(1, 5))
-            for aux in aux_list:
-                aux.add_vertex(next_vertex, partition, weight)
-            model.adjacency[next_vertex] = set()
-            model.partition[next_vertex] = partition
-            model.weight[next_vertex] = weight
-            next_vertex += 1
-        elif op in (1, 2):  # add_edge (biased: churn needs edges)
+        op = rng.randrange(13)
+        if op == 0:
+            add_vertex()
+        elif op in (1, 2, 3):  # add_edge (biased: churn needs edges)
             u, v = existing(), existing()
             if u == v or v in model.adjacency[u]:
                 continue
-            for aux in aux_list:
-                aux.add_edge(u, v)
+            aux.add_edge(u, v)
             model.adjacency[u].add(v)
             model.adjacency[v].add(u)
-        elif op == 3:  # remove_edge
+        elif op == 4:  # remove_edge
             u = existing()
             if not model.adjacency[u]:
                 continue
             v = rng.choice(sorted(model.adjacency[u]))
-            for aux in aux_list:
-                aux.remove_edge(u, v)
+            aux.remove_edge(u, v)
             model.adjacency[u].discard(v)
             model.adjacency[v].discard(u)
-        elif op == 4:  # add_weight
+            if model.heat is not None:
+                model.heat.pop((min(u, v), max(u, v)), None)
+        elif op == 5:  # add_weight
             u = existing()
-            delta = float(rng.randint(1, 3))
-            for aux in aux_list:
-                aux.add_weight(u, delta)
+            delta = rng.choice([0.25, 1.0, 3.0])
+            aux.add_weight(u, delta)
             model.weight[u] += delta
-        elif op in (5, 6):  # apply_move (logical migration)
+        elif op in (6, 7):  # apply_move (logical migration)
             u = existing()
             target = rng.randrange(model.num_partitions)
-            if target == model.partition[u]:
-                continue
-            neighbors = sorted(model.adjacency[u])
-            for aux in aux_list:
-                aux.apply_move(u, target, neighbors)
+            assert aux.apply_move(u, target, sorted(model.adjacency[u])) == (
+                model.partition[u]
+            )
             model.partition[u] = target
-        else:  # remove_vertex (only legal when isolated)
+        elif op == 8:  # apply_moves (a stage's batch; no-op moves included)
+            movers = rng.sample(
+                sorted(model.adjacency), rng.randint(1, min(5, len(model.adjacency)))
+            )
+            targets = [rng.randrange(model.num_partitions) for _ in movers]
+            aux.apply_moves(
+                movers, targets, [sorted(model.adjacency[u]) for u in movers]
+            )
+            model.partition.update(zip(movers, targets))
+        elif op == 9:  # remove_vertex (only legal when isolated)
             u = existing()
             if model.adjacency[u] or len(model.adjacency) <= 2:
                 continue
-            for aux in aux_list:
-                aux.remove_vertex(u)
+            aux.remove_vertex(u)
             del model.adjacency[u]
             del model.partition[u]
             del model.weight[u]
+            retired.append(u)
+        elif op == 10:  # a partition joins (rarely, and not without bound)
+            if model.num_partitions >= 6 or rng.random() < 0.7:
+                continue
+            assert aux.add_partition() == model.num_partitions
+            model.num_partitions += 1
+        elif op == 11:  # decay
+            factor, floor = rng.choice([0.5, 0.9]), rng.choice([0.5, 1.0])
+            aux.decay_weights(factor, floor=floor)
+            model.weight = {
+                v: max(floor, w * factor) for v, w in model.weight.items()
+            }
+        else:  # heat attached (on a random subset of the edges) / detached
+            if model.heat is not None and rng.random() < 0.5:
+                aux.detach_heat()
+                model.heat = None
+                continue
+            model.heat = {
+                (u, v): rng.random() * 3.0 + 0.1
+                for u, nbrs in model.adjacency.items()
+                for v in nbrs
+                if u < v and rng.random() < 0.6
+            }
+            aux.attach_heat(model.heat)
 
 
-def check_against_model(aux, model: ModelState):
-    # Directional boundary sets match a from-scratch classification.
-    for partition in range(model.num_partitions):
-        members = {v for v, p in model.partition.items() if p == partition}
-        expected_high = {
-            v for v in members if model.directional_degree(v, higher=True) > 0
-        }
-        expected_low = {
-            v for v in members if model.directional_degree(v, higher=False) > 0
-        }
-        assert set(aux.boundary_toward_higher(partition)) == expected_high
-        assert set(aux.boundary_toward_lower(partition)) == expected_low
-        assert aux.boundary_vertices(partition) == expected_high | expected_low
-    assert aux.boundary_sizes() == [
-        len(aux.boundary_vertices(p)) for p in range(model.num_partitions)
-    ]
-    # Per-vertex external degree and the O(1) edge-cut counter.
+def check_against_model(aux: AuxiliaryData, model: ModelState):
+    assert aux.num_partitions == model.num_partitions
+    assert aux.num_vertices == len(model.adjacency)
+    assert sorted(aux.vertices()) == sorted(model.adjacency)
+    assert aux.to_partitioning().as_mapping() == model.partition
+    # The paper's counters, per vertex, and what is derived per vertex.
+    nonzero = 0
     for vertex in model.adjacency:
+        counts = model.counts(vertex)
+        nonzero += len(counts)
+        assert aux.partition_of(vertex) == model.partition[vertex]
+        assert aux.weight_of(vertex) == model.weight[vertex]
+        assert aux.neighbor_counts(vertex) == counts
+        assert aux.degree(vertex) == len(model.adjacency[vertex])
         assert aux.external_degree(vertex) == model.external_degree(vertex)
-    assert aux.edge_cut() == model.edge_cut()
-    # Weight vector and the memoized O(1) aggregate queries.
-    expected_weights = model.partition_weights()
+        if model.heat is not None:
+            assert aux.heat_counts(vertex) == pytest.approx(
+                model.heat_counts(vertex), abs=1e-9
+            )
+        else:
+            assert aux.heat_counts(vertex) == {}
+    assert aux.memory_entries() == (nonzero, model.num_partitions)
+    # Membership, boundary sets and the edge-cut.
+    boundary_sizes = []
     for partition in range(model.num_partitions):
-        assert abs(aux.partition_weights[partition] - expected_weights[partition]) < 1e-9
+        members = model.members(partition)
+        boundary = {v for v in members if model.external_degree(v) > 0}
+        assert aux.vertices_in(partition) == members
+        assert aux.boundary_vertices(partition) == boundary
+        assert list(aux.records_of(partition).vertices) == sorted(members)
+        boundary_sizes.append(len(boundary))
+    assert aux.boundary_sizes() == boundary_sizes
+    assert aux.edge_cut() == model.edge_cut()
+    # Weight vector and the aggregate queries.
+    assert aux.partition_weights == pytest.approx(model.partition_weights(), abs=1e-9)
     assert aux.average_weight() == sum(aux.partition_weights) / model.num_partitions
     if sum(aux.partition_weights) > 0:
         assert aux.max_imbalance() == max(aux.partition_weights) / aux.average_weight()
@@ -172,80 +237,64 @@ def check_against_model(aux, model: ModelState):
     seed=st.integers(min_value=0, max_value=10**6),
     num_ops=st.integers(min_value=10, max_value=120),
     num_partitions=st.integers(min_value=2, max_value=5),
+    stride=st.sampled_from([1, 4]),
 )
-@settings(max_examples=40, deadline=None)
-def test_incremental_structures_match_recompute(seed, num_ops, num_partitions):
+@settings(max_examples=60, deadline=None)
+def test_incremental_structures_match_recompute(seed, num_ops, num_partitions, stride):
     rng = random.Random(seed)
-    central = AuxiliaryData(num_partitions)
-    sharded = ShardedAuxiliaryData(num_partitions)
+    aux = AuxiliaryData(num_partitions)
     model = ModelState(num_partitions)
-    drive_random_ops([central, sharded], model, rng, num_ops)
-    check_against_model(central, model)
-    check_against_model(sharded, model)
-    # The two implementations agree bit-for-bit on the weight vector.
-    assert central.partition_weights == sharded.partition_weights
+    drive_random_ops(aux, model, rng, num_ops, stride)
+    check_against_model(aux, model)
 
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
     factor=st.sampled_from([0.25, 0.5, 0.9, 1.0]),
+    stride=st.sampled_from([1, 4]),
 )
 @settings(max_examples=25, deadline=None)
-def test_decay_semantics_identical_across_implementations(seed, factor):
-    """Satellite regression: decay is max(floor, w*factor) per vertex and
-    both implementations rebuild aggregates in the same order, so the
-    weight vectors match *exactly* (not approximately)."""
+def test_decay_semantics_identical_across_implementations(seed, factor, stride):
+    """Decay is ``max(floor, w * factor)`` per vertex and each aggregate
+    is rebuilt in ascending vertex order, so the vectorised decay matches
+    the scalar statement of that rule *exactly* (not approximately)."""
     rng = random.Random(seed)
-    num_partitions = 3
-    central = AuxiliaryData(num_partitions)
-    sharded = ShardedAuxiliaryData(num_partitions)
-    model = ModelState(num_partitions)
-    drive_random_ops([central, sharded], model, rng, 60)
+    aux = AuxiliaryData(3)
+    model = ModelState(3)
+    drive_random_ops(aux, model, rng, 60, stride)
     floor = rng.choice([0.5, 1.0, 2.0])
-    central.decay_weights(factor, floor=floor)
-    sharded.decay_weights(factor, floor=floor)
-    assert central.partition_weights == sharded.partition_weights
-    for vertex, weight in model.weight.items():
-        expected = max(floor, weight * factor)
-        assert central.weight_of(vertex) == expected
-        assert sharded.weight_of(vertex) == expected
+    aux.decay_weights(factor, floor=floor)
     model.weight = {v: max(floor, w * factor) for v, w in model.weight.items()}
-    check_against_model(central, model)
-    check_against_model(sharded, model)
+    for vertex, weight in model.weight.items():
+        assert aux.weight_of(vertex) == weight
+    expected = [0.0] * model.num_partitions
+    for vertex in sorted(model.weight):  # plain left-to-right float adds
+        expected[model.partition[vertex]] += model.weight[vertex]
+    assert aux.partition_weights == expected
+    check_against_model(aux, model)
 
 
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
     stage=st.sampled_from([STAGE_LOW_TO_HIGH, STAGE_HIGH_TO_LOW, STAGE_ANY_DIRECTION]),
+    stride=st.sampled_from([1, 4]),
 )
 @settings(max_examples=30, deadline=None)
-def test_inlined_selection_matches_reference_algorithm(seed, stage):
-    """The inlined hot loop in ``_select_candidates`` must agree with the
-    readable reference implementation (``get_target_partition``) on every
-    candidate it emits, and must not miss any candidate the reference
-    would produce from a full member scan."""
+def test_inlined_selection_matches_reference_algorithm(seed, stage, stride):
+    """On a state reached through churn (free rows, re-added ids, a heat
+    overlay that followed moves) the array selection agrees with the
+    readable reference (``get_target_partition``) on every candidate, and
+    misses none the reference produces from a full member scan."""
     rng = random.Random(seed)
-    num_partitions = 4
-    aux = AuxiliaryData(num_partitions)
-    model = ModelState(num_partitions)
-    drive_random_ops([aux], model, rng, 80)
-    config = RepartitionerConfig(k=10**9, max_iterations=1)
+    aux = AuxiliaryData(4)
+    model = ModelState(4)
+    drive_random_ops(aux, model, rng, 80, stride)
+    alpha = 0.6 if model.heat is not None else 0.0
+    config = RepartitionerConfig(workload_alpha=alpha)
     repartitioner = LightweightRepartitioner(config)
-    epsilon = config.epsilon
-    average = aux.average_weight()
-    for source in range(num_partitions):
-        candidates = repartitioner._select_candidates(
-            aux, source, stage, k=10**9, average=average
+    for source in range(aux.num_partitions):
+        got = repartitioner._select_candidates(aux, source, stage, k=10**9)
+        expected = reference_selection(
+            aux, source, stage, 10**9, config.epsilon, alpha
         )
-        by_vertex = {c.vertex: c for c in candidates}
-        for vertex in sorted(aux.vertices_in(source)):
-            expected_target, expected_gain = get_target_partition(
-                aux, vertex, stage, epsilon, average
-            )
-            got = by_vertex.get(vertex)
-            if expected_target is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got.target == expected_target
-                assert got.gain == expected_gain
+        assert_same_candidates(got, expected)

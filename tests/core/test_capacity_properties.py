@@ -2,13 +2,14 @@
 
 Two contracts, each load-bearing for elastic membership:
 
-1. **Implementation agreement** — the centralized
-   :class:`~repro.core.auxiliary.AuxiliaryData` and the sharded
-   :class:`~repro.core.sharded.ShardedAuxiliaryData` evaluate the same
-   shared :func:`~repro.core.auxiliary.capacity_targets` /
-   :func:`~repro.core.auxiliary.weighted_imbalance` expressions, so for
-   any capacity vector they must agree on targets, per-partition
-   imbalance factors and the max imbalance bit for bit.
+1. **Construction agreement** — the auxiliary data has two ways of
+   coming into being: the vectorised bootstrap
+   (:meth:`~repro.core.auxiliary.AuxiliaryData.from_graph`, weighted
+   ``bincount``) and incremental upkeep (``add_vertex`` / ``add_edge``,
+   the cluster's load path).  For any capacity vector both must agree on
+   targets, per-partition imbalance factors and the max imbalance bit
+   for bit — the float accumulation order of the weight vector is part
+   of the pinned outputs.
 
 2. **Uniform-capacity reduction** — with every capacity at the default
    1.0, the weighted expressions must reduce *exactly* (same float
@@ -28,7 +29,6 @@ from repro.core.auxiliary import (
     capacity_targets,
     weighted_imbalance,
 )
-from repro.core.sharded import ShardedAuxiliaryData
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 
@@ -49,7 +49,7 @@ def weighted_cluster(draw):
     rng = random.Random(seed)
     graph = SocialGraph()
     for vertex in range(num_vertices):
-        graph.add_vertex(vertex, weight=rng.choice([1.0, 1.0, 2.0, 3.0]))
+        graph.add_vertex(vertex, weight=rng.choice([1.0, 1.0, 2.0, 3.0, 0.1, 0.7]))
     for u in range(num_vertices):
         for v in range(u + 1, num_vertices):
             if rng.random() < 0.25:
@@ -61,35 +61,47 @@ def weighted_cluster(draw):
 
 
 def both_impls(graph, partitioning, capacities):
-    out = []
-    for cls in (AuxiliaryData, ShardedAuxiliaryData):
-        aux = cls.from_graph(graph, partitioning)
+    """(bootstrapped, incrementally built) auxiliary data."""
+    bootstrapped = AuxiliaryData.from_graph(graph, partitioning)
+    incremental = AuxiliaryData(partitioning.num_partitions)
+    for vertex in graph.vertices():
+        incremental.add_vertex(
+            vertex, partitioning.partition_of(vertex), graph.weight_of(vertex)
+        )
+    for u, v in graph.edges():
+        incremental.add_edge(u, v)
+    for aux in (bootstrapped, incremental):
         for partition, capacity in enumerate(capacities):
             aux.set_capacity(partition, capacity)
-        out.append(aux)
-    return out
+    return bootstrapped, incremental
 
 
 @given(weighted_cluster())
 @settings(max_examples=60, deadline=None)
 def test_both_impls_agree_on_weighted_imbalance(data):
     graph, partitioning, capacities = data
-    central, sharded = both_impls(graph, partitioning, capacities)
-    assert central.uniform_capacity == sharded.uniform_capacity
-    assert central.balance_targets() == sharded.balance_targets()
-    assert central.max_imbalance() == sharded.max_imbalance()
+    bootstrapped, incremental = both_impls(graph, partitioning, capacities)
+    assert bootstrapped.partition_weights == incremental.partition_weights
+    assert bootstrapped.uniform_capacity == incremental.uniform_capacity
+    assert bootstrapped.balance_targets() == incremental.balance_targets()
+    assert bootstrapped.max_imbalance() == incremental.max_imbalance()
     for partition in range(partitioning.num_partitions):
-        assert central.capacity_of(partition) == sharded.capacity_of(partition)
-        assert central.imbalance_factor(partition) == sharded.imbalance_factor(
+        assert bootstrapped.capacity_of(partition) == incremental.capacity_of(
             partition
         )
+        assert bootstrapped.imbalance_factor(
+            partition
+        ) == incremental.imbalance_factor(partition)
     # The hypotheticals of Algorithm 1 agree too (leave/join deltas).
     for vertex in graph.vertices():
         delta = graph.weight_of(vertex)
         home = partitioning.partition_of(vertex)
-        assert central.imbalance_factor(home, -delta) == sharded.imbalance_factor(
-            home, -delta
+        assert bootstrapped.neighbor_counts(vertex) == incremental.neighbor_counts(
+            vertex
         )
+        assert bootstrapped.imbalance_factor(
+            home, -delta
+        ) == incremental.imbalance_factor(home, -delta)
 
 
 @given(weighted_cluster())
@@ -99,22 +111,19 @@ def test_capacity_one_reduces_exactly_to_unweighted(data):
     the same float bits — the byte-identity contract the PR-1 fixtures
     pin at the cluster level."""
     graph, partitioning, _ = data
-    for cls in (AuxiliaryData, ShardedAuxiliaryData):
-        plain = cls.from_graph(graph, partitioning)
-        explicit = cls.from_graph(graph, partitioning)
-        for partition in range(partitioning.num_partitions):
-            explicit.set_capacity(partition, 1.0)
-        assert explicit.uniform_capacity
-        average = plain.average_weight()
-        for partition in range(partitioning.num_partitions):
-            expected = (
-                1.0
-                if average == 0
-                else plain.partition_weights[partition] / average
-            )
-            assert plain.imbalance_factor(partition) == expected
-            assert explicit.imbalance_factor(partition) == expected
-        assert plain.max_imbalance() == explicit.max_imbalance()
+    plain = AuxiliaryData.from_graph(graph, partitioning)
+    explicit = AuxiliaryData.from_graph(graph, partitioning)
+    for partition in range(partitioning.num_partitions):
+        explicit.set_capacity(partition, 1.0)
+    assert explicit.uniform_capacity
+    average = plain.average_weight()
+    for partition in range(partitioning.num_partitions):
+        expected = (
+            1.0 if average == 0 else plain.partition_weights[partition] / average
+        )
+        assert plain.imbalance_factor(partition) == expected
+        assert explicit.imbalance_factor(partition) == expected
+    assert plain.max_imbalance() == explicit.max_imbalance()
 
 
 @given(weighted_cluster())

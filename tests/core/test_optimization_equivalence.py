@@ -4,10 +4,11 @@
 output — every move and every per-iteration history row, including the
 ``repr()`` of the float imbalance — produced by the pre-optimization
 implementation (full member-set scans, per-call ``sum()`` aggregates) on
-three seeded orkut-like graphs.  The boundary-tracking engine, on both
-auxiliary stores and under both selection strategies, must reproduce those
-outputs byte for byte: the optimization is a pure reformulation of
-Algorithm 1/2, not an approximation.
+three seeded orkut-like graphs.  The array engine (DESIGN.md §6) must
+reproduce those outputs byte for byte on both graph substrates: it is a
+pure reformulation of Algorithm 1/2, not an approximation.  (The fixture
+also carries a ``"sharded"`` copy of each case from when a second
+auxiliary-data implementation existed; it is identical and unused.)
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 from repro.core.auxiliary import AuxiliaryData
 from repro.core.config import RepartitionerConfig
 from repro.core.repartitioner import LightweightRepartitioner
-from repro.core.sharded import ShardedAuxiliaryData
 from repro.graph.compact import CompactGraph
 from repro.graph.generators import orkut_like
 from repro.partitioning.hashing import HashPartitioner
@@ -30,31 +30,25 @@ FIXTURE = Path(__file__).parent / "fixtures" / "repartitioner_reference.json"
 with FIXTURE.open() as fh:
     CASES = json.load(fh)["cases"]
 
-AUX_IMPLS = {
-    "centralized": AuxiliaryData,
-    "sharded": ShardedAuxiliaryData,
-}
+
+def case_id(case):
+    """Names the fixture block a case is compared against (ids unchanged
+    from when there were other blocks to run)."""
+    return f"centralized-n{case['n']}-s{case['seed']}"
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c['n']}-s{c['seed']}")
-@pytest.mark.parametrize("aux_label", sorted(AUX_IMPLS))
-@pytest.mark.parametrize("strategy", ["serial", "parallel"])
-def test_matches_pinned_reference_output(case, aux_label, strategy):
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "serial-" + case_id(c))
+def test_matches_pinned_reference_output(case):
     dataset = orkut_like(n=case["n"], seed=case["seed"])
     graph = dataset.graph
     partitioning = HashPartitioner(salt=case["seed"]).partition(
         graph, case["partitions"]
     )
-    config = RepartitionerConfig(
-        k=case["k"],
-        max_iterations=60,
-        parallel_selection=(strategy == "parallel"),
-        selection_workers=2 if strategy == "parallel" else None,
-    )
-    aux = AUX_IMPLS[aux_label].from_graph(graph, partitioning)
+    config = RepartitionerConfig(k=case["k"], max_iterations=60)
+    aux = AuxiliaryData.from_graph(graph, partitioning)
     result = LightweightRepartitioner(config).run(graph, partitioning, aux=aux)
 
-    expected = case[aux_label]
+    expected = case["centralized"]
     moves = sorted([v, s, t] for v, (s, t) in result.moves.items())
     history = [
         [h.iteration, h.migrations, h.edge_cut, repr(h.max_imbalance)]
@@ -69,9 +63,8 @@ def test_matches_pinned_reference_output(case, aux_label, strategy):
     assert result.final_edge_cut == expected["final_edge_cut"]
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c['n']}-s{c['seed']}")
-@pytest.mark.parametrize("aux_label", sorted(AUX_IMPLS))
-def test_compact_substrate_matches_pinned_reference_output(case, aux_label):
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_compact_substrate_matches_pinned_reference_output(case):
     """The CSR substrate reproduces the same pinned outputs byte for byte.
 
     The fixture was generated on dict-of-sets graphs; running the
@@ -85,10 +78,9 @@ def test_compact_substrate_matches_pinned_reference_output(case, aux_label):
         graph, case["partitions"]
     )
     config = RepartitionerConfig(k=case["k"], max_iterations=60)
-    aux = AUX_IMPLS[aux_label].from_graph(graph, partitioning)
-    result = LightweightRepartitioner(config).run(graph, partitioning, aux=aux)
+    result = LightweightRepartitioner(config).run(graph, partitioning)
 
-    expected = case[aux_label]
+    expected = case["centralized"]
     moves = sorted([int(v), s, t] for v, (s, t) in result.moves.items())
     history = [
         [h.iteration, h.migrations, h.edge_cut, repr(h.max_imbalance)]

@@ -4,9 +4,8 @@ The blended gain path must be *purely additive*: with
 ``workload_alpha=0`` (the default) the repartitioner's output is pinned
 byte for byte against ``fixtures/repartitioner_reference.json`` — the
 same fixture the optimization-equivalence tests use — even when edge
-heat is attached to the auxiliary data.  With alpha > 0 the inlined
-weighted selection must agree with the :func:`get_target_partition`
-reference and produce identical moves on both auxiliary stores.
+heat is attached to the auxiliary data.  With alpha > 0 the array
+selection must agree with the :func:`get_target_partition` reference.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.core.candidates import STAGE_HIGH_TO_LOW, STAGE_LOW_TO_HIGH, get_targ
 from repro.core.config import RepartitionerConfig
 from repro.core.gain import gain, weighted_gain
 from repro.core.repartitioner import LightweightRepartitioner
-from repro.core.sharded import ShardedAuxiliaryData
 from repro.exceptions import PartitioningError
 from repro.graph.generators import orkut_like
 from repro.partitioning.hashing import HashPartitioner
@@ -31,11 +29,6 @@ FIXTURE = Path(__file__).parent / "fixtures" / "repartitioner_reference.json"
 
 with FIXTURE.open() as fh:
     CASES = json.load(fh)["cases"]
-
-AUX_IMPLS = {
-    "centralized": AuxiliaryData,
-    "sharded": ShardedAuxiliaryData,
-}
 
 
 def synthetic_heat(graph, seed):
@@ -105,9 +98,10 @@ class TestWeightedGainFunction:
         assert mid == pytest.approx(0.5 * static + 0.5 * pure)
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c['n']}-s{c['seed']}")
-@pytest.mark.parametrize("aux_label", sorted(AUX_IMPLS))
-def test_alpha_zero_with_heat_matches_pinned_reference(case, aux_label):
+@pytest.mark.parametrize(
+    "case", CASES, ids=lambda c: f"centralized-n{c['n']}-s{c['seed']}"
+)
+def test_alpha_zero_with_heat_matches_pinned_reference(case):
     """alpha=0 stays byte-identical to the fixture even with heat attached.
 
     Attaching heat only maintains extra (never-read) weighted counters;
@@ -120,11 +114,11 @@ def test_alpha_zero_with_heat_matches_pinned_reference(case, aux_label):
         graph, case["partitions"]
     )
     config = RepartitionerConfig(k=case["k"], max_iterations=60, workload_alpha=0.0)
-    aux = AUX_IMPLS[aux_label].from_graph(graph, partitioning)
+    aux = AuxiliaryData.from_graph(graph, partitioning)
     aux.attach_heat(synthetic_heat(graph, case["seed"]))
     result = LightweightRepartitioner(config).run(graph, partitioning, aux=aux)
 
-    expected = case[aux_label]
+    expected = case["centralized"]  # the fixture block pinned for this engine
     moves = sorted([v, s, t] for v, (s, t) in result.moves.items())
     history = [
         [h.iteration, h.migrations, h.edge_cut, repr(h.max_imbalance)]
@@ -145,40 +139,20 @@ class TestWeightedSelection:
         dataset = orkut_like(n=250, seed=7)
         return dataset.graph, synthetic_heat(dataset.graph, 7)
 
-    def _run(self, graph, heat, aux_cls, alpha, parallel=False):
+    def _run(self, graph, heat, alpha):
         partitioning = HashPartitioner().partition(graph, 4)
-        aux = aux_cls.from_graph(graph, partitioning)
+        aux = AuxiliaryData.from_graph(graph, partitioning)
         aux.attach_heat(heat)
-        config = RepartitionerConfig(
-            workload_alpha=alpha,
-            parallel_selection=parallel,
-            selection_workers=2 if parallel else None,
-        )
-        result = LightweightRepartitioner(config).run(graph, partitioning, aux=aux)
-        return result
-
-    def test_central_and_sharded_agree(self, setup):
-        graph, heat = setup
-        central = self._run(graph, heat, AuxiliaryData, 0.8)
-        sharded = self._run(graph, heat, ShardedAuxiliaryData, 0.8)
-        assert central.moves == sharded.moves
-        assert [
-            (h.iteration, h.migrations, h.edge_cut) for h in central.history
-        ] == [(h.iteration, h.migrations, h.edge_cut) for h in sharded.history]
-
-    def test_parallel_strategy_agrees(self, setup):
-        graph, heat = setup
-        serial = self._run(graph, heat, AuxiliaryData, 0.8)
-        parallel = self._run(graph, heat, AuxiliaryData, 0.8, parallel=True)
-        assert serial.moves == parallel.moves
+        config = RepartitionerConfig(workload_alpha=alpha)
+        return LightweightRepartitioner(config).run(graph, partitioning, aux=aux)
 
     def test_balance_still_enforced(self, setup):
         graph, heat = setup
-        result = self._run(graph, heat, AuxiliaryData, 1.0)
+        result = self._run(graph, heat, 1.0)
         assert result.final_imbalance <= 1.1 + 1e-9
 
     def test_inlined_selection_matches_reference(self, setup):
-        """The hot-loop weighted selection equals get_target_partition."""
+        """The array selection's blended gain equals get_target_partition."""
         graph, heat = setup
         partitioning = HashPartitioner().partition(graph, 4)
         aux = AuxiliaryData.from_graph(graph, partitioning)
@@ -189,8 +163,8 @@ class TestWeightedSelection:
         )
         for stage in (STAGE_LOW_TO_HIGH, STAGE_HIGH_TO_LOW):
             for source in range(4):
-                selected = repartitioner._select_candidates_weighted(
-                    aux, source, stage, 10**9, alpha
+                selected = repartitioner._select_candidates(
+                    aux, source, stage, 10**9
                 )
                 average = aux.average_weight()
                 overloaded = (
