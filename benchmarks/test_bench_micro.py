@@ -215,6 +215,15 @@ def test_bench_chain_walk(benchmark):
     assert len(benchmark(store.neighbor_entries, 0)) == 32
 
 
+@pytest.mark.parametrize("expand", [False, True], ids=["check", "expand"])
+def test_bench_frontier_read(benchmark, expand):
+    """One host's share of a depth in one pass: 64 vertices of the star
+    store (node 0 has 32 neighbours, nodes 1-32 one each, the rest none)."""
+    store = star_store(degree=32)
+    answers = benchmark(store.read_frontier, range(64), expand)
+    assert sum(map(len, answers)) == (64 if expand else 0)
+
+
 def test_bench_create_relationship(benchmark):
     store = GraphStore()
     for i in range(500):
@@ -233,11 +242,19 @@ def test_bench_create_relationship(benchmark):
     benchmark(insert_edge)
 
 
-def test_bench_one_hop_traversal(benchmark, dataset):
+def traversal_bench(benchmark, dataset, hops):
     cluster = HermesCluster.from_graph(
         dataset.graph.copy(), num_servers=8, partitioner=HashPartitioner()
     )
     rng = random.Random(5)
     vertices = list(cluster.graph.vertices())
 
-    benchmark(lambda: cluster.traverse(rng.choice(vertices), hops=1))
+    benchmark(lambda: cluster.traverse(rng.choice(vertices), hops=hops))
+
+
+def test_bench_one_hop_traversal(benchmark, dataset):
+    traversal_bench(benchmark, dataset, 1)
+
+
+def test_bench_two_hop_traversal(benchmark, dataset):
+    traversal_bench(benchmark, dataset, 2)

@@ -20,7 +20,7 @@ actually touch a moved vertex.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CatalogError
 from repro.partitioning.base import Partitioning
@@ -138,6 +138,25 @@ class LocationCache:
         host = self.catalog.lookup(vertex)
         entries[vertex] = host
         return host
+
+    def resolve_from(self, server: int, vertices: Sequence[int]) -> List[int]:
+        """:meth:`lookup_from` for a whole adjacency list: where
+        ``server`` believes each of ``vertices`` lives, aligned with the
+        input — the traversal engine's one call per expanded vertex."""
+        entries = self._entries[server]
+        lookup = self.catalog.lookup
+        hosts = []
+        misses = 0
+        for vertex in vertices:
+            host = entries.get(vertex)
+            if host is None:
+                misses += 1
+                host = entries[vertex] = lookup(vertex)
+            hosts.append(host)
+        # Whole numbers: one bump per batch counts what one per vertex did.
+        self._hits.inc(len(hosts) - misses)
+        self._misses.inc(misses)
+        return hosts
 
     def learn(self, server: int, vertex: int, host: int) -> None:
         """Record the location ``server`` just resolved via forwarding."""

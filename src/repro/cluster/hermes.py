@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.catalog import Catalog, LocationCache
@@ -310,10 +310,19 @@ class HermesCluster:
         """Distributed k-hop traversal; updates popularity weights."""
         result = self._engine.traverse(start, hops)
         self._advance(result.cost)
-        for vertex in result.response:
-            self.graph.add_weight(vertex, 1.0)
-            self.aux.add_weight(vertex, 1.0)
+        self.add_popularity(result.response)
         return result
+
+    def add_popularity(self, vertices: Iterable[int]) -> None:
+        """Every vertex a read returned gains one unit of weight, in the
+        graph and in the auxiliary data phase 1 balances — in the given
+        order (partition weights are order-sensitive floats once
+        :meth:`decay_weights` has run)."""
+        graph_add = self.graph.add_weight
+        aux_add = self.aux.add_weight
+        for vertex in vertices:
+            graph_add(vertex, 1.0)
+            aux_add(vertex, 1.0)
 
     def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
         """Single-record query; returns (properties, simulated cost).
@@ -339,8 +348,7 @@ class HermesCluster:
         self.servers[server].busy_counter.inc(self.network.local_visit())
         cost = self.network.config.client_dispatch_cost + self.network.local_visit()
         self._advance(cost)
-        self.graph.add_weight(vertex, 1.0)
-        self.aux.add_weight(vertex, 1.0)
+        self.add_popularity((vertex,))
         return properties, cost
 
     # ==================================================================

@@ -1,10 +1,11 @@
 """One Hermes server: a GraphStore plus transactions and request handling.
 
 Servers expose the record-level operations the workloads exercise —
-single-record reads, property writes, vertex/edge inserts — and the
-chain-walking expansion step used by the distributed traversal engine.
-Every mutation runs inside a transaction with record locks, mirroring the
-engine described in Section 4.
+single-record reads, property writes, vertex/edge inserts.  The
+distributed traversal engine reads a server's share of a frontier
+straight from its ``store`` (``GraphStore.read_frontier``) and does the
+visit accounting itself.  Every mutation runs inside a transaction with
+record locks, mirroring the engine described in Section 4.
 
 Per-server load counters (vertices visited, record reads, transactional
 writes, simulated busy seconds) live in the telemetry registry, labelled
@@ -17,15 +18,11 @@ single bound-method call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cluster.faults import FaultInjector
-from repro.exceptions import (
-    ClusterError,
-    RecordNotFoundError,
-    VertexUnavailableError,
-)
-from repro.storage.graph_store import GraphStore, NeighborEntry
+from repro.exceptions import ClusterError
+from repro.storage.graph_store import GraphStore
 from repro.telemetry import Telemetry
 from repro.txn.locks import LockMode
 from repro.txn.manager import TransactionManager
@@ -119,7 +116,9 @@ class HermesServer:
         """
         self.faults = injector
 
-    def _check_up(self) -> None:
+    def check_up(self) -> None:
+        """Raise :class:`~repro.exceptions.ServerDownError` while the
+        injector places this server inside a crash window."""
         if self.faults is not None:
             self.faults.check_server(self.server_id)
 
@@ -128,30 +127,13 @@ class HermesServer:
     # ------------------------------------------------------------------
     def read_vertex(self, node_id: int) -> Dict[str, Any]:
         """Single-record query: the node's properties (bumps popularity)."""
-        self._check_up()
-        if not self.store.is_available(node_id):
+        self.check_up()
+        properties = self.store.point_read(node_id, 1.0)
+        if properties is None:
             raise ClusterError(f"vertex {node_id} is not served by server {self.server_id}")
         self.reads_counter.inc()
         self.visits_counter.inc()
-        self.store.add_node_weight(node_id, 1.0)
-        return self.store.node_properties(node_id)
-
-    def expand(self, node_id: int) -> List[NeighborEntry]:
-        """One traversal step: the node's full (local) adjacency list.
-
-        Visit accounting is done by the traversal engine (it counts every
-        *processed* vertex, including final-hop vertices that are never
-        expanded), so this method does not touch ``visits``.
-        """
-        self._check_up()
-        try:
-            return self.store.neighbor_entries(node_id)
-        except (RecordNotFoundError, VertexUnavailableError) as exc:
-            # The chain walk reads the node record anyway; its own
-            # missing/unavailable answer is the availability check.
-            raise ClusterError(
-                f"vertex {node_id} is not served by server {self.server_id}"
-            ) from exc
+        return properties
 
     # ------------------------------------------------------------------
     # Write path (transactional)

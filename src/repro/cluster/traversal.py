@@ -24,6 +24,13 @@ per step; a stale entry (the vertex migrated and this server was not a
 migration participant) resolves via a forwarding hop charged to the
 query, after which the cache entry is corrected.
 
+A depth **reads in bulk and accounts in order** (DESIGN.md §9): after the
+per-link message accounting each reachable host is asked once for its
+whole share of the frontier (``GraphStore.read_frontier`` — one storage
+pass, no record objects), and only then is the per-entry accounting run
+over the frontier in its original order, so every simulated cost and
+counter is what visiting the entries one at a time produced.
+
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
 cost that depth charged), plus aggregate counters and a per-query cost
@@ -43,14 +50,22 @@ frontier entry.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
+from numbers import Integral
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.server import HermesServer
-from repro.exceptions import CatalogError, FaultInjectedError, ServerDownError
+from repro.exceptions import (
+    CatalogError,
+    ClusterError,
+    FaultInjectedError,
+    ServerDownError,
+)
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
@@ -100,6 +115,12 @@ class DepthStep:
     busy: Dict[int, float] = field(default_factory=dict)
     depth: int = -1
     frontier: int = 0
+
+
+def check_hops(hops: int) -> None:
+    """Reject a traversal depth that is not a non-negative integer."""
+    if not isinstance(hops, Integral) or hops < 0:
+        raise ClusterError(f"hops must be a non-negative integer, got {hops!r}")
 
 
 class _QueryState:
@@ -216,6 +237,7 @@ class TraversalEngine:
         traversal never charges forwarding costs against a host it could
         already know is stale.
         """
+        check_hops(hops)  # before anything is charged, looked up or traced
         cost = self.network.config.client_dispatch_cost
         home = self.catalog.lookup(start)
         injector = self.network.fault_injector
@@ -327,105 +349,119 @@ class TraversalEngine:
         depth: int,
         state: _QueryState,
     ) -> List[Tuple[int, int, int]]:
-        """One aggregated message per (src, dst) link, then entry work.
+        """Ship the frontier, read it in bulk, account for it in order.
 
-        The whole depth's frontier is grouped by link first, each link
-        pays one round trip (plus per-entry marginals), and only then is
-        the per-vertex work executed — matching how a real driver ships
-        the frontier ahead of processing the responses.
+        The whole depth's frontier is grouped by link first and each link
+        pays one round trip (plus per-entry marginals) — how a real
+        driver ships the frontier ahead of processing the responses.
+        Every host still reachable is then asked once for its whole share
+        (``GraphStore.read_frontier``), and only after that is the
+        per-entry accounting run over the frontier in its original order:
+        every float accumulation (``state.cost``, each server's busy
+        seconds) keeps the sequence of additions it always had.  Reading
+        ahead is safe because nothing mutates a store inside a depth.
         """
+        servers = self.servers
+        failed = state.failed
         remote_service = self.network.config.remote_service_cost
-        # Aggregate remote entries per directed link, first-seen order.
-        groups: dict = {}
+        # Aggregate remote entries per directed link and every entry per
+        # host, both in first-seen order.
+        links: Dict[Tuple[int, int], int] = {}
+        shares: Dict[int, Dict[int, None]] = defaultdict(dict)
         for vertex, host, from_host in frontier:
-            if host != from_host and host not in state.failed:
+            if host in failed:
+                continue
+            if host != from_host:
                 key = (from_host, host)
-                groups[key] = groups.get(key, 0) + 1
-        for (src, dst), count in groups.items():
-            if dst in state.failed:
+                links[key] = links.get(key, 0) + 1
+            shares[host][vertex] = None
+        for (src, dst), count in links.items():
+            if dst in failed:
                 # A message from another source already gave up on dst.
                 continue
             try:
                 state.cost += self._batched_hop(src, dst, count)
             except FaultInjectedError as exc:
                 state.cost += exc.cost
-                state.failed.add(dst)
+                failed.add(dst)
                 continue
             state.remote += count
             # Each aggregated message costs one RPC dispatch on both
             # endpoints — the batching win on server CPU, not just wire.
-            self.servers[src].busy_counter.inc(remote_service)
-            self.servers[dst].busy_counter.inc(remote_service)
+            servers[src].busy_counter.inc(remote_service)
+            servers[dst].busy_counter.inc(remote_service)
             state.cost += remote_service
 
+        # One storage pass per reachable host over the distinct vertices
+        # of its share (a vertex reached along several paths is charged
+        # per path below, but the host is asked about it once).
+        expand = depth < state.hops
+        reads = {
+            host: dict(
+                zip(share, servers[host].store.read_frontier(share, expand))
+            )
+            for host, share in shares.items()
+            if host not in failed
+        }
+
+        local_visit = state.local_visit
+        response = state.response
+        visited = state.visited
+        model = self.workload_model
         next_frontier: List[Tuple[int, int, int]] = []
         for vertex, host, from_host in frontier:
-            if host in state.failed:
+            if host in failed:
                 # Unreachable this query — same-host entries included: a
                 # server that crashed mid-depth serves nothing further.
                 continue
-            if not self._process_entry(vertex, host, depth, state, next_frontier):
-                # The cached location may be stale (vertex migrated since
-                # this server last looked it up): forward and retry once.
-                resolved = self._forward_stale(vertex, host, from_host, state)
-                if resolved is not None:
-                    self._process_entry(
-                        vertex, resolved, depth, state, next_frontier
-                    )
-        return next_frontier
-
-    def _process_entry(
-        self,
-        vertex: int,
-        host: int,
-        depth: int,
-        state: _QueryState,
-        next_frontier: List[Tuple[int, int, int]],
-    ) -> bool:
-        """Visit ``vertex`` on ``host``; returns False if unavailable.
-
-        Unavailable (mid-migration), missing (stale location hint) or
-        absent vertices are treated as not in the local vertex set
-        (Section 3.2) — the caller decides whether that can be a stale
-        cache entry worth forwarding.
-        """
-        executing = self.servers[host]
-        if not executing.store.is_available(vertex):
-            return False
-        state.processed += 1
-        executing.visits_counter.inc()
-        executing.busy_counter.inc(state.local_visit)
-        state.cost += state.local_visit
-        state.response.add(vertex)
-        if depth == state.hops:
-            return True
-        # Keep multiplicity: a vertex reachable along several paths is
-        # processed once per path (the paper's 2-hop ratio effect), but
-        # expanded only once so work stays polynomial.
-        if vertex in state.visited:
-            return True
-        state.visited.add(vertex)
-        try:
-            entries = executing.expand(vertex)
-        except ServerDownError:
-            # The host crashed mid-query (a window opened while this
-            # frontier was in flight): its vertices stay in the
-            # response, its expansions are lost.
-            state.failed.add(host)
-            return True
-        model = self.workload_model
-        if model is not None and entries:
-            # Every frontier expansion follows edge (vertex, neighbor):
-            # that is the per-edge traffic the heat model accumulates.
-            for entry in entries:
-                model.observe_edge(vertex, entry.neighbor)
-            self._model_observations.inc(len(entries))
-        cache = self.location_cache
-        for entry in entries:
-            next_frontier.append(
-                (entry.neighbor, cache.lookup_from(host, entry.neighbor), host)
+            neighbors = reads[host][vertex]
+            if neighbors is None:
+                # Unavailable (mid-migration), missing or absent here:
+                # not in the local vertex set (Section 3.2).  The cached
+                # location may be stale (vertex migrated since this
+                # server last looked it up): forward and retry once.
+                host = self._forward_stale(vertex, host, from_host, state)
+                if host is None:
+                    continue
+                (neighbors,) = servers[host].store.read_frontier(
+                    (vertex,), expand and vertex not in visited
+                )
+                if neighbors is None:
+                    continue
+            executing = servers[host]
+            state.processed += 1
+            executing.visits_counter.inc()
+            executing.busy_counter.inc(local_visit)
+            state.cost += local_visit
+            response.add(vertex)
+            # Keep multiplicity: a vertex reachable along several paths is
+            # processed once per path (the paper's 2-hop ratio effect), but
+            # expanded only once so work stays polynomial.
+            if not expand or vertex in visited:
+                continue
+            visited.add(vertex)
+            try:
+                executing.check_up()
+            except ServerDownError:
+                # The host crashed mid-query (a window opened while this
+                # frontier was in flight): its vertices stay in the
+                # response, its expansions are lost.
+                failed.add(host)
+                continue
+            if model is not None and neighbors:
+                # Every frontier expansion follows edge (vertex, neighbor):
+                # that is the per-edge traffic the heat model accumulates.
+                for neighbor in neighbors:
+                    model.observe_edge(vertex, neighbor)
+                self._model_observations.inc(len(neighbors))
+            next_frontier.extend(
+                zip(
+                    neighbors,
+                    self.location_cache.resolve_from(host, neighbors),
+                    repeat(host),
+                )
             )
-        return True
+        return next_frontier
 
     def _forward_stale(
         self,

@@ -167,9 +167,7 @@ class ConcurrentExecutor:
                 latency=max(0.0, step.cost - occupied),
                 kind=f"traversal-{step.kind}",
             )
-        for vertex in result.response:
-            cluster.graph.add_weight(vertex, 1.0)
-            cluster.aux.add_weight(vertex, 1.0)
+        cluster.add_popularity(result.response)
         return result, result.cost
 
     def _sampled_task(

@@ -151,8 +151,18 @@ class SocialGraph:
         Used by the workload drivers: each read of a vertex bumps its
         popularity, which is exactly the paper's notion of weight.
         """
-        new_weight = self.weight(vertex) + delta
-        self.set_weight(vertex, new_weight)
+        # weight() + set_weight(), flattened: this runs for every vertex
+        # every read returns.
+        weights = self._weights
+        try:
+            new_weight = weights[vertex] + delta
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
+        if new_weight < 0:
+            raise GraphError(
+                f"vertex weight must be non-negative, got {new_weight}"
+            )
+        weights[vertex] = float(new_weight)
         return new_weight
 
     def total_weight(self) -> float:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.cluster.traversal import check_hops
 from repro.exceptions import (
     AdmissionRejectedError,
     ClusterError,
@@ -227,6 +228,8 @@ class ServingFrontend:
         else:
             # traverse starts at its root's primary; add_edge's record
             # home is the src primary.
+            if op == "traverse":
+                check_hops(self._hops(args, kwargs))
             target, forward_cost = self.router.primary_of(args[0])
             if op == "add_edge":
                 self.cluster.catalog.lookup(args[1])
@@ -282,6 +285,11 @@ class ServingFrontend:
         self._latency_hist.observe(outcome.latency)
         return outcome
 
+    @staticmethod
+    def _hops(args, kwargs) -> int:
+        """The depth of a ``traverse`` submission (keyword, positional, 1)."""
+        return kwargs.get("hops", args[1] if len(args) > 1 else 1)
+
     def _execute(self, op, args, kwargs, decision, arrival):
         """Run the operation against the cluster.
 
@@ -304,7 +312,7 @@ class ServingFrontend:
             properties, cost = cluster.read_vertex(args[0])
             return properties, cost, degraded
         if op == "traverse":
-            result = cluster.traverse(args[0], kwargs.get("hops", args[1] if len(args) > 1 else 1))
+            result = cluster.traverse(args[0], self._hops(args, kwargs))
             return result.response, result.cost, result.partial
         if op == "add_vertex":
             try:

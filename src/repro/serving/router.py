@@ -189,7 +189,6 @@ class GraphRouter:
         replica.busy_counter.inc(network.local_visit())
         cost = network.config.client_dispatch_cost + network.local_visit()
         cluster._advance(cost)
-        cluster.graph.add_weight(vertex, 1.0)
-        cluster.aux.add_weight(vertex, 1.0)
+        cluster.add_popularity((vertex,))
         staleness = self.sync.note_served(vertex, now)
         return dict(properties), cost, staleness, False

@@ -19,15 +19,18 @@ partition hosting the relationship's ``src`` endpoint holds the primary
 (property-bearing) record; the other side holds the ghost.
 
 Access discipline (DESIGN.md "Storage access path"): a record is reached
-through one ``get``/``read`` of its store — one index probe, one in-place
-decode — and the caller works from the value it got.  The read path and
-the chain writers do not probe for existence and then read, re-read a
-record they just built, or walk a chain to learn what a record's own link
-fields already say; a 1-hop traversal from a vertex of degree *d* costs
-2 + 2d record accesses cluster-wide.  The functions the wall-clock
-benchmark traces (``is_available``, ``node``, ``neighbor_entries``,
-``node_properties`` and the mutators) are the boundary the cluster calls
-through.
+through one ``fields``/``get``/``read`` of its store — one index probe,
+one in-place unpack — and the caller works from the value it got.  The
+read path and the chain writers do not probe for existence and then read,
+re-read a record they just built, or walk a chain to learn what a
+record's own link fields already say.  The traversal engine's read,
+``read_frontier``, answers for a whole list of vertices from raw fields
+without building a record object, over the one chain walk
+(``_chain_fields``) that ``neighbor_entries`` and ``export_node`` also
+consume: a 1-hop traversal from a vertex of degree *d* costs 1 + 2d
+record accesses cluster-wide.  ``is_available``, ``node``,
+``neighbor_entries``, ``node_properties`` and the mutators remain the
+per-record boundary for point reads, migration and recovery.
 """
 
 from __future__ import annotations
@@ -35,14 +38,43 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.exceptions import StorageError, VertexUnavailableError
+from repro.exceptions import (
+    RecordNotFoundError,
+    StorageError,
+    VertexUnavailableError,
+)
 from repro.storage.ids import IdAllocator
-from repro.storage.node_store import NodeRecord, NodeStore
+from repro.storage.node_store import (
+    FLAG_AVAILABLE,
+    NODE_FIRST_REL,
+    NODE_FLAGS,
+    NodeRecord,
+    NodeStore,
+)
 from repro.storage.property_store import PropertyStore
 from repro.storage.records import NULL_REF
-from repro.storage.relationship_store import RelationshipRecord, RelationshipStore
+from repro.storage.relationship_store import (
+    REL_DST,
+    REL_DST_NEXT,
+    REL_ID,
+    REL_SRC,
+    REL_SRC_NEXT,
+    RelationshipRecord,
+    RelationshipStore,
+)
 
 
 class NeighborEntry(NamedTuple):
@@ -151,11 +183,24 @@ class GraphStore:
         return self.nodes.read(node_id).weight
 
     def add_node_weight(self, node_id: int, delta: float) -> float:
-        record = self.nodes.read(node_id)
+        return self._add_weight(self.nodes.read(node_id), delta)
+
+    def _add_weight(self, record: NodeRecord, delta: float) -> float:
         updated = record.with_weight(record.weight + delta)
         self.nodes.write(updated)
-        self._notify_node(node_id)
+        self._notify_node(record.node_id)
         return updated.weight
+
+    def point_read(self, node_id: int, popularity: float) -> Optional[Dict[str, Any]]:
+        """A single-record query served from one fetch of the node record:
+        adds ``popularity`` to the node's weight (one observer
+        notification) and returns its properties; ``None`` for a missing
+        or unavailable node, which is left untouched."""
+        record = self.nodes.get(node_id)
+        if record is None or not record.available:
+            return None
+        self._add_weight(record, popularity)
+        return self._collect_properties(record.first_prop)
 
     def delete_node(self, node_id: int) -> None:
         """Remove a node, all its relationship records and its properties."""
@@ -351,20 +396,65 @@ class GraphStore:
     # ==================================================================
     # Adjacency (fully local thanks to ghost records)
     # ==================================================================
-    def _chain(self, node_id: int, first_rel: int) -> Iterator[RelationshipRecord]:
-        """The records of ``node_id``'s relationship chain, head first:
-        one read per hop."""
-        read = self.relationships.read
+    def _chain_fields(self, node_id: int, first_rel: int) -> List[Tuple]:
+        """The raw fields of each record in ``node_id``'s relationship
+        chain, head first: one checked access per hop, no record objects.
+        The only chain walk in the store."""
+        fields = self.relationships.fields
+        chain: List[Tuple] = []
         rel_id = first_rel
         for _ in range(len(self.relationships) + 1):
             if rel_id == NULL_REF:
-                return
-            rel = read(rel_id)
-            yield rel
-            # next_for also covers src; testing it here first keeps the
-            # common side of the hop free of a method call.
-            rel_id = rel.src_next if rel.src == node_id else rel.next_for(node_id)
+                return chain
+            rel = fields(rel_id)
+            if rel is None:
+                raise RecordNotFoundError(f"record {rel_id} not found")
+            chain.append(rel)
+            if rel[REL_SRC] == node_id:
+                rel_id = rel[REL_SRC_NEXT]
+            elif rel[REL_DST] == node_id:
+                rel_id = rel[REL_DST_NEXT]
+            else:
+                raise StorageError(
+                    f"node {node_id} is not an endpoint of relationship "
+                    f"{rel[REL_ID]}"
+                )
         raise StorageError(f"cyclic relationship chain at node {node_id}")
+
+    def _chain(self, node_id: int, first_rel: int) -> Iterator[RelationshipRecord]:
+        """The records of ``node_id``'s relationship chain, head first."""
+        return map(
+            self.relationships.codec.decode, self._chain_fields(node_id, first_rel)
+        )
+
+    def read_frontier(
+        self, node_ids: Iterable[int], expand: bool
+    ) -> List[Optional[Sequence[int]]]:
+        """One traversal depth's share of this store, in one pass.
+
+        Aligned with ``node_ids``: ``None`` for a node that is missing or
+        unavailable here (queries treat both identically), else the
+        neighbour ids along its chain — nothing when ``expand`` is false
+        (the final depth only needs the availability answer).  One node
+        access plus one access per chain hop, no record objects.
+        """
+        node_fields = self.nodes.fields
+        chain_fields = self._chain_fields
+        result: List[Optional[Sequence[int]]] = []
+        for node_id in node_ids:
+            node = node_fields(node_id)
+            if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
+                result.append(None)
+            elif expand:
+                result.append(
+                    [
+                        rel[REL_DST] if rel[REL_SRC] == node_id else rel[REL_SRC]
+                        for rel in chain_fields(node_id, node[NODE_FIRST_REL])
+                    ]
+                )
+            else:
+                result.append(())
+        return result
 
     def neighbor_entries(
         self, node_id: int, include_unavailable: bool = False

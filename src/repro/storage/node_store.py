@@ -21,7 +21,11 @@ from repro.storage.records import (
     tuple_new,
 )
 
-_FLAG_AVAILABLE = 0x2
+FLAG_AVAILABLE = 0x2
+
+#: Positions in the raw fields of a node slot (``NodeCodec.FORMAT`` order),
+#: for readers that work from ``FixedRecordStore.fields`` and build no record.
+NODE_FLAGS, NODE_FIRST_REL = 0, 2
 
 
 class NodeRecord(NamedTuple):
@@ -51,14 +55,14 @@ class NodeCodec(RecordCodec):
 
     def encode(self, record: NodeRecord) -> Tuple:
         node_id, first_rel, first_prop, weight, available = record
-        flags = FLAG_IN_USE | _FLAG_AVAILABLE if available else FLAG_IN_USE
+        flags = FLAG_IN_USE | FLAG_AVAILABLE if available else FLAG_IN_USE
         return flags, node_id, first_rel, first_prop, weight
 
     def decode(self, fields: Tuple) -> NodeRecord:
         flags, node_id, first_rel, first_prop, weight = fields
         return tuple_new(
             NodeRecord,
-            (node_id, first_rel, first_prop, weight, flags & _FLAG_AVAILABLE != 0),
+            (node_id, first_rel, first_prop, weight, flags & FLAG_AVAILABLE != 0),
         )
 
 

@@ -12,10 +12,13 @@ Two storage primitives live here:
 
 **What one record access costs** (DESIGN.md "Storage access path"): one
 B+Tree probe for the slot, one ``Struct.unpack_from`` straight off the
-page ``bytearray`` (no intermediate ``bytes``), the in-use and stored-id
-checks on those same unpacked fields, and one immutable record value.
-Nothing decoded is kept: there is no record cache to invalidate, and the
-page bytes stay the only copy of the data.
+page ``bytearray`` (no intermediate ``bytes``) and the in-use and
+stored-id checks on those same unpacked fields — that is
+:meth:`FixedRecordStore.fields`, the single checked access — plus, for
+``get``/``read``, one immutable record value decoded from them.  The
+traversal read plane stops at the raw fields.  Nothing decoded is kept:
+there is no record cache to invalidate, and the page bytes stay the only
+copy of the data.
 """
 
 from __future__ import annotations
@@ -134,10 +137,11 @@ class FixedRecordStore:
             self._buffers[page], index * self.record_size, *fields
         )
 
-    def get(self, record_id: int) -> Any:
-        """The record stored under ``record_id``, or ``None`` when there
-        is none — one index probe, one in-place decode, nothing raised
-        for the ordinary "not here" answer."""
+    def fields(self, record_id: int) -> Optional[Tuple]:
+        """The raw struct fields ``(flags, record_id, ...)`` stored under
+        ``record_id``, or ``None`` when there is none — the one checked
+        access every read goes through: one index probe, one in-place
+        unpack, the in-use and stored-id checks, no record object."""
         slot = self._index.get(record_id)
         if slot is None:
             return None
@@ -152,13 +156,19 @@ class FixedRecordStore:
                 f"index entry for record {record_id} points at the slot of "
                 f"record {fields[1]}"
             )
-        return self.codec.decode(fields)
+        return fields
+
+    def get(self, record_id: int) -> Any:
+        """The record stored under ``record_id``, or ``None`` when there
+        is none — nothing raised for the ordinary "not here" answer."""
+        fields = self.fields(record_id)
+        return None if fields is None else self.codec.decode(fields)
 
     def read(self, record_id: int) -> Any:
-        record = self.get(record_id)
-        if record is None:
+        fields = self.fields(record_id)
+        if fields is None:
             raise RecordNotFoundError(f"record {record_id} not found")
-        return record
+        return self.codec.decode(fields)
 
     def delete(self, record_id: int) -> None:
         """Tombstone the record and recycle its slot."""

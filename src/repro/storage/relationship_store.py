@@ -29,6 +29,11 @@ from repro.storage.records import (
 
 _FLAG_GHOST = 0x2
 
+#: Positions in the raw fields of a relationship slot
+#: (``RelationshipCodec.FORMAT`` order), for readers that work from
+#: ``FixedRecordStore.fields`` and build no record.
+REL_ID, REL_SRC, REL_DST, REL_SRC_NEXT, REL_DST_NEXT = 1, 2, 3, 5, 7
+
 
 class RelationshipRecord(NamedTuple):
     """One fixed-size relationship record (immutable; ``with_*`` copy)."""

@@ -1,8 +1,9 @@
 """Count guard for the storage access path (no timing).
 
-A record access is one B+Tree probe and one decode, and no caller
-locates a record it already holds (DESIGN.md "Storage access path").
-The budget is checked by counting, with hooks installed from here:
+A record access is one B+Tree probe and one unpack, no caller locates a
+record it already holds, and a traversal builds no record objects at all
+(DESIGN.md "Storage access path").  The budget is checked by counting,
+with hooks installed from here:
 
 * ``BPlusTree.get`` — every id->slot lookup of every record store goes
   through it (``in`` included);
@@ -61,16 +62,51 @@ def test_is_available_is_one_probe_and_one_decode(counts):
 
 
 def test_one_hop_traversal_stays_inside_its_budget(counts):
-    """Start vertex: availability + chain head (2 node reads), d
-    relationship reads; then one availability read per neighbour."""
+    """Start vertex: one node access serves availability and chain head,
+    then d relationship accesses; then one availability access per
+    neighbour.  The read plane works from raw fields: no record objects."""
     graph, cluster = placed_cluster()
     for vertex in sorted(graph.vertices()):
         degree = graph.degree(vertex)
         counts.clear()
         result = cluster.traverse(vertex, 1)
         assert len(result.response) == degree + 1
-        assert counts["probes"] <= 2 + 2 * degree
-        assert counts["decodes"] <= 2 + 2 * degree
+        assert counts == {"probes": 1 + 2 * degree}
+
+
+def test_two_hop_traversal_asks_about_each_distinct_vertex_once(counts):
+    """Every path into a vertex is processed and charged, but a depth
+    reads each distinct vertex of a host's share once: the final depth of
+    a 2-hop costs one access per distinct vertex two steps away."""
+    graph, cluster = placed_cluster()
+    for start in sorted(graph.vertices()):
+        first = sorted(graph.neighbors(start))
+        second = set().union(*(graph.neighbors(vertex) for vertex in first))
+        counts.clear()
+        result = cluster.traverse(start, 2)
+        assert result.processed == 1 + len(first) + sum(
+            graph.degree(vertex) for vertex in first
+        )
+        assert counts == {
+            "probes": 1
+            + graph.degree(start)
+            + sum(1 + graph.degree(vertex) for vertex in first)
+            + len(second)
+        }
+
+
+def test_point_read_fetches_its_node_record_once(counts):
+    """Availability, the weight bump and the property-chain head come
+    from one fetch; the second probe is the write-back locating the slot
+    (the parent: 4 probes, 3 decodes)."""
+    graph, cluster = placed_cluster()
+    for vertex in sorted(graph.vertices()):
+        weight = cluster.servers[vertex % 3].store.node_weight(vertex)
+        counts.clear()
+        properties, _ = cluster.read_vertex(vertex)
+        assert properties == {}
+        assert counts == {"probes": 2, "decodes": 1}
+        assert cluster.servers[vertex % 3].store.node_weight(vertex) == weight + 1.0
 
 
 #: (start, hops) -> (response, processed, remote_hops, repr(cost)) at the parent

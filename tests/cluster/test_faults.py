@@ -200,7 +200,7 @@ class TestNetworkFaults:
         with pytest.raises(ServerDownError):
             cluster.servers[0].read_vertex(0)
         with pytest.raises(ServerDownError):
-            cluster.servers[0].expand(0)
+            cluster.servers[0].check_up()
 
     def test_detach_restores_zero_fault_behavior(self):
         graph = SocialGraph.from_edges([(0, 1)])

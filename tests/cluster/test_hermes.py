@@ -8,7 +8,7 @@ from repro.exceptions import ClusterError
 from repro.graph.generators import community_graph
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
-from tests.conftest import make_random_graph
+from tests.conftest import make_random_graph, telemetry_snapshot
 
 
 class TestLoading:
@@ -54,6 +54,24 @@ class TestReadPath:
         before = small_cluster.now
         small_cluster.traverse(0, hops=1)
         assert small_cluster.now > before
+
+    @pytest.mark.parametrize("hops", [-1, 1.5, "2", None])
+    def test_invalid_hops_is_a_typed_error_with_nothing_charged(
+        self, small_cluster, hops
+    ):
+        """``traverse(0, -1)`` used to "succeed" with an empty response and
+        ``traverse(0, 1.5)`` died in ``range()`` after the dispatch."""
+        small_cluster.start_tracing()
+        small_cluster.traverse(0, hops=1)
+        before = telemetry_snapshot(small_cluster)
+        now = small_cluster.now
+        tracer = small_cluster.telemetry.tracer
+        spans = len(tracer.spans)
+        with pytest.raises(ClusterError, match="hops"):
+            small_cluster.traverse(0, hops)
+        assert small_cluster.now == now
+        assert telemetry_snapshot(small_cluster) == before
+        assert len(tracer.spans) == spans and not tracer._stack
 
 
 class TestWritePath:

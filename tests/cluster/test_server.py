@@ -32,10 +32,12 @@ class TestReads:
             server.read_vertex(1)
 
     def test_expand(self, server):
+        """The traversal engine's expansion step is a bulk store read."""
         server.create_local_edge(server.store.allocate_rel_id(), 0, 1)
-        entries = server.expand(0)
-        assert [entry.neighbor for entry in entries] == [1]
-        # Visit accounting belongs to the traversal engine, not expand().
+        server.store.set_available(2, False)
+        assert server.store.read_frontier([0, 2, 99, 1], True) == [[1], None, None, [0]]
+        assert server.store.read_frontier([0, 2, 99], False) == [(), None, None]
+        # Visit accounting belongs to the traversal engine, not the read.
         assert server.visits == 0
 
 

@@ -1,0 +1,93 @@
+"""Count guard for the traversal data plane (no timing).
+
+A traversal depth is three loops — ship the frontier, read each host's
+share in one storage pass, account per entry in order (DESIGN.md §9) —
+so the Python-level calls a traversal makes are bounded per *processed
+entry*, and the location cache is entered once per *expanded vertex*,
+never once per neighbour.  Counted with ``sys.setprofile``, the way
+``tests/core/test_phase1_budget.py`` counts calls into the auxiliary
+data: a regression into per-entry calls (a record object per access, a
+cache lookup per neighbour, an ``expand`` per entry) fails here as a
+count, on any machine.
+
+Measured on the first 1 000 operations of a ``traverse_read``-like stream
+(n=1200, 8 servers, Zipf starts, 90 % 1-hop): 23.5 calls per processed
+entry and 62 calls into ``cluster/catalog.py`` per traversal before the
+depth was split, 11.9 and 10.5 after.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+from repro.cluster import catalog
+from repro.graph.generators import orkut_like
+from repro.partitioning.hashing import HashPartitioner
+from tests.conftest import build_placed_cluster
+
+#: Python-level calls allowed per processed frontier entry (the depth's
+#: fixed costs — spans, link accounting, the result — included)
+CALLS_PER_ENTRY = 14
+
+
+def placed_cluster():
+    graph = orkut_like(n=200, seed=7).graph
+    placement = HashPartitioner(salt=7).partition(graph, 4).as_mapping()
+    return graph, build_placed_cluster(graph, placement, num_servers=4)
+
+
+def count_calls(fn, *args):
+    """``(result, total, by_name)``: Python-level calls made while
+    ``fn(*args)`` runs, and those into ``cluster/catalog.py`` by name."""
+    source = catalog.__file__
+    total = 0
+    by_name: Counter = Counter()
+
+    def profiler(frame, event, _arg):
+        nonlocal total
+        if event == "call":
+            total += 1
+            if frame.f_code.co_filename == source:
+                by_name[frame.f_code.co_name] += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, total, by_name
+
+
+def busiest_vertex(graph):
+    return max(sorted(graph.vertices()), key=graph.degree)
+
+
+def test_calls_per_processed_entry_are_bounded():
+    graph, cluster = placed_cluster()
+    start = busiest_vertex(graph)
+    cluster.traverse(start, 2)  # a running cluster: location caches warm
+    for hops in (1, 2):
+        result, total, _ = count_calls(cluster.traverse, start, hops)
+        assert result.processed > 20 * hops  # the traversal did real work
+        assert total <= CALLS_PER_ENTRY * result.processed, (
+            hops, total, result.processed,
+        )
+
+
+def test_location_cache_is_entered_once_per_expanded_vertex():
+    graph, cluster = placed_cluster()
+    start = busiest_vertex(graph)
+    neighbors = set(graph.neighbors(start))
+
+    _, _, one_hop = count_calls(cluster.traverse, start, 1)
+    assert one_hop["resolve_from"] == 1  # the start vertex
+    assert one_hop["lookup_from"] == 0
+
+    _, _, two_hop = count_calls(cluster.traverse, start, 2)
+    assert two_hop["resolve_from"] == 1 + len(neighbors)
+    assert two_hop["lookup_from"] == 0
+
+    # Warm, the catalog itself is consulted for the dispatch alone.
+    _, _, warm = count_calls(cluster.traverse, start, 2)
+    assert warm == {"resolve_from": 1 + len(neighbors), "lookup": 1}

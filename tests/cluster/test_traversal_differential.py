@@ -1,0 +1,327 @@
+"""Differential test: the bulk-read depth against the per-entry depth.
+
+``TraversalEngine._run_depth`` reads each host's share of a frontier in
+one storage pass and then accounts per entry in order (DESIGN.md §9).
+The depth it replaced visited one entry at a time — ``is_available``, the
+accounting, ``neighbor_entries``, one ``lookup_from`` per neighbour — and
+is kept here, test-local, as the reference.  Twin clusters, one running
+each, are driven through the same hypothesis-drawn sequence: traversals
+of 0–3 hops, physical migrations between them (stale location hints on
+the non-participants), a migration committing *between two depths* of a
+paused traversal, a fault plan whose crash window opens mid-query and
+whose links lose messages, a workload model attached.  Every observable
+must be equal, floats bit for bit: each result, each server's visits and
+busy seconds, the location caches, the network's counters, the fault
+RNG's position and the model's observation sequence.
+"""
+
+from __future__ import annotations
+
+import types
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.faults import CrashWindow, FaultPlan
+from repro.exceptions import FaultInjectedError, ServerDownError
+from repro.graph.adjacency import SocialGraph
+from tests.conftest import (
+    build_placed_cluster,
+    make_random_graph,
+    migrate_moves,
+    telemetry_snapshot,
+)
+
+SERVERS = 4
+VERTICES = 24
+
+
+def per_entry_run_depth(self, frontier, depth, state):
+    """The depth as it ran before the bulk read: one entry at a time."""
+    remote_service = self.network.config.remote_service_cost
+    groups = {}
+    for vertex, host, from_host in frontier:
+        if host != from_host and host not in state.failed:
+            groups[(from_host, host)] = groups.get((from_host, host), 0) + 1
+    for (src, dst), count in groups.items():
+        if dst in state.failed:
+            continue
+        try:
+            state.cost += self._batched_hop(src, dst, count)
+        except FaultInjectedError as exc:
+            state.cost += exc.cost
+            state.failed.add(dst)
+            continue
+        state.remote += count
+        self.servers[src].busy_counter.inc(remote_service)
+        self.servers[dst].busy_counter.inc(remote_service)
+        state.cost += remote_service
+    next_frontier = []
+
+    def process(vertex, host):
+        executing = self.servers[host]
+        if not executing.store.is_available(vertex):
+            return False
+        state.processed += 1
+        executing.visits_counter.inc()
+        executing.busy_counter.inc(state.local_visit)
+        state.cost += state.local_visit
+        state.response.add(vertex)
+        if depth == state.hops or vertex in state.visited:
+            return True
+        state.visited.add(vertex)
+        try:
+            executing.check_up()
+        except ServerDownError:
+            state.failed.add(host)
+            return True
+        entries = executing.store.neighbor_entries(vertex)
+        if self.workload_model is not None and entries:
+            for entry in entries:
+                self.workload_model.observe_edge(vertex, entry.neighbor)
+            self._model_observations.inc(len(entries))
+        for entry in entries:
+            believed = self.location_cache.lookup_from(host, entry.neighbor)
+            next_frontier.append((entry.neighbor, believed, host))
+        return True
+
+    for vertex, host, from_host in frontier:
+        if host in state.failed:
+            continue
+        if not process(vertex, host):
+            resolved = self._forward_stale(vertex, host, from_host, state)
+            if resolved is not None:
+                process(vertex, resolved)
+    return next_frontier
+
+
+class RecordingModel:
+    """The two hooks the engine and the cluster call on a workload model."""
+
+    def __init__(self):
+        self.observed = []
+
+    def advance(self, now):
+        pass
+
+    def observe_edge(self, u, v):
+        self.observed.append((u, v))
+
+
+def build_twin(reference, graph_seed, placement_salt, multi_edges):
+    graph = make_random_graph(VERTICES, 2 * VERTICES, seed=graph_seed)
+    placement = {v: (v * 7 + placement_salt) % SERVERS for v in graph.vertices()}
+    cluster = build_placed_cluster(graph, placement, num_servers=SERVERS)
+    for u, v in multi_edges:
+        # A second record between two neighbours: the same vertex twice
+        # in one adjacency list, so twice in one depth.
+        rel_id = 10_000 + u * VERTICES + v
+        host_u, host_v = placement[u], placement[v]
+        cluster.servers[host_u].store.create_relationship(rel_id, u, v)
+        if host_v != host_u:
+            cluster.servers[host_v].store.create_relationship(
+                rel_id, u, v, ghost=True
+            )
+    if reference:
+        cluster._engine._run_depth = types.MethodType(
+            per_entry_run_depth, cluster._engine
+        )
+    model = RecordingModel()
+    cluster.attach_workload_model(model)
+    return cluster, model
+
+
+def result_key(result):
+    return (
+        result.start, result.hops, result.response, result.processed,
+        result.remote_hops, repr(result.cost), result.failed_partitions,
+    )
+
+
+def moves_for(cluster, vertices, shift):
+    """``{vertex: (source, target)}`` re-homing each vertex ``shift`` servers on."""
+    moves = {}
+    for vertex in vertices:
+        source = cluster.catalog.lookup(vertex)
+        moves[vertex] = (source, (source + shift) % SERVERS)
+    return moves
+
+
+def migrate(cluster, vertices, shift, plan):
+    """A fault-free physical migration (the plan is re-attached after, its
+    RNG re-seeded — on both twins alike)."""
+    cluster.attach_faults(None)
+    migrate_moves(cluster, moves_for(cluster, vertices, shift))
+    cluster.attach_faults(plan)
+
+
+def run_step(cluster, step, plan):
+    kind = step[0]
+    if kind == "traverse":
+        return result_key(cluster.traverse(step[1], step[2]))
+    if kind == "migrate":
+        migrate(cluster, step[1], step[2], plan)
+        return None
+    # A traversal paused after its first depth while a migration commits.
+    _, start, hops, vertices, shift = step
+    steps = cluster._engine.traverse_steps(start, hops)
+    try:
+        next(steps)  # dispatch
+        next(steps)  # depth 0
+        migrate(cluster, vertices, shift, plan)
+        while True:
+            next(steps)
+    except StopIteration as stop:
+        cluster._advance(stop.value.cost)
+        return result_key(stop.value)
+
+
+def observables(cluster, model):
+    return {
+        "servers": [
+            (server.visits, repr(server.busy_seconds)) for server in cluster.servers
+        ],
+        "caches": sorted(cluster.location_cache.all_entries()),
+        "network": (
+            cluster.network.stats.messages,
+            cluster.network.stats.bytes_sent,
+            cluster.network.stats.messages_received,
+            cluster.network.stats.bytes_received,
+        ),
+        "telemetry": telemetry_snapshot(cluster),
+        "clock": repr(cluster.now),
+        "fault_rng": cluster.faults.rng.getstate() if cluster.faults else None,
+        "observed": model.observed,
+    }
+
+
+vertices = st.integers(0, VERTICES - 1)
+vertex_sets = st.lists(vertices, min_size=1, max_size=4, unique=True)
+shifts = st.integers(1, SERVERS - 1)
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("traverse"), vertices, st.integers(0, 3)),
+        st.tuples(st.just("migrate"), vertex_sets, shifts),
+        st.tuples(
+            st.just("interleave"), vertices, st.integers(1, 3), vertex_sets, shifts
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+#: simulated seconds: a 2-hop query costs a few milliseconds, so windows
+#: this short open and close inside single queries of a ten-step run
+crash_windows = st.lists(
+    st.builds(
+        lambda server, start, length: CrashWindow(server, start, start + length),
+        st.integers(0, SERVERS - 1),
+        st.floats(0.0, 0.05),
+        st.floats(1e-4, 0.02),
+    ),
+    max_size=3,
+)
+plans = st.one_of(
+    st.none(),
+    st.builds(
+        lambda seed, windows, link, rate: FaultPlan(
+            seed=seed, crash_windows=tuple(windows), link_loss={link: rate}
+        ),
+        st.integers(0, 99),
+        crash_windows,
+        st.tuples(st.integers(0, SERVERS - 1), st.integers(0, SERVERS - 1)),
+        st.sampled_from([0.0, 0.3, 1.0]),
+    ),
+)
+
+
+@given(
+    graph_seed=st.integers(0, 5),
+    placement_salt=st.integers(0, SERVERS - 1),
+    multi_edges=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(12, VERTICES - 1)),
+        max_size=3, unique=True,
+    ),
+    plan=plans,
+    sequence=steps,
+)
+@settings(max_examples=150, deadline=None)
+def test_bulk_depth_equals_per_entry_depth(
+    graph_seed, placement_salt, multi_edges, plan, sequence
+):
+    changed, changed_model = build_twin(False, graph_seed, placement_salt, multi_edges)
+    reference, reference_model = build_twin(True, graph_seed, placement_salt, multi_edges)
+    for cluster in (changed, reference):
+        cluster.attach_faults(plan)
+    for step in sequence:
+        assert run_step(changed, step, plan) == run_step(reference, step, plan)
+    assert observables(changed, changed_model) == observables(
+        reference, reference_model
+    )
+
+
+def test_crash_window_opening_mid_query_is_accounted_identically():
+    """Deterministic witness of the liveness rule: a host that dies after
+    the depth's messages were delivered keeps its vertices in the
+    response and loses its expansions — per expansion, in frontier order."""
+    outcomes = []
+    for is_reference in (False, True):
+        cluster, model = build_twin(is_reference, 1, 0, [])
+        start = max(range(VERTICES), key=cluster.graph.degree)
+        home = cluster.catalog.lookup(start)
+        # The first remote host the start's adjacency list reaches gets
+        # depth 1's first message; the injector's clock only moves on
+        # network charges, so a window opening just after time zero opens
+        # right behind that delivery.
+        victim = next(
+            cluster.catalog.lookup(v)
+            for v in cluster.servers[home].store.neighbors(start)
+            if cluster.catalog.lookup(v) != home
+        )
+        cluster.attach_faults(
+            FaultPlan(crash_windows=(CrashWindow(victim, 1e-9, 1.0),))
+        )
+        result = cluster.traverse(start, 2)
+        outcomes.append((result_key(result), observables(cluster, model)))
+        assert result.failed_partitions == (victim,)
+        assert any(cluster.catalog.lookup(v) == victim for v in result.response)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_host_dying_behind_a_stale_forward_loses_only_its_later_expansions():
+    """Inside the accounting loop the injector's clock moves only on a
+    stale forward, so that is the one place a host's liveness can change
+    mid-depth: liveness is checked per expansion, in frontier order, not
+    once per host per depth.  Depth 1 here is ``[x on H, y behind a stale
+    hint, z on H]`` and H's window opens during y's forwarding hop: x is
+    expanded, z is processed but its expansion is lost."""
+    home, dying, old_home, new_home = 0, 1, 2, 3
+    x, y, z = 3, 2, 1
+    outcomes = []
+    for is_reference in (False, True):
+        graph = SocialGraph.from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (3, 5)])
+        placement = {0: home, x: dying, z: dying, y: old_home, 4: home, 5: home}
+        cluster = build_placed_cluster(graph, placement, num_servers=SERVERS)
+        if is_reference:
+            cluster._engine._run_depth = types.MethodType(
+                per_entry_run_depth, cluster._engine
+            )
+        assert cluster.servers[home].store.neighbors(0) == [x, y, z]
+        cluster.traverse(0, 1)  # the home server caches y -> old_home
+        migrate_moves(cluster, {y: (old_home, new_home)})  # ... now stale
+
+        config = cluster.network.config
+        delivered = (  # depth 1's two messages: home->dying (x, z), home->old_home (y)
+            2 * config.remote_hop_cost + 3 * config.batch_entry_cost
+        )
+        opens = cluster.now + delivered + config.remote_hop_cost / 2
+        cluster.attach_faults(
+            FaultPlan(crash_windows=(CrashWindow(dying, opens, opens + 1.0),))
+        )
+        result = cluster.traverse(0, 2)
+        assert result.failed_partitions == (dying,)
+        assert {x, y, z, 5} <= set(result.response)  # x was expanded
+        assert 4 not in result.response  # z was not
+        outcomes.append(
+            (result_key(result), observables(cluster, RecordingModel()))
+        )
+    assert outcomes[0] == outcomes[1]

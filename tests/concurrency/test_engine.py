@@ -4,6 +4,7 @@ import pytest
 
 from repro.concurrency import ConcurrencyConfig
 from repro.concurrency.engine import ConcurrentExecutor
+from repro.exceptions import ClusterError
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 from repro.cluster.hermes import HermesCluster
@@ -120,6 +121,22 @@ class TestFailureHandling:
         engine.run()
         assert bad in engine.failures()
         assert good.ok
+
+    @pytest.mark.parametrize("hops", [-1, 1.5])
+    def test_invalid_hops_fails_the_task_before_anything_is_charged(self, hops):
+        """The dispatch step used to be yielded (clock charged, span
+        opened) before ``range(hops + 1)`` raised a bare TypeError."""
+        cluster = build_cluster()
+        cluster.start_tracing()
+        engine = ConcurrentExecutor(cluster)
+        bad = engine.submit_operation(Traversal(start=0, hops=hops))
+        engine.run()
+        assert isinstance(bad.error, ClusterError) and bad.steps == 0
+        assert cluster.now == 0.0
+        tracer = cluster.telemetry.tracer
+        assert not tracer._stack
+        assert not [span for span in tracer.spans if span["name"] == "traversal"]
+        assert cluster.telemetry.registry.total("traversals_total") == 0
 
     def test_clean_run_has_no_violations(self):
         cluster = build_cluster()

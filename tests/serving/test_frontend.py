@@ -128,6 +128,19 @@ class TestValidation:
         snap = check_conservation(frontend)
         assert snap["submitted"] == 0
 
+    @pytest.mark.parametrize("hops", [-1, 1.5])
+    def test_invalid_hops_raises_before_admission(self, hops):
+        frontend = make_frontend()
+        frontend.submit("traverse", 0, hops=1)
+        now = frontend.cluster.now
+        with pytest.raises(ClusterError, match="hops"):
+            frontend.submit("traverse", 0, hops=hops)
+        with pytest.raises(ClusterError, match="hops"):
+            frontend.submit("traverse", 0, hops)
+        snap = check_conservation(frontend)
+        assert snap["submitted"] == snap["admitted"] == 1
+        assert frontend.cluster.now == now
+
     def test_duplicate_add_vertex_raises_before_admission(self):
         frontend = make_frontend()
         with pytest.raises(ClusterError):
