@@ -3,7 +3,8 @@
 Unlike the table/figure benches (single-shot experiment pipelines), these
 are classic multi-round pytest benchmarks of the hot paths: auxiliary-data
 maintenance, candidate selection, one repartitioner iteration, B+Tree and
-record-store operations, and a distributed traversal.
+record-store operations, a distributed traversal, and the durable write,
+migration and recovery paths.
 """
 
 import random
@@ -14,6 +15,7 @@ from repro.cluster.hermes import HermesCluster
 from repro.core.auxiliary import AuxiliaryData
 from repro.core.candidates import STAGE_LOW_TO_HIGH, get_target_partition
 from repro.core.config import RepartitionerConfig
+from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner
 from repro.graph.generators import compact_powerlaw_graph, orkut_like
 from repro.partitioning.hashing import HashPartitioner
@@ -258,3 +260,73 @@ def test_bench_one_hop_traversal(benchmark, dataset):
 
 def test_bench_two_hop_traversal(benchmark, dataset):
     traversal_bench(benchmark, dataset, 2)
+
+
+def durable_cluster(dataset):
+    return HermesCluster.from_graph(
+        dataset.graph.copy(),
+        num_servers=8,
+        partitioner=HashPartitioner(),
+        durability=True,
+    )
+
+
+def test_bench_durable_add_edge(benchmark, dataset):
+    """One new edge on a durable cluster: the records, then one flushed
+    log transaction per server written to."""
+    cluster = durable_cluster(dataset)
+    rng = random.Random(8)
+    vertices = sorted(cluster.graph.vertices())
+
+    def add_edge():
+        while True:
+            u, v = rng.choice(vertices), rng.choice(vertices)
+            if u != v and not cluster.graph.has_edge(u, v):
+                break
+        cluster.add_edge(u, v)
+
+    benchmark(add_edge)
+
+
+def test_bench_durable_migrate_vertex(benchmark, dataset):
+    """One vertex moved on a durable cluster through the migration
+    generator ``rebalance_steps`` delegates to: copy, barrier, remove,
+    each step committed."""
+    cluster = durable_cluster(dataset)
+    vertex = max(cluster.graph.vertices(), key=cluster.graph.degree)
+
+    def migrate():
+        source = cluster.catalog.lookup(vertex)
+        target = (source + 1) % cluster.num_servers
+        cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+        plan = build_migration_plan({vertex: (source, target)})
+        assert [step.kind for step in cluster._executor.migrate_steps(plan)] == [
+            "copy",
+            "barrier",
+            "remove",
+        ]
+
+    benchmark(migrate)
+
+
+def test_bench_crash_recover_server(benchmark, dataset):
+    """Crash and recover one server that committed 50 edges since its
+    last checkpoint: the checkpoint pages, the frames redone into them,
+    the indexes rebuilt by scan."""
+    cluster = durable_cluster(dataset)
+    rng = random.Random(9)
+    local = sorted(cluster.catalog.vertices_on(0))
+
+    def churn():
+        added = 0
+        while added < 50:
+            u, v = rng.choice(local), rng.choice(local)
+            if u != v and not cluster.graph.has_edge(u, v):
+                cluster.add_edge(u, v)
+                added += 1
+        return (0,), {}
+
+    episode = benchmark.pedantic(
+        cluster.crash_recover_server, setup=churn, rounds=20, iterations=1
+    )
+    assert episode["pre"] == episode["post"]

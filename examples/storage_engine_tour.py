@@ -4,7 +4,7 @@ Shows the record model the paper describes in Section 4: fixed-size node
 and relationship records with doubly-linked relationship chains, a
 dynamic property store, ghost relationships for cross-partition edges,
 the B+Tree ID index, transactions with timeout-based deadlock handling,
-and checksummed persistence.
+the write-ahead log with crash recovery, and checksummed persistence.
 
 Run with::
 
@@ -13,6 +13,7 @@ Run with::
 
 import tempfile
 
+from repro.cluster.durability import ServerJournal
 from repro.exceptions import LockTimeoutError, VertexUnavailableError
 from repro.storage import GraphStore
 from repro.txn import LockMode, TransactionManager
@@ -71,19 +72,19 @@ def main() -> None:
     server_a.set_available(2, True)
 
     # --- write-ahead logging and crash recovery --------------------------
-    from repro.storage import DurableRecordStore
-    from repro.storage.node_store import NodeCodec, NodeRecord
-
-    durable = DurableRecordStore(NodeCodec())
-    with durable.begin() as committed:
-        committed.write(1, NodeRecord(node_id=1, weight=5.0))
-    loser = durable.begin()
-    loser.write(1, NodeRecord(node_id=1, weight=99.0))  # never commits
-    report = durable.simulate_crash_and_recover()
+    # A log over the stores themselves: the journal checkpoints the pages,
+    # each commit writes the changed slots' images as one flushed frame,
+    # and recovery redoes the frames into the checkpoint pages.
+    journal = ServerJournal(server_a)
+    server_a.set_node_property(3, "city", "oslo")
+    journal.commit()
+    server_a.set_node_property(3, "city", "rome")  # open: not in the log yet
+    recovered = journal.rebuild(server_id=0)
     print(
-        "after crash recovery: weight =", durable.read(1).weight,
-        f"(redid {report.redone_updates}, rolled back txns "
-        f"{report.rolled_back_txns})"
+        "after crash recovery: carol's city =",
+        recovered.get_node_property(3, "city"),
+        f"({len(journal.wal)} committed frame, {journal.wal.size_bytes} bytes "
+        "of WAL; the uncommitted write is gone)",
     )
 
     # --- persistence with per-page checksums -----------------------------

@@ -30,6 +30,7 @@ clock, the concurrent engine resumes them slice by slice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -37,7 +38,11 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.catalog import Catalog, LocationCache
-from repro.cluster.durability import ServerJournal, logical_store_snapshot
+from repro.cluster.durability import (
+    ServerJournal,
+    commit_all,
+    logical_store_snapshot,
+)
 from repro.cluster.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.cluster.migration_executor import (
     MigrationExecutor,
@@ -64,6 +69,21 @@ from repro.storage.graph_store import GraphStore
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.telemetry import Telemetry, export_jsonl, installed, summary_text
+
+
+def _commits(operation):
+    """Make a public cluster operation one log transaction per server it
+    touched: every open transaction commits when it returns or raises
+    (a fault-rolled-back write commits its compensating writes too)."""
+
+    @functools.wraps(operation)
+    def committing(self, *args, **kwargs):
+        try:
+            return operation(self, *args, **kwargs)
+        finally:
+            commit_all(self.servers)
+
+    return committing
 
 
 class HermesCluster:
@@ -149,19 +169,18 @@ class HermesCluster:
         # the epoch change: no traversal is paused during a migration).
         self._executor.topology_listeners.append(self._engine.note_topology_change)
         self._lock_timeout = lock_timeout
-        #: WAL-backed per-server journals (crash-recovery episodes); off by
-        #: default so the historical simulation stays byte-identical.
+        #: a write-ahead log per server (``server.journal``), for
+        #: crash-recovery episodes; off by default
         self.durability = durability
-        self.journals: Dict[int, ServerJournal] = {}
-        #: one entry per completed recovery episode: the durable pre-crash
-        #: image and the post-rebuild snapshot (audited by the simtest
-        #: recovery-fidelity invariant on every sweep)
+        #: one entry per completed recovery episode: the live store's
+        #: logical snapshot when it crashed and the recovered store's
+        #: (audited by the simtest recovery-fidelity invariant)
         self.recovery_log: List[Dict[str, Any]] = []
+        #: live snapshot of each crashed server, until it recovers
+        self._crash_images: Dict[int, Dict[str, Any]] = {}
         if durability:
             for server in self.servers:
-                journal = ServerJournal()
-                journal.attach(server.store)
-                self.journals[server.server_id] = journal
+                server.journal = ServerJournal(server.store)
 
     # ==================================================================
     # Workload model
@@ -249,7 +268,11 @@ class HermesCluster:
         return cluster
 
     def load(self, graph: SocialGraph, partitioning: Partitioning) -> None:
-        """Bulk-load: nodes to their partitions, edges with ghosts."""
+        """Bulk-load: nodes to their partitions, edges with ghosts.
+
+        A bulk import: the stores are written without committing and
+        each durable server then checkpoints once, so loading logs
+        nothing."""
         if self.graph.num_vertices:
             raise ClusterError("cluster already loaded")
         for vertex in graph.vertices():
@@ -263,6 +286,14 @@ class HermesCluster:
             self._create_edge_records(u, v, properties=None)
             self.graph.add_edge(u, v)
             self.aux.add_edge(u, v)
+        self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Every durable server's current pages become its recovery
+        baseline, and its log starts empty."""
+        for server in self.servers:
+            if server.journal is not None:
+                server.journal.attach(server.store)
 
     def _create_edge_records(
         self, u: int, v: int, properties: Optional[Dict[str, Any]]
@@ -324,6 +355,7 @@ class HermesCluster:
             graph_add(vertex, 1.0)
             aux_add(vertex, 1.0)
 
+    @_commits
     def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
         """Single-record query; returns (properties, simulated cost).
 
@@ -354,6 +386,7 @@ class HermesCluster:
     # ==================================================================
     # Write path
     # ==================================================================
+    @_commits
     def add_vertex(
         self,
         vertex: int,
@@ -383,6 +416,7 @@ class HermesCluster:
         self._advance(cost)
         return cost
 
+    @_commits
     def add_edge(
         self, u: int, v: int, properties: Optional[Dict[str, Any]] = None
     ) -> float:
@@ -649,13 +683,10 @@ class HermesCluster:
         self.aux.add_partition(capacity)
         for member in self.servers:
             member.store.rebase_ids(new_total, floor)
-            journal = self.journals.get(member.server_id)
-            if journal is not None:
-                journal.note_meta()
+            if member.journal is not None:
+                member.journal.note_meta()
         if self.durability:
-            journal = ServerJournal()
-            journal.attach(server.store)
-            self.journals[new_id] = journal
+            server.journal = ServerJournal(server.store)
         # Grow whatever traffic surfaces are attached to this cluster.
         serving = getattr(self, "serving", None)
         if serving is not None:
@@ -746,62 +777,66 @@ class HermesCluster:
         span.finish()
         return report
 
-    def _require_journal(self, server_id: int) -> ServerJournal:
-        journal = self.journals.get(server_id)
-        if journal is None:
+    def _require_journal(self, server: HermesServer) -> ServerJournal:
+        if server.journal is None:
             raise ClusterError(
-                f"server {server_id} has no durability journal "
+                f"server {server.server_id} has no write-ahead log "
                 "(build the cluster with durability=True)"
             )
-        return journal
+        return server.journal
 
-    def crash_server(self, server_id: int, keep_unflushed_bytes: int = 0):
-        """Crash episode: lose the page cache + unflushed WAL tail and
-        replay the durable log.  The server is CRASHED (unreadable) until
-        :meth:`recover_server` rebuilds its store."""
+    def crash_server(self, server_id: int, keep_unflushed_bytes: int = 0) -> None:
+        """Crash episode: lose the page cache and the unflushed WAL tail.
+        The server is CRASHED (unreadable) until :meth:`recover_server`
+        rebuilds its store; what the live store held at the crash is kept
+        as the episode's ``pre`` image."""
         server = self._member(server_id)
         if server.state != server_states.ACTIVE:
             raise ClusterError(
                 f"server {server_id} is {server.state}; only ACTIVE servers crash"
             )
-        journal = self._require_journal(server_id)
-        report = journal.crash(keep_unflushed_bytes)
+        journal = self._require_journal(server)
+        journal.crash(keep_unflushed_bytes)
+        self._crash_images[server_id] = logical_store_snapshot(server.store)
         server.state = server_states.CRASHED
         self.telemetry.event(
-            "server_crashed",
-            server=server_id,
-            rolled_back_txns=len(report.rolled_back_txns),
+            "server_crashed", server=server_id, wal_bytes=journal.wal.size_bytes
         )
-        return report
 
     def recover_server(self, server_id: int) -> Dict[str, Any]:
-        """Replay the WAL into a fresh GraphStore and re-validate.
+        """Rebuild the store from checkpoint + WAL and re-validate.
 
         The recovered store must agree with the catalog on exactly which
-        vertices this server serves; the (pre-crash durable, post-rebuild)
-        snapshot pair is appended to :attr:`recovery_log` for the
-        recovery-fidelity invariant to audit.
+        vertices this server serves; if it does not, the server stays
+        CRASHED, its store untouched, and ``ClusterError`` is raised.
+        Otherwise the store is swapped in and checkpointed, and the
+        (live at crash, recovered) snapshot pair is appended to
+        :attr:`recovery_log` for the recovery-fidelity invariant.
         """
         server = self._member(server_id)
         if server.state != server_states.CRASHED:
             raise ClusterError(
                 f"server {server_id} is {server.state}; nothing to recover"
             )
-        journal = self._require_journal(server_id)
+        journal = self._require_journal(server)
         server.state = server_states.RECOVERING
-        pre = journal.snapshot()
         store = journal.rebuild(server_id)
-        server.store = store
-        journal.attach(store)
-        post = logical_store_snapshot(store)
         available, _ = store.membership()
         expected = frozenset(self.catalog.vertices_on(server_id))
         if available != expected:
+            server.state = server_states.CRASHED
             raise ClusterError(
                 f"recovered server {server_id} serves {len(available)} vertices; "
                 f"catalog expects {len(expected)}"
             )
-        episode = {"server": server_id, "pre": pre, "post": post}
+        server.store = store
+        journal.attach(store)
+        post = logical_store_snapshot(store)
+        episode = {
+            "server": server_id,
+            "pre": self._crash_images.pop(server_id),
+            "post": post,
+        }
         self.recovery_log.append(episode)
         server.state = server_states.ACTIVE
         self.telemetry.event(
@@ -851,6 +886,7 @@ class HermesCluster:
             server.store = GraphStore.load(
                 os.path.join(directory, f"server-{server.server_id}")
             )
+        cluster._checkpoint()
         for server in cluster.servers:
             for node_id in server.store.node_ids():
                 if not server.store.is_available(node_id):

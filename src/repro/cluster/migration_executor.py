@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import Catalog, LocationCache
+from repro.cluster.durability import commit_all
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.server import HermesServer
@@ -227,7 +228,7 @@ class MigrationExecutor:
                 self._copy_one(move, final_home, report, undo, payload_sizes)
                 self._window[move.vertex] = move.target
                 self._window_unswept.add(move.vertex)
-                yield MigrationStep(
+                yield self._step(
                     "copy",
                     report.copy_cost - cost_before,
                     (move.source, move.target),
@@ -245,7 +246,7 @@ class MigrationExecutor:
                 {move.source for move in plan.moves}
                 | {move.target for move in plan.moves}
             )
-            yield MigrationStep("barrier", report.barrier_cost, tuple(participants))
+            yield self._step("barrier", report.barrier_cost, tuple(participants))
         except HermesError as exc:
             if isinstance(exc, FaultInjectedError):
                 # The timeouts and backoff of the failed attempt are real
@@ -253,6 +254,7 @@ class MigrationExecutor:
                 report.copy_cost += exc.cost
             self._rollback(undo)
             self._close_window()
+            commit_all(self.servers)
             self.telemetry.counter(
                 "migration_aborts_total", "migrations aborted and rolled back"
             ).inc()
@@ -289,7 +291,7 @@ class MigrationExecutor:
         for move in plan.moves:
             cost_before = report.remove_cost
             self._remove_one(move, final_home, report)
-            yield MigrationStep(
+            yield self._step(
                 "remove", report.remove_cost - cost_before, (move.source,)
             )
         remove_span.set_attribute(
@@ -312,6 +314,15 @@ class MigrationExecutor:
         span.set_attribute("vertices_moved", report.vertices_moved)
         span.finish(duration=report.total_cost)
         return report
+
+    def _step(
+        self, kind: str, cost: float, servers: Tuple[int, ...]
+    ) -> MigrationStep:
+        """The step about to be yielded, its writes committed first: one
+        copied vertex is one log transaction on its target, one removal
+        one on its source."""
+        commit_all(self.servers)
+        return MigrationStep(kind, cost, servers)
 
     def _close_window(self) -> None:
         """Retire the undo journal and the double-write window (commit

@@ -56,6 +56,9 @@ class HermesServer:
         self.server_id = server_id
         self.store = GraphStore(server_id=server_id, num_servers=num_servers)
         self.txns = TransactionManager(clock=clock, lock_timeout=lock_timeout)
+        #: the store's write-ahead log (a ``ServerJournal``) on durable
+        #: clusters, None otherwise
+        self.journal = None
         self.faults: Optional[FaultInjector] = None
         #: membership state (module-level constants above)
         self.state = ACTIVE

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from repro.cluster.durability import commit_all
 from repro.concurrency.scheduler import EventScheduler, TaskHandle, Work
 from repro.exceptions import MigrationAbortedError, WorkloadError
 from repro.workloads.queries import (
@@ -77,9 +78,11 @@ class ConcurrentExecutor:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> Optional[TaskHandle]:
-        """One scheduler event + the double-write coherence sweep of
-        the windowed vertices that event could have changed."""
+        """One scheduler event, its log transactions committed, + the
+        double-write coherence sweep of the windowed vertices that event
+        could have changed."""
         handle = self.scheduler.step()
+        commit_all(self.cluster.servers)
         if (
             handle is not None
             and self.config.check_window_coherence

@@ -18,9 +18,9 @@ Three scenarios exercise the elastic-membership machinery end to end:
   costs capacity, it must not collapse the front door.
 * **crash-recovery fidelity** — every server of a durability-enabled
   cluster is crashed (page cache + unflushed WAL tail lost) and
-  recovered by replaying the WAL into a fresh store.  Acceptance: every
-  episode's rebuilt image equals its pre-crash durable snapshot, and
-  the full simtest invariant audit stays clean afterwards.
+  recovered by redoing its WAL into its checkpoint pages.  Acceptance:
+  every episode's recovered store equals the live store that crashed,
+  and the full simtest invariant audit stays clean afterwards.
 
 The acceptance gates are computed in :func:`run` and pinned both by
 ``benchmarks/test_bench_elasticity.py`` and the CI elasticity-smoke job
@@ -101,7 +101,7 @@ class RecoveryResult:
     """Crash + WAL replay of every server of a durable cluster."""
 
     episodes: int
-    #: episodes whose rebuilt image differed from the durable snapshot
+    #: episodes whose recovered store differed from the one that crashed
     mismatches: int
     nodes_recovered: int
     rels_recovered: int
@@ -237,7 +237,7 @@ def run_drain_under_traffic(
 # ----------------------------------------------------------------------
 def run_recovery(graph: SocialGraph, scale: ClusterScale) -> RecoveryResult:
     cluster = _build_cluster(graph, scale, durability=True)
-    # Warm every journal past its baseline with live writes + reads.
+    # Take every log past its checkpoint with live writes + reads.
     base = 10 ** 6
     for offset in range(scale.num_servers * 4):
         cluster.add_vertex(base + offset, weight=2.0, properties={"k": "v"})

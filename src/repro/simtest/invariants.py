@@ -48,11 +48,12 @@ and TESTING.md):
     store, and appears in no location cache — neither as a cached home
     for some vertex nor as a viewer with leftover entries of its own.
 ``recovery-fidelity``
-    Every crash-recovery episode on record rebuilt exactly the durable
-    image it replayed: the pre-crash journal snapshot and the
-    post-recovery deep store snapshot of each
-    :attr:`~repro.cluster.hermes.HermesCluster.recovery_log` entry are
-    equal, re-checked on every sweep.
+    Every crash-recovery episode on record rebuilt exactly what the
+    server held when it crashed: the logical snapshot of the live store
+    taken at the crash and that of the recovered store, in each
+    :attr:`~repro.cluster.hermes.HermesCluster.recovery_log` entry, are
+    equal, re-checked on every sweep — so a committed write missing from
+    the log is caught, not replayed on both sides.
 ``queue-conservation``
     (Serving clusters only.)  The front door's admission ledger
     balances: submitted == admitted + shed, admitted == completed +
@@ -460,7 +461,7 @@ class InvariantAuditor:
                         "recovery-fidelity",
                         f"recovery episode {index} (server "
                         f"{episode['server']}) rebuilt a store that differs "
-                        f"from the durable image it replayed",
+                        f"from the one that crashed",
                     )
                 )
         return out

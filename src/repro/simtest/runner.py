@@ -363,10 +363,35 @@ def _corrupt(cluster, mode: str) -> None:
                 server.state = server_states.DETACHED
                 return
         raise ValueError("no populated server to detach")
+    elif mode == "lost_commit":
+        # A point read commits its weight bump as one frame on the
+        # vertex's host; drop that committed frame from the host's log
+        # and crash-recover the host.  Recovery replays a log missing a
+        # write the live store had: breaks recovery-fidelity, and only
+        # because ``pre`` is the live store, not the log's own replay.
+        from repro.cluster import server as server_states
+        from repro.storage.wal import WriteAheadLog
+
+        for vertex in sorted(cluster.graph.vertices()):
+            server = cluster.servers[cluster.catalog.lookup(vertex)]
+            if server.journal is None or server.state != server_states.ACTIVE:
+                continue
+            committed = len(server.journal.wal)
+            cluster.read_vertex(vertex)
+            frames = list(server.journal.wal.frames())
+            if len(frames) == committed:
+                continue  # a degraded read wrote nothing
+            server.journal.wal = WriteAheadLog()
+            for payload in frames[:-1]:
+                server.journal.wal.append(payload)
+            server.journal.wal.flush()
+            cluster.crash_recover_server(server.server_id)
+            return
+        raise ValueError("no durable server to lose a commit on")
     elif mode == "stale_recovery":
-        # Forge a recovery episode whose rebuilt image disagrees with
-        # the durable snapshot it was replayed from: breaks
-        # recovery-fidelity without touching any live structure.
+        # Forge a recovery episode whose recovered image disagrees with
+        # the store that crashed: breaks recovery-fidelity without
+        # touching any live structure.
         cluster.recovery_log.append(
             {
                 "server": 0,
@@ -409,4 +434,5 @@ CORRUPT_MODES = (
     "window_leak",
     "phantom_primary",
     "stale_recovery",
+    "lost_commit",
 )

@@ -13,11 +13,12 @@ Python with the same record model:
   remote side that preserves graph structure but carries no properties;
 * a monotonically increasing **ID allocator** plus a **B+Tree** index from
   record ID to storage slot (Hermes replaced Neo4j's offset-based
-  addressing because migrated records break contiguous ID allocation).
+  addressing because migrated records break contiguous ID allocation);
+* a **write-ahead log** of slot images: one checksummed frame per
+  committed transaction, replayed into the pages on recovery.
 """
 
 from repro.storage.btree import BPlusTree
-from repro.storage.durable import DurableRecordStore, DurableTransaction
 from repro.storage.graph_store import GraphStore
 from repro.storage.ids import IdAllocator
 from repro.storage.node_store import NodeRecord, NodeStore
@@ -32,15 +33,12 @@ from repro.storage.traversal_api import (
     Uniqueness,
 )
 from repro.storage.values import decode_value, encode_value
-from repro.storage.wal import LogKind, LogRecord, WriteAheadLog, recover
+from repro.storage.wal import WriteAheadLog, encode_transaction, redo
 
 __all__ = [
     "WriteAheadLog",
-    "LogRecord",
-    "LogKind",
-    "recover",
-    "DurableRecordStore",
-    "DurableTransaction",
+    "encode_transaction",
+    "redo",
     "TraversalDescription",
     "Path",
     "Evaluation",

@@ -64,8 +64,9 @@ from repro.storage.node_store import (
     NodeRecord,
     NodeStore,
 )
+from repro.storage.pages import PagedFile
 from repro.storage.property_store import PropertyStore
-from repro.storage.records import NULL_REF
+from repro.storage.records import NULL_REF, FixedRecordStore
 from repro.storage.relationship_store import (
     REL_DST,
     REL_DST_NEXT,
@@ -112,27 +113,31 @@ class GraphStore:
         self.properties = PropertyStore()
         self._rel_ids = IdAllocator(stripe=server_id, num_stripes=num_servers)
         self._prop_ids = IdAllocator(stripe=server_id, num_stripes=num_servers)
-        #: optional durability observer (see cluster/durability.ServerJournal);
-        #: notified after every *logical* mutation — pointer-only chain
-        #: rewrites are derived state and stay silent.
-        self.observer = None
 
-    # -- observer notifications ----------------------------------------
-    def _notify_node(self, node_id: int) -> None:
-        if self.observer is not None:
-            self.observer.node_changed(node_id)
+    @classmethod
+    def from_pages(
+        cls,
+        server_id: int,
+        files: Sequence[PagedFile],
+        num_stripes: int,
+        rel_counter: int,
+        prop_counter: int,
+    ) -> "GraphStore":
+        """A store over existing pages (ordered as :meth:`record_stores`),
+        each store's index rebuilt by scan, allocators at the given
+        positions — reopening a saved store and WAL recovery."""
+        store = cls.__new__(cls)
+        store.server_id = server_id
+        store.nodes = NodeStore(files[0])
+        store.relationships = RelationshipStore(files[1])
+        store.properties = PropertyStore(files[2], files[3])
+        store.set_allocator_state(num_stripes, rel_counter, prop_counter)
+        return store
 
-    def _notify_node_removed(self, node_id: int) -> None:
-        if self.observer is not None:
-            self.observer.node_removed(node_id)
-
-    def _notify_rel(self, rel_id: int) -> None:
-        if self.observer is not None:
-            self.observer.rel_changed(rel_id)
-
-    def _notify_rel_removed(self, rel_id: int) -> None:
-        if self.observer is not None:
-            self.observer.rel_removed(rel_id)
+    def record_stores(self) -> Tuple[FixedRecordStore, ...]:
+        """The four record stores the write-ahead log covers, in store-tag
+        order: nodes, relationships, property index, dynamic chunks."""
+        return (self.nodes, self.relationships) + self.properties.record_stores()
 
     # ==================================================================
     # Nodes
@@ -152,7 +157,6 @@ class GraphStore:
             for key, value in properties.items():
                 self.set_node_property(node_id, key, value)
             record = self.nodes.read(node_id)  # first_prop moved
-        self._notify_node(node_id)
         return record
 
     def has_node(self, node_id: int) -> bool:
@@ -169,7 +173,6 @@ class GraphStore:
 
     def set_available(self, node_id: int, available: bool) -> None:
         self.nodes.write(self.nodes.read(node_id).with_available(available))
-        self._notify_node(node_id)
 
     def _require_available(self, node_id: int) -> NodeRecord:
         record = self.nodes.read(node_id)
@@ -188,14 +191,13 @@ class GraphStore:
     def _add_weight(self, record: NodeRecord, delta: float) -> float:
         updated = record.with_weight(record.weight + delta)
         self.nodes.write(updated)
-        self._notify_node(record.node_id)
         return updated.weight
 
     def point_read(self, node_id: int, popularity: float) -> Optional[Dict[str, Any]]:
         """A single-record query served from one fetch of the node record:
-        adds ``popularity`` to the node's weight (one observer
-        notification) and returns its properties; ``None`` for a missing
-        or unavailable node, which is left untouched."""
+        adds ``popularity`` to the node's weight (one slot write) and
+        returns its properties; ``None`` for a missing or unavailable
+        node, which is left untouched."""
         record = self.nodes.get(node_id)
         if record is None or not record.available:
             return None
@@ -210,7 +212,6 @@ class GraphStore:
             self.delete_relationship(entry.rel_id)
         self._delete_property_chain(record.first_prop)
         self.nodes.delete(node_id)
-        self._notify_node_removed(node_id)
 
     def node_ids(self) -> Iterator[int]:
         return self.nodes.ids()
@@ -279,7 +280,6 @@ class GraphStore:
             for key, value in properties.items():
                 self.set_relationship_property(rel_id, key, value)
             record = self.relationships.read(rel_id)  # first_prop moved
-        self._notify_rel(rel_id)
         return record
 
     def _link_into_chain(
@@ -343,7 +343,6 @@ class GraphStore:
             self._unlink_from_chain(record, record.dst)
         self._delete_property_chain(record.first_prop)
         self.relationships.delete(rel_id)
-        self._notify_rel_removed(rel_id)
 
     def attach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Link an existing relationship record into a local node's chain.
@@ -378,7 +377,6 @@ class GraphStore:
             )
         self._delete_property_chain(record.first_prop)
         self.nodes.delete(node_id)
-        self._notify_node_removed(node_id)
 
     def set_ghost(self, rel_id: int, ghost: bool) -> None:
         """Flip a record between primary and ghost (migration merge step).
@@ -391,7 +389,6 @@ class GraphStore:
             self._delete_property_chain(record.first_prop)
             record = record.with_first_prop(NULL_REF)
         self.relationships.write(record.with_ghost(ghost))
-        self._notify_rel(rel_id)
 
     # ==================================================================
     # Adjacency (fully local thanks to ghost records)
@@ -494,7 +491,6 @@ class GraphStore:
         new_first = self._set_property(node.first_prop, node_id, key, value)
         if new_first != node.first_prop:
             self.nodes.write(node.with_first_prop(new_first))
-        self._notify_node(node_id)
 
     def get_node_property(self, node_id: int, key: str, default: Any = None) -> Any:
         node = self._require_available(node_id)
@@ -509,8 +505,6 @@ class GraphStore:
         new_first, removed = self._remove_property(node.first_prop, key)
         if new_first != node.first_prop:
             self.nodes.write(node.with_first_prop(new_first))
-        if removed:
-            self._notify_node(node_id)
         return removed
 
     def set_relationship_property(self, rel_id: int, key: str, value: Any) -> None:
@@ -522,7 +516,6 @@ class GraphStore:
         new_first = self._set_property(rel.first_prop, rel_id, key, value)
         if new_first != rel.first_prop:
             self.relationships.write(rel.with_first_prop(new_first))
-        self._notify_rel(rel_id)
 
     def get_relationship_property(
         self, rel_id: int, key: str, default: Any = None
@@ -539,8 +532,6 @@ class GraphStore:
         new_first, removed = self._remove_property(rel.first_prop, key)
         if new_first != rel.first_prop:
             self.relationships.write(rel.with_first_prop(new_first))
-        if removed:
-            self._notify_rel(rel_id)
         return removed
 
     # -- property chain helpers ----------------------------------------
@@ -726,16 +717,19 @@ class GraphStore:
         )
 
     _META_FILE = "meta.json"
+    #: page files of :meth:`record_stores`, in store-tag order
+    _STORE_FILES = (
+        "nodes.store",
+        "relationships.store",
+        "properties.store",
+        "dynamic.store",
+    )
 
     def save(self, directory: str) -> None:
         """Persist all stores plus allocator state into a directory."""
         os.makedirs(directory, exist_ok=True)
-        self.nodes.save(os.path.join(directory, "nodes.store"))
-        self.relationships.save(os.path.join(directory, "relationships.store"))
-        self.properties.save(
-            os.path.join(directory, "properties.store"),
-            os.path.join(directory, "dynamic.store"),
-        )
+        for record_store, name in zip(self.record_stores(), self._STORE_FILES):
+            record_store.save(os.path.join(directory, name))
         meta = {
             "server_id": self.server_id,
             "num_servers": self._rel_ids.num_stripes,
@@ -749,25 +743,13 @@ class GraphStore:
     def load(cls, directory: str) -> "GraphStore":
         with open(os.path.join(directory, cls._META_FILE)) as handle:
             meta = json.load(handle)
-        store = cls.__new__(cls)
-        store.server_id = meta["server_id"]
-        store.nodes = NodeStore.load(os.path.join(directory, "nodes.store"))
-        store.relationships = RelationshipStore.load(
-            os.path.join(directory, "relationships.store")
+        return cls.from_pages(
+            meta["server_id"],
+            [
+                PagedFile.load(os.path.join(directory, name))
+                for name in cls._STORE_FILES
+            ],
+            meta["num_servers"],
+            meta["rel_counter"],
+            meta["prop_counter"],
         )
-        store.properties = PropertyStore.load(
-            os.path.join(directory, "properties.store"),
-            os.path.join(directory, "dynamic.store"),
-        )
-        store._rel_ids = IdAllocator(
-            stripe=meta["server_id"],
-            num_stripes=meta["num_servers"],
-            start=meta["rel_counter"],
-        )
-        store._prop_ids = IdAllocator(
-            stripe=meta["server_id"],
-            num_stripes=meta["num_servers"],
-            start=meta["prop_counter"],
-        )
-        store.observer = None
-        return store

@@ -74,7 +74,3 @@ class NodeStore(FixedRecordStore):
 
     def write(self, record: NodeRecord) -> None:
         super().write(record.node_id, record)
-
-    @classmethod
-    def load(cls, path: str) -> "NodeStore":
-        return cls(paged_file=PagedFile.load(path))

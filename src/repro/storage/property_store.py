@@ -115,17 +115,10 @@ class PropertyStore:
     def max_id(self) -> Optional[int]:
         return self._store.max_id()
 
+    def record_stores(self) -> Tuple[FixedRecordStore, FixedRecordStore]:
+        """The index-record store and the dynamic chunk store beneath it."""
+        return self._store, self._dynamic._store
+
     @property
     def size_bytes(self) -> int:
         return self._store.size_bytes + self._dynamic.size_bytes
-
-    def save(self, index_path: str, dynamic_path: str) -> None:
-        self._store.save(index_path)
-        self._dynamic.save(dynamic_path)
-
-    @classmethod
-    def load(cls, index_path: str, dynamic_path: str) -> "PropertyStore":
-        return cls(
-            paged_file=PagedFile.load(index_path),
-            dynamic_file=PagedFile.load(dynamic_path),
-        )

@@ -19,13 +19,22 @@ stored-id checks on those same unpacked fields — that is
 traversal read plane stops at the raw fields.  Nothing decoded is kept:
 there is no record cache to invalidate, and the page bytes stay the only
 copy of the data.
+
+**The log hook.**  A store attached to a write-ahead log adds every slot
+it writes or deletes to :attr:`FixedRecordStore.changed`, the open
+transaction's change set, which the four record stores of one server
+share: an entry is the store's :attr:`~FixedRecordStore.log_key` (its
+store tag above :data:`SLOT_BITS`) plus the slot.  Committing reads each
+entry's current slot bytes — its after-image — with
+:meth:`FixedRecordStore.slot_image`.  A detached store
+(``changed is None``) pays one ``is None`` test per mutation.
 """
 
 from __future__ import annotations
 
 import abc
 import struct
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import (
     PageError,
@@ -39,6 +48,9 @@ from repro.storage.pages import PagedFile
 
 #: Null pointer in record link fields (chains end here).
 NULL_REF = -1
+
+#: A change-set entry is ``store tag << SLOT_BITS | slot``.
+SLOT_BITS = 32
 
 #: Every record layout starts ``<Bq``: a flags byte whose low bit is
 #: *in use*, then the record's own id.  A zeroed slot is a free slot.
@@ -111,6 +123,10 @@ class FixedRecordStore:
         self._index = BPlusTree(order=btree_order)
         self._free_slots: List[int] = []
         self._next_slot = self.pages.num_pages * self.slots_per_page
+        #: change set of the open log transaction (entries
+        #: ``log_key + slot``); None while no write-ahead log is attached
+        self.changed: Optional[Set[int]] = None
+        self.log_key = 0
         if self.pages.num_pages:
             self._rebuild_index()
 
@@ -136,6 +152,8 @@ class FixedRecordStore:
         self.codec.layout.pack_into(
             self._buffers[page], index * self.record_size, *fields
         )
+        if self.changed is not None:
+            self.changed.add(self.log_key + slot)
 
     def fields(self, record_id: int) -> Optional[Tuple]:
         """The raw struct fields ``(flags, record_id, ...)`` stored under
@@ -182,6 +200,14 @@ class FixedRecordStore:
         )
         self._index.delete(record_id)
         self._free_slots.append(slot)
+        if self.changed is not None:
+            self.changed.add(self.log_key + slot)
+
+    def slot_image(self, slot: int) -> bytearray:
+        """A copy of the bytes currently in ``slot``."""
+        page, index = divmod(slot, self.slots_per_page)
+        offset = index * self.record_size
+        return self._buffers[page][offset : offset + self.record_size]
 
     def __contains__(self, record_id: int) -> bool:
         return record_id in self._index
@@ -205,24 +231,33 @@ class FixedRecordStore:
 
     # ------------------------------------------------------------------
     def _rebuild_index(self) -> None:
-        """Scan pages after reopening: index in-use slots, free the rest."""
+        """Scan pages after reopening or recovery: index in-use slots,
+        free the rest.  Ids are inserted in ascending order, as a fresh
+        build inserts them, so the B+Tree does not depend on where the
+        records happen to sit."""
         self._index = BPlusTree(order=self._index.order)
         self._free_slots = []
         total_slots = self.pages.num_pages * self.slots_per_page
         self._next_slot = total_slots
+        in_use_slots = []
         for slot in range(total_slots):
             page, index = divmod(slot, self.slots_per_page)
             in_use, record_id = self.codec.header(
                 self._buffers[page], index * self.record_size
             )
             if in_use:
-                if record_id in self._index:
-                    raise StorageError(
-                        f"duplicate record id {record_id} found during scan"
-                    )
-                self._index.insert(record_id, slot)
+                in_use_slots.append((record_id, slot))
             else:
                 self._free_slots.append(slot)
+        in_use_slots.sort()
+        previous = None
+        for record_id, slot in in_use_slots:
+            if record_id == previous:
+                raise StorageError(
+                    f"duplicate record id {record_id} found during scan"
+                )
+            self._index.insert(record_id, slot)
+            previous = record_id
 
     def save(self, path: str) -> None:
         self.pages.save(path)

@@ -118,7 +118,3 @@ class RelationshipStore(FixedRecordStore):
 
     def write(self, record: RelationshipRecord) -> None:
         super().write(record.rel_id, record)
-
-    @classmethod
-    def load(cls, path: str) -> "RelationshipStore":
-        return cls(paged_file=PagedFile.load(path))

@@ -1,86 +1,56 @@
-"""Write-ahead logging with ARIES-style crash recovery.
+"""The write-ahead log: a physical redo log of record-store slot images.
 
 Neo4j — which Hermes extends — "provides a disk-based, transactional
-persistence engine (ACID compliant)" (Section 4).  This module supplies
-that substrate for the record stores:
+persistence engine (ACID compliant)" (Section 4), and its transaction log
+is a log of record commands.  This module is that log for the stores of
+one server:
 
 * :class:`WriteAheadLog` — an append-only log of framed, checksummed
-  records.  Each frame carries its own CRC, so a torn tail write (the
-  classic crash artifact) is detected and the log is truncated at the
-  first damaged frame.
-* log record kinds: BEGIN, UPDATE (with before- and after-images of one
-  store record), COMMIT, ABORT.
-* :func:`recover` — redo/undo recovery: after a crash, the after-images
-  of committed transactions are replayed (redo) and the before-images of
-  unfinished transactions are rolled back (undo).  Record writes are
-  absolute (full images), so recovery is idempotent.
+  payloads.  Each frame carries its own CRC, so a torn tail write (the
+  classic crash artifact) is detected and the log ends at the first
+  damaged frame.
+* one frame is one **committed transaction**: the allocator state at
+  commit followed by the after-image of every record-store slot the
+  transaction changed, as ``(store tag, slot, image)`` entries
+  (:func:`encode_transaction`).  A frame is written whole and flushed
+  once, so a crash keeps or loses a transaction as a unit.
+* :func:`redo` — recovery: the slot images of one frame written back
+  into the pages they came from.  Images are absolute, so redo is
+  idempotent.
 
-:class:`DurableRecordStore` (in :mod:`repro.storage.durable`) wires this
-log around a :class:`~repro.storage.records.FixedRecordStore`.
+Redo only, by construction: pages reach stable storage only at a
+checkpoint, a checkpoint is taken with no transaction open (no-steal),
+and a transaction is never in the log before it commits — so the
+durable log holds no loser and needs no before-images.  The store side
+of the protocol is :class:`~repro.storage.records.FixedRecordStore`'s
+change set; the per-server orchestration (commit boundaries,
+checkpoints, crash and rebuild) is
+:class:`~repro.cluster.durability.ServerJournal`.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.exceptions import StorageError
+from repro.storage.pages import PagedFile
 
-_FRAME_HEADER = struct.Struct("<IIB")  # payload length, crc32, kind
-_RECORD_HEADER = struct.Struct("<qqII")  # txn_id, record_id, before_len, after_len
+_FRAME_HEADER = struct.Struct("<II")  # payload length, crc32
+#: allocator state at commit: id-space stripes, relationship and property counters
+_TXN_HEADER = struct.Struct("<qqq")
+_ENTRY_HEADER = struct.Struct("<BIH")  # store tag, slot, image length
 
-
-class LogKind(enum.IntEnum):
-    BEGIN = 1
-    UPDATE = 2
-    COMMIT = 3
-    ABORT = 4
-    CHECKPOINT = 5
-
-
-@dataclass(frozen=True)
-class LogRecord:
-    """One decoded WAL record."""
-
-    kind: LogKind
-    txn_id: int
-    record_id: int = -1
-    before: bytes = b""
-    after: bytes = b""
-
-    def encode(self) -> bytes:
-        payload = _RECORD_HEADER.pack(
-            self.txn_id, self.record_id, len(self.before), len(self.after)
-        )
-        return payload + self.before + self.after
-
-    @classmethod
-    def decode(cls, kind: LogKind, payload: bytes) -> "LogRecord":
-        if len(payload) < _RECORD_HEADER.size:
-            raise StorageError("truncated WAL record payload")
-        txn_id, record_id, before_len, after_len = _RECORD_HEADER.unpack_from(payload)
-        offset = _RECORD_HEADER.size
-        if len(payload) != offset + before_len + after_len:
-            raise StorageError("WAL record length mismatch")
-        before = payload[offset : offset + before_len]
-        after = payload[offset + before_len :]
-        return cls(
-            kind=kind,
-            txn_id=txn_id,
-            record_id=record_id,
-            before=before,
-            after=after,
-        )
+#: ``(num_stripes, rel_counter, prop_counter)``
+AllocatorState = Tuple[int, int, int]
 
 
 class WriteAheadLog:
     """Append-only framed log, in memory with optional file persistence.
 
-    Frames are ``(length, crc32, kind, payload)``; iteration stops at the
+    Frames are ``(length, crc32, payload)``; iteration stops at the
     first frame whose CRC fails or whose bytes are incomplete — the
     recovery-safe interpretation of a torn write.
     """
@@ -95,11 +65,10 @@ class WriteAheadLog:
             self._flushed = len(self._buffer)
 
     # ------------------------------------------------------------------
-    def append(self, record: LogRecord) -> None:
-        payload = record.encode()
-        frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload), record.kind)
-        self._buffer.extend(frame)
-        self._buffer.extend(payload)
+    def append(self, payload: bytes) -> None:
+        """Frame ``payload`` onto the tail (durable once flushed)."""
+        self._buffer += _FRAME_HEADER.pack(len(payload), zlib.crc32(payload))
+        self._buffer += payload
 
     def flush(self) -> None:
         """Force the log to stable storage (commit durability point)."""
@@ -117,12 +86,12 @@ class WriteAheadLog:
         del self._buffer[keep:]
 
     # ------------------------------------------------------------------
-    def records(self) -> Iterator[LogRecord]:
-        """Decode frames until the end or the first damaged frame."""
+    def frames(self) -> Iterator[bytes]:
+        """Payloads in log order, up to the end or the first damaged frame."""
         offset = 0
         buffer = self._buffer
         while offset + _FRAME_HEADER.size <= len(buffer):
-            length, crc, kind_value = _FRAME_HEADER.unpack_from(buffer, offset)
+            length, crc = _FRAME_HEADER.unpack_from(buffer, offset)
             start = offset + _FRAME_HEADER.size
             end = start + length
             if end > len(buffer):
@@ -130,15 +99,11 @@ class WriteAheadLog:
             payload = bytes(buffer[start:end])
             if zlib.crc32(payload) != crc:
                 return  # damaged frame: ignore it and everything after
-            try:
-                kind = LogKind(kind_value)
-            except ValueError:
-                return
-            yield LogRecord.decode(kind, payload)
+            yield payload
             offset = end
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.records())
+        return sum(1 for _ in self.frames())
 
     @property
     def size_bytes(self) -> int:
@@ -152,60 +117,40 @@ class WriteAheadLog:
             os.remove(self.path)
 
 
-@dataclass
-class RecoveryReport:
-    """What recovery did."""
-
-    committed_txns: List[int]
-    rolled_back_txns: List[int]
-    redone_updates: int
-    undone_updates: int
-
-
-def analyze(log: WriteAheadLog):
-    """Pass 1: classify transactions by outcome."""
-    committed = set()
-    aborted = set()
-    seen = set()
-    updates: List[LogRecord] = []
-    for record in log.records():
-        seen.add(record.txn_id)
-        if record.kind is LogKind.COMMIT:
-            committed.add(record.txn_id)
-        elif record.kind is LogKind.ABORT:
-            aborted.add(record.txn_id)
-        elif record.kind is LogKind.UPDATE:
-            updates.append(record)
-    losers = seen - committed - aborted
-    return committed, aborted, losers, updates
+def encode_transaction(
+    allocators: AllocatorState, entries: Iterable[Tuple[int, int, bytes]]
+) -> bytes:
+    """One transaction frame's payload: the allocator state, then every
+    ``(store tag, slot, after-image)`` entry."""
+    parts = [_TXN_HEADER.pack(*allocators)]
+    pack_entry = _ENTRY_HEADER.pack
+    for tag, slot, image in entries:
+        parts.append(pack_entry(tag, slot, len(image)))
+        parts.append(image)
+    return b"".join(parts)
 
 
-def recover(log: WriteAheadLog, apply_image) -> RecoveryReport:
-    """ARIES-style recovery: repeat history, then undo losers.
-
-    Pass 1 (redo) replays *every* update in log order — including those
-    of aborted transactions, whose in-place rollbacks were themselves
-    logged as compensation updates, so replaying history reproduces the
-    exact pre-crash page state.  Pass 2 (undo) rolls back, in reverse log
-    order, only the *losers*: transactions with neither COMMIT nor ABORT
-    in the durable log.
-
-    ``apply_image(record_id, image_bytes)`` writes one record image into
-    the store; an empty image means "delete/clear the record".
-    """
-    committed, aborted, losers, updates = analyze(log)
-    redone = 0
-    undone = 0
-    for record in updates:
-        apply_image(record.record_id, record.after)
-        redone += 1
-    for record in reversed(updates):
-        if record.txn_id in losers:
-            apply_image(record.record_id, record.before)
-            undone += 1
-    return RecoveryReport(
-        committed_txns=sorted(committed),
-        rolled_back_txns=sorted(losers | aborted),
-        redone_updates=redone,
-        undone_updates=undone,
-    )
+def redo(payload: bytes, files: Sequence[PagedFile]) -> AllocatorState:
+    """Write one transaction frame's slot images into ``files`` (indexed
+    by store tag, growing them as needed); returns its allocator state."""
+    if len(payload) < _TXN_HEADER.size:
+        raise StorageError("truncated WAL transaction header")
+    allocators = _TXN_HEADER.unpack_from(payload)
+    offset = _TXN_HEADER.size
+    while offset < len(payload):
+        if offset + _ENTRY_HEADER.size > len(payload):
+            raise StorageError("truncated WAL entry header")
+        tag, slot, length = _ENTRY_HEADER.unpack_from(payload, offset)
+        start = offset + _ENTRY_HEADER.size
+        offset = start + length
+        if tag >= len(files) or offset > len(payload):
+            raise StorageError("malformed WAL entry")
+        paged = files[tag]
+        if not 0 < length <= paged.page_size:
+            raise StorageError(f"WAL image of {length} bytes fits no slot")
+        page, index = divmod(slot, paged.page_size // length)
+        while paged.num_pages <= page:
+            paged.allocate_page()
+        position = index * length
+        paged.buffers[page][position : position + length] = payload[start:offset]
+    return allocators

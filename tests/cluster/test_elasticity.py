@@ -3,11 +3,13 @@
 Three layers of coverage:
 
 * **ServerJournal round-trips** — a scripted sequence of primitive
-  store mutations, crashed at *every* journal boundary (each logical
-  mutation is one flushed journal transaction): the rebuilt store's
-  logical snapshot must equal the live store's at that boundary, the
-  RecoveryReport must account for the applied image, and recovering
-  twice must be idempotent.
+  store mutations, each committed as one log transaction, crashed at
+  *every* transaction boundary: the rebuilt store's logical snapshot,
+  allocator state and page bytes must equal the live store's at that
+  boundary, a torn in-flight frame must recover the previous boundary,
+  and recovering twice must be idempotent.  The same holds on the
+  cluster path — writes, a fault-rolled-back write, every migration
+  step, a join and a drain — at every byte offset of every frame.
 * **Cluster membership** — ``add_server`` (capacity-weighted scale-out
   reshard, id-generation rebase), ``drain_server`` (zero primaries,
   purged caches, rollback on abort), ``crash_recover_server``
@@ -19,17 +21,21 @@ Three layers of coverage:
   time instead of the live active membership).
 """
 
+import copy
+
 import pytest
 
 from repro.cluster import server as server_states
 from repro.cluster.durability import ServerJournal, logical_store_snapshot
 from repro.cluster.hermes import HermesCluster
 from repro.core.config import RepartitionerConfig
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, FaultInjectedError
+from repro.graph.generators import make_dataset
 from repro.partitioning.hashing import HashPartitioner
 from repro.serving.frontend import ServingFrontend
 from repro.storage.graph_store import GraphStore
-from tests.conftest import make_random_graph
+from repro.storage.wal import WriteAheadLog
+from tests.conftest import link_down_plan, make_random_graph
 
 
 def durable_cluster(num_servers=4, num_vertices=48, num_edges=120, seed=7):
@@ -42,14 +48,32 @@ def durable_cluster(num_servers=4, num_vertices=48, num_edges=120, seed=7):
     )
 
 
+def page_bytes(store):
+    return [
+        bytes(page)
+        for record_store in store.record_stores()
+        for page in record_store.pages.buffers
+    ]
+
+
+def replace_log(journal, frames):
+    """Give ``journal`` a log holding exactly ``frames``, all flushed."""
+    log = WriteAheadLog()
+    for payload in frames:
+        log.append(payload)
+    log.flush()
+    journal.wal = log
+    return log
+
+
 # ----------------------------------------------------------------------
-# ServerJournal: crash at every journal boundary
+# ServerJournal: crash at every transaction boundary
 # ----------------------------------------------------------------------
 def scripted_store():
     """A fresh single-stripe store + the mutation script to run on it.
 
-    Every entry is exactly one logical mutation — one journal
-    transaction — so index ``k`` is the ``k``-th journal boundary.
+    Every entry is exactly one logical mutation, committed as one log
+    transaction, so index ``k`` is the ``k``-th transaction boundary.
     """
     store = GraphStore(server_id=0, num_servers=1)
     rel_a = store.allocate_rel_id()
@@ -74,55 +98,166 @@ def scripted_store():
 BOUNDARIES = range(len(scripted_store()[1]) + 1)
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
-def test_crash_at_every_journal_boundary_rebuilds_exactly(boundary):
+def run_script(boundary):
+    """The script's first ``boundary`` entries, each one committed."""
     store, script = scripted_store()
-    journal = ServerJournal()
-    journal.attach(store)
+    journal = ServerJournal(store)
     for mutation in script[:boundary]:
         mutation()
+        journal.commit()
+    return store, journal
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_crash_at_every_journal_boundary_rebuilds_exactly(boundary):
+    store, journal = run_script(boundary)
+    # Every entry changes at least one slot: one flushed frame each.
+    assert len(journal.wal) == boundary
     expected = logical_store_snapshot(store)
-    report = journal.crash()
-    # Every journal txn commits and flushes at the mutation boundary:
-    # nothing is ever rolled back, nothing undone.
-    assert not report.rolled_back_txns
-    assert report.undone_updates == 0
-    assert journal.snapshot() == expected
+    journal.crash()
     rebuilt = journal.rebuild(server_id=0)
     assert logical_store_snapshot(rebuilt) == expected
-    # Allocator positions survive: ids minted after recovery never
-    # collide with ids minted before the crash.
-    assert rebuilt.next_id_bound() >= store.next_id_bound()
+    # Physical redo: the pages — chains, free slots, property records —
+    # come back byte for byte, and the allocators at their exact
+    # positions, so ids minted after recovery never collide with ids
+    # minted before the crash.
+    assert page_bytes(rebuilt) == page_bytes(store)
+    assert rebuilt.allocator_state() == store.allocator_state()
 
 
 @pytest.mark.parametrize("boundary", [0, 3, 7, len(scripted_store()[1])])
 def test_double_recovery_is_idempotent(boundary):
-    store, script = scripted_store()
-    journal = ServerJournal()
-    journal.attach(store)
-    for mutation in script[:boundary]:
-        mutation()
+    store, journal = run_script(boundary)
     expected = logical_store_snapshot(store)
     journal.crash()
-    first = logical_store_snapshot(journal.rebuild(server_id=0))
+    first = journal.rebuild(server_id=0)
     journal.crash()
-    second = logical_store_snapshot(journal.rebuild(server_id=0))
-    assert first == second == expected
+    second = journal.rebuild(server_id=0)
+    assert logical_store_snapshot(first) == logical_store_snapshot(second) == expected
+    assert page_bytes(first) == page_bytes(second)
 
 
-def test_torn_wal_tail_is_discarded():
-    """A crash that keeps a prefix of the unflushed tail must recover
-    the same state as one that loses it all — the torn frame's CRC
-    fails and replay stops at the last complete record."""
+def test_torn_wal_tail_is_discarded(monkeypatch):
+    """A crash inside the last frame — appended, not yet flushed — must
+    recover the previous boundary at every torn length, and this one
+    once the whole frame survived: a frame is a transaction, whole or
+    not at all."""
     store, script = scripted_store()
-    journal = ServerJournal()
-    journal.attach(store)
-    for mutation in script:
+    journal = ServerJournal(store)
+    for mutation in script[:-1]:
         mutation()
-    expected = logical_store_snapshot(store)
-    for keep in (0, 1, 5, 17):
+        journal.commit()
+    before = logical_store_snapshot(store)
+    flushed = journal.wal.size_bytes
+    script[-1]()
+    with monkeypatch.context() as patch:
+        patch.setattr(WriteAheadLog, "flush", lambda log: None)
+        journal.commit()
+    after = logical_store_snapshot(store)
+    frame = journal.wal.size_bytes - flushed
+    for keep in range(frame, -1, -1):  # each crash truncates the tail further
         journal.crash(keep_unflushed_bytes=keep)
-        assert journal.snapshot() == expected
+        expected = after if keep == frame else before
+        assert logical_store_snapshot(journal.rebuild(server_id=0)) == expected
+
+
+def test_every_cluster_transaction_boundary_recovers(monkeypatch):
+    """The cluster path, one transaction per server per operation: a
+    write with properties, a cross-server edge, a fault-rolled-back edge
+    (its compensating writes commit), every step of an online migration,
+    a join and a drain.  At every boundary the log's committed prefix
+    rebuilds the live store exactly (snapshot and pages); at every byte
+    offset inside the next frame the torn frame is dropped whole."""
+    cluster = HermesCluster.from_graph(
+        make_random_graph(16, 32, seed=2),
+        num_servers=3,
+        partitioner=HashPartitioner(),
+        repartitioner=RepartitionerConfig(k=2),
+        durability=True,
+    )
+    boundaries = {}
+
+    def record(journal, reset):
+        state = (logical_store_snapshot(journal.store), page_bytes(journal.store))
+        if reset:
+            boundaries[journal] = [state]
+        else:
+            boundaries[journal].append(state)
+
+    original_attach = ServerJournal.attach
+    original_write = ServerJournal._write_frame
+
+    def attach(journal, store):
+        original_attach(journal, store)
+        record(journal, reset=True)
+
+    def write_frame(journal):
+        original_write(journal)
+        record(journal, reset=False)
+
+    for server in cluster.servers:
+        record(server.journal, reset=True)
+    monkeypatch.setattr(ServerJournal, "attach", attach)
+    monkeypatch.setattr(ServerJournal, "_write_frame", write_frame)
+
+    home = cluster.catalog.lookup
+    u = 0
+    v, w = [
+        x
+        for x in range(1, 16)
+        if home(x) != home(u) and not cluster.graph.has_edge(u, x)
+    ][:2]
+    cluster.add_vertex(
+        100, properties={"name": "new", "tags": ["a", "b"]}, server=home(u)
+    )
+    cluster.add_edge(u, v, properties={"since": 2015})
+    cluster.attach_faults(link_down_plan(home(u), home(w)))
+    with pytest.raises(FaultInjectedError):
+        cluster.add_edge(u, w)
+    cluster.attach_faults(None)
+    steps = list(cluster.rebalance_steps(force=True))
+    assert {step.kind for step in steps} == {"copy", "barrier", "remove"}
+    cluster.add_server()
+    cluster.drain_server(1)
+    cluster.validate()
+
+    frames_checked = 0
+    for journal, states in boundaries.items():
+        server_id = journal.store.server_id
+        frames = list(journal.wal.frames())
+        assert len(frames) == len(states) - 1
+        view = copy.copy(journal)
+        for count, (snapshot, pages) in enumerate(states):
+            replace_log(view, frames[:count])
+            view.crash()
+            rebuilt = view.rebuild(server_id)
+            assert logical_store_snapshot(rebuilt) == snapshot
+            assert page_bytes(rebuilt) == pages
+            if count == len(frames):
+                continue
+            # The next frame in flight — appended, not flushed — torn at
+            # every length short of whole (each crash cuts it further):
+            # the log always ends at this boundary; the rebuild from it
+            # is re-checked at a few of the lengths.
+            log = replace_log(view, frames[:count])
+            flushed = log.size_bytes
+            log.append(frames[count])
+            torn = log.size_bytes - flushed
+            for keep in range(torn - 1, -1, -1):
+                view.crash(keep_unflushed_bytes=keep)
+                assert list(view.wal.frames()) == frames[:count]
+                if keep in (0, 1, torn // 2, torn - 1):
+                    rebuilt = view.rebuild(server_id)
+                    assert logical_store_snapshot(rebuilt) == snapshot
+            frames_checked += 1
+    assert frames_checked > len(steps)
+
+    for server_id in cluster.active_servers():
+        live = logical_store_snapshot(cluster.servers[server_id].store)
+        for _ in range(2):
+            episode = cluster.crash_recover_server(server_id)
+            assert episode["pre"] == episode["post"] == live
+    cluster.validate()
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +407,49 @@ class TestCrashRecovery:
         cluster = durable_cluster()
         with pytest.raises(ClusterError):
             cluster.recover_server(0)
+
+    def test_reopened_durable_cluster_recovers(self, tmp_path):
+        """``load_cluster(..., durability=True)`` checkpoints the stores
+        it loaded (the parent left each log watching the empty store
+        built before the swap, so the first crash lost the server)."""
+        graph = make_dataset("orkut", 120, seed=7).graph
+        HermesCluster.from_graph(graph, num_servers=4).save(str(tmp_path))
+        cluster = HermesCluster.load_cluster(str(tmp_path), durability=True)
+        cluster.add_vertex(10001, server=1)
+        live = logical_store_snapshot(cluster.servers[1].store)
+        episode = cluster.crash_recover_server(1)
+        assert episode["pre"] == episode["post"] == live
+        assert 10001 in episode["post"]["nodes"]
+        cluster.validate()
+
+    def test_recovery_disagreeing_with_the_catalog_changes_nothing(self):
+        """A rebuilt store that does not serve what the catalog says is
+        rejected before it is swapped in: typed error, server back in
+        CRASHED, its store, log and the recovery log untouched."""
+        cluster = durable_cluster()
+        cluster.add_vertex(3000, server=2)
+        server = cluster.servers[2]
+        frames = list(server.journal.wal.frames())
+        replace_log(server.journal, frames[:-1])  # lose the insert's commit
+        store = server.store
+        cluster.crash_server(2)
+        with pytest.raises(ClusterError):
+            cluster.recover_server(2)
+        assert server.state == server_states.CRASHED
+        assert server.store is store
+        assert list(server.journal.wal.frames()) == frames[:-1]
+        assert cluster.recovery_log == []
+        with pytest.raises(ClusterError):  # a retry finds the same state
+            cluster.recover_server(2)
+        assert server.state == server_states.CRASHED
+
+    def test_crash_with_an_open_transaction_is_a_missed_boundary(self):
+        cluster = durable_cluster()
+        cluster.servers[0].store.add_node_weight(
+            next(iter(cluster.catalog.vertices_on(0))), 1.0
+        )
+        with pytest.raises(AssertionError):
+            cluster.crash_server(0)
 
     def test_crashed_then_drained_is_rejected(self):
         cluster = durable_cluster()

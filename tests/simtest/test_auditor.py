@@ -43,11 +43,14 @@ EXPECTED_INVARIANT = {
     "window_leak": "double-write-coherence",
     "phantom_primary": "drain-completeness",
     "stale_recovery": "recovery-fidelity",
+    "lost_commit": "recovery-fidelity",
 }
 
 
 def corrupted_schedule(seed=7, mode="catalog_drift", at=12):
-    spec, schedule = ScenarioGenerator(seed).generate()
+    # lost_commit needs a durable cluster: force the elasticity draw.
+    elasticity = True if mode == "lost_commit" else None
+    spec, schedule = ScenarioGenerator(seed).generate(elasticity=elasticity)
     return spec, schedule[:at] + [Step("corrupt", {"mode": mode})] + schedule[at:]
 
 
