@@ -262,19 +262,19 @@ def test_bench_two_hop_traversal(benchmark, dataset):
     traversal_bench(benchmark, dataset, 2)
 
 
-def durable_cluster(dataset):
+def hashed_cluster(dataset, durability=True):
     return HermesCluster.from_graph(
         dataset.graph.copy(),
         num_servers=8,
         partitioner=HashPartitioner(),
-        durability=True,
+        durability=durability,
     )
 
 
 def test_bench_durable_add_edge(benchmark, dataset):
     """One new edge on a durable cluster: the records, then one flushed
     log transaction per server written to."""
-    cluster = durable_cluster(dataset)
+    cluster = hashed_cluster(dataset)
     rng = random.Random(8)
     vertices = sorted(cluster.graph.vertices())
 
@@ -288,11 +288,21 @@ def test_bench_durable_add_edge(benchmark, dataset):
     benchmark(add_edge)
 
 
+def test_bench_migrate_vertex(benchmark, dataset):
+    """The same vertex moved on a cluster without a log: the store work
+    of a copy (one ``import_node``) and a remove (one ``delete_node``)."""
+    migrate_vertex_bench(benchmark, hashed_cluster(dataset, durability=False))
+
+
 def test_bench_durable_migrate_vertex(benchmark, dataset):
     """One vertex moved on a durable cluster through the migration
     generator ``rebalance_steps`` delegates to: copy, barrier, remove,
     each step committed."""
-    cluster = durable_cluster(dataset)
+    migrate_vertex_bench(benchmark, hashed_cluster(dataset))
+
+
+def migrate_vertex_bench(benchmark, cluster):
+    """The highest-degree vertex moved one server on, per round."""
     vertex = max(cluster.graph.vertices(), key=cluster.graph.degree)
 
     def migrate():
@@ -313,7 +323,7 @@ def test_bench_crash_recover_server(benchmark, dataset):
     """Crash and recover one server that committed 50 edges since its
     last checkpoint: the checkpoint pages, the frames redone into them,
     the indexes rebuilt by scan."""
-    cluster = durable_cluster(dataset)
+    cluster = hashed_cluster(dataset)
     rng = random.Random(9)
     local = sorted(cluster.catalog.vertices_on(0))
 

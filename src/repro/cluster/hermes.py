@@ -63,9 +63,11 @@ from repro.exceptions import (
     FaultInjectedError,
     MigrationAbortedError,
     ServerDownError,
+    StorageError,
 )
 from repro.graph.adjacency import SocialGraph
 from repro.storage.graph_store import GraphStore
+from repro.storage.records import NULL_REF
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.telemetry import Telemetry, export_jsonl, installed, summary_text
@@ -978,8 +980,16 @@ class HermesCluster:
         """Full cross-layer consistency check (used by integration tests).
 
         Verifies catalog == auxiliary placement, store hosting, ghost
-        conventions and auxiliary counters against the mirror graph.
+        conventions and auxiliary counters against the mirror graph, and
+        that every hosted vertex's relationship chain links back: each
+        record's ``prev`` on the vertex's side names the record before
+        it (NULL at the head).  Each chain is walked once, on its
+        vertex's home server; an edge's two walks must find one record
+        id.  O(V + E).
         """
+        #: edge -> the record id the first of its two walks found; the
+        #: second walk must find the same one and takes the entry out
+        unmatched: Dict[Tuple[int, int], int] = {}
         for vertex in self.graph.vertices():
             home = self.catalog.lookup(vertex)
             if self.aux.partition_of(vertex) != home:
@@ -999,44 +1009,46 @@ class HermesCluster:
             if dict(self.aux.neighbor_counts(vertex)) != expected:
                 raise ClusterError(f"aux counters wrong for vertex {vertex}")
             # The hosting server's adjacency must equal the mirror's.
-            local = sorted(self.servers[home].store.neighbors(vertex))
-            if local != sorted(self.graph.neighbors(vertex)):
+            local = self._validate_chain(vertex, home, unmatched)
+            if sorted(local) != sorted(self.graph.neighbors(vertex)):
                 raise ClusterError(f"store adjacency wrong for vertex {vertex}")
-        for u, v in self.graph.edges():
-            self._validate_edge(u, v)
+        if unmatched:
+            edge = next(iter(unmatched))
+            raise ClusterError(f"edge {edge} has a record in one chain only")
 
-    def _validate_edge(self, u: int, v: int) -> None:
-        host_u = self.catalog.lookup(u)
-        host_v = self.catalog.lookup(v)
-        rel_u = self._find_rel(host_u, u, v)
-        if rel_u is None:
-            raise ClusterError(f"edge ({u}, {v}) missing on server {host_u}")
-        if host_u == host_v:
-            record = self.servers[host_u].store.relationship(rel_u)
-            if record.ghost:
-                raise ClusterError(f"local edge ({u}, {v}) is marked ghost")
-            return
-        rel_v = self._find_rel(host_v, v, u)
-        if rel_v is None:
-            raise ClusterError(f"edge ({u}, {v}) missing on server {host_v}")
-        if rel_u != rel_v:
-            raise ClusterError(f"edge ({u}, {v}) has mismatched record IDs")
-        record_u = self.servers[host_u].store.relationship(rel_u)
-        record_v = self.servers[host_v].store.relationship(rel_v)
-        src_host = self.catalog.lookup(record_u.src)
-        for host, record in ((host_u, record_u), (host_v, record_v)):
-            expected_ghost = host != src_host
-            if record.ghost != expected_ghost:
+    def _validate_chain(
+        self, vertex: int, home: int, unmatched: Dict[Tuple[int, int], int]
+    ) -> List[int]:
+        """Walk ``vertex``'s chain on ``home`` once — back links, ghost
+        roles (the primary lives with ``src``), one record id per edge —
+        and return the neighbours it lists."""
+        try:
+            chain = self.servers[home].store.chain(vertex)
+        except StorageError as exc:
+            raise ClusterError(
+                f"chain of vertex {vertex} on server {home} is broken: {exc}"
+            ) from exc
+        neighbors = []
+        previous = NULL_REF
+        for record in chain:
+            if record.prev_for(vertex) != previous:
                 raise ClusterError(
-                    f"edge ({u}, {v}) ghost flag wrong on server {host}"
+                    f"relationship {record.rel_id} in vertex {vertex}'s chain on "
+                    f"server {home} links back to {record.prev_for(vertex)}, "
+                    f"not {previous}"
                 )
-
-    def _find_rel(self, host: int, node: int, other: int) -> Optional[int]:
-        store = self.servers[host].store
-        for entry in store.neighbor_entries(node, include_unavailable=True):
-            if entry.neighbor == other:
-                return entry.rel_id
-        return None
+            previous = record.rel_id
+            neighbor = record.other_endpoint(vertex)
+            neighbors.append(neighbor)
+            edge = (vertex, neighbor) if vertex < neighbor else (neighbor, vertex)
+            if record.ghost != (self.catalog.lookup(record.src) != home):
+                raise ClusterError(f"edge {edge} ghost flag wrong on server {home}")
+            found = unmatched.pop(edge, None)
+            if found is None:
+                unmatched[edge] = record.rel_id
+            elif found != record.rel_id:
+                raise ClusterError(f"edge {edge} has mismatched record IDs")
+        return neighbors
 
     def __repr__(self) -> str:
         return (

@@ -15,10 +15,22 @@ of the lightweight repartitioner, the executor:
 
 Relationship bookkeeping follows the ownership convention: the primary
 (property-bearing) record lives with the ``src`` endpoint's host; the
-other side keeps a ghost.  The executor recomputes ghost/primary roles
-against the *post-migration* catalog so that edges between two migrating
-vertices, edges to third-party servers, and edges collapsing into a
-single server are all handled.
+other side keeps a ghost.  The executor computes each record's role once
+against the *post-migration* placement (:meth:`MigrationExecutor._is_ghost`,
+shared by the copy step, :meth:`MigrationExecutor.mirror_edge` and the
+remove step) so that edges between two migrating vertices, edges to
+third-party servers, and edges collapsing into a single server are all
+handled.
+
+Both steps move a vertex's relationship chain at once, not a record at a
+time.  A copy is one :meth:`~repro.storage.graph_store.GraphStore.import_node`
+on the target: the node, its properties and every relationship record,
+each written once with its final pointers.  A remove is one
+:meth:`~repro.storage.graph_store.GraphStore.delete_node` walk on the
+source, keeping a record only where the other endpoint stays there.  The
+stores end byte for byte where installing and unlinking one record at a
+time left them (``tests/cluster/test_migration_differential.py``), and
+the undo journal holds the same entries in the same order.
 
 Execution is **transactional**: every store mutation performed by the
 copy step is journalled, and a failure before the catalog flips (a crash
@@ -374,11 +386,27 @@ class MigrationExecutor:
         report.vertices_moved += 1
         report.per_target[move.target] = report.per_target.get(move.target, 0) + 1
 
-        target.store.import_node(payload)
-        undo.append(("import", move.target, move.vertex))
-        for rel in payload["relationships"]:
-            self._install_relationship(target, move.vertex, rel, final_home, undo)
-            report.relationships_transferred += 1
+        here = move.target
+        rels = payload["relationships"]
+        roles = [self._is_ghost(rel["src"], here, final_home) for rel in rels]
+        before = target.store.import_node(payload, roles)
+        # The journal of installing one record at a time, in its order.
+        undo.append(("import", here, move.vertex))
+        for rel, ghost, prior in zip(rels, roles, before):
+            rel_id = rel["rel_id"]
+            if prior is None:
+                undo.append(("create_rel", here, rel_id))
+                continue
+            undo.append(("attach", here, rel_id, move.vertex))
+            if prior.ghost and not ghost:
+                undo.append(("ghost", here, rel_id, True, {}))
+            elif not prior.ghost and ghost:
+                undo.append(("ghost", here, rel_id, False, prior.properties))
+            if not ghost:
+                held = prior.properties
+                for key in rel["properties"]:
+                    undo.append(("prop", here, rel_id, key, key in held, held.get(key)))
+        report.relationships_transferred += len(rels)
 
     def _transfer(self, src: int, dst: int, size: int) -> float:
         """One copy-step record shipment, retried under injected faults."""
@@ -405,56 +433,55 @@ class MigrationExecutor:
         final_home: Dict[int, int],
         undo: List[Tuple],
     ) -> None:
-        """Create or merge one relationship record on the target server."""
+        """Create or merge one relationship record on the target server:
+        :meth:`mirror_edge`'s one edge into the chain of a copy already
+        installed."""
         rel_id = rel["rel_id"]
         src, dst = rel["src"], rel["dst"]
-        other = dst if arriving == src else src
-        other_home = self._home_after(other, final_home)
         here = target.server_id
-        primary_here = self._home_after(src, final_home) == here
-        both_local_eventually = other_home == here
+        ghost = self._is_ghost(src, here, final_home)
 
         if target.store.has_relationship(rel_id):
-            # Counterpart already present (other endpoint lives here or
-            # arrived earlier in this copy step): link the new endpoint in
-            # and reconcile the primary/ghost role.  A mid-window write
-            # whose other endpoint lives on the target was already linked
-            # into the arriving copy's chain by ``create_relationship``
-            # (it links every local endpoint, available or not) — the
-            # mirror then only journals the attach so an abort still
-            # detaches it, without double-linking the chain.
+            # Counterpart already present (the other endpoint lives here
+            # or is windowed here too): link the new endpoint in and
+            # reconcile the primary/ghost role.  A mid-window write whose
+            # other endpoint lives on the target was already linked into
+            # the arriving copy's chain by ``create_relationship`` (it
+            # links every local endpoint, available or not) — the mirror
+            # then only journals the attach so an abort still detaches
+            # it, without double-linking the chain.
             if not target.store.chain_contains(arriving, rel_id):
                 target.store.attach_endpoint(rel_id, arriving)
-            undo.append(("attach", target.server_id, rel_id, arriving))
+            undo.append(("attach", here, rel_id, arriving))
             existing = target.store.relationship(rel_id)
-            should_be_ghost = not (primary_here or both_local_eventually)
-            if existing.ghost and not should_be_ghost:
+            if existing.ghost and not ghost:
                 target.store.set_ghost(rel_id, False)
-                undo.append(("ghost", target.server_id, rel_id, True, {}))
-            elif not existing.ghost and should_be_ghost:
+                undo.append(("ghost", here, rel_id, True, {}))
+            elif not existing.ghost and ghost:
                 # Downgrading drops the property chain; capture it so a
                 # rollback can restore the record byte-for-byte.
                 old_props = target.store.relationship_properties(rel_id)
                 target.store.set_ghost(rel_id, True)
-                undo.append(("ghost", target.server_id, rel_id, False, old_props))
-            if not should_be_ghost:
-                # Merge properties: the primary payload may arrive second
-                # when both endpoints migrate to the same server.
+                undo.append(("ghost", here, rel_id, False, old_props))
+            if not ghost:
                 for key, value in rel.get("properties", {}).items():
                     had = key in target.store.relationship_properties(rel_id)
                     old = target.store.get_relationship_property(rel_id, key)
                     target.store.set_relationship_property(rel_id, key, value)
-                    undo.append(
-                        ("prop", target.server_id, rel_id, key, had, old)
-                    )
+                    undo.append(("prop", here, rel_id, key, had, old))
             return
 
-        ghost = not (primary_here or both_local_eventually)
-        properties = rel.get("properties", {}) if not ghost else None
+        properties = None if ghost else rel.get("properties") or None
         target.store.create_relationship(
-            rel_id, src, dst, ghost=ghost, properties=properties or None
+            rel_id, src, dst, ghost=ghost, properties=properties
         )
-        undo.append(("create_rel", target.server_id, rel_id))
+        undo.append(("create_rel", here, rel_id))
+
+    def _is_ghost(self, src: int, here: int, final_home: Dict[int, int]) -> bool:
+        """The primary/ghost rule: a relationship's record on ``here`` is
+        the property-bearing primary exactly when the relationship's
+        ``src`` ends the migration hosted on ``here``."""
+        return self._home_after(src, final_home) != here
 
     # ------------------------------------------------------------------
     # Rollback (abort path)
@@ -522,35 +549,23 @@ class MigrationExecutor:
         final_home: Dict[int, int],
         report: MigrationReport,
     ) -> None:
-        """Retire one migrated vertex's source copy (post-commit, local)."""
-        source = self.servers[move.source]
-        store = source.store
-        entries = list(
-            store.neighbor_entries(move.vertex, include_unavailable=True)
+        """Retire one migrated vertex's source copy (post-commit, local).
+
+        An edge whose other endpoint stays here now crosses partitions:
+        the store keeps its record for that endpoint, as a ghost exactly
+        when the departing vertex was its ``src`` — :meth:`_is_ghost`
+        with the source as ``here``.  Every other record goes.  One local
+        visit is charged per chain entry, in chain order, then one for
+        the node.
+        """
+        here = move.source
+        rewritten = self.servers[here].store.delete_node(
+            move.vertex,
+            stays=lambda other: self._home_after(other, final_home) == here,
         )
-        for entry in entries:
-            other = entry.neighbor
-            other_here = (
-                store.has_node(other)
-                and self._home_after(other, final_home) == move.source
-            )
-            if other_here:
-                # The edge now crosses partitions: keep the record for
-                # the staying endpoint, null the migrated side, and
-                # recompute its ghost role (primary follows src).
-                store.detach_endpoint(entry.rel_id, move.vertex)
-                record = store.relationship(entry.rel_id)
-                should_be_ghost = (
-                    self._home_after(record.src, final_home) != move.source
-                )
-                if record.ghost != should_be_ghost:
-                    store.set_ghost(entry.rel_id, should_be_ghost)
-                report.relationships_rewritten += 1
-            else:
-                store.delete_relationship(entry.rel_id)
-                report.relationships_rewritten += 1
+        report.relationships_rewritten += rewritten
+        for _ in range(rewritten):
             report.remove_cost += self.network.local_visit()
-        store.remove_node_record(move.vertex)
         report.remove_cost += self.network.local_visit()
 
     # ------------------------------------------------------------------

@@ -30,7 +30,14 @@ without building a record object, over the one chain walk
 consume: a 1-hop traversal from a vertex of degree *d* costs 1 + 2d
 record accesses cluster-wide.  ``is_available``, ``node``,
 ``neighbor_entries``, ``node_properties`` and the mutators remain the
-per-record boundary for point reads, migration and recovery.
+per-record boundary for point reads and single writes.
+
+Migration writes a whole chain at a time: ``import_node`` installs an
+arriving node with its chain, writing each relationship record once with
+its final pointers, and ``delete_node`` dismantles a departing node in
+one walk of its chain.  Both allocate and free slots, ids and blobs in
+the order the per-record mutators would, so the pages they leave are
+the ones installing or unlinking one record at a time leaves.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import os
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -48,6 +56,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -84,6 +93,15 @@ class NeighborEntry(NamedTuple):
     neighbor: int
     rel_id: int
     ghost: bool
+
+
+class RecordBefore(NamedTuple):
+    """What a record already present held before :meth:`GraphStore.import_node`
+    gave it its role: its ghost flag, and its properties wherever the role
+    replaces or merges them (empty otherwise)."""
+
+    ghost: bool
+    properties: Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -204,14 +222,50 @@ class GraphStore:
         self._add_weight(record, popularity)
         return self._collect_properties(record.first_prop)
 
-    def delete_node(self, node_id: int) -> None:
-        """Remove a node, all its relationship records and its properties."""
-        record = self.nodes.read(node_id)
-        entries = list(self.neighbor_entries(node_id, include_unavailable=True))
-        for entry in entries:
-            self.delete_relationship(entry.rel_id)
-        self._delete_property_chain(record.first_prop)
-        self.nodes.delete(node_id)
+    def delete_node(
+        self, node_id: int, stays: Optional[Callable[[int], bool]] = None
+    ) -> int:
+        """Remove a node with its properties in one walk of its chain;
+        returns how many relationship records the walk rewrote or deleted.
+
+        A record whose other endpoint is local and ``stays(other)`` is
+        kept for that endpoint — the migration remove step, where an edge
+        turns cross-partition: this node's side is NULLed and the record
+        becomes a ghost exactly when this node was its ``src`` (the
+        primary follows ``src``), dropping its properties.  Every other
+        record is unlinked from its other endpoint's chain when that
+        endpoint is local, loses its properties and is tombstoned.  With
+        no ``stays`` nothing is kept.  This node's own chain is not
+        maintained record by record: it goes away with the node.  Slots
+        are freed in chain order, so the store ends byte for byte where
+        unlinking one record at a time leaves it.
+        """
+        nodes = self.nodes
+        node = nodes.read(node_id)
+        chain = list(self._chain(node_id, node.first_rel))
+        for record in chain:
+            other = record.other_endpoint(node_id)
+            other_local = other in nodes
+            if other_local and stays is not None and stays(other):
+                ghost = record.src == node_id
+                if ghost and not record.ghost:
+                    self._delete_property_chain(record.first_prop)
+                    record = record._replace(first_prop=NULL_REF)
+                self.relationships.write(
+                    record._replace(ghost=ghost)
+                    .with_prev_for(node_id, NULL_REF)
+                    .with_next_for(node_id, NULL_REF)
+                )
+                continue
+            if other_local:
+                # Fresh: unlinking an earlier record between the same two
+                # nodes may have moved this one's pointers on that side.
+                self._unlink_from_chain(self.relationships.read(record.rel_id), other)
+            self._delete_property_chain(record.first_prop)
+            self.relationships.delete(record.rel_id)
+        self._delete_property_chain(node.first_prop)
+        nodes.delete(node_id)
+        return len(chain)
 
     def node_ids(self) -> Iterator[int]:
         return self.nodes.ids()
@@ -347,9 +401,9 @@ class GraphStore:
     def attach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Link an existing relationship record into a local node's chain.
 
-        Used by the migration copy step when the record's counterpart was
-        already present here (the other endpoint is local) and a migrating
-        endpoint arrives.
+        Used when a write mirrored into an online migration's window finds
+        the record already here (the other endpoint is local); a whole
+        arriving chain goes through :meth:`import_node`.
         """
         record = self.relationships.read(rel_id)
         node = self.nodes.get(node_id)
@@ -360,8 +414,8 @@ class GraphStore:
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that
         side's pointers.  The record survives for the other (local)
-        endpoint — this is how a local edge becomes a cross-partition one
-        when one endpoint migrates away."""
+        endpoint — how a rolled-back copy step takes an attached record
+        back."""
         record = self.relationships.read(rel_id)
         self._unlink_from_chain(record, node_id)
         record = record.with_prev_for(node_id, NULL_REF)
@@ -369,7 +423,8 @@ class GraphStore:
         self.relationships.write(record)
 
     def remove_node_record(self, node_id: int) -> None:
-        """Migration remove step: drop a node whose chain is already empty."""
+        """Drop a node whose chain is already empty (the last undo of a
+        rolled-back copy step)."""
         record = self.nodes.read(node_id)
         if record.first_rel != NULL_REF:
             raise StorageError(
@@ -424,6 +479,11 @@ class GraphStore:
             self.relationships.codec.decode, self._chain_fields(node_id, first_rel)
         )
 
+    def chain(self, node_id: int) -> List[RelationshipRecord]:
+        """The records of ``node_id``'s relationship chain, head first,
+        whether or not the node is available (consistency checks)."""
+        return list(self._chain(node_id, self.nodes.read(node_id).first_rel))
+
     def read_frontier(
         self, node_ids: Iterable[int], expand: bool
     ) -> List[Optional[Sequence[int]]]:
@@ -460,8 +520,8 @@ class GraphStore:
 
         Raises :class:`VertexUnavailableError` for a node in the
         migration *unavailable* state unless ``include_unavailable`` is
-        set (internal maintenance: the migration remove step walks chains
-        of nodes it already marked unavailable).
+        set (inspecting a node mid-migration, after the remove step has
+        marked it unavailable).
         """
         if include_unavailable:
             record = self.nodes.read(node_id)
@@ -548,6 +608,17 @@ class GraphStore:
         self.properties.create(new_id, owner, key, value, next_prop=first_prop)
         return new_id
 
+    def _new_property_chain(self, owner: int, properties: Dict[str, Any]) -> int:
+        """A fresh property chain for ``owner``; returns its head.  The
+        records, ids and blobs are the ones setting each key in turn on
+        an empty chain produces."""
+        first_prop = NULL_REF
+        for key, value in properties.items():
+            prop_id = self._prop_ids.allocate()
+            self.properties.create(prop_id, owner, key, value, next_prop=first_prop)
+            first_prop = prop_id
+        return first_prop
+
     def _get_property(self, first_prop: int, key: str, default: Any) -> Any:
         prop_id = first_prop
         while prop_id != NULL_REF:
@@ -621,14 +692,136 @@ class GraphStore:
             "relationships": relationships,
         }
 
-    def import_node(self, payload: Dict[str, Any]) -> None:
-        """Copy-step insert: node + properties (relationships are merged
-        separately because ghost/primary roles depend on the catalog)."""
+    def import_node(
+        self, payload: Dict[str, Any], roles: Sequence[bool]
+    ) -> List[Optional[RecordBefore]]:
+        """Copy-step insert: the node of an :meth:`export_node` payload,
+        its properties and its whole relationship chain, in one pass.
+
+        ``roles[i]`` says whether ``payload["relationships"][i]`` is a
+        ghost here once the migration completes (the caller knows the
+        placement; the store does not).  A record new to this store is
+        created with that role — a ghost keeps no properties — and
+        head-linked into its other endpoint's chain when that endpoint is
+        local.  A record already here (its other endpoint lives here)
+        takes the role: an upgrade to primary takes the payload's
+        properties, a downgrade drops its own, a primary merges the
+        payload's in.  The arriving chain ends in reverse payload order —
+        what head-inserting one record at a time leaves — so each record
+        is written once, with its final pointers on the arriving side,
+        and the node once, with its chain head.  Slots, ids and blobs
+        are allocated and freed in payload order, as one record at a
+        time does.
+
+        Everything is checked before the first write — the node is
+        absent, it is an endpoint of every record, no record comes twice,
+        a record already here joins the same two nodes and is not linked
+        on the arriving side — so a bad payload raises with the store
+        untouched.  Returns, aligned with the relationships, ``None`` for
+        a record created and the :class:`RecordBefore` of one that was
+        already here (the caller's undo journal).
+        """
         node = payload["node"]
-        self.create_node(
-            node["node_id"],
-            weight=node["weight"],
-            properties=payload["properties"],
+        node_id = node["node_id"]
+        rels = payload["relationships"]
+        present = self._check_import(node_id, rels, roles)
+        ids = [rel["rel_id"] for rel in rels]
+        last = len(ids) - 1
+        first_prop = self._new_property_chain(node_id, payload["properties"])
+        before: List[Optional[RecordBefore]] = []
+        for position, (rel, ghost) in enumerate(zip(rels, roles)):
+            rel_id = rel["rel_id"]
+            properties = {} if ghost else rel["properties"]
+            if rel_id in present:
+                # Read again, not the checked copy: an earlier record of
+                # this payload may have been head-linked in front of it.
+                record, prior = self._take_role(
+                    self.relationships.read(rel_id), ghost, properties
+                )
+                before.append(prior)
+            else:
+                self._rel_ids.observe(rel_id)
+                src, dst = rel["src"], rel["dst"]
+                record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
+                other = self.nodes.get(dst if src == node_id else src)
+                if other is not None:
+                    record = self._link_into_chain(record, other)
+                record = record.with_first_prop(
+                    self._new_property_chain(rel_id, properties)
+                )
+                before.append(None)
+            record = record.with_prev_for(
+                node_id, ids[position + 1] if position < last else NULL_REF
+            )
+            record = record.with_next_for(
+                node_id, ids[position - 1] if position else NULL_REF
+            )
+            self.relationships.write(record)
+        self.nodes.write(
+            NodeRecord(
+                node_id=node_id,
+                first_rel=ids[last] if ids else NULL_REF,
+                first_prop=first_prop,
+                weight=node["weight"],
+            )
+        )
+        return before
+
+    def _check_import(
+        self, node_id: int, rels: Sequence[Dict[str, Any]], roles: Sequence[bool]
+    ) -> Set[int]:
+        """Everything :meth:`import_node` must know before its first write;
+        returns the ids of the payload's records already here."""
+        if node_id in self.nodes:
+            raise StorageError(f"node {node_id} already exists")
+        if len(roles) != len(rels):
+            raise StorageError(
+                f"{len(roles)} roles for the {len(rels)} relationships of node {node_id}"
+            )
+        seen = set()
+        present = set()
+        for rel in rels:
+            rel_id, src, dst = rel["rel_id"], rel["src"], rel["dst"]
+            if rel_id in seen:
+                raise StorageError(f"relationship {rel_id} appears twice in the payload")
+            seen.add(rel_id)
+            if src == dst or node_id not in (src, dst):
+                raise StorageError(
+                    f"relationship {rel_id} ({src}, {dst}) cannot join node {node_id}"
+                )
+            record = self.relationships.get(rel_id)
+            if record is None:
+                continue
+            present.add(rel_id)
+            if (record.src, record.dst) != (src, dst):
+                raise StorageError(
+                    f"relationship {rel_id} here joins ({record.src}, {record.dst}), "
+                    f"not ({src}, {dst})"
+                )
+            if record.prev_for(node_id) != NULL_REF or record.next_for(node_id) != NULL_REF:
+                raise StorageError(
+                    f"relationship {rel_id} is already linked on node {node_id}'s side"
+                )
+        return present
+
+    def _take_role(
+        self, record: RelationshipRecord, ghost: bool, properties: Dict[str, Any]
+    ) -> Tuple[RelationshipRecord, RecordBefore]:
+        """``record`` in its ``ghost`` role with ``properties`` merged in
+        (the record is not written), and what it held before wherever the
+        role changes it."""
+        first_prop = record.first_prop
+        held: Dict[str, Any] = {}
+        if not record.ghost and (ghost or properties):
+            held = self._collect_properties(first_prop)
+        if ghost and not record.ghost:
+            self._delete_property_chain(first_prop)
+            first_prop = NULL_REF
+        for key, value in properties.items():
+            first_prop = self._set_property(first_prop, record.rel_id, key, value)
+        return (
+            record._replace(first_prop=first_prop, ghost=ghost),
+            RecordBefore(record.ghost, held),
         )
 
     # ==================================================================

@@ -5,9 +5,11 @@ import pytest
 from repro.cluster.hermes import HermesCluster
 from repro.core.config import RepartitionerConfig
 from repro.exceptions import ClusterError
-from repro.graph.generators import community_graph
+from repro.graph.generators import community_graph, make_dataset
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
+from repro.simtest.invariants import InvariantAuditor
+from repro.storage.records import NULL_REF
 from tests.conftest import make_random_graph, telemetry_snapshot
 
 
@@ -162,6 +164,43 @@ class TestRebalance:
         cluster.repartition_static(partitioner)
         assert cluster.partitioning() == expected
         cluster.validate()
+
+
+class TestValidateChains:
+    """``validate`` checks that every chain links back, so the auditor's
+    ``mirror-consistency`` sees a wrong ``prev`` pointer that leaves every
+    adjacency list intact."""
+
+    def corrupt(self, position, prev):
+        graph = make_dataset("orkut", 300, 3).graph
+        cluster = HermesCluster.from_graph(
+            graph, num_servers=4, partitioner=HashPartitioner()
+        )
+        rebalanced = cluster.rebalance(force=True)
+        assert rebalanced is not None
+        cluster.validate()
+        vertex = max(sorted(graph.vertices()), key=graph.degree)
+        store = cluster.servers[cluster.catalog.lookup(vertex)].store
+        chain = [entry.rel_id for entry in store.neighbor_entries(vertex)]
+        record = store.relationship(chain[position])
+        store.relationships.write(record.with_prev_for(vertex, prev(chain)))
+        return cluster, vertex
+
+    @pytest.mark.parametrize(
+        "position, prev",
+        [
+            (1, lambda chain: NULL_REF),
+            (2, lambda chain: chain[0]),
+            (0, lambda chain: chain[3]),
+        ],
+        ids=["second-null", "third-skips-back", "head-not-null"],
+    )
+    def test_a_wrong_prev_pointer_fails_validate_and_the_audit(self, position, prev):
+        cluster, vertex = self.corrupt(position, prev)
+        with pytest.raises(ClusterError, match=f"vertex {vertex}'s chain"):
+            cluster.validate()
+        (violation,) = InvariantAuditor().audit(cluster)
+        assert violation.invariant == "mirror-consistency"
 
 
 class TestMetrics:

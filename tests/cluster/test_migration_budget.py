@@ -1,0 +1,137 @@
+"""Count guard for the migration write path (no timing).
+
+The copy step installs a vertex's whole relationship chain with one
+``GraphStore.import_node`` and the remove step retires it with one
+``GraphStore.delete_node`` walk, so a relationship record is written
+once where it arrives instead of once per record linked in after it
+(DESIGN.md §15, "migration write path").  The budget is checked by
+counting, with hooks installed from here:
+
+* ``BPlusTree.get`` — every id->slot lookup of every record store;
+* ``BPlusTree.insert`` / ``BPlusTree.delete`` — index maintenance, which
+  the bulk path must leave exactly as the per-record path had it;
+* the codecs' ``decode`` — every record value built from page bytes;
+* ``FixedRecordStore.write`` — every slot write.
+
+The per-relationship figures of the path it replaced on the same
+rebalance were 20.1 probes and 5.2 slot writes.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.cluster.hermes import HermesCluster
+from repro.exceptions import StorageError
+from repro.graph.generators import make_dataset
+from repro.partitioning.hashing import HashPartitioner
+from repro.storage.btree import BPlusTree
+from repro.storage.graph_store import GraphStore
+from repro.storage.node_store import NodeCodec
+from repro.storage.property_store import PropertyCodec
+from repro.storage.records import FixedRecordStore
+from repro.storage.relationship_store import RelationshipCodec
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = Counter()
+
+    def count_calls(owner, name, key):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            tally[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count_calls(BPlusTree, "get", "probes")
+    count_calls(BPlusTree, "insert", "inserts")
+    count_calls(BPlusTree, "delete", "deletes")
+    for codec in (NodeCodec, RelationshipCodec, PropertyCodec):
+        count_calls(codec, "decode", "decodes")
+    count_calls(FixedRecordStore, "write", "writes")
+    return tally
+
+
+def test_serial_rebalance_stays_inside_its_write_budget(counts):
+    graph = make_dataset("orkut", 300, 5).graph
+    cluster = HermesCluster(4)
+    cluster.load(graph, HashPartitioner(salt=5).partition(graph, 4))
+    counts.clear()
+    _, report = cluster.rebalance(force=True)
+    assert (report.vertices_moved, report.relationships_transferred) == (202, 3470)
+    transferred = report.relationships_transferred
+    assert counts["writes"] <= 1.5 * transferred
+    assert counts["probes"] <= 11 * transferred
+    # Index maintenance is what one record at a time did: the same
+    # records come and go.
+    assert (counts["inserts"], counts["deletes"]) == (1750, 3109)
+    cluster.validate()
+
+
+def store_state(store):
+    return [
+        (
+            [bytes(page) for page in record_store.pages.buffers],
+            list(record_store._free_slots),
+            record_store._next_slot,
+            list(record_store.ids()),
+        )
+        for record_store in store.record_stores()
+    ] + [store.allocator_state(), store.properties._dynamic._next_chunk_id]
+
+
+def payload(*relationships, node_id=0):
+    return {
+        "node": {"node_id": node_id, "weight": 1.0},
+        "properties": {"name": "zero"},
+        "relationships": [
+            {"rel_id": rel_id, "src": src, "dst": dst, "ghost": False, "properties": {"w": 1}}
+            for rel_id, src, dst in relationships
+        ],
+    }
+
+
+def target_store():
+    """Hosts 1 and 2; record 10 (0, 1) waits for node 0, record 11
+    (1, 2) is local, record 12 (0, 2) is linked on node 0's side (a
+    corrupt leftover)."""
+    store = GraphStore(server_id=0, num_servers=2)
+    store.create_node(1, properties={"n": 1})
+    store.create_node(2)
+    store.create_relationship(10, 0, 1, ghost=True)
+    store.create_relationship(11, 1, 2, properties={"w": 2})
+    store.create_relationship(12, 0, 2)
+    store.relationships.write(store.relationship(12)._replace(src_next=10))
+    return store
+
+
+@pytest.mark.parametrize(
+    "bad, roles",
+    [
+        (payload((20, 0, 5), node_id=1), [False]),  # the node is already here
+        (payload((20, 0, 5)), [False, True]),  # a role per relationship
+        (payload((20, 0, 5), (20, 0, 6)), [False, False]),  # a record twice
+        (payload((20, 0, 5), (21, 3, 5)), [False, False]),  # not an endpoint
+        (payload((20, 0, 5), (21, 0, 0)), [False, False]),  # a self-loop
+        (payload((20, 0, 5), (11, 0, 1)), [False, False]),  # 11 joins (1, 2)
+        (payload((20, 0, 5), (12, 0, 2)), [False, False]),  # 12 is linked on 0's side
+    ],
+    ids=["present", "roles", "twice", "endpoint", "self-loop", "other-pair", "linked"],
+)
+def test_an_invalid_payload_leaves_the_store_untouched(bad, roles):
+    store = target_store()
+    before = store_state(store)
+    with pytest.raises(StorageError):
+        store.import_node(bad, roles)
+    assert store_state(store) == before
+
+
+def test_a_valid_payload_after_the_checks_installs_the_chain():
+    store = target_store()
+    store.import_node(payload((20, 0, 5), (10, 0, 1)), [False, False])
+    assert store.neighbors(0) == [1, 5]
+    assert sorted(store.neighbors(1)) == [0, 2]
+    assert store.relationship_properties(10) == {"w": 1}

@@ -1,0 +1,470 @@
+"""Differential test: the chain-at-once migration against the per-record one.
+
+The copy step installs a vertex with ``GraphStore.import_node`` — node,
+properties and the whole relationship chain in one pass — and the remove
+step retires it with ``GraphStore.delete_node(..., stays=...)`` in one
+chain walk (DESIGN.md §8).  The path they replaced moved one record at a
+time through the general chain mutators (``create_relationship``,
+``attach_endpoint``, ``set_ghost``, ``set_relationship_property``,
+``detach_endpoint``, ``delete_relationship``, ``remove_node_record``); it
+is kept here, test-local, as the reference.  Twin clusters, one running
+each, go through the same scenario, and everything physical must be
+equal: every page of every record store, the free lists, the B+Tree
+index (shape, key order, slots), the allocators, the WAL frames on a
+durable cluster, the undo journal of every migration, the reports and
+the metrics.
+"""
+
+from __future__ import annotations
+
+import types
+
+import pytest
+
+from repro.cluster.durability import ServerJournal, commit_all
+from repro.cluster.migration_executor import _payload_size
+from repro.core.migration import build_migration_plan
+from repro.exceptions import ClusterError, MigrationAbortedError
+from repro.storage.graph_store import GraphStore
+from tests.conftest import (
+    build_placed_cluster,
+    crash_plan,
+    make_random_graph,
+    telemetry_snapshot,
+)
+
+SERVERS = 4
+VERTICES = 48
+
+
+# ----------------------------------------------------------------------
+# The per-record path, as it ran before chains moved in one pass
+# ----------------------------------------------------------------------
+def per_record_copy_one(self, move, final_home, report, undo, payload_sizes):
+    source = self.servers[move.source]
+    target = self.servers[move.target]
+    if not source.store.has_node(move.vertex):
+        raise ClusterError(f"server {move.source} does not host vertex {move.vertex}")
+    payload = source.store.export_node(move.vertex)
+    size = _payload_size(payload)
+    payload_sizes.append(size)
+    report.bytes_transferred += size
+    report.copy_cost += self._transfer(move.source, move.target, size)
+    report.vertices_moved += 1
+    report.per_target[move.target] = report.per_target.get(move.target, 0) + 1
+
+    node = payload["node"]
+    target.store.create_node(node["node_id"], weight=node["weight"])
+    for key, value in payload["properties"].items():
+        target.store.set_node_property(node["node_id"], key, value)
+    undo.append(("import", move.target, move.vertex))
+    for rel in payload["relationships"]:
+        self._install_relationship(target, move.vertex, rel, final_home, undo)
+        report.relationships_transferred += 1
+
+
+def per_record_install_relationship(self, target, arriving, rel, final_home, undo):
+    rel_id = rel["rel_id"]
+    src, dst = rel["src"], rel["dst"]
+    other = dst if arriving == src else src
+    other_home = self._home_after(other, final_home)
+    here = target.server_id
+    primary_here = self._home_after(src, final_home) == here
+    both_local_eventually = other_home == here
+
+    if target.store.has_relationship(rel_id):
+        if not target.store.chain_contains(arriving, rel_id):
+            target.store.attach_endpoint(rel_id, arriving)
+        undo.append(("attach", target.server_id, rel_id, arriving))
+        existing = target.store.relationship(rel_id)
+        should_be_ghost = not (primary_here or both_local_eventually)
+        if existing.ghost and not should_be_ghost:
+            target.store.set_ghost(rel_id, False)
+            undo.append(("ghost", target.server_id, rel_id, True, {}))
+        elif not existing.ghost and should_be_ghost:
+            old_props = target.store.relationship_properties(rel_id)
+            target.store.set_ghost(rel_id, True)
+            undo.append(("ghost", target.server_id, rel_id, False, old_props))
+        if not should_be_ghost:
+            for key, value in rel.get("properties", {}).items():
+                had = key in target.store.relationship_properties(rel_id)
+                old = target.store.get_relationship_property(rel_id, key)
+                target.store.set_relationship_property(rel_id, key, value)
+                undo.append(("prop", target.server_id, rel_id, key, had, old))
+        return
+
+    ghost = not (primary_here or both_local_eventually)
+    properties = rel.get("properties", {}) if not ghost else None
+    target.store.create_relationship(
+        rel_id, src, dst, ghost=ghost, properties=properties or None
+    )
+    undo.append(("create_rel", target.server_id, rel_id))
+
+
+def per_record_remove_one(self, move, final_home, report):
+    store = self.servers[move.source].store
+    entries = list(store.neighbor_entries(move.vertex, include_unavailable=True))
+    for entry in entries:
+        other = entry.neighbor
+        other_here = (
+            store.has_node(other)
+            and self._home_after(other, final_home) == move.source
+        )
+        if other_here:
+            store.detach_endpoint(entry.rel_id, move.vertex)
+            record = store.relationship(entry.rel_id)
+            should_be_ghost = self._home_after(record.src, final_home) != move.source
+            if record.ghost != should_be_ghost:
+                store.set_ghost(entry.rel_id, should_be_ghost)
+        else:
+            store.delete_relationship(entry.rel_id)
+        report.relationships_rewritten += 1
+        report.remove_cost += self.network.local_visit()
+    store.remove_node_record(move.vertex)
+    report.remove_cost += self.network.local_visit()
+
+
+def per_record_delete_node(store, node_id):
+    """``delete_node`` with nothing staying, one record at a time."""
+    record = store.nodes.read(node_id)
+    for entry in store.neighbor_entries(node_id, include_unavailable=True):
+        store.delete_relationship(entry.rel_id)
+    store._delete_property_chain(record.first_prop)
+    store.nodes.delete(node_id)
+
+
+# ----------------------------------------------------------------------
+# Twins
+# ----------------------------------------------------------------------
+def home(vertex):
+    """Initial placement: servers 0..3 hold v = 3, 0, 1, 2 mod 4."""
+    return (vertex * 5 + 1) % SERVERS
+
+
+#: edges written with properties after the load: a remote primary whose
+#: src will join its dst (0, 5), a primary whose src leaves while its dst
+#: arrives (7, 2), two same-server pairs (1, 5) and (3, 11), and more
+PROPERTY_EDGES = [(0, 5), (7, 2), (1, 5), (3, 11), (21, 3), (9, 14), (30, 31)]
+
+
+def build_twin(reference, durable):
+    graph = make_random_graph(VERTICES, 3 * VERTICES, seed=7)
+    placement = {v: home(v) for v in graph.vertices()}
+    cluster = build_placed_cluster(
+        graph, placement, num_servers=SERVERS, durability=durable
+    )
+    executor = cluster._executor
+    if reference:
+        executor._copy_one = types.MethodType(per_record_copy_one, executor)
+        executor._remove_one = types.MethodType(per_record_remove_one, executor)
+        executor._install_relationship = types.MethodType(
+            per_record_install_relationship, executor
+        )
+    # Every migration's undo journal, as its window closes.
+    cluster.journals = []
+    close_window = executor._close_window
+
+    def recording_close():
+        cluster.journals.append(list(executor.active_journal or ()))
+        close_window()
+
+    executor._close_window = recording_close
+    for vertex in range(0, VERTICES, 3):
+        cluster.servers[home(vertex)].set_property(vertex, "name", f"user{vertex}")
+    commit_all(cluster.servers)
+    for index, (u, v) in enumerate(PROPERTY_EDGES):
+        cluster.add_edge(u, v, properties={"since": 2000 + index, "w": index / 4})
+    cluster.add_vertex(1000, properties={"name": "late", "age": 3}, server=1)
+    cluster.add_edge(1000, 4, properties={"kind": "friend"})
+    return cluster
+
+
+def tree_shape(node):
+    if node.children is None:
+        return ("leaf", tuple(node.keys), tuple(node.values))
+    return ("inner", tuple(node.keys), tuple(tree_shape(child) for child in node.children))
+
+
+def store_state(store, journal):
+    """Pages, free lists, index trees and allocators of one store, and
+    the frames of its log."""
+    record_stores = [
+        (
+            [bytes(page) for page in record_store.pages.buffers],
+            list(record_store._free_slots),
+            record_store._next_slot,
+            tree_shape(record_store._index._root),
+        )
+        for record_store in store.record_stores()
+    ]
+    return (
+        record_stores,
+        store.allocator_state(),
+        store.properties._dynamic._next_chunk_id,
+        list(journal.wal.frames()) if journal else None,
+    )
+
+
+def physical_state(cluster):
+    return {
+        "servers": [store_state(server.store, server.journal) for server in cluster.servers],
+        "catalog": sorted(
+            (vertex, cluster.catalog.lookup(vertex)) for vertex in cluster.graph.vertices()
+        ),
+        "journals": cluster.journals,
+        "telemetry": telemetry_snapshot(cluster),
+        "clock": repr(cluster.now),
+    }
+
+
+def migrate(cluster, targets):
+    """Move ``{vertex: target}`` through the executor, aux re-pointed
+    first the way phase 1 leaves it; returns the report."""
+    return cluster._executor.execute(plan_for(cluster, targets))
+
+
+def plan_for(cluster, targets):
+    moves = {}
+    for vertex, target in targets.items():
+        moves[vertex] = (cluster.catalog.lookup(vertex), target)
+        cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+    return build_migration_plan(moves)
+
+
+# ----------------------------------------------------------------------
+# Scenarios: each returns what it observed beyond the stores
+# ----------------------------------------------------------------------
+def serial_rebalance(cluster, reference):
+    result, report = cluster.rebalance(force=True)
+    return sorted(result.moves.items()), repr(report)
+
+
+def window_writes(cluster, reference):
+    """Writes land on windowed vertices between copy steps: a new vertex
+    joining one, an edge between two windowed vertices, and edges from
+    vertices living on the window's target."""
+    targets = {4: 2, 8: 2, 13: 0, 17: 3}
+    steps = []
+    fresh = iter(range(2000, 2100))
+    for step in cluster._executor.migrate_steps(plan_for(cluster, targets)):
+        steps.append((step.kind, repr(step.cost), step.servers))
+        if step.kind != "copy":
+            continue
+        windowed = sorted(cluster._executor.window_vertices)
+        vertex = next(fresh)
+        cluster.add_vertex(vertex, properties={"n": vertex})
+        cluster.add_edge(vertex, windowed[-1], properties={"at": len(steps)})
+        for u, v in zip(windowed, windowed[1:]):
+            if not cluster.graph.has_edge(u, v):
+                cluster.add_edge(u, v, properties={"pair": u})
+        for resident in sorted(cluster.catalog.vertices_on(targets[windowed[0]]))[:2]:
+            if not cluster.graph.has_edge(resident, windowed[0]):
+                cluster.add_edge(resident, windowed[0], properties={"r": resident})
+    return steps
+
+
+def co_migration(cluster, reference):
+    """Neighbours moving together (1 and 5 merge their primary), a src
+    leaving as its dst arrives (7 and 2: the copy downgrades), a src
+    leaving a staying dst (3: the remove downgrades), and a swap."""
+    x, y = next(
+        (a, b)
+        for a, b in sorted(cluster.graph.edges())
+        if {home(a), home(b)} == {1, 3} and {a, b}.isdisjoint({1, 2, 3, 5, 7})
+    )
+    targets = {1: 0, 5: 0, 2: 0, 7: 1, 3: 3, x: home(y), y: home(x)}
+    return repr(migrate(cluster, targets))
+
+
+def multi_edges(cluster, reference):
+    """Two records between the same two nodes, some with properties, so
+    chains hold siblings: an arriving node links both, the other
+    endpoint's chain takes both, a remove unlinks both from it."""
+    for index, (u, v) in enumerate([(0, 5), (7, 2), (9, 30), (12, 13), (9, 31)]):
+        for sibling in range(2):
+            rel_id = 10_000 + 10 * index + sibling
+            properties = {"sibling": sibling} if sibling else None
+            cluster.servers[home(u)].store.create_relationship(
+                rel_id, u, v, properties=properties
+            )
+            if home(v) != home(u):
+                cluster.servers[home(v)].store.create_relationship(
+                    rel_id, u, v, ghost=True
+                )
+    commit_all(cluster.servers)
+    reports = [
+        repr(migrate(cluster, targets))
+        for targets in ({0: 2}, {5: 3, 0: 3}, {9: 0, 30: 0}, {12: 2, 7: 3})
+    ]
+    # Deleting a node with nothing staying (the add-vertex undo), for a
+    # node whose chain holds siblings with properties.
+    store = cluster.servers[cluster.catalog.lookup(9)].store
+    entries = len(store.chain(9))
+    if reference:
+        per_record_delete_node(store, 9)
+        deleted = entries
+    else:
+        deleted = store.delete_node(9)
+    commit_all(cluster.servers)
+    return reports, deleted
+
+
+def abort_and_retry(cluster, reference):
+    """The copy step fails at its third vertex after two were installed
+    (0 upgrading a ghost with properties); the journal rolls back, then
+    the same plan runs again without faults."""
+    plan = plan_for(cluster, {0: 2, 7: 2, 5: 3})
+    assert [move.target for move in plan.moves] == [2, 2, 3]
+    cluster.attach_faults(crash_plan(3))
+    with pytest.raises(MigrationAbortedError) as aborted:
+        cluster._executor.execute(plan)
+    cluster.attach_faults(None)
+    return repr(aborted.value.report), repr(cluster._executor.execute(plan))
+
+
+def join(cluster, reference):
+    server, outcome = cluster.add_server(capacity=1.0)
+    return server, repr(outcome[1])
+
+
+def drain_one(cluster, reference):
+    return repr(cluster.drain_server(1))
+
+
+SCENARIOS = [
+    serial_rebalance,
+    window_writes,
+    co_migration,
+    multi_edges,
+    abort_and_retry,
+    join,
+    drain_one,
+]
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda scenario: scenario.__name__)
+def test_chain_migration_equals_per_record_migration(scenario, durable):
+    changed = build_twin(False, durable)
+    reference = build_twin(True, durable)
+    assert scenario(changed, False) == scenario(reference, True)
+    assert physical_state(changed) == physical_state(reference)
+
+
+# ----------------------------------------------------------------------
+# One store, every case at once
+# ----------------------------------------------------------------------
+def per_record_import(store, payload, roles):
+    node_id = payload["node"]["node_id"]
+    store.create_node(node_id, weight=payload["node"]["weight"])
+    for key, value in payload["properties"].items():
+        store.set_node_property(node_id, key, value)
+    for rel, ghost in zip(payload["relationships"], roles):
+        rel_id = rel["rel_id"]
+        if not store.has_relationship(rel_id):
+            properties = None if ghost else rel["properties"] or None
+            store.create_relationship(
+                rel_id, rel["src"], rel["dst"], ghost=ghost, properties=properties
+            )
+            continue
+        store.attach_endpoint(rel_id, node_id)
+        if store.relationship(rel_id).ghost != ghost:
+            store.set_ghost(rel_id, ghost)
+        if not ghost:
+            for key, value in rel["properties"].items():
+                store.set_relationship_property(rel_id, key, value)
+
+
+def per_record_remove(store, node_id, stays):
+    for entry in store.neighbor_entries(node_id, include_unavailable=True):
+        if store.has_node(entry.neighbor) and stays(entry.neighbor):
+            store.detach_endpoint(entry.rel_id, node_id)
+            record = store.relationship(entry.rel_id)
+            if record.ghost != (record.src == node_id):
+                store.set_ghost(entry.rel_id, record.src == node_id)
+        else:
+            store.delete_relationship(entry.rel_id)
+    store.remove_node_record(node_id)
+
+
+def rel(rel_id, src, dst, **properties):
+    return {"rel_id": rel_id, "src": src, "dst": dst, "ghost": False, "properties": properties}
+
+
+#: node 0 arrives at a store hosting 1 and 2; the records already here
+#: (100-102) join it to 1 and 2.  103 is head-linked into 1's chain in
+#: front of 101, which the payload installs after it.  100 merges its
+#: properties in place, 101 is upgraded, 102 downgraded, 104 goes to a
+#: remote endpoint as a ghost and drops the payload's properties.
+ARRIVING = {
+    "node": {"node_id": 0, "weight": 2.5},
+    "properties": {"name": "zero", "k": 7},
+    "relationships": [
+        rel(103, 0, 1, p=1),
+        rel(100, 0, 1, a=2, b=3),
+        rel(104, 0, 5, x=1),
+        rel(101, 1, 0, c=1),
+        rel(105, 1, 0),
+        rel(102, 0, 2),
+        rel(106, 0, 1),
+    ],
+}
+ROLES = [False, False, True, False, True, True, False]
+
+
+def arrival_store():
+    store = GraphStore(server_id=0, num_servers=2)
+    for node_id in (1, 2, 3):
+        store.create_node(node_id, properties={"n": node_id})
+    store.create_relationship(150, 1, 2, properties={"e": 5})
+    store.create_relationship(100, 0, 1, properties={"a": 1})
+    store.create_relationship(101, 1, 0, ghost=True)
+    store.create_relationship(102, 0, 2, properties={"d": 4})
+    return store
+
+
+def departure_store():
+    """Node 0 with siblings to 1 (kept: one downgraded, one staying
+    primary), siblings to 2 (deleted from 2's chain) and a remote edge."""
+    store = GraphStore(server_id=0, num_servers=2)
+    for node_id in (0, 1, 2):
+        store.create_node(node_id, properties={"n": node_id})
+    for rel_id, src, dst, properties in [
+        (200, 0, 1, {"a": 1}),
+        (201, 1, 0, {"b": 2}),
+        (202, 0, 2, {"c": 3}),
+        (203, 2, 0, None),
+        (204, 0, 9, {"far": True}),
+        (205, 1, 2, None),
+        (206, 0, 2, {"c": 4}),
+        (207, 0, 1, None),
+    ]:
+        store.create_relationship(rel_id, src, dst, properties=properties)
+    return store
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["volatile", "durable"])
+@pytest.mark.parametrize("operation", ["import", "remove", "delete"])
+def test_one_store_chain_writes_equal_per_record_writes(operation, durable):
+    states = []
+    for reference in (False, True):
+        store = arrival_store() if operation == "import" else departure_store()
+        journal = ServerJournal(store) if durable else None
+        if operation == "import":
+            if reference:
+                per_record_import(store, ARRIVING, ROLES)
+            else:
+                store.import_node(ARRIVING, ROLES)
+        elif operation == "remove":
+            if reference:
+                per_record_remove(store, 0, lambda other: other == 1)
+            else:
+                assert store.delete_node(0, stays=lambda other: other == 1) == 7
+        elif reference:
+            per_record_delete_node(store, 0)
+        else:
+            store.delete_node(0)
+        if journal:
+            journal.commit()
+        states.append(store_state(store, journal))
+    assert states[0] == states[1]

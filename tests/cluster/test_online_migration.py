@@ -28,6 +28,7 @@ from repro.graph.generators import community_graph
 from repro.cluster.hermes import HermesCluster
 from repro.core import RepartitionerConfig
 from repro.partitioning import MultilevelPartitioner
+from repro.storage.graph_store import GraphStore
 from repro.workloads.queries import InsertEdge, InsertVertex, Traversal
 
 from tests.conftest import (
@@ -373,9 +374,14 @@ class TestPerEventSweep:
         cluster, engine = self.start(copies=1)
         executor = cluster._executor
         before = set(executor.window_vertices)
-        # The next copy ships the node record but none of its edges.
+        # The next copy installs the node record but none of its edges.
+        import_node = GraphStore.import_node
         monkeypatch.setattr(
-            executor, "_install_relationship", lambda *args, **kwargs: None
+            GraphStore,
+            "import_node",
+            lambda store, payload, roles: import_node(
+                store, dict(payload, relationships=[]), []
+            ),
         )
         engine.step()
         (copied,) = set(executor.window_vertices) - before

@@ -192,9 +192,13 @@ class TestMigrationPrimitives:
         )
         payload = store.export_node(0)
         other = GraphStore(server_id=1, num_servers=2)
-        other.import_node(payload)
+        (created,) = other.import_node(payload, [False])
+        assert created is None
         assert other.node_weight(0) == 1.0
         assert other.node_properties(0) == {"name": "zero"}
+        (rel,) = payload["relationships"]
+        assert other.neighbors(0) == [1]
+        assert other.relationship_properties(rel["rel_id"]) == {"since": 2015}
 
     def test_detach_endpoint(self, store):
         rel = store.create_relationship(store.allocate_rel_id(), 0, 1)
