@@ -17,7 +17,12 @@ from repro.core.candidates import STAGE_LOW_TO_HIGH, get_target_partition
 from repro.core.config import RepartitionerConfig
 from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner
-from repro.graph.generators import compact_powerlaw_graph, orkut_like
+from repro.graph.compact import GraphBuilder
+from repro.graph.generators import (
+    compact_powerlaw_graph,
+    orkut_like,
+    powerlaw_edge_stream,
+)
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.storage.btree import BPlusTree
@@ -100,6 +105,24 @@ def test_bench_selection_boundary_scan(benchmark, partitioned):
 def csr_20k():
     graph = compact_powerlaw_graph(20_000, seed=3)
     return graph, HashPartitioner(salt=3).partition(graph, 8)
+
+
+def test_bench_finalize(benchmark):
+    """CSR build from a buffered 20 000-vertex stream (160 K edges):
+    interning, dedup and row ordering, two in-place key sorts."""
+    batches = list(powerlaw_edge_stream(20_000, seed=3))
+
+    def buffered():
+        builder = GraphBuilder()
+        builder.ensure_vertex(0)
+        for src, dst in batches:
+            builder.add_edge_batch(src, dst)
+        return (builder,), {}
+
+    graph = benchmark.pedantic(
+        GraphBuilder.finalize, setup=buffered, rounds=10, iterations=1
+    )
+    assert graph.num_vertices == 20_000 and graph.ids_column is None
 
 
 def test_bench_aux_bootstrap_csr(benchmark, csr_20k):

@@ -15,9 +15,9 @@ million-user target needs:
   and ~8-16 bytes per undirected edge, versus hundreds for dict-of-sets.
 * :class:`GraphBuilder` — a mutable ingestion buffer that accepts
   streamed edges (scalar or whole numpy batches), then finalizes to CSR
-  in a handful of vectorized passes (unique / bincount / lexsort), with
-  the same silent dedup + self-loop-skip semantics as
-  :meth:`SocialGraph.from_edges`.
+  with two in-place sorts of packed ``uint64`` pair keys (one to dedup,
+  one to order the rows) and two bincounts, with the same silent dedup +
+  self-loop-skip semantics as :meth:`SocialGraph.from_edges`.
 * lossless converters in both directions
   (:meth:`CompactGraph.from_social` / :meth:`CompactGraph.to_social`).
 
@@ -39,6 +39,8 @@ array slice.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -100,6 +102,44 @@ class GraphRead(Protocol):
 def _neighbor_dtype(num_vertices: int):
     """Smallest integer dtype that can index ``num_vertices`` vertices."""
     return np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
+
+
+def _vertex_id(vertex) -> int:
+    """``vertex`` as a python int; non-integral IDs are a :class:`GraphError`."""
+    try:
+        return operator.index(vertex)
+    except TypeError:
+        raise GraphError(f"vertex IDs must be integers, got {vertex!r}") from None
+
+
+def _checked_weight(weight) -> float:
+    """``weight`` as a float; negative or non-finite is a :class:`GraphError`."""
+    weight = float(weight)
+    if not math.isfinite(weight) or weight < 0:
+        raise GraphError(f"vertex weight must be finite and non-negative, got {weight}")
+    return weight
+
+
+def _intern(all_ids: np.ndarray) -> Tuple[int, Optional[np.ndarray], np.ndarray]:
+    """``(n, ids, inverse)``: dense indices for a column of vertex IDs.
+
+    When the IDs are exactly ``0..n-1`` — decided by one boolean presence
+    column, built only when ``min == 0`` and ``max < len(all_ids)`` so its
+    size is bounded by the input — ``ids`` is None and the column is its
+    own inverse.  Otherwise ``ids`` is the sorted unique IDs and
+    ``inverse`` maps every entry to its position there (the only path
+    that serves gapped, negative or SNAP IDs).
+    """
+    if not len(all_ids):
+        return 0, None, all_ids
+    high = int(all_ids.max())
+    if int(all_ids.min()) == 0 and high < len(all_ids):
+        present = np.zeros(high + 1, dtype=bool)
+        present[all_ids] = True
+        if present.all():
+            return high + 1, None, all_ids
+    ids, inverse = np.unique(all_ids, return_inverse=True)
+    return len(ids), ids, inverse
 
 
 class CompactGraph:
@@ -309,9 +349,7 @@ class CompactGraph:
     # Weights (the one mutable column: read popularity changes online)
     # ------------------------------------------------------------------
     def set_weight(self, vertex: int, weight: float) -> None:
-        if weight < 0:
-            raise GraphError(f"vertex weight must be non-negative, got {weight}")
-        self._weights[self._index_of(vertex)] = float(weight)
+        self._weights[self._index_of(vertex)] = _checked_weight(weight)
 
     def add_weight(self, vertex: int, delta: float) -> float:
         index = self._index_of(vertex)
@@ -415,35 +453,30 @@ class GraphBuilder:
     def add_vertex(self, vertex: int, weight: Optional[float] = None) -> None:
         """Register an (possibly isolated) vertex, optionally with a weight."""
         self._check_open()
+        vertex = _vertex_id(vertex)
         if vertex in self._explicit:
             raise DuplicateVertexError(vertex)
-        if weight is not None and weight < 0:
-            raise GraphError(f"vertex weight must be non-negative, got {weight}")
-        self._explicit[int(vertex)] = None
-        if weight is not None:
-            self._weights[int(vertex)] = float(weight)
+        self.ensure_vertex(vertex, weight)
 
     def ensure_vertex(self, vertex: int, weight: Optional[float] = None) -> None:
         """Like :meth:`add_vertex` but idempotent."""
         self._check_open()
-        self._explicit[int(vertex)] = None
+        vertex = _vertex_id(vertex)
         if weight is not None:
-            self._weights[int(vertex)] = float(weight)
+            self._weights[vertex] = _checked_weight(weight)
+        self._explicit[vertex] = None
 
     def set_weight(self, vertex: int, weight: float) -> None:
-        self._check_open()
-        if weight < 0:
-            raise GraphError(f"vertex weight must be non-negative, got {weight}")
-        self._explicit[int(vertex)] = None
-        self._weights[int(vertex)] = float(weight)
+        self.ensure_vertex(vertex, _checked_weight(weight))
 
     def add_edge(self, u: int, v: int) -> None:
         """Buffer one undirected edge; endpoints are created on demand."""
         self._check_open()
+        u, v = _vertex_id(u), _vertex_id(v)
         if u == v:
             return
-        self._pend_src.append(int(u))
-        self._pend_dst.append(int(v))
+        self._pend_src.append(u)
+        self._pend_dst.append(v)
         if len(self._pend_src) >= self.SCALAR_CHUNK:
             self._compact_pending()
 
@@ -461,13 +494,18 @@ class GraphBuilder:
         filtered vectorized, duplicates fall to finalize-time dedup.
         """
         self._check_open()
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
+            raise GraphError(
+                f"edge batch IDs must be integer arrays, got {src.dtype} and {dst.dtype}"
+            )
         if src.shape != dst.shape or src.ndim != 1:
             raise GraphError(
                 f"edge batch arrays must be equal-length 1-D, got "
                 f"{src.shape} and {dst.shape}"
             )
+        src = src.astype(np.int64, copy=False)
+        dst = dst.astype(np.int64, copy=False)
         keep = src != dst
         if not keep.all():
             src, dst = src[keep], dst[keep]
@@ -481,57 +519,74 @@ class GraphBuilder:
         return sum(len(c) for c in self._chunks_src) + len(self._pend_src)
 
     # ------------------------------------------------------------------
-    def _gather(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate the buffered chunks into two int64 arrays."""
-        self._compact_pending()
-        if not self._chunks_src:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(self._chunks_src), np.concatenate(self._chunks_dst)
-
     def finalize(self) -> CompactGraph:
-        """Build the CSR graph: unique IDs, dedup, counting sort, row sort."""
+        """Build the CSR graph with two in-place sorts of packed pair keys.
+
+        1. **Intern**: every endpoint and explicit vertex becomes a dense
+           index (:func:`_intern`; IDs that are exactly ``0..n-1`` are
+           their own indices and finalize to the identity mapping).
+        2. **Dedup**: each undirected pair packs into one ``uint64`` key
+           ``lo * n + hi``; the keys are sorted in place and the first key
+           of each run is kept.
+        3. **Rows**: row lengths are ``bincount(lo) + bincount(hi)``; the
+           kept keys and their reversals ``hi * n + lo`` are sorted in
+           place, which groups them by row with each row's neighbors
+           ascending, and ``key mod n`` is the neighbor column.
+
+        Keys are unique and self-loops never reach the buffer, so the
+        order is fully determined and equals a ``lexsort`` by (row,
+        neighbor).  An in-place sort of the packed keys costs a small
+        fraction of ``np.unique`` or ``lexsort`` over the same pairs
+        (DESIGN.md §10).  Each temporary is dropped as soon as it is
+        consumed, so on identity-mapped IDs the working set is about 26
+        bytes per buffered edge.
+        """
         self._check_open()
         self._finalized = True
-        src, dst = self._gather()
-        extra = np.asarray(list(self._explicit), dtype=np.int64)
-        # Sorted unique vertex IDs; inverse maps endpoints to dense indices.
-        all_ids = np.concatenate([src, dst, extra])
-        ids, inverse = np.unique(all_ids, return_inverse=True)
-        n = len(ids)
-        si = inverse[: len(src)]
-        di = inverse[len(src) : 2 * len(src)]
-        identity = bool(n == 0 or (int(ids[0]) == 0 and int(ids[-1]) == n - 1))
+        self._compact_pending()
+        m = self.buffered_edges
+        extra = np.fromiter(self._explicit, dtype=np.int64, count=len(self._explicit))
+        all_ids = np.concatenate(self._chunks_src + self._chunks_dst + [extra])
+        self._chunks_src = []
+        self._chunks_dst = []
+        n, ids, inverse = _intern(all_ids)
+        del all_ids
+        width = np.uint64(n)
 
-        # Deduplicate undirected pairs via a packed (lo, hi) key.
-        lo = np.minimum(si, di)
-        hi = np.maximum(si, di)
-        if n:
-            key = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
-            key = np.unique(key)
-            lo = (key // np.uint64(n)).astype(np.int64)
-            hi = (key % np.uint64(n)).astype(np.int64)
+        # Dedup: one packed key per buffered pair, sorted, first of each run.
+        src, dst = inverse[:m], inverse[m : 2 * m]
+        key = np.minimum(src, dst).view(np.uint64)
+        key *= width
+        key += np.maximum(src, dst, out=src).view(np.uint64)
+        del inverse, src, dst
+        key.sort()
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        key = key[first]
+        del first
 
-        dtype = _neighbor_dtype(n)
-        heads = np.concatenate([lo, hi]).astype(dtype, copy=False)
-        tails = np.concatenate([hi, lo]).astype(dtype, copy=False)
-        counts = np.bincount(heads, minlength=n)
+        # Rows: both orientations of every pair, sorted as (row, neighbor).
+        edges = len(key)
+        both = np.empty(2 * edges, dtype=np.uint64)
+        both[:edges] = key
+        del key
+        lo, hi = np.divmod(both[:edges], width, out=(None, both[edges:]))
+        counts = np.bincount(lo.view(np.int64), minlength=n)
+        counts += np.bincount(hi.view(np.int64), minlength=n)
+        hi *= width
+        hi += lo
+        del lo, hi
+        both.sort()
+        nbr = np.remainder(both, width, out=both).astype(_neighbor_dtype(n))
+        del both
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # lexsort: primary key row (head), secondary key neighbor (tail)
-        # -> neighbor column grouped by row, each row sorted ascending.
-        order = np.lexsort((tails, heads))
-        nbr = np.ascontiguousarray(tails[order])
 
         weights = np.full(n, self.default_weight, dtype=np.float64)
         if self._weights:
-            if identity:
-                for vertex, weight in self._weights.items():
-                    weights[vertex] = weight
-            else:
-                positions = {int(v): i for i, v in enumerate(ids)}
-                for vertex, weight in self._weights.items():
-                    weights[positions[vertex]] = weight
-        id_column = None if identity else ids.astype(np.int64, copy=False)
-        self._chunks_src = []
-        self._chunks_dst = []
-        return CompactGraph(indptr, nbr, weights, id_column)
+            at = np.fromiter(self._weights, dtype=np.int64, count=len(self._weights))
+            weights[at if ids is None else np.searchsorted(ids, at)] = list(
+                self._weights.values()
+            )
+        return CompactGraph(indptr, nbr, weights, ids)

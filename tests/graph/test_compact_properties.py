@@ -3,16 +3,19 @@
 Random graphs must round-trip losslessly between SocialGraph and
 CompactGraph, and every consumer written against the read protocol
 (streaming partitioners, quality metrics) must produce *identical*
-outputs on both representations.
+outputs on both representations.  ``GraphBuilder.finalize`` must produce
+the same arrays, dtypes included, as the ``np.unique`` + ``lexsort``
+build it replaced, kept below as a test-local oracle.
 """
 
 import random
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.adjacency import SocialGraph
-from repro.graph.compact import CompactGraph
+from repro.graph.compact import CompactGraph, GraphBuilder, _neighbor_dtype
 from repro.partitioning.base import Partitioning
 from repro.partitioning.metrics import edge_cut, edge_cut_fraction, partition_weights
 from repro.partitioning.streaming import FennelPartitioner, LinearDeterministicGreedy
@@ -117,3 +120,151 @@ def test_streaming_partitioners_identical_on_both_substrates(
         on_social = make().partition(social, num_partitions)
         on_compact = make().partition(compact, num_partitions)
         assert on_social.as_mapping() == on_compact.as_mapping()
+
+
+# ----------------------------------------------------------------------
+# Differential: GraphBuilder.finalize against the np.unique/lexsort build
+# ----------------------------------------------------------------------
+def reference_finalize(src, dst, explicit, weights_by_id, default_weight):
+    """The earlier finalize, kept as the oracle: ``np.unique`` interning,
+    ``np.unique`` on the packed pair keys, ``lexsort`` for the rows.
+    Returns ``(indptr, neighbors, weights, ids)``."""
+    extra = np.asarray(list(explicit), dtype=np.int64)
+    all_ids = np.concatenate([src, dst, extra])
+    ids, inverse = np.unique(all_ids, return_inverse=True)
+    n = len(ids)
+    si = inverse[: len(src)]
+    di = inverse[len(src) : 2 * len(src)]
+    identity = bool(n == 0 or (int(ids[0]) == 0 and int(ids[-1]) == n - 1))
+
+    lo = np.minimum(si, di)
+    hi = np.maximum(si, di)
+    if n:
+        key = lo.astype(np.uint64) * np.uint64(n) + hi.astype(np.uint64)
+        key = np.unique(key)
+        lo = (key // np.uint64(n)).astype(np.int64)
+        hi = (key % np.uint64(n)).astype(np.int64)
+
+    dtype = _neighbor_dtype(n)
+    heads = np.concatenate([lo, hi]).astype(dtype, copy=False)
+    tails = np.concatenate([hi, lo]).astype(dtype, copy=False)
+    counts = np.bincount(heads, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    order = np.lexsort((tails, heads))
+    nbr = np.ascontiguousarray(tails[order])
+
+    weights = np.full(n, default_weight, dtype=np.float64)
+    if weights_by_id:
+        if identity:
+            for vertex, weight in weights_by_id.items():
+                weights[vertex] = weight
+        else:
+            positions = {int(v): i for i, v in enumerate(ids)}
+            for vertex, weight in weights_by_id.items():
+                weights[positions[vertex]] = weight
+    id_column = None if identity else ids.astype(np.int64, copy=False)
+    return indptr, nbr, weights, id_column
+
+
+#: vertex-ID spaces by name: k IDs each
+ID_SPACES = {
+    "dense": lambda k: list(range(k)),
+    "gapped": lambda k: [i + i // 3 for i in range(k)],
+    "negative": lambda k: [i - k // 2 for i in range(k)],
+    "huge": lambda k: [2**40 + 7 * i for i in range(k)],
+}
+
+
+@st.composite
+def builder_script(draw):
+    """``(pairs, isolated, weighted, batched, default_weight)`` over one
+    ID space, with self-loops and duplicates in both orientations."""
+    space = draw(st.sampled_from(sorted(ID_SPACES)))
+    ids = ID_SPACES[space](draw(st.integers(min_value=0, max_value=24)))
+    pairs, isolated, weighted = [], [], []
+    if ids:
+        vertex = st.sampled_from(ids)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+        echo = draw(st.integers(min_value=0, max_value=len(pairs)))
+        pairs += [(v, u) for u, v in pairs[:echo]]
+        isolated = draw(st.lists(vertex, max_size=6))
+        weight = st.floats(min_value=0.0, max_value=100.0)
+        weighted = draw(st.lists(st.tuples(vertex, weight), max_size=6))
+    batched = draw(st.booleans())
+    default_weight = draw(st.sampled_from([1.0, 0.5, 3.25]))
+    return pairs, isolated, weighted, batched, default_weight
+
+
+def run_both(script):
+    """Finalize the script through GraphBuilder and through the oracle."""
+    pairs, isolated, weighted, batched, default_weight = script
+    builder = GraphBuilder(default_weight=default_weight)
+    for vertex in isolated:
+        builder.ensure_vertex(vertex)
+    for vertex, weight in weighted:
+        builder.set_weight(vertex, weight)
+    if batched:
+        half = len(pairs) // 2
+        for chunk in (pairs[:half], pairs[half:]):
+            builder.add_edge_batch(
+                np.array([u for u, _ in chunk], dtype=np.int64),
+                np.array([v for _, v in chunk], dtype=np.int64),
+            )
+    else:
+        for u, v in pairs:
+            builder.add_edge(u, v)
+    graph = builder.finalize()
+
+    kept = [(u, v) for u, v in pairs if u != v]
+    expected = reference_finalize(
+        np.array([u for u, _ in kept], dtype=np.int64),
+        np.array([v for _, v in kept], dtype=np.int64),
+        dict.fromkeys(isolated + [vertex for vertex, _ in weighted]),
+        dict(weighted),
+        default_weight,
+    )
+    return graph, expected
+
+
+def test_finalize_matches_unique_lexsort_reference():
+    """Identical arrays and dtypes on every generated builder, and the
+    generated builders reach both sides of the identity check: IDs that
+    are exactly ``0..n-1``, and IDs that pass the range test but leave a
+    gap (presence column built, then the ``np.unique`` path)."""
+    seen = set()
+
+    @given(builder_script())
+    @example(([], [], [], False, 1.0))  # empty builder
+    @example(([], [0, 1, 3], [(1, 2.0)], False, 1.0))  # vertices only
+    @example(([(0, 2), (2, 0), (2, 2)], [], [], True, 1.0))  # presence gap
+    @example(([(0, 1), (1, 0), (2, 2), (1, 2)], [3], [(0, 4.0)], False, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def differential(script):
+        graph, expected = run_both(script)
+        actual = (
+            graph.indptr,
+            graph.neighbor_indices,
+            graph.weights_column,
+            graph.ids_column,
+        )
+        for got, want in zip(actual, expected):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        if not graph.num_vertices:
+            return
+        if graph.ids_column is None:
+            seen.add("identity")
+            return
+        pairs, isolated, weighted, _, _ = script
+        endpoints = [x for u, v in pairs if u != v for x in (u, v)]
+        explicit = set(isolated) | {vertex for vertex, _ in weighted}
+        ids = endpoints + list(explicit)
+        if min(ids) == 0 and max(ids) < len(ids):
+            seen.add("presence gap")
+
+    differential()
+    assert seen == {"identity", "presence gap"}
