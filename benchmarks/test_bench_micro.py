@@ -2,7 +2,7 @@
 
 Unlike the table/figure benches (single-shot experiment pipelines), these
 are classic multi-round pytest benchmarks of the hot paths: auxiliary-data
-maintenance, candidate selection, one repartitioner iteration, B+Tree and
+maintenance, candidate selection, one repartitioner iteration,
 record-store operations, a distributed traversal, and the durable write,
 migration and recovery paths.
 """
@@ -25,8 +25,8 @@ from repro.graph.generators import (
 )
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
-from repro.storage.btree import BPlusTree
 from repro.storage.graph_store import GraphStore
+from repro.storage.relationship_store import RelationshipRecord, RelationshipStore
 
 
 @pytest.fixture(scope="module")
@@ -189,26 +189,18 @@ def test_bench_multilevel_partition(benchmark, dataset):
     )
 
 
-def test_bench_btree_insert(benchmark):
-    keys = list(range(5000))
-    random.Random(2).shuffle(keys)
-
-    def build():
-        tree = BPlusTree(order=64)
-        for key in keys:
-            tree.insert(key, key)
-        return tree
-
-    benchmark.pedantic(build, rounds=3, iterations=1)
-
-
-def test_bench_btree_lookup(benchmark):
-    tree = BPlusTree(order=64)
-    for key in range(5000):
-        tree.insert(key, key)
+def test_bench_record_fields(benchmark):
+    """One checked record access (``fields``: index probe, in-place
+    unpack, in-use and id checks) at random over a 2 700-record
+    relationship store — one server's share in the end-to-end benchmark —
+    with ids striped over 8 servers, as a server allocates them."""
+    store = RelationshipStore()
+    rel_ids = list(range(0, 8 * 2700, 8))
+    for rel_id in rel_ids:
+        store.write(RelationshipRecord(rel_id=rel_id, src=rel_id, dst=rel_id + 1))
     rng = random.Random(3)
 
-    benchmark(lambda: tree.get(rng.randrange(5000)))
+    assert benchmark(lambda: store.fields(rng.choice(rel_ids))) is not None
 
 
 def star_store(degree=32):

@@ -3,7 +3,7 @@
 Shows the record model the paper describes in Section 4: fixed-size node
 and relationship records with doubly-linked relationship chains, a
 dynamic property store, ghost relationships for cross-partition edges,
-the B+Tree ID index, transactions with timeout-based deadlock handling,
+the hash ID index (sparse, striped ids), transactions with timeout-based deadlock handling,
 the write-ahead log with crash recovery, and checksummed persistence.
 
 Run with::

@@ -11,14 +11,13 @@ Python with the same record model:
   the links — so the adjacency list is recovered with purely local reads;
 * cross-partition relationships get a **ghost** counterpart record on the
   remote side that preserves graph structure but carries no properties;
-* a monotonically increasing **ID allocator** plus a **B+Tree** index from
+* a monotonically increasing **ID allocator** plus a **hash index** from
   record ID to storage slot (Hermes replaced Neo4j's offset-based
   addressing because migrated records break contiguous ID allocation);
 * a **write-ahead log** of slot images: one checksummed frame per
   committed transaction, replayed into the pages on recovery.
 """
 
-from repro.storage.btree import BPlusTree
 from repro.storage.graph_store import GraphStore
 from repro.storage.ids import IdAllocator
 from repro.storage.node_store import NodeRecord, NodeStore
@@ -43,7 +42,6 @@ __all__ = [
     "Path",
     "Evaluation",
     "Uniqueness",
-    "BPlusTree",
     "IdAllocator",
     "PagedFile",
     "RecordCodec",

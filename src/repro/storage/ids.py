@@ -3,9 +3,9 @@
 Neo4j combines fixed-size records with a monotonically increasing ID
 generator so offsets are computable in O(1) and records pack tightly.
 Hermes keeps the monotonic generator (new records always get the next,
-highest ID — which is also why B+Tree insertions in Figure 10's analysis
-always hit the last page) but drops offset addressing, since migration
-moves records between servers.
+highest ID) but drops offset addressing, since migration moves records
+between servers: an id->slot index (a hash table here) locates a record
+whatever its id.
 
 Each server allocates from its own *stripe* of the ID space —
 ``server_id + i * num_servers`` — so distributed allocation never

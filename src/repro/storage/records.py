@@ -3,15 +3,17 @@
 Two storage primitives live here:
 
 * :class:`FixedRecordStore` — struct-packed, fixed-size records placed in
-  page slots.  A B+Tree resolves record ID -> slot because Hermes cannot
-  rely on contiguous ID allocation once records migrate between servers
-  (paper Section 4); freed slots are recycled.
+  page slots.  A hash index (a ``dict``) resolves record ID -> slot
+  because Hermes cannot rely on contiguous ID allocation once records
+  migrate between servers (paper Section 4); freed slots are recycled.
+  Only the cold enumerations (``ids``, ``records``, ``max_id``) need the
+  ids in order, and they sort on demand.
 * :class:`DynamicStore` — variable-length blobs split across fixed-size
   chained chunks, exactly like Neo4j's dynamic string/array stores; the
   property store keeps its keys and values here.
 
 **What one record access costs** (DESIGN.md "Storage access path"): one
-B+Tree probe for the slot, one ``Struct.unpack_from`` straight off the
+dict probe for the slot, one ``Struct.unpack_from`` straight off the
 page ``bytearray`` (no intermediate ``bytes``) and the in-use and
 stored-id checks on those same unpacked fields — that is
 :meth:`FixedRecordStore.fields`, the single checked access — plus, for
@@ -19,6 +21,11 @@ stored-id checks on those same unpacked fields — that is
 traversal read plane stops at the raw fields.  Nothing decoded is kept:
 there is no record cache to invalidate, and the page bytes stay the only
 copy of the data.
+
+**Writes are all-or-nothing.**  :meth:`FixedRecordStore.write` packs the
+whole slot image and checks that it carries ``record_id`` before it
+touches the index, the free list, a page or the change set, so a record
+that cannot be stored leaves the store exactly as it was.
 
 **The log hook.**  A store attached to a write-ahead log adds every slot
 it writes or deletes to :attr:`FixedRecordStore.changed`, the open
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import (
     PageError,
@@ -43,7 +50,6 @@ from repro.exceptions import (
     StorageError,
     StoreCorruptionError,
 )
-from repro.storage.btree import BPlusTree
 from repro.storage.pages import PagedFile
 
 #: Null pointer in record link fields (chains end here).
@@ -102,14 +108,9 @@ class RecordCodec(abc.ABC):
 
 
 class FixedRecordStore:
-    """Slotted fixed-size record storage with a B+Tree ID index."""
+    """Slotted fixed-size record storage with a hash ID index."""
 
-    def __init__(
-        self,
-        codec: RecordCodec,
-        paged_file: Optional[PagedFile] = None,
-        btree_order: int = 64,
-    ):
+    def __init__(self, codec: RecordCodec, paged_file: Optional[PagedFile] = None):
         self.codec = codec
         self.pages = paged_file or PagedFile()
         self.record_size = codec.record_size
@@ -120,7 +121,8 @@ class FixedRecordStore:
             )
         self.slots_per_page = self.pages.page_size // self.record_size
         self._buffers = self.pages.buffers
-        self._index = BPlusTree(order=btree_order)
+        #: record id -> slot
+        self._index: Dict[int, int] = {}
         self._free_slots: List[int] = []
         self._next_slot = self.pages.num_pages * self.slots_per_page
         #: change set of the open log transaction (entries
@@ -142,16 +144,27 @@ class FixedRecordStore:
 
     # ------------------------------------------------------------------
     def write(self, record_id: int, record: Any) -> None:
-        """Insert or update the record stored under ``record_id``."""
+        """Insert or update the record stored under ``record_id``.
+
+        The slot image is packed — every field checked — and its id
+        compared with ``record_id`` first; a record that fails either
+        raises :class:`StorageError` with the store untouched."""
         fields = self.codec.encode(record)
+        if fields[1] != record_id:
+            raise StorageError(
+                f"record {fields[1]!r} cannot be written under id {record_id}"
+            )
+        try:
+            image = self.codec.layout.pack(*fields)
+        except struct.error as error:
+            raise StorageError(f"record {record_id} does not fit: {error}") from error
         slot = self._index.get(record_id)
         if slot is None:
             slot = self._allocate_slot()
-            self._index.insert(record_id, slot)
+            self._index[record_id] = slot
         page, index = divmod(slot, self.slots_per_page)
-        self.codec.layout.pack_into(
-            self._buffers[page], index * self.record_size, *fields
-        )
+        offset = index * self.record_size
+        self._buffers[page][offset : offset + self.record_size] = image
         if self.changed is not None:
             self.changed.add(self.log_key + slot)
 
@@ -198,7 +211,7 @@ class FixedRecordStore:
         self._buffers[page][offset : offset + self.record_size] = bytes(
             self.record_size
         )
-        self._index.delete(record_id)
+        del self._index[record_id]
         self._free_slots.append(slot)
         if self.changed is not None:
             self.changed.add(self.log_key + slot)
@@ -216,14 +229,15 @@ class FixedRecordStore:
         return len(self._index)
 
     def ids(self) -> Iterator[int]:
-        return self._index.keys()
+        """Every stored id, ascending (sorted on demand: a cold path)."""
+        return iter(sorted(self._index))
 
     def records(self) -> Iterator[Any]:
-        for record_id in list(self._index.keys()):
+        for record_id in sorted(self._index):
             yield self.read(record_id)
 
     def max_id(self) -> Optional[int]:
-        return self._index.max_key()
+        return max(self._index, default=None)
 
     @property
     def size_bytes(self) -> int:
@@ -232,32 +246,25 @@ class FixedRecordStore:
     # ------------------------------------------------------------------
     def _rebuild_index(self) -> None:
         """Scan pages after reopening or recovery: index in-use slots,
-        free the rest.  Ids are inserted in ascending order, as a fresh
-        build inserts them, so the B+Tree does not depend on where the
-        records happen to sit."""
-        self._index = BPlusTree(order=self._index.order)
+        free the rest, in slot order."""
+        index_of: Dict[int, int] = {}
         self._free_slots = []
         total_slots = self.pages.num_pages * self.slots_per_page
         self._next_slot = total_slots
-        in_use_slots = []
         for slot in range(total_slots):
             page, index = divmod(slot, self.slots_per_page)
             in_use, record_id = self.codec.header(
                 self._buffers[page], index * self.record_size
             )
-            if in_use:
-                in_use_slots.append((record_id, slot))
-            else:
+            if not in_use:
                 self._free_slots.append(slot)
-        in_use_slots.sort()
-        previous = None
-        for record_id, slot in in_use_slots:
-            if record_id == previous:
+            elif record_id in index_of:
                 raise StorageError(
                     f"duplicate record id {record_id} found during scan"
                 )
-            self._index.insert(record_id, slot)
-            previous = record_id
+            else:
+                index_of[record_id] = slot
+        self._index = index_of
 
     def save(self, path: str) -> None:
         self.pages.save(path)

@@ -1,12 +1,12 @@
 """Count guard for the storage access path (no timing).
 
-A record access is one B+Tree probe and one unpack, no caller locates a
+A record access is one index probe and one unpack, no caller locates a
 record it already holds, and a traversal builds no record objects at all
 (DESIGN.md "Storage access path").  The budget is checked by counting,
 with hooks installed from here:
 
-* ``BPlusTree.get`` — every id->slot lookup of every record store goes
-  through it (``in`` included);
+* every record store's id->slot index (``count_index_calls``) — each
+  ``get`` and ``in`` is one probe;
 * ``NodeCodec.decode`` / ``RelationshipCodec.decode`` — every record
   value built from page bytes.
 
@@ -19,10 +19,9 @@ from collections import Counter
 
 import pytest
 
-from repro.storage.btree import BPlusTree
 from repro.storage.node_store import NodeCodec
 from repro.storage.relationship_store import RelationshipCodec
-from tests.conftest import build_placed_cluster, make_random_graph
+from tests.conftest import build_placed_cluster, count_index_calls, make_random_graph
 
 
 @pytest.fixture
@@ -39,7 +38,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count_calls(BPlusTree, "get", "probes")
+    count_index_calls(monkeypatch, tally)
     count_calls(NodeCodec, "decode", "decodes")
     count_calls(RelationshipCodec, "decode", "decodes")
     return tally

@@ -7,9 +7,10 @@ once where it arrives instead of once per record linked in after it
 (DESIGN.md §15, "migration write path").  The budget is checked by
 counting, with hooks installed from here:
 
-* ``BPlusTree.get`` — every id->slot lookup of every record store;
-* ``BPlusTree.insert`` / ``BPlusTree.delete`` — index maintenance, which
-  the bulk path must leave exactly as the per-record path had it;
+* every record store's id->slot index (``count_index_calls``): ``get``
+  and ``in`` are probes; storing a new id and removing one are index
+  maintenance, which the bulk path must leave exactly as the per-record
+  path had it;
 * the codecs' ``decode`` — every record value built from page bytes;
 * ``FixedRecordStore.write`` — every slot write.
 
@@ -25,12 +26,12 @@ from repro.cluster.hermes import HermesCluster
 from repro.exceptions import StorageError
 from repro.graph.generators import make_dataset
 from repro.partitioning.hashing import HashPartitioner
-from repro.storage.btree import BPlusTree
 from repro.storage.graph_store import GraphStore
 from repro.storage.node_store import NodeCodec
 from repro.storage.property_store import PropertyCodec
 from repro.storage.records import FixedRecordStore
 from repro.storage.relationship_store import RelationshipCodec
+from tests.conftest import count_index_calls
 
 
 @pytest.fixture
@@ -46,9 +47,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count_calls(BPlusTree, "get", "probes")
-    count_calls(BPlusTree, "insert", "inserts")
-    count_calls(BPlusTree, "delete", "deletes")
+    count_index_calls(monkeypatch, tally)
     for codec in (NodeCodec, RelationshipCodec, PropertyCodec):
         count_calls(codec, "decode", "decodes")
     count_calls(FixedRecordStore, "write", "writes")

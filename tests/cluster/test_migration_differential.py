@@ -9,8 +9,8 @@ time through the general chain mutators (``create_relationship``,
 ``detach_endpoint``, ``delete_relationship``, ``remove_node_record``); it
 is kept here, test-local, as the reference.  Twin clusters, one running
 each, go through the same scenario, and everything physical must be
-equal: every page of every record store, the free lists, the B+Tree
-index (shape, key order, slots), the allocators, the WAL frames on a
+equal: every page of every record store, the free lists, the id->slot
+index (every id and its slot), the allocators, the WAL frames on a
 durable cluster, the undo journal of every migration, the reports and
 the metrics.
 """
@@ -179,21 +179,15 @@ def build_twin(reference, durable):
     return cluster
 
 
-def tree_shape(node):
-    if node.children is None:
-        return ("leaf", tuple(node.keys), tuple(node.values))
-    return ("inner", tuple(node.keys), tuple(tree_shape(child) for child in node.children))
-
-
 def store_state(store, journal):
-    """Pages, free lists, index trees and allocators of one store, and
-    the frames of its log."""
+    """Pages, free lists, id->slot indexes and allocators of one store,
+    and the frames of its log."""
     record_stores = [
         (
             [bytes(page) for page in record_store.pages.buffers],
             list(record_store._free_slots),
             record_store._next_slot,
-            tree_shape(record_store._index._root),
+            sorted(record_store._index.items()),
         )
         for record_store in store.record_stores()
     ]

@@ -6,6 +6,7 @@ explicitly-placed clusters (:func:`build_placed_cluster`), direct
 migrations (:func:`migrate_moves`), the replica-placement oracle and view
 (:func:`oracle_placements`, :func:`view_placements`), deep multi-layer state snapshots
 (:func:`deep_snapshot`), metric dumps (:func:`telemetry_snapshot`),
+record-index call counting for the count guards (:func:`count_index_calls`),
 hand-draining of step generators (:func:`drain`), the per-entry traversal
 cost model (:func:`per_entry_model`), canned fault plans (:func:`link_down_plan`,
 :func:`crash_plan`) and the :class:`FixedPartitioner` test double.
@@ -25,6 +26,7 @@ from repro.core.migration import build_migration_plan
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
+from repro.storage.records import FixedRecordStore
 
 
 def make_random_graph(
@@ -176,6 +178,38 @@ def per_entry_model(config, result):
         * (config.remote_hop_cost + config.remote_service_cost)
         + result.processed * config.local_visit_cost
     )
+
+
+def count_index_calls(monkeypatch, tally):
+    """Give every record store built from now on an id->slot index that
+    counts into ``tally``: ``get`` and ``in`` as ``probes``, storing an
+    id it does not hold as ``inserts``, removing one as ``deletes``."""
+
+    class CountingIndex(dict):
+        def get(self, key, default=None):
+            tally["probes"] += 1
+            return dict.get(self, key, default)
+
+        def __contains__(self, key):
+            tally["probes"] += 1
+            return dict.__contains__(self, key)
+
+        def __setitem__(self, key, value):
+            if not dict.__contains__(self, key):
+                tally["inserts"] += 1
+            dict.__setitem__(self, key, value)
+
+        def __delitem__(self, key):
+            tally["deletes"] += 1
+            dict.__delitem__(self, key)
+
+    original = FixedRecordStore.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self._index = CountingIndex(self._index)
+
+    monkeypatch.setattr(FixedRecordStore, "__init__", counting_init)
 
 
 def telemetry_snapshot(cluster):

@@ -97,7 +97,7 @@ class TestIndexSlotDisagreement:
         """Every slot stores its record's id; a read that lands on a slot
         holding a different id is corruption, not an answer."""
         store = self.make_store()
-        store._index.insert(1, store._index.get(2))
+        store._index[1] = store._index[2]
         with pytest.raises(StoreCorruptionError, match="record 2"):
             store.read(1)
         with pytest.raises(StoreCorruptionError):

@@ -114,7 +114,7 @@ class TestDamagedStoresFailTheBulkReadTheSameWay:
     def test_index_entry_pointing_at_another_records_slot(self):
         store, rel_ids = star_store()
         relationships = store.relationships
-        relationships._index.insert(rel_ids[2], relationships._index.get(rel_ids[0]))
+        relationships._index[rel_ids[2]] = relationships._index[rel_ids[0]]
         for read in (
             lambda: relationships.fields(rel_ids[2]),
             lambda: relationships.read(rel_ids[2]),

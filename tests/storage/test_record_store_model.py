@@ -2,9 +2,11 @@
 
 A hypothesis state machine drives write / overwrite / delete / read /
 ``get`` / ``in`` / ``ids()`` / save→load and compares each answer with a
-dict holding the same records.  Small pages and a small B+Tree order
-make page growth, slot recycling and index splits/merges happen within a
-few steps.
+dict holding the same records.  Small pages make page growth and slot
+recycling happen within a few steps.  The id->slot index is a hash
+table, so the ascending order of ``ids()`` / ``records()`` and
+``max_id()`` is computed on demand; it is checked after every step, on
+the live store and on one reopened from the same pages.
 """
 
 import os
@@ -76,7 +78,7 @@ class RecordStoreModel(RuleBasedStateMachine):
         self.model = {}
 
     def fresh_store(self, paged_file):
-        return FixedRecordStore(self.codec_class(), paged_file, btree_order=4)
+        return FixedRecordStore(self.codec_class(), paged_file)
 
     @rule(data=st.data(), record_id=RECORD_IDS)
     def write(self, data, record_id):
@@ -117,15 +119,26 @@ class RecordStoreModel(RuleBasedStateMachine):
 
     @invariant()
     def enumerations_agree(self):
-        assert list(self.store.ids()) == sorted(self.model)
         assert len(self.store) == len(self.model)
-        assert self.store.max_id() == (max(self.model) if self.model else None)
         assert list(self.store.records()) == [
             self.model[record_id] for record_id in sorted(self.model)
         ]
         # Freed slots are recycled: the file never outgrows its high-water mark.
         slots = self.store.pages.num_pages * self.store.slots_per_page
         assert slots - len(self.store._free_slots) >= len(self.model)
+
+    @invariant()
+    def order_holds_live_and_after_reopen(self):
+        """Reopening rebuilds the index by scanning the pages
+        (``_rebuild_index``); the on-demand order must not depend on it."""
+        pages = PagedFile(page_size=self.store.pages.page_size)
+        pages.buffers.extend(bytearray(page) for page in self.store.pages.buffers)
+        expected_max = max(self.model) if self.model else None
+        for store in (self.store, self.fresh_store(pages)):
+            ids = list(store.ids())
+            assert all(low < high for low, high in zip(ids, ids[1:]))
+            assert ids == sorted(self.model)
+            assert store.max_id() == expected_max
 
 
 def machine_for(codec, records):

@@ -117,6 +117,55 @@ class TestFixedRecordStore:
         assert loaded.read(500).node_id == 500
 
 
+class TestWriteIsAllOrNothing:
+    """A write that cannot be stored raises ``StorageError`` before it
+    touches the index, the free list, a page or the log's change set."""
+
+    def make_store(self):
+        """Records 0, 1 and 3 in use, record 2's slot on the free list,
+        a log change set attached and empty."""
+        store = FixedRecordStore(NodeCodec())
+        for node_id in range(4):
+            store.write(node_id, NodeRecord(node_id=node_id, first_rel=10 + node_id))
+        store.delete(2)
+        store.changed = set()
+        return store
+
+    def state(self, store):
+        return (
+            len(store),
+            list(store.ids()),
+            [bytes(page) for page in store.pages.buffers],
+            list(store._free_slots),
+            store._next_slot,
+            set(store.changed),
+        )
+
+    def assert_refused(self, store, record_id, record):
+        before = self.state(store)
+        with pytest.raises(StorageError):
+            store.write(record_id, record)
+        assert self.state(store) == before
+
+    def test_a_field_out_of_range_creates_nothing(self):
+        store = self.make_store()
+        self.assert_refused(store, 5, NodeRecord(node_id=5, first_rel=2**63))
+        assert 5 not in store
+        assert store.get(5) is None
+
+    def test_a_failed_update_keeps_the_old_record(self):
+        store = self.make_store()
+        old = store.read(1)
+        self.assert_refused(store, 1, NodeRecord(node_id=1, first_rel=99, weight="x"))
+        assert store.read(1) == old
+
+    def test_a_record_carrying_another_id_is_refused(self):
+        store = self.make_store()
+        self.assert_refused(store, 5, NodeRecord(node_id=6))
+        self.assert_refused(store, 1, NodeRecord(node_id=3))
+        assert store.read(1).node_id == 1
+
+
 class TestDynamicStore:
     def test_small_blob(self):
         store = DynamicStore()
