@@ -20,6 +20,7 @@ from repro.core.repartitioner import LightweightRepartitioner
 from repro.graph.compact import GraphBuilder
 from repro.graph.generators import (
     compact_powerlaw_graph,
+    make_dataset,
     orkut_like,
     powerlaw_edge_stream,
 )
@@ -257,6 +258,25 @@ def test_bench_create_relationship(benchmark):
         store.create_relationship(store.allocate_rel_id(), u, v)
 
     benchmark(insert_edge)
+
+
+def test_bench_cluster_load(benchmark):
+    """Bulk load of a 1 200-vertex orkut-like graph onto 8 durable servers
+    (the end-to-end benchmark's data set): the planning pass over the
+    edges, one ``GraphStore.bulk_load`` per server, the mirror, the
+    auxiliary-data bootstrap and the checkpoint."""
+    graph = make_dataset("orkut", 1200, 2015).graph
+    partitioning = HashPartitioner(salt=21).partition(graph, 8)
+
+    def empty_cluster():
+        return (HermesCluster(8, durability=True),), {}
+
+    benchmark.pedantic(
+        lambda cluster: cluster.load(graph, partitioning),
+        setup=empty_cluster,
+        rounds=5,
+        iterations=1,
+    )
 
 
 def traversal_bench(benchmark, dataset, hops):

@@ -256,7 +256,7 @@ class HermesCluster:
         partitioning: Optional[Partitioning] = None,
         **kwargs,
     ) -> "HermesCluster":
-        """Build a cluster and bulk-load a graph.
+        """Build a cluster and bulk-load a graph with :meth:`load`.
 
         Either give an explicit ``partitioning`` or a ``partitioner`` to
         compute the initial placement (default: random hash).
@@ -272,22 +272,62 @@ class HermesCluster:
     def load(self, graph: SocialGraph, partitioning: Partitioning) -> None:
         """Bulk-load: nodes to their partitions, edges with ghosts.
 
-        A bulk import: the stores are written without committing and
-        each durable server then checkpoints once, so loading logs
-        nothing."""
+        All or nothing: the cluster must be empty, no fault plan may be
+        attached (a bulk import is fault-free and unlogged) and every
+        vertex needs a partition in ``[0, num_servers)``; a violation
+        raises :class:`ClusterError` before anything is written, so a
+        corrected retry succeeds.
+
+        One pass over the edges plans the records: the id comes from the
+        ``src`` host's allocator, the primary lives there and the ghost
+        on the ``dst`` host, whose allocator observes the id at once —
+        between its own allocations, as creating the ghost would — and
+        each cross-server edge is charged one remote hop.  Each server
+        then writes its share with one :meth:`GraphStore.bulk_load`,
+        every record once with its final pointers: the pages creating one
+        record at a time leaves.  The mirror takes one vertex and one
+        edge at a time (its adjacency order feeds static repartitioning)
+        and the auxiliary data is bootstrapped from it in one pass.
+        Nothing is committed: each durable server checkpoints once, so
+        loading logs nothing.
+        """
         if self.graph.num_vertices:
             raise ClusterError("cluster already loaded")
+        if self.faults is not None:
+            raise ClusterError("detach the fault plan before a bulk load")
+        home: Dict[int, int] = {}
         for vertex in graph.vertices():
-            server = partitioning.partition_of(vertex)
+            server = partitioning.get(vertex)
+            if server is None or not 0 <= server < self.num_servers:
+                raise ClusterError(
+                    f"vertex {vertex} has no partition in [0, {self.num_servers}): "
+                    f"{server}"
+                )
+            home[vertex] = server
+        stores = [server.store for server in self.servers]
+        nodes: List[List[Tuple[int, float]]] = [[] for _ in stores]
+        relationships: List[List[Tuple[int, int, int, bool]]] = [[] for _ in stores]
+        mirror = self.graph
+        for vertex, server in home.items():
             weight = graph.weight(vertex)
-            self.servers[server].store.create_node(vertex, weight=weight)
+            nodes[server].append((vertex, weight))
             self.catalog.register(vertex, server)
-            self.graph.add_vertex(vertex, weight=weight)
-            self.aux.add_vertex(vertex, server, weight)
+            mirror.add_vertex(vertex, weight=weight)
+        remote_hop = self.network.remote_hop
         for u, v in graph.edges():
-            self._create_edge_records(u, v, properties=None)
-            self.graph.add_edge(u, v)
-            self.aux.add_edge(u, v)
+            host_u, host_v = home[u], home[v]
+            rel_id = stores[host_u].allocate_rel_id()
+            relationships[host_u].append((rel_id, u, v, False))
+            if host_v != host_u:
+                remote_hop(host_u, host_v)
+                stores[host_v].observe_rel_id(rel_id)
+                relationships[host_v].append((rel_id, u, v, True))
+            mirror.add_edge(u, v)
+        for store, server_nodes, server_relationships in zip(
+            stores, nodes, relationships
+        ):
+            store.bulk_load(server_nodes, server_relationships)
+        self.aux.bootstrap(mirror, home.__getitem__)
         self._checkpoint()
 
     def _checkpoint(self) -> None:

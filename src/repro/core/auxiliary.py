@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from typing import (
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -196,8 +197,24 @@ class AuxiliaryData:
         columns, anything else is read through the protocol.
         """
         aux = cls(partitioning.num_partitions)
+        aux.bootstrap(graph, partitioning.partition_of)
+        return aux
+
+    def bootstrap(self, graph: GraphRead, partition_of: Callable[[int], int]) -> None:
+        """Fill auxiliary data that tracks nothing yet and carries no heat
+        (its capacities are kept) from a full graph and each vertex's
+        partition — the one pass of :meth:`from_graph`.  The rows,
+        counters and partition weights are the ones :meth:`add_vertex`
+        for every vertex in graph order and then :meth:`add_edge` for
+        every edge leave; the columns are sized to the graph.  A
+        partition out of range raises :class:`PartitioningError` with
+        nothing changed."""
+        if self._used or self._heat is not None:
+            raise PartitioningError("bootstrap needs empty, unheated auxiliary data")
         n = graph.num_vertices
-        alpha = aux.num_partitions
+        if not n:
+            return
+        alpha = self.num_partitions
         csr = isinstance(graph, CompactGraph)
         if csr:
             ids = graph.ids_column
@@ -211,20 +228,20 @@ class AuxiliaryData:
                 ids = None
         vertex_list = range(n) if ids is None else ids.tolist()
         partition = np.fromiter(
-            map(partitioning.partition_of, vertex_list), dtype=np.int32, count=n
+            map(partition_of, vertex_list), dtype=np.int32, count=n
         )
-        if ids is not None:
-            aux._ids = ids.astype(np.int64)
-            aux._rows = dict(zip(vertex_list, range(n)))
+        if not (0 <= partition.min() and partition.max() < alpha):
+            raise PartitioningError(f"partition out of range [0, {alpha})")
+        rows = None if ids is None else dict(zip(vertex_list, range(n)))
         # The directed edge list in row space: every edge in both directions.
         if csr:
             heads = np.repeat(np.arange(n), np.diff(graph.indptr))
             tails = graph.neighbor_indices
         else:
             ends = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64)
-            if ids is not None:
+            if rows is not None:
                 ends = np.fromiter(
-                    map(aux._rows.__getitem__, ends.tolist()),
+                    map(rows.__getitem__, ends.tolist()),
                     dtype=np.int64,
                     count=len(ends),
                 )
@@ -232,12 +249,14 @@ class AuxiliaryData:
             tails = np.concatenate([ends[1::2], ends[0::2]])
         cells = heads * alpha + partition[tails]
         counts = np.bincount(cells, minlength=n * alpha).astype(np.int32)
-        aux._install(partition, weights, counts.reshape(n, alpha))
-        aux._used = aux._live = n
-        aux.partition_weights = np.bincount(
+        self._install(partition, weights, counts.reshape(n, alpha))
+        if ids is not None:
+            self._ids = ids.astype(np.int64)
+            self._rows = rows
+        self._used = self._live = n
+        self.partition_weights = np.bincount(
             partition, weights=weights, minlength=alpha
         ).tolist()
-        return aux
 
     # ------------------------------------------------------------------
     # Columns

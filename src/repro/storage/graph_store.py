@@ -32,12 +32,13 @@ record accesses cluster-wide.  ``is_available``, ``node``,
 ``neighbor_entries``, ``node_properties`` and the mutators remain the
 per-record boundary for point reads and single writes.
 
-Migration writes a whole chain at a time: ``import_node`` installs an
-arriving node with its chain, writing each relationship record once with
-its final pointers, and ``delete_node`` dismantles a departing node in
-one walk of its chain.  Both allocate and free slots, ids and blobs in
-the order the per-record mutators would, so the pages they leave are
-the ones installing or unlinking one record at a time leaves.
+Bulk paths write a whole chain at a time: ``bulk_load`` fills an empty
+store, ``import_node`` installs an arriving node with its chain — each
+writing every record once, with its final pointers — and
+``delete_node`` dismantles a departing node in one walk of its chain.
+They allocate and free slots, ids and blobs in the order the per-record
+mutators would, so the pages they leave are the ones creating, linking
+or unlinking one record at a time leaves.
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ from repro.storage.relationship_store import (
     RelationshipRecord,
     RelationshipStore,
 )
+
+
+def _chain_links(chain: Sequence[int], position: int) -> Tuple[int, int]:
+    """``(prev, next)`` of ``chain[position]`` once the records of
+    ``chain`` have been head-inserted in order: ``prev`` is the newer
+    record, ``next`` the older one, NULL at the ends (the head is
+    ``chain[-1]``)."""
+    return (
+        chain[position + 1] if position + 1 < len(chain) else NULL_REF,
+        chain[position - 1] if position else NULL_REF,
+    )
 
 
 class NeighborEntry(NamedTuple):
@@ -296,6 +308,12 @@ class GraphStore:
     # ==================================================================
     def allocate_rel_id(self) -> int:
         return self._rel_ids.allocate()
+
+    def observe_rel_id(self, rel_id: int) -> None:
+        """Advance the relationship allocator past an id another server
+        minted, as creating its record here would (a ghost of a bulk
+        load, planned before the record is written)."""
+        self._rel_ids.observe(rel_id)
 
     def create_relationship(
         self,
@@ -666,6 +684,89 @@ class GraphStore:
             prop_id = next_prop
 
     # ==================================================================
+    # Bulk load
+    # ==================================================================
+    def bulk_load(
+        self,
+        nodes: Sequence[Tuple[int, float]],
+        relationships: Sequence[Tuple[int, int, int, bool]],
+    ) -> None:
+        """Fill an empty store: ``nodes`` as ``(node_id, weight)`` and
+        ``relationships`` as ``(rel_id, src, dst, ghost)``, each in
+        creation order.
+
+        The store ends byte for byte where :meth:`create_node` for every
+        node and then :meth:`create_relationship` for every relationship
+        leave it, but each record is written once, with its final
+        pointers, and nothing is read back: in the chain of each local
+        endpoint a record's ``next`` is the older record and its ``prev``
+        the newer one, and a node's ``first_rel`` is its newest — the
+        head-insertion rule :meth:`import_node` follows too.  Slots are
+        allocated in creation order (nodes, then relationships, each in
+        its own store) and the relationship allocator ends past every id.
+
+        Everything is checked before the first write — the store is
+        empty, no node or relationship comes twice, no relationship is a
+        self-loop, has a negative id or lacks a local endpoint — so bad
+        input raises :class:`StorageError` with the store untouched.
+        """
+        if len(self.nodes) or len(self.relationships) or len(self.properties):
+            raise StorageError("bulk_load needs an empty store")
+        #: node id -> its relationship ids, in creation order
+        chains: Dict[int, List[int]] = {}
+        for node_id, _ in nodes:
+            if node_id in chains:
+                raise StorageError(f"node {node_id} appears twice")
+            chains[node_id] = []
+        seen: Set[int] = set()
+        for rel_id, src, dst, _ in relationships:
+            if rel_id in seen or rel_id < 0:
+                raise StorageError(f"relationship id {rel_id} is negative or repeated")
+            seen.add(rel_id)
+            if src == dst:
+                raise StorageError(f"relationship {rel_id} is a self-loop")
+            src_chain, dst_chain = chains.get(src), chains.get(dst)
+            if src_chain is None and dst_chain is None:
+                raise StorageError(
+                    f"neither endpoint of relationship {rel_id} is local"
+                )
+            if src_chain is not None:
+                src_chain.append(rel_id)
+            if dst_chain is not None:
+                dst_chain.append(rel_id)
+        if seen:
+            self._rel_ids.observe(max(seen))
+        for node_id, weight in nodes:
+            chain = chains[node_id]
+            self.nodes.write(
+                NodeRecord(
+                    node_id=node_id,
+                    first_rel=chain[-1] if chain else NULL_REF,
+                    weight=weight,
+                )
+            )
+        #: node id -> how many of its relationships are written
+        written = dict.fromkeys(chains, 0)
+        write = self.relationships.write
+        for rel_id, src, dst, ghost in relationships:
+            src_prev = src_next = dst_prev = dst_next = NULL_REF
+            chain = chains.get(src)
+            if chain is not None:
+                src_prev, src_next = _chain_links(chain, written[src])
+                written[src] += 1
+            chain = chains.get(dst)
+            if chain is not None:
+                dst_prev, dst_next = _chain_links(chain, written[dst])
+                written[dst] += 1
+            # Positional, in field order: this runs once per record.
+            write(
+                RelationshipRecord(
+                    rel_id, src, dst, src_prev, src_next, dst_prev, dst_next,
+                    NULL_REF, ghost,
+                )
+            )
+
+    # ==================================================================
     # Migration payloads (used by the cluster's two-step protocol)
     # ==================================================================
     def export_node(self, node_id: int) -> Dict[str, Any]:
@@ -726,7 +827,6 @@ class GraphStore:
         rels = payload["relationships"]
         present = self._check_import(node_id, rels, roles)
         ids = [rel["rel_id"] for rel in rels]
-        last = len(ids) - 1
         first_prop = self._new_property_chain(node_id, payload["properties"])
         before: List[Optional[RecordBefore]] = []
         for position, (rel, ghost) in enumerate(zip(rels, roles)):
@@ -750,17 +850,13 @@ class GraphStore:
                     self._new_property_chain(rel_id, properties)
                 )
                 before.append(None)
-            record = record.with_prev_for(
-                node_id, ids[position + 1] if position < last else NULL_REF
-            )
-            record = record.with_next_for(
-                node_id, ids[position - 1] if position else NULL_REF
-            )
+            prev, nxt = _chain_links(ids, position)
+            record = record.with_prev_for(node_id, prev).with_next_for(node_id, nxt)
             self.relationships.write(record)
         self.nodes.write(
             NodeRecord(
                 node_id=node_id,
-                first_rel=ids[last] if ids else NULL_REF,
+                first_rel=ids[-1] if ids else NULL_REF,
                 first_prop=first_prop,
                 weight=node["weight"],
             )

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.core.config import RepartitionerConfig
 from repro.exceptions import ClusterError
 from repro.graph.generators import community_graph, make_dataset
+from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.simtest.invariants import InvariantAuditor
@@ -21,6 +23,51 @@ class TestLoading:
     def test_double_load_rejected(self, small_cluster, small_graph):
         with pytest.raises(ClusterError):
             small_cluster.load(small_graph, HashPartitioner().partition(small_graph, 3))
+
+    @staticmethod
+    def assert_empty(cluster):
+        assert list(cluster.catalog.vertices()) == []
+        assert all(
+            server.store.num_nodes == 0 and len(server.store.relationships) == 0
+            for server in cluster.servers
+        )
+        assert cluster.graph.num_vertices == 0
+        assert cluster.aux.num_vertices == 0
+        assert cluster.aux.partition_weights == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "placement",
+        [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}],
+        ids=["partition-out-of-range", "vertex-without-partition"],
+    )
+    def test_bad_placement_is_a_typed_error_and_loads_nothing(
+        self, triangle_graph, placement
+    ):
+        """Vertices 0 and 1 used to be written before vertex 2 raised a
+        bare ``IndexError`` / ``VertexNotFoundError``, and every retry
+        then failed with "cluster already loaded"."""
+        cluster = HermesCluster(2, durability=True)
+        partitioning = Partitioning.from_mapping(placement, num_partitions=3)
+        with pytest.raises(ClusterError, match="vertex 2"):
+            cluster.load(triangle_graph, partitioning)
+        self.assert_empty(cluster)
+        corrected = Partitioning.from_mapping({0: 0, 1: 1, 2: 1}, num_partitions=2)
+        cluster.load(triangle_graph, corrected)
+        cluster.validate()
+
+    def test_load_under_a_fault_plan_is_refused(self, triangle_graph):
+        """A bulk load is a fault-free, unlogged import; a fault in the
+        middle of it used to leave a half-loaded cluster."""
+        cluster = HermesCluster(2)
+        cluster.attach_faults(FaultPlan())
+        partitioning = Partitioning.from_mapping({0: 0, 1: 1, 2: 1}, num_partitions=2)
+        with pytest.raises(ClusterError, match="fault plan"):
+            cluster.load(triangle_graph, partitioning)
+        self.assert_empty(cluster)
+        assert cluster.network.stats.messages == 0
+        cluster.attach_faults(None)
+        cluster.load(triangle_graph, partitioning)
+        cluster.validate()
 
     def test_ghosts_present_for_cut_edges(self, small_cluster):
         cut_edges = [

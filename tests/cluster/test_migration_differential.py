@@ -30,6 +30,7 @@ from tests.conftest import (
     build_placed_cluster,
     crash_plan,
     make_random_graph,
+    store_state,
     telemetry_snapshot,
 )
 
@@ -177,26 +178,6 @@ def build_twin(reference, durable):
     cluster.add_vertex(1000, properties={"name": "late", "age": 3}, server=1)
     cluster.add_edge(1000, 4, properties={"kind": "friend"})
     return cluster
-
-
-def store_state(store, journal):
-    """Pages, free lists, id->slot indexes and allocators of one store,
-    and the frames of its log."""
-    record_stores = [
-        (
-            [bytes(page) for page in record_store.pages.buffers],
-            list(record_store._free_slots),
-            record_store._next_slot,
-            sorted(record_store._index.items()),
-        )
-        for record_store in store.record_stores()
-    ]
-    return (
-        record_stores,
-        store.allocator_state(),
-        store.properties._dynamic._next_chunk_id,
-        list(journal.wal.frames()) if journal else None,
-    )
 
 
 def physical_state(cluster):

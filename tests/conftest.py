@@ -5,7 +5,8 @@ the scenario builders the cluster test modules used to duplicate:
 explicitly-placed clusters (:func:`build_placed_cluster`), direct
 migrations (:func:`migrate_moves`), the replica-placement oracle and view
 (:func:`oracle_placements`, :func:`view_placements`), deep multi-layer state snapshots
-(:func:`deep_snapshot`), metric dumps (:func:`telemetry_snapshot`),
+(:func:`deep_snapshot`), physical store images for the differential
+tests (:func:`store_state`), metric dumps (:func:`telemetry_snapshot`),
 record-index call counting for the count guards (:func:`count_index_calls`),
 hand-draining of step generators (:func:`drain`), the per-entry traversal
 cost model (:func:`per_entry_model`), canned fault plans (:func:`link_down_plan`,
@@ -210,6 +211,28 @@ def count_index_calls(monkeypatch, tally):
         self._index = CountingIndex(self._index)
 
     monkeypatch.setattr(FixedRecordStore, "__init__", counting_init)
+
+
+def store_state(store, journal=None):
+    """Everything physical of one graph store, for the differential tests:
+    per record store the page bytes, free list, next slot and sorted
+    id->slot index; the allocators; the next dynamic chunk id; and the
+    frames of its log when a journal is given."""
+    record_stores = [
+        (
+            [bytes(page) for page in record_store.pages.buffers],
+            list(record_store._free_slots),
+            record_store._next_slot,
+            sorted(record_store._index.items()),
+        )
+        for record_store in store.record_stores()
+    ]
+    return (
+        record_stores,
+        store.allocator_state(),
+        store.properties._dynamic._next_chunk_id,
+        list(journal.wal.frames()) if journal else None,
+    )
 
 
 def telemetry_snapshot(cluster):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage.graph_store import GraphStore
 from repro.storage.records import NULL_REF
+from tests.conftest import store_state
 
 
 @pytest.fixture
@@ -224,6 +225,62 @@ class TestMigrationPrimitives:
         store.set_node_property(5, "x", 1)
         store.remove_node_record(5)
         assert not store.has_node(5)
+
+
+#: nodes 0-3 local to server 1 of 2, 4 remote; 21 and 23 are ghosts
+BULK_NODES = [(2, 1.5), (0, 1.0), (3, 0.25), (1, 4.0)]
+BULK_RELS = [
+    (1, 0, 2, False),
+    (3, 2, 1, False),
+    (21, 4, 0, True),
+    (5, 0, 1, False),
+    (23, 4, 2, True),
+    (7, 3, 0, False),
+]
+
+
+class TestBulkLoad:
+    def test_bulk_load_equals_one_record_at_a_time(self):
+        bulk = GraphStore(server_id=1, num_servers=2)
+        bulk.bulk_load(BULK_NODES, BULK_RELS)
+        single = GraphStore(server_id=1, num_servers=2)
+        for node_id, weight in BULK_NODES:
+            single.create_node(node_id, weight=weight)
+        for rel_id, src, dst, ghost in BULK_RELS:
+            single.create_relationship(rel_id, src, dst, ghost=ghost)
+        assert store_state(bulk) == store_state(single)
+        assert bulk.neighbors(0) == [3, 1, 4, 2]  # newest first
+        assert bulk.allocate_rel_id() == 25
+
+    @pytest.mark.parametrize(
+        "nodes, rels",
+        [
+            (BULK_NODES + [(0, 1.0)], BULK_RELS),
+            (BULK_NODES, BULK_RELS + [(5, 1, 3, False)]),
+            (BULK_NODES, BULK_RELS + [(9, 3, 3, False)]),
+            (BULK_NODES, BULK_RELS + [(9, 4, 5, True)]),
+            (BULK_NODES, BULK_RELS + [(-1, 1, 3, False)]),
+        ],
+        ids=[
+            "node-twice",
+            "relationship-twice",
+            "self-loop",
+            "no-local-endpoint",
+            "negative-id",
+        ],
+    )
+    def test_bad_input_leaves_the_store_untouched(self, nodes, rels):
+        store = GraphStore(server_id=1, num_servers=2)
+        before = store_state(store)
+        with pytest.raises(StorageError):
+            store.bulk_load(nodes, rels)
+        assert store_state(store) == before
+
+    def test_a_store_that_is_not_empty_is_refused(self, store):
+        before = store_state(store)
+        with pytest.raises(StorageError, match="empty"):
+            store.bulk_load([(10, 1.0)], [])
+        assert store_state(store) == before
 
 
 class TestStatsAndPersistence:
