@@ -133,13 +133,13 @@ def test_bench_aux_bootstrap_csr(benchmark, csr_20k):
 
 def test_bench_phase1_stage(benchmark, csr_20k):
     """One stage at n=20 000: eight selections, then the chosen moves
-    (k=200 per partition) applied to the auxiliary data."""
+    (k=200 per partition) gathered and applied to the auxiliary data."""
     graph, partitioning = csr_20k
     repartitioner = LightweightRepartitioner()
 
     def fresh():
         aux = AuxiliaryData.from_graph(graph, partitioning)
-        return (graph, partitioning.copy(), aux, STAGE_LOW_TO_HIGH, 200, {}), {}
+        return (graph, aux, STAGE_LOW_TO_HIGH, 200, set()), {}
 
     moved = benchmark.pedantic(
         repartitioner._run_stage, setup=fresh, rounds=5, iterations=1

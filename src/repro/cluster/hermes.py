@@ -630,11 +630,8 @@ class HermesCluster:
     def _point_aux(self, placement: Dict[int, int]) -> None:
         """Logically move each vertex of ``placement`` to its partition,
         as one all-or-nothing batch (in the map's order)."""
-        self.aux.apply_moves(
-            list(placement),
-            list(placement.values()),
-            [self.graph.neighbors(vertex) for vertex in placement],
-        )
+        vertices, targets = list(placement), list(placement.values())
+        self.aux.apply_moves(vertices, targets, self.graph.neighbor_batch(vertices))
 
     def _rollback_aux(self, moves: Dict[int, Tuple[int, int]]) -> None:
         """Re-point the auxiliary data at the pre-move placement."""

@@ -37,7 +37,6 @@ import math
 from itertools import chain
 from typing import (
     Callable,
-    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -316,32 +315,33 @@ class AuxiliaryData:
     # Vertex id <-> row
     # ------------------------------------------------------------------
     def _locate(self, vertex: int) -> Tuple[int, int]:
-        """``(row, partition)`` of a tracked vertex (one cell read)."""
-        row = vertex if self._rows is None else self._rows.get(vertex, -1)
-        if 0 <= row < self._used:
-            partition = self._partition_cell[row]
-            if partition >= 0:
-                return row, partition
+        """``(row, partition)`` of a tracked integral vertex id (one cell read)."""
+        if type(vertex) is int or isinstance(vertex, np.integer):
+            row = vertex if self._rows is None else self._rows.get(vertex, -1)
+            if 0 <= row < self._used:
+                partition = self._partition_cell[row]
+                if partition >= 0:
+                    return row, partition
         raise VertexNotFoundError(vertex)
 
     def _rows_of(self, vertices) -> np.ndarray:
         """Rows of a batch of tracked vertex ids (int64 array)."""
+        ids = np.asarray(vertices)
+        if len(ids) and ids.dtype.kind not in "iu":  # one check per batch
+            raise VertexNotFoundError(ids[0].item())
         if self._rows is None:
-            rows = np.asarray(vertices, dtype=np.int64)
-            if len(rows):
-                known = (rows >= 0) & (rows < self._used)
-                if known.all() and self._live < self._used:  # free rows exist
-                    known = self._partition[rows] >= 0
-                if not known.all():
-                    raise VertexNotFoundError(int(rows[~known][0]))
+            rows = ids.astype(np.int64)
+            known = (rows >= 0) & (rows < self._used)
+            if known.all() and self._live < self._used:  # free rows exist
+                known = self._partition[rows] >= 0
+            if not known.all():
+                raise VertexNotFoundError(int(rows[~known][0]))
             return rows
-        if isinstance(vertices, np.ndarray):
-            vertices = vertices.tolist()
         try:
             return np.fromiter(
-                map(self._rows.__getitem__, vertices),
+                map(self._rows.__getitem__, ids.tolist()),
                 dtype=np.int64,
-                count=len(vertices),
+                count=len(ids),
             )
         except KeyError as exc:
             raise VertexNotFoundError(exc.args[0]) from None
@@ -497,30 +497,34 @@ class AuxiliaryData:
         """
         source = self.partition_of(vertex)
         if not isinstance(neighbors, np.ndarray):
-            neighbors = list(neighbors)
-        self.apply_moves([vertex], [target], [neighbors])
+            neighbors = np.array(list(neighbors))
+        self.apply_moves([vertex], [target], (neighbors, [len(neighbors)]))
         return source
 
     def apply_moves(
         self,
         vertices: Sequence[int],
         targets: Sequence[int],
-        neighbor_lists: Sequence[Collection[int]],
+        neighbors: Tuple[np.ndarray, np.ndarray],
     ) -> None:
         """Logically migrate a batch of vertices, all or nothing.
 
-        Equivalent to ``apply_move(vertices[i], targets[i],
-        neighbor_lists[i])`` for ascending ``i``: the integer counters
-        commute, so they move in two scatter operations for the whole
-        batch, while the partition weights (and attached heat) are floats
-        whose accumulation order is observable and stay a scalar loop in
-        batch order.  The batch is validated before anything changes —
-        every target in range, every vertex and neighbor tracked, no
-        vertex twice, every decremented counter >= 1 — and a violation
-        raises :class:`PartitioningError` / :class:`VertexNotFoundError`
-        with the auxiliary data untouched.
+        ``neighbors`` is the adjacency pair ``(neighbor_ids, lengths)``
+        of :meth:`~repro.graph.compact.GraphRead.neighbor_batch`.
+        Equivalent to ``apply_move`` per vertex in batch order: the
+        integer counters commute, so they move in two scatter operations
+        for the whole batch, while the partition weights (and attached
+        heat) are floats whose accumulation order is observable and stay
+        a scalar loop in (batch, neighbor) order.  The batch is validated
+        before anything changes — every id integral and tracked, every
+        target in range, no vertex twice, every decremented counter >= 1
+        — and a violation raises :class:`PartitioningError` /
+        :class:`VertexNotFoundError` with the auxiliary data untouched.
         """
-        if not len(vertices) == len(targets) == len(neighbor_lists):
+        neighbor_ids, lengths = neighbors
+        lengths = np.asarray(lengths, dtype=np.int64)
+        counted = lengths.sum() == len(neighbor_ids) and (lengths >= 0).all()
+        if not (counted and len(vertices) == len(targets) == len(lengths)):
             raise PartitioningError("apply_moves arguments differ in length")
         alpha = self.num_partitions
         target_column = np.asarray(targets, dtype=np.int64)
@@ -528,30 +532,19 @@ class AuxiliaryData:
             0 <= target_column.min() and target_column.max() < alpha
         ):
             raise PartitioningError(f"target partition out of range [0, {alpha})")
-        if len(set(vertices)) != len(vertices):
-            raise PartitioningError("a vertex may move only once per batch")
         rows = self._rows_of(vertices)
+        if len(set(rows.tolist())) != len(rows):
+            raise PartitioningError("a vertex may move only once per batch")
         source_column = self._partition[rows].astype(np.int64)
         moving = source_column != target_column
         if not moving.all():
             rows = rows[moving]
             source_column = source_column[moving]
             target_column = target_column[moving]
-            vertices = [v for v, keep in zip(vertices, moving.tolist()) if keep]
-            neighbor_lists = [
-                n for n, keep in zip(neighbor_lists, moving.tolist()) if keep
-            ]
+            neighbor_ids = np.asarray(neighbor_ids)[np.repeat(moving, lengths)]
+            lengths = lengths[moving]
         if not len(rows):
             return
-        lengths = np.fromiter(
-            map(len, neighbor_lists), dtype=np.int64, count=len(neighbor_lists)
-        )
-        if isinstance(neighbor_lists[0], np.ndarray):
-            neighbor_ids = np.concatenate(neighbor_lists)
-        else:
-            neighbor_ids = np.fromiter(
-                chain.from_iterable(neighbor_lists), dtype=np.int64
-            )
         neighbor_rows = self._rows_of(neighbor_ids)
 
         # Counter transfer: each neighbor's "count in source" decrements
@@ -587,11 +580,11 @@ class AuxiliaryData:
             # ones: each neighbor's heat toward the source partition
             # follows the vertex to the target, in (batch, neighbor) order.
             edge_heat = self._edge_heat
-            neighbor_ids = neighbor_ids.tolist()
+            neighbor_ids = np.asarray(neighbor_ids).tolist()
             neighbor_rows = neighbor_rows.tolist()
             start = 0
             for vertex, source, target, length in zip(
-                vertices, sources, targets, lengths.tolist()
+                self._ids_of(rows).tolist(), sources, targets, lengths.tolist()
             ):
                 for i in range(start, start + length):
                     nbr = neighbor_ids[i]
@@ -686,6 +679,10 @@ class AuxiliaryData:
 
     def partition_of(self, vertex: int) -> int:
         return self._locate(vertex)[1]
+
+    def partitions_of(self, vertices: Sequence[int]) -> List[int]:
+        """:meth:`partition_of` for a batch, in batch order (one gather)."""
+        return self._partition[self._rows_of(vertices)].tolist()
 
     def weight_of(self, vertex: int) -> float:
         return self._weight_cell[self._locate(vertex)[0]]

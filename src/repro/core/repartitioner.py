@@ -14,11 +14,12 @@ Phase 1 on arrays (DESIGN.md §6): a source partition's selection is one
 pass over its members' rows of the count matrix — gain matrix, balance
 and direction masks, a masked ``argmax`` per row — followed by the top-k
 min-heap over the admissible vertices in ascending id order, and a stage's
-chosen moves are applied as one batch
-(:meth:`~repro.core.auxiliary.AuxiliaryData.apply_moves`).  The heap and
-the partition-weight updates stay scalar on purpose: the heap's final
-array order is the order moves apply in, and float weights accumulate in
-that order, so both are part of the pinned outputs.
+chosen moves are applied as columns (one neighbour gather, one
+:meth:`~repro.core.auxiliary.AuxiliaryData.apply_moves`; the partitioning
+is written once, at the end).  The heap and the partition-weight updates
+stay scalar on purpose: the heap's final array order is the order moves
+apply in, and float weights accumulate in that order, so both are part
+of the pinned outputs.
 :func:`~repro.core.candidates.get_target_partition` is the scalar
 statement of the same rules and the oracle the tests compare against.
 """
@@ -26,9 +27,8 @@ statement of the same rules and the oracle the tests compare against.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.core.candidates import (
     STAGE_ANY_DIRECTION,
     STAGE_HIGH_TO_LOW,
     STAGE_LOW_TO_HIGH,
-    MigrationCandidate,
 )
 from repro.core.config import RepartitionerConfig
 from repro.exceptions import PartitioningError
@@ -48,6 +47,8 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: masks an inadmissible cell of an integer gain matrix (counters are int32)
 _NO_INT_GAIN = np.iinfo(np.int32).min
+
+_HEAP_BLOCK = 1024  #: admissible entries tested against the heap minimum at once
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,11 @@ class LightweightRepartitioner:
     ) -> RepartitionResult:
         """Run phase 1 to convergence, mutating ``partitioning`` in place.
 
+        Stages move only auxiliary records: ``partitioning`` holds every
+        origin until the run ends (by an exception too) and then gets one
+        ``move`` per vertex that ended elsewhere, in graph order — the
+        state per-move writing left, up to the member sets' iteration order.
+
         Parameters
         ----------
         graph:
@@ -147,8 +153,8 @@ class LightweightRepartitioner:
             )
         telemetry = telemetry or NULL_TELEMETRY
 
-        #: vertex -> partition it started on, for every vertex phase 1 touched
-        origin: Dict[int, int] = {}
+        #: every vertex a stage moved (some may be back where they started)
+        moved: Set[int] = set()
         result = RepartitionResult(
             converged=False,
             iterations=0,
@@ -184,49 +190,56 @@ class LightweightRepartitioner:
         best_cut = result.initial_edge_cut
         best_cut_iteration = 0
         previous_cut = result.initial_edge_cut
-        for iteration in range(1, self.config.max_iterations + 1):
-            iter_span = telemetry.span(
-                "repartition.iteration", iteration=iteration
-            )
-            migrations = 0
-            for stage in stages:
-                migrations += self._run_stage(
-                    graph, partitioning, aux, stage, k, origin
+        try:
+            for iteration in range(1, self.config.max_iterations + 1):
+                iter_span = telemetry.span(
+                    "repartition.iteration", iteration=iteration
                 )
-            stats = IterationStats(
-                iteration=iteration,
-                migrations=migrations,
-                edge_cut=aux.edge_cut(),
-                max_imbalance=aux.max_imbalance(),
-            )
-            result.history.append(stats)
-            result.iterations = iteration
-            migrations_counter.inc(migrations)
-            cut_gauge.set(stats.edge_cut)
-            imbalance_gauge.set(stats.max_imbalance)
-            telemetry.event(
-                "repartition_iteration",
-                iteration=iteration,
-                migrations=migrations,
-                edge_cut=stats.edge_cut,
-                max_imbalance=stats.max_imbalance,
-                gain=previous_cut - stats.edge_cut,
-            )
-            previous_cut = stats.edge_cut
-            iter_span.set_attribute("migrations", migrations)
-            iter_span.set_attribute("edge_cut", stats.edge_cut)
-            iter_span.finish()
-            if on_iteration is not None:
-                on_iteration(stats)
-            if migrations == 0:
-                result.converged = True
-                break
-            if stats.edge_cut < best_cut:
-                best_cut = stats.edge_cut
-                best_cut_iteration = iteration
-            if self._stalled(stats, iteration, best_cut_iteration):
-                result.stalled = True
-                break
+                migrations = 0
+                for stage in stages:
+                    migrations += self._run_stage(graph, aux, stage, k, moved)
+                stats = IterationStats(
+                    iteration=iteration,
+                    migrations=migrations,
+                    edge_cut=aux.edge_cut(),
+                    max_imbalance=aux.max_imbalance(),
+                )
+                result.history.append(stats)
+                result.iterations = iteration
+                migrations_counter.inc(migrations)
+                cut_gauge.set(stats.edge_cut)
+                imbalance_gauge.set(stats.max_imbalance)
+                telemetry.event(
+                    "repartition_iteration",
+                    iteration=iteration,
+                    migrations=migrations,
+                    edge_cut=stats.edge_cut,
+                    max_imbalance=stats.max_imbalance,
+                    gain=previous_cut - stats.edge_cut,
+                )
+                previous_cut = stats.edge_cut
+                iter_span.set_attribute("migrations", migrations)
+                iter_span.set_attribute("edge_cut", stats.edge_cut)
+                iter_span.finish()
+                if on_iteration is not None:
+                    on_iteration(stats)
+                if migrations == 0:
+                    result.converged = True
+                    break
+                if stats.edge_cut < best_cut:
+                    best_cut = stats.edge_cut
+                    best_cut_iteration = iteration
+                if self._stalled(stats, iteration, best_cut_iteration):
+                    result.stalled = True
+                    break
+        finally:
+            # Once, in graph order: the order a rollback re-applies moves in.
+            vertices = [vertex for vertex in graph.vertices() if vertex in moved]
+            for vertex, final in zip(vertices, aux.partitions_of(vertices)):
+                source = partitioning.partition_of(vertex)
+                if final != source:
+                    partitioning.move(vertex, final)
+                    result.moves[vertex] = (source, final)
 
         result.final_edge_cut = aux.edge_cut()
         result.final_imbalance = aux.max_imbalance()
@@ -234,13 +247,6 @@ class LightweightRepartitioner:
         run_span.set_attribute("final_edge_cut", result.final_edge_cut)
         run_span.set_attribute("converged", result.converged)
         run_span.finish()
-        # In graph order: it is the order a rollback re-applies moves in.
-        for vertex in graph.vertices():
-            source = origin.get(vertex)
-            if source is not None:
-                final = partitioning.partition_of(vertex)
-                if final != source:
-                    result.moves[vertex] = (source, final)
         return result
 
     def _stalled(
@@ -262,11 +268,10 @@ class LightweightRepartitioner:
     def _run_stage(
         self,
         graph: GraphRead,
-        partitioning: Partitioning,
         aux: AuxiliaryData,
         stage: int,
         k: int,
-        origin: Dict[int, int],
+        moved: Set[int],
     ) -> int:
         """One stage: per-partition selection, then apply all moves.
 
@@ -274,35 +279,31 @@ class LightweightRepartitioner:
         of the auxiliary data (matching the paper's parallel execution:
         "the algorithm does not know the target partition of other
         vertices"), selects its top-k by gain, and all chosen vertices then
-        migrate logically as one batch.  No move applies until selection
-        finishes, so every source sees the same partition weights.
-        ``origin`` learns the starting partition of each vertex moved for
-        the first time.
+        migrate logically as one batch, read as columns off the heap
+        entries.  No move applies until selection finishes, so every
+        source sees the same partition weights.  ``moved`` learns the
+        batch once it has applied.
         """
         chosen = [
-            candidate
+            entry
             for source in range(aux.num_partitions)
-            for candidate in self._select_candidates(aux, source, stage, k)
+            for entry in self._select_candidates(aux, source, stage, k)
         ]
         if not chosen:
             return 0
         # Per-partition selection cannot pick the same vertex twice.
-        aux.apply_moves(
-            [candidate.vertex for candidate in chosen],
-            [candidate.target for candidate in chosen],
-            [graph.neighbors(candidate.vertex) for candidate in chosen],
-        )
-        for candidate in chosen:
-            previous = partitioning.move(candidate.vertex, candidate.target)
-            origin.setdefault(candidate.vertex, previous)
+        _, _, vertices, targets = zip(*chosen)
+        aux.apply_moves(vertices, targets, graph.neighbor_batch(vertices))
+        moved.update(vertices)
         return len(chosen)
 
     def _select_candidates(
         self, aux: AuxiliaryData, source: int, stage: int, k: int
-    ) -> List[MigrationCandidate]:
+    ) -> List[Tuple[float, int, int, int]]:
         """Algorithm 2 lines 4-9 for one source partition.
 
-        Returns at most ``k`` candidates, the ones with maximum gain.
+        Returns the top-k heap of ``(gain, arrival, vertex, target)``
+        entries by gain, in final array order: the stage's apply order.
         Algorithm 1 (reference: :func:`~repro.core.candidates.get_target_partition`)
         is evaluated for every member of ``source`` at once, reading only
         the source's own records and the alpha partition weights:
@@ -392,20 +393,20 @@ class LightweightRepartitioner:
         # Min-heap of (gain, arrival, vertex, target) over the admissible
         # vertices in ascending id order.  The real heapq with
         # strict-greater replacement, not a sort: its final array order is
-        # the order the stage applies moves in.
-        entries = zip(
-            gain[movable, best].tolist(),
-            range(len(movable)),
-            records.vertices[movable].tolist(),
-            (best + low).tolist(),
-        )
+        # the order the stage applies moves in.  The minimum only rises, so
+        # only block entries above its value at the block's start are boxed.
+        gains = gain[movable, best]
+        columns = (gains, np.arange(len(gains)), records.vertices[movable], best + low)
+
+        def entries(at: np.ndarray):  # the heap tuples of the entries ``at``
+            return zip(*(column[at].tolist() for column in columns))
+
         top_k: List[Tuple[float, int, int, int]] = []
-        for entry in itertools.islice(entries, k):
+        for entry in entries(columns[1][:k]):
             heapq.heappush(top_k, entry)
-        for entry in entries:
-            if entry[0] > top_k[0][0]:
-                heapq.heapreplace(top_k, entry)
-        return [
-            MigrationCandidate(vertex, source, target, best_gain)
-            for best_gain, _, vertex, target in top_k
-        ]
+        for start in range(len(top_k), len(gains), _HEAP_BLOCK):
+            block = gains[start : start + _HEAP_BLOCK]
+            for entry in entries((block > top_k[0][0]).nonzero()[0] + start):
+                if entry[0] > top_k[0][0]:
+                    heapq.heapreplace(top_k, entry)
+        return top_k

@@ -32,6 +32,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import platform
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -413,8 +415,10 @@ def to_json_payload(result: ScaleResult) -> dict:
             return [plain(item) for item in value]
         return value
 
-    # Every timing in the file is real time on the machine that ran it.
-    return {**plain(result), "clock": "wall"}
+    # Every timing in the file is real time on the machine described.
+    machine = dict(nproc=os.cpu_count(), python=platform.python_version())
+    machine.update(numpy=np.__version__, platform=platform.platform())
+    return {**plain(result), "clock": "wall", "machine": machine}
 
 
 def main(argv=None) -> int:

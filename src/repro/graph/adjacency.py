@@ -13,7 +13,10 @@ paper evaluates on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import (
     DuplicateVertexError,
@@ -264,6 +267,17 @@ class SocialGraph:
         Consumers only iterate / take ``len`` / test membership.
         """
         return self.neighbors(vertex)
+
+    def neighbor_batch(self, vertices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(neighbor_ids, lengths)`` of a batch, both ``int64``: each
+        vertex's neighbors in its set's own iteration order."""
+        try:
+            rows = [self._adjacency[vertex] for vertex in vertices]
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        ids = chain.from_iterable(rows)
+        return np.fromiter(ids, dtype=np.int64, count=int(lengths.sum())), lengths
 
     def degree(self, vertex: int) -> int:
         return len(self.neighbors(vertex))

@@ -23,9 +23,9 @@ million-user target needs:
 
 Both representations implement the same **read protocol**
 (:class:`GraphRead`): ``vertices() / num_vertices / num_edges /
-neighbors_array(v) / degree(v) / weight_of(v) / has_edge(u, v) /
-edges()``.  The multilevel partitioner, the repartitioner's auxiliary
-bootstrap, the streaming partitioners and the quality metrics are all
+neighbors_array(v) / neighbor_batch(vs) / degree(v) / weight_of(v) /
+has_edge(u, v) / edges()``.  The multilevel partitioner, the
+repartitioner, the streaming partitioners and the quality metrics are
 written against this protocol, so they run on either substrate and —
 because the protocol fixes vertex order and per-vertex values, not
 container internals — produce identical outputs on both.
@@ -89,6 +89,8 @@ class GraphRead(Protocol):
     def vertices(self) -> Iterator[int]: ...
 
     def neighbors_array(self, vertex: int) -> Sequence[int]: ...
+
+    def neighbor_batch(self, vertices: Sequence) -> Tuple[np.ndarray, np.ndarray]: ...
 
     def degree(self, vertex: int) -> int: ...
 
@@ -258,16 +260,18 @@ class CompactGraph:
         return index if self._ids is None else int(self._ids[index])
 
     def _index_of(self, vertex: int) -> int:
+        # A bool, float or string is no vertex id, even where it equals one.
+        if type(vertex) is not int and not isinstance(vertex, np.integer):
+            raise VertexNotFoundError(vertex)
         if self._ids is None:
-            index = vertex
-            if isinstance(index, (int, np.integer)) and 0 <= index < self.num_vertices:
-                return int(index)
+            if 0 <= vertex < self.num_vertices:
+                return int(vertex)
             raise VertexNotFoundError(vertex)
         if self._index is None:
             self._index = {int(v): i for i, v in enumerate(self._ids)}
         try:
             return self._index[int(vertex)]
-        except (KeyError, TypeError):
+        except KeyError:
             raise VertexNotFoundError(vertex) from None
 
     # ------------------------------------------------------------------
@@ -312,6 +316,27 @@ class CompactGraph:
     # The protocol's array accessor doubles as the plain accessor: the
     # returned ndarray iterates like any neighbor collection.
     neighbors = neighbors_array
+
+    def neighbor_batch(self, vertices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(neighbor_ids, lengths)``, both ``int64``: the sorted rows of
+        ``vertices`` concatenated, in one ``indptr`` gather, and their lengths."""
+        ids = np.asarray(vertices)
+        if len(ids) and ids.dtype.kind not in "iu":  # one check per batch
+            raise VertexNotFoundError(ids[0].item())
+        if self._ids is None:
+            index = ids.astype(np.int64)
+            outside = (index < 0) | (index >= self.num_vertices)
+            if outside.any():
+                raise VertexNotFoundError(int(index[outside][0]))
+        else:
+            index = np.fromiter(map(self._index_of, ids.tolist()), dtype=np.int64)
+        starts = self._indptr[index]
+        lengths = self._indptr[index + 1] - starts
+        # Output slot j of row i reads CSR slot starts[i] + (j - offset[i]).
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        row = self._nbr[shift + np.arange(len(shift))]
+        neighbor_ids = row.astype(np.int64) if self._ids is None else self._ids[row]
+        return neighbor_ids, lengths
 
     def degree(self, vertex: int) -> int:
         index = self._index_of(vertex)

@@ -71,7 +71,8 @@ class Partitioning:
         self._members[partition].add(vertex)
 
     def move(self, vertex: int, partition: int) -> int:
-        """Move an assigned vertex; returns its previous partition."""
+        """Move an assigned vertex (its mapping entry keeps its place);
+        returns its previous partition."""
         self._check_partition(partition)
         try:
             previous = self._assignment[vertex]
@@ -106,7 +107,8 @@ class Partitioning:
         return vertex in self._assignment
 
     def vertices_in(self, partition: int) -> Set[int]:
-        """The vertex set of one partition (live reference; do not mutate)."""
+        """The vertex set of one partition (live reference; do not mutate).
+        Its contents are state; its iteration order, set by past moves, is not."""
         self._check_partition(partition)
         return self._members[partition]
 

@@ -247,7 +247,8 @@ class TestMovesAreAllOrNothing:
         aux.attach_heat({(0, 1): 0.75, (2, 3): 1.25})
         return aux
 
-    def assert_rejected(self, aux, error, call, *args):
+    @staticmethod
+    def assert_rejected(aux, error, call, *args):
         before = public_state(aux)
         with pytest.raises(error):
             call(*args)
@@ -270,12 +271,12 @@ class TestMovesAreAllOrNothing:
     def test_bad_move_poisons_the_whole_batch(self, aux):
         # The first move is valid; the second lists a non-neighbor.
         self.assert_rejected(
-            aux, PartitioningError, aux.apply_moves, [2, 0], [2, 1], [[3], [1, 3]]
+            aux, PartitioningError, aux.apply_moves, [2, 0], [2, 1], ([3, 1, 3], [1, 2])
         )
 
     def test_vertex_twice_in_a_batch(self, aux):
         self.assert_rejected(
-            aux, PartitioningError, aux.apply_moves, [0, 0], [1, 2], [[1], [1]]
+            aux, PartitioningError, aux.apply_moves, [0, 0], [1, 2], ([1, 1], [1, 1])
         )
 
     def test_batch_equals_the_moves_one_by_one(self, aux):
@@ -285,10 +286,55 @@ class TestMovesAreAllOrNothing:
         one_by_one.apply_move(1, 2, [0])
         one_by_one.apply_move(2, 0, [3])
         one_by_one.apply_move(0, 0, [1])  # a no-op move
-        aux.apply_moves([1, 2, 0], [2, 0, 0], [[0], [3], [1]])
+        aux.apply_moves([1, 2, 0], [2, 0, 0], ([0, 3, 1], [1, 1, 1]))
         assert public_state(aux) == public_state(one_by_one)
         assert aux.neighbor_counts(0) == {2: 1} and aux.neighbor_counts(3) == {0: 1}
         assert aux.heat_counts(0) == {2: 0.75}
+
+
+class TestNonIntegralIds:
+    """A bool, float or string is no vertex id.  Before, ``np.asarray(...,
+    dtype=int64)`` coerced ``1.5``, ``True`` and ``"1"`` in a batch to
+    vertex 1, a scalar query with ``1.0`` raised a bare ``TypeError`` on
+    identity ids, and dict equality (``1.0 == True == 1``) found vertex 1
+    on mapped ids."""
+
+    @pytest.fixture(params=["identity", "mapped"])
+    def aux(self, request):
+        """Path 0-1-2 with vertex 1 on partition 1, the rest on 0 (plus an
+        isolated vertex 10 that switches to the mapped id path)."""
+        aux = AuxiliaryData(2)
+        for vertex, partition in [(0, 0), (1, 1), (2, 0)]:
+            aux.add_vertex(vertex, partition, 1.0)
+        if request.param == "mapped":
+            aux.add_vertex(10, 0, 1.0)
+        aux.add_edge(0, 1)
+        aux.add_edge(1, 2)
+        return aux
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_moving_vertex(self, aux, bad):
+        TestMovesAreAllOrNothing.assert_rejected(
+            aux, VertexNotFoundError, aux.apply_moves, [bad], [0], ([0, 2], [2])
+        )
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    def test_neighbor(self, aux, bad):
+        # The check is one per batch dtype: numpy turns a list mixing ints
+        # and bools into ints.
+        TestMovesAreAllOrNothing.assert_rejected(
+            aux, VertexNotFoundError, aux.apply_moves, [0], [1], ([bad], [1])
+        )
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_scalar_queries(self, aux, bad):
+        for query in (aux.partition_of, aux.weight_of, aux.neighbor_counts, aux.degree):
+            with pytest.raises(VertexNotFoundError):
+                query(bad)
+        TestMovesAreAllOrNothing.assert_rejected(
+            aux, VertexNotFoundError, aux.apply_move, bad, 0, [0, 2]
+        )
+        assert aux.partition_of(1) == 1
 
 
 class TestRows:

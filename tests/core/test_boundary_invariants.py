@@ -155,8 +155,9 @@ def drive_random_ops(
                 sorted(model.adjacency), rng.randint(1, min(5, len(model.adjacency)))
             )
             targets = [rng.randrange(model.num_partitions) for _ in movers]
+            rows = [sorted(model.adjacency[u]) for u in movers]
             aux.apply_moves(
-                movers, targets, [sorted(model.adjacency[u]) for u in movers]
+                movers, targets, ([v for row in rows for v in row], list(map(len, rows)))
             )
             model.partition.update(zip(movers, targets))
         elif op == 9:  # remove_vertex (only legal when isolated)

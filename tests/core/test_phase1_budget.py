@@ -9,6 +9,10 @@ selected source, per moved vertex (each an inlined per-neighbour loop)
 and per balance query.  Counted with ``sys.setprofile``, the way
 ``tests/cluster/test_access_budget.py`` counts probes and decodes — a
 regression into per-vertex loops fails here as a count, on any machine.
+The same run pins the stage's columns: one ``neighbor_batch`` per stage
+and no per-move ``neighbors`` call, and one ``Partitioning.move`` per
+vertex that ends elsewhere (written once, at the end of the run), where
+the per-candidate stage made one per logical move.
 
 Everything the array engine hands out must still be a plain Python
 scalar: numpy 2 prints ``np.float64(1.5)`` and JSON exporters reject
@@ -19,9 +23,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from repro.core import auxiliary
+from repro.graph import compact
+from repro.partitioning import base
 from repro.core.auxiliary import AuxiliaryData
 from repro.core.config import RepartitionerConfig
 from repro.core.repartitioner import LightweightRepartitioner
@@ -36,16 +43,14 @@ ITERATIONS = 5
 CALLS_PER_ITERATION_AND_PARTITION = 40
 
 
-def count_auxiliary_calls(fn, *args):
-    """``(result, calls)``: Python-level calls into functions defined in
-    ``core/auxiliary.py`` made while ``fn(*args)`` runs."""
-    source = auxiliary.__file__
-    calls = 0
+def count_calls(fn, *args):
+    """``(result, calls)``: Python-level calls made while ``fn(*args)``
+    runs, counted per ``(defining file, function name)``."""
+    calls = Counter()
 
     def profiler(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename == source:
-            calls += 1
+        if event == "call":
+            calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
 
     sys.setprofile(profiler)
     try:
@@ -53,6 +58,15 @@ def count_auxiliary_calls(fn, *args):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def count_auxiliary_calls(fn, *args):
+    """``(result, calls)``: Python-level calls into functions defined in
+    ``core/auxiliary.py`` made while ``fn(*args)`` runs."""
+    result, calls = count_calls(fn, *args)
+    return result, sum(
+        count for (source, _), count in calls.items() if source == auxiliary.__file__
+    )
 
 
 def test_bootstrap_and_run_call_counts_do_not_depend_on_graph_size():
@@ -74,6 +88,23 @@ def test_bootstrap_and_run_call_counts_do_not_depend_on_graph_size():
     assert result.total_logical_migrations > 500  # the run did real work
     budget = CALLS_PER_ITERATION_AND_PARTITION * ITERATIONS * NUM_PARTITIONS
     assert run_calls <= budget, (run_calls, budget)
+
+
+def test_a_stage_gathers_once_and_the_partitioning_is_written_once():
+    graph = compact_powerlaw_graph(2000, seed=5)
+    partitioning = HashPartitioner(salt=5).partition(graph, NUM_PARTITIONS)
+    aux = AuxiliaryData.from_graph(graph, partitioning)
+    config = RepartitionerConfig(k=20, max_iterations=ITERATIONS)
+    result, calls = count_calls(
+        LightweightRepartitioner(config).run, graph, partitioning, aux
+    )
+    assert result.iterations == ITERATIONS
+    # Some vertices moved twice or came back: the two counts differ.
+    assert result.total_logical_migrations > result.vertices_moved > 0
+    # ``neighbors`` is an alias of ``neighbors_array`` on the CSR graph.
+    assert calls[compact.__file__, "neighbors_array"] == 0
+    assert 0 < calls[compact.__file__, "neighbor_batch"] <= 2 * ITERATIONS
+    assert calls[base.__file__, "move"] == result.vertices_moved
 
 
 def test_public_scalars_are_python_numbers():

@@ -4,8 +4,8 @@
 a whole source partition over the count matrix.  The oracle is the scalar
 statement of the same rules: :func:`get_target_partition` per member in
 ascending vertex id, fed to the same top-k min-heap.  The two must agree
-exactly — same candidates, same list order (it is the order moves apply
-in), same gains down to the float bits and the int/float type.
+exactly — same heap entries, same list order (it is the order moves
+apply in), same gains down to the float bits and the int/float type.
 
 The second test carries the paper's locality claim ("each partition
 collects and stores aggregate vertex information relevant to only the
@@ -28,7 +28,6 @@ from repro.core.candidates import (
     STAGE_ANY_DIRECTION,
     STAGE_HIGH_TO_LOW,
     STAGE_LOW_TO_HIGH,
-    MigrationCandidate,
     get_target_partition,
 )
 from repro.core.config import RepartitionerConfig
@@ -40,7 +39,8 @@ STAGES = [STAGE_LOW_TO_HIGH, STAGE_HIGH_TO_LOW, STAGE_ANY_DIRECTION]
 
 
 def reference_selection(aux, source, stage, k, epsilon, alpha=0.0):
-    """Algorithm 1 per member in ascending id + the engine's heap."""
+    """Algorithm 1 per member in ascending id + the engine's heap: its
+    ``(gain, arrival, vertex, target)`` entries in final array order."""
     uniform = aux.uniform_capacity
     average = aux.average_weight() if uniform else None
     targets = None if uniform else aux.balance_targets()
@@ -60,17 +60,17 @@ def reference_selection(aux, source, stage, k, epsilon, alpha=0.0):
             heapq.heappush(top_k, entry)
         elif gain > top_k[0][0]:
             heapq.heapreplace(top_k, entry)
-    return [
-        MigrationCandidate(vertex, source, target, gain)
-        for gain, _, vertex, target in top_k
-    ]
+    return top_k
 
 
 def assert_same_candidates(got, expected):
+    """Same ``(gain, arrival, vertex, target)`` heap entries in the same
+    array order, gains equal down to the float bits and the int/float type."""
     assert got == expected
-    for mine, theirs in zip(got, expected):
-        assert type(mine.gain) is type(theirs.gain)
-        assert type(mine.vertex) is int and type(mine.target) is int
+    for (gain, arrival, vertex, target), theirs in zip(got, expected):
+        assert type(gain) is type(theirs[0])
+        assert repr(gain) == repr(theirs[0])
+        assert all(type(value) is int for value in (arrival, vertex, target))
 
 
 @st.composite

@@ -179,7 +179,7 @@ class TestWeightedSelection:
                     )
                     if target is not None:
                         expected[vertex] = (target, vertex_gain)
-                got = {c.vertex: (c.target, c.gain) for c in selected}
+                got = {v: (target, gain) for gain, _, v, target in selected}
                 assert got == expected
 
     def test_pure_heat_moves_hot_endpoints_together(self):

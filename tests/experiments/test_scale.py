@@ -60,3 +60,6 @@ def test_run_and_render_and_json_payload():
     assert blob["points"][0]["n"] == 1200
     assert blob["parity"]["match"] is True
     assert blob["memory"]["retained_ratio"] < 1.0
+    # Committed seconds say where they were measured.
+    assert blob["clock"] == "wall"
+    assert set(blob["machine"]) == {"nproc", "python", "numpy", "platform"}

@@ -73,6 +73,56 @@ class TestIdentityAndMappedIds:
         assert 99 not in g
         assert 1 in g
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("mapped", [False, True], ids=["identity", "mapped"])
+    def test_non_integral_id_is_no_vertex(self, bad, mapped):
+        """``True``, ``1.0`` and ``"1"`` are not vertex 1, as the builder
+        already holds (before, ``True`` read vertex 1's row on identity
+        ids, and ``int()`` mapped all three to vertex 1 on mapped ids)."""
+        g = CompactGraph.from_edges([(0, 1), (1, 2)] + ([(1, 9)] if mapped else []))
+        assert (g.ids_column is not None) == mapped
+        for read in (g.neighbors_array, g.degree, g.weight_of, g.index_of):
+            with pytest.raises(VertexNotFoundError):
+                read(bad)
+        with pytest.raises(VertexNotFoundError):
+            g.neighbor_batch([bad])
+        assert bad not in g and not g.has_edge(bad, 0)
+        assert list(g.neighbors_array(np.int64(1))) == ([0, 2, 9] if mapped else [0, 2])
+
+
+class TestNeighborBatch:
+    @pytest.mark.parametrize("mapped", [False, True], ids=["identity", "mapped"])
+    def test_csr_batch_is_the_rows_concatenated(self, mapped):
+        social = orkut_like(n=120, seed=4).graph
+        if mapped:
+            social = SocialGraph.from_edges(
+                [(3 * u + 7, 3 * v + 7) for u, v in social.edges()],
+                vertices=[3 * v + 7 for v in social.vertices()],
+            )
+        g = CompactGraph.from_social(social)
+        assert (g.ids_column is not None) == mapped
+        batch = list(g.vertices())[::-7] + [next(iter(g.vertices()))]
+        ids, lengths = g.neighbor_batch(batch)
+        assert ids.dtype == np.int64 and lengths.dtype == np.int64
+        assert lengths.tolist() == [g.degree(v) for v in batch]
+        assert ids.tolist() == [int(n) for v in batch for n in g.neighbors_array(v)]
+        assert [len(column) for column in g.neighbor_batch([])] == [0, 0]
+
+    def test_social_batch_keeps_each_sets_order(self):
+        social = orkut_like(n=120, seed=4).graph
+        batch = list(social.vertices())[5::9]
+        ids, lengths = social.neighbor_batch(batch)
+        assert ids.dtype == np.int64 and lengths.dtype == np.int64
+        assert lengths.tolist() == [social.degree(v) for v in batch]
+        assert ids.tolist() == [n for v in batch for n in social.neighbors(v)]
+
+    @pytest.mark.parametrize("substrate", ["social", "csr", "csr-mapped"])
+    def test_unknown_vertex_raises(self, substrate):
+        edges = [(0, 1), (1, 2)] if substrate != "csr-mapped" else [(4, 8), (8, 12)]
+        g = (SocialGraph if substrate == "social" else CompactGraph).from_edges(edges)
+        with pytest.raises(VertexNotFoundError):
+            g.neighbor_batch([edges[0][0], 99])
+
 
 class TestReadSurface:
     def test_rows_are_sorted(self):
