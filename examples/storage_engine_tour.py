@@ -3,8 +3,8 @@
 Shows the record model the paper describes in Section 4: fixed-size node
 and relationship records with doubly-linked relationship chains, a
 dynamic property store, ghost relationships for cross-partition edges,
-the hash ID index (sparse, striped ids), transactions with timeout-based deadlock handling,
-the write-ahead log with crash recovery, and checksummed persistence.
+the hash ID index (sparse, striped ids), the write-ahead log with crash
+recovery, and checksummed persistence.
 
 Run with::
 
@@ -14,9 +14,8 @@ Run with::
 import tempfile
 
 from repro.cluster.durability import ServerJournal
-from repro.exceptions import LockTimeoutError, VertexUnavailableError
+from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage import GraphStore
-from repro.txn import LockMode, TransactionManager
 
 
 def main() -> None:
@@ -48,20 +47,11 @@ def main() -> None:
     print("dave's side is a ghost:",
           server_b.relationship(rel_id).ghost)
 
-    # --- transactions with timeout-based deadlock resolution ------------
-    txns = TransactionManager(lock_timeout=0.5)
-    with txns.begin() as txn:
-        txn.lock(("node", 1), LockMode.EXCLUSIVE)
-        server_a.set_node_property(1, "status", "online")
-        txn.record_undo(lambda: server_a.remove_node_property(1, "status"))
-    blocker = txns.begin()
-    blocker.lock(("node", 2))
+    # --- a write is checked before its first byte is written ------------
     try:
-        victim = txns.begin()
-        victim.lock(("node", 2))
-    except LockTimeoutError as exc:
-        print("conflicting writer aborted (presumed deadlock):", exc)
-    blocker.commit()
+        server_a.set_node_property(1, "avatar", object())
+    except StorageError as exc:
+        print("rejected write:", exc, "- alice still has", server_a.node_properties(1))
 
     # --- the migration 'unavailable' state ------------------------------
     server_a.set_available(2, False)

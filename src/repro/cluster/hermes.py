@@ -99,7 +99,6 @@ class HermesCluster:
         num_servers: int,
         network: Optional[NetworkConfig] = None,
         repartitioner: Optional[RepartitionerConfig] = None,
-        lock_timeout: float = 1.0,
         telemetry: Optional[Telemetry] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
         durability: bool = False,
@@ -129,7 +128,6 @@ class HermesCluster:
                 server_id,
                 num_servers,
                 clock=lambda: self.now,
-                lock_timeout=lock_timeout,
                 telemetry=self.telemetry,
                 labels={"cluster": self.cluster_id},
             )
@@ -170,7 +168,6 @@ class HermesCluster:
         # migration commits underneath them (serial mode never observes
         # the epoch change: no traversal is paused during a migration).
         self._executor.topology_listeners.append(self._engine.note_topology_change)
-        self._lock_timeout = lock_timeout
         #: a write-ahead log per server (``server.journal``), for
         #: crash-recovery episodes; off by default
         self.durability = durability
@@ -353,7 +350,8 @@ class HermesCluster:
             self.faults.check_server(
                 host_u, cost=self.network.config.fault_timeout_cost
             )
-        rel_id = self.servers[host_u].store.allocate_rel_id()
+        # Taken by create_relationship: a rejected insert takes no id.
+        rel_id = self.servers[host_u].store.next_rel_id()
         cost = self.network.local_visit()
         self.servers[host_u].store.create_relationship(
             rel_id, u, v, properties=properties
@@ -706,7 +704,6 @@ class HermesCluster:
             new_id,
             new_total,
             clock=lambda: self.now,
-            lock_timeout=self._lock_timeout,
             telemetry=self.telemetry,
             labels={"cluster": self.cluster_id},
         )

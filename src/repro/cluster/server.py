@@ -1,14 +1,15 @@
-"""One Hermes server: a GraphStore plus transactions and request handling.
+"""One Hermes server: a GraphStore plus request handling.
 
-Servers expose the record-level operations the workloads exercise —
-single-record reads, property writes, vertex/edge inserts.  The
-distributed traversal engine reads a server's share of a frontier
-straight from its ``store`` (``GraphStore.read_frontier``) and does the
-visit accounting itself.  Every mutation runs inside a transaction with
-record locks, mirroring the engine described in Section 4.
+Servers expose single-record reads and vertex inserts.  The traversal
+engine reads a server's share of a frontier straight from its ``store``
+(``GraphStore.read_frontier``) and does the visit accounting itself;
+the cluster writes edges through ``store.create_relationship``.  No
+lock manager is modelled: the event scheduler applies each mutation as
+one atomic step (DESIGN.md §13), and a store mutation validates its
+input before its first write.
 
-Per-server load counters (vertices visited, record reads, transactional
-writes, simulated busy seconds) live in the telemetry registry, labelled
+Per-server load counters (vertices visited, record reads, vertex
+inserts, simulated busy seconds) live in the telemetry registry, labelled
 by server, so they show up in every export alongside the network and
 migration metrics.  The historical ``server.visits``-style attribute API
 is preserved as thin properties over those instruments; the instrument
@@ -24,8 +25,6 @@ from repro.cluster.faults import FaultInjector
 from repro.exceptions import ClusterError
 from repro.storage.graph_store import GraphStore
 from repro.telemetry import Telemetry
-from repro.txn.locks import LockMode
-from repro.txn.manager import TransactionManager
 
 
 #: membership state machine (DESIGN.md §14):
@@ -49,13 +48,11 @@ class HermesServer:
         server_id: int,
         num_servers: int,
         clock=None,
-        lock_timeout: float = 1.0,
         telemetry: Optional[Telemetry] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         self.server_id = server_id
         self.store = GraphStore(server_id=server_id, num_servers=num_servers)
-        self.txns = TransactionManager(clock=clock, lock_timeout=lock_timeout)
         #: the store's write-ahead log (a ``ServerJournal``) on durable
         #: clusters, None otherwise
         self.journal = None
@@ -80,7 +77,7 @@ class HermesServer:
             "server_reads_total", "single-record read requests", **label
         )
         self.writes_counter = telemetry.counter(
-            "server_writes_total", "transactional write requests", **label
+            "server_writes_total", "vertex inserts", **label
         )
         #: simulated CPU-seconds this server has spent serving requests
         self.busy_counter = telemetry.counter(
@@ -139,51 +136,13 @@ class HermesServer:
         return properties
 
     # ------------------------------------------------------------------
-    # Write path (transactional)
+    # Write path
     # ------------------------------------------------------------------
     def create_vertex(
         self, node_id: int, weight: float = 1.0, properties: Optional[Dict] = None
     ) -> None:
+        self.store.create_node(node_id, weight=weight, properties=properties)
         self.writes_counter.inc()
-        with self.txns.begin() as txn:
-            txn.lock(("node", node_id), LockMode.EXCLUSIVE)
-            self.store.create_node(node_id, weight=weight, properties=properties)
-            txn.record_undo(lambda: self.store.delete_node(node_id))
-
-    def create_local_edge(
-        self, rel_id: int, src: int, dst: int, properties: Optional[Dict] = None
-    ) -> None:
-        """Insert an edge record; both/either endpoint may be local."""
-        self.writes_counter.inc()
-        with self.txns.begin() as txn:
-            txn.lock(("node", src), LockMode.EXCLUSIVE)
-            txn.lock(("node", dst), LockMode.EXCLUSIVE)
-            self.store.create_relationship(rel_id, src, dst, properties=properties)
-            txn.record_undo(lambda: self.store.delete_relationship(rel_id))
-
-    def create_ghost_edge(self, rel_id: int, src: int, dst: int) -> None:
-        """Insert the ghost counterpart of a cross-partition edge."""
-        self.writes_counter.inc()
-        with self.txns.begin() as txn:
-            txn.lock(("rel", rel_id), LockMode.EXCLUSIVE)
-            self.store.create_relationship(rel_id, src, dst, ghost=True)
-            txn.record_undo(lambda: self.store.delete_relationship(rel_id))
-
-    def set_property(self, node_id: int, key: str, value: Any) -> None:
-        self.writes_counter.inc()
-        with self.txns.begin() as txn:
-            txn.lock(("node", node_id), LockMode.EXCLUSIVE)
-            previous = self.store.get_node_property(node_id, key)
-            had_key = key in self.store.node_properties(node_id)
-            self.store.set_node_property(node_id, key, value)
-
-            def undo() -> None:
-                if had_key:
-                    self.store.set_node_property(node_id, key, previous)
-                else:
-                    self.store.remove_node_property(node_id, key)
-
-            txn.record_undo(undo)
 
     # ------------------------------------------------------------------
     @property

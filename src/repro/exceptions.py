@@ -69,24 +69,7 @@ class StoreCorruptionError(StorageError):
     """Persisted store bytes failed an integrity check on open."""
 
 
-class TransactionError(HermesError):
-    """Base class for transaction subsystem errors."""
-
-
-class LockTimeoutError(TransactionError):
-    """A lock could not be acquired before the deadlock-detection timeout.
-
-    Hermes replaced Neo4j's centralized loop detection with timeout-based
-    deadlock detection; a timeout is treated as a presumed deadlock and the
-    waiting transaction is aborted.
-    """
-
-
-class TransactionAbortedError(TransactionError):
-    """The transaction was aborted and cannot perform further operations."""
-
-
-class VertexUnavailableError(TransactionError):
+class VertexUnavailableError(HermesError):
     """The vertex is in the *unavailable* state of the migration remove step.
 
     Queries referencing such a vertex execute as if the vertex is not part

@@ -75,7 +75,12 @@ from repro.storage.node_store import (
     NodeStore,
 )
 from repro.storage.pages import PagedFile
-from repro.storage.property_store import PropertyStore
+from repro.storage.property_store import (
+    EncodedProperty,
+    PropertyStore,
+    encode_properties,
+    encode_property,
+)
 from repro.storage.records import NULL_REF, FixedRecordStore
 from repro.storage.relationship_store import (
     REL_DST,
@@ -179,14 +184,17 @@ class GraphStore:
         properties: Optional[Dict[str, Any]] = None,
         available: bool = True,
     ) -> NodeRecord:
+        """Insert a node with its property chain.  The id is checked and
+        every property encoded before the first write, so bad input
+        raises :class:`StorageError` with the store untouched."""
         if node_id in self.nodes:
             raise StorageError(f"node {node_id} already exists")
+        encoded = encode_properties(properties or {})
         record = NodeRecord(node_id=node_id, weight=weight, available=available)
         self.nodes.write(record)
-        if properties:
-            for key, value in properties.items():
-                self.set_node_property(node_id, key, value)
-            record = self.nodes.read(node_id)  # first_prop moved
+        if encoded:
+            record = record.with_first_prop(self._new_property_chain(node_id, encoded))
+            self.nodes.write(record)
         return record
 
     def has_node(self, node_id: int) -> bool:
@@ -309,6 +317,10 @@ class GraphStore:
     def allocate_rel_id(self) -> int:
         return self._rel_ids.allocate()
 
+    def next_rel_id(self) -> int:
+        """The id :meth:`allocate_rel_id` would return, left untaken."""
+        return self._rel_ids.peek()
+
     def observe_rel_id(self, rel_id: int) -> None:
         """Advance the relationship allocator past an id another server
         minted, as creating its record here would (a ghost of a bulk
@@ -327,7 +339,9 @@ class GraphStore:
 
         ``rel_id`` is global: for a cross-partition edge both sides store a
         record under the same ID (one primary, one ghost).  At least one
-        endpoint must be local.  Ghost records reject properties.
+        endpoint must be local.  Ghost records reject properties.  All is
+        checked and encoded before the first write: bad input raises
+        :class:`StorageError` with the store untouched.
         """
         if src == dst:
             raise StorageError("self-relationships are not allowed")
@@ -341,17 +355,16 @@ class GraphStore:
             raise StorageError(
                 f"neither endpoint of relationship {rel_id} is local"
             )
+        encoded = encode_properties(properties or {})
         self._rel_ids.observe(rel_id)
         record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
         if src_node is not None:
             record = self._link_into_chain(record, src_node)
         if dst_node is not None:
             record = self._link_into_chain(record, dst_node)
+        if encoded:
+            record = record.with_first_prop(self._new_property_chain(rel_id, encoded))
         self.relationships.write(record)
-        if properties:
-            for key, value in properties.items():
-                self.set_relationship_property(rel_id, key, value)
-            record = self.relationships.read(rel_id)  # first_prop moved
         return record
 
     def _link_into_chain(
@@ -561,12 +574,12 @@ class GraphStore:
     # ==================================================================
     # Properties
     # ==================================================================
-    def allocate_prop_id(self) -> int:
-        return self._prop_ids.allocate()
-
     def set_node_property(self, node_id: int, key: str, value: Any) -> None:
+        """Insert or replace one property, encoded before the first write:
+        a bad one raises :class:`StorageError` with the old value kept."""
         node = self._require_available(node_id)
-        new_first = self._set_property(node.first_prop, node_id, key, value)
+        encoded = encode_property(key, value)
+        new_first = self._set_property(node.first_prop, node_id, encoded)
         if new_first != node.first_prop:
             self.nodes.write(node.with_first_prop(new_first))
 
@@ -591,7 +604,8 @@ class GraphStore:
             raise StorageError(
                 f"relationship {rel_id} is a ghost and cannot hold properties"
             )
-        new_first = self._set_property(rel.first_prop, rel_id, key, value)
+        encoded = encode_property(key, value)
+        new_first = self._set_property(rel.first_prop, rel_id, encoded)
         if new_first != rel.first_prop:
             self.relationships.write(rel.with_first_prop(new_first))
 
@@ -613,27 +627,29 @@ class GraphStore:
         return removed
 
     # -- property chain helpers ----------------------------------------
-    def _set_property(self, first_prop: int, owner: int, key: str, value: Any) -> int:
-        """Update-or-insert into a property chain; returns the chain head."""
+    def _set_property(self, first_prop: int, owner: int, encoded: EncodedProperty) -> int:
+        """Update-or-insert an encoded property into a property chain;
+        returns the chain head."""
+        key_bytes, payload = encoded
         prop_id = first_prop
         while prop_id != NULL_REF:
             record = self.properties.read(prop_id)
-            if self.properties.key_of(record) == key:
-                self.properties.update_value(record, value)
+            if self.properties.key_bytes(record) == key_bytes:
+                self.properties.update_value(record, payload)
                 return first_prop
             prop_id = record.next_prop
         new_id = self._prop_ids.allocate()
-        self.properties.create(new_id, owner, key, value, next_prop=first_prop)
+        self.properties.create(new_id, owner, encoded, next_prop=first_prop)
         return new_id
 
-    def _new_property_chain(self, owner: int, properties: Dict[str, Any]) -> int:
+    def _new_property_chain(self, owner: int, properties: List[EncodedProperty]) -> int:
         """A fresh property chain for ``owner``; returns its head.  The
         records, ids and blobs are the ones setting each key in turn on
         an empty chain produces."""
         first_prop = NULL_REF
-        for key, value in properties.items():
+        for encoded in properties:
             prop_id = self._prop_ids.allocate()
-            self.properties.create(prop_id, owner, key, value, next_prop=first_prop)
+            self.properties.create(prop_id, owner, encoded, next_prop=first_prop)
             first_prop = prop_id
         return first_prop
 
@@ -816,22 +832,26 @@ class GraphStore:
 
         Everything is checked before the first write — the node is
         absent, it is an endpoint of every record, no record comes twice,
-        a record already here joins the same two nodes and is not linked
-        on the arriving side — so a bad payload raises with the store
-        untouched.  Returns, aligned with the relationships, ``None`` for
-        a record created and the :class:`RecordBefore` of one that was
-        already here (the caller's undo journal).
+        a record here joins the same two nodes and is not linked on the
+        arriving side, every property encodes — so a bad payload raises
+        with the store untouched.  Returns, aligned with the relationships,
+        ``None`` for a record created and the :class:`RecordBefore` of one
+        that was already here (the caller's undo journal).
         """
         node = payload["node"]
         node_id = node["node_id"]
         rels = payload["relationships"]
         present = self._check_import(node_id, rels, roles)
+        encoded = [
+            [] if ghost else encode_properties(rel["properties"])
+            for rel, ghost in zip(rels, roles)
+        ]
+        node_properties = encode_properties(payload["properties"])
         ids = [rel["rel_id"] for rel in rels]
-        first_prop = self._new_property_chain(node_id, payload["properties"])
+        first_prop = self._new_property_chain(node_id, node_properties)
         before: List[Optional[RecordBefore]] = []
-        for position, (rel, ghost) in enumerate(zip(rels, roles)):
+        for position, (rel, ghost, properties) in enumerate(zip(rels, roles, encoded)):
             rel_id = rel["rel_id"]
-            properties = {} if ghost else rel["properties"]
             if rel_id in present:
                 # Read again, not the checked copy: an earlier record of
                 # this payload may have been head-linked in front of it.
@@ -901,11 +921,11 @@ class GraphStore:
         return present
 
     def _take_role(
-        self, record: RelationshipRecord, ghost: bool, properties: Dict[str, Any]
+        self, record: RelationshipRecord, ghost: bool, properties: List[EncodedProperty]
     ) -> Tuple[RelationshipRecord, RecordBefore]:
-        """``record`` in its ``ghost`` role with ``properties`` merged in
-        (the record is not written), and what it held before wherever the
-        role changes it."""
+        """``record`` in its ``ghost`` role with the encoded ``properties``
+        merged in (the record is not written), and what it held before
+        wherever the role changes it."""
         first_prop = record.first_prop
         held: Dict[str, Any] = {}
         if not record.ghost and (ghost or properties):
@@ -913,8 +933,8 @@ class GraphStore:
         if ghost and not record.ghost:
             self._delete_property_chain(first_prop)
             first_prop = NULL_REF
-        for key, value in properties.items():
-            first_prop = self._set_property(first_prop, record.rel_id, key, value)
+        for encoded in properties:
+            first_prop = self._set_property(first_prop, record.rel_id, encoded)
         return (
             record._replace(first_prop=first_prop, ghost=ghost),
             RecordBefore(record.ghost, held),

@@ -8,8 +8,9 @@ dynamic store (key, value) and links to the owner's next property record.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro.exceptions import StorageError
 from repro.storage.pages import PagedFile
 from repro.storage.records import (
     FLAG_IN_USE,
@@ -20,6 +21,26 @@ from repro.storage.records import (
     tuple_new,
 )
 from repro.storage.values import decode_value, encode_value
+
+
+#: a property as its record's two blobs hold it: ``(key bytes, value payload)``
+EncodedProperty = Tuple[bytes, bytes]
+
+
+def encode_property(key: str, value: Any) -> EncodedProperty:
+    """A property's two blobs, checked: a key that is not ``str`` or a
+    value :func:`encode_value` rejects raises :class:`StorageError`."""
+    if not isinstance(key, str):
+        raise StorageError(f"property keys are str, not {type(key).__name__}")
+    try:
+        key_bytes = key.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise StorageError(f"property key {key!r} is not valid text") from error
+    return key_bytes, encode_value(value)
+
+
+def encode_properties(properties: Dict[str, Any]) -> List[EncodedProperty]:
+    return [encode_property(key, value) for key, value in properties.items()]
 
 
 class PropertyRecord(NamedTuple):
@@ -61,15 +82,17 @@ class PropertyStore:
 
     # ------------------------------------------------------------------
     def create(
-        self, prop_id: int, owner_id: int, key: str, value: Any, next_prop: int = NULL_REF
+        self, prop_id: int, owner_id: int, encoded: EncodedProperty, next_prop: int = NULL_REF
     ) -> PropertyRecord:
-        """Materialize a property: blobs into the dynamic store + index record."""
+        """Materialize a property from its :func:`encode_property` bytes:
+        blobs into the dynamic store + index record."""
+        key_bytes, payload = encoded
         record = PropertyRecord(
             prop_id=prop_id,
             owner_id=owner_id,
             next_prop=next_prop,
-            key_blob=self._dynamic.store(key.encode("utf-8")),
-            value_blob=self._dynamic.store(encode_value(value)),
+            key_blob=self._dynamic.store(key_bytes),
+            value_blob=self._dynamic.store(payload),
         )
         self._store.write(record.prop_id, record)
         return record
@@ -80,16 +103,20 @@ class PropertyStore:
     def read(self, prop_id: int) -> PropertyRecord:
         return self._store.read(prop_id)
 
+    def key_bytes(self, record: PropertyRecord) -> bytes:
+        return self._dynamic.fetch(record.key_blob)
+
     def key_of(self, record: PropertyRecord) -> str:
-        return self._dynamic.fetch(record.key_blob).decode("utf-8")
+        return self.key_bytes(record).decode("utf-8")
 
     def value_of(self, record: PropertyRecord) -> Any:
         return decode_value(self._dynamic.fetch(record.value_blob))
 
-    def update_value(self, record: PropertyRecord, value: Any) -> PropertyRecord:
-        """Replace a property's value blob in place."""
+    def update_value(self, record: PropertyRecord, payload: bytes) -> PropertyRecord:
+        """Replace a property's value blob in place with an encoded value;
+        the old blob is freed only once the new payload exists."""
         self._dynamic.free(record.value_blob)
-        updated = record.with_value_blob(self._dynamic.store(encode_value(value)))
+        updated = record.with_value_blob(self._dynamic.store(payload))
         self._store.write(updated.prop_id, updated)
         return updated
 

@@ -31,7 +31,10 @@ _F64 = struct.Struct("<d")
 def encode_value(value: Any) -> bytes:
     """Serialize a property value to bytes (raises StorageError if untyped)."""
     parts: List[bytes] = []
-    _encode_into(value, parts)
+    try:
+        _encode_into(value, parts)
+    except UnicodeEncodeError as error:
+        raise StorageError(f"property text is not valid UTF-8: {error}") from error
     return b"".join(parts)
 
 

@@ -5,14 +5,14 @@ import pytest
 from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.core.config import RepartitionerConfig
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, StorageError
 from repro.graph.generators import community_graph, make_dataset
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.simtest.invariants import InvariantAuditor
 from repro.storage.records import NULL_REF
-from tests.conftest import make_random_graph, telemetry_snapshot
+from tests.conftest import make_random_graph, store_state, telemetry_snapshot
 
 
 class TestLoading:
@@ -154,6 +154,82 @@ class TestWritePath:
         small_cluster.add_edge(1000, 1001)
         home = small_cluster.catalog.lookup(1001)
         assert small_cluster.aux.neighbor_count(1000, home) == 1
+
+
+def cluster_state(cluster):
+    """Stores (pages, allocators, WAL frames), catalog, mirror, aux and
+    clock of a durable cluster."""
+    vertices = sorted(cluster.graph.vertices())
+    aux = cluster.aux
+    return {
+        "stores": [
+            store_state(server.store, server.journal) for server in cluster.servers
+        ],
+        "catalog": sorted((v, cluster.catalog.lookup(v)) for v in cluster.catalog.vertices()),
+        "mirror": [(v, cluster.graph.weight(v), sorted(cluster.graph.neighbors(v))) for v in vertices],
+        "aux": [(v, aux.partition_of(v), aux.neighbor_counts(v)) for v in vertices],
+        "aux_weights": repr(aux.partition_weights),
+        "now": cluster.now,
+    }
+
+
+def unconnected_pair(cluster, same_host):
+    """The first two unconnected vertices on one host or on two hosts."""
+    vertices = sorted(cluster.graph.vertices())
+    for u in vertices:
+        for v in vertices:
+            if u != v and not cluster.graph.has_edge(u, v) and (
+                cluster.catalog.lookup(u) == cluster.catalog.lookup(v)
+            ) == same_host:
+                return u, v
+    raise AssertionError("no such pair")
+
+
+class TestRejectedWrites:
+    """A write with a property the store cannot encode is rejected before
+    any layer moves.  It used to leave the node in a store but not in the
+    catalog (every retry then failed with "already exists"), or the
+    primary relationship record linked on one host, failing the next
+    ``validate()``; a durable cluster logged the partial write."""
+
+    @pytest.mark.parametrize(
+        "bad, good",
+        [
+            (
+                lambda c: c.add_vertex(1000, properties={"name": "x", "bad": object()}),
+                lambda c: c.add_vertex(1000, properties={"name": "x"}),
+            ),
+            (
+                lambda c: c.add_vertex(1000, properties={5: "five"}),
+                lambda c: c.add_vertex(1000, properties={"5": "five"}),
+            ),
+            (
+                lambda c: c.add_edge(*unconnected_pair(c, True), properties={"w": object()}),
+                lambda c: c.add_edge(*unconnected_pair(c, True), properties={"w": 1}),
+            ),
+            (
+                lambda c: c.add_edge(*unconnected_pair(c, False), properties={"w": object()}),
+                lambda c: c.add_edge(*unconnected_pair(c, False), properties={"w": 1}),
+            ),
+        ],
+        ids=["vertex-bad-value", "vertex-non-str-key", "local-edge", "cross-server-edge"],
+    )
+    def test_a_rejected_write_changes_nothing_and_a_retry_succeeds(
+        self, small_graph, bad, good
+    ):
+        cluster = HermesCluster.from_graph(
+            small_graph.copy(), num_servers=3, partitioner=HashPartitioner(), durability=True
+        )
+        before = cluster_state(cluster)
+        frames = [len(server.journal.wal) for server in cluster.servers]
+        with pytest.raises(StorageError):
+            bad(cluster)
+        assert [len(server.journal.wal) for server in cluster.servers] == frames
+        assert cluster_state(cluster) == before
+        cluster.validate()
+        good(cluster)
+        cluster.validate()
+        assert cluster_state(cluster) != before
 
 
 class TestRebalance:

@@ -171,7 +171,8 @@ def build_twin(reference, durable):
 
     executor._close_window = recording_close
     for vertex in range(0, VERTICES, 3):
-        cluster.servers[home(vertex)].set_property(vertex, "name", f"user{vertex}")
+        store = cluster.servers[home(vertex)].store
+        store.set_node_property(vertex, "name", f"user{vertex}")
     commit_all(cluster.servers)
     for index, (u, v) in enumerate(PROPERTY_EDGES):
         cluster.add_edge(u, v, properties={"since": 2000 + index, "w": index / 4})

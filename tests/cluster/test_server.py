@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.server import HermesServer
-from repro.exceptions import ClusterError, LockTimeoutError
+from repro.exceptions import ClusterError
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestReads:
 
     def test_expand(self, server):
         """The traversal engine's expansion step is a bulk store read."""
-        server.create_local_edge(server.store.allocate_rel_id(), 0, 1)
+        server.store.create_relationship(server.store.allocate_rel_id(), 0, 1)
         server.store.set_available(2, False)
         assert server.store.read_frontier([0, 2, 99, 1], True) == [[1], None, None, [0]]
         assert server.store.read_frontier([0, 2, 99], False) == [(), None, None]
@@ -46,35 +46,19 @@ class TestWrites:
         server.create_vertex(10, weight=2.0, properties={"a": 1})
         assert server.store.node_weight(10) == 2.0
         assert server.store.node_properties(10) == {"a": 1}
-        assert server.txns.stats["committed"] == 1
+        assert server.writes == 1
 
     def test_create_edge(self, server):
-        server.create_local_edge(server.store.allocate_rel_id(), 0, 1, {"w": 1})
+        rel = server.store.create_relationship(
+            server.store.allocate_rel_id(), 0, 1, properties={"w": 1}
+        )
         assert server.store.neighbors(0) == [1]
+        assert server.store.relationship_properties(rel.rel_id) == {"w": 1}
 
     def test_create_ghost_edge(self, server):
-        server.create_ghost_edge(1234, 0, 999)
+        server.store.create_relationship(1234, 0, 999, ghost=True)
         record = server.store.relationship(1234)
         assert record.ghost
-
-    def test_set_property_and_undo_on_conflict(self, server):
-        server.set_property(0, "name", "first")
-        # Simulate a conflicting holder so the next write aborts.
-        blocker = server.txns.begin()
-        blocker.lock(("node", 0))
-        with pytest.raises(LockTimeoutError):
-            server.set_property(0, "name", "second")
-        blocker.commit()
-        # The failed write rolled back: the old value survives.
-        assert server.store.get_node_property(0, "name") == "first"
-
-    def test_failed_create_vertex_rolls_back(self, server):
-        blocker = server.txns.begin()
-        blocker.lock(("node", 50))
-        with pytest.raises(LockTimeoutError):
-            server.create_vertex(50)
-        blocker.commit()
-        assert not server.store.has_node(50)
 
     def test_repr(self, server):
         assert "HermesServer" in repr(server)

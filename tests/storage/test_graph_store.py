@@ -167,6 +167,51 @@ class TestProperties:
         assert store.node_properties(1) == {"a": "A"}
 
 
+class TestRejectedWrites:
+    """A store mutation checks every key and encodes every value before
+    its first write.  Each of these used to leave a half-applied write:
+    a node or relationship with part of its properties, an old value
+    blob freed before the new value failed to encode (the key then read
+    back as ``RecordNotFoundError``), or a bare ``AttributeError`` /
+    ``UnicodeEncodeError`` after the property id was taken."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda s: s.create_node(10, properties={"a": 1, "b": object()}),
+            lambda s: s.create_relationship(
+                101, 1, 2, properties={"w": 2, "x": object()}
+            ),
+            lambda s: s.set_node_property(0, "name", object()),
+            lambda s: s.set_relationship_property(100, "w", {"nested": 1}),
+            lambda s: s.set_node_property(0, 5, "five"),
+            lambda s: s.create_node(10, properties={"name": "\ud800"}),
+            lambda s: s.set_node_property(0, "\ud800", 1),
+        ],
+        ids=[
+            "create-node",
+            "create-relationship",
+            "replace-node-value",
+            "replace-relationship-value",
+            "non-str-key",
+            "unencodable-value-text",
+            "unencodable-key-text",
+        ],
+    )
+    def test_a_rejected_write_leaves_the_store_untouched(self, store, write):
+        store.set_node_property(0, "name", "zero")
+        store.create_relationship(100, 0, 1, properties={"w": 1})
+        before = store_state(store)
+        stats = store.stats()
+        with pytest.raises(StorageError):
+            write(store)
+        assert store_state(store) == before
+        assert store.stats() == stats
+        assert not store.has_node(10) and not store.has_relationship(101)
+        assert store.node_properties(0) == {"name": "zero"}
+        assert store.relationship_properties(100) == {"w": 1}
+
+
 class TestAvailability:
     def test_unavailable_node_rejects_queries(self, store):
         store.set_available(0, False)
