@@ -64,6 +64,7 @@ from repro.exceptions import (
     MigrationAbortedError,
     ServerDownError,
     StorageError,
+    VertexNotFoundError,
 )
 from repro.graph.adjacency import SocialGraph
 from repro.storage.graph_store import GraphStore
@@ -284,7 +285,8 @@ class HermesCluster:
         every record once with its final pointers: the pages creating one
         record at a time leaves.  The mirror takes one vertex and one
         edge at a time (its adjacency order feeds static repartitioning)
-        and the auxiliary data is bootstrapped from it in one pass.
+        and the auxiliary data is bootstrapped from it and the placement,
+        read as one column, in one pass.
         Nothing is committed: each durable server checkpoints once, so
         loading logs nothing.
         """
@@ -292,15 +294,20 @@ class HermesCluster:
             raise ClusterError("cluster already loaded")
         if self.faults is not None:
             raise ClusterError("detach the fault plan before a bulk load")
-        home: Dict[int, int] = {}
-        for vertex in graph.vertices():
-            server = partitioning.get(vertex)
-            if server is None or not 0 <= server < self.num_servers:
-                raise ClusterError(
-                    f"vertex {vertex} has no partition in [0, {self.num_servers}): "
-                    f"{server}"
-                )
-            home[vertex] = server
+        vertices = list(graph.vertices())
+        servers = range(self.num_servers)
+        try:
+            partitions = partitioning.partitions_of(vertices)
+            placed = set(partitions.tolist()) <= set(servers)
+        except VertexNotFoundError:
+            placed = False
+        if not placed:
+            vertex = next(v for v in vertices if partitioning.get(v) not in servers)
+            raise ClusterError(
+                f"vertex {vertex} has no partition in [0, {self.num_servers}): "
+                f"{partitioning.get(vertex)}"
+            )
+        home = dict(zip(vertices, partitions.tolist()))
         stores = [server.store for server in self.servers]
         nodes: List[List[Tuple[int, float]]] = [[] for _ in stores]
         relationships: List[List[Tuple[int, int, int, bool]]] = [[] for _ in stores]
@@ -324,7 +331,7 @@ class HermesCluster:
             stores, nodes, relationships
         ):
             store.bulk_load(server_nodes, server_relationships)
-        self.aux.bootstrap(mirror, home.__getitem__)
+        self.aux.bootstrap(mirror, partitions)
         self._checkpoint()
 
     def _checkpoint(self) -> None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from itertools import chain
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -196,21 +195,25 @@ class AuxiliaryData:
         columns, anything else is read through the protocol.
         """
         aux = cls(partitioning.num_partitions)
-        aux.bootstrap(graph, partitioning.partition_of)
+        aux.bootstrap(graph, partitioning.partitions_of(graph.vertices()))
         return aux
 
-    def bootstrap(self, graph: GraphRead, partition_of: Callable[[int], int]) -> None:
+    def bootstrap(self, graph: GraphRead, partitions: Sequence[int]) -> None:
         """Fill auxiliary data that tracks nothing yet and carries no heat
-        (its capacities are kept) from a full graph and each vertex's
-        partition — the one pass of :meth:`from_graph`.  The rows,
+        (its capacities are kept) from a full graph and its partition
+        column (``partitions[i]`` is the partition of the ``i``-th vertex
+        in graph order) — the one pass of :meth:`from_graph`.  The rows,
         counters and partition weights are the ones :meth:`add_vertex`
         for every vertex in graph order and then :meth:`add_edge` for
-        every edge leave; the columns are sized to the graph.  A
-        partition out of range raises :class:`PartitioningError` with
-        nothing changed."""
+        every edge leave; the columns are sized to the graph.  A column
+        of the wrong length or a partition out of range raises
+        :class:`PartitioningError` with nothing changed."""
         if self._used or self._heat is not None:
             raise PartitioningError("bootstrap needs empty, unheated auxiliary data")
         n = graph.num_vertices
+        partition = np.asarray(partitions)
+        if len(partition) != n:
+            raise PartitioningError(f"{len(partition)} partitions for {n} vertices")
         if not n:
             return
         alpha = self.num_partitions
@@ -225,13 +228,10 @@ class AuxiliaryData:
             )
             if np.array_equal(ids, np.arange(n)):
                 ids = None
-        vertex_list = range(n) if ids is None else ids.tolist()
-        partition = np.fromiter(
-            map(partition_of, vertex_list), dtype=np.int32, count=n
-        )
         if not (0 <= partition.min() and partition.max() < alpha):
             raise PartitioningError(f"partition out of range [0, {alpha})")
-        rows = None if ids is None else dict(zip(vertex_list, range(n)))
+        partition = partition.astype(np.int32)
+        rows = None if ids is None else dict(zip(ids.tolist(), range(n)))
         # The directed edge list in row space: every edge in both directions.
         if csr:
             heads = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -859,18 +859,12 @@ class AuxiliaryData:
     # Derived whole-system metrics (for instrumentation, not the algorithm)
     # ------------------------------------------------------------------
     def edge_cut(self) -> int:
-        """Edge-cut: ``sum d_ex(v) / 2``, one pass over the counters."""
-        return int(self._external_degrees(self._live_rows()).sum()) // 2
-
-    def to_partitioning(self) -> Partitioning:
-        """Materialize the current assignment as a Partitioning object."""
-        partitioning = Partitioning(self.num_partitions)
+        """Edge-cut: ``sum d_ex(v) / 2`` as two reductions — every counter
+        minus each live row's own-partition counter (a free row holds
+        zero counts: :meth:`remove_vertex` requires it)."""
         rows = self._live_rows()
-        for vertex, partition in zip(
-            self._ids_of(rows).tolist(), self._partition[rows].tolist()
-        ):
-            partitioning.assign(vertex, partition)
-        return partitioning
+        own = self._counts[rows, self._partition[rows]]
+        return int(self._counts[: self._used].sum() - own.sum()) // 2
 
     def memory_entries(self) -> Tuple[int, int]:
         """(non-zero counters, weight entries) — the information content.

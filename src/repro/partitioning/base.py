@@ -10,10 +10,18 @@ substrate or the storage engine).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.exceptions import InvalidPartitionError, VertexNotFoundError
 from repro.graph.adjacency import SocialGraph
+
+
+def check_partition_count(num_partitions: int) -> None:
+    if num_partitions < 1:
+        raise InvalidPartitionError(f"need at least one partition, got {num_partitions}")
 
 
 class Partitioning:
@@ -34,10 +42,7 @@ class Partitioning:
     __slots__ = ("_num_partitions", "_assignment", "_members")
 
     def __init__(self, num_partitions: int):
-        if num_partitions < 1:
-            raise InvalidPartitionError(
-                f"need at least one partition, got {num_partitions}"
-            )
+        check_partition_count(num_partitions)
         self._num_partitions = num_partitions
         self._assignment: Dict[int, int] = {}
         self._members: List[Set[int]] = [set() for _ in range(num_partitions)]
@@ -99,6 +104,13 @@ class Partitioning:
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
+    def partitions_of(self, vertices: Iterable[int]) -> np.ndarray:
+        """:meth:`partition_of` of each vertex as an int32 column (one C map)."""
+        try:
+            return np.fromiter(map(self._assignment.__getitem__, vertices), np.int32)
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+
     def get(self, vertex: int) -> Optional[int]:
         """Like :meth:`partition_of` but returns None for unknown vertices."""
         return self._assignment.get(vertex)
@@ -139,9 +151,33 @@ class Partitioning:
     ) -> "Partitioning":
         if num_partitions is None:
             num_partitions = (max(mapping.values()) + 1) if mapping else 1
+        return cls.from_columns(list(mapping), list(mapping.values()), num_partitions)
+
+    @classmethod
+    def from_columns(
+        cls, vertices: Sequence[int], partitions: Sequence[int], num_partitions: int
+    ) -> "Partitioning":
+        """``assign(vertices[i], partitions[i])`` for each ``i`` in order,
+        in bulk: the same dict order, set iteration order and int objects
+        (hence bytes).  A length mismatch, a partition out of range or a
+        repeated vertex raises :class:`InvalidPartitionError` first."""
         partitioning = cls(num_partitions)
-        for vertex, partition in mapping.items():
-            partitioning.assign(vertex, partition)
+        column = np.asarray(partitions)
+        n = len(vertices)
+        if len(column) != n:
+            raise InvalidPartitionError(f"{n} vertices but {len(column)} partitions")
+        integral = column.dtype.kind in "iu"
+        if n and not (integral and 0 <= column.min() <= column.max() < num_partitions):
+            raise InvalidPartitionError(f"partition out of range [0, {num_partitions})")
+        assignment = dict(zip(vertices, column.tolist()))
+        if len(assignment) != n:
+            raise InvalidPartitionError(f"{n - len(assignment)} repeated vertex ids")
+        partitioning._assignment = assignment
+        # One C-level pass per partition, in input order, sharing the ints.
+        partitioning._members = [
+            set(compress(vertices, column == partition))
+            for partition in range(num_partitions)
+        ]
         return partitioning
 
     def as_mapping(self) -> Dict[int, int]:

@@ -84,10 +84,7 @@ class JaBeJaPartitioner(Partitioner):
                         colors[vertex],
                     )
             temperature = max(1.0, temperature - self.cooling)
-        partitioning = Partitioning(num_partitions)
-        for vertex, color in colors.items():
-            partitioning.assign(vertex, color)
-        return partitioning
+        return Partitioning.from_mapping(colors, num_partitions)
 
     # ------------------------------------------------------------------
     def _benefit(self, graph: SocialGraph, vertex: int, color: int, colors) -> int:

@@ -121,10 +121,7 @@ class MultilevelPartitioner(Partitioner):
             assignment = self._multilevel_kway(
                 base, num_partitions, rng, None, self.epsilon
             )
-        partitioning = Partitioning(num_partitions)
-        for vertex, partition in assignment.items():
-            partitioning.assign(vertex, partition)
-        return partitioning
+        return Partitioning.from_mapping(assignment, num_partitions)
 
     # ------------------------------------------------------------------
     # Recursive bisection
@@ -266,7 +263,6 @@ class MultilevelPartitioner(Partitioner):
 
     @staticmethod
     def _trivial(graph: GraphRead, num_partitions: int) -> Partitioning:
-        partitioning = Partitioning(num_partitions)
-        for index, vertex in enumerate(graph.vertices()):
-            partitioning.assign(vertex, index % num_partitions)
-        return partitioning
+        vertices = list(graph.vertices())
+        partitions = [index % num_partitions for index in range(len(vertices))]
+        return Partitioning.from_columns(vertices, partitions, num_partitions)

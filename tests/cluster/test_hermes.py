@@ -36,19 +36,24 @@ class TestLoading:
         assert cluster.aux.partition_weights == [0.0, 0.0]
 
     @pytest.mark.parametrize(
-        "placement",
-        [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}],
-        ids=["partition-out-of-range", "vertex-without-partition"],
+        "placement, first_bad",
+        [({0: 0, 1: 1, 2: 2}, 2), ({0: 0, 1: 1}, 2), ({0: 0, 1: 2}, 1)],
+        ids=[
+            "partition-out-of-range",
+            "vertex-without-partition",
+            "out-of-range-before-missing",
+        ],
     )
     def test_bad_placement_is_a_typed_error_and_loads_nothing(
-        self, triangle_graph, placement
+        self, triangle_graph, placement, first_bad
     ):
         """Vertices 0 and 1 used to be written before vertex 2 raised a
         bare ``IndexError`` / ``VertexNotFoundError``, and every retry
-        then failed with "cluster already loaded"."""
+        then failed with "cluster already loaded".  The error names the
+        first vertex, in graph order, without a valid partition."""
         cluster = HermesCluster(2, durability=True)
         partitioning = Partitioning.from_mapping(placement, num_partitions=3)
-        with pytest.raises(ClusterError, match="vertex 2"):
+        with pytest.raises(ClusterError, match=f"vertex {first_bad} "):
             cluster.load(triangle_graph, partitioning)
         self.assert_empty(cluster)
         corrected = Partitioning.from_mapping({0: 0, 1: 1, 2: 1}, num_partitions=2)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.auxiliary import AuxiliaryData
 from repro.exceptions import PartitioningError, VertexNotFoundError
+from repro.graph.adjacency import SocialGraph
+from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.metrics import edge_cut
 from tests.conftest import make_random_graph
@@ -40,9 +42,22 @@ class TestBootstrap:
         graph, partitioning, aux = aux_pair
         assert aux.edge_cut() == edge_cut(graph, partitioning)
 
-    def test_to_partitioning_roundtrip(self, aux_pair):
+    def test_a_column_of_the_wrong_length_changes_nothing(self, aux_pair):
+        graph, partitioning, _ = aux_pair
+        column = partitioning.partitions_of(graph.vertices())
+        aux = AuxiliaryData(3)
+        with pytest.raises(PartitioningError):
+            aux.bootstrap(graph, column[:-1])
+        assert aux.num_vertices == 0
+        aux.bootstrap(graph, column)
+        assert aux.edge_cut() == edge_cut(graph, partitioning)
+
+    def test_partition_column_roundtrip(self, aux_pair):
         _, partitioning, aux = aux_pair
-        assert aux.to_partitioning() == partitioning
+        vertices = list(aux.vertices())
+        column = aux.partitions_of(vertices)
+        rebuilt = Partitioning.from_columns(vertices, column, aux.num_partitions)
+        assert rebuilt == partitioning
 
 
 class TestIncrementalMaintenance:
@@ -335,6 +350,50 @@ class TestNonIntegralIds:
             aux, VertexNotFoundError, aux.apply_move, bad, 0, [0, 2]
         )
         assert aux.partition_of(1) == 1
+
+
+def row_edge_cut(aux):
+    """Edge-cut by the per-row formula ``sum d_ex(v) / 2``."""
+    return sum(aux.external_degree(vertex) for vertex in aux.vertices()) // 2
+
+
+def mapped_aux_pair(offset):
+    """A random graph with its ids shifted by ``offset``, bootstrapped."""
+    source = make_random_graph(200, 600, seed=8)
+    graph = SocialGraph()
+    for vertex in source.vertices():
+        graph.add_vertex(vertex + offset)
+    for u, v in source.edges():
+        graph.add_edge(u + offset, v + offset)
+    partitioning = HashPartitioner(salt=8).partition(graph, 5)
+    return graph, partitioning, AuxiliaryData.from_graph(graph, partitioning)
+
+
+class TestEdgeCut:
+    """``edge_cut`` is two reductions over the counters; it must equal
+    the row formula whatever the id map and however many rows are free."""
+
+    @pytest.mark.parametrize("offset", [0, -70], ids=["dense", "id-mapped"])
+    def test_equals_row_formula(self, offset):
+        graph, partitioning, aux = mapped_aux_pair(offset)
+        assert (aux._rows is None) == (offset == 0)
+        cut = edge_cut(graph, partitioning)
+        assert cut > 0 and aux.edge_cut() == row_edge_cut(aux) == cut
+
+    @pytest.mark.parametrize("offset", [0, -70], ids=["dense", "id-mapped"])
+    def test_equals_row_formula_with_free_rows(self, offset):
+        graph, partitioning, aux = mapped_aux_pair(offset)
+        for vertex in [offset + 3, offset + 50, offset + 199]:
+            for neighbor in list(graph.neighbors(vertex)):
+                graph.remove_edge(vertex, neighbor)
+                aux.remove_edge(vertex, neighbor)
+            graph.remove_vertex(vertex)
+            partitioning.remove(vertex)
+            aux.remove_vertex(vertex)
+        assert aux.num_vertices < aux._used  # rows are free
+        cut = edge_cut(graph, partitioning)
+        assert cut > 0 and aux.edge_cut() == row_edge_cut(aux) == cut
+        assert type(aux.edge_cut()) is int
 
 
 class TestRows:

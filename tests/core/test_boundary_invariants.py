@@ -198,7 +198,8 @@ def check_against_model(aux: AuxiliaryData, model: ModelState):
     assert aux.num_partitions == model.num_partitions
     assert aux.num_vertices == len(model.adjacency)
     assert sorted(aux.vertices()) == sorted(model.adjacency)
-    assert aux.to_partitioning().as_mapping() == model.partition
+    vertices = list(aux.vertices())
+    assert dict(zip(vertices, aux.partitions_of(vertices))) == model.partition
     # The paper's counters, per vertex, and what is derived per vertex.
     nonzero = 0
     for vertex in model.adjacency:

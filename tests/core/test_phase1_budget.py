@@ -28,7 +28,7 @@ from dataclasses import asdict
 
 from repro.core import auxiliary
 from repro.graph import compact
-from repro.partitioning import base
+from repro.partitioning import base, hashing
 from repro.core.auxiliary import AuxiliaryData
 from repro.core.config import RepartitionerConfig
 from repro.core.repartitioner import LightweightRepartitioner
@@ -88,6 +88,31 @@ def test_bootstrap_and_run_call_counts_do_not_depend_on_graph_size():
     assert result.total_logical_migrations > 500  # the run did real work
     budget = CALLS_PER_ITERATION_AND_PARTITION * ITERATIONS * NUM_PARTITIONS
     assert run_calls <= budget, (run_calls, budget)
+
+
+def test_placement_and_bootstrap_make_no_per_vertex_call():
+    """Hash placement and the bootstrap read the placement as columns:
+    the same calls at 2 000 and 8 000 vertices, none of them per-vertex
+    (the scalar path made one ``place``, two ``_mix64`` and one ``assign``
+    per vertex, and the bootstrap one ``partition_of`` per vertex)."""
+    counted = {}
+    for n in (2000, 8000):
+        graph = compact_powerlaw_graph(n, seed=5)
+        partitioning, placement_calls = count_calls(
+            HashPartitioner(salt=5).partition, graph, NUM_PARTITIONS
+        )
+        assert partitioning.num_vertices == n
+        for name in ("place", "_mix64"):
+            assert placement_calls[hashing.__file__, name] == 0
+        assert placement_calls[base.__file__, "assign"] == 0
+        aux, bootstrap_calls = count_calls(
+            AuxiliaryData.from_graph, graph, partitioning
+        )
+        assert aux.num_vertices == n
+        for name in ("partition_of", "get"):
+            assert bootstrap_calls[base.__file__, name] == 0
+        counted[n] = (placement_calls, bootstrap_calls)
+    assert counted[2000] == counted[8000]
 
 
 def test_a_stage_gathers_once_and_the_partitioning_is_written_once():

@@ -1,5 +1,6 @@
 """Tests for the Partitioning state object."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidPartitionError, VertexNotFoundError
@@ -25,6 +26,57 @@ class TestConstruction:
         partitioning = Partitioning.from_mapping({})
         assert partitioning.num_partitions == 1
         assert partitioning.num_vertices == 0
+
+
+class TestColumns:
+    def test_from_columns_is_the_assign_loop(self):
+        """Same dict order, member-set iteration order and int objects."""
+        vertices = [v * 1009 % 4096 + 300 for v in range(2000)]  # unsorted
+        partitions = np.array([v % 5 for v in vertices], dtype=np.uint64)
+        bulk = Partitioning.from_columns(vertices, partitions, 6)
+        loop = Partitioning(6)
+        for vertex, partition in zip(vertices, partitions.tolist()):
+            loop.assign(vertex, partition)
+        assert list(bulk.items()) == list(loop.items())
+        assert bulk.sizes() == loop.sizes() and bulk.sizes()[5] == 0
+        for partition in range(6):
+            assert list(bulk.vertices_in(partition)) == list(
+                loop.vertices_in(partition)
+            )
+        keys = {id(vertex) for vertex in bulk._assignment}
+        assert all(id(v) in keys for p in range(6) for v in bulk.vertices_in(p))
+        assert keys == {id(vertex) for vertex in vertices}
+        assert all(type(partition) is int for _, partition in bulk.items())
+
+    @pytest.mark.parametrize(
+        "vertices, partitions",
+        [
+            ([1, 2, 3], [0, 1]),  # length mismatch
+            ([1, 2, 3], [0, 1, 2]),  # partition out of range
+            ([1, 2, 3], [0, -1, 1]),  # negative partition
+            ([1, 2, 3], [0.0, 1.0, 1.0]),  # not an integer column
+            ([1, 2, 1], [0, 1, 1]),  # repeated vertex
+        ],
+        ids=["length", "range", "negative", "float", "duplicate"],
+    )
+    def test_from_columns_rejects_bad_columns(self, vertices, partitions):
+        before = (list(vertices), list(partitions))
+        with pytest.raises(InvalidPartitionError):
+            Partitioning.from_columns(vertices, partitions, 2)
+        assert (vertices, partitions) == before
+
+    def test_from_mapping_rejects_out_of_range(self):
+        with pytest.raises(InvalidPartitionError):
+            Partitioning.from_mapping({1: 0, 2: 3}, num_partitions=2)
+
+    def test_partitions_of_is_a_column_in_input_order(self):
+        partitioning = Partitioning.from_mapping({10: 1, 11: 0, 12: 2})
+        column = partitioning.partitions_of([12, 10, 10, 11])
+        assert column.tolist() == [2, 1, 1, 0]
+        assert partitioning.partitions_of([]).tolist() == []
+        with pytest.raises(VertexNotFoundError) as raised:
+            partitioning.partitions_of([10, 13, 14])
+        assert raised.value.vertex == 13
 
 
 class TestAssignment:
