@@ -57,7 +57,12 @@ def main() -> None:
             )
         cluster.validate()
 
-    print(f"final graph: {cluster.graph}")
+    # Read popularity lives in the auxiliary data, not in the mirror graph.
+    print(
+        f"final graph: {cluster.graph.num_vertices} vertices, "
+        f"{cluster.graph.num_edges} edges, "
+        f"total popularity {cluster.aux.total_weight():g}"
+    )
 
 
 if __name__ == "__main__":

@@ -10,16 +10,19 @@ The cluster also maintains two simulation-level conveniences the real
 system distributes across servers:
 
 * ``graph`` — a :class:`~repro.graph.SocialGraph` mirror of the logical
-  graph (adjacency + vertex weights).  Hosting servers know their local
-  adjacency; the mirror stands in for that local knowledge when the
-  repartitioner forwards counter updates for migrating vertices, and it
-  gives the METIS baseline the global view it genuinely requires.
+  graph's adjacency.  Hosting servers know their local adjacency; the
+  mirror stands in for that local knowledge when the repartitioner
+  forwards counter updates for migrating vertices, and it gives the METIS
+  baseline the global view it genuinely requires.  Its vertex weights
+  are not kept live: :meth:`HermesCluster.repartition_static` refreshes
+  them from ``aux`` just before the static partitioner reads them.
 * ``aux`` — the :class:`~repro.core.AuxiliaryData` that in Hermes is
   sharded per server; centralizing it changes nothing observable because
   every read the algorithm performs is one a hosting server could answer
   locally: a partition's selection reads only its own hosted records and
   the alpha partition weights (``tests/core/test_selection_engine.py``
-  carries that locality claim as a test).
+  carries that locality claim as a test).  It is the one home of vertex
+  popularity: reads bump ``aux`` and write nothing to a store.
 
 Operations that can pause (traversals, rebalances) are implemented once,
 as generators that do the work and yield each slice's cost; the serial
@@ -392,17 +395,14 @@ class HermesCluster:
         return result
 
     def add_popularity(self, vertices: Iterable[int]) -> None:
-        """Every vertex a read returned gains one unit of weight, in the
-        graph and in the auxiliary data phase 1 balances — in the given
-        order (partition weights are order-sensitive floats once
-        :meth:`decay_weights` has run)."""
-        graph_add = self.graph.add_weight
+        """Every vertex a read returned gains one unit of weight in the
+        auxiliary data phase 1 balances, the one home of popularity — in
+        the given order (partition weights are order-sensitive floats
+        once :meth:`decay_weights` has run)."""
         aux_add = self.aux.add_weight
         for vertex in vertices:
-            graph_add(vertex, 1.0)
             aux_add(vertex, 1.0)
 
-    @_commits
     def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
         """Single-record query; returns (properties, simulated cost).
 
@@ -610,13 +610,14 @@ class HermesCluster:
     def decay_weights(self, factor: float = 0.5, floor: float = 1.0) -> None:
         """Age popularity weights so rebalancing tracks current traffic."""
         self.aux.decay_weights(factor, floor=floor)
-        for vertex in self.graph.vertices():
-            self.graph.set_weight(vertex, self.aux.weight_of(vertex))
 
     def repartition_static(self, partitioner: Partitioner) -> MigrationReport:
         """Re-run a static partitioner (e.g. the METIS substitute) and
         migrate the difference — the paper's comparison point that needs a
-        global view of the graph."""
+        global view of the graph.  The mirror's weights are refreshed from
+        the auxiliary data first: the partitioner balances live popularity."""
+        for vertex in self.graph.vertices():
+            self.graph.set_weight(vertex, self.aux.weight_of(vertex))
         new_partitioning = partitioner.partition(self.graph, self.num_servers)
         moves = {}
         for vertex in self.graph.vertices():
@@ -920,7 +921,10 @@ class HermesCluster:
         which store holds each (available) node, the logical mirror from
         the union of non-ghost relationship records, vertex weights from
         the node records, and the auxiliary data is bootstrapped from the
-        reconstructed mirror + placement.
+        reconstructed mirror + placement column in one pass, as
+        :meth:`load` does.  Popularity gathered since the vertices were
+        stored is auxiliary data, which is not saved: the reopened
+        cluster starts from the stored weights.
         """
         with open(os.path.join(directory, cls._META_FILE)) as handle:
             meta = json.load(handle)
@@ -930,25 +934,24 @@ class HermesCluster:
                 os.path.join(directory, f"server-{server.server_id}")
             )
         cluster._checkpoint()
+        mirror = cluster.graph
+        partitions: List[int] = []
         for server in cluster.servers:
             for node_id in server.store.node_ids():
-                if not server.store.is_available(node_id):
+                node = server.store.node(node_id)
+                if not node.available:
                     continue
                 cluster.catalog.register(node_id, server.server_id)
-                cluster.graph.add_vertex(
-                    node_id, weight=server.store.node_weight(node_id)
-                )
-                cluster.aux.add_vertex(
-                    node_id, server.server_id, server.store.node_weight(node_id)
-                )
+                mirror.add_vertex(node_id, weight=node.weight)
+                partitions.append(server.server_id)
         seen = set()
         for server in cluster.servers:
             for record in server.store.relationships.records():
                 if record.ghost or record.rel_id in seen:
                     continue
                 seen.add(record.rel_id)
-                cluster.graph.add_edge(record.src, record.dst)
-                cluster.aux.add_edge(record.src, record.dst)
+                mirror.add_edge(record.src, record.dst)
+        cluster.aux.bootstrap(mirror, partitions)
         return cluster
 
     # ==================================================================

@@ -126,9 +126,9 @@ class HermesServer:
     # Read path
     # ------------------------------------------------------------------
     def read_vertex(self, node_id: int) -> Dict[str, Any]:
-        """Single-record query: the node's properties (bumps popularity)."""
+        """Single-record query: the node's properties (writes nothing)."""
         self.check_up()
-        properties = self.store.point_read(node_id, 1.0)
+        properties = self.store.point_read(node_id)
         if properties is None:
             raise ClusterError(f"vertex {node_id} is not served by server {self.server_id}")
         self.reads_counter.inc()

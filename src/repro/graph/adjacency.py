@@ -148,26 +148,6 @@ class SocialGraph:
             raise GraphError(f"vertex weight must be non-negative, got {weight}")
         self._weights[vertex] = float(weight)
 
-    def add_weight(self, vertex: int, delta: float) -> float:
-        """Increase a vertex's weight by ``delta`` and return the new weight.
-
-        Used by the workload drivers: each read of a vertex bumps its
-        popularity, which is exactly the paper's notion of weight.
-        """
-        # weight() + set_weight(), flattened: this runs for every vertex
-        # every read returns.
-        weights = self._weights
-        try:
-            new_weight = weights[vertex] + delta
-        except KeyError:
-            raise VertexNotFoundError(vertex) from None
-        if new_weight < 0:
-            raise GraphError(
-                f"vertex weight must be non-negative, got {new_weight}"
-            )
-        weights[vertex] = float(new_weight)
-        return new_weight
-
     def total_weight(self) -> float:
         return sum(self._weights.values())
 

@@ -371,18 +371,10 @@ class CompactGraph:
                     yield (u, self._id_of(other))
 
     # ------------------------------------------------------------------
-    # Weights (the one mutable column: read popularity changes online)
+    # Weights (the one mutable column)
     # ------------------------------------------------------------------
     def set_weight(self, vertex: int, weight: float) -> None:
         self._weights[self._index_of(vertex)] = _checked_weight(weight)
-
-    def add_weight(self, vertex: int, delta: float) -> float:
-        index = self._index_of(vertex)
-        new_weight = float(self._weights[index]) + delta
-        if new_weight < 0:
-            raise GraphError(f"vertex weight must be non-negative, got {new_weight}")
-        self._weights[index] = new_weight
-        return new_weight
 
     def total_weight(self) -> float:
         return float(self._weights.sum())

@@ -364,11 +364,13 @@ def _corrupt(cluster, mode: str) -> None:
                 return
         raise ValueError("no populated server to detach")
     elif mode == "lost_commit":
-        # A point read commits its weight bump as one frame on the
-        # vertex's host; drop that committed frame from the host's log
-        # and crash-recover the host.  Recovery replays a log missing a
-        # write the live store had: breaks recovery-fidelity, and only
-        # because ``pre`` is the live store, not the log's own replay.
+        # A property write on a vertex commits as one frame on its host;
+        # drop that committed frame from the host's log and crash-recover
+        # the host.  Recovery replays a log missing a write the live store
+        # had: breaks recovery-fidelity, and only because ``pre`` is the
+        # live store, not the log's own replay.  A node property is read
+        # by no other invariant, and the recovered store still serves
+        # what the catalog says, so nothing else trips.
         from repro.cluster import server as server_states
         from repro.storage.wal import WriteAheadLog
 
@@ -376,11 +378,9 @@ def _corrupt(cluster, mode: str) -> None:
             server = cluster.servers[cluster.catalog.lookup(vertex)]
             if server.journal is None or server.state != server_states.ACTIVE:
                 continue
-            committed = len(server.journal.wal)
-            cluster.read_vertex(vertex)
+            server.store.set_node_property(vertex, "lost", True)
+            server.journal.commit()
             frames = list(server.journal.wal.frames())
-            if len(frames) == committed:
-                continue  # a degraded read wrote nothing
             server.journal.wal = WriteAheadLog()
             for payload in frames[:-1]:
                 server.journal.wal.append(payload)

@@ -220,26 +220,13 @@ class GraphStore:
             )
         return record
 
-    def node_weight(self, node_id: int) -> float:
-        return self.nodes.read(node_id).weight
-
-    def add_node_weight(self, node_id: int, delta: float) -> float:
-        return self._add_weight(self.nodes.read(node_id), delta)
-
-    def _add_weight(self, record: NodeRecord, delta: float) -> float:
-        updated = record.with_weight(record.weight + delta)
-        self.nodes.write(updated)
-        return updated.weight
-
-    def point_read(self, node_id: int, popularity: float) -> Optional[Dict[str, Any]]:
+    def point_read(self, node_id: int) -> Optional[Dict[str, Any]]:
         """A single-record query served from one fetch of the node record:
-        adds ``popularity`` to the node's weight (one slot write) and
-        returns its properties; ``None`` for a missing or unavailable
-        node, which is left untouched."""
+        its properties, ``None`` for a missing or unavailable node.
+        Nothing is written."""
         record = self.nodes.get(node_id)
         if record is None or not record.available:
             return None
-        self._add_weight(record, popularity)
         return self._collect_properties(record.first_prop)
 
     def delete_node(

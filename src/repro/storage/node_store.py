@@ -2,10 +2,12 @@
 
 A node record keeps only the bare minimum (paper Section 4: "basic
 information on nodes"): its first relationship pointer (the head of the
-doubly-linked relationship chain), its first property pointer, its read
-popularity weight, and two flags — ``in_use`` and ``available``.  The
-*available* flag implements the migration remove step: an unavailable node
-is treated by queries as if it were not part of the local vertex set.
+doubly-linked relationship chain), its first property pointer, the
+weight it was loaded or inserted with (live popularity is auxiliary data,
+which reads update instead), and two flags — ``in_use`` and
+``available``.  The *available* flag implements the migration remove
+step: an unavailable node is treated by queries as if it were not part of
+the local vertex set.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class NodeRecord(NamedTuple):
 
     def with_first_prop(self, prop_id: int) -> "NodeRecord":
         return self._replace(first_prop=prop_id)
-
-    def with_weight(self, weight: float) -> "NodeRecord":
-        return self._replace(weight=weight)
 
     def with_available(self, available: bool) -> "NodeRecord":
         return self._replace(available=available)

@@ -95,17 +95,20 @@ def test_two_hop_traversal_asks_about_each_distinct_vertex_once(counts):
 
 
 def test_point_read_fetches_its_node_record_once(counts):
-    """Availability, the weight bump and the property-chain head come
-    from one fetch; the second probe is the write-back locating the slot
-    (the parent: 4 probes, 3 decodes)."""
+    """Availability and the property-chain head come from one fetch, and
+    nothing is written back: popularity is auxiliary data (the parent: 2
+    probes, the second the weight write-back locating the slot)."""
     graph, cluster = placed_cluster()
     for vertex in sorted(graph.vertices()):
-        weight = cluster.servers[vertex % 3].store.node_weight(vertex)
+        store = cluster.servers[vertex % 3].store
+        stored = store.node(vertex).weight
+        popularity = cluster.aux.weight_of(vertex)
         counts.clear()
         properties, _ = cluster.read_vertex(vertex)
         assert properties == {}
-        assert counts == {"probes": 2, "decodes": 1}
-        assert cluster.servers[vertex % 3].store.node_weight(vertex) == weight + 1.0
+        assert counts == {"probes": 1, "decodes": 1}
+        assert store.node(vertex).weight == stored
+        assert cluster.aux.weight_of(vertex) == popularity + 1.0
 
 
 #: (start, hops) -> (response, processed, remote_hops, repr(cost)) at the parent

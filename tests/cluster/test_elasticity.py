@@ -86,7 +86,7 @@ def scripted_store():
         lambda: store.create_relationship(rel_b, 2, 3, ghost=True),
         lambda: store.set_node_property(1, "city", "zurich"),
         lambda: store.set_relationship_property(rel_a, "since", 2011),
-        lambda: store.add_node_weight(2, 4.0),
+        lambda: store.set_available(1, False),
         lambda: store.remove_node_property(2, "name"),
         lambda: store.set_ghost(rel_b, False),
         lambda: store.delete_relationship(rel_a),
@@ -445,8 +445,8 @@ class TestCrashRecovery:
 
     def test_crash_with_an_open_transaction_is_a_missed_boundary(self):
         cluster = durable_cluster()
-        cluster.servers[0].store.add_node_weight(
-            next(iter(cluster.catalog.vertices_on(0))), 1.0
+        cluster.servers[0].store.set_available(
+            next(iter(cluster.catalog.vertices_on(0))), True
         )
         with pytest.raises(AssertionError):
             cluster.crash_server(0)

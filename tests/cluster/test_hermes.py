@@ -91,10 +91,10 @@ class TestLoading:
 class TestReadPath:
     def test_traverse_updates_weights(self, small_cluster):
         start = next(iter(small_cluster.graph.vertices()))
-        before = small_cluster.graph.weight(start)
+        before = small_cluster.aux.weight_of(start)
         result = small_cluster.traverse(start, hops=1)
         assert start in result.response
-        assert small_cluster.graph.weight(start) == before + 1.0
+        assert small_cluster.aux.weight_of(start) == before + 1.0
         small_cluster.validate()
 
     def test_read_vertex(self, small_cluster):
@@ -241,7 +241,6 @@ class TestRebalance:
     def test_trigger_fires_after_hotspot(self, small_cluster):
         assert not small_cluster.check_trigger().should_repartition or True
         for vertex in list(small_cluster.catalog.vertices_on(0)):
-            small_cluster.graph.set_weight(vertex, 10.0)
             small_cluster.aux.set_weight(vertex, 10.0)
         decision = small_cluster.check_trigger()
         assert decision.should_repartition
@@ -258,7 +257,6 @@ class TestRebalance:
 
     def test_rebalance_restores_balance_and_consistency(self, small_cluster):
         for vertex in list(small_cluster.catalog.vertices_on(0)):
-            small_cluster.graph.set_weight(vertex, 5.0)
             small_cluster.aux.set_weight(vertex, 5.0)
         before = small_cluster.imbalance()
         outcome = small_cluster.rebalance()

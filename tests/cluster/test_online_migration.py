@@ -261,7 +261,6 @@ class TestMatchedScheduleParity:
         )
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 5.0)
-            cluster.graph.add_weight(vertex, 5.0)
         return cluster
 
     def placement(self, cluster):

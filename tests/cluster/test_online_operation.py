@@ -11,8 +11,7 @@ from repro.partitioning import MultilevelPartitioner
 from repro.workloads import TraceConfig, hotspot_trace
 
 
-@pytest.fixture
-def cluster():
+def build_cluster():
     graph = community_graph(120, seed=31)
     return HermesCluster.from_graph(
         graph,
@@ -22,14 +21,17 @@ def cluster():
     )
 
 
+@pytest.fixture
+def cluster():
+    return build_cluster()
+
+
 class TestWeightDecay:
     def test_decay_shrinks_hot_weights(self, cluster):
         vertex = next(iter(cluster.graph.vertices()))
         cluster.aux.add_weight(vertex, 99.0)
-        cluster.graph.add_weight(vertex, 99.0)
         cluster.decay_weights(factor=0.5)
         assert cluster.aux.weight_of(vertex) == pytest.approx(50.0)
-        assert cluster.graph.weight(vertex) == pytest.approx(50.0)
 
     def test_floor_preserved(self, cluster):
         cluster.decay_weights(factor=0.01)
@@ -50,10 +52,44 @@ class TestWeightDecay:
         with pytest.raises(PartitioningError):
             cluster.decay_weights(factor=1.5)
 
+    def test_static_repartitioning_balances_live_popularity(self):
+        """The METIS substitute reads the mirror's weights; after reads
+        and a decay they must be the auxiliary data's."""
+
+        def driven():
+            cluster = build_cluster()
+            trace = hotspot_trace(
+                sorted(cluster.graph.vertices()),
+                sorted(cluster.catalog.vertices_on(0)),
+                TraceConfig(num_queries=200, hops=1, seed=5),
+            )
+            for operation in trace:
+                cluster.traverse(operation.start, hops=operation.hops)
+            cluster.decay_weights(factor=0.5)
+            return cluster
+
+        # A twin run's mirror, weights set from its auxiliary data (a
+        # copy would not keep the adjacency order the partitioner sees).
+        # With the loaded weights instead, the placement differs.
+        twin = driven()
+        loaded = community_graph(120, seed=31)
+        for vertex in twin.graph.vertices():
+            twin.graph.set_weight(vertex, loaded.weight(vertex))
+        stale = MultilevelPartitioner(seed=7).partition(twin.graph, 3)
+        for vertex in twin.graph.vertices():
+            twin.graph.set_weight(vertex, twin.aux.weight_of(vertex))
+        expected = MultilevelPartitioner(seed=7).partition(twin.graph, 3)
+        assert sorted(expected.items()) != sorted(stale.items())
+        cluster = driven()
+        cluster.repartition_static(MultilevelPartitioner(seed=7))
+        assert sorted(cluster.catalog.as_mapping().items()) == sorted(
+            expected.items()
+        )
+        cluster.validate()
+
     def test_decay_can_quiesce_the_trigger(self, cluster):
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 20.0)
-            cluster.graph.add_weight(vertex, 20.0)
         assert cluster.check_trigger().should_repartition
         cluster.decay_weights(factor=0.01)
         assert not cluster.check_trigger().should_repartition

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.server import HermesServer
 from repro.exceptions import ClusterError
+from tests.conftest import store_state
 
 
 @pytest.fixture
@@ -15,12 +16,15 @@ def server():
 
 
 class TestReads:
-    def test_read_vertex_bumps_weight(self, server):
+    def test_read_vertex_writes_nothing(self, server):
         server.store.set_node_property(1, "name", "bob")
+        before = store_state(server.store)
         props = server.read_vertex(1)
         assert props == {"name": "bob"}
-        assert server.store.node_weight(1) == 2.0
+        assert store_state(server.store) == before
+        assert server.store.node(1).weight == 1.0
         assert server.reads == 1
+        assert server.writes == 0
 
     def test_read_missing_vertex(self, server):
         with pytest.raises(ClusterError):
@@ -44,7 +48,7 @@ class TestReads:
 class TestWrites:
     def test_create_vertex(self, server):
         server.create_vertex(10, weight=2.0, properties={"a": 1})
-        assert server.store.node_weight(10) == 2.0
+        assert server.store.node(10).weight == 2.0
         assert server.store.node_properties(10) == {"a": 1}
         assert server.writes == 1
 

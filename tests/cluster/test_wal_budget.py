@@ -10,8 +10,8 @@ a seeded durable cluster:
 * a migrated vertex is one transaction on its target (the copy) and one
   on its source (the removal); the first removal also carries the
   unavailable flags of every moved vertex to each source;
-* a point read is one transaction — its popularity bump is a store
-  write (until reads stop writing).
+* a point read logs nothing — popularity is auxiliary data, so a read
+  writes no store.
 """
 
 import pytest
@@ -19,6 +19,8 @@ import pytest
 from repro.cluster.hermes import HermesCluster
 from repro.graph.generators import make_dataset
 from repro.partitioning.hashing import HashPartitioner
+from repro.serving.frontend import ServingFrontend
+from repro.storage.records import FixedRecordStore
 from repro.storage.wal import WriteAheadLog
 
 SERVERS = 4
@@ -41,6 +43,20 @@ def wal(monkeypatch):
 
     monkeypatch.setattr(WriteAheadLog, "flush", counting_flush)
     monkeypatch.setattr(WriteAheadLog, "append", counting_append)
+    return tally
+
+
+@pytest.fixture
+def record_writes(monkeypatch):
+    """A one-entry list counting ``FixedRecordStore.write`` calls."""
+    tally = [0]
+    write = FixedRecordStore.write
+
+    def counting_write(store, *args):
+        tally[0] += 1
+        write(store, *args)
+
+    monkeypatch.setattr(FixedRecordStore, "write", counting_write)
     return tally
 
 
@@ -70,12 +86,35 @@ def test_writes_are_one_transaction_per_touched_server(wal):
     assert wal["flushes"] == 4
 
 
-def test_point_read_is_one_transaction(wal):
+def test_point_read_logs_nothing(wal, record_writes):
     cluster = loaded_cluster()
-    wal["flushes"] = 0
+    wal.update(flushes=0, bytes=0)
+    record_writes[0] = 0
     for vertex in sorted(cluster.graph.vertices())[:10]:
-        cluster.read_vertex(vertex)
-    assert wal["flushes"] == 10
+        properties, _ = cluster.read_vertex(vertex)
+        assert properties == {}
+    assert wal == {"flushes": 0, "bytes": 0}  # the parent: 10 flushes
+    assert record_writes == [0]  # the parent: 10
+    assert [len(server.journal.wal) for server in cluster.servers] == [0] * SERVERS
+
+
+def test_front_door_reads_write_no_record(wal, record_writes):
+    """Primary- and replica-served reads alike leave every store as it
+    was: popularity goes to the auxiliary data only."""
+    cluster = loaded_cluster()
+    frontend = ServingFrontend(cluster)
+    cluster.serving = frontend
+    vertices = sorted(cluster.graph.vertices())[:20]
+    popularity = [cluster.aux.weight_of(vertex) for vertex in vertices]
+    wal.update(flushes=0, bytes=0)
+    record_writes[0] = 0
+    outcomes = [frontend.submit("read", vertex) for vertex in vertices]
+    assert [outcome.status for outcome in outcomes] == ["completed"] * 20
+    assert record_writes == [0]
+    assert wal == {"flushes": 0, "bytes": 0}
+    assert [cluster.aux.weight_of(vertex) for vertex in vertices] == [
+        weight + 1.0 for weight in popularity
+    ]
 
 
 def test_migration_is_two_transactions_per_vertex(wal):

@@ -57,8 +57,7 @@ class TestVertices:
         graph.add_vertex(1, weight=2.0)
         graph.set_weight(1, 5.0)
         assert graph.weight(1) == 5.0
-        assert graph.add_weight(1, 1.5) == 6.5
-        assert graph.total_weight() == 6.5
+        assert graph.total_weight() == 5.0
 
     def test_set_weight_missing_vertex(self):
         graph = SocialGraph()

@@ -164,15 +164,13 @@ class TestWeights:
         assert g.weight(1) == 2.5  # SocialGraph-compatible alias
         assert g.total_weight() == 5.0
 
-    def test_set_and_add_weight(self):
+    def test_set_weight(self):
         g = CompactGraph.from_edges([(0, 1)])
         g.set_weight(0, 4.0)
         assert g.weight_of(0) == 4.0
-        assert g.add_weight(0, 1.5) == 5.5
         with pytest.raises(GraphError):
             g.set_weight(0, -1.0)
-        with pytest.raises(GraphError):
-            g.add_weight(1, -10.0)
+        assert g.weight_of(0) == 4.0
 
     def test_weights_column_in_index_order(self):
         builder = GraphBuilder()

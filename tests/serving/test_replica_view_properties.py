@@ -122,7 +122,6 @@ class TestInsideAndAfterAWindow:
         )
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 5.0)
-            cluster.graph.add_weight(vertex, 5.0)
         engine = ConcurrentExecutor(cluster)
         frontend = ServingFrontend(cluster)
         frontend.attach_engine(engine)

@@ -78,6 +78,13 @@ class TestAuditor:
             v.invariant == EXPECTED_INVARIANT[mode] for v in outcome.violations
         ), outcome.summary()
 
+    def test_a_lost_commit_trips_recovery_fidelity_alone(self):
+        """The recovered store still serves what the catalog says; only
+        the replayed content is missing a committed write."""
+        spec, schedule = corrupted_schedule(mode="lost_commit")
+        outcome = ScenarioRunner().run(spec, schedule)
+        assert {v.invariant for v in outcome.violations} == {"recovery-fidelity"}
+
 
 class TestDeterminism:
     def test_same_seed_same_scenario(self):

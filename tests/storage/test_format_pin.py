@@ -89,7 +89,7 @@ def build_pinned_store() -> GraphStore:
     an unavailable node, detach/attach and a re-striped id space."""
     store = GraphStore(server_id=1, num_servers=3)
     for node_id in range(6):
-        store.create_node(node_id, weight=1.0 + node_id / 4)
+        store.create_node(node_id, weight=4.5 if node_id == 2 else 1.0 + node_id / 4)
     store.create_node(40, weight=2.5, properties={"name": "forty", "tags": ["a", "b"]})
     store.set_node_property(0, "bio", "x" * 150)
     rels = []
@@ -104,7 +104,6 @@ def build_pinned_store() -> GraphStore:
     store.detach_endpoint(rels[4], 3)
     store.attach_endpoint(rels[4], 3)
     store.set_ghost(rels[3], True)
-    store.add_node_weight(2, 3.0)
     store.set_available(4, False)
     store.remove_node_property(40, "name")
     store.delete_node(1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import StorageError, VertexUnavailableError
 from repro.storage.graph_store import GraphStore
-from repro.storage.records import NULL_REF
+from repro.storage.records import NULL_REF, FixedRecordStore
 from tests.conftest import store_state
 
 
@@ -31,9 +31,22 @@ class TestNodes:
         with pytest.raises(StorageError):
             store.create_node(3)
 
-    def test_weight_updates(self, store):
-        assert store.add_node_weight(0, 2.5) == 3.5
-        assert store.node_weight(0) == 3.5
+    def test_point_read_writes_nothing(self, store, monkeypatch):
+        """Popularity is auxiliary data: a point read returns the
+        properties and leaves the stored weight and every slot alone."""
+        store.set_node_property(0, "name", "zero")
+        store.set_available(1, False)
+        before = store_state(store)
+        writes = []
+        monkeypatch.setattr(
+            FixedRecordStore, "write", lambda *args: writes.append(args)
+        )
+        assert store.point_read(0) == {"name": "zero"}
+        assert store.point_read(1) is None  # unavailable
+        assert store.point_read(99) is None  # missing
+        assert writes == []
+        assert store_state(store) == before
+        assert store.node(0).weight == 1.0
 
     def test_delete_node_cleans_up(self, store):
         r1 = store.create_relationship(store.allocate_rel_id(), 0, 1)
@@ -240,7 +253,7 @@ class TestMigrationPrimitives:
         other = GraphStore(server_id=1, num_servers=2)
         (created,) = other.import_node(payload, [False])
         assert created is None
-        assert other.node_weight(0) == 1.0
+        assert other.node(0).weight == 1.0
         assert other.node_properties(0) == {"name": "zero"}
         (rel,) = payload["relationships"]
         assert other.neighbors(0) == [1]

@@ -218,7 +218,6 @@ class TestFailedOperationAccounting:
         cluster = self.build(concurrent)
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 50.0)
-            cluster.graph.add_weight(vertex, 50.0)
         assert cluster.check_trigger().should_repartition
         # Every link is dead: each triggered rebalance aborts and rolls
         # back; single-record reads never cross a link and keep flowing.
