@@ -1,15 +1,16 @@
 """Concurrent client pool: drives operation traces against the cluster.
 
 The paper's throughput experiments run "32 clients concurrently submitting
-1-hop traversal requests" (Section 5.3.1).  The simulation models two
-throughput limits and takes the binding one:
-
-* **client-side pipelining** — with C clients, elapsed time is at least
-  the total operation cost divided by C;
-* **server saturation** — each vertex visit occupies its hosting server,
-  so elapsed time is at least the busy time of the *hottest* server.
-  This is why load balance matters: a partition hosting twice the traffic
-  halves attainable throughput no matter how many clients submit.
+1-hop traversal requests" (Section 5.3.1).  The pool runs exactly that:
+every client is one task on the event engine
+(:class:`~repro.concurrency.engine.ConcurrentExecutor`) working through
+its round-robin share of the trace in order, and the engine interleaves
+the clients one traversal depth at a time.  Each step queues FIFO on the
+servers it occupies, so the reported wall time is the event timeline's
+measured makespan: never below the busy time of the *hottest* server (a
+partition hosting twice the traffic halves attainable throughput no
+matter how many clients submit) and never above the summed cost of
+every operation.
 
 Aggregate throughput is reported the way the paper plots it — total
 visited (processed) vertices per measurement window — plus a
@@ -18,24 +19,24 @@ vertices-per-second rate for the Figure 10 experiments.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from itertools import islice
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.exceptions import HermesError, MigrationAbortedError, WorkloadError
-from repro.workloads.queries import (
-    InsertEdge,
-    InsertVertex,
-    Operation,
-    ReadVertex,
-    Traversal,
+from repro.exceptions import (
+    HermesError,
+    MigrationAbortedError,
+    MigrationInFlightError,
+    WorkloadError,
 )
+from repro.workloads.queries import Operation, ReadVertex, Traversal
 
 
 @dataclass
 class WorkloadReport:
     """Aggregate outcome of running a trace."""
 
-    num_clients: int
     operations: int = 0
     reads: int = 0
     traversals: int = 0
@@ -57,21 +58,8 @@ class WorkloadReport:
     #: operations that ended in a cluster error (e.g. a write against a
     #: crashed server); the run records the failure and moves on
     failed_operations: int = 0
-    #: event-timeline makespan of a concurrent run; None for serial runs
-    #: (whose wall time is the analytic two-limit bound below)
-    measured_wall_time: Optional[float] = None
-
-    @property
-    def wall_time(self) -> float:
-        """Simulated wall-clock seconds.
-
-        Concurrent runs report the event scheduler's measured makespan;
-        serial runs fall back to the analytic binding constraint between
-        client pipelining and hot-server saturation.
-        """
-        if self.measured_wall_time is not None:
-            return self.measured_wall_time
-        return max(self.total_cost / self.num_clients, self.max_server_busy)
+    #: simulated wall-clock seconds: the event timeline's makespan
+    wall_time: float = 0.0
 
     @property
     def throughput_vertices_per_second(self) -> float:
@@ -112,9 +100,9 @@ class ClientPool:
             f"{client_prefix}-{i}" for i in range(num_clients)
         ]
         self.accounts = accounts
-        #: the ConcurrentExecutor of the most recent concurrent run
-        #: (None after serial runs) — exposes the event log, per-task
-        #: handles and coherence sweep results to tests and the auditor
+        #: the ConcurrentExecutor of the most recent run (None before the
+        #: first) — exposes the event log, per-task handles and coherence
+        #: sweep results to tests and the auditor
         self.last_engine = None
 
     def client_of(self, operation_index: int) -> str:
@@ -130,100 +118,98 @@ class ClientPool:
     ) -> WorkloadReport:
         """Execute operations until the trace, duration, or cap runs out.
 
-        ``duration`` is a simulated wall-clock budget: the run stops once
-        the wall time exceeds it — mirroring the paper's fixed-length
-        experiment windows.  With ``rebalance_every=N`` the cluster's
-        imbalance trigger is checked every N operations and the
-        lightweight repartitioner runs when it fires (online operation,
-        as in a deployed Hermes).  An operation that fails with a cluster
-        error is counted in ``failed_operations`` and the run moves on —
-        one crashed write must not drop the rest of the trace — and a
-        rebalance aborted by an injected fault has rolled back exactly,
-        so traffic keeps flowing.  A malformed trace is not a failed
-        operation: :class:`~repro.exceptions.WorkloadError` propagates.
+        Each client is one engine task running the operations the trace
+        deals it (the ``i``-th goes to :meth:`client_of` ``(i)``) in
+        order.  The trace is drawn lazily, only as far as the client
+        furthest ahead has asked — a trace may be endless — and
+        ``max_operations`` caps how many of its operations are dealt.
+        ``duration`` is a simulated wall-clock budget: a client starts no
+        operation once the event timeline has reached it — mirroring the
+        paper's fixed-length experiment windows.  With
+        ``rebalance_every=N`` the client completing every N-th operation
+        checks the cluster's imbalance trigger and runs the lightweight
+        repartitioner online when it fires (as in a deployed Hermes); a
+        check while a migration is still in flight, or one aborted by an
+        injected fault (rolled back exactly), is skipped and traffic
+        keeps flowing.  An operation that fails with a cluster error is
+        counted in ``failed_operations`` and its client moves on — one
+        crashed write must not drop the rest of the trace.  A malformed
+        trace is not a failed operation:
+        :class:`~repro.exceptions.WorkloadError` propagates once the
+        engine has drained.
         """
-        concurrency = getattr(self.cluster, "concurrency", None)
-        if concurrency is not None and concurrency.enabled:
-            return self._run_concurrent(
-                trace,
-                duration=duration,
-                max_operations=max_operations,
-                rebalance_every=rebalance_every,
-            )
-        report = WorkloadReport(num_clients=self.num_clients)
+        from repro.concurrency.engine import ConcurrentExecutor
+
+        report = WorkloadReport()
         busy_before = {
             server.server_id: server.busy_seconds
             for server in self.cluster.servers
         }
+        engine = ConcurrentExecutor(self.cluster)
+        self.last_engine = engine
+        # Register on the cluster so membership changes mid-run (an
+        # elastic add_server inside the trace) grow this engine's event
+        # lanes instead of leaving the newcomer unschedulable.
+        self.cluster._concurrent_engine = engine
+        scheduler = engine.scheduler
+        dealt = enumerate(islice(trace, max_operations))
+        waiting: List[Deque[Tuple[int, Operation]]] = [
+            deque() for _ in range(self.num_clients)
+        ]
 
-        def busy_delta(server) -> float:
+        def draw(lane: int) -> Optional[Tuple[int, Operation]]:
+            """The lane's next ``(index, operation)``; None once the
+            trace is exhausted.  Operations drawn for other lanes wait
+            in theirs."""
+            while not waiting[lane]:
+                drawn = next(dealt, None)
+                if drawn is None:
+                    return None
+                waiting[drawn[0] % self.num_clients].append(drawn)
+            return waiting[lane].popleft()
+
+        def client_task(lane: int):
+            while duration is None or scheduler.now < duration:
+                drawn = draw(lane)
+                if drawn is None:
+                    return
+                index, operation = drawn
+                try:
+                    outcome, cost = yield from engine.operation_task(operation)
+                except WorkloadError:
+                    raise
+                except HermesError:
+                    report.failed_operations += 1
+                    continue
+                self._account(report, index, operation, outcome, cost)
+                if (
+                    rebalance_every is not None
+                    and report.operations % rebalance_every == 0
+                ):
+                    try:
+                        yield from engine.rebalance_task()
+                    except (MigrationAbortedError, MigrationInFlightError):
+                        pass
+
+        for lane, client in enumerate(self.client_ids):
+            engine.submit(client_task(lane), label=client)
+        report.wall_time = engine.run()
+        for handle in engine.failures():
+            if isinstance(handle.error, WorkloadError):
+                raise handle.error
+
+        for server in self.cluster.servers:
             # A server registered after the run started (elastic
             # scenarios) is baselined at its busy time when first
-            # observed: only work it does *during* this run counts,
-            # instead of a KeyError — or, with a zero default, its
-            # entire pre-join busy time double-counted into
-            # max_server_busy.
+            # observed: only work it did *during* this run counts.
             baseline = busy_before.setdefault(
                 server.server_id, server.busy_seconds
             )
-            return server.busy_seconds - baseline
-
-        def update_server_busy() -> None:
-            for server in self.cluster.servers:
-                report.server_busy[server.server_id] = busy_delta(server)
-            report.max_server_busy = max(report.server_busy.values(), default=0.0)
-
-        for index, operation in enumerate(trace):
-            if max_operations is not None and report.operations >= max_operations:
-                break
-            if duration is not None:
-                # Only the binding maximum matters for the stop check, so
-                # skip rebuilding the per-server map on the hot path; the
-                # full map is refreshed at rebalance boundaries and exit.
-                report.max_server_busy = max(
-                    (busy_delta(server) for server in self.cluster.servers),
-                    default=0.0,
-                )
-                if report.wall_time >= duration:
-                    break
-            try:
-                outcome, cost = self._execute(operation)
-            except WorkloadError:
-                raise
-            except HermesError:
-                report.failed_operations += 1
-                continue
-            self._account(report, index, operation, outcome, cost)
-            if (
-                rebalance_every is not None
-                and report.operations % rebalance_every == 0
-            ):
-                update_server_busy()
-                try:
-                    self.cluster.rebalance()
-                except MigrationAbortedError:
-                    pass
-        update_server_busy()
+            report.server_busy[server.server_id] = (
+                server.busy_seconds - baseline
+            )
+        report.max_server_busy = max(report.server_busy.values(), default=0.0)
         return report
-
-    def _execute(self, operation: Operation):
-        """Run one operation to completion; returns ``(outcome, cost)``."""
-        if isinstance(operation, Traversal):
-            result = self.cluster.traverse(operation.start, operation.hops)
-            return result, result.cost
-        if isinstance(operation, ReadVertex):
-            return self.cluster.read_vertex(operation.vertex)
-        if isinstance(operation, InsertVertex):
-            return None, self.cluster.add_vertex(
-                operation.vertex,
-                weight=operation.weight,
-                properties=operation.properties,
-            )
-        if isinstance(operation, InsertEdge):
-            return None, self.cluster.add_edge(
-                operation.u, operation.v, properties=operation.properties
-            )
-        raise WorkloadError(f"unknown operation type: {operation!r}")
 
     def _account(
         self,
@@ -255,86 +241,3 @@ class ClientPool:
         report.client_cost[client] = report.client_cost.get(client, 0.0) + cost
         if self.accounts is not None:
             self.accounts.record_admitted(client, cost)
-
-    # ------------------------------------------------------------------
-    # Concurrent execution (ConcurrencyConfig.enabled)
-    # ------------------------------------------------------------------
-    def _run_concurrent(
-        self,
-        trace: Iterable[Operation],
-        duration: Optional[float] = None,
-        max_operations: Optional[int] = None,
-        rebalance_every: Optional[int] = None,
-    ) -> WorkloadReport:
-        """Run the trace through the event scheduler.
-
-        Each client becomes one long-lived task executing its round-robin
-        share of the trace in order; the scheduler interleaves all
-        clients (and any online migration they trigger) at hop
-        granularity.  ``wall_time`` becomes the *measured* event-timeline
-        makespan instead of the serial two-limit bound.  Failed
-        operations and aborted rebalances are handled as in :meth:`run`.
-        """
-        from repro.concurrency.engine import ConcurrentExecutor
-
-        report = WorkloadReport(num_clients=self.num_clients)
-        busy_before = {
-            server.server_id: server.busy_seconds
-            for server in self.cluster.servers
-        }
-        per_client: list = [[] for _ in range(self.num_clients)]
-        for index, operation in enumerate(trace):
-            if max_operations is not None and index >= max_operations:
-                break
-            per_client[index % self.num_clients].append((index, operation))
-
-        engine = ConcurrentExecutor(self.cluster)
-        self.last_engine = engine
-        # Register on the cluster so membership changes mid-run (an
-        # elastic add_server inside the trace) grow this engine's event
-        # lanes instead of leaving the newcomer unschedulable.
-        self.cluster._concurrent_engine = engine
-        scheduler = engine.scheduler
-
-        def client_task(assigned):
-            for index, operation in assigned:
-                if duration is not None and scheduler.now >= duration:
-                    break
-                try:
-                    outcome, cost = yield from engine.operation_task(operation)
-                except WorkloadError:
-                    # Malformed trace: ends this client's task; re-raised
-                    # from run() below once the scheduler has drained.
-                    raise
-                except HermesError:
-                    report.failed_operations += 1
-                    continue
-                self._account(report, index, operation, outcome, cost)
-                if (
-                    rebalance_every is not None
-                    and report.operations % rebalance_every == 0
-                ):
-                    try:
-                        yield from engine.rebalance_task()
-                    except MigrationAbortedError:
-                        pass
-
-        for client_index, assigned in enumerate(per_client):
-            if assigned:
-                engine.submit(
-                    client_task(assigned), label=self.client_ids[client_index]
-                )
-        report.measured_wall_time = engine.run()
-        for handle in engine.failures():
-            if isinstance(handle.error, WorkloadError):
-                raise handle.error
-
-        for server in self.cluster.servers:
-            baseline = busy_before.setdefault(
-                server.server_id, server.busy_seconds
-            )
-            report.server_busy[server.server_id] = (
-                server.busy_seconds - baseline
-            )
-        report.max_server_busy = max(report.server_busy.values(), default=0.0)
-        return report

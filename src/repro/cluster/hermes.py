@@ -37,7 +37,8 @@ import functools
 import itertools
 import json
 import os
-from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.catalog import Catalog, LocationCache
@@ -65,6 +66,7 @@ from repro.exceptions import (
     ClusterError,
     FaultInjectedError,
     MigrationAbortedError,
+    MigrationInFlightError,
     ServerDownError,
     StorageError,
     VertexNotFoundError,
@@ -165,12 +167,15 @@ class HermesCluster:
         #: optional WorkloadModel observing traversal traffic (see
         #: attach_workload_model); None keeps the read path untouched
         self.workload_model = None
-        #: event-queue scheduler knobs; the default (enabled=False) runs
-        #: every operation to completion before the next one starts
+        #: knobs of the event engine that runs client pools and online
+        #: migrations (the inline entry points ignore them)
         self.concurrency = concurrency or ConcurrencyConfig()
+        #: the entry owning the one migration slot, from its phase 1
+        #: through its last remove step; None when no migration runs
+        self.migration_in_flight: Optional[str] = None
         # In-flight traversals re-resolve their frontiers when a
-        # migration commits underneath them (serial mode never observes
-        # the epoch change: no traversal is paused during a migration).
+        # migration commits underneath them (an inline call never
+        # observes the epoch change: nothing is paused during it).
         self._executor.topology_listeners.append(self._engine.note_topology_change)
         #: a write-ahead log per server (``server.journal``), for
         #: crash-recovery episodes; off by default
@@ -551,61 +556,87 @@ class HermesCluster:
         charges the total once, the concurrent engine per step.  Yields
         nothing when the trigger does not fire and ``force`` is False;
         the generator's return value is ``(RepartitionResult,
-        MigrationReport)`` or ``None``.
+        MigrationReport)`` or ``None``.  The generator holds the
+        cluster's one migration slot from its first resumption to its
+        end; started while another migration holds it, it raises
+        :class:`~repro.exceptions.MigrationInFlightError` having changed
+        nothing (the trigger is not even checked).
         """
-        decision = self.check_trigger()
-        if not decision.should_repartition and not force:
-            return None
-        span = self.telemetry.span("rebalance", forced=force)
-        scratch = self.catalog.snapshot()
-        if (
-            self.workload_model is not None
-            and self.repartitioner_config.workload_alpha > 0.0
-        ):
-            # Close the telemetry loop: refresh the auxiliary data's heat
-            # overlay from the observed traffic before selecting moves.
-            self.aux.attach_heat(self.workload_model.normalized_edge_heat())
-        repartitioner = LightweightRepartitioner(self.repartitioner_config)
-        result = repartitioner.run(
-            self.graph, scratch, aux=self.aux, telemetry=self.telemetry
-        )
-        plan = build_migration_plan(result.moves)
-        try:
-            report = yield from self._executor.migrate_steps(plan)
-        except MigrationAbortedError as exc:
-            # Phase 1 already retargeted the auxiliary data; the physical
-            # migration rolled itself back, so undo the logical moves too
-            # and the cluster is exactly where it was before the attempt.
-            self._rollback_aux(result.moves)
+        with self._migration_slot("rebalance"):
+            decision = self.check_trigger()
+            if not decision.should_repartition and not force:
+                return None
+            span = self.telemetry.span("rebalance", forced=force)
+            scratch = self.catalog.snapshot()
+            if (
+                self.workload_model is not None
+                and self.repartitioner_config.workload_alpha > 0.0
+            ):
+                # Close the telemetry loop: refresh the auxiliary data's heat
+                # overlay from the observed traffic before selecting moves.
+                self.aux.attach_heat(self.workload_model.normalized_edge_heat())
+            repartitioner = LightweightRepartitioner(self.repartitioner_config)
+            result = repartitioner.run(
+                self.graph, scratch, aux=self.aux, telemetry=self.telemetry
+            )
+            plan = build_migration_plan(result.moves)
+            try:
+                report = yield from self._executor.migrate_steps(plan)
+            except MigrationAbortedError as exc:
+                # Phase 1 already retargeted the auxiliary data; the physical
+                # migration rolled itself back, so undo the logical moves too
+                # and the cluster is exactly where it was before the attempt.
+                self._rollback_aux(result.moves)
+                self.telemetry.counter(
+                    "rebalance_aborts_total",
+                    "rebalance runs aborted by injected faults",
+                ).inc()
+                self.telemetry.event(
+                    "rebalance_aborted",
+                    forced=force,
+                    vertices_moved=result.vertices_moved,
+                    error=str(exc.cause),
+                )
+                span.set_attribute("aborted", True)
+                span.finish(duration=exc.report.total_cost)
+                raise
             self.telemetry.counter(
-                "rebalance_aborts_total",
-                "rebalance runs aborted by injected faults",
+                "rebalances_total", "repartitioner end-to-end runs"
             ).inc()
             self.telemetry.event(
-                "rebalance_aborted",
+                "rebalance",
                 forced=force,
+                iterations=result.iterations,
                 vertices_moved=result.vertices_moved,
-                error=str(exc.cause),
+                initial_edge_cut=result.initial_edge_cut,
+                final_edge_cut=result.final_edge_cut,
+                final_imbalance=result.final_imbalance,
+                migration_cost=report.total_cost,
             )
-            span.set_attribute("aborted", True)
-            span.finish(duration=exc.report.total_cost)
-            raise
-        self.telemetry.counter(
-            "rebalances_total", "repartitioner end-to-end runs"
-        ).inc()
-        self.telemetry.event(
-            "rebalance",
-            forced=force,
-            iterations=result.iterations,
-            vertices_moved=result.vertices_moved,
-            initial_edge_cut=result.initial_edge_cut,
-            final_edge_cut=result.final_edge_cut,
-            final_imbalance=result.final_imbalance,
-            migration_cost=report.total_cost,
-        )
-        span.set_attribute("vertices_moved", result.vertices_moved)
-        span.finish(duration=report.total_cost)
-        return result, report
+            span.set_attribute("vertices_moved", result.vertices_moved)
+            span.finish(duration=report.total_cost)
+            return result, report
+
+    def _check_migration_slot(self, entry: str) -> None:
+        """Raise MigrationInFlightError if a migration holds the slot."""
+        if self.migration_in_flight is not None:
+            raise MigrationInFlightError(entry, self.migration_in_flight)
+
+    @contextmanager
+    def _migration_slot(self, entry: str) -> Iterator[None]:
+        """Hold the cluster's one migration slot for ``entry``.
+
+        Two migrations in flight would each plan against a placement the
+        other is changing, and their double-write windows and remove
+        steps would rewrite each other's records.  Every entry that
+        starts a migration takes the slot before its first side effect.
+        """
+        self._check_migration_slot(entry)
+        self.migration_in_flight = entry
+        try:
+            yield
+        finally:
+            self.migration_in_flight = None
 
     def decay_weights(self, factor: float = 0.5, floor: float = 1.0) -> None:
         """Age popularity weights so rebalancing tracks current traffic."""
@@ -615,23 +646,25 @@ class HermesCluster:
         """Re-run a static partitioner (e.g. the METIS substitute) and
         migrate the difference — the paper's comparison point that needs a
         global view of the graph.  The mirror's weights are refreshed from
-        the auxiliary data first: the partitioner balances live popularity."""
-        for vertex in self.graph.vertices():
-            self.graph.set_weight(vertex, self.aux.weight_of(vertex))
-        new_partitioning = partitioner.partition(self.graph, self.num_servers)
-        moves = {}
-        for vertex in self.graph.vertices():
-            source = self.catalog.lookup(vertex)
-            target = new_partitioning.partition_of(vertex)
-            if source != target:
-                moves[vertex] = (source, target)
-        # Keep auxiliary data in sync with the new placement.
-        self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
-        try:
-            return self._apply_moves(moves)
-        except MigrationAbortedError:
-            self._rollback_aux(moves)
-            raise
+        the auxiliary data first: the partitioner balances live popularity.
+        Holds the migration slot, as :meth:`rebalance_steps` does."""
+        with self._migration_slot("repartition_static"):
+            for vertex in self.graph.vertices():
+                self.graph.set_weight(vertex, self.aux.weight_of(vertex))
+            new_partitioning = partitioner.partition(self.graph, self.num_servers)
+            moves = {}
+            for vertex in self.graph.vertices():
+                source = self.catalog.lookup(vertex)
+                target = new_partitioning.partition_of(vertex)
+                if source != target:
+                    moves[vertex] = (source, target)
+            # Keep auxiliary data in sync with the new placement.
+            self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
+            try:
+                return self._apply_moves(moves)
+            except MigrationAbortedError:
+                self._rollback_aux(moves)
+                raise
 
     def _point_aux(self, placement: Dict[int, int]) -> None:
         """Logically move each vertex of ``placement`` to its partition,
@@ -699,8 +732,13 @@ class HermesCluster:
         stripe count.  With ``reshard`` the join ends with a forced
         capacity-weighted rebalance that moves load onto the (initially
         empty) newcomer; an aborted reshard leaves a consistent cluster
-        with an empty-but-ACTIVE new server.
+        with an empty-but-ACTIVE new server.  While another migration is
+        in flight a resharding join raises
+        :class:`~repro.exceptions.MigrationInFlightError` before it
+        registers anything.
         """
+        if reshard:
+            self._check_migration_slot("add_server")
         span = self.telemetry.span("add_server")
         new_id = self.num_servers
         new_total = self.num_servers + 1
@@ -786,40 +824,44 @@ class HermesCluster:
         The drained server keeps its id (the server list never shrinks)
         but ends DETACHED with zero primaries, zero capacity and no
         location-cache entry pointing at it.  An aborted evacuation rolls
-        everything back and the server returns to ACTIVE.
+        everything back and the server returns to ACTIVE; while another
+        migration is in flight the drain raises
+        :class:`~repro.exceptions.MigrationInFlightError` and changes
+        nothing.
         """
         server = self._member(server_id)
         if server.state != server_states.ACTIVE:
             raise ClusterError(
                 f"server {server_id} is {server.state}; only ACTIVE servers drain"
             )
-        span = self.telemetry.span("drain_server", server=server_id)
-        old_capacity = server.capacity
-        server.state = server_states.DRAINING
-        server.capacity = 0.0
-        self.aux.set_capacity(server_id, 0.0)
-        moves = self._drain_plan(server_id)
-        self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
-        report: Optional[MigrationReport] = None
-        try:
-            if moves:
-                report = self._apply_moves(moves)
-        except MigrationAbortedError:
-            self._rollback_aux(moves)
-            self.aux.set_capacity(server_id, old_capacity)
-            server.capacity = old_capacity
-            server.state = server_states.ACTIVE
-            span.set_attribute("aborted", True)
+        with self._migration_slot("drain_server"):
+            span = self.telemetry.span("drain_server", server=server_id)
+            old_capacity = server.capacity
+            server.state = server_states.DRAINING
+            server.capacity = 0.0
+            self.aux.set_capacity(server_id, 0.0)
+            moves = self._drain_plan(server_id)
+            self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
+            report: Optional[MigrationReport] = None
+            try:
+                if moves:
+                    report = self._apply_moves(moves)
+            except MigrationAbortedError:
+                self._rollback_aux(moves)
+                self.aux.set_capacity(server_id, old_capacity)
+                server.capacity = old_capacity
+                server.state = server_states.ACTIVE
+                span.set_attribute("aborted", True)
+                span.finish()
+                raise
+            self.location_cache.purge_host(server_id)
+            server.state = server_states.DETACHED
+            self.telemetry.event(
+                "server_drained", server=server_id, vertices_moved=len(moves)
+            )
+            span.set_attribute("vertices_moved", len(moves))
             span.finish()
-            raise
-        self.location_cache.purge_host(server_id)
-        server.state = server_states.DETACHED
-        self.telemetry.event(
-            "server_drained", server=server_id, vertices_moved=len(moves)
-        )
-        span.set_attribute("vertices_moved", len(moves))
-        span.finish()
-        return report
+            return report
 
     def _require_journal(self, server: HermesServer) -> ServerJournal:
         if server.journal is None:

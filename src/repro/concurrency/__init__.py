@@ -3,9 +3,8 @@
 The paper runs its throughput experiments with 32 clients submitting
 concurrently while Hermes repartitions online; this package gives the
 simulator the same execution model.  See
-:class:`~repro.concurrency.config.ConcurrencyConfig` for the switch
-(off = the historical serial simulator, byte for byte),
-:class:`~repro.concurrency.scheduler.EventScheduler` for the
+:class:`~repro.concurrency.config.ConcurrencyConfig` for the engine's
+knobs, :class:`~repro.concurrency.scheduler.EventScheduler` for the
 deterministic per-server FIFO event timeline, and
 :class:`~repro.concurrency.engine.ConcurrentExecutor` for the task
 builders that slice traversals, writes and online migrations into

@@ -1,13 +1,14 @@
 """Configuration for the concurrent execution engine.
 
 The paper evaluates Hermes under 32 *concurrent* clients (Section 5.3);
-xDGP migrates vertices *during* computation.  ``ConcurrencyConfig`` is
-the switch between the serial simulator (one operation runs to
-completion against a logically shared world) and the event-queue
-scheduler in :mod:`repro.concurrency.scheduler` that interleaves
-traversal hops, reads, writes and migration copy-steps on a shared
-simulated timeline.  Both run the same generators: serial drains each
-one before starting the next, the scheduler resumes them step by step.
+xDGP migrates vertices *during* computation.  Both run on the event-queue
+scheduler in :mod:`repro.concurrency.scheduler`, which interleaves
+traversal hops, reads, writes and migration copy-steps on one shared
+simulated timeline: a :class:`~repro.cluster.clients.ClientPool` always
+runs its clients there, and an attached engine carries the serving front
+door and its online rebalances.  The cluster's inline entry points
+(``traverse``, ``rebalance``) drain the same generators without pausing.
+``ConcurrencyConfig`` holds the engine's knobs.
 """
 
 from __future__ import annotations
@@ -19,26 +20,20 @@ from dataclasses import dataclass
 class ConcurrencyConfig:
     """Knobs of the per-server event-queue scheduler."""
 
-    #: run operations through the event scheduler (interleaved) instead
-    #: of to completion inline (serial)
-    enabled: bool = False
     #: audit the double-write window after every dispatched event
     #: (copied replica present, catalog still pointing at the source);
     #: disable only in benchmarks where the per-event sweep dominates.
     check_window_coherence: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "enabled": self.enabled,
-            "check_window_coherence": self.check_window_coherence,
-        }
+        return {"check_window_coherence": self.check_window_coherence}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConcurrencyConfig":
         """Inverse of :meth:`to_dict`; unknown keys (e.g. a retired
-        ``online_migration`` in an old artifact) are ignored."""
+        ``enabled`` or ``online_migration`` in an old artifact) are
+        ignored."""
         return cls(
-            enabled=bool(data.get("enabled", False)),
             check_window_coherence=bool(
                 data.get("check_window_coherence", True)
             ),

@@ -135,6 +135,21 @@ class MigrationAbortedError(ClusterError):
         self.report = report
 
 
+class MigrationInFlightError(ClusterError):
+    """Another migration is still in flight; only one runs at a time.
+
+    Raised before the refused call's first side effect, so the cluster
+    is exactly as it was: ``entry`` names the refused call and
+    ``holder`` the migration that owns the slot (from its phase 1
+    through its last remove step).  Retry once the holder has finished.
+    """
+
+    def __init__(self, entry: str, holder: str):
+        super().__init__(f"{entry} refused: {holder} is still migrating")
+        self.entry = entry
+        self.holder = holder
+
+
 class CatalogError(ClusterError):
     """The vertex -> partition catalog has no entry for a vertex."""
 

@@ -5,9 +5,9 @@ ConcurrentExecutor` against a simulated cluster, all on the event
 timeline:
 
 * **client scaling** — the same uniform 1-hop trace driven by 1, 2, 4,
-  8, 16 and 32 concurrent clients.  Serial mode bounds wall time
-  analytically; here the scheduler *measures* the makespan, so adding
-  clients must shorten it until the hottest server saturates.
+  8, 16 and 32 concurrent clients.  The scheduler *measures* the
+  makespan, so adding clients must shorten it until the hottest server
+  saturates.
   Acceptance: throughput at 16 clients is at least ``scaling_floor_16``
   times the single-client throughput, and 32 clients never regress
   below 80% of 16.
@@ -45,7 +45,6 @@ from repro import telemetry as telemetry_pkg
 from repro.analysis.report import Table
 from repro.cluster.clients import ClientPool
 from repro.cluster.hermes import HermesCluster
-from repro.concurrency.config import ConcurrencyConfig
 from repro.concurrency.engine import ConcurrentExecutor
 from repro.exceptions import HermesError
 from repro.experiments.common import ClusterScale
@@ -125,13 +124,8 @@ def _build_graph(scale: ClusterScale) -> SocialGraph:
     return make_dataset("orkut", n=scale.n, seed=scale.seed).graph
 
 
-def _build_cluster(
-    graph: SocialGraph, scale: ClusterScale, concurrent: bool = True
-) -> HermesCluster:
-    config = ConcurrencyConfig(enabled=True) if concurrent else None
-    return HermesCluster.from_graph(
-        graph.copy(), scale.num_servers, concurrency=config
-    )
+def _build_cluster(graph: SocialGraph, scale: ClusterScale) -> HermesCluster:
+    return HermesCluster.from_graph(graph.copy(), scale.num_servers)
 
 
 def _placement_items(cluster: HermesCluster) -> Tuple[Tuple[int, int], ...]:
@@ -271,7 +265,7 @@ def run_parity(
     already fixed — so placements must come out identical.
     """
     clusters = {
-        "serial": _build_cluster(graph, scale, concurrent=False),
+        "serial": _build_cluster(graph, scale),
         "online": _build_cluster(graph, scale),
     }
     for cluster in clusters.values():

@@ -10,7 +10,9 @@ compared under that skew:
 * **Random** — hash placement (the industry baseline).
 
 Aggregate throughput is the total number of vertices visited by 32
-concurrent clients within a fixed simulated window.  The paper expects
+concurrent clients within a fixed simulated window, the clients running
+as tasks on the event engine (one traversal depth per step, per-server
+FIFO queues).  The paper expects
 Hermes within ~6% of Metis and 2-3x above Random; it also reports the
 response/processed ratio collapsing from 1.0 (1-hop) to ~0.39/0.28
 (2-hop) — reproduced in the ratio columns (Section 5.3.2).

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.hermes import HermesCluster
-from repro.concurrency.config import ConcurrencyConfig
 from repro.core.config import RepartitionerConfig
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.hashing import HashPartitioner
@@ -169,9 +168,6 @@ def build_cluster(spec: ScenarioSpec) -> HermesCluster:
         num_servers=spec.num_servers,
         partitioning=placement,
         repartitioner=RepartitionerConfig(epsilon=spec.epsilon, k=spec.k),
-        concurrency=(
-            ConcurrencyConfig(enabled=True) if spec.concurrency else None
-        ),
         durability=spec.elasticity,
     )
     if spec.serving:

@@ -10,7 +10,7 @@ mirror, so each generated edge is valid at generation time.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import WorkloadError
 from repro.graph.adjacency import SocialGraph
@@ -22,6 +22,9 @@ class GraphEvolution:
 
     The generator *does not mutate* the graph — the cluster applies each
     operation, which updates the shared mirror; the generator re-reads it.
+    It also remembers every pair it has emitted, so an edge handed out
+    but not applied yet (a concurrent client still holds it) is never
+    handed out again.
     """
 
     def __init__(
@@ -40,6 +43,8 @@ class GraphEvolution:
         self.triadic_fraction = triadic_fraction
         self._rng = random.Random(seed)
         self._next_vertex = (max(graph.vertices(), default=-1)) + 1
+        #: every emitted edge as a ``(min, max)`` pair
+        self._emitted: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     def operations(self, count: int) -> Iterator[Operation]:
@@ -56,6 +61,7 @@ class GraphEvolution:
         edge = self._new_edge()
         if edge is None:
             return self._new_vertex()
+        self._emitted.add(_pair(edge.u, edge.v))
         return edge
 
     # ------------------------------------------------------------------
@@ -82,7 +88,7 @@ class GraphEvolution:
             candidates = [
                 w
                 for w in self.graph.neighbors(via)
-                if w != u and not self.graph.has_edge(u, w)
+                if w != u and self._is_new(u, w)
             ]
             if candidates:
                 return InsertEdge(u=u, v=self._rng.choice(candidates))
@@ -94,9 +100,13 @@ class GraphEvolution:
             if len(pair) < 2:
                 return None
             u, v = pair
-            if u != v and not self.graph.has_edge(u, v):
+            if u != v and self._is_new(u, v):
                 return InsertEdge(u=u, v=v)
         return None
+
+    def _is_new(self, u: int, v: int) -> bool:
+        """Neither in the graph nor emitted before."""
+        return not self.graph.has_edge(u, v) and _pair(u, v) not in self._emitted
 
     def _sample_vertices(self, count: int) -> List[int]:
         population = list(self.graph.vertices())
@@ -104,3 +114,7 @@ class GraphEvolution:
             return []
         count = min(count, len(population))
         return self._rng.sample(population, count)
+
+
+def _pair(u: int, v: int) -> Tuple[int, int]:
+    return (u, v) if u <= v else (v, u)

@@ -20,7 +20,6 @@ tests pin the protocol's contract:
 
 import pytest
 
-from repro.concurrency import ConcurrencyConfig
 from repro.concurrency.engine import ConcurrentExecutor
 from repro.core.migration import build_migration_plan
 from repro.exceptions import MigrationAbortedError
@@ -249,15 +248,13 @@ class TestAbort:
 class TestMatchedScheduleParity:
     """The online rebalance lands exactly where the serial one does."""
 
-    def build(self, concurrent):
+    def build(self):
         graph = community_graph(120, seed=31)
-        config = ConcurrencyConfig(enabled=True) if concurrent else None
         cluster = HermesCluster.from_graph(
             graph,
             num_servers=3,
             partitioner=MultilevelPartitioner(seed=31),
             repartitioner=RepartitionerConfig(epsilon=1.1, k=2),
-            concurrency=config,
         )
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 5.0)
@@ -271,8 +268,8 @@ class TestMatchedScheduleParity:
         return drain(cluster.rebalance_steps(force=True))
 
     def test_rebalance_is_the_drained_generator(self):
-        serial = self.build(concurrent=False)
-        drained = self.build(concurrent=False)
+        serial = self.build()
+        drained = self.build()
         serial_outcome = serial.rebalance(force=True)
         steps, drained_outcome = self.drain(drained)
 
@@ -293,7 +290,7 @@ class TestMatchedScheduleParity:
     def test_rebalance_and_drained_generator_abort_identically(self):
         outcomes = []
         for run in (lambda c: c.rebalance(force=True), self.drain):
-            cluster = self.build(concurrent=False)
+            cluster = self.build()
             before = deep_snapshot(cluster)
             # Server 1 is down: the first copy bound for it exhausts its
             # retries mid-copy and the whole rebalance rolls back.
@@ -318,8 +315,8 @@ class TestMatchedScheduleParity:
         assert outcomes[0] == outcomes[1]
 
     def test_parity_holds_with_read_traffic_interleaved(self):
-        serial = self.build(concurrent=False)
-        online = self.build(concurrent=True)
+        serial = self.build()
+        online = self.build()
         serial.rebalance(force=True)
 
         engine = ConcurrentExecutor(online)
@@ -342,7 +339,6 @@ class TestMatchedScheduleParity:
             graph,
             placement,
             num_servers=2,
-            concurrency=ConcurrencyConfig(enabled=True),
         )
         assert not cluster.check_trigger().should_repartition
         generator = cluster.rebalance_steps(force=False)
@@ -358,7 +354,7 @@ class TestPerEventSweep:
     def start(self, copies=1):
         """An online rebalance stepped until ``copies`` vertices are
         windowed; returns ``(cluster, engine)``."""
-        cluster = TestMatchedScheduleParity().build(concurrent=True)
+        cluster = TestMatchedScheduleParity().build()
         engine = ConcurrentExecutor(cluster)
         engine.submit_rebalance(force=True)
         while len(cluster._executor.window_vertices) < copies:

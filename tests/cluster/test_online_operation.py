@@ -112,6 +112,7 @@ class TestAutoRebalance:
         # Periodic checks bounded the drift; without them the same trace
         # pushes imbalance well past epsilon.
         assert cluster.imbalance() < 1.45
+        assert pool.last_engine.coherence_violations == []
         cluster.validate()
 
     def test_without_rebalance_drifts_more(self):

@@ -18,19 +18,13 @@ def build_cluster(n=40, edges=80, servers=3, seed=5, **kwargs):
     return HermesCluster.from_graph(
         graph,
         num_servers=servers,
-        concurrency=ConcurrencyConfig(enabled=True),
         **kwargs,
     )
 
 
 class TestConfig:
-    def test_legacy_default_is_disabled(self):
-        graph = make_random_graph(10, 15, seed=1)
-        cluster = HermesCluster.from_graph(graph, num_servers=2)
-        assert cluster.concurrency.enabled is False
-
     def test_config_round_trips(self):
-        config = ConcurrencyConfig(enabled=True, check_window_coherence=False)
+        config = ConcurrencyConfig(check_window_coherence=False)
         assert ConcurrencyConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_ignores_retired_keys(self):
@@ -39,7 +33,11 @@ class TestConfig:
         config = ConcurrencyConfig.from_dict(
             {"enabled": True, "online_migration": False}
         )
-        assert config == ConcurrencyConfig(enabled=True)
+        assert config == ConcurrencyConfig()
+        config = ConcurrencyConfig.from_dict(
+            {"enabled": False, "check_window_coherence": False}
+        )
+        assert config == ConcurrencyConfig(check_window_coherence=False)
 
 
 class TestClockParity:
@@ -164,7 +162,6 @@ class TestStaleFrontierRefresh:
             graph,
             num_servers=3,
             partitioning=placement,
-            concurrency=ConcurrencyConfig(enabled=True),
         )
 
     def move_vertex(self, cluster, vertex, target):

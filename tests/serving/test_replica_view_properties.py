@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
-from repro.concurrency import ConcurrencyConfig
 from repro.concurrency.engine import ConcurrentExecutor
 from repro.core import RepartitionerConfig
 from repro.exceptions import MigrationAbortedError
@@ -118,7 +117,6 @@ class TestInsideAndAfterAWindow:
             num_servers=3,
             partitioner=MultilevelPartitioner(seed=31),
             repartitioner=RepartitionerConfig(epsilon=1.1, k=2),
-            concurrency=ConcurrencyConfig(enabled=True),
         )
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 5.0)

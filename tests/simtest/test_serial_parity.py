@@ -1,8 +1,8 @@
 """Serial mode is pinned, bit for bit, per seed.
 
-Every seeded simtest scenario run in serial mode
-(``ConcurrencyConfig.enabled=False``: each operation's generator is
-drained before the next one starts) must reproduce the exact per-step
+Every seeded simtest scenario generated serial
+(``generate(concurrency=False)``: each operation's generator is drained
+before the next one starts) must reproduce the exact per-step
 statuses, clock, edge-cut, placement digest and network counters pinned
 in ``tests/simtest/fixtures/serial_reference.json`` for seeds 0-29.  The
 fixture pins the *surviving* execution paths, not a historical one: it

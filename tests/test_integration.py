@@ -87,7 +87,8 @@ def test_full_lifecycle(scenario, tmp_path_factory):
 
 def test_throughput_accounting_consistency(scenario):
     """Busy time never exceeds what the visits could have consumed, and
-    the wall-time lower bounds hold."""
+    the measured makespan sits between the hottest server's busy time and
+    the summed cost of every operation."""
     cluster = scenario
     pool = ClientPool(cluster, num_clients=4)
     vertices = list(cluster.graph.vertices())
@@ -98,6 +99,6 @@ def test_throughput_accounting_consistency(scenario):
             TraceConfig(num_queries=60, hops=1, seed=5),
         )
     )
-    assert report.wall_time >= report.total_cost / 4
     assert report.wall_time >= report.max_server_busy
+    assert report.wall_time <= report.total_cost
     assert sum(report.server_busy.values()) > 0

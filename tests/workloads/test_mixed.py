@@ -5,7 +5,6 @@ import pytest
 from repro.cluster.clients import ClientPool
 from repro.cluster.faults import FaultPlan
 from repro.cluster.server import HermesServer
-from repro.concurrency import ConcurrencyConfig
 from repro.exceptions import WorkloadError
 from repro.graph.generators import community_graph
 from repro.cluster.hermes import HermesCluster
@@ -50,7 +49,10 @@ class TestClientPool:
         assert report.operations == 50
         assert report.traversals + report.writes == 50
         assert report.total_cost > 0
-        assert report.wall_time == pytest.approx(report.total_cost / 4)
+        # The engine runs a depth's per-server demands in parallel, so
+        # the makespan may fall below total_cost / clients; it is bounded
+        # by the hottest server and by running everything back to back.
+        assert report.max_server_busy <= report.wall_time <= report.total_cost
         cluster.validate()
 
     def test_duration_budget_stops_early(self, cluster):
@@ -96,45 +98,87 @@ class TestClientPool:
         assert report.throughput_vertices_per_second == 0.0
         assert report.response_processed_ratio == 0.0
 
-    def test_serial_run_has_no_measured_wall_time(self, cluster):
+    def test_run_reports_engine_makespan(self, cluster):
         pool = ClientPool(cluster, num_clients=2)
-        report = pool.run(mixed_trace(cluster.graph, 10, 0.0, seed=11))
-        assert report.measured_wall_time is None
         assert pool.last_engine is None
+        report = pool.run(mixed_trace(cluster.graph, 10, 0.0, seed=11))
+        assert report.wall_time > 0
+        assert report.wall_time == pool.last_engine.scheduler.now
+        handles = pool.last_engine.scheduler.handles.values()
+        assert [handle.label for handle in handles] == pool.client_ids
+
+    def test_trace_is_drawn_lazily_round_robin(self, cluster):
+        """An endless trace is drawn only as far as the clients get, and
+        the i-th operation still belongs to client i % clients."""
+        drawn = []
+
+        def endless():
+            vertices = sorted(cluster.graph.vertices())
+            index = 0
+            while True:
+                drawn.append(index)
+                yield ReadVertex(vertices[index % len(vertices)])
+                index += 1
+
+        pool = ClientPool(cluster, num_clients=3)
+        report = pool.run(endless(), duration=0.002)
+        # A client out of time draws nothing; one still running may have
+        # drawn ahead for the others (fewer than one per client).
+        assert 0 < report.operations <= len(drawn)
+        assert len(drawn) < report.operations + pool.num_clients
+        per_client = [report.client_operations[c] for c in pool.client_ids]
+        assert max(per_client) - min(per_client) <= 1
+
+
+def run_inline(cluster, trace):
+    """Each operation to completion through the cluster's inline entry
+    points, one after another; returns ``(counts by type, total cost)``."""
+    counts, total = {}, 0.0
+    for operation in trace:
+        if isinstance(operation, Traversal):
+            total += cluster.traverse(operation.start, operation.hops).cost
+        elif isinstance(operation, ReadVertex):
+            total += cluster.read_vertex(operation.vertex)[1]
+        elif isinstance(operation, InsertVertex):
+            total += cluster.add_vertex(
+                operation.vertex, weight=operation.weight
+            )
+        else:
+            total += cluster.add_edge(operation.u, operation.v)
+        kind = type(operation).__name__
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts, total
 
 
 class TestClientPoolConcurrent:
-    """The same trace through the event scheduler: identical totals,
-    measured (overlapped) wall time, failures recorded not raised."""
+    """The trace through the event scheduler: the totals of running it
+    inline, measured (overlapped) wall time, failures recorded not
+    raised."""
 
-    def build(self, **kwargs):
+    def build(self):
         graph = community_graph(80, seed=6)
         return HermesCluster.from_graph(
-            graph,
-            num_servers=3,
-            partitioner=HashPartitioner(),
-            concurrency=ConcurrencyConfig(enabled=True),
-            **kwargs,
+            graph, num_servers=3, partitioner=HashPartitioner()
         )
 
     def test_concurrent_run_matches_serial_totals(self):
-        serial_cluster = HermesCluster.from_graph(
-            community_graph(80, seed=6),
-            num_servers=3,
-            partitioner=HashPartitioner(),
-        )
+        serial_cluster = self.build()
         concurrent_cluster = self.build()
         trace = list(
             mixed_trace(serial_cluster.graph, 60, write_fraction=0.2, seed=12)
         )
-        serial = ClientPool(serial_cluster, num_clients=4).run(list(trace))
+        counts, serial_cost = run_inline(serial_cluster, trace)
         concurrent = ClientPool(concurrent_cluster, num_clients=4).run(
             list(trace)
         )
-        assert concurrent.operations == serial.operations
-        assert concurrent.traversals == serial.traversals
-        assert concurrent.writes == serial.writes
-        assert concurrent.total_cost == pytest.approx(serial.total_cost)
+        assert concurrent.operations == len(trace)
+        assert concurrent.traversals == counts.get("Traversal", 0)
+        assert concurrent.reads == counts.get("ReadVertex", 0)
+        assert concurrent.writes == (
+            counts.get("InsertVertex", 0) + counts.get("InsertEdge", 0)
+        )
+        assert concurrent.writes > 0
+        assert concurrent.total_cost == pytest.approx(serial_cost)
         assert concurrent.failed_operations == 0
         concurrent_cluster.validate()
 
@@ -144,8 +188,6 @@ class TestClientPoolConcurrent:
         report = pool.run(
             mixed_trace(cluster.graph, 80, write_fraction=0.0, seed=13)
         )
-        assert report.measured_wall_time is not None
-        assert report.wall_time == report.measured_wall_time
         # Eight clients over three servers: the makespan sits strictly
         # between perfect server-parallelism and the serial sum.
         assert report.wall_time < report.total_cost
@@ -161,37 +203,39 @@ class TestClientPoolConcurrent:
             [ReadVertex(10**9), ReadVertex(vertex), ReadVertex(vertex)]
         )
         assert report.failed_operations == 1
+        assert report.operations == 2
         assert report.reads == 2
 
 
 class TestFailedOperationAccounting:
-    """Regression: serial ``run`` used to propagate the first cluster
-    error (dropping the rest of the trace, ``failed_operations`` stuck
-    at 0) while concurrent ``run`` counted it and moved on.  Both modes
-    now share one accounting path."""
+    """A cluster error fails one operation, not the run: it is counted
+    and its client moves on."""
 
-    def build(self, concurrent):
+    def build(self):
         return HermesCluster.from_graph(
             community_graph(80, seed=6),
             num_servers=3,
             partitioner=HashPartitioner(),
-            concurrency=ConcurrencyConfig(enabled=True) if concurrent else None,
         )
 
     def test_serial_failed_operation_counted_and_trace_continues(self):
-        cluster = self.build(concurrent=False)
+        """One client runs its operations one after another: a failure
+        in the middle of its trace is counted and the operations after
+        it still run."""
+        cluster = self.build()
         pool = ClientPool(cluster, num_clients=1)
         vertex = next(iter(cluster.graph.vertices()))
         report = pool.run(
-            [ReadVertex(10**9), ReadVertex(vertex), ReadVertex(vertex)]
+            [ReadVertex(vertex), ReadVertex(10**9), ReadVertex(vertex)]
         )
         assert report.failed_operations == 1
         assert report.operations == 2
         assert report.reads == 2
+        assert report.client_operations[pool.client_ids[0]] == 2
+        cluster.validate()
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_crashed_placement_target_fails_one_insert_only(self, concurrent):
-        cluster = self.build(concurrent)
+    def test_crashed_placement_target_fails_one_insert_only(self):
+        cluster = self.build()
         new_vertex = 10**6
         cluster.attach_faults(crash_plan(cluster.placement_target(new_vertex)))
         survivor = next(
@@ -213,9 +257,8 @@ class TestFailedOperationAccounting:
         cluster.attach_faults(None)
         cluster.validate()
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_aborted_periodic_rebalance_does_not_end_the_run(self, concurrent):
-        cluster = self.build(concurrent)
+    def test_aborted_periodic_rebalance_does_not_end_the_run(self):
+        cluster = self.build()
         for vertex in list(cluster.catalog.vertices_on(0)):
             cluster.aux.add_weight(vertex, 50.0)
         assert cluster.check_trigger().should_repartition
@@ -233,9 +276,8 @@ class TestFailedOperationAccounting:
         cluster.attach_faults(None)
         cluster.validate()
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_malformed_trace_is_not_a_failed_operation(self, concurrent):
-        cluster = self.build(concurrent)
+    def test_malformed_trace_is_not_a_failed_operation(self):
+        cluster = self.build()
         pool = ClientPool(cluster, num_clients=2)
         vertex = next(iter(cluster.graph.vertices()))
         with pytest.raises(WorkloadError):
@@ -246,17 +288,12 @@ class TestMidRunServerRegistration:
     """Satellite regression: a server registered after the run starts
     (elastic scale-out) must be baselined at first observation — its
     pre-join busy time must not be double-counted into the report's
-    ``max_server_busy`` (which would crater the serial wall-time bound),
-    nor raise a KeyError."""
+    ``max_server_busy``, nor raise a KeyError."""
 
-    def make_cluster(self, concurrent):
+    def make_cluster(self):
         graph = community_graph(60, seed=14)
-        config = ConcurrencyConfig(enabled=True) if concurrent else None
         return HermesCluster.from_graph(
-            graph,
-            num_servers=3,
-            partitioner=HashPartitioner(),
-            concurrency=config,
+            graph, num_servers=3, partitioner=HashPartitioner()
         )
 
     def join_busy_server(self, cluster, busy=100.0):
@@ -272,9 +309,8 @@ class TestMidRunServerRegistration:
         cluster.servers.append(server)
         return server
 
-    @pytest.mark.parametrize("concurrent", [False, True])
-    def test_prejoin_busy_time_is_not_double_counted(self, concurrent):
-        cluster = self.make_cluster(concurrent)
+    def test_prejoin_busy_time_is_not_double_counted(self):
+        cluster = self.make_cluster()
         pool = ClientPool(cluster, num_clients=2)
 
         class JoinMidRun:

@@ -59,3 +59,40 @@ class TestGraphEvolution:
         evolution = GraphEvolution(graph, seed=7)
         op = evolution.next_operation()
         assert isinstance(op, InsertVertex)
+
+    def test_unapplied_edge_is_not_handed_out_twice(self):
+        """A concurrent client may still hold an emitted edge: the next
+        write must not be the same pair again."""
+        graph = SocialGraph.from_edges([(0, 1), (1, 2)])
+        evolution = GraphEvolution(
+            graph, new_vertex_fraction=0.0, triadic_fraction=1.0, seed=1
+        )
+        first, second = evolution.next_operation(), evolution.next_operation()
+        assert isinstance(first, InsertEdge)
+        assert {first.u, first.v} == {0, 2}
+        # (0, 2) was the only pair left, so the generator inserts a vertex.
+        assert second == InsertVertex(vertex=3, weight=1.0)
+
+    def test_applied_trace_is_unchanged(self):
+        """Applied after each operation, the generator hands out exactly
+        the trace it did before it remembered emitted pairs."""
+        graph = make_random_graph(30, 50, seed=3)
+        evolution = GraphEvolution(graph, seed=4)
+        trace = []
+        for op in evolution.operations(24):
+            if isinstance(op, InsertVertex):
+                graph.add_vertex(op.vertex, weight=op.weight)
+                trace.append(("vertex", op.vertex))
+            else:
+                graph.add_edge(op.u, op.v)
+                trace.append(("edge", op.u, op.v))
+        assert trace == [
+            ("edge", 12, 10), ("edge", 8, 19), ("edge", 9, 18),
+            ("vertex", 30), ("edge", 29, 26), ("edge", 13, 12),
+            ("edge", 1, 17), ("edge", 13, 25), ("edge", 17, 21),
+            ("edge", 10, 13), ("edge", 23, 21), ("edge", 9, 5),
+            ("edge", 9, 4), ("edge", 5, 13), ("edge", 14, 21),
+            ("edge", 1, 27), ("edge", 6, 26), ("edge", 13, 26),
+            ("edge", 1, 28), ("vertex", 31), ("vertex", 32),
+            ("edge", 25, 9), ("edge", 20, 23), ("edge", 12, 2),
+        ]
