@@ -14,11 +14,14 @@ from __future__ import annotations
 import gc
 import sys
 import tracemalloc
-from typing import Any, Callable, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Tuple
 
 from repro.core.auxiliary import AuxiliaryData
 from repro.graph.adjacency import SocialGraph
 from repro.graph.compact import CompactGraph
+
+if TYPE_CHECKING:
+    from repro.storage.graph_store import GraphStore
 
 #: bytes per stored integer counter / weight entry (CPython object ~28B,
 #: but a packed implementation needs 8; we charge the packed size because
@@ -119,3 +122,19 @@ def social_graph_bytes(graph: SocialGraph) -> int:
         total += sys.getsizeof(neighbors) + len(neighbors) * int_bytes
     total += len(weights) * sys.getsizeof(1.0)
     return total
+
+
+def adjacency_view_bytes(store: "GraphStore") -> int:
+    """Measured bytes of one store's adjacency view (DESIGN.md §15).
+
+    Sums ``sys.getsizeof`` over the view dict, each key and each packed
+    neighbour ``array`` (whose ``getsizeof`` includes its buffer, so no
+    per-neighbour int objects exist to charge).  Keys are charged
+    because a node id above 256 is a distinct int object the view keeps
+    alive.
+    """
+    view = store.adjacency
+    return sys.getsizeof(view) + sum(
+        sys.getsizeof(node_id) + sys.getsizeof(neighbors)
+        for node_id, neighbors in view.items()
+    )

@@ -835,12 +835,15 @@ class HermesCluster:
                 f"server {server_id} is {server.state}; only ACTIVE servers drain"
             )
         with self._migration_slot("drain_server"):
+            # Planned before anything changes: the plan reads neither the
+            # drained server's state nor its capacity, and draining the
+            # only active server raises here with nothing applied.
+            moves = self._drain_plan(server_id)
             span = self.telemetry.span("drain_server", server=server_id)
             old_capacity = server.capacity
             server.state = server_states.DRAINING
             server.capacity = 0.0
             self.aux.set_capacity(server_id, 0.0)
-            moves = self._drain_plan(server_id)
             self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
             report: Optional[MigrationReport] = None
             try:

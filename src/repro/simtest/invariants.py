@@ -89,6 +89,11 @@ and TESTING.md):
     window survives past the step that opened it — online migrations
     commit or roll back within their schedule step; a survivor is
     swept whole once more here.
+``adjacency-view-coherence``
+    Every filled entry of a store's adjacency view belongs to an
+    available node and equals, in order, the neighbour ids a fresh walk
+    of that node's relationship chain gives — no chain write skipped the
+    invalidation that should have dropped it.
 """
 
 from __future__ import annotations
@@ -99,7 +104,12 @@ from typing import Dict, List, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.replication import OneHopReplicator
-from repro.exceptions import ClusterError, InvariantViolationError
+from repro.exceptions import (
+    ClusterError,
+    InvariantViolationError,
+    StorageError,
+    VertexUnavailableError,
+)
 from repro.telemetry.conservation import (
     network_conservation_violations,
     registry_conservation_violations,
@@ -122,6 +132,7 @@ INVARIANT_NAMES = (
     "workload-model-conservation",
     "event-clock-monotonic",
     "double-write-coherence",
+    "adjacency-view-coherence",
 )
 
 
@@ -160,6 +171,7 @@ class InvariantAuditor:
         violations += self._check_workload_model(cluster)
         violations += self._check_event_clock(cluster)
         violations += self._check_double_write(cluster)
+        violations += self._check_adjacency_view(cluster)
         return violations
 
     def check(self, cluster) -> None:
@@ -656,4 +668,30 @@ class InvariantAuditor:
                 InvariantViolation("double-write-coherence", detail)
                 for detail in cluster._executor.check_window_coherence()
             ]
+        return out
+
+    # ------------------------------------------------------------------
+    # Storage read plane
+    # ------------------------------------------------------------------
+    def _check_adjacency_view(self, cluster) -> List[InvariantViolation]:
+        out: List[InvariantViolation] = []
+        for server in cluster.servers:
+            store = server.store
+            for node_id, neighbors in sorted(store.adjacency.items()):
+                try:
+                    walked = [
+                        entry.neighbor for entry in store.neighbor_entries(node_id)
+                    ]
+                except (StorageError, VertexUnavailableError) as exc:
+                    # Missing, unavailable or damaged: nothing to serve.
+                    walked = f"no answer ({exc})"
+                if list(neighbors) != walked:
+                    out.append(
+                        InvariantViolation(
+                            "adjacency-view-coherence",
+                            f"server {server.server_id}'s adjacency view holds "
+                            f"{list(neighbors)} for node {node_id}; its chain "
+                            f"walk gives {walked}",
+                        )
+                    )
         return out

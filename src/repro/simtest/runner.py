@@ -404,6 +404,33 @@ def _corrupt(cluster, mode: str) -> None:
                 "post": {"nodes": {}, "rels": {}},
             }
         )
+    elif mode == "stale_view":
+        # A chain write that skips one invalidation: fill a vertex's
+        # adjacency-view entry, delete the record at the tail of its
+        # chain and create it again under the same id — head-linked now,
+        # so the chain order changes while the graph, the placement and
+        # every record's content do not — then put the dropped entry
+        # back.  Only the view invariant compares a chain's order.
+        for vertex in sorted(cluster.graph.vertices()):
+            server = cluster.servers[cluster.catalog.lookup(vertex)]
+            store = server.store
+            chain = store.chain(vertex)
+            if len(chain) < 2:
+                continue
+            (stale,) = store.read_frontier([vertex], True)
+            tail = chain[-1]
+            properties = (
+                {} if tail.ghost else store.relationship_properties(tail.rel_id)
+            )
+            store.delete_relationship(tail.rel_id)
+            store.create_relationship(
+                tail.rel_id, tail.src, tail.dst, tail.ghost, properties
+            )
+            store.adjacency[vertex] = stale
+            if server.journal is not None:
+                server.journal.commit()
+            return
+        raise ValueError("no vertex with two relationships to reorder")
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
 
@@ -435,4 +462,5 @@ CORRUPT_MODES = (
     "phantom_primary",
     "stale_recovery",
     "lost_commit",
+    "stale_view",
 )

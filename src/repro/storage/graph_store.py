@@ -25,12 +25,18 @@ read path and the chain writers do not probe for existence and then read,
 re-read a record they just built, or walk a chain to learn what a
 record's own link fields already say.  The traversal engine's read,
 ``read_frontier``, answers for a whole list of vertices from raw fields
-without building a record object, over the one chain walk
+without building a record object: one node access per vertex for its
+availability, then the vertex's entry in the **adjacency view**
+(``adjacency``: node id -> neighbour ids in chain order).  An entry is
+filled, on a node's first expansion, by the one chain walk
 (``_chain_fields``) that ``neighbor_entries`` and ``export_node`` also
-consume: a 1-hop traversal from a vertex of degree *d* costs 1 + 2d
-record accesses cluster-wide.  ``is_available``, ``node``,
-``neighbor_entries``, ``node_properties`` and the mutators remain the
-per-record boundary for point reads and single writes.
+consume, and dropped by the typed writers of the node and relationship
+stores whenever a record it was read from is written or deleted.  A
+1-hop traversal from a vertex of degree *d* costs 1 + 2d record accesses
+cluster-wide the first time and 1 + d once the vertex's entry is warm.
+``is_available``, ``node``, ``neighbor_entries``, ``node_properties``
+and the mutators remain the per-record boundary for point reads and
+single writes.
 
 Bulk paths write a whole chain at a time: ``bulk_load`` fills an empty
 store, ``import_node`` installs an arriving node with its chain — each
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -143,8 +150,11 @@ class GraphStore:
 
     def __init__(self, server_id: int = 0, num_servers: int = 1):
         self.server_id = server_id
-        self.nodes = NodeStore()
-        self.relationships = RelationshipStore()
+        #: the adjacency view: node id -> neighbour ids in chain order,
+        #: filled by ``read_frontier``, dropped by the record stores' writers
+        self.adjacency: Dict[int, Sequence[int]] = {}
+        self.nodes = NodeStore(adjacency=self.adjacency)
+        self.relationships = RelationshipStore(adjacency=self.adjacency)
         self.properties = PropertyStore()
         self._rel_ids = IdAllocator(stripe=server_id, num_stripes=num_servers)
         self._prop_ids = IdAllocator(stripe=server_id, num_stripes=num_servers)
@@ -160,11 +170,13 @@ class GraphStore:
     ) -> "GraphStore":
         """A store over existing pages (ordered as :meth:`record_stores`),
         each store's index rebuilt by scan, allocators at the given
-        positions — reopening a saved store and WAL recovery."""
+        positions — reopening a saved store and WAL recovery.  Its
+        adjacency view starts empty."""
         store = cls.__new__(cls)
         store.server_id = server_id
-        store.nodes = NodeStore(files[0])
-        store.relationships = RelationshipStore(files[1])
+        store.adjacency = {}
+        store.nodes = NodeStore(files[0], store.adjacency)
+        store.relationships = RelationshipStore(files[1], store.adjacency)
         store.properties = PropertyStore(files[2], files[3])
         store.set_allocator_state(num_stripes, rel_counter, prop_counter)
         return store
@@ -269,7 +281,7 @@ class GraphStore:
                 # nodes may have moved this one's pointers on that side.
                 self._unlink_from_chain(self.relationships.read(record.rel_id), other)
             self._delete_property_chain(record.first_prop)
-            self.relationships.delete(record.rel_id)
+            self.relationships.delete(record)
         self._delete_property_chain(node.first_prop)
         nodes.delete(node_id)
         return len(chain)
@@ -414,7 +426,7 @@ class GraphStore:
         if record.dst in self.nodes:
             self._unlink_from_chain(record, record.dst)
         self._delete_property_chain(record.first_prop)
-        self.relationships.delete(rel_id)
+        self.relationships.delete(record)
 
     def attach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Link an existing relationship record into a local node's chain.
@@ -510,26 +522,44 @@ class GraphStore:
         Aligned with ``node_ids``: ``None`` for a node that is missing or
         unavailable here (queries treat both identically), else the
         neighbour ids along its chain — nothing when ``expand`` is false
-        (the final depth only needs the availability answer).  One node
-        access plus one access per chain hop, no record objects.
+        (the final depth only needs the availability answer).  Every
+        node costs one checked node access, which reads the availability
+        flag and raises for a deleted or misindexed slot; an expanded
+        node then costs one adjacency-view lookup.  A node missing from
+        the view walks its chain once, with every check of the walk, and
+        its neighbour ids are kept until a write drops them.  The
+        answers are the view's own ``array`` objects: read them, never
+        modify them.
         """
         node_fields = self.nodes.fields
-        chain_fields = self._chain_fields
+        view = self.adjacency
         result: List[Optional[Sequence[int]]] = []
         for node_id in node_ids:
             node = node_fields(node_id)
             if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
                 result.append(None)
             elif expand:
-                result.append(
-                    [
-                        rel[REL_DST] if rel[REL_SRC] == node_id else rel[REL_SRC]
-                        for rel in chain_fields(node_id, node[NODE_FIRST_REL])
-                    ]
-                )
+                neighbors = view.get(node_id)
+                if neighbors is None:
+                    neighbors = view[node_id] = self._walk_neighbors(
+                        node_id, node[NODE_FIRST_REL]
+                    )
+                result.append(neighbors)
             else:
                 result.append(())
         return result
+
+    def _walk_neighbors(self, node_id: int, first_rel: int) -> Sequence[int]:
+        """The neighbour ids along ``node_id``'s chain, packed — how the
+        adjacency view is filled, through the one checked chain walk."""
+        neighbors = [
+            rel[REL_DST] if rel[REL_SRC] == node_id else rel[REL_SRC]
+            for rel in self._chain_fields(node_id, first_rel)
+        ]
+        try:
+            return array("i", neighbors)
+        except OverflowError:
+            return array("q", neighbors)
 
     def neighbor_entries(
         self, node_id: int, include_unavailable: bool = False

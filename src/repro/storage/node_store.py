@@ -12,7 +12,7 @@ the local vertex set.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.storage.pages import PagedFile
 from repro.storage.records import (
@@ -66,10 +66,26 @@ class NodeCodec(RecordCodec):
 
 
 class NodeStore(FixedRecordStore):
-    """The node record store, keyed by each record's own ``node_id``."""
+    """The node record store, keyed by each record's own ``node_id``.
 
-    def __init__(self, paged_file: Optional[PagedFile] = None):
+    ``adjacency`` is the server's adjacency view (node id -> neighbour ids
+    in chain order), shared with its :class:`RelationshipStore`: writing
+    or deleting a node drops that node's entry, since its chain head or
+    its existence may have changed.
+    """
+
+    def __init__(
+        self,
+        paged_file: Optional[PagedFile] = None,
+        adjacency: Optional[Dict[int, Sequence[int]]] = None,
+    ):
         super().__init__(NodeCodec(), paged_file=paged_file)
+        self.adjacency = {} if adjacency is None else adjacency
 
     def write(self, record: NodeRecord) -> None:
         super().write(record.node_id, record)
+        self.adjacency.pop(record.node_id, None)
+
+    def delete(self, node_id: int) -> None:
+        super().delete(node_id)
+        self.adjacency.pop(node_id, None)

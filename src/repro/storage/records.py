@@ -17,10 +17,12 @@ dict probe for the slot, one ``Struct.unpack_from`` straight off the
 page ``bytearray`` (no intermediate ``bytes``) and the in-use and
 stored-id checks on those same unpacked fields — that is
 :meth:`FixedRecordStore.fields`, the single checked access — plus, for
-``get``/``read``, one immutable record value decoded from them.  The
-traversal read plane stops at the raw fields.  Nothing decoded is kept:
-there is no record cache to invalidate, and the page bytes stay the only
-copy of the data.
+``get``/``read``, one immutable record value decoded from them.  No
+decoded record is kept: the page bytes stay the only copy of every
+record.  What the traversal read plane keeps is derived data one level
+up — each server's adjacency view, neighbour ids per node
+(``GraphStore.read_frontier``) — and the typed writers of the node and
+relationship stores, not this class, drop its entries.
 
 **Writes are all-or-nothing.**  :meth:`FixedRecordStore.write` packs the
 whole slot image and checks that it carries ``record_id`` before it

@@ -15,7 +15,7 @@ chain.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.pages import PagedFile
@@ -111,10 +111,33 @@ class RelationshipCodec(RecordCodec):
 
 
 class RelationshipStore(FixedRecordStore):
-    """The relationship record store, keyed by each record's ``rel_id``."""
+    """The relationship record store, keyed by each record's ``rel_id``.
 
-    def __init__(self, paged_file: Optional[PagedFile] = None):
+    ``adjacency`` is the server's adjacency view, shared with its
+    :class:`~repro.storage.node_store.NodeStore`: writing or deleting a
+    record drops the entries of both its endpoints, whose chains it may
+    be part of.  Both typed writers take the record, so neither reads
+    one back to learn its endpoints.
+    """
+
+    def __init__(
+        self,
+        paged_file: Optional[PagedFile] = None,
+        adjacency: Optional[Dict[int, Sequence[int]]] = None,
+    ):
         super().__init__(RelationshipCodec(), paged_file=paged_file)
+        self.adjacency = {} if adjacency is None else adjacency
 
     def write(self, record: RelationshipRecord) -> None:
         super().write(record.rel_id, record)
+        adjacency = self.adjacency
+        if adjacency:  # empty during a bulk load: one test per record
+            adjacency.pop(record.src, None)
+            adjacency.pop(record.dst, None)
+
+    def delete(self, record: RelationshipRecord) -> None:
+        """Tombstone ``record`` (as last read) and recycle its slot."""
+        super().delete(record.rel_id)
+        adjacency = self.adjacency
+        adjacency.pop(record.src, None)
+        adjacency.pop(record.dst, None)

@@ -1,8 +1,9 @@
 """Count guard for the storage access path (no timing).
 
 A record access is one index probe and one unpack, no caller locates a
-record it already holds, and a traversal builds no record objects at all
-(DESIGN.md "Storage access path").  The budget is checked by counting,
+record it already holds, a traversal builds no record objects at all, and
+an expanded vertex's chain is walked once, then answered by its server's
+adjacency view (DESIGN.md "Storage access path").  The budget is checked by counting,
 with hooks installed from here:
 
 * every record store's id->slot index (``count_index_calls``) — each
@@ -62,8 +63,9 @@ def test_is_available_is_one_probe_and_one_decode(counts):
 
 def test_one_hop_traversal_stays_inside_its_budget(counts):
     """Start vertex: one node access serves availability and chain head,
-    then d relationship accesses; then one availability access per
-    neighbour.  The read plane works from raw fields: no record objects."""
+    then, cold, d relationship accesses fill its adjacency view entry;
+    then one availability access per neighbour.  The read plane works
+    from raw fields: no record objects."""
     graph, cluster = placed_cluster()
     for vertex in sorted(graph.vertices()):
         degree = graph.degree(vertex)
@@ -73,11 +75,32 @@ def test_one_hop_traversal_stays_inside_its_budget(counts):
         assert counts == {"probes": 1 + 2 * degree}
 
 
+def test_a_warm_one_hop_reads_no_relationship_record(counts):
+    """Once a vertex's view entry is filled, a 1-hop is node probes only:
+    the start vertex's and one per neighbour."""
+    graph, cluster = placed_cluster()
+    for vertex in sorted(graph.vertices()):
+        cluster.traverse(vertex, 1)
+    for vertex in sorted(graph.vertices()):
+        degree = graph.degree(vertex)
+        counts.clear()
+        result = cluster.traverse(vertex, 1)
+        assert len(result.response) == degree + 1
+        assert counts == {"probes": 1 + degree}
+
+
 def test_two_hop_traversal_asks_about_each_distinct_vertex_once(counts):
     """Every path into a vertex is processed and charged, but a depth
     reads each distinct vertex of a host's share once: the final depth of
-    a 2-hop costs one access per distinct vertex two steps away."""
+    a 2-hop costs one access per distinct vertex two steps away.  An
+    expanded vertex walks its chain only the first time any traversal
+    expands it; after that its adjacency view entry answers."""
     graph, cluster = placed_cluster()
+    warm = set()
+
+    def chain_reads(vertex):
+        return 0 if vertex in warm else graph.degree(vertex)
+
     for start in sorted(graph.vertices()):
         first = sorted(graph.neighbors(start))
         second = set().union(*(graph.neighbors(vertex) for vertex in first))
@@ -88,10 +111,11 @@ def test_two_hop_traversal_asks_about_each_distinct_vertex_once(counts):
         )
         assert counts == {
             "probes": 1
-            + graph.degree(start)
-            + sum(1 + graph.degree(vertex) for vertex in first)
+            + chain_reads(start)
+            + sum(1 + chain_reads(vertex) for vertex in first)
             + len(second)
         }
+        warm.update(first, [start])
 
 
 def test_point_read_fetches_its_node_record_once(counts):

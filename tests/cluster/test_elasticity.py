@@ -361,6 +361,29 @@ class TestDrain:
         with pytest.raises(ClusterError):
             cluster.drain_server(1)
 
+    def test_refused_drain_of_the_last_active_server_changes_nothing(self):
+        cluster = durable_cluster(num_servers=2)
+        cluster.drain_server(0)
+        server = cluster.servers[1]
+        before = (
+            server.state,
+            server.capacity,
+            cluster.aux.capacity_of(1),
+            cluster.now,
+            cluster.migration_in_flight,
+        )
+        with pytest.raises(ClusterError, match="only active server"):
+            cluster.drain_server(1)
+        assert (
+            server.state,
+            server.capacity,
+            cluster.aux.capacity_of(1),
+            cluster.now,
+            cluster.migration_in_flight,
+        ) == before
+        assert server.state == server_states.ACTIVE
+        cluster.validate()
+
     def test_unknown_server_rejected(self):
         cluster = durable_cluster()
         with pytest.raises(ClusterError):

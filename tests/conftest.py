@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster.faults import CrashWindow, FaultPlan
 from repro.cluster.hermes import HermesCluster
@@ -28,6 +29,11 @@ from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.storage.records import FixedRecordStore
+
+#: ``--hypothesis-profile sweep``: the wide CI sweep for property tests
+#: that leave ``max_examples`` to the profile (the adjacency-view
+#: differential in ``tests/storage/test_read_frontier.py``).
+settings.register_profile("sweep", max_examples=2000)
 
 
 def make_random_graph(

@@ -44,6 +44,7 @@ EXPECTED_INVARIANT = {
     "phantom_primary": "drain-completeness",
     "stale_recovery": "recovery-fidelity",
     "lost_commit": "recovery-fidelity",
+    "stale_view": "adjacency-view-coherence",
 }
 
 
@@ -84,6 +85,16 @@ class TestAuditor:
         spec, schedule = corrupted_schedule(mode="lost_commit")
         outcome = ScenarioRunner().run(spec, schedule)
         assert {v.invariant for v in outcome.violations} == {"recovery-fidelity"}
+
+    def test_a_stale_view_entry_trips_adjacency_view_coherence_alone(self):
+        """The reordered chain still holds the same records with the same
+        content; only the view entry that skipped its invalidation is
+        wrong."""
+        spec, schedule = corrupted_schedule(mode="stale_view")
+        outcome = ScenarioRunner().run(spec, schedule)
+        assert {v.invariant for v in outcome.violations} == {
+            "adjacency-view-coherence"
+        }
 
 
 class TestDeterminism:

@@ -1,12 +1,15 @@
 """Properties of the bulk read plane: ``GraphStore.read_frontier``,
-``FixedRecordStore.fields`` and the one raw-field chain walker.
+``FixedRecordStore.fields``, the one raw-field chain walker and the
+adjacency view in front of it.
 
 On random stores — ghost records, unavailable and missing nodes, several
 records between the same two nodes — ``read_frontier`` must give, per
 vertex, exactly the answer ``is_available`` + ``neighbor_entries`` give;
-and a damaged store must fail the bulk read with the same typed error the
-single-record path raises, because both go through the one checked access
-(``fields``) and the one chain walk.
+it must keep doing so, with every entry warm, across any sequence of the
+store's chain mutators and a reopen; and a damaged (cold) store must fail
+the bulk read with the same typed error the single-record path raises,
+because both go through the one checked access (``fields``) and the one
+chain walk.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.exceptions import (
     RecordDeletedError,
@@ -22,6 +26,7 @@ from repro.exceptions import (
     StoreCorruptionError,
 )
 from repro.storage.graph_store import GraphStore
+from repro.storage.records import NULL_REF
 
 NODES = 12
 
@@ -67,6 +72,197 @@ def test_read_frontier_equals_the_per_vertex_reads(store, node_ids, expand):
     for node_id, answer in zip(node_ids, answers):
         expected = per_vertex_answer(store, node_id, expand)
         assert (None if answer is None else list(answer)) == expected
+
+
+class WarmViewDifferential(RuleBasedStateMachine):
+    """Random chain mutations with every view entry warm between steps.
+
+    After each step the invariant expands every node id at once — which
+    fills the view for each available node — and holds each answer to
+    ``is_available`` + ``neighbor_entries``: an entry a mutation failed to
+    drop shows up as a stale answer at the next step.
+
+    Nodes come into the store only through ``import_node``, whose payload
+    carries every record here that names the node, and at most one record
+    side is detached at a time: the sequences the cluster itself makes,
+    so the chain mutators' own preconditions hold.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.store = GraphStore()
+        for node_id in range(0, NODES, 2):
+            self.store.create_node(node_id)
+        #: ``(rel_id, node_id)`` unlinked by ``detach_endpoint``, if any
+        self.detached = None
+
+    # -- helpers -------------------------------------------------------
+    def local(self):
+        return sorted(self.store.node_ids())
+
+    def records(self):
+        return list(self.store.relationships.records())
+
+    # -- chain mutators ------------------------------------------------
+    @precondition(lambda self: self.detached is None and self.local())
+    @rule(data=st.data())
+    def create_relationship(self, data):
+        local = self.local()
+        src = data.draw(st.sampled_from(local))
+        dst = data.draw(st.integers(0, NODES - 1).filter(lambda node: node != src))
+        if data.draw(st.booleans()):
+            src, dst = dst, src
+        ghost = src not in local
+        self.store.create_relationship(
+            self.store.allocate_rel_id(),
+            src,
+            dst,
+            ghost=ghost,
+            properties=None if ghost else {"w": data.draw(st.integers(0, 9))},
+        )
+
+    @precondition(lambda self: self.detached is None and self.records())
+    @rule(data=st.data())
+    def delete_relationship(self, data):
+        record = data.draw(st.sampled_from(self.records()))
+        self.store.delete_relationship(record.rel_id)
+
+    @precondition(lambda self: self.detached is None and self.local())
+    @rule(data=st.data(), keep=st.none() | st.sets(st.integers(0, NODES - 1)))
+    def delete_node(self, data, keep):
+        node_id = data.draw(st.sampled_from(self.local()))
+        self.store.delete_node(node_id, None if keep is None else keep.__contains__)
+
+    @precondition(lambda self: self.detached is None and len(self.local()) < NODES)
+    @rule(data=st.data())
+    def import_node(self, data):
+        local = self.local()
+        node_id = data.draw(
+            st.sampled_from([node for node in range(NODES) if node not in local])
+        )
+        relationships = [
+            {
+                "rel_id": record.rel_id,
+                "src": record.src,
+                "dst": record.dst,
+                "ghost": record.ghost,
+                "properties": {},
+            }
+            for record in self.records()
+            if node_id in (record.src, record.dst)
+        ]
+        for other in data.draw(st.lists(st.integers(0, NODES - 1), max_size=4)):
+            if other != node_id:
+                relationships.append(
+                    {
+                        "rel_id": self.store.allocate_rel_id(),
+                        "src": node_id,
+                        "dst": other,
+                        "ghost": False,
+                        "properties": {"w": 1},
+                    }
+                )
+        payload = {
+            "node": {"node_id": node_id, "weight": 1.0},
+            "properties": {},
+            "relationships": data.draw(st.permutations(relationships)),
+        }
+        roles = data.draw(
+            st.lists(
+                st.booleans(),
+                min_size=len(relationships),
+                max_size=len(relationships),
+            )
+        )
+        self.store.import_node(payload, roles)
+
+    def linked_sides(self):
+        return [
+            (record.rel_id, node_id)
+            for record in self.records()
+            for node_id in (record.src, record.dst)
+            if node_id in self.store.nodes
+            and self.store.chain_contains(node_id, record.rel_id)
+        ]
+
+    @precondition(lambda self: self.detached is None and self.records())
+    @rule(data=st.data())
+    def detach_endpoint(self, data):
+        sides = self.linked_sides()
+        if sides:
+            self.detached = data.draw(st.sampled_from(sides))
+            self.store.detach_endpoint(*self.detached)
+
+    @precondition(lambda self: self.detached is not None)
+    @rule()
+    def attach_endpoint(self):
+        self.store.attach_endpoint(*self.detached)
+        self.detached = None
+
+    @precondition(lambda self: self.local())
+    @rule(data=st.data(), available=st.booleans())
+    def set_available(self, data, available):
+        self.store.set_available(data.draw(st.sampled_from(self.local())), available)
+
+    @precondition(lambda self: self.records())
+    @rule(data=st.data(), ghost=st.booleans())
+    def set_ghost(self, data, ghost):
+        record = data.draw(st.sampled_from(self.records()))
+        self.store.set_ghost(record.rel_id, ghost)
+
+    @precondition(lambda self: self.detached is None)
+    @rule(data=st.data())
+    def remove_node_record(self, data):
+        bare = [
+            node_id
+            for node_id in self.local()
+            if self.store.node(node_id).first_rel == NULL_REF
+        ]
+        if bare:
+            self.store.remove_node_record(data.draw(st.sampled_from(bare)))
+
+    @rule()
+    def reopen(self):
+        store = self.store
+        state = store.allocator_state()
+        self.store = GraphStore.from_pages(
+            store.server_id,
+            [record_store.pages for record_store in store.record_stores()],
+            state["num_stripes"],
+            state["rel_counter"],
+            state["prop_counter"],
+        )
+        assert not self.store.adjacency
+
+    # -- the differential ----------------------------------------------
+    @invariant()
+    def warm_reads_equal_the_per_vertex_reads(self):
+        node_ids = list(range(-1, NODES + 1))
+        answers = self.store.read_frontier(node_ids, True)
+        for node_id, answer in zip(node_ids, answers):
+            expected = per_vertex_answer(self.store, node_id, True)
+            assert (None if answer is None else list(answer)) == expected
+        assert set(self.store.adjacency) == {
+            node_id
+            for node_id, answer in zip(node_ids, answers)
+            if answer is not None
+        }
+
+
+TestWarmViewDifferential = WarmViewDifferential.TestCase
+TestWarmViewDifferential.settings = settings(stateful_step_count=30, deadline=None)
+
+
+def test_neighbour_ids_beyond_32_bits_are_kept_exactly():
+    """The view packs ids in 32 bits when they fit, in 64 when not."""
+    store = GraphStore()
+    store.create_node(0)
+    store.create_relationship(store.allocate_rel_id(), 0, 2**40, ghost=False)
+    store.create_relationship(store.allocate_rel_id(), 0, 7, ghost=False)
+    for _ in range(2):  # cold, then warm
+        assert [list(answer) for answer in store.read_frontier([0], True)] == [
+            [7, 2**40]
+        ]
 
 
 def star_store():
@@ -150,5 +346,28 @@ class TestDamagedStoresFailTheBulkReadTheSameWay:
         store.relationships.write(tail.with_next_for(0, 10_000))
         with pytest.raises(RecordNotFoundError):
             store.neighbor_entries(0)
+        with pytest.raises(RecordNotFoundError):
+            store.read_frontier([0], True)
+
+
+class TestWarmEntriesDoNotHideDamage:
+    """A record write or delete drops its endpoints' entries, so damage
+    done through the typed writers after a node's entry is filled fails
+    the bulk read exactly as it fails on a cold store."""
+
+    def test_record_deleted_out_from_under_a_warm_chain(self):
+        store, rel_ids = star_store()
+        store.read_frontier([0], True)
+        store.relationships.delete(store.relationship(rel_ids[1]))
+        with pytest.raises(RecordNotFoundError):
+            store.neighbor_entries(0)
+        with pytest.raises(RecordNotFoundError):
+            store.read_frontier([0], True)
+
+    def test_dangling_link_written_into_a_warm_chain(self):
+        store, rel_ids = star_store()
+        store.read_frontier([0], True)
+        tail = store.relationships.read(rel_ids[0])
+        store.relationships.write(tail.with_next_for(0, 10_000))
         with pytest.raises(RecordNotFoundError):
             store.read_frontier([0], True)
