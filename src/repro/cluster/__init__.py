@@ -14,6 +14,7 @@ migration protocol with ghost-relationship bookkeeping.
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.clients import ClientPool, WorkloadReport
 from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan, RetryPolicy
+from repro.cluster.graph_view import ClusterGraph
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.migration_executor import MigrationExecutor, MigrationReport
 from repro.cluster.network import NetworkConfig, SimulatedNetwork
@@ -22,6 +23,7 @@ from repro.cluster.traversal import TraversalEngine, TraversalResult
 
 __all__ = [
     "Catalog",
+    "ClusterGraph",
     "LocationCache",
     "CrashWindow",
     "FaultInjector",

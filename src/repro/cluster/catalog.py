@@ -53,6 +53,9 @@ class Catalog:
     def __contains__(self, vertex: int) -> bool:
         return vertex in self._placement
 
+    def __len__(self) -> int:
+        return self._placement.num_vertices
+
     def register(self, vertex: int, server: int) -> None:
         self._placement.assign(vertex, server)
 

@@ -6,16 +6,13 @@ repartitioner + physical migration executor, and the static partitioners
 used for initial placement.  The evaluation harness and the examples talk
 to this class only.
 
-The cluster also maintains two simulation-level conveniences the real
-system distributes across servers:
+A write lands in the home stores and the auxiliary data only:
 
-* ``graph`` — a :class:`~repro.graph.SocialGraph` mirror of the logical
-  graph's adjacency.  Hosting servers know their local adjacency; the
-  mirror stands in for that local knowledge when the repartitioner
-  forwards counter updates for migrating vertices, and it gives the METIS
-  baseline the global view it genuinely requires.  Its vertex weights
-  are not kept live: :meth:`HermesCluster.repartition_static` refreshes
-  them from ``aux`` just before the static partitioner reads them.
+* ``graph`` — a read-only :class:`~repro.cluster.graph_view.ClusterGraph`
+  view answering from where each fact lives (the catalog, each home
+  server's adjacency view, the auxiliary data).  The repartitioner reads
+  a migrating vertex's neighbours through it (what its source server
+  knows locally); the METIS baseline reads the global view it needs.
 * ``aux`` — the :class:`~repro.core.AuxiliaryData` that in Hermes is
   sharded per server; centralizing it changes nothing observable because
   every read the algorithm performs is one a hosting server could answer
@@ -54,10 +51,11 @@ from repro.cluster.migration_executor import (
     MigrationStep,
 )
 from repro.concurrency.config import ConcurrencyConfig
+from repro.cluster.graph_view import ClusterGraph
 from repro.cluster.network import NetworkConfig, SimulatedNetwork
 from repro.cluster.server import HermesServer
 from repro.cluster.traversal import TraversalEngine, TraversalResult
-from repro.core.auxiliary import AuxiliaryData
+from repro.core.auxiliary import AuxiliaryData, is_vertex_id
 from repro.core.config import RepartitionerConfig
 from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner, RepartitionResult
@@ -143,7 +141,7 @@ class HermesCluster:
         self.location_cache = LocationCache(
             self.catalog, num_servers, telemetry=self.telemetry
         )
-        self.graph = SocialGraph()
+        self.graph = ClusterGraph(self)
         self.aux = AuxiliaryData(num_servers)
         self.repartitioner_config = repartitioner or RepartitionerConfig()
         self.trigger = ImbalanceTrigger(
@@ -291,14 +289,13 @@ class HermesCluster:
         each cross-server edge is charged one remote hop.  Each server
         then writes its share with one :meth:`GraphStore.bulk_load`,
         every record once with its final pointers: the pages creating one
-        record at a time leaves.  The mirror takes one vertex and one
-        edge at a time (its adjacency order feeds static repartitioning)
-        and the auxiliary data is bootstrapped from it and the placement,
-        read as one column, in one pass.
+        record at a time leaves.  The auxiliary data is bootstrapped from
+        ``graph`` and the placement, read as one column, in one pass; the
+        cluster keeps no reference to ``graph``.
         Nothing is committed: each durable server checkpoints once, so
         loading logs nothing.
         """
-        if self.graph.num_vertices:
+        if len(self.catalog):
             raise ClusterError("cluster already loaded")
         if self.faults is not None:
             raise ClusterError("detach the fault plan before a bulk load")
@@ -319,12 +316,9 @@ class HermesCluster:
         stores = [server.store for server in self.servers]
         nodes: List[List[Tuple[int, float]]] = [[] for _ in stores]
         relationships: List[List[Tuple[int, int, int, bool]]] = [[] for _ in stores]
-        mirror = self.graph
         for vertex, server in home.items():
-            weight = graph.weight(vertex)
-            nodes[server].append((vertex, weight))
+            nodes[server].append((vertex, graph.weight(vertex)))
             self.catalog.register(vertex, server)
-            mirror.add_vertex(vertex, weight=weight)
         remote_hop = self.network.remote_hop
         for u, v in graph.edges():
             host_u, host_v = home[u], home[v]
@@ -334,12 +328,11 @@ class HermesCluster:
                 remote_hop(host_u, host_v)
                 stores[host_v].observe_rel_id(rel_id)
                 relationships[host_v].append((rel_id, u, v, True))
-            mirror.add_edge(u, v)
         for store, server_nodes, server_relationships in zip(
             stores, nodes, relationships
         ):
             store.bulk_load(server_nodes, server_relationships)
-        self.aux.bootstrap(mirror, partitions)
+        self.aux.bootstrap(graph, partitions)
         self._checkpoint()
 
     def _checkpoint(self) -> None:
@@ -447,8 +440,7 @@ class HermesCluster:
         server: Optional[int] = None,
     ) -> float:
         """Insert a new user; placed by hash unless ``server`` is given."""
-        if vertex in self.catalog:
-            raise ClusterError(f"vertex {vertex} already exists")
+        self.check_new_vertex(vertex)
         target = server if server is not None else self.placement_target(vertex)
         if self.faults is not None and self.faults.is_down(target):
             # The insert times out against the crashed placement target;
@@ -462,7 +454,6 @@ class HermesCluster:
             raise ServerDownError(target, cost=cost)
         self.servers[target].create_vertex(vertex, weight=weight, properties=properties)
         self.catalog.register(vertex, target)
-        self.graph.add_vertex(vertex, weight=weight)
         self.aux.add_vertex(vertex, target, weight)
         cost = self.network.config.client_dispatch_cost + self.network.local_visit()
         self._advance(cost)
@@ -472,15 +463,14 @@ class HermesCluster:
     def add_edge(
         self, u: int, v: int, properties: Optional[Dict[str, Any]] = None
     ) -> float:
-        """Connect two users (updates stores, mirror and auxiliary data).
+        """Connect two users (updates stores and auxiliary data).
 
         With faults attached the write can fail (crashed host, lost ghost
         shipment); the store mutation is rolled back before the error
-        propagates, so the mirror, auxiliary data and stores stay in
-        agreement — the wasted timeout is still simulated time.
+        propagates, so the auxiliary data and stores stay in agreement —
+        the wasted timeout is still simulated time.
         """
-        if self.graph.has_edge(u, v):
-            raise ClusterError(f"edge ({u}, {v}) already exists")
+        self.check_new_edge(u, v)
         cost = self.network.config.client_dispatch_cost
         try:
             cost += self._create_edge_records(u, v, properties)
@@ -489,10 +479,29 @@ class HermesCluster:
             self._count_degraded_write()
             self._advance(cost)
             raise
-        self.graph.add_edge(u, v)
         self.aux.add_edge(u, v)
         self._advance(cost)
         return cost
+
+    def check_new_vertex(self, vertex: int) -> None:
+        """The pre-check of every vertex insert, before any layer changes:
+        an integral id (no bool, float or str) not yet catalogued."""
+        if not is_vertex_id(vertex):
+            raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
+        if vertex in self.catalog:
+            raise ClusterError(f"vertex {vertex} already exists")
+
+    def check_new_edge(self, u: int, v: int) -> None:
+        """The pre-check of every edge insert, before any layer changes:
+        integral catalogued endpoints, no self-loop, no such edge yet."""
+        for vertex in (u, v):
+            if not is_vertex_id(vertex):
+                raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
+            self.catalog.lookup(vertex)
+        if u == v:
+            raise ClusterError(f"self-loop on vertex {u} is not allowed")
+        if self.graph.has_edge(u, v):
+            raise ClusterError(f"edge ({u}, {v}) already exists")
 
     def _count_degraded_write(self) -> None:
         self.telemetry.counter(
@@ -645,16 +654,13 @@ class HermesCluster:
     def repartition_static(self, partitioner: Partitioner) -> MigrationReport:
         """Re-run a static partitioner (e.g. the METIS substitute) and
         migrate the difference — the paper's comparison point that needs a
-        global view of the graph.  The mirror's weights are refreshed from
-        the auxiliary data first: the partitioner balances live popularity.
-        Holds the migration slot, as :meth:`rebalance_steps` does."""
+        global view of the graph.  The partitioner reads :attr:`graph`,
+        whose weights are the auxiliary data's live popularity.  Holds
+        the migration slot, as :meth:`rebalance_steps` does."""
         with self._migration_slot("repartition_static"):
-            for vertex in self.graph.vertices():
-                self.graph.set_weight(vertex, self.aux.weight_of(vertex))
             new_partitioning = partitioner.partition(self.graph, self.num_servers)
             moves = {}
-            for vertex in self.graph.vertices():
-                source = self.catalog.lookup(vertex)
+            for vertex, source in self.catalog.as_mapping().items():
                 target = new_partitioning.partition_of(vertex)
                 if source != target:
                     moves[vertex] = (source, target)
@@ -949,7 +955,7 @@ class HermesCluster:
     _META_FILE = "cluster.json"
 
     def save(self, directory: str) -> None:
-        """Persist every server's stores; catalog/mirror/aux are derived
+        """Persist every server's stores; the catalog and aux are derived
         state and are reconstructed on load from the stores themselves."""
         os.makedirs(directory, exist_ok=True)
         for server in self.servers:
@@ -963,13 +969,12 @@ class HermesCluster:
         """Reopen a saved cluster.
 
         The stores are the source of truth: vertex placement comes from
-        which store holds each (available) node, the logical mirror from
-        the union of non-ghost relationship records, vertex weights from
-        the node records, and the auxiliary data is bootstrapped from the
-        reconstructed mirror + placement column in one pass, as
-        :meth:`load` does.  Popularity gathered since the vertices were
-        stored is auxiliary data, which is not saved: the reopened
-        cluster starts from the stored weights.
+        which store holds each (available) node, and the auxiliary data is
+        bootstrapped in one pass from columns read off the stores — the
+        placement, the node records' weights and the endpoints of every
+        primary (non-ghost) relationship record.  Popularity gathered
+        since the vertices were stored is auxiliary data, which is not
+        saved: the reopened cluster starts from the stored weights.
         """
         with open(os.path.join(directory, cls._META_FILE)) as handle:
             meta = json.load(handle)
@@ -979,24 +984,19 @@ class HermesCluster:
                 os.path.join(directory, f"server-{server.server_id}")
             )
         cluster._checkpoint()
-        mirror = cluster.graph
-        partitions: List[int] = []
+        ids, weights, partitions, ends = [], [], [], []
         for server in cluster.servers:
             for node_id in server.store.node_ids():
                 node = server.store.node(node_id)
-                if not node.available:
-                    continue
-                cluster.catalog.register(node_id, server.server_id)
-                mirror.add_vertex(node_id, weight=node.weight)
-                partitions.append(server.server_id)
-        seen = set()
-        for server in cluster.servers:
+                if node.available:
+                    cluster.catalog.register(node_id, server.server_id)
+                    ids.append(node_id)
+                    weights.append(node.weight)
+                    partitions.append(server.server_id)
             for record in server.store.relationships.records():
-                if record.ghost or record.rel_id in seen:
-                    continue
-                seen.add(record.rel_id)
-                mirror.add_edge(record.src, record.dst)
-        cluster.aux.bootstrap(mirror, partitions)
+                if not record.ghost:
+                    ends += (record.src, record.dst)
+        cluster.aux.bootstrap_columns(ids, weights, partitions, ends)
         return cluster
 
     # ==================================================================
@@ -1069,18 +1069,18 @@ class HermesCluster:
         """Full cross-layer consistency check (used by integration tests).
 
         Verifies catalog == auxiliary placement, store hosting, ghost
-        conventions and auxiliary counters against the mirror graph, and
-        that every hosted vertex's relationship chain links back: each
-        record's ``prev`` on the vertex's side names the record before
-        it (NULL at the head).  Each chain is walked once, on its
-        vertex's home server; an edge's two walks must find one record
-        id.  O(V + E).
+        conventions, the auxiliary counters against the neighbours each
+        chain lists, and that every hosted vertex's relationship chain
+        links back: each record's ``prev`` on the vertex's side names the
+        record before it (NULL at the head).  Each chain is walked once,
+        on its vertex's home server; an edge's two walks must find one
+        record id.  O(V + E).  The independent oracle of the logical
+        graph is the simtest runner's reference graph.
         """
         #: edge -> the record id the first of its two walks found; the
         #: second walk must find the same one and takes the entry out
         unmatched: Dict[Tuple[int, int], int] = {}
-        for vertex in self.graph.vertices():
-            home = self.catalog.lookup(vertex)
+        for vertex, home in self.catalog.as_mapping().items():
             if self.aux.partition_of(vertex) != home:
                 raise ClusterError(f"aux/catalog disagree on vertex {vertex}")
             if not self.servers[home].store.is_available(vertex):
@@ -1090,17 +1090,13 @@ class HermesCluster:
                     raise ClusterError(
                         f"vertex {vertex} has a stray replica on server {other}"
                     )
-            # Auxiliary neighbor counters must match the mirror adjacency.
+            # Auxiliary neighbor counters must match the chain's neighbours.
             expected: Dict[int, int] = {}
-            for neighbor in self.graph.neighbors(vertex):
+            for neighbor in self._validate_chain(vertex, home, unmatched):
                 part = self.catalog.lookup(neighbor)
                 expected[part] = expected.get(part, 0) + 1
             if dict(self.aux.neighbor_counts(vertex)) != expected:
                 raise ClusterError(f"aux counters wrong for vertex {vertex}")
-            # The hosting server's adjacency must equal the mirror's.
-            local = self._validate_chain(vertex, home, unmatched)
-            if sorted(local) != sorted(self.graph.neighbors(vertex)):
-                raise ClusterError(f"store adjacency wrong for vertex {vertex}")
         if unmatched:
             edge = next(iter(unmatched))
             raise ClusterError(f"edge {edge} has a record in one chain only")

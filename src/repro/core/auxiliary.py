@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from typing import (
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -56,6 +57,13 @@ from repro.partitioning.base import Partitioning
 
 #: ulp-scale heat residue below this is treated as zero when heat is dropped
 _HEAT_EPSILON = 1e-12
+
+
+def is_vertex_id(vertex: Any) -> bool:
+    """Is ``vertex`` an integral vertex id?  Python and numpy integers
+    are; bool, float and str are not (the rule :meth:`AuxiliaryData._locate`
+    applies inline)."""
+    return type(vertex) is int or isinstance(vertex, np.integer)
 
 
 def check_capacity(capacity: float) -> None:
@@ -208,44 +216,76 @@ class AuxiliaryData:
         every edge leave; the columns are sized to the graph.  A column
         of the wrong length or a partition out of range raises
         :class:`PartitioningError` with nothing changed."""
+        n = graph.num_vertices
+        if isinstance(graph, CompactGraph):
+            ids = graph.ids_column
+            rows = None if ids is None else dict(zip(ids.tolist(), range(n)))
+            # The directed edge list in row space: every edge both ways.
+            heads = np.repeat(np.arange(n), np.diff(graph.indptr))
+            self._bootstrap(
+                ids, rows, graph.weights_column, partitions, heads, graph.neighbor_indices
+            )
+            return
+        ids = np.fromiter(graph.vertices(), dtype=np.int64, count=n)
+        weights = map(graph.weight_of, ids.tolist())
+        self.bootstrap_columns(
+            ids,
+            np.fromiter(weights, dtype=np.float64, count=n),
+            partitions,
+            np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64),
+        )
+
+    def bootstrap_columns(
+        self,
+        ids: Sequence[int],
+        weights: Sequence[float],
+        partitions: Sequence[int],
+        ends: Sequence[int],
+    ) -> None:
+        """:meth:`bootstrap` from columns instead of a graph: vertex ids,
+        their weights and partitions (aligned, in row order), and
+        ``ends``, every edge's two endpoint ids in turn (``u0, v0, u1,
+        v1, ...``, each edge once)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        rows = None
+        if np.array_equal(ids, np.arange(len(ids))):
+            ids = None
+        else:
+            rows = dict(zip(ids.tolist(), range(len(ids))))
+            ends = np.fromiter(
+                map(rows.__getitem__, ends.tolist()), dtype=np.int64, count=len(ends)
+            )
+        # The directed edge list in row space: every edge both ways.
+        heads = np.concatenate([ends[0::2], ends[1::2]])
+        tails = np.concatenate([ends[1::2], ends[0::2]])
+        self._bootstrap(ids, rows, weights, partitions, heads, tails)
+
+    def _bootstrap(
+        self,
+        ids: Optional[np.ndarray],
+        rows: Optional[Dict[int, int]],
+        weights: Sequence[float],
+        partitions: Sequence[int],
+        heads: np.ndarray,
+        tails: np.ndarray,
+    ) -> None:
+        """Check and install bootstrap columns: ``ids`` and ``rows`` are
+        None for the identity map, ``heads``/``tails`` the directed edge
+        list in row space."""
         if self._used or self._heat is not None:
             raise PartitioningError("bootstrap needs empty, unheated auxiliary data")
-        n = graph.num_vertices
+        n = len(weights)
         partition = np.asarray(partitions)
         if len(partition) != n:
             raise PartitioningError(f"{len(partition)} partitions for {n} vertices")
         if not n:
             return
         alpha = self.num_partitions
-        csr = isinstance(graph, CompactGraph)
-        if csr:
-            ids = graph.ids_column
-            weights = graph.weights_column.astype(np.float64)
-        else:
-            ids = np.fromiter(graph.vertices(), dtype=np.int64, count=n)
-            weights = np.fromiter(
-                map(graph.weight_of, ids.tolist()), dtype=np.float64, count=n
-            )
-            if np.array_equal(ids, np.arange(n)):
-                ids = None
         if not (0 <= partition.min() and partition.max() < alpha):
             raise PartitioningError(f"partition out of range [0, {alpha})")
         partition = partition.astype(np.int32)
-        rows = None if ids is None else dict(zip(ids.tolist(), range(n)))
-        # The directed edge list in row space: every edge in both directions.
-        if csr:
-            heads = np.repeat(np.arange(n), np.diff(graph.indptr))
-            tails = graph.neighbor_indices
-        else:
-            ends = np.fromiter(chain.from_iterable(graph.edges()), dtype=np.int64)
-            if rows is not None:
-                ends = np.fromiter(
-                    map(rows.__getitem__, ends.tolist()),
-                    dtype=np.int64,
-                    count=len(ends),
-                )
-            heads = np.concatenate([ends[0::2], ends[1::2]])
-            tails = np.concatenate([ends[1::2], ends[0::2]])
+        weights = np.array(weights, dtype=np.float64)  # a copy aux owns
         cells = heads * alpha + partition[tails]
         counts = np.bincount(cells, minlength=n * alpha).astype(np.int32)
         self._install(partition, weights, counts.reshape(n, alpha))
@@ -315,7 +355,8 @@ class AuxiliaryData:
     # Vertex id <-> row
     # ------------------------------------------------------------------
     def _locate(self, vertex: int) -> Tuple[int, int]:
-        """``(row, partition)`` of a tracked integral vertex id (one cell read)."""
+        """``(row, partition)`` of a tracked integral vertex id
+        (:func:`is_vertex_id`, inlined; one cell read)."""
         if type(vertex) is int or isinstance(vertex, np.integer):
             row = vertex if self._rows is None else self._rows.get(vertex, -1)
             if 0 <= row < self._used:
@@ -858,6 +899,11 @@ class AuxiliaryData:
     # ------------------------------------------------------------------
     # Derived whole-system metrics (for instrumentation, not the algorithm)
     # ------------------------------------------------------------------
+    @property
+    def num_edges(self) -> int:
+        """Edges the counters describe: each is counted at both ends."""
+        return int(self._counts[: self._used].sum()) // 2
+
     def edge_cut(self) -> int:
         """Edge-cut: ``sum d_ex(v) / 2`` as two reductions — every counter
         minus each live row's own-partition counter (a free row holds

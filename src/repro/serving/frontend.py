@@ -31,7 +31,6 @@ from typing import Any, Dict, Optional
 from repro.cluster.traversal import check_hops
 from repro.exceptions import (
     AdmissionRejectedError,
-    ClusterError,
     FaultInjectedError,
     InsufficientCreditsError,
     ServerDownError,
@@ -206,9 +205,10 @@ class ServingFrontend:
             outcome.reason = rejection.reason
             return outcome
 
-        # 2. Route.  The routing lookups double as validation: an
-        # operation that cannot execute (unknown vertex, duplicate
-        # vertex/edge — e.g. a schedule invalidated by an earlier
+        # 2. Route.  The routing lookups and the cluster's own write
+        # pre-checks double as validation: an operation that cannot
+        # execute (unknown vertex, duplicate vertex/edge, self-loop,
+        # non-integral id — e.g. a schedule invalidated by an earlier
         # degraded write) raises ClusterError *here*, before consuming
         # admission capacity, so queue conservation is never broken by
         # a mid-pipeline failure.
@@ -219,8 +219,7 @@ class ServingFrontend:
             target = decision.host
             forward_cost = decision.forward_cost
         elif op == "add_vertex":
-            if args[0] in self.cluster.catalog:
-                raise ClusterError(f"vertex {args[0]} already exists")
+            self.cluster.check_new_vertex(args[0])
             # The vertex does not exist yet: its home is the hash
             # placement target the cluster will pick (over the live
             # active membership, so joined servers receive inserts).
@@ -230,13 +229,9 @@ class ServingFrontend:
             # home is the src primary.
             if op == "traverse":
                 check_hops(self._hops(args, kwargs))
+            else:
+                self.cluster.check_new_edge(args[0], args[1])
             target, forward_cost = self.router.primary_of(args[0])
-            if op == "add_edge":
-                self.cluster.catalog.lookup(args[1])
-                if self.cluster.graph.has_edge(args[0], args[1]):
-                    raise ClusterError(
-                        f"edge ({args[0]}, {args[1]}) already exists"
-                    )
 
         # 3. Admit.
         try:

@@ -7,6 +7,14 @@ succeeded, degraded or aborted along the way.  The auditor walks every
 layer (stores, catalog, location caches, auxiliary data, telemetry,
 migration executor) and reports each broken invariant by name.
 
+The cluster keeps no copy of the logical graph, so the auditor takes one
+as its oracle: ``audit(cluster, reference)``, where ``reference`` is the
+simtest runner's graph — the scenario's input graph plus every write the
+cluster reported done.  Without one, the graph-level invariants compare
+the stores with the cluster's own view (``cluster.graph``), whose edge
+count comes from auxiliary counters the stores do not write.  Below,
+"the logical graph" is the reference when given, else the view.
+
 The invariant catalog (names match :class:`InvariantViolation.invariant`
 and TESTING.md):
 
@@ -23,8 +31,8 @@ and TESTING.md):
 ``vertex-edge-conservation``
     Vertices and edges are conserved across migrations, rollbacks and
     degraded writes: the available-node total, the catalog and the
-    auxiliary data all agree with the mirror graph, and the number of
-    distinct primary records equals the mirror edge count.
+    auxiliary data all agree with the logical graph's vertex count, and
+    the number of distinct primary records equals its edge count.
 ``aux-agreement``
     Auxiliary placement equals the catalog everywhere, and the
     per-partition weight totals sum to the per-vertex weights.
@@ -40,7 +48,9 @@ and TESTING.md):
     or past the commit point) — nothing to replay between steps.
 ``mirror-consistency``
     The cluster's own :meth:`~repro.cluster.hermes.HermesCluster.validate`
-    deep check (adjacency chains, ghost conventions, aux counters).
+    deep check (adjacency chains, ghost conventions, aux counters), and,
+    against a reference, the catalog holds exactly the reference's
+    vertices and the view lists exactly each one's reference neighbours.
 ``drain-completeness``
     Elastic membership is quiescent between steps: no server is stuck
     in a transitional state (joining/draining/recovering), and every
@@ -64,8 +74,9 @@ and TESTING.md):
     (Serving clusters only.)  No replica read ever served data older
     than the configured ``max_staleness``, and the replica placement
     the router reads from the auxiliary data agrees with a from-scratch
-    one-hop placement computed against the catalog's partitioning —
-    aux/catalog drift, as seen by the router, shows up here.
+    one-hop placement of the logical graph computed against the
+    catalog's partitioning — aux/catalog drift, as seen by the router,
+    shows up here.
 ``workload-model-conservation``
     (Clusters with an attached workload model only.)  Every edge and
     link heat is non-negative, the model clock never trails the cluster
@@ -94,18 +105,25 @@ and TESTING.md):
     available node and equals, in order, the neighbour ids a fresh walk
     of that node's relationship chain gives — no chain write skipped the
     invalidation that should have dropped it.
+
+A check that cannot read the cluster (a view read that finds no home
+copy, an untracked vertex) reports that as a violation of its invariant
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import server as server_states
 from repro.cluster.replication import OneHopReplicator
+from repro.graph.adjacency import SocialGraph
 from repro.exceptions import (
     ClusterError,
+    HermesError,
     InvariantViolationError,
     StorageError,
     VertexUnavailableError,
@@ -153,30 +171,46 @@ class InvariantViolation:
 class InvariantAuditor:
     """Checks every cluster-wide invariant against a quiescent cluster."""
 
-    def audit(self, cluster) -> List[InvariantViolation]:
-        """All violations present right now (empty when healthy)."""
+    def audit(
+        self, cluster, reference: Optional[SocialGraph] = None
+    ) -> List[InvariantViolation]:
+        """All violations present right now (empty when healthy), checked
+        against ``reference`` — an independent copy of the logical graph
+        — when one is given, else against the cluster's own view."""
+        logical = cluster.graph if reference is None else reference
+        checks = (
+            self._check_membership,
+            partial(self._check_primaries, logical=logical),
+            partial(self._check_conservation, logical=logical),
+            self._check_aux,
+            self._check_location_cache,
+            self._check_telemetry,
+            self._check_journal,
+            partial(self._check_mirror, reference=reference),
+            self._check_drain,
+            self._check_recovery,
+            self._check_queue_conservation,
+            partial(self._check_replica_staleness, logical=logical),
+            self._check_workload_model,
+            self._check_event_clock,
+            self._check_double_write,
+            self._check_adjacency_view,
+        )
         violations: List[InvariantViolation] = []
-        violations += self._check_membership(cluster)
-        violations += self._check_primaries(cluster)
-        violations += self._check_conservation(cluster)
-        violations += self._check_aux(cluster)
-        violations += self._check_location_cache(cluster)
-        violations += self._check_telemetry(cluster)
-        violations += self._check_journal(cluster)
-        violations += self._check_mirror(cluster)
-        violations += self._check_drain(cluster)
-        violations += self._check_recovery(cluster)
-        violations += self._check_queue_conservation(cluster)
-        violations += self._check_replica_staleness(cluster)
-        violations += self._check_workload_model(cluster)
-        violations += self._check_event_clock(cluster)
-        violations += self._check_double_write(cluster)
-        violations += self._check_adjacency_view(cluster)
+        for invariant, check in zip(INVARIANT_NAMES, checks):
+            try:
+                violations += check(cluster)
+            except HermesError as exc:
+                violations.append(
+                    InvariantViolation(
+                        invariant, f"the sweep could not read the cluster: {exc}"
+                    )
+                )
         return violations
 
-    def check(self, cluster) -> None:
+    def check(self, cluster, reference: Optional[SocialGraph] = None) -> None:
         """Audit and raise :class:`InvariantViolationError` on failure."""
-        violations = self.audit(cluster)
+        violations = self.audit(cluster, reference)
         if violations:
             raise InvariantViolationError(violations)
 
@@ -216,7 +250,7 @@ class InvariantAuditor:
                 )
         return out
 
-    def _check_primaries(self, cluster) -> List[InvariantViolation]:
+    def _check_primaries(self, cluster, logical) -> List[InvariantViolation]:
         out: List[InvariantViolation] = []
         copies: Dict[int, List[Tuple[int, object]]] = {}
         for server in range(cluster.num_servers):
@@ -237,7 +271,7 @@ class InvariantAuditor:
                 )
                 continue
             edge = (min(endpoints), max(endpoints))
-            if not cluster.graph.has_edge(*edge):
+            if not logical.has_edge(*edge):
                 out.append(
                     InvariantViolation(
                         "one-primary-per-edge",
@@ -292,12 +326,12 @@ class InvariantAuditor:
                 )
         return out
 
-    def _check_conservation(self, cluster) -> List[InvariantViolation]:
+    def _check_conservation(self, cluster, logical) -> List[InvariantViolation]:
         out: List[InvariantViolation] = []
         available_total = sum(
             len(available) for available, _ in cluster.membership()
         )
-        graph_vertices = cluster.graph.num_vertices
+        graph_vertices = logical.num_vertices
         catalog_vertices = len(cluster.catalog.as_mapping())
         aux_vertices = cluster.aux.num_vertices
         if not (
@@ -316,12 +350,12 @@ class InvariantAuditor:
             for record in cluster.servers[server].store.relationships.records():
                 if not record.ghost:
                     primary_rels.add(record.rel_id)
-        if len(primary_rels) != cluster.graph.num_edges:
+        if len(primary_rels) != logical.num_edges:
             out.append(
                 InvariantViolation(
                     "vertex-edge-conservation",
                     f"{len(primary_rels)} primary relationship records for "
-                    f"{cluster.graph.num_edges} logical edges",
+                    f"{logical.num_edges} logical edges",
                 )
             )
         return out
@@ -393,12 +427,42 @@ class InvariantAuditor:
             ]
         return []
 
-    def _check_mirror(self, cluster) -> List[InvariantViolation]:
+    def _check_mirror(
+        self, cluster, reference: Optional[SocialGraph]
+    ) -> List[InvariantViolation]:
         try:
             cluster.validate()
         except ClusterError as exc:
             return [InvariantViolation("mirror-consistency", str(exc))]
-        return []
+        if reference is None:
+            return []
+        out: List[InvariantViolation] = []
+        catalogued = set(cluster.catalog.vertices())
+        expected = set(reference.vertices())
+        if catalogued != expected:
+            out.append(
+                InvariantViolation(
+                    "mirror-consistency",
+                    f"the catalog lacks {sorted(expected - catalogued)[:5]} and "
+                    f"adds {sorted(catalogued - expected)[:5]} against the "
+                    f"reference graph",
+                )
+            )
+        view = cluster.graph
+        wrong = [
+            vertex
+            for vertex in sorted(expected & catalogued)
+            if sorted(view.neighbors(vertex)) != sorted(reference.neighbors(vertex))
+        ]
+        if wrong:
+            out.append(
+                InvariantViolation(
+                    "mirror-consistency",
+                    f"{len(wrong)} vertices list other neighbours in the stores "
+                    f"than in the reference graph (first: {wrong[:5]})",
+                )
+            )
+        return out
 
     # ------------------------------------------------------------------
     # Elastic-membership invariants
@@ -514,7 +578,9 @@ class InvariantAuditor:
             )
         return out
 
-    def _check_replica_staleness(self, cluster) -> List[InvariantViolation]:
+    def _check_replica_staleness(
+        self, cluster, logical
+    ) -> List[InvariantViolation]:
         frontend = getattr(cluster, "serving", None)
         if frontend is None:
             return []
@@ -532,9 +598,7 @@ class InvariantAuditor:
         # The view over the auxiliary data must agree with a
         # from-scratch placement over the catalog; a fresh replicator
         # keeps counters off the cluster's registry.
-        expected = OneHopReplicator().placements(
-            cluster.graph, cluster.partitioning()
-        )
+        expected = OneHopReplicator().placements(logical, cluster.partitioning())
         actual = frontend.index.placements()
         expected = {v: set(parts) for v, parts in expected.items() if parts}
         actual = {v: set(parts) for v, parts in actual.items() if parts}

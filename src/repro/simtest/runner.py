@@ -29,9 +29,15 @@ cluster as ``cluster.serving`` by ``build_cluster``); rebalances on a
 serving cluster go through the frontend too, so they run on its engine
 at its arrival time.
 
+The runner also keeps the oracle the cluster cannot be: a reference
+copy of the logical graph.  It starts as the spec's input graph and
+takes every write the cluster reported done — a serial write that
+returned, a ``serve`` write that completed, each write op of an
+``interleave`` group that returned — and nothing else.
+
 After every step (or every ``audit_every`` steps) the
-:class:`~repro.simtest.invariants.InvariantAuditor` sweeps the cluster;
-the first violating step ends the run.
+:class:`~repro.simtest.invariants.InvariantAuditor` sweeps the cluster
+against that reference; the first violating step ends the run.
 """
 
 from __future__ import annotations
@@ -51,10 +57,17 @@ from repro.workloads.queries import (
     ReadVertex,
     Traversal,
 )
+from repro.graph.adjacency import SocialGraph
 from repro.serving.admission import Priority
-from repro.serving.frontend import DEGRADED, SHED
+from repro.serving.frontend import COMPLETED, DEGRADED, SHED
 from repro.simtest.invariants import InvariantAuditor, InvariantViolation
-from repro.simtest.scenario import Schedule, ScenarioSpec, Step, build_cluster
+from repro.simtest.scenario import (
+    Schedule,
+    ScenarioSpec,
+    Step,
+    build_cluster,
+    build_graph,
+)
 
 
 @dataclass
@@ -102,11 +115,12 @@ class ScenarioRunner:
 
     def run(self, spec: ScenarioSpec, schedule: Schedule) -> ScenarioOutcome:
         cluster = build_cluster(spec)
+        reference = build_graph(spec)
         outcome = ScenarioOutcome(spec=spec)
         for index, step in enumerate(schedule):
-            outcome.statuses.append(self._apply(cluster, step))
+            outcome.statuses.append(self._apply(cluster, step, reference))
             if (index + 1) % self.audit_every == 0 or index == len(schedule) - 1:
-                violations = self.auditor.audit(cluster)
+                violations = self.auditor.audit(cluster, reference)
                 if violations:
                     outcome.violations = violations
                     outcome.violation_step = index
@@ -114,9 +128,13 @@ class ScenarioRunner:
         return outcome
 
     # ------------------------------------------------------------------
-    def _apply(self, cluster, step: Step) -> str:
+    def _apply(
+        self, cluster, step: Step, reference: Optional[SocialGraph] = None
+    ) -> str:
+        """Run one step; writes the cluster reports done also go to
+        ``reference`` (when one is kept)."""
         try:
-            status = self._dispatch(cluster, step)
+            status = self._dispatch(cluster, step, reference)
         except MigrationAbortedError:
             return "aborted"
         except FaultInjectedError:
@@ -127,7 +145,9 @@ class ScenarioRunner:
             return "skipped"
         return status or "ok"
 
-    def _dispatch(self, cluster, step: Step) -> Optional[str]:
+    def _dispatch(
+        self, cluster, step: Step, reference: Optional[SocialGraph]
+    ) -> Optional[str]:
         """Execute one step; returns a status override or None (= ok)."""
         kind, args = step.kind, step.args
         if kind == "traverse":
@@ -135,13 +155,17 @@ class ScenarioRunner:
         elif kind == "read":
             cluster.read_vertex(int(args["vertex"]))
         elif kind == "add_edge":
-            cluster.add_edge(int(args["u"]), int(args["v"]))
+            u, v = int(args["u"]), int(args["v"])
+            cluster.add_edge(u, v)
+            _record_write(reference, InsertEdge(u, v))
         elif kind == "add_vertex":
-            cluster.add_vertex(int(args["vertex"]))
+            vertex = int(args["vertex"])
+            cluster.add_vertex(vertex)
+            _record_write(reference, InsertVertex(vertex))
         elif kind == "serve":
-            return self._serve(cluster, args)
+            return self._serve(cluster, args, reference)
         elif kind == "interleave":
-            return self._interleave(cluster, args)
+            return self._interleave(cluster, args, reference)
         elif kind == "rebalance":
             frontend = getattr(cluster, "serving", None)
             if frontend is not None:
@@ -175,7 +199,9 @@ class ScenarioRunner:
             raise ValueError(f"unknown step kind {kind!r}")
         return None
 
-    def _serve(self, cluster, args: Dict[str, object]) -> Optional[str]:
+    def _serve(
+        self, cluster, args: Dict[str, object], reference: Optional[SocialGraph]
+    ) -> Optional[str]:
         """Dispatch one front-door submission; maps its outcome to a
         step status (``shed``/``degraded``/ok)."""
         frontend = _frontend(cluster)
@@ -204,9 +230,14 @@ class ScenarioRunner:
             return "shed"
         if outcome.status == DEGRADED:
             return "degraded"
+        if outcome.status == COMPLETED and op in ("add_edge", "add_vertex"):
+            write = _operation_from_dict({"kind": op, "args": op_args})
+            _record_write(reference, write)
         return None
 
-    def _interleave(self, cluster, args: Dict[str, object]) -> Optional[str]:
+    def _interleave(
+        self, cluster, args: Dict[str, object], reference: Optional[SocialGraph]
+    ) -> Optional[str]:
         """Run a group of ops (and optionally a rebalance) concurrently.
 
         The ops fan out round-robin over ``clients`` client tasks on a
@@ -236,6 +267,8 @@ class ScenarioRunner:
                     yield from engine.operation_task(operation)
                 except HermesError:
                     failed[0] += 1
+                else:
+                    _record_write(reference, operation)
 
         for index, assigned in enumerate(per_client):
             if assigned:
@@ -274,6 +307,17 @@ def _operation_from_dict(entry: Dict[str, object]):
     if kind == "add_vertex":
         return InsertVertex(int(args["vertex"]))
     raise ValueError(f"unknown interleave op kind {kind!r}")
+
+
+def _record_write(reference: Optional[SocialGraph], operation) -> None:
+    """A write the cluster reported done, applied to the reference graph
+    (reads and a missing reference change nothing)."""
+    if reference is None:
+        return
+    if isinstance(operation, InsertVertex):
+        reference.add_vertex(operation.vertex, weight=operation.weight)
+    elif isinstance(operation, InsertEdge):
+        reference.add_edge(operation.u, operation.v)
 
 
 def _frontend(cluster):

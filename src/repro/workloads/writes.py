@@ -4,7 +4,8 @@ Social networks evolve "towards community formation" (Section 3.3.2):
 new users join and attach preferentially near existing communities, and
 existing users befriend friends-of-friends.  :class:`GraphEvolution`
 generates insert operations with those dynamics against a live graph
-mirror, so each generated edge is valid at generation time.
+(typically a cluster's ``graph`` view), so each generated edge is valid
+at generation time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from repro.workloads.queries import InsertEdge, InsertVertex, Operation
 
 
 class GraphEvolution:
-    """Stateful write-operation generator over a graph mirror.
+    """Stateful write-operation generator over a live graph.
 
     The generator *does not mutate* the graph — the cluster applies each
-    operation, which updates the shared mirror; the generator re-reads it.
+    operation, which its graph view then shows; the generator re-reads it.
     It also remembers every pair it has emitted, so an edge handed out
     but not applied yet (a concurrent client still holds it) is never
     handed out again.

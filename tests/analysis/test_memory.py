@@ -1,12 +1,18 @@
 """Tests for the memory-footprint estimators (Section 5.3 claim)."""
 
+import gc
+import types
+
 from repro.analysis.memory import (
     adjacency_view_bytes,
     auxiliary_memory_bytes,
+    measure_memory,
     multilevel_memory_bytes,
 )
+from repro.cluster.hermes import HermesCluster
 from repro.core.auxiliary import AuxiliaryData
-from repro.graph.generators import orkut_like
+from repro.graph.adjacency import SocialGraph
+from repro.graph.generators import make_dataset, orkut_like
 from repro.partitioning.hashing import HashPartitioner
 from repro.storage.graph_store import GraphStore
 
@@ -46,3 +52,63 @@ class TestAdjacencyView:
         store.read_frontier(vertices, True)
         assert len(store.adjacency) == len(vertices)
         assert adjacency_view_bytes(store) / len(vertices) <= 250
+
+
+def reachable(root, cls):
+    """Instances of ``cls`` reachable from ``root`` through object
+    references — attributes, containers, closure cells — but not through
+    classes, modules or a function's globals (those reach the whole
+    process)."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, cls):
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            referents = [cell.cell_contents for cell in obj.__closure__ or ()]
+            referents += list(obj.__defaults__ or ())
+        elif isinstance(obj, (type, types.ModuleType, types.CodeType)):
+            continue
+        else:
+            referents = gc.get_referents(obj)
+        for referent in referents:
+            if id(referent) not in seen:
+                seen.add(id(referent))
+                stack.append(referent)
+    return found
+
+
+class TestClusterFootprint:
+    """The cluster keeps no copy of the graph: a write lands in the home
+    stores and the auxiliary data only, and ``cluster.graph`` is a view."""
+
+    def test_a_loaded_cluster_holds_no_whole_graph_adjacency(self):
+        """A freshly loaded 8-server cluster at n=5 000 (45 407 edges),
+        measured with tracemalloc while the input graph lives outside the
+        measured call: 2 719 B/vertex, all but ~150 of it record pages
+        and their id->slot indexes.  With the mirror it measured 4 008 —
+        the mirror's boxed ints belong to the input graph, so its
+        tracemalloc share was 1 290, not the 1 821 ``social_graph_bytes``
+        charges."""
+        graph = make_dataset("orkut", 5_000, seed=3).graph
+        placement = HashPartitioner().partition(graph, 8)
+        cluster, retained, _ = measure_memory(
+            lambda: HermesCluster.from_graph(graph, 8, partitioning=placement)
+        )
+        assert cluster.graph.num_edges == graph.num_edges
+        assert retained / graph.num_vertices <= 3_000
+
+    def test_no_social_graph_is_reachable_after_load_or_reopen(self, tmp_path):
+        graph = orkut_like(n=300, seed=4).graph
+        cluster = HermesCluster.from_graph(
+            graph, 4, partitioner=HashPartitioner(), durability=True
+        )
+        assert reachable(cluster, SocialGraph) == []
+        cluster.save(str(tmp_path))
+        reopened = HermesCluster.load_cluster(str(tmp_path))
+        assert reachable(reopened, SocialGraph) == []
+        edges = {frozenset(edge) for edge in cluster.graph.edges()}
+        assert {frozenset(edge) for edge in reopened.graph.edges()} == edges
+        assert len(edges) == reopened.graph.num_edges == graph.num_edges

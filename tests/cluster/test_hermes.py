@@ -237,6 +237,58 @@ class TestRejectedWrites:
         assert cluster_state(cluster) != before
 
 
+class TestWritePreChecks:
+    """Every vertex and edge insert runs one cluster-owned pre-check
+    (``check_new_vertex`` / ``check_new_edge``) before any layer moves,
+    and the front door routes through the same checks.  ``add_vertex(True)``
+    used to be accepted — the catalog and the store held ``True`` while
+    the auxiliary data held row 1, so ``validate()`` raised
+    VertexNotFoundError and the auditor crashed — and ``add_vertex("7")``
+    raised a bare TypeError."""
+
+    @pytest.mark.parametrize(
+        "bad", [True, 1000.0, "1000"], ids=["bool", "float", "str"]
+    )
+    def test_a_non_integral_id_is_rejected_and_changes_nothing(
+        self, small_graph, bad
+    ):
+        from repro.serving import ServingFrontend
+
+        cluster = HermesCluster.from_graph(
+            small_graph.copy(), num_servers=3, partitioner=HashPartitioner(),
+            durability=True,
+        )
+        frontend = ServingFrontend(cluster)
+        cluster.serving = frontend
+        before = cluster_state(cluster), telemetry_snapshot(cluster)
+        for write in (
+            lambda: cluster.add_vertex(bad),
+            lambda: cluster.add_edge(0, bad),
+            lambda: cluster.add_edge(bad, 0),
+            lambda: frontend.submit("add_vertex", bad),
+            lambda: frontend.submit("add_edge", 0, bad),
+        ):
+            with pytest.raises(ClusterError, match="must be integers"):
+                write()
+        assert (cluster_state(cluster), telemetry_snapshot(cluster)) == before
+        assert frontend.conservation()["submitted"] == 0
+        cluster.validate()
+        assert InvariantAuditor().audit(cluster) == []
+
+    def test_a_self_loop_is_a_cluster_error_before_any_layer_moves(
+        self, small_graph
+    ):
+        cluster = HermesCluster.from_graph(
+            small_graph.copy(), num_servers=3, partitioner=HashPartitioner(),
+            durability=True,
+        )
+        before = cluster_state(cluster), telemetry_snapshot(cluster)
+        with pytest.raises(ClusterError, match="self-loop"):
+            cluster.add_edge(4, 4)
+        assert (cluster_state(cluster), telemetry_snapshot(cluster)) == before
+        cluster.validate()
+
+
 class TestRebalance:
     def test_trigger_fires_after_hotspot(self, small_cluster):
         assert not small_cluster.check_trigger().should_repartition or True

@@ -45,11 +45,9 @@ def per_record_load(cluster, graph, partitioning):
         weight = graph.weight(vertex)
         cluster.servers[server].store.create_node(vertex, weight=weight)
         cluster.catalog.register(vertex, server)
-        cluster.graph.add_vertex(vertex, weight=weight)
         cluster.aux.add_vertex(vertex, server, weight)
     for u, v in graph.edges():
         cluster._create_edge_records(u, v, properties=None)
-        cluster.graph.add_edge(u, v)
         cluster.aux.add_edge(u, v)
     cluster._checkpoint()
 

@@ -267,6 +267,9 @@ def multi_edges(cluster, reference):
                 cluster.servers[home(v)].store.create_relationship(
                     rel_id, u, v, ghost=True
                 )
+            # Counted like any record: the aux moves of ``plan_for``
+            # read the adjacency the stores list.
+            cluster.aux.add_edge(u, v)
     commit_all(cluster.servers)
     reports = [
         repr(migrate(cluster, targets))

@@ -26,6 +26,20 @@ def cluster():
     return build_cluster()
 
 
+class LoadedWeights:
+    """A cluster's graph view read with another graph's vertex weights."""
+
+    def __init__(self, view, weights):
+        self._view = view
+        self._weights = weights
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+    def weight_of(self, vertex):
+        return self._weights.weight(vertex)
+
+
 class TestWeightDecay:
     def test_decay_shrinks_hot_weights(self, cluster):
         vertex = next(iter(cluster.graph.vertices()))
@@ -53,7 +67,7 @@ class TestWeightDecay:
             cluster.decay_weights(factor=1.5)
 
     def test_static_repartitioning_balances_live_popularity(self):
-        """The METIS substitute reads the mirror's weights; after reads
+        """The METIS substitute reads the view's weights; after reads
         and a decay they must be the auxiliary data's."""
 
         def driven():
@@ -68,16 +82,13 @@ class TestWeightDecay:
             cluster.decay_weights(factor=0.5)
             return cluster
 
-        # A twin run's mirror, weights set from its auxiliary data (a
-        # copy would not keep the adjacency order the partitioner sees).
-        # With the loaded weights instead, the placement differs.
+        # A twin run's view, whose weights are its auxiliary data's.
+        # Read with the loaded weights instead, the placement differs.
         twin = driven()
         loaded = community_graph(120, seed=31)
-        for vertex in twin.graph.vertices():
-            twin.graph.set_weight(vertex, loaded.weight(vertex))
-        stale = MultilevelPartitioner(seed=7).partition(twin.graph, 3)
-        for vertex in twin.graph.vertices():
-            twin.graph.set_weight(vertex, twin.aux.weight_of(vertex))
+        stale = MultilevelPartitioner(seed=7).partition(
+            LoadedWeights(twin.graph, loaded), 3
+        )
         expected = MultilevelPartitioner(seed=7).partition(twin.graph, 3)
         assert sorted(expected.items()) != sorted(stale.items())
         cluster = driven()

@@ -122,6 +122,9 @@ def build_twin(reference, graph_seed, placement_salt, multi_edges):
             cluster.servers[host_v].store.create_relationship(
                 rel_id, u, v, ghost=True
             )
+        # Counted like any record: a migration re-points the auxiliary
+        # data along the adjacency the stores list.
+        cluster.aux.add_edge(u, v)
     if reference:
         cluster._engine._run_depth = types.MethodType(
             per_entry_run_depth, cluster._engine

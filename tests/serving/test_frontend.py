@@ -14,6 +14,7 @@ from repro.serving import (
     ServingConfig,
     ServingFrontend,
 )
+from repro.simtest.invariants import InvariantAuditor
 from tests.conftest import crash_plan, make_random_graph
 
 
@@ -152,6 +153,16 @@ class TestValidation:
         with pytest.raises(ClusterError):
             frontend.submit("add_edge", 0, 10**6)
         assert frontend.conservation()["submitted"] == 0
+
+    def test_self_loop_raises_before_admission(self):
+        """A self-loop used to be admitted and then rejected by the store
+        (StorageError): admitted 1 != completed 0 + in_flight 0."""
+        frontend = make_frontend()
+        frontend.cluster.serving = frontend
+        with pytest.raises(ClusterError, match="self-loop"):
+            frontend.submit("add_edge", 3, 3)
+        assert check_conservation(frontend)["submitted"] == 0
+        assert InvariantAuditor().audit(frontend.cluster) == []
 
     def test_duplicate_edge_raises_before_admission(self):
         frontend = make_frontend()

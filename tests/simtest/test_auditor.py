@@ -79,6 +79,25 @@ class TestAuditor:
             v.invariant == EXPECTED_INVARIANT[mode] for v in outcome.violations
         ), outcome.summary()
 
+    @pytest.mark.parametrize("mode", CORRUPT_MODES)
+    def test_every_corruption_mode_is_caught_without_a_reference(self, mode):
+        """Audited with no reference graph (as the wall-clock benchmark
+        audits), the graph-level invariants compare the stores with the
+        cluster's own view, and each mode is still named by the same
+        invariant."""
+        spec, schedule = corrupted_schedule(mode=mode)
+        runner, auditor = ScenarioRunner(), InvariantAuditor()
+        cluster = build_cluster(spec)
+        violations = []
+        for step in schedule:
+            runner._apply(cluster, step)
+            violations = auditor.audit(cluster)
+            if violations:
+                break
+        assert any(v.invariant == EXPECTED_INVARIANT[mode] for v in violations), [
+            str(v) for v in violations
+        ]
+
     def test_a_lost_commit_trips_recovery_fidelity_alone(self):
         """The recovered store still serves what the catalog says; only
         the replayed content is missing a committed write."""
