@@ -142,11 +142,17 @@ class LocationCache:
         entries[vertex] = host
         return host
 
-    def resolve_from(self, server: int, vertices: Sequence[int]) -> List[int]:
-        """:meth:`lookup_from` for a whole adjacency list: where
-        ``server`` believes each of ``vertices`` lives, aligned with the
-        input — the traversal engine's one call per expanded vertex."""
+    def resolve_from(
+        self, server: int, vertices: Sequence[int]
+    ) -> Tuple[List[int], int]:
+        """:meth:`lookup_from` for a whole adjacency list, uncounted: where
+        ``server`` believes each of ``vertices`` lives, and how many of
+        them missed (the caller charges :meth:`count_resolved`)."""
         entries = self._entries[server]
+        try:  # warm: every location cached, one pass in C
+            return list(map(entries.__getitem__, vertices)), 0
+        except KeyError:
+            pass
         lookup = self.catalog.lookup
         hosts = []
         misses = 0
@@ -156,10 +162,13 @@ class LocationCache:
                 misses += 1
                 host = entries[vertex] = lookup(vertex)
             hosts.append(host)
-        # Whole numbers: one bump per batch counts what one per vertex did.
-        self._hits.inc(len(hosts) - misses)
+        return hosts, misses
+
+    def count_resolved(self, resolved: int, misses: int) -> None:
+        """Count ``resolved`` locations, ``misses`` of them from the
+        catalog: whole numbers, so one bump counts what one per vertex did."""
+        self._hits.inc(resolved - misses)
         self._misses.inc(misses)
-        return hosts
 
     def learn(self, server: int, vertex: int, host: int) -> None:
         """Record the location ``server`` just resolved via forwarding."""

@@ -18,17 +18,18 @@ visit).  The *absolute* throughput numbers are not meaningful — the
 relative performance of partitioners, which is driven by the
 local/remote mix, is.
 
-Besides the legacy :class:`NetworkStats` counters (kept as the source of
-truth for aggregate messages/bytes and per-link totals), the network
-mirrors everything into an attached :class:`~repro.telemetry.Telemetry`
-hub: ``network_messages_total``/``network_bytes_total`` counters labelled
-per kind (hop/transfer) and hop/transfer latency histograms.  With the
-default null hub all of that is a handful of no-op calls.
+Traffic is counted once, on the send side, in a per-link ledger of ints
+that :class:`NetworkStats` views.  An attached
+:class:`~repro.telemetry.Telemetry` hub counts it again, independently —
+``network_messages_total``/``network_bytes_total`` per kind (hop/transfer)
+and latency histograms — so ``telemetry/conservation.py`` can check one
+against the other; a traversal depth charges the hub once for all its
+messages (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.faults import FaultInjector
@@ -67,7 +68,7 @@ class NetworkConfig:
     batch_entry_bytes: int = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkStats:
     """Traffic on one directed server pair."""
 
@@ -75,45 +76,48 @@ class LinkStats:
     bytes: int = 0
 
 
-@dataclass
 class NetworkStats:
-    """Message/byte counters kept per server pair.
+    """Read-only view of a network's send-side ledger.
 
-    Send-side (``record``) and receive-side (``deliver``) accounting are
-    deliberately separate code paths: the network charges the sender when
-    it puts a message on the wire and the receiver when the message
-    arrives.  In a correct simulation every delivered message is counted
-    exactly once on each side — the conservation invariant
-    (bytes-sent == bytes-received per link) that the simtest auditor
-    checks between schedule steps.  A message dropped by fault injection
-    is counted on neither side.
+    The sender is charged when it puts a message on the wire; a message
+    dropped by fault injection is charged nowhere.  Aggregates are sums
+    over the per-link ledger, so they cannot disagree with it.
     """
 
-    messages: int = 0
-    bytes_sent: int = 0
-    messages_received: int = 0
-    bytes_received: int = 0
-    per_link: Dict[Tuple[int, int], LinkStats] = field(default_factory=dict)
-    received_per_link: Dict[Tuple[int, int], LinkStats] = field(default_factory=dict)
+    __slots__ = ("_network",)
 
-    def record(self, src: int, dst: int, size: int) -> None:
-        self.messages += 1
-        self.bytes_sent += size
-        link = self.per_link.get((src, dst))
-        if link is None:
-            link = self.per_link[(src, dst)] = LinkStats()
-        link.messages += 1
-        link.bytes += size
+    def __init__(self, network: "SimulatedNetwork"):
+        self._network = network
 
-    def deliver(self, src: int, dst: int, size: int) -> None:
-        """Receive-side counterpart of :meth:`record`."""
-        self.messages_received += 1
-        self.bytes_received += size
-        link = self.received_per_link.get((src, dst))
-        if link is None:
-            link = self.received_per_link[(src, dst)] = LinkStats()
-        link.messages += 1
-        link.bytes += size
+    def __eq__(self, other: object) -> bool:
+        """Two views are equal when their ledgers hold the same traffic."""
+        if not isinstance(other, NetworkStats):
+            return NotImplemented
+        return self.per_link == other.per_link
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"NetworkStats(per_link={self.per_link!r})"
+
+    @property
+    def messages(self) -> int:
+        return sum(map(sum, self._network.link_messages))
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(map(sum, self._network.link_bytes))
+
+    @property
+    def per_link(self) -> Dict[Tuple[int, int], LinkStats]:
+        """Every link that carried a message, in ascending link order."""
+        network = self._network
+        return {
+            (src, dst): LinkStats(messages, network.link_bytes[src][dst])
+            for src, row in enumerate(network.link_messages)
+            for dst, messages in enumerate(row)
+            if messages
+        }
 
     def top_links(
         self, n: int, by: str = "bytes"
@@ -144,7 +148,11 @@ class SimulatedNetwork:
             raise ClusterError("need at least one server")
         self.num_servers = num_servers
         self.config = config if config is not None else NetworkConfig()
-        self.stats = NetworkStats()
+        #: the one ledger of wire traffic: messages and payload bytes sent
+        #: on each directed link, ``[src][dst]``
+        self.link_messages = [[0] * num_servers for _ in range(num_servers)]
+        self.link_bytes = [[0] * num_servers for _ in range(num_servers)]
+        self.stats = NetworkStats(self)
         self.fault_injector: Optional[FaultInjector] = None
         self._labels = dict(labels or {})
         self.attach_telemetry(telemetry or NULL_TELEMETRY)
@@ -196,10 +204,14 @@ class SimulatedNetwork:
         )
 
     def add_server(self) -> int:
-        """Admit one more endpoint; returns its id.  Stats dicts grow
-        lazily, so widening the id range is all a join needs."""
+        """Admit one more endpoint; returns its id.  The ledger grows a
+        row and a column for it."""
         server = self.num_servers
         self.num_servers += 1
+        for ledger in (self.link_messages, self.link_bytes):
+            ledger.append([0] * server)
+            for row in ledger:
+                row.append(0)
         return server
 
     def _check(self, server: int) -> None:
@@ -212,6 +224,17 @@ class SimulatedNetwork:
         """Cost of processing one vertex on its own server."""
         return self.config.local_visit_cost
 
+    def _send(self, src: int, dst: int, size: int, cost: float) -> None:
+        """Put one message on the wire: its fate is decided first, so a
+        faulted message raises before the ledger is charged."""
+        injector = self.fault_injector
+        if injector is not None:
+            injector.check_message(src, dst, cost=self.config.fault_timeout_cost)
+        self.link_messages[src][dst] += 1
+        self.link_bytes[src][dst] += size
+        if injector is not None:
+            injector.advance(cost)
+
     def remote_hop(self, src: int, dst: int, size: int = 256) -> float:
         """Cost of one remote traversal step ``src -> dst``.
 
@@ -223,49 +246,53 @@ class SimulatedNetwork:
         self._check(dst)
         if src == dst:
             return 0.0
-        if self.fault_injector is not None:
-            self.fault_injector.check_message(
-                src, dst, cost=self.config.fault_timeout_cost
-            )
-        self.stats.record(src, dst, size)
         cost = self.config.remote_hop_cost
+        self._send(src, dst, size, cost)
         self._hop_messages.inc()
         self._hop_bytes.inc(size)
         self._hop_latency.observe(cost)
-        self.stats.deliver(src, dst, size)
-        if self.fault_injector is not None:
-            self.fault_injector.advance(cost)
         return cost
 
     def batched_hop(self, src: int, dst: int, count: int) -> float:
-        """Cost of one aggregated traversal message carrying ``count``
-        frontier entries ``src -> dst``.
-
-        The round trip is paid once per message — ``remote_hop_cost``
-        plus a per-entry marginal cost — and the payload grows with the
-        batch size.  Fault injection applies once per message, not once
-        per entry: a lost batch times out exactly like a lost single hop
-        and the whole batch is retried together.
-        """
+        """:meth:`batched_hops` of one link ``src -> dst`` carrying ``count``
+        entries; free when it is a server to itself or carries nothing."""
         self._check(src)
         self._check(dst)
         if src == dst or count <= 0:
             return 0.0
-        if self.fault_injector is not None:
-            self.fault_injector.check_message(
-                src, dst, cost=self.config.fault_timeout_cost
-            )
-        size = self.config.batch_base_bytes + count * self.config.batch_entry_bytes
-        self.stats.record(src, dst, size)
-        cost = self.config.remote_hop_cost + count * self.config.batch_entry_cost
-        self._hop_messages.inc()
-        self._hop_bytes.inc(size)
-        self._hop_latency.observe(cost)
-        self._batch_sizes.observe(count)
-        self.stats.deliver(src, dst, size)
-        if self.fault_injector is not None:
-            self.fault_injector.advance(cost)
-        return cost
+        return self.batched_hops({(src, dst): count})[0]
+
+    def batched_hops(self, links: Dict[Tuple[int, int], int]) -> List[float]:
+        """One aggregated message per ``(src, dst)`` link of two different
+        servers, carrying that link's (positive) count of frontier
+        entries; returns each message's cost, in link order.
+
+        A message pays ``remote_hop_cost`` once plus a marginal cost per
+        entry, and its payload grows with the batch.  Faults apply per
+        message, in link order: a lost batch raises like a lost single
+        hop, the messages before it staying charged.  The registry is
+        charged once per call — counters by their integer totals, the
+        histograms value by value in message order.
+        """
+        config = self.config
+        costs: List[float] = []
+        counts: List[int] = []
+        sent_bytes = 0
+        try:
+            for (src, dst), count in links.items():
+                cost = config.remote_hop_cost + count * config.batch_entry_cost
+                size = config.batch_base_bytes + count * config.batch_entry_bytes
+                self._send(src, dst, size, cost)
+                costs.append(cost)
+                counts.append(count)
+                sent_bytes += size
+        finally:
+            if costs:
+                self._hop_messages.inc(len(costs))
+                self._hop_bytes.inc(sent_bytes)
+                self._hop_latency.observe_many(costs)
+                self._batch_sizes.observe_many(counts)
+        return costs
 
     def transfer(self, src: int, dst: int, size: int) -> float:
         """Cost of a bulk record transfer (migration copy step).
@@ -276,19 +303,12 @@ class SimulatedNetwork:
         self._check(dst)
         if src == dst:
             return 0.0
-        if self.fault_injector is not None:
-            self.fault_injector.check_message(
-                src, dst, cost=self.config.fault_timeout_cost
-            )
-        self.stats.record(src, dst, size)
         cost = self.config.transfer_base_cost + size * self.config.transfer_byte_cost
+        self._send(src, dst, size, cost)
         self._transfer_messages.inc()
         self._transfer_bytes.inc(size)
         self._transfer_latency.observe(cost)
         self._transfer_sizes.observe(size)
-        self.stats.deliver(src, dst, size)
-        if self.fault_injector is not None:
-            self.fault_injector.advance(cost)
         return cost
 
     def export_link_metrics(self) -> None:

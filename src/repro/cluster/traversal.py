@@ -24,12 +24,12 @@ per step; a stale entry (the vertex migrated and this server was not a
 migration participant) resolves via a forwarding hop charged to the
 query, after which the cache entry is corrected.
 
-A depth **reads in bulk and accounts in order** (DESIGN.md §9): after the
-per-link message accounting each reachable host is asked once for its
-whole share of the frontier (``GraphStore.read_frontier`` — one storage
-pass, no record objects), and only then is the per-entry accounting run
-over the frontier in its original order, so every simulated cost and
-counter is what visiting the entries one at a time produced.
+A depth is **charged once per link and once per host** (DESIGN.md §9):
+its messages go out in one network call, each reachable host is asked
+once for its share (``GraphStore.read_frontier``), and busy seconds and
+visits run in locals written back once per host — every simulated cost
+and counter takes the float additions, in the order, that charging each
+entry on its own gave it.
 
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
@@ -135,6 +135,7 @@ class _QueryState:
         "visited",
         "hops",
         "local_visit",
+        "busy",
     )
 
     def __init__(self, cost: float, hops: int, local_visit: float):
@@ -147,6 +148,8 @@ class _QueryState:
         self.visited: Set[int] = set()
         self.hops = hops
         self.local_visit = local_visit
+        #: each server's running busy seconds while a depth is charged
+        self.busy: List[float] = []
 
 
 class TraversalEngine:
@@ -241,29 +244,29 @@ class TraversalEngine:
         cost = self.network.config.client_dispatch_cost
         home = self.catalog.lookup(start)
         injector = self.network.fault_injector
-
-        if injector is not None and injector.is_down(home):
-            # The dispatch to the home server times out: the client gets
-            # an empty partial result rather than an exception.
-            result = self._degraded_dispatch(start, hops, home, cost)
-            yield DepthStep(kind="dispatch", cost=result.cost)
-            return result
-
         state = _QueryState(cost, hops, self.network.local_visit())
         span = self.telemetry.span("traversal", start=start, hops=hops)
-        # Client dispatch happens before the first hop: push the causal
-        # cursor so depth spans line up after it.
-        span.advance(cost)
-
         # Frontier entries are (vertex, host, discovered_from_host): when
         # the traversal follows an edge whose endpoints live on different
         # servers, that step is a remote traversal — the per-cut-edge cost
         # that makes edge-cut the dominant performance factor (Section 1).
         frontier: List[Tuple[int, int, int]] = [(start, home, home)]
+        if injector is not None and injector.is_down(home):
+            # The dispatch to the home server times out: the client gets
+            # an empty partial result rather than an exception.
+            state.cost += self.network.config.fault_timeout_cost
+            state.failed.add(home)
+            frontier = []
+        else:
+            # Client dispatch happens before the first hop: push the
+            # causal cursor so depth spans line up after it.
+            span.advance(cost)
         epoch = self.topology_epoch
-        yield DepthStep(kind="dispatch", cost=cost)
+        yield DepthStep(kind="dispatch", cost=state.cost)
 
         for depth in range(hops + 1):
+            if not frontier:
+                break
             if self.topology_epoch != epoch:
                 # A migration committed while this task was paused: the
                 # frontier's cached hosts may be stale.  Re-resolve
@@ -275,16 +278,8 @@ class TraversalEngine:
                 "hop", depth=depth, frontier=len(frontier)
             )
             cost_before = state.cost
-            busy_before = [
-                server.busy_counter.value for server in self.servers
-            ]
-            next_frontier = self._run_depth(frontier, depth, state)
+            next_frontier, busy = self._run_depth(frontier, depth, state)
             depth_span.finish(duration=state.cost - cost_before)
-            busy = {}
-            for server_id, before in enumerate(busy_before):
-                delta = self.servers[server_id].busy_counter.value - before
-                if delta > 0.0:
-                    busy[server_id] = delta
             yield DepthStep(
                 kind="hop",
                 cost=state.cost - cost_before,
@@ -292,8 +287,6 @@ class TraversalEngine:
                 depth=depth,
                 frontier=len(frontier),
             )
-            if not next_frontier:
-                break
             frontier = next_frontier
 
         self._traversals.inc()
@@ -348,120 +341,175 @@ class TraversalEngine:
         frontier: List[Tuple[int, int, int]],
         depth: int,
         state: _QueryState,
-    ) -> List[Tuple[int, int, int]]:
-        """Ship the frontier, read it in bulk, account for it in order.
+    ) -> Tuple[List[Tuple[int, int, int]], Dict[int, float]]:
+        """Ship the frontier, read it in bulk, charge it per link and host.
 
-        The whole depth's frontier is grouped by link first and each link
-        pays one round trip (plus per-entry marginals) — how a real
-        driver ships the frontier ahead of processing the responses.
-        Every host still reachable is then asked once for its whole share
-        (``GraphStore.read_frontier``), and only after that is the
-        per-entry accounting run over the frontier in its original order:
-        every float accumulation (``state.cost``, each server's busy
-        seconds) keeps the sequence of additions it always had.  Reading
-        ahead is safe because nothing mutates a store inside a depth.
+        Each link pays one round trip (plus per-entry marginals), as a real
+        driver ships the frontier ahead of processing the responses; each
+        reachable host is then asked once for its share (nothing mutates a
+        store inside a depth).  A final depth whose hosts answered every
+        read is charged per host in bulk; otherwise the entries are walked
+        in frontier order, as one can change what later ones see (a
+        ``None`` answer forwards, a forward can fail its host, an expansion
+        can find its host down).  Returns the next frontier and the busy
+        seconds charged per server.
         """
         servers = self.servers
         failed = state.failed
-        remote_service = self.network.config.remote_service_cost
-        # Aggregate remote entries per directed link and every entry per
-        # host, both in first-seen order.
+        local_visit = state.local_visit
+        # Seeded from the counters, ``busy[host] += seconds`` is exactly
+        # the addition ``busy_counter.inc(seconds)`` made.
+        busy = state.busy = [server.busy_counter.value for server in servers]
+        visits = [0] * len(servers)
+        # Remote entries per directed link and every entry per host, both
+        # in first-seen order.
         links: Dict[Tuple[int, int], int] = {}
-        shares: Dict[int, Dict[int, None]] = defaultdict(dict)
+        shares: Dict[int, List[int]] = defaultdict(list)
         for vertex, host, from_host in frontier:
             if host in failed:
                 continue
             if host != from_host:
-                key = (from_host, host)
-                links[key] = links.get(key, 0) + 1
-            shares[host][vertex] = None
+                link = (from_host, host)
+                links[link] = links.get(link, 0) + 1
+            shares[host].append(vertex)
+        if links:
+            self._ship(links, state)
+
+        # One storage pass per reachable host over the distinct vertices
+        # of its share (a vertex reached along several paths is charged
+        # per path, but the host is asked about it once).
+        expand = depth < state.hops
+        bulk = not expand
+        reads = {}
+        for host, share in shares.items():
+            if host not in failed:
+                distinct = dict.fromkeys(share)
+                answers = servers[host].store.read_frontier(distinct, expand)
+                reads[host] = (distinct, answers)
+                # Not expanding, every available vertex answers ``()``.
+                bulk = bulk and answers.count(()) == len(answers)
+        next_frontier: List[Tuple[int, int, int]] = []
+        if bulk:
+            for host, (distinct, _) in reads.items():
+                visits[host] = count = len(shares[host])
+                run = busy[host]
+                for _ in repeat(None, count):
+                    run += local_visit
+                busy[host] = run
+                state.response.update(distinct)
+            processed = sum(visits)
+            state.processed += processed
+            cost = state.cost
+            for _ in repeat(None, processed):
+                cost += local_visit
+            state.cost = cost
+        else:
+            reads = {host: dict(zip(*read)) for host, read in reads.items()}
+            visited = state.visited
+            model = self.workload_model
+            observed = resolved = misses = 0
+            for vertex, host, from_host in frontier:
+                if host in failed:
+                    # Unreachable this query — same-host entries included: a
+                    # server that crashed mid-depth serves nothing further.
+                    continue
+                neighbors = reads[host][vertex]
+                if neighbors is None:
+                    # Unavailable (mid-migration), missing or absent here:
+                    # not in the local vertex set (Section 3.2).  The cached
+                    # location may be stale (vertex migrated since this
+                    # server last looked it up): forward and retry once.
+                    host = self._forward_stale(vertex, host, from_host, state)
+                    if host is None:
+                        continue
+                    (neighbors,) = servers[host].store.read_frontier(
+                        (vertex,), expand and vertex not in visited
+                    )
+                    if neighbors is None:
+                        continue
+                state.processed += 1
+                visits[host] += 1
+                busy[host] += local_visit
+                state.cost += local_visit
+                state.response.add(vertex)
+                # Keep multiplicity: a vertex reachable along several paths is
+                # processed once per path (the paper's 2-hop ratio effect), but
+                # expanded only once so work stays polynomial.
+                if not expand or vertex in visited:
+                    continue
+                visited.add(vertex)
+                try:
+                    servers[host].check_up()
+                except ServerDownError:
+                    # The host crashed mid-query (a window opened while this
+                    # frontier was in flight): its vertices stay in the
+                    # response, its expansions are lost.
+                    failed.add(host)
+                    continue
+                if model is not None and neighbors:
+                    # Every frontier expansion follows edge (vertex, neighbor):
+                    # that is the per-edge traffic the heat model accumulates.
+                    for neighbor in neighbors:
+                        model.observe_edge(vertex, neighbor)
+                    observed += len(neighbors)
+                hosts, missed = self.location_cache.resolve_from(host, neighbors)
+                resolved += len(hosts)
+                misses += missed
+                next_frontier.extend(zip(neighbors, hosts, repeat(host)))
+            if observed:
+                self._model_observations.inc(observed)
+            if resolved:
+                self.location_cache.count_resolved(resolved, misses)
+
+        # Each host is written back once; the depth returns its charges.
+        charged = {}
+        for host, value in enumerate(busy):
+            server = servers[host]
+            if visits[host]:
+                server.visits_counter.inc(visits[host])
+            counter = server.busy_counter
+            if value != counter.value:
+                delta = value - counter.value
+                counter.value = value
+                if delta > 0.0:
+                    charged[host] = delta
+        return next_frontier, charged
+
+    def _ship(self, links: Dict[Tuple[int, int], int], state: _QueryState) -> None:
+        """Send a depth's messages in link order: the query pays each
+        message's cost, then its RPC dispatch, and both endpoints pay the
+        dispatch in busy seconds — the batching win on server CPU, not
+        just wire.  A fault-free network takes the messages in one call;
+        under a fault plan each is sent and retried on its own, and a
+        failed one gives up on its destination for the rest of the query.
+        """
+        network = self.network
+        remote_service = network.config.remote_service_cost
+        busy = state.busy
+        if network.fault_injector is None:
+            cost = state.cost
+            for (src, dst), hop in zip(links, network.batched_hops(links)):
+                cost += hop
+                cost += remote_service
+                busy[src] += remote_service
+                busy[dst] += remote_service
+            state.cost = cost
+            state.remote += sum(links.values())
+            return
         for (src, dst), count in links.items():
-            if dst in failed:
+            if dst in state.failed:
                 # A message from another source already gave up on dst.
                 continue
             try:
                 state.cost += self._batched_hop(src, dst, count)
             except FaultInjectedError as exc:
                 state.cost += exc.cost
-                failed.add(dst)
+                state.failed.add(dst)
                 continue
-            state.remote += count
-            # Each aggregated message costs one RPC dispatch on both
-            # endpoints — the batching win on server CPU, not just wire.
-            servers[src].busy_counter.inc(remote_service)
-            servers[dst].busy_counter.inc(remote_service)
             state.cost += remote_service
-
-        # One storage pass per reachable host over the distinct vertices
-        # of its share (a vertex reached along several paths is charged
-        # per path below, but the host is asked about it once).
-        expand = depth < state.hops
-        reads = {
-            host: dict(
-                zip(share, servers[host].store.read_frontier(share, expand))
-            )
-            for host, share in shares.items()
-            if host not in failed
-        }
-
-        local_visit = state.local_visit
-        response = state.response
-        visited = state.visited
-        model = self.workload_model
-        next_frontier: List[Tuple[int, int, int]] = []
-        for vertex, host, from_host in frontier:
-            if host in failed:
-                # Unreachable this query — same-host entries included: a
-                # server that crashed mid-depth serves nothing further.
-                continue
-            neighbors = reads[host][vertex]
-            if neighbors is None:
-                # Unavailable (mid-migration), missing or absent here:
-                # not in the local vertex set (Section 3.2).  The cached
-                # location may be stale (vertex migrated since this
-                # server last looked it up): forward and retry once.
-                host = self._forward_stale(vertex, host, from_host, state)
-                if host is None:
-                    continue
-                (neighbors,) = servers[host].store.read_frontier(
-                    (vertex,), expand and vertex not in visited
-                )
-                if neighbors is None:
-                    continue
-            executing = servers[host]
-            state.processed += 1
-            executing.visits_counter.inc()
-            executing.busy_counter.inc(local_visit)
-            state.cost += local_visit
-            response.add(vertex)
-            # Keep multiplicity: a vertex reachable along several paths is
-            # processed once per path (the paper's 2-hop ratio effect), but
-            # expanded only once so work stays polynomial.
-            if not expand or vertex in visited:
-                continue
-            visited.add(vertex)
-            try:
-                executing.check_up()
-            except ServerDownError:
-                # The host crashed mid-query (a window opened while this
-                # frontier was in flight): its vertices stay in the
-                # response, its expansions are lost.
-                failed.add(host)
-                continue
-            if model is not None and neighbors:
-                # Every frontier expansion follows edge (vertex, neighbor):
-                # that is the per-edge traffic the heat model accumulates.
-                for neighbor in neighbors:
-                    model.observe_edge(vertex, neighbor)
-                self._model_observations.inc(len(neighbors))
-            next_frontier.extend(
-                zip(
-                    neighbors,
-                    self.location_cache.resolve_from(host, neighbors),
-                    repeat(host),
-                )
-            )
-        return next_frontier
+            state.remote += count
+            busy[src] += remote_service
+            busy[dst] += remote_service
 
     def _forward_stale(
         self,
@@ -485,15 +533,15 @@ class TraversalEngine:
         if actual == host or actual in state.failed:
             return None
         try:
-            state.cost += self._hop(host, actual)
+            state.cost += self._retried(self.network.remote_hop, host, actual)
         except FaultInjectedError as exc:
             state.cost += exc.cost
             state.failed.add(actual)
             return None
         state.remote += 1
         remote_service = self.network.config.remote_service_cost
-        self.servers[host].busy_counter.inc(remote_service)
-        self.servers[actual].busy_counter.inc(remote_service)
+        state.busy[host] += remote_service
+        state.busy[actual] += remote_service
         state.cost += remote_service
         self.location_cache.learn(from_host, vertex, actual)
         return actual
@@ -501,16 +549,11 @@ class TraversalEngine:
     # ------------------------------------------------------------------
     # Fault-degradation helpers
     # ------------------------------------------------------------------
-    def _hop(self, src: int, dst: int) -> float:
-        """One remote hop, retried under the engine's policy on faults.
-
-        Returns the total simulated cost including wasted attempts; the
-        zero-fault path is a single direct call with no extra work.
-        """
-        if self.network.fault_injector is None:
-            return self.network.remote_hop(src, dst)
+    def _retried(self, send, *args) -> float:
+        """``send(*args)`` retried under the engine's policy on faults;
+        the total simulated cost, wasted attempts included."""
         cost, wasted = self.retry.call(
-            lambda: self.network.remote_hop(src, dst),
+            lambda: send(*args),
             injector=self.network.fault_injector,
             on_retry=self._on_retry,
         )
@@ -518,43 +561,9 @@ class TraversalEngine:
 
     def _batched_hop(self, src: int, dst: int, count: int) -> float:
         """One aggregated message, retried as a unit under faults."""
-        if self.network.fault_injector is None:
-            return self.network.batched_hop(src, dst, count)
-        cost, wasted = self.retry.call(
-            lambda: self.network.batched_hop(src, dst, count),
-            injector=self.network.fault_injector,
-            on_retry=self._on_retry,
-        )
-        return cost + wasted
+        return self._retried(self.network.batched_hop, src, dst, count)
 
     def _on_retry(self, exc: FaultInjectedError, pause: float) -> None:
         self.telemetry.counter(
             "traversal_retries_total", "traversal hop retries after faults"
         ).inc()
-
-    def _degraded_dispatch(
-        self, start: int, hops: int, home: int, cost: float
-    ) -> TraversalResult:
-        """Empty partial result when the home server is down at dispatch."""
-        cost += self.network.config.fault_timeout_cost
-        span = self.telemetry.span("traversal", start=start, hops=hops)
-        self._traversals.inc()
-        self.telemetry.counter(
-            "traversals_partial_total",
-            "traversals that returned partial results",
-        ).inc()
-        self._cost_hist.observe(cost)
-        span.set_attribute("processed", 0)
-        span.set_attribute("remote_hops", 0)
-        span.set_attribute("response", 0)
-        span.set_attribute("failed_partitions", [home])
-        span.finish(duration=cost)
-        return TraversalResult(
-            start=start,
-            hops=hops,
-            response=(),
-            processed=0,
-            remote_hops=0,
-            cost=cost,
-            failed_partitions=(home,),
-        )

@@ -17,12 +17,11 @@ and maintains it in O(1) per edge, so the live placement is a *view* of
 * :class:`ReplicaSynchronizer` models update propagation on the
   simulated clock: a primary write at time *t* ships one replica-update
   message per replica copy over the
-  :class:`~repro.cluster.network.SimulatedNetwork` (so the bytes land on
-  the per-link :class:`~repro.cluster.network.NetworkStats` with normal
-  send=receive conservation), and every replica of the vertex has
-  applied the update by *t + replica_lag*.  Until then a replica read
-  observes data aged ``now - t`` — the router serves it only while that
-  age is within the configured ``max_staleness`` bound.
+  :class:`~repro.cluster.network.SimulatedNetwork` (so the bytes land in
+  its per-link ledger and in the registry alike), and every replica of
+  the vertex has applied the update by *t + replica_lag*.  Until then a
+  replica read observes data aged ``now - t`` — the router serves it
+  only while that age is within the configured ``max_staleness`` bound.
 """
 
 from __future__ import annotations
@@ -105,9 +104,8 @@ class ReplicaSynchronizer:
         """A primary write touched ``vertices`` at simulated time ``now``.
 
         Ships one update message per replica copy through the simulated
-        network (per-link bytes counted on both the send and receive
-        side, preserving the conservation invariant) and stamps the
-        vertices so replica reads observe bounded staleness until
+        network (counted in its per-link ledger and in the registry) and
+        stamps the vertices so replica reads observe bounded staleness until
         ``now + replica_lag``.  Returns the simulated time each replica
         host spent receiving and applying its updates — replication is
         asynchronous, so the caller charges that to the replica servers'

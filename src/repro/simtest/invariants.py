@@ -41,8 +41,9 @@ and TESTING.md):
     valid server, so a stale hint is always resolvable via at most one
     forward to the authoritative catalog.
 ``telemetry-conservation``
-    Per-link bytes/messages sent equal bytes/messages received, and the
-    registry's independent network counters match the legacy stats.
+    The network's send-side per-link ledger holds no negative or
+    same-server traffic, and its aggregates equal the registry's
+    independently incremented per-kind network counters.
 ``undo-journal-closed``
     The migration executor's undo journal is closed (fully rolled back
     or past the commit point) — nothing to replay between steps.
@@ -128,10 +129,7 @@ from repro.exceptions import (
     StorageError,
     VertexUnavailableError,
 )
-from repro.telemetry.conservation import (
-    network_conservation_violations,
-    registry_conservation_violations,
-)
+from repro.telemetry.conservation import registry_conservation_violations
 
 #: every invariant name the auditor can emit, in audit order
 INVARIANT_NAMES = (
@@ -407,8 +405,7 @@ class InvariantAuditor:
         return out
 
     def _check_telemetry(self, cluster) -> List[InvariantViolation]:
-        problems = network_conservation_violations(cluster.network.stats)
-        problems += registry_conservation_violations(
+        problems = registry_conservation_violations(
             cluster.telemetry, cluster.network
         )
         return [
@@ -672,12 +669,8 @@ class InvariantAuditor:
         model.ingest_network(cluster.network.stats)
         if model.link_resets:
             return out
-        sent_messages = sum(
-            link.messages for link in cluster.network.stats.per_link.values()
-        )
-        sent_bytes = sum(
-            link.bytes for link in cluster.network.stats.per_link.values()
-        )
+        sent_messages = cluster.network.stats.messages
+        sent_bytes = cluster.network.stats.bytes_sent
         if model.link_messages_total != sent_messages:
             out.append(
                 InvariantViolation(

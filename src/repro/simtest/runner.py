@@ -365,7 +365,7 @@ def _corrupt(cluster, mode: str) -> None:
     elif mode == "journal_leak":
         cluster._executor.active_journal = [("import", 0, 0)]
     elif mode == "stats_skew":
-        cluster.network.stats.bytes_sent += 64
+        cluster.network.link_bytes[0][1] += 64
     elif mode == "queue_skew":
         # An admitted operation that never committed nor shed: breaks
         # admitted == completed + in_flight.

@@ -34,10 +34,7 @@ from repro.telemetry.registry import (
     NullRegistry,
 )
 from repro.telemetry.tracing import NULL_SPAN, SpanHandle, Tracer
-from repro.telemetry.conservation import (
-    network_conservation_violations,
-    registry_conservation_violations,
-)
+from repro.telemetry.conservation import registry_conservation_violations
 from repro.telemetry.exporters import (
     export_jsonl,
     metric_total,
@@ -65,7 +62,6 @@ __all__ = [
     "install",
     "installed",
     "metric_total",
-    "network_conservation_violations",
     "prometheus_text",
     "read_jsonl",
     "registry_conservation_violations",

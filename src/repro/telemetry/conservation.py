@@ -1,13 +1,13 @@
-"""Conservation queries over the telemetry and network accounting.
+"""Conservation query over the network's wire accounting.
 
-The simulator keeps the same traffic in three places: the legacy
-:class:`~repro.cluster.network.NetworkStats` send-side counters, its
-receive-side mirror, and the labelled counters in the telemetry registry.
-In a correct run the three always agree — every delivered message is
-charged exactly once to the sender, once to the receiver and once to the
-registry, and a faulted message to none of them.  The simtest auditor
-runs these queries between schedule steps; any disagreement means an
-accounting path dropped or double-counted traffic.
+The network counts wire traffic once, in a send-side per-link ledger of
+ints (``SimulatedNetwork.link_messages`` / ``link_bytes``, viewed by
+:class:`~repro.cluster.network.NetworkStats`); the telemetry registry's
+per-kind ``network_messages_total`` / ``network_bytes_total`` counters
+count it again by their own increments.  In a correct run the two agree
+exactly, a faulted message charged to neither.  The simtest auditor runs
+this query between schedule steps; a disagreement means an accounting
+path dropped or double-counted traffic.
 """
 
 from __future__ import annotations
@@ -15,65 +15,27 @@ from __future__ import annotations
 from typing import List
 
 
-def network_conservation_violations(stats) -> List[str]:
-    """Check send-side == receive-side accounting on a NetworkStats.
-
-    Returns human-readable violation strings (empty when conserved):
-
-    * aggregate messages/bytes sent must equal messages/bytes received;
-    * per directed link, bytes-sent must equal bytes-received and the
-      message counts must match;
-    * the aggregates must equal the sum of their per-link breakdowns.
-    """
-    problems: List[str] = []
-    if stats.messages != stats.messages_received:
-        problems.append(
-            f"messages sent={stats.messages} != received={stats.messages_received}"
-        )
-    if stats.bytes_sent != stats.bytes_received:
-        problems.append(
-            f"bytes sent={stats.bytes_sent} != received={stats.bytes_received}"
-        )
-    links = set(stats.per_link) | set(stats.received_per_link)
-    for link in sorted(links):
-        sent = stats.per_link.get(link)
-        received = stats.received_per_link.get(link)
-        if sent is None or received is None:
-            problems.append(f"link {link} accounted on only one side")
-            continue
-        if sent.bytes != received.bytes:
-            problems.append(
-                f"link {link} bytes sent={sent.bytes} != received={received.bytes}"
-            )
-        if sent.messages != received.messages:
-            problems.append(
-                f"link {link} messages sent={sent.messages}"
-                f" != received={received.messages}"
-            )
-    link_messages = sum(link.messages for link in stats.per_link.values())
-    link_bytes = sum(link.bytes for link in stats.per_link.values())
-    if link_messages != stats.messages:
-        problems.append(
-            f"per-link message sum {link_messages} != aggregate {stats.messages}"
-        )
-    if link_bytes != stats.bytes_sent:
-        problems.append(
-            f"per-link byte sum {link_bytes} != aggregate {stats.bytes_sent}"
-        )
-    return problems
-
-
 def registry_conservation_violations(telemetry, network) -> List[str]:
-    """Check the registry's network counters against the NetworkStats.
+    """Check a network's per-link ledger against the registry.
 
-    ``network_messages_total`` / ``network_bytes_total`` (summed over the
-    hop/transfer kinds for this network's label set) are an independent
-    accounting path of the same wire traffic; they must match the legacy
-    counters exactly.
+    Returns human-readable violation strings (empty when conserved): a
+    link holding a negative count or a server's traffic to itself (never
+    charged), and the ledger's aggregates — summed over its links —
+    differing from ``network_messages_total`` / ``network_bytes_total``
+    summed over the kinds for this network's labels (not checked on a
+    null hub, which has no registry).
     """
     problems: List[str] = []
+    ledger = zip(network.link_messages, network.link_bytes)
+    for src, (messages, sizes) in enumerate(ledger):
+        for dst, (count, size) in enumerate(zip(messages, sizes)):
+            if count < 0 or size < 0:
+                problems.append(
+                    f"link {(src, dst)} holds messages={count} bytes={size}"
+                )
+            elif src == dst and (count or size):
+                problems.append(f"server {src} charged traffic to itself")
     if telemetry.null:
-        # No-op registry: there is no second accounting path to compare.
         return problems
     registry = telemetry.registry
     labels = dict(getattr(network, "_labels", {}))
@@ -82,11 +44,11 @@ def registry_conservation_violations(telemetry, network) -> List[str]:
     if int(metric_messages) != network.stats.messages:
         problems.append(
             f"registry network_messages_total={int(metric_messages)}"
-            f" != stats.messages={network.stats.messages}"
+            f" != ledger messages={network.stats.messages}"
         )
     if int(metric_bytes) != network.stats.bytes_sent:
         problems.append(
             f"registry network_bytes_total={int(metric_bytes)}"
-            f" != stats.bytes_sent={network.stats.bytes_sent}"
+            f" != ledger bytes={network.stats.bytes_sent}"
         )
     return problems

@@ -109,6 +109,16 @@ class Histogram:
         self.sum += value
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value in turn (the same sum, in order)."""
+        total = self.sum
+        bucket_counts, bounds = self.bucket_counts, self.bounds
+        for value in values:
+            total += value
+            bucket_counts[bisect_left(bounds, value)] += 1
+        self.sum = total
+        self.count += len(values)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -143,6 +153,9 @@ class _NoOpInstrument:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: Sequence[float]) -> None:
         pass
 
 

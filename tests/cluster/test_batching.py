@@ -204,11 +204,17 @@ class TestCacheAfterMigration:
         assert set(first.response) == {2, 0}
         migrate(cluster, {0: (0, 1)})
         stale_before = cluster.location_cache._stale.value
+        old_home_busy = cluster.servers[0].busy_seconds
         forwarded = cluster.traverse(2, hops=1)
         # The stale hint resolves via a forwarding hop: same response.
         assert set(forwarded.response) == {2, 0}
         assert not forwarded.partial
         assert cluster.location_cache._stale.value == stale_before + 1
+        # The old home serves the batched message and the forward: one
+        # RPC dispatch each.
+        assert cluster.servers[0].busy_seconds - old_home_busy == pytest.approx(
+            2 * cluster.network.config.remote_service_cost
+        )
         # The corrected entry makes the next query cheaper (no forward).
         repeat = cluster.traverse(2, hops=1)
         assert set(repeat.response) == {2, 0}

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan, RetryPolicy
 from repro.cluster.hermes import HermesCluster
-from repro.cluster.network import SimulatedNetwork
+from repro.cluster.network import LinkStats, SimulatedNetwork
 from repro.core.migration import build_migration_plan
 from repro.exceptions import (
     ClusterError,
@@ -22,10 +22,8 @@ from repro.exceptions import (
 )
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.hashing import HashPartitioner
-from repro.telemetry.conservation import (
-    network_conservation_violations,
-    registry_conservation_violations,
-)
+from repro.telemetry import Telemetry
+from repro.telemetry.conservation import registry_conservation_violations
 from tests.conftest import (
     FixedPartitioner,
     build_placed_cluster as build_cluster,
@@ -367,33 +365,39 @@ class TestMigrationRollback:
 # Fault-window conservation
 # ======================================================================
 class TestFaultConservation:
-    """Lost messages must vanish from *both* sides of the accounting.
+    """A lost message is counted in neither the ledger nor the registry.
 
-    ``check_message`` runs before ``stats.record`` in every send path
-    (remote_hop, batched_hop, transfer), so a faulted message is charged
-    to neither the sender nor the receiver and send == receive holds at
-    every instant — including inside fault windows.  These tests pin
-    that ordering so a refactor that records before checking (leaking
-    send-side counts for dropped traffic) fails loudly.
+    ``check_message`` runs before the network's per-link ledger is
+    charged in every send path (remote_hop, batched_hop(s), transfer),
+    and the registry's network counters are charged only for messages
+    that went out, so a faulted message is charged nowhere and the
+    ledger equals the registry at every instant — including inside fault
+    windows.  These tests pin that ordering so a refactor that charges
+    before checking (leaking counts for dropped traffic) fails loudly.
     """
 
+    @staticmethod
+    def lossy_network(plan):
+        hub = Telemetry()
+        net = SimulatedNetwork(3, telemetry=hub)
+        net.attach_faults(FaultInjector(plan))
+        return net, hub.registry
+
     def test_lost_batch_leaves_all_counters_untouched(self):
-        net = SimulatedNetwork(2)
-        injector = FaultInjector(link_down_plan())
-        net.attach_faults(injector)
+        net, registry = self.lossy_network(link_down_plan())
         with pytest.raises(FaultInjectedError):
             net.batched_hop(0, 1, count=10)
         assert net.stats.messages == 0
-        assert net.stats.messages_received == 0
         assert net.stats.bytes_sent == 0
-        assert net.stats.bytes_received == 0
         assert net.stats.per_link == {}
-        assert net.stats.received_per_link == {}
-        assert network_conservation_violations(net.stats) == []
+        assert registry.total("network_messages_total") == 0
+        assert registry.total("network_bytes_total") == 0
+        assert registry.histogram("network_hop_seconds").count == 0
+        assert registry.histogram("network_batch_entries").count == 0
+        assert registry_conservation_violations(net.telemetry, net) == []
 
     def test_lost_single_hop_and_transfer_also_unaccounted(self):
-        net = SimulatedNetwork(2)
-        net.attach_faults(FaultInjector(link_down_plan()))
+        net, registry = self.lossy_network(link_down_plan())
         for send in (
             lambda: net.remote_hop(0, 1),
             lambda: net.transfer(0, 1, size=4096),
@@ -401,14 +405,28 @@ class TestFaultConservation:
             with pytest.raises(FaultInjectedError):
                 send()
         assert net.stats.messages == 0
-        assert net.stats.messages_received == 0
-        assert network_conservation_violations(net.stats) == []
+        assert registry.total("network_messages_total") == 0
+        assert registry_conservation_violations(net.telemetry, net) == []
+
+    def test_a_lost_batch_mid_call_keeps_the_batches_before_it(self):
+        """One ``batched_hops`` call ships its links in order: the batch
+        ahead of the lost one is charged to its link and to the registry,
+        the lost one and those behind it to neither."""
+        net, registry = self.lossy_network(link_down_plan())
+        with pytest.raises(FaultInjectedError):
+            net.batched_hops({(0, 2): 3, (0, 1): 10, (1, 2): 2})
+        size = net.config.batch_base_bytes + 3 * net.config.batch_entry_bytes
+        assert net.stats.per_link == {(0, 2): LinkStats(1, size)}
+        assert registry.total("network_messages_total") == 1
+        assert registry.total("network_bytes_total") == size
+        assert registry.histogram("network_batch_entries").sum == 3
+        assert registry_conservation_violations(net.telemetry, net) == []
 
     def test_partial_loss_conserves_the_delivered_remainder(self):
         """Interleaved delivered and dropped batches: the delivered ones
-        are double-entry accounted, the dropped ones nowhere."""
-        net = SimulatedNetwork(2)
-        net.attach_faults(FaultInjector(FaultPlan(seed=7, loss_rate=0.5)))
+        are in the ledger and the registry alike, the dropped ones in
+        neither."""
+        net, registry = self.lossy_network(FaultPlan(seed=7, loss_rate=0.5))
         delivered = 0
         for count in range(1, 40):
             try:
@@ -418,12 +436,13 @@ class TestFaultConservation:
                 pass
         assert 0 < delivered < 39  # the plan actually dropped some
         assert net.stats.messages == delivered
-        assert net.stats.messages_received == delivered
-        assert network_conservation_violations(net.stats) == []
+        assert registry.total("network_messages_total") == delivered
+        assert registry.histogram("network_hop_seconds").count == delivered
+        assert registry_conservation_violations(net.telemetry, net) == []
 
     def test_traversals_under_loss_and_crashes_conserve(self):
         """End-to-end: aggressive loss plus a crash window, the engine
-        keeps send == receive on every link."""
+        keeps the ledger equal to the registry."""
         graph = make_random_graph(num_vertices=80, num_edges=300, seed=23)
         placement = HashPartitioner(salt=23).partition(graph, 3)
         cluster = HermesCluster.from_graph(
@@ -441,7 +460,6 @@ class TestFaultConservation:
             result = cluster.traverse(start, hops=2)
             partials += bool(result.partial)
         assert partials > 0, "fault plan should have degraded some traversals"
-        assert network_conservation_violations(cluster.network.stats) == []
         assert (
             registry_conservation_violations(cluster.telemetry, cluster.network)
             == []
@@ -452,7 +470,6 @@ class TestFaultConservation:
         cluster.attach_faults(link_down_plan())
         with pytest.raises(MigrationAbortedError):
             cluster.repartition_static(FixedPartitioner({0: 1, 1: 1, 2: 0, 3: 2}))
-        assert network_conservation_violations(cluster.network.stats) == []
         assert (
             registry_conservation_violations(cluster.telemetry, cluster.network)
             == []

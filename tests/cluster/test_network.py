@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.network import NetworkConfig, SimulatedNetwork
+from repro.cluster.network import LinkStats, NetworkConfig, SimulatedNetwork
 from repro.exceptions import ClusterError
 from repro.telemetry import Telemetry
 
@@ -46,6 +46,23 @@ class TestCosts:
         network = SimulatedNetwork(2)
         with pytest.raises(ClusterError):
             network.remote_hop(0, 5)
+
+    def test_add_server_grows_the_ledger(self):
+        network = SimulatedNetwork(2)
+        network.remote_hop(0, 1, size=10)
+        joined = network.add_server()
+        network.remote_hop(0, joined, size=20)
+        network.batched_hop(joined, 1, count=3)
+        config = network.config
+        batch = config.batch_base_bytes + 3 * config.batch_entry_bytes
+        assert network.stats.per_link == {
+            (0, 1): LinkStats(1, 10),
+            (0, 2): LinkStats(1, 20),
+            (2, 1): LinkStats(1, batch),
+        }
+        assert [len(row) for row in network.link_bytes] == [3, 3, 3]
+        with pytest.raises(ClusterError):
+            network.remote_hop(0, 3)
 
     def test_custom_config(self):
         config = NetworkConfig(local_visit_cost=1.0, remote_hop_cost=10.0)

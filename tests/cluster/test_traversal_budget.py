@@ -1,19 +1,24 @@
 """Count guard for the traversal data plane (no timing).
 
-A traversal depth is three loops — ship the frontier, read each host's
-share in one storage pass, account per entry in order (DESIGN.md §9) —
-so the Python-level calls a traversal makes are bounded per *processed
-entry*, and the location cache is entered once per *expanded vertex*,
-never once per neighbour.  Counted with ``sys.setprofile``, the way
+A traversal depth ships its frontier in one network call, reads each
+host's share in one storage pass and charges the depth per link and per
+host (DESIGN.md §9) — so the Python-level calls a traversal makes are
+bounded per *processed entry*, the location cache is entered once per
+*expanded vertex*, never once per neighbour, and the telemetry registry
+is charged per depth and host, never per entry or per message.  Counted with ``sys.setprofile``, the way
 ``tests/core/test_phase1_budget.py`` counts calls into the auxiliary
 data: a regression into per-entry calls (a record object per access, a
 cache lookup per neighbour, an ``expand`` per entry) fails here as a
 count, on any machine.
 
-Measured on the first 1 000 operations of a ``traverse_read``-like stream
+Measured on the first 1 000 operations of ``traverse_read``'s stream
 (n=1200, 8 servers, Zipf starts, 90 % 1-hop): 23.5 calls per processed
 entry and 62 calls into ``cluster/catalog.py`` per traversal before the
-depth was split, 11.9 and 10.5 after.
+depth was split, 11.9 and 10.5 after.  Charging the depth per link and
+per host took it from 6.5 calls per processed entry and 209 registry
+instrument calls per traversal to 2.9 and 19.2; on the cluster below a
+1-hop traversal went from 5.8 calls per processed entry to 3.3 and a
+2-hop from 2.8 to 0.6.
 """
 
 from __future__ import annotations
@@ -24,23 +29,32 @@ from collections import Counter
 from repro.cluster import catalog
 from repro.graph.generators import orkut_like
 from repro.partitioning.hashing import HashPartitioner
+from repro.telemetry import registry
 from tests.conftest import build_placed_cluster
 
 #: Python-level calls allowed per processed frontier entry (the depth's
 #: fixed costs — spans, link accounting, the result — included)
-CALLS_PER_ENTRY = 14
+CALLS_PER_ENTRY = 4
+
+SERVERS = 4
+#: registry instrument calls per depth: the network's message and byte
+#: counters and its two histograms, the location cache's hits and misses
+DEPTH_SERIES = 6
+#: per query: traversals, processed, remote hops, the cost histogram
+QUERY_SERIES = 4
+INSTRUMENT_CALLS = ("inc", "observe", "observe_many", "set")
 
 
 def placed_cluster():
     graph = orkut_like(n=200, seed=7).graph
-    placement = HashPartitioner(salt=7).partition(graph, 4).as_mapping()
-    return graph, build_placed_cluster(graph, placement, num_servers=4)
+    placement = HashPartitioner(salt=7).partition(graph, SERVERS).as_mapping()
+    return graph, build_placed_cluster(graph, placement, num_servers=SERVERS)
 
 
-def count_calls(fn, *args):
+def count_calls(fn, *args, module=catalog):
     """``(result, total, by_name)``: Python-level calls made while
-    ``fn(*args)`` runs, and those into ``cluster/catalog.py`` by name."""
-    source = catalog.__file__
+    ``fn(*args)`` runs, and those into ``module`` by name."""
+    source = module.__file__
     total = 0
     by_name: Counter = Counter()
 
@@ -88,6 +102,28 @@ def test_location_cache_is_entered_once_per_expanded_vertex():
     assert two_hop["resolve_from"] == 1 + len(neighbors)
     assert two_hop["lookup_from"] == 0
 
-    # Warm, the catalog itself is consulted for the dispatch alone.
+    # Warm, the catalog itself is consulted for the dispatch alone, and
+    # the cache's counters are charged once per expanding depth.
     _, _, warm = count_calls(cluster.traverse, start, 2)
-    assert warm == {"resolve_from": 1 + len(neighbors), "lookup": 1}
+    assert warm == {
+        "resolve_from": 1 + len(neighbors), "count_resolved": 2, "lookup": 1,
+    }
+
+
+def test_registry_is_charged_per_depth_and_host_not_per_entry():
+    """Each depth charges a host's visits once and the network's series
+    once, whatever its entries and messages: the bound is in servers and
+    depths alone, so it holds however many entries a depth carries."""
+    graph, cluster = placed_cluster()
+    start = busiest_vertex(graph)
+    cluster.traverse(start, 2)
+    for hops in (1, 2):
+        messages = cluster.network.stats.messages
+        result, _, calls = count_calls(
+            cluster.traverse, start, hops, module=registry
+        )
+        messages = cluster.network.stats.messages - messages
+        charged = sum(calls[name] for name in INSTRUMENT_CALLS)
+        depths = hops + 1
+        assert charged <= depths * (SERVERS + DEPTH_SERIES) + QUERY_SERIES
+        assert result.processed > 20 * hops and messages >= SERVERS - 1

@@ -1,18 +1,23 @@
-"""Differential test: the bulk-read depth against the per-entry depth.
+"""Differential test: the per-link, per-host depth against the per-entry depth.
 
-``TraversalEngine._run_depth`` reads each host's share of a frontier in
-one storage pass and then accounts per entry in order (DESIGN.md §9).
-The depth it replaced visited one entry at a time — ``is_available``, the
-accounting, ``neighbor_entries``, one ``lookup_from`` per neighbour — and
-is kept here, test-local, as the reference.  Twin clusters, one running
-each, are driven through the same hypothesis-drawn sequence: traversals
-of 0–3 hops, physical migrations between them (stale location hints on
-the non-participants), a migration committing *between two depths* of a
-paused traversal, a fault plan whose crash window opens mid-query and
-whose links lose messages, a workload model attached.  Every observable
-must be equal, floats bit for bit: each result, each server's visits and
-busy seconds, the location caches, the network's counters, the fault
-RNG's position and the model's observation sequence.
+``TraversalEngine._run_depth`` ships a frontier in one network call,
+reads each host's share in one storage pass and charges the depth per
+link and per host, its floats summed in locals (DESIGN.md §9).  The
+depth it replaced visited one entry at a time — ``is_available``, a
+busy-counter increment per entry, ``neighbor_entries``, one
+``lookup_from`` per neighbour — and is kept here, test-local, as the
+reference.  Twin clusters, one running each, are driven through the same
+hypothesis-drawn sequence: traversals of 0–3 hops, physical migrations
+between them (stale location hints on the non-participants), a
+migration committing *between two depths* of a paused traversal, a
+fault plan whose crash window opens mid-query and whose links lose
+messages, a workload model attached.  Every observable must be equal,
+floats bit for bit: each result, the per-server busy seconds of each
+depth of a paused traversal, each server's visits and busy seconds, the
+location caches, the network's per-link ledger, every registry series,
+the clock, the fault RNG's position and the model's observation
+sequence.  Tier-1 draws 150 sequences; ``--hypothesis-profile sweep``
+draws 2 000.
 """
 
 from __future__ import annotations
@@ -95,6 +100,40 @@ def per_entry_run_depth(self, frontier, depth, state):
     return next_frontier
 
 
+class CounterRun:
+    """``state.busy`` as the reference's forwards see it: each charge
+    lands on the host's busy counter at once, as ``busy_counter.inc``."""
+
+    def __init__(self, servers):
+        self.servers = servers
+
+    def __getitem__(self, host):
+        return self.servers[host].busy_counter.value
+
+    def __setitem__(self, host, value):
+        self.servers[host].busy_counter.value = value
+
+
+def reference_run_depth(self, frontier, depth, state):
+    """The reference bound as ``_run_depth``: the busy seconds a depth
+    returns are read off the counters before and after it."""
+    before = [server.busy_counter.value for server in self.servers]
+    state.busy = CounterRun(self.servers)
+    next_frontier = per_entry_run_depth(self, frontier, depth, state)
+    busy = {}
+    for server_id, server_before in enumerate(before):
+        delta = self.servers[server_id].busy_counter.value - server_before
+        if delta > 0.0:
+            busy[server_id] = delta
+    return next_frontier, busy
+
+
+def bind_reference(cluster):
+    cluster._engine._run_depth = types.MethodType(
+        reference_run_depth, cluster._engine
+    )
+
+
 class RecordingModel:
     """The two hooks the engine and the cluster call on a workload model."""
 
@@ -126,9 +165,7 @@ def build_twin(reference, graph_seed, placement_salt, multi_edges):
         # data along the adjacency the stores list.
         cluster.aux.add_edge(u, v)
     if reference:
-        cluster._engine._run_depth = types.MethodType(
-            per_entry_run_depth, cluster._engine
-        )
+        bind_reference(cluster)
     model = RecordingModel()
     cluster.attach_workload_model(model)
     return cluster, model
@@ -168,15 +205,23 @@ def run_step(cluster, step, plan):
     # A traversal paused after its first depth while a migration commits.
     _, start, hops, vertices, shift = step
     steps = cluster._engine.traverse_steps(start, hops)
+    charged = []
     try:
-        next(steps)  # dispatch
-        next(steps)  # depth 0
+        charged.append(step_key(next(steps)))  # dispatch
+        charged.append(step_key(next(steps)))  # depth 0
         migrate(cluster, vertices, shift, plan)
         while True:
-            next(steps)
+            charged.append(step_key(next(steps)))
     except StopIteration as stop:
         cluster._advance(stop.value.cost)
-        return result_key(stop.value)
+        return result_key(stop.value), charged
+
+
+def step_key(step):
+    return (
+        step.kind, repr(step.cost), step.depth, step.frontier,
+        [(server, repr(seconds)) for server, seconds in step.busy.items()],
+    )
 
 
 def observables(cluster, model):
@@ -185,12 +230,7 @@ def observables(cluster, model):
             (server.visits, repr(server.busy_seconds)) for server in cluster.servers
         ],
         "caches": sorted(cluster.location_cache.all_entries()),
-        "network": (
-            cluster.network.stats.messages,
-            cluster.network.stats.bytes_sent,
-            cluster.network.stats.messages_received,
-            cluster.network.stats.bytes_received,
-        ),
+        "network": (cluster.network.link_messages, cluster.network.link_bytes),
         "telemetry": telemetry_snapshot(cluster),
         "clock": repr(cluster.now),
         "fault_rng": cluster.faults.rng.getstate() if cluster.faults else None,
@@ -247,7 +287,7 @@ plans = st.one_of(
     plan=plans,
     sequence=steps,
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 def test_bulk_depth_equals_per_entry_depth(
     graph_seed, placement_salt, multi_edges, plan, sequence
 ):
@@ -305,9 +345,7 @@ def test_host_dying_behind_a_stale_forward_loses_only_its_later_expansions():
         placement = {0: home, x: dying, z: dying, y: old_home, 4: home, 5: home}
         cluster = build_placed_cluster(graph, placement, num_servers=SERVERS)
         if is_reference:
-            cluster._engine._run_depth = types.MethodType(
-                per_entry_run_depth, cluster._engine
-            )
+            bind_reference(cluster)
         assert cluster.servers[home].store.neighbors(0) == [x, y, z]
         cluster.traverse(0, 1)  # the home server caches y -> old_home
         migrate_moves(cluster, {y: (old_home, new_home)})  # ... now stale
@@ -324,6 +362,38 @@ def test_host_dying_behind_a_stale_forward_loses_only_its_later_expansions():
         assert result.failed_partitions == (dying,)
         assert {x, y, z, 5} <= set(result.response)  # x was expanded
         assert 4 not in result.response  # z was not
+        outcomes.append(
+            (result_key(result), observables(cluster, RecordingModel()))
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+def test_failed_forward_at_the_final_depth_skips_later_entries_on_its_host():
+    """At the final depth a ``None`` answer takes the in-order walk: the
+    final depth here is ``[x on H, y behind a stale hint, z on H]`` and
+    y's forward to H is lost on every retry, so H fails there — x, ahead
+    of y in frontier order, is still processed; z, behind it, is skipped."""
+    home, new_home, old_home = 0, 1, 2
+    x, y, z = 3, 2, 1
+    outcomes = []
+    for is_reference in (False, True):
+        graph = SocialGraph.from_edges([(0, 1), (0, 2), (0, 3)])
+        placement = {0: home, x: new_home, z: new_home, y: old_home}
+        cluster = build_placed_cluster(graph, placement, num_servers=SERVERS)
+        if is_reference:
+            bind_reference(cluster)
+        assert cluster.servers[home].store.neighbors(0) == [x, y, z]
+        cluster.traverse(0, 1)  # the home server caches y -> old_home
+        migrate_moves(cluster, {y: (old_home, new_home)})  # ... now stale
+        cluster.attach_faults(
+            FaultPlan(seed=3, link_loss={(old_home, new_home): 1.0})
+        )
+        visits_before = cluster.servers[new_home].visits
+        result = cluster.traverse(0, 1)
+        assert result.failed_partitions == (new_home,)
+        assert x in result.response
+        assert y not in result.response and z not in result.response
+        assert cluster.servers[new_home].visits == visits_before + 1  # x alone
         outcomes.append(
             (result_key(result), observables(cluster, RecordingModel()))
         )

@@ -31,8 +31,9 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.storage.records import FixedRecordStore
 
 #: ``--hypothesis-profile sweep``: the wide CI sweep for property tests
-#: that leave ``max_examples`` to the profile (the adjacency-view
-#: differential in ``tests/storage/test_read_frontier.py``).
+#: that take ``max_examples`` from the profile (the adjacency-view
+#: differential in ``tests/storage/test_read_frontier.py`` and the
+#: traversal differential in ``tests/cluster/test_traversal_differential.py``).
 settings.register_profile("sweep", max_examples=2000)
 
 

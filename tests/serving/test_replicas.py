@@ -11,7 +11,7 @@ from repro.serving import ReplicaIndex, ReplicaSynchronizer, ServingFrontend
 from repro.serving.config import ServingConfig
 from repro.serving.frontend import COMPLETED
 from repro.telemetry import Telemetry
-from repro.telemetry.conservation import network_conservation_violations
+from repro.telemetry.conservation import registry_conservation_violations
 from repro.workloads.queries import Traversal
 from tests.conftest import (
     link_down_plan,
@@ -181,7 +181,10 @@ class TestSynchronizer:
             cluster.network.stats.bytes_sent
             == before + config.replica_update_bytes
         )
-        assert network_conservation_violations(cluster.network.stats) == []
+        assert (
+            registry_conservation_violations(cluster.telemetry, cluster.network)
+            == []
+        )
 
     def test_update_charges_replica_host_not_caller(self):
         cluster = cut_pair_cluster()

@@ -55,6 +55,19 @@ def corrupted_schedule(seed=7, mode="catalog_drift", at=12):
     return spec, schedule[:at] + [Step("corrupt", {"mode": mode})] + schedule[at:]
 
 
+def first_violations_without_reference(spec, schedule):
+    """Apply the schedule step by step, auditing with no reference graph
+    (as the wall-clock benchmark audits); the first violations found."""
+    runner, auditor = ScenarioRunner(), InvariantAuditor()
+    cluster = build_cluster(spec)
+    for step in schedule:
+        runner._apply(cluster, step)
+        violations = auditor.audit(cluster)
+        if violations:
+            return violations
+    return []
+
+
 class TestAuditor:
     def test_healthy_cluster_audits_clean(self):
         spec, _ = ScenarioGenerator(3).generate()
@@ -64,7 +77,7 @@ class TestAuditor:
     def test_check_raises_with_violation_list(self):
         spec, _ = ScenarioGenerator(3).generate()
         cluster = build_cluster(spec)
-        cluster.network.stats.bytes_sent += 1
+        cluster.network.link_bytes[0][1] += 1
         with pytest.raises(InvariantViolationError) as info:
             InvariantAuditor().check(cluster)
         assert info.value.violations
@@ -86,14 +99,7 @@ class TestAuditor:
         cluster's own view, and each mode is still named by the same
         invariant."""
         spec, schedule = corrupted_schedule(mode=mode)
-        runner, auditor = ScenarioRunner(), InvariantAuditor()
-        cluster = build_cluster(spec)
-        violations = []
-        for step in schedule:
-            runner._apply(cluster, step)
-            violations = auditor.audit(cluster)
-            if violations:
-                break
+        violations = first_violations_without_reference(spec, schedule)
         assert any(v.invariant == EXPECTED_INVARIANT[mode] for v in violations), [
             str(v) for v in violations
         ]
@@ -114,6 +120,19 @@ class TestAuditor:
         assert {v.invariant for v in outcome.violations} == {
             "adjacency-view-coherence"
         }
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    def test_a_skewed_link_trips_telemetry_conservation_alone(self, with_reference):
+        """One link of the ledger drifts from the registry: the stores,
+        the caches and the model's link totals (it folds the ledger in)
+        are all still right, with or without a reference graph."""
+        spec, schedule = corrupted_schedule(mode="stats_skew")
+        if with_reference:
+            violations = ScenarioRunner().run(spec, schedule).violations
+        else:
+            violations = first_violations_without_reference(spec, schedule)
+        assert violations
+        assert {v.invariant for v in violations} == {"telemetry-conservation"}
 
 
 class TestDeterminism:

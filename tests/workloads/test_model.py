@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.network import NetworkStats
+from repro.cluster.network import SimulatedNetwork
 from repro.exceptions import WorkloadError
 from repro.workloads.model import WorkloadModel, edge_key
 from repro.workloads.queries import InsertVertex, Traversal
@@ -260,12 +260,18 @@ class TestTraceIngestion:
         assert offline.observations == live.observations
 
 
+def ledger():
+    """A network's read-only stats view and the sender that charges it."""
+    network = SimulatedNetwork(3)
+    return network.stats, network.remote_hop
+
+
 class TestLinkIngestion:
     def test_conserves_send_side(self):
-        stats = NetworkStats()
-        stats.record(0, 1, 100)
-        stats.record(0, 1, 50)
-        stats.record(1, 2, 30)
+        stats, send = ledger()
+        send(0, 1, 100)
+        send(0, 1, 50)
+        send(1, 2, 30)
         model = WorkloadModel()
         model.ingest_network(stats)
         assert model.link_messages_total == stats.messages
@@ -273,28 +279,28 @@ class TestLinkIngestion:
         assert model.link_heat(0, 1) == {"messages": 2.0, "bytes": 150.0}
 
     def test_idempotent_and_incremental(self):
-        stats = NetworkStats()
-        stats.record(0, 1, 10)
+        stats, send = ledger()
+        send(0, 1, 10)
         model = WorkloadModel()
         model.ingest_network(stats)
         model.ingest_network(stats)  # same snapshot: no double count
         assert model.link_messages_total == 1
-        stats.record(0, 1, 20)
+        send(0, 1, 20)
         model.ingest_network(stats)
         assert model.link_messages_total == 2
         assert model.link_bytes_total == 30
 
     def test_counter_reset_starts_fresh_epoch(self):
-        # A restarted server re-creates its NetworkStats from zero: the
+        # A restarted server re-creates its network ledger from zero: the
         # regressed counters are a *reset*, not a negative delta — the
         # post-restart traffic is counted in full and the reset recorded.
-        stats = NetworkStats()
-        stats.record(0, 1, 10)
+        stats, send = ledger()
+        send(0, 1, 10)
         model = WorkloadModel()
         model.ingest_network(stats)
         assert model.link_resets == 0
-        fresh = NetworkStats()  # restart: counters back to zero
-        fresh.record(0, 1, 5)
+        fresh, send_fresh = ledger()  # restart: counters back to zero
+        send_fresh(0, 1, 5)
         model.ingest_network(fresh)
         assert model.link_resets == 1
         # Pre-restart delta (1 msg / 10 bytes) + post-restart traffic
@@ -308,15 +314,15 @@ class TestLinkIngestion:
         assert model.link_resets == 1
 
     def test_reset_mid_stream_keeps_counting_increments(self):
-        stats = NetworkStats()
-        stats.record(0, 1, 10)
+        stats, send = ledger()
+        send(0, 1, 10)
         model = WorkloadModel()
         model.ingest_network(stats)
-        restarted = NetworkStats()
-        restarted.record(0, 1, 5)
+        restarted, send_restarted = ledger()
+        send_restarted(0, 1, 5)
         model.ingest_network(restarted)
         # Traffic after the restart accumulates as ordinary deltas again.
-        restarted.record(0, 1, 20)
+        send_restarted(0, 1, 20)
         model.ingest_network(restarted)
         assert model.link_messages_total == 3
         assert model.link_bytes_total == 35
