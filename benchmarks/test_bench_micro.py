@@ -148,8 +148,10 @@ def test_bench_phase1_stage(benchmark, csr_20k):
 
 
 def test_bench_phase1_end_to_end(benchmark):
-    """End-to-end phase-1 run at n=5000 / 8 partitions (see
-    BENCH_repartitioner.json at the repo root for the recorded numbers)."""
+    """End-to-end phase-1 run at n=5000 / 8 partitions, seed 21, k=10,
+    60 iterations.  Not BENCH_repartitioner.json's workload (seed 42, 50
+    iterations, default k): that one is timed by
+    ``test_bench_telemetry.py::test_bench_phase1_null_telemetry``."""
     dataset = orkut_like(n=5000, seed=21)
     graph = dataset.graph
 

@@ -1,8 +1,8 @@
 """Benchmark: the CSR-substrate scale trajectory (BENCH_scale).
 
-Runs a scaled-down trajectory by default (the full 100 K / 1 M run is the
-CI ``scale-smoke`` job and ``python -m repro.experiments.scale``); scale
-up with ``HERMES_BENCH_SCALE_N``::
+Runs a scaled-down trajectory by default (the full 100 K / 1 M run is
+``hermes-experiments scale --check``, also in CI); scale up with
+``HERMES_BENCH_SCALE_N``::
 
     HERMES_BENCH_SCALE_N=100000 pytest benchmarks/test_bench_scale.py --benchmark-only
 """
@@ -39,6 +39,7 @@ def test_bench_scale(benchmark, record_table):
     assert result.memory.retained_ratio <= 0.25
     # Acceptance gate: phase-1 outcomes are byte-identical across substrates.
     assert result.parity.match
+    assert not scale.gate_failures(result)
 
     benchmark.extra_info["ingest_eps"] = [
         round(p.ingest_edges_per_second) for p in result.points

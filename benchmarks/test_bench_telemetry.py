@@ -8,7 +8,9 @@ at the repo root).  The recording-hub variant is benchmarked alongside so
 the cost of full capture is visible, not guessed.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,10 @@ from repro.telemetry import Telemetry
 #: the BENCH_repartitioner.json acceptance workload
 REFERENCE_N = 5000
 REFERENCE_SEED = 42
+#: its recorded outcome: iterations, edge cuts, moves
+REFERENCE_OUTPUT = json.loads(
+    (Path(__file__).parent.parent / "BENCH_repartitioner.json").read_text()
+)["output_identity"]
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +49,10 @@ def test_bench_phase1_null_telemetry(benchmark, reference_graph):
         run_phase1, args=(reference_graph,), rounds=3, iterations=1
     )
     # Output identity with the recorded reference run.
-    assert result.iterations == 50
-    assert result.initial_edge_cut == 39105
-    assert result.final_edge_cut == 8253
-    assert len(result.moves) == 4146
+    assert result.iterations == REFERENCE_OUTPUT["iterations"]
+    assert result.initial_edge_cut == REFERENCE_OUTPUT["initial_edge_cut"]
+    assert result.final_edge_cut == REFERENCE_OUTPUT["final_edge_cut"]
+    assert len(result.moves) == REFERENCE_OUTPUT["moves"]
 
 
 def test_bench_phase1_recording_telemetry(benchmark, reference_graph):
@@ -56,7 +62,7 @@ def test_bench_phase1_recording_telemetry(benchmark, reference_graph):
         return run_phase1(reference_graph, telemetry=Telemetry(record=True))
 
     result = benchmark.pedantic(run_recorded, rounds=3, iterations=1)
-    assert result.final_edge_cut == 8253
+    assert result.final_edge_cut == REFERENCE_OUTPUT["final_edge_cut"]
 
 
 def test_bench_traversal_null_vs_instrumented(benchmark):

@@ -164,11 +164,3 @@ def render(result: AblationResult) -> str:
         "looser epsilon admits more cut-reducing moves at the price of balance"
     )
     return stages.to_text() + "\n\n" + epsilons.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

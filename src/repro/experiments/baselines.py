@@ -115,11 +115,3 @@ def render(result: BaselinesResult) -> str:
         "gap to the multilevel gold standard"
     )
     return table.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -23,25 +23,17 @@ timeline:
   Because the plan is fixed up front and the catalog commit is atomic,
   both must land on the *same* placement and the same edge-cut.
 
-The acceptance gates are computed in :func:`run` and pinned both by
-``benchmarks/test_bench_concurrency.py`` and the CI concurrency-smoke
-job against ``BENCH_concurrency.json``.
-
-CLI::
-
-    python -m repro.experiments.concurrency --n 800 --servers 8 \\
-        --out BENCH_concurrency.json
+The acceptance gates are computed in :func:`run`, checked by
+:func:`gate_failures` and pinned both by
+``benchmarks/test_bench_concurrency.py`` and ``hermes-experiments
+concurrency --check`` against ``BENCH_concurrency.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import telemetry as telemetry_pkg
 from repro.analysis.report import Table
 from repro.cluster.clients import ClientPool
 from repro.cluster.hermes import HermesCluster
@@ -372,16 +364,22 @@ def run(
     )
 
 
-def gates_pass(result: ConcurrencyResult) -> bool:
+def gate_failures(result: ConcurrencyResult) -> List[str]:
+    """The acceptance gates ``result`` misses; empty when all pass."""
     gates = result.gates
-    return (
-        gates["scaling_speedup_16"] >= gates["scaling_floor_16"]
-        and gates["saturation_ratio_32"] >= gates["saturation_floor_32"]
-        and gates["migration_vertices_moved"] > 0
-        and gates["migration_violations"] == 0
-        and bool(gates["parity_edge_cut_match"])
-        and bool(gates["parity_placement_match"])
-    )
+    checks = {
+        "scaling_speedup_16 >= scaling_floor_16": (
+            gates["scaling_speedup_16"] >= gates["scaling_floor_16"]
+        ),
+        "saturation_ratio_32 >= saturation_floor_32": (
+            gates["saturation_ratio_32"] >= gates["saturation_floor_32"]
+        ),
+        "migration_vertices_moved > 0": gates["migration_vertices_moved"] > 0,
+        "migration_violations == 0": gates["migration_violations"] == 0,
+        "parity_edge_cut_match": bool(gates["parity_edge_cut_match"]),
+        "parity_placement_match": bool(gates["parity_placement_match"]),
+    }
+    return [gate for gate, passed in checks.items() if not passed]
 
 
 def render(result: ConcurrencyResult) -> str:
@@ -423,77 +421,6 @@ def render(result: ConcurrencyResult) -> str:
         f"{gates['saturation_ratio_32']:.2f} (floor "
         f"{gates['saturation_floor_32']:g}), violations "
         f"{gates['migration_violations']:g} -> "
-        + ("PASS" if gates_pass(result) else "FAIL")
+        + ("FAIL" if gate_failures(result) else "PASS")
     )
     return table.to_text()
-
-
-def to_json_payload(result: ConcurrencyResult) -> dict:
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        if isinstance(value, dict):
-            return {str(k): plain(v) for k, v in value.items()}
-        return value
-
-    payload = plain(result)
-    payload["gates_pass"] = gates_pass(result)
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-concurrency",
-        description="Event-queue scheduler benchmark (BENCH_concurrency)",
-    )
-    parser.add_argument("--n", type=int, default=800)
-    parser.add_argument("--servers", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        help="operations per scaling point (default: scenario defaults)",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_concurrency.json",
-        help="JSON output path (default: BENCH_concurrency.json)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        default=None,
-        help="record telemetry during the run and write the JSONL log here",
-    )
-    args = parser.parse_args(argv)
-
-    scale = ClusterScale(n=args.n, num_servers=args.servers, seed=args.seed)
-    hub = None
-    if args.telemetry_out:
-        hub = telemetry_pkg.Telemetry(record=True)
-        telemetry_pkg.install(hub)
-    try:
-        result = run(scale, ops=args.ops)
-    finally:
-        if hub is not None:
-            telemetry_pkg.install(None)
-    print(render(result))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(to_json_payload(result), handle, indent=2)
-    print(f"[benchmark written to {args.out}]")
-    if hub is not None:
-        lines = telemetry_pkg.export_jsonl(
-            hub, args.telemetry_out, meta={"experiments": ["concurrency"]}
-        )
-        print(f"[telemetry log ({lines} lines) written to {args.telemetry_out}]")
-    return 0 if gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -22,25 +22,17 @@ Three scenarios exercise the elastic-membership machinery end to end:
   every episode's recovered store equals the live store that crashed,
   and the full simtest invariant audit stays clean afterwards.
 
-The acceptance gates are computed in :func:`run` and pinned both by
-``benchmarks/test_bench_elasticity.py`` and the CI elasticity-smoke job
-against ``BENCH_elasticity.json``.
-
-CLI::
-
-    python -m repro.experiments.elasticity --n 800 --servers 8 \\
-        --out BENCH_elasticity.json
+The acceptance gates are computed in :func:`run`, checked by
+:func:`gate_failures` and pinned both by
+``benchmarks/test_bench_elasticity.py`` and ``hermes-experiments
+elasticity --check`` against ``BENCH_elasticity.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from repro import telemetry as telemetry_pkg
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
 from repro.experiments.common import ClusterScale
@@ -301,17 +293,23 @@ def run(scale: ClusterScale = ClusterScale()) -> ElasticityResult:
     )
 
 
-def gates_pass(result: ElasticityResult) -> bool:
+def gate_failures(result: ElasticityResult) -> List[str]:
+    """The acceptance gates ``result`` misses; empty when all pass."""
     gates = result.gates
-    return (
-        gates["scaleout_moved"] > 0
-        and gates["scaleout_moved_fraction"] <= gates["scaleout_fraction_ceiling"]
-        and gates["drain_primaries_left"] == 0
-        and gates["drain_goodput_retention"] >= gates["drain_retention_floor"]
-        and gates["recovery_episodes"] > 0
-        and gates["recovery_mismatches"] == 0
-        and gates["recovery_audit_violations"] == 0
-    )
+    checks = {
+        "scaleout_moved > 0": gates["scaleout_moved"] > 0,
+        "scaleout_moved_fraction <= scaleout_fraction_ceiling": (
+            gates["scaleout_moved_fraction"] <= gates["scaleout_fraction_ceiling"]
+        ),
+        "drain_primaries_left == 0": gates["drain_primaries_left"] == 0,
+        "drain_goodput_retention >= drain_retention_floor": (
+            gates["drain_goodput_retention"] >= gates["drain_retention_floor"]
+        ),
+        "recovery_episodes > 0": gates["recovery_episodes"] > 0,
+        "recovery_mismatches == 0": gates["recovery_mismatches"] == 0,
+        "recovery_audit_violations == 0": gates["recovery_audit_violations"] == 0,
+    }
+    return [gate for gate, passed in checks.items() if not passed]
 
 
 def render(result: ElasticityResult) -> str:
@@ -362,68 +360,6 @@ def render(result: ElasticityResult) -> str:
         f"{gates['drain_retention_floor']:g}), recovery mismatches "
         f"{gates['recovery_mismatches']:g}, audit violations "
         f"{gates['recovery_audit_violations']:g} -> "
-        + ("PASS" if gates_pass(result) else "FAIL")
+        + ("FAIL" if gate_failures(result) else "PASS")
     )
     return table.to_text()
-
-
-def to_json_payload(result: ElasticityResult) -> dict:
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        if isinstance(value, dict):
-            return {str(k): plain(v) for k, v in value.items()}
-        return value
-
-    payload = plain(result)
-    payload["gates_pass"] = gates_pass(result)
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-elasticity",
-        description="Elastic membership benchmark (BENCH_elasticity)",
-    )
-    parser.add_argument("--n", type=int, default=800)
-    parser.add_argument("--servers", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--out",
-        default="BENCH_elasticity.json",
-        help="JSON output path (default: BENCH_elasticity.json)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        default=None,
-        help="record telemetry during the run and write the JSONL log here",
-    )
-    args = parser.parse_args(argv)
-
-    hub = None
-    if args.telemetry_out:
-        hub = telemetry_pkg.Telemetry(record=True)
-        telemetry_pkg.install(hub)
-    try:
-        result = run(ClusterScale(n=args.n, num_servers=args.servers, seed=args.seed))
-    finally:
-        if hub is not None:
-            telemetry_pkg.install(None)
-            telemetry_pkg.export_jsonl(
-                hub, args.telemetry_out, meta={"source": "elasticity"}
-            )
-    print(render(result))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(to_json_payload(result), handle, indent=2, sort_keys=True)
-    print(f"wrote {args.out}")
-    return 0 if gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

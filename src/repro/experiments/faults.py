@@ -84,6 +84,9 @@ def _run_rate(dataset: Dataset, rate: float, scale: ClusterScale) -> dict:
     )
     if rate:
         cluster.attach_faults(FaultPlan(seed=scale.seed, loss_rate=rate))
+    # An installed hub is shared by every cluster of the sweep: count this
+    # cluster's faults as a delta.
+    injected_before = _faults_injected(cluster)
 
     rng = random.Random(scale.seed + 1)
     vertices = sorted(cluster.graph.vertices())
@@ -110,12 +113,7 @@ def _run_rate(dataset: Dataset, rate: float, scale: ClusterScale) -> dict:
         if outcome is not None:
             moved = outcome[0].vertices_moved
 
-    injected = int(
-        sum(
-            cluster.telemetry.counter("faults_injected_total", kind=kind).value
-            for kind in ("server_down", "message_loss", "timeout")
-        )
-    )
+    injected = _faults_injected(cluster) - injected_before
     return {
         "loss_rate": rate,
         "traversals": TRAVERSAL_QUERIES,
@@ -127,6 +125,15 @@ def _run_rate(dataset: Dataset, rate: float, scale: ClusterScale) -> dict:
         "migration_succeeded": succeeded,
         "vertices_moved": moved,
     }
+
+
+def _faults_injected(cluster: HermesCluster) -> int:
+    return int(
+        sum(
+            cluster.telemetry.counter("faults_injected_total", kind=kind).value
+            for kind in ("server_down", "message_loss", "timeout")
+        )
+    )
 
 
 def render(result: FaultsResult) -> str:
@@ -159,11 +166,3 @@ def render(result: FaultsResult) -> str:
         "retries start from scratch (idempotent)"
     )
     return table.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

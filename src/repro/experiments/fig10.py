@@ -171,11 +171,3 @@ def render(result: Fig10Result) -> str:
         chart.add_bar(f"{dataset} @0%", indexed[(dataset, 0.0)].throughput_vps)
         chart.add_bar(f"{dataset} @30%", indexed[(dataset, 0.3)].throughput_vps)
     return "\n\n".join([table.to_text(), chart.to_text(), readback.to_text()])
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

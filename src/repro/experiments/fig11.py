@@ -75,11 +75,3 @@ def render(result: Fig11Result) -> str:
         "paper: balance factor degrades ~1.05 (k=500) -> ~1.16 (k=2000)"
     )
     return cuts.to_text() + "\n\n" + balance.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -43,11 +43,3 @@ def render(result: Fig7Result) -> str:
         "paper: Hermes within ~1% of Metis on all three datasets"
     )
     return table.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

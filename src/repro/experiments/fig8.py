@@ -54,11 +54,3 @@ def render(result: Fig8Result) -> str:
         "paper: Hermes changes ~5% of relationships; Metis an order of magnitude more"
     )
     return vertices.to_text() + "\n\n" + relationships.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -172,11 +172,3 @@ def render(result: Fig9Result) -> str:
         "response/processed ratio ~0.39 (Metis) / 0.28 (Random) vs 1.0 for 1-hop"
     )
     return "\n\n".join(blocks)
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

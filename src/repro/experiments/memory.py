@@ -87,11 +87,3 @@ def _human(size: int) -> str:
             return f"{value:,.1f} {unit}"
         value /= 1024
     return f"{value:,.1f} GB"
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

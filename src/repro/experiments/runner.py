@@ -1,39 +1,56 @@
-"""CLI: regenerate the paper's tables and figures.
+"""CLI: regenerate the paper's tables and figures, and check the committed ones.
 
 Usage::
 
-    hermes-experiments --experiment all
-    hermes-experiments --experiment fig9 --n 1200 --servers 16
-    hermes-experiments --experiment fig7 --json results.json \
-        --telemetry-out telemetry.jsonl
-    python -m repro.experiments.runner --experiment table1 fig7
+    hermes-experiments all                       # print every table/figure
+    hermes-experiments fig9 --n 1200 --servers 16
+    hermes-experiments batching --out .          # (re)write BENCH_batching.json
+    hermes-experiments concurrency --check       # reproduce the committed file
+    hermes-experiments fig7 --telemetry-out telemetry.jsonl
 
-``--json`` writes every experiment's result dataclasses as one JSON
-document next to the human-readable tables.  ``--telemetry-out``
-installs a recording telemetry hub for the duration of the run and dumps
-the full JSONL log (metrics, spans, events) afterwards — machine-readable
-provenance for the regenerated figures.
+(``python -m repro.experiments`` is the same command.)
+
+``--out DIR`` writes each experiment's result as ``DIR/BENCH_<name>.json``:
+its result dataclass as JSON plus ``gates_pass`` (experiments with
+gates), ``clock`` (``simulated`` cost-model seconds or ``wall``),
+``args`` (what it ran at) and, on the wall clock, ``machine``.
+
+``--check`` re-runs each experiment at the ``args`` of its committed
+``BENCH_<name>.json`` in the current directory and fails, naming each
+path, on any differing, missing or extra field — except the fields a
+``wall`` experiment measures on the machine (seconds, rates, RSS,
+tracemalloc bytes, ``machine``) — and on any failing gate.  Without
+``--check`` a failing gate still fails the run.
+
+``--telemetry-out`` installs a recording telemetry hub for the run and
+dumps the full JSONL log (metrics, spans, events) afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import os
+import platform
+import re
 import sys
 import time
-from dataclasses import replace
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from types import ModuleType
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro import telemetry as telemetry_pkg
 from repro.experiments import (
     ablations,
     baselines,
     batching,
-    common,
     concurrency,
+    elasticity,
     faults,
-    spar,
     fig7,
     fig8,
     fig9,
@@ -42,51 +59,57 @@ from repro.experiments import (
     memory,
     scale as scale_experiment,
     serving,
+    spar,
     table1,
     table2,
     workload,
 )
+from repro.experiments.common import ClusterScale, GraphScale
 
-#: experiment name -> (module, needs_cluster_scale)
-EXPERIMENTS: Dict[str, Tuple[object, bool]] = {
-    "table1": (table1, False),
-    "fig7": (fig7, False),
-    "fig8": (fig8, False),
-    "fig9": (fig9, True),
-    "fig10": (fig10, True),
-    "fig11": (fig11, False),
-    "table2": (table2, False),
-    "memory": (memory, False),
-    "ablations": (ablations, False),
-    "baselines": (baselines, False),
-    "spar": (spar, False),
-    "faults": (faults, True),
-    "batching": (batching, True),
-    "concurrency": (concurrency, True),
-    "scale": (scale_experiment, False),
-    "serving": (serving, True),
-    "workload": (workload, True),
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment."""
+
+    module: ModuleType
+    #: what ``run`` takes: a ``GraphScale``, a ``ClusterScale``, or a
+    #: ``GraphScale`` plus the ``sizes`` of a trajectory (``--n`` list)
+    scale: str
+    #: the committed result at the repo root, if there is one
+    bench: Optional[str] = None
+    #: ``simulated`` (cost-model seconds) or ``wall`` (measured here)
+    clock: str = "simulated"
+
+
+#: every experiment, in the order ``all`` runs them
+REGISTRY: Dict[str, Experiment] = {
+    "table1": Experiment(table1, "graph"),
+    "fig7": Experiment(fig7, "graph"),
+    "fig8": Experiment(fig8, "graph"),
+    "fig9": Experiment(fig9, "cluster"),
+    "fig10": Experiment(fig10, "cluster"),
+    "fig11": Experiment(fig11, "graph"),
+    "table2": Experiment(table2, "graph"),
+    "memory": Experiment(memory, "graph"),
+    "ablations": Experiment(ablations, "graph"),
+    "baselines": Experiment(baselines, "graph"),
+    "spar": Experiment(spar, "graph"),
+    "faults": Experiment(faults, "cluster", "BENCH_faults.json"),
+    "batching": Experiment(batching, "cluster", "BENCH_batching.json"),
+    "concurrency": Experiment(concurrency, "cluster", "BENCH_concurrency.json"),
+    "elasticity": Experiment(elasticity, "cluster", "BENCH_elasticity.json"),
+    "scale": Experiment(
+        scale_experiment, "trajectory", "BENCH_scale.json", clock="wall"
+    ),
+    "serving": Experiment(serving, "cluster", "BENCH_serving.json"),
+    "workload": Experiment(workload, "cluster", "BENCH_workload.json"),
 }
 
-ORDER = [
-    "table1",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "table2",
-    "memory",
-    "ablations",
-    "baselines",
-    "spar",
-    "faults",
-    "batching",
-    "concurrency",
-    "scale",
-    "serving",
-    "workload",
-]
+#: leaves of a ``wall`` payload measured on the machine, which ``--check``
+#: lets differ: seconds, rates, RSS, tracemalloc bytes and their ratios
+WALL_FIELDS = re.compile(
+    r"(seconds|_per_second|rss_bytes|(retained|peak)_(bytes|ratio))$|^/machine/"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,61 +119,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiments",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help="experiments to run (positional form of --experiment)",
-    )
-    parser.add_argument(
-        "--experiment",
         nargs="+",
-        default=None,
-        help=f"experiments to run: all, or any of {', '.join(ORDER)}",
+        metavar="EXPERIMENT",
+        help=f"all, or any of: {', '.join(REGISTRY)}",
     )
-    parser.add_argument("--n", type=int, default=None, help="graph size override")
     parser.add_argument(
-        "--servers", type=int, default=None, help="partition/server count override"
+        "--n", type=int, nargs="+", help="graph size (scale takes a trajectory)"
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--servers", type=int, help="partition/server count")
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write machine-readable results (one JSON document) here",
+        "--ops", type=int, help="operation budget, where the experiment takes one"
+    )
+    parser.add_argument(
+        "--out", metavar="DIR", help="write each result as DIR/BENCH_<name>.json"
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="re-run at the args of the committed BENCH_<name>.json; "
+        "fail on any differing field or failing gate",
     )
     parser.add_argument(
         "--telemetry-out",
         metavar="PATH",
-        default=None,
-        help=(
-            "record cluster-wide telemetry during the run and write the "
-            "JSONL log (metrics, spans, events) here"
-        ),
+        help="record telemetry during the run and write the JSONL log here",
     )
     return parser
 
 
-def resolve_scales(args: argparse.Namespace):
-    graph_scale = common.GraphScale()
-    cluster_scale = common.ClusterScale()
-    if args.n is not None:
-        graph_scale = replace(graph_scale, n=args.n)
-        cluster_scale = replace(cluster_scale, n=args.n)
-    if args.servers is not None:
-        graph_scale = replace(graph_scale, num_partitions=args.servers)
-        cluster_scale = replace(cluster_scale, num_servers=args.servers)
-    if args.seed is not None:
-        graph_scale = replace(graph_scale, seed=args.seed)
-        cluster_scale = replace(cluster_scale, seed=args.seed)
-    return graph_scale, cluster_scale
+def resolve_args(name: str, flags: argparse.Namespace) -> Dict[str, Any]:
+    """The arguments ``name`` runs at: the flags given, else its defaults."""
+    entry = REGISTRY[name]
+    defaults = ClusterScale() if entry.scale == "cluster" else GraphScale()
+    servers = (
+        defaults.num_servers if entry.scale == "cluster" else defaults.num_partitions
+    )
+    sizes = flags.n or [defaults.n]
+    args: Dict[str, Any] = {
+        "n": sizes if entry.scale == "trajectory" else sizes[0],
+        "servers": servers if flags.servers is None else flags.servers,
+        "seed": defaults.seed if flags.seed is None else flags.seed,
+    }
+    takes_ops = "ops" in inspect.signature(entry.module.run).parameters
+    if flags.ops is not None and takes_ops:
+        args["ops"] = flags.ops
+    return args
+
+
+def run_experiment(name: str, args: Dict[str, Any]):
+    entry = REGISTRY[name]
+    kwargs = {"ops": args["ops"]} if "ops" in args else {}
+    if entry.scale == "cluster":
+        scale = ClusterScale(
+            n=args["n"], num_servers=args["servers"], seed=args["seed"]
+        )
+    elif entry.scale == "graph":
+        scale = GraphScale(
+            n=args["n"], num_partitions=args["servers"], seed=args["seed"]
+        )
+    else:
+        scale = GraphScale(num_partitions=args["servers"], seed=args["seed"])
+        kwargs["sizes"] = args["n"]
+    return entry.module.run(scale, **kwargs)
 
 
 def jsonable(value: Any) -> Any:
-    """Best-effort conversion of experiment result objects to JSON types."""
+    """A result object as JSON types: dataclasses become objects with
+    their fields, then their properties."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
+        out = {
             field.name: jsonable(getattr(value, field.name))
             for field in dataclasses.fields(value)
         }
+        for name, attribute in vars(type(value)).items():
+            if isinstance(attribute, property):
+                out[name] = jsonable(getattr(value, name))
+        return out
     if isinstance(value, dict):
         return {str(key): jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -162,64 +207,128 @@ def jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def bench_payload(
+    name: str, result, args: Dict[str, Any], failures: Optional[List[str]]
+) -> Dict[str, Any]:
+    """What ``BENCH_<name>.json`` holds for ``result``; ``failures`` is
+    None for an experiment without gates."""
+    entry = REGISTRY[name]
+    payload = jsonable(result)
+    if failures is not None:
+        payload["gates_pass"] = not failures
+    payload["clock"] = entry.clock
+    payload["args"] = args
+    if entry.clock == "wall":
+        payload["machine"] = {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        }
+    return payload
+
+
+def flatten(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
+    """``(path, leaf)`` pairs of a JSON document, paths like ``/a/0/b``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from flatten(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from flatten(item, f"{path}/{index}")
+    else:
+        yield path, value
+
+
+def _differs(old: Any, new: Any) -> bool:
+    # NaN, the one value unequal to itself, reproduces as NaN.
+    return old != new and not (old != old and new != new)
+
+
+def check(committed: Dict[str, Any], fresh: Dict[str, Any], clock: str) -> List[str]:
+    """Every way ``fresh`` fails to reproduce ``committed``, one per path."""
+    old, new = dict(flatten(committed)), dict(flatten(fresh))
+    problems = []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new:
+            problems.append(f"{path}: committed {old[path]!r}, now missing")
+        elif path not in old:
+            problems.append(f"{path}: not committed, now {new[path]!r}")
+        elif _differs(old[path], new[path]) and not (
+            clock == "wall" and WALL_FIELDS.search(path)
+        ):
+            problems.append(f"{path}: committed {old[path]!r}, now {new[path]!r}")
+    if fresh.get("gates_pass") is False:
+        problems.append("gates_pass: a gate fails")
+    return problems
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # Positional and --experiment forms compose; default is everything.
-    names = list(args.experiments) + list(args.experiment or [])
-    if not names:
-        names = ["all"]
-    if "all" in names:
-        names = ORDER
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    parser = build_parser()
+    flags = parser.parse_args(argv)
+    names = list(REGISTRY) if "all" in flags.experiments else flags.experiments
+    unknown = [name for name in names if name not in REGISTRY]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         # Non-zero exit so scripted callers notice the typo.
         return 2
-    graph_scale, cluster_scale = resolve_scales(args)
+    scale_flags = (flags.n, flags.servers, flags.seed, flags.ops)
+    if flags.check and any(flag is not None for flag in scale_flags):
+        parser.error("--check runs at the args its committed file records")
+    if flags.check and not all(REGISTRY[name].bench for name in names):
+        parser.error("--check needs experiments with a committed BENCH file")
+    if flags.n and len(flags.n) > 1 and any(
+        REGISTRY[name].scale != "trajectory" for name in names
+    ):
+        parser.error("only a trajectory experiment (scale) takes several --n")
 
     hub = None
-    if args.telemetry_out:
+    if flags.telemetry_out:
         hub = telemetry_pkg.Telemetry(record=True)
         telemetry_pkg.install(hub)
-
-    json_payload: Dict[str, Any] = {
-        "scales": {
-            "graph": jsonable(graph_scale),
-            "cluster": jsonable(cluster_scale),
-        },
-        "experiments": {},
-    }
+    failed = False
     try:
         for name in names:
-            module, needs_cluster = EXPERIMENTS[name]
-            scale = cluster_scale if needs_cluster else graph_scale
-            started = time.time()
-            result = module.run(scale)
-            elapsed = time.time() - started
-            print(module.render(result))
+            entry = REGISTRY[name]
+            committed = None
+            if flags.check:
+                with open(entry.bench, encoding="utf-8") as handle:
+                    committed = json.load(handle)
+                args = committed["args"]
+            else:
+                args = resolve_args(name, flags)
+            started = time.perf_counter()
+            result = run_experiment(name, args)
+            elapsed = time.perf_counter() - started
+            print(entry.module.render(result))
             print(f"[{name} completed in {elapsed:.1f}s]")
+            gates = getattr(entry.module, "gate_failures", None)
+            failures = gates(result) if gates is not None else None
+            payload = bench_payload(name, result, args, failures)
+            problems = [f"gate fails: {failure}" for failure in failures or []]
+            if committed is not None:
+                problems = check(committed, payload, entry.clock) + problems
+            for problem in problems:
+                print(f"[{name}] {problem}")
+            if flags.check and not problems:
+                print(f"[{name} reproduces {entry.bench}]")
+            failed = failed or bool(problems)
+            if flags.out:
+                path = os.path.join(flags.out, f"BENCH_{name}.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, indent=2)
+                    handle.write("\n")
+                print(f"[{name} written to {path}]")
             print()
-            json_payload["experiments"][name] = {
-                "elapsed_seconds": elapsed,
-                "result": jsonable(result),
-            }
     finally:
         if hub is not None:
             telemetry_pkg.install(None)
 
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(json_payload, handle, indent=2)
-        print(f"[json results written to {args.json}]")
     if hub is not None:
         lines = telemetry_pkg.export_jsonl(
-            hub, args.telemetry_out, meta={"experiments": names}
+            hub, flags.telemetry_out, meta={"experiments": names}
         )
-        print(f"[telemetry log ({lines} lines) written to {args.telemetry_out}]")
+        print(f"[telemetry log ({lines} lines) written to {flags.telemetry_out}]")
         print()
         print(telemetry_pkg.summary_text(hub))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return 1 if failed else 0

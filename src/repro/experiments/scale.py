@@ -14,29 +14,27 @@ Three claims are pinned per run:
 * **throughput** — ingest and sweep edges/second plus build and phase-1
   wall-clock per scale point;
 * **memory** — at the comparison point (n <= 200 K) both substrates are
-  built from the same edge stream under tracemalloc and the retained
-  footprints compared (acceptance: CSR <= 25% of dict-of-sets), alongside
-  the process-lifetime peak RSS;
+  built from the same edge stream under tracemalloc and the footprints
+  compared (acceptance: CSR retains <= 25% and peaks at <= 35% of
+  dict-of-sets), alongside the process-lifetime peak RSS;
 * **parity** — at n = 5000 the repartitioner runs on both substrates and
   the full outcome (moves, per-iteration history with exact float reprs,
-  final cut) is hashed; the digests must be byte-identical.
+  final cut) is hashed; the digests must be byte-identical and, at the
+  pinned point, equal ``tests/core/fixtures/scale_parity_reference.json``.
 
-CLI::
-
-    python -m repro.experiments.scale --n 100000 1000000 --out BENCH_scale.json
+:func:`gate_failures` checks the memory and parity acceptance;
+``hermes-experiments scale --n 100000 1000000 --out .`` rewrites
+``BENCH_scale.json`` and ``hermes-experiments scale --check`` reproduces it.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import hashlib
 import json
-import os
-import platform
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,10 +63,19 @@ PARITY_N = 5_000
 FULL_CONVERGENCE_MAX_N = 200_000
 CAPPED_ITERATIONS = 8
 
+#: acceptance ceilings of the CSR/dict tracemalloc ratios
+RETAINED_RATIO_CEILING = 0.25
+PEAK_RATIO_CEILING = 0.35
 
-def _phase1_config(n: int, iterations: Optional[int] = None) -> RepartitionerConfig:
-    if iterations is None:
-        iterations = 60 if n <= FULL_CONVERGENCE_MAX_N else CAPPED_ITERATIONS
+#: the pinned sha256 of the phase-1 outcome at the parity point
+PARITY_REFERENCE = (
+    Path(__file__).resolve().parents[3]
+    / "tests" / "core" / "fixtures" / "scale_parity_reference.json"
+)
+
+
+def _phase1_config(n: int) -> RepartitionerConfig:
+    iterations = 60 if n <= FULL_CONVERGENCE_MAX_N else CAPPED_ITERATIONS
     return RepartitionerConfig(
         epsilon=1.1, k=max(1, n // 100), max_iterations=iterations
     )
@@ -216,16 +223,11 @@ def _run_phase1(
     return result, partitioning, elapsed
 
 
-def run_point(
-    n: int,
-    num_partitions: int = 8,
-    seed: int = 7,
-    iterations: Optional[int] = None,
-) -> ScalePoint:
+def run_point(n: int, num_partitions: int = 8, seed: int = 7) -> ScalePoint:
     """Measure one trajectory point on the CSR substrate."""
     graph, ingest_seconds, finalize_seconds, streamed = _stream_compact(n, seed)
     result, _, phase1_seconds = _run_phase1(
-        graph, num_partitions, seed, _phase1_config(n, iterations)
+        graph, num_partitions, seed, _phase1_config(n)
     )
     sweep_seconds, sweep_rate = _neighbor_sweep(graph)
     csr_bytes = graph.memory_bytes()
@@ -312,13 +314,9 @@ def run_trajectory(
     sizes: Sequence[int],
     num_partitions: int = 8,
     seed: int = 7,
-    iterations: Optional[int] = None,
     parity_n: int = PARITY_N,
 ) -> ScaleResult:
-    points = [
-        run_point(n, num_partitions=num_partitions, seed=seed, iterations=iterations)
-        for n in sizes
-    ]
+    points = [run_point(n, num_partitions=num_partitions, seed=seed) for n in sizes]
     memory = None
     comparable = [n for n in sizes if n <= MEMORY_COMPARE_MAX_N]
     if comparable:
@@ -333,14 +331,45 @@ def run_trajectory(
     )
 
 
-def run(scale: GraphScale = GraphScale()) -> ScaleResult:
-    """Runner entry point: a single point at the experiment scale."""
+def run(
+    scale: GraphScale = GraphScale(), sizes: Optional[Sequence[int]] = None
+) -> ScaleResult:
+    """The trajectory over ``sizes`` (default: the single point ``scale.n``)."""
+    sizes = list(sizes or [scale.n])
     return run_trajectory(
-        [scale.n],
+        sizes,
         num_partitions=scale.num_partitions,
         seed=scale.seed,
-        parity_n=min(scale.n, PARITY_N),
+        parity_n=min(sizes),
     )
+
+
+def gate_failures(result: ScaleResult) -> List[str]:
+    """The acceptance gates ``result`` misses; empty when all pass."""
+    with PARITY_REFERENCE.open(encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    parity = result.parity
+    failures = []
+    if not parity.match:
+        failures.append("parity.match: dict and CSR phase-1 outcomes diverged")
+    pinned_point = (pinned["n"], pinned["partitions"], pinned["seed"])
+    if (parity.n, result.num_partitions, result.seed) == pinned_point and (
+        parity.csr_digest != pinned["digest"]
+    ):
+        failures.append(
+            f"parity.csr_digest {parity.csr_digest} != pinned {pinned['digest']}"
+        )
+    memory = result.memory
+    if memory is not None and memory.retained_ratio > RETAINED_RATIO_CEILING:
+        failures.append(
+            f"memory.retained_ratio {memory.retained_ratio:.1%} > "
+            f"{RETAINED_RATIO_CEILING:.0%}"
+        )
+    if memory is not None and memory.peak_ratio > PEAK_RATIO_CEILING:
+        failures.append(
+            f"memory.peak_ratio {memory.peak_ratio:.1%} > {PEAK_RATIO_CEILING:.0%}"
+        )
+    return failures
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +419,8 @@ def render(result: ScaleResult) -> str:
         table.add_footnote(
             f"memory @ n={mem.n:,}: CSR retains {_human_bytes(mem.csr_retained_bytes)}"
             f" vs dict-of-sets {_human_bytes(mem.dict_retained_bytes)}"
-            f" ({mem.retained_ratio:.1%}; acceptance <= 25%)"
+            f" ({mem.retained_ratio:.1%}; acceptance <= 25%), build peak"
+            f" {mem.peak_ratio:.1%} (acceptance <= 35%)"
         )
     table.add_footnote(
         f"parity @ n={result.parity.n:,}: dict and CSR phase-1 outcomes "
@@ -398,71 +428,3 @@ def render(result: ScaleResult) -> str:
         + f" (sha256 {result.parity.csr_digest[:16]}...)"
     )
     return table.to_text()
-
-
-def to_json_payload(result: ScaleResult) -> dict:
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            out = {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-            for name in ("retained_ratio", "peak_ratio", "match"):
-                if hasattr(value, name):
-                    out[name] = plain(getattr(value, name))
-            return out
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        return value
-
-    # Every timing in the file is real time on the machine described.
-    machine = dict(nproc=os.cpu_count(), python=platform.python_version())
-    machine.update(numpy=np.__version__, platform=platform.platform())
-    return {**plain(result), "clock": "wall", "machine": machine}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-scale",
-        description="CSR-substrate scale trajectory (BENCH_scale)",
-    )
-    parser.add_argument(
-        "--n",
-        type=int,
-        nargs="+",
-        default=[100_000, 1_000_000],
-        help="trajectory sizes (default: 100000 1000000)",
-    )
-    parser.add_argument("--partitions", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="phase-1 iteration cap override (default: auto per scale)",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_scale.json",
-        help="JSON output path (default: BENCH_scale.json)",
-    )
-    args = parser.parse_args(argv)
-
-    result = run_trajectory(
-        args.n,
-        num_partitions=args.partitions,
-        seed=args.seed,
-        iterations=args.iterations,
-    )
-    print(render(result))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(to_json_payload(result), handle, indent=2)
-    print(f"[benchmark written to {args.out}]")
-    if not result.parity.match:
-        print("PARITY FAILURE: dict and CSR phase-1 outcomes diverged")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

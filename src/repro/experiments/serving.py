@@ -20,25 +20,18 @@ a simulated cluster, all on the simulated clock:
   stale-blocked back to primaries and the offload fraction falls; the
   staleness of every replica-served read must stay within the bound.
 
-The acceptance gates are computed in :func:`run` and pinned both by
-``benchmarks/test_bench_serving.py`` and the CI serving-smoke job
-against ``BENCH_serving.json``.
-
-CLI::
-
-    python -m repro.experiments.serving --n 800 --servers 8 --out BENCH_serving.json
+The acceptance gates are computed in :func:`run`, checked by
+:func:`gate_failures` and pinned both by
+``benchmarks/test_bench_serving.py`` and ``hermes-experiments serving
+--check`` against ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import telemetry as telemetry_pkg
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
 from repro.experiments.common import ClusterScale
@@ -503,15 +496,23 @@ def run(
     )
 
 
-def gates_pass(result: ServingResult) -> bool:
+def gate_failures(result: ServingResult) -> List[str]:
+    """The acceptance gates ``result`` misses; empty when all pass."""
     gates = result.gates
-    return (
-        gates["p99_ratio_3x_vs_uncontested"] <= gates["p99_ratio_limit"]
-        and gates["goodput_ratio_1x"] >= gates["goodput_ratio_floor"]
-        and gates["shed_rate_3x"] > 0.0
-        and gates["hotspot_offload_fraction"] >= gates["hotspot_offload_floor"]
-        and bool(gates["staleness_bound_respected"])
-    )
+    checks = {
+        "p99_ratio_3x_vs_uncontested <= p99_ratio_limit": (
+            gates["p99_ratio_3x_vs_uncontested"] <= gates["p99_ratio_limit"]
+        ),
+        "goodput_ratio_1x >= goodput_ratio_floor": (
+            gates["goodput_ratio_1x"] >= gates["goodput_ratio_floor"]
+        ),
+        "shed_rate_3x > 0": gates["shed_rate_3x"] > 0.0,
+        "hotspot_offload_fraction >= hotspot_offload_floor": (
+            gates["hotspot_offload_fraction"] >= gates["hotspot_offload_floor"]
+        ),
+        "staleness_bound_respected": bool(gates["staleness_bound_respected"]),
+    }
+    return [gate for gate, passed in checks.items() if not passed]
 
 
 def render(result: ServingResult) -> str:
@@ -571,77 +572,6 @@ def render(result: ServingResult) -> str:
         f"{gates['goodput_ratio_floor']:g}), hotspot offload "
         f"{gates['hotspot_offload_fraction']:.1%} (floor "
         f"{gates['hotspot_offload_floor']:.0%}) -> "
-        + ("PASS" if gates_pass(result) else "FAIL")
+        + ("FAIL" if gate_failures(result) else "PASS")
     )
     return table.to_text()
-
-
-def to_json_payload(result: ServingResult) -> dict:
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        if isinstance(value, dict):
-            return {str(k): plain(v) for k, v in value.items()}
-        return value
-
-    payload = plain(result)
-    payload["gates_pass"] = gates_pass(result)
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-serving",
-        description="Front-door serving layer benchmark (BENCH_serving)",
-    )
-    parser.add_argument("--n", type=int, default=800)
-    parser.add_argument("--servers", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        help="operations per load point (default: scenario defaults)",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_serving.json",
-        help="JSON output path (default: BENCH_serving.json)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        default=None,
-        help="record telemetry during the run and write the JSONL log here",
-    )
-    args = parser.parse_args(argv)
-
-    scale = ClusterScale(n=args.n, num_servers=args.servers, seed=args.seed)
-    hub = None
-    if args.telemetry_out:
-        hub = telemetry_pkg.Telemetry(record=True)
-        telemetry_pkg.install(hub)
-    try:
-        result = run(scale, ops=args.ops)
-    finally:
-        if hub is not None:
-            telemetry_pkg.install(None)
-    print(render(result))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(to_json_payload(result), handle, indent=2)
-    print(f"[benchmark written to {args.out}]")
-    if hub is not None:
-        lines = telemetry_pkg.export_jsonl(
-            hub, args.telemetry_out, meta={"experiments": ["serving"]}
-        )
-        print(f"[telemetry log ({lines} lines) written to {args.telemetry_out}]")
-    return 0 if gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -78,11 +78,3 @@ def render(result: SparResult) -> str:
         "is why Hermes supports general remote traversals instead"
     )
     return table.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -70,11 +70,3 @@ def _with_paper(measured: float, paper: float, digits: int) -> str:
     if math.isnan(paper):
         return f"{measured:.{digits}f} (n/a)"
     return f"{measured:.{digits}f} ({paper:.{digits}f})"
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

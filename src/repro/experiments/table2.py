@@ -59,11 +59,3 @@ def render(result: Table2Result) -> str:
         "expected monotonicity: iterations decrease as k grows (paper trend)"
     )
     return table.to_text()
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -27,7 +27,8 @@ the right objective there, so the aware arm must roughly tie);
 ``hotspot`` concentrates 1-hop reads on a small hot set; ``two_hop``
 sends deeper 2-hop traversals from a zipf-skewed start distribution.
 
-Gates (pinned in BENCH_workload.json and checked in CI): on the hotspot
+Gates (:func:`gate_failures`, pinned in BENCH_workload.json and checked
+by ``hermes-experiments workload --check``): on the hotspot
 trace the aware arm must cut observed inter-server traversal cost by at
 least 15% vs plain Hermes while ending within 0.05 of the plain arm's
 imbalance, and the two_hop trace must also improve.
@@ -35,13 +36,9 @@ imbalance, and the two_hop trace must also improve.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import telemetry as telemetry_pkg
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
 from repro.experiments.common import ClusterScale, build_datasets, hermes_config
@@ -187,20 +184,8 @@ def _run_arm(
     for op in observe_ops:
         cluster.traverse(op.start, op.hops)
 
-    outcome = cluster.rebalance(force=True)
-    if outcome is not None:
-        moved = outcome[1].vertices_moved
-        edge_cut = outcome[0].final_edge_cut
-        # Imbalance as the repartitioner left it: both arms carry the
-        # same vertex weights at this instant, so the gap between the
-        # arms isolates what the heat term cost in balance.
-        imbalance = outcome[0].final_imbalance
-    else:  # pragma: no cover - force=True always rebalances
-        moved = 0
-        edge_cut = cluster.aux.edge_cut()
-        weights = cluster.aux.partition_weights
-        average = sum(weights) / len(weights) if weights else 1.0
-        imbalance = max(weights) / average if average else 0.0
+    # A forced rebalance always runs (or raises).
+    rebalanced, report = cluster.rebalance(force=True)
 
     stats = cluster.network.stats
     messages_before = stats.messages
@@ -215,9 +200,12 @@ def _run_arm(
     return ArmResult(
         label=label,
         workload_alpha=alpha,
-        vertices_moved=moved,
-        final_imbalance=imbalance,
-        final_edge_cut=edge_cut,
+        vertices_moved=report.vertices_moved,
+        # Imbalance as the repartitioner left it: both arms carry the
+        # same vertex weights at this instant, so the gap between the
+        # arms isolates what the heat term cost in balance.
+        final_imbalance=rebalanced.final_imbalance,
+        final_edge_cut=rebalanced.final_edge_cut,
         eval_cost=eval_cost,
         eval_remote_hops=eval_remote,
         eval_messages=stats.messages - messages_before,
@@ -303,14 +291,22 @@ def run(
     )
 
 
-def gates_pass(result: WorkloadResult) -> bool:
+def gate_failures(result: WorkloadResult) -> List[str]:
+    """The acceptance gates ``result`` misses; empty when all pass."""
     gates = result.gates
-    return (
-        gates["hotspot_remote_hop_reduction"]
-        >= gates["hotspot_reduction_floor"]
-        and gates["hotspot_imbalance_gap"] <= gates["imbalance_gap_limit"]
-        and gates["two_hop_remote_hop_reduction"] > 0.0
-    )
+    checks = {
+        "hotspot_remote_hop_reduction >= hotspot_reduction_floor": (
+            gates["hotspot_remote_hop_reduction"]
+            >= gates["hotspot_reduction_floor"]
+        ),
+        "hotspot_imbalance_gap <= imbalance_gap_limit": (
+            gates["hotspot_imbalance_gap"] <= gates["imbalance_gap_limit"]
+        ),
+        "two_hop_remote_hop_reduction > 0": (
+            gates["two_hop_remote_hop_reduction"] > 0.0
+        ),
+    }
+    return [gate for gate, passed in checks.items() if not passed]
 
 
 def render(result: WorkloadResult) -> str:
@@ -357,78 +353,6 @@ def render(result: WorkloadResult) -> str:
         f"{gates['hotspot_imbalance_gap']:+.3f} (limit "
         f"{gates['imbalance_gap_limit']:g}), two_hop remote-hop reduction "
         f"{gates['two_hop_remote_hop_reduction']:+.1%} -> "
-        + ("PASS" if gates_pass(result) else "FAIL")
+        + ("FAIL" if gate_failures(result) else "PASS")
     )
     return table.to_text()
-
-
-def to_json_payload(result: WorkloadResult) -> dict:
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {
-                f.name: plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        if isinstance(value, dict):
-            return {str(k): plain(v) for k, v in value.items()}
-        return value
-
-    payload = plain(result)
-    payload["gates_pass"] = gates_pass(result)
-    return payload
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-workload",
-        description="Workload-aware repartitioning benchmark (BENCH_workload)",
-    )
-    parser.add_argument("--n", type=int, default=800)
-    parser.add_argument("--servers", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--ops",
-        type=int,
-        default=None,
-        help="queries per phase and trace (default: %(default)s -> "
-        f"{OBSERVE_QUERIES})",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_workload.json",
-        help="JSON output path (default: BENCH_workload.json)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        metavar="PATH",
-        default=None,
-        help="record telemetry during the run and write the JSONL log here",
-    )
-    args = parser.parse_args(argv)
-
-    scale = ClusterScale(n=args.n, num_servers=args.servers, seed=args.seed)
-    hub = None
-    if args.telemetry_out:
-        hub = telemetry_pkg.Telemetry(record=True)
-        telemetry_pkg.install(hub)
-    try:
-        result = run(scale, ops=args.ops)
-    finally:
-        if hub is not None:
-            telemetry_pkg.install(None)
-    print(render(result))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(to_json_payload(result), handle, indent=2)
-    print(f"[benchmark written to {args.out}]")
-    if hub is not None:
-        lines = telemetry_pkg.export_jsonl(
-            hub, args.telemetry_out, meta={"experiments": ["workload"]}
-        )
-        print(f"[telemetry log ({lines} lines) written to {args.telemetry_out}]")
-    return 0 if gates_pass(result) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

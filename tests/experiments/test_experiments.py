@@ -197,36 +197,33 @@ class TestAblations:
 
 class TestRunnerCLI:
     def test_parser(self):
-        args = build_parser().parse_args(["--experiment", "table1", "--n", "100"])
-        assert args.experiment == ["table1"]
-        assert args.n == 100
+        args = build_parser().parse_args(["table1", "--n", "100"])
+        assert args.experiments == ["table1"]
+        assert args.n == [100]
 
     def test_unknown_experiment(self, capsys):
-        assert runner_main(["--experiment", "fig99"]) == 2
+        assert runner_main(["fig99"]) == 2
 
     def test_runs_table1(self, capsys):
-        assert runner_main(["--experiment", "table1", "--n", "150"]) == 0
+        assert runner_main(["table1", "--n", "150"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
 
     def test_json_output(self, tmp_path, capsys):
-        path = tmp_path / "results.json"
-        code = runner_main(
-            ["--experiment", "table1", "--n", "150", "--json", str(path)]
-        )
+        code = runner_main(["table1", "--n", "150", "--out", str(tmp_path)])
         assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["scales"]["graph"]["n"] == 150
-        table1_run = payload["experiments"]["table1"]
-        assert table1_run["elapsed_seconds"] >= 0
-        names = [m["name"] for m in table1_run["result"]["measured"]]
+        payload = json.loads((tmp_path / "BENCH_table1.json").read_text())
+        assert payload["args"] == {"n": 150, "servers": 8, "seed": 7}
+        assert payload["clock"] == "simulated"
+        assert "gates_pass" not in payload  # table1 has no gates
+        names = [m["name"] for m in payload["measured"]]
         assert names == ["orkut", "twitter", "dblp"]
 
     def test_telemetry_out(self, tmp_path, capsys):
         path = tmp_path / "telemetry.jsonl"
         code = runner_main(
             [
-                "--experiment", "fig10",
+                "fig10",
                 "--n", "150",
                 "--servers", "3",
                 "--telemetry-out", str(path),

@@ -60,11 +60,12 @@ class TestSpar:
 
 class TestRunnerIncludesExtensions:
     def test_registered(self):
-        from repro.experiments.runner import EXPERIMENTS, ORDER
+        from repro.experiments.runner import REGISTRY
 
-        assert "baselines" in EXPERIMENTS
-        assert "spar" in EXPERIMENTS
-        assert ORDER.index("baselines") > ORDER.index("ablations")
+        order = list(REGISTRY)
+        assert "baselines" in order
+        assert "spar" in order
+        assert order.index("baselines") > order.index("ablations")
 
 
 class TestFaults:
@@ -90,6 +91,24 @@ class TestFaults:
         assert baseline.faults_injected == 0
         assert baseline.migration_succeeded
         assert baseline.migration_attempts == 1
+
+    def test_each_row_counts_only_its_own_clusters_faults(self):
+        """An installed hub is one registry shared by every cluster of the
+        sweep; a row must not count the faults of the rows before it."""
+        from repro import telemetry
+        from repro.experiments import faults
+        from repro.experiments.common import ClusterScale, build_datasets
+
+        scale = ClusterScale(n=100, num_servers=4, seed=11)
+        dataset = build_datasets(scale.n, scale.seed)[0]
+        telemetry.install(telemetry.Telemetry(record=True))
+        try:
+            first = faults._run_rate(dataset, 0.2, scale)
+            second = faults._run_rate(dataset, 0.2, scale)
+        finally:
+            telemetry.install(None)
+        assert first["faults_injected"] > 0
+        assert second == first
 
     def test_faults_scale_with_loss(self, result):
         injected = [c.faults_injected for c in result.cells]

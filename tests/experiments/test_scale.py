@@ -1,10 +1,14 @@
 """Tests for the BENCH_scale experiment and its parity pin."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from repro.experiments import scale
 from repro.experiments.common import GraphScale
+from repro.experiments.runner import bench_payload
 
 PARITY_FIXTURE = (
     Path(__file__).parent.parent / "core" / "fixtures" / "scale_parity_reference.json"
@@ -50,16 +54,61 @@ def test_parity_matches_pinned_digest():
     assert parity.csr_digest == pinned["digest"]
 
 
-def test_run_and_render_and_json_payload():
-    result = scale.run(GraphScale(n=1200, num_partitions=4, seed=9))
+@pytest.fixture(scope="module")
+def small_result():
+    return scale.run(GraphScale(n=1200, num_partitions=4, seed=9))
+
+
+def test_run_and_render_and_json_payload(small_result):
+    result = small_result
     text = scale.render(result)
     assert "BENCH_scale" in text
     assert "parity" in text
-    payload = scale.to_json_payload(result)
+    args = {"n": [1200], "servers": 4, "seed": 9}
+    payload = bench_payload("scale", result, args, scale.gate_failures(result))
     blob = json.loads(json.dumps(payload))  # must be JSON-serializable
     assert blob["points"][0]["n"] == 1200
     assert blob["parity"]["match"] is True
     assert blob["memory"]["retained_ratio"] < 1.0
+    assert blob["gates_pass"] is True
     # Committed seconds say where they were measured.
     assert blob["clock"] == "wall"
     assert set(blob["machine"]) == {"nproc", "python", "numpy", "platform"}
+
+
+def test_gates_name_each_failing_claim(small_result):
+    """The gates CI once kept in an inline script: the pinned digest at
+    the parity point, CSR retained <= 25% and build peak <= 35% of dict."""
+    with PARITY_FIXTURE.open() as fh:
+        pinned = json.load(fh)
+    at_pinned_point = replace(
+        small_result,
+        num_partitions=pinned["partitions"],
+        seed=pinned["seed"],
+        parity=scale.ParityCheck(n=pinned["n"], dict_digest="0", csr_digest="0"),
+    )
+    assert scale.gate_failures(at_pinned_point) == [
+        f"parity.csr_digest 0 != pinned {pinned['digest']}"
+    ]
+    # Off the pinned point only the dict/CSR match is gated.
+    diverged = replace(
+        small_result,
+        parity=replace(small_result.parity, dict_digest="0"),
+    )
+    assert scale.gate_failures(diverged) == [
+        "parity.match: dict and CSR phase-1 outcomes diverged"
+    ]
+    memory = small_result.memory
+    heavy = replace(
+        small_result,
+        memory=replace(
+            memory,
+            csr_retained_bytes=memory.dict_retained_bytes // 4 + 1,
+            csr_peak_bytes=memory.dict_peak_bytes * 35 // 100 + 1,
+        ),
+    )
+    failures = scale.gate_failures(heavy)
+    assert [failure.split()[0] for failure in failures] == [
+        "memory.retained_ratio",
+        "memory.peak_ratio",
+    ]

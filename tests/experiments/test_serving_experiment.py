@@ -103,19 +103,21 @@ class TestOutputs:
         assert "hotspot" in text.lower()
 
     def test_json_payload_roundtrips(self, result):
-        payload = serving.to_json_payload(result)
+        from repro.experiments.runner import bench_payload
+
+        failures = serving.gate_failures(result)
+        payload = bench_payload("serving", result, {"n": TINY.n}, failures)
         decoded = json.loads(json.dumps(payload))
         assert decoded["n"] == TINY.n
-        assert "gates_pass" in decoded
+        assert decoded["gates_pass"] == (not failures)
         assert len(decoded["overload"]) == 4
 
 
 class TestRunnerIntegration:
     def test_registered_with_cluster_scale(self):
-        from repro.experiments.runner import EXPERIMENTS, ORDER
+        from repro.experiments.runner import REGISTRY
 
-        assert "serving" in EXPERIMENTS
-        module, needs_cluster = EXPERIMENTS["serving"]
-        assert module is serving
-        assert needs_cluster
-        assert "serving" in ORDER
+        entry = REGISTRY["serving"]
+        assert entry.module is serving
+        assert entry.scale == "cluster"
+        assert (entry.bench, entry.clock) == ("BENCH_serving.json", "simulated")

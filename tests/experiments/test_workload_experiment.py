@@ -93,20 +93,22 @@ class TestOutputs:
         assert "PASS" in text or "FAIL" in text
 
     def test_json_payload_roundtrips(self, result):
-        payload = workload.to_json_payload(result)
+        from repro.experiments.runner import bench_payload
+
+        failures = workload.gate_failures(result)
+        payload = bench_payload("workload", result, {"n": TINY.n}, failures)
         decoded = json.loads(json.dumps(payload))
         assert decoded["n"] == TINY.n
-        assert "gates_pass" in decoded
+        assert decoded["gates_pass"] == (not failures)
         assert len(decoded["cells"]) == 3
         assert decoded["workload_alpha"] == workload.WORKLOAD_ALPHA
 
 
 class TestRunnerIntegration:
     def test_registered_with_cluster_scale(self):
-        from repro.experiments.runner import EXPERIMENTS, ORDER
+        from repro.experiments.runner import REGISTRY
 
-        assert "workload" in EXPERIMENTS
-        module, needs_cluster = EXPERIMENTS["workload"]
-        assert module is workload
-        assert needs_cluster
-        assert "workload" in ORDER
+        entry = REGISTRY["workload"]
+        assert entry.module is workload
+        assert entry.scale == "cluster"
+        assert (entry.bench, entry.clock) == ("BENCH_workload.json", "simulated")
