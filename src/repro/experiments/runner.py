@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import platform
@@ -75,8 +74,8 @@ class Experiment:
     #: what ``run`` takes: a ``GraphScale``, a ``ClusterScale``, or a
     #: ``GraphScale`` plus the ``sizes`` of a trajectory (``--n`` list)
     scale: str
-    #: the committed result at the repo root, if there is one
-    bench: Optional[str] = None
+    #: whether ``BENCH_<name>.json`` at the repo root holds its result
+    committed: bool = False
     #: ``simulated`` (cost-model seconds) or ``wall`` (measured here)
     clock: str = "simulated"
 
@@ -94,15 +93,13 @@ REGISTRY: Dict[str, Experiment] = {
     "ablations": Experiment(ablations, "graph"),
     "baselines": Experiment(baselines, "graph"),
     "spar": Experiment(spar, "graph"),
-    "faults": Experiment(faults, "cluster", "BENCH_faults.json"),
-    "batching": Experiment(batching, "cluster", "BENCH_batching.json"),
-    "concurrency": Experiment(concurrency, "cluster", "BENCH_concurrency.json"),
-    "elasticity": Experiment(elasticity, "cluster", "BENCH_elasticity.json"),
-    "scale": Experiment(
-        scale_experiment, "trajectory", "BENCH_scale.json", clock="wall"
-    ),
-    "serving": Experiment(serving, "cluster", "BENCH_serving.json"),
-    "workload": Experiment(workload, "cluster", "BENCH_workload.json"),
+    "faults": Experiment(faults, "cluster", committed=True),
+    "batching": Experiment(batching, "cluster", committed=True),
+    "concurrency": Experiment(concurrency, "cluster", committed=True),
+    "elasticity": Experiment(elasticity, "cluster", committed=True),
+    "scale": Experiment(scale_experiment, "trajectory", committed=True, clock="wall"),
+    "serving": Experiment(serving, "cluster", committed=True),
+    "workload": Experiment(workload, "cluster", committed=True),
 }
 
 #: leaves of a ``wall`` payload measured on the machine, which ``--check``
@@ -129,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--servers", type=int, help="partition/server count")
     parser.add_argument("--seed", type=int)
     parser.add_argument(
-        "--ops", type=int, help="operation budget, where the experiment takes one"
-    )
-    parser.add_argument(
         "--out", metavar="DIR", help="write each result as DIR/BENCH_<name>.json"
     )
     parser.add_argument(
@@ -156,32 +150,25 @@ def resolve_args(name: str, flags: argparse.Namespace) -> Dict[str, Any]:
         defaults.num_servers if entry.scale == "cluster" else defaults.num_partitions
     )
     sizes = flags.n or [defaults.n]
-    args: Dict[str, Any] = {
+    return {
         "n": sizes if entry.scale == "trajectory" else sizes[0],
         "servers": servers if flags.servers is None else flags.servers,
         "seed": defaults.seed if flags.seed is None else flags.seed,
     }
-    takes_ops = "ops" in inspect.signature(entry.module.run).parameters
-    if flags.ops is not None and takes_ops:
-        args["ops"] = flags.ops
-    return args
 
 
 def run_experiment(name: str, args: Dict[str, Any]):
     entry = REGISTRY[name]
-    kwargs = {"ops": args["ops"]} if "ops" in args else {}
     if entry.scale == "cluster":
-        scale = ClusterScale(
-            n=args["n"], num_servers=args["servers"], seed=args["seed"]
+        return entry.module.run(
+            ClusterScale(n=args["n"], num_servers=args["servers"], seed=args["seed"])
         )
-    elif entry.scale == "graph":
-        scale = GraphScale(
-            n=args["n"], num_partitions=args["servers"], seed=args["seed"]
+    if entry.scale == "graph":
+        return entry.module.run(
+            GraphScale(n=args["n"], num_partitions=args["servers"], seed=args["seed"])
         )
-    else:
-        scale = GraphScale(num_partitions=args["servers"], seed=args["seed"])
-        kwargs["sizes"] = args["n"]
-    return entry.module.run(scale, **kwargs)
+    scale = GraphScale(num_partitions=args["servers"], seed=args["seed"])
+    return entry.module.run(scale, sizes=args["n"])
 
 
 def jsonable(value: Any) -> Any:
@@ -258,8 +245,6 @@ def check(committed: Dict[str, Any], fresh: Dict[str, Any], clock: str) -> List[
             clock == "wall" and WALL_FIELDS.search(path)
         ):
             problems.append(f"{path}: committed {old[path]!r}, now {new[path]!r}")
-    if fresh.get("gates_pass") is False:
-        problems.append("gates_pass: a gate fails")
     return problems
 
 
@@ -272,10 +257,10 @@ def main(argv=None) -> int:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         # Non-zero exit so scripted callers notice the typo.
         return 2
-    scale_flags = (flags.n, flags.servers, flags.seed, flags.ops)
+    scale_flags = (flags.n, flags.servers, flags.seed)
     if flags.check and any(flag is not None for flag in scale_flags):
         parser.error("--check runs at the args its committed file records")
-    if flags.check and not all(REGISTRY[name].bench for name in names):
+    if flags.check and not all(REGISTRY[name].committed for name in names):
         parser.error("--check needs experiments with a committed BENCH file")
     if flags.n and len(flags.n) > 1 and any(
         REGISTRY[name].scale != "trajectory" for name in names
@@ -290,9 +275,10 @@ def main(argv=None) -> int:
     try:
         for name in names:
             entry = REGISTRY[name]
+            bench = f"BENCH_{name}.json"
             committed = None
             if flags.check:
-                with open(entry.bench, encoding="utf-8") as handle:
+                with open(bench, encoding="utf-8") as handle:
                     committed = json.load(handle)
                 args = committed["args"]
             else:
@@ -311,10 +297,10 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"[{name}] {problem}")
             if flags.check and not problems:
-                print(f"[{name} reproduces {entry.bench}]")
+                print(f"[{name} reproduces {bench}]")
             failed = failed or bool(problems)
             if flags.out:
-                path = os.path.join(flags.out, f"BENCH_{name}.json")
+                path = os.path.join(flags.out, bench)
                 with open(path, "w", encoding="utf-8") as handle:
                     json.dump(payload, handle, indent=2)
                     handle.write("\n")

@@ -18,9 +18,9 @@ Three claims are pinned per run:
   compared (acceptance: CSR retains <= 25% and peaks at <= 35% of
   dict-of-sets), alongside the process-lifetime peak RSS;
 * **parity** — at n = 5000 the repartitioner runs on both substrates and
-  the full outcome (moves, per-iteration history with exact float reprs,
   final cut) is hashed; the digests must be byte-identical and, at the
-  pinned point, equal ``tests/core/fixtures/scale_parity_reference.json``.
+  pinned point, equal :data:`PARITY_PIN` (which
+  ``tests/core/fixtures/scale_parity_reference.json`` restates).
 
 :func:`gate_failures` checks the memory and parity acceptance;
 ``hermes-experiments scale --n 100000 1000000 --out .`` rewrites
@@ -33,7 +33,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,11 +66,14 @@ CAPPED_ITERATIONS = 8
 RETAINED_RATIO_CEILING = 0.25
 PEAK_RATIO_CEILING = 0.35
 
-#: the pinned sha256 of the phase-1 outcome at the parity point
-PARITY_REFERENCE = (
-    Path(__file__).resolve().parents[3]
-    / "tests" / "core" / "fixtures" / "scale_parity_reference.json"
-)
+#: the parity point (n, partitions, seed) and the pinned sha256 of its
+#: phase-1 outcome
+PARITY_PIN = {
+    "n": PARITY_N,
+    "partitions": 8,
+    "seed": 7,
+    "digest": "85eb90a49613bb0fe5c08e3981032eed8996ffd2e9d4751d028e7fe12102f7ae",
+}
 
 
 def _phase1_config(n: int) -> RepartitionerConfig:
@@ -346,19 +348,16 @@ def run(
 
 def gate_failures(result: ScaleResult) -> List[str]:
     """The acceptance gates ``result`` misses; empty when all pass."""
-    with PARITY_REFERENCE.open(encoding="utf-8") as handle:
-        pinned = json.load(handle)
     parity = result.parity
     failures = []
     if not parity.match:
         failures.append("parity.match: dict and CSR phase-1 outcomes diverged")
-    pinned_point = (pinned["n"], pinned["partitions"], pinned["seed"])
+    pinned = PARITY_PIN["digest"]
+    pinned_point = (PARITY_PIN["n"], PARITY_PIN["partitions"], PARITY_PIN["seed"])
     if (parity.n, result.num_partitions, result.seed) == pinned_point and (
-        parity.csr_digest != pinned["digest"]
+        parity.csr_digest != pinned
     ):
-        failures.append(
-            f"parity.csr_digest {parity.csr_digest} != pinned {pinned['digest']}"
-        )
+        failures.append(f"parity.csr_digest {parity.csr_digest} != pinned {pinned}")
     memory = result.memory
     if memory is not None and memory.retained_ratio > RETAINED_RATIO_CEILING:
         failures.append(

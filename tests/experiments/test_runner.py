@@ -34,14 +34,13 @@ class TestRegistry:
         assert sorted(REGISTRY) == sorted(names)
 
     @pytest.mark.parametrize(
-        "name", [name for name, entry in REGISTRY.items() if entry.bench]
+        "name", [name for name, entry in REGISTRY.items() if entry.committed]
     )
     def test_committed_file_matches_its_entry(self, name):
         entry = REGISTRY[name]
-        assert entry.bench == f"BENCH_{name}.json"
-        committed = json.loads((REPO_ROOT / entry.bench).read_text())
+        committed = json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
         assert committed["clock"] == entry.clock
-        assert set(committed["args"]) <= {"n", "servers", "seed", "ops"}
+        assert set(committed["args"]) == {"n", "servers", "seed"}
         if hasattr(entry.module, "gate_failures"):
             assert committed["gates_pass"] is True
         else:
@@ -138,9 +137,10 @@ class TestCheck:
         ]
 
     def test_a_failing_gate_fails(self):
-        committed = dict(SIMULATED, gates_pass=False)
-        fresh = copy.deepcopy(committed)
-        assert check(committed, fresh, "simulated") == ["gates_pass: a gate fails"]
+        fresh = dict(SIMULATED, gates_pass=False)
+        assert check(SIMULATED, fresh, "wall") == [
+            "/gates_pass: committed True, now False"
+        ]
 
 
 class TestCheckCommand:
@@ -149,7 +149,7 @@ class TestCheckCommand:
     @pytest.fixture
     def committed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(
-            REGISTRY, "table1", replace(REGISTRY["table1"], bench="BENCH_table1.json")
+            REGISTRY, "table1", replace(REGISTRY["table1"], committed=True)
         )
         monkeypatch.chdir(tmp_path)
         assert runner.main(["table1", "--n", "150", "--out", "."]) == 0
@@ -166,6 +166,23 @@ class TestCheckCommand:
         assert "[table1] /measured/0/num_edges: committed 1285, now 1284" in (
             capsys.readouterr().out
         )
+
+    def test_a_failing_gate_fails_once_per_gate(
+        self, committed, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            runner.table1, "gate_failures", lambda result: ["a", "b"], raising=False
+        )
+        # Without --check the gate alone fails the run.
+        assert runner.main(["table1", "--n", "150"]) == 1
+        assert capsys.readouterr().out.count("gate fails:") == 2
+        payload = json.loads(committed.read_text())
+        payload["gates_pass"] = True
+        committed.write_text(json.dumps(payload))
+        assert runner.main(["table1", "--check"]) == 1
+        out = capsys.readouterr().out
+        assert "[table1] gate fails: a" in out and "[table1] gate fails: b" in out
+        assert "[table1] /gates_pass: committed True, now False" in out
 
     def test_refuses_scale_flags(self, committed):
         with pytest.raises(SystemExit) as excinfo:

@@ -120,4 +120,4 @@ class TestRunnerIntegration:
         entry = REGISTRY["serving"]
         assert entry.module is serving
         assert entry.scale == "cluster"
-        assert (entry.bench, entry.clock) == ("BENCH_serving.json", "simulated")
+        assert (entry.committed, entry.clock) == (True, "simulated")

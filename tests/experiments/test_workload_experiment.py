@@ -111,4 +111,4 @@ class TestRunnerIntegration:
         entry = REGISTRY["workload"]
         assert entry.module is workload
         assert entry.scale == "cluster"
-        assert (entry.bench, entry.clock) == ("BENCH_workload.json", "simulated")
+        assert (entry.committed, entry.clock) == (True, "simulated")
