@@ -125,16 +125,24 @@ def social_graph_bytes(graph: SocialGraph) -> int:
 
 
 def adjacency_view_bytes(store: "GraphStore") -> int:
-    """Measured bytes of one store's adjacency view (DESIGN.md §15).
+    """Measured bytes of one store's adjacency view and availability set
+    (DESIGN.md §15).
 
     Sums ``sys.getsizeof`` over the view dict, each key and each packed
     neighbour ``array`` (whose ``getsizeof`` includes its buffer, so no
-    per-neighbour int objects exist to charge).  Keys are charged
-    because a node id above 256 is a distinct int object the view keeps
-    alive.
+    per-neighbour int objects exist to charge), then over the
+    availability set and each of its ids.  Keys are charged because a
+    node id above 256 is a distinct int object the structure keeps
+    alive; an id in both is charged twice, an upper bound.
     """
     view = store.adjacency
-    return sys.getsizeof(view) + sum(
-        sys.getsizeof(node_id) + sys.getsizeof(neighbors)
-        for node_id, neighbors in view.items()
+    available = store.available
+    return (
+        sys.getsizeof(view)
+        + sum(
+            sys.getsizeof(node_id) + sys.getsizeof(neighbors)
+            for node_id, neighbors in view.items()
+        )
+        + sys.getsizeof(available)
+        + sum(map(sys.getsizeof, available))
     )

@@ -104,8 +104,9 @@ and TESTING.md):
 ``adjacency-view-coherence``
     Every filled entry of a store's adjacency view belongs to an
     available node and equals, in order, the neighbour ids a fresh walk
-    of that node's relationship chain gives — no chain write skipped the
-    invalidation that should have dropped it.
+    of that node's relationship chain gives, and every id in a store's
+    availability set is an in-use, available node of that store — no
+    write skipped the invalidation that should have dropped it.
 
 A check that cannot read the cluster (a view read that finds no home
 copy, an untracked vertex) reports that as a violation of its invariant
@@ -749,6 +750,20 @@ class InvariantAuditor:
                             f"server {server.server_id}'s adjacency view holds "
                             f"{list(neighbors)} for node {node_id}; its chain "
                             f"walk gives {walked}",
+                        )
+                    )
+            for node_id in sorted(store.available):
+                try:
+                    record = store.nodes.get(node_id)
+                    state = "missing" if record is None else "unavailable"
+                except StorageError as exc:
+                    record, state = None, f"unreadable ({exc})"
+                if record is None or not record.available:
+                    out.append(
+                        InvariantViolation(
+                            "adjacency-view-coherence",
+                            f"server {server.server_id}'s availability set "
+                            f"holds node {node_id}; its node record is {state}",
                         )
                     )
         return out

@@ -475,6 +475,26 @@ def _corrupt(cluster, mode: str) -> None:
                 server.journal.commit()
             return
         raise ValueError("no vertex with two relationships to reorder")
+    elif mode == "stale_available":
+        # Node writes that skip the availability set's invalidation: a
+        # spare node is answered available, then made unavailable and
+        # removed — the migration remove step's two writes — through the
+        # untyped record writers, which leave the answer in the set.
+        # The store's records end as they began, so only the view
+        # invariant, which reads the set, can see it.
+        from repro.storage.records import FixedRecordStore
+
+        spare = max(cluster.graph.vertices()) + 1
+        server = cluster.servers[cluster.catalog.lookup(spare - 1)]
+        store = server.store
+        store.create_node(spare)
+        store.read_frontier([spare], False)
+        FixedRecordStore.write(
+            store.nodes, spare, store.node(spare).with_available(False)
+        )
+        FixedRecordStore.delete(store.nodes, spare)
+        if server.journal is not None:
+            server.journal.commit()
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
 
@@ -507,4 +527,5 @@ CORRUPT_MODES = (
     "stale_recovery",
     "lost_commit",
     "stale_view",
+    "stale_available",
 )

@@ -25,15 +25,20 @@ read path and the chain writers do not probe for existence and then read,
 re-read a record they just built, or walk a chain to learn what a
 record's own link fields already say.  The traversal engine's read,
 ``read_frontier``, answers for a whole list of vertices from raw fields
-without building a record object: one node access per vertex for its
-availability, then the vertex's entry in the **adjacency view**
-(``adjacency``: node id -> neighbour ids in chain order).  An entry is
-filled, on a node's first expansion, by the one chain walk
-(``_chain_fields``) that ``neighbor_entries`` and ``export_node`` also
-consume, and dropped by the typed writers of the node and relationship
-stores whenever a record it was read from is written or deleted.  A
-1-hop traversal from a vertex of degree *d* costs 1 + 2d record accesses
-cluster-wide the first time and 1 + d once the vertex's entry is warm.
+without building a record object, and without any record access for a
+vertex the store already knows to be available.  Two structures hold
+what it knows: the **adjacency view** (``adjacency``: node id ->
+neighbour ids in chain order), filled on a node's first expansion by the
+one chain walk (``_chain_fields``) that ``neighbor_entries`` and
+``export_node`` also consume, and the **availability set**
+(``available``), filled by a node's first availability-only answer.
+Each is filled only after one checked node access found the node in use
+and available.  The typed writers drop what a write may have changed:
+the node store drops a written or deleted node from both, the
+relationship store drops both endpoints' view entries.  A 1-hop
+traversal from a vertex of degree *d* costs 1 + 2d record accesses
+cluster-wide the first time and none once the vertex's entry and its
+neighbours' answers are warm.
 ``is_available``, ``node``, ``neighbor_entries``, ``node_properties``
 and the mutators remain the per-record boundary for point reads and
 single writes.
@@ -153,7 +158,10 @@ class GraphStore:
         #: the adjacency view: node id -> neighbour ids in chain order,
         #: filled by ``read_frontier``, dropped by the record stores' writers
         self.adjacency: Dict[int, Sequence[int]] = {}
-        self.nodes = NodeStore(adjacency=self.adjacency)
+        #: the availability set: node ids ``read_frontier`` found available
+        #: on an availability-only read, dropped by the node store's writers
+        self.available: Set[int] = set()
+        self.nodes = NodeStore(adjacency=self.adjacency, available=self.available)
         self.relationships = RelationshipStore(adjacency=self.adjacency)
         self.properties = PropertyStore()
         self._rel_ids = IdAllocator(stripe=server_id, num_stripes=num_servers)
@@ -171,11 +179,12 @@ class GraphStore:
         """A store over existing pages (ordered as :meth:`record_stores`),
         each store's index rebuilt by scan, allocators at the given
         positions — reopening a saved store and WAL recovery.  Its
-        adjacency view starts empty."""
+        adjacency view and availability set start empty."""
         store = cls.__new__(cls)
         store.server_id = server_id
         store.adjacency = {}
-        store.nodes = NodeStore(files[0], store.adjacency)
+        store.available = set()
+        store.nodes = NodeStore(files[0], store.adjacency, store.available)
         store.relationships = RelationshipStore(files[1], store.adjacency)
         store.properties = PropertyStore(files[2], files[3])
         store.set_allocator_state(num_stripes, rel_counter, prop_counter)
@@ -522,32 +531,53 @@ class GraphStore:
         Aligned with ``node_ids``: ``None`` for a node that is missing or
         unavailable here (queries treat both identically), else the
         neighbour ids along its chain — nothing when ``expand`` is false
-        (the final depth only needs the availability answer).  Every
-        node costs one checked node access, which reads the availability
-        flag and raises for a deleted or misindexed slot; an expanded
-        node then costs one adjacency-view lookup.  A node missing from
-        the view walks its chain once, with every check of the walk, and
-        its neighbour ids are kept until a write drops them.  The
-        answers are the view's own ``array`` objects: read them, never
+        (the final depth only needs the availability answer).
+
+        A node the store already knows to be available is answered from
+        memory: an entry of the adjacency view answers either way, and an
+        id in the availability set answers an availability-only read.
+        Both are filled only after a checked access found the node in use
+        and available, and every node write or delete drops the node from
+        both, so a hit proves what the record says.  Any other node costs
+        one checked node access, which reads the availability flag and
+        raises for a deleted or misindexed slot; an expanded node missing
+        from the view then walks its chain once, with every check of the
+        walk, and its neighbour ids are kept until a write drops them.
+        The answers are the view's own ``array`` objects: read them, never
         modify them.
         """
-        node_fields = self.nodes.fields
         view = self.adjacency
-        result: List[Optional[Sequence[int]]] = []
-        for node_id in node_ids:
-            node = node_fields(node_id)
-            if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
-                result.append(None)
-            elif expand:
+        if expand:
+            result: List[Optional[Sequence[int]]] = []
+            for node_id in node_ids:
                 neighbors = view.get(node_id)
-                if neighbors is None:
-                    neighbors = view[node_id] = self._walk_neighbors(
-                        node_id, node[NODE_FIRST_REL]
-                    )
-                result.append(neighbors)
-            else:
-                result.append(())
-        return result
+                result.append(self._expand(node_id) if neighbors is None else neighbors)
+            return result
+        available = self.available
+        return [
+            () if node_id in available or node_id in view else self._check(node_id)
+            for node_id in node_ids
+        ]
+
+    def _expand(self, node_id: int) -> Optional[Sequence[int]]:
+        """An expanded node missing from the view: one checked node
+        access, and an available node's chain walk fills its entry."""
+        node = self.nodes.fields(node_id)
+        if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
+            return None
+        neighbors = self.adjacency[node_id] = self._walk_neighbors(
+            node_id, node[NODE_FIRST_REL]
+        )
+        return neighbors
+
+    def _check(self, node_id: int) -> Optional[Tuple[()]]:
+        """An availability-only answer the store does not know yet: one
+        checked node access, and an available node joins the set."""
+        node = self.nodes.fields(node_id)
+        if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
+            return None
+        self.available.add(node_id)
+        return ()
 
     def _walk_neighbors(self, node_id: int, first_rel: int) -> Sequence[int]:
         """The neighbour ids along ``node_id``'s chain, packed — how the

@@ -12,7 +12,7 @@ the local vertex set.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.storage.pages import PagedFile
 from repro.storage.records import (
@@ -69,23 +69,29 @@ class NodeStore(FixedRecordStore):
     """The node record store, keyed by each record's own ``node_id``.
 
     ``adjacency`` is the server's adjacency view (node id -> neighbour ids
-    in chain order), shared with its :class:`RelationshipStore`: writing
-    or deleting a node drops that node's entry, since its chain head or
-    its existence may have changed.
+    in chain order), shared with its :class:`RelationshipStore`, and
+    ``available`` its availability set (node ids last read in use and
+    available): writing or deleting a node drops that node from both,
+    since its chain head, its availability or its existence may have
+    changed.
     """
 
     def __init__(
         self,
         paged_file: Optional[PagedFile] = None,
         adjacency: Optional[Dict[int, Sequence[int]]] = None,
+        available: Optional[Set[int]] = None,
     ):
         super().__init__(NodeCodec(), paged_file=paged_file)
         self.adjacency = {} if adjacency is None else adjacency
+        self.available = set() if available is None else available
 
     def write(self, record: NodeRecord) -> None:
         super().write(record.node_id, record)
         self.adjacency.pop(record.node_id, None)
+        self.available.discard(record.node_id)
 
     def delete(self, node_id: int) -> None:
         super().delete(node_id)
         self.adjacency.pop(node_id, None)
+        self.available.discard(node_id)

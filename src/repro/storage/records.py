@@ -20,9 +20,11 @@ stored-id checks on those same unpacked fields — that is
 ``get``/``read``, one immutable record value decoded from them.  No
 decoded record is kept: the page bytes stay the only copy of every
 record.  What the traversal read plane keeps is derived data one level
-up — each server's adjacency view, neighbour ids per node
+up — each server's adjacency view, neighbour ids per node, and its
+availability set, the node ids answered available
 (``GraphStore.read_frontier``) — and the typed writers of the node and
-relationship stores, not this class, drop its entries.
+relationship stores, not this class, drop their entries: a write through
+this class alone leaves them stale.
 
 **Writes are all-or-nothing.**  :meth:`FixedRecordStore.write` packs the
 whole slot image and checks that it carries ``record_id`` before it

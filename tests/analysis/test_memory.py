@@ -36,22 +36,40 @@ class TestEstimators:
         assert auxiliary_memory_bytes(aux) > 0
 
 
+def loaded_store():
+    """One store holding a 20 000-vertex power-law graph (181 331 edges),
+    nothing read yet, and its vertices."""
+    graph = orkut_like(n=20_000, seed=1).graph
+    store = GraphStore()
+    vertices = sorted(graph.vertices())
+    store.bulk_load(
+        [(vertex, 1.0) for vertex in vertices],
+        [(rel_id, u, v, False) for rel_id, (u, v) in enumerate(graph.edges())],
+    )
+    return store, vertices
+
+
 class TestAdjacencyView:
     def test_a_fully_warm_view_stays_inside_its_byte_budget(self):
-        """A 20 000-vertex power-law graph (181 331 edges) in one store,
-        every node expanded once: at most 250 B/vertex (a dict of sets
-        holding the same adjacency measures 1 138)."""
-        graph = orkut_like(n=20_000, seed=1).graph
-        store = GraphStore()
-        vertices = sorted(graph.vertices())
-        store.bulk_load(
-            [(vertex, 1.0) for vertex in vertices],
-            [(rel_id, u, v, False) for rel_id, (u, v) in enumerate(graph.edges())],
-        )
-        assert adjacency_view_bytes(store) < 100  # empty until read
+        """Every node of the loaded store expanded once: at most 250
+        B/vertex (a dict of sets holding the same adjacency measures
+        1 138)."""
+        store, vertices = loaded_store()
+        assert adjacency_view_bytes(store) < 300  # empty until read
         store.read_frontier(vertices, True)
         assert len(store.adjacency) == len(vertices)
+        assert not store.available  # a view entry answers availability too
         assert adjacency_view_bytes(store) / len(vertices) <= 250
+
+    def test_a_full_availability_set_stays_inside_its_byte_budget(self):
+        """The same store answering every node's availability before
+        expanding any: the set holds every id next to the full view, at
+        most 400 B/vertex for both (the set alone measures 133)."""
+        store, vertices = loaded_store()
+        store.read_frontier(vertices, False)
+        store.read_frontier(vertices, True)
+        assert len(store.available) == len(store.adjacency) == len(vertices)
+        assert adjacency_view_bytes(store) / len(vertices) <= 400
 
 
 def reachable(root, cls):

@@ -45,6 +45,7 @@ EXPECTED_INVARIANT = {
     "stale_recovery": "recovery-fidelity",
     "lost_commit": "recovery-fidelity",
     "stale_view": "adjacency-view-coherence",
+    "stale_available": "adjacency-view-coherence",
 }
 
 
@@ -120,6 +121,19 @@ class TestAuditor:
         assert {v.invariant for v in outcome.violations} == {
             "adjacency-view-coherence"
         }
+
+    def test_a_stale_availability_answer_trips_adjacency_view_coherence_alone(
+        self,
+    ):
+        """The spare node's records are gone again, so the stores, the
+        catalog and the graph all agree; only the availability set still
+        answers for it."""
+        spec, schedule = corrupted_schedule(mode="stale_available")
+        outcome = ScenarioRunner().run(spec, schedule)
+        assert {v.invariant for v in outcome.violations} == {
+            "adjacency-view-coherence"
+        }
+        assert all("availability set" in v.detail for v in outcome.violations)
 
     @pytest.mark.parametrize("with_reference", [True, False])
     def test_a_skewed_link_trips_telemetry_conservation_alone(self, with_reference):

@@ -77,8 +77,10 @@ def test_read_frontier_equals_the_per_vertex_reads(store, node_ids, expand):
 class WarmViewDifferential(RuleBasedStateMachine):
     """Random chain mutations with every view entry warm between steps.
 
-    After each step the invariant expands every node id at once — which
-    fills the view for each available node — and holds each answer to
+    After each step the invariant reads every node id at once, first for
+    availability alone — which fills the availability set for each
+    available node the view does not hold — then expanded — which fills
+    the view for each available node — and holds each answer to
     ``is_available`` + ``neighbor_entries``: an entry a mutation failed to
     drop shows up as a stale answer at the next step.
 
@@ -233,20 +235,26 @@ class WarmViewDifferential(RuleBasedStateMachine):
             state["prop_counter"],
         )
         assert not self.store.adjacency
+        assert not self.store.available
 
     # -- the differential ----------------------------------------------
     @invariant()
     def warm_reads_equal_the_per_vertex_reads(self):
         node_ids = list(range(-1, NODES + 1))
-        answers = self.store.read_frontier(node_ids, True)
-        for node_id, answer in zip(node_ids, answers):
-            expected = per_vertex_answer(self.store, node_id, True)
-            assert (None if answer is None else list(answer)) == expected
-        assert set(self.store.adjacency) == {
+        # Availability first, so the set fills for every available node
+        # the view does not hold yet; then expand, filling the view.
+        for expand in (False, True):
+            answers = self.store.read_frontier(node_ids, expand)
+            for node_id, answer in zip(node_ids, answers):
+                expected = per_vertex_answer(self.store, node_id, expand)
+                assert (None if answer is None else list(answer)) == expected
+        served = {
             node_id
             for node_id, answer in zip(node_ids, answers)
             if answer is not None
         }
+        assert set(self.store.adjacency) == served
+        assert self.store.available <= served
 
 
 TestWarmViewDifferential = WarmViewDifferential.TestCase
@@ -350,8 +358,18 @@ class TestDamagedStoresFailTheBulkReadTheSameWay:
             store.read_frontier([0], True)
 
 
+def frontier_outcome(store, node_ids, expand):
+    """What ``read_frontier`` gives — its answers, or the type it raises."""
+    try:
+        answers = store.read_frontier(node_ids, expand)
+    except StorageError as error:  # compared by type, the way a caller sees it
+        return type(error)
+    return [None if answer is None else list(answer) for answer in answers]
+
+
 class TestWarmEntriesDoNotHideDamage:
-    """A record write or delete drops its endpoints' entries, so damage
+    """A record write or delete drops its endpoints' view entries, and a
+    node write or delete drops the node's availability answer, so damage
     done through the typed writers after a node's entry is filled fails
     the bulk read exactly as it fails on a cold store."""
 
@@ -371,3 +389,25 @@ class TestWarmEntriesDoNotHideDamage:
         store.relationships.write(tail.with_next_for(0, 10_000))
         with pytest.raises(RecordNotFoundError):
             store.read_frontier([0], True)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda store: store.set_available(4, False),
+            lambda store: store.delete_node(4),
+            lambda store: store.remove_node_record(5),
+        ],
+        ids=["set_available", "delete_node", "remove_node_record"],
+    )
+    def test_node_written_under_a_warm_availability_answer(self, mutate):
+        warm, _ = star_store()
+        cold, _ = star_store()
+        for store in (warm, cold):
+            store.create_node(5)  # bare: a node remove_node_record takes
+        assert warm.read_frontier([4, 5], False) == [(), ()]
+        assert warm.available == {4, 5}
+        mutate(warm)
+        mutate(cold)
+        outcome = frontier_outcome(warm, [4, 5], False)
+        assert outcome == frontier_outcome(cold, [4, 5], False)
+        assert None in outcome
