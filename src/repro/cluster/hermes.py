@@ -554,7 +554,9 @@ class HermesCluster:
         the concurrent engine interleaves queries and writes with the
         physical migration.  Copied vertices sit in a double-write window
         until the atomic catalog commit; an abort rolls back copy-steps
-        and mirrored writes together and re-points the auxiliary data.
+        and mirrored writes together and re-points the auxiliary data,
+        and so does closing the generator before the commit (closed
+        after it, the migration finishes its removes).
         Because the plan is fixed up front and commit is atomic, the
         final placement (and therefore the edge-cut) is the same however
         the steps are interleaved.
@@ -608,6 +610,15 @@ class HermesCluster:
                 )
                 span.set_attribute("aborted", True)
                 span.finish(duration=exc.report.total_cost)
+                raise
+            except GeneratorExit:
+                # Closed mid-migration: the executor rolled the copies
+                # back or finished the removes; the logical moves follow
+                # whichever the catalog shows.
+                vertex, (source, _) = next(iter(result.moves.items()))
+                if self.catalog.lookup(vertex) == source:
+                    self._rollback_aux(result.moves)
+                span.finish()
                 raise
             self.telemetry.counter(
                 "rebalances_total", "repartitioner end-to-end runs"

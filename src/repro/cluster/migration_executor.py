@@ -29,25 +29,28 @@ each written once with its final pointers.  A remove is one
 :meth:`~repro.storage.graph_store.GraphStore.delete_node` walk on the
 source, keeping a record only where the other endpoint stays there.  The
 stores end byte for byte where installing and unlinking one record at a
-time left them (``tests/cluster/test_migration_differential.py``), and
-the undo journal holds the same entries in the same order.
+time left them (``tests/cluster/test_migration_differential.py``).
 
-Execution is **transactional**: every store mutation performed by the
-copy step is journalled, and a failure before the catalog flips (a crash
-window or message loss surviving all retries, a stale plan naming a
-vertex a server no longer hosts) rolls the journal back so every store,
-the catalog and the migration counters are exactly as they were before
-the migration started — the paper's "failure mid-migration cannot
-corrupt the database" guarantee.  The aborted attempt surfaces as a
-:class:`~repro.exceptions.MigrationAbortedError` carrying its wasted
-simulated cost, and the same plan can be retried idempotently once the
-fault clears.  After the catalog flips, the remaining work (the remove
-step) is purely server-local and cannot fault.
+Execution is **transactional** because the copy step only inserts: a
+failure before the catalog flips (a crash window or message loss
+surviving all retries, a stale plan naming a vertex a server no longer
+hosts) runs the remove step on the targets instead of the sources.  The
+double-write window lists every copy that landed; each is retired, newest
+first, by the same ``delete_node`` walk against the placement the catalog
+still holds, so every store, the catalog and the migration counters are
+exactly as they were before the migration started — the paper's "failure
+mid-migration cannot corrupt the database" guarantee.  The aborted
+attempt surfaces as a :class:`~repro.exceptions.MigrationAbortedError`
+carrying its wasted simulated cost, and the same plan can be retried
+idempotently once the fault clears.  After the catalog flips, the
+remaining work (the remove step) is purely server-local and cannot fault.
 
 There is one implementation of the protocol,
 :meth:`MigrationExecutor.migrate_steps`, a generator that pauses after
 every copy, the barrier and every remove so the event scheduler can
-interleave traffic; :meth:`MigrationExecutor.execute` drains it.
+interleave traffic; :meth:`MigrationExecutor.execute` drains it.  Closing
+the generator before the commit rolls back as an abort does; closing it
+after the commit finishes the removes.
 """
 
 from __future__ import annotations
@@ -134,17 +137,13 @@ class MigrationExecutor:
         self.network = network
         self.retry = retry or RetryPolicy()
         self.location_cache = location_cache
-        #: the undo journal of the migration currently in flight.
-        #: None whenever no migration is in flight — both a committed and
-        #: an aborted attempt must leave it None (the simtest auditor's
-        #: journal-emptiness invariant between schedule steps).
-        self.active_journal: Optional[List[Tuple]] = None
         #: double-write window of the migration in flight: vertex -> target
         #: server for every vertex whose copy-step has run but whose
-        #: catalog entry has not flipped yet.  Writes that touch a
-        #: windowed vertex mirror onto the target (``mirror_edge``);
-        #: reads keep forwarding through the catalog to the source.
-        #: Always empty outside ``migrate_steps``.
+        #: catalog entry has not flipped yet, in copy order — what an
+        #: abort retires.  Writes that touch a windowed vertex mirror onto
+        #: the target (``mirror_edge``); reads keep forwarding through the
+        #: catalog to the source.  Always empty outside ``migrate_steps``
+        #: (the simtest auditor's ``undo-journal-closed`` invariant).
         self._window: Dict[int, int] = {}
         #: final placement of the migration owning the window
         self._window_final_home: Optional[Dict[int, int]] = None
@@ -155,11 +154,6 @@ class MigrationExecutor:
         #: this to re-resolve their frontiers.
         self.topology_listeners: List[Callable[[], None]] = []
         self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    @property
-    def journal_open(self) -> bool:
-        """Is a copy-step undo journal currently live?"""
-        return self.active_journal is not None
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
         self.telemetry = telemetry
@@ -218,17 +212,16 @@ class MigrationExecutor:
         migration (:meth:`execute` drains it in one go).  Every copied
         vertex enters the double-write window until the (atomic) catalog
         commit: writes mirror onto the target via :meth:`mirror_edge`,
-        reads keep forwarding to the source.  An abort rolls back
-        copy-steps *and* mirrored writes through the shared undo journal
-        and clears the window — exactly the pre-call state.
+        reads keep forwarding to the source.  An abort, or closing the
+        generator before the commit, retires the copies together with
+        their mirrored writes and clears the window — exactly the
+        pre-call state.  Closed after the commit, the generator finishes
+        the remaining removes without yielding.
         """
         report = MigrationReport()
         if not plan.moves:
             return report
         final_home = self._final_placement(plan)
-        #: reverse journal of every store mutation, for rollback on abort
-        undo: List[Tuple] = []
-        self.active_journal = undo
         self._window_final_home = final_home
         payload_sizes: List[int] = []
 
@@ -237,7 +230,7 @@ class MigrationExecutor:
             copy_span = self.telemetry.span("migration.copy")
             for move in plan.moves:
                 cost_before = report.copy_cost
-                self._copy_one(move, final_home, report, undo, payload_sizes)
+                self._copy_one(move, final_home, report, payload_sizes)
                 self._window[move.vertex] = move.target
                 self._window_unswept.add(move.vertex)
                 yield self._step(
@@ -259,12 +252,12 @@ class MigrationExecutor:
                 | {move.target for move in plan.moves}
             )
             yield self._step("barrier", report.barrier_cost, tuple(participants))
-        except HermesError as exc:
+        except (HermesError, GeneratorExit) as exc:
             if isinstance(exc, FaultInjectedError):
                 # The timeouts and backoff of the failed attempt are real
                 # simulated time even though no records moved.
                 report.copy_cost += exc.cost
-            self._rollback(undo)
+            self._rollback()
             self._close_window()
             commit_all(self.servers)
             self.telemetry.counter(
@@ -279,6 +272,8 @@ class MigrationExecutor:
             )
             span.set_attribute("aborted", True)
             span.finish(duration=report.copy_cost + report.barrier_cost)
+            if isinstance(exc, GeneratorExit):
+                raise
             raise MigrationAbortedError(exc, report) from exc
 
         # Atomic commit: the catalog flips for every move at once, so
@@ -286,8 +281,8 @@ class MigrationExecutor:
         # are being removed.  The migration participants update their
         # location caches as part of the commit; non-participants keep
         # stale entries that resolve via a forwarding hop on next use.
-        # Past this point the journal will never be replayed: the window
-        # closes and in-flight traversals are told to re-resolve.
+        # Past this point nothing is rolled back: the window closes and
+        # in-flight traversals are told to re-resolve.
         for move in plan.moves:
             self.catalog.move(move.vertex, move.target)
             if self.location_cache is not None:
@@ -299,13 +294,21 @@ class MigrationExecutor:
         # First pass: the unavailable state, so no query can lock them.
         for move in plan.moves:
             self.servers[move.source].store.set_available(move.vertex, False)
-        # Second pass: relationship record surgery + node removal.
+        # Second pass: relationship record surgery + node removal.  A
+        # consumer that closes the generator here still gets the rest:
+        # the removes are local and cannot fault.
+        closed = False
         for move in plan.moves:
             cost_before = report.remove_cost
             self._remove_one(move, final_home, report)
-            yield self._step(
+            step = self._step(
                 "remove", report.remove_cost - cost_before, (move.source,)
             )
+            if not closed:
+                try:
+                    yield step
+                except GeneratorExit:
+                    closed = True
         remove_span.set_attribute(
             "relationships_rewritten", report.relationships_rewritten
         )
@@ -337,9 +340,8 @@ class MigrationExecutor:
         return MigrationStep(kind, cost, servers)
 
     def _close_window(self) -> None:
-        """Retire the undo journal and the double-write window (commit
-        and abort both end with no migration in flight)."""
-        self.active_journal = None
+        """Retire the double-write window (commit and abort both end
+        with no migration in flight)."""
         self._window.clear()
         self._window_final_home = None
         self._window_unswept.clear()
@@ -363,14 +365,13 @@ class MigrationExecutor:
         move,
         final_home: Dict[int, int],
         report: MigrationReport,
-        undo: List[Tuple],
         payload_sizes: List[int],
     ) -> None:
         """Replicate one moving vertex on its target server.
 
-        Every store mutation appends its inverse to ``undo`` *after* it
-        succeeds, so a failure at any point leaves a journal that undoes
-        exactly the mutations that happened.
+        Nothing is written unless the whole copy lands (``import_node``
+        checks before its first write), so a failure leaves no trace and
+        the vertex enters the window only once its copy is complete.
         """
         source = self.servers[move.source]
         target = self.servers[move.target]
@@ -386,26 +387,9 @@ class MigrationExecutor:
         report.vertices_moved += 1
         report.per_target[move.target] = report.per_target.get(move.target, 0) + 1
 
-        here = move.target
         rels = payload["relationships"]
-        roles = [self._is_ghost(rel["src"], here, final_home) for rel in rels]
-        before = target.store.import_node(payload, roles)
-        # The journal of installing one record at a time, in its order.
-        undo.append(("import", here, move.vertex))
-        for rel, ghost, prior in zip(rels, roles, before):
-            rel_id = rel["rel_id"]
-            if prior is None:
-                undo.append(("create_rel", here, rel_id))
-                continue
-            undo.append(("attach", here, rel_id, move.vertex))
-            if prior.ghost and not ghost:
-                undo.append(("ghost", here, rel_id, True, {}))
-            elif not prior.ghost and ghost:
-                undo.append(("ghost", here, rel_id, False, prior.properties))
-            if not ghost:
-                held = prior.properties
-                for key in rel["properties"]:
-                    undo.append(("prop", here, rel_id, key, key in held, held.get(key)))
+        roles = [self._is_ghost(rel["src"], move.target, final_home) for rel in rels]
+        target.store.import_node(payload, roles)
         report.relationships_transferred += len(rels)
 
     def _transfer(self, src: int, dst: int, size: int) -> float:
@@ -431,7 +415,6 @@ class MigrationExecutor:
         arriving: int,
         rel: Dict[str, Any],
         final_home: Dict[int, int],
-        undo: List[Tuple],
     ) -> None:
         """Create or merge one relationship record on the target server:
         :meth:`mirror_edge`'s one edge into the chain of a copy already
@@ -448,34 +431,20 @@ class MigrationExecutor:
             # other endpoint lives on the target was already linked into
             # the arriving copy's chain by ``create_relationship`` (it
             # links every local endpoint, available or not) — the mirror
-            # then only journals the attach so an abort still detaches
-            # it, without double-linking the chain.
+            # then only sets its role, without double-linking the chain.
             if not target.store.chain_contains(arriving, rel_id):
                 target.store.attach_endpoint(rel_id, arriving)
-            undo.append(("attach", here, rel_id, arriving))
-            existing = target.store.relationship(rel_id)
-            if existing.ghost and not ghost:
-                target.store.set_ghost(rel_id, False)
-                undo.append(("ghost", here, rel_id, True, {}))
-            elif not existing.ghost and ghost:
-                # Downgrading drops the property chain; capture it so a
-                # rollback can restore the record byte-for-byte.
-                old_props = target.store.relationship_properties(rel_id)
-                target.store.set_ghost(rel_id, True)
-                undo.append(("ghost", here, rel_id, False, old_props))
+            if target.store.relationship(rel_id).ghost != ghost:
+                target.store.set_ghost(rel_id, ghost)
             if not ghost:
                 for key, value in rel.get("properties", {}).items():
-                    had = key in target.store.relationship_properties(rel_id)
-                    old = target.store.get_relationship_property(rel_id, key)
                     target.store.set_relationship_property(rel_id, key, value)
-                    undo.append(("prop", here, rel_id, key, had, old))
             return
 
         properties = None if ghost else rel.get("properties") or None
         target.store.create_relationship(
             rel_id, src, dst, ghost=ghost, properties=properties
         )
-        undo.append(("create_rel", here, rel_id))
 
     def _is_ghost(self, src: int, here: int, final_home: Dict[int, int]) -> bool:
         """The primary/ghost rule: a relationship's record on ``here`` is
@@ -486,36 +455,23 @@ class MigrationExecutor:
     # ------------------------------------------------------------------
     # Rollback (abort path)
     # ------------------------------------------------------------------
-    def _rollback(self, undo: List[Tuple]) -> None:
-        """Undo the copy step's journalled mutations, newest first.
+    def _rollback(self) -> None:
+        """Retire every copy in the window, newest first: the remove
+        step run on the target against the placement the catalog still
+        holds.
 
-        Reverse order matters: a vertex's relationship records are
-        detached/deleted before its imported node record is removed, and
-        property merges are unwound before ghost roles are restored.
+        A record is kept only for an endpoint that lived on the target
+        before the migration, and it is a ghost again exactly when the
+        departing copy is its ``src``, which drops any properties the
+        copy or a mirrored write merged in.  Records between two copies
+        and records a mirrored write created go; a vertex inserted on the
+        target during the window stays.
         """
-        for action in reversed(undo):
-            kind, server_id = action[0], action[1]
-            store = self.servers[server_id].store
-            if kind == "prop":
-                _, _, rel_id, key, had, old = action
-                if had:
-                    store.set_relationship_property(rel_id, key, old)
-                else:
-                    store.remove_relationship_property(rel_id, key)
-            elif kind == "ghost":
-                _, _, rel_id, old_ghost, old_props = action
-                store.set_ghost(rel_id, old_ghost)
-                for key, value in old_props.items():
-                    store.set_relationship_property(rel_id, key, value)
-            elif kind == "attach":
-                _, _, rel_id, node_id = action
-                store.detach_endpoint(rel_id, node_id)
-            elif kind == "create_rel":
-                store.delete_relationship(action[2])
-            elif kind == "import":
-                # By now every relationship installed for this vertex has
-                # been unwound, so its chain is empty again.
-                store.remove_node_record(action[2])
+        lookup = self.catalog.lookup
+        for vertex, here in reversed(self._window.items()):
+            self.servers[here].store.delete_node(
+                vertex, stays=lambda other, here=here: lookup(other) == here
+            )
 
     # ------------------------------------------------------------------
     # Barrier
@@ -596,30 +552,27 @@ class MigrationExecutor:
         sits inside an open double-write window, after the write has
         fully succeeded on its primary/ghost hosts.  The record is
         installed on the target store with its *post-migration* ghost
-        role and journalled into the live undo journal, so an aborted
-        migration unwinds mirrored writes together with the copy-steps
-        while the write itself stays durable on the source.  The
-        shipment piggybacks on the migration channel and is charged no
-        extra simulated cost.
+        role in ``vertex``'s chain, so an aborted migration retires
+        mirrored writes together with the copy while the write itself
+        stays durable on the source.  The shipment piggybacks on the
+        migration channel and is charged no extra simulated cost.
         """
         target_id = self._window.get(vertex)
-        if target_id is None or self.active_journal is None:
+        if target_id is None:
             return
         final_home = self._window_final_home or {}
         self._window_unswept.add(vertex)
-        self._install_relationship(
-            self.servers[target_id], vertex, rel, final_home, self.active_journal
-        )
+        self._install_relationship(self.servers[target_id], vertex, rel, final_home)
 
     def check_window_coherence(self) -> List[str]:
         """Audit the whole open double-write window (the simtest invariant).
 
-        For every windowed vertex: the journal must be open, the target
-        must hold a replica, the catalog must still route reads to the
-        source (reads *forward* until commit), the source copy must
-        still be available, and the two adjacency lists must agree —
-        i.e. every write that landed during the window reached both
-        sides.  Returns human-readable problems (empty when coherent).
+        For every windowed vertex: the target must hold a replica, the
+        catalog must still route reads to the source (reads *forward*
+        until commit), the source copy must still be available, and the
+        two adjacency lists must agree — i.e. every write that landed
+        during the window reached both sides.  Returns human-readable
+        problems (empty when coherent).
         """
         return self._window_problems(self._window)
 
@@ -636,8 +589,6 @@ class MigrationExecutor:
 
     def _window_problems(self, vertices: Iterable[int]) -> List[str]:
         problems: List[str] = []
-        if self._window and not self.journal_open:
-            problems.append("double-write window open without a live journal")
         for vertex in sorted(vertices):
             target_id = self._window[vertex]
             try:

@@ -1,7 +1,7 @@
 """Cluster-wide invariant auditor for the simulation harness.
 
 Between schedule steps the cluster must sit in a *quiescent* state — no
-migration in flight, no half-created edge, no leaked journal — so a
+migration in flight, no half-created edge, no leaked window — so a
 strong set of global invariants must hold regardless of which operations
 succeeded, degraded or aborted along the way.  The auditor walks every
 layer (stores, catalog, location caches, auxiliary data, telemetry,
@@ -45,8 +45,9 @@ and TESTING.md):
     same-server traffic, and its aggregates equal the registry's
     independently incremented per-kind network counters.
 ``undo-journal-closed``
-    The migration executor's undo journal is closed (fully rolled back
-    or past the commit point) — nothing to replay between steps.
+    The migration executor's double-write window, the list of copies an
+    abort retires, is closed (rolled back or past the commit point)
+    between steps.
 ``mirror-consistency``
     The cluster's own :meth:`~repro.cluster.hermes.HermesCluster.validate`
     deep check (adjacency chains, ghost conventions, aux counters), and,
@@ -95,12 +96,11 @@ and TESTING.md):
 ``double-write-coherence``
     (Clusters that ran interleaved schedules only.)  Every mid-step
     double-write coherence sweep came back clean (windowed vertices
-    readable at the source, mirrored verbatim at the target, journal
-    open while the window is): after each event over the vertices it
-    changed, at the barrier over the whole window.  And no double-write
-    window survives past the step that opened it — online migrations
-    commit or roll back within their schedule step; a survivor is
-    swept whole once more here.
+    readable at the source, mirrored verbatim at the target): after
+    each event over the vertices it changed, at the barrier over the
+    whole window.  And no double-write window survives past the step
+    that opened it — online migrations commit or roll back within their
+    schedule step; a survivor is swept whole once more here.
 ``adjacency-view-coherence``
     Every filled entry of a store's adjacency view belongs to an
     available node and equals, in order, the neighbour ids a fresh walk
@@ -415,12 +415,12 @@ class InvariantAuditor:
         ]
 
     def _check_journal(self, cluster) -> List[InvariantViolation]:
-        if cluster._executor.journal_open:
+        if cluster._executor.window_open:
             return [
                 InvariantViolation(
                     "undo-journal-closed",
-                    "migration executor's undo journal is open between steps "
-                    f"({len(cluster._executor.active_journal)} entries)",
+                    "migration executor's double-write window is open between "
+                    f"steps ({len(cluster._executor.window_vertices)} copies)",
                 )
             ]
         return []

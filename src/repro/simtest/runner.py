@@ -363,7 +363,10 @@ def _corrupt(cluster, mode: str) -> None:
     elif mode == "cache_poison":
         cluster.location_cache.learn(0, 10**9, 0)
     elif mode == "journal_leak":
-        cluster._executor.active_journal = [("import", 0, 0)]
+        # A copy left in the window after its migration ended: nothing
+        # would ever retire it.
+        vertex = next(iter(cluster.graph.vertices()))
+        cluster._executor._window[vertex] = cluster.catalog.lookup(vertex)
     elif mode == "stats_skew":
         cluster.network.link_bytes[0][1] += 64
     elif mode == "queue_skew":
@@ -389,8 +392,8 @@ def _corrupt(cluster, mode: str) -> None:
             )
         )
     elif mode == "window_leak":
-        # A double-write window entry that outlived its migration (no
-        # journal open, catalog never flipped): breaks window coherence.
+        # A double-write window entry that outlived its migration (the
+        # catalog never flipped): breaks window coherence.
         _concurrent_engine(cluster)
         vertex = next(iter(cluster.graph.vertices()))
         home = cluster.catalog.lookup(vertex)

@@ -124,15 +124,6 @@ class NeighborEntry(NamedTuple):
     ghost: bool
 
 
-class RecordBefore(NamedTuple):
-    """What a record already present held before :meth:`GraphStore.import_node`
-    gave it its role: its ghost flag, and its properties wherever the role
-    replaces or merges them (empty otherwise)."""
-
-    ghost: bool
-    properties: Dict[str, Any]
-
-
 @dataclass(frozen=True)
 class StoreStats:
     """Size accounting for one server's stores."""
@@ -453,8 +444,8 @@ class GraphStore:
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that
         side's pointers.  The record survives for the other (local)
-        endpoint — how a rolled-back copy step takes an attached record
-        back."""
+        endpoint — what :meth:`delete_node` does to a record it keeps,
+        one record at a time."""
         record = self.relationships.read(rel_id)
         self._unlink_from_chain(record, node_id)
         record = record.with_prev_for(node_id, NULL_REF)
@@ -462,8 +453,8 @@ class GraphStore:
         self.relationships.write(record)
 
     def remove_node_record(self, node_id: int) -> None:
-        """Drop a node whose chain is already empty (the last undo of a
-        rolled-back copy step)."""
+        """Drop a node whose chain is already empty (the last write of
+        unlinking a departing node one record at a time)."""
         record = self.nodes.read(node_id)
         if record.first_rel != NULL_REF:
             raise StorageError(
@@ -666,13 +657,6 @@ class GraphStore:
         rel = self.relationships.read(rel_id)
         return self._collect_properties(rel.first_prop)
 
-    def remove_relationship_property(self, rel_id: int, key: str) -> bool:
-        rel = self.relationships.read(rel_id)
-        new_first, removed = self._remove_property(rel.first_prop, key)
-        if new_first != rel.first_prop:
-            self.relationships.write(rel.with_first_prop(new_first))
-        return removed
-
     # -- property chain helpers ----------------------------------------
     def _set_property(self, first_prop: int, owner: int, encoded: EncodedProperty) -> int:
         """Update-or-insert an encoded property into a property chain;
@@ -856,9 +840,7 @@ class GraphStore:
             "relationships": relationships,
         }
 
-    def import_node(
-        self, payload: Dict[str, Any], roles: Sequence[bool]
-    ) -> List[Optional[RecordBefore]]:
+    def import_node(self, payload: Dict[str, Any], roles: Sequence[bool]) -> None:
         """Copy-step insert: the node of an :meth:`export_node` payload,
         its properties and its whole relationship chain, in one pass.
 
@@ -881,9 +863,9 @@ class GraphStore:
         absent, it is an endpoint of every record, no record comes twice,
         a record here joins the same two nodes and is not linked on the
         arriving side, every property encodes — so a bad payload raises
-        with the store untouched.  Returns, aligned with the relationships,
-        ``None`` for a record created and the :class:`RecordBefore` of one
-        that was already here (the caller's undo journal).
+        with the store untouched.  Undoing an import is
+        :meth:`delete_node` with ``stays`` naming the nodes that were
+        here before.
         """
         node = payload["node"]
         node_id = node["node_id"]
@@ -896,16 +878,14 @@ class GraphStore:
         node_properties = encode_properties(payload["properties"])
         ids = [rel["rel_id"] for rel in rels]
         first_prop = self._new_property_chain(node_id, node_properties)
-        before: List[Optional[RecordBefore]] = []
         for position, (rel, ghost, properties) in enumerate(zip(rels, roles, encoded)):
             rel_id = rel["rel_id"]
             if rel_id in present:
                 # Read again, not the checked copy: an earlier record of
                 # this payload may have been head-linked in front of it.
-                record, prior = self._take_role(
+                record = self._take_role(
                     self.relationships.read(rel_id), ghost, properties
                 )
-                before.append(prior)
             else:
                 self._rel_ids.observe(rel_id)
                 src, dst = rel["src"], rel["dst"]
@@ -916,7 +896,6 @@ class GraphStore:
                 record = record.with_first_prop(
                     self._new_property_chain(rel_id, properties)
                 )
-                before.append(None)
             prev, nxt = _chain_links(ids, position)
             record = record.with_prev_for(node_id, prev).with_next_for(node_id, nxt)
             self.relationships.write(record)
@@ -928,7 +907,6 @@ class GraphStore:
                 weight=node["weight"],
             )
         )
-        return before
 
     def _check_import(
         self, node_id: int, rels: Sequence[Dict[str, Any]], roles: Sequence[bool]
@@ -969,23 +947,16 @@ class GraphStore:
 
     def _take_role(
         self, record: RelationshipRecord, ghost: bool, properties: List[EncodedProperty]
-    ) -> Tuple[RelationshipRecord, RecordBefore]:
+    ) -> RelationshipRecord:
         """``record`` in its ``ghost`` role with the encoded ``properties``
-        merged in (the record is not written), and what it held before
-        wherever the role changes it."""
+        merged in (the record is not written)."""
         first_prop = record.first_prop
-        held: Dict[str, Any] = {}
-        if not record.ghost and (ghost or properties):
-            held = self._collect_properties(first_prop)
         if ghost and not record.ghost:
             self._delete_property_chain(first_prop)
             first_prop = NULL_REF
         for encoded in properties:
             first_prop = self._set_property(first_prop, record.rel_id, encoded)
-        return (
-            record._replace(first_prop=first_prop, ghost=ghost),
-            RecordBefore(record.ghost, held),
-        )
+        return record._replace(first_prop=first_prop, ghost=ghost)
 
     # ==================================================================
     # Logical images (durability journal / recovery fidelity)

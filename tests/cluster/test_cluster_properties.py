@@ -145,7 +145,7 @@ def test_execute_equals_hand_drained_migrate_steps(data):
 
 
 @given(placed_graph())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
 def test_aborted_migration_restores_state_exactly(data):
     graph, placement, num_servers, seed = data
     cluster = HermesCluster.from_graph(

@@ -11,8 +11,8 @@ is kept here, test-local, as the reference.  Twin clusters, one running
 each, go through the same scenario, and everything physical must be
 equal: every page of every record store, the free lists, the id->slot
 index (every id and its slot), the allocators, the WAL frames on a
-durable cluster, the undo journal of every migration, the reports and
-the metrics.
+durable cluster, the double-write window of every migration as it closes
+(what a rollback retires), the reports and the metrics.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ VERTICES = 48
 # ----------------------------------------------------------------------
 # The per-record path, as it ran before chains moved in one pass
 # ----------------------------------------------------------------------
-def per_record_copy_one(self, move, final_home, report, undo, payload_sizes):
+def per_record_copy_one(self, move, final_home, report, payload_sizes):
     source = self.servers[move.source]
     target = self.servers[move.target]
     if not source.store.has_node(move.vertex):
@@ -58,13 +58,12 @@ def per_record_copy_one(self, move, final_home, report, undo, payload_sizes):
     target.store.create_node(node["node_id"], weight=node["weight"])
     for key, value in payload["properties"].items():
         target.store.set_node_property(node["node_id"], key, value)
-    undo.append(("import", move.target, move.vertex))
     for rel in payload["relationships"]:
-        self._install_relationship(target, move.vertex, rel, final_home, undo)
+        self._install_relationship(target, move.vertex, rel, final_home)
         report.relationships_transferred += 1
 
 
-def per_record_install_relationship(self, target, arriving, rel, final_home, undo):
+def per_record_install_relationship(self, target, arriving, rel, final_home):
     rel_id = rel["rel_id"]
     src, dst = rel["src"], rel["dst"]
     other = dst if arriving == src else src
@@ -76,22 +75,15 @@ def per_record_install_relationship(self, target, arriving, rel, final_home, und
     if target.store.has_relationship(rel_id):
         if not target.store.chain_contains(arriving, rel_id):
             target.store.attach_endpoint(rel_id, arriving)
-        undo.append(("attach", target.server_id, rel_id, arriving))
         existing = target.store.relationship(rel_id)
         should_be_ghost = not (primary_here or both_local_eventually)
         if existing.ghost and not should_be_ghost:
             target.store.set_ghost(rel_id, False)
-            undo.append(("ghost", target.server_id, rel_id, True, {}))
         elif not existing.ghost and should_be_ghost:
-            old_props = target.store.relationship_properties(rel_id)
             target.store.set_ghost(rel_id, True)
-            undo.append(("ghost", target.server_id, rel_id, False, old_props))
         if not should_be_ghost:
             for key, value in rel.get("properties", {}).items():
-                had = key in target.store.relationship_properties(rel_id)
-                old = target.store.get_relationship_property(rel_id, key)
                 target.store.set_relationship_property(rel_id, key, value)
-                undo.append(("prop", target.server_id, rel_id, key, had, old))
         return
 
     ghost = not (primary_here or both_local_eventually)
@@ -99,7 +91,6 @@ def per_record_install_relationship(self, target, arriving, rel, final_home, und
     target.store.create_relationship(
         rel_id, src, dst, ghost=ghost, properties=properties or None
     )
-    undo.append(("create_rel", target.server_id, rel_id))
 
 
 def per_record_remove_one(self, move, final_home, report):
@@ -161,12 +152,12 @@ def build_twin(reference, durable):
         executor._install_relationship = types.MethodType(
             per_record_install_relationship, executor
         )
-    # Every migration's undo journal, as its window closes.
-    cluster.journals = []
+    # Every migration's double-write window, as it closes.
+    cluster.windows = []
     close_window = executor._close_window
 
     def recording_close():
-        cluster.journals.append(list(executor.active_journal or ()))
+        cluster.windows.append(list(executor.window_vertices.items()))
         close_window()
 
     executor._close_window = recording_close
@@ -187,7 +178,7 @@ def physical_state(cluster):
         "catalog": sorted(
             (vertex, cluster.catalog.lookup(vertex)) for vertex in cluster.graph.vertices()
         ),
-        "journals": cluster.journals,
+        "windows": cluster.windows,
         "telemetry": telemetry_snapshot(cluster),
         "clock": repr(cluster.now),
     }
@@ -290,7 +281,7 @@ def multi_edges(cluster, reference):
 
 def abort_and_retry(cluster, reference):
     """The copy step fails at its third vertex after two were installed
-    (0 upgrading a ghost with properties); the journal rolls back, then
+    (0 upgrading a ghost with properties); the copies roll back, then
     the same plan runs again without faults."""
     plan = plan_for(cluster, {0: 2, 7: 2, 5: 3})
     assert [move.target for move in plan.moves] == [2, 2, 3]

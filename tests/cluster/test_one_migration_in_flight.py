@@ -146,10 +146,10 @@ class TestEntriesWhileAMigrationIsInFlight:
         assert_clean(cluster, engine)
 
     def test_remove_steps_still_hold_the_slot(self):
-        """The catalog commit closes the undo journal, but the remove
+        """The catalog commit closes the double-write window, but the remove
         steps still rewrite source records: the slot outlives it."""
         cluster, engine, handle = self.start()
-        while cluster._executor.journal_open:
+        while cluster._executor.window_open:
             engine.step()
         assert not handle.done
         assert cluster.migration_in_flight == "rebalance"

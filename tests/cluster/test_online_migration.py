@@ -13,6 +13,8 @@ tests pin the protocol's contract:
   target copy, and the coherence sweep stays clean throughout;
 * an abort rolls back copy-steps *and* mirrored writes together,
   restoring every layer byte for byte;
+* a consumer that closes the generator before the commit gets the same
+  rollback; closing it after the commit finishes the removes;
 * the final placement and edge-cut equal the serial rebalance's from
   the same start state (matched schedules), because the plan is fixed
   up front and the catalog commit is atomic.
@@ -27,6 +29,7 @@ from repro.graph.generators import community_graph
 from repro.cluster.hermes import HermesCluster
 from repro.core import RepartitionerConfig
 from repro.partitioning import MultilevelPartitioner
+from repro.simtest.invariants import InvariantAuditor
 from repro.storage.graph_store import GraphStore
 from repro.workloads.queries import InsertEdge, InsertVertex, Traversal
 
@@ -49,6 +52,51 @@ def plan_for(cluster, moves):
 def drive(executor, plan):
     """Drain migrate_steps, collecting the yielded MigrationSteps."""
     return drain(executor.migrate_steps(plan))
+
+
+def by_content(snapshot):
+    """``deep_snapshot`` with relationship ids left out: chains as
+    ``(neighbour, ghost)`` and relationships as their content.  Ids a
+    server mints differ once its allocator has observed copied ids."""
+    servers = [
+        {
+            "nodes": {
+                node_id: dict(node, chain=sorted((n, g) for n, _, g in node["chain"]))
+                for node_id, node in server["nodes"].items()
+            },
+            "rels": sorted(
+                (r["src"], r["dst"], r["ghost"], sorted(r["properties"].items()))
+                for r in server["rels"].values()
+            ),
+        }
+        for server in snapshot["servers"]
+    ]
+    return dict(snapshot, servers=servers)
+
+
+def write_into_window(cluster, fresh):
+    """One round of writes touching vertices 0 and 3 while they move to
+    server 2: a new vertex there joining 0, edges with properties both
+    ways between 0 and two residents of server 2, the edge 0-3 and an
+    edge into 3."""
+    cluster.add_vertex(fresh, server=2)
+    residents = [
+        vertex
+        for vertex in sorted(cluster.catalog.vertices_on(2))
+        if not cluster.graph.has_edge(0, vertex)
+    ]
+    cluster.add_edge(0, residents[0], properties={"out": fresh})
+    cluster.add_edge(residents[1], 0, properties={"in": fresh, "w": 0.5})
+    if not cluster.graph.has_edge(fresh, 0):
+        cluster.add_edge(fresh, 0)
+    if not cluster.graph.has_edge(0, 3):
+        cluster.add_edge(0, 3, properties={"pair": fresh})
+    outsider = next(
+        vertex
+        for vertex in sorted(cluster.graph.vertices())
+        if vertex not in (0, 3) and not cluster.graph.has_edge(vertex, 3)
+    )
+    cluster.add_edge(outsider, 3, properties={"into": fresh})
 
 
 class TestMigrateSteps:
@@ -119,7 +167,6 @@ class TestMigrateSteps:
             assert excinfo.value.report.vertices_moved == 1
             assert deep_snapshot(cluster) == before
             assert not cluster._executor.window_open
-            assert not cluster._executor.journal_open
             cluster.validate()
             registry = cluster.telemetry.registry
             assert registry.value("migration_aborts_total") == 1
@@ -209,7 +256,6 @@ class TestAbort:
                 vertex, source, cluster.graph.neighbors(vertex)
             )
         assert not cluster._executor.window_open
-        assert not cluster._executor.journal_open
         assert deep_snapshot(cluster) == before
         cluster.validate()
 
@@ -242,6 +288,33 @@ class TestAbort:
         assert 0 not in set(target_store.node_ids()) or not target_store.node(
             0
         ).available
+        cluster.validate()
+
+    def test_abort_after_window_writes_equals_writes_without_migrating(self):
+        """Writes land after each of two co-migrating copies, then the
+        target crashes: the cluster ends where a twin that made the same
+        writes without migrating is."""
+        cluster = self.build()
+        twin = self.build()
+        moves = {0: (0, 2), 3: (0, 2)}
+        plan = plan_for(cluster, moves)
+        with pytest.raises(MigrationAbortedError):
+            for step in cluster._executor.migrate_steps(plan):
+                if step.kind != "copy":
+                    continue
+                copies = len(cluster._executor.window_vertices)
+                for each in (cluster, twin):
+                    write_into_window(each, 100 + copies)
+                assert cluster._executor.check_window_coherence() == []
+                if copies == len(moves):
+                    cluster.attach_faults(crash_plan(2))
+        cluster.attach_faults(None)
+        for vertex, (source, _) in moves.items():
+            cluster.aux.apply_move(
+                vertex, source, cluster.graph.neighbors(vertex)
+            )
+        assert not cluster._executor.window_open
+        assert by_content(deep_snapshot(cluster)) == by_content(deep_snapshot(twin))
         cluster.validate()
 
 
@@ -300,7 +373,6 @@ class TestMatchedScheduleParity:
             cluster.attach_faults(None)
             assert deep_snapshot(cluster) == before
             assert not cluster._executor.window_open
-            assert not cluster._executor.journal_open
             cluster.validate()
             registry = cluster.telemetry.registry
             assert registry.value("rebalance_aborts_total") == 1
@@ -345,6 +417,40 @@ class TestMatchedScheduleParity:
         with pytest.raises(StopIteration) as stop:
             next(generator)
         assert stop.value.value is None
+
+
+class TestClose:
+    """A consumer that abandons an online rebalance mid-flight."""
+
+    def build(self):
+        return TestMatchedScheduleParity().build()
+
+    def assert_clean(self, cluster):
+        assert not cluster._executor.window_open
+        assert cluster.migration_in_flight is None
+        assert InvariantAuditor().audit(cluster) == []
+        cluster.validate()
+
+    def test_close_before_the_commit_rolls_back(self):
+        cluster = self.build()
+        before = deep_snapshot(cluster)
+        steps = cluster.rebalance_steps(force=True)
+        assert next(steps).kind == "copy"
+        steps.close()
+        assert deep_snapshot(cluster) == before
+        self.assert_clean(cluster)
+
+    def test_close_after_the_commit_finishes_the_removes(self):
+        serial = self.build()
+        serial.rebalance(force=True)
+        cluster = self.build()
+        steps = cluster.rebalance_steps(force=True)
+        while next(steps).kind != "remove":
+            pass
+        steps.close()
+        placement = TestMatchedScheduleParity().placement
+        assert placement(cluster) == placement(serial)
+        self.assert_clean(cluster)
 
 
 class TestPerEventSweep:

@@ -32,8 +32,11 @@ from repro.storage.records import FixedRecordStore
 
 #: ``--hypothesis-profile sweep``: the wide CI sweep for property tests
 #: that take ``max_examples`` from the profile (the adjacency-view
-#: differential in ``tests/storage/test_read_frontier.py`` and the
-#: traversal differential in ``tests/cluster/test_traversal_differential.py``).
+#: differential in ``tests/storage/test_read_frontier.py``, the
+#: traversal differential in ``tests/cluster/test_traversal_differential.py``
+#: and the rollback-atomicity property
+#: ``test_aborted_migration_restores_state_exactly`` in
+#: ``tests/cluster/test_cluster_properties.py``).
 settings.register_profile("sweep", max_examples=2000)
 
 

@@ -6,9 +6,7 @@ output — every move and every per-iteration history row, including the
 implementation (full member-set scans, per-call ``sum()`` aggregates) on
 three seeded orkut-like graphs.  The array engine (DESIGN.md §6) must
 reproduce those outputs byte for byte on both graph substrates: it is a
-pure reformulation of Algorithm 1/2, not an approximation.  (The fixture
-also carries a ``"sharded"`` copy of each case from when a second
-auxiliary-data implementation existed; it is identical and unused.)
+pure reformulation of Algorithm 1/2, not an approximation.
 """
 
 from __future__ import annotations
