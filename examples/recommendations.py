@@ -6,9 +6,9 @@ social networks" (Section 5.3.2).
 
 Two layers are shown:
 
-1. the **local Traversal API** (Figure 5's layer over the storage engine):
-   a ``TraversalDescription`` collects friends-of-friends on one server
-   and ranks them by the number of common friends;
+1. a **local** walk over one server's store: the friends it hosts are
+   expanded, and their friends are ranked by the number of common
+   friends;
 2. the **distributed 2-hop traversal** over the whole cluster, with the
    response/processed ratio the paper analyzes (vertices visited along
    several paths are processed once per path).
@@ -23,25 +23,23 @@ from collections import Counter
 from repro.cluster import HermesCluster
 from repro.graph import orkut_like
 from repro.partitioning import MultilevelPartitioner
-from repro.storage import Evaluation, TraversalDescription, Uniqueness
 
 
 def local_recommendations(store, user, limit=5):
-    """Rank non-friends by common-friend count using the Traversal API."""
-    friends = set(store.neighbors(user))
+    """Rank non-friends by common-friend count, walking only the friends
+    this server hosts (a remote friend is a ghost here: not available)."""
+    friends = store.neighbors(user)
     counts = Counter()
-    description = (
-        TraversalDescription()
-        .breadth_first()
-        .min_depth(2)
-        .max_depth(2)
-        .uniqueness(Uniqueness.NODE_PATH)  # count every common-friend path
-        .evaluator(lambda path: Evaluation.INCLUDE_AND_CONTINUE)
-    )
-    for path in description.traverse(store, user):
-        candidate = path.end
-        if candidate != user and candidate not in friends:
-            counts[candidate] += 1
+    for friend in friends:
+        if friend == user or not store.is_available(friend):
+            continue
+        for candidate in store.neighbors(friend):
+            if (
+                candidate != user
+                and candidate not in friends
+                and store.is_available(candidate)
+            ):
+                counts[candidate] += 1  # one per common-friend path
     return counts.most_common(limit)
 
 
@@ -60,7 +58,7 @@ def main() -> None:
     store = cluster.servers[home].store
     print(f"user {user} (degree {cluster.graph.degree(user)}) on server {home}")
 
-    # 1. Local Traversal API: recommendations from same-server friends.
+    # 1. Local walk: recommendations from same-server friends.
     recs = local_recommendations(store, user)
     print("local friend-of-friend recommendations (candidate, common friends):")
     for candidate, common in recs:

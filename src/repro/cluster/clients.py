@@ -147,10 +147,6 @@ class ClientPool:
         }
         engine = ConcurrentExecutor(self.cluster)
         self.last_engine = engine
-        # Register on the cluster so membership changes mid-run (an
-        # elastic add_server inside the trace) grow this engine's event
-        # lanes instead of leaving the newcomer unschedulable.
-        self.cluster._concurrent_engine = engine
         scheduler = engine.scheduler
         dealt = enumerate(islice(trace, max_operations))
         waiting: List[Deque[Tuple[int, Operation]]] = [

@@ -734,11 +734,6 @@ class HermesCluster:
             raise ClusterError(f"unknown server {server_id}")
         return self.servers[server_id]
 
-    def set_server_capacity(self, server_id: int, capacity: float) -> None:
-        """Change one server's relative capacity (weighted balance)."""
-        self._member(server_id).capacity = capacity
-        self.aux.set_capacity(server_id, capacity)
-
     def add_server(
         self, capacity: float = 1.0, reshard: bool = True
     ) -> Tuple[int, Optional[Tuple[RepartitionResult, MigrationReport]]]:
@@ -771,7 +766,6 @@ class HermesCluster:
             labels={"cluster": self.cluster_id},
         )
         server.state = server_states.JOINING
-        server.capacity = capacity
         if self.faults is not None:
             server.attach_faults(self.faults)
         self.servers.append(server)
@@ -786,13 +780,12 @@ class HermesCluster:
                 member.journal.note_meta()
         if self.durability:
             server.journal = ServerJournal(server.store)
-        # Grow whatever traffic surfaces are attached to this cluster.
+        # Grow the front door's queue, if one is attached.  An event
+        # scheduler needs no registration: it opens the new server's
+        # lane on its first demand.
         serving = getattr(self, "serving", None)
         if serving is not None:
             serving.queue.add_server()
-        engine = getattr(self, "_concurrent_engine", None)
-        if engine is not None:
-            engine.scheduler.add_server()
         server.state = server_states.ACTIVE
         self.telemetry.event("server_joined", server=new_id, capacity=capacity)
         span.set_attribute("server", new_id)
@@ -826,7 +819,7 @@ class HermesCluster:
             vertex_weight = self.aux.weight_of(vertex)
 
             def rank(candidate: int) -> Tuple[float, float, int]:
-                capacity = max(self.servers[candidate].capacity, 1e-12)
+                capacity = max(self.aux.capacity_of(candidate), 1e-12)
                 projected = (weights[candidate] + vertex_weight) / capacity
                 return (-counts.get(candidate, 0), projected, candidate)
 
@@ -857,9 +850,8 @@ class HermesCluster:
             # only active server raises here with nothing applied.
             moves = self._drain_plan(server_id)
             span = self.telemetry.span("drain_server", server=server_id)
-            old_capacity = server.capacity
+            old_capacity = self.aux.capacity_of(server_id)
             server.state = server_states.DRAINING
-            server.capacity = 0.0
             self.aux.set_capacity(server_id, 0.0)
             self._point_aux({vertex: target for vertex, (_, target) in moves.items()})
             report: Optional[MigrationReport] = None
@@ -869,7 +861,6 @@ class HermesCluster:
             except MigrationAbortedError:
                 self._rollback_aux(moves)
                 self.aux.set_capacity(server_id, old_capacity)
-                server.capacity = old_capacity
                 server.state = server_states.ACTIVE
                 span.set_attribute("aborted", True)
                 span.finish()

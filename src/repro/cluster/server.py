@@ -59,8 +59,6 @@ class HermesServer:
         self.faults: Optional[FaultInjector] = None
         #: membership state (module-level constants above)
         self.state = ACTIVE
-        #: relative serving capacity (1.0 = one standard server)
-        self.capacity = 1.0
         # The legacy attribute API reads through these instruments, so the
         # registry must be real even without an attached sink: a bare
         # Telemetry() is exactly that (in-memory numbers, no recording).

@@ -101,8 +101,8 @@ class EventScheduler:
     """Deterministic per-server FIFO event scheduler."""
 
     def __init__(self, num_servers: int):
-        self.num_servers = num_servers
-        #: per-server event timeline: when the server's queue drains
+        #: per-server event timeline: when the server's queue drains;
+        #: a server that joins later gets its lane on its first demand
         self.server_free: List[float] = [0.0] * num_servers
         #: every dispatched event, in global dispatch order
         self.records: List[EventRecord] = []
@@ -114,14 +114,6 @@ class EventScheduler:
         self._next_event = 0
         #: largest event finish dispatched so far (the makespan so far)
         self.now = 0.0
-
-    def add_server(self) -> int:
-        """Open an event lane for a server joining mid-run; the lane is
-        free from time zero (it has no history)."""
-        server = self.num_servers
-        self.num_servers += 1
-        self.server_free.append(0.0)
-        return server
 
     # ------------------------------------------------------------------
     def spawn(self, task: Task, at: float = 0.0, label: str = "") -> TaskHandle:
@@ -176,6 +168,12 @@ class EventScheduler:
         handle.steps += 1
         finish = ready + work.latency
         for server, busy in work.demands:
+            if server >= len(self.server_free):
+                # A server that joined after this scheduler was built:
+                # its lane is free from time zero (it has no history).
+                self.server_free.extend(
+                    [0.0] * (server + 1 - len(self.server_free))
+                )
             start = max(ready, self.server_free[server])
             end = start + busy
             self.server_free[server] = end
@@ -220,7 +218,7 @@ class EventScheduler:
     # ------------------------------------------------------------------
     def per_server_records(self) -> List[List[EventRecord]]:
         """The event log split per server, in dispatch order."""
-        lanes: List[List[EventRecord]] = [[] for _ in range(self.num_servers)]
+        lanes: List[List[EventRecord]] = [[] for _ in self.server_free]
         for record in self.records:
             lanes[record.server].append(record)
         return lanes

@@ -80,13 +80,11 @@ and TESTING.md):
     catalog's partitioning — aux/catalog drift, as seen by the router,
     shows up here.
 ``workload-model-conservation``
-    (Clusters with an attached workload model only.)  Every edge and
-    link heat is non-negative, the model clock never trails the cluster
-    clock, total decayed heat never exceeds the undecayed observed
-    weight (decay only shrinks), the model's observation count matches
-    the engine's ``workload_model_observations_total`` counter, and
-    after folding in the network stats the model's per-link totals
-    equal the send-side message/byte counters exactly.
+    (Clusters with an attached workload model only.)  Every edge heat
+    is non-negative, the model clock never trails the cluster clock,
+    total decayed heat never exceeds the undecayed observed weight
+    (decay only shrinks), and the model's observation count matches
+    the engine's ``workload_model_observations_total`` counter.
 ``event-clock-monotonic``
     (Clusters that ran interleaved schedules only.)  Per server, the
     concurrent scheduler's recorded event timeline never runs
@@ -660,32 +658,6 @@ class InvariantAuditor:
                     "workload-model-conservation",
                     f"model recorded {model.observations} observations but "
                     f"the engine counter says {counted:g}",
-                )
-            )
-        # Folding the network stats in (idempotent) must land the model's
-        # link totals exactly on the send-side counters.  After a counter
-        # reset (a restarted server's stats re-started from zero) the
-        # model's accumulated totals legitimately exceed the live
-        # counters, so the equality only holds reset-free.
-        model.ingest_network(cluster.network.stats)
-        if model.link_resets:
-            return out
-        sent_messages = cluster.network.stats.messages
-        sent_bytes = cluster.network.stats.bytes_sent
-        if model.link_messages_total != sent_messages:
-            out.append(
-                InvariantViolation(
-                    "workload-model-conservation",
-                    f"model link messages {model.link_messages_total:g} != "
-                    f"network messages sent {sent_messages}",
-                )
-            )
-        if model.link_bytes_total != sent_bytes:
-            out.append(
-                InvariantViolation(
-                    "workload-model-conservation",
-                    f"model link bytes {model.link_bytes_total:g} != "
-                    f"network bytes sent {sent_bytes}",
                 )
             )
         return out

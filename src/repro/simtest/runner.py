@@ -369,6 +369,10 @@ def _corrupt(cluster, mode: str) -> None:
         cluster._executor._window[vertex] = cluster.catalog.lookup(vertex)
     elif mode == "stats_skew":
         cluster.network.link_bytes[0][1] += 64
+    elif mode == "heat_skew":
+        # An observation the engine never counted: breaks the parity of
+        # the model's counter with the engine's.
+        cluster.workload_model.observations += 1
     elif mode == "queue_skew":
         # An admitted operation that never committed nor shed: breaks
         # admitted == completed + in_flight.
@@ -522,6 +526,7 @@ CORRUPT_MODES = (
     "cache_poison",
     "journal_leak",
     "stats_skew",
+    "heat_skew",
     "queue_skew",
     "stale_serve",
     "event_skew",

@@ -25,12 +25,6 @@ from repro.storage.pages import PagedFile
 from repro.storage.property_store import PropertyRecord, PropertyStore
 from repro.storage.records import RecordCodec
 from repro.storage.relationship_store import RelationshipRecord, RelationshipStore
-from repro.storage.traversal_api import (
-    Evaluation,
-    Path,
-    TraversalDescription,
-    Uniqueness,
-)
 from repro.storage.values import decode_value, encode_value
 from repro.storage.wal import WriteAheadLog, encode_transaction, redo
 
@@ -38,10 +32,6 @@ __all__ = [
     "WriteAheadLog",
     "encode_transaction",
     "redo",
-    "TraversalDescription",
-    "Path",
-    "Evaluation",
-    "Uniqueness",
     "IdAllocator",
     "PagedFile",
     "RecordCodec",

@@ -1,33 +1,17 @@
-"""Workload model: edge heat accumulated from recorded telemetry.
+"""Workload model: edge heat accumulated from live traversal traffic.
 
-The telemetry subsystem records what the cluster *did* — traversal spans
-(start vertex, hop count, per-depth costs) and per-link message/byte
-totals — but until now nothing fed those observations back into
-placement.  :class:`WorkloadModel` closes that loop: it accumulates
-**edge heat**, a per-edge count of how often traversals actually crossed
-each edge, with exponential half-life decay on the simulated clock so
-the model tracks *current* traffic rather than all-time totals (the same
-reason vertex weights decay).
+The traversal engine knows which edges a query actually crossed, but
+placement sees only vertex weights.  :class:`WorkloadModel` closes that
+loop: it accumulates **edge heat**, a per-edge count of how often
+traversals crossed each edge, with exponential half-life decay on the
+simulated clock so the model tracks *current* traffic rather than
+all-time totals (the same reason vertex weights decay).
 
-Heat flows in three ways:
-
-* **live observation** — the traversal engine calls
-  :meth:`observe_edge` for every frontier expansion when a model is
-  attached to the cluster (see
-  :meth:`~repro.cluster.hermes.HermesCluster.attach_workload_model`);
-* **span replay** — :meth:`ingest_spans` re-executes recorded
-  ``traversal`` spans (their ``start``/``hops`` attributes) against a
-  graph snapshot, deterministically reconstructing the edges each query
-  crossed, so a JSONL telemetry log recorded yesterday can be replayed
-  into a model today;
-* **link ingestion** — :meth:`ingest_network` folds per-link
-  :class:`~repro.cluster.network.NetworkStats` deltas into server-pair
-  heat, conserving against the send side of the link counters.
-
-The whole model serializes to JSON (:meth:`to_dict`/:meth:`from_dict`),
-and with ``record=True`` it keeps an observation log that
-:meth:`replay` can re-apply to an empty model — the record/replay
-round-trip the property tests pin.
+Heat flows in through :meth:`observe_edge`: the traversal engine calls
+it for every frontier expansion when a model is attached to the cluster
+(see :meth:`~repro.cluster.hermes.HermesCluster.attach_workload_model`).
+:meth:`ingest_trace` makes the same observations offline from an
+operation stream and a graph snapshot.
 
 The repartitioner consumes :meth:`normalized_edge_heat`: heat rescaled
 so the *mean heated edge* has heat 1.0, making the heat term of the
@@ -37,14 +21,12 @@ static gain (see ``RepartitionerConfig.workload_alpha``).
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import VertexNotFoundError, WorkloadError
 from repro.workloads.queries import Operation, Traversal
 
 EdgeKey = Tuple[int, int]
-LinkKey = Tuple[int, int]
 
 
 def edge_key(u: int, v: int) -> EdgeKey:
@@ -61,14 +43,9 @@ class WorkloadModel:
         Simulated seconds for heat to halve.  ``None`` disables decay
         (heat accumulates forever) — useful for offline replay where the
         whole trace should count equally.
-    record:
-        Keep an observation log for :meth:`replay`.  Off by default: the
-        log grows with the observation stream, the model itself does not.
     """
 
-    def __init__(
-        self, half_life: Optional[float] = None, record: bool = False
-    ):
+    def __init__(self, half_life: Optional[float] = None):
         if half_life is not None and half_life <= 0.0:
             raise WorkloadError(f"half_life must be positive, got {half_life}")
         self.half_life = half_life
@@ -76,22 +53,10 @@ class WorkloadModel:
         #: (heat, stamp) per canonical edge; heat is valid *at* stamp and
         #: decays lazily when read or re-observed
         self._edges: Dict[EdgeKey, Tuple[float, float]] = {}
-        #: accumulated per-directed-link traffic from NetworkStats deltas
-        self._links: Dict[LinkKey, Dict[str, float]] = {}
-        #: last NetworkStats snapshot per link, so re-ingesting the same
-        #: (monotone) stats object only adds the delta
-        self._link_snapshot: Dict[LinkKey, Tuple[int, int]] = {}
         #: observation counters (undecayed): the conservation side of the
         #: simtest invariant — observe_edge calls and total raw weight
         self.observations = 0
         self.observed_weight = 0.0
-        #: times a link's NetworkStats counters went backwards (the
-        #: sending server restarted and its stats re-started from zero);
-        #: while non-zero the model's link totals legitimately exceed
-        #: the live send-side counters
-        self.link_resets = 0
-        self.recording = record
-        self._log: List[Tuple] = []
 
     # ------------------------------------------------------------------
     # Clock and decay
@@ -113,7 +78,7 @@ class WorkloadModel:
         return heat * 0.5 ** (elapsed / self.half_life)
 
     # ------------------------------------------------------------------
-    # Observation (live hook + replay entry points)
+    # Observation
     # ------------------------------------------------------------------
     def observe_edge(
         self, u: int, v: int, weight: float = 1.0, now: Optional[float] = None
@@ -139,8 +104,6 @@ class WorkloadModel:
             )
         self.observations += 1
         self.observed_weight += weight
-        if self.recording:
-            self._log.append(("edge", u, v, weight, self.now))
 
     def ingest_trace(
         self, operations: Iterable[Operation], graph
@@ -179,63 +142,6 @@ class WorkloadModel:
                     break
                 frontier = next_frontier
         return self.observations - before
-
-    def ingest_spans(self, spans: Iterable[Mapping], graph) -> int:
-        """Replay recorded ``traversal`` spans (e.g. from a JSONL log).
-
-        Each span dict needs ``name == "traversal"`` and ``start`` /
-        ``hops`` attributes (the tracer stores them under ``attributes``;
-        flat dicts work too).  Returns the edge observations made.
-        """
-        operations: List[Traversal] = []
-        for span in spans:
-            if span.get("name") != "traversal":
-                continue
-            attrs = span.get("attributes", span)
-            if "start" not in attrs:
-                continue
-            operations.append(
-                Traversal(
-                    start=int(attrs["start"]), hops=int(attrs.get("hops", 1))
-                )
-            )
-        return self.ingest_trace(operations, graph)
-
-    def ingest_network(self, stats) -> None:
-        """Fold per-link send-side deltas of a NetworkStats into link heat.
-
-        Idempotent against a monotone stats object: only the delta since
-        the last ingest of each link is added, so the accumulated totals
-        equal the stats' send-side counters exactly (the conservation
-        half of the simtest invariant).
-        """
-        for (src, dst), link in stats.per_link.items():
-            key = (src, dst)
-            seen_msgs, seen_bytes = self._link_snapshot.get(key, (0, 0))
-            d_msgs = link.messages - seen_msgs
-            d_bytes = link.bytes - seen_bytes
-            if d_msgs < 0 or d_bytes < 0:
-                # The counters went backwards: the sending server was
-                # restarted (crash-recovery episode) and its NetworkStats
-                # re-started from zero.  Treat the new values as a fresh
-                # counting epoch — everything since the restart is new
-                # traffic — instead of raising (or worse, silently
-                # clamping a huge negative delta into the heat).
-                d_msgs = link.messages
-                d_bytes = link.bytes
-                self.link_resets += 1
-                if self.recording:
-                    self._log.append(("link_reset", src, dst))
-            if d_msgs == 0 and d_bytes == 0:
-                continue
-            entry = self._links.setdefault(
-                key, {"messages": 0.0, "bytes": 0.0}
-            )
-            entry["messages"] += d_msgs
-            entry["bytes"] += d_bytes
-            self._link_snapshot[key] = (link.messages, link.bytes)
-            if self.recording:
-                self._log.append(("link", src, dst, d_msgs, d_bytes))
 
     # ------------------------------------------------------------------
     # Queries
@@ -282,111 +188,6 @@ class WorkloadModel:
     @property
     def num_edges(self) -> int:
         return len(self._edges)
-
-    def link_heat(self, src: int, dst: int) -> Dict[str, float]:
-        return dict(self._links.get((src, dst), {"messages": 0.0, "bytes": 0.0}))
-
-    @property
-    def link_messages_total(self) -> float:
-        return sum(entry["messages"] for entry in self._links.values())
-
-    @property
-    def link_bytes_total(self) -> float:
-        return sum(entry["bytes"] for entry in self._links.values())
-
-    @property
-    def log(self) -> List[Tuple]:
-        """The observation log (empty unless constructed with record=True)."""
-        return list(self._log)
-
-    # ------------------------------------------------------------------
-    # Serialization and replay
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return {
-            "half_life": self.half_life,
-            "now": self.now,
-            "observations": self.observations,
-            "observed_weight": self.observed_weight,
-            "link_resets": self.link_resets,
-            "edges": [
-                [u, v, heat, stamp]
-                for (u, v), (heat, stamp) in sorted(self._edges.items())
-            ],
-            "links": [
-                [src, dst, entry["messages"], entry["bytes"]]
-                for (src, dst), entry in sorted(self._links.items())
-            ],
-            "link_snapshot": [
-                [src, dst, msgs, nbytes]
-                for (src, dst), (msgs, nbytes) in sorted(
-                    self._link_snapshot.items()
-                )
-            ],
-            "log": [list(entry) for entry in self._log],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "WorkloadModel":
-        model = cls(
-            half_life=data.get("half_life"), record=bool(data.get("log"))
-        )
-        model.now = float(data.get("now", 0.0))
-        model.observations = int(data.get("observations", 0))
-        model.observed_weight = float(data.get("observed_weight", 0.0))
-        model.link_resets = int(data.get("link_resets", 0))
-        for u, v, heat, stamp in data.get("edges", []):
-            model._edges[(int(u), int(v))] = (float(heat), float(stamp))
-        for src, dst, messages, nbytes in data.get("links", []):
-            model._links[(int(src), int(dst))] = {
-                "messages": float(messages),
-                "bytes": float(nbytes),
-            }
-        for src, dst, msgs, nbytes in data.get("link_snapshot", []):
-            model._link_snapshot[(int(src), int(dst))] = (
-                int(msgs),
-                int(nbytes),
-            )
-        model._log = [tuple(entry) for entry in data.get("log", [])]
-        model.recording = bool(model._log)
-        return model
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadModel":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def replay(
-        cls, log: Iterable[Tuple], half_life: Optional[float] = None
-    ) -> "WorkloadModel":
-        """Re-apply a recorded observation log to a fresh model.
-
-        Replaying the log of a recording model reproduces its edge and
-        link state exactly (same observations at the same simulated
-        times, so the same lazy-decay arithmetic).
-        """
-        model = cls(half_life=half_life)
-        for entry in log:
-            kind = entry[0]
-            if kind == "edge":
-                _, u, v, weight, now = entry
-                model.observe_edge(int(u), int(v), float(weight), float(now))
-            elif kind == "link":
-                _, src, dst, d_msgs, d_bytes = entry
-                key = (int(src), int(dst))
-                bucket = model._links.setdefault(
-                    key, {"messages": 0.0, "bytes": 0.0}
-                )
-                bucket["messages"] += float(d_msgs)
-                bucket["bytes"] += float(d_bytes)
-            elif kind == "link_reset":
-                model.link_resets += 1
-            else:
-                raise WorkloadError(f"unknown log entry kind {kind!r}")
-        return model
 
     def __repr__(self) -> str:
         return (

@@ -332,7 +332,7 @@ class TestDrain:
         cluster.drain_server(1)
         server = cluster.servers[1]
         assert server.state == server_states.DETACHED
-        assert server.capacity == 0.0
+        assert cluster.aux.capacity_of(1) == 0.0
         assert not cluster.catalog.vertices_on(1)
         available, unavailable = server.store.membership()
         assert not available and not unavailable
@@ -367,7 +367,6 @@ class TestDrain:
         server = cluster.servers[1]
         before = (
             server.state,
-            server.capacity,
             cluster.aux.capacity_of(1),
             cluster.now,
             cluster.migration_in_flight,
@@ -376,7 +375,6 @@ class TestDrain:
             cluster.drain_server(1)
         assert (
             server.state,
-            server.capacity,
             cluster.aux.capacity_of(1),
             cluster.now,
             cluster.migration_in_flight,
@@ -501,20 +499,52 @@ class TestServingElasticity:
         cluster.validate()
 
     def test_concurrent_engine_grows_event_lanes_on_join(self):
-        """A join mid-concurrent-run must open an event lane (and an
-        admission lane) for the newcomer instead of leaving it
-        unschedulable."""
+        """A server that joins mid-concurrent-run is schedulable: a step
+        on it runs and is recorded in its own event lane, and the front
+        door opens an admission lane for it."""
         from repro.concurrency.engine import ConcurrentExecutor
+        from repro.concurrency.scheduler import Work
 
         cluster = durable_cluster()
         frontend = ServingFrontend(cluster)
         cluster.serving = frontend
         engine = ConcurrentExecutor(cluster)
         cluster._concurrent_engine = engine
-        cluster.add_server(reshard=False)
-        assert len(engine.scheduler.server_free) == cluster.num_servers
+        new_id, _ = cluster.add_server(reshard=False)
+
+        def probe():
+            yield Work(demands=((new_id, 0.5),), kind="probe")
+
+        handle = engine.submit(probe(), label="probe")
+        engine.run()
+        assert handle.ok
+        lane = engine.scheduler.per_server_records()[new_id]
+        assert [(r.kind, r.start, r.finish) for r in lane] == [("probe", 0.0, 0.5)]
+        assert engine.monotonicity_violations() == []
         assert len(frontend.queue.free_at) == cluster.num_servers
         assert frontend.queue.num_servers == cluster.num_servers
+
+    def test_join_after_a_pool_run_keeps_the_front_door_schedulable(self):
+        """A client-pool run uses an engine of its own; a join after it
+        must still leave the front door's engine able to schedule the
+        newcomer, so a forced rebalance through the front door runs."""
+        from repro.cluster.clients import ClientPool
+        from repro.concurrency.engine import ConcurrentExecutor
+        from repro.workloads.queries import ReadVertex
+
+        cluster = durable_cluster()
+        frontend = ServingFrontend(cluster)
+        cluster.serving = frontend
+        engine = ConcurrentExecutor(cluster)
+        cluster._concurrent_engine = engine
+        frontend.attach_engine(engine)
+        reads = [ReadVertex(vertex=v) for v in sorted(cluster.graph.vertices())[:20]]
+        ClientPool(cluster, num_clients=2).run(reads)
+        new_id, _ = cluster.add_server(reshard=False)
+        result = frontend.rebalance(force=True)
+        assert result is not None
+        assert cluster.catalog.vertices_on(new_id)
+        cluster.validate()
 
     def test_frontend_survives_drain(self):
         cluster = durable_cluster()

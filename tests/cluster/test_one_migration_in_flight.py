@@ -39,7 +39,7 @@ def observable(cluster):
         telemetry_snapshot(cluster),
         cluster.now,
         cluster.num_servers,
-        [(server.state, server.capacity) for server in cluster.servers],
+        [server.state for server in cluster.servers],
         list(cluster.aux.capacities),
         {v: cluster.graph.weight(v) for v in cluster.graph.vertices()},
     )

@@ -37,6 +37,7 @@ EXPECTED_INVARIANT = {
     "cache_poison": "location-cache-coherence",
     "journal_leak": "undo-journal-closed",
     "stats_skew": "telemetry-conservation",
+    "heat_skew": "workload-model-conservation",
     "queue_skew": "queue-conservation",
     "stale_serve": "replica-staleness-bound",
     "event_skew": "event-clock-monotonic",

@@ -1,15 +1,9 @@
-"""WorkloadModel: decay determinism, record/replay, serialization.
+"""WorkloadModel: decay determinism and trace ingestion.
 
-Property tests pin the heat model's arithmetic:
-
-* decay is deterministic and monotone (heat never grows between
-  observations, total decayed heat never exceeds the raw observed
-  weight);
-* a recording model's log replays into an identical model
-  (``replay(model.log)`` reproduces edge and link state exactly);
-* ``to_json``/``from_json`` round-trips the full state;
-* link ingestion is idempotent against a monotone NetworkStats and
-  conserves against the send-side counters.
+Property tests pin the heat model's arithmetic: decay is deterministic
+and monotone (heat never grows between observations, total decayed heat
+never exceeds the raw observed weight), and an offline trace replay
+makes the observations the live engine makes.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.network import SimulatedNetwork
 from repro.exceptions import WorkloadError
 from repro.workloads.model import WorkloadModel, edge_key
 from repro.workloads.queries import InsertVertex, Traversal
@@ -137,44 +130,6 @@ class TestDecay:
         assert model.edge_heat(0, 1, now=elapsed) == pytest.approx(expected)
 
 
-class TestRecordReplay:
-    @given(stream=observations, half_life=half_lives)
-    @settings(max_examples=60, deadline=None)
-    def test_replay_reproduces_state(self, stream, half_life):
-        recorded = WorkloadModel(half_life=half_life, record=True)
-        apply_stream(recorded, stream)
-        replayed = WorkloadModel.replay(recorded.log, half_life=half_life)
-        assert replayed.edge_heats() == recorded.edge_heats()
-        assert replayed.observations == recorded.observations
-        assert replayed.observed_weight == recorded.observed_weight
-
-    def test_not_recording_by_default(self):
-        model = WorkloadModel()
-        model.observe_edge(1, 2)
-        assert model.log == []
-
-    def test_unknown_log_kind(self):
-        with pytest.raises(WorkloadError):
-            WorkloadModel.replay([("bogus", 1, 2, 3, 4)])
-
-    @given(stream=observations, half_life=half_lives)
-    @settings(max_examples=40, deadline=None)
-    def test_json_round_trip(self, stream, half_life):
-        model = WorkloadModel(half_life=half_life, record=True)
-        apply_stream(model, stream)
-        restored = WorkloadModel.from_json(model.to_json())
-        assert restored.edge_heats() == model.edge_heats()
-        assert restored.now == model.now
-        assert restored.observations == model.observations
-        assert restored.observed_weight == model.observed_weight
-        assert restored.log == model.log
-        # And the restored log still replays to the same state.
-        assert (
-            WorkloadModel.replay(restored.log, half_life=half_life).edge_heats()
-            == model.edge_heats()
-        )
-
-
 class TestTraceIngestion:
     @pytest.fixture
     def graph(self):
@@ -214,22 +169,6 @@ class TestTraceIngestion:
         made = model.ingest_trace([Traversal(start=777, hops=2)], graph)
         assert made == 0
 
-    def test_spans_replay_like_traces(self, graph):
-        model_spans = WorkloadModel()
-        model_spans.ingest_spans(
-            [
-                {"name": "traversal", "attributes": {"start": 1, "hops": 1}},
-                {"name": "hop", "attributes": {"depth": 0}},
-                {"name": "traversal", "start": 0, "hops": 2},
-            ],
-            graph,
-        )
-        model_trace = WorkloadModel()
-        model_trace.ingest_trace(
-            [Traversal(start=1, hops=1), Traversal(start=0, hops=2)], graph
-        )
-        assert model_spans.edge_heats() == model_trace.edge_heats()
-
     def test_matches_live_engine_observations(self):
         """Offline trace replay equals the live engine's edge observations."""
         import random
@@ -258,79 +197,6 @@ class TestTraceIngestion:
         offline.ingest_trace(ops, g)
         assert offline.edge_heats() == pytest.approx(live.edge_heats())
         assert offline.observations == live.observations
-
-
-def ledger():
-    """A network's read-only stats view and the sender that charges it."""
-    network = SimulatedNetwork(3)
-    return network.stats, network.remote_hop
-
-
-class TestLinkIngestion:
-    def test_conserves_send_side(self):
-        stats, send = ledger()
-        send(0, 1, 100)
-        send(0, 1, 50)
-        send(1, 2, 30)
-        model = WorkloadModel()
-        model.ingest_network(stats)
-        assert model.link_messages_total == stats.messages
-        assert model.link_bytes_total == stats.bytes_sent
-        assert model.link_heat(0, 1) == {"messages": 2.0, "bytes": 150.0}
-
-    def test_idempotent_and_incremental(self):
-        stats, send = ledger()
-        send(0, 1, 10)
-        model = WorkloadModel()
-        model.ingest_network(stats)
-        model.ingest_network(stats)  # same snapshot: no double count
-        assert model.link_messages_total == 1
-        send(0, 1, 20)
-        model.ingest_network(stats)
-        assert model.link_messages_total == 2
-        assert model.link_bytes_total == 30
-
-    def test_counter_reset_starts_fresh_epoch(self):
-        # A restarted server re-creates its network ledger from zero: the
-        # regressed counters are a *reset*, not a negative delta — the
-        # post-restart traffic is counted in full and the reset recorded.
-        stats, send = ledger()
-        send(0, 1, 10)
-        model = WorkloadModel()
-        model.ingest_network(stats)
-        assert model.link_resets == 0
-        fresh, send_fresh = ledger()  # restart: counters back to zero
-        send_fresh(0, 1, 5)
-        model.ingest_network(fresh)
-        assert model.link_resets == 1
-        # Pre-restart delta (1 msg / 10 bytes) + post-restart traffic
-        # (1 msg / 5 bytes): nothing lost, nothing clamped negative.
-        assert model.link_messages_total == 2
-        assert model.link_bytes_total == 15
-        assert model.link_heat(0, 1)["messages"] == 2.0
-        # The new snapshot is the fresh epoch: re-ingesting is idempotent.
-        model.ingest_network(fresh)
-        assert model.link_messages_total == 2
-        assert model.link_resets == 1
-
-    def test_reset_mid_stream_keeps_counting_increments(self):
-        stats, send = ledger()
-        send(0, 1, 10)
-        model = WorkloadModel()
-        model.ingest_network(stats)
-        restarted, send_restarted = ledger()
-        send_restarted(0, 1, 5)
-        model.ingest_network(restarted)
-        # Traffic after the restart accumulates as ordinary deltas again.
-        send_restarted(0, 1, 20)
-        model.ingest_network(restarted)
-        assert model.link_messages_total == 3
-        assert model.link_bytes_total == 35
-        assert model.link_resets == 1
-        # The reset survives a serialization round trip.
-        clone = WorkloadModel.from_json(model.to_json())
-        assert clone.link_resets == 1
-        assert clone.link_messages_total == 3
 
 
 class TestNormalization:
