@@ -70,7 +70,7 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.graph.adjacency import SocialGraph
-from repro.storage.graph_store import GraphStore
+from repro.storage.graph_store import GraphStore, check_node_values
 from repro.storage.records import NULL_REF
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.hashing import HashPartitioner
@@ -277,10 +277,11 @@ class HermesCluster:
         """Bulk-load: nodes to their partitions, edges with ghosts.
 
         All or nothing: the cluster must be empty, no fault plan may be
-        attached (a bulk import is fault-free and unlogged) and every
-        vertex needs a partition in ``[0, num_servers)``; a violation
-        raises :class:`ClusterError` before anything is written, so a
-        corrected retry succeeds.
+        attached (a bulk import is fault-free and unlogged), every
+        vertex needs a partition in ``[0, num_servers)``, an id that fits
+        a record and a real-number weight; a violation raises
+        :class:`ClusterError` before the catalog, the network or any
+        store is touched, so a corrected retry succeeds.
 
         One pass over the edges plans the records: the id comes from the
         ``src`` host's allocator, the primary lives there and the ghost
@@ -317,7 +318,13 @@ class HermesCluster:
         nodes: List[List[Tuple[int, float]]] = [[] for _ in stores]
         relationships: List[List[Tuple[int, int, int, bool]]] = [[] for _ in stores]
         for vertex, server in home.items():
-            nodes[server].append((vertex, graph.weight(vertex)))
+            weight = graph.weight(vertex)
+            try:
+                check_node_values(vertex, weight)
+            except StorageError as error:
+                raise ClusterError(f"vertex {vertex!r} cannot be loaded: {error}") from error
+            nodes[server].append((vertex, weight))
+        for vertex, server in home.items():
             self.catalog.register(vertex, server)
         remote_hop = self.network.remote_hop
         for u, v in graph.edges():

@@ -50,12 +50,25 @@ writing every record once, with its final pointers — and
 They allocate and free slots, ids and blobs in the order the per-record
 mutators would, so the pages they leave are the ones creating, linking
 or unlinking one record at a time leaves.
+
+The write side works on raw fields, not records.  ``export_node`` ships
+the fields its chain walk read; ``import_node``, ``delete_node``,
+``bulk_load`` and the chain links and unlinks they share with the
+per-record mutators read a slot through ``fields``, set its final
+fields in a list and write it once through the node or relationship
+store's ``write_fields`` — the records' one slot writer — building no
+``NodeRecord`` or ``RelationshipRecord`` and no copy of one.  A record
+a caller already holds (``held``: the arriving payload's, the departing
+chain's) is updated in place when a neighbour's link or unlink changes
+it, never read back.  The record types are the read side's values:
+``node``, ``relationship`` and ``chain`` return them.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import (
@@ -81,8 +94,12 @@ from repro.exceptions import (
 from repro.storage.ids import IdAllocator
 from repro.storage.node_store import (
     FLAG_AVAILABLE,
+    NODE_FIRST_PROP,
     NODE_FIRST_REL,
     NODE_FLAGS,
+    NODE_ID,
+    NODE_IN_USE_AVAILABLE,
+    NODE_WEIGHT,
     NodeRecord,
     NodeStore,
 )
@@ -93,16 +110,73 @@ from repro.storage.property_store import (
     encode_properties,
     encode_property,
 )
-from repro.storage.records import NULL_REF, FixedRecordStore
+from repro.storage.records import FLAG_IN_USE, NULL_REF, FixedRecordStore
 from repro.storage.relationship_store import (
+    FLAG_GHOST,
     REL_DST,
     REL_DST_NEXT,
+    REL_DST_PREV,
+    REL_FIRST_PROP,
+    REL_FLAGS,
     REL_ID,
     REL_SRC,
     REL_SRC_NEXT,
+    REL_SRC_PREV,
     RelationshipRecord,
     RelationshipStore,
+    rel_flags,
 )
+
+#: What the slot writes pack from caller-supplied values: a node's id and
+#: weight, a relationship's id and endpoints.  Packing them first rejects
+#: exactly what those writes would, before anything is written.
+_NODE_VALUES = struct.Struct("<qd")
+_REL_VALUES = struct.Struct("<3q")
+
+
+def check_node_values(node_id: Any, weight: Any) -> None:
+    """Raise :class:`StorageError` unless ``node_id`` fits a record id
+    and ``weight`` is a real number a node record can hold."""
+    try:
+        _NODE_VALUES.pack(node_id, weight)
+    except struct.error as error:
+        raise StorageError(
+            f"node {node_id!r} with weight {weight!r} cannot be stored: {error}"
+        ) from None
+
+
+def _check_rel_values(rel_id: Any, src: Any, dst: Any) -> None:
+    """Raise :class:`StorageError` unless the id and both endpoints of a
+    relationship fit a record id and the id is non-negative."""
+    try:
+        _REL_VALUES.pack(rel_id, src, dst)
+    except struct.error as error:
+        raise StorageError(
+            f"relationship {rel_id!r} ({src!r}, {dst!r}) cannot be stored: {error}"
+        ) from None
+    if rel_id < 0:
+        raise StorageError(f"relationship id {rel_id} is negative")
+
+
+def _fields(store: FixedRecordStore, record_id: int) -> Tuple:
+    """The raw fields of ``record_id``; raises what ``store.read`` raises
+    when there is no such record."""
+    fields = store.fields(record_id)
+    if fields is None:
+        raise RecordNotFoundError(f"record {record_id} not found")
+    return fields
+
+
+def _side(rel: Sequence, node_id: int) -> int:
+    """Where ``node_id``'s ``prev`` sits in the relationship fields
+    ``rel`` (its ``next`` follows): the src or the dst pair."""
+    if rel[REL_SRC] == node_id:
+        return REL_SRC_PREV
+    if rel[REL_DST] == node_id:
+        return REL_DST_PREV
+    raise StorageError(
+        f"node {node_id} is not an endpoint of relationship {rel[REL_ID]}"
+    )
 
 
 def _chain_links(chain: Sequence[int], position: int) -> Tuple[int, int]:
@@ -222,15 +296,20 @@ class GraphStore:
         return record is not None and record.available
 
     def set_available(self, node_id: int, available: bool) -> None:
-        self.nodes.write(self.nodes.read(node_id).with_available(available))
+        node = list(_fields(self.nodes, node_id))
+        node[NODE_FLAGS] = NODE_IN_USE_AVAILABLE if available else FLAG_IN_USE
+        self.nodes.write_fields(node)
 
     def _require_available(self, node_id: int) -> NodeRecord:
-        record = self.nodes.read(node_id)
-        if not record.available:
+        return self.nodes.codec.decode(self._available_fields(node_id))
+
+    def _available_fields(self, node_id: int) -> Tuple:
+        node = _fields(self.nodes, node_id)
+        if not node[NODE_FLAGS] & FLAG_AVAILABLE:
             raise VertexUnavailableError(
                 f"node {node_id} is unavailable (being migrated away)"
             )
-        return record
+        return node
 
     def point_read(self, node_id: int) -> Optional[Dict[str, Any]]:
         """A single-record query served from one fetch of the node record:
@@ -258,31 +337,36 @@ class GraphStore:
         maintained record by record: it goes away with the node.  Slots
         are freed in chain order, so the store ends byte for byte where
         unlinking one record at a time leaves it.
+
+        Each record is read once, by the chain walk, and a kept one
+        written once, from those fields; unlinking a record between the
+        same two nodes rewrites its siblings' held fields in place, so
+        a later sibling is unlinked from current pointers.
         """
         nodes = self.nodes
-        node = nodes.read(node_id)
-        chain = list(self._chain(node_id, node.first_rel))
-        for record in chain:
-            other = record.other_endpoint(node_id)
+        relationships = self.relationships
+        node = _fields(nodes, node_id)
+        chain = [list(rel) for rel in self._chain_fields(node_id, node[NODE_FIRST_REL])]
+        held = {rel[REL_ID]: rel for rel in chain}
+        for rel in chain:
+            src = rel[REL_SRC]
+            other = rel[REL_DST] if src == node_id else src
             other_local = other in nodes
             if other_local and stays is not None and stays(other):
-                ghost = record.src == node_id
-                if ghost and not record.ghost:
-                    self._delete_property_chain(record.first_prop)
-                    record = record._replace(first_prop=NULL_REF)
-                self.relationships.write(
-                    record._replace(ghost=ghost)
-                    .with_prev_for(node_id, NULL_REF)
-                    .with_next_for(node_id, NULL_REF)
-                )
+                ghost = src == node_id
+                if ghost and not rel[REL_FLAGS] & FLAG_GHOST:
+                    self._delete_property_chain(rel[REL_FIRST_PROP])
+                    rel[REL_FIRST_PROP] = NULL_REF
+                rel[REL_FLAGS] = rel_flags(ghost)
+                side = REL_SRC_PREV if ghost else REL_DST_PREV
+                rel[side] = rel[side + 1] = NULL_REF
+                relationships.write_fields(rel)
                 continue
             if other_local:
-                # Fresh: unlinking an earlier record between the same two
-                # nodes may have moved this one's pointers on that side.
-                self._unlink_from_chain(self.relationships.read(record.rel_id), other)
-            self._delete_property_chain(record.first_prop)
-            self.relationships.delete(record)
-        self._delete_property_chain(node.first_prop)
+                self._unlink_from_chain(rel, other, held)
+            self._delete_property_chain(rel[REL_FIRST_PROP])
+            relationships.delete_fields(rel)
+        self._delete_property_chain(node[NODE_FIRST_PROP])
         nodes.delete(node_id)
         return len(chain)
 
@@ -348,51 +432,74 @@ class GraphStore:
             raise StorageError(f"relationship {rel_id} already exists here")
         if ghost and properties:
             raise StorageError("ghost relationships cannot carry properties")
-        src_node = self.nodes.get(src)
-        dst_node = self.nodes.get(dst)
+        _check_rel_values(rel_id, src, dst)
+        src_node = self.nodes.fields(src)
+        dst_node = self.nodes.fields(dst)
         if src_node is None and dst_node is None:
             raise StorageError(
                 f"neither endpoint of relationship {rel_id} is local"
             )
         encoded = encode_properties(properties or {})
         self._rel_ids.observe(rel_id)
-        record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
+        rel = [rel_flags(ghost), rel_id, src, dst] + [NULL_REF] * 5
         if src_node is not None:
-            record = self._link_into_chain(record, src_node)
+            self._link_into_chain(rel, src_node)
         if dst_node is not None:
-            record = self._link_into_chain(record, dst_node)
+            self._link_into_chain(rel, dst_node)
         if encoded:
-            record = record.with_first_prop(self._new_property_chain(rel_id, encoded))
-        self.relationships.write(record)
-        return record
+            rel[REL_FIRST_PROP] = self._new_property_chain(rel_id, encoded)
+        self.relationships.write_fields(rel)
+        return self.relationships.codec.decode(tuple(rel))
 
     def _link_into_chain(
-        self, record: RelationshipRecord, node: NodeRecord
-    ) -> RelationshipRecord:
-        """Head-insert ``record`` into ``node``'s chain (record not yet
-        written; the updated record is returned for the caller to write)."""
-        node_id = node.node_id
-        old_first = node.first_rel
-        record = record.with_next_for(node_id, old_first)
-        record = record.with_prev_for(node_id, NULL_REF)
+        self, rel: List, node: Sequence, held: Optional[Dict[int, List]] = None
+    ) -> None:
+        """Head-insert the relationship with fields ``rel`` into the chain
+        of the node with fields ``node``.  ``rel``'s pointers on that side
+        are set for the caller to write; the old head's ``prev`` and the
+        node's ``first_rel`` are written — an old head in ``held`` from
+        its held fields, updated in place."""
+        node_id = node[NODE_ID]
+        rel_id = rel[REL_ID]
+        old_first = node[NODE_FIRST_REL]
+        side = _side(rel, node_id)
+        rel[side] = NULL_REF
+        rel[side + 1] = old_first
         if old_first != NULL_REF:
-            first = self.relationships.read(old_first)
-            self.relationships.write(first.with_prev_for(node_id, record.rel_id))
-        self.nodes.write(node.with_first_rel(record.rel_id))
-        return record
+            first = self._held_fields(old_first, held)
+            first[_side(first, node_id)] = rel_id
+            self.relationships.write_fields(first)
+        node = list(node)
+        node[NODE_FIRST_REL] = rel_id
+        self.nodes.write_fields(node)
 
-    def _unlink_from_chain(self, record: RelationshipRecord, node_id: int) -> None:
-        prev_id = record.prev_for(node_id)
-        next_id = record.next_for(node_id)
+    def _unlink_from_chain(
+        self, rel: Sequence, node_id: int, held: Optional[Dict[int, List]] = None
+    ) -> None:
+        """Unlink the relationship with fields ``rel`` from ``node_id``'s
+        chain: its neighbours there (or the node's ``first_rel``) are
+        rewritten to skip it — a neighbour in ``held`` from its held
+        fields, updated in place.  ``rel`` itself is not written."""
+        side = _side(rel, node_id)
+        prev_id, next_id = rel[side], rel[side + 1]
         if prev_id == NULL_REF:
-            node = self.nodes.read(node_id)
-            self.nodes.write(node.with_first_rel(next_id))
+            node = list(_fields(self.nodes, node_id))
+            node[NODE_FIRST_REL] = next_id
+            self.nodes.write_fields(node)
         else:
-            prev = self.relationships.read(prev_id)
-            self.relationships.write(prev.with_next_for(node_id, next_id))
+            prev = self._held_fields(prev_id, held)
+            prev[_side(prev, node_id) + 1] = next_id
+            self.relationships.write_fields(prev)
         if next_id != NULL_REF:
-            nxt = self.relationships.read(next_id)
-            self.relationships.write(nxt.with_prev_for(node_id, prev_id))
+            nxt = self._held_fields(next_id, held)
+            nxt[_side(nxt, node_id)] = prev_id
+            self.relationships.write_fields(nxt)
+
+    def _held_fields(self, rel_id: int, held: Optional[Dict[int, List]]) -> List:
+        """The fields of relationship ``rel_id`` to rewrite: the caller's
+        held list when it holds one, else one checked read."""
+        rel = held.get(rel_id) if held else None
+        return list(_fields(self.relationships, rel_id)) if rel is None else rel
 
     def has_relationship(self, rel_id: int) -> bool:
         return rel_id in self.relationships
@@ -420,13 +527,14 @@ class GraphStore:
 
     def delete_relationship(self, rel_id: int) -> None:
         """Unlink from all local chains, drop properties, tombstone."""
-        record = self.relationships.read(rel_id)
-        if record.src in self.nodes:
-            self._unlink_from_chain(record, record.src)
-        if record.dst in self.nodes:
-            self._unlink_from_chain(record, record.dst)
-        self._delete_property_chain(record.first_prop)
-        self.relationships.delete(record)
+        rel = _fields(self.relationships, rel_id)
+        src, dst = rel[REL_SRC], rel[REL_DST]
+        if src in self.nodes:
+            self._unlink_from_chain(rel, src)
+        if dst in self.nodes:
+            self._unlink_from_chain(rel, dst)
+        self._delete_property_chain(rel[REL_FIRST_PROP])
+        self.relationships.delete_fields(rel)
 
     def attach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Link an existing relationship record into a local node's chain.
@@ -435,22 +543,23 @@ class GraphStore:
         the record already here (the other endpoint is local); a whole
         arriving chain goes through :meth:`import_node`.
         """
-        record = self.relationships.read(rel_id)
-        node = self.nodes.get(node_id)
+        rel = list(_fields(self.relationships, rel_id))
+        node = self.nodes.fields(node_id)
         if node is None:
             raise StorageError(f"node {node_id} is not local")
-        self.relationships.write(self._link_into_chain(record, node))
+        self._link_into_chain(rel, node)
+        self.relationships.write_fields(rel)
 
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that
         side's pointers.  The record survives for the other (local)
         endpoint — what :meth:`delete_node` does to a record it keeps,
         one record at a time."""
-        record = self.relationships.read(rel_id)
-        self._unlink_from_chain(record, node_id)
-        record = record.with_prev_for(node_id, NULL_REF)
-        record = record.with_next_for(node_id, NULL_REF)
-        self.relationships.write(record)
+        rel = list(_fields(self.relationships, rel_id))
+        self._unlink_from_chain(rel, node_id)
+        side = _side(rel, node_id)
+        rel[side] = rel[side + 1] = NULL_REF
+        self.relationships.write_fields(rel)
 
     def remove_node_record(self, node_id: int) -> None:
         """Drop a node whose chain is already empty (the last write of
@@ -753,22 +862,27 @@ class GraphStore:
         its own store) and the relationship allocator ends past every id.
 
         Everything is checked before the first write — the store is
-        empty, no node or relationship comes twice, no relationship is a
+        empty, no node or relationship comes twice, every id fits a
+        record and every weight is a real number, no relationship is a
         self-loop, has a negative id or lacks a local endpoint — so bad
         input raises :class:`StorageError` with the store untouched.
+        Each record is then written as its raw fields, with no record
+        value built.
         """
         if len(self.nodes) or len(self.relationships) or len(self.properties):
             raise StorageError("bulk_load needs an empty store")
         #: node id -> its relationship ids, in creation order
         chains: Dict[int, List[int]] = {}
-        for node_id, _ in nodes:
+        for node_id, weight in nodes:
             if node_id in chains:
                 raise StorageError(f"node {node_id} appears twice")
+            check_node_values(node_id, weight)
             chains[node_id] = []
         seen: Set[int] = set()
         for rel_id, src, dst, _ in relationships:
-            if rel_id in seen or rel_id < 0:
-                raise StorageError(f"relationship id {rel_id} is negative or repeated")
+            if rel_id in seen:
+                raise StorageError(f"relationship id {rel_id} is repeated")
+            _check_rel_values(rel_id, src, dst)
             seen.add(rel_id)
             if src == dst:
                 raise StorageError(f"relationship {rel_id} is a self-loop")
@@ -783,18 +897,21 @@ class GraphStore:
                 dst_chain.append(rel_id)
         if seen:
             self._rel_ids.observe(max(seen))
+        write = self.nodes.write_fields
         for node_id, weight in nodes:
             chain = chains[node_id]
-            self.nodes.write(
-                NodeRecord(
-                    node_id=node_id,
-                    first_rel=chain[-1] if chain else NULL_REF,
-                    weight=weight,
+            write(
+                (
+                    NODE_IN_USE_AVAILABLE,
+                    node_id,
+                    chain[-1] if chain else NULL_REF,
+                    NULL_REF,
+                    weight,
                 )
             )
         #: node id -> how many of its relationships are written
         written = dict.fromkeys(chains, 0)
-        write = self.relationships.write
+        write = self.relationships.write_fields
         for rel_id, src, dst, ghost in relationships:
             src_prev = src_next = dst_prev = dst_next = NULL_REF
             chain = chains.get(src)
@@ -805,11 +922,10 @@ class GraphStore:
             if chain is not None:
                 dst_prev, dst_next = _chain_links(chain, written[dst])
                 written[dst] += 1
-            # Positional, in field order: this runs once per record.
             write(
-                RelationshipRecord(
-                    rel_id, src, dst, src_prev, src_next, dst_prev, dst_next,
-                    NULL_REF, ghost,
+                (
+                    rel_flags(ghost), rel_id, src, dst,
+                    src_prev, src_next, dst_prev, dst_next, NULL_REF,
                 )
             )
 
@@ -817,26 +933,29 @@ class GraphStore:
     # Migration payloads (used by the cluster's two-step protocol)
     # ==================================================================
     def export_node(self, node_id: int) -> Dict[str, Any]:
-        """Everything the copy step must ship for one node."""
-        record = self._require_available(node_id)
+        """Everything the copy step must ship for one node, taken from
+        the raw fields its chain walk read (no record value built)."""
+        node = self._available_fields(node_id)
         relationships = [
             {
-                "rel_id": rel.rel_id,
-                "src": rel.src,
-                "dst": rel.dst,
-                "ghost": rel.ghost,
+                "rel_id": rel[REL_ID],
+                "src": rel[REL_SRC],
+                "dst": rel[REL_DST],
+                "ghost": rel[REL_FLAGS] & FLAG_GHOST != 0,
                 "properties": (
-                    {} if rel.ghost else self._collect_properties(rel.first_prop)
+                    {}
+                    if rel[REL_FLAGS] & FLAG_GHOST
+                    else self._collect_properties(rel[REL_FIRST_PROP])
                 ),
             }
-            for rel in self._chain(node_id, record.first_rel)
+            for rel in self._chain_fields(node_id, node[NODE_FIRST_REL])
         ]
         return {
             "node": {
                 "node_id": node_id,
-                "weight": record.weight,
+                "weight": node[NODE_WEIGHT],
             },
-            "properties": self._collect_properties(record.first_prop),
+            "properties": self._collect_properties(node[NODE_FIRST_PROP]),
             "relationships": relationships,
         }
 
@@ -859,18 +978,26 @@ class GraphStore:
         are allocated and freed in payload order, as one record at a
         time does.
 
+        Records are handled as raw fields: a record already here is read
+        once, by the checks, and the payload's records are held as the
+        fields last written, so head-linking one in front of another
+        rewrites the held fields rather than reading them back.
+
         Everything is checked before the first write — the node is
-        absent, it is an endpoint of every record, no record comes twice,
-        a record here joins the same two nodes and is not linked on the
-        arriving side, every property encodes — so a bad payload raises
-        with the store untouched.  Undoing an import is
-        :meth:`delete_node` with ``stays`` naming the nodes that were
-        here before.
+        absent, its id and every relationship's id and endpoints fit a
+        record, relationship ids are non-negative, the weight is a real
+        number, the node is an endpoint of every record, no record comes
+        twice, a record here joins the same two nodes and is not linked
+        on the arriving side, every property encodes — so a bad payload
+        raises :class:`StorageError` with the store untouched.  Undoing
+        an import is :meth:`delete_node` with ``stays`` naming the nodes
+        that were here before.
         """
         node = payload["node"]
         node_id = node["node_id"]
         rels = payload["relationships"]
-        present = self._check_import(node_id, rels, roles)
+        #: rel id -> the fields of a payload record read or built here
+        held = self._check_import(node_id, node["weight"], rels, roles)
         encoded = [
             [] if ghost else encode_properties(rel["properties"])
             for rel, ghost in zip(rels, roles)
@@ -878,49 +1005,53 @@ class GraphStore:
         node_properties = encode_properties(payload["properties"])
         ids = [rel["rel_id"] for rel in rels]
         first_prop = self._new_property_chain(node_id, node_properties)
+        write = self.relationships.write_fields
         for position, (rel, ghost, properties) in enumerate(zip(rels, roles, encoded)):
             rel_id = rel["rel_id"]
-            if rel_id in present:
-                # Read again, not the checked copy: an earlier record of
-                # this payload may have been head-linked in front of it.
-                record = self._take_role(
-                    self.relationships.read(rel_id), ghost, properties
-                )
+            fields = held.get(rel_id)
+            if fields is not None:
+                self._take_role(fields, ghost, properties)
             else:
                 self._rel_ids.observe(rel_id)
                 src, dst = rel["src"], rel["dst"]
-                record = RelationshipRecord(rel_id=rel_id, src=src, dst=dst, ghost=ghost)
-                other = self.nodes.get(dst if src == node_id else src)
+                fields = [rel_flags(ghost), rel_id, src, dst] + [NULL_REF] * 5
+                held[rel_id] = fields
+                other = self.nodes.fields(dst if src == node_id else src)
                 if other is not None:
-                    record = self._link_into_chain(record, other)
-                record = record.with_first_prop(
-                    self._new_property_chain(rel_id, properties)
-                )
-            prev, nxt = _chain_links(ids, position)
-            record = record.with_prev_for(node_id, prev).with_next_for(node_id, nxt)
-            self.relationships.write(record)
-        self.nodes.write(
-            NodeRecord(
-                node_id=node_id,
-                first_rel=ids[-1] if ids else NULL_REF,
-                first_prop=first_prop,
-                weight=node["weight"],
+                    self._link_into_chain(fields, other, held)
+                fields[REL_FIRST_PROP] = self._new_property_chain(rel_id, properties)
+            side = REL_SRC_PREV if fields[REL_SRC] == node_id else REL_DST_PREV
+            fields[side], fields[side + 1] = _chain_links(ids, position)
+            write(fields)
+        self.nodes.write_fields(
+            (
+                NODE_IN_USE_AVAILABLE,
+                node_id,
+                ids[-1] if ids else NULL_REF,
+                first_prop,
+                node["weight"],
             )
         )
 
     def _check_import(
-        self, node_id: int, rels: Sequence[Dict[str, Any]], roles: Sequence[bool]
-    ) -> Set[int]:
+        self,
+        node_id: int,
+        weight: float,
+        rels: Sequence[Dict[str, Any]],
+        roles: Sequence[bool],
+    ) -> Dict[int, List]:
         """Everything :meth:`import_node` must know before its first write;
-        returns the ids of the payload's records already here."""
+        returns the fields of the payload's records already here, by id."""
         if node_id in self.nodes:
             raise StorageError(f"node {node_id} already exists")
+        check_node_values(node_id, weight)
         if len(roles) != len(rels):
             raise StorageError(
                 f"{len(roles)} roles for the {len(rels)} relationships of node {node_id}"
             )
+        fields_of = self.relationships.fields
         seen = set()
-        present = set()
+        present: Dict[int, List] = {}
         for rel in rels:
             rel_id, src, dst = rel["rel_id"], rel["src"], rel["dst"]
             if rel_id in seen:
@@ -930,33 +1061,37 @@ class GraphStore:
                 raise StorageError(
                     f"relationship {rel_id} ({src}, {dst}) cannot join node {node_id}"
                 )
-            record = self.relationships.get(rel_id)
-            if record is None:
+            fields = fields_of(rel_id)
+            if fields is None:
+                _check_rel_values(rel_id, src, dst)
                 continue
-            present.add(rel_id)
-            if (record.src, record.dst) != (src, dst):
+            if (fields[REL_SRC], fields[REL_DST]) != (src, dst):
                 raise StorageError(
-                    f"relationship {rel_id} here joins ({record.src}, {record.dst}), "
-                    f"not ({src}, {dst})"
+                    f"relationship {rel_id} here joins ({fields[REL_SRC]}, "
+                    f"{fields[REL_DST]}), not ({src}, {dst})"
                 )
-            if record.prev_for(node_id) != NULL_REF or record.next_for(node_id) != NULL_REF:
+            side = REL_SRC_PREV if src == node_id else REL_DST_PREV
+            if fields[side] != NULL_REF or fields[side + 1] != NULL_REF:
                 raise StorageError(
                     f"relationship {rel_id} is already linked on node {node_id}'s side"
                 )
+            present[rel_id] = list(fields)
         return present
 
     def _take_role(
-        self, record: RelationshipRecord, ghost: bool, properties: List[EncodedProperty]
-    ) -> RelationshipRecord:
-        """``record`` in its ``ghost`` role with the encoded ``properties``
-        merged in (the record is not written)."""
-        first_prop = record.first_prop
-        if ghost and not record.ghost:
+        self, rel: List, ghost: bool, properties: List[EncodedProperty]
+    ) -> None:
+        """Put the relationship fields ``rel`` in their ``ghost`` role
+        with the encoded ``properties`` merged in (``rel`` is not
+        written)."""
+        first_prop = rel[REL_FIRST_PROP]
+        if ghost and not rel[REL_FLAGS] & FLAG_GHOST:
             self._delete_property_chain(first_prop)
             first_prop = NULL_REF
         for encoded in properties:
-            first_prop = self._set_property(first_prop, record.rel_id, encoded)
-        return record._replace(first_prop=first_prop, ghost=ghost)
+            first_prop = self._set_property(first_prop, rel[REL_ID], encoded)
+        rel[REL_FLAGS] = rel_flags(ghost)
+        rel[REL_FIRST_PROP] = first_prop
 
     # ==================================================================
     # Logical images (durability journal / recovery fidelity)

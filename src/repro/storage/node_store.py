@@ -26,8 +26,12 @@ from repro.storage.records import (
 FLAG_AVAILABLE = 0x2
 
 #: Positions in the raw fields of a node slot (``NodeCodec.FORMAT`` order),
-#: for readers that work from ``FixedRecordStore.fields`` and build no record.
-NODE_FLAGS, NODE_FIRST_REL = 0, 2
+#: for code that works from ``FixedRecordStore.fields`` /
+#: ``write_fields`` and builds no record.
+NODE_FLAGS, NODE_ID, NODE_FIRST_REL, NODE_FIRST_PROP, NODE_WEIGHT = range(5)
+
+#: The flags of an in-use, available node slot.
+NODE_IN_USE_AVAILABLE = FLAG_IN_USE | FLAG_AVAILABLE
 
 
 class NodeRecord(NamedTuple):
@@ -38,9 +42,6 @@ class NodeRecord(NamedTuple):
     first_prop: int = NULL_REF
     weight: float = 1.0
     available: bool = True
-
-    def with_first_rel(self, rel_id: int) -> "NodeRecord":
-        return self._replace(first_rel=rel_id)
 
     def with_first_prop(self, prop_id: int) -> "NodeRecord":
         return self._replace(first_prop=prop_id)
@@ -54,7 +55,7 @@ class NodeCodec(RecordCodec):
 
     def encode(self, record: NodeRecord) -> Tuple:
         node_id, first_rel, first_prop, weight, available = record
-        flags = FLAG_IN_USE | FLAG_AVAILABLE if available else FLAG_IN_USE
+        flags = NODE_IN_USE_AVAILABLE if available else FLAG_IN_USE
         return flags, node_id, first_rel, first_prop, weight
 
     def decode(self, fields: Tuple) -> NodeRecord:
@@ -87,9 +88,13 @@ class NodeStore(FixedRecordStore):
         self.available = set() if available is None else available
 
     def write(self, record: NodeRecord) -> None:
-        super().write(record.node_id, record)
-        self.adjacency.pop(record.node_id, None)
-        self.available.discard(record.node_id)
+        self.write_fields(self.codec.encode(record))
+
+    def write_fields(self, fields: Sequence) -> None:
+        super().write_fields(fields)
+        node_id = fields[NODE_ID]
+        self.adjacency.pop(node_id, None)
+        self.available.discard(node_id)
 
     def delete(self, node_id: int) -> None:
         super().delete(node_id)

@@ -26,10 +26,15 @@ availability set, the node ids answered available
 relationship stores, not this class, drop their entries: a write through
 this class alone leaves them stale.
 
-**Writes are all-or-nothing.**  :meth:`FixedRecordStore.write` packs the
-whole slot image and checks that it carries ``record_id`` before it
-touches the index, the free list, a page or the change set, so a record
-that cannot be stored leaves the store exactly as it was.
+**One slot writer.**  :meth:`FixedRecordStore.write_fields` is the only
+place a slot image is packed and written: it takes the raw struct fields
+``(flags, record_id, ...)`` — what :meth:`~FixedRecordStore.fields`
+returns — so the bulk and migration paths write the fields they read
+without building a record value, and :meth:`FixedRecordStore.write` is
+the codec's ``encode`` in front of it.  Writes are all-or-nothing: the
+whole image is packed before the index, the free list, a page or the
+change set is touched, so fields that do not fit raise
+:class:`StorageError` and leave the store exactly as it was.
 
 **The log hook.**  A store attached to a write-ahead log adds every slot
 it writes or deletes to :attr:`FixedRecordStore.changed`, the open
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import abc
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (
     PageError,
@@ -148,16 +153,26 @@ class FixedRecordStore:
 
     # ------------------------------------------------------------------
     def write(self, record_id: int, record: Any) -> None:
-        """Insert or update the record stored under ``record_id``.
-
-        The slot image is packed — every field checked — and its id
-        compared with ``record_id`` first; a record that fails either
-        raises :class:`StorageError` with the store untouched."""
+        """Insert or update the record stored under ``record_id``: its
+        encoded fields, whose id must be ``record_id``, through the
+        untyped :meth:`write_fields` of this class — a subclass's typed
+        writer, not this one, keeps its derived views."""
         fields = self.codec.encode(record)
         if fields[1] != record_id:
             raise StorageError(
                 f"record {fields[1]!r} cannot be written under id {record_id}"
             )
+        FixedRecordStore.write_fields(self, fields)
+
+    def write_fields(self, fields: Sequence) -> None:
+        """Insert or update the slot of record ``fields[1]`` with the raw
+        struct ``fields`` (``flags``, id, then the codec's layout).
+
+        The image is packed — every field checked — first; fields that do
+        not fit raise :class:`StorageError` with the store untouched.
+        Then the slot is found or allocated, written and added to the
+        open change set."""
+        record_id = fields[1]
         try:
             image = self.codec.layout.pack(*fields)
         except struct.error as error:

@@ -27,12 +27,27 @@ from repro.storage.records import (
     tuple_new,
 )
 
-_FLAG_GHOST = 0x2
+FLAG_GHOST = 0x2
 
 #: Positions in the raw fields of a relationship slot
-#: (``RelationshipCodec.FORMAT`` order), for readers that work from
-#: ``FixedRecordStore.fields`` and build no record.
-REL_ID, REL_SRC, REL_DST, REL_SRC_NEXT, REL_DST_NEXT = 1, 2, 3, 5, 7
+#: (``RelationshipCodec.FORMAT`` order), for code that works from
+#: ``FixedRecordStore.fields`` / ``write_fields`` and builds no record.
+(
+    REL_FLAGS,
+    REL_ID,
+    REL_SRC,
+    REL_DST,
+    REL_SRC_PREV,
+    REL_SRC_NEXT,
+    REL_DST_PREV,
+    REL_DST_NEXT,
+    REL_FIRST_PROP,
+) = range(9)
+
+
+def rel_flags(ghost: bool) -> int:
+    """The flags of an in-use relationship slot in the ``ghost`` role."""
+    return FLAG_IN_USE | FLAG_GHOST if ghost else FLAG_IN_USE
 
 
 class RelationshipRecord(NamedTuple):
@@ -101,12 +116,11 @@ class RelationshipCodec(RecordCodec):
     FORMAT = "<B8q"
 
     def encode(self, record: RelationshipRecord) -> Tuple:
-        flags = FLAG_IN_USE | _FLAG_GHOST if record.ghost else FLAG_IN_USE
-        return (flags,) + record[:8]
+        return (rel_flags(record.ghost),) + record[:8]
 
     def decode(self, fields: Tuple) -> RelationshipRecord:
         return tuple_new(
-            RelationshipRecord, fields[1:] + (fields[0] & _FLAG_GHOST != 0,)
+            RelationshipRecord, fields[1:] + (fields[0] & FLAG_GHOST != 0,)
         )
 
 
@@ -116,8 +130,8 @@ class RelationshipStore(FixedRecordStore):
     ``adjacency`` is the server's adjacency view, shared with its
     :class:`~repro.storage.node_store.NodeStore`: writing or deleting a
     record drops the entries of both its endpoints, whose chains it may
-    be part of.  Both typed writers take the record, so neither reads
-    one back to learn its endpoints.
+    be part of.  The typed writers take the record's fields (or the
+    record, encoded), so neither reads one back to learn its endpoints.
     """
 
     def __init__(
@@ -129,15 +143,23 @@ class RelationshipStore(FixedRecordStore):
         self.adjacency = {} if adjacency is None else adjacency
 
     def write(self, record: RelationshipRecord) -> None:
-        super().write(record.rel_id, record)
+        self.write_fields(self.codec.encode(record))
+
+    def write_fields(self, fields: Sequence) -> None:
+        super().write_fields(fields)
         adjacency = self.adjacency
         if adjacency:  # empty during a bulk load: one test per record
-            adjacency.pop(record.src, None)
-            adjacency.pop(record.dst, None)
+            adjacency.pop(fields[REL_SRC], None)
+            adjacency.pop(fields[REL_DST], None)
 
     def delete(self, record: RelationshipRecord) -> None:
         """Tombstone ``record`` (as last read) and recycle its slot."""
-        super().delete(record.rel_id)
+        self.delete_fields(self.codec.encode(record))
+
+    def delete_fields(self, fields: Sequence) -> None:
+        """Tombstone the record whose fields (as last read) are
+        ``fields`` and recycle its slot."""
+        super().delete(fields[REL_ID])
         adjacency = self.adjacency
-        adjacency.pop(record.src, None)
-        adjacency.pop(record.dst, None)
+        adjacency.pop(fields[REL_SRC], None)
+        adjacency.pop(fields[REL_DST], None)

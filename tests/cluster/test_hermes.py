@@ -6,11 +6,13 @@ from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.core.config import RepartitionerConfig
 from repro.exceptions import ClusterError, StorageError
+from repro.graph.adjacency import SocialGraph
 from repro.graph.generators import community_graph, make_dataset
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.partitioning.multilevel import MultilevelPartitioner
 from repro.simtest.invariants import InvariantAuditor
+from repro.storage.graph_store import GraphStore
 from repro.storage.records import NULL_REF
 from tests.conftest import make_random_graph, store_state, telemetry_snapshot
 
@@ -59,6 +61,34 @@ class TestLoading:
         corrected = Partitioning.from_mapping({0: 0, 1: 1, 2: 1}, num_partitions=2)
         cluster.load(triangle_graph, corrected)
         cluster.validate()
+
+    def test_an_unstorable_vertex_is_a_typed_error_and_loads_nothing(self):
+        """A vertex id beyond int64 used to raise ``StorageError`` from a
+        store's bulk load after the catalog had registered every vertex,
+        the network had carried the ghosts and server 0 had written a
+        node, so the corrected graph then failed with "cluster already
+        loaded"."""
+
+        def path(last):
+            graph = SocialGraph()
+            for vertex in (0, 1, last):
+                graph.add_vertex(vertex)
+            graph.add_edge(0, 1)
+            graph.add_edge(1, last)
+            placement = Partitioning.from_mapping({0: 0, 1: 1, last: 0}, num_partitions=2)
+            return graph, placement
+
+        cluster = HermesCluster(2)
+        with pytest.raises(ClusterError, match=f"vertex {2**70} "):
+            cluster.load(*path(2**70))
+        self.assert_empty(cluster)
+        assert cluster.network.stats.messages == 0
+        assert [server.store.allocator_state() for server in cluster.servers] == [
+            GraphStore(server, 2).allocator_state() for server in (0, 1)
+        ]
+        cluster.load(*path(2))
+        cluster.validate()
+        assert sorted(cluster.graph.neighbors(1)) == [0, 2]
 
     def test_load_under_a_fault_plan_is_refused(self, triangle_graph):
         """A bulk load is a fault-free, unlogged import; a fault in the

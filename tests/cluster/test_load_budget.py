@@ -6,7 +6,8 @@ once, with its final pointers, and nothing is read back (DESIGN.md §15,
 "Bulk load writes a chain once").  The budget is checked by counting,
 with hooks installed from here, on a seeded durable cluster:
 
-* ``FixedRecordStore.write`` — every slot write;
+* ``FixedRecordStore.write_fields`` — every slot write (the one place a
+  slot is packed and written; ``write`` goes through it too);
 * ``FixedRecordStore.fields`` — every checked record access (each read
   goes through it);
 * every record store's id->slot index (``count_index_calls``): storing a
@@ -45,7 +46,7 @@ def counts(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
 
     count_index_calls(monkeypatch, tally)
-    count_calls(FixedRecordStore, "write", "writes")
+    count_calls(FixedRecordStore, "write_fields", "writes")
     count_calls(FixedRecordStore, "fields", "reads")
     count_calls(WriteAheadLog, "flush", "flushes")
     return tally

@@ -3,7 +3,8 @@
 The copy step installs a vertex's whole relationship chain with one
 ``GraphStore.import_node`` and the remove step retires it with one
 ``GraphStore.delete_node`` walk, so a relationship record is written
-once where it arrives instead of once per record linked in after it
+once where it arrives instead of once per record linked in after it,
+and both work on each slot's raw fields, building no record value
 (DESIGN.md §15, "migration write path").  The budget is checked by
 counting, with hooks installed from here:
 
@@ -12,10 +13,13 @@ counting, with hooks installed from here:
   maintenance, which the bulk path must leave exactly as the per-record
   path had it;
 * the codecs' ``decode`` — every record value built from page bytes;
-* ``FixedRecordStore.write`` — every slot write.
+* ``FixedRecordStore.write_fields`` — every slot write: it is the one
+  place a slot is packed and written, which ``write(record)`` and the
+  field-level paths all go through.
 
-The per-relationship figures of the path it replaced on the same
-rebalance were 20.1 probes and 5.2 slot writes.
+The per-relationship figures of the path chains replaced on the same
+rebalance were 20.1 probes and 5.2 slot writes; the chain path that
+still built record values made 3.47 decodes.
 """
 
 from collections import Counter
@@ -50,7 +54,7 @@ def counts(monkeypatch):
     count_index_calls(monkeypatch, tally)
     for codec in (NodeCodec, RelationshipCodec, PropertyCodec):
         count_calls(codec, "decode", "decodes")
-    count_calls(FixedRecordStore, "write", "writes")
+    count_calls(FixedRecordStore, "write_fields", "writes")
     return tally
 
 
@@ -62,7 +66,8 @@ def test_serial_rebalance_stays_inside_its_write_budget(counts):
     _, report = cluster.rebalance(force=True)
     assert (report.vertices_moved, report.relationships_transferred) == (202, 3470)
     transferred = report.relationships_transferred
-    assert counts["writes"] <= 1.5 * transferred
+    assert counts["writes"] <= 1.5 * transferred  # 1.37
+    assert counts["decodes"] <= 1.0 * transferred  # 0; building records: 3.47
     assert counts["probes"] <= 11 * transferred
     # Index maintenance is what one record at a time did: the same
     # records come and go.
@@ -82,9 +87,9 @@ def store_state(store):
     ] + [store.allocator_state(), store.properties._dynamic._next_chunk_id]
 
 
-def payload(*relationships, node_id=0):
+def payload(*relationships, node_id=0, weight=1.0):
     return {
-        "node": {"node_id": node_id, "weight": 1.0},
+        "node": {"node_id": node_id, "weight": weight},
         "properties": {"name": "zero"},
         "relationships": [
             {"rel_id": rel_id, "src": src, "dst": dst, "ghost": False, "properties": {"w": 1}}
@@ -117,8 +122,29 @@ def target_store():
         (payload((20, 0, 5), (21, 0, 0)), [False, False]),  # a self-loop
         (payload((20, 0, 5), (11, 0, 1)), [False, False]),  # 11 joins (1, 2)
         (payload((20, 0, 5), (12, 0, 2)), [False, False]),  # 12 is linked on 0's side
+        # Values that fail only when packed: each used to be found by the
+        # slot write that could not pack it, after earlier records were
+        # written and linked into node 1's chain.
+        (payload((30, 0, 1), (20, 0, 5), weight=None), [False, False]),
+        (payload((30, 0, 1), (20, 0, 5), weight="heavy"), [False, False]),
+        (payload((30, 0, 1), (-5, 0, 5)), [False, False]),  # negative id
+        (payload((30, 0, 1), (2**70, 0, 5)), [False, False]),  # beyond int64
+        (payload((30, 2**70, 1), (20, 2**70, 5), node_id=2**70), [False, False]),
     ],
-    ids=["present", "roles", "twice", "endpoint", "self-loop", "other-pair", "linked"],
+    ids=[
+        "present",
+        "roles",
+        "twice",
+        "endpoint",
+        "self-loop",
+        "other-pair",
+        "linked",
+        "weight-none",
+        "weight-str",
+        "negative-rel-id",
+        "huge-rel-id",
+        "huge-node-id",
+    ],
 )
 def test_an_invalid_payload_leaves_the_store_untouched(bad, roles):
     store = target_store()

@@ -12,7 +12,11 @@ each, go through the same scenario, and everything physical must be
 equal: every page of every record store, the free lists, the id->slot
 index (every id and its slot), the allocators, the WAL frames on a
 durable cluster, the double-write window of every migration as it closes
-(what a rollback retires), the reports and the metrics.
+(what a rollback retires), the reports and the metrics.  Single stores
+are held to the same reference twice more: one hand-built store taking
+every copy and remove case at once, and hypothesis-drawn stores (CI runs
+the drawn properties at 2 000 examples with ``--hypothesis-profile
+sweep``).
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.durability import ServerJournal, commit_all
 from repro.cluster.migration_executor import _payload_size
@@ -438,3 +444,157 @@ def test_one_store_chain_writes_equal_per_record_writes(operation, durable):
             journal.commit()
         states.append(store_state(store, journal))
     assert states[0] == states[1]
+
+
+# ----------------------------------------------------------------------
+# One store, drawn at random
+# ----------------------------------------------------------------------
+#: node 0 arrives or departs; these are the nodes it may share records with
+PEERS = [1, 2, 3, 4, 5]
+#: a node no drawn store hosts: records to it are remote on both sides
+REMOTE = 9
+small_properties = st.dictionaries(st.sampled_from("abc"), st.integers(0, 9), max_size=2)
+
+
+def record_specs(first_id, ends, max_size):
+    """Records ``(rel_id, src, dst, ghost, properties)`` between drawn
+    pairs of ``ends`` — several between one pair, either direction, ghost
+    or primary, a primary with properties — with ids from ``first_id``."""
+    pairs = st.tuples(st.sampled_from(ends), st.sampled_from(ends)).filter(
+        lambda pair: pair[0] != pair[1]
+    )
+    return st.lists(
+        st.tuples(pairs, st.booleans(), small_properties), max_size=max_size
+    ).map(
+        lambda drawn: [
+            (first_id + offset, src, dst, ghost, {} if ghost else properties)
+            for offset, ((src, dst), ghost, properties) in enumerate(drawn)
+        ]
+    )
+
+
+def zero_records(first_id):
+    """Node 0's records: each to a drawn peer, in either direction."""
+    return record_specs(first_id, [0] + PEERS, 8).map(
+        lambda specs: [spec for spec in specs if 0 in spec[1:3]]
+    )
+
+
+def build_store(local, records, node_properties=None):
+    """A store hosting ``local`` (node properties drawn per node) with
+    ``records`` created in order; a record with no local endpoint is
+    skipped."""
+    node_properties = node_properties or {}
+    store = GraphStore(server_id=0, num_servers=2)
+    for node_id in sorted(local):
+        store.create_node(node_id, properties=node_properties.get(node_id))
+    for rel_id, src, dst, ghost, properties in records:
+        if src in local or dst in local:
+            store.create_relationship(
+                rel_id, src, dst, ghost=ghost, properties=properties or None
+            )
+    return store
+
+
+@st.composite
+def arrivals(draw):
+    """Node 0 exported from a drawn source store and arriving at a drawn
+    target store, which holds some of its records already (as a ghost or
+    a primary with its own properties) among records of its own, in a
+    drawn creation order; a new record whose other endpoint is local is
+    head-linked in front of the present ones.  Roles are drawn."""
+    zero = draw(zero_records(100))
+    source = build_store(
+        {0} | draw(st.sets(st.sampled_from(PEERS))),
+        zero,
+        {0: draw(small_properties)},
+    )
+    payload = source.export_node(0)
+    local = draw(st.sets(st.sampled_from(PEERS), min_size=1))
+    present = [
+        (rel_id, src, dst, ghost, {} if ghost else properties)
+        for (rel_id, src, dst, _, _), ghost, properties in (
+            (spec, draw(st.booleans()), draw(small_properties)) for spec in zero
+        )
+        if (dst if src == 0 else src) in local and draw(st.booleans())
+    ]
+    others = draw(record_specs(500, PEERS + [REMOTE], 8))
+    records = draw(st.permutations(present + others))
+    node_properties = {node_id: draw(small_properties) for node_id in sorted(local)}
+    roles = draw(
+        st.lists(
+            st.booleans(),
+            min_size=len(payload["relationships"]),
+            max_size=len(payload["relationships"]),
+        )
+    )
+    return local, records, node_properties, payload, roles
+
+
+@st.composite
+def departures(draw):
+    """A drawn store hosting node 0, its records and records of its
+    neighbours in a drawn creation order, and the neighbours that stay
+    (``None``: nothing stays, the add-vertex undo)."""
+    local = {0} | draw(st.sets(st.sampled_from(PEERS)))
+    records = draw(
+        st.permutations(
+            draw(zero_records(100)) + draw(record_specs(500, PEERS + [REMOTE], 8))
+        )
+    )
+    node_properties = {node_id: draw(small_properties) for node_id in sorted(local)}
+    stays = draw(st.none() | st.sets(st.sampled_from(PEERS)))
+    return local, records, node_properties, stays
+
+
+def chain_write_states(build, operate, durable):
+    """The physical state ``operate(store, reference)`` leaves on a fresh
+    ``build()``, for the chain path and the per-record reference."""
+    states = []
+    for reference in (False, True):
+        store = build()
+        journal = ServerJournal(store) if durable else None
+        operate(store, reference)
+        if journal:
+            journal.commit()
+        states.append(store_state(store, journal))
+    return states
+
+
+@given(arrivals(), st.booleans())
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+def test_drawn_import_equals_per_record_import(arrival, durable):
+    local, records, node_properties, payload, roles = arrival
+
+    def operate(store, reference):
+        if reference:
+            per_record_import(store, payload, roles)
+        else:
+            store.import_node(payload, roles)
+
+    changed, expected = chain_write_states(
+        lambda: build_store(local, records, node_properties), operate, durable
+    )
+    assert changed == expected
+
+
+@given(departures(), st.booleans())
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+def test_drawn_remove_equals_per_record_remove(departure, durable):
+    local, records, node_properties, stays = departure
+
+    def operate(store, reference):
+        if stays is None:
+            if reference:
+                per_record_delete_node(store, 0)
+            else:
+                store.delete_node(0)
+        elif reference:
+            per_record_remove(store, 0, stays.__contains__)
+        else:
+            store.delete_node(0, stays=stays.__contains__)
+
+    changed, expected = chain_write_states(
+        lambda: build_store(local, records, node_properties), operate, durable
+    )
+    assert changed == expected

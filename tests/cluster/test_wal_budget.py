@@ -48,15 +48,16 @@ def wal(monkeypatch):
 
 @pytest.fixture
 def record_writes(monkeypatch):
-    """A one-entry list counting ``FixedRecordStore.write`` calls."""
+    """A one-entry list counting slot writes: calls of
+    ``FixedRecordStore.write_fields``, which every write goes through."""
     tally = [0]
-    write = FixedRecordStore.write
+    write = FixedRecordStore.write_fields
 
     def counting_write(store, *args):
         tally[0] += 1
         write(store, *args)
 
-    monkeypatch.setattr(FixedRecordStore, "write", counting_write)
+    monkeypatch.setattr(FixedRecordStore, "write_fields", counting_write)
     return tally
 
 

@@ -33,8 +33,10 @@ from repro.storage.records import FixedRecordStore
 #: ``--hypothesis-profile sweep``: the wide CI sweep for property tests
 #: that take ``max_examples`` from the profile (the adjacency-view
 #: differential in ``tests/storage/test_read_frontier.py``, the
-#: traversal differential in ``tests/cluster/test_traversal_differential.py``
-#: and the rollback-atomicity property
+#: traversal differential in ``tests/cluster/test_traversal_differential.py``,
+#: the drawn chain-write differentials in
+#: ``tests/cluster/test_migration_differential.py`` and the
+#: rollback-atomicity property
 #: ``test_aborted_migration_restores_state_exactly`` in
 #: ``tests/cluster/test_cluster_properties.py``).
 settings.register_profile("sweep", max_examples=2000)

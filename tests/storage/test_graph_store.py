@@ -39,7 +39,7 @@ class TestNodes:
         before = store_state(store)
         writes = []
         monkeypatch.setattr(
-            FixedRecordStore, "write", lambda *args: writes.append(args)
+            FixedRecordStore, "write_fields", lambda *args: writes.append(args)
         )
         assert store.point_read(0) == {"name": "zero"}
         assert store.point_read(1) is None  # unavailable
@@ -186,7 +186,9 @@ class TestRejectedWrites:
     a node or relationship with part of its properties, an old value
     blob freed before the new value failed to encode (the key then read
     back as ``RecordNotFoundError``), or a bare ``AttributeError`` /
-    ``UnicodeEncodeError`` after the property id was taken."""
+    ``UnicodeEncodeError`` after the property id was taken, or a
+    relationship to an endpoint beyond int64 linked into the local
+    endpoint's chain before its own slot write failed."""
 
     @pytest.mark.parametrize(
         "write",
@@ -200,6 +202,7 @@ class TestRejectedWrites:
             lambda s: s.set_node_property(0, 5, "five"),
             lambda s: s.create_node(10, properties={"name": "\ud800"}),
             lambda s: s.set_node_property(0, "\ud800", 1),
+            lambda s: s.create_relationship(101, 1, 2**70),
         ],
         ids=[
             "create-node",
@@ -209,6 +212,7 @@ class TestRejectedWrites:
             "non-str-key",
             "unencodable-value-text",
             "unencodable-key-text",
+            "huge-endpoint",
         ],
     )
     def test_a_rejected_write_leaves_the_store_untouched(self, store, write):
@@ -317,6 +321,13 @@ class TestBulkLoad:
             (BULK_NODES, BULK_RELS + [(9, 3, 3, False)]),
             (BULK_NODES, BULK_RELS + [(9, 4, 5, True)]),
             (BULK_NODES, BULK_RELS + [(-1, 1, 3, False)]),
+            # Values that fail only when packed: a node used to be
+            # written before the slot write that could not pack one.
+            (BULK_NODES + [(9, None)], BULK_RELS),
+            (BULK_NODES + [(9, "heavy")], BULK_RELS),
+            (BULK_NODES + [(2**70, 1.0)], BULK_RELS),
+            (BULK_NODES, BULK_RELS + [(2**70, 1, 3, False)]),
+            (BULK_NODES, BULK_RELS + [(9, 1, 2**70, False)]),
         ],
         ids=[
             "node-twice",
@@ -324,6 +335,11 @@ class TestBulkLoad:
             "self-loop",
             "no-local-endpoint",
             "negative-id",
+            "weight-none",
+            "weight-str",
+            "huge-node-id",
+            "huge-rel-id",
+            "huge-endpoint",
         ],
     )
     def test_bad_input_leaves_the_store_untouched(self, nodes, rels):
