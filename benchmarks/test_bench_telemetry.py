@@ -1,11 +1,12 @@
 """Telemetry overhead micro-benchmarks.
 
-The null-hub fast path is a hard requirement: phase-1 repartitioning with
-no telemetry sink attached must stay within a few percent of the
-pre-telemetry baseline recorded in ``BENCH_repartitioner.json`` (the
-recorded before/after overhead numbers live in ``BENCH_telemetry.json``
-at the repo root).  The recording-hub variant is benchmarked alongside so
-the cost of full capture is visible, not guessed.
+Phase-1 repartitioning given no hub builds a default one (metrics on,
+recording off) and must stay within a few percent of the pre-telemetry
+baseline recorded in ``BENCH_repartitioner.json``.  The overhead numbers
+in ``BENCH_telemetry.json`` at the repo root predate the default hub:
+its ``null_hub`` row measured the no-op hub that no longer exists.  The
+recording-hub variant is benchmarked alongside so the cost of full
+capture is visible, not guessed.
 """
 
 import json
@@ -43,8 +44,8 @@ def run_phase1(graph, telemetry=None):
     )
 
 
-def test_bench_phase1_null_telemetry(benchmark, reference_graph):
-    """Hot path with the default null hub — the <5% overhead budget."""
+def test_bench_phase1_default_telemetry(benchmark, reference_graph):
+    """Hot path with the default hub — the <5% overhead budget."""
     result = benchmark.pedantic(
         run_phase1, args=(reference_graph,), rounds=3, iterations=1
     )

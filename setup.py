@@ -13,7 +13,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "hermes-experiments=repro.experiments.runner:main",

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CatalogError
 from repro.partitioning.base import Partitioning
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 class Catalog:
@@ -107,9 +107,7 @@ class LocationCache:
         self.catalog = catalog
         self.num_servers = num_servers
         self._entries: List[Dict[int, int]] = [{} for _ in range(num_servers)]
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._hits = telemetry.counter(
             "location_cache_hits_total", "vertex locations served from cache"

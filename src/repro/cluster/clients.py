@@ -142,7 +142,7 @@ class ClientPool:
 
         report = WorkloadReport()
         busy_before = {
-            server.server_id: server.busy_seconds
+            server.server_id: server.busy_counter.value
             for server in self.cluster.servers
         }
         engine = ConcurrentExecutor(self.cluster)
@@ -199,10 +199,10 @@ class ClientPool:
             # scenarios) is baselined at its busy time when first
             # observed: only work it did *during* this run counts.
             baseline = busy_before.setdefault(
-                server.server_id, server.busy_seconds
+                server.server_id, server.busy_counter.value
             )
             report.server_busy[server.server_id] = (
-                server.busy_seconds - baseline
+                server.busy_counter.value - baseline
             )
         report.max_server_busy = max(report.server_busy.values(), default=0.0)
         return report

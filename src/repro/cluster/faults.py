@@ -40,7 +40,7 @@ from repro.exceptions import (
     PartitioningError,
     ServerDownError,
 )
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 T = TypeVar("T")
 
@@ -159,9 +159,7 @@ class FaultInjector:
         self.rng = random.Random(plan.seed)
         self.clock = clock or (lambda: 0.0)
         self.inflight = 0.0
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._injected = {
             kind: telemetry.counter(

@@ -114,8 +114,7 @@ class HermesCluster:
         self.faults: Optional[FaultInjector] = None
         # Resolution order: explicit hub, then the process-wide installed
         # hub (the runner's --telemetry-out path), then a private hub with
-        # metrics on but recording off.  The hub is always *real* — the
-        # registry backs the legacy per-server counter attributes.
+        # metrics on but recording off.
         self.telemetry = telemetry or installed() or Telemetry()
         self.telemetry.set_clock(lambda: self.now)
         # Distinguishes this cluster's per-server series when several
@@ -131,7 +130,6 @@ class HermesCluster:
             HermesServer(
                 server_id,
                 num_servers,
-                clock=lambda: self.now,
                 telemetry=self.telemetry,
                 labels={"cluster": self.cluster_id},
             )
@@ -153,6 +151,7 @@ class HermesCluster:
             self.network,
             telemetry=self.telemetry,
             location_cache=self.location_cache,
+            labels={"cluster": self.cluster_id},
         )
         self._executor = MigrationExecutor(
             self.servers,
@@ -165,6 +164,9 @@ class HermesCluster:
         #: optional WorkloadModel observing traversal traffic (see
         #: attach_workload_model); None keeps the read path untouched
         self.workload_model = None
+        #: the engine's observation count when the model was attached:
+        #: the workload-model audit holds the model to its growth since
+        self.workload_model_baseline = 0.0
         #: knobs of the event engine that runs client pools and online
         #: migrations (the inline entry points ignore them)
         self.concurrency = concurrency or ConcurrencyConfig()
@@ -204,6 +206,7 @@ class HermesCluster:
         """
         if model is not None:
             model.advance(self.now)
+            self.workload_model_baseline = self._engine._model_observations.value
         self.workload_model = model
         self._engine.workload_model = model
 
@@ -416,24 +419,44 @@ class HermesCluster:
         contract a traversal honors when its home server is down, instead
         of reads silently succeeding against a crashed server.
         """
-        server = self.catalog.lookup(vertex)
-        if self.faults is not None and self.faults.is_down(server):
-            cost = (
-                self.network.config.client_dispatch_cost
-                + self.network.config.fault_timeout_cost
-            )
+        primary = self.catalog.lookup(vertex)
+        properties, cost, _ = self._serve_read(vertex, primary, primary)
+        return properties, cost
+
+    def _serve_read(
+        self, vertex: int, host: int, primary: int
+    ) -> Tuple[Dict[str, Any], float, bool]:
+        """One single-record read served by ``host`` and charged to it;
+        returns ``(properties, cost, degraded)``.
+
+        The record is read from ``primary``'s store, the single source of
+        record data: a replica host (the front door's offloaded read)
+        serves a copy of it.  A crashed host degrades the read to its
+        dispatch and timeout cost and an empty result.
+        """
+        config = self.network.config
+        if self.faults is not None and self.faults.is_down(host):
+            cost = config.client_dispatch_cost + config.fault_timeout_cost
             self.telemetry.counter(
                 "reads_degraded_total",
                 "single-record reads that timed out against a crashed server",
             ).inc()
             self._advance(cost)
-            return {}, cost
-        properties = self.servers[server].read_vertex(vertex)
-        self.servers[server].busy_counter.inc(self.network.local_visit())
-        cost = self.network.config.client_dispatch_cost + self.network.local_visit()
+            return {}, cost, True
+        properties = self.servers[primary].store.point_read(vertex)
+        if properties is None:
+            raise ClusterError(
+                f"vertex {vertex} is not served by server {primary}"
+            )
+        server = self.servers[host]
+        local = self.network.local_visit()
+        server.reads_counter.inc()
+        server.visits_counter.inc()
+        server.busy_counter.inc(local)
+        cost = config.client_dispatch_cost + local
         self._advance(cost)
         self.add_popularity((vertex,))
-        return properties, cost
+        return properties, cost, False
 
     # ==================================================================
     # Write path
@@ -768,7 +791,6 @@ class HermesCluster:
         server = HermesServer(
             new_id,
             new_total,
-            clock=lambda: self.now,
             telemetry=self.telemetry,
             labels={"cluster": self.cluster_id},
         )

@@ -70,7 +70,7 @@ from repro.exceptions import (
     HermesError,
     MigrationAbortedError,
 )
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 
 
@@ -153,9 +153,7 @@ class MigrationExecutor:
         #: called after every catalog commit; in-flight traversals use
         #: this to re-resolve their frontiers.
         self.topology_listeners: List[Callable[[], None]] = []
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._vertices_moved = telemetry.counter(
             "migration_vertices_moved_total", "vertices physically migrated"

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.faults import FaultInjector
 from repro.exceptions import ClusterError, FaultInjectedError
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 
 #: histogram buckets for frontier entries per batched hop message
@@ -155,14 +155,7 @@ class SimulatedNetwork:
         self.stats = NetworkStats(self)
         self.fault_injector: Optional[FaultInjector] = None
         self._labels = dict(labels or {})
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_faults(self, injector: Optional[FaultInjector]) -> None:
-        """Install (or with None, remove) the fault-injection oracle."""
-        self.fault_injector = injector
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """(Re)bind the metric instruments against ``telemetry``."""
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         extra = self._labels
         # Per-link gauges are quadratic in servers, so they are only
@@ -202,6 +195,10 @@ class SimulatedNetwork:
             buckets=BATCH_SIZE_BUCKETS,
             **extra,
         )
+
+    def attach_faults(self, injector: Optional[FaultInjector]) -> None:
+        """Install (or with None, remove) the fault-injection oracle."""
+        self.fault_injector = injector
 
     def add_server(self) -> int:
         """Admit one more endpoint; returns its id.  The ledger grows a

@@ -21,7 +21,7 @@ The class is instrumented: an attached
 and the replica copies they produced, and exports the headline
 trade-off numbers (replication factor, total replicas, write
 amplification) as gauges every time :meth:`OneHopReplicator.stats`
-runs.  With the default null hub all of it is no-ops.  The serving path
+runs (into a hub of its own when given none).  The serving path
 does not tick ``replication_placements_total`` /
 ``replication_copies_total``: :class:`~repro.serving.replicas.
 ReplicaIndex` reads the same placement from the auxiliary data, and this
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,7 @@ class OneHopReplicator:
     """Compute SPAR's replica placement for a given partitioning."""
 
     def __init__(self, telemetry: Optional[Telemetry] = None):
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """(Re)bind the replication metric instruments."""
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._placements_counter = telemetry.counter(
             "replication_placements_total",

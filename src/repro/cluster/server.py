@@ -9,12 +9,11 @@ one atomic step (DESIGN.md §13), and a store mutation validates its
 input before its first write.
 
 Per-server load counters (vertices visited, record reads, vertex
-inserts, simulated busy seconds) live in the telemetry registry, labelled
-by server, so they show up in every export alongside the network and
-migration metrics.  The historical ``server.visits``-style attribute API
-is preserved as thin properties over those instruments; the instrument
-objects themselves (``visits_counter`` …) are public so hot paths pay a
-single bound-method call.
+inserts, simulated busy seconds) live only in the telemetry registry,
+labelled by server, so they show up in every export alongside the
+network and migration metrics.  The instruments (``visits_counter`` …)
+are public: hot paths pay a single bound-method call, and readers read
+``.value``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class HermesServer:
         self,
         server_id: int,
         num_servers: int,
-        clock=None,
         telemetry: Optional[Telemetry] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
@@ -59,11 +57,7 @@ class HermesServer:
         self.faults: Optional[FaultInjector] = None
         #: membership state (module-level constants above)
         self.state = ACTIVE
-        # The legacy attribute API reads through these instruments, so the
-        # registry must be real even without an attached sink: a bare
-        # Telemetry() is exactly that (in-memory numbers, no recording).
-        if telemetry is None or telemetry.null:
-            telemetry = Telemetry(clock=clock)
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         label = dict(labels or {})
         label["server"] = server_id
@@ -81,25 +75,6 @@ class HermesServer:
         self.busy_counter = telemetry.counter(
             "server_busy_seconds_total", "simulated busy seconds", **label
         )
-
-    # ------------------------------------------------------------------
-    # Read-only attribute views of the counters
-    # ------------------------------------------------------------------
-    @property
-    def visits(self) -> int:
-        return int(self.visits_counter.value)
-
-    @property
-    def reads(self) -> int:
-        return int(self.reads_counter.value)
-
-    @property
-    def writes(self) -> int:
-        return int(self.writes_counter.value)
-
-    @property
-    def busy_seconds(self) -> float:
-        return self.busy_counter.value
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -34,7 +34,8 @@ entry on its own gave it.
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
 cost that depth charged), plus aggregate counters and a per-query cost
-histogram; with the default null hub the same calls are no-ops.
+histogram; without recording the span calls return ``NULL_SPAN``
+and only the counters count.
 
 Under fault injection (a :class:`~repro.cluster.faults.FaultPlan`
 attached to the network) the engine degrades gracefully instead of
@@ -66,7 +67,7 @@ from repro.exceptions import (
     FaultInjectedError,
     ServerDownError,
 )
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,7 @@ class TraversalEngine:
         telemetry: Optional[Telemetry] = None,
         retry: Optional[RetryPolicy] = None,
         location_cache: Optional[LocationCache] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.servers = servers
         self.catalog = catalog
@@ -176,14 +178,7 @@ class TraversalEngine:
         #: frontier hosts when they observe a new epoch (serial traversals
         #: never do — nothing commits between their depths)
         self.topology_epoch = 0
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-        # Standalone engines get a private cache; a cluster passes the
-        # shared instance the migration executor invalidates through.
-        self.location_cache = location_cache or LocationCache(
-            catalog, len(servers), telemetry=self.telemetry
-        )
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._traversals = telemetry.counter(
             "traversals_total", "traversal queries executed"
@@ -197,9 +192,16 @@ class TraversalEngine:
         self._cost_hist = telemetry.histogram(
             "traversal_cost_seconds", "simulated execution time of one traversal"
         )
+        # The workload-model audit reads this series per cluster.
         self._model_observations = telemetry.counter(
             "workload_model_observations_total",
             "edge observations fed to the attached workload model",
+            **(labels or {}),
+        )
+        # Standalone engines get a private cache; a cluster passes the
+        # shared instance the migration executor invalidates through.
+        self.location_cache = location_cache or LocationCache(
+            catalog, len(servers), telemetry=self.telemetry
         )
 
     def traverse(self, start: int, hops: int) -> TraversalResult:

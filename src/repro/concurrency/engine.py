@@ -177,17 +177,17 @@ class ConcurrentExecutor:
         self, call: Callable[[], Tuple[Any, float]], kind: str
     ) -> Generator[Work, None, Tuple[Any, float]]:
         """A single-step operation; server occupancy is measured as the
-        per-server ``busy_seconds`` delta across the call (post-paid),
+        per-server ``busy_counter`` delta across the call (post-paid),
         the rest of the cost is client-perceived latency."""
         before: Dict[int, float] = {
-            server.server_id: server.busy_seconds
+            server.server_id: server.busy_counter.value
             for server in self.cluster.servers
         }
         outcome, cost = call()
         demands = []
         for server in self.cluster.servers:
-            delta = server.busy_seconds - before.get(
-                server.server_id, server.busy_seconds
+            delta = server.busy_counter.value - before.get(
+                server.server_id, server.busy_counter.value
             )
             if delta > 0.0:
                 demands.append((server.server_id, delta))

@@ -42,7 +42,7 @@ from repro.core.config import RepartitionerConfig
 from repro.exceptions import PartitioningError
 from repro.graph.compact import GraphRead
 from repro.partitioning.base import Partitioning
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 #: masks an inadmissible cell of an integer gain matrix (counters are int32)
@@ -143,7 +143,7 @@ class LightweightRepartitioner:
         telemetry:
             Optional telemetry hub: per-iteration migration/edge-cut/
             imbalance series as events + gauges and a ``repartition.phase1``
-            span tree.  Defaults to the shared null hub (no overhead).
+            span tree.  Defaults to a fresh hub of its own.
         """
         if aux is None:
             aux = AuxiliaryData.from_graph(graph, partitioning)
@@ -151,7 +151,7 @@ class LightweightRepartitioner:
             raise PartitioningError(
                 "auxiliary data and partitioning disagree on partition count"
             )
-        telemetry = telemetry or NULL_TELEMETRY
+        telemetry = telemetry or Telemetry()
 
         #: every vertex a stage moved (some may be back where they started)
         moved: Set[int] = set()

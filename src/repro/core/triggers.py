@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.core.auxiliary import AuxiliaryData
 from repro.exceptions import PartitioningError
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,15 @@ class TriggerDecision:
 class ImbalanceTrigger:
     """Fires when any partition is overloaded or underloaded."""
 
+    _CHECKS_HELP = "trigger evaluations"
+
     def __init__(
         self, epsilon: float = 1.1, telemetry: Optional[Telemetry] = None
     ):
         if not 1.0 < epsilon < 2.0:
             raise PartitioningError(f"epsilon must be in (1, 2), got {epsilon}")
         self.epsilon = epsilon
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    _CHECKS_HELP = "trigger evaluations"
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         # Both series pass the family help string: whichever is created
         # first must not leave the family undocumented.

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.exceptions import InsufficientCreditsError
 from repro.serving.config import ServingConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -51,7 +51,7 @@ class TenantAccounts:
         self, config: ServingConfig, telemetry: Optional[Telemetry] = None
     ):
         self.config = config
-        self.telemetry = telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry or Telemetry()
         self._usage: Dict[str, TenantUsage] = {}
 
     # ------------------------------------------------------------------

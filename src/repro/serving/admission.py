@@ -31,7 +31,7 @@ from typing import Optional
 
 from repro.exceptions import OverloadShedError, QueueFullError
 from repro.serving.config import ServingConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 class Priority(IntEnum):
@@ -72,9 +72,7 @@ class AdmissionController:
     ):
         self.config = config
         self.state = ACCEPTING
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._transitions = {
             state: telemetry.counter(

@@ -42,7 +42,7 @@ from repro.serving.queue import QueryQueue
 from repro.serving.replicas import ReplicaIndex, ReplicaSynchronizer
 from repro.serving.router import GraphRouter
 from repro.concurrency.scheduler import Work
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_TIME_BUCKETS
 
 #: operation kinds the front door accepts
@@ -93,15 +93,18 @@ class ServingFrontend:
     ):
         self.cluster = cluster
         self.config = config or ServingConfig()
-        self.telemetry = telemetry or cluster.telemetry or NULL_TELEMETRY
+        self.telemetry = telemetry or cluster.telemetry
         #: serving-side simulated clock: operation arrival times
         self.now = 0.0
-        self.index = ReplicaIndex(cluster, telemetry=self.telemetry)
+        self.index = ReplicaIndex(cluster)
         self.sync = ReplicaSynchronizer(
             cluster, self.index, self.config, telemetry=self.telemetry
         )
         self.queue = QueryQueue(
-            cluster.num_servers, self.config, telemetry=self.telemetry
+            cluster.num_servers,
+            self.config,
+            telemetry=self.telemetry,
+            labels={"cluster": cluster.cluster_id},
         )
         self.accounts = TenantAccounts(self.config, telemetry=self.telemetry)
         self.router = GraphRouter(

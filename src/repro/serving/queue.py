@@ -17,8 +17,9 @@ typed reason (``queue_full``, ``overload_shed``,
 ``insufficient_credits``), and those per-reason counts must sum to the
 shed total.
 
-All counters are kept as plain integers (the source of truth for the
-invariant) and mirrored into the telemetry registry for export.
+The counts live only in the telemetry registry's ``serving_*_total``
+series, labelled with the cluster, so two front doors sharing one hub
+each balance their own books.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.exceptions import AdmissionRejectedError
 from repro.serving.admission import AdmissionController, Priority
 from repro.serving.config import ServingConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_TIME_BUCKETS
 
 #: shed reasons with dedicated conservation slots
@@ -45,47 +46,37 @@ class QueryQueue:
         config: ServingConfig,
         admission: Optional[AdmissionController] = None,
         telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.num_servers = num_servers
         self.config = config
-        self.telemetry = telemetry or NULL_TELEMETRY
+        telemetry = telemetry or Telemetry()
+        self.telemetry = telemetry
         self.admission = admission or AdmissionController(
-            config, telemetry=self.telemetry
+            config, telemetry=telemetry
         )
         #: per-server simulated time at which its backlog drains
         self.free_at: List[float] = [0.0] * num_servers
         #: finish times of admitted-but-not-yet-finished operations
         self._pending: List[float] = []
-        # Conservation counters (plain ints are authoritative; the
-        # registry mirrors them for export).
-        self.submitted = 0
-        self.admitted = 0
-        self.completed = 0
-        self.shed: Dict[str, int] = {reason: 0 for reason in SHED_REASONS}
-        self._attach_instruments()
-
-    def add_server(self) -> int:
-        """Open an admission lane for a server joining mid-traffic."""
-        server = self.num_servers
-        self.num_servers += 1
-        self.free_at.append(0.0)
-        return server
-
-    def _attach_instruments(self) -> None:
-        telemetry = self.telemetry
-        self._submitted_c = telemetry.counter(
-            "serving_submitted_total", "operations offered to the front door"
+        extra = labels or {}
+        self._submitted = telemetry.counter(
+            "serving_submitted_total", "operations offered to the front door",
+            **extra,
         )
-        self._admitted_c = telemetry.counter(
-            "serving_admitted_total", "operations admitted past the queue"
+        self._admitted = telemetry.counter(
+            "serving_admitted_total", "operations admitted past the queue",
+            **extra,
         )
-        self._completed_c = telemetry.counter(
-            "serving_completed_total", "admitted operations past their finish time"
+        self._completed = telemetry.counter(
+            "serving_completed_total",
+            "admitted operations past their finish time",
+            **extra,
         )
-        self._shed_c = {
+        self._shed = {
             reason: telemetry.counter(
                 "serving_shed_total", "operations load-shed by the front door",
-                reason=reason,
+                reason=reason, **extra,
             )
             for reason in SHED_REASONS
         }
@@ -98,10 +89,12 @@ class QueryQueue:
             buckets=DEFAULT_TIME_BUCKETS,
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def shed_total(self) -> int:
-        return sum(self.shed.values())
+    def add_server(self) -> int:
+        """Open an admission lane for a server joining mid-traffic."""
+        server = self.num_servers
+        self.num_servers += 1
+        self.free_at.append(0.0)
+        return server
 
     @property
     def depth(self) -> int:
@@ -115,8 +108,7 @@ class QueryQueue:
             heapq.heappop(self._pending)
             drained += 1
         if drained:
-            self.completed += drained
-            self._completed_c.inc(drained)
+            self._completed.inc(drained)
         self._depth_gauge.set(len(self._pending))
         return drained
 
@@ -136,28 +128,23 @@ class QueryQueue:
         :meth:`record_shed` instead, so conservation still balances.
         """
         self.drain(now)
-        self.submitted += 1
-        self._submitted_c.inc()
+        self._submitted.inc()
         self.admission.observe(self.utilization(now))
         wait = max(0.0, self.free_at[target] - now)
         try:
             self.admission.admit(priority, wait, self.depth)
         except AdmissionRejectedError as rejection:
-            self.shed[rejection.reason] += 1
-            self._shed_c[rejection.reason].inc()
+            self._shed[rejection.reason].inc()
             raise
-        self.admitted += 1
-        self._admitted_c.inc()
+        self._admitted.inc()
         self._wait_hist.observe(wait)
         return wait
 
     def record_shed(self, reason: str, now: float) -> None:
         """Count a shed decided outside the admission check (credits)."""
         self.drain(now)
-        self.submitted += 1
-        self._submitted_c.inc()
-        self.shed[reason] += 1
-        self._shed_c[reason].inc()
+        self._submitted.inc()
+        self._shed[reason].inc()
 
     def commit(self, target: int, now: float, wait: float, cost: float) -> float:
         """Log an admitted operation's execution; returns its finish time."""
@@ -179,11 +166,12 @@ class QueryQueue:
     def conservation(self, now: float) -> Dict[str, int]:
         """Snapshot for the queue-conservation invariant (drains first)."""
         self.drain(now)
+        shed = {reason: int(count.value) for reason, count in self._shed.items()}
         return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed_total,
-            "shed_by_reason": dict(self.shed),
+            "submitted": int(self._submitted.value),
+            "admitted": int(self._admitted.value),
+            "completed": int(self._completed.value),
+            "shed": sum(shed.values()),
+            "shed_by_reason": shed,
             "in_flight": self.depth,
         }

@@ -30,15 +30,13 @@ from typing import Dict, Optional, Set
 
 from repro.exceptions import FaultInjectedError, VertexNotFoundError
 from repro.serving.config import ServingConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 class ReplicaIndex:
     """The cluster's one-hop replica placement, read from ``cluster.aux``."""
 
-    def __init__(self, cluster, telemetry: Optional[Telemetry] = None):
-        # ``telemetry`` stays in the signature for callers; a view does
-        # no work worth counting.
+    def __init__(self, cluster):
         self.cluster = cluster
 
     def replicas_of(self, vertex: int) -> frozenset:
@@ -81,9 +79,7 @@ class ReplicaSynchronizer:
         self.last_write: Dict[int, float] = {}
         #: largest pending-update age any served replica read observed
         self.max_served_staleness = 0.0
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._updates = telemetry.counter(
             "replica_updates_total", "replica-update messages shipped"

@@ -38,7 +38,7 @@ from repro.cluster.catalog import LocationCache
 from repro.serving.config import ServingConfig
 from repro.serving.queue import QueryQueue
 from repro.serving.replicas import ReplicaIndex, ReplicaSynchronizer
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,12 @@ class GraphRouter:
         self.sync = sync
         self.queue = queue
         self.config = config
+        telemetry = telemetry or Telemetry()
+        self.telemetry = telemetry
         # The front door is one more cache client of the catalog: slot 0
         # of a single-view LocationCache, stale after migrations until a
         # forwarding hop corrects it.
-        self.cache = LocationCache(
-            cluster.catalog, 1, telemetry=telemetry or NULL_TELEMETRY
-        )
-        self.attach_telemetry(telemetry or NULL_TELEMETRY)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        self.telemetry = telemetry
+        self.cache = LocationCache(cluster.catalog, 1, telemetry=telemetry)
         self._replica_hits = telemetry.counter(
             "replica_read_hits_total",
             "single-record reads served by a one-hop replica",
@@ -158,37 +154,14 @@ class GraphRouter:
     ) -> Tuple[Dict[str, Any], float, float, bool]:
         """Execute a read against the chosen replica host.
 
-        Returns ``(properties, cost, staleness, degraded)``.  The replica
-        host is charged the record read (visit + busy seconds); a crashed
+        Returns ``(properties, cost, staleness, degraded)``.  The cluster's
+        one read body serves it: the replica host is charged the record
+        read (visit + busy seconds) of the primary's record, and a crashed
         replica host degrades the read exactly like a crashed primary
         would — timeout cost, empty result.
         """
-        cluster = self.cluster
-        network = cluster.network
-        if cluster.faults is not None and cluster.faults.is_down(decision.host):
-            cost = (
-                network.config.client_dispatch_cost
-                + network.config.fault_timeout_cost
-            )
-            cluster.telemetry.counter(
-                "reads_degraded_total",
-                "single-record reads that timed out against a crashed server",
-            ).inc()
-            cluster._advance(cost)
-            return {}, cost, 0.0, True
-        # The replica carries a copy of the primary's record; the
-        # simulation reads the bytes from the primary store (the single
-        # source of record data) while charging the replica host the
-        # work, which is the point of offloading.
-        properties = cluster.servers[decision.primary].store.node_properties(
-            vertex
+        properties, cost, degraded = self.cluster._serve_read(
+            vertex, decision.host, decision.primary
         )
-        replica = cluster.servers[decision.host]
-        replica.reads_counter.inc()
-        replica.visits_counter.inc()
-        replica.busy_counter.inc(network.local_visit())
-        cost = network.config.client_dispatch_cost + network.local_visit()
-        cluster._advance(cost)
-        cluster.add_popularity((vertex,))
-        staleness = self.sync.note_served(vertex, now)
-        return dict(properties), cost, staleness, False
+        staleness = 0.0 if degraded else self.sync.note_served(vertex, now)
+        return properties, cost, staleness, degraded

@@ -84,7 +84,8 @@ and TESTING.md):
     is non-negative, the model clock never trails the cluster clock,
     total decayed heat never exceeds the undecayed observed weight
     (decay only shrinks), and the model's observation count matches
-    the engine's ``workload_model_observations_total`` counter.
+    the growth of this cluster's ``workload_model_observations_total``
+    series since the model was attached.
 ``event-clock-monotonic``
     (Clusters that ran interleaved schedules only.)  Per server, the
     concurrent scheduler's recorded event timeline never runs
@@ -649,9 +650,9 @@ class InvariantAuditor:
                     f"{model.observed_weight} — decay must only shrink heat",
                 )
             )
-        counted = cluster.telemetry.registry.total(
-            "workload_model_observations_total"
-        )
+        counted = cluster.telemetry.registry.value(
+            "workload_model_observations_total", cluster=cluster.cluster_id
+        ) - cluster.workload_model_baseline
         if counted != model.observations:
             out.append(
                 InvariantViolation(

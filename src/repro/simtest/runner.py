@@ -376,7 +376,7 @@ def _corrupt(cluster, mode: str) -> None:
     elif mode == "queue_skew":
         # An admitted operation that never committed nor shed: breaks
         # admitted == completed + in_flight.
-        _frontend(cluster).queue.admitted += 1
+        _frontend(cluster).queue._admitted.inc()
     elif mode == "stale_serve":
         # Pretend a replica served data far beyond the staleness bound.
         frontend = _frontend(cluster)

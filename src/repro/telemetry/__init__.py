@@ -6,24 +6,19 @@ fire the repartitioner when the imbalance factor leaves the
 observability layer behind that loop:
 
 * :class:`MetricsRegistry` — labelled counters, gauges and fixed-bucket
-  histograms (:class:`NullRegistry` is the zero-overhead no-sink path);
+  histograms;
 * :class:`Tracer` — span trees on the *simulated* clock, causally
   ordered, so distributed traversals, migrations and repartitioning
   stages nest the way they "happened" in simulated time;
 * :class:`Telemetry` — the hub instrumented components hold (registry +
-  tracer + event log), with :func:`install` for a process-wide default;
+  tracer + event log), with :func:`install` for a process-wide default.
+  Every hub is real: a component given none builds its own, so its
+  counters always count;
 * exporters — JSONL event log (:func:`export_jsonl`), Prometheus text
   (:func:`prometheus_text`), and a human summary (:func:`summary_text`).
 """
 
-from repro.telemetry.hub import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    get_default,
-    install,
-    installed,
-)
+from repro.telemetry.hub import Telemetry, install, installed
 from repro.telemetry.registry import (
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
@@ -31,7 +26,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 from repro.telemetry.tracing import NULL_SPAN, SpanHandle, Tracer
 from repro.telemetry.conservation import registry_conservation_violations
@@ -45,20 +39,16 @@ from repro.telemetry.exporters import (
 
 __all__ = [
     "NULL_SPAN",
-    "NULL_TELEMETRY",
     "Counter",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NullTelemetry",
     "SpanHandle",
     "Telemetry",
     "Tracer",
     "export_jsonl",
-    "get_default",
     "install",
     "installed",
     "metric_total",

@@ -22,8 +22,7 @@ def registry_conservation_violations(telemetry, network) -> List[str]:
     link holding a negative count or a server's traffic to itself (never
     charged), and the ledger's aggregates — summed over its links —
     differing from ``network_messages_total`` / ``network_bytes_total``
-    summed over the kinds for this network's labels (not checked on a
-    null hub, which has no registry).
+    summed over the kinds for this network's labels.
     """
     problems: List[str] = []
     ledger = zip(network.link_messages, network.link_bytes)
@@ -35,8 +34,6 @@ def registry_conservation_violations(telemetry, network) -> List[str]:
                 )
             elif src == dst and (count or size):
                 problems.append(f"server {src} charged traffic to itself")
-    if telemetry.null:
-        return problems
     registry = telemetry.registry
     labels = dict(getattr(network, "_labels", {}))
     metric_messages = registry.total("network_messages_total", **labels)

@@ -1,13 +1,12 @@
 """The Telemetry hub: one registry + one tracer + one event log.
 
-A hub is what instrumented components hold.  Three usage modes:
+A hub is what instrumented components hold, and every hub is real: a
+component given none builds its own ``Telemetry()``, so a counter always
+counts and no code path asks whether a hub is there.  Two modes:
 
-* ``NULL_TELEMETRY`` — module-level default for standalone hot-path
-  objects; metrics, spans and events are all no-ops;
-* ``Telemetry()`` — metrics on (cheap in-memory numbers; this is what
-  backs the legacy ``HermesServer.visits``-style attribute API), spans
-  and events off.  :class:`~repro.cluster.hermes.HermesCluster` creates
-  one of these by default;
+* ``Telemetry()`` — metrics on (cheap in-memory numbers; a server's
+  ``server_visits_total`` series is the only count of its visits),
+  spans and events off;
 * ``Telemetry(record=True)`` — everything on: spans and timestamped
   events accumulate for export (``--telemetry-out``).
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import MetricsRegistry, NullRegistry
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
 
@@ -33,17 +32,14 @@ class Telemetry:
         self,
         clock: Optional[Callable[[], float]] = None,
         record: bool = False,
-        registry: Optional[MetricsRegistry] = None,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=clock, recording=record)
         self.events: List[Dict[str, object]] = []
         self.recording = record
-        # Keyed by callback identity so re-attaching a component replaces
-        # its old hook instead of accumulating one per attach; bound
-        # methods hold their owner only weakly so a dead component's hook
-        # disappears with it.
-        self._flush_hooks: Dict[object, Tuple[Optional[weakref.ref], Callable]] = {}
+        # (owner, function) pairs; a bound method's owner is held weakly,
+        # so a dead component's hook is dropped at the next flush.
+        self._flush_hooks: List[Tuple[Optional[weakref.ref], Callable]] = []
 
     # Convenience passthroughs so call sites read telemetry.counter(...)
     def counter(self, name: str, help: str = "", **labels):
@@ -77,32 +73,26 @@ class Telemetry:
         """Register a hook run before every export (e.g. components that
         materialize expensive label spaces lazily).
 
-        Hooks are deduplicated by identity: re-registering the same bound
-        method (same owner, same function) replaces the earlier entry, so
-        a component that re-attaches telemetry does not stack stale hooks.
-        Bound-method owners are referenced weakly — a garbage-collected
+        A bound method's owner is referenced weakly — a garbage-collected
         component's hook is dropped rather than kept alive by the hub.
         """
-        owner = getattr(hook, "__self__", None)
-        if owner is not None:
-            key = (id(owner), hook.__func__)
-            try:
-                ref = weakref.ref(owner, lambda _, k=key: self._flush_hooks.pop(k, None))
-            except TypeError:
-                # Owner type without weakref support: hold it strongly.
-                self._flush_hooks[key] = (None, hook)
-                return
-            self._flush_hooks[key] = (ref, hook.__func__)
-        else:
-            self._flush_hooks[hook] = (None, hook)
+        try:
+            entry = (weakref.ref(hook.__self__), hook.__func__)
+        except (AttributeError, TypeError):
+            # A plain function, or an owner without weakref support.
+            entry = (None, hook)
+        self._flush_hooks.append(entry)
 
     def flush(self) -> None:
-        for ref, func in list(self._flush_hooks.values()):
+        self._flush_hooks = [
+            (ref, func)
+            for ref, func in self._flush_hooks
+            if ref is None or ref() is not None
+        ]
+        for ref, func in list(self._flush_hooks):
             if ref is None:
                 func()
-                continue
-            owner = ref()
-            if owner is not None:
+            elif (owner := ref()) is not None:
                 func(owner)
 
     def start_recording(self) -> None:
@@ -114,28 +104,6 @@ class Telemetry:
         self.recording = False
         self.tracer.recording = False
 
-    @property
-    def null(self) -> bool:
-        return self.registry.null
-
-
-class NullTelemetry(Telemetry):
-    """The do-nothing hub; a single shared instance is the default."""
-
-    def __init__(self) -> None:
-        super().__init__(registry=NullRegistry(), record=False)
-
-    def event(self, kind: str, **fields) -> None:
-        pass
-
-    def start_recording(self) -> None:
-        pass
-
-    def on_flush(self, hook: Callable[[], None]) -> None:
-        pass
-
-
-NULL_TELEMETRY = NullTelemetry()
 
 _installed: Optional[Telemetry] = None
 
@@ -149,8 +117,3 @@ def install(hub: Optional[Telemetry]) -> None:
 def installed() -> Optional[Telemetry]:
     """The installed process-wide hub, if any."""
     return _installed
-
-
-def get_default() -> Telemetry:
-    """The installed hub, else the shared null hub."""
-    return _installed if _installed is not None else NULL_TELEMETRY

@@ -4,18 +4,9 @@ The registry is deliberately Prometheus-shaped: a *family* is a named
 metric of one kind (counter, gauge, histogram) and a family holds one
 *series* per distinct label set.  Instruments are plain attribute-bag
 objects whose hot methods (``inc``/``set``/``observe``) do nothing but
-arithmetic, so registry-backed counters cost about the same as the bare
-``self.visits += 1`` attributes they replace.
-
-Two registries exist:
-
-* :class:`MetricsRegistry` — the real thing; always safe to leave
-  attached because instruments are just numbers in memory;
-* :class:`NullRegistry` — the no-sink fast path: every request returns a
-  shared no-op instrument, so instrumented code pays one attribute load
-  and one empty method call.  Standalone hot-path objects (the
-  repartitioner, a bare :class:`~repro.cluster.network.SimulatedNetwork`)
-  default to this.
+arithmetic, so a registry-backed counter costs about what a bare integer
+attribute would.  There is one kind of registry: instruments are just
+numbers in memory, so every component counts into a real one.
 """
 
 from __future__ import annotations
@@ -134,34 +125,6 @@ class Histogram:
         return out
 
 
-class _NoOpInstrument:
-    """Shared do-nothing stand-in for every instrument kind."""
-
-    kind = "noop"
-    __slots__ = ()
-    name = "noop"
-    labels: LabelKey = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NoOpInstrument()
-
-
 class _Family:
     __slots__ = ("name", "kind", "help", "bounds", "series")
 
@@ -175,9 +138,6 @@ class _Family:
 
 class MetricsRegistry:
     """Owns every metric family; get-or-create access by name + labels."""
-
-    #: NullRegistry flips this so hot paths can branch with one load
-    null = False
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
@@ -274,18 +234,3 @@ class MetricsRegistry:
                     record["value"] = instrument.value
                 samples.append(record)
         return samples
-
-
-class NullRegistry(MetricsRegistry):
-    """Every request resolves to the shared no-op instrument."""
-
-    null = True
-
-    def counter(self, name: str, help: str = "", **labels):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", **labels):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, help="", buckets=None, **labels):
-        return NULL_INSTRUMENT

@@ -266,6 +266,11 @@ def test_results_costs_and_server_counters_did_not_move():
         ) == pinned
         assert not result.partial
     assert [
-        (server.visits, server.reads, server.writes, repr(server.busy_seconds))
+        (
+            server.visits_counter.value,
+            server.reads_counter.value,
+            server.writes_counter.value,
+            repr(server.busy_counter.value),
+        )
         for server in cluster.servers
     ] == PINNED_COUNTERS

@@ -24,7 +24,6 @@ from repro.core.migration import build_migration_plan
 from repro.exceptions import FaultInjectedError, MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.hashing import HashPartitioner
-from repro.telemetry import Telemetry
 from tests.conftest import (
     build_placed_cluster as build_cluster,
     crash_plan,
@@ -142,11 +141,7 @@ class TestLocationCache:
         cluster = build_cluster(
             SocialGraph.from_edges([(0, 1), (1, 2)]), placement, num_servers
         )
-        # A real hub so the counters are inspectable (the default is the
-        # no-op NULL_TELEMETRY).
-        return cluster, LocationCache(
-            cluster.catalog, num_servers, telemetry=Telemetry()
-        )
+        return cluster, LocationCache(cluster.catalog, num_servers)
 
     def test_miss_then_hit(self):
         cluster, cache = self.make({0: 0, 1: 1, 2: 2})
@@ -204,7 +199,7 @@ class TestCacheAfterMigration:
         assert set(first.response) == {2, 0}
         migrate(cluster, {0: (0, 1)})
         stale_before = cluster.location_cache._stale.value
-        old_home_busy = cluster.servers[0].busy_seconds
+        old_home_busy = cluster.servers[0].busy_counter.value
         forwarded = cluster.traverse(2, hops=1)
         # The stale hint resolves via a forwarding hop: same response.
         assert set(forwarded.response) == {2, 0}
@@ -212,7 +207,8 @@ class TestCacheAfterMigration:
         assert cluster.location_cache._stale.value == stale_before + 1
         # The old home serves the batched message and the forward: one
         # RPC dispatch each.
-        assert cluster.servers[0].busy_seconds - old_home_busy == pytest.approx(
+        busy = cluster.servers[0].busy_counter.value
+        assert busy - old_home_busy == pytest.approx(
             2 * cluster.network.config.remote_service_cost
         )
         # The corrected entry makes the next query cheaper (no forward).

@@ -154,8 +154,10 @@ class TestTelemetryMirror:
         assert hub.registry.value("network_link_bytes", src=0, dst=1) == 64
         assert hub.registry.value("network_link_messages", src=0, dst=1) == 1
 
-    def test_null_hub_keeps_legacy_stats(self):
+    def test_a_network_without_a_hub_counts(self):
         network = SimulatedNetwork(2)
         network.remote_hop(0, 1, size=64)
         assert network.stats.messages == 1
-        assert network.telemetry.null
+        registry = network.telemetry.registry
+        assert registry.value("network_messages_total", kind="hop") == 1
+        assert registry.value("network_bytes_total", kind="hop") == 64

@@ -120,19 +120,10 @@ class TestTelemetry:
             stats.write_amplification
         )
 
-    def test_default_null_hub_is_inert(self):
+    def test_a_replicator_without_a_hub_counts(self):
         replicator = OneHopReplicator()
         graph = SocialGraph.from_edges([(0, 1)])
         partitioning = Partitioning.from_mapping({0: 0, 1: 1})
         replicator.placements(graph, partitioning)
-        assert replicator._placements_counter.value == 0.0
-
-    def test_attach_telemetry_rebinds(self):
-        replicator = OneHopReplicator()
-        graph = SocialGraph.from_edges([(0, 1)])
-        partitioning = Partitioning.from_mapping({0: 0, 1: 1})
-        replicator.placements(graph, partitioning)  # no-op hub
-        hub = Telemetry()
-        replicator.attach_telemetry(hub)
-        replicator.placements(graph, partitioning)
-        assert replicator._placements_counter.value == 1
+        registry = replicator.telemetry.registry
+        assert registry.value("replication_placements_total") == 1

@@ -23,8 +23,8 @@ class TestReads:
         assert props == {"name": "bob"}
         assert store_state(server.store) == before
         assert server.store.node(1).weight == 1.0
-        assert server.reads == 1
-        assert server.writes == 0
+        assert server.reads_counter.value == 1
+        assert server.writes_counter.value == 0
 
     def test_read_missing_vertex(self, server):
         with pytest.raises(ClusterError):
@@ -48,7 +48,7 @@ class TestReads:
         ]
         assert server.store.read_frontier([0, 2, 99], False) == [(), None, None]
         # Visit accounting belongs to the traversal engine, not the read.
-        assert server.visits == 0
+        assert server.visits_counter.value == 0
 
 
 class TestWrites:
@@ -56,7 +56,7 @@ class TestWrites:
         server.create_vertex(10, weight=2.0, properties={"a": 1})
         assert server.store.node(10).weight == 2.0
         assert server.store.node_properties(10) == {"a": 1}
-        assert server.writes == 1
+        assert server.writes_counter.value == 1
 
     def test_create_edge(self, server):
         rel = server.store.create_relationship(

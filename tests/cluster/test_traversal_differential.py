@@ -227,7 +227,8 @@ def step_key(step):
 def observables(cluster, model):
     return {
         "servers": [
-            (server.visits, repr(server.busy_seconds)) for server in cluster.servers
+            (server.visits_counter.value, repr(server.busy_counter.value))
+            for server in cluster.servers
         ],
         "caches": sorted(cluster.location_cache.all_entries()),
         "network": (cluster.network.link_messages, cluster.network.link_bytes),
@@ -388,12 +389,12 @@ def test_failed_forward_at_the_final_depth_skips_later_entries_on_its_host():
         cluster.attach_faults(
             FaultPlan(seed=3, link_loss={(old_home, new_home): 1.0})
         )
-        visits_before = cluster.servers[new_home].visits
+        visits_before = cluster.servers[new_home].visits_counter.value
         result = cluster.traverse(0, 1)
         assert result.failed_partitions == (new_home,)
         assert x in result.response
         assert y not in result.response and z not in result.response
-        assert cluster.servers[new_home].visits == visits_before + 1  # x alone
+        assert cluster.servers[new_home].visits_counter.value == visits_before + 1  # x alone
         outcomes.append(
             (result_key(result), observables(cluster, RecordingModel()))
         )

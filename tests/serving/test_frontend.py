@@ -15,6 +15,7 @@ from repro.serving import (
     ServingFrontend,
 )
 from repro.simtest.invariants import InvariantAuditor
+from repro.telemetry import Telemetry, install, installed
 from tests.conftest import crash_plan, make_random_graph
 
 
@@ -215,3 +216,24 @@ class TestTopology:
         json.dumps(snapshot)
         assert snapshot["queue"]["admitted"] == 1
         assert "c1" in snapshot["tenants"]
+
+
+class TestSharedHub:
+    def test_front_doors_sharing_an_installed_hub_keep_their_own_books(self):
+        """The queue's counts live in the registry, labelled with the
+        cluster, so two front doors on one hub (the runner's
+        ``--telemetry-out``) never count each other's operations."""
+        previous = installed()
+        install(Telemetry())
+        try:
+            first, second = make_frontend(), make_frontend()
+        finally:
+            install(previous)
+        assert first.telemetry is second.telemetry
+        for step in range(30):
+            now = step * 1e-4
+            first.submit("read", step % 30, now=now)
+            second.submit("traverse", step % 30, hops=1, now=now)
+        for frontend in (first, second):
+            snap = check_conservation(frontend)
+            assert snap["submitted"] == 30

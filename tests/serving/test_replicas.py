@@ -189,9 +189,9 @@ class TestSynchronizer:
     def test_update_charges_replica_host_not_caller(self):
         cluster = cut_pair_cluster()
         sync, _ = self.make_sync(cluster)
-        busy_before = cluster.servers[1].busy_seconds
+        busy_before = cluster.servers[1].busy_counter.value
         sync.record_write([0], now=0.0)
-        assert cluster.servers[1].busy_seconds > busy_before
+        assert cluster.servers[1].busy_counter.value > busy_before
 
     def test_lost_update_counts_failure_but_still_stamps(self):
         cluster = cut_pair_cluster()

@@ -103,7 +103,7 @@ class TestReplicaExecution:
         queue.add_backlog(0, now=0.0, cost=1e-3)
         decision = router.route_read(0, now=0.0)
         assert decision.replica_read
-        busy_before = cluster.servers[1].busy_seconds
+        busy_before = cluster.servers[1].busy_counter.value
         reads_before = cluster.servers[1].reads_counter.value
         properties, cost, staleness, degraded = router.serve_replica_read(
             0, decision, now=0.0
@@ -111,7 +111,7 @@ class TestReplicaExecution:
         assert not degraded
         assert cost > 0.0
         assert staleness == 0.0
-        assert cluster.servers[1].busy_seconds > busy_before
+        assert cluster.servers[1].busy_counter.value > busy_before
         assert cluster.servers[1].reads_counter.value == reads_before + 1
 
     def test_served_staleness_recorded(self):

@@ -14,7 +14,10 @@ import sys
 
 import pytest
 
+from repro.cluster.hermes import HermesCluster
 from repro.exceptions import InvariantViolationError
+from repro.graph.generators import orkut_like
+from repro.partitioning.hashing import HashPartitioner
 from repro.simtest import (
     CORRUPT_MODES,
     InvariantAuditor,
@@ -28,6 +31,8 @@ from repro.simtest import (
     shrink_schedule,
     write_artifact,
 )
+from repro.telemetry import Telemetry
+from repro.workloads.model import WorkloadModel
 
 #: which invariant each corruption mode must trip
 EXPECTED_INVARIANT = {
@@ -148,6 +153,50 @@ class TestAuditor:
             violations = first_violations_without_reference(spec, schedule)
         assert violations
         assert {v.invariant for v in violations} == {"telemetry-conservation"}
+
+
+def traversed_model_cluster(telemetry=None, seed=0):
+    """An orkut-like cluster of 200 vertices on 4 servers with a workload
+    model attached and 20 one-hop traversals observed."""
+    graph = orkut_like(n=200, seed=seed).graph
+    cluster = HermesCluster.from_graph(
+        graph, num_servers=4, partitioner=HashPartitioner(), telemetry=telemetry
+    )
+    cluster.attach_workload_model(WorkloadModel())
+    traverse_some(cluster)
+    return cluster
+
+
+def traverse_some(cluster, count=20):
+    vertices = sorted(cluster.graph.vertices())
+    for start in vertices[:count]:
+        cluster.traverse(start, 1)
+
+
+def model_violations(cluster):
+    return [
+        v
+        for v in InvariantAuditor().audit(cluster)
+        if v.invariant == "workload-model-conservation"
+    ]
+
+
+class TestWorkloadModelAudit:
+    def test_a_model_attached_after_traffic_audits_clean(self):
+        """The engine counted the first model's observations; a second,
+        fresh model is held to the counter's growth since it came."""
+        cluster = traversed_model_cluster()
+        cluster.attach_workload_model(WorkloadModel())
+        traverse_some(cluster)
+        assert cluster.workload_model.observations > 0
+        assert model_violations(cluster) == []
+
+    def test_clusters_sharing_a_hub_each_audit_clean(self):
+        hub = Telemetry()
+        first = traversed_model_cluster(hub, seed=1)
+        second = traversed_model_cluster(hub, seed=2)
+        assert model_violations(first) == []
+        assert model_violations(second) == []
 
 
 class TestDeterminism:

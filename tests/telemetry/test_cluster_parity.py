@@ -1,10 +1,11 @@
 """End-to-end parity: the exported JSONL must agree exactly with the
-legacy counters (the acceptance criterion for the telemetry subsystem).
+live instruments and the network's ledger (the acceptance criterion for
+the telemetry subsystem).
 
 A real cluster runs a mixed workload (traversals, point reads, writes,
 one forced rebalance); the JSONL aggregate visit counts, message counts
-and byte counts must equal the ``HermesServer`` / ``NetworkStats``
-numbers to the last unit.
+and byte counts must equal the ``HermesServer`` instruments and the
+``NetworkStats`` numbers to the last unit.
 """
 
 import pytest
@@ -50,7 +51,7 @@ def records(run, tmp_path_factory):
 class TestMetricParity:
     def test_visits_match_server_counters(self, run, records):
         assert metric_total(records, "server_visits_total") == sum(
-            server.visits for server in run.servers
+            server.visits_counter.value for server in run.servers
         )
 
     def test_per_server_visits(self, run, records):
@@ -62,20 +63,20 @@ class TestMetricParity:
                     server=server.server_id,
                     cluster=run.cluster_id,
                 )
-                == server.visits
+                == server.visits_counter.value
             )
 
     def test_reads_and_writes_match(self, run, records):
         assert metric_total(records, "server_reads_total") == sum(
-            server.reads for server in run.servers
+            server.reads_counter.value for server in run.servers
         )
         assert metric_total(records, "server_writes_total") == sum(
-            server.writes for server in run.servers
+            server.writes_counter.value for server in run.servers
         )
 
     def test_busy_seconds_match(self, run, records):
         assert metric_total(records, "server_busy_seconds_total") == pytest.approx(
-            sum(server.busy_seconds for server in run.servers)
+            sum(server.busy_counter.value for server in run.servers)
         )
 
     def test_messages_match_network_stats(self, run, records):
@@ -111,7 +112,7 @@ class TestMetricParity:
         """The live registry (not just the export) carries the same totals."""
         registry = run.telemetry.registry
         assert registry.total("server_visits_total") == sum(
-            server.visits for server in run.servers
+            server.visits_counter.value for server in run.servers
         )
         assert registry.total("network_messages_total") == run.network.stats.messages
 
@@ -162,8 +163,8 @@ class TestDefaults:
             graph, num_servers=3, partitioner=HashPartitioner()
         )
         cluster.traverse(0, hops=2)
-        assert sum(server.visits for server in cluster.servers) > 0
-        # Metrics are on (they back the attributes), recording is off.
+        assert sum(server.visits_counter.value for server in cluster.servers) > 0
+        # Metrics are on, recording is off.
         assert not cluster.telemetry.recording
         assert cluster.telemetry.tracer.spans == []
 

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.exceptions import TelemetryError
-from repro.telemetry import (
-    DEFAULT_TIME_BUCKETS,
-    MetricsRegistry,
-    NullRegistry,
-)
-from repro.telemetry.registry import NULL_INSTRUMENT
+from repro.telemetry import DEFAULT_TIME_BUCKETS, MetricsRegistry
 
 
 class TestCounter:
@@ -142,25 +137,3 @@ class TestRegistryReads:
         assert samples["h"]["count"] == 1
         assert samples["h"]["sum"] == 0.5
         assert samples["h"]["buckets"][-1][1] == 1
-
-
-class TestNullRegistry:
-    def test_flag(self):
-        assert NullRegistry().null is True
-        assert MetricsRegistry().null is False
-
-    def test_every_instrument_is_the_shared_noop(self):
-        registry = NullRegistry()
-        assert registry.counter("a", x=1) is NULL_INSTRUMENT
-        assert registry.gauge("b") is NULL_INSTRUMENT
-        assert registry.histogram("c", buckets=(1.0,)) is NULL_INSTRUMENT
-
-    def test_noop_instrument_accumulates_nothing(self):
-        registry = NullRegistry()
-        instrument = registry.counter("a")
-        instrument.inc(100)
-        instrument.set(5)
-        instrument.observe(1.0)
-        assert instrument.value == 0.0
-        assert instrument.count == 0
-        assert list(registry.families()) == []

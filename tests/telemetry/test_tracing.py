@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.telemetry import (
-    NULL_SPAN,
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    Tracer,
-)
-from repro.telemetry import hub as hub_module
-from repro.telemetry import install, installed, get_default
+from repro.telemetry import NULL_SPAN, Telemetry, Tracer
+from repro.telemetry import install, installed
 
 
 class FakeClock:
@@ -127,7 +120,6 @@ class TestSpans:
 class TestHub:
     def test_default_hub_has_metrics_but_no_recording(self):
         hub = Telemetry()
-        assert not hub.null
         assert not hub.recording
         hub.counter("c").inc()
         assert hub.registry.value("c") == 1.0
@@ -164,16 +156,6 @@ class TestHub:
         hub.flush()
         assert calls == ["a", "b"]
 
-    def test_null_hub_is_inert(self):
-        assert NULL_TELEMETRY.null
-        NULL_TELEMETRY.event("e")
-        NULL_TELEMETRY.start_recording()
-        assert not NULL_TELEMETRY.recording
-        NULL_TELEMETRY.on_flush(lambda: 1 / 0)
-        NULL_TELEMETRY.flush()
-        assert NULL_TELEMETRY.events == []
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
-
 
 class TestInstall:
     def test_install_and_clear(self):
@@ -182,16 +164,6 @@ class TestInstall:
         try:
             install(hub)
             assert installed() is hub
-            assert get_default() is hub
         finally:
             install(previous)
         assert installed() is previous
-
-    def test_default_without_install_is_null(self):
-        previous = installed()
-        try:
-            install(None)
-            assert installed() is None
-            assert get_default() is hub_module.NULL_TELEMETRY
-        finally:
-            install(previous)

@@ -302,7 +302,6 @@ class TestMidRunServerRegistration:
         server = HermesServer(
             len(cluster.servers),
             len(cluster.servers) + 1,
-            clock=lambda: cluster.now,
             telemetry=cluster.telemetry,
         )
         server.busy_counter.inc(busy)
