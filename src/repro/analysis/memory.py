@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, Tuple
 
 from repro.core.auxiliary import AuxiliaryData
 from repro.graph.adjacency import SocialGraph
-from repro.graph.compact import CompactGraph
 
 if TYPE_CHECKING:
     from repro.storage.graph_store import GraphStore
@@ -99,11 +98,6 @@ def peak_rss_bytes() -> int:
         return usage * 1024 if sys.platform != "darwin" else usage
     except Exception:
         return 0
-
-
-def compact_graph_bytes(graph: CompactGraph) -> int:
-    """Exact bytes of a CSR graph's arrays (index + neighbors + weights)."""
-    return graph.memory_bytes()
 
 
 def social_graph_bytes(graph: SocialGraph) -> int:

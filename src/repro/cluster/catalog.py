@@ -103,25 +103,31 @@ class LocationCache:
         catalog: Catalog,
         num_servers: int,
         telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.catalog = catalog
         self.num_servers = num_servers
         self._entries: List[Dict[int, int]] = [{} for _ in range(num_servers)]
         telemetry = telemetry or Telemetry()
-        self.telemetry = telemetry
+        extra = labels or {}
         self._hits = telemetry.counter(
-            "location_cache_hits_total", "vertex locations served from cache"
+            "location_cache_hits_total", "vertex locations served from cache",
+            **extra,
         )
         self._misses = telemetry.counter(
-            "location_cache_misses_total", "vertex locations fetched from the catalog"
+            "location_cache_misses_total",
+            "vertex locations fetched from the catalog",
+            **extra,
         )
         self._stale = telemetry.counter(
             "location_cache_stale_hits_total",
             "cached locations that pointed at a pre-migration host",
+            **extra,
         )
         self._invalidations = telemetry.counter(
             "location_cache_invalidations_total",
             "cache entries refreshed by migration commits",
+            **extra,
         )
 
     def lookup_from(self, server: int, vertex: int) -> int:
@@ -200,10 +206,6 @@ class LocationCache:
             for vertex in stale:
                 del entries[vertex]
         self._entries[host].clear()
-
-    def clear(self) -> None:
-        for entries in self._entries:
-            entries.clear()
 
     def entries_on(self, server: int) -> Dict[int, int]:
         """Snapshot of one server's cached view (tests/introspection)."""

@@ -53,8 +53,6 @@ class WorkloadReport:
     server_busy: Dict[int, float] = field(default_factory=dict)
     #: operations attributed per client id (round-robin submission)
     client_operations: Dict[str, int] = field(default_factory=dict)
-    #: simulated cost attributed per client id
-    client_cost: Dict[str, float] = field(default_factory=dict)
     #: operations that ended in a cluster error (e.g. a write against a
     #: crashed server); the run records the failure and moves on
     failed_operations: int = 0
@@ -78,28 +76,17 @@ class ClientPool:
     """Submits operations to a :class:`~repro.cluster.hermes.HermesCluster`.
 
     Every pool member has a stable client id (``client-0`` … ``client-N``)
-    and operations are attributed to them round-robin — the hook the
-    serving layer's per-tenant accounting uses.  Pass ``accounts`` (a
-    :class:`~repro.serving.accounting.TenantAccounts`) to meter each
-    operation onto its submitting client's ledger as it executes.
+    and operations are attributed to them round-robin
+    (``WorkloadReport.client_operations``).
     """
 
-    def __init__(
-        self,
-        cluster,
-        num_clients: int = 32,
-        client_prefix: str = "client",
-        accounts=None,
-    ):
+    def __init__(self, cluster, num_clients: int = 32):
         if num_clients < 1:
             raise WorkloadError("need at least one client")
         self.cluster = cluster
         self.num_clients = num_clients
         #: stable per-client ids, round-robin attribution order
-        self.client_ids = [
-            f"{client_prefix}-{i}" for i in range(num_clients)
-        ]
-        self.accounts = accounts
+        self.client_ids = [f"client-{i}" for i in range(num_clients)]
         #: the ConcurrentExecutor of the most recent run (None before the
         #: first) — exposes the event log, per-task handles and coherence
         #: sweep results to tests and the auditor
@@ -216,7 +203,7 @@ class ClientPool:
         cost: float,
     ) -> None:
         """Fold one completed operation (the trace's ``index``-th) into
-        the report and its submitting client's ledger."""
+        the report, attributed to its submitting client."""
         client = self.client_of(index)
         report.operations += 1
         if isinstance(operation, Traversal):
@@ -234,6 +221,3 @@ class ClientPool:
         report.client_operations[client] = (
             report.client_operations.get(client, 0) + 1
         )
-        report.client_cost[client] = report.client_cost.get(client, 0.0) + cost
-        if self.accounts is not None:
-            self.accounts.record_admitted(client, cost)

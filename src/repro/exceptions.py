@@ -154,10 +154,6 @@ class CatalogError(ClusterError):
     """The vertex -> partition catalog has no entry for a vertex."""
 
 
-class ServerNotFoundError(ClusterError):
-    """A message was addressed to an unknown server."""
-
-
 class WorkloadError(HermesError):
     """A workload/trace specification is invalid."""
 
@@ -223,14 +219,3 @@ class OverloadShedError(AdmissionRejectedError):
         super().__init__(message)
         self.state = state
         self.wait = wait
-
-
-class InsufficientCreditsError(AdmissionRejectedError):
-    """The submitting tenant's credit balance was exhausted."""
-
-    reason = "insufficient_credits"
-
-    def __init__(self, tenant: str, balance: float):
-        super().__init__(f"tenant {tenant!r} has {balance:.1f} credits left")
-        self.tenant = tenant
-        self.balance = balance

@@ -1,10 +1,11 @@
-"""Front-door serving layer: router, replica reads, admission, accounting.
+"""Front-door serving layer: router, replica reads, admission, tenants.
 
 The cluster substrate (``repro.cluster``) executes operations; this
 package decides *which* operations run, *where*, and *on whose account*:
 
 * :class:`~repro.serving.frontend.ServingFrontend` — the front door
-  every client operation enters;
+  every client operation enters; it meters each tenant and gates its
+  credits in the tenant's cluster-labelled registry series;
 * :class:`~repro.serving.router.GraphRouter` — routes reads to
   least-loaded fresh one-hop replicas and writes to primaries;
 * :class:`~repro.serving.queue.QueryQueue` +
@@ -12,12 +13,9 @@ package decides *which* operations run, *where*, and *on whose account*:
   with utilization-driven load shedding and priority classes;
 * :class:`~repro.serving.replicas.ReplicaIndex` /
   :class:`~repro.serving.replicas.ReplicaSynchronizer` — live SPAR
-  replica placement and the bounded-staleness update model;
-* :class:`~repro.serving.accounting.TenantAccounts` — per-tenant usage
-  metering and credit gating.
+  replica placement and the bounded-staleness update model.
 """
 
-from repro.serving.accounting import TenantAccounts, TenantUsage
 from repro.serving.admission import (
     ACCEPTING,
     SHEDDING,
@@ -57,6 +55,4 @@ __all__ = [
     "ServeOutcome",
     "ServingConfig",
     "ServingFrontend",
-    "TenantAccounts",
-    "TenantUsage",
 ]

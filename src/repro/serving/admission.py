@@ -27,7 +27,7 @@ only blow the latency bound it exists to protect).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.exceptions import OverloadShedError, QueueFullError
 from repro.serving.config import ServingConfig
@@ -68,23 +68,27 @@ class AdmissionController:
     """Utilization-driven state machine with hysteresis."""
 
     def __init__(
-        self, config: ServingConfig, telemetry: Optional[Telemetry] = None
+        self,
+        config: ServingConfig,
+        telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.config = config
         self.state = ACCEPTING
         telemetry = telemetry or Telemetry()
-        self.telemetry = telemetry
+        extra = labels or {}
         self._transitions = {
             state: telemetry.counter(
                 "serving_admission_transitions_total",
                 "admission state machine transitions",
-                to=state,
+                to=state, **extra,
             )
             for state in _STATES
         }
         self._state_gauge = telemetry.gauge(
             "serving_admission_state",
             "current admission state (0=accepting, 1=throttled, 2=shedding)",
+            **extra,
         )
 
     # ------------------------------------------------------------------

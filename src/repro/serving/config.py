@@ -1,7 +1,7 @@
 """Configuration for the front-door serving layer.
 
 One frozen dataclass carries every knob the router, queue, admission
-controller and tenant accounts read, so an experiment (or a simtest
+controller and the front door's tenant credit gate read, so an experiment (or a simtest
 scenario spec) can describe a whole serving stack as pure data.
 
 The latency-facing knobs are expressed in *simulated seconds* on the
@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs for the router, query queue, admission control and accounting."""
+    """Knobs for the router, query queue, admission control and tenants."""
 
     # ------------------------------------------------------------------
     # Query queue / admission control
@@ -60,7 +60,7 @@ class ServingConfig:
     replica_update_bytes: int = 96
 
     # ------------------------------------------------------------------
-    # Per-tenant accounting
+    # Per-tenant credits (usage is always metered)
     # ------------------------------------------------------------------
     #: starting credit balance per tenant; None disables credit gating
     #: (usage is still metered)

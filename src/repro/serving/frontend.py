@@ -21,6 +21,10 @@ each submission through the full pipeline:
 The client-observed latency of a completed operation is
 ``queueing wait + execution cost``.  Shed operations never reach a
 server; their outcome carries the typed reason instead.
+
+The registry is the only ledger, tenants included: every series the
+front door and its parts bind carries the cluster label, so two front
+doors sharing one hub keep separate books.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from repro.cluster.traversal import check_hops
 from repro.exceptions import (
     AdmissionRejectedError,
     FaultInjectedError,
-    InsufficientCreditsError,
     ServerDownError,
 )
-from repro.serving.accounting import TenantAccounts
 from repro.serving.admission import Priority
 from repro.serving.config import ServingConfig
-from repro.serving.queue import QueryQueue
+from repro.serving.queue import SHED_REASONS, QueryQueue
 from repro.serving.replicas import ReplicaIndex, ReplicaSynchronizer
 from repro.serving.router import GraphRouter
 from repro.concurrency.scheduler import Work
@@ -82,6 +84,46 @@ class ServeOutcome:
         return self.status != SHED
 
 
+class _TenantSeries:
+    """One tenant's registry series, bound the first time it is counted:
+    ``tenant_ops_total{outcome}`` (sheds also by ``reason``), cost
+    seconds, replica reads and — with credits on — the balance gauge."""
+
+    __slots__ = ("admitted", "shed", "cost_seconds", "replica_reads", "credits")
+
+    def __init__(self, telemetry: Telemetry, config: ServingConfig, **labels):
+        counter = telemetry.counter
+        ops = "front-door operations per tenant"
+        self.admitted = counter("tenant_ops_total", ops, outcome="admitted", **labels)
+        self.shed = {
+            reason: counter(
+                "tenant_ops_total", ops, outcome="shed", reason=reason, **labels
+            )
+            for reason in SHED_REASONS
+        }
+        self.cost_seconds = counter(
+            "tenant_cost_seconds_total", "simulated execution cost per tenant", **labels
+        )
+        self.replica_reads = counter(
+            "tenant_replica_reads_total", "replica-served reads per tenant", **labels
+        )
+        self.credits = None
+        if config.tenant_credits is not None:
+            self.credits = telemetry.gauge(
+                "tenant_credits_remaining", "credit balance per tenant", **labels
+            )
+            self.credits.set(config.tenant_credits)
+
+    def totals(self) -> Dict[str, Any]:
+        return {
+            "admitted": int(self.admitted.value),
+            "shed": int(sum(series.value for series in self.shed.values())),
+            "cost_seconds": self.cost_seconds.value,
+            "replica_reads": int(self.replica_reads.value),
+            "credits": None if self.credits is None else self.credits.value,
+        }
+
+
 class ServingFrontend:
     """Route, admit, execute, and account every client operation."""
 
@@ -96,17 +138,18 @@ class ServingFrontend:
         self.telemetry = telemetry or cluster.telemetry
         #: serving-side simulated clock: operation arrival times
         self.now = 0.0
+        labels = {"cluster": cluster.cluster_id}
         self.index = ReplicaIndex(cluster)
         self.sync = ReplicaSynchronizer(
-            cluster, self.index, self.config, telemetry=self.telemetry
+            cluster, self.index, self.config, telemetry=self.telemetry,
+            labels=labels,
         )
         self.queue = QueryQueue(
             cluster.num_servers,
             self.config,
             telemetry=self.telemetry,
-            labels={"cluster": cluster.cluster_id},
+            labels=labels,
         )
-        self.accounts = TenantAccounts(self.config, telemetry=self.telemetry)
         self.router = GraphRouter(
             cluster,
             self.index,
@@ -114,12 +157,16 @@ class ServingFrontend:
             self.queue,
             self.config,
             telemetry=self.telemetry,
+            labels=labels,
         )
         self._latency_hist = self.telemetry.histogram(
             "serving_latency_seconds",
             "client-observed simulated latency (queue wait + execution)",
             buckets=DEFAULT_TIME_BUCKETS,
+            **labels,
         )
+        #: tenant id -> its bound series, in first-seen order
+        self._tenants: Dict[str, _TenantSeries] = {}
         #: optional ConcurrentExecutor (see :meth:`attach_engine`)
         self.engine = None
 
@@ -197,15 +244,19 @@ class ServingFrontend:
             op=op, client=client, priority=priority, status=SHED,
             arrival=arrival,
         )
+        # A tenant's series are bound when it is first counted, so a
+        # submission rejected by validation leaves the registry as it was.
+        tenant = self._tenants.get(client)
 
         # 1. Credit gate (before the queue: a tenant out of credits is
         # shed without consuming admission capacity).
-        try:
-            self.accounts.check_credits(client)
-        except InsufficientCreditsError as rejection:
-            self.queue.record_shed(rejection.reason, arrival)
-            self.accounts.record_shed(client, rejection.reason)
-            outcome.reason = rejection.reason
+        balance = self.config.tenant_credits
+        if tenant is not None and balance is not None:
+            balance = tenant.credits.value
+        if balance is not None and balance < self.config.credit_per_op:
+            outcome.reason = "insufficient_credits"
+            self.queue.record_shed(outcome.reason, arrival)
+            self._tenant(client).shed[outcome.reason].inc()
             return outcome
 
         # 2. Route.  The routing lookups and the cluster's own write
@@ -235,12 +286,14 @@ class ServingFrontend:
             else:
                 self.cluster.check_new_edge(args[0], args[1])
             target, forward_cost = self.router.primary_of(args[0])
+        if tenant is None:
+            tenant = self._tenant(client)
 
         # 3. Admit.
         try:
             wait = self.queue.try_admit(target, priority, arrival)
         except AdmissionRejectedError as rejection:
-            self.accounts.record_shed(client, rejection.reason)
+            tenant.shed[rejection.reason].inc()
             outcome.reason = rejection.reason
             return outcome
 
@@ -277,11 +330,25 @@ class ServingFrontend:
         if decision is not None and decision.replica_read and not degraded:
             outcome.replica_read = True
             outcome.staleness = self.sync.staleness(args[0], arrival)
-        self.accounts.record_admitted(
-            client, cost, replica_read=outcome.replica_read
-        )
+            tenant.replica_reads.inc()
+        tenant.admitted.inc()
+        tenant.cost_seconds.inc(cost)
+        if tenant.credits is not None:
+            config = self.config
+            debit = config.credit_per_op + cost * config.credits_per_cost_second
+            tenant.credits.set(tenant.credits.value - debit)
         self._latency_hist.observe(outcome.latency)
         return outcome
+
+    def _tenant(self, client: str) -> _TenantSeries:
+        """The tenant's series, bound the first time it is counted."""
+        tenant = self._tenants.get(client)
+        if tenant is None:
+            tenant = self._tenants[client] = _TenantSeries(
+                self.telemetry, self.config,
+                cluster=self.cluster.cluster_id, tenant=client,
+            )
+        return tenant
 
     @staticmethod
     def _hops(args, kwargs) -> int:
@@ -333,11 +400,15 @@ class ServingFrontend:
         return self.queue.conservation(self.now)
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-able summary of the whole serving stack."""
+        """JSON-able summary of the whole serving stack; ``tenants`` reads
+        each tenant's series, sorted by tenant id."""
         return {
             "now": self.now,
             "admission_state": self.queue.admission.state,
             "queue": self.conservation(),
             "max_served_staleness": self.sync.max_served_staleness,
-            "tenants": self.accounts.totals(),
+            "tenants": {
+                client: tenant.totals()
+                for client, tenant in sorted(self._tenants.items())
+            },
         }

@@ -18,8 +18,9 @@ typed reason (``queue_full``, ``overload_shed``,
 shed total.
 
 The counts live only in the telemetry registry's ``serving_*_total``
-series, labelled with the cluster, so two front doors sharing one hub
-each balance their own books.
+series.  Every series the queue and its admission controller bind
+carries the ``labels`` the front door passes (the cluster), so two
+front doors sharing one hub each balance their own books.
 """
 
 from __future__ import annotations
@@ -51,15 +52,14 @@ class QueryQueue:
         self.num_servers = num_servers
         self.config = config
         telemetry = telemetry or Telemetry()
-        self.telemetry = telemetry
+        extra = labels or {}
         self.admission = admission or AdmissionController(
-            config, telemetry=telemetry
+            config, telemetry=telemetry, labels=extra
         )
         #: per-server simulated time at which its backlog drains
         self.free_at: List[float] = [0.0] * num_servers
         #: finish times of admitted-but-not-yet-finished operations
         self._pending: List[float] = []
-        extra = labels or {}
         self._submitted = telemetry.counter(
             "serving_submitted_total", "operations offered to the front door",
             **extra,
@@ -81,12 +81,13 @@ class QueryQueue:
             for reason in SHED_REASONS
         }
         self._depth_gauge = telemetry.gauge(
-            "serving_queue_depth", "operations logically in flight"
+            "serving_queue_depth", "operations logically in flight", **extra
         )
         self._wait_hist = telemetry.histogram(
             "serving_queue_wait_seconds",
             "simulated queueing delay of admitted operations",
             buckets=DEFAULT_TIME_BUCKETS,
+            **extra,
         )
 
     def add_server(self) -> int:
@@ -124,8 +125,9 @@ class QueryQueue:
         """Admit one operation bound for ``target`` or raise its typed
         rejection.  Returns the queueing delay the operation will incur.
 
-        Callers that pre-shed (e.g. accounting) must record the shed via
-        :meth:`record_shed` instead, so conservation still balances.
+        Callers that pre-shed (the front door's credit gate) must record
+        the shed via :meth:`record_shed` instead, so conservation still
+        balances.
         """
         self.drain(now)
         self._submitted.inc()

@@ -71,6 +71,7 @@ class ReplicaSynchronizer:
         index: ReplicaIndex,
         config: ServingConfig,
         telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.cluster = cluster
         self.index = index
@@ -80,17 +81,19 @@ class ReplicaSynchronizer:
         #: largest pending-update age any served replica read observed
         self.max_served_staleness = 0.0
         telemetry = telemetry or Telemetry()
-        self.telemetry = telemetry
+        extra = labels or {}
         self._updates = telemetry.counter(
-            "replica_updates_total", "replica-update messages shipped"
+            "replica_updates_total", "replica-update messages shipped", **extra
         )
         self._update_bytes = telemetry.counter(
-            "replica_update_bytes_total", "payload bytes of replica updates"
+            "replica_update_bytes_total", "payload bytes of replica updates",
+            **extra,
         )
         self._update_failures = telemetry.counter(
             "replica_update_failures_total",
             "replica updates lost to injected faults (re-shipped by "
             "anti-entropy within the lag window)",
+            **extra,
         )
 
     # ------------------------------------------------------------------

@@ -66,6 +66,7 @@ class GraphRouter:
         queue: QueryQueue,
         config: ServingConfig,
         telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.cluster = cluster
         self.index = index
@@ -73,26 +74,34 @@ class GraphRouter:
         self.queue = queue
         self.config = config
         telemetry = telemetry or Telemetry()
-        self.telemetry = telemetry
+        extra = labels or {}
         # The front door is one more cache client of the catalog: slot 0
         # of a single-view LocationCache, stale after migrations until a
-        # forwarding hop corrects it.
-        self.cache = LocationCache(cluster.catalog, 1, telemetry=telemetry)
+        # forwarding hop corrects it.  Its series carry ``cache`` so they
+        # never mix with the servers' cache.
+        self.cache = LocationCache(
+            cluster.catalog, 1, telemetry=telemetry,
+            labels={**extra, "cache": "front_door"},
+        )
         self._replica_hits = telemetry.counter(
             "replica_read_hits_total",
             "single-record reads served by a one-hop replica",
+            **extra,
         )
         self._replica_misses = telemetry.counter(
             "replica_read_misses_total",
             "single-record reads served by the primary",
+            **extra,
         )
         self._stale_blocked = telemetry.counter(
             "replica_reads_stale_blocked_total",
             "reads whose replicas were too stale to serve",
+            **extra,
         )
         self._forwards = telemetry.counter(
             "router_forwards_total",
             "front-door lookups forwarded past a stale cache entry",
+            **extra,
         )
 
     # ------------------------------------------------------------------

@@ -70,8 +70,9 @@ and TESTING.md):
     (Serving clusters only.)  The front door's admission ledger
     balances: submitted == admitted + shed, admitted == completed +
     in_flight, and the per-reason shed counts sum to the shed total —
-    no operation is lost between the queue, the executor and the
-    accountant.
+    no operation is lost between the queue and the executor.  The
+    cluster's per-tenant admitted and shed series, counted on their own
+    path, sum to the queue's admitted and shed totals.
 ``replica-staleness-bound``
     (Serving clusters only.)  No replica read ever served data older
     than the configured ``max_staleness``, and the replica placement
@@ -573,6 +574,19 @@ class InvariantAuditor:
                     f"shed total is {snap['shed']}",
                 )
             )
+        registry = frontend.telemetry.registry
+        for outcome in ("admitted", "shed"):
+            tenants = registry.total(
+                "tenant_ops_total", cluster=cluster.cluster_id, outcome=outcome
+            )
+            if tenants != snap[outcome]:
+                out.append(
+                    InvariantViolation(
+                        "queue-conservation",
+                        f"per-tenant {outcome} counts sum to {tenants:g}, "
+                        f"the queue's {outcome} total is {snap[outcome]}",
+                    )
+                )
         return out
 
     def _check_replica_staleness(

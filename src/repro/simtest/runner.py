@@ -377,6 +377,10 @@ def _corrupt(cluster, mode: str) -> None:
         # An admitted operation that never committed nor shed: breaks
         # admitted == completed + in_flight.
         _frontend(cluster).queue._admitted.inc()
+    elif mode == "tenant_skew":
+        # One tenant's admitted series counts an operation the queue
+        # never admitted: breaks the per-tenant sum alone.
+        _frontend(cluster)._tenant("client-0").admitted.inc()
     elif mode == "stale_serve":
         # Pretend a replica served data far beyond the staleness bound.
         frontend = _frontend(cluster)
@@ -528,6 +532,7 @@ CORRUPT_MODES = (
     "stats_skew",
     "heat_skew",
     "queue_skew",
+    "tenant_skew",
     "stale_serve",
     "event_skew",
     "window_leak",

@@ -43,7 +43,7 @@ class TestPipeline:
         assert outcome.admitted
         assert outcome.latency == pytest.approx(outcome.wait + outcome.cost)
         assert outcome.served_by is not None
-        assert frontend.accounts.usage("c0").admitted == 1
+        assert frontend.snapshot()["tenants"]["c0"]["admitted"] == 1
         check_conservation(frontend)
 
     def test_all_op_kinds_complete(self):
@@ -94,7 +94,7 @@ class TestShedding:
         assert shed > 0
         snap = check_conservation(frontend)
         assert snap["shed"] == shed
-        assert frontend.accounts.usage("c0").shed == shed
+        assert frontend.snapshot()["tenants"]["c0"]["shed"] == shed
         assert frontend.queue.admission.state != "accepting"
 
     def test_interactive_survives_longer_than_batch(self):
@@ -116,7 +116,9 @@ class TestShedding:
         assert [o.status for o in outcomes[:3]] == [COMPLETED] * 3
         assert [o.status for o in outcomes[3:]] == [SHED] * 2
         assert all(o.reason == "insufficient_credits" for o in outcomes[3:])
-        check_conservation(frontend)
+        snap = check_conservation(frontend)
+        assert snap["shed_by_reason"]["insufficient_credits"] == 2
+        assert frontend.snapshot()["tenants"]["t"]["credits"] == 0.0
 
 
 class TestValidation:
@@ -218,18 +220,64 @@ class TestTopology:
         assert "c1" in snapshot["tenants"]
 
 
+#: every series family a front door binds; each must carry its cluster
+SERVING_FAMILIES = (
+    "serving_submitted_total",
+    "serving_admitted_total",
+    "serving_completed_total",
+    "serving_shed_total",
+    "serving_queue_depth",
+    "serving_queue_wait_seconds",
+    "serving_latency_seconds",
+    "serving_admission_transitions_total",
+    "serving_admission_state",
+    "replica_read_hits_total",
+    "replica_read_misses_total",
+    "replica_reads_stale_blocked_total",
+    "router_forwards_total",
+    "replica_updates_total",
+    "replica_update_bytes_total",
+    "replica_update_failures_total",
+    "location_cache_hits_total",
+    "location_cache_misses_total",
+    "location_cache_stale_hits_total",
+    "location_cache_invalidations_total",
+    "tenant_ops_total",
+    "tenant_cost_seconds_total",
+    "tenant_replica_reads_total",
+    "tenant_credits_remaining",
+)
+
+
+def shared_hub_pair(config=None):
+    """Two front doors on clusters built under one installed hub (the
+    runner's ``--telemetry-out``)."""
+    previous = installed()
+    install(Telemetry())
+    try:
+        first, second = make_frontend(config), make_frontend(config)
+    finally:
+        install(previous)
+    assert first.telemetry is second.telemetry
+    return first, second
+
+
+def series_of(frontend, name):
+    """The registry records of one family that belong to ``frontend``."""
+    cluster = str(frontend.cluster.cluster_id)
+    return [
+        record
+        for record in frontend.telemetry.registry.snapshot()
+        if record["name"] == name and record["labels"].get("cluster") == cluster
+    ]
+
+
 class TestSharedHub:
     def test_front_doors_sharing_an_installed_hub_keep_their_own_books(self):
         """The queue's counts live in the registry, labelled with the
-        cluster, so two front doors on one hub (the runner's
-        ``--telemetry-out``) never count each other's operations."""
-        previous = installed()
-        install(Telemetry())
-        try:
-            first, second = make_frontend(), make_frontend()
-        finally:
-            install(previous)
-        assert first.telemetry is second.telemetry
+        cluster, so two front doors on one hub never count each other's
+        operations."""
+        first, second = shared_hub_pair()
         for step in range(30):
             now = step * 1e-4
             first.submit("read", step % 30, now=now)
@@ -237,3 +285,67 @@ class TestSharedHub:
         for frontend in (first, second):
             snap = check_conservation(frontend)
             assert snap["submitted"] == 30
+
+    def test_every_serving_series_carries_its_cluster(self):
+        """Each door binds its own series of every serving family; none
+        is pooled.  The front door's location cache is told apart from
+        the servers' by ``cache="front_door"``."""
+        first, second = shared_hub_pair(ServingConfig(tenant_credits=100.0))
+        n = second.cluster.graph.num_vertices
+        for step in range(30):
+            now = step * 1e-4
+            first.submit("read", step % 30, client="t", now=now)
+            second.submit("traverse", step % 30, hops=1, client="t", now=now)
+        second.submit("add_vertex", n, client="t", now=1.0)
+        second.submit("add_edge", n, 0, client="t", now=1.0)
+        records = first.telemetry.registry.snapshot()
+        doors = {str(first.cluster.cluster_id), str(second.cluster.cluster_id)}
+        for name in SERVING_FAMILIES:
+            labels = [r["labels"] for r in records if r["name"] == name]
+            if name.startswith("location_cache_"):
+                labels = [l for l in labels if l.get("cache") == "front_door"]
+            assert {l.get("cluster") for l in labels} == doors, name
+
+        def total(frontend, name):
+            return sum(
+                r["count"] if "count" in r else r["value"]
+                for r in series_of(frontend, name)
+            )
+
+        for frontend, lookups in ((first, 30), (second, 31)):
+            admitted = frontend.conservation()["admitted"]
+            for name in ("serving_latency_seconds", "serving_queue_wait_seconds"):
+                assert total(frontend, name) == admitted, name
+            assert total(frontend, "serving_queue_depth") == frontend.queue.depth
+            tenant = frontend.snapshot()["tenants"]["t"]
+            assert tenant["admitted"] == admitted
+            assert total(frontend, "tenant_credits_remaining") == tenant["credits"]
+            assert total(frontend, "location_cache_hits_total") + total(
+                frontend, "location_cache_misses_total"
+            ) == lookups
+        assert total(first, "replica_read_hits_total") + total(
+            first, "replica_read_misses_total"
+        ) == 30
+        assert total(second, "replica_read_hits_total") + total(
+            second, "replica_read_misses_total"
+        ) == 0
+        assert total(first, "replica_updates_total") == 0
+        assert total(second, "replica_updates_total") > 0
+
+    def test_each_door_gates_its_tenant_credits_on_its_own(self):
+        """One tenant spending its balance at one door leaves its
+        balance at the other untouched."""
+        first, second = shared_hub_pair(ServingConfig(tenant_credits=2.0))
+        outcomes = [
+            first.submit("read", i, client="t", now=i * 1.0) for i in range(3)
+        ]
+        assert [o.status for o in outcomes] == [COMPLETED, COMPLETED, SHED]
+        assert second.submit("read", 0, client="t", now=5.0).status == COMPLETED
+        registry = first.telemetry.registry
+        for frontend, balance in ((first, 0.0), (second, 1.0)):
+            assert registry.value(
+                "tenant_credits_remaining",
+                cluster=frontend.cluster.cluster_id,
+                tenant="t",
+            ) == balance
+        assert second.conservation()["shed"] == 0

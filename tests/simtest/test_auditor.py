@@ -44,6 +44,7 @@ EXPECTED_INVARIANT = {
     "stats_skew": "telemetry-conservation",
     "heat_skew": "workload-model-conservation",
     "queue_skew": "queue-conservation",
+    "tenant_skew": "queue-conservation",
     "stale_serve": "replica-staleness-bound",
     "event_skew": "event-clock-monotonic",
     "window_leak": "double-write-coherence",
@@ -117,6 +118,18 @@ class TestAuditor:
         spec, schedule = corrupted_schedule(mode="lost_commit")
         outcome = ScenarioRunner().run(spec, schedule)
         assert {v.invariant for v in outcome.violations} == {"recovery-fidelity"}
+
+    def test_a_tenant_skew_trips_only_the_per_tenant_sum(self):
+        """The queue's own books still balance; only the per-tenant
+        admitted series, counted on their own path, disagree with them."""
+        spec, schedule = corrupted_schedule(mode="tenant_skew")
+        violations = first_violations_without_reference(spec, schedule)
+        assert violations
+        assert all(
+            v.invariant == "queue-conservation"
+            and v.detail.startswith("per-tenant admitted")
+            for v in violations
+        ), [str(v) for v in violations]
 
     def test_a_stale_view_entry_trips_adjacency_view_coherence_alone(self):
         """The reordered chain still holds the same records with the same
