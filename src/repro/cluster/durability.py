@@ -17,9 +17,9 @@ of the record-store slots the server actually wrote.
   changed.  The cluster commits through :func:`commit_all` at the
   boundary of every logical operation: the end of a public read or write
   (also when it raised, so a fault-rolled-back write commits its
-  compensating writes), each step a migration yields (one copied vertex
-  on its target, one removal on its source) and each event of the
-  concurrent engine.  One operation is one flushed transaction per
+  compensating writes), each step a migration yields (one (source,
+  target) pair's copies on its target, its removals on its source) and
+  each event of the concurrent engine.  One operation is one flushed transaction per
   server it touched.
 * **Checkpointing.**  :meth:`ServerJournal.attach` copies the store's
   pages as the recovery baseline and truncates the log.  A bulk load

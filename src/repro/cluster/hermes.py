@@ -137,7 +137,10 @@ class HermesCluster:
         ]
         self.catalog = Catalog(num_servers)
         self.location_cache = LocationCache(
-            self.catalog, num_servers, telemetry=self.telemetry
+            self.catalog,
+            num_servers,
+            telemetry=self.telemetry,
+            labels={"cluster": self.cluster_id},
         )
         self.graph = ClusterGraph(self)
         self.aux = AuxiliaryData(num_servers)
@@ -159,6 +162,7 @@ class HermesCluster:
             self.network,
             telemetry=self.telemetry,
             location_cache=self.location_cache,
+            labels={"cluster": self.cluster_id},
         )
         self._placer = HashPartitioner()
         #: optional WorkloadModel observing traversal traffic (see
@@ -580,9 +584,9 @@ class HermesCluster:
         the cluster state at call time; phase 2 physically migrates the
         records with the copy/remove protocol, streaming one
         :class:`~repro.cluster.migration_executor.MigrationStep` per
-        copied vertex, the barrier, and one per removed source copy — so
-        the concurrent engine interleaves queries and writes with the
-        physical migration.  Copied vertices sit in a double-write window
+        (source, target) pair's copy, the barrier, and one per pair's
+        remove — so the concurrent engine interleaves queries and writes
+        with the physical migration.  Copied vertices sit in a double-write window
         until the atomic catalog commit; an abort rolls back copy-steps
         and mirrored writes together and re-points the auxiliary data,
         and so does closing the generator before the commit (closed

@@ -3,15 +3,17 @@
 Given the :class:`~repro.core.migration.MigrationPlan` produced by phase 1
 of the lightweight repartitioner, the executor:
 
-1. **copy step** — for every move, the target server receives the vertex's
-   payload (node record, properties, relationship records with their
-   properties) and inserts it locally.  Insertion-only, so each target
-   proceeds independently with no cross-partition locks;
+1. **copy step** — for every (source, target) pair of the plan, the
+   target server receives the payloads of the pair's vertices (node
+   record, properties, relationship records with their properties) and
+   inserts them locally.  Insertion-only, so each target proceeds
+   independently with no cross-partition locks;
 2. **synchronization barrier** — every participating server confirms copy
    completion (cheap: no locks or resources held);
 3. **remove step** — each source server marks its moved vertices
-   *unavailable* (queries thereafter treat them as absent), converts or
-   deletes their relationship records, and finally drops the node records.
+   *unavailable* (queries thereafter treat them as absent); then, one
+   (source, target) pair at a time, it converts or deletes their
+   relationship records and finally drops the node records.
 
 Relationship bookkeeping follows the ownership convention: the primary
 (property-bearing) record lives with the ``src`` endpoint's host; the
@@ -47,10 +49,12 @@ remaining work (the remove step) is purely server-local and cannot fault.
 
 There is one implementation of the protocol,
 :meth:`MigrationExecutor.migrate_steps`, a generator that pauses after
-every copy, the barrier and every remove so the event scheduler can
-interleave traffic; :meth:`MigrationExecutor.execute` drains it.  Closing
-the generator before the commit rolls back as an abort does; closing it
-after the commit finishes the removes.
+each pair's copy, the barrier and each pair's remove
+(:meth:`~repro.core.migration.MigrationPlan.by_pair`) so the event
+scheduler can interleave traffic; :meth:`MigrationExecutor.execute`
+drains it.  Each pause commits one log transaction per server the step
+wrote.  Closing the generator before the commit rolls back as an abort
+does; closing it after the commit finishes the removes.
 """
 
 from __future__ import annotations
@@ -96,11 +100,11 @@ class MigrationReport:
 class MigrationStep:
     """One yielded unit of online-migration progress.
 
-    ``kind`` is ``"copy"`` (one vertex replicated onto its target),
-    ``"barrier"`` (participants confirm) or ``"remove"`` (one source
-    copy retired after commit).  ``cost`` is the step's simulated
-    seconds; ``servers`` the servers the step occupies on the event
-    timeline.
+    ``kind`` is ``"copy"`` (one (source, target) pair's vertices
+    replicated onto the target), ``"barrier"`` (participants confirm) or
+    ``"remove"`` (one pair's source copies retired after commit).
+    ``cost`` is the step's simulated seconds; ``servers`` the servers
+    the step occupies on the event timeline.
     """
 
     kind: str
@@ -131,6 +135,7 @@ class MigrationExecutor:
         telemetry: Optional[Telemetry] = None,
         retry: Optional[RetryPolicy] = None,
         location_cache: Optional[LocationCache] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         self.servers = servers
         self.catalog = catalog
@@ -155,25 +160,30 @@ class MigrationExecutor:
         self.topology_listeners: List[Callable[[], None]] = []
         telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
+        #: every migration series carries these (the owning cluster)
+        self._labels = labels = labels or {}
         self._vertices_moved = telemetry.counter(
-            "migration_vertices_moved_total", "vertices physically migrated"
+            "migration_vertices_moved_total", "vertices physically migrated", **labels
         )
         self._rels_transferred = telemetry.counter(
             "migration_relationships_transferred_total",
             "relationship records shipped in copy steps",
+            **labels,
         )
         self._rels_rewritten = telemetry.counter(
             "migration_relationships_rewritten_total",
             "relationship records converted or deleted in remove steps",
+            **labels,
         )
         self._bytes = telemetry.counter(
-            "migration_bytes_total", "payload bytes shipped in copy steps"
+            "migration_bytes_total", "payload bytes shipped in copy steps", **labels
         )
         self._phase_seconds = {
             phase: telemetry.counter(
                 "migration_phase_seconds_total",
                 "simulated seconds spent per migration phase",
                 phase=phase,
+                **labels,
             )
             for phase in ("copy", "barrier", "remove")
         }
@@ -181,6 +191,7 @@ class MigrationExecutor:
             "migration_payload_bytes",
             "wire size of one vertex payload",
             buckets=DEFAULT_SIZE_BUCKETS,
+            **labels,
         )
 
     # ------------------------------------------------------------------
@@ -204,17 +215,19 @@ class MigrationExecutor:
     ) -> Generator[MigrationStep, None, MigrationReport]:
         """Run the two-step protocol as a resumable task.
 
-        One vertex at a time: yields a :class:`MigrationStep` after
-        every copy, after the barrier and after every remove so the
-        event scheduler can interleave queries and writes with the
-        migration (:meth:`execute` drains it in one go).  Every copied
-        vertex enters the double-write window until the (atomic) catalog
-        commit: writes mirror onto the target via :meth:`mirror_edge`,
-        reads keep forwarding to the source.  An abort, or closing the
-        generator before the commit, retires the copies together with
-        their mirrored writes and clears the window — exactly the
-        pre-call state.  Closed after the commit, the generator finishes
-        the remaining removes without yielding.
+        One (source, target) pair at a time: yields a
+        :class:`MigrationStep` after each pair's copy, after the barrier
+        and after each pair's remove so the event scheduler can
+        interleave queries and writes with the migration (:meth:`execute`
+        drains it in one go).  Every copied vertex enters the
+        double-write window as soon as its copy lands and stays there
+        until the (atomic) catalog commit: writes mirror onto the target
+        via :meth:`mirror_edge`, reads keep forwarding to the source.  An
+        abort (also one part-way through a pair), or closing the
+        generator before the commit, retires the landed copies newest
+        first together with their mirrored writes and clears the window
+        — exactly the pre-call state.  Closed after the commit, the
+        generator finishes the remaining removes without yielding.
         """
         report = MigrationReport()
         if not plan.moves:
@@ -223,19 +236,17 @@ class MigrationExecutor:
         self._window_final_home = final_home
         payload_sizes: List[int] = []
 
+        batches = plan.by_pair()
         span = self.telemetry.span("migration", moves=plan.num_moves)
         try:
             copy_span = self.telemetry.span("migration.copy")
-            for move in plan.moves:
+            for pair, moves in batches.items():
                 cost_before = report.copy_cost
-                self._copy_one(move, final_home, report, payload_sizes)
-                self._window[move.vertex] = move.target
-                self._window_unswept.add(move.vertex)
-                yield self._step(
-                    "copy",
-                    report.copy_cost - cost_before,
-                    (move.source, move.target),
-                )
+                for move in moves:
+                    self._copy_one(move, final_home, report, payload_sizes)
+                    self._window[move.vertex] = move.target
+                    self._window_unswept.add(move.vertex)
+                yield self._step("copy", report.copy_cost - cost_before, pair)
             copy_span.set_attribute("bytes", report.bytes_transferred)
             copy_span.finish(duration=report.copy_cost)
 
@@ -245,11 +256,8 @@ class MigrationExecutor:
             # Last pause before the commit: the next sweep covers the
             # whole window, not only what the events announced.
             self._window_unswept.update(self._window)
-            participants = sorted(
-                {move.source for move in plan.moves}
-                | {move.target for move in plan.moves}
-            )
-            yield self._step("barrier", report.barrier_cost, tuple(participants))
+            participants = tuple(sorted({s for pair in batches for s in pair}))
+            yield self._step("barrier", report.barrier_cost, participants)
         except (HermesError, GeneratorExit) as exc:
             if isinstance(exc, FaultInjectedError):
                 # The timeouts and backoff of the failed attempt are real
@@ -259,7 +267,9 @@ class MigrationExecutor:
             self._close_window()
             commit_all(self.servers)
             self.telemetry.counter(
-                "migration_aborts_total", "migrations aborted and rolled back"
+                "migration_aborts_total",
+                "migrations aborted and rolled back",
+                **self._labels,
             ).inc()
             self.telemetry.event(
                 "migration_aborted",
@@ -296,12 +306,11 @@ class MigrationExecutor:
         # consumer that closes the generator here still gets the rest:
         # the removes are local and cannot fault.
         closed = False
-        for move in plan.moves:
+        for (source, _), moves in batches.items():
             cost_before = report.remove_cost
-            self._remove_one(move, final_home, report)
-            step = self._step(
-                "remove", report.remove_cost - cost_before, (move.source,)
-            )
+            for move in moves:
+                self._remove_one(move, final_home, report)
+            step = self._step("remove", report.remove_cost - cost_before, (source,))
             if not closed:
                 try:
                     yield step
@@ -331,9 +340,9 @@ class MigrationExecutor:
     def _step(
         self, kind: str, cost: float, servers: Tuple[int, ...]
     ) -> MigrationStep:
-        """The step about to be yielded, its writes committed first: one
-        copied vertex is one log transaction on its target, one removal
-        one on its source."""
+        """The step about to be yielded, its writes committed first: a
+        pair's copies are one log transaction on its target, its
+        removals one on its source."""
         commit_all(self.servers)
         return MigrationStep(kind, cost, servers)
 
@@ -405,6 +414,7 @@ class MigrationExecutor:
         self.telemetry.counter(
             "migration_retries_total",
             "copy/barrier network operations retried after an injected fault",
+            **self._labels,
         ).inc()
 
     def _install_relationship(
@@ -576,7 +586,7 @@ class MigrationExecutor:
 
     def sweep_window_changes(self) -> List[str]:
         """The same audit over the windowed vertices changed since the
-        previous call: the vertex a copy-step just added, the endpoints
+        previous call: the vertices a copy step just added, the endpoints
         :meth:`mirror_edge` was called for — and, once the barrier has
         run, every windowed vertex, so a change no event announced is
         still caught before the catalog commits.  The per-event sweep

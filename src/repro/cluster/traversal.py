@@ -180,23 +180,27 @@ class TraversalEngine:
         self.topology_epoch = 0
         telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
+        #: every traversal series carries these (the owning cluster)
+        self._labels = labels = labels or {}
         self._traversals = telemetry.counter(
-            "traversals_total", "traversal queries executed"
+            "traversals_total", "traversal queries executed", **labels
         )
         self._processed = telemetry.counter(
-            "traversal_processed_total", "vertices processed across traversals"
+            "traversal_processed_total", "vertices processed in traversals", **labels
         )
         self._remote = telemetry.counter(
-            "traversal_remote_hops_total", "traversal steps that crossed servers"
+            "traversal_remote_hops_total", "traversal steps across servers", **labels
         )
         self._cost_hist = telemetry.histogram(
-            "traversal_cost_seconds", "simulated execution time of one traversal"
+            "traversal_cost_seconds",
+            "simulated execution time of one traversal",
+            **labels,
         )
         # The workload-model audit reads this series per cluster.
         self._model_observations = telemetry.counter(
             "workload_model_observations_total",
             "edge observations fed to the attached workload model",
-            **(labels or {}),
+            **labels,
         )
         # Standalone engines get a private cache; a cluster passes the
         # shared instance the migration executor invalidates through.
@@ -302,6 +306,7 @@ class TraversalEngine:
             self.telemetry.counter(
                 "traversals_partial_total",
                 "traversals that returned partial results",
+                **self._labels,
             ).inc()
             span.set_attribute("failed_partitions", sorted(state.failed))
         span.finish(duration=state.cost)
@@ -567,5 +572,7 @@ class TraversalEngine:
 
     def _on_retry(self, exc: FaultInjectedError, pause: float) -> None:
         self.telemetry.counter(
-            "traversal_retries_total", "traversal hop retries after faults"
+            "traversal_retries_total",
+            "traversal hop retries after faults",
+            **self._labels,
         ).inc()

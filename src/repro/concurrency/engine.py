@@ -6,8 +6,8 @@ The bridge between the cluster facade and the
 performs one slice of real cluster work per resumption and yields the
 :class:`~repro.concurrency.scheduler.Work` that slice consumed.
 Traversals pause between frontier depths, online migrations between
-copy-steps, so queries genuinely observe (and are observed by)
-migrations in flight.
+the copy and remove steps of (source, target) pairs, so queries
+genuinely observe (and are observed by) migrations in flight.
 
 Two guarantees the executor layers on top of the raw scheduler:
 
@@ -18,8 +18,8 @@ Two guarantees the executor layers on top of the raw scheduler:
 * **window auditing** — with
   :attr:`~repro.concurrency.config.ConcurrencyConfig.
   check_window_coherence` on, every dispatched event is followed by a
-  sweep of the windowed vertices it could have changed (a copy-step's
-  vertex, a mirrored write's endpoints) and the barrier step by a sweep
+  sweep of the windowed vertices it could have changed (a copy step's
+  vertices, a mirrored write's endpoints) and the barrier step by a sweep
   of the whole window; any violation is collected in
   :attr:`coherence_violations` (the simtest auditor fails the run if it
   is non-empty).
@@ -205,9 +205,10 @@ class ConcurrentExecutor:
         """A rebalance as a task.
 
         The physical migration streams through
-        :meth:`~repro.cluster.hermes.HermesCluster.rebalance_steps` —
-        queries run between copy-steps while the double-write window
-        covers copied vertices.
+        :meth:`~repro.cluster.hermes.HermesCluster.rebalance_steps`, one
+        event per step: a (source, target) pair's copy occupies both
+        servers, a pair's remove its source.  Queries run between the
+        steps while the double-write window covers the copied vertices.
         """
         cluster = self.cluster
         steps = cluster.rebalance_steps(force=force)

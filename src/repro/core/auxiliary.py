@@ -746,6 +746,17 @@ class AuxiliaryData:
         counts = self._counts[row]
         return int(counts.sum() - counts[partition])
 
+    def stage_state(self) -> bytes:
+        """What a phase-1 stage reads and changes, as one ``bytes``: the
+        placement column, the partition weights and the heat overlay.
+        The counters follow from the placement (a stage moves them by
+        fixed adjacency), so within one run equal values are equal
+        states, bit for bit, and the stages after them are equal too."""
+        used = self._used
+        heat = b"" if self._heat is None else self._heat[:used].tobytes()
+        weights = np.array(self.partition_weights, dtype=np.float64).tobytes()
+        return self._partition[:used].tobytes() + weights + heat
+
     def records_of(self, partition: int) -> PartitionRecords:
         """The records ``partition``'s server hosts, ascending vertex id.
 

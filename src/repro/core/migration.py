@@ -43,24 +43,13 @@ class MigrationPlan:
     def num_moves(self) -> int:
         return len(self.moves)
 
-    def incoming(self, partition: int) -> List[VertexMove]:
-        """Moves whose copy step is executed *by* ``partition`` (as target)."""
-        return [move for move in self.moves if move.target == partition]
-
-    def outgoing(self, partition: int) -> List[VertexMove]:
-        """Moves whose remove step is executed *by* ``partition`` (as source)."""
-        return [move for move in self.moves if move.source == partition]
-
-    def by_target(self) -> Dict[int, List[VertexMove]]:
-        grouped: Dict[int, List[VertexMove]] = {}
+    def by_pair(self) -> Dict[Tuple[int, int], List[VertexMove]]:
+        """Moves grouped by ``(source, target)``, in plan order: the
+        groups in order of their first move, each group's moves in plan
+        order.  One group is one copy step and one remove step."""
+        grouped: Dict[Tuple[int, int], List[VertexMove]] = {}
         for move in self.moves:
-            grouped.setdefault(move.target, []).append(move)
-        return grouped
-
-    def by_source(self) -> Dict[int, List[VertexMove]]:
-        grouped: Dict[int, List[VertexMove]] = {}
-        for move in self.moves:
-            grouped.setdefault(move.source, []).append(move)
+            grouped.setdefault((move.source, move.target), []).append(move)
         return grouped
 
 

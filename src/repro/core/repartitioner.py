@@ -27,7 +27,7 @@ statement of the same rules and the oracle the tests compare against.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -128,6 +128,9 @@ class LightweightRepartitioner:
         origin until the run ends (by an exception too) and then gets one
         ``move`` per vertex that ended elsewhere, in graph order — the
         state per-move writing left, up to the member sets' iteration order.
+        Once the state repeats exactly, later iterations replay recorded
+        stats instead of running stages; every output stays the full
+        loop's (DESIGN.md §6).
 
         Parameters
         ----------
@@ -139,7 +142,8 @@ class LightweightRepartitioner:
         aux:
             Pre-maintained auxiliary data; built from the graph when absent.
         on_iteration:
-            Optional progress callback.
+            Optional progress callback; it observes and must not change
+            ``aux``.
         telemetry:
             Optional telemetry hub: per-iteration migration/edge-cut/
             imbalance series as events + gauges and a ``repartition.phase1``
@@ -187,23 +191,40 @@ class LightweightRepartitioner:
         imbalance_gauge = telemetry.gauge(
             "repartitioner_imbalance", "max imbalance after the latest iteration"
         )
+        replayed_counter = telemetry.counter(
+            "repartitioner_replayed_iterations_total",
+            "phase-1 iterations replayed from an exact limit cycle",
+        )
         best_cut = result.initial_edge_cut
         best_cut_iteration = 0
         previous_cut = result.initial_edge_cut
+        # Limit-cycle skip (DESIGN.md §4): the O(alpha) key of every state
+        # so far, and the full state wherever a key came back.  Once two
+        # full states are equal, ``period`` > 0 and iterations replay.
+        keys = {(result.initial_edge_cut, *aux.partition_weights)}
+        states: Dict[bytes, int] = {}
+        period = cycle_end = 0
         try:
             for iteration in range(1, self.config.max_iterations + 1):
                 iter_span = telemetry.span(
                     "repartition.iteration", iteration=iteration
                 )
-                migrations = 0
-                for stage in stages:
-                    migrations += self._run_stage(graph, aux, stage, k, moved)
-                stats = IterationStats(
-                    iteration=iteration,
-                    migrations=migrations,
-                    edge_cut=aux.edge_cut(),
-                    max_imbalance=aux.max_imbalance(),
-                )
+                if period:
+                    stats = replace(
+                        result.history[iteration - period - 1], iteration=iteration
+                    )
+                    migrations = stats.migrations
+                    replayed_counter.inc()
+                else:
+                    migrations = 0
+                    for stage in stages:
+                        migrations += self._run_stage(graph, aux, stage, k, moved)
+                    stats = IterationStats(
+                        iteration=iteration,
+                        migrations=migrations,
+                        edge_cut=aux.edge_cut(),
+                        max_imbalance=aux.max_imbalance(),
+                    )
                 result.history.append(stats)
                 result.iterations = iteration
                 migrations_counter.inc(migrations)
@@ -232,7 +253,21 @@ class LightweightRepartitioner:
                 if self._stalled(stats, iteration, best_cut_iteration):
                     result.stalled = True
                     break
+                if not period:
+                    key = (stats.edge_cut, *aux.partition_weights)
+                    if key in keys:
+                        state = aux.stage_state()
+                        if state in states:
+                            period, cycle_end = iteration - states[state], iteration
+                        states[state] = iteration
+                    keys.add(key)
         finally:
+            if period:
+                # Bring the state to the last bookkept iteration's: the
+                # cycle's position there, reached by real stages.
+                for _ in range((result.iterations - cycle_end) % period):
+                    for stage in stages:
+                        self._run_stage(graph, aux, stage, k, moved)
             # Once, in graph order: the order a rollback re-applies moves in.
             vertices = [vertex for vertex in graph.vertices() if vertex in moved]
             for vertex, final in zip(vertices, aux.partitions_of(vertices)):
@@ -246,6 +281,9 @@ class LightweightRepartitioner:
         run_span.set_attribute("iterations", result.iterations)
         run_span.set_attribute("final_edge_cut", result.final_edge_cut)
         run_span.set_attribute("converged", result.converged)
+        if period:
+            run_span.set_attribute("cycle_period", period)
+            run_span.set_attribute("replayed_iterations", result.iterations - cycle_end)
         run_span.finish()
         return result
 

@@ -347,7 +347,10 @@ class TestMigrationRollback:
         with pytest.raises(MigrationAbortedError):
             cluster.repartition_static(FixedPartitioner({0: 1, 1: 1, 2: 0, 3: 2}))
         registry = cluster.telemetry.registry
-        assert registry.total("migration_aborts_total") == 1
+        assert (
+            registry.total("migration_aborts_total", cluster=cluster.cluster_id)
+            == 1
+        )
         assert registry.total("faults_injected_total") >= 4
 
     def test_executor_abort_leaves_catalog_untouched(self):

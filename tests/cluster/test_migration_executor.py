@@ -16,6 +16,7 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.telemetry import Telemetry
 from tests.conftest import (
     build_placed_cluster as build_cluster,
+    deep_snapshot,
     make_random_graph,
     migrate_moves as migrate,
 )
@@ -172,6 +173,23 @@ class TestFailureAndEdgePaths:
         with pytest.raises(ClusterError):
             cluster._executor.execute(plan)
 
+    def test_a_stale_move_part_way_through_a_pair_rolls_the_pair_back(self):
+        """A copy step moves a whole (source, target) pair; when its third
+        copy fails, the two that landed are retired too."""
+        graph = SocialGraph.from_edges([(0, 1), (1, 2), (2, 5), (0, 5)])
+        cluster = build_cluster(graph, {0: 0, 1: 0, 2: 0, 5: 2})
+        before = deep_snapshot(cluster)
+        plan = MigrationPlan(
+            moves=[VertexMove(vertex=v, source=0, target=1) for v in (0, 1, 5)]
+        )
+        assert list(plan.by_pair()) == [(0, 1)]
+        with pytest.raises(ClusterError, match="does not host vertex 5") as raised:
+            cluster._executor.execute(plan)
+        assert raised.value.report.vertices_moved == 2
+        assert deep_snapshot(cluster) == before
+        assert not cluster._executor.window_open
+        cluster.validate()
+
     def test_ghost_fixup_when_dst_endpoint_moves(self):
         """Edge (0, 1) local on server 0; the *dst* endpoint moves away.
 
@@ -210,16 +228,18 @@ class TestFailureAndEdgePaths:
         )
         report = migrate(cluster, {0: (0, 1)})
         registry = hub.registry
-        assert registry.total("migration_vertices_moved_total") == 1
+        mine = {"cluster": cluster.cluster_id}
+        assert registry.total("migration_vertices_moved_total", **mine) == 1
         assert (
-            registry.total("migration_bytes_total") == report.bytes_transferred
+            registry.total("migration_bytes_total", **mine)
+            == report.bytes_transferred
         )
         assert (
-            registry.total("migration_relationships_transferred_total")
+            registry.total("migration_relationships_transferred_total", **mine)
             == report.relationships_transferred
         )
         phase_sum = sum(
-            registry.value("migration_phase_seconds_total", phase=phase)
+            registry.value("migration_phase_seconds_total", phase=phase, **mine)
             for phase in ("copy", "barrier", "remove")
         )
         assert phase_sum == pytest.approx(report.total_cost)

@@ -54,9 +54,11 @@ def assert_clean(cluster, engine):
 
 class TestPeriodicRebalances:
     def test_overlapping_periodic_rebalances_are_refused(self):
-        """Eight clients check the trigger every 100 operations; a check
+        """Eight clients check the trigger every 20 operations; a check
         that lands while the previous rebalance is still migrating is
-        skipped instead of starting a second migration."""
+        skipped instead of starting a second migration.  (A rebalance
+        takes a step per (source, target) pair, so checks every 100
+        operations no longer overlap.)"""
         cluster = build_cluster()
         refused = []
         rebalance_steps = cluster.rebalance_steps
@@ -77,7 +79,7 @@ class TestPeriodicRebalances:
                 TraceConfig(num_queries=400, hops=1, seed=1),
                 hot_multiplier=3.0,
             ),
-            rebalance_every=100,
+            rebalance_every=20,
         )
         assert refused, "the scenario no longer overlaps two checks"
         assert all(exc.holder == "rebalance" for exc in refused)

@@ -169,8 +169,9 @@ class TestMigrateSteps:
             assert not cluster._executor.window_open
             cluster.validate()
             registry = cluster.telemetry.registry
-            assert registry.value("migration_aborts_total") == 1
-            assert registry.value("migration_vertices_moved_total") == 0
+            mine = {"cluster": cluster.cluster_id}
+            assert registry.total("migration_aborts_total", **mine) == 1
+            assert registry.total("migration_vertices_moved_total", **mine) == 0
             outcomes.append(
                 (
                     excinfo.value.report,
@@ -485,12 +486,15 @@ class TestPerEventSweep:
             ),
         )
         engine.step()
-        (copied,) = set(executor.window_vertices) - before
-        assert cluster.graph.degree(copied) > 0
-        assert len(engine.coherence_violations) == 1
-        assert f"windowed vertex {copied} adjacency diverged" in (
-            engine.coherence_violations[0]
-        )
+        # The step copied a whole (source, target) pair: every vertex of
+        # the broken batch is reported at this event, none later.
+        copied = sorted(set(executor.window_vertices) - before)
+        assert len(copied) > 1
+        assert all(cluster.graph.degree(vertex) > 0 for vertex in copied)
+        assert len(engine.coherence_violations) == len(copied)
+        for vertex, problem in zip(copied, engine.coherence_violations):
+            assert f"windowed vertex {vertex} adjacency diverged" in problem
+            assert f"after event {len(engine.scheduler.records)} " in problem
 
     def test_a_lost_mirrored_write_is_caught_at_the_write(self, monkeypatch):
         cluster, engine = self.start(copies=2)

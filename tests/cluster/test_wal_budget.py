@@ -7,9 +7,10 @@ a seeded durable cluster:
 
 * a bulk load logs nothing — it checkpoints;
 * a write is one transaction on each server it wrote to;
-* a migrated vertex is one transaction on its target (the copy) and one
-  on its source (the removal); the first removal also carries the
-  unavailable flags of every moved vertex to each source;
+* a migration step moves one (source, target) pair of the plan: its
+  copy is one transaction on the target and its removal one on the
+  source; the first removal also carries the unavailable flags of every
+  moved vertex to each source;
 * a point read logs nothing — popularity is auxiliary data, so a read
   writes no store.
 """
@@ -118,15 +119,17 @@ def test_front_door_reads_write_no_record(wal, record_writes):
     ]
 
 
-def test_migration_is_two_transactions_per_vertex(wal):
+def test_migration_is_one_transaction_per_pair_step(wal):
     cluster = loaded_cluster()
     wal.update(flushes=0, bytes=0)
     result, report = cluster.rebalance(force=True)
     moved = report.vertices_moved
     assert moved == result.vertices_moved > 100
+    pairs = len(set(result.moves.values()))
     sources = len({source for source, _ in result.moves.values()})
-    # one copy + one removal per vertex, and the availability pass of
-    # the first removal reaching every other source server
-    assert wal["flushes"] == 2 * moved + sources - 1
-    assert wal["flushes"] / moved < 2.05  # the parent: 27.6
+    # one copy on the target + one removal on the source per (source,
+    # target) pair, and the availability pass of the first removal
+    # reaching every other source server
+    assert wal["flushes"] == 2 * pairs + sources - 1
+    assert wal["flushes"] / moved < 0.5  # per vertex steps: 2.02
     assert wal["bytes"] / moved <= 8 * 1024  # the parent: 8 646 B

@@ -134,7 +134,12 @@ class TestFailureHandling:
         tracer = cluster.telemetry.tracer
         assert not tracer._stack
         assert not [span for span in tracer.spans if span["name"] == "traversal"]
-        assert cluster.telemetry.registry.total("traversals_total") == 0
+        assert (
+            cluster.telemetry.registry.total(
+                "traversals_total", cluster=cluster.cluster_id
+            )
+            == 0
+        )
 
     def test_clean_run_has_no_violations(self):
         cluster = build_cluster()

@@ -34,6 +34,7 @@ from repro.storage.records import FixedRecordStore
 #: that take ``max_examples`` from the profile (the adjacency-view
 #: differential in ``tests/storage/test_read_frontier.py``, the
 #: traversal differential in ``tests/cluster/test_traversal_differential.py``,
+#: the phase-1 differential in ``tests/core/test_phase1_columns_differential.py``,
 #: the drawn chain-write differentials in
 #: ``tests/cluster/test_migration_differential.py`` and the
 #: rollback-atomicity property

@@ -6,6 +6,10 @@ from repro.core.migration import VertexMove, build_migration_plan
 from repro.exceptions import PartitioningError
 
 
+def vars_of(move):
+    return (move.vertex, move.source, move.target)
+
+
 class TestBuildPlan:
     def test_from_moves_map(self):
         plan = build_migration_plan({1: (0, 2), 2: (1, 0), 3: (0, 2)})
@@ -19,7 +23,7 @@ class TestBuildPlan:
     def test_empty_plan(self):
         plan = build_migration_plan({})
         assert plan.num_moves == 0
-        assert plan.by_target() == {}
+        assert plan.by_pair() == {}
 
 
 class TestGrouping:
@@ -27,20 +31,25 @@ class TestGrouping:
     def plan(self):
         return build_migration_plan({1: (0, 2), 2: (1, 0), 3: (0, 2), 4: (2, 1)})
 
-    def test_incoming_outgoing(self, plan):
-        assert {m.vertex for m in plan.incoming(2)} == {1, 3}
-        assert {m.vertex for m in plan.outgoing(0)} == {1, 3}
-        assert {m.vertex for m in plan.incoming(1)} == {4}
+    def test_by_pair_covers_every_move_once(self, plan):
+        grouped = plan.by_pair()
+        flat = [m for moves in grouped.values() for m in moves]
+        assert sorted(flat, key=vars_of) == sorted(plan.moves, key=vars_of)
+        for (source, target), moves in grouped.items():
+            assert {(m.source, m.target) for m in moves} == {(source, target)}
 
-    def test_by_target(self, plan):
-        grouped = plan.by_target()
-        assert {m.vertex for m in grouped[2]} == {1, 3}
-        assert {m.vertex for m in grouped[0]} == {2}
+    def test_by_pair_groups_each_pair_in_plan_order(self):
+        plan = build_migration_plan({5: (1, 2), 1: (0, 2), 3: (1, 2), 2: (0, 2)})
+        grouped = plan.by_pair()
+        assert [m.vertex for m in grouped[(0, 2)]] == [1, 2]
+        assert [m.vertex for m in grouped[(1, 2)]] == [3, 5]
 
-    def test_by_source(self, plan):
-        grouped = plan.by_source()
-        assert {m.vertex for m in grouped[0]} == {1, 3}
-        assert {m.vertex for m in grouped[2]} == {4}
+    def test_by_pair_orders_groups_by_first_move(self):
+        plan = build_migration_plan(
+            {5: (1, 2), 1: (0, 2), 3: (1, 2), 2: (0, 2), 4: (2, 0), 9: (0, 1)}
+        )
+        # plan order is (target, vertex): 4, 9, 1, 2, 3, 5
+        assert list(plan.by_pair()) == [(2, 0), (0, 1), (0, 2), (1, 2)]
 
     def test_moves_sorted_by_target(self, plan):
         targets = [move.target for move in plan.moves]

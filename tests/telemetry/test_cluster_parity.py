@@ -179,3 +179,52 @@ class TestDefaults:
             span["name"] == "traversal"
             for span in cluster.telemetry.tracer.spans
         )
+
+
+class TestSharedHub:
+    """Two clusters on one hub each read their own traversal, location
+    cache and migration series: every one carries the cluster label."""
+
+    def build(self, hub, salt):
+        return HermesCluster.from_graph(
+            make_random_graph(60, 150, seed=9),
+            num_servers=3,
+            partitioner=HashPartitioner(salt=salt),
+            repartitioner=RepartitionerConfig(k=2, max_iterations=10),
+            telemetry=hub,
+        )
+
+    def drive(self, cluster, starts):
+        for start in starts:
+            cluster.traverse(start, hops=1)
+
+    def test_each_cluster_reads_its_own_counts(self):
+        shared = Telemetry()
+        workloads = ((3, range(30)), (5, range(30, 60)))
+        clusters = [self.build(shared, salt) for salt, _ in workloads]
+        for cluster, (_, starts) in zip(clusters, workloads):
+            self.drive(cluster, starts)
+        clusters[1].rebalance(force=True)
+        names = (
+            "traversals_total",
+            "traversal_processed_total",
+            "traversal_remote_hops_total",
+            "location_cache_misses_total",
+            "location_cache_hits_total",
+            "migration_vertices_moved_total",
+        )
+        for cluster, (salt, starts) in zip(clusters, workloads):
+            # The same cluster on a hub of its own gives the expected counts.
+            alone = self.build(Telemetry(), salt)
+            self.drive(alone, starts)
+            if cluster is clusters[1]:
+                alone.rebalance(force=True)
+            mine = {"cluster": cluster.cluster_id}
+            assert shared.registry.total("traversals_total", **mine) == 30
+            for name in names:
+                assert shared.registry.total(
+                    name, **mine
+                ) == alone.telemetry.registry.total(name), name
+        assert shared.registry.total(
+            "location_cache_misses_total", cluster=clusters[0].cluster_id
+        ) > 0
