@@ -59,6 +59,11 @@ class Catalog:
     def register(self, vertex: int, server: int) -> None:
         self._placement.assign(vertex, server)
 
+    def register_columns(self, vertices: Sequence[int], servers: Sequence[int]) -> None:
+        """:meth:`register` each ``vertices[i]`` on ``servers[i]``, in
+        order, into an empty catalog — in one step."""
+        self._placement = Partitioning.from_columns(vertices, servers, self.num_servers)
+
     def move(self, vertex: int, server: int) -> int:
         """Re-home a vertex; returns its previous server."""
         return self._placement.move(vertex, server)

@@ -37,6 +37,8 @@ import os
 from contextlib import contextmanager
 from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster import server as server_states
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.durability import (
@@ -70,7 +72,7 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.graph.adjacency import SocialGraph
-from repro.storage.graph_store import GraphStore, check_node_values
+from repro.storage.graph_store import GraphStore, check_node_values, record_column
 from repro.storage.records import NULL_REF
 from repro.partitioning.base import Partitioner, Partitioning
 from repro.partitioning.hashing import HashPartitioner
@@ -146,7 +148,8 @@ class HermesCluster:
         self.aux = AuxiliaryData(num_servers)
         self.repartitioner_config = repartitioner or RepartitionerConfig()
         self.trigger = ImbalanceTrigger(
-            self.repartitioner_config.epsilon, telemetry=self.telemetry
+            self.repartitioner_config.epsilon, self.telemetry,
+            labels={"cluster": self.cluster_id},
         )
         self._engine = TraversalEngine(
             self.servers,
@@ -290,18 +293,18 @@ class HermesCluster:
         :class:`ClusterError` before the catalog, the network or any
         store is touched, so a corrected retry succeeds.
 
-        One pass over the edges plans the records: the id comes from the
-        ``src`` host's allocator, the primary lives there and the ghost
-        on the ``dst`` host, whose allocator observes the id at once —
-        between its own allocations, as creating the ghost would — and
-        each cross-server edge is charged one remote hop.  Each server
-        then writes its share with one :meth:`GraphStore.bulk_load`,
-        every record once with its final pointers: the pages creating one
-        record at a time leaves.  The auxiliary data is bootstrapped from
-        ``graph`` and the placement, read as one column, in one pass; the
-        cluster keeps no reference to ``graph``.
-        Nothing is committed: each durable server checkpoints once, so
-        loading logs nothing.
+        The load is planned on columns, each vertex checked once, and the
+        catalog registered in one step.  One scan over the edges' host
+        ints numbers the relationships as creating them did: the ``src``
+        host allocates, a cross-server edge's ``dst`` host (the ghost's)
+        observes the id at once.  The network is charged once per link
+        with its count of single remote hops, which ends where one
+        :meth:`~SimulatedNetwork.remote_hop` per cross-server edge did.
+        Each server writes its share in whole pages with one
+        :meth:`GraphStore.bulk_load`, and the auxiliary data is
+        bootstrapped from the same columns; the cluster keeps no
+        reference to ``graph``.  Nothing is committed: each durable
+        server checkpoints once, so loading logs nothing.
         """
         if len(self.catalog):
             raise ClusterError("cluster already loaded")
@@ -320,33 +323,41 @@ class HermesCluster:
                 f"vertex {vertex} has no partition in [0, {self.num_servers}): "
                 f"{partitioning.get(vertex)}"
             )
-        home = dict(zip(vertices, partitions.tolist()))
-        stores = [server.store for server in self.servers]
-        nodes: List[List[Tuple[int, float]]] = [[] for _ in stores]
-        relationships: List[List[Tuple[int, int, int, bool]]] = [[] for _ in stores]
-        for vertex, server in home.items():
-            weight = graph.weight(vertex)
+        weights = list(map(graph.weight_of, vertices))
+        ids, id_fits = record_column("q", vertices)
+        weight_column, weight_fits = record_column("d", weights)
+        misfits = (~(id_fits & weight_fits)).tolist()
+        for vertex, weight in itertools.compress(zip(vertices, weights), misfits):
             try:
                 check_node_values(vertex, weight)
             except StorageError as error:
                 raise ClusterError(f"vertex {vertex!r} cannot be loaded: {error}") from error
-            nodes[server].append((vertex, weight))
-        for vertex, server in home.items():
-            self.catalog.register(vertex, server)
-        remote_hop = self.network.remote_hop
-        for u, v in graph.edges():
-            host_u, host_v = home[u], home[v]
-            rel_id = stores[host_u].allocate_rel_id()
-            relationships[host_u].append((rel_id, u, v, False))
-            if host_v != host_u:
-                remote_hop(host_u, host_v)
-                stores[host_v].observe_rel_id(rel_id)
-                relationships[host_v].append((rel_id, u, v, True))
-        for store, server_nodes, server_relationships in zip(
-            stores, nodes, relationships
-        ):
-            store.bulk_load(server_nodes, server_relationships)
-        self.aux.bootstrap(graph, partitions)
+        self.catalog.register_columns(vertices, partitions)
+        ends = np.fromiter(itertools.chain.from_iterable(graph.edges()), np.int64)
+        order = np.argsort(ids, kind="stable")
+        hosts = partitions[order[np.searchsorted(ids, ends, sorter=order)]]
+        src_hosts, dst_hosts = hosts[0::2], hosts[1::2]
+        counters = [s.store.allocator_state()["rel_counter"] for s in self.servers]
+        rel_ids = []
+        for src_host, dst_host in zip(src_hosts.tolist(), dst_hosts.tolist()):
+            count = counters[src_host]
+            rel_ids.append(count * self.num_servers + src_host)
+            counters[src_host] = count = count + 1
+            if counters[dst_host] < count:
+                counters[dst_host] = count
+        cross = src_hosts != dst_hosts
+        links, hops = np.unique(hosts.reshape(-1, 2)[cross], axis=0, return_counts=True)
+        self.network.remote_hops(dict(zip(map(tuple, links.tolist()), hops.tolist())))
+        # Index keys: the graph's vertex ints, a rel id int per primary+ghost.
+        for server in servers:
+            local = partitions == server
+            mine = (src_hosts == server) | (dst_hosts == server)
+            self.servers[server].store.bulk_load(
+                list(itertools.compress(vertices, local.tolist())), weight_column[local],
+                list(itertools.compress(rel_ids, mine.tolist())), ends[0::2][mine],
+                ends[1::2][mine], src_hosts[mine] != server,
+            )
+        self.aux.bootstrap_columns(ids, weight_column, partitions, ends)
         self._checkpoint()
 
     def _checkpoint(self) -> None:
@@ -444,6 +455,7 @@ class HermesCluster:
             self.telemetry.counter(
                 "reads_degraded_total",
                 "single-record reads that timed out against a crashed server",
+                cluster=self.cluster_id,
             ).inc()
             self._advance(cost)
             return {}, cost, True
@@ -541,6 +553,7 @@ class HermesCluster:
         self.telemetry.counter(
             "writes_degraded_total",
             "write operations that failed against an injected fault",
+            cluster=self.cluster_id,
         ).inc()
 
     # ==================================================================
@@ -622,7 +635,8 @@ class HermesCluster:
                 self.aux.attach_heat(self.workload_model.normalized_edge_heat())
             repartitioner = LightweightRepartitioner(self.repartitioner_config)
             result = repartitioner.run(
-                self.graph, scratch, aux=self.aux, telemetry=self.telemetry
+                self.graph, scratch, aux=self.aux, telemetry=self.telemetry,
+                labels={"cluster": self.cluster_id},
             )
             plan = build_migration_plan(result.moves)
             try:
@@ -635,6 +649,7 @@ class HermesCluster:
                 self.telemetry.counter(
                     "rebalance_aborts_total",
                     "rebalance runs aborted by injected faults",
+                    cluster=self.cluster_id,
                 ).inc()
                 self.telemetry.event(
                     "rebalance_aborted",
@@ -655,7 +670,9 @@ class HermesCluster:
                 span.finish()
                 raise
             self.telemetry.counter(
-                "rebalances_total", "repartitioner end-to-end runs"
+                "rebalances_total",
+                "repartitioner end-to-end runs",
+                cluster=self.cluster_id,
             ).inc()
             self.telemetry.event(
                 "rebalance",
@@ -1024,13 +1041,13 @@ class HermesCluster:
             for node_id in server.store.node_ids():
                 node = server.store.node(node_id)
                 if node.available:
-                    cluster.catalog.register(node_id, server.server_id)
                     ids.append(node_id)
                     weights.append(node.weight)
                     partitions.append(server.server_id)
             for record in server.store.relationships.records():
                 if not record.ghost:
                     ends += (record.src, record.dst)
+        cluster.catalog.register_columns(ids, partitions)
         cluster.aux.bootstrap_columns(ids, weights, partitions, ends)
         return cluster
 

@@ -250,6 +250,18 @@ class SimulatedNetwork:
         self._hop_latency.observe(cost)
         return cost
 
+    def remote_hops(self, links: Dict[Tuple[int, int], int], size: int = 256) -> None:
+        """``count`` fault-free :meth:`remote_hop` calls per ``(src, dst)``
+        link of two servers, charged once per link: ledger and series end
+        where the single hops leave them (every latency is one value)."""
+        for (src, dst), count in links.items():
+            self.link_messages[src][dst] += count
+            self.link_bytes[src][dst] += count * size
+        hops = sum(links.values())
+        self._hop_messages.inc(hops)
+        self._hop_bytes.inc(hops * size)
+        self._hop_latency.observe_many([self.config.remote_hop_cost] * hops)
+
     def batched_hop(self, src: int, dst: int, count: int) -> float:
         """:meth:`batched_hops` of one link ``src -> dst`` carrying ``count``
         entries; free when it is a server to itself or carries nothing."""

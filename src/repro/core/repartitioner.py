@@ -121,6 +121,7 @@ class LightweightRepartitioner:
         aux: Optional[AuxiliaryData] = None,
         on_iteration: Optional[Callable[[IterationStats], None]] = None,
         telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ) -> RepartitionResult:
         """Run phase 1 to convergence, mutating ``partitioning`` in place.
 
@@ -148,6 +149,8 @@ class LightweightRepartitioner:
             Optional telemetry hub: per-iteration migration/edge-cut/
             imbalance series as events + gauges and a ``repartition.phase1``
             span tree.  Defaults to a fresh hub of its own.
+        labels:
+            Extra labels of those series: a cluster's ``cluster`` id.
         """
         if aux is None:
             aux = AuxiliaryData.from_graph(graph, partitioning)
@@ -181,19 +184,23 @@ class LightweightRepartitioner:
             k=k,
             initial_edge_cut=result.initial_edge_cut,
         )
+        extra = labels or {}
         migrations_counter = telemetry.counter(
             "repartitioner_logical_migrations_total",
             "logical moves performed in phase 1 (repeats included)",
+            **extra,
         )
         cut_gauge = telemetry.gauge(
-            "repartitioner_edge_cut", "edge-cut after the latest iteration"
+            "repartitioner_edge_cut", "edge-cut after the latest iteration", **extra
         )
         imbalance_gauge = telemetry.gauge(
-            "repartitioner_imbalance", "max imbalance after the latest iteration"
+            "repartitioner_imbalance",
+            "max imbalance after the latest iteration", **extra
         )
         replayed_counter = telemetry.counter(
             "repartitioner_replayed_iterations_total",
             "phase-1 iterations replayed from an exact limit cycle",
+            **extra,
         )
         best_cut = result.initial_edge_cut
         best_cut_iteration = 0

@@ -15,7 +15,7 @@ the exported event log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.auxiliary import AuxiliaryData
 from repro.exceptions import PartitioningError
@@ -38,7 +38,10 @@ class ImbalanceTrigger:
     _CHECKS_HELP = "trigger evaluations"
 
     def __init__(
-        self, epsilon: float = 1.1, telemetry: Optional[Telemetry] = None
+        self,
+        epsilon: float = 1.1,
+        telemetry: Optional[Telemetry] = None,
+        labels: Optional[Dict[str, object]] = None,
     ):
         if not 1.0 < epsilon < 2.0:
             raise PartitioningError(f"epsilon must be in (1, 2), got {epsilon}")
@@ -48,10 +51,10 @@ class ImbalanceTrigger:
         # Both series pass the family help string: whichever is created
         # first must not leave the family undocumented.
         self._fired = telemetry.counter(
-            "trigger_checks_total", self._CHECKS_HELP, outcome="fired"
+            "trigger_checks_total", self._CHECKS_HELP, outcome="fired", **(labels or {})
         )
         self._held = telemetry.counter(
-            "trigger_checks_total", self._CHECKS_HELP, outcome="held"
+            "trigger_checks_total", self._CHECKS_HELP, outcome="held", **(labels or {})
         )
 
     def check(self, aux: AuxiliaryData) -> TriggerDecision:

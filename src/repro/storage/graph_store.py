@@ -43,17 +43,17 @@ neighbours' answers are warm.
 and the mutators remain the per-record boundary for point reads and
 single writes.
 
-Bulk paths write a whole chain at a time: ``bulk_load`` fills an empty
-store, ``import_node`` installs an arriving node with its chain — each
-writing every record once, with its final pointers — and
-``delete_node`` dismantles a departing node in one walk of its chain.
-They allocate and free slots, ids and blobs in the order the per-record
-mutators would, so the pages they leave are the ones creating, linking
-or unlinking one record at a time leaves.
+Bulk paths write more than a record at a time: ``bulk_load`` fills an
+empty store from columns, whole pages at once, ``import_node`` installs
+an arriving node with its chain — each writing every record once, with
+its final pointers — and ``delete_node`` dismantles a departing node in
+one walk of its chain.  They allocate and free slots, ids and blobs in
+the order the per-record mutators would, so the pages they leave are the
+ones creating, linking or unlinking one record at a time leaves.
 
 The write side works on raw fields, not records.  ``export_node`` ships
-the fields its chain walk read; ``import_node``, ``delete_node``,
-``bulk_load`` and the chain links and unlinks they share with the
+the fields its chain walk read; ``import_node``, ``delete_node`` and the
+chain links and unlinks they share with the
 per-record mutators read a slot through ``fields``, set its final
 fields in a list and write it once through the node or relationship
 store's ``write_fields`` — the records' one slot writer — building no
@@ -85,6 +85,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro.exceptions import (
     RecordNotFoundError,
@@ -158,6 +160,40 @@ def _check_rel_values(rel_id: Any, src: Any, dst: Any) -> None:
         raise StorageError(f"relationship id {rel_id} is negative")
 
 
+def record_column(code: str, values: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """``values`` as a column of the record field type ``code`` (``q`` an
+    id, ``d`` a weight) and the mask of those a slot write can pack: a
+    numpy column of that type as it is, other values packed by ``struct``
+    in one call — one by one, a misfit reading 0, only if that fails."""
+    kind = np.dtype("<" + code)
+    if isinstance(values, np.ndarray) and values.dtype == kind:
+        return values, np.ones(len(values), bool)
+    try:
+        image = struct.pack(f"<{len(values)}{code}", *values)
+        return np.frombuffer(image, kind), np.ones(len(values), bool)
+    except struct.error:
+        layout = struct.Struct("<" + code)
+        images = [_pack(layout, value) for value in values]
+        fits = np.array([image is not None for image in images], bool)
+        image = b"".join(image or bytes(layout.size) for image in images)
+        return np.frombuffer(image, kind), fits
+
+
+def _pack(layout: struct.Struct, value: Any) -> Optional[bytes]:
+    """``layout.pack(value)``, or None when the value does not fit."""
+    try:
+        return layout.pack(value)
+    except struct.error:
+        return None
+
+
+def _repeated(ids: np.ndarray) -> np.ndarray:
+    """The mask of the ids equal to an earlier one."""
+    repeated = np.ones(len(ids), bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    return repeated
+
+
 def _fields(store: FixedRecordStore, record_id: int) -> Tuple:
     """The raw fields of ``record_id``; raises what ``store.read`` raises
     when there is no such record."""
@@ -176,17 +212,6 @@ def _side(rel: Sequence, node_id: int) -> int:
         return REL_DST_PREV
     raise StorageError(
         f"node {node_id} is not an endpoint of relationship {rel[REL_ID]}"
-    )
-
-
-def _chain_links(chain: Sequence[int], position: int) -> Tuple[int, int]:
-    """``(prev, next)`` of ``chain[position]`` once the records of
-    ``chain`` have been head-inserted in order: ``prev`` is the newer
-    record, ``next`` the older one, NULL at the ends (the head is
-    ``chain[-1]``)."""
-    return (
-        chain[position + 1] if position + 1 < len(chain) else NULL_REF,
-        chain[position - 1] if position else NULL_REF,
     )
 
 
@@ -403,12 +428,6 @@ class GraphStore:
     def next_rel_id(self) -> int:
         """The id :meth:`allocate_rel_id` would return, left untaken."""
         return self._rel_ids.peek()
-
-    def observe_rel_id(self, rel_id: int) -> None:
-        """Advance the relationship allocator past an id another server
-        minted, as creating its record here would (a ghost of a bulk
-        load, planned before the record is written)."""
-        self._rel_ids.observe(rel_id)
 
     def create_relationship(
         self,
@@ -844,90 +863,87 @@ class GraphStore:
     # ==================================================================
     def bulk_load(
         self,
-        nodes: Sequence[Tuple[int, float]],
-        relationships: Sequence[Tuple[int, int, int, bool]],
+        node_ids: Sequence[int],
+        weights: Sequence[float],
+        rel_ids: Sequence[int],
+        srcs: Sequence[int],
+        dsts: Sequence[int],
+        ghosts: Sequence[bool],
     ) -> None:
-        """Fill an empty store: ``nodes`` as ``(node_id, weight)`` and
-        ``relationships`` as ``(rel_id, src, dst, ghost)``, each in
-        creation order.
+        """Fill an empty store from columns, in creation order: node ``i``
+        is ``node_ids[i]`` of ``weights[i]``, relationship ``j`` is
+        ``rel_ids[j]`` from ``srcs[j]`` to ``dsts[j]``, a ghost where
+        ``ghosts[j]``.  The store ends byte for byte where
+        :meth:`create_node` per node, then :meth:`create_relationship`
+        per relationship leave it.  One stable sort of the chain entries
+        by (endpoint, creation index) gives every pointer — a record's
+        ``next`` is the older record, its ``prev`` the newer one, a
+        node's ``first_rel`` its newest, as in :meth:`import_node` — and
+        each record store is written in whole pages.
 
-        The store ends byte for byte where :meth:`create_node` for every
-        node and then :meth:`create_relationship` for every relationship
-        leave it, but each record is written once, with its final
-        pointers, and nothing is read back: in the chain of each local
-        endpoint a record's ``next`` is the older record and its ``prev``
-        the newer one, and a node's ``first_rel`` is its newest — the
-        head-insertion rule :meth:`import_node` follows too.  Slots are
-        allocated in creation order (nodes, then relationships, each in
-        its own store) and the relationship allocator ends past every id.
-
-        Everything is checked before the first write — the store is
-        empty, no node or relationship comes twice, every id fits a
-        record and every weight is a real number, no relationship is a
-        self-loop, has a negative id or lacks a local endpoint — so bad
-        input raises :class:`StorageError` with the store untouched.
-        Each record is then written as its raw fields, with no record
-        value built.
-        """
-        if len(self.nodes) or len(self.relationships) or len(self.properties):
+        Every check runs on whole columns first — no record store has a
+        page, no node or relationship comes twice, every id fits a record
+        and every weight is a real number (as ``struct`` packs, not as
+        numpy converts), no relationship is a self-loop, has a negative
+        id or lacks a local endpoint — and raises the
+        :class:`StorageError` of the first offending record, in creation
+        order, with the store untouched."""
+        if any(store.pages.num_pages for store in self.record_stores()):
             raise StorageError("bulk_load needs an empty store")
-        #: node id -> its relationship ids, in creation order
-        chains: Dict[int, List[int]] = {}
-        for node_id, weight in nodes:
-            if node_id in chains:
-                raise StorageError(f"node {node_id} appears twice")
-            check_node_values(node_id, weight)
-            chains[node_id] = []
-        seen: Set[int] = set()
-        for rel_id, src, dst, _ in relationships:
-            if rel_id in seen:
+        ids, id_fits = record_column("q", node_ids)
+        weight_column, weight_fits = record_column("d", weights)
+        bad = _repeated(ids) | ~(id_fits & weight_fits)
+        if bad.any():
+            first = int(bad.argmax())
+            if node_ids[first] in set(node_ids[:first]):
+                raise StorageError(f"node {node_ids[first]} appears twice")
+            check_node_values(node_ids[first], weights[first])
+        rels, rel_fits = record_column("q", rel_ids)
+        src_column, src_fits = record_column("q", srcs)
+        dst_column, dst_fits = record_column("q", dsts)
+        # Endpoint 2j is relationship j's src, 2j + 1 its dst; ``at`` is
+        # each one's node (its creation index), -1 where it is not local.
+        ends = np.column_stack((src_column, dst_column)).ravel()
+        at = np.full(len(ends), -1)
+        if len(ids):
+            order = np.argsort(ids)
+            found = order[np.searchsorted(ids, ends, sorter=order).clip(0, len(ids) - 1)]
+            at = np.where(ids[found] == ends, found, -1)
+        bad = (
+            _repeated(rels) | ~(rel_fits & src_fits & dst_fits) | (rels < 0)
+            | (src_column == dst_column) | ((at[0::2] < 0) & (at[1::2] < 0))
+        )
+        if bad.any():
+            first = int(bad.argmax())
+            rel_id, src, dst = rel_ids[first], srcs[first], dsts[first]
+            if rel_id in set(rel_ids[:first]):
                 raise StorageError(f"relationship id {rel_id} is repeated")
             _check_rel_values(rel_id, src, dst)
-            seen.add(rel_id)
             if src == dst:
                 raise StorageError(f"relationship {rel_id} is a self-loop")
-            src_chain, dst_chain = chains.get(src), chains.get(dst)
-            if src_chain is None and dst_chain is None:
-                raise StorageError(
-                    f"neither endpoint of relationship {rel_id} is local"
-                )
-            if src_chain is not None:
-                src_chain.append(rel_id)
-            if dst_chain is not None:
-                dst_chain.append(rel_id)
-        if seen:
-            self._rel_ids.observe(max(seen))
-        write = self.nodes.write_fields
-        for node_id, weight in nodes:
-            chain = chains[node_id]
-            write(
-                (
-                    NODE_IN_USE_AVAILABLE,
-                    node_id,
-                    chain[-1] if chain else NULL_REF,
-                    NULL_REF,
-                    weight,
-                )
-            )
-        #: node id -> how many of its relationships are written
-        written = dict.fromkeys(chains, 0)
-        write = self.relationships.write_fields
-        for rel_id, src, dst, ghost in relationships:
-            src_prev = src_next = dst_prev = dst_next = NULL_REF
-            chain = chains.get(src)
-            if chain is not None:
-                src_prev, src_next = _chain_links(chain, written[src])
-                written[src] += 1
-            chain = chains.get(dst)
-            if chain is not None:
-                dst_prev, dst_next = _chain_links(chain, written[dst])
-                written[dst] += 1
-            write(
-                (
-                    rel_flags(ghost), rel_id, src, dst,
-                    src_prev, src_next, dst_prev, dst_next, NULL_REF,
-                )
-            )
+            raise StorageError(f"neither endpoint of relationship {rel_id} is local")
+        # The local endpoints stably sorted by node: each run of one node
+        # is its chain, oldest first.
+        entries = np.flatnonzero(at >= 0)
+        entries = entries[np.argsort(at[entries], kind="stable")]
+        node_of, rel_of = at[entries], rels[entries // 2]
+        linked = node_of[1:] == node_of[:-1]
+        prev, after = np.full((2, len(at)), NULL_REF, np.int64)
+        prev[entries[:-1][linked]] = rel_of[1:][linked]
+        after[entries[1:][linked]] = rel_of[:-1][linked]
+        heads = np.append(~linked, True)[: len(entries)]
+        first_rel = np.full(len(ids), NULL_REF, np.int64)
+        first_rel[node_of[heads]] = rel_of[heads]
+        if len(rels):
+            self._rel_ids.observe(int(rels.max()))
+        self.nodes.write_columns(
+            (NODE_IN_USE_AVAILABLE, node_ids, first_rel, NULL_REF, weight_column)
+        )
+        flags = np.where(np.asarray(ghosts, bool), rel_flags(True), rel_flags(False))
+        self.relationships.write_columns(
+            (flags, rel_ids, src_column, dst_column, prev[0::2], after[0::2])
+            + (prev[1::2], after[1::2], NULL_REF)
+        )
 
     # ==================================================================
     # Migration payloads (used by the cluster's two-step protocol)
@@ -1020,8 +1036,10 @@ class GraphStore:
                 if other is not None:
                     self._link_into_chain(fields, other, held)
                 fields[REL_FIRST_PROP] = self._new_property_chain(rel_id, properties)
+            # Head-inserted in payload order: prev is the newer, next the older.
             side = REL_SRC_PREV if fields[REL_SRC] == node_id else REL_DST_PREV
-            fields[side], fields[side + 1] = _chain_links(ids, position)
+            fields[side] = ids[position + 1] if position + 1 < len(ids) else NULL_REF
+            fields[side + 1] = ids[position - 1] if position else NULL_REF
             write(fields)
         self.nodes.write_fields(
             (

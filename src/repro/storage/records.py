@@ -26,16 +26,17 @@ availability set, the node ids answered available
 relationship stores, not this class, drop their entries: a write through
 this class alone leaves them stale.
 
-**One slot writer.**  :meth:`FixedRecordStore.write_fields` is the only
-place a slot image is packed and written: it takes the raw struct fields
-``(flags, record_id, ...)`` — what :meth:`~FixedRecordStore.fields`
-returns — so the bulk and migration paths write the fields they read
-without building a record value, and :meth:`FixedRecordStore.write` is
-the codec's ``encode`` in front of it.  Writes are all-or-nothing: the
-whole image is packed before the index, the free list, a page or the
-change set is touched, so fields that do not fit raise
-:class:`StorageError` and leave the store exactly as it was.
-
+**One slot writer, one page writer.**  :meth:`FixedRecordStore.write_fields`
+is the only place one slot image is packed and written: it takes the raw
+struct fields ``(flags, record_id, ...)`` — what
+:meth:`~FixedRecordStore.fields` returns — so the migration paths write
+the fields they read without building a record value, and
+:meth:`FixedRecordStore.write` is the codec's ``encode`` in front of it.
+Writes are all-or-nothing: the whole image is packed before the index,
+the free list, a page or the change set is touched, so fields that do
+not fit raise :class:`StorageError` and leave the store exactly as it
+was.  A bulk load fills an empty store in whole pages instead
+(:meth:`FixedRecordStore.write_columns`, numpy records typed by ``FORMAT``).
 **The log hook.**  A store attached to a write-ahead log adds every slot
 it writes or deletes to :attr:`FixedRecordStore.changed`, the open
 transaction's change set, which the four record stores of one server
@@ -49,8 +50,11 @@ entry's current slot bytes — its after-image — with
 from __future__ import annotations
 
 import abc
+import re
 import struct
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import (
     PageError,
@@ -79,13 +83,26 @@ _HEADER = struct.Struct("<Bq")
 tuple_new = tuple.__new__
 
 
+#: numpy type of each struct code the record layouts use (``s`` is sized)
+_DTYPES = {"B": "u1", "H": "<u2", "q": "<i8", "d": "<f8"}
+
+
+def record_dtype(layout: str) -> np.dtype:
+    """The numpy record type of the struct ``layout``, field for field
+    (``f0``, ``f1``, ...): its items are the bytes the struct packs."""
+    kinds: List[str] = []
+    for count, code in re.findall(r"(\d*)(\w)", layout[1:]):
+        kinds += [f"S{count}"] if code == "s" else [_DTYPES[code]] * int(count or 1)
+    return np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+
+
 class RecordCodec(abc.ABC):
     """Maps one record type to/from its fixed-size byte layout.
 
     A subclass names the struct ``FORMAT`` (little-endian, no padding,
     starting with the ``<Bq`` header) and converts between record
     objects and the tuple of struct fields; the layout is compiled once
-    per codec instance.
+    per codec instance, as a struct and as a numpy record type.
     """
 
     FORMAT: str = ""
@@ -93,6 +110,7 @@ class RecordCodec(abc.ABC):
     def __init__(self) -> None:
         self.layout = struct.Struct(self.FORMAT)
         self.record_size = self.layout.size
+        self.dtype = record_dtype(self.FORMAT)
 
     @abc.abstractmethod
     def encode(self, record: Any) -> Tuple:
@@ -186,6 +204,26 @@ class FixedRecordStore:
         self._buffers[page][offset : offset + self.record_size] = image
         if self.changed is not None:
             self.changed.add(self.log_key + slot)
+
+    def write_columns(self, columns: Sequence) -> None:
+        """Fill this store, which never held a record, from raw fields as
+        columns (one per field, or one value for all; the id objects key
+        the index): record ``i`` in slot ``i``, whole pages, what
+        :meth:`write_fields` per record leaves.  Values are cast as they
+        are: the caller checked they fit."""
+        records = np.empty(len(columns[1]), self.codec.dtype)
+        for name, column in zip(records.dtype.names, columns, strict=True):
+            records[name] = column
+        ids = columns[1].tolist() if isinstance(columns[1], np.ndarray) else columns[1]
+        self._index.update(zip(ids, range(len(records))))
+        image = memoryview(records.tobytes())
+        span = self.slots_per_page * self.record_size
+        for start in range(0, len(image), span):
+            chunk = image[start : start + span]
+            self._buffers[self.pages.allocate_page()][: len(chunk)] = chunk
+        self._next_slot = len(records)
+        if self.changed is not None:
+            self.changed.update(range(self.log_key, self.log_key + len(records)))
 
     def fields(self, record_id: int) -> Optional[Tuple]:
         """The raw struct fields ``(flags, record_id, ...)`` stored under

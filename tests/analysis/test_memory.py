@@ -3,6 +3,8 @@
 import gc
 import types
 
+import numpy as np
+
 from repro.analysis.memory import (
     adjacency_view_bytes,
     auxiliary_memory_bytes,
@@ -42,9 +44,10 @@ def loaded_store():
     graph = orkut_like(n=20_000, seed=1).graph
     store = GraphStore()
     vertices = sorted(graph.vertices())
+    ends = np.array(list(graph.edges()), np.int64)
     store.bulk_load(
-        [(vertex, 1.0) for vertex in vertices],
-        [(rel_id, u, v, False) for rel_id, (u, v) in enumerate(graph.edges())],
+        vertices, [1.0] * len(vertices), np.arange(len(ends)), ends[:, 0], ends[:, 1],
+        np.zeros(len(ends), bool),
     )
     return store, vertices
 

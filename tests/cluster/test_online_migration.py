@@ -376,8 +376,9 @@ class TestMatchedScheduleParity:
             assert not cluster._executor.window_open
             cluster.validate()
             registry = cluster.telemetry.registry
-            assert registry.value("rebalance_aborts_total") == 1
-            assert registry.value("rebalances_total") == 0
+            label = {"cluster": cluster.cluster_id}
+            assert registry.value("rebalance_aborts_total", **label) == 1
+            assert registry.value("rebalances_total", **label) == 0
             outcomes.append(
                 (
                     excinfo.value.report,

@@ -36,7 +36,8 @@ from repro.storage.records import FixedRecordStore
 #: traversal differential in ``tests/cluster/test_traversal_differential.py``,
 #: the phase-1 differential in ``tests/core/test_phase1_columns_differential.py``,
 #: the drawn chain-write differentials in
-#: ``tests/cluster/test_migration_differential.py`` and the
+#: ``tests/cluster/test_migration_differential.py``, the drawn bulk-load
+#: differentials in ``tests/cluster/test_load_differential.py`` and the
 #: rollback-atomicity property
 #: ``test_aborted_migration_restores_state_exactly`` in
 #: ``tests/cluster/test_cluster_properties.py``).
@@ -197,7 +198,8 @@ def per_entry_model(config, result):
 def count_index_calls(monkeypatch, tally):
     """Give every record store built from now on an id->slot index that
     counts into ``tally``: ``get`` and ``in`` as ``probes``, storing an
-    id it does not hold as ``inserts``, removing one as ``deletes``."""
+    id it does not hold (one at a time or by ``update``) as ``inserts``,
+    removing one as ``deletes``."""
 
     class CountingIndex(dict):
         def get(self, key, default=None):
@@ -212,6 +214,10 @@ def count_index_calls(monkeypatch, tally):
             if not dict.__contains__(self, key):
                 tally["inserts"] += 1
             dict.__setitem__(self, key, value)
+
+        def update(self, pairs):
+            for key, value in dict(pairs).items():
+                self[key] = value
 
         def __delitem__(self, key):
             tally["deletes"] += 1

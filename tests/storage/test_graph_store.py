@@ -300,10 +300,19 @@ BULK_RELS = [
 ]
 
 
+def bulk_load(store, nodes, rels):
+    """``store.bulk_load`` of ``(node_id, weight)`` and ``(rel_id, src,
+    dst, ghost)`` rows, as its six columns."""
+    store.bulk_load(
+        *[[row[field] for row in nodes] for field in range(2)],
+        *[[row[field] for row in rels] for field in range(4)],
+    )
+
+
 class TestBulkLoad:
     def test_bulk_load_equals_one_record_at_a_time(self):
         bulk = GraphStore(server_id=1, num_servers=2)
-        bulk.bulk_load(BULK_NODES, BULK_RELS)
+        bulk_load(bulk, BULK_NODES, BULK_RELS)
         single = GraphStore(server_id=1, num_servers=2)
         for node_id, weight in BULK_NODES:
             single.create_node(node_id, weight=weight)
@@ -346,13 +355,13 @@ class TestBulkLoad:
         store = GraphStore(server_id=1, num_servers=2)
         before = store_state(store)
         with pytest.raises(StorageError):
-            store.bulk_load(nodes, rels)
+            bulk_load(store, nodes, rels)
         assert store_state(store) == before
 
     def test_a_store_that_is_not_empty_is_refused(self, store):
         before = store_state(store)
         with pytest.raises(StorageError, match="empty"):
-            store.bulk_load([(10, 1.0)], [])
+            bulk_load(store, [(10, 1.0)], [])
         assert store_state(store) == before
 
 

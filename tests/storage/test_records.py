@@ -8,7 +8,9 @@ from repro.exceptions import (
 )
 from repro.storage.ids import IdAllocator
 from repro.storage.node_store import NodeCodec, NodeRecord
-from repro.storage.records import DynamicStore, FixedRecordStore
+from repro.storage.property_store import PropertyCodec
+from repro.storage.records import DynamicStore, FixedRecordStore, _ChunkCodec
+from repro.storage.relationship_store import RelationshipCodec, RelationshipRecord
 
 
 class TestIdAllocator:
@@ -164,6 +166,53 @@ class TestWriteIsAllOrNothing:
         self.assert_refused(store, 5, NodeRecord(node_id=6))
         self.assert_refused(store, 1, NodeRecord(node_id=3))
         assert store.read(1).node_id == 1
+
+
+class TestWriteColumns:
+    """The page writer of an empty store against its slot writer."""
+
+    @pytest.mark.parametrize(
+        "codec", [NodeCodec(), RelationshipCodec(), PropertyCodec(), _ChunkCodec()],
+        ids=["node", "relationship", "property", "chunk"],
+    )
+    def test_the_numpy_record_type_is_the_struct_layout(self, codec):
+        assert codec.dtype.itemsize == codec.record_size
+        assert len(codec.dtype.names) == len(codec.layout.unpack(bytes(codec.record_size)))
+
+    @pytest.mark.parametrize("count", [0, 1, 123, 124, 125, 248])
+    def test_columns_leave_what_one_slot_write_per_record_leaves(self, count):
+        """Records 0..count-1 in scrambled id order; 124 node slots fill
+        a 4 KiB page exactly."""
+        ids = [(7 * i) % 251 + 1000 for i in range(count)]
+        records = [
+            NodeRecord(node_id=v, first_rel=v * 3, first_prop=-1, weight=v / 7)
+            for v in ids
+        ]
+        by_slot = FixedRecordStore(NodeCodec())
+        by_slot.changed = set()
+        for record in records:
+            by_slot.write(record.node_id, record)
+        by_page = FixedRecordStore(NodeCodec())
+        by_page.changed = set()
+        by_page.write_columns(
+            list(zip(*(by_page.codec.encode(record) for record in records)))
+            or [[]] * 5
+        )
+        for store in (by_slot, by_page):
+            assert store.pages.num_pages == -(-count // store.slots_per_page)
+        assert [bytes(page) for page in by_page.pages.buffers] == [
+            bytes(page) for page in by_slot.pages.buffers
+        ]
+        assert sorted(by_page._index.items()) == sorted(by_slot._index.items())
+        assert (by_page._next_slot, by_page._free_slots) == (count, [])
+        assert by_page.changed == by_slot.changed
+        assert list(by_page.records()) == sorted(records) and len(by_page) == count
+
+    def test_a_relationship_store_by_columns(self):
+        record = RelationshipRecord(9, 1, 2, 4, -1, 5, -1, -1, ghost=True)
+        store = FixedRecordStore(RelationshipCodec())
+        store.write_columns([[field] for field in store.codec.encode(record)])
+        assert store.read(9) == record
 
 
 class TestDynamicStore:

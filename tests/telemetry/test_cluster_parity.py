@@ -198,6 +198,30 @@ class TestSharedHub:
         for start in starts:
             cluster.traverse(start, hops=1)
 
+    def test_each_cluster_counts_its_own_rebalance(self):
+        """The rebalance, phase-1 and trigger series carry the cluster
+        label too: two clusters on one hub, one forced rebalance each."""
+        shared = Telemetry()
+        clusters = [self.build(shared, salt) for salt in (3, 5)]
+        results = [cluster.rebalance(force=True)[0] for cluster in clusters]
+        assert results[0].history[-1].edge_cut != results[1].history[-1].edge_cut
+        for cluster, result in zip(clusters, results):
+            mine = {"cluster": cluster.cluster_id}
+            registry = shared.registry
+            assert registry.total("rebalances_total", **mine) == 1
+            assert registry.value("repartitioner_edge_cut", **mine) == (
+                result.history[-1].edge_cut
+            )
+            assert registry.value("repartitioner_imbalance", **mine) == (
+                result.history[-1].max_imbalance
+            )
+            assert registry.total(
+                "repartitioner_logical_migrations_total", **mine
+            ) == sum(stats.migrations for stats in result.history)
+            assert registry.total("trigger_checks_total", **mine) == 1
+            cluster.check_trigger()
+            assert registry.total("trigger_checks_total", **mine) == 2
+
     def test_each_cluster_reads_its_own_counts(self):
         shared = Telemetry()
         workloads = ((3, range(30)), (5, range(30, 60)))

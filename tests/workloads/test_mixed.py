@@ -272,7 +272,7 @@ class TestFailedOperationAccounting:
         assert report.operations == 6
         assert report.failed_operations == 0
         registry = cluster.telemetry.registry
-        assert registry.value("rebalance_aborts_total") == 3
+        assert registry.value("rebalance_aborts_total", cluster=cluster.cluster_id) == 3
         cluster.attach_faults(None)
         cluster.validate()
 
