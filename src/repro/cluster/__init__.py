@@ -17,7 +17,7 @@ from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan, RetryPol
 from repro.cluster.graph_view import ClusterGraph
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.migration_executor import MigrationExecutor, MigrationReport
-from repro.cluster.network import NetworkConfig, SimulatedNetwork
+from repro.cluster.network import SimulatedNetwork
 from repro.cluster.server import HermesServer
 from repro.cluster.traversal import TraversalEngine, TraversalResult
 
@@ -29,7 +29,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RetryPolicy",
-    "NetworkConfig",
     "SimulatedNetwork",
     "HermesServer",
     "TraversalEngine",

@@ -217,36 +217,30 @@ class FaultInjector:
             raise NetworkTimeoutError(src, dst, cost=cost)
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff over injected faults.
 
     ``call`` runs an operation that may raise
     :class:`~repro.exceptions.FaultInjectedError`; every failed attempt
     charges its wasted timeout plus a backoff pause, both in simulated
-    seconds.  After ``max_attempts`` failures the last exception is
+    seconds.  After ``MAX_ATTEMPTS`` failures the last exception is
     re-raised with its ``cost`` updated to the *cumulative* simulated
     time the whole retry loop consumed.
     """
 
-    max_attempts: int = 4
-    base_backoff: float = 2e-3
-    multiplier: float = 2.0
-    max_backoff: float = 0.1
+    MAX_ATTEMPTS = 4
+    BASE_BACKOFF = 2e-3
+    MULTIPLIER = 2.0
+    MAX_BACKOFF = 0.1
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise PartitioningError("max_attempts must be at least 1")
-
-    def backoff(self, attempt: int) -> float:
+    @classmethod
+    def backoff(cls, attempt: int) -> float:
         """Pause after the ``attempt``-th failure (1-based)."""
-        return min(
-            self.base_backoff * self.multiplier ** (attempt - 1),
-            self.max_backoff,
-        )
+        return min(cls.BASE_BACKOFF * cls.MULTIPLIER ** (attempt - 1), cls.MAX_BACKOFF)
 
+    @classmethod
     def call(
-        self,
+        cls,
         op: Callable[[], T],
         injector: Optional[FaultInjector] = None,
         on_retry: Optional[Callable[[FaultInjectedError, float], None]] = None,
@@ -257,15 +251,15 @@ class RetryPolicy:
         not the successful attempt's own cost (the op returns that).
         """
         wasted = 0.0
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, cls.MAX_ATTEMPTS + 1):
             try:
                 return op(), wasted
             except FaultInjectedError as exc:
                 wasted += exc.cost
-                if attempt == self.max_attempts:
+                if attempt == cls.MAX_ATTEMPTS:
                     exc.cost = wasted
                     raise
-                pause = self.backoff(attempt)
+                pause = cls.backoff(attempt)
                 wasted += pause
                 if injector is not None:
                     injector.advance(pause)

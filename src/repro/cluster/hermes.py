@@ -46,7 +46,7 @@ from repro.cluster.durability import (
     commit_all,
     logical_store_snapshot,
 )
-from repro.cluster.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.cluster.faults import FaultInjector, FaultPlan
 from repro.cluster.migration_executor import (
     MigrationExecutor,
     MigrationReport,
@@ -54,10 +54,19 @@ from repro.cluster.migration_executor import (
 )
 from repro.concurrency.config import ConcurrencyConfig
 from repro.cluster.graph_view import ClusterGraph
-from repro.cluster.network import NetworkConfig, SimulatedNetwork
+from repro.cluster.network import (
+    CLIENT_DISPATCH_COST,
+    FAULT_TIMEOUT_COST,
+    SimulatedNetwork,
+)
 from repro.cluster.server import HermesServer
 from repro.cluster.traversal import TraversalEngine, TraversalResult
-from repro.core.auxiliary import AuxiliaryData, is_vertex_id
+from repro.core.auxiliary import (
+    AuxiliaryData,
+    check_capacity,
+    is_vertex_id,
+    is_weight,
+)
 from repro.core.config import RepartitionerConfig
 from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner, RepartitionResult
@@ -67,6 +76,7 @@ from repro.exceptions import (
     FaultInjectedError,
     MigrationAbortedError,
     MigrationInFlightError,
+    PartitioningError,
     ServerDownError,
     StorageError,
     VertexNotFoundError,
@@ -103,7 +113,6 @@ class HermesCluster:
     def __init__(
         self,
         num_servers: int,
-        network: Optional[NetworkConfig] = None,
         repartitioner: Optional[RepartitionerConfig] = None,
         telemetry: Optional[Telemetry] = None,
         concurrency: Optional[ConcurrencyConfig] = None,
@@ -124,7 +133,6 @@ class HermesCluster:
         self.cluster_id = next(HermesCluster._ids)
         self.network = SimulatedNetwork(
             num_servers,
-            network,
             telemetry=self.telemetry,
             labels={"cluster": self.cluster_id},
         )
@@ -220,17 +228,13 @@ class HermesCluster:
     # ==================================================================
     # Fault injection
     # ==================================================================
-    def attach_faults(
-        self,
-        plan: Optional[FaultPlan],
-        retry: Optional[RetryPolicy] = None,
-    ) -> Optional[FaultInjector]:
+    def attach_faults(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
         """Install a fault-injection plan (or with None, remove it).
 
         Wires one shared :class:`~repro.cluster.faults.FaultInjector` into
-        the network and every server, and the retry policy into the
-        traversal engine and migration executor.  Returns the injector so
-        tests can inspect it.
+        the network and every server; the traversal engine and migration
+        executor retry under :class:`~repro.cluster.faults.RetryPolicy`.
+        Returns the injector so tests can inspect it.
         """
         if plan is None:
             self.faults = None
@@ -244,9 +248,6 @@ class HermesCluster:
         self.network.attach_faults(self.faults)
         for server in self.servers:
             server.attach_faults(self.faults)
-        if retry is not None:
-            self._engine.retry = retry
-            self._executor.retry = retry
         return self.faults
 
     def _advance(self, cost: float) -> None:
@@ -380,9 +381,7 @@ class HermesCluster:
         host_u = self.catalog.lookup(u)
         host_v = self.catalog.lookup(v)
         if self.faults is not None:
-            self.faults.check_server(
-                host_u, cost=self.network.config.fault_timeout_cost
-            )
+            self.faults.check_server(host_u, cost=FAULT_TIMEOUT_COST)
         # Taken by create_relationship: a rejected insert takes no id.
         rel_id = self.servers[host_u].store.next_rel_id()
         cost = self.network.local_visit()
@@ -449,9 +448,8 @@ class HermesCluster:
         serves a copy of it.  A crashed host degrades the read to its
         dispatch and timeout cost and an empty result.
         """
-        config = self.network.config
         if self.faults is not None and self.faults.is_down(host):
-            cost = config.client_dispatch_cost + config.fault_timeout_cost
+            cost = CLIENT_DISPATCH_COST + FAULT_TIMEOUT_COST
             self.telemetry.counter(
                 "reads_degraded_total",
                 "single-record reads that timed out against a crashed server",
@@ -469,7 +467,7 @@ class HermesCluster:
         server.reads_counter.inc()
         server.visits_counter.inc()
         server.busy_counter.inc(local)
-        cost = config.client_dispatch_cost + local
+        cost = CLIENT_DISPATCH_COST + local
         self._advance(cost)
         self.add_popularity((vertex,))
         return properties, cost, False
@@ -483,25 +481,21 @@ class HermesCluster:
         vertex: int,
         weight: float = 1.0,
         properties: Optional[Dict[str, Any]] = None,
-        server: Optional[int] = None,
     ) -> float:
-        """Insert a new user; placed by hash unless ``server`` is given."""
-        self.check_new_vertex(vertex)
-        target = server if server is not None else self.placement_target(vertex)
+        """Insert a new user, placed by hash over the active servers."""
+        self.check_new_vertex(vertex, weight)
+        target = self.placement_target(vertex)
         if self.faults is not None and self.faults.is_down(target):
             # The insert times out against the crashed placement target;
             # no layer has been touched, so the failure is clean.
-            cost = (
-                self.network.config.client_dispatch_cost
-                + self.network.config.fault_timeout_cost
-            )
+            cost = CLIENT_DISPATCH_COST + FAULT_TIMEOUT_COST
             self._count_degraded_write()
             self._advance(cost)
             raise ServerDownError(target, cost=cost)
         self.servers[target].create_vertex(vertex, weight=weight, properties=properties)
         self.catalog.register(vertex, target)
         self.aux.add_vertex(vertex, target, weight)
-        cost = self.network.config.client_dispatch_cost + self.network.local_visit()
+        cost = CLIENT_DISPATCH_COST + self.network.local_visit()
         self._advance(cost)
         return cost
 
@@ -517,7 +511,7 @@ class HermesCluster:
         the wasted timeout is still simulated time.
         """
         self.check_new_edge(u, v)
-        cost = self.network.config.client_dispatch_cost
+        cost = CLIENT_DISPATCH_COST
         try:
             cost += self._create_edge_records(u, v, properties)
         except FaultInjectedError as exc:
@@ -529,11 +523,20 @@ class HermesCluster:
         self._advance(cost)
         return cost
 
-    def check_new_vertex(self, vertex: int) -> None:
+    def check_new_vertex(self, vertex: int, weight: float = 1.0) -> None:
         """The pre-check of every vertex insert, before any layer changes:
-        an integral id (no bool, float or str) not yet catalogued."""
+        an integral id (no bool, float or str) that fits a record and is
+        not yet catalogued, and a finite non-negative weight."""
         if not is_vertex_id(vertex):
             raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
+        if not is_weight(weight):
+            raise ClusterError(
+                f"vertex weights must be finite and non-negative, got {weight!r}"
+            )
+        try:
+            check_node_values(vertex, weight)
+        except StorageError as error:
+            raise ClusterError(f"vertex {vertex} cannot be stored: {error}") from None
         if vertex in self.catalog:
             raise ClusterError(f"vertex {vertex} already exists")
 
@@ -710,7 +713,12 @@ class HermesCluster:
             self.migration_in_flight = None
 
     def decay_weights(self, factor: float = 0.5, floor: float = 1.0) -> None:
-        """Age popularity weights so rebalancing tracks current traffic."""
+        """Age popularity weights so rebalancing tracks current traffic;
+        ``floor`` is a weight, so it must be finite and non-negative."""
+        if not is_weight(floor):
+            raise ClusterError(
+                f"the decay floor must be finite and non-negative, got {floor!r}"
+            )
         self.aux.decay_weights(factor, floor=floor)
 
     def repartition_static(self, partitioner: Partitioner) -> MigrationReport:
@@ -798,8 +806,13 @@ class HermesCluster:
         with an empty-but-ACTIVE new server.  While another migration is
         in flight a resharding join raises
         :class:`~repro.exceptions.MigrationInFlightError` before it
-        registers anything.
+        registers anything, and so does a capacity that is not a finite
+        non-negative number.
         """
+        try:
+            check_capacity(capacity)
+        except PartitioningError as error:
+            raise ClusterError(f"cannot join a server: {error}") from None
         if reshard:
             self._check_migration_slot("add_server")
         span = self.telemetry.span("add_server")

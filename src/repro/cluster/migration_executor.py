@@ -133,14 +133,12 @@ class MigrationExecutor:
         catalog: Catalog,
         network: SimulatedNetwork,
         telemetry: Optional[Telemetry] = None,
-        retry: Optional[RetryPolicy] = None,
         location_cache: Optional[LocationCache] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         self.servers = servers
         self.catalog = catalog
         self.network = network
-        self.retry = retry or RetryPolicy()
         self.location_cache = location_cache
         #: double-write window of the migration in flight: vertex -> target
         #: server for every vertex whose copy-step has run but whose
@@ -403,7 +401,7 @@ class MigrationExecutor:
         """One copy-step record shipment, retried under injected faults."""
         if self.network.fault_injector is None:
             return self.network.transfer(src, dst, size)
-        cost, wasted = self.retry.call(
+        cost, wasted = RetryPolicy.call(
             lambda: self.network.transfer(src, dst, size),
             injector=self.network.fault_injector,
             on_retry=self._on_retry,
@@ -496,7 +494,7 @@ class MigrationExecutor:
             else:
                 # A lost confirmation is re-broadcast; duplicates are
                 # harmless (the barrier is idempotent by construction).
-                confirmed, wasted = self.retry.call(
+                confirmed, wasted = RetryPolicy.call(
                     lambda s=server: self.network.broadcast(s, size=32),
                     injector=injector,
                     on_retry=self._on_retry,

@@ -5,16 +5,16 @@ edge-cut shifts a local traversal step into a remote traversal, "thereby
 incurring significant network latency" (Section 1).  The simulation
 charges every operation a cost in simulated seconds:
 
-* a local vertex visit costs ``local_visit_cost`` (an in-memory/page-cache
-  record read plus processing);
+* a local vertex visit costs :data:`LOCAL_VISIT_COST` (an
+  in-memory/page-cache record read plus processing);
 * following an edge whose endpoint lives on another server costs an extra
-  ``remote_hop_cost`` (a request/response round on the LAN);
+  :data:`REMOTE_HOP_COST` (a request/response round on the LAN);
 * bulk record transfers during migration cost
-  ``transfer_base_cost + bytes * transfer_byte_cost``.
+  ``TRANSFER_BASE_COST + bytes * TRANSFER_BYTE_COST``.
 
-Defaults approximate the paper's testbed (1Gb Ethernet: ~0.5 ms per
-round-trip including serialization; tens of microseconds per local record
-visit).  The *absolute* throughput numbers are not meaningful — the
+The constants below approximate the paper's testbed (1Gb Ethernet: ~0.5
+ms per round-trip including serialization; tens of microseconds per local
+record visit).  The *absolute* throughput numbers are not meaningful — the
 relative performance of partitioners, which is driven by the
 local/remote mix, is.
 
@@ -41,31 +41,28 @@ from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Latency model in simulated seconds."""
-
-    local_visit_cost: float = 20e-6
-    remote_hop_cost: float = 500e-6
-    #: CPU consumed on EACH endpoint server to service one remote hop
-    #: (serialization, syscalls, RPC dispatch) — this is the "network IO"
-    #: load that edge-cuts impose on servers, distinct from wire latency.
-    remote_service_cost: float = 50e-6
-    transfer_base_cost: float = 500e-6
-    transfer_byte_cost: float = 8e-9  # ~1 Gb/s payload bandwidth
-    client_dispatch_cost: float = 100e-6  # client -> cluster round trip
-    #: sender-side wait before a lost/unanswered message is declared dead
-    #: (a few RTTs, as a TCP-ish retransmission timeout would be)
-    fault_timeout_cost: float = 2e-3
-    #: Traversal frontier work bound for one server rides a single
-    #: request per (src, dst) link per depth; this is the marginal cost
-    #: of one extra frontier entry riding that already-paid round trip
-    #: (serialization of one vertex id + one response row)
-    batch_entry_cost: float = 25e-6
-    #: wire framing of one batched request (header, routing, checksums)
-    batch_base_bytes: int = 128
-    #: payload bytes per frontier entry in a batched request/response
-    batch_entry_bytes: int = 64
+# The latency model, in simulated seconds.
+LOCAL_VISIT_COST = 20e-6
+REMOTE_HOP_COST = 500e-6
+#: CPU consumed on EACH endpoint server to service one remote hop
+#: (serialization, syscalls, RPC dispatch) — this is the "network IO"
+#: load that edge-cuts impose on servers, distinct from wire latency.
+REMOTE_SERVICE_COST = 50e-6
+TRANSFER_BASE_COST = 500e-6
+TRANSFER_BYTE_COST = 8e-9  # ~1 Gb/s payload bandwidth
+CLIENT_DISPATCH_COST = 100e-6  # client -> cluster round trip
+#: sender-side wait before a lost/unanswered message is declared dead
+#: (a few RTTs, as a TCP-ish retransmission timeout would be)
+FAULT_TIMEOUT_COST = 2e-3
+#: Traversal frontier work bound for one server rides a single
+#: request per (src, dst) link per depth; this is the marginal cost
+#: of one extra frontier entry riding that already-paid round trip
+#: (serialization of one vertex id + one response row)
+BATCH_ENTRY_COST = 25e-6
+#: wire framing of one batched request (header, routing, checksums)
+BATCH_BASE_BYTES = 128
+#: payload bytes per frontier entry in a batched request/response
+BATCH_ENTRY_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -140,14 +137,12 @@ class SimulatedNetwork:
     def __init__(
         self,
         num_servers: int,
-        config: Optional[NetworkConfig] = None,
         telemetry: Optional[Telemetry] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         if num_servers < 1:
             raise ClusterError("need at least one server")
         self.num_servers = num_servers
-        self.config = config if config is not None else NetworkConfig()
         #: the one ledger of wire traffic: messages and payload bytes sent
         #: on each directed link, ``[src][dst]``
         self.link_messages = [[0] * num_servers for _ in range(num_servers)]
@@ -219,14 +214,14 @@ class SimulatedNetwork:
 
     def local_visit(self) -> float:
         """Cost of processing one vertex on its own server."""
-        return self.config.local_visit_cost
+        return LOCAL_VISIT_COST
 
     def _send(self, src: int, dst: int, size: int, cost: float) -> None:
         """Put one message on the wire: its fate is decided first, so a
         faulted message raises before the ledger is charged."""
         injector = self.fault_injector
         if injector is not None:
-            injector.check_message(src, dst, cost=self.config.fault_timeout_cost)
+            injector.check_message(src, dst, cost=FAULT_TIMEOUT_COST)
         self.link_messages[src][dst] += 1
         self.link_bytes[src][dst] += size
         if injector is not None:
@@ -243,7 +238,7 @@ class SimulatedNetwork:
         self._check(dst)
         if src == dst:
             return 0.0
-        cost = self.config.remote_hop_cost
+        cost = REMOTE_HOP_COST
         self._send(src, dst, size, cost)
         self._hop_messages.inc()
         self._hop_bytes.inc(size)
@@ -260,7 +255,7 @@ class SimulatedNetwork:
         hops = sum(links.values())
         self._hop_messages.inc(hops)
         self._hop_bytes.inc(hops * size)
-        self._hop_latency.observe_many([self.config.remote_hop_cost] * hops)
+        self._hop_latency.observe_many([REMOTE_HOP_COST] * hops)
 
     def batched_hop(self, src: int, dst: int, count: int) -> float:
         """:meth:`batched_hops` of one link ``src -> dst`` carrying ``count``
@@ -276,21 +271,20 @@ class SimulatedNetwork:
         servers, carrying that link's (positive) count of frontier
         entries; returns each message's cost, in link order.
 
-        A message pays ``remote_hop_cost`` once plus a marginal cost per
+        A message pays :data:`REMOTE_HOP_COST` once plus a marginal cost per
         entry, and its payload grows with the batch.  Faults apply per
         message, in link order: a lost batch raises like a lost single
         hop, the messages before it staying charged.  The registry is
         charged once per call — counters by their integer totals, the
         histograms value by value in message order.
         """
-        config = self.config
         costs: List[float] = []
         counts: List[int] = []
         sent_bytes = 0
         try:
             for (src, dst), count in links.items():
-                cost = config.remote_hop_cost + count * config.batch_entry_cost
-                size = config.batch_base_bytes + count * config.batch_entry_bytes
+                cost = REMOTE_HOP_COST + count * BATCH_ENTRY_COST
+                size = BATCH_BASE_BYTES + count * BATCH_ENTRY_BYTES
                 self._send(src, dst, size, cost)
                 costs.append(cost)
                 counts.append(count)
@@ -312,7 +306,7 @@ class SimulatedNetwork:
         self._check(dst)
         if src == dst:
             return 0.0
-        cost = self.config.transfer_base_cost + size * self.config.transfer_byte_cost
+        cost = TRANSFER_BASE_COST + size * TRANSFER_BYTE_COST
         self._send(src, dst, size, cost)
         self._transfer_messages.inc()
         self._transfer_bytes.inc(size)

@@ -1,9 +1,10 @@
 """One Hermes server: a GraphStore plus request handling.
 
-Servers expose single-record reads and vertex inserts.  The traversal
-engine reads a server's share of a frontier straight from its ``store``
-(``GraphStore.read_frontier``) and does the visit accounting itself;
-the cluster writes edges through ``store.create_relationship``.  No
+Servers expose vertex inserts and a crash-window check.  Reads go
+straight to a server's ``store``: the cluster's one single-record read
+body (``HermesCluster._serve_read``) and the traversal engine
+(``GraphStore.read_frontier``) each do their own visit accounting; the
+cluster writes edges through ``store.create_relationship``.  No
 lock manager is modelled: the event scheduler applies each mutation as
 one atomic step (DESIGN.md §13), and a store mutation validates its
 input before its first write.
@@ -18,10 +19,9 @@ are public: hot paths pay a single bound-method call, and readers read
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.cluster.faults import FaultInjector
-from repro.exceptions import ClusterError
 from repro.storage.graph_store import GraphStore
 from repro.telemetry import Telemetry
 
@@ -94,19 +94,6 @@ class HermesServer:
         injector places this server inside a crash window."""
         if self.faults is not None:
             self.faults.check_server(self.server_id)
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def read_vertex(self, node_id: int) -> Dict[str, Any]:
-        """Single-record query: the node's properties (writes nothing)."""
-        self.check_up()
-        properties = self.store.point_read(node_id)
-        if properties is None:
-            raise ClusterError(f"vertex {node_id} is not served by server {self.server_id}")
-        self.reads_counter.inc()
-        self.visits_counter.inc()
-        return properties
 
     # ------------------------------------------------------------------
     # Write path

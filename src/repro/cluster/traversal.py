@@ -15,7 +15,7 @@ response, which is why the paper's response/processed ratio drops to
 
 Remote traversal work is **batched**: at each depth the frontier entries
 bound for one server are aggregated into a single request per
-``(src, dst)`` link — one ``remote_hop_cost`` round trip plus a small
+``(src, dst)`` link — one ``REMOTE_HOP_COST`` round trip plus a small
 per-entry marginal cost, the way a production driver amortizes cut edges
 (and the traversal-locality lever TAPER and the Neo4j partitioning
 evaluations optimize for).  Vertex locations come from a per-server
@@ -59,7 +59,12 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
-from repro.cluster.network import SimulatedNetwork
+from repro.cluster.network import (
+    CLIENT_DISPATCH_COST,
+    FAULT_TIMEOUT_COST,
+    REMOTE_SERVICE_COST,
+    SimulatedNetwork,
+)
 from repro.cluster.server import HermesServer
 from repro.exceptions import (
     CatalogError,
@@ -162,14 +167,12 @@ class TraversalEngine:
         catalog: Catalog,
         network: SimulatedNetwork,
         telemetry: Optional[Telemetry] = None,
-        retry: Optional[RetryPolicy] = None,
         location_cache: Optional[LocationCache] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         self.servers = servers
         self.catalog = catalog
         self.network = network
-        self.retry = retry or RetryPolicy()
         #: optional WorkloadModel fed one observation per frontier
         #: expansion (set via HermesCluster.attach_workload_model)
         self.workload_model = None
@@ -247,7 +250,7 @@ class TraversalEngine:
         already know is stale.
         """
         check_hops(hops)  # before anything is charged, looked up or traced
-        cost = self.network.config.client_dispatch_cost
+        cost = CLIENT_DISPATCH_COST
         home = self.catalog.lookup(start)
         injector = self.network.fault_injector
         state = _QueryState(cost, hops, self.network.local_visit())
@@ -260,7 +263,7 @@ class TraversalEngine:
         if injector is not None and injector.is_down(home):
             # The dispatch to the home server times out: the client gets
             # an empty partial result rather than an exception.
-            state.cost += self.network.config.fault_timeout_cost
+            state.cost += FAULT_TIMEOUT_COST
             state.failed.add(home)
             frontier = []
         else:
@@ -491,7 +494,7 @@ class TraversalEngine:
         failed one gives up on its destination for the rest of the query.
         """
         network = self.network
-        remote_service = network.config.remote_service_cost
+        remote_service = REMOTE_SERVICE_COST
         busy = state.busy
         if network.fault_injector is None:
             cost = state.cost
@@ -546,7 +549,7 @@ class TraversalEngine:
             state.failed.add(actual)
             return None
         state.remote += 1
-        remote_service = self.network.config.remote_service_cost
+        remote_service = REMOTE_SERVICE_COST
         state.busy[host] += remote_service
         state.busy[actual] += remote_service
         state.cost += remote_service
@@ -557,9 +560,9 @@ class TraversalEngine:
     # Fault-degradation helpers
     # ------------------------------------------------------------------
     def _retried(self, send, *args) -> float:
-        """``send(*args)`` retried under the engine's policy on faults;
+        """``send(*args)`` retried under the :class:`RetryPolicy` on faults;
         the total simulated cost, wasted attempts included."""
-        cost, wasted = self.retry.call(
+        cost, wasted = RetryPolicy.call(
             lambda: send(*args),
             injector=self.network.fault_injector,
             on_retry=self._on_retry,

@@ -25,14 +25,11 @@ class ConcurrencyConfig:
     #: disable only in benchmarks where the per-event sweep dominates.
     check_window_coherence: bool = True
 
-    def to_dict(self) -> dict:
-        return {"check_window_coherence": self.check_window_coherence}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ConcurrencyConfig":
-        """Inverse of :meth:`to_dict`; unknown keys (e.g. a retired
-        ``enabled`` or ``online_migration`` in an old artifact) are
-        ignored."""
+        """The config a plain dict describes; unknown keys (e.g. a
+        retired ``enabled`` or ``online_migration`` in an old artifact)
+        are ignored."""
         return cls(
             check_window_coherence=bool(
                 data.get("check_window_coherence", True)

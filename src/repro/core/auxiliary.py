@@ -66,8 +66,17 @@ def is_vertex_id(vertex: Any) -> bool:
     return type(vertex) is int or isinstance(vertex, np.integer)
 
 
+def is_weight(value: Any) -> bool:
+    """Is ``value`` a finite non-negative number, as every vertex weight
+    and server capacity must be?"""
+    try:
+        return 0.0 <= value < math.inf
+    except TypeError:
+        return False
+
+
 def check_capacity(capacity: float) -> None:
-    if not (capacity >= 0.0 and math.isfinite(capacity)):
+    if not is_weight(capacity):
         raise PartitioningError(
             f"capacity must be a finite non-negative number, got {capacity}"
         )
@@ -143,25 +152,16 @@ class AuxiliaryData:
         "_live",
     )
 
-    def __init__(
-        self, num_partitions: int, capacities: Optional[List[float]] = None
-    ):
+    def __init__(self, num_partitions: int):
         if num_partitions < 1:
             raise PartitioningError("need at least one partition")
         self.num_partitions = num_partitions
         #: aggregate weight of each partition (known to every server)
         self.partition_weights: List[float] = [0.0] * num_partitions
         #: relative serving capacity per partition (1.0 = one standard
-        #: server); balance targets are weighted by this vector
-        if capacities is None:
-            capacities = [1.0] * num_partitions
-        elif len(capacities) != num_partitions:
-            raise PartitioningError(
-                f"{len(capacities)} capacities for {num_partitions} partitions"
-            )
-        for capacity in capacities:
-            check_capacity(capacity)
-        self.capacities: List[float] = list(capacities)
+        #: server, the starting value); balance targets are weighted by
+        #: this vector
+        self.capacities: List[float] = [1.0] * num_partitions
         # partition: row -> partition, -1 for a free row; counts: dense and
         # C-contiguous, so ``reshape(-1)`` is a view.
         self._install(

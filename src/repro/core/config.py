@@ -8,6 +8,10 @@ from typing import Optional
 from repro.exceptions import PartitioningError
 
 
+#: the fraction of n that k defaults to when it is not given
+K_FRACTION = 0.01
+
+
 @dataclass(frozen=True)
 class RepartitionerConfig:
     """Tuning knobs of the lightweight repartitioner (paper Section 3).
@@ -22,11 +26,9 @@ class RepartitionerConfig:
         (0.9, 1.1) of the average.
     k:
         Maximum number of vertices each partition logically migrates per
-        stage (Algorithm 2's top-k).  ``None`` derives k from
-        ``k_fraction``.
-    k_fraction:
-        When ``k`` is None, ``k = max(1, k_fraction * n)`` — the paper sets
-        k to "a small, fixed fraction of n".
+        stage (Algorithm 2's top-k).  ``None`` derives it from the graph:
+        ``k = max(1, int(K_FRACTION * n))`` — the paper sets k to "a
+        small, fixed fraction of n".
     max_iterations:
         Safety bound on phase-1 iterations.  The paper observes convergence
         in < 50 iterations on million-vertex graphs.
@@ -55,7 +57,6 @@ class RepartitionerConfig:
 
     epsilon: float = 1.1
     k: Optional[int] = None
-    k_fraction: float = 0.01
     max_iterations: int = 100
     two_stage: bool = True
     stall_iterations: Optional[int] = 8
@@ -68,10 +69,6 @@ class RepartitionerConfig:
             )
         if self.k is not None and self.k < 1:
             raise PartitioningError(f"k must be >= 1, got {self.k}")
-        if self.k is None and not 0.0 < self.k_fraction <= 1.0:
-            raise PartitioningError(
-                f"k_fraction must be in (0, 1], got {self.k_fraction}"
-            )
         if self.max_iterations < 1:
             raise PartitioningError(
                 f"max_iterations must be >= 1, got {self.max_iterations}"
@@ -89,4 +86,4 @@ class RepartitionerConfig:
         """The per-partition, per-stage migration cap for an n-vertex graph."""
         if self.k is not None:
             return self.k
-        return max(1, int(self.k_fraction * num_vertices))
+        return max(1, int(K_FRACTION * num_vertices))

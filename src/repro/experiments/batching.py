@@ -12,8 +12,8 @@ edge-cut).  The baseline is a *model* number, not a second run: what the
 same trace would cost if every remote frontier entry paid its own round
 trip, computed in closed form from the run's own counts —
 
-    dispatch + remote_hops * (remote_hop_cost + remote_service_cost)
-             + processed * local_visit_cost        (per query, zero faults)
+    dispatch + remote_hops * (REMOTE_HOP_COST + REMOTE_SERVICE_COST)
+             + processed * LOCAL_VISIT_COST        (per query, zero faults)
 
 with one 256-byte message per remote entry.
 
@@ -32,6 +32,12 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import (
+    CLIENT_DISPATCH_COST,
+    LOCAL_VISIT_COST,
+    REMOTE_HOP_COST,
+    REMOTE_SERVICE_COST,
+)
 from repro.experiments.common import (
     ClusterScale,
     build_datasets,
@@ -128,7 +134,6 @@ def _run_placement(
             dataset.graph.num_vertices, epsilon=scale.epsilon
         ),
     )
-    config = cluster.network.config
     # Bulk-load traffic (one ghost shipment per cut edge) is on the
     # network counters before the trace starts; both rows include it.
     load_messages = cluster.network.stats.messages
@@ -143,10 +148,9 @@ def _run_placement(
         result = cluster.traverse(rng.choice(vertices), hops=HOPS)
         total_cost += result.cost
         model_cost += (
-            config.client_dispatch_cost
-            + result.remote_hops
-            * (config.remote_hop_cost + config.remote_service_cost)
-            + result.processed * config.local_visit_cost
+            CLIENT_DISPATCH_COST
+            + result.remote_hops * (REMOTE_HOP_COST + REMOTE_SERVICE_COST)
+            + result.processed * LOCAL_VISIT_COST
         )
         remote += result.remote_hops
         responses += len(result.response)

@@ -30,33 +30,20 @@ from repro.partitioning.base import Partitioner, Partitioning
 class JaBeJaPartitioner(Partitioner):
     """Color-swapping partitioner with simulated annealing.
 
-    Parameters
-    ----------
-    rounds:
-        Sweeps over all vertices.
-    initial_temperature / cooling:
-        Annealing schedule: a swap is accepted when
-        ``new_benefit * T > old_benefit`` with T cooling toward 1.
-    sample_size:
-        Random-candidate sample size when no neighbor swap helps.
+    ``rounds`` sweeps run over all vertices.  The annealing schedule
+    accepts a swap when ``new_benefit * T > old_benefit``, T starting at
+    ``INITIAL_TEMPERATURE`` and cooling by ``COOLING`` per round toward
+    1; ``SAMPLE_SIZE`` random candidates join each vertex's neighbours.
     """
 
-    def __init__(
-        self,
-        rounds: int = 20,
-        initial_temperature: float = 2.0,
-        cooling: float = 0.05,
-        sample_size: int = 8,
-        seed: Optional[int] = None,
-    ):
+    INITIAL_TEMPERATURE = 2.0
+    COOLING = 0.05
+    SAMPLE_SIZE = 8
+
+    def __init__(self, rounds: int = 20, seed: Optional[int] = None):
         if rounds < 1:
             raise PartitioningError("rounds must be >= 1")
-        if initial_temperature < 1.0:
-            raise PartitioningError("initial_temperature must be >= 1")
         self.rounds = rounds
-        self.initial_temperature = initial_temperature
-        self.cooling = cooling
-        self.sample_size = sample_size
         self.seed = seed
 
     # ------------------------------------------------------------------
@@ -72,7 +59,7 @@ class JaBeJaPartitioner(Partitioner):
                 sorted(vertices, key=lambda _: rng.random())
             )
         }
-        temperature = self.initial_temperature
+        temperature = self.INITIAL_TEMPERATURE
         for _ in range(self.rounds):
             order = list(vertices)
             rng.shuffle(order)
@@ -83,7 +70,7 @@ class JaBeJaPartitioner(Partitioner):
                         colors[partner],
                         colors[vertex],
                     )
-            temperature = max(1.0, temperature - self.cooling)
+            temperature = max(1.0, temperature - self.COOLING)
         return Partitioning.from_mapping(colors, num_partitions)
 
     # ------------------------------------------------------------------
@@ -104,7 +91,7 @@ class JaBeJaPartitioner(Partitioner):
         population = graph.num_vertices
         if population > 1:
             all_vertices = list(graph.vertices())
-            for _ in range(self.sample_size):
+            for _ in range(self.SAMPLE_SIZE):
                 candidates.append(rng.choice(all_vertices))
         my_color = colors[vertex]
         best_partner: Optional[int] = None

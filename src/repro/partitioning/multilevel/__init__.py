@@ -6,7 +6,7 @@ Abou-Rjeili & Karypis — both to create initial partitionings and as the
 so this subpackage implements the same algorithmic scheme from scratch:
 
 1. **Coarsening** — repeated heavy-edge matching contracts the graph until
-   it is small (``coarsen_until`` vertices);
+   it is small (``MultilevelPartitioner.COARSEN_UNTIL`` vertices);
 2. **Initial partitioning** — greedy graph growing on the coarsest graph;
 3. **Uncoarsening with refinement** — the assignment is projected back
    level by level, running boundary FM refinement at each level.

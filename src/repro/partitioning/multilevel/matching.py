@@ -6,7 +6,7 @@ is the classic METIS HEM heuristic: contracting heavy edges early removes
 as much cut weight as possible from the coarser levels.
 
 For power-law graphs, plain HEM leaves many hub-adjacent vertices
-unmatched; following the Abou-Rjeili & Karypis observation we allow
+unmatched; following the Abou-Rjeili & Karypis observation we add
 two-hop "leaf" matching of unmatched low-degree vertices that share a
 common neighbor, which keeps the coarsening ratio healthy on social
 networks.
@@ -20,11 +20,7 @@ from typing import Dict, Optional
 from repro.partitioning.multilevel.weighted import WeightedGraph
 
 
-def heavy_edge_matching(
-    graph: WeightedGraph,
-    rng: random.Random,
-    two_hop: bool = True,
-) -> Dict[int, int]:
+def heavy_edge_matching(graph: WeightedGraph, rng: random.Random) -> Dict[int, int]:
     """Return a matching as a map vertex -> partner (self for unmatched)."""
     matching: Dict[int, int] = {}
     order = list(graph.vertex_weights)
@@ -38,8 +34,7 @@ def heavy_edge_matching(
         else:
             matching[vertex] = partner
             matching[partner] = vertex
-    if two_hop:
-        _match_leaves(graph, matching, rng)
+    _match_leaves(graph, matching, rng)
     return matching
 
 

@@ -1,14 +1,10 @@
 """The multilevel partitioner driver (coarsen / partition / refine).
 
-Two schemes are provided, mirroring the METIS family:
-
-* ``"rb"`` (default) — recursive bisection: the graph is split in two by a
-  full multilevel run (coarsening, greedy growing, FM with rollback at
-  every level), then each half is recursively split.  FM is strongest at
-  k=2, which makes this the higher-quality scheme on community-structured
-  social graphs.
-* ``"kway"`` — direct k-way partitioning, one multilevel run with k-way
-  FM refinement.  Faster, slightly worse cuts.
+The scheme is METIS's recursive bisection: the graph is split in two by
+a full multilevel run (coarsening, greedy growing, FM with rollback at
+every level), then each half is recursively split.  FM is strongest at
+k=2, which makes bisection the higher-quality scheme on
+community-structured social graphs.
 """
 
 from __future__ import annotations
@@ -36,38 +32,32 @@ class MultilevelPartitioner(Partitioner):
         Imbalance bound: every partition weight must stay below
         ``epsilon * target`` during refinement (paper default 1.1; the
         static partitioner defaults tighter, 1.05, like METIS's ufactor).
-    scheme:
-        ``"rb"`` recursive bisection (default) or ``"kway"`` direct k-way.
-    coarsen_until:
-        Stop coarsening when the graph has at most this many vertices.
+    tries:
+        Independent runs; the lowest edge-cut wins.
     seed:
         Seed for all randomized choices; fixed seed => deterministic output.
     """
 
     #: independent initial partitionings tried on the coarsest graph
     INITIAL_TRIES = 4
+    #: stop coarsening at this many vertices (or 15 per partition)
+    COARSEN_UNTIL = 120
+    #: most coarsening levels
+    MAX_LEVELS = 30
+    #: most FM passes per refinement
+    REFINE_PASSES = 10
 
     def __init__(
         self,
         epsilon: float = 1.05,
-        scheme: str = "rb",
-        coarsen_until: int = 120,
-        max_levels: int = 30,
-        refine_passes: int = 10,
         tries: int = 1,
         seed: Optional[int] = None,
     ):
         if epsilon < 1.0 or epsilon >= 2.0:
             raise InvalidPartitionError(f"epsilon must be in [1, 2), got {epsilon}")
-        if scheme not in ("rb", "kway"):
-            raise InvalidPartitionError(f"unknown scheme {scheme!r}")
         if tries < 1:
             raise InvalidPartitionError(f"tries must be >= 1, got {tries}")
         self.epsilon = epsilon
-        self.scheme = scheme
-        self.coarsen_until = coarsen_until
-        self.max_levels = max_levels
-        self.refine_passes = refine_passes
         self.tries = tries
         self.seed = seed
 
@@ -101,7 +91,7 @@ class MultilevelPartitioner(Partitioner):
         # CSR graphs are coarsened/matched in place through a unit-weight
         # view; only the (much smaller) coarse levels become dict-backed.
         base = as_weighted(graph)
-        if self.scheme == "rb" and num_partitions > 2:
+        if num_partitions > 2:
             # Imbalance compounds across nested splits: a vertex ends up
             # inside ~log2(k) bisections, each multiplying the allowed
             # overweight.  Tighten the per-split bound so the compound
@@ -118,9 +108,7 @@ class MultilevelPartitioner(Partitioner):
                 epsilon=per_split_epsilon,
             )
         else:
-            assignment = self._multilevel_kway(
-                base, num_partitions, rng, None, self.epsilon
-            )
+            assignment = self._multilevel(base, 2, rng, None, self.epsilon)
         return Partitioning.from_mapping(assignment, num_partitions)
 
     # ------------------------------------------------------------------
@@ -148,7 +136,7 @@ class MultilevelPartitioner(Partitioner):
             total * left_parts / num_parts,
             total * right_parts / num_parts,
         ]
-        assignment = self._multilevel_kway(graph, 2, rng, targets, epsilon)
+        assignment = self._multilevel(graph, 2, rng, targets, epsilon)
         left = self._induced(graph, assignment, 0)
         right = self._induced(graph, assignment, 1)
         self._recursive_bisect(left, left_parts, first_partition, rng, out, epsilon)
@@ -170,9 +158,9 @@ class MultilevelPartitioner(Partitioner):
         return sub
 
     # ------------------------------------------------------------------
-    # One multilevel V-cycle (k-way, possibly with uneven targets)
+    # One multilevel V-cycle (possibly with uneven targets)
     # ------------------------------------------------------------------
-    def _multilevel_kway(
+    def _multilevel(
         self,
         base: WeightedGraph,
         num_partitions: int,
@@ -197,7 +185,7 @@ class MultilevelPartitioner(Partitioner):
                 assignment,
                 num_partitions,
                 epsilon,
-                self.refine_passes,
+                self.REFINE_PASSES,
                 targets=targets,
             )
         return assignment
@@ -221,7 +209,7 @@ class MultilevelPartitioner(Partitioner):
                 assignment,
                 num_partitions,
                 epsilon,
-                self.refine_passes,
+                self.REFINE_PASSES,
                 targets=targets,
             )
             cut = cut_weight(coarsest, assignment)
@@ -239,10 +227,10 @@ class MultilevelPartitioner(Partitioner):
         Returns a list of ``(graph, projection_to_next_level)`` where the
         last entry's projection is None (it is the coarsest level).
         """
-        stop_at = max(self.coarsen_until, 15 * num_partitions)
+        stop_at = max(self.COARSEN_UNTIL, 15 * num_partitions)
         levels: List[Tuple[WeightedGraph, Optional[Dict[int, int]]]] = []
         current = base
-        for _ in range(self.max_levels):
+        for _ in range(self.MAX_LEVELS):
             if current.num_vertices <= stop_at:
                 break
             matching = heavy_edge_matching(current, rng)

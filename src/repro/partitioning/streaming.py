@@ -28,31 +28,23 @@ from repro.partitioning.base import Partitioner, Partitioning
 
 
 class _StreamingBase(Partitioner):
-    """Shared one-pass machinery: stream order + greedy scoring."""
+    """Shared one-pass machinery: a seeded shuffled stream order + greedy
+    scoring under a capacity of ``BALANCE_SLACK`` times the average
+    partition size."""
 
-    def __init__(
-        self,
-        balance_slack: float = 1.1,
-        shuffle: bool = True,
-        seed: Optional[int] = None,
-    ):
-        if balance_slack < 1.0:
-            raise PartitioningError(
-                f"balance_slack must be >= 1, got {balance_slack}"
-            )
-        self.balance_slack = balance_slack
-        self.shuffle = shuffle
+    BALANCE_SLACK = 1.1
+
+    def __init__(self, seed: Optional[int] = None):
         self.seed = seed
 
     def partition(self, graph: GraphRead, num_partitions: int) -> Partitioning:
         if num_partitions < 1:
             raise PartitioningError("num_partitions must be >= 1")
         order = list(graph.vertices())
-        if self.shuffle:
-            random.Random(self.seed).shuffle(order)
+        random.Random(self.seed).shuffle(order)
         partitioning = Partitioning(num_partitions)
         sizes = [0] * num_partitions
-        capacity = self.balance_slack * graph.num_vertices / num_partitions
+        capacity = self.BALANCE_SLACK * graph.num_vertices / num_partitions
         get_placed = partitioning.get
         for vertex in order:
             placed_neighbors = [0] * num_partitions
@@ -104,43 +96,30 @@ class LinearDeterministicGreedy(_StreamingBase):
 class FennelPartitioner(_StreamingBase):
     """Tsourakakis et al.'s Fennel objective.
 
-    ``gamma`` (default 1.5) controls the balance penalty's curvature and
-    ``alpha`` defaults to the paper's ``sqrt(k) * m / n**gamma``.
+    ``GAMMA`` controls the balance penalty's curvature; ``alpha`` is the
+    paper's ``sqrt(k) * m / n**GAMMA``.
     """
 
-    def __init__(
-        self,
-        gamma: float = 1.5,
-        alpha: Optional[float] = None,
-        balance_slack: float = 1.1,
-        shuffle: bool = True,
-        seed: Optional[int] = None,
-    ):
-        super().__init__(balance_slack=balance_slack, shuffle=shuffle, seed=seed)
-        if gamma <= 1.0:
-            raise PartitioningError(f"gamma must be > 1, got {gamma}")
-        self.gamma = gamma
-        self.alpha = alpha
-        self._effective_alpha = alpha
+    GAMMA = 1.5
+
+    def __init__(self, seed: Optional[int] = None):
+        super().__init__(seed=seed)
+        self._alpha = 0.0
 
     def partition(self, graph: GraphRead, num_partitions: int) -> Partitioning:
-        if self.alpha is None:
-            n = max(1, graph.num_vertices)
-            self._effective_alpha = (
-                math.sqrt(num_partitions) * graph.num_edges / (n**self.gamma)
-            )
-        else:
-            self._effective_alpha = self.alpha
+        n = max(1, graph.num_vertices)
+        self._alpha = math.sqrt(num_partitions) * graph.num_edges / (n**self.GAMMA)
         return super().partition(graph, num_partitions)
 
     def _choose(self, placed_neighbors, sizes, capacity, graph, vertex):
         best_partition = 0
         best_score = float("-inf")
-        alpha = self._effective_alpha or 0.0
+        alpha = self._alpha
+        gamma = self.GAMMA
         for partition, neighbors in enumerate(placed_neighbors):
             if sizes[partition] + 1 > capacity:
                 continue
-            penalty = alpha * self.gamma * (sizes[partition] ** (self.gamma - 1.0))
+            penalty = alpha * gamma * (sizes[partition] ** (gamma - 1.0))
             score = neighbors - penalty
             if score > best_score:
                 best_score = score

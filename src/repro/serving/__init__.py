@@ -4,8 +4,8 @@ The cluster substrate (``repro.cluster``) executes operations; this
 package decides *which* operations run, *where*, and *on whose account*:
 
 * :class:`~repro.serving.frontend.ServingFrontend` — the front door
-  every client operation enters; it meters each tenant and gates its
-  credits in the tenant's cluster-labelled registry series;
+  every client operation enters; it meters each tenant in the tenant's
+  cluster-labelled registry series;
 * :class:`~repro.serving.router.GraphRouter` — routes reads to
   least-loaded fresh one-hop replicas and writes to primaries;
 * :class:`~repro.serving.queue.QueryQueue` +

@@ -13,7 +13,7 @@ the configured queueing-delay budget — and moves through three states:
 
 Escalation is immediate (a flash crowd can jump ACCEPTING → SHEDDING in
 one observation); de-escalation steps down one state per observation and
-only once utilization has fallen below ``resume_utilization`` — the
+only once utilization has fallen below :data:`RESUME_UTILIZATION` — the
 hysteresis that keeps the controller from oscillating across a single
 threshold.
 
@@ -55,6 +55,11 @@ THROTTLED = "throttled"
 SHEDDING = "shedding"
 
 _STATES = (ACCEPTING, THROTTLED, SHEDDING)
+
+#: hysteresis: utilization below which the state machine steps back
+#: toward ACCEPTING (one state per observation, never oscillating across
+#: a single threshold)
+RESUME_UTILIZATION = 0.40
 
 #: lowest priority class admitted in each state
 _FLOOR = {
@@ -102,7 +107,7 @@ class AdmissionController:
             new_state = target
         elif (
             target_index < current_index
-            and utilization < self.config.resume_utilization
+            and utilization < RESUME_UTILIZATION
         ):
             # De-escalate one state per observation (hysteresis).
             new_state = _STATES[current_index - 1]

@@ -6,17 +6,16 @@ opposed to the cluster clock that advances with execution), and runs
 each submission through the full pipeline:
 
 1. advance the arrival clock and retire finished queue entries;
-2. per-tenant credit check (shed with ``insufficient_credits``);
-3. route — the :class:`~repro.serving.router.GraphRouter` picks a
+2. route — the :class:`~repro.serving.router.GraphRouter` picks a
    primary or a fresh one-hop replica;
-4. admission — the :class:`~repro.serving.queue.QueryQueue` either
+3. admission — the :class:`~repro.serving.queue.QueryQueue` either
    admits the operation (returning its queueing delay) or sheds it with
    a typed reason;
-5. execute against the cluster (degraded outcomes from injected faults
+4. execute against the cluster (degraded outcomes from injected faults
    still complete — they consumed their timeout);
-6. writes ship replica updates (asynchronously: charged to the replica
+5. writes ship replica updates (asynchronously: charged to the replica
    hosts' backlogs, not the client's latency);
-7. account the operation to its tenant.
+6. meter the operation to its tenant.
 
 The client-observed latency of a completed operation is
 ``queueing wait + execution cost``.  Shed operations never reach a
@@ -64,8 +63,8 @@ class ServeOutcome:
     priority: Priority
     #: ``completed`` | ``degraded`` (fault timeout) | ``shed``
     status: str
-    #: typed shed reason (``queue_full`` | ``overload_shed`` |
-    #: ``insufficient_credits``), None unless shed
+    #: typed shed reason (``queue_full`` | ``overload_shed``), None
+    #: unless shed
     reason: Optional[str] = None
     #: client-observed simulated latency (wait + cost); sheds observe 0
     latency: float = 0.0
@@ -87,11 +86,11 @@ class ServeOutcome:
 class _TenantSeries:
     """One tenant's registry series, bound the first time it is counted:
     ``tenant_ops_total{outcome}`` (sheds also by ``reason``), cost
-    seconds, replica reads and — with credits on — the balance gauge."""
+    seconds and replica reads."""
 
-    __slots__ = ("admitted", "shed", "cost_seconds", "replica_reads", "credits")
+    __slots__ = ("admitted", "shed", "cost_seconds", "replica_reads")
 
-    def __init__(self, telemetry: Telemetry, config: ServingConfig, **labels):
+    def __init__(self, telemetry: Telemetry, **labels):
         counter = telemetry.counter
         ops = "front-door operations per tenant"
         self.admitted = counter("tenant_ops_total", ops, outcome="admitted", **labels)
@@ -107,12 +106,6 @@ class _TenantSeries:
         self.replica_reads = counter(
             "tenant_replica_reads_total", "replica-served reads per tenant", **labels
         )
-        self.credits = None
-        if config.tenant_credits is not None:
-            self.credits = telemetry.gauge(
-                "tenant_credits_remaining", "credit balance per tenant", **labels
-            )
-            self.credits.set(config.tenant_credits)
 
     def totals(self) -> Dict[str, Any]:
         return {
@@ -120,22 +113,16 @@ class _TenantSeries:
             "shed": int(sum(series.value for series in self.shed.values())),
             "cost_seconds": self.cost_seconds.value,
             "replica_reads": int(self.replica_reads.value),
-            "credits": None if self.credits is None else self.credits.value,
         }
 
 
 class ServingFrontend:
     """Route, admit, execute, and account every client operation."""
 
-    def __init__(
-        self,
-        cluster,
-        config: Optional[ServingConfig] = None,
-        telemetry: Optional[Telemetry] = None,
-    ):
+    def __init__(self, cluster, config: Optional[ServingConfig] = None):
         self.cluster = cluster
         self.config = config or ServingConfig()
-        self.telemetry = telemetry or cluster.telemetry
+        self.telemetry = cluster.telemetry
         #: serving-side simulated clock: operation arrival times
         self.now = 0.0
         labels = {"cluster": cluster.cluster_id}
@@ -244,22 +231,7 @@ class ServingFrontend:
             op=op, client=client, priority=priority, status=SHED,
             arrival=arrival,
         )
-        # A tenant's series are bound when it is first counted, so a
-        # submission rejected by validation leaves the registry as it was.
-        tenant = self._tenants.get(client)
-
-        # 1. Credit gate (before the queue: a tenant out of credits is
-        # shed without consuming admission capacity).
-        balance = self.config.tenant_credits
-        if tenant is not None and balance is not None:
-            balance = tenant.credits.value
-        if balance is not None and balance < self.config.credit_per_op:
-            outcome.reason = "insufficient_credits"
-            self.queue.record_shed(outcome.reason, arrival)
-            self._tenant(client).shed[outcome.reason].inc()
-            return outcome
-
-        # 2. Route.  The routing lookups and the cluster's own write
+        # 1. Route.  The routing lookups and the cluster's own write
         # pre-checks double as validation: an operation that cannot
         # execute (unknown vertex, duplicate vertex/edge, self-loop,
         # non-integral id — e.g. a schedule invalidated by an earlier
@@ -273,7 +245,8 @@ class ServingFrontend:
             target = decision.host
             forward_cost = decision.forward_cost
         elif op == "add_vertex":
-            self.cluster.check_new_vertex(args[0])
+            weight = args[1] if len(args) > 1 else kwargs.get("weight", 1.0)
+            self.cluster.check_new_vertex(args[0], weight)
             # The vertex does not exist yet: its home is the hash
             # placement target the cluster will pick (over the live
             # active membership, so joined servers receive inserts).
@@ -286,10 +259,11 @@ class ServingFrontend:
             else:
                 self.cluster.check_new_edge(args[0], args[1])
             target, forward_cost = self.router.primary_of(args[0])
-        if tenant is None:
-            tenant = self._tenant(client)
+        # A tenant's series are bound when it is first counted, so a
+        # submission rejected by validation leaves the registry as it was.
+        tenant = self._tenant(client)
 
-        # 3. Admit.
+        # 2. Admit.
         try:
             wait = self.queue.try_admit(target, priority, arrival)
         except AdmissionRejectedError as rejection:
@@ -297,15 +271,15 @@ class ServingFrontend:
             outcome.reason = rejection.reason
             return outcome
 
-        # 4. Execute.
+        # 3. Execute.
         result, cost, degraded = self._execute(op, args, kwargs, decision, arrival)
         cost += forward_cost
 
-        # 5. Commit to the queue; the operation occupies its target
+        # 4. Commit to the queue; the operation occupies its target
         # server from arrival+wait to finish.
         finish = self.queue.commit(target, arrival, wait, cost)
 
-        # 6. Writes ship replica updates, stamped at commit time.
+        # 5. Writes ship replica updates, stamped at commit time.
         if not degraded and op in ("add_vertex", "add_edge"):
             touched = [args[0]] if op == "add_vertex" else [args[0], args[1]]
             for host, async_cost in self.sync.record_write(touched, finish).items():
@@ -320,7 +294,7 @@ class ServingFrontend:
                         label=f"replica-update:{host}",
                     )
 
-        # 7. Account and report.
+        # 6. Meter and report.
         outcome.status = DEGRADED if degraded else COMPLETED
         outcome.wait = wait
         outcome.cost = cost
@@ -333,10 +307,6 @@ class ServingFrontend:
             tenant.replica_reads.inc()
         tenant.admitted.inc()
         tenant.cost_seconds.inc(cost)
-        if tenant.credits is not None:
-            config = self.config
-            debit = config.credit_per_op + cost * config.credits_per_cost_second
-            tenant.credits.set(tenant.credits.value - debit)
         self._latency_hist.observe(outcome.latency)
         return outcome
 
@@ -345,8 +315,7 @@ class ServingFrontend:
         tenant = self._tenants.get(client)
         if tenant is None:
             tenant = self._tenants[client] = _TenantSeries(
-                self.telemetry, self.config,
-                cluster=self.cluster.cluster_id, tenant=client,
+                self.telemetry, cluster=self.cluster.cluster_id, tenant=client
             )
         return tenant
 

@@ -13,9 +13,8 @@ conservation law the simtest auditor checks:
 
 where *in_flight* is the number of admitted operations whose simulated
 finish time is still in the future.  Shed operations are partitioned by
-typed reason (``queue_full``, ``overload_shed``,
-``insufficient_credits``), and those per-reason counts must sum to the
-shed total.
+typed reason (``queue_full``, ``overload_shed``), and those per-reason
+counts must sum to the shed total.
 
 The counts live only in the telemetry registry's ``serving_*_total``
 series.  Every series the queue and its admission controller bind
@@ -35,7 +34,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_TIME_BUCKETS
 
 #: shed reasons with dedicated conservation slots
-SHED_REASONS = ("queue_full", "overload_shed", "insufficient_credits")
+SHED_REASONS = ("queue_full", "overload_shed")
 
 
 class QueryQueue:
@@ -45,7 +44,6 @@ class QueryQueue:
         self,
         num_servers: int,
         config: ServingConfig,
-        admission: Optional[AdmissionController] = None,
         telemetry: Optional[Telemetry] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
@@ -53,9 +51,7 @@ class QueryQueue:
         self.config = config
         telemetry = telemetry or Telemetry()
         extra = labels or {}
-        self.admission = admission or AdmissionController(
-            config, telemetry=telemetry, labels=extra
-        )
+        self.admission = AdmissionController(config, telemetry=telemetry, labels=extra)
         #: per-server simulated time at which its backlog drains
         self.free_at: List[float] = [0.0] * num_servers
         #: finish times of admitted-but-not-yet-finished operations
@@ -124,10 +120,6 @@ class QueryQueue:
     def try_admit(self, target: int, priority: Priority, now: float) -> float:
         """Admit one operation bound for ``target`` or raise its typed
         rejection.  Returns the queueing delay the operation will incur.
-
-        Callers that pre-shed (the front door's credit gate) must record
-        the shed via :meth:`record_shed` instead, so conservation still
-        balances.
         """
         self.drain(now)
         self._submitted.inc()
@@ -141,12 +133,6 @@ class QueryQueue:
         self._admitted.inc()
         self._wait_hist.observe(wait)
         return wait
-
-    def record_shed(self, reason: str, now: float) -> None:
-        """Count a shed decided outside the admission check (credits)."""
-        self.drain(now)
-        self._submitted.inc()
-        self._shed[reason].inc()
 
     def commit(self, target: int, now: float, wait: float, cost: float) -> float:
         """Log an admitted operation's execution; returns its finish time."""

@@ -32,6 +32,9 @@ from repro.exceptions import FaultInjectedError, VertexNotFoundError
 from repro.serving.config import ServingConfig
 from repro.telemetry import Telemetry
 
+#: payload bytes of one replica-update shipment (per replica copy)
+REPLICA_UPDATE_BYTES = 96
+
 
 class ReplicaIndex:
     """The cluster's one-hop replica placement, read from ``cluster.aux``."""
@@ -113,7 +116,7 @@ class ReplicaSynchronizer:
         network = self.cluster.network
         catalog = self.cluster.catalog
         servers = self.cluster.servers
-        size = self.config.replica_update_bytes
+        size = REPLICA_UPDATE_BYTES
         costs: Dict[int, float] = {}
         for vertex in vertices:
             self.last_write[vertex] = now

@@ -19,8 +19,8 @@ them abort the run:
   ``drain_server`` whose target already crashed earlier in the
   schedule);
 * ``shed`` — a ``serve`` step was rejected by the front door's
-  admission control (queue full, overload, or out of credits) before
-  reaching any server;
+  admission control (queue full or overload) before reaching any
+  server;
 * ``ok`` — the operation completed.
 
 ``serve`` steps route through the spec's

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.exceptions import WorkloadError
 from repro.graph.adjacency import SocialGraph
 from repro.workloads.queries import InsertEdge, InsertVertex, Operation
 
@@ -25,23 +24,16 @@ class GraphEvolution:
     operation, which its graph view then shows; the generator re-reads it.
     It also remembers every pair it has emitted, so an edge handed out
     but not applied yet (a concurrent client still holds it) is never
-    handed out again.
+    handed out again.  A ``NEW_VERTEX_FRACTION`` share of operations
+    insert a user; of the edges, a ``TRIADIC_FRACTION`` share try
+    triadic closure first.
     """
 
-    def __init__(
-        self,
-        graph: SocialGraph,
-        new_vertex_fraction: float = 0.2,
-        triadic_fraction: float = 0.6,
-        seed: Optional[int] = None,
-    ):
-        if not 0.0 <= new_vertex_fraction <= 1.0:
-            raise WorkloadError("new_vertex_fraction must be in [0, 1]")
-        if not 0.0 <= triadic_fraction <= 1.0:
-            raise WorkloadError("triadic_fraction must be in [0, 1]")
+    NEW_VERTEX_FRACTION = 0.2
+    TRIADIC_FRACTION = 0.6
+
+    def __init__(self, graph: SocialGraph, seed: Optional[int] = None):
         self.graph = graph
-        self.new_vertex_fraction = new_vertex_fraction
-        self.triadic_fraction = triadic_fraction
         self._rng = random.Random(seed)
         self._next_vertex = (max(graph.vertices(), default=-1)) + 1
         #: every emitted edge as a ``(min, max)`` pair
@@ -56,7 +48,7 @@ class GraphEvolution:
     def next_operation(self) -> Operation:
         if (
             self.graph.num_vertices < 2
-            or self._rng.random() < self.new_vertex_fraction
+            or self._rng.random() < self.NEW_VERTEX_FRACTION
         ):
             return self._new_vertex()
         edge = self._new_edge()
@@ -73,7 +65,7 @@ class GraphEvolution:
 
     def _new_edge(self) -> Optional[InsertEdge]:
         """Triadic closure when possible, otherwise a random pair."""
-        if self._rng.random() < self.triadic_fraction:
+        if self._rng.random() < self.TRIADIC_FRACTION:
             edge = self._triadic_edge()
             if edge is not None:
                 return edge

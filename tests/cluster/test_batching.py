@@ -19,7 +19,17 @@ import pytest
 from repro.cluster.catalog import LocationCache
 from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan
 from repro.cluster.hermes import HermesCluster
-from repro.cluster.network import NetworkConfig, SimulatedNetwork
+from repro.cluster.network import (
+    BATCH_BASE_BYTES,
+    BATCH_ENTRY_BYTES,
+    BATCH_ENTRY_COST,
+    CLIENT_DISPATCH_COST,
+    FAULT_TIMEOUT_COST,
+    LOCAL_VISIT_COST,
+    REMOTE_HOP_COST,
+    REMOTE_SERVICE_COST,
+    SimulatedNetwork,
+)
 from repro.core.migration import build_migration_plan
 from repro.exceptions import FaultInjectedError, MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
@@ -41,12 +51,10 @@ class TestBatchedHop:
     def test_charges_one_round_trip_plus_marginals(self):
         net = SimulatedNetwork(3)
         cost = net.batched_hop(0, 1, count=5)
-        expected = net.config.remote_hop_cost + 5 * net.config.batch_entry_cost
+        expected = REMOTE_HOP_COST + 5 * BATCH_ENTRY_COST
         assert cost == pytest.approx(expected)
         assert net.stats.messages == 1
-        assert net.stats.bytes_sent == (
-            net.config.batch_base_bytes + 5 * net.config.batch_entry_bytes
-        )
+        assert net.stats.bytes_sent == BATCH_BASE_BYTES + 5 * BATCH_ENTRY_BYTES
 
     def test_local_or_empty_batches_are_free(self):
         net = SimulatedNetwork(3)
@@ -57,7 +65,7 @@ class TestBatchedHop:
     def test_cheaper_than_per_entry_hops_beyond_one(self):
         net = SimulatedNetwork(2)
         batched = net.batched_hop(0, 1, count=8)
-        per_entry = 8 * net.config.remote_hop_cost
+        per_entry = 8 * REMOTE_HOP_COST
         assert batched < per_entry
 
     def test_faults_apply_once_per_message(self):
@@ -67,26 +75,23 @@ class TestBatchedHop:
         with pytest.raises(FaultInjectedError) as excinfo:
             net.batched_hop(0, 1, count=10)
         # One timeout for the whole batch, not one per entry.
-        assert excinfo.value.cost == pytest.approx(net.config.fault_timeout_cost)
+        assert excinfo.value.cost == pytest.approx(FAULT_TIMEOUT_COST)
 
 
 # ======================================================================
 # closed-form cost model (zero faults, cold cache)
 # ======================================================================
 class TestCostModel:
-    def build(self, network=None):
+    def build(self):
         graph = make_random_graph(num_vertices=120, num_edges=500, seed=11)
         placement = HashPartitioner(salt=11).partition(graph, 4)
-        return HermesCluster.from_graph(
-            graph, num_servers=4, partitioning=placement, network=network
-        )
+        return HermesCluster.from_graph(graph, num_servers=4, partitioning=placement)
 
     def test_batching_saves_exactly_the_amortized_round_trips(self):
         """Per query: the per-entry model, minus one round trip + RPC
         dispatch for every entry that rode someone else's message, plus
         the per-entry marginal."""
         cluster = self.build()
-        cfg = cluster.network.config
         saved_any = False
         for start in sorted(cluster.graph.vertices())[:30]:
             messages_before = cluster.network.stats.messages
@@ -96,20 +101,20 @@ class TestCostModel:
             assert messages <= result.remote_hops
             saved_any |= messages < result.remote_hops
             expected = (
-                per_entry_model(cfg, result)
+                per_entry_model(result)
                 - (result.remote_hops - messages)
-                * (cfg.remote_hop_cost + cfg.remote_service_cost)
-                + result.remote_hops * cfg.batch_entry_cost
+                * (REMOTE_HOP_COST + REMOTE_SERVICE_COST)
+                + result.remote_hops * BATCH_ENTRY_COST
             )
             assert result.cost == pytest.approx(expected)
         assert saved_any, "trace never put two entries on one link"
 
     def test_never_costlier_than_per_entry_without_the_marginal(self):
-        cluster = self.build(network=NetworkConfig(batch_entry_cost=0.0))
-        cfg = cluster.network.config
+        cluster = self.build()
         for start in sorted(cluster.graph.vertices())[:30]:
             result = cluster.traverse(start, hops=2)
-            assert result.cost <= per_entry_model(cfg, result) * (1 + 1e-9)
+            batched = result.cost - result.remote_hops * BATCH_ENTRY_COST
+            assert batched <= per_entry_model(result) * (1 + 1e-9)
 
     def test_equals_per_entry_model_when_every_link_carries_one_entry(self):
         """A single cut edge: one entry on one link, nothing amortized —
@@ -118,18 +123,15 @@ class TestCostModel:
         graph = SocialGraph.from_edges([(0, 1)])
         cluster = build_cluster(graph, {0: 0, 1: 1}, num_servers=2)
         result = cluster.traverse(0, hops=1)
-        cfg = cluster.network.config
         assert result.remote_hops == 1
         # the bulk load's ghost shipment + the query's one message
         assert cluster.network.stats.messages == 2
-        assert result.cost == pytest.approx(
-            per_entry_model(cfg, result) + cfg.batch_entry_cost
-        )
-        assert per_entry_model(cfg, result) == pytest.approx(
-            cfg.client_dispatch_cost
-            + 2 * cfg.local_visit_cost
-            + cfg.remote_hop_cost
-            + cfg.remote_service_cost
+        assert result.cost == pytest.approx(per_entry_model(result) + BATCH_ENTRY_COST)
+        assert per_entry_model(result) == pytest.approx(
+            CLIENT_DISPATCH_COST
+            + 2 * LOCAL_VISIT_COST
+            + REMOTE_HOP_COST
+            + REMOTE_SERVICE_COST
         )
 
 
@@ -208,9 +210,7 @@ class TestCacheAfterMigration:
         # The old home serves the batched message and the forward: one
         # RPC dispatch each.
         busy = cluster.servers[0].busy_counter.value
-        assert busy - old_home_busy == pytest.approx(
-            2 * cluster.network.config.remote_service_cost
-        )
+        assert busy - old_home_busy == pytest.approx(2 * REMOTE_SERVICE_COST)
         # The corrected entry makes the next query cheaper (no forward).
         repeat = cluster.traverse(2, hops=1)
         assert set(repeat.response) == {2, 0}
@@ -298,10 +298,7 @@ class TestFaultRegressions:
         )
         properties, cost = cluster.read_vertex(1)
         assert properties == {}
-        cfg = cluster.network.config
-        assert cost == pytest.approx(
-            cfg.client_dispatch_cost + cfg.fault_timeout_cost
-        )
+        assert cost == pytest.approx(CLIENT_DISPATCH_COST + FAULT_TIMEOUT_COST)
         # The healthy server still serves reads normally.
         _, healthy_cost = cluster.read_vertex(0)
         assert healthy_cost < cost
@@ -315,11 +312,11 @@ class TestFaultRegressions:
         # and the re-raised fault carries the whole broadcast's cost.
         assert net.stats.messages == 2
         assert excinfo.value.cost == pytest.approx(
-            net.config.fault_timeout_cost + 2 * net.config.remote_hop_cost
+            FAULT_TIMEOUT_COST + 2 * REMOTE_HOP_COST
         )
 
     def test_broadcast_zero_fault_cost_unchanged(self):
         net = SimulatedNetwork(4)
         cost = net.broadcast(0)
-        assert cost == pytest.approx(3 * net.config.remote_hop_cost)
+        assert cost == pytest.approx(3 * REMOTE_HOP_COST)
         assert net.stats.messages == 3

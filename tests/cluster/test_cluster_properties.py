@@ -23,6 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import (
+    BATCH_ENTRY_COST,
+    REMOTE_HOP_COST,
+    REMOTE_SERVICE_COST,
+)
 from repro.core.migration import build_migration_plan
 from repro.exceptions import MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
@@ -78,7 +83,6 @@ def test_traversal_matches_reference_ball_and_cost_model(data):
     cluster = HermesCluster.from_graph(
         graph.copy(), num_servers=num_servers, partitioning=placement
     )
-    cfg = cluster.network.config
     rng = random.Random(seed)
     for _ in range(6):
         start = rng.randrange(graph.num_vertices)
@@ -89,13 +93,13 @@ def test_traversal_matches_reference_ball_and_cost_model(data):
         assert set(result.response) == k_ball(graph, start, hops)
         assert result.failed_partitions == ()
         amortized = (result.remote_hops - messages) * (
-            cfg.remote_hop_cost + cfg.remote_service_cost
+            REMOTE_HOP_COST + REMOTE_SERVICE_COST
         )
         assert amortized >= 0
         assert result.cost == pytest.approx(
-            per_entry_model(cfg, result)
+            per_entry_model(result)
             - amortized
-            + result.remote_hops * cfg.batch_entry_cost
+            + result.remote_hops * BATCH_ENTRY_COST
         )
 
 

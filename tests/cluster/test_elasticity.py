@@ -35,7 +35,7 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.serving.frontend import ServingFrontend
 from repro.storage.graph_store import GraphStore
 from repro.storage.wal import WriteAheadLog
-from tests.conftest import link_down_plan, make_random_graph
+from tests.conftest import link_down_plan, make_random_graph, new_vertex_on
 
 
 def durable_cluster(num_servers=4, num_vertices=48, num_edges=120, seed=7):
@@ -208,7 +208,8 @@ def test_every_cluster_transaction_boundary_recovers(monkeypatch):
         if home(x) != home(u) and not cluster.graph.has_edge(u, x)
     ][:2]
     cluster.add_vertex(
-        100, properties={"name": "new", "tags": ["a", "b"]}, server=home(u)
+        new_vertex_on(cluster, home(u), 100),
+        properties={"name": "new", "tags": ["a", "b"]},
     )
     cluster.add_edge(u, v, properties={"since": 2015})
     cluster.attach_faults(link_down_plan(home(u), home(w)))
@@ -436,11 +437,12 @@ class TestCrashRecovery:
         graph = make_dataset("orkut", 120, seed=7).graph
         HermesCluster.from_graph(graph, num_servers=4).save(str(tmp_path))
         cluster = HermesCluster.load_cluster(str(tmp_path), durability=True)
-        cluster.add_vertex(10001, server=1)
+        fresh = new_vertex_on(cluster, 1, 10001)
+        cluster.add_vertex(fresh)
         live = logical_store_snapshot(cluster.servers[1].store)
         episode = cluster.crash_recover_server(1)
         assert episode["pre"] == episode["post"] == live
-        assert 10001 in episode["post"]["nodes"]
+        assert fresh in episode["post"]["nodes"]
         cluster.validate()
 
     def test_recovery_disagreeing_with_the_catalog_changes_nothing(self):
@@ -448,7 +450,7 @@ class TestCrashRecovery:
         rejected before it is swapped in: typed error, server back in
         CRASHED, its store, log and the recovery log untouched."""
         cluster = durable_cluster()
-        cluster.add_vertex(3000, server=2)
+        cluster.add_vertex(new_vertex_on(cluster, 2, 3000))
         server = cluster.servers[2]
         frames = list(server.journal.wal.frames())
         replace_log(server.journal, frames[:-1])  # lose the insert's commit

@@ -10,7 +10,13 @@ import pytest
 
 from repro.cluster.faults import CrashWindow, FaultInjector, FaultPlan, RetryPolicy
 from repro.cluster.hermes import HermesCluster
-from repro.cluster.network import LinkStats, SimulatedNetwork
+from repro.cluster.network import (
+    BATCH_BASE_BYTES,
+    BATCH_ENTRY_BYTES,
+    FAULT_TIMEOUT_COST,
+    LinkStats,
+    SimulatedNetwork,
+)
 from repro.core.migration import build_migration_plan
 from repro.exceptions import (
     ClusterError,
@@ -106,18 +112,14 @@ class TestFaultInjector:
 # RetryPolicy
 # ======================================================================
 class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(PartitioningError):
-            RetryPolicy(max_attempts=0)
-
     def test_backoff_is_bounded(self):
-        policy = RetryPolicy(base_backoff=0.01, multiplier=10.0, max_backoff=0.05)
-        assert policy.backoff(1) == 0.01
-        assert policy.backoff(2) == 0.05
-        assert policy.backoff(9) == 0.05
+        assert RetryPolicy.backoff(1) == 2e-3
+        assert RetryPolicy.backoff(2) == 4e-3
+        assert RetryPolicy.backoff(6) == pytest.approx(0.064)
+        assert RetryPolicy.backoff(7) == 0.1
+        assert RetryPolicy.backoff(9) == 0.1
 
     def test_succeeds_after_transient_failures(self):
-        policy = RetryPolicy(max_attempts=4, base_backoff=0.01, multiplier=2.0)
         calls = {"n": 0}
 
         def op():
@@ -126,25 +128,23 @@ class TestRetryPolicy:
                 raise MessageLossError(0, 1, cost=0.1)
             return "done"
 
-        result, wasted = policy.call(op)
+        result, wasted = RetryPolicy.call(op)
         assert result == "done"
         assert calls["n"] == 3
         # Two failed attempts (0.1 each) plus two backoff pauses.
-        assert wasted == pytest.approx(0.1 + 0.01 + 0.1 + 0.02)
+        assert wasted == pytest.approx(0.1 + 2e-3 + 0.1 + 4e-3)
 
     def test_exhaustion_reraises_with_cumulative_cost(self):
-        policy = RetryPolicy(max_attempts=3, base_backoff=0.01, multiplier=2.0)
-
         def op():
             raise MessageLossError(0, 1, cost=0.1)
 
         with pytest.raises(MessageLossError) as info:
-            policy.call(op)
-        # Three attempt timeouts plus the two pauses between them.
-        assert info.value.cost == pytest.approx(0.3 + 0.01 + 0.02)
+            RetryPolicy.call(op)
+        # Four attempt timeouts plus the three pauses between them.
+        assert RetryPolicy.MAX_ATTEMPTS == 4
+        assert info.value.cost == pytest.approx(0.4 + 2e-3 + 4e-3 + 8e-3)
 
     def test_retry_advances_injector_and_notifies(self):
-        policy = RetryPolicy(max_attempts=2, base_backoff=0.5, max_backoff=0.5)
         injector = FaultInjector(FaultPlan())
         seen = []
 
@@ -153,15 +153,14 @@ class TestRetryPolicy:
                 raise MessageLossError(0, 1, cost=0.0)
             return 1
 
-        result, _ = policy.call(
+        result, _ = RetryPolicy.call(
             op, injector=injector, on_retry=lambda exc, pause: seen.append(pause)
         )
         assert result == 1
-        assert seen == [0.5]
-        assert injector.inflight == pytest.approx(0.5)
+        assert seen == [2e-3]
+        assert injector.inflight == pytest.approx(2e-3)
 
     def test_non_fault_errors_propagate_immediately(self):
-        policy = RetryPolicy(max_attempts=5)
         calls = {"n": 0}
 
         def op():
@@ -169,7 +168,7 @@ class TestRetryPolicy:
             raise ClusterError("not injected")
 
         with pytest.raises(ClusterError):
-            policy.call(op)
+            RetryPolicy.call(op)
         assert calls["n"] == 1
 
 
@@ -186,7 +185,7 @@ class TestNetworkFaults:
             cluster.network.remote_hop(0, 1)
         # A lost message is never accounted as delivered traffic.
         assert cluster.network.stats.messages == messages_before
-        assert info.value.cost == cluster.network.config.fault_timeout_cost
+        assert info.value.cost == FAULT_TIMEOUT_COST
 
     def test_downed_server_rejects_requests(self):
         graph = SocialGraph()
@@ -196,9 +195,11 @@ class TestNetworkFaults:
             crash_plan(0)
         )
         with pytest.raises(ServerDownError):
-            cluster.servers[0].read_vertex(0)
-        with pytest.raises(ServerDownError):
             cluster.servers[0].check_up()
+        cluster.servers[1].check_up()
+        # The cluster's read body degrades against the crashed host.
+        properties, _ = cluster.read_vertex(0)
+        assert properties == {}
 
     def test_detach_restores_zero_fault_behavior(self):
         graph = SocialGraph.from_edges([(0, 1)])
@@ -418,7 +419,7 @@ class TestFaultConservation:
         net, registry = self.lossy_network(link_down_plan())
         with pytest.raises(FaultInjectedError):
             net.batched_hops({(0, 2): 3, (0, 1): 10, (1, 2): 2})
-        size = net.config.batch_base_bytes + 3 * net.config.batch_entry_bytes
+        size = BATCH_BASE_BYTES + 3 * BATCH_ENTRY_BYTES
         assert net.stats.per_link == {(0, 2): LinkStats(1, size)}
         assert registry.total("network_messages_total") == 1
         assert registry.total("network_bytes_total") == size

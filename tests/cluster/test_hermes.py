@@ -427,12 +427,3 @@ class TestMetrics:
     def test_repr(self, small_cluster):
         assert "HermesCluster" in repr(small_cluster)
 
-
-class TestConstructorDefaults:
-    def test_clusters_do_not_share_a_network_config(self):
-        from repro.cluster.network import NetworkConfig
-
-        first = HermesCluster(2)
-        second = HermesCluster(2)
-        assert first.network.config is not second.network.config
-        assert first.network.config == NetworkConfig()

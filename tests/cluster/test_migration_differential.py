@@ -36,6 +36,7 @@ from tests.conftest import (
     build_placed_cluster,
     crash_plan,
     make_random_graph,
+    new_vertex_on,
     store_state,
     telemetry_snapshot,
 )
@@ -173,8 +174,9 @@ def build_twin(reference, durable):
     commit_all(cluster.servers)
     for index, (u, v) in enumerate(PROPERTY_EDGES):
         cluster.add_edge(u, v, properties={"since": 2000 + index, "w": index / 4})
-    cluster.add_vertex(1000, properties={"name": "late", "age": 3}, server=1)
-    cluster.add_edge(1000, 4, properties={"kind": "friend"})
+    late = new_vertex_on(cluster, 1, 1000)
+    cluster.add_vertex(late, properties={"name": "late", "age": 3})
+    cluster.add_edge(late, 4, properties={"kind": "friend"})
     return cluster
 
 

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cluster.network import LinkStats, NetworkConfig, SimulatedNetwork
+from repro.cluster.network import (
+    BATCH_BASE_BYTES,
+    BATCH_ENTRY_BYTES,
+    LOCAL_VISIT_COST,
+    REMOTE_HOP_COST,
+    LinkStats,
+    SimulatedNetwork,
+)
 from repro.exceptions import ClusterError
 from repro.telemetry import Telemetry
 
@@ -10,12 +17,12 @@ from repro.telemetry import Telemetry
 class TestCosts:
     def test_local_visit_cost(self):
         network = SimulatedNetwork(4)
-        assert network.local_visit() == network.config.local_visit_cost
+        assert network.local_visit() == LOCAL_VISIT_COST
 
     def test_remote_hop_counts_message(self):
         network = SimulatedNetwork(4)
         cost = network.remote_hop(0, 1)
-        assert cost == network.config.remote_hop_cost
+        assert cost == REMOTE_HOP_COST
         assert network.stats.messages == 1
         assert network.stats.per_link[(0, 1)].messages == 1
         assert network.stats.per_link[(0, 1)].bytes == 256
@@ -37,7 +44,7 @@ class TestCosts:
     def test_broadcast_reaches_everyone_else(self):
         network = SimulatedNetwork(4)
         cost = network.broadcast(0)
-        assert cost == pytest.approx(3 * network.config.remote_hop_cost)
+        assert cost == pytest.approx(3 * REMOTE_HOP_COST)
         assert network.stats.messages == 3
 
     def test_validation(self):
@@ -53,8 +60,7 @@ class TestCosts:
         joined = network.add_server()
         network.remote_hop(0, joined, size=20)
         network.batched_hop(joined, 1, count=3)
-        config = network.config
-        batch = config.batch_base_bytes + 3 * config.batch_entry_bytes
+        batch = BATCH_BASE_BYTES + 3 * BATCH_ENTRY_BYTES
         assert network.stats.per_link == {
             (0, 1): LinkStats(1, 10),
             (0, 2): LinkStats(1, 20),
@@ -63,12 +69,6 @@ class TestCosts:
         assert [len(row) for row in network.link_bytes] == [3, 3, 3]
         with pytest.raises(ClusterError):
             network.remote_hop(0, 3)
-
-    def test_custom_config(self):
-        config = NetworkConfig(local_visit_cost=1.0, remote_hop_cost=10.0)
-        network = SimulatedNetwork(2, config)
-        assert network.local_visit() == 1.0
-        assert network.remote_hop(0, 1) == 10.0
 
 
 class TestTopLinks:
@@ -114,14 +114,6 @@ class TestTopLinks:
         assert [link for link, _ in top] == [(0, 1), (1, 2), (2, 3)]
 
 
-class TestConfigDefaults:
-    def test_each_network_gets_a_fresh_config(self):
-        first = SimulatedNetwork(2)
-        second = SimulatedNetwork(2)
-        assert first.config is not second.config
-        assert first.config == NetworkConfig()
-
-
 class TestTelemetryMirror:
     def test_counters_match_legacy_stats(self):
         hub = Telemetry()
@@ -144,7 +136,7 @@ class TestTelemetryMirror:
             network.remote_hop(0, 1)
         hist = hub.histogram("network_hop_seconds")
         assert hist.count == 5
-        assert hist.sum == pytest.approx(5 * network.config.remote_hop_cost)
+        assert hist.sum == pytest.approx(5 * REMOTE_HOP_COST)
 
     def test_link_gauge_export(self):
         hub = Telemetry()

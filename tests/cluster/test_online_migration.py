@@ -39,6 +39,7 @@ from tests.conftest import (
     deep_snapshot,
     drain,
     make_random_graph,
+    new_vertex_on,
     telemetry_snapshot,
 )
 
@@ -76,10 +77,11 @@ def by_content(snapshot):
 
 def write_into_window(cluster, fresh):
     """One round of writes touching vertices 0 and 3 while they move to
-    server 2: a new vertex there joining 0, edges with properties both
-    ways between 0 and two residents of server 2, the edge 0-3 and an
-    edge into 3."""
-    cluster.add_vertex(fresh, server=2)
+    server 2: a new vertex there joining 0 (the first id from ``fresh``
+    up that hashes to server 2), edges with properties both ways between
+    0 and two residents of server 2, the edge 0-3 and an edge into 3."""
+    fresh = new_vertex_on(cluster, 2, fresh)
+    cluster.add_vertex(fresh)
     residents = [
         vertex
         for vertex in sorted(cluster.catalog.vertices_on(2))

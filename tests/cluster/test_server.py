@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.hermes import HermesCluster
 from repro.cluster.server import HermesServer
 from repro.exceptions import ClusterError
 from tests.conftest import store_state
@@ -16,24 +17,35 @@ def server():
 
 
 class TestReads:
-    def test_read_vertex_writes_nothing(self, server):
-        server.store.set_node_property(1, "name", "bob")
-        before = store_state(server.store)
-        props = server.read_vertex(1)
-        assert props == {"name": "bob"}
-        assert store_state(server.store) == before
-        assert server.store.node(1).weight == 1.0
-        assert server.reads_counter.value == 1
-        assert server.writes_counter.value == 0
+    """Single-record reads have one body, the cluster's: it reads the
+    home server's store and counts the read on that server."""
 
-    def test_read_missing_vertex(self, server):
-        with pytest.raises(ClusterError):
-            server.read_vertex(99)
+    @pytest.fixture
+    def cluster(self):
+        cluster = HermesCluster(2)
+        for i in range(4):
+            cluster.add_vertex(i, properties={"name": f"user-{i}"})
+        return cluster
 
-    def test_read_unavailable_vertex(self, server):
-        server.store.set_available(1, False)
+    def test_read_vertex_writes_nothing(self, cluster):
+        home = cluster.servers[cluster.catalog.lookup(1)]
+        before = store_state(home.store)
+        writes = home.writes_counter.value
+        props, _ = cluster.read_vertex(1)
+        assert props == {"name": "user-1"}
+        assert store_state(home.store) == before
+        assert home.store.node(1).weight == 1.0
+        assert home.reads_counter.value == 1
+        assert home.writes_counter.value == writes
+
+    def test_read_missing_vertex(self, cluster):
         with pytest.raises(ClusterError):
-            server.read_vertex(1)
+            cluster.read_vertex(99)
+
+    def test_read_unavailable_vertex(self, cluster):
+        cluster.servers[cluster.catalog.lookup(1)].store.set_available(1, False)
+        with pytest.raises(ClusterError):
+            cluster.read_vertex(1)
 
     def test_expand(self, server):
         """The traversal engine's expansion step is a bulk store read."""

@@ -28,6 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.faults import CrashWindow, FaultPlan
+from repro.cluster.network import (
+    BATCH_ENTRY_COST,
+    REMOTE_HOP_COST,
+    REMOTE_SERVICE_COST,
+)
 from repro.exceptions import FaultInjectedError, ServerDownError
 from repro.graph.adjacency import SocialGraph
 from tests.conftest import (
@@ -43,7 +48,7 @@ VERTICES = 24
 
 def per_entry_run_depth(self, frontier, depth, state):
     """The depth as it ran before the bulk read: one entry at a time."""
-    remote_service = self.network.config.remote_service_cost
+    remote_service = REMOTE_SERVICE_COST
     groups = {}
     for vertex, host, from_host in frontier:
         if host != from_host and host not in state.failed:
@@ -351,11 +356,10 @@ def test_host_dying_behind_a_stale_forward_loses_only_its_later_expansions():
         cluster.traverse(0, 1)  # the home server caches y -> old_home
         migrate_moves(cluster, {y: (old_home, new_home)})  # ... now stale
 
-        config = cluster.network.config
         delivered = (  # depth 1's two messages: home->dying (x, z), home->old_home (y)
-            2 * config.remote_hop_cost + 3 * config.batch_entry_cost
+            2 * REMOTE_HOP_COST + 3 * BATCH_ENTRY_COST
         )
-        opens = cluster.now + delivered + config.remote_hop_cost / 2
+        opens = cluster.now + delivered + REMOTE_HOP_COST / 2
         cluster.attach_faults(
             FaultPlan(crash_windows=(CrashWindow(dying, opens, opens + 1.0),))
         )

@@ -23,6 +23,7 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.serving.frontend import ServingFrontend
 from repro.storage.records import FixedRecordStore
 from repro.storage.wal import WriteAheadLog
+from tests.conftest import new_vertex_on
 
 SERVERS = 4
 
@@ -78,13 +79,14 @@ def test_writes_are_one_transaction_per_touched_server(wal):
     cluster = loaded_cluster()
     home = cluster.catalog.lookup
     wal["flushes"] = 0
-    cluster.add_vertex(10**6, properties={"name": "x"}, server=0)
+    fresh = new_vertex_on(cluster, 0, 10**6)
+    cluster.add_vertex(fresh, properties={"name": "x"})
     assert wal["flushes"] == 1  # the parent: 2
-    local = next(v for v in sorted(cluster.graph.vertices()) if home(v) == 0 and v != 10**6)
+    local = next(v for v in sorted(cluster.graph.vertices()) if home(v) == 0 and v != fresh)
     remote = next(v for v in sorted(cluster.graph.vertices()) if home(v) == 1)
-    cluster.add_edge(10**6, local)
+    cluster.add_edge(fresh, local)
     assert wal["flushes"] == 2
-    cluster.add_edge(10**6, remote)
+    cluster.add_edge(fresh, remote)
     assert wal["flushes"] == 4
 
 

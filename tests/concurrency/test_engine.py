@@ -1,5 +1,7 @@
 """ConcurrentExecutor: interleaved operations against a real cluster."""
 
+import dataclasses
+
 import pytest
 
 from repro.concurrency import ConcurrencyConfig
@@ -25,7 +27,7 @@ def build_cluster(n=40, edges=80, servers=3, seed=5, **kwargs):
 class TestConfig:
     def test_config_round_trips(self):
         config = ConcurrencyConfig(check_window_coherence=False)
-        assert ConcurrencyConfig.from_dict(config.to_dict()) == config
+        assert ConcurrencyConfig.from_dict(dataclasses.asdict(config)) == config
 
     def test_from_dict_ignores_retired_keys(self):
         # Old replay artifacts and the e2e benchmark adapter may still

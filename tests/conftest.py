@@ -2,7 +2,8 @@
 
 Beyond the small deterministic graph/cluster fixtures, this module hosts
 the scenario builders the cluster test modules used to duplicate:
-explicitly-placed clusters (:func:`build_placed_cluster`), direct
+explicitly-placed clusters (:func:`build_placed_cluster`), a new
+vertex id placed on a chosen server (:func:`new_vertex_on`), direct
 migrations (:func:`migrate_moves`), the replica-placement oracle and view
 (:func:`oracle_placements`, :func:`view_placements`), deep multi-layer state snapshots
 (:func:`deep_snapshot`), physical store images for the differential
@@ -20,6 +21,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from repro.cluster import network
 from repro.cluster.faults import CrashWindow, FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.replication import OneHopReplicator
@@ -37,7 +39,8 @@ from repro.storage.records import FixedRecordStore
 #: the phase-1 differential in ``tests/core/test_phase1_columns_differential.py``,
 #: the drawn chain-write differentials in
 #: ``tests/cluster/test_migration_differential.py``, the drawn bulk-load
-#: differentials in ``tests/cluster/test_load_differential.py`` and the
+#: differentials in ``tests/cluster/test_load_differential.py``, the
+#: drawn bad-input property in ``tests/cluster/test_bad_input.py`` and the
 #: rollback-atomicity property
 #: ``test_aborted_migration_restores_state_exactly`` in
 #: ``tests/cluster/test_cluster_properties.py``).
@@ -72,6 +75,15 @@ def build_placed_cluster(graph, placement, num_servers=3, **kwargs):
     return HermesCluster.from_graph(
         graph, num_servers=num_servers, partitioning=partitioning, **kwargs
     )
+
+
+def new_vertex_on(cluster, server, start):
+    """The first id from ``start`` up that is not catalogued and that the
+    cluster's hash placement puts on ``server``."""
+    vertex = start
+    while vertex in cluster.catalog or cluster.placement_target(vertex) != server:
+        vertex += 1
+    return vertex
 
 
 def migrate_moves(cluster, moves):
@@ -183,15 +195,15 @@ def drain(generator):
             return steps, stop.value
 
 
-def per_entry_model(config, result):
+def per_entry_model(result):
     """What a traversal would cost at one message per remote frontier
     entry: every remote step pays its own round trip and RPC dispatch
     (the closed-form baseline of DESIGN.md section 9)."""
     return (
-        config.client_dispatch_cost
+        network.CLIENT_DISPATCH_COST
         + result.remote_hops
-        * (config.remote_hop_cost + config.remote_service_cost)
-        + result.processed * config.local_visit_cost
+        * (network.REMOTE_HOP_COST + network.REMOTE_SERVICE_COST)
+        + result.processed * network.LOCAL_VISIT_COST
     )
 
 

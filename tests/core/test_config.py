@@ -19,12 +19,6 @@ class TestValidation:
         with pytest.raises(PartitioningError):
             RepartitionerConfig(k=0)
 
-    def test_k_fraction_bounds(self):
-        with pytest.raises(PartitioningError):
-            RepartitionerConfig(k_fraction=0.0)
-        with pytest.raises(PartitioningError):
-            RepartitionerConfig(k_fraction=1.5)
-
     def test_max_iterations_positive(self):
         with pytest.raises(PartitioningError):
             RepartitionerConfig(max_iterations=0)
@@ -40,9 +34,9 @@ class TestEffectiveK:
         assert RepartitionerConfig(k=42).effective_k(10**6) == 42
 
     def test_fraction_derivation(self):
-        config = RepartitionerConfig(k_fraction=0.01)
+        config = RepartitionerConfig()
         assert config.effective_k(1000) == 10
 
     def test_minimum_one(self):
-        config = RepartitionerConfig(k_fraction=0.001)
+        config = RepartitionerConfig()
         assert config.effective_k(10) == 1

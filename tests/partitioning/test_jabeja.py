@@ -49,5 +49,3 @@ class TestJaBeJa:
     def test_validation(self):
         with pytest.raises(PartitioningError):
             JaBeJaPartitioner(rounds=0)
-        with pytest.raises(PartitioningError):
-            JaBeJaPartitioner(initial_temperature=0.5)

@@ -5,14 +5,10 @@ import random
 import pytest
 
 from repro.exceptions import InvalidPartitionError
-from repro.graph.generators import community_graph, orkut_like
+from repro.graph.generators import community_graph
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
-from repro.partitioning.metrics import (
-    edge_cut,
-    edge_cut_fraction,
-    imbalance_factor,
-)
+from repro.partitioning.metrics import edge_cut, imbalance_factor
 from repro.partitioning.multilevel import MultilevelPartitioner, WeightedGraph
 from repro.partitioning.multilevel.coarsening import contract
 from repro.partitioning.multilevel.matching import heavy_edge_matching
@@ -136,21 +132,11 @@ class TestPartitioner:
         hashed = HashPartitioner().partition(graph, 4)
         assert edge_cut(graph, metis) < 0.5 * edge_cut(graph, hashed)
 
-    def test_kway_scheme(self):
-        dataset = orkut_like(n=300, seed=8)
-        partitioning = MultilevelPartitioner(scheme="kway", seed=8).partition(
-            dataset.graph, 4
-        )
-        assert edge_cut_fraction(dataset.graph, partitioning) < 0.7
-
-    def test_both_schemes_far_better_than_random(self):
+    def test_far_better_than_random_at_eight_partitions(self):
         graph = community_graph(500, intra_probability=0.8, seed=9)
         hashed = HashPartitioner().partition(graph, 8)
-        for scheme in ("rb", "kway"):
-            partitioning = MultilevelPartitioner(scheme=scheme, seed=9).partition(
-                graph, 8
-            )
-            assert edge_cut(graph, partitioning) < 0.5 * edge_cut(graph, hashed)
+        partitioning = MultilevelPartitioner(seed=9).partition(graph, 8)
+        assert edge_cut(graph, partitioning) < 0.5 * edge_cut(graph, hashed)
 
     def test_single_partition(self, small_graph):
         partitioning = MultilevelPartitioner(seed=1).partition(small_graph, 1)
@@ -173,7 +159,5 @@ class TestPartitioner:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidPartitionError):
             MultilevelPartitioner(epsilon=0.9)
-        with pytest.raises(InvalidPartitionError):
-            MultilevelPartitioner(scheme="magic")
         with pytest.raises(InvalidPartitionError):
             MultilevelPartitioner(tries=0)

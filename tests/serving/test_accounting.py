@@ -1,8 +1,8 @@
-"""Per-tenant metering and credit gating, through the front door.
+"""Per-tenant metering, through the front door.
 
 A tenant's counts live only in its cluster-labelled registry series:
-``ServingFrontend.submit`` meters, attributes and gates through them,
-and ``snapshot()["tenants"]`` reads them back.
+``ServingFrontend.submit`` meters and attributes through them, and
+``snapshot()["tenants"]`` reads them back.
 """
 
 import json
@@ -73,10 +73,10 @@ class TestMetering:
         assert tenant_series(frontend, "tenant_replica_reads_total", "alpha") == 1
 
     def test_sheds_are_counted_per_tenant_and_reason(self):
-        config = ServingConfig(max_queue_delay=0.5e-3, tenant_credits=2.0)
+        config = ServingConfig(max_queue_delay=0.5e-3)
         frontend = make_frontend(config)
-        # A back-to-back burst overloads the queue; two later reads spend
-        # the credit the burst left and then find none.
+        # A back-to-back burst overloads the queue; two later reads find
+        # it drained.
         outcomes = [
             frontend.submit(
                 "traverse", i, hops=2, client="c0", priority=Priority.BATCH
@@ -93,7 +93,7 @@ class TestMetering:
             if outcome.status == SHED:
                 reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
         frontend.submit("read", 0, client="c1", now=3.0)
-        assert reasons == {"overload_shed": 19, "insufficient_credits": 1}
+        assert reasons == {"overload_shed": 19}
         for reason in SHED_REASONS:
             assert tenant_series(
                 frontend, "tenant_ops_total", "c0", outcome="shed", reason=reason
@@ -114,53 +114,23 @@ class TestMetering:
             "shed": 0,
             "cost_seconds": cost,
             "replica_reads": 0,
-            "credits": None,  # gating disabled
         }
         assert json.loads(json.dumps(tenants)) == tenants
 
     def test_metering_without_credits_never_sheds(self):
-        frontend = make_frontend(ServingConfig(tenant_credits=None))
+        frontend = make_frontend()
         for i in range(100):
             outcome = frontend.submit("read", i % 30, client="t", now=i * 1.0)
             assert outcome.status == COMPLETED
         assert frontend.snapshot()["tenants"]["t"]["admitted"] == 100
         registry = frontend.telemetry.registry
-        assert "tenant_credits_remaining" not in {
-            family.name for family in registry.families()
+        assert {
+            family.name
+            for family in registry.families()
+            if family.name.startswith("tenant_")
+        } == {
+            "tenant_ops_total",
+            "tenant_cost_seconds_total",
+            "tenant_replica_reads_total",
         }
 
-
-class TestCreditGating:
-    def test_balance_depletes_and_gates(self):
-        config = ServingConfig(tenant_credits=2.0, credit_per_op=1.0)
-        frontend = make_frontend(config)
-        outcomes = [
-            frontend.submit("read", i, client="t", now=i * 1.0) for i in range(3)
-        ]
-        assert [o.status for o in outcomes] == [COMPLETED, COMPLETED, SHED]
-        assert outcomes[2].reason == "insufficient_credits"
-        assert tenant_series(frontend, "tenant_credits_remaining", "t") == 0.0
-        snap = check_conservation(frontend)
-        assert snap["shed_by_reason"]["insufficient_credits"] == 1
-
-    def test_cost_proportional_debit(self):
-        config = ServingConfig(
-            tenant_credits=10.0, credit_per_op=1.0, credits_per_cost_second=1000.0
-        )
-        frontend = make_frontend(config)
-        outcome = frontend.submit("traverse", 0, hops=2, client="t")
-        expected = 10.0 - (1.0 + outcome.cost * 1000.0)
-        assert expected < 9.0
-        assert frontend.snapshot()["tenants"]["t"]["credits"] == expected
-        assert tenant_series(frontend, "tenant_credits_remaining", "t") == expected
-
-    def test_tenants_are_isolated(self):
-        config = ServingConfig(tenant_credits=1.0, credit_per_op=1.0)
-        frontend = make_frontend(config)
-        assert frontend.submit("read", 0, client="poor", now=0.0).admitted
-        shed = frontend.submit("read", 1, client="poor", now=1.0)
-        assert shed.reason == "insufficient_credits"
-        assert frontend.submit("read", 2, client="rich", now=2.0).admitted
-        tenants = frontend.snapshot()["tenants"]
-        assert tenants["poor"]["shed"] == 1
-        assert tenants["rich"]["shed"] == 0

@@ -14,7 +14,6 @@ def config():
         max_queue_delay=1e-3,
         throttle_utilization=0.6,
         shed_utilization=0.9,
-        resume_utilization=0.4,
     )
 
 

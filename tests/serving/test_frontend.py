@@ -107,19 +107,6 @@ class TestShedding:
                 outcomes[priority] += outcome.status != SHED
         assert outcomes[Priority.INTERACTIVE] >= outcomes[Priority.BATCH]
 
-    def test_credit_exhaustion_sheds_before_queue(self):
-        config = ServingConfig(tenant_credits=3.0)
-        frontend = make_frontend(config)
-        outcomes = [
-            frontend.submit("read", i, client="t", now=i * 1.0) for i in range(5)
-        ]
-        assert [o.status for o in outcomes[:3]] == [COMPLETED] * 3
-        assert [o.status for o in outcomes[3:]] == [SHED] * 2
-        assert all(o.reason == "insufficient_credits" for o in outcomes[3:])
-        snap = check_conservation(frontend)
-        assert snap["shed_by_reason"]["insufficient_credits"] == 2
-        assert frontend.snapshot()["tenants"]["t"]["credits"] == 0.0
-
 
 class TestValidation:
     """Invalid operations are rejected before admission, so a failed
@@ -166,6 +153,30 @@ class TestValidation:
             frontend.submit("add_edge", 3, 3)
         assert check_conservation(frontend)["submitted"] == 0
         assert InvariantAuditor().audit(frontend.cluster) == []
+
+    def test_unstorable_add_vertex_raises_before_admission(self):
+        """An id too wide for a record used to be admitted and then
+        rejected by the store (StorageError): admitted 1 != completed 0 +
+        in_flight 0."""
+        frontend = make_frontend()
+        frontend.cluster.serving = frontend
+        with pytest.raises(ClusterError, match="cannot be stored"):
+            frontend.submit("add_vertex", 2**70)
+        assert check_conservation(frontend)["submitted"] == 0
+        assert InvariantAuditor().audit(frontend.cluster) == []
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0])
+    def test_bad_weight_add_vertex_raises_before_admission(self, weight):
+        frontend = make_frontend()
+        n = frontend.cluster.graph.num_vertices
+        total = frontend.cluster.aux.total_weight()
+        with pytest.raises(ClusterError, match="weight"):
+            frontend.submit("add_vertex", n, weight=weight)
+        with pytest.raises(ClusterError, match="weight"):
+            frontend.submit("add_vertex", n, weight)
+        assert frontend.conservation()["submitted"] == 0
+        assert n not in frontend.cluster.catalog
+        assert frontend.cluster.aux.total_weight() == total
 
     def test_duplicate_edge_raises_before_admission(self):
         frontend = make_frontend()
@@ -245,17 +256,16 @@ SERVING_FAMILIES = (
     "tenant_ops_total",
     "tenant_cost_seconds_total",
     "tenant_replica_reads_total",
-    "tenant_credits_remaining",
 )
 
 
-def shared_hub_pair(config=None):
+def shared_hub_pair():
     """Two front doors on clusters built under one installed hub (the
     runner's ``--telemetry-out``)."""
     previous = installed()
     install(Telemetry())
     try:
-        first, second = make_frontend(config), make_frontend(config)
+        first, second = make_frontend(), make_frontend()
     finally:
         install(previous)
     assert first.telemetry is second.telemetry
@@ -290,7 +300,7 @@ class TestSharedHub:
         """Each door binds its own series of every serving family; none
         is pooled.  The front door's location cache is told apart from
         the servers' by ``cache="front_door"``."""
-        first, second = shared_hub_pair(ServingConfig(tenant_credits=100.0))
+        first, second = shared_hub_pair()
         n = second.cluster.graph.num_vertices
         for step in range(30):
             now = step * 1e-4
@@ -322,7 +332,6 @@ class TestSharedHub:
             assert total(frontend, "serving_queue_depth") == frontend.queue.depth
             tenant = frontend.snapshot()["tenants"]["t"]
             assert tenant["admitted"] == admitted
-            assert total(frontend, "tenant_credits_remaining") == tenant["credits"]
             assert total(frontend, "location_cache_hits_total") + total(
                 frontend, "location_cache_misses_total"
             ) == lookups
@@ -334,21 +343,3 @@ class TestSharedHub:
         ) == 0
         assert total(first, "replica_updates_total") == 0
         assert total(second, "replica_updates_total") > 0
-
-    def test_each_door_gates_its_tenant_credits_on_its_own(self):
-        """One tenant spending its balance at one door leaves its
-        balance at the other untouched."""
-        first, second = shared_hub_pair(ServingConfig(tenant_credits=2.0))
-        outcomes = [
-            first.submit("read", i, client="t", now=i * 1.0) for i in range(3)
-        ]
-        assert [o.status for o in outcomes] == [COMPLETED, COMPLETED, SHED]
-        assert second.submit("read", 0, client="t", now=5.0).status == COMPLETED
-        registry = first.telemetry.registry
-        for frontend, balance in ((first, 0.0), (second, 1.0)):
-            assert registry.value(
-                "tenant_credits_remaining",
-                cluster=frontend.cluster.cluster_id,
-                tenant="t",
-            ) == balance
-        assert second.conservation()["shed"] == 0

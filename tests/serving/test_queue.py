@@ -60,13 +60,6 @@ class TestAdmitAndDrain:
             queue.try_admit(0, Priority.INTERACTIVE, now=0.0)
         check_conservation(queue, now=0.0)
 
-    def test_record_shed_counts_external_rejections(self):
-        queue = make_queue()
-        queue.record_shed("insufficient_credits", now=0.0)
-        snap = check_conservation(queue, now=0.0)
-        assert snap["submitted"] == 1
-        assert snap["shed_by_reason"]["insufficient_credits"] == 1
-
 
 class TestBacklog:
     def test_add_backlog_delays_later_admissions(self):

@@ -10,6 +10,7 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.serving import ReplicaIndex, ReplicaSynchronizer, ServingFrontend
 from repro.serving.config import ServingConfig
 from repro.serving.frontend import COMPLETED
+from repro.serving.replicas import REPLICA_UPDATE_BYTES
 from repro.telemetry import Telemetry
 from repro.telemetry.conservation import registry_conservation_violations
 from repro.workloads.queries import Traversal
@@ -179,7 +180,7 @@ class TestSynchronizer:
         assert costs[1] > 0.0
         assert (
             cluster.network.stats.bytes_sent
-            == before + config.replica_update_bytes
+            == before + REPLICA_UPDATE_BYTES
         )
         assert (
             registry_conservation_violations(cluster.telemetry, cluster.network)

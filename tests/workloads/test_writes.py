@@ -1,8 +1,5 @@
 """Tests for graph-evolution write generation."""
 
-import pytest
-
-from repro.exceptions import WorkloadError
 from repro.graph.adjacency import SocialGraph
 from repro.workloads.queries import InsertEdge, InsertVertex
 from repro.workloads.writes import GraphEvolution
@@ -10,42 +7,37 @@ from tests.conftest import make_random_graph
 
 
 class TestGraphEvolution:
-    def test_validation(self):
-        graph = SocialGraph()
-        with pytest.raises(WorkloadError):
-            GraphEvolution(graph, new_vertex_fraction=1.5)
-        with pytest.raises(WorkloadError):
-            GraphEvolution(graph, triadic_fraction=-0.1)
-
     def test_new_vertices_get_fresh_ids(self):
         graph = make_random_graph(10, 15, seed=1)
-        evolution = GraphEvolution(graph, new_vertex_fraction=1.0, seed=2)
-        ops = list(evolution.operations(5))
-        assert all(isinstance(op, InsertVertex) for op in ops)
-        ids = [op.vertex for op in ops]
-        assert len(set(ids)) == 5
+        evolution = GraphEvolution(graph, seed=2)
+        ops = list(evolution.operations(40))
+        ids = [op.vertex for op in ops if isinstance(op, InsertVertex)]
+        assert len(ids) >= 2
+        assert len(set(ids)) == len(ids)
         assert min(ids) > max(graph.vertices())
 
     def test_edges_are_valid_non_duplicates(self):
         graph = make_random_graph(30, 50, seed=3)
-        evolution = GraphEvolution(graph, new_vertex_fraction=0.0, seed=4)
+        evolution = GraphEvolution(graph, seed=4)
         for op in evolution.operations(30):
+            # Apply so subsequent ops see the updated graph.
             if isinstance(op, InsertEdge):
                 assert op.u != op.v
                 assert not graph.has_edge(op.u, op.v)
-                # Apply so subsequent ops see the updated graph.
                 graph.add_edge(op.u, op.v)
+            else:
+                graph.add_vertex(op.vertex, weight=op.weight)
 
     def test_triadic_closure_bias(self):
-        """With triadic generation, most new edges close a 2-path."""
+        """Most new edges close a 2-path: ``TRIADIC_FRACTION`` of them try
+        triadic closure first, and random pairs rarely close one."""
         graph = make_random_graph(40, 120, seed=5)
-        evolution = GraphEvolution(
-            graph, new_vertex_fraction=0.0, triadic_fraction=1.0, seed=6
-        )
+        evolution = GraphEvolution(graph, seed=6)
         closures = 0
         edges = 0
-        for op in evolution.operations(40):
+        for op in evolution.operations(60):
             if not isinstance(op, InsertEdge):
+                graph.add_vertex(op.vertex, weight=op.weight)
                 continue
             edges += 1
             if set(graph.neighbors(op.u)) & set(graph.neighbors(op.v)):
@@ -64,14 +56,16 @@ class TestGraphEvolution:
         """A concurrent client may still hold an emitted edge: the next
         write must not be the same pair again."""
         graph = SocialGraph.from_edges([(0, 1), (1, 2)])
-        evolution = GraphEvolution(
-            graph, new_vertex_fraction=0.0, triadic_fraction=1.0, seed=1
+        evolution = GraphEvolution(graph, seed=1)
+        ops = list(evolution.operations(12))
+        edges = [op for op in ops if isinstance(op, InsertEdge)]
+        # (0, 2) is the only pair left: it is handed out once, and every
+        # other write inserts a vertex.
+        assert len(edges) == 1
+        assert {edges[0].u, edges[0].v} == {0, 2}
+        assert [op.vertex for op in ops if isinstance(op, InsertVertex)] == list(
+            range(3, 14)
         )
-        first, second = evolution.next_operation(), evolution.next_operation()
-        assert isinstance(first, InsertEdge)
-        assert {first.u, first.v} == {0, 2}
-        # (0, 2) was the only pair left, so the generator inserts a vertex.
-        assert second == InsertVertex(vertex=3, weight=1.0)
 
     def test_applied_trace_is_unchanged(self):
         """Applied after each operation, the generator hands out exactly
