@@ -139,16 +139,15 @@ class LocationCache:
         """Where does ``server`` believe ``vertex`` lives?
 
         A hit returns the cached (possibly stale) host; a miss consults
-        the authoritative catalog and caches the answer.
+        the catalog and caches its answer (an unknown vertex raises, uncounted).
         """
         entries = self._entries[server]
         cached = entries.get(vertex)
         if cached is not None:
             self._hits.inc()
             return cached
+        host = entries[vertex] = self.catalog.lookup(vertex)
         self._misses.inc()
-        host = self.catalog.lookup(vertex)
-        entries[vertex] = host
         return host
 
     def resolve_from(

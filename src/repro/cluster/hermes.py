@@ -35,7 +35,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -413,17 +413,8 @@ class HermesCluster:
         """Distributed k-hop traversal; updates popularity weights."""
         result = self._engine.traverse(start, hops)
         self._advance(result.cost)
-        self.add_popularity(result.response)
+        self.aux.add_popularity(result.response)
         return result
-
-    def add_popularity(self, vertices: Iterable[int]) -> None:
-        """Every vertex a read returned gains one unit of weight in the
-        auxiliary data phase 1 balances, the one home of popularity — in
-        the given order (partition weights are order-sensitive floats
-        once :meth:`decay_weights` has run)."""
-        aux_add = self.aux.add_weight
-        for vertex in vertices:
-            aux_add(vertex, 1.0)
 
     def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
         """Single-record query; returns (properties, simulated cost).
@@ -469,7 +460,7 @@ class HermesCluster:
         server.busy_counter.inc(local)
         cost = CLIENT_DISPATCH_COST + local
         self._advance(cost)
-        self.add_popularity((vertex,))
+        self.aux.add_popularity((vertex,))
         return properties, cost, False
 
     # ==================================================================

@@ -274,18 +274,24 @@ class SimulatedNetwork:
         A message pays :data:`REMOTE_HOP_COST` once plus a marginal cost per
         entry, and its payload grows with the batch.  Faults apply per
         message, in link order: a lost batch raises like a lost single
-        hop, the messages before it staying charged.  The registry is
-        charged once per call — counters by their integer totals, the
-        histograms value by value in message order.
+        hop, the messages before it staying charged; a fault-free network
+        charges its ledger in place.  The registry is charged once per
+        call — counters by their integer totals, the histograms value by
+        value in message order.
         """
         costs: List[float] = []
         counts: List[int] = []
         sent_bytes = 0
+        link_messages, link_bytes = self.link_messages, self.link_bytes
         try:
             for (src, dst), count in links.items():
                 cost = REMOTE_HOP_COST + count * BATCH_ENTRY_COST
                 size = BATCH_BASE_BYTES + count * BATCH_ENTRY_BYTES
-                self._send(src, dst, size, cost)
+                if self.fault_injector is not None:
+                    self._send(src, dst, size, cost)
+                else:
+                    link_messages[src][dst] += 1
+                    link_bytes[src][dst] += size
                 costs.append(cost)
                 counts.append(count)
                 sent_bytes += size

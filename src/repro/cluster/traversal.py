@@ -51,11 +51,8 @@ frontier entry.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Integral
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
@@ -66,6 +63,7 @@ from repro.cluster.network import (
     SimulatedNetwork,
 )
 from repro.cluster.server import HermesServer
+from repro.core.auxiliary import is_vertex_id
 from repro.exceptions import (
     CatalogError,
     ClusterError,
@@ -75,8 +73,7 @@ from repro.exceptions import (
 from repro.telemetry import Telemetry
 
 
-@dataclass(frozen=True)
-class TraversalResult:
+class TraversalResult(NamedTuple):
     """Outcome and cost accounting of one traversal query."""
 
     start: int
@@ -105,27 +102,27 @@ class TraversalResult:
         return len(self.response) / self.processed
 
 
-@dataclass(frozen=True)
-class DepthStep:
+class DepthStep(NamedTuple):
     """One resumable slice of a traversal (dispatch or one frontier depth).
 
     Yielded by :meth:`TraversalEngine.traverse_steps` after the slice's
     cluster work has executed.  ``cost`` is the simulated client-perceived
     time the slice added; ``busy`` maps server id to the busy-seconds the
     slice charged that server — the occupancy the concurrent scheduler
-    queues on each server's event lane.
+    queues on each server's event lane.  Read ``busy``, never modify it.
     """
 
     kind: str  # "dispatch" | "hop"
     cost: float
-    busy: Dict[int, float] = field(default_factory=dict)
-    depth: int = -1
-    frontier: int = 0
+    busy: Dict[int, float]
+    depth: int
+    frontier: int
 
 
 def check_hops(hops: int) -> None:
-    """Reject a traversal depth that is not a non-negative integer."""
-    if not isinstance(hops, Integral) or hops < 0:
+    """Reject a traversal depth that is not a non-negative integer, by the
+    rule vertex ids follow (a Python or numpy integer, never a bool)."""
+    if not is_vertex_id(hops) or hops < 0:
         raise ClusterError(f"hops must be a non-negative integer, got {hops!r}")
 
 
@@ -271,7 +268,7 @@ class TraversalEngine:
             # causal cursor so depth spans line up after it.
             span.advance(cost)
         epoch = self.topology_epoch
-        yield DepthStep(kind="dispatch", cost=state.cost)
+        yield DepthStep("dispatch", state.cost, {}, -1, 0)
 
         for depth in range(hops + 1):
             if not frontier:
@@ -288,14 +285,9 @@ class TraversalEngine:
             )
             cost_before = state.cost
             next_frontier, busy = self._run_depth(frontier, depth, state)
-            depth_span.finish(duration=state.cost - cost_before)
-            yield DepthStep(
-                kind="hop",
-                cost=state.cost - cost_before,
-                busy=busy,
-                depth=depth,
-                frontier=len(frontier),
-            )
+            spent = state.cost - cost_before
+            depth_span.finish(duration=spent)
+            yield DepthStep("hop", spent, busy, depth, len(frontier))
             frontier = next_frontier
 
         self._traversals.inc()
@@ -314,14 +306,9 @@ class TraversalEngine:
             span.set_attribute("failed_partitions", sorted(state.failed))
         span.finish(duration=state.cost)
 
+        response, failed = tuple(sorted(state.response)), tuple(sorted(state.failed))
         return TraversalResult(
-            start=start,
-            hops=hops,
-            response=tuple(sorted(state.response)),
-            processed=state.processed,
-            remote_hops=state.remote,
-            cost=state.cost,
-            failed_partitions=tuple(sorted(state.failed)),
+            start, hops, response, state.processed, state.remote, state.cost, failed
         )
 
     def _refresh_frontier(
@@ -355,58 +342,58 @@ class TraversalEngine:
         """Ship the frontier, read it in bulk, charge it per link and host.
 
         Each link pays one round trip (plus per-entry marginals), as a real
-        driver ships the frontier ahead of processing the responses; each
-        reachable host is then asked once for its share (nothing mutates a
-        store inside a depth).  A final depth whose hosts answered every
-        read is charged per host in bulk; otherwise the entries are walked
-        in frontier order, as one can change what later ones see (a
-        ``None`` answer forwards, a forward can fail its host, an expansion
-        can find its host down).  Returns the next frontier and the busy
-        seconds charged per server.
+        driver ships the frontier ahead of processing the responses.  A
+        final depth with no failed host asks each host once whether its
+        whole share is available and, if all are, is charged per host in
+        bulk.  Otherwise each reachable host is asked once about its
+        share's distinct vertices (nothing mutates a store inside a depth)
+        and the entries are walked in frontier order, as one can change
+        what later ones see (a ``None`` answer forwards, a forward can fail
+        its host, an expansion can find its host down).  Returns the next
+        frontier and the busy seconds charged per server.
         """
         servers = self.servers
         failed = state.failed
         local_visit = state.local_visit
         # Seeded from the counters, ``busy[host] += seconds`` is exactly
         # the addition ``busy_counter.inc(seconds)`` made.
-        busy = state.busy = [server.busy_counter.value for server in servers]
+        seeded = [server.busy_counter.value for server in servers]
+        busy = state.busy = seeded.copy()
         visits = [0] * len(servers)
         # Remote entries per directed link and every entry per host, both
-        # in first-seen order.
+        # in first-seen order; a host meets ``failed`` when first seen.
         links: Dict[Tuple[int, int], int] = {}
-        shares: Dict[int, List[int]] = defaultdict(list)
+        shares: Dict[int, List[int]] = {}
         for vertex, host, from_host in frontier:
-            if host in failed:
-                continue
+            share = shares.get(host)
+            if share is None:
+                if host in failed:
+                    continue
+                share = shares[host] = []
+            share.append(vertex)
             if host != from_host:
                 link = (from_host, host)
                 links[link] = links.get(link, 0) + 1
-            shares[host].append(vertex)
         if links:
             self._ship(links, state)
 
-        # One storage pass per reachable host over the distinct vertices
-        # of its share (a vertex reached along several paths is charged
-        # per path, but the host is asked about it once).
         expand = depth < state.hops
-        bulk = not expand
-        reads = {}
-        for host, share in shares.items():
-            if host not in failed:
-                distinct = dict.fromkeys(share)
-                answers = servers[host].store.read_frontier(distinct, expand)
-                reads[host] = (distinct, answers)
-                # Not expanding, every available vertex answers ``()``.
-                bulk = bulk and answers.count(()) == len(answers)
+        bulk = not (expand or failed)
+        if bulk:
+            # Not expanding, an available vertex answers ``()``.
+            for host, share in shares.items():
+                if None in servers[host].store.read_frontier(share, False):
+                    bulk = False
+                    break
         next_frontier: List[Tuple[int, int, int]] = []
         if bulk:
-            for host, (distinct, _) in reads.items():
-                visits[host] = count = len(shares[host])
+            for host, share in shares.items():
+                visits[host] = count = len(share)
                 run = busy[host]
                 for _ in repeat(None, count):
                     run += local_visit
                 busy[host] = run
-                state.response.update(distinct)
+                state.response.update(share)
             processed = sum(visits)
             state.processed += processed
             cost = state.cost
@@ -414,7 +401,15 @@ class TraversalEngine:
                 cost += local_visit
             state.cost = cost
         else:
-            reads = {host: dict(zip(*read)) for host, read in reads.items()}
+            # One storage pass per reachable host over the distinct
+            # vertices of its share (a vertex reached along several paths
+            # is charged per path, but the host is asked about it once).
+            reads = {}
+            for host, share in shares.items():
+                if host not in failed:
+                    distinct = dict.fromkeys(share)
+                    answers = servers[host].store.read_frontier(distinct, expand)
+                    reads[host] = dict(zip(distinct, answers))
             visited = state.visited
             model = self.workload_model
             observed = resolved = misses = 0
@@ -471,18 +466,16 @@ class TraversalEngine:
             if resolved:
                 self.location_cache.count_resolved(resolved, misses)
 
-        # Each host is written back once; the depth returns its charges.
+        # Each host is written back once; the depth returns its charges
+        # (every charge is positive, so a changed value grew).
         charged = {}
         for host, value in enumerate(busy):
-            server = servers[host]
-            if visits[host]:
-                server.visits_counter.inc(visits[host])
-            counter = server.busy_counter
-            if value != counter.value:
-                delta = value - counter.value
-                counter.value = value
-                if delta > 0.0:
-                    charged[host] = delta
+            if value != seeded[host]:
+                servers[host].busy_counter.value = value
+                charged[host] = value - seeded[host]
+        for host, count in enumerate(visits):
+            if count:
+                servers[host].visits_counter.inc(count)
         return next_frontier, charged
 
     def _ship(self, links: Dict[Tuple[int, int], int], state: _QueryState) -> None:

@@ -170,7 +170,7 @@ class ConcurrentExecutor:
                 latency=max(0.0, step.cost - occupied),
                 kind=f"traversal-{step.kind}",
             )
-        cluster.add_popularity(result.response)
+        cluster.aux.add_popularity(result.response)
         return result, result.cost
 
     def _sampled_task(

@@ -305,7 +305,7 @@ class AuxiliaryData:
     ) -> None:
         """Adopt (re)allocated columns and open cell views on them.
 
-        Per-request upkeep (``add_weight`` on every vertex a traversal
+        Per-request upkeep (``add_popularity`` over every vertex a read
         returns, ``add_edge``, the id lookups) touches single cells, where
         indexing an ndarray costs ~3x a list access.  A ``memoryview`` of
         the same buffer reads and writes a cell as a Python scalar at
@@ -498,6 +498,21 @@ class AuxiliaryData:
             raise VertexNotFoundError(vertex)
         self._weight_cell[row] += delta
         self.partition_weights[partition] += delta
+
+    def add_popularity(self, vertices: Iterable[int]) -> None:
+        """``add_weight(vertex, 1.0)`` for each vertex a read returned, in
+        order (partition weights are order-sensitive floats once
+        :meth:`decay_weights` has run), in one call."""
+        rows, used = self._rows, self._used
+        partition_cell, weight_cell = self._partition_cell, self._weight_cell
+        partition_weights = self.partition_weights
+        for vertex in vertices:
+            row = vertex if rows is None else rows.get(vertex, -1)
+            partition = partition_cell[row] if 0 <= row < used else -1
+            if partition < 0:
+                raise VertexNotFoundError(vertex)
+            weight_cell[row] += 1.0
+            partition_weights[partition] += 1.0
 
     def set_weight(self, vertex: int, weight: float) -> None:
         self.add_weight(vertex, weight - self.weight_of(vertex))

@@ -28,14 +28,18 @@ doors sharing one hub keep separate books.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from inspect import Parameter, signature
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.traversal import check_hops
 from repro.exceptions import (
     AdmissionRejectedError,
+    ClusterError,
     FaultInjectedError,
     ServerDownError,
+    StorageError,
 )
 from repro.serving.admission import Priority
 from repro.serving.config import ServingConfig
@@ -43,11 +47,14 @@ from repro.serving.queue import SHED_REASONS, QueryQueue
 from repro.serving.replicas import ReplicaIndex, ReplicaSynchronizer
 from repro.serving.router import GraphRouter
 from repro.concurrency.scheduler import Work
+from repro.storage.property_store import encode_properties
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_TIME_BUCKETS
 
-#: operation kinds the front door accepts
+#: operation kinds the front door accepts, and the cluster method each
+#: runs: a submission's arguments are that method's
 SERVING_OPS = ("read", "traverse", "add_vertex", "add_edge")
+SERVING_METHODS = dict(zip(SERVING_OPS, ("read_vertex",) + SERVING_OPS[1:]))
 
 COMPLETED = "completed"
 DEGRADED = "degraded"
@@ -116,11 +123,26 @@ class _TenantSeries:
         }
 
 
+def check_properties(properties: Any) -> None:
+    """Refuse, as :class:`ClusterError`, properties a store would refuse."""
+    try:
+        if not isinstance(properties, Mapping):
+            raise StorageError(f"properties must be a mapping, got {properties!r}")
+        encode_properties(properties)
+    except StorageError as error:
+        raise ClusterError(f"properties cannot be stored: {error}") from None
+
+
 class ServingFrontend:
     """Route, admit, execute, and account every client operation."""
 
     def __init__(self, cluster, config: Optional[ServingConfig] = None):
         self.cluster = cluster
+        #: each operation's parameters, name -> default (or Parameter.empty)
+        self._parameters = {
+            op: {p.name: p.default for p in signature(getattr(cluster, method)).parameters.values()}
+            for op, method in SERVING_METHODS.items()
+        }
         self.config = config or ServingConfig()
         self.telemetry = cluster.telemetry
         #: serving-side simulated clock: operation arrival times
@@ -216,6 +238,12 @@ class ServingFrontend:
         """
         if op not in SERVING_OPS:
             raise ValueError(f"unknown serving op {op!r}")
+        # The call itself is checked before anything moves or is counted.
+        args = self._bind(op, args, kwargs)
+        if op == "traverse":
+            check_hops(args[1])
+        elif op != "read" and args[2] is not None:
+            check_properties(args[2])
         if now is not None and now > self.now:
             self.now = now
         arrival = self.now
@@ -245,8 +273,7 @@ class ServingFrontend:
             target = decision.host
             forward_cost = decision.forward_cost
         elif op == "add_vertex":
-            weight = args[1] if len(args) > 1 else kwargs.get("weight", 1.0)
-            self.cluster.check_new_vertex(args[0], weight)
+            self.cluster.check_new_vertex(args[0], args[1])
             # The vertex does not exist yet: its home is the hash
             # placement target the cluster will pick (over the live
             # active membership, so joined servers receive inserts).
@@ -254,9 +281,7 @@ class ServingFrontend:
         else:
             # traverse starts at its root's primary; add_edge's record
             # home is the src primary.
-            if op == "traverse":
-                check_hops(self._hops(args, kwargs))
-            else:
+            if op == "add_edge":
                 self.cluster.check_new_edge(args[0], args[1])
             target, forward_cost = self.router.primary_of(args[0])
         # A tenant's series are bound when it is first counted, so a
@@ -272,7 +297,7 @@ class ServingFrontend:
             return outcome
 
         # 3. Execute.
-        result, cost, degraded = self._execute(op, args, kwargs, decision, arrival)
+        result, cost, degraded = self._execute(op, args, decision, arrival)
         cost += forward_cost
 
         # 4. Commit to the queue; the operation occupies its target
@@ -319,12 +344,22 @@ class ServingFrontend:
             )
         return tenant
 
-    @staticmethod
-    def _hops(args, kwargs) -> int:
-        """The depth of a ``traverse`` submission (keyword, positional, 1)."""
-        return kwargs.get("hops", args[1] if len(args) > 1 else 1)
+    def _bind(self, op: str, args: tuple, kwargs: Dict[str, Any]) -> Tuple:
+        """The cluster call's arguments in order, defaults filled in; a call
+        that method would refuse raises :class:`ClusterError` instead."""
+        parameters = self._parameters[op]
+        positional = dict(zip(parameters, args))
+        call = {**parameters, **positional, **kwargs}
+        values = tuple(call.values())
+        if (
+            max(len(args), len(call)) > len(parameters)
+            or positional.keys() & kwargs.keys()
+            or id(Parameter.empty) in map(id, values)  # a required one left out
+        ):
+            raise ClusterError(f"{op} takes {tuple(parameters)}, got {args} and {kwargs}")
+        return values
 
-    def _execute(self, op, args, kwargs, decision, arrival):
+    def _execute(self, op, args, decision, arrival):
         """Run the operation against the cluster.
 
         Returns ``(result, cost, degraded)``.  Fault-degraded operations
@@ -346,17 +381,17 @@ class ServingFrontend:
             properties, cost = cluster.read_vertex(args[0])
             return properties, cost, degraded
         if op == "traverse":
-            result = cluster.traverse(args[0], self._hops(args, kwargs))
+            result = cluster.traverse(*args)
             return result.response, result.cost, result.partial
         if op == "add_vertex":
             try:
-                cost = cluster.add_vertex(args[0], **kwargs)
+                cost = cluster.add_vertex(*args)
             except ServerDownError as exc:
                 return None, exc.cost, True
             return args[0], cost, False
         # add_edge
         try:
-            cost = cluster.add_edge(args[0], args[1], **kwargs)
+            cost = cluster.add_edge(*args)
         except (FaultInjectedError, ServerDownError) as exc:
             return None, exc.cost, True
         return (args[0], args[1]), cost, False

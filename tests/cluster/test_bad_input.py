@@ -2,8 +2,8 @@
 
 Every public call that takes outside input runs its checks before any
 layer changes: ``add_vertex`` (id, its record fit, and weight), ``add_edge`` (endpoints,
-self-loop, duplicate), ``add_server`` (capacity) and ``decay_weights``
-(factor and floor).  A bad call raises a typed :class:`HermesError` and
+self-loop, duplicate), ``add_server`` (capacity), ``decay_weights``
+(factor and floor) and ``traverse`` (depth).  A bad call raises a typed :class:`HermesError` and
 leaves the catalog, the stores, the auxiliary data, the membership and
 the clock as they were, so the auditor stays quiet and a later good call
 (here a forced rebalance) still succeeds.
@@ -105,6 +105,17 @@ def test_a_bad_decay_floor_is_refused(floor):
     assert math.isfinite(cluster.imbalance())
 
 
+@pytest.mark.parametrize("hops", [True, False])
+def test_a_bool_depth_is_refused(hops):
+    """``traverse(0, True)`` used to run a 1-hop and report ``hops=True``,
+    while a bool vertex id was already refused."""
+    cluster, graph = loaded()
+    before = observables(cluster)
+    with pytest.raises(ClusterError, match="hops"):
+        cluster.traverse(0, hops)
+    assert_unchanged(cluster, graph, before)
+
+
 # ----------------------------------------------------------------------
 # Drawn bad input
 # ----------------------------------------------------------------------
@@ -128,6 +139,7 @@ def bad_calls(draw, edges):
                 "unknown_endpoint",
                 "capacity",
                 "decay",
+                "depth",
             ]
         )
     )
@@ -157,6 +169,9 @@ def bad_calls(draw, edges):
     if kind == "capacity":
         capacity = draw(st.sampled_from(BAD_CAPACITIES))
         return "add_server", (), {"capacity": capacity, "reshard": draw(st.booleans())}
+    if kind == "depth":
+        hops = draw(st.sampled_from([True, False, -1, 1.5, NAN, "2", None]))
+        return "traverse", (draw(known), hops), {}
     if draw(st.booleans()):
         factor = draw(st.sampled_from([0.0, -0.5, 1.5, NAN, INF]))
         return "decay_weights", (factor,), {}

@@ -9,14 +9,16 @@ busy-counter increment per entry, ``neighbor_entries``, one
 reference.  Twin clusters, one running each, are driven through the same
 hypothesis-drawn sequence: traversals of 0–3 hops, physical migrations
 between them (stale location hints on the non-participants), a
-migration committing *between two depths* of a paused traversal, a
-fault plan whose crash window opens mid-query and whose links lose
-messages, a workload model attached.  Every observable must be equal,
-floats bit for bit: each result, the per-server busy seconds of each
-depth of a paused traversal, each server's visits and busy seconds, the
-location caches, the network's per-link ledger, every registry series,
-the clock, the fault RNG's position and the model's observation
-sequence.  Tier-1 draws 150 sequences; ``--hypothesis-profile sweep``
+migration committing *between two depths* of a paused traversal,
+popularity decays, a fault plan whose crash window opens mid-query and
+whose links lose messages, a workload model attached.  The reference
+also adds popularity one ``add_weight(vertex, 1.0)`` at a time.  Every
+observable must be equal, floats bit for bit: each result, the
+per-server busy seconds of each depth of a paused traversal, each
+server's visits and busy seconds, the location caches, the network's
+per-link ledger, every registry series, the clock, the fault RNG's
+position, the model's observation sequence and every vertex and
+partition weight — after a decay, none of them whole numbers.  Tier-1 draws 150 sequences; ``--hypothesis-profile sweep``
 draws 2 000.
 """
 
@@ -33,6 +35,7 @@ from repro.cluster.network import (
     REMOTE_HOP_COST,
     REMOTE_SERVICE_COST,
 )
+from repro.core.auxiliary import AuxiliaryData
 from repro.exceptions import FaultInjectedError, ServerDownError
 from repro.graph.adjacency import SocialGraph
 from tests.conftest import (
@@ -133,10 +136,21 @@ def reference_run_depth(self, frontier, depth, state):
     return next_frontier, busy
 
 
+class PerVertexPopularity(AuxiliaryData):
+    """Popularity as it was added before: one ``add_weight`` per vertex."""
+
+    __slots__ = ()
+
+    def add_popularity(self, vertices):
+        for vertex in vertices:
+            self.add_weight(vertex, 1.0)
+
+
 def bind_reference(cluster):
     cluster._engine._run_depth = types.MethodType(
         reference_run_depth, cluster._engine
     )
+    cluster.aux.__class__ = PerVertexPopularity
 
 
 class RecordingModel:
@@ -207,6 +221,9 @@ def run_step(cluster, step, plan):
     if kind == "migrate":
         migrate(cluster, step[1], step[2], plan)
         return None
+    if kind == "decay":
+        cluster.decay_weights(step[1], floor=step[2])
+        return None
     # A traversal paused after its first depth while a migration commits.
     _, start, hops, vertices, shift = step
     steps = cluster._engine.traverse_steps(start, hops)
@@ -219,6 +236,7 @@ def run_step(cluster, step, plan):
             charged.append(step_key(next(steps)))
     except StopIteration as stop:
         cluster._advance(stop.value.cost)
+        cluster.aux.add_popularity(stop.value.response)
         return result_key(stop.value), charged
 
 
@@ -241,7 +259,16 @@ def observables(cluster, model):
         "clock": repr(cluster.now),
         "fault_rng": cluster.faults.rng.getstate() if cluster.faults else None,
         "observed": model.observed,
+        "weights": weights(cluster),
     }
+
+
+def weights(cluster):
+    aux = cluster.aux
+    return (
+        [repr(aux.weight_of(vertex)) for vertex in sorted(aux.vertices())],
+        [repr(weight) for weight in aux.partition_weights],
+    )
 
 
 vertices = st.integers(0, VERTICES - 1)
@@ -253,6 +280,9 @@ steps = st.lists(
         st.tuples(st.just("migrate"), vertex_sets, shifts),
         st.tuples(
             st.just("interleave"), vertices, st.integers(1, 3), vertex_sets, shifts
+        ),
+        st.tuples(
+            st.just("decay"), st.sampled_from([0.37, 0.9, 1e-3]), st.sampled_from([1.0, 1e-4])
         ),
     ),
     min_size=1,
@@ -306,6 +336,26 @@ def test_bulk_depth_equals_per_entry_depth(
     assert observables(changed, changed_model) == observables(
         reference, reference_model
     )
+
+
+def test_popularity_after_a_decay_equals_per_vertex_add_weight():
+    """Decayed weights are not whole numbers, so adding 1.0 per returned
+    vertex in another grouping would move their last bits: a partition
+    weight decayed to a tenth crosses several binades as one 2-hop adds
+    to it, and each crossing rounds.  Later crossings can round such a
+    difference away again, so the weights are compared after every query."""
+    trajectories = []
+    for is_reference in (False, True):
+        cluster, _ = build_twin(is_reference, 2, 1, [])
+        trajectory = []
+        for factor, floor in [(0.37, 1.0), (1e-3, 1e-4)] * 2:
+            cluster.decay_weights(factor, floor=floor)
+            for start in range(VERTICES):
+                cluster.traverse(start, 2)
+                trajectory.append(weights(cluster))
+        trajectories.append(trajectory)
+    assert type(cluster.aux) is PerVertexPopularity
+    assert trajectories[0] == trajectories[1]
 
 
 def test_crash_window_opening_mid_query_is_accounted_identically():

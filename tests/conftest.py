@@ -40,8 +40,8 @@ from repro.storage.records import FixedRecordStore
 #: the drawn chain-write differentials in
 #: ``tests/cluster/test_migration_differential.py``, the drawn bulk-load
 #: differentials in ``tests/cluster/test_load_differential.py``, the
-#: drawn bad-input property in ``tests/cluster/test_bad_input.py`` and the
-#: rollback-atomicity property
+#: drawn bad-input properties in ``tests/cluster/test_bad_input.py`` and
+#: ``tests/serving/test_frontend.py`` and the rollback-atomicity property
 #: ``test_aborted_migration_restores_state_exactly`` in
 #: ``tests/cluster/test_cluster_properties.py``).
 settings.register_profile("sweep", max_examples=2000)

@@ -1,6 +1,8 @@
 """End-to-end front-door pipeline: route, admit, execute, account."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.hermes import HermesCluster
 from repro.exceptions import ClusterError
@@ -16,7 +18,7 @@ from repro.serving import (
 )
 from repro.simtest.invariants import InvariantAuditor
 from repro.telemetry import Telemetry, install, installed
-from tests.conftest import crash_plan, make_random_graph
+from tests.conftest import crash_plan, make_random_graph, telemetry_snapshot
 
 
 def make_frontend(config=None, n=30, servers=3):
@@ -33,6 +35,99 @@ def check_conservation(frontend):
     assert snap["admitted"] == snap["completed"] + snap["in_flight"]
     assert sum(snap["shed_by_reason"].values()) == snap["shed"]
     return snap
+
+
+VERTICES = 30
+#: an id no vertex of ``make_frontend``'s graph has
+FRESH = VERTICES
+EDGES = set(make_random_graph(VERTICES, 2 * VERTICES, seed=5).edges())
+#: two vertices of that graph with no edge between them
+NON_EDGE = next(
+    (u, v)
+    for u in range(VERTICES)
+    for v in range(u + 1, VERTICES)
+    if (u, v) not in EDGES and (v, u) not in EDGES
+)
+
+
+def front_door_state(frontend):
+    """What a refused submission must leave as it was."""
+    cluster = frontend.cluster
+    return {
+        "queue": check_conservation(frontend),
+        "telemetry": telemetry_snapshot(cluster),
+        "now": (frontend.now, cluster.now),
+        "vertices": len(cluster.catalog),
+        "edges": cluster.aux.num_edges,
+        "weight": cluster.aux.total_weight(),
+    }
+
+
+@st.composite
+def bad_submissions(draw):
+    """One submission the front door must refuse: ``(op, args, kwargs)``."""
+    known = st.integers(0, VERTICES - 1)
+    unknown = st.integers(VERTICES, 10**6) | st.sampled_from(["3", None])
+    kind = draw(st.sampled_from([
+        "surplus", "missing", "keyword", "twice", "hops", "properties",
+        "unknown", "weight", "duplicate_vertex", "vertex_id", "self_loop",
+        "duplicate_edge",
+    ]))
+    if kind == "surplus":
+        return draw(st.sampled_from([
+            ("read", (1, 2), {}), ("traverse", (1, 1, 1), {}),
+            ("add_vertex", (FRESH, 1.0, None, 0), {}),
+            ("add_edge", NON_EDGE + (None, 0), {}),
+        ]))
+    if kind == "missing":
+        return draw(st.sampled_from([
+            ("read", (), {}), ("traverse", (), {}), ("add_vertex", (), {}),
+            ("add_edge", NON_EDGE[:1], {}), ("add_edge", (), {"v": NON_EDGE[1]}),
+        ]))
+    if kind == "keyword":
+        op, args = draw(st.sampled_from([
+            ("read", (1,)), ("traverse", (1,)), ("add_vertex", (FRESH,)),
+            ("add_edge", NON_EDGE),
+        ]))
+        name = draw(st.sampled_from(["colour", "depth", "server", "start_vertex"]))
+        return op, args, {name: draw(st.integers(0, 3))}
+    if kind == "twice":
+        return draw(st.sampled_from([
+            ("read", (1,), {"vertex": 1}), ("traverse", (1, 2), {"hops": 1}),
+            ("add_vertex", (FRESH, 1.0), {"weight": 2.0}),
+            ("add_edge", NON_EDGE, {"u": NON_EDGE[0]}),
+        ]))
+    if kind == "hops":
+        hops = draw(st.sampled_from([-1, 1.5, True, False, "2", None, float("nan")]))
+        if draw(st.booleans()):
+            return "traverse", (draw(known), hops), {}
+        return "traverse", (draw(known),), {"hops": hops}
+    if kind == "properties":
+        properties = draw(st.sampled_from(
+            [{"w": object()}, {"w": "\ud800"}, {7: "x"}, ["w"], "w", 5]
+        ))
+        if draw(st.booleans()):
+            return "add_vertex", (FRESH,), {"properties": properties}
+        return "add_edge", NON_EDGE, {"properties": properties}
+    if kind == "unknown":
+        op = draw(st.sampled_from(["read", "traverse", "add_edge"]))
+        args = (draw(unknown),) if op != "add_edge" else (draw(unknown), draw(known))
+        return op, args, {}
+    if kind == "weight":
+        weight = draw(st.sampled_from([float("nan"), float("inf"), -1.0, "heavy", None]))
+        return "add_vertex", (FRESH,), {"weight": weight}
+    if kind == "duplicate_vertex":
+        return "add_vertex", (draw(known),), {}
+    if kind == "vertex_id":
+        vertex = draw(st.sampled_from([True, 1.0, "31", None, 2**70]))
+        if draw(st.booleans()):
+            return "add_vertex", (vertex,), {}
+        return "add_edge", (NON_EDGE[0], vertex), {}
+    if kind == "self_loop":
+        vertex = draw(known)
+        return "add_edge", (vertex, vertex), {}
+    u, v = draw(st.sampled_from(sorted(EDGES)))
+    return "add_edge", (v, u) if draw(st.booleans()) else (u, v), {}
 
 
 class TestPipeline:
@@ -184,6 +279,62 @@ class TestValidation:
         with pytest.raises(ClusterError):
             frontend.submit("add_edge", u, v)
         assert frontend.conservation()["submitted"] == 0
+
+    @pytest.mark.parametrize(
+        "op, args, kwargs",
+        [
+            ("add_vertex", (FRESH,), {"colour": "red"}),
+            ("add_edge", NON_EDGE, {"colour": "red"}),
+            ("traverse", (1,), {"hops": 1, "depth": 3}),
+            ("traverse", (1, 2), {"hops": 3}),
+            ("read", (1, 2), {}),
+            ("add_edge", NON_EDGE[:1], {}),
+        ],
+        ids=["vertex-keyword", "edge-keyword", "traverse-keyword", "hops-twice",
+             "read-surplus", "edge-missing"],
+    )
+    def test_a_call_the_cluster_method_would_refuse_raises_before_admission(
+        self, op, args, kwargs
+    ):
+        """An unknown keyword used to be admitted and then raise TypeError
+        in the cluster (admitted 1 != completed 0 + in_flight 0), and a
+        surplus argument was quietly dropped."""
+        frontend = make_frontend()
+        before = front_door_state(frontend)
+        with pytest.raises(ClusterError):
+            frontend.submit(op, *args, **kwargs)
+        assert front_door_state(frontend) == before
+
+    @pytest.mark.parametrize(
+        "properties",
+        [{"w": object()}, {"w": "\ud800"}, {7: "x"}, ["w"], "w"],
+        ids=["value", "surrogate", "key", "list", "str"],
+    )
+    def test_unstorable_properties_raise_before_admission(self, properties):
+        """Properties a store cannot encode used to be admitted and then
+        raise StorageError (or AttributeError) in the cluster."""
+        frontend = make_frontend()
+        before = front_door_state(frontend)
+        with pytest.raises(ClusterError, match="properties"):
+            frontend.submit("add_vertex", FRESH, properties=properties)
+        with pytest.raises(ClusterError, match="properties"):
+            frontend.submit("add_edge", *NON_EDGE, properties)
+        assert front_door_state(frontend) == before
+        assert frontend.submit("add_vertex", FRESH, properties={"w": 1}).admitted
+        assert frontend.submit("add_edge", *NON_EDGE, properties={"w": 1}).admitted
+        frontend.cluster.validate()
+
+    @settings(deadline=None)
+    @given(st.lists(bad_submissions(), min_size=1, max_size=5))
+    def test_drawn_bad_submission_is_refused_before_admission(self, calls):
+        frontend = make_frontend()
+        before = front_door_state(frontend)
+        for op, args, kwargs in calls:
+            with pytest.raises(ClusterError):
+                frontend.submit(op, *args, **kwargs)
+        assert front_door_state(frontend) == before
+        assert InvariantAuditor().audit(frontend.cluster) == []
+        assert frontend.submit("add_edge", *NON_EDGE).status == COMPLETED
 
 
 class TestFaults:
