@@ -60,13 +60,8 @@ from repro.cluster.network import (
     SimulatedNetwork,
 )
 from repro.cluster.server import HermesServer
-from repro.cluster.traversal import TraversalEngine, TraversalResult
-from repro.core.auxiliary import (
-    AuxiliaryData,
-    check_capacity,
-    is_vertex_id,
-    is_weight,
-)
+from repro.cluster.traversal import TraversalEngine, TraversalResult, check_start
+from repro.core.auxiliary import AuxiliaryData, check_capacity, is_weight
 from repro.core.config import RepartitionerConfig
 from repro.core.migration import build_migration_plan
 from repro.core.repartitioner import LightweightRepartitioner, RepartitionResult
@@ -424,6 +419,7 @@ class HermesCluster:
         contract a traversal honors when its home server is down, instead
         of reads silently succeeding against a crashed server.
         """
+        check_start(vertex)
         primary = self.catalog.lookup(vertex)
         properties, cost, _ = self._serve_read(vertex, primary, primary)
         return properties, cost
@@ -518,8 +514,7 @@ class HermesCluster:
         """The pre-check of every vertex insert, before any layer changes:
         an integral id (no bool, float or str) that fits a record and is
         not yet catalogued, and a finite non-negative weight."""
-        if not is_vertex_id(vertex):
-            raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
+        check_start(vertex)
         if not is_weight(weight):
             raise ClusterError(
                 f"vertex weights must be finite and non-negative, got {weight!r}"
@@ -535,8 +530,7 @@ class HermesCluster:
         """The pre-check of every edge insert, before any layer changes:
         integral catalogued endpoints, no self-loop, no such edge yet."""
         for vertex in (u, v):
-            if not is_vertex_id(vertex):
-                raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
+            check_start(vertex)
             self.catalog.lookup(vertex)
         if u == v:
             raise ClusterError(f"self-loop on vertex {u} is not allowed")

@@ -22,9 +22,9 @@ Traffic is counted once, on the send side, in a per-link ledger of ints
 that :class:`NetworkStats` views.  An attached
 :class:`~repro.telemetry.Telemetry` hub counts it again, independently —
 ``network_messages_total``/``network_bytes_total`` per kind (hop/transfer)
-and latency histograms — so ``telemetry/conservation.py`` can check one
-against the other; a traversal depth charges the hub once for all its
-messages (DESIGN.md §7).
+and size histograms (wire latency follows from them and the prices) — so
+``telemetry/conservation.py`` can check one against the other; a
+traversal depth charges the hub once for all its messages (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -170,14 +170,6 @@ class SimulatedNetwork:
         self._transfer_bytes = telemetry.counter(
             "network_bytes_total", kind="transfer", **extra
         )
-        self._hop_latency = telemetry.histogram(
-            "network_hop_seconds", "simulated latency of one remote hop", **extra
-        )
-        self._transfer_latency = telemetry.histogram(
-            "network_transfer_seconds",
-            "simulated latency of one bulk transfer",
-            **extra,
-        )
         self._transfer_sizes = telemetry.histogram(
             "network_transfer_bytes",
             "payload size of one bulk transfer",
@@ -238,70 +230,64 @@ class SimulatedNetwork:
         self._check(dst)
         if src == dst:
             return 0.0
-        cost = REMOTE_HOP_COST
-        self._send(src, dst, size, cost)
+        self._send(src, dst, size, REMOTE_HOP_COST)
         self._hop_messages.inc()
         self._hop_bytes.inc(size)
-        self._hop_latency.observe(cost)
-        return cost
+        return REMOTE_HOP_COST
 
     def remote_hops(self, links: Dict[Tuple[int, int], int], size: int = 256) -> None:
         """``count`` fault-free :meth:`remote_hop` calls per ``(src, dst)``
         link of two servers, charged once per link: ledger and series end
-        where the single hops leave them (every latency is one value)."""
+        where the single hops leave them."""
         for (src, dst), count in links.items():
             self.link_messages[src][dst] += count
             self.link_bytes[src][dst] += count * size
         hops = sum(links.values())
         self._hop_messages.inc(hops)
         self._hop_bytes.inc(hops * size)
-        self._hop_latency.observe_many([REMOTE_HOP_COST] * hops)
 
     def batched_hop(self, src: int, dst: int, count: int) -> float:
         """:meth:`batched_hops` of one link ``src -> dst`` carrying ``count``
-        entries; free when it is a server to itself or carries nothing."""
+        entries; returns its cost, free when it is a server to itself or
+        carries nothing."""
         self._check(src)
         self._check(dst)
         if src == dst or count <= 0:
             return 0.0
-        return self.batched_hops({(src, dst): count})[0]
+        self.batched_hops({(src, dst): count})
+        return REMOTE_HOP_COST + count * BATCH_ENTRY_COST
 
-    def batched_hops(self, links: Dict[Tuple[int, int], int]) -> List[float]:
+    def batched_hops(self, links: Dict[Tuple[int, int], int]) -> None:
         """One aggregated message per ``(src, dst)`` link of two different
         servers, carrying that link's (positive) count of frontier
-        entries; returns each message's cost, in link order.
+        entries.
 
-        A message pays :data:`REMOTE_HOP_COST` once plus a marginal cost per
-        entry, and its payload grows with the batch.  Faults apply per
-        message, in link order: a lost batch raises like a lost single
-        hop, the messages before it staying charged; a fault-free network
-        charges its ledger in place.  The registry is charged once per
-        call — counters by their integer totals, the histograms value by
-        value in message order.
+        A message costs :data:`REMOTE_HOP_COST` once plus
+        :data:`BATCH_ENTRY_COST` per entry, and its payload grows with the
+        batch.  Faults apply per message, in link order: a lost batch
+        raises like a lost single hop, the messages before it staying
+        charged; a fault-free network charges its ledger in place.  The
+        registry is charged once per call — counters by their integer
+        totals, the batch sizes in message order.
         """
-        costs: List[float] = []
         counts: List[int] = []
-        sent_bytes = 0
         link_messages, link_bytes = self.link_messages, self.link_bytes
         try:
             for (src, dst), count in links.items():
-                cost = REMOTE_HOP_COST + count * BATCH_ENTRY_COST
                 size = BATCH_BASE_BYTES + count * BATCH_ENTRY_BYTES
                 if self.fault_injector is not None:
-                    self._send(src, dst, size, cost)
+                    self._send(src, dst, size, REMOTE_HOP_COST + count * BATCH_ENTRY_COST)
                 else:
                     link_messages[src][dst] += 1
                     link_bytes[src][dst] += size
-                costs.append(cost)
                 counts.append(count)
-                sent_bytes += size
         finally:
-            if costs:
-                self._hop_messages.inc(len(costs))
-                self._hop_bytes.inc(sent_bytes)
-                self._hop_latency.observe_many(costs)
+            if counts:
+                self._hop_messages.inc(len(counts))
+                self._hop_bytes.inc(
+                    len(counts) * BATCH_BASE_BYTES + sum(counts) * BATCH_ENTRY_BYTES
+                )
                 self._batch_sizes.observe_many(counts)
-        return costs
 
     def transfer(self, src: int, dst: int, size: int) -> float:
         """Cost of a bulk record transfer (migration copy step).
@@ -316,7 +302,6 @@ class SimulatedNetwork:
         self._send(src, dst, size, cost)
         self._transfer_messages.inc()
         self._transfer_bytes.inc(size)
-        self._transfer_latency.observe(cost)
         self._transfer_sizes.observe(size)
         return cost
 

@@ -57,8 +57,10 @@ from typing import Dict, Generator, List, NamedTuple, Optional, Set, Tuple
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import (
+    BATCH_ENTRY_COST,
     CLIENT_DISPATCH_COST,
     FAULT_TIMEOUT_COST,
+    REMOTE_HOP_COST,
     REMOTE_SERVICE_COST,
     SimulatedNetwork,
 )
@@ -117,6 +119,13 @@ class DepthStep(NamedTuple):
     busy: Dict[int, float]
     depth: int
     frontier: int
+
+
+def check_start(vertex: int) -> None:
+    """Reject a query start that is not a vertex id (a Python or numpy
+    integer, never a bool, float, str or None) before it is looked up."""
+    if not is_vertex_id(vertex):
+        raise ClusterError(f"vertex ids must be integers, got {vertex!r}")
 
 
 def check_hops(hops: int) -> None:
@@ -246,7 +255,9 @@ class TraversalEngine:
         traversal never charges forwarding costs against a host it could
         already know is stale.
         """
-        check_hops(hops)  # before anything is charged, looked up or traced
+        # Before anything is charged, looked up or traced.
+        check_start(start)
+        check_hops(hops)
         cost = CLIENT_DISPATCH_COST
         home = self.catalog.lookup(start)
         injector = self.network.fault_injector
@@ -490,9 +501,10 @@ class TraversalEngine:
         remote_service = REMOTE_SERVICE_COST
         busy = state.busy
         if network.fault_injector is None:
+            network.batched_hops(links)
             cost = state.cost
-            for (src, dst), hop in zip(links, network.batched_hops(links)):
-                cost += hop
+            for (src, dst), count in links.items():
+                cost += REMOTE_HOP_COST + count * BATCH_ENTRY_COST
                 cost += remote_service
                 busy[src] += remote_service
                 busy[dst] += remote_service

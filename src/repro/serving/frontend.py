@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from inspect import Parameter, signature
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.traversal import check_hops
+from repro.cluster.traversal import check_hops, check_start
 from repro.exceptions import (
     AdmissionRejectedError,
     ClusterError,
@@ -240,6 +240,8 @@ class ServingFrontend:
             raise ValueError(f"unknown serving op {op!r}")
         # The call itself is checked before anything moves or is counted.
         args = self._bind(op, args, kwargs)
+        if op in ("read", "traverse"):
+            check_start(args[0])
         if op == "traverse":
             check_hops(args[1])
         elif op != "read" and args[2] is not None:

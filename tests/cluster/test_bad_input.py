@@ -3,7 +3,8 @@
 Every public call that takes outside input runs its checks before any
 layer changes: ``add_vertex`` (id, its record fit, and weight), ``add_edge`` (endpoints,
 self-loop, duplicate), ``add_server`` (capacity), ``decay_weights``
-(factor and floor) and ``traverse`` (depth).  A bad call raises a typed :class:`HermesError` and
+(factor and floor), ``read_vertex`` (start) and ``traverse`` (start and
+depth).  A bad call raises a typed :class:`HermesError` and
 leaves the catalog, the stores, the auxiliary data, the membership and
 the clock as they were, so the auditor stays quiet and a later good call
 (here a forced rebalance) still succeeds.
@@ -121,6 +122,8 @@ def test_a_bool_depth_is_refused(hops):
 # ----------------------------------------------------------------------
 known = st.integers(0, VERTICES - 1)
 not_an_id = st.sampled_from([True, False, 1.0, 2.5, "3", None])
+#: a query start of each kind that is not a vertex id: bool, float, str, None
+not_a_start = st.sampled_from([True, False, 1.0, 0.0, "1", None])
 unstorable = st.sampled_from([2**63, -(2**63) - 1, 2**70])
 
 
@@ -140,6 +143,7 @@ def bad_calls(draw, edges):
                 "capacity",
                 "decay",
                 "depth",
+                "start",
             ]
         )
     )
@@ -172,6 +176,10 @@ def bad_calls(draw, edges):
     if kind == "depth":
         hops = draw(st.sampled_from([True, False, -1, 1.5, NAN, "2", None]))
         return "traverse", (draw(known), hops), {}
+    if kind == "start":
+        if draw(st.booleans()):
+            return "read_vertex", (draw(not_a_start),), {}
+        return "traverse", (draw(not_a_start), draw(st.integers(0, 2))), {}
     if draw(st.booleans()):
         factor = draw(st.sampled_from([0.0, -0.5, 1.5, NAN, INF]))
         return "decay_weights", (factor,), {}

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.network import (
     BATCH_BASE_BYTES,
     BATCH_ENTRY_BYTES,
+    BATCH_ENTRY_COST,
     LOCAL_VISIT_COST,
     REMOTE_HOP_COST,
     LinkStats,
@@ -129,14 +130,19 @@ class TestTelemetryMirror:
         )
         assert hub.registry.value("network_messages_total", kind="transfer") == 1
 
-    def test_hop_latency_histogram(self):
+    def test_hop_latency_follows_from_counts(self):
+        """Wire latency is not observed: it is the hop count and the batch
+        entries times the price table."""
         hub = Telemetry()
         network = SimulatedNetwork(2, telemetry=hub)
-        for _ in range(5):
-            network.remote_hop(0, 1)
-        hist = hub.histogram("network_hop_seconds")
-        assert hist.count == 5
-        assert hist.sum == pytest.approx(5 * REMOTE_HOP_COST)
+        cost = sum(network.remote_hop(0, 1) for _ in range(5))
+        cost += network.batched_hop(0, 1, count=3)
+        hops = hub.registry.value("network_messages_total", kind="hop")
+        entries = hub.histogram("network_batch_entries").sum
+        assert cost == pytest.approx(hops * REMOTE_HOP_COST + entries * BATCH_ENTRY_COST)
+        assert "network_hop_seconds" not in {
+            family.name for family in hub.registry.families()
+        }
 
     def test_link_gauge_export(self):
         hub = Telemetry()

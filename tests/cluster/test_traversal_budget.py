@@ -48,8 +48,9 @@ CALLS_PER_WARM_HOP = 66
 
 SERVERS = 4
 #: registry instrument calls per depth: the network's message and byte
-#: counters and its two histograms, the location cache's hits and misses
-DEPTH_SERIES = 6
+#: counters and its batch-size histogram, the location cache's hits and
+#: misses
+DEPTH_SERIES = 5
 #: per query: traversals, processed, remote hops, the cost histogram
 QUERY_SERIES = 4
 INSTRUMENT_CALLS = ("inc", "observe", "observe_many", "set")

@@ -71,7 +71,7 @@ def bad_submissions(draw):
     kind = draw(st.sampled_from([
         "surplus", "missing", "keyword", "twice", "hops", "properties",
         "unknown", "weight", "duplicate_vertex", "vertex_id", "self_loop",
-        "duplicate_edge",
+        "duplicate_edge", "start",
     ]))
     if kind == "surplus":
         return draw(st.sampled_from([
@@ -126,6 +126,12 @@ def bad_submissions(draw):
     if kind == "self_loop":
         vertex = draw(known)
         return "add_edge", (vertex, vertex), {}
+    if kind == "start":
+        # A start of each kind that is not a vertex id: bool, float, str, None.
+        start = draw(st.sampled_from([True, False, 1.0, 0.0, "1", None]))
+        if draw(st.booleans()):
+            return "read", (start,), {}
+        return "traverse", (start, draw(st.integers(0, 2))), {}
     u, v = draw(st.sampled_from(sorted(EDGES)))
     return "add_edge", (v, u) if draw(st.booleans()) else (u, v), {}
 
