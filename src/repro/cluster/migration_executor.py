@@ -18,20 +18,20 @@ of the lightweight repartitioner, the executor:
 Relationship bookkeeping follows the ownership convention: the primary
 (property-bearing) record lives with the ``src`` endpoint's host; the
 other side keeps a ghost.  The executor computes each record's role once
-against the *post-migration* placement (:meth:`MigrationExecutor._is_ghost`,
+against the *post-migration* placement (:meth:`MigrationExecutor._roles`,
 shared by the copy step, :meth:`MigrationExecutor.mirror_edge` and the
 remove step) so that edges between two migrating vertices, edges to
 third-party servers, and edges collapsing into a single server are all
 handled.
 
-Both steps move a vertex's relationship chain at once, not a record at a
-time.  A copy is one :meth:`~repro.storage.graph_store.GraphStore.import_node`
-on the target: the node, its properties and every relationship record,
-each written once with its final pointers.  A remove is one
-:meth:`~repro.storage.graph_store.GraphStore.delete_node` walk on the
-source, keeping a record only where the other endpoint stays there.  The
-stores end byte for byte where installing and unlinking one record at a
-time left them (``tests/cluster/test_migration_differential.py``).
+Neither step moves a record at a time.  A pair's copy is one
+:meth:`~repro.storage.graph_store.GraphStore.import_nodes` on the target:
+each vertex's node, properties and relationship records, each record
+written once with its final pointers, a page at a time.  A remove is one
+:meth:`~repro.storage.graph_store.GraphStore.delete_node` walk per vertex
+on the source, keeping a record only where the other endpoint stays
+there.  The stores end byte for byte where installing and unlinking one
+record at a time left them (``tests/cluster/test_migration_differential.py``).
 
 Execution is **transactional** because the copy step only inserts: a
 failure before the catalog flips (a crash window or message loss
@@ -67,13 +67,15 @@ from repro.cluster.durability import commit_all
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import SimulatedNetwork
 from repro.cluster.server import HermesServer
-from repro.core.migration import MigrationPlan
+from repro.core.migration import MigrationPlan, VertexMove
 from repro.exceptions import (
     ClusterError,
     FaultInjectedError,
     HermesError,
     MigrationAbortedError,
 )
+from repro.storage.graph_store import Export
+from repro.storage.relationship_store import REL_SRC
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 
@@ -112,14 +114,11 @@ class MigrationStep:
     servers: Tuple[int, ...] = ()
 
 
-def _payload_size(payload: Dict[str, Any]) -> int:
+def _payload_size(export: Export) -> int:
     """Rough wire size: fixed record sizes + property payload estimate."""
-    size = 64  # node record + framing
-    for key, value in payload.get("properties", {}).items():
-        size += len(key) + len(repr(value)) + 16
-    for rel in payload.get("relationships", []):
-        size += 80  # relationship record
-        for key, value in rel.get("properties", {}).items():
+    size = 64 + 80 * len(export.chain)  # node record + framing, relationship records
+    for properties in (export.properties, *export.chain_properties.values()):
+        for key, value in properties.items():
             size += len(key) + len(repr(value)) + 16
     return size
 
@@ -240,10 +239,7 @@ class MigrationExecutor:
             copy_span = self.telemetry.span("migration.copy")
             for pair, moves in batches.items():
                 cost_before = report.copy_cost
-                for move in moves:
-                    self._copy_one(move, final_home, report, payload_sizes)
-                    self._window[move.vertex] = move.target
-                    self._window_unswept.add(move.vertex)
+                self._copy_pair(moves, final_home, report, payload_sizes)
                 yield self._step("copy", report.copy_cost - cost_before, pair)
             copy_span.set_attribute("bytes", report.bytes_transferred)
             copy_span.finish(duration=report.copy_cost)
@@ -352,8 +348,12 @@ class MigrationExecutor:
         self._window_unswept.clear()
 
     def _final_placement(self, plan: MigrationPlan) -> Dict[int, int]:
-        """Vertex -> server map *after* the plan completes."""
-        placement = {move.vertex: move.target for move in plan.moves}
+        """Vertex -> server map *after* the plan completes: the catalog as
+        the plan starts with every move applied, so the role rule finds
+        each endpoint in one dict (a vertex inserted later is looked up
+        in the catalog, :meth:`_home_after`)."""
+        placement = self.catalog.as_mapping()
+        placement.update((move.vertex, move.target) for move in plan.moves)
         return placement
 
     def _home_after(self, vertex: int, final_home: Dict[int, int]) -> int:
@@ -365,37 +365,51 @@ class MigrationExecutor:
     # ------------------------------------------------------------------
     # Step 1: copy
     # ------------------------------------------------------------------
-    def _copy_one(
+    def _copy_pair(
         self,
-        move,
+        moves: List[VertexMove],
         final_home: Dict[int, int],
         report: MigrationReport,
         payload_sizes: List[int],
     ) -> None:
-        """Replicate one moving vertex on its target server.
-
-        Nothing is written unless the whole copy lands (``import_node``
-        checks before its first write), so a failure leaves no trace and
-        the vertex enters the window only once its copy is complete.
-        """
-        source = self.servers[move.source]
-        target = self.servers[move.target]
-        if not source.store.has_node(move.vertex):
-            raise ClusterError(
-                f"server {move.source} does not host vertex {move.vertex}"
-            )
-        payload = source.store.export_node(move.vertex)
-        size = _payload_size(payload)
-        payload_sizes.append(size)
-        report.bytes_transferred += size
-        report.copy_cost += self._transfer(move.source, move.target, size)
-        report.vertices_moved += 1
-        report.per_target[move.target] = report.per_target.get(move.target, 0) + 1
-
-        rels = payload["relationships"]
-        roles = [self._is_ghost(rel["src"], move.target, final_home) for rel in rels]
-        target.store.import_node(payload, roles)
-        report.relationships_transferred += len(rels)
+        """Replicate one (source, target) pair's vertices on the target:
+        each vertex checked, exported and shipped in plan order, then one
+        ``import_nodes`` of the shipped copies with their roles
+        (:meth:`_roles`), which enter the window in that order.  When a
+        vertex fails (not hosted, not available, retries exhausted, a
+        payload the target rejects) the copies before it land and its
+        error is raised, as copying one vertex at a time did; a rejected
+        payload is found after the pair's transfers."""
+        source, target = moves[0].source, moves[0].target
+        store = self.servers[source].store
+        exports: List[Export] = []
+        try:
+            for move in moves:
+                if not store.has_node(move.vertex):
+                    raise ClusterError(
+                        f"server {source} does not host vertex {move.vertex}"
+                    )
+                export = store.export_fields(move.vertex)
+                size = _payload_size(export)
+                payload_sizes.append(size)
+                report.bytes_transferred += size
+                report.copy_cost += self._transfer(source, target, size)
+                report.vertices_moved += 1
+                report.per_target[target] = report.per_target.get(target, 0) + 1
+                exports.append(export)
+        finally:
+            # The import adds one node per copy it installs.
+            arrivals = self.servers[target].store
+            installed = arrivals.num_nodes
+            try:
+                srcs = (rel[REL_SRC] for export in exports for rel in export.chain)
+                arrivals.import_nodes(exports, self._roles(srcs, target, final_home))
+            finally:
+                installed = arrivals.num_nodes - installed
+                for move, export in zip(moves[:installed], exports):
+                    self._window[move.vertex] = target
+                    self._window_unswept.add(move.vertex)
+                    report.relationships_transferred += len(export.chain)
 
     def _transfer(self, src: int, dst: int, size: int) -> float:
         """One copy-step record shipment, retried under injected faults."""
@@ -428,7 +442,7 @@ class MigrationExecutor:
         rel_id = rel["rel_id"]
         src, dst = rel["src"], rel["dst"]
         here = target.server_id
-        ghost = self._is_ghost(src, here, final_home)
+        (ghost,) = self._roles([src], here, final_home)
 
         if target.store.has_relationship(rel_id):
             # Counterpart already present (the other endpoint lives here
@@ -452,11 +466,18 @@ class MigrationExecutor:
             rel_id, src, dst, ghost=ghost, properties=properties
         )
 
-    def _is_ghost(self, src: int, here: int, final_home: Dict[int, int]) -> bool:
-        """The primary/ghost rule: a relationship's record on ``here`` is
-        the property-bearing primary exactly when the relationship's
-        ``src`` ends the migration hosted on ``here``."""
-        return self._home_after(src, final_home) != here
+    def _roles(
+        self, srcs: Iterable[int], here: int, final_home: Dict[int, int]
+    ) -> List[bool]:
+        """The primary/ghost rule, a flag per relationship ``src`` (True: a
+        ghost): a relationship's record on ``here`` is the property-bearing
+        primary exactly when its ``src`` ends the migration hosted on
+        ``here`` (:meth:`_home_after`, inlined)."""
+        lookup = self.catalog.lookup
+        return [
+            (final_home[src] if src in final_home else lookup(src)) != here
+            for src in srcs
+        ]
 
     # ------------------------------------------------------------------
     # Rollback (abort path)
@@ -515,7 +536,7 @@ class MigrationExecutor:
 
         An edge whose other endpoint stays here now crosses partitions:
         the store keeps its record for that endpoint, as a ghost exactly
-        when the departing vertex was its ``src`` — :meth:`_is_ghost`
+        when the departing vertex was its ``src`` — :meth:`_roles`
         with the source as ``here``.  Every other record goes.  One local
         visit is charged per chain entry, in chain order, then one for
         the node.

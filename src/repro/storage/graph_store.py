@@ -30,7 +30,7 @@ vertex the store already knows to be available.  Two structures hold
 what it knows: the **adjacency view** (``adjacency``: node id ->
 neighbour ids in chain order), filled on a node's first expansion by the
 one chain walk (``_chain_fields``) that ``neighbor_entries`` and
-``export_node`` also consume, and the **availability set**
+``export_fields`` also consume, and the **availability set**
 (``available``), filled by a node's first availability-only answer.
 Each is filled only after one checked node access found the node in use
 and available.  The typed writers drop what a write may have changed:
@@ -44,28 +44,29 @@ and the mutators remain the per-record boundary for point reads and
 single writes.
 
 Bulk paths write more than a record at a time: ``bulk_load`` fills an
-empty store from columns, whole pages at once, ``import_node`` installs
-an arriving node with its chain — each writing every record once, with
-its final pointers — and ``delete_node`` dismantles a departing node in
-one walk of its chain.  They allocate and free slots, ids and blobs in
-the order the per-record mutators would, so the pages they leave are the
-ones creating, linking or unlinking one record at a time leaves.
+empty store from columns and ``import_nodes`` installs a migration
+pair's arriving nodes with their chains — each writing every record
+once, with its final pointers, a page at a time (``write_columns``) —
+and ``delete_node`` dismantles a departing node in one walk of its
+chain.  They allocate and free slots, ids and blobs in the order the
+per-record mutators would, so the pages they leave are the ones
+creating, linking or unlinking one record at a time leaves.
 
-The write side works on raw fields, not records.  ``export_node`` ships
-the fields its chain walk read; ``import_node``, ``delete_node`` and the
-chain links and unlinks they share with the
-per-record mutators read a slot through ``fields``, set its final
-fields in a list and write it once through the node or relationship
-store's ``write_fields`` — the records' one slot writer — building no
-``NodeRecord`` or ``RelationshipRecord`` and no copy of one.  A record
-a caller already holds (``held``: the arriving payload's, the departing
-chain's) is updated in place when a neighbour's link or unlink changes
+The write side works on raw fields, not records.  ``export_fields``
+ships the fields its chain walk read; ``delete_node`` and the chain
+links and unlinks it shares with the per-record mutators read a slot
+through ``fields``, set its final fields in a list and write it once
+through the node or relationship store's ``write_fields`` — the
+records' one slot writer — building no ``NodeRecord`` or
+``RelationshipRecord`` and no copy of one.  A record of the departing
+chain (``held``) is updated in place when a sibling's unlink changes
 it, never read back.  The record types are the read side's values:
 ``node``, ``relationship`` and ``chain`` return them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -221,6 +222,19 @@ class NeighborEntry(NamedTuple):
     neighbor: int
     rel_id: int
     ghost: bool
+
+
+class Export(NamedTuple):
+    """One node as the copy step ships it (:meth:`GraphStore.export_fields`)."""
+
+    node_id: int
+    weight: float
+    properties: Dict[str, Any]
+    #: the raw fields ``(flags, id, src, dst, ...)`` of each record of its
+    #: chain on the source, head first; an import reads id, src and dst
+    chain: List[Sequence]
+    #: chain position -> properties of each primary record that has any
+    chain_properties: Dict[int, Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -470,14 +484,11 @@ class GraphStore:
         self.relationships.write_fields(rel)
         return self.relationships.codec.decode(tuple(rel))
 
-    def _link_into_chain(
-        self, rel: List, node: Sequence, held: Optional[Dict[int, List]] = None
-    ) -> None:
+    def _link_into_chain(self, rel: List, node: Sequence) -> None:
         """Head-insert the relationship with fields ``rel`` into the chain
         of the node with fields ``node``.  ``rel``'s pointers on that side
         are set for the caller to write; the old head's ``prev`` and the
-        node's ``first_rel`` are written — an old head in ``held`` from
-        its held fields, updated in place."""
+        node's ``first_rel`` are written."""
         node_id = node[NODE_ID]
         rel_id = rel[REL_ID]
         old_first = node[NODE_FIRST_REL]
@@ -485,7 +496,7 @@ class GraphStore:
         rel[side] = NULL_REF
         rel[side + 1] = old_first
         if old_first != NULL_REF:
-            first = self._held_fields(old_first, held)
+            first = list(_fields(self.relationships, old_first))
             first[_side(first, node_id)] = rel_id
             self.relationships.write_fields(first)
         node = list(node)
@@ -560,7 +571,7 @@ class GraphStore:
 
         Used when a write mirrored into an online migration's window finds
         the record already here (the other endpoint is local); a whole
-        arriving chain goes through :meth:`import_node`.
+        arriving chain goes through :meth:`import_nodes`.
         """
         rel = list(_fields(self.relationships, rel_id))
         node = self.nodes.fields(node_id)
@@ -878,7 +889,7 @@ class GraphStore:
         per relationship leave it.  One stable sort of the chain entries
         by (endpoint, creation index) gives every pointer — a record's
         ``next`` is the older record, its ``prev`` the newer one, a
-        node's ``first_rel`` its newest, as in :meth:`import_node` — and
+        node's ``first_rel`` its newest, as in :meth:`import_nodes` — and
         each record store is written in whole pages.
 
         Every check runs on whole columns first — no record store has a
@@ -948,130 +959,272 @@ class GraphStore:
     # ==================================================================
     # Migration payloads (used by the cluster's two-step protocol)
     # ==================================================================
-    def export_node(self, node_id: int) -> Dict[str, Any]:
-        """Everything the copy step must ship for one node, taken from
-        the raw fields its chain walk read (no record value built)."""
+    def export_fields(self, node_id: int) -> Export:
+        """Everything the copy step ships for one node, as the raw fields
+        one checked node access (raising for a missing or unavailable
+        node) and one walk of its chain read: no record value and no dict
+        per relationship."""
         node = self._available_fields(node_id)
-        relationships = [
-            {
-                "rel_id": rel[REL_ID],
-                "src": rel[REL_SRC],
-                "dst": rel[REL_DST],
-                "ghost": rel[REL_FLAGS] & FLAG_GHOST != 0,
-                "properties": (
-                    {}
-                    if rel[REL_FLAGS] & FLAG_GHOST
-                    else self._collect_properties(rel[REL_FIRST_PROP])
-                ),
-            }
-            for rel in self._chain_fields(node_id, node[NODE_FIRST_REL])
-        ]
+        chain = self._chain_fields(node_id, node[NODE_FIRST_REL])
+        collect = self._collect_properties
+        primaries = {
+            position: collect(rel[REL_FIRST_PROP])
+            for position, rel in enumerate(chain)
+            if rel[REL_FIRST_PROP] != NULL_REF and not rel[REL_FLAGS] & FLAG_GHOST
+        }
+        properties = collect(node[NODE_FIRST_PROP])
+        return Export(node_id, node[NODE_WEIGHT], properties, chain, primaries)
+
+    def export_node(self, node_id: int) -> Dict[str, Any]:
+        """:meth:`export_fields` as a payload: the node, its properties
+        and one dict per record of its chain, head first."""
+        export = self.export_fields(node_id)
         return {
-            "node": {
-                "node_id": node_id,
-                "weight": node[NODE_WEIGHT],
-            },
-            "properties": self._collect_properties(node[NODE_FIRST_PROP]),
-            "relationships": relationships,
+            "node": {"node_id": node_id, "weight": export.weight},
+            "properties": export.properties,
+            "relationships": [
+                {
+                    "rel_id": rel[REL_ID],
+                    "src": rel[REL_SRC],
+                    "dst": rel[REL_DST],
+                    "ghost": rel[REL_FLAGS] & FLAG_GHOST != 0,
+                    "properties": export.chain_properties.get(position, {}),
+                }
+                for position, rel in enumerate(export.chain)
+            ],
         }
 
     def import_node(self, payload: Dict[str, Any], roles: Sequence[bool]) -> None:
-        """Copy-step insert: the node of an :meth:`export_node` payload,
-        its properties and its whole relationship chain, in one pass.
-
-        ``roles[i]`` says whether ``payload["relationships"][i]`` is a
-        ghost here once the migration completes (the caller knows the
-        placement; the store does not).  A record new to this store is
-        created with that role — a ghost keeps no properties — and
-        head-linked into its other endpoint's chain when that endpoint is
-        local.  A record already here (its other endpoint lives here)
-        takes the role: an upgrade to primary takes the payload's
-        properties, a downgrade drops its own, a primary merges the
-        payload's in.  The arriving chain ends in reverse payload order —
-        what head-inserting one record at a time leaves — so each record
-        is written once, with its final pointers on the arriving side,
-        and the node once, with its chain head.  Slots, ids and blobs
-        are allocated and freed in payload order, as one record at a
-        time does.
-
-        Records are handled as raw fields: a record already here is read
-        once, by the checks, and the payload's records are held as the
-        fields last written, so head-linking one in front of another
-        rewrites the held fields rather than reading them back.
-
-        Everything is checked before the first write — the node is
-        absent, its id and every relationship's id and endpoints fit a
-        record, relationship ids are non-negative, the weight is a real
-        number, the node is an endpoint of every record, no record comes
-        twice, a record here joins the same two nodes and is not linked
-        on the arriving side, every property encodes — so a bad payload
-        raises :class:`StorageError` with the store untouched.  Undoing
-        an import is :meth:`delete_node` with ``stays`` naming the nodes
-        that were here before.
-        """
-        node = payload["node"]
-        node_id = node["node_id"]
-        rels = payload["relationships"]
-        #: rel id -> the fields of a payload record read or built here
-        held = self._check_import(node_id, node["weight"], rels, roles)
-        encoded = [
-            [] if ghost else encode_properties(rel["properties"])
-            for rel, ghost in zip(rels, roles)
-        ]
-        node_properties = encode_properties(payload["properties"])
-        ids = [rel["rel_id"] for rel in rels]
-        first_prop = self._new_property_chain(node_id, node_properties)
-        write = self.relationships.write_fields
-        for position, (rel, ghost, properties) in enumerate(zip(rels, roles, encoded)):
-            rel_id = rel["rel_id"]
-            fields = held.get(rel_id)
-            if fields is not None:
-                self._take_role(fields, ghost, properties)
-            else:
-                self._rel_ids.observe(rel_id)
-                src, dst = rel["src"], rel["dst"]
-                fields = [rel_flags(ghost), rel_id, src, dst] + [NULL_REF] * 5
-                held[rel_id] = fields
-                other = self.nodes.fields(dst if src == node_id else src)
-                if other is not None:
-                    self._link_into_chain(fields, other, held)
-                fields[REL_FIRST_PROP] = self._new_property_chain(rel_id, properties)
-            # Head-inserted in payload order: prev is the newer, next the older.
-            side = REL_SRC_PREV if fields[REL_SRC] == node_id else REL_DST_PREV
-            fields[side] = ids[position + 1] if position + 1 < len(ids) else NULL_REF
-            fields[side + 1] = ids[position - 1] if position else NULL_REF
-            write(fields)
-        self.nodes.write_fields(
-            (
-                NODE_IN_USE_AVAILABLE,
-                node_id,
-                ids[-1] if ids else NULL_REF,
-                first_prop,
-                node["weight"],
-            )
-        )
-
-    def _check_import(
-        self,
-        node_id: int,
-        weight: float,
-        rels: Sequence[Dict[str, Any]],
-        roles: Sequence[bool],
-    ) -> Dict[int, List]:
-        """Everything :meth:`import_node` must know before its first write;
-        returns the fields of the payload's records already here, by id."""
-        if node_id in self.nodes:
-            raise StorageError(f"node {node_id} already exists")
-        check_node_values(node_id, weight)
+        """Copy-step insert of an :meth:`export_node` payload: the one-node
+        :meth:`import_nodes`, ``roles[i]`` the role of its ``i``-th
+        relationship."""
+        node, rels = payload["node"], payload["relationships"]
         if len(roles) != len(rels):
             raise StorageError(
-                f"{len(roles)} roles for the {len(rels)} relationships of node {node_id}"
+                f"{len(roles)} roles for the {len(rels)} relationships of node "
+                f"{node['node_id']}"
             )
-        fields_of = self.relationships.fields
+        chain = [(FLAG_IN_USE, rel["rel_id"], rel["src"], rel["dst"]) for rel in rels]
+        primaries = {at: rel["properties"] for at, rel in enumerate(rels) if rel["properties"]}
+        self.import_nodes(
+            [Export(node["node_id"], node["weight"], payload["properties"], chain, primaries)],
+            roles,
+        )
+
+    def import_nodes(self, exports: Sequence[Export], roles: Sequence[bool]) -> None:
+        """Copy-step insert of one (source, target) pair: each node of
+        ``exports`` with its properties and whole chain, leaving the store
+        as importing the nodes one at a time, in order, left it.
+
+        ``roles`` flags, per relationship of the exports, whether its
+        record is a ghost here once the migration completes.  A record new
+        here is created in its role and head-linked into its other
+        endpoint's chain when that endpoint is local (as an earlier node
+        of the pair is); a record already here, or brought by an earlier
+        node, takes the role, an upgrade taking the payload's properties
+        and a downgrade dropping its own.  The checks of
+        :meth:`_check_import` run on columns before the first write: the
+        nodes before the first that fails are installed, and it raises
+        what importing it alone raises, nothing of it written.  Then
+        property chains are built record by record, slots taken in the
+        order each record first comes, every pointer given by one sort of
+        the chain entries by (node, position), and the images written a
+        page at a time.  Undoing an import is :meth:`delete_node` with
+        ``stays`` naming the nodes here before.
+        """
+        rels = list(itertools.chain.from_iterable(export.chain for export in exports))
+        if len(roles) != len(rels):
+            raise StorageError(
+                f"{len(roles)} roles for the {len(rels)} relationships of "
+                f"{len(exports)} nodes"
+            )
+        if not exports:
+            return
+        counts = [len(export.chain) for export in exports]
+        starts = [0, *itertools.accumulate(counts)]
+        owner = np.repeat(np.arange(len(exports)), counts)
+        node_values = [export.node_id for export in exports]
+        ids, id_fits = record_column("q", node_values)
+        weights, weight_fits = record_column("d", [export.weight for export in exports])
+        bad_node = ~(id_fits & weight_fits)
+        if len(set(node_values)) < len(node_values):
+            bad_node |= _repeated(ids)
+        bad_node[self.nodes.holding(node_values)] = True
+        rel_values, srcs, dsts = list(zip(*rels))[1:4] if rels else ((),) * 3
+        rel_ids, rel_fits = record_column("q", rel_values)
+        src_col, src_fits = record_column("q", srcs)
+        dst_col, dst_fits = record_column("q", dsts)
+        from_src = src_col == ids[owner]
+        bad = ~(rel_fits & src_fits & dst_fits) | (rel_ids < 0) | (src_col == dst_col)
+        bad |= ~from_src & (dst_col != ids[owner])
+        # ``previous``: the position that brought the record before (-1:
+        # none); a valid pair brings a record at most twice.
+        order = np.lexsort((np.arange(len(rels)), rel_ids))
+        again = rel_ids[order][1:] == rel_ids[order][:-1]
+        later, earlier = order[1:][again], order[:-1][again]
+        previous = np.full(len(rels), -1)
+        previous[later] = earlier
+        bad[later] |= owner[later] == owner[earlier]
+        bad[later] |= src_col[later] != src_col[earlier]
+        bad[later] |= dst_col[later] != dst_col[earlier]
+        found = list(map(self.relationships.fields, rel_values))
+        held = np.array([at for at, fields in enumerate(found) if fields], np.int64)
+        stored = itertools.chain.from_iterable(filter(None, found))
+        stored = np.fromiter(stored, np.int64, 9 * len(held)).reshape(-1, 9)
+        side = np.where(from_src[held], REL_SRC_PREV, REL_DST_PREV)
+        linked_here = stored[np.arange(len(held)), side] != NULL_REF
+        linked_here |= stored[np.arange(len(held)), side + 1] != NULL_REF
+        bad[held] |= linked_here | (stored[:, REL_SRC] != src_col[held])
+        bad[held] |= stored[:, REL_DST] != dst_col[held]
+        encoded: Dict[int, List[EncodedProperty]] = {}
+        encoded_nodes: Dict[int, Tuple[Any, List[EncodedProperty]]] = {}
+        for index, export in enumerate(exports):
+            try:
+                for position, properties in export.chain_properties.items():
+                    if not roles[starts[index] + position]:
+                        properties = encode_properties(properties)
+                        encoded[starts[index] + position] = properties
+                if export.properties:
+                    properties = encode_properties(export.properties)
+                    encoded_nodes[index] = (export.node_id, properties)
+            except StorageError:
+                bad_node[index] = True
+        bad_node[owner[bad]] = True
+        if bad_node.any():
+            good = int(bad_node.argmax())
+            self.import_nodes(exports[:good], roles[: starts[good]])
+            self._check_import(exports[good], roles[starts[good] : starts[good + 1]])
+            raise StorageError(f"node {node_values[good]} failed the column checks only")
+
+        # The writes.  One image row per record, in the order each first
+        # comes (the slot order of the new ones).
+        first, role = previous < 0, np.array(roles, bool)
+        pre = np.zeros(len(rels), bool)
+        pre[held] = True
+        new = first & ~pre
+        firsts = np.flatnonzero(first)
+        row = (np.cumsum(first) - 1)[np.where(first, np.arange(len(rels)), previous)]
+        image = np.full((len(firsts), 9), NULL_REF, np.int64)
+        ends = np.column_stack((rel_ids, src_col, dst_col))
+        image[:, REL_ID : REL_DST + 1] = ends[firsts]
+        image[row[held[first[held]]]] = stored[first[held]]
+        ghost = np.where(first, image[row, REL_FLAGS] & FLAG_GHOST != 0, role[previous])
+        downgrade = ~new & role & ~ghost
+        node_first_prop = [NULL_REF] * len(exports)
+        dropped = image[row[downgrade], REL_FIRST_PROP] != NULL_REF
+        if encoded or encoded_nodes or dropped.any():
+            first_props = self._property_chains(
+                node_first_prop, encoded_nodes, starts, rel_values, row, new, downgrade,
+                encoded, image[:, REL_FIRST_PROP],
+            )
+            image[list(first_props), REL_FIRST_PROP] = list(first_props.values())
+        last = np.ones(len(rels), bool)
+        last[previous[previous >= 0]] = False
+        flags = np.where(role, rel_flags(True), rel_flags(False))
+        image[row[last], REL_FLAGS] = flags[last]
+        # Chain entries: each record on its arriving node, a new record
+        # also on a local other endpoint (an earlier node of the pair or a
+        # resident); ``index`` is an entry's node in the pair, -1 for a
+        # resident.
+        other = np.where(from_src, dst_col, src_col)
+        sorter = np.argsort(ids)
+        found = sorter[np.searchsorted(ids, other, sorter=sorter).clip(0, len(ids) - 1)]
+        other_index = np.where(ids[found] == other, found, len(ids))
+        linked = new & (other_index < owner)
+        outside = np.flatnonzero(new & (other_index == len(ids)))
+        linked[outside[self.nodes.holding(other[outside].tolist())]] = True
+        links = np.flatnonzero(linked)
+        positions = np.concatenate((np.arange(len(rels)), links))
+        node = np.concatenate((ids[owner], other[links]))
+        resident_link = other_index[links] == len(ids)
+        index = np.concatenate((owner, np.where(resident_link, -1, found[links])))
+        side = np.concatenate((from_src, ~from_src[links]))
+        by_node = np.lexsort((positions, node))
+        node, index, at = node[by_node], index[by_node], row[positions[by_node]]
+        side = np.where(side[by_node], REL_SRC_PREV, REL_DST_PREV)
+        rel = image[at, REL_ID]
+        same = node[1:] == node[:-1]
+        image[at[:-1][same], side[:-1][same]] = rel[1:][same]
+        image[at[1:][same], side[1:][same] + 1] = rel[:-1][same]
+        oldest = np.flatnonzero(np.append(True, ~same)[: len(node)])
+        newest = np.flatnonzero(np.append(~same, True)[: len(node)])
+        # A resident's old head goes behind its oldest insertion, a record
+        # of the pair in its row, another in a row read for it.  (None in a
+        # consistent cluster: a record to a resident is here already.)
+        residents = oldest[index[oldest] < 0]
+        resident_ids = node[residents].tolist()
+        resident = [_fields(self.nodes, node_id) for node_id in resident_ids]
+        if resident:
+            heads = np.array([fields[NODE_FIRST_REL] for fields in resident], np.int64)
+            image[at[residents], side[residents] + 1] = heads
+            behind, heads = residents[heads != NULL_REF], heads[heads != NULL_REF]
+            unread = set(heads.tolist()).difference(image[:, REL_ID].tolist())
+            extra = [_fields(self.relationships, head) for head in sorted(unread)]
+            image = np.vstack((image, np.array(extra, np.int64).reshape(-1, 9)))
+            sorter = np.argsort(image[:, REL_ID])
+            head_rows = sorter[np.searchsorted(image[:, REL_ID], heads, sorter=sorter)]
+            on_src = image[head_rows, REL_SRC] == node[behind]
+            image[head_rows, np.where(on_src, REL_SRC_PREV, REL_DST_PREV)] = rel[behind]
+        first_rel = np.full(len(exports), NULL_REF, np.int64)
+        arriving = newest[index[newest] >= 0]
+        first_rel[index[arriving]] = rel[arriving]
+        self.nodes.write_columns(
+            (
+                [NODE_IN_USE_AVAILABLE] * len(exports)
+                + [fields[NODE_FLAGS] for fields in resident],
+                node_values + resident_ids,
+                np.append(first_rel, rel[newest[index[newest] < 0]]),
+                node_first_prop + [fields[NODE_FIRST_PROP] for fields in resident],
+                np.append(weights, [fields[NODE_WEIGHT] for fields in resident]),
+            )
+        )
+        if new.any():
+            self._rel_ids.observe(int(rel_ids[new].max()))
+        self.relationships.write_columns(tuple(image.T))
+
+    def _property_chains(
+        self, node_first_prop, encoded_nodes, starts, rel_values, row, new, downgrade,
+        encoded, first_prop,
+    ) -> Dict[int, int]:
+        """A pair import's property work in payload order: a node's new
+        chain (head into ``node_first_prop``), then each record's — a new
+        one's chain, a present one's dropped on ``downgrade``, then merged.
+        Returns the changed heads by image ``row`` (else ``first_prop``)."""
+        first_props: Dict[int, int] = {}
+        work = iter(sorted({*np.flatnonzero(downgrade).tolist(), *encoded}))
+        position = next(work, None)
+        for index, end in enumerate(starts[1:]):
+            if index in encoded_nodes:
+                node_first_prop[index] = self._new_property_chain(*encoded_nodes[index])
+            while position is not None and position < end:
+                at, rel_id = row[position], rel_values[position]
+                if new[position]:
+                    head = self._new_property_chain(rel_id, encoded[position])
+                else:
+                    head = first_props.get(at, int(first_prop[at]))
+                    if downgrade[position]:
+                        self._delete_property_chain(head)
+                        head = NULL_REF
+                    for property_ in encoded.get(position, ()):
+                        head = self._set_property(head, rel_id, property_)
+                first_props[at] = head
+                position = next(work, None)
+        return first_props
+
+    def _check_import(self, export: Export, roles: Sequence[bool]) -> None:
+        """The checks of :meth:`import_nodes` for one node, a record at a
+        time in chain order, raising the :class:`StorageError` of the
+        first that fails: the node is absent, ids, ends and weight fit a
+        record, no relationship id is negative, the node is an endpoint of
+        each record and none comes twice, a record here joins the same two
+        nodes and is unlinked on the arriving side, properties encode."""
+        node_id = export.node_id
+        if node_id in self.nodes:
+            raise StorageError(f"node {node_id} already exists")
+        check_node_values(node_id, export.weight)
         seen = set()
-        present: Dict[int, List] = {}
-        for rel in rels:
-            rel_id, src, dst = rel["rel_id"], rel["src"], rel["dst"]
+        for rel in export.chain:
+            rel_id, src, dst = rel[REL_ID], rel[REL_SRC], rel[REL_DST]
             if rel_id in seen:
                 raise StorageError(f"relationship {rel_id} appears twice in the payload")
             seen.add(rel_id)
@@ -1079,9 +1232,9 @@ class GraphStore:
                 raise StorageError(
                     f"relationship {rel_id} ({src}, {dst}) cannot join node {node_id}"
                 )
-            fields = fields_of(rel_id)
+            _check_rel_values(rel_id, src, dst)
+            fields = self.relationships.fields(rel_id)
             if fields is None:
-                _check_rel_values(rel_id, src, dst)
                 continue
             if (fields[REL_SRC], fields[REL_DST]) != (src, dst):
                 raise StorageError(
@@ -1093,23 +1246,10 @@ class GraphStore:
                 raise StorageError(
                     f"relationship {rel_id} is already linked on node {node_id}'s side"
                 )
-            present[rel_id] = list(fields)
-        return present
-
-    def _take_role(
-        self, rel: List, ghost: bool, properties: List[EncodedProperty]
-    ) -> None:
-        """Put the relationship fields ``rel`` in their ``ghost`` role
-        with the encoded ``properties`` merged in (``rel`` is not
-        written)."""
-        first_prop = rel[REL_FIRST_PROP]
-        if ghost and not rel[REL_FLAGS] & FLAG_GHOST:
-            self._delete_property_chain(first_prop)
-            first_prop = NULL_REF
-        for encoded in properties:
-            first_prop = self._set_property(first_prop, rel[REL_ID], encoded)
-        rel[REL_FLAGS] = rel_flags(ghost)
-        rel[REL_FIRST_PROP] = first_prop
+        for position, ghost in enumerate(roles):
+            if not ghost and position in export.chain_properties:
+                encode_properties(export.chain_properties[position])
+        encode_properties(export.properties)
 
     # ==================================================================
     # Logical images (durability journal / recovery fidelity)

@@ -96,6 +96,13 @@ class NodeStore(FixedRecordStore):
         self.adjacency.pop(node_id, None)
         self.available.discard(node_id)
 
+    def write_columns(self, columns: Sequence) -> None:
+        super().write_columns(columns)
+        if self.adjacency or self.available:
+            for node_id in columns[NODE_ID]:
+                self.adjacency.pop(node_id, None)
+                self.available.discard(node_id)
+
     def delete(self, node_id: int) -> None:
         super().delete(node_id)
         self.adjacency.pop(node_id, None)

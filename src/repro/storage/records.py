@@ -35,8 +35,10 @@ the fields they read without building a record value, and
 Writes are all-or-nothing: the whole image is packed before the index,
 the free list, a page or the change set is touched, so fields that do
 not fit raise :class:`StorageError` and leave the store exactly as it
-was.  A bulk load fills an empty store in whole pages instead
-(:meth:`FixedRecordStore.write_columns`, numpy records typed by ``FORMAT``).
+was.  A bulk load or a migration pair's import writes its records a
+page at a time instead (:meth:`FixedRecordStore.write_columns`, numpy
+records typed by ``FORMAT``), leaving what ``write_fields`` per record
+leaves.
 **The log hook.**  A store attached to a write-ahead log adds every slot
 it writes or deletes to :attr:`FixedRecordStore.changed`, the open
 transaction's change set, which the four record stores of one server
@@ -52,7 +54,8 @@ from __future__ import annotations
 import abc
 import re
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -206,24 +209,46 @@ class FixedRecordStore:
             self.changed.add(self.log_key + slot)
 
     def write_columns(self, columns: Sequence) -> None:
-        """Fill this store, which never held a record, from raw fields as
-        columns (one per field, or one value for all; the id objects key
-        the index): record ``i`` in slot ``i``, whole pages, what
-        :meth:`write_fields` per record leaves.  Values are cast as they
-        are: the caller checked they fit."""
+        """Write records from raw fields as columns (one per field, or one
+        value for all; the id objects key the index), each id once: what
+        :meth:`write_fields` per record, in column order, leaves.  A
+        record the store holds is rewritten in its slot; a new one takes
+        the slot ``write_fields`` would give it — the free list from its
+        end, then fresh slots, a page allocated as they cross into it.
+        Each page is then written once, through ``codec.dtype``.  Values
+        are cast as they are: the caller checked they fit."""
+        if not len(columns[1]):
+            return
         records = np.empty(len(columns[1]), self.codec.dtype)
         for name, column in zip(records.dtype.names, columns, strict=True):
             records[name] = column
         ids = columns[1].tolist() if isinstance(columns[1], np.ndarray) else columns[1]
-        self._index.update(zip(ids, range(len(records))))
-        image = memoryview(records.tobytes())
-        span = self.slots_per_page * self.record_size
-        for start in range(0, len(image), span):
-            chunk = image[start : start + span]
-            self._buffers[self.pages.allocate_page()][: len(chunk)] = chunk
-        self._next_slot = len(records)
+        index = self._index
+        # An empty index holds none of them: a bulk load probes nothing.
+        slots = np.full(len(records), -1)
+        if index:
+            slots = np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(records))
+        new = slots < 0
+        free = self._free_slots
+        reused = min(len(free), int(new.sum()))
+        start = self._next_slot
+        self._next_slot += int(new.sum()) - reused
+        reuse = np.array(free[len(free) - reused :][::-1], np.int64)
+        slots[new] = np.concatenate((reuse, np.arange(start, self._next_slot)))
+        del free[len(free) - reused :]
+        index.update(zip(compress(ids, new.tolist()), slots[new].tolist()))
+        per_page = self.slots_per_page
+        while self.pages.num_pages * per_page < self._next_slot:
+            self.pages.allocate_page()
+        order = np.argsort(slots)
+        images = records.view(np.dtype((np.void, self.record_size)))[order]
+        pages, offsets = np.divmod(slots[order], per_page)
+        bounds = (np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist()
+        for begin, end in zip([0, *bounds], [*bounds, len(images)]):
+            page = np.frombuffer(self._buffers[pages[begin]], images.dtype, per_page)
+            page[offsets[begin:end]] = images[begin:end]
         if self.changed is not None:
-            self.changed.update(range(self.log_key, self.log_key + len(records)))
+            self.changed.update((self.log_key + slots).tolist())
 
     def fields(self, record_id: int) -> Optional[Tuple]:
         """The raw struct fields ``(flags, record_id, ...)`` stored under
@@ -281,6 +306,11 @@ class FixedRecordStore:
 
     def __contains__(self, record_id: int) -> bool:
         return record_id in self._index
+
+    def holding(self, record_ids: Iterable) -> List[int]:
+        """The positions in ``record_ids`` of the ids stored here."""
+        hits = map(self._index.__contains__, record_ids)
+        return [at for at, hit in enumerate(hits) if hit]
 
     def __len__(self) -> int:
         return len(self._index)

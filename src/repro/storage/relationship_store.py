@@ -152,6 +152,14 @@ class RelationshipStore(FixedRecordStore):
             adjacency.pop(fields[REL_SRC], None)
             adjacency.pop(fields[REL_DST], None)
 
+    def write_columns(self, columns: Sequence) -> None:
+        super().write_columns(columns)
+        adjacency = self.adjacency
+        if adjacency:  # empty during a bulk load
+            ends = {*columns[REL_SRC].tolist(), *columns[REL_DST].tolist()}
+            for node_id in adjacency.keys() & ends:
+                del adjacency[node_id]
+
     def delete(self, record: RelationshipRecord) -> None:
         """Tombstone ``record`` (as last read) and recycle its slot."""
         self.delete_fields(self.codec.encode(record))

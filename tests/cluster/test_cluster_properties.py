@@ -11,17 +11,19 @@ isolation over hypothesis-driven random inputs:
   ``migrate_steps(plan)`` from identical start states leave identical
   stores, catalog, auxiliary data, report and telemetry;
 * **rollback atomicity** — wherever an injected fault lands inside
-  ``migrate()``, the abort path must restore byte-identical store,
-  catalog and auxiliary state, and the same plan must succeed verbatim
-  once the fault clears.
+  ``migrate()`` (a downed link, or a crash that opens inside a
+  (source, target) pair after some of its copies landed), the abort path
+  must restore byte-identical store, catalog and auxiliary state, and the
+  same plan must succeed verbatim once the fault clears.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.network import (
     BATCH_ENTRY_COST,
@@ -33,6 +35,7 @@ from repro.exceptions import MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 from tests.conftest import (
+    crash_plan,
     deep_snapshot,
     drain,
     link_down_plan,
@@ -181,4 +184,61 @@ def test_aborted_migration_restores_state_exactly(data):
     assert report.vertices_moved == len(moves)
     for vertex, (_, move_target) in moves.items():
         assert cluster.catalog.lookup(vertex) == move_target
+    cluster.validate()
+
+
+@given(placed_graph(), st.data())
+@settings(max_examples=max(30, settings.default.max_examples), deadline=None)
+def test_a_migration_aborted_inside_a_pair_restores_state_exactly(data, draws):
+    """The copy step fails at an interior vertex of a (source, target)
+    pair: a crash window on the target opens after that pair's earlier
+    transfers.  The pair's earlier copies land and are rolled back with
+    the rest; the state is restored exactly and the plan then succeeds."""
+    graph, placement, num_servers, seed = data
+    clusters = [
+        HermesCluster.from_graph(graph.copy(), num_servers=num_servers, partitioning=placement)
+        for _ in range(2)
+    ]
+    moves = random_moves(clusters[0], graph, num_servers, random.Random(seed))
+    plan = build_migration_plan(moves)
+    pairs = [pair for pair in plan.by_pair().values() if len(pair) > 1]
+    assume(pairs)
+    # A fault-free run with an injector attached clocks every transfer.
+    timing, before = clusters
+    injector = timing.attach_faults(FaultPlan())
+    clocked = []
+    transfer = timing.network.transfer
+
+    def clocking_transfer(src, dst, size):
+        clocked.append(injector.now())
+        return transfer(src, dst, size)
+
+    timing.network.transfer = clocking_transfer
+    for vertex, (_, target) in moves.items():
+        timing.aux.apply_move(vertex, target, timing.graph.neighbors(vertex))
+    timing._executor.execute(plan)
+    pair = draws.draw(st.sampled_from(pairs))
+    failing = plan.moves.index(pair[draws.draw(st.integers(1, len(pair) - 1))])
+
+    cluster = before
+    snapshot = deep_snapshot(cluster)
+    cluster.attach_faults(crash_plan(pair[0].target, start=clocked[failing]))
+    for vertex, (_, target) in moves.items():
+        cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+    with pytest.raises(MigrationAbortedError) as aborted:
+        cluster._executor.execute(plan)
+    # Every transfer before the failing one landed, this pair's too.
+    assert aborted.value.report.vertices_moved == failing
+    for vertex, (source, _) in moves.items():
+        cluster.aux.apply_move(vertex, source, cluster.graph.neighbors(vertex))
+    cluster.attach_faults(None)
+    assert deep_snapshot(cluster) == snapshot
+    cluster.validate()
+
+    for vertex, (_, target) in moves.items():
+        cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+    report = cluster._executor.execute(plan)
+    assert report.vertices_moved == len(moves)
+    for vertex, (_, target) in moves.items():
+        assert cluster.catalog.lookup(vertex) == target
     cluster.validate()

@@ -1,25 +1,28 @@
 """Count guard for the migration write path (no timing).
 
-The copy step installs a vertex's whole relationship chain with one
-``GraphStore.import_node`` and the remove step retires it with one
+The copy step installs a (source, target) pair's vertices with one
+``GraphStore.import_nodes`` and the remove step retires each with one
 ``GraphStore.delete_node`` walk, so a relationship record is written
 once where it arrives instead of once per record linked in after it,
-and both work on each slot's raw fields, building no record value
-(DESIGN.md §15, "migration write path").  The budget is checked by
-counting, with hooks installed from here:
+and both work on raw fields, building no record value (DESIGN.md §15,
+"migration write path").  The budget is checked by counting, with hooks
+installed from here:
 
 * every record store's id->slot index (``count_index_calls``): ``get``
   and ``in`` are probes; storing a new id and removing one are index
   maintenance, which the bulk path must leave exactly as the per-record
   path had it;
 * the codecs' ``decode`` — every record value built from page bytes;
-* ``FixedRecordStore.write_fields`` — every slot write: it is the one
-  place a slot is packed and written, which ``write(record)`` and the
-  field-level paths all go through.
+* every slot write: ``FixedRecordStore.write_fields`` packs and writes
+  one slot (``write(record)`` and the field-level paths go through it),
+  ``FixedRecordStore.write_columns`` writes a pair's images a page at a
+  time and counts one write per slot it writes;
+* ``GraphStore.import_nodes`` — one call per (source, target) pair.
 
 The per-relationship figures of the path chains replaced on the same
 rebalance were 20.1 probes and 5.2 slot writes; the chain path that
-still built record values made 3.47 decodes.
+still built record values made 3.47 decodes, and the chain-at-a-time
+import 1.37 slot writes and 8.06 probes.
 """
 
 from collections import Counter
@@ -42,11 +45,11 @@ from tests.conftest import count_index_calls
 def counts(monkeypatch):
     tally = Counter()
 
-    def count_calls(owner, name, key):
+    def count_calls(owner, name, key, weight=lambda *args: 1):
         original = getattr(owner, name)
 
         def counting(*args, **kwargs):
-            tally[key] += 1
+            tally[key] += weight(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
@@ -55,6 +58,10 @@ def counts(monkeypatch):
     for codec in (NodeCodec, RelationshipCodec, PropertyCodec):
         count_calls(codec, "decode", "decodes")
     count_calls(FixedRecordStore, "write_fields", "writes")
+    count_calls(
+        FixedRecordStore, "write_columns", "writes", lambda store, columns: len(columns[1])
+    )
+    count_calls(GraphStore, "import_nodes", "pair imports")
     return tally
 
 
@@ -63,12 +70,14 @@ def test_serial_rebalance_stays_inside_its_write_budget(counts):
     cluster = HermesCluster(4)
     cluster.load(graph, HashPartitioner(salt=5).partition(graph, 4))
     counts.clear()
-    _, report = cluster.rebalance(force=True)
+    result, report = cluster.rebalance(force=True)
     assert (report.vertices_moved, report.relationships_transferred) == (202, 3470)
     transferred = report.relationships_transferred
-    assert counts["writes"] <= 1.5 * transferred  # 1.37
+    assert counts["writes"] <= 1.5 * transferred  # 1.29; a chain at a time: 1.37
     assert counts["decodes"] <= 1.0 * transferred  # 0; building records: 3.47
-    assert counts["probes"] <= 11 * transferred
+    assert counts["probes"] <= 7.95 * transferred  # 7.90; a chain at a time: 8.06
+    pairs = {(source, target) for source, target in result.moves.values()}
+    assert counts["pair imports"] == len(pairs) == 12
     # Index maintenance is what one record at a time did: the same
     # records come and go.
     assert (counts["inserts"], counts["deletes"]) == (1750, 3109)

@@ -28,9 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.durability import ServerJournal, commit_all
-from repro.cluster.migration_executor import _payload_size
 from repro.core.migration import build_migration_plan
-from repro.exceptions import ClusterError, MigrationAbortedError
+from repro.exceptions import ClusterError, MigrationAbortedError, StorageError
 from repro.storage.graph_store import GraphStore
 from tests.conftest import (
     build_placed_cluster,
@@ -48,13 +47,31 @@ VERTICES = 48
 # ----------------------------------------------------------------------
 # The per-record path, as it ran before chains moved in one pass
 # ----------------------------------------------------------------------
+def payload_size(payload):
+    size = 64
+    for key, value in payload["properties"].items():
+        size += len(key) + len(repr(value)) + 16
+    for rel in payload["relationships"]:
+        size += 80
+        for key, value in rel["properties"].items():
+            size += len(key) + len(repr(value)) + 16
+    return size
+
+
+def per_record_copy_pair(self, moves, final_home, report, payload_sizes):
+    for move in moves:
+        per_record_copy_one(self, move, final_home, report, payload_sizes)
+        self._window[move.vertex] = move.target
+        self._window_unswept.add(move.vertex)
+
+
 def per_record_copy_one(self, move, final_home, report, payload_sizes):
     source = self.servers[move.source]
     target = self.servers[move.target]
     if not source.store.has_node(move.vertex):
         raise ClusterError(f"server {move.source} does not host vertex {move.vertex}")
     payload = source.store.export_node(move.vertex)
-    size = _payload_size(payload)
+    size = payload_size(payload)
     payload_sizes.append(size)
     report.bytes_transferred += size
     report.copy_cost += self._transfer(move.source, move.target, size)
@@ -154,7 +171,7 @@ def build_twin(reference, durable):
     )
     executor = cluster._executor
     if reference:
-        executor._copy_one = types.MethodType(per_record_copy_one, executor)
+        executor._copy_pair = types.MethodType(per_record_copy_pair, executor)
         executor._remove_one = types.MethodType(per_record_remove_one, executor)
         executor._install_relationship = types.MethodType(
             per_record_install_relationship, executor
@@ -600,3 +617,203 @@ def test_drawn_remove_equals_per_record_remove(departure, durable):
         lambda: build_store(local, records, node_properties), operate, durable
     )
     assert changed == expected
+
+
+# ----------------------------------------------------------------------
+# One store, a whole (source, target) pair in one import
+# ----------------------------------------------------------------------
+#: the nodes a drawn pair brings, in a drawn order
+ARRIVALS = [0, 6, 7]
+#: ids of the records and nodes a drawn target makes and partly deletes
+#: again, so the pair takes free slots before fresh ones
+FILLER = 1000
+
+
+def payload_of(export):
+    """An export as the payload dict ``export_node`` ships."""
+    return {
+        "node": {"node_id": export.node_id, "weight": export.weight},
+        "properties": export.properties,
+        "relationships": [
+            {
+                "rel_id": rel[1],
+                "src": rel[2],
+                "dst": rel[3],
+                "ghost": False,
+                "properties": export.chain_properties.get(position, {}),
+            }
+            for position, rel in enumerate(export.chain)
+        ],
+    }
+
+
+def without(export, dropped):
+    """``export`` with the chain positions ``dropped`` left out."""
+    kept = [at for at in range(len(export.chain)) if at not in dropped]
+    return export._replace(
+        chain=[export.chain[at] for at in kept],
+        chain_properties={
+            new: export.chain_properties[at]
+            for new, at in enumerate(kept)
+            if at in export.chain_properties
+        },
+    )
+
+
+def warm(store):
+    """Fill the adjacency view and the availability set of every node."""
+    store.read_frontier(sorted(store.node_ids()), False)
+    store.read_frontier(sorted(store.node_ids()), True)
+
+
+def pair_state(store, journal):
+    return (
+        store_state(store, journal),
+        {node: list(neighbors) for node, neighbors in store.adjacency.items()},
+        sorted(store.available),
+    )
+
+
+@st.composite
+def pair_arrivals(draw):
+    """Two or three nodes exported from a drawn source store, where they
+    share records (multi-edges, either direction) with each other and
+    with peers, arriving in a drawn order at a drawn target.  The target
+    hosts some peers, some of the pair's records already (a ghost or a
+    primary with its own properties) among records of its own, and free
+    node and relationship slots; its filler puts the pair's allocations
+    across a page boundary.  Roles are drawn."""
+    arriving = draw(st.lists(st.sampled_from(ARRIVALS), min_size=2, max_size=3, unique=True))
+    peers = draw(st.sets(st.sampled_from(PEERS)))
+    records = draw(record_specs(100, arriving + PEERS, 14))
+    records = [spec for spec in records if {spec[1], spec[2]} & set(arriving)]
+    node_properties = {node: draw(small_properties) for node in arriving}
+    source = build_store(set(arriving) | peers, records, node_properties)
+    exports = [source.export_fields(node) for node in arriving]
+    # A payload may leave out a record it shares with a later node, which
+    # then brings it new and links it into the earlier node's chain.
+    exports[0] = without(exports[0], draw(st.sets(st.integers(0, 13), max_size=3)))
+    local = draw(st.sets(st.sampled_from(PEERS), min_size=1))
+    present = [
+        (rel_id, src, dst, ghost, {} if ghost else properties)
+        for (rel_id, src, dst, _, _), ghost, properties in (
+            (spec, draw(st.booleans()), draw(small_properties)) for spec in records
+        )
+        if ({src, dst} & local) and draw(st.booleans())
+    ]
+    others = draw(record_specs(500, PEERS + [REMOTE], 8))
+    target_records = draw(st.permutations(present + others))
+    filler = draw(st.integers(0, 70))
+    freed = draw(st.sets(st.integers(0, max(filler - 1, 0)), max_size=6))
+    spare_nodes = draw(st.sets(st.integers(FILLER, FILLER + 5), max_size=4))
+    target_properties = {node: draw(small_properties) for node in sorted(local)}
+    roles = draw(
+        st.lists(
+            st.booleans(),
+            min_size=sum(len(export.chain) for export in exports),
+            max_size=sum(len(export.chain) for export in exports),
+        )
+    )
+
+    def build():
+        store = build_store(local, target_records, target_properties)
+        anchor = min(local)
+        for offset in range(filler):
+            store.create_relationship(FILLER + offset, anchor, REMOTE, ghost=True)
+        for node in sorted(spare_nodes):
+            store.create_node(node)
+        for offset in sorted(freed & set(range(filler))):
+            store.delete_relationship(FILLER + offset)
+        for node in sorted(spare_nodes)[::2]:
+            store.delete_node(node)
+        warm(store)
+        return store
+
+    return build, exports, roles
+
+
+def import_one_at_a_time(store, exports, roles):
+    start = 0
+    for export in exports:
+        count = len(export.chain)
+        per_record_import(store, payload_of(export), roles[start : start + count])
+        start += count
+
+
+@given(pair_arrivals(), st.booleans())
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+def test_drawn_pair_import_equals_per_record_imports(arrival, durable):
+    build, exports, roles = arrival
+    states = []
+    for reference in (False, True):
+        store = build()
+        journal = ServerJournal(store) if durable else None
+        if reference:
+            import_one_at_a_time(store, exports, roles)
+        else:
+            store.import_nodes(exports, roles)
+        if journal:
+            journal.commit()
+        states.append(pair_state(store, journal))
+    assert states[0] == states[1]
+
+
+def spoil(export, kind):
+    """``export`` made unimportable in the drawn way, and what the target
+    store needs for it (or None)."""
+    if kind == "present":
+        return export, lambda store: store.create_node(export.node_id)
+    if kind == "weight":
+        return export._replace(weight="heavy"), None
+    if kind == "property":
+        return export._replace(properties={"bad": object()}), None
+    # A record ahead of the chain: twice in it, with a negative id, or
+    # with an id that joins two other nodes on the target.
+    rel = (1, 90, export.node_id, REMOTE)
+    chain = [rel] + list(export.chain)
+    if kind == "twice":
+        return export._replace(chain=chain + [rel]), None
+    if kind == "negative":
+        return export._replace(chain=[(1, -5, export.node_id, REMOTE)] + chain), None
+
+    def other_pair(store):
+        resident = min(node for node in store.node_ids() if node < FILLER)
+        store.create_relationship(90, resident, REMOTE, ghost=True)
+
+    return export._replace(chain=chain), other_pair
+
+
+@given(
+    pair_arrivals(),
+    st.sampled_from(["present", "weight", "property", "negative", "twice", "other-pair"]),
+    st.data(),
+)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+def test_drawn_pair_import_stops_at_a_bad_payload(arrival, kind, data):
+    """A payload the checks reject at an interior node: the nodes before
+    it are installed exactly as importing them one at a time installs
+    them, and the error is the one importing the bad node alone raises,
+    with nothing of it written."""
+    build, exports, roles = arrival
+    bad = data.draw(st.integers(1, len(exports) - 1))
+    start = sum(len(export.chain) for export in exports[:bad])
+    exports = list(exports)
+    exports[bad], prepare = spoil(exports[bad], kind)
+    changed, reference = build(), build()
+    for store in (changed, reference):
+        if prepare:
+            prepare(store)
+        warm(store)
+    roles = list(roles) + [False] * (
+        sum(len(export.chain) for export in exports) - len(roles)
+    )
+    import_one_at_a_time(reference, exports[:bad], roles[:start])
+    expected = pair_state(reference, None)
+    count = len(exports[bad].chain)
+    with pytest.raises(StorageError) as alone:
+        reference.import_node(payload_of(exports[bad]), roles[start : start + count])
+    assert pair_state(reference, None) == expected
+    with pytest.raises(StorageError) as pair:
+        changed.import_nodes(exports, roles)
+    assert str(pair.value) == str(alone.value)
+    assert pair_state(changed, None) == expected

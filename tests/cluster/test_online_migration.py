@@ -479,13 +479,15 @@ class TestPerEventSweep:
         cluster, engine = self.start(copies=1)
         executor = cluster._executor
         before = set(executor.window_vertices)
-        # The next copy installs the node record but none of its edges.
-        import_node = GraphStore.import_node
+        # The next copy installs the node records but none of their edges.
+        import_nodes = GraphStore.import_nodes
         monkeypatch.setattr(
             GraphStore,
-            "import_node",
-            lambda store, payload, roles: import_node(
-                store, dict(payload, relationships=[]), []
+            "import_nodes",
+            lambda store, exports, roles: import_nodes(
+                store,
+                [export._replace(chain=[], chain_properties={}) for export in exports],
+                [],
             ),
         )
         engine.step()
