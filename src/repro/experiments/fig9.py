@@ -46,6 +46,8 @@ class ThroughputCell:
     dataset: str
     system: str
     hops: int
+    #: operations completed in the measurement window
+    operations: int
     processed_vertices: int
     response_processed_ratio: float
     remote_hops: int
@@ -119,6 +121,7 @@ def _run_system(
                 dataset=dataset.name,
                 system=system,
                 hops=hops,
+                operations=report.operations,
                 processed_vertices=report.processed_vertices,
                 response_processed_ratio=report.response_processed_ratio,
                 remote_hops=report.remote_hops,

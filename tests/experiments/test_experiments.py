@@ -5,6 +5,7 @@ assert the *qualitative* relationships the paper reports, not absolute
 numbers (the benchmark harness runs the full-scale versions).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -85,14 +86,23 @@ class TestFig7And8:
 
 
 class TestFig9:
+    # ClusterScale's own 20 ms window: at TINY_CLUSTER's 4 ms each client
+    # completes about 2 queries, and the 1-hop verdict turns on the order
+    # in which the scheduler releases clients that are ready together.
+    SCALE = dataclasses.replace(TINY_CLUSTER, window=0.02)
+
     @pytest.fixture(scope="class")
     def result(self):
-        return fig9.run(TINY_CLUSTER)
+        return fig9.run(self.SCALE)
 
     def test_all_cells_present(self, result):
         assert len(result.cells) == 3 * 3 * 2  # datasets x systems x hops
 
     def test_hermes_beats_random(self, result):
+        for cell in result.cells:
+            if cell.hops == 1:
+                # the window measures placement, not tie order
+                assert cell.operations >= 10 * self.SCALE.num_clients
         for dataset in ("orkut", "twitter", "dblp"):
             hermes = result.lookup(dataset, "Hermes", 1)
             random_ = result.lookup(dataset, "Random", 1)
