@@ -12,6 +12,7 @@ Run with::
 """
 
 from repro.cluster import ClientPool, HermesCluster
+from repro.cluster.network import seconds
 from repro.core import RepartitionerConfig
 from repro.graph import twitter_like
 from repro.partitioning import MultilevelPartitioner
@@ -66,7 +67,7 @@ def main() -> None:
     print(
         f"physical migration: {migration.relationships_transferred} relationship "
         f"records shipped, {migration.bytes_transferred:,} bytes, "
-        f"{migration.total_cost * 1000:.1f} ms simulated"
+        f"{seconds(migration.total_cost) * 1000:.1f} ms simulated"
     )
     cluster.validate()  # deep cross-layer consistency check
 

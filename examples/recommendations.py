@@ -21,6 +21,7 @@ Run with::
 from collections import Counter
 
 from repro.cluster import HermesCluster
+from repro.cluster.network import seconds
 from repro.graph import orkut_like
 from repro.partitioning import MultilevelPartitioner
 
@@ -72,7 +73,7 @@ def main() -> None:
         f"{len(result.response):,} distinct "
         f"(ratio {result.response_processed_ratio:.2f}), "
         f"{result.remote_hops} remote hops, "
-        f"{result.cost * 1000:.1f} ms simulated"
+        f"{seconds(result.cost) * 1000:.1f} ms simulated"
     )
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.cluster.network import seconds
 from repro.exceptions import (
     HermesError,
     MigrationAbortedError,
@@ -35,7 +36,7 @@ from repro.workloads.queries import Operation, ReadVertex, Traversal
 
 @dataclass
 class WorkloadReport:
-    """Aggregate outcome of running a trace."""
+    """Aggregate outcome of running a trace (simulated times in seconds)."""
 
     operations: int = 0
     reads: int = 0
@@ -128,6 +129,7 @@ class ClientPool:
         from repro.concurrency.engine import ConcurrentExecutor
 
         report = WorkloadReport()
+        total_cost = 0
         busy_before = {
             server.server_id: server.busy_counter.value
             for server in self.cluster.servers
@@ -152,6 +154,7 @@ class ClientPool:
             return waiting[lane].popleft()
 
         def client_task(lane: int):
+            nonlocal total_cost
             while duration is None or scheduler.now < duration:
                 drawn = draw(lane)
                 if drawn is None:
@@ -164,7 +167,8 @@ class ClientPool:
                 except HermesError:
                     report.failed_operations += 1
                     continue
-                self._account(report, index, operation, outcome, cost)
+                self._account(report, index, operation, outcome)
+                total_cost += cost
                 if (
                     rebalance_every is not None
                     and report.operations % rebalance_every == 0
@@ -177,6 +181,7 @@ class ClientPool:
         for lane, client in enumerate(self.client_ids):
             engine.submit(client_task(lane), label=client)
         report.wall_time = engine.run()
+        report.total_cost = seconds(total_cost)
         for handle in engine.failures():
             if isinstance(handle.error, WorkloadError):
                 raise handle.error
@@ -188,7 +193,7 @@ class ClientPool:
             baseline = busy_before.setdefault(
                 server.server_id, server.busy_counter.value
             )
-            report.server_busy[server.server_id] = (
+            report.server_busy[server.server_id] = seconds(
                 server.busy_counter.value - baseline
             )
         report.max_server_busy = max(report.server_busy.values(), default=0.0)
@@ -200,7 +205,6 @@ class ClientPool:
         index: int,
         operation: Operation,
         outcome,
-        cost: float,
     ) -> None:
         """Fold one completed operation (the trace's ``index``-th) into
         the report, attributed to its submitting client."""
@@ -217,7 +221,6 @@ class ClientPool:
             report.response_vertices += 1
         else:
             report.writes += 1
-        report.total_cost += cost
         report.client_operations[client] = (
             report.client_operations.get(client, 0) + 1
         )

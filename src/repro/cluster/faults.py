@@ -20,7 +20,7 @@ deterministically:
 * :class:`RetryPolicy` — bounded exponential backoff.  Backoff pauses are
   charged as *simulated* time: they accumulate into the caller's cost
   accounting and advance the injector's in-flight clock, so a retry can
-  outlive a crash window.
+  outlive a crash window.  Windows, pauses and costs are integer ns.
 
 With no plan attached (the default everywhere) none of this code runs:
 the zero-fault path is behaviorally identical to a build without this
@@ -47,7 +47,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class CrashWindow:
-    """One server outage: down at ``start``, restarted at ``end``.
+    """One server outage: down at ``start``, restarted at ``end`` (ns).
 
     The simulated server loses no data across the window (the paper's
     protocol tolerates mid-migration crashes precisely because restarted
@@ -55,8 +55,8 @@ class CrashWindow:
     """
 
     server: int
-    start: float
-    end: float
+    start: int
+    end: int
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
@@ -64,7 +64,7 @@ class CrashWindow:
                 f"crash window end {self.end} must be after start {self.start}"
             )
 
-    def covers(self, now: float) -> bool:
+    def covers(self, now: int) -> bool:
         return self.start <= now < self.end
 
 
@@ -91,7 +91,7 @@ class FaultPlan:
             if not 0.0 <= rate <= 1.0:
                 raise PartitioningError(f"fault rate {rate} not in [0, 1]")
 
-    def down_at(self, server: int, now: float) -> bool:
+    def down_at(self, server: int, now: int) -> bool:
         """Is ``server`` inside one of its crash windows at ``now``?"""
         return any(
             window.server == server and window.covers(now)
@@ -126,8 +126,8 @@ class FaultPlan:
             crash_windows=tuple(
                 CrashWindow(
                     server=int(w["server"]),
-                    start=float(w["start"]),
-                    end=float(w["end"]),
+                    start=int(w["start"]),
+                    end=int(w["end"]),
                 )
                 for w in data.get("crash_windows", [])
             ),
@@ -152,13 +152,13 @@ class FaultInjector:
     def __init__(
         self,
         plan: FaultPlan,
-        clock: Optional[Callable[[], float]] = None,
+        clock: Optional[Callable[[], int]] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.plan = plan
         self.rng = random.Random(plan.seed)
-        self.clock = clock or (lambda: 0.0)
-        self.inflight = 0.0
+        self.clock = clock or (lambda: 0)
+        self.inflight = 0
         telemetry = telemetry or Telemetry()
         self.telemetry = telemetry
         self._injected = {
@@ -172,16 +172,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Simulated-time bookkeeping
     # ------------------------------------------------------------------
-    def now(self) -> float:
+    def now(self) -> int:
         return self.clock() + self.inflight
 
-    def advance(self, seconds: float) -> None:
+    def advance(self, ns: int) -> None:
         """Charge in-flight simulated time (network ops, retry backoff)."""
-        self.inflight += seconds
+        self.inflight += ns
 
     def reset(self) -> None:
         """Called when the cluster folds an operation's cost into its clock."""
-        self.inflight = 0.0
+        self.inflight = 0
 
     # ------------------------------------------------------------------
     # Fault checks
@@ -189,14 +189,14 @@ class FaultInjector:
     def is_down(self, server: int) -> bool:
         return self.plan.down_at(server, self.now())
 
-    def check_server(self, server: int, cost: float = 0.0) -> None:
+    def check_server(self, server: int, cost: int = 0) -> None:
         """Raise :class:`ServerDownError` if ``server`` is crashed."""
         if self.is_down(server):
             self._injected["server_down"].inc()
             self.advance(cost)
             raise ServerDownError(server, cost=cost)
 
-    def check_message(self, src: int, dst: int, cost: float = 0.0) -> None:
+    def check_message(self, src: int, dst: int, cost: int = 0) -> None:
         """Decide the fate of one ``src -> dst`` message.
 
         Raises :class:`ServerDownError` when the destination is crashed,
@@ -223,18 +223,18 @@ class RetryPolicy:
     ``call`` runs an operation that may raise
     :class:`~repro.exceptions.FaultInjectedError`; every failed attempt
     charges its wasted timeout plus a backoff pause, both in simulated
-    seconds.  After ``MAX_ATTEMPTS`` failures the last exception is
+    nanoseconds.  After ``MAX_ATTEMPTS`` failures the last exception is
     re-raised with its ``cost`` updated to the *cumulative* simulated
     time the whole retry loop consumed.
     """
 
     MAX_ATTEMPTS = 4
-    BASE_BACKOFF = 2e-3
-    MULTIPLIER = 2.0
-    MAX_BACKOFF = 0.1
+    BASE_BACKOFF = 2_000_000
+    MULTIPLIER = 2
+    MAX_BACKOFF = 100_000_000
 
     @classmethod
-    def backoff(cls, attempt: int) -> float:
+    def backoff(cls, attempt: int) -> int:
         """Pause after the ``attempt``-th failure (1-based)."""
         return min(cls.BASE_BACKOFF * cls.MULTIPLIER ** (attempt - 1), cls.MAX_BACKOFF)
 
@@ -243,14 +243,14 @@ class RetryPolicy:
         cls,
         op: Callable[[], T],
         injector: Optional[FaultInjector] = None,
-        on_retry: Optional[Callable[[FaultInjectedError, float], None]] = None,
-    ) -> Tuple[T, float]:
-        """Run ``op`` with retries; returns ``(result, wasted_seconds)``.
+        on_retry: Optional[Callable[[FaultInjectedError, int], None]] = None,
+    ) -> Tuple[T, int]:
+        """Run ``op`` with retries; returns ``(result, wasted)``.
 
-        ``wasted_seconds`` covers failed attempts and backoff pauses but
+        ``wasted`` covers failed attempts and backoff pauses but
         not the successful attempt's own cost (the op returns that).
         """
-        wasted = 0.0
+        wasted = 0
         for attempt in range(1, cls.MAX_ATTEMPTS + 1):
             try:
                 return op(), wasted

@@ -55,9 +55,10 @@ from repro.cluster.migration_executor import (
 from repro.concurrency.config import ConcurrencyConfig
 from repro.cluster.graph_view import ClusterGraph
 from repro.cluster.network import (
-    CLIENT_DISPATCH_COST,
-    FAULT_TIMEOUT_COST,
+    CLIENT_DISPATCH,
+    FAULT_TIMEOUT,
     SimulatedNetwork,
+    seconds,
 )
 from repro.cluster.server import HermesServer
 from repro.cluster.traversal import TraversalEngine, TraversalResult, check_start
@@ -116,7 +117,7 @@ class HermesCluster:
         if num_servers < 1:
             raise ClusterError("need at least one server")
         self.num_servers = num_servers
-        self.now = 0.0
+        self.now_ns = 0
         self.faults: Optional[FaultInjector] = None
         # Resolution order: explicit hub, then the process-wide installed
         # hub (the runner's --telemetry-out path), then a private hub with
@@ -238,16 +239,21 @@ class HermesCluster:
                 server.attach_faults(None)
             return None
         self.faults = FaultInjector(
-            plan, clock=lambda: self.now, telemetry=self.telemetry
+            plan, clock=lambda: self.now_ns, telemetry=self.telemetry
         )
         self.network.attach_faults(self.faults)
         for server in self.servers:
             server.attach_faults(self.faults)
         return self.faults
 
-    def _advance(self, cost: float) -> None:
-        """Fold an operation's simulated cost into the cluster clock."""
-        self.now += cost
+    @property
+    def now(self) -> float:
+        """The cluster clock in seconds."""
+        return seconds(self.now_ns)
+
+    def _advance(self, cost: int) -> None:
+        """Fold an operation's simulated cost (ns) into the cluster clock."""
+        self.now_ns += cost
         if self.faults is not None:
             # The operation's in-flight time is now part of the clock.
             self.faults.reset()
@@ -365,7 +371,7 @@ class HermesCluster:
 
     def _create_edge_records(
         self, u: int, v: int, properties: Optional[Dict[str, Any]]
-    ) -> float:
+    ) -> int:
         """Primary record on the src (u) host, ghost on the dst host.
 
         Under fault injection the write is transactional: a crashed
@@ -376,7 +382,7 @@ class HermesCluster:
         host_u = self.catalog.lookup(u)
         host_v = self.catalog.lookup(v)
         if self.faults is not None:
-            self.faults.check_server(host_u, cost=FAULT_TIMEOUT_COST)
+            self.faults.check_server(host_u, cost=FAULT_TIMEOUT)
         # Taken by create_relationship: a rejected insert takes no id.
         rel_id = self.servers[host_u].store.next_rel_id()
         cost = self.network.local_visit()
@@ -411,8 +417,8 @@ class HermesCluster:
         self.aux.add_popularity(result.response)
         return result
 
-    def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], float]:
-        """Single-record query; returns (properties, simulated cost).
+    def read_vertex(self, vertex: int) -> Tuple[Dict[str, Any], int]:
+        """Single-record query; returns (properties, simulated cost in ns).
 
         If the hosting server is inside a crash window the dispatch times
         out and the client gets a degraded (empty) result — the same
@@ -426,7 +432,7 @@ class HermesCluster:
 
     def _serve_read(
         self, vertex: int, host: int, primary: int
-    ) -> Tuple[Dict[str, Any], float, bool]:
+    ) -> Tuple[Dict[str, Any], int, bool]:
         """One single-record read served by ``host`` and charged to it;
         returns ``(properties, cost, degraded)``.
 
@@ -436,7 +442,7 @@ class HermesCluster:
         dispatch and timeout cost and an empty result.
         """
         if self.faults is not None and self.faults.is_down(host):
-            cost = CLIENT_DISPATCH_COST + FAULT_TIMEOUT_COST
+            cost = CLIENT_DISPATCH + FAULT_TIMEOUT
             self.telemetry.counter(
                 "reads_degraded_total",
                 "single-record reads that timed out against a crashed server",
@@ -454,7 +460,7 @@ class HermesCluster:
         server.reads_counter.inc()
         server.visits_counter.inc()
         server.busy_counter.inc(local)
-        cost = CLIENT_DISPATCH_COST + local
+        cost = CLIENT_DISPATCH + local
         self._advance(cost)
         self.aux.add_popularity((vertex,))
         return properties, cost, False
@@ -468,28 +474,28 @@ class HermesCluster:
         vertex: int,
         weight: float = 1.0,
         properties: Optional[Dict[str, Any]] = None,
-    ) -> float:
+    ) -> int:
         """Insert a new user, placed by hash over the active servers."""
         self.check_new_vertex(vertex, weight)
         target = self.placement_target(vertex)
         if self.faults is not None and self.faults.is_down(target):
             # The insert times out against the crashed placement target;
             # no layer has been touched, so the failure is clean.
-            cost = CLIENT_DISPATCH_COST + FAULT_TIMEOUT_COST
+            cost = CLIENT_DISPATCH + FAULT_TIMEOUT
             self._count_degraded_write()
             self._advance(cost)
             raise ServerDownError(target, cost=cost)
         self.servers[target].create_vertex(vertex, weight=weight, properties=properties)
         self.catalog.register(vertex, target)
         self.aux.add_vertex(vertex, target, weight)
-        cost = CLIENT_DISPATCH_COST + self.network.local_visit()
+        cost = CLIENT_DISPATCH + self.network.local_visit()
         self._advance(cost)
         return cost
 
     @_commits
     def add_edge(
         self, u: int, v: int, properties: Optional[Dict[str, Any]] = None
-    ) -> float:
+    ) -> int:
         """Connect two users (updates stores and auxiliary data).
 
         With faults attached the write can fail (crashed host, lost ghost
@@ -498,7 +504,7 @@ class HermesCluster:
         the wasted timeout is still simulated time.
         """
         self.check_new_edge(u, v)
-        cost = CLIENT_DISPATCH_COST
+        cost = CLIENT_DISPATCH
         try:
             cost += self._create_edge_records(u, v, properties)
         except FaultInjectedError as exc:
@@ -646,7 +652,7 @@ class HermesCluster:
                     error=str(exc.cause),
                 )
                 span.set_attribute("aborted", True)
-                span.finish(duration=exc.report.total_cost)
+                span.finish(duration=seconds(exc.report.total_cost))
                 raise
             except GeneratorExit:
                 # Closed mid-migration: the executor rolled the copies
@@ -670,10 +676,10 @@ class HermesCluster:
                 initial_edge_cut=result.initial_edge_cut,
                 final_edge_cut=result.final_edge_cut,
                 final_imbalance=result.final_imbalance,
-                migration_cost=report.total_cost,
+                migration_cost=seconds(report.total_cost),
             )
             span.set_attribute("vertices_moved", result.vertices_moved)
-            span.finish(duration=report.total_cost)
+            span.finish(duration=seconds(report.total_cost))
             return result, report
 
     def _check_migration_slot(self, entry: str) -> None:

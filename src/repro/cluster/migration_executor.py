@@ -65,7 +65,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.durability import commit_all
 from repro.cluster.faults import RetryPolicy
-from repro.cluster.network import SimulatedNetwork
+from repro.cluster.network import LOCAL_VISIT, SimulatedNetwork, seconds
 from repro.cluster.server import HermesServer
 from repro.core.migration import MigrationPlan, VertexMove
 from repro.exceptions import (
@@ -82,19 +82,19 @@ from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 
 @dataclass
 class MigrationReport:
-    """Cost accounting of one physical migration."""
+    """Cost accounting of one physical migration (costs in integer ns)."""
 
     vertices_moved: int = 0
     relationships_transferred: int = 0
     relationships_rewritten: int = 0
     bytes_transferred: int = 0
-    copy_cost: float = 0.0
-    barrier_cost: float = 0.0
-    remove_cost: float = 0.0
+    copy_cost: int = 0
+    barrier_cost: int = 0
+    remove_cost: int = 0
     per_target: Dict[int, int] = field(default_factory=dict)
 
     @property
-    def total_cost(self) -> float:
+    def total_cost(self) -> int:
         return self.copy_cost + self.barrier_cost + self.remove_cost
 
 
@@ -105,12 +105,12 @@ class MigrationStep:
     ``kind`` is ``"copy"`` (one (source, target) pair's vertices
     replicated onto the target), ``"barrier"`` (participants confirm) or
     ``"remove"`` (one pair's source copies retired after commit).
-    ``cost`` is the step's simulated seconds; ``servers`` the servers
-    the step occupies on the event timeline.
+    ``cost`` is the step's simulated time in integer nanoseconds;
+    ``servers`` the servers the step occupies on the event timeline.
     """
 
     kind: str
-    cost: float
+    cost: int
     servers: Tuple[int, ...] = ()
 
 
@@ -242,11 +242,11 @@ class MigrationExecutor:
                 self._copy_pair(moves, final_home, report, payload_sizes)
                 yield self._step("copy", report.copy_cost - cost_before, pair)
             copy_span.set_attribute("bytes", report.bytes_transferred)
-            copy_span.finish(duration=report.copy_cost)
+            copy_span.finish(duration=seconds(report.copy_cost))
 
             barrier_span = self.telemetry.span("migration.barrier")
             report.barrier_cost = self._barrier(plan)
-            barrier_span.finish(duration=report.barrier_cost)
+            barrier_span.finish(duration=seconds(report.barrier_cost))
             # Last pause before the commit: the next sweep covers the
             # whole window, not only what the events announced.
             self._window_unswept.update(self._window)
@@ -273,7 +273,7 @@ class MigrationExecutor:
                 error=str(exc),
             )
             span.set_attribute("aborted", True)
-            span.finish(duration=report.copy_cost + report.barrier_cost)
+            span.finish(duration=seconds(report.copy_cost + report.barrier_cost))
             if isinstance(exc, GeneratorExit):
                 raise
             raise MigrationAbortedError(exc, report) from exc
@@ -313,7 +313,7 @@ class MigrationExecutor:
         remove_span.set_attribute(
             "relationships_rewritten", report.relationships_rewritten
         )
-        remove_span.finish(duration=report.remove_cost)
+        remove_span.finish(duration=seconds(report.remove_cost))
 
         # Telemetry is published only once the migration is past its
         # abort points, so an aborted attempt leaves the counters and the
@@ -324,15 +324,15 @@ class MigrationExecutor:
         self._rels_transferred.inc(report.relationships_transferred)
         self._rels_rewritten.inc(report.relationships_rewritten)
         self._bytes.inc(report.bytes_transferred)
-        self._phase_seconds["copy"].inc(report.copy_cost)
-        self._phase_seconds["barrier"].inc(report.barrier_cost)
-        self._phase_seconds["remove"].inc(report.remove_cost)
+        self._phase_seconds["copy"].inc(seconds(report.copy_cost))
+        self._phase_seconds["barrier"].inc(seconds(report.barrier_cost))
+        self._phase_seconds["remove"].inc(seconds(report.remove_cost))
         span.set_attribute("vertices_moved", report.vertices_moved)
-        span.finish(duration=report.total_cost)
+        span.finish(duration=seconds(report.total_cost))
         return report
 
     def _step(
-        self, kind: str, cost: float, servers: Tuple[int, ...]
+        self, kind: str, cost: int, servers: Tuple[int, ...]
     ) -> MigrationStep:
         """The step about to be yielded, its writes committed first: a
         pair's copies are one log transaction on its target, its
@@ -411,10 +411,8 @@ class MigrationExecutor:
                     self._window_unswept.add(move.vertex)
                     report.relationships_transferred += len(export.chain)
 
-    def _transfer(self, src: int, dst: int, size: int) -> float:
+    def _transfer(self, src: int, dst: int, size: int) -> int:
         """One copy-step record shipment, retried under injected faults."""
-        if self.network.fault_injector is None:
-            return self.network.transfer(src, dst, size)
         cost, wasted = RetryPolicy.call(
             lambda: self.network.transfer(src, dst, size),
             injector=self.network.fault_injector,
@@ -422,7 +420,7 @@ class MigrationExecutor:
         )
         return cost + wasted
 
-    def _on_retry(self, exc: FaultInjectedError, pause: float) -> None:
+    def _on_retry(self, exc: FaultInjectedError, pause: int) -> None:
         self.telemetry.counter(
             "migration_retries_total",
             "copy/barrier network operations retried after an injected fault",
@@ -503,24 +501,20 @@ class MigrationExecutor:
     # ------------------------------------------------------------------
     # Barrier
     # ------------------------------------------------------------------
-    def _barrier(self, plan: MigrationPlan) -> float:
+    def _barrier(self, plan: MigrationPlan) -> int:
         """All participants confirm copy completion (no locks held)."""
         participants = {move.source for move in plan.moves}
         participants.update(move.target for move in plan.moves)
-        cost = 0.0
-        injector = self.network.fault_injector
+        cost = 0
         for server in participants:
-            if injector is None:
-                cost += self.network.broadcast(server, size=32)
-            else:
-                # A lost confirmation is re-broadcast; duplicates are
-                # harmless (the barrier is idempotent by construction).
-                confirmed, wasted = RetryPolicy.call(
-                    lambda s=server: self.network.broadcast(s, size=32),
-                    injector=injector,
-                    on_retry=self._on_retry,
-                )
-                cost += confirmed + wasted
+            # A lost confirmation is re-broadcast; duplicates are
+            # harmless (the barrier is idempotent by construction).
+            confirmed, wasted = RetryPolicy.call(
+                lambda s=server: self.network.broadcast(s, size=32),
+                injector=self.network.fault_injector,
+                on_retry=self._on_retry,
+            )
+            cost += confirmed + wasted
         return cost
 
     # ------------------------------------------------------------------
@@ -538,8 +532,7 @@ class MigrationExecutor:
         the store keeps its record for that endpoint, as a ghost exactly
         when the departing vertex was its ``src`` — :meth:`_roles`
         with the source as ``here``.  Every other record goes.  One local
-        visit is charged per chain entry, in chain order, then one for
-        the node.
+        visit is charged per chain entry and one for the node.
         """
         here = move.source
         rewritten = self.servers[here].store.delete_node(
@@ -547,9 +540,7 @@ class MigrationExecutor:
             stays=lambda other: self._home_after(other, final_home) == here,
         )
         report.relationships_rewritten += rewritten
-        for _ in range(rewritten):
-            report.remove_cost += self.network.local_visit()
-        report.remove_cost += self.network.local_visit()
+        report.remove_cost += (rewritten + 1) * LOCAL_VISIT
 
     # ------------------------------------------------------------------
     # Double-write window

@@ -1,22 +1,23 @@
-"""Simulated peer-to-peer network with a latency cost model.
+"""Simulated peer-to-peer network and the price table of simulated time.
 
 Hermes servers are "connected in a peer-to-peer fashion" (Figure 6); an
 edge-cut shifts a local traversal step into a remote traversal, "thereby
-incurring significant network latency" (Section 1).  The simulation
-charges every operation a cost in simulated seconds:
+incurring significant network latency" (Section 1).  Every engine counts
+its work and charges ``count * price`` from the table below, in integer
+nanoseconds, so a simulated time is exact in any order of additions:
 
-* a local vertex visit costs :data:`LOCAL_VISIT_COST` (an
-  in-memory/page-cache record read plus processing);
+* a local vertex visit costs :data:`LOCAL_VISIT` (an in-memory/page-cache
+  record read plus processing);
 * following an edge whose endpoint lives on another server costs an extra
-  :data:`REMOTE_HOP_COST` (a request/response round on the LAN);
+  :data:`REMOTE_HOP` (a request/response round on the LAN);
 * bulk record transfers during migration cost
-  ``TRANSFER_BASE_COST + bytes * TRANSFER_BYTE_COST``.
+  ``TRANSFER_BASE + bytes * TRANSFER_BYTE``.
 
-The constants below approximate the paper's testbed (1Gb Ethernet: ~0.5
-ms per round-trip including serialization; tens of microseconds per local
+The prices approximate the paper's testbed (1Gb Ethernet: ~0.5 ms per
+round-trip including serialization; tens of microseconds per local
 record visit).  The *absolute* throughput numbers are not meaningful — the
 relative performance of partitioners, which is driven by the
-local/remote mix, is.
+local/remote mix, is.  Seconds appear only where a time is reported.
 
 Traffic is counted once, on the send side, in a per-link ledger of ints
 that :class:`NetworkStats` views.  An attached
@@ -41,28 +42,37 @@ from repro.telemetry.registry import DEFAULT_SIZE_BUCKETS
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
-# The latency model, in simulated seconds.
-LOCAL_VISIT_COST = 20e-6
-REMOTE_HOP_COST = 500e-6
+# The price table, in integer nanoseconds of simulated time.
+LOCAL_VISIT = 20_000
+REMOTE_HOP = 500_000
 #: CPU consumed on EACH endpoint server to service one remote hop
 #: (serialization, syscalls, RPC dispatch) — this is the "network IO"
 #: load that edge-cuts impose on servers, distinct from wire latency.
-REMOTE_SERVICE_COST = 50e-6
-TRANSFER_BASE_COST = 500e-6
-TRANSFER_BYTE_COST = 8e-9  # ~1 Gb/s payload bandwidth
-CLIENT_DISPATCH_COST = 100e-6  # client -> cluster round trip
+REMOTE_SERVICE = 50_000
+TRANSFER_BASE = 500_000
+TRANSFER_BYTE = 8  # ~1 Gb/s payload bandwidth
+CLIENT_DISPATCH = 100_000  # client -> cluster round trip
 #: sender-side wait before a lost/unanswered message is declared dead
 #: (a few RTTs, as a TCP-ish retransmission timeout would be)
-FAULT_TIMEOUT_COST = 2e-3
+FAULT_TIMEOUT = 2_000_000
 #: Traversal frontier work bound for one server rides a single
 #: request per (src, dst) link per depth; this is the marginal cost
 #: of one extra frontier entry riding that already-paid round trip
 #: (serialization of one vertex id + one response row)
-BATCH_ENTRY_COST = 25e-6
+BATCH_ENTRY = 25_000
 #: wire framing of one batched request (header, routing, checksums)
 BATCH_BASE_BYTES = 128
 #: payload bytes per frontier entry in a batched request/response
 BATCH_ENTRY_BYTES = 64
+
+def seconds(ns: int) -> float:
+    """A simulated time in seconds, for reports."""
+    return ns / 1e9
+
+
+def nanoseconds(time: float) -> int:
+    """A time given in seconds as simulated integer nanoseconds."""
+    return round(time * 1e9)
 
 
 @dataclass(frozen=True)
@@ -204,22 +214,22 @@ class SimulatedNetwork:
                 f"server {server} out of range [0, {self.num_servers})"
             )
 
-    def local_visit(self) -> float:
+    def local_visit(self) -> int:
         """Cost of processing one vertex on its own server."""
-        return LOCAL_VISIT_COST
+        return LOCAL_VISIT
 
-    def _send(self, src: int, dst: int, size: int, cost: float) -> None:
+    def _send(self, src: int, dst: int, size: int, cost: int) -> None:
         """Put one message on the wire: its fate is decided first, so a
         faulted message raises before the ledger is charged."""
         injector = self.fault_injector
         if injector is not None:
-            injector.check_message(src, dst, cost=FAULT_TIMEOUT_COST)
+            injector.check_message(src, dst, cost=FAULT_TIMEOUT)
         self.link_messages[src][dst] += 1
         self.link_bytes[src][dst] += size
         if injector is not None:
             injector.advance(cost)
 
-    def remote_hop(self, src: int, dst: int, size: int = 256) -> float:
+    def remote_hop(self, src: int, dst: int, size: int = 256) -> int:
         """Cost of one remote traversal step ``src -> dst``.
 
         With a fault injector attached this may raise a
@@ -229,11 +239,11 @@ class SimulatedNetwork:
         self._check(src)
         self._check(dst)
         if src == dst:
-            return 0.0
-        self._send(src, dst, size, REMOTE_HOP_COST)
+            return 0
+        self._send(src, dst, size, REMOTE_HOP)
         self._hop_messages.inc()
         self._hop_bytes.inc(size)
-        return REMOTE_HOP_COST
+        return REMOTE_HOP
 
     def remote_hops(self, links: Dict[Tuple[int, int], int], size: int = 256) -> None:
         """``count`` fault-free :meth:`remote_hop` calls per ``(src, dst)``
@@ -246,24 +256,24 @@ class SimulatedNetwork:
         self._hop_messages.inc(hops)
         self._hop_bytes.inc(hops * size)
 
-    def batched_hop(self, src: int, dst: int, count: int) -> float:
+    def batched_hop(self, src: int, dst: int, count: int) -> int:
         """:meth:`batched_hops` of one link ``src -> dst`` carrying ``count``
         entries; returns its cost, free when it is a server to itself or
         carries nothing."""
         self._check(src)
         self._check(dst)
         if src == dst or count <= 0:
-            return 0.0
+            return 0
         self.batched_hops({(src, dst): count})
-        return REMOTE_HOP_COST + count * BATCH_ENTRY_COST
+        return REMOTE_HOP + count * BATCH_ENTRY
 
     def batched_hops(self, links: Dict[Tuple[int, int], int]) -> None:
         """One aggregated message per ``(src, dst)`` link of two different
         servers, carrying that link's (positive) count of frontier
         entries.
 
-        A message costs :data:`REMOTE_HOP_COST` once plus
-        :data:`BATCH_ENTRY_COST` per entry, and its payload grows with the
+        A message costs :data:`REMOTE_HOP` once plus
+        :data:`BATCH_ENTRY` per entry, and its payload grows with the
         batch.  Faults apply per message, in link order: a lost batch
         raises like a lost single hop, the messages before it staying
         charged; a fault-free network charges its ledger in place.  The
@@ -276,7 +286,7 @@ class SimulatedNetwork:
             for (src, dst), count in links.items():
                 size = BATCH_BASE_BYTES + count * BATCH_ENTRY_BYTES
                 if self.fault_injector is not None:
-                    self._send(src, dst, size, REMOTE_HOP_COST + count * BATCH_ENTRY_COST)
+                    self._send(src, dst, size, REMOTE_HOP + count * BATCH_ENTRY)
                 else:
                     link_messages[src][dst] += 1
                     link_bytes[src][dst] += size
@@ -289,7 +299,7 @@ class SimulatedNetwork:
                 )
                 self._batch_sizes.observe_many(counts)
 
-    def transfer(self, src: int, dst: int, size: int) -> float:
+    def transfer(self, src: int, dst: int, size: int) -> int:
         """Cost of a bulk record transfer (migration copy step).
 
         Subject to the same fault injection as :meth:`remote_hop`.
@@ -297,8 +307,8 @@ class SimulatedNetwork:
         self._check(src)
         self._check(dst)
         if src == dst:
-            return 0.0
-        cost = TRANSFER_BASE_COST + size * TRANSFER_BYTE_COST
+            return 0
+        cost = TRANSFER_BASE + size * TRANSFER_BYTE
         self._send(src, dst, size, cost)
         self._transfer_messages.inc()
         self._transfer_bytes.inc(size)
@@ -321,7 +331,7 @@ class SimulatedNetwork:
                 src=src, dst=dst, **self._labels,
             ).set(link.bytes)
 
-    def broadcast(self, src: int, size: int = 64) -> float:
+    def broadcast(self, src: int, size: int = 64) -> int:
         """Cost of a synchronization message to every other server.
 
         Under fault injection every destination is attempted: a per-link
@@ -332,7 +342,7 @@ class SimulatedNetwork:
         retrying callers re-broadcast to everyone (idempotent).
         """
         self._check(src)
-        cost = 0.0
+        cost = 0
         first_fault: Optional[FaultInjectedError] = None
         for dst in range(self.num_servers):
             if dst == src:

@@ -10,7 +10,7 @@ one atomic step (DESIGN.md §13), and a store mutation validates its
 input before its first write.
 
 Per-server load counters (vertices visited, record reads, vertex
-inserts, simulated busy seconds) live only in the telemetry registry,
+inserts, simulated busy nanoseconds) live only in the telemetry registry,
 labelled by server, so they show up in every export alongside the
 network and migration metrics.  The instruments (``visits_counter`` …)
 are public: hot paths pay a single bound-method call, and readers read
@@ -71,10 +71,11 @@ class HermesServer:
         self.writes_counter = telemetry.counter(
             "server_writes_total", "vertex inserts", **label
         )
-        #: simulated CPU-seconds this server has spent serving requests
+        #: simulated CPU time (integer ns) spent serving requests
         self.busy_counter = telemetry.counter(
-            "server_busy_seconds_total", "simulated busy seconds", **label
+            "server_busy_ns_total", "simulated busy time (integer ns)", **label
         )
+        self.busy_counter.value = 0
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -15,7 +15,7 @@ response, which is why the paper's response/processed ratio drops to
 
 Remote traversal work is **batched**: at each depth the frontier entries
 bound for one server are aggregated into a single request per
-``(src, dst)`` link — one ``REMOTE_HOP_COST`` round trip plus a small
+``(src, dst)`` link — one ``REMOTE_HOP`` round trip plus a small
 per-entry marginal cost, the way a production driver amortizes cut edges
 (and the traversal-locality lever TAPER and the Neo4j partitioning
 evaluations optimize for).  Vertex locations come from a per-server
@@ -26,10 +26,10 @@ query, after which the cache entry is corrected.
 
 A depth is **charged once per link and once per host** (DESIGN.md §9):
 its messages go out in one network call, each reachable host is asked
-once for its share (``GraphStore.read_frontier``), and busy seconds and
-visits run in locals written back once per host — every simulated cost
-and counter takes the float additions, in the order, that charging each
-entry on its own gave it.
+once for its share (``GraphStore.read_frontier``), and the depth counts
+its visits and messages and charges each count times its integer
+nanosecond price (:mod:`repro.cluster.network`) once — exactly what
+charging each entry on its own adds up to.
 
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
@@ -57,12 +57,14 @@ from typing import Dict, Generator, List, NamedTuple, Optional, Set, Tuple
 from repro.cluster.catalog import Catalog, LocationCache
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import (
-    BATCH_ENTRY_COST,
-    CLIENT_DISPATCH_COST,
-    FAULT_TIMEOUT_COST,
-    REMOTE_HOP_COST,
-    REMOTE_SERVICE_COST,
+    BATCH_ENTRY,
+    CLIENT_DISPATCH,
+    FAULT_TIMEOUT,
+    LOCAL_VISIT,
+    REMOTE_HOP,
+    REMOTE_SERVICE,
     SimulatedNetwork,
+    seconds,
 )
 from repro.cluster.server import HermesServer
 from repro.core.auxiliary import is_vertex_id
@@ -87,8 +89,8 @@ class TraversalResult(NamedTuple):
     #: traversal steps that crossed servers (frontier entries, not
     #: messages — batching changes the message count, not this)
     remote_hops: int
-    #: simulated execution time of the query
-    cost: float
+    #: simulated execution time of the query, in integer nanoseconds
+    cost: int
     #: servers that could not be reached; when non-empty the response is
     #: partial (their vertices are missing, not absent from the graph)
     failed_partitions: Tuple[int, ...] = ()
@@ -109,14 +111,14 @@ class DepthStep(NamedTuple):
 
     Yielded by :meth:`TraversalEngine.traverse_steps` after the slice's
     cluster work has executed.  ``cost`` is the simulated client-perceived
-    time the slice added; ``busy`` maps server id to the busy-seconds the
+    time (ns) the slice added; ``busy`` maps server id to the busy ns the
     slice charged that server — the occupancy the concurrent scheduler
     queues on each server's event lane.  Read ``busy``, never modify it.
     """
 
     kind: str  # "dispatch" | "hop"
-    cost: float
-    busy: Dict[int, float]
+    cost: int
+    busy: Dict[int, int]
     depth: int
     frontier: int
 
@@ -146,11 +148,10 @@ class _QueryState:
         "failed",
         "visited",
         "hops",
-        "local_visit",
-        "busy",
+        "serviced",
     )
 
-    def __init__(self, cost: float, hops: int, local_visit: float):
+    def __init__(self, cost: int, hops: int):
         self.cost = cost
         self.processed = 0
         self.remote = 0
@@ -159,9 +160,8 @@ class _QueryState:
         self.failed: Set[int] = set()
         self.visited: Set[int] = set()
         self.hops = hops
-        self.local_visit = local_visit
-        #: each server's running busy seconds while a depth is charged
-        self.busy: List[float] = []
+        #: remote messages each server sent or received this depth
+        self.serviced: List[int] = []
 
 
 class TraversalEngine:
@@ -258,10 +258,9 @@ class TraversalEngine:
         # Before anything is charged, looked up or traced.
         check_start(start)
         check_hops(hops)
-        cost = CLIENT_DISPATCH_COST
         home = self.catalog.lookup(start)
         injector = self.network.fault_injector
-        state = _QueryState(cost, hops, self.network.local_visit())
+        state = _QueryState(CLIENT_DISPATCH, hops)
         span = self.telemetry.span("traversal", start=start, hops=hops)
         # Frontier entries are (vertex, host, discovered_from_host): when
         # the traversal follows an edge whose endpoints live on different
@@ -271,13 +270,13 @@ class TraversalEngine:
         if injector is not None and injector.is_down(home):
             # The dispatch to the home server times out: the client gets
             # an empty partial result rather than an exception.
-            state.cost += FAULT_TIMEOUT_COST
+            state.cost += FAULT_TIMEOUT
             state.failed.add(home)
             frontier = []
         else:
             # Client dispatch happens before the first hop: push the
             # causal cursor so depth spans line up after it.
-            span.advance(cost)
+            span.advance(seconds(CLIENT_DISPATCH))
         epoch = self.topology_epoch
         yield DepthStep("dispatch", state.cost, {}, -1, 0)
 
@@ -297,14 +296,15 @@ class TraversalEngine:
             cost_before = state.cost
             next_frontier, busy = self._run_depth(frontier, depth, state)
             spent = state.cost - cost_before
-            depth_span.finish(duration=spent)
+            depth_span.finish(duration=seconds(spent))
             yield DepthStep("hop", spent, busy, depth, len(frontier))
             frontier = next_frontier
 
         self._traversals.inc()
         self._processed.inc(state.processed)
         self._remote.inc(state.remote)
-        self._cost_hist.observe(state.cost)
+        cost = seconds(state.cost)
+        self._cost_hist.observe(cost)
         span.set_attribute("processed", state.processed)
         span.set_attribute("remote_hops", state.remote)
         span.set_attribute("response", len(state.response))
@@ -315,7 +315,7 @@ class TraversalEngine:
                 **self._labels,
             ).inc()
             span.set_attribute("failed_partitions", sorted(state.failed))
-        span.finish(duration=state.cost)
+        span.finish(duration=cost)
 
         response, failed = tuple(sorted(state.response)), tuple(sorted(state.failed))
         return TraversalResult(
@@ -349,28 +349,24 @@ class TraversalEngine:
         frontier: List[Tuple[int, int, int]],
         depth: int,
         state: _QueryState,
-    ) -> Tuple[List[Tuple[int, int, int]], Dict[int, float]]:
+    ) -> Tuple[List[Tuple[int, int, int]], Dict[int, int]]:
         """Ship the frontier, read it in bulk, charge it per link and host.
 
         Each link pays one round trip (plus per-entry marginals), as a real
         driver ships the frontier ahead of processing the responses.  A
         final depth with no failed host asks each host once whether its
-        whole share is available and, if all are, is charged per host in
-        bulk.  Otherwise each reachable host is asked once about its
-        share's distinct vertices (nothing mutates a store inside a depth)
-        and the entries are walked in frontier order, as one can change
-        what later ones see (a ``None`` answer forwards, a forward can fail
-        its host, an expansion can find its host down).  Returns the next
-        frontier and the busy seconds charged per server.
+        whole share is available and, if all are, counts each share's
+        visits at once.  Otherwise each reachable host is asked once about
+        its share's distinct vertices (nothing mutates a store inside a
+        depth) and the entries are walked in frontier order, as one can
+        change what later ones see (a ``None`` answer forwards, a forward
+        can fail its host, an expansion can find its host down).  Returns
+        the next frontier and the busy time charged per server.
         """
         servers = self.servers
         failed = state.failed
-        local_visit = state.local_visit
-        # Seeded from the counters, ``busy[host] += seconds`` is exactly
-        # the addition ``busy_counter.inc(seconds)`` made.
-        seeded = [server.busy_counter.value for server in servers]
-        busy = state.busy = seeded.copy()
         visits = [0] * len(servers)
+        state.serviced = [0] * len(servers)
         # Remote entries per directed link and every entry per host, both
         # in first-seen order; a host meets ``failed`` when first seen.
         links: Dict[Tuple[int, int], int] = {}
@@ -399,18 +395,8 @@ class TraversalEngine:
         next_frontier: List[Tuple[int, int, int]] = []
         if bulk:
             for host, share in shares.items():
-                visits[host] = count = len(share)
-                run = busy[host]
-                for _ in repeat(None, count):
-                    run += local_visit
-                busy[host] = run
+                visits[host] = len(share)
                 state.response.update(share)
-            processed = sum(visits)
-            state.processed += processed
-            cost = state.cost
-            for _ in repeat(None, processed):
-                cost += local_visit
-            state.cost = cost
         else:
             # One storage pass per reachable host over the distinct
             # vertices of its share (a vertex reached along several paths
@@ -443,10 +429,7 @@ class TraversalEngine:
                     )
                     if neighbors is None:
                         continue
-                state.processed += 1
                 visits[host] += 1
-                busy[host] += local_visit
-                state.cost += local_visit
                 state.response.add(vertex)
                 # Keep multiplicity: a vertex reachable along several paths is
                 # processed once per path (the paper's 2-hop ratio effect), but
@@ -477,54 +460,55 @@ class TraversalEngine:
             if resolved:
                 self.location_cache.count_resolved(resolved, misses)
 
-        # Each host is written back once; the depth returns its charges
-        # (every charge is positive, so a changed value grew).
+        processed = sum(visits)
+        state.processed += processed
+        state.cost += processed * LOCAL_VISIT
         charged = {}
-        for host, value in enumerate(busy):
-            if value != seeded[host]:
-                servers[host].busy_counter.value = value
-                charged[host] = value - seeded[host]
-        for host, count in enumerate(visits):
-            if count:
-                servers[host].visits_counter.inc(count)
+        for host, (count, messages) in enumerate(zip(visits, state.serviced)):
+            busy = count * LOCAL_VISIT + messages * REMOTE_SERVICE
+            if busy:
+                server = servers[host]
+                server.busy_counter.value += busy
+                if count:
+                    server.visits_counter.inc(count)
+                charged[host] = busy
         return next_frontier, charged
 
     def _ship(self, links: Dict[Tuple[int, int], int], state: _QueryState) -> None:
         """Send a depth's messages in link order: the query pays each
         message's cost, then its RPC dispatch, and both endpoints pay the
-        dispatch in busy seconds — the batching win on server CPU, not
-        just wire.  A fault-free network takes the messages in one call;
-        under a fault plan each is sent and retried on its own, and a
-        failed one gives up on its destination for the rest of the query.
+        dispatch in busy time — the batching win on server CPU, not just
+        wire.  A fault-free network takes the messages in one call; under
+        a fault plan each is sent and retried on its own, and a failed one
+        gives up on its destination for the rest of the query.
         """
         network = self.network
-        remote_service = REMOTE_SERVICE_COST
-        busy = state.busy
+        serviced = state.serviced
         if network.fault_injector is None:
             network.batched_hops(links)
-            cost = state.cost
-            for (src, dst), count in links.items():
-                cost += REMOTE_HOP_COST + count * BATCH_ENTRY_COST
-                cost += remote_service
-                busy[src] += remote_service
-                busy[dst] += remote_service
-            state.cost = cost
-            state.remote += sum(links.values())
+            entries = sum(links.values())
+            state.cost += (
+                len(links) * (REMOTE_HOP + REMOTE_SERVICE) + entries * BATCH_ENTRY
+            )
+            state.remote += entries
+            for src, dst in links:
+                serviced[src] += 1
+                serviced[dst] += 1
             return
         for (src, dst), count in links.items():
             if dst in state.failed:
                 # A message from another source already gave up on dst.
                 continue
             try:
-                state.cost += self._batched_hop(src, dst, count)
+                state.cost += self._retried(self.network.batched_hop, src, dst, count)
             except FaultInjectedError as exc:
                 state.cost += exc.cost
                 state.failed.add(dst)
                 continue
-            state.cost += remote_service
+            state.cost += REMOTE_SERVICE
             state.remote += count
-            busy[src] += remote_service
-            busy[dst] += remote_service
+            serviced[src] += 1
+            serviced[dst] += 1
 
     def _forward_stale(
         self,
@@ -554,19 +538,18 @@ class TraversalEngine:
             state.failed.add(actual)
             return None
         state.remote += 1
-        remote_service = REMOTE_SERVICE_COST
-        state.busy[host] += remote_service
-        state.busy[actual] += remote_service
-        state.cost += remote_service
+        state.serviced[host] += 1
+        state.serviced[actual] += 1
+        state.cost += REMOTE_SERVICE
         self.location_cache.learn(from_host, vertex, actual)
         return actual
 
     # ------------------------------------------------------------------
     # Fault-degradation helpers
     # ------------------------------------------------------------------
-    def _retried(self, send, *args) -> float:
-        """``send(*args)`` retried under the :class:`RetryPolicy` on faults;
-        the total simulated cost, wasted attempts included."""
+    def _retried(self, send, *args) -> int:
+        """``send(*args)``, one message retried as a unit under the
+        :class:`RetryPolicy`; the total simulated cost, wasted included."""
         cost, wasted = RetryPolicy.call(
             lambda: send(*args),
             injector=self.network.fault_injector,
@@ -574,11 +557,7 @@ class TraversalEngine:
         )
         return cost + wasted
 
-    def _batched_hop(self, src: int, dst: int, count: int) -> float:
-        """One aggregated message, retried as a unit under faults."""
-        return self._retried(self.network.batched_hop, src, dst, count)
-
-    def _on_retry(self, exc: FaultInjectedError, pause: float) -> None:
+    def _on_retry(self, exc: FaultInjectedError, pause: int) -> None:
         self.telemetry.counter(
             "traversal_retries_total",
             "traversal hop retries after faults",

@@ -27,7 +27,7 @@ Two guarantees the executor layers on top of the raw scheduler:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.cluster.durability import commit_all
 from repro.concurrency.scheduler import EventScheduler, TaskHandle, Work
@@ -57,13 +57,13 @@ class ConcurrentExecutor:
     def submit(
         self,
         task: Generator[Work, None, Any],
-        at: float = 0.0,
+        at: int = 0,
         label: str = "",
     ) -> TaskHandle:
         return self.scheduler.spawn(task, at=at, label=label)
 
     def submit_operation(
-        self, operation: Operation, at: float = 0.0
+        self, operation: Operation, at: int = 0
     ) -> TaskHandle:
         return self.submit(
             self.operation_task(operation),
@@ -71,7 +71,7 @@ class ConcurrentExecutor:
             label=type(operation).__name__,
         )
 
-    def submit_rebalance(self, force: bool = False, at: float = 0.0) -> TaskHandle:
+    def submit_rebalance(self, force: bool = False, at: int = 0) -> TaskHandle:
         return self.submit(self.rebalance_task(force=force), at=at, label="rebalance")
 
     # ------------------------------------------------------------------
@@ -96,12 +96,12 @@ class ConcurrentExecutor:
         return handle
 
     def run(self) -> float:
-        """Drain every submitted task; returns the event-timeline makespan."""
+        """Drain every submitted task; returns the makespan in seconds."""
         while self.scheduler.pending:
             self.step()
         return self.scheduler.now
 
-    def run_until(self, deadline: float) -> None:
+    def run_until(self, deadline: int) -> None:
         """Dispatch every event ready at or before ``deadline`` (the
         serving front door drains in-flight work up to each arrival)."""
         self.scheduler.run_until(deadline, step=self.step)
@@ -111,8 +111,8 @@ class ConcurrentExecutor:
     # ------------------------------------------------------------------
     def operation_task(
         self, operation: Operation
-    ) -> Generator[Work, None, Tuple[Any, float]]:
-        """An operation as a task; returns ``(outcome, simulated_cost)``."""
+    ) -> Generator[Work, None, Tuple[Any, int]]:
+        """An operation as a task; returns ``(outcome, simulated ns)``."""
         if isinstance(operation, Traversal):
             return self.traverse_task(operation.start, operation.hops)
         if isinstance(operation, ReadVertex):
@@ -145,7 +145,7 @@ class ConcurrentExecutor:
 
     def traverse_task(
         self, start: int, hops: int
-    ) -> Generator[Work, None, Tuple[Any, float]]:
+    ) -> Generator[Work, None, Tuple[Any, int]]:
         """A k-hop traversal paused between frontier depths.
 
         Each resumption runs one depth against the *current* cluster
@@ -155,7 +155,6 @@ class ConcurrentExecutor:
         """
         cluster = self.cluster
         steps = cluster._engine.traverse_steps(start, hops)
-        result = None
         while True:
             try:
                 step = next(steps)
@@ -167,34 +166,31 @@ class ConcurrentExecutor:
             occupied = sum(step.busy.values())
             yield Work(
                 demands=demands,
-                latency=max(0.0, step.cost - occupied),
+                latency=max(0, step.cost - occupied),
                 kind=f"traversal-{step.kind}",
             )
         cluster.aux.add_popularity(result.response)
         return result, result.cost
 
     def _sampled_task(
-        self, call: Callable[[], Tuple[Any, float]], kind: str
-    ) -> Generator[Work, None, Tuple[Any, float]]:
+        self, call: Callable[[], Tuple[Any, int]], kind: str
+    ) -> Generator[Work, None, Tuple[Any, int]]:
         """A single-step operation; server occupancy is measured as the
         per-server ``busy_counter`` delta across the call (post-paid),
-        the rest of the cost is client-perceived latency."""
-        before: Dict[int, float] = {
-            server.server_id: server.busy_counter.value
-            for server in self.cluster.servers
-        }
+        the rest of the cost is client-perceived latency.  A server that
+        joins during the call has no baseline and is charged nothing."""
+        servers = self.cluster.servers
+        before = [server.busy_counter.value for server in servers]
         outcome, cost = call()
-        demands = []
-        for server in self.cluster.servers:
-            delta = server.busy_counter.value - before.get(
-                server.server_id, server.busy_counter.value
-            )
-            if delta > 0.0:
-                demands.append((server.server_id, delta))
+        demands = [
+            (server.server_id, server.busy_counter.value - busy)
+            for server, busy in zip(servers, before)
+            if server.busy_counter.value > busy
+        ]
         occupied = sum(busy for _, busy in demands)
         yield Work(
             demands=tuple(demands),
-            latency=max(0.0, cost - occupied),
+            latency=max(0, cost - occupied),
             kind=kind,
         )
         return outcome, cost
@@ -212,7 +208,7 @@ class ConcurrentExecutor:
         """
         cluster = self.cluster
         steps = cluster.rebalance_steps(force=force)
-        advanced = 0.0
+        advanced = 0
         try:
             while True:
                 try:
@@ -223,13 +219,12 @@ class ConcurrentExecutor:
                 advanced += step.cost
                 yield Work(
                     demands=tuple((server, step.cost) for server in step.servers),
-                    latency=0.0,
                     kind=f"migration-{step.kind}",
                 )
         except MigrationAbortedError as exc:
             # Per-step costs were folded into the clock as they ran; the
             # abort's wasted timeout/backoff is the only remainder.
-            cluster._advance(max(0.0, exc.report.total_cost - advanced))
+            cluster._advance(max(0, exc.report.total_cost - advanced))
             raise
 
     # ------------------------------------------------------------------

@@ -41,6 +41,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from repro.cluster.network import seconds
 from repro.exceptions import HermesError
 
 
@@ -48,15 +49,15 @@ from repro.exceptions import HermesError
 class Work:
     """One task step's simulated resource demand.
 
-    ``demands`` lists ``(server, busy_seconds)`` occupancy charges; each
-    server serves them FIFO.  ``latency`` is additional client-perceived
-    time (wire round trips, dispatch) that does not occupy any server.
-    The step's finish time is the later of its server work finishing and
-    its latency elapsing.
+    ``demands`` lists ``(server, busy)`` occupancy charges; each server
+    serves them FIFO.  ``latency`` is additional client-perceived time
+    (wire round trips, dispatch) that does not occupy any server.  Both
+    are integer nanoseconds.  The step's finish time is the later of its
+    server work finishing and its latency elapsing.
     """
 
-    demands: Tuple[Tuple[int, float], ...] = ()
-    latency: float = 0.0
+    demands: Tuple[Tuple[int, int], ...] = ()
+    latency: int = 0
     kind: str = "step"
 
 
@@ -68,8 +69,8 @@ class EventRecord:
     task: int
     server: int
     kind: str
-    start: float
-    finish: float
+    start: int
+    finish: int
 
 
 @dataclass
@@ -78,14 +79,12 @@ class TaskHandle:
 
     task_id: int
     label: str
-    #: event-timeline instant the task was submitted
-    submitted: float
     #: generator's return value once finished (StopIteration payload)
     result: Any = None
     #: the error that ended the task, if it raised instead of returning
     error: Optional[BaseException] = None
     #: event-timeline instant the last step finished
-    finish: float = 0.0
+    finish: int = 0
     done: bool = False
     steps: int = 0
 
@@ -103,24 +102,29 @@ class EventScheduler:
     def __init__(self, num_servers: int):
         #: per-server event timeline: when the server's queue drains;
         #: a server that joins later gets its lane on its first demand
-        self.server_free: List[float] = [0.0] * num_servers
+        self.server_free: List[int] = [0] * num_servers
         #: every dispatched event, in global dispatch order
         self.records: List[EventRecord] = []
         #: ready-queue of runnable tasks: (ready_time, spawn_seq, task_id)
-        self._ready: List[Tuple[float, int, int]] = []
+        self._ready: List[Tuple[int, int, int]] = []
         self._tasks: Dict[int, Task] = {}
         self.handles: Dict[int, TaskHandle] = {}
         self._next_task = 0
         self._next_event = 0
         #: largest event finish dispatched so far (the makespan so far)
-        self.now = 0.0
+        self.now_ns = 0
+
+    @property
+    def now(self) -> float:
+        """The makespan so far, in seconds."""
+        return seconds(self.now_ns)
 
     # ------------------------------------------------------------------
-    def spawn(self, task: Task, at: float = 0.0, label: str = "") -> TaskHandle:
+    def spawn(self, task: Task, at: int = 0, label: str = "") -> TaskHandle:
         """Register a task; its first step becomes runnable at ``at``."""
         task_id = self._next_task
         self._next_task += 1
-        handle = TaskHandle(task_id=task_id, label=label, submitted=at)
+        handle = TaskHandle(task_id=task_id, label=label)
         self._tasks[task_id] = task
         self.handles[task_id] = handle
         heapq.heappush(self._ready, (at, task_id, task_id))
@@ -137,7 +141,7 @@ class EventScheduler:
 
         Returns the task's handle (finished or not), or None when no
         task is runnable.  Grows the server timelines, the event log and
-        ``now``; the resumed generator performs its cluster mutations
+        ``now_ns``; the resumed generator performs its cluster mutations
         synchronously inside this call.
         """
         if not self._ready:
@@ -147,22 +151,18 @@ class EventScheduler:
         handle = self.handles[task_id]
         try:
             work = task.send(None)
-        except StopIteration as stop:
-            handle.result = stop.value
-            handle.finish = max(handle.finish, ready)
-            handle.done = True
-            del self._tasks[task_id]
-            self.now = max(self.now, handle.finish)
-            return handle
-        except HermesError as exc:
+        except (StopIteration, HermesError) as end:
             # A task that dies mid-flight (e.g. an aborted online
             # migration) ends cleanly: the error is recorded on the
             # handle and the remaining tasks keep running.
-            handle.error = exc
+            if isinstance(end, StopIteration):
+                handle.result = end.value
+            else:
+                handle.error = end
             handle.finish = max(handle.finish, ready)
             handle.done = True
             del self._tasks[task_id]
-            self.now = max(self.now, handle.finish)
+            self.now_ns = max(self.now_ns, handle.finish)
             return handle
 
         handle.steps += 1
@@ -172,7 +172,7 @@ class EventScheduler:
                 # A server that joined after this scheduler was built:
                 # its lane is free from time zero (it has no history).
                 self.server_free.extend(
-                    [0.0] * (server + 1 - len(self.server_free))
+                    [0] * (server + 1 - len(self.server_free))
                 )
             start = max(ready, self.server_free[server])
             end = start + busy
@@ -190,18 +190,18 @@ class EventScheduler:
             self._next_event += 1
             finish = max(finish, end)
         handle.finish = finish
-        self.now = max(self.now, finish)
+        self.now_ns = max(self.now_ns, finish)
         heapq.heappush(self._ready, (finish, task_id, task_id))
         return handle
 
-    def run(self) -> float:
+    def run(self) -> int:
         """Drain every task; returns the makespan (largest event finish)."""
         while self._ready:
             self.step()
-        return self.now
+        return self.now_ns
 
     def run_until(
-        self, deadline: float, step: Optional[Callable[[], Any]] = None
+        self, deadline: int, step: Optional[Callable[[], Any]] = None
     ) -> None:
         """Dispatch every step whose ready time is at or before
         ``deadline`` — the hook the serving front door uses to execute
@@ -233,7 +233,7 @@ class EventScheduler:
         """
         problems: List[str] = []
         for server, lane in enumerate(self.per_server_records()):
-            last_start = last_finish = 0.0
+            last_start = last_finish = 0
             for record in lane:
                 if record.finish < record.start:
                     problems.append(
@@ -247,7 +247,7 @@ class EventScheduler:
                         f"{record.finish} after {last_finish})"
                     )
                 last_start, last_finish = record.start, record.finish
-            if lane and abs(self.server_free[server] - last_finish) > 1e-12:
+            if lane and self.server_free[server] != last_finish:
                 problems.append(
                     f"server {server} free-at {self.server_free[server]} != "
                     f"last recorded finish {last_finish}"

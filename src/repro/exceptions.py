@@ -84,12 +84,12 @@ class ClusterError(HermesError):
 class FaultInjectedError(ClusterError):
     """Base class for failures produced by the fault-injection layer.
 
-    ``cost`` is the simulated time the failed operation wasted (timeouts
+    ``cost`` is the simulated ns the failed operation wasted (timeouts
     spent waiting, retransmissions, retry backoff); callers charge it to
     their cost accounting even though the operation did not succeed.
     """
 
-    def __init__(self, message: str, cost: float = 0.0):
+    def __init__(self, message: str, cost: int = 0):
         super().__init__(message)
         self.cost = cost
 
@@ -97,7 +97,7 @@ class FaultInjectedError(ClusterError):
 class ServerDownError(FaultInjectedError):
     """The addressed server is inside a crash window and unreachable."""
 
-    def __init__(self, server: int, cost: float = 0.0):
+    def __init__(self, server: int, cost: int = 0):
         super().__init__(f"server {server} is down", cost=cost)
         self.server = server
 
@@ -105,7 +105,7 @@ class ServerDownError(FaultInjectedError):
 class MessageLossError(FaultInjectedError):
     """A network message was dropped; the sender timed out waiting."""
 
-    def __init__(self, src: int, dst: int, cost: float = 0.0):
+    def __init__(self, src: int, dst: int, cost: int = 0):
         super().__init__(f"message {src} -> {dst} was lost", cost=cost)
         self.src = src
         self.dst = dst
@@ -114,7 +114,7 @@ class MessageLossError(FaultInjectedError):
 class NetworkTimeoutError(FaultInjectedError):
     """A message was delivered but its response timed out."""
 
-    def __init__(self, src: int, dst: int, cost: float = 0.0):
+    def __init__(self, src: int, dst: int, cost: int = 0):
         super().__init__(f"message {src} -> {dst} timed out", cost=cost)
         self.src = src
         self.dst = dst
@@ -215,7 +215,6 @@ class OverloadShedError(AdmissionRejectedError):
 
     reason = "overload_shed"
 
-    def __init__(self, message: str, state: str, wait: float = 0.0):
+    def __init__(self, message: str, state: str):
         super().__init__(message)
         self.state = state
-        self.wait = wait

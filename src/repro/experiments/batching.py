@@ -12,8 +12,8 @@ edge-cut).  The baseline is a *model* number, not a second run: what the
 same trace would cost if every remote frontier entry paid its own round
 trip, computed in closed form from the run's own counts —
 
-    dispatch + remote_hops * (REMOTE_HOP_COST + REMOTE_SERVICE_COST)
-             + processed * LOCAL_VISIT_COST        (per query, zero faults)
+    dispatch + remote_hops * (REMOTE_HOP + REMOTE_SERVICE)
+             + processed * LOCAL_VISIT        (per query, zero faults)
 
 with one 256-byte message per remote entry.
 
@@ -33,10 +33,11 @@ from typing import Dict, List, Tuple
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.network import (
-    CLIENT_DISPATCH_COST,
-    LOCAL_VISIT_COST,
-    REMOTE_HOP_COST,
-    REMOTE_SERVICE_COST,
+    CLIENT_DISPATCH,
+    LOCAL_VISIT,
+    REMOTE_HOP,
+    REMOTE_SERVICE,
+    seconds,
 )
 from repro.experiments.common import (
     ClusterScale,
@@ -140,17 +141,17 @@ def _run_placement(
     load_bytes = cluster.network.stats.bytes_sent
     rng = random.Random(scale.seed + 1)
     vertices = sorted(cluster.graph.vertices())
-    total_cost = 0.0
-    model_cost = 0.0
+    total_cost = 0
+    model_cost = 0
     remote = 0
     responses = 0
     for _ in range(TRAVERSAL_QUERIES):
         result = cluster.traverse(rng.choice(vertices), hops=HOPS)
         total_cost += result.cost
         model_cost += (
-            CLIENT_DISPATCH_COST
-            + result.remote_hops * (REMOTE_HOP_COST + REMOTE_SERVICE_COST)
-            + result.processed * LOCAL_VISIT_COST
+            CLIENT_DISPATCH
+            + result.remote_hops * (REMOTE_HOP + REMOTE_SERVICE)
+            + result.processed * LOCAL_VISIT
         )
         remote += result.remote_hops
         responses += len(result.response)
@@ -158,7 +159,7 @@ def _run_placement(
         placement=placement,
         batched=False,
         traversals=TRAVERSAL_QUERIES,
-        total_cost=model_cost,
+        total_cost=seconds(model_cost),
         messages=load_messages + remote,
         bytes_sent=load_bytes + remote * PER_ENTRY_MESSAGE_BYTES,
         remote_hops=remote,
@@ -168,7 +169,7 @@ def _run_placement(
         placement=placement,
         batched=True,
         traversals=TRAVERSAL_QUERIES,
-        total_cost=total_cost,
+        total_cost=seconds(total_cost),
         messages=cluster.network.stats.messages,
         bytes_sent=cluster.network.stats.bytes_sent,
         remote_hops=remote,

@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import seconds
 from repro.experiments.common import ClusterScale
 from repro.graph.adjacency import SocialGraph
 from repro.graph.generators import make_dataset
@@ -158,7 +159,7 @@ def run_scaleout(graph: SocialGraph, scale: ClusterScale) -> ScaleOutResult:
         vertices=len(before),
         reshard_moved=moved,
         reshard_bytes=cluster.network.stats.bytes_sent - bytes_before,
-        reshard_cost=report.total_cost,
+        reshard_cost=seconds(report.total_cost),
         full_rehash_moved=full_moved,
         moved_fraction=(moved / full_moved) if full_moved else 0.0,
         imbalance_after=cluster.aux.max_imbalance(),
@@ -203,7 +204,7 @@ def run_drain_under_traffic(
     target = scale.num_servers - 1
     report = cluster.drain_server(target)
     drain_moved = report.vertices_moved if report is not None else 0
-    drain_cost = report.total_cost if report is not None else 0.0
+    drain_cost = seconds(report.total_cost) if report is not None else 0.0
     completed_after, shed_after, goodput_after = _serve_phase(
         frontend, vertices, ops
     )

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import seconds
 from repro.experiments.common import ClusterScale
 from repro.graph.adjacency import SocialGraph
 from repro.graph.generators import make_dataset
@@ -195,13 +196,12 @@ def _load_point(
     frontend: ServingFrontend,
 ) -> LoadPoint:
     completed = [o for o in outcomes if o.admitted]
-    latencies = [o.latency for o in completed]
+    latencies = [seconds(o.latency) for o in completed]
     shed = [o for o in outcomes if not o.admitted]
     # Makespan: the last admitted operation's simulated finish, or the
     # last arrival when everything was shed.
-    makespan = frontend.now
-    for outcome in completed:
-        makespan = max(makespan, outcome.arrival + outcome.latency)
+    finishes = [o.arrival + o.latency for o in completed]
+    makespan = seconds(max([frontend.now_ns, *finishes]))
     reasons: Dict[str, int] = {}
     for outcome in shed:
         reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
@@ -240,7 +240,7 @@ def calibrate(
         outcome = frontend.submit(
             "read", vertices[rng.randrange(len(vertices))], now=t
         )
-        costs.append(outcome.latency)
+        costs.append(seconds(outcome.latency))
     mean_cost = sum(costs) / len(costs)
     return Calibration(
         mean_cost=mean_cost,
@@ -328,7 +328,7 @@ def run_hotspot(
         completed = [o for o in outcomes if o.admitted]
         stats[replica_reads] = {
             "completed": completed,
-            "p99": _percentile([o.latency for o in completed], 0.99),
+            "p99": _percentile([seconds(o.latency) for o in completed], 0.99),
         }
     with_replicas = stats[True]["completed"]
     replica_served = sum(1 for o in with_replicas if o.replica_read)
@@ -423,8 +423,8 @@ def run_staleness_sweep(
                 stale_blocked=int(
                     frontend.router._stale_blocked.value - blocked_before
                 ),
-                max_served_staleness=max_served,
-                bound_respected=max_served <= config.max_staleness + 1e-12,
+                max_served_staleness=seconds(max_served),
+                bound_respected=max_served <= frontend.sync.max_staleness,
             )
         )
     return tuple(points)

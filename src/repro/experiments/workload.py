@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import seconds
 from repro.experiments.common import ClusterScale, build_datasets, hermes_config
 from repro.graph.generators import Dataset
 from repro.workloads.model import WorkloadModel
@@ -190,7 +191,7 @@ def _run_arm(
     stats = cluster.network.stats
     messages_before = stats.messages
     bytes_before = stats.bytes_sent
-    eval_cost = 0.0
+    eval_cost = 0
     eval_remote = 0
     for op in eval_ops:
         result = cluster.traverse(op.start, op.hops)
@@ -206,7 +207,7 @@ def _run_arm(
         # arms isolates what the heat term cost in balance.
         final_imbalance=rebalanced.final_imbalance,
         final_edge_cut=rebalanced.final_edge_cut,
-        eval_cost=eval_cost,
+        eval_cost=seconds(eval_cost),
         eval_remote_hops=eval_remote,
         eval_messages=stats.messages - messages_before,
         eval_bytes=stats.bytes_sent - bytes_before,

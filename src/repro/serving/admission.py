@@ -29,6 +29,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Dict, Optional
 
+from repro.cluster.network import nanoseconds
 from repro.exceptions import OverloadShedError, QueueFullError
 from repro.serving.config import ServingConfig
 from repro.telemetry import Telemetry
@@ -132,11 +133,12 @@ class AdmissionController:
         return _FLOOR[self.state]
 
     # ------------------------------------------------------------------
-    def admit(self, priority: Priority, wait: float, depth: int) -> None:
+    def admit(self, priority: Priority, wait: int, depth: int) -> None:
         """Admit or raise a typed rejection for one operation.
 
-        ``wait`` is the queueing delay the operation would incur on its
-        target server; ``depth`` is the queue's current logical depth.
+        ``wait`` is the queueing delay (integer ns) the operation would
+        incur on its target server; ``depth`` is the queue's current
+        logical depth.
         """
         if depth >= self.config.max_queue_depth:
             raise QueueFullError(depth, self.config.max_queue_depth)
@@ -144,12 +146,10 @@ class AdmissionController:
             raise OverloadShedError(
                 f"priority {priority.name} shed in state {self.state}",
                 state=self.state,
-                wait=wait,
             )
-        if wait > self.config.max_queue_delay:
+        if wait > nanoseconds(self.config.max_queue_delay):
             raise OverloadShedError(
-                f"backlog {wait * 1e3:.2f} ms exceeds queue-delay bound "
+                f"backlog {wait / 1e6:.2f} ms exceeds queue-delay bound "
                 f"{self.config.max_queue_delay * 1e3:.2f} ms",
                 state=self.state,
-                wait=wait,
             )

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from inspect import Parameter, signature
 from typing import Any, Dict, Optional, Tuple
 
+from repro.cluster.network import nanoseconds, seconds
 from repro.cluster.traversal import check_hops, check_start
 from repro.exceptions import (
     AdmissionRejectedError,
@@ -73,17 +74,17 @@ class ServeOutcome:
     #: typed shed reason (``queue_full`` | ``overload_shed``), None
     #: unless shed
     reason: Optional[str] = None
-    #: client-observed simulated latency (wait + cost); sheds observe 0
-    latency: float = 0.0
-    wait: float = 0.0
-    cost: float = 0.0
+    #: client-observed simulated latency (wait + cost, integer ns)
+    latency: int = 0
+    wait: int = 0
+    cost: int = 0
     #: server that executed the operation (None when shed)
     served_by: Optional[int] = None
     replica_read: bool = False
     #: pending-update age of the data a replica read served
-    staleness: float = 0.0
+    staleness: int = 0
     result: Any = None
-    arrival: float = 0.0
+    arrival: int = 0
 
     @property
     def admitted(self) -> bool:
@@ -145,8 +146,8 @@ class ServingFrontend:
         }
         self.config = config or ServingConfig()
         self.telemetry = cluster.telemetry
-        #: serving-side simulated clock: operation arrival times
-        self.now = 0.0
+        #: serving-side simulated clock of arrivals, in ns (``now`` in s)
+        self.now_ns = 0
         labels = {"cluster": cluster.cluster_id}
         self.index = ReplicaIndex(cluster)
         self.sync = ReplicaSynchronizer(
@@ -196,7 +197,12 @@ class ServingFrontend:
         """
         self.engine = engine
 
-    def _replica_delivery_task(self, host: int, cost: float):
+    @property
+    def now(self) -> float:
+        """The serving clock in seconds."""
+        return seconds(self.now_ns)
+
+    def _replica_delivery_task(self, host: int, cost: int):
         """One asynchronous replica-update delivery as an event."""
         yield Work(demands=((host, cost),), kind="replica-update")
 
@@ -211,7 +217,7 @@ class ServingFrontend:
         so there is nothing to refresh afterwards.
         """
         if self.engine is not None:
-            handle = self.engine.submit_rebalance(force=force, at=self.now)
+            handle = self.engine.submit_rebalance(force=force, at=self.now_ns)
             self.engine.run()
             if handle.error is not None:
                 raise handle.error
@@ -232,9 +238,9 @@ class ServingFrontend:
     ) -> ServeOutcome:
         """Run one client operation through the front door.
 
-        ``now`` is the operation's arrival time on the serving clock;
-        omitted, the operation arrives as soon as the previous one did
-        (back-to-back).  The clock never runs backwards.
+        ``now`` is the operation's arrival time on the serving clock, in
+        seconds; omitted, the operation arrives as soon as the previous
+        one did (back-to-back).  The clock never runs backwards.
         """
         if op not in SERVING_OPS:
             raise ValueError(f"unknown serving op {op!r}")
@@ -246,9 +252,9 @@ class ServingFrontend:
             check_hops(args[1])
         elif op != "read" and args[2] is not None:
             check_properties(args[2])
-        if now is not None and now > self.now:
-            self.now = now
-        arrival = self.now
+        if now is not None:
+            self.now_ns = max(self.now_ns, nanoseconds(now))
+        arrival = self.now_ns
         if self.engine is not None:
             # Event-driven front door: work scheduled before this
             # arrival (migration copy-steps, replica-update deliveries)
@@ -269,7 +275,7 @@ class ServingFrontend:
         # admission capacity, so queue conservation is never broken by
         # a mid-pipeline failure.
         decision = None
-        forward_cost = 0.0
+        forward_cost = 0
         if op == "read":
             decision = self.router.route_read(args[0], arrival)
             target = decision.host
@@ -333,8 +339,8 @@ class ServingFrontend:
             outcome.staleness = self.sync.staleness(args[0], arrival)
             tenant.replica_reads.inc()
         tenant.admitted.inc()
-        tenant.cost_seconds.inc(cost)
-        self._latency_hist.observe(outcome.latency)
+        tenant.cost_seconds.inc(seconds(cost))
+        self._latency_hist.observe(seconds(outcome.latency))
         return outcome
 
     def _tenant(self, client: str) -> _TenantSeries:
@@ -403,7 +409,7 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     def conservation(self) -> Dict[str, int]:
         """Queue-conservation snapshot at the current serving time."""
-        return self.queue.conservation(self.now)
+        return self.queue.conservation(self.now_ns)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able summary of the whole serving stack; ``tenants`` reads
@@ -412,7 +418,7 @@ class ServingFrontend:
             "now": self.now,
             "admission_state": self.queue.admission.state,
             "queue": self.conservation(),
-            "max_served_staleness": self.sync.max_served_staleness,
+            "max_served_staleness": seconds(self.sync.max_served_staleness),
             "tenants": {
                 client: tenant.totals()
                 for client, tenant in sorted(self._tenants.items())

@@ -2,8 +2,8 @@
 
 The queue models client-visible queueing on the simulated clock without
 changing the serial execution model underneath: each server carries a
-``free_at`` horizon (the simulated time it finishes its current
-backlog), an admitted operation waits ``max(0, free_at - now)`` before
+``free_at`` horizon (the simulated time, in integer ns, it finishes its
+current backlog), an admitted operation waits ``max(0, free_at - now)`` before
 its execution cost starts, and its completion is logged on a heap of
 finish times.  Between audit points the queue therefore satisfies the
 conservation law the simtest auditor checks:
@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional
 
+from repro.cluster.network import nanoseconds, seconds
 from repro.exceptions import AdmissionRejectedError
 from repro.serving.admission import AdmissionController, Priority
 from repro.serving.config import ServingConfig
@@ -53,9 +54,10 @@ class QueryQueue:
         extra = labels or {}
         self.admission = AdmissionController(config, telemetry=telemetry, labels=extra)
         #: per-server simulated time at which its backlog drains
-        self.free_at: List[float] = [0.0] * num_servers
+        self.free_at: List[int] = [0] * num_servers
         #: finish times of admitted-but-not-yet-finished operations
-        self._pending: List[float] = []
+        self._pending: List[int] = []
+        self._max_delay = nanoseconds(config.max_queue_delay)
         self._submitted = telemetry.counter(
             "serving_submitted_total", "operations offered to the front door",
             **extra,
@@ -90,7 +92,7 @@ class QueryQueue:
         """Open an admission lane for a server joining mid-traffic."""
         server = self.num_servers
         self.num_servers += 1
-        self.free_at.append(0.0)
+        self.free_at.append(0)
         return server
 
     @property
@@ -98,7 +100,7 @@ class QueryQueue:
         """Logical queue depth (operations with future finish times)."""
         return len(self._pending)
 
-    def drain(self, now: float) -> int:
+    def drain(self, now: int) -> int:
         """Retire operations whose finish time has passed; returns count."""
         drained = 0
         while self._pending and self._pending[0] <= now:
@@ -109,32 +111,30 @@ class QueryQueue:
         self._depth_gauge.set(len(self._pending))
         return drained
 
-    def utilization(self, now: float) -> float:
+    def utilization(self, now: int) -> float:
         """Hottest server's backlog over the queue-delay budget, in [0, 2]."""
-        backlog = max(
-            (free - now for free in self.free_at if free > now), default=0.0
-        )
-        return min(2.0, backlog / self.config.max_queue_delay)
+        backlog = max((free - now for free in self.free_at if free > now), default=0)
+        return min(2.0, backlog / self._max_delay)
 
     # ------------------------------------------------------------------
-    def try_admit(self, target: int, priority: Priority, now: float) -> float:
+    def try_admit(self, target: int, priority: Priority, now: int) -> int:
         """Admit one operation bound for ``target`` or raise its typed
         rejection.  Returns the queueing delay the operation will incur.
         """
         self.drain(now)
         self._submitted.inc()
         self.admission.observe(self.utilization(now))
-        wait = max(0.0, self.free_at[target] - now)
+        wait = max(0, self.free_at[target] - now)
         try:
             self.admission.admit(priority, wait, self.depth)
         except AdmissionRejectedError as rejection:
             self._shed[rejection.reason].inc()
             raise
         self._admitted.inc()
-        self._wait_hist.observe(wait)
+        self._wait_hist.observe(seconds(wait))
         return wait
 
-    def commit(self, target: int, now: float, wait: float, cost: float) -> float:
+    def commit(self, target: int, now: int, wait: int, cost: int) -> int:
         """Log an admitted operation's execution; returns its finish time."""
         finish = now + wait + cost
         if finish > self.free_at[target]:
@@ -143,7 +143,7 @@ class QueryQueue:
         self._depth_gauge.set(len(self._pending))
         return finish
 
-    def add_backlog(self, target: int, now: float, cost: float) -> None:
+    def add_backlog(self, target: int, now: int, cost: int) -> None:
         """Charge asynchronous work (replica updates) to a server's
         backlog without a queue entry — it delays later operations but
         is not itself a client-visible operation."""
@@ -151,7 +151,7 @@ class QueryQueue:
         self.free_at[target] = start + cost
 
     # ------------------------------------------------------------------
-    def conservation(self, now: float) -> Dict[str, int]:
+    def conservation(self, now: int) -> Dict[str, int]:
         """Snapshot for the queue-conservation invariant (drains first)."""
         self.drain(now)
         shed = {reason: int(count.value) for reason, count in self._shed.items()}

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
+from repro.cluster.network import nanoseconds
 from repro.exceptions import FaultInjectedError, VertexNotFoundError
 from repro.serving.config import ServingConfig
 from repro.telemetry import Telemetry
@@ -65,7 +66,7 @@ class ReplicaSynchronizer:
     The write path calls :meth:`record_write` with the touched vertices;
     the read path calls :meth:`staleness`/:meth:`fresh` before routing a
     read to a replica.  All times are on the serving layer's simulated
-    arrival clock.
+    arrival clock, in integer nanoseconds.
     """
 
     def __init__(
@@ -79,10 +80,12 @@ class ReplicaSynchronizer:
         self.cluster = cluster
         self.index = index
         self.config = config
+        self._lag = nanoseconds(config.replica_lag)
+        self.max_staleness = nanoseconds(config.max_staleness)
         #: vertex -> simulated time of its most recent primary write
-        self.last_write: Dict[int, float] = {}
+        self.last_write: Dict[int, int] = {}
         #: largest pending-update age any served replica read observed
-        self.max_served_staleness = 0.0
+        self.max_served_staleness = 0
         telemetry = telemetry or Telemetry()
         extra = labels or {}
         self._updates = telemetry.counter(
@@ -102,7 +105,7 @@ class ReplicaSynchronizer:
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
-    def record_write(self, vertices, now: float) -> Dict[int, float]:
+    def record_write(self, vertices, now: int) -> Dict[int, int]:
         """A primary write touched ``vertices`` at simulated time ``now``.
 
         Ships one update message per replica copy through the simulated
@@ -117,7 +120,7 @@ class ReplicaSynchronizer:
         catalog = self.cluster.catalog
         servers = self.cluster.servers
         size = REPLICA_UPDATE_BYTES
-        costs: Dict[int, float] = {}
+        costs: Dict[int, int] = {}
         for vertex in vertices:
             self.last_write[vertex] = now
             host = catalog.lookup(vertex)
@@ -135,7 +138,7 @@ class ReplicaSynchronizer:
                 apply_cost = network.local_visit()
                 servers[replica_partition].busy_counter.inc(apply_cost)
                 costs[replica_partition] = (
-                    costs.get(replica_partition, 0.0) + shipped + apply_cost
+                    costs.get(replica_partition, 0) + shipped + apply_cost
                 )
                 self._updates.inc()
                 self._update_bytes.inc(size)
@@ -144,25 +147,23 @@ class ReplicaSynchronizer:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def staleness(self, vertex: int, now: float) -> float:
+    def staleness(self, vertex: int, now: int) -> int:
         """Age of the data a replica of ``vertex`` would serve at ``now``.
 
-        0.0 when the vertex was never written through the front door or
+        0 when the vertex was never written through the front door or
         the last update has propagated (``now >= write + lag``);
         otherwise the pending update's age ``now - write``.
         """
         written = self.last_write.get(vertex)
-        if written is None:
-            return 0.0
-        if now >= written + self.config.replica_lag:
-            return 0.0
-        return max(0.0, now - written)
+        if written is None or now >= written + self._lag:
+            return 0
+        return max(0, now - written)
 
-    def fresh(self, vertex: int, now: float) -> bool:
+    def fresh(self, vertex: int, now: int) -> bool:
         """May a replica serve ``vertex`` under the staleness bound?"""
-        return self.staleness(vertex, now) <= self.config.max_staleness
+        return self.staleness(vertex, now) <= self.max_staleness
 
-    def note_served(self, vertex: int, now: float) -> float:
+    def note_served(self, vertex: int, now: int) -> int:
         """Record that a replica read was served; returns its staleness."""
         staleness = self.staleness(vertex, now)
         if staleness > self.max_served_staleness:

@@ -51,8 +51,8 @@ class RouteDecision:
     primary: int
     #: True when the read is served from a one-hop replica
     replica_read: bool
-    #: forwarding cost paid to resolve a stale front-door cache entry
-    forward_cost: float
+    #: forwarding cost (ns) paid to resolve a stale front-door cache entry
+    forward_cost: int
 
 
 class GraphRouter:
@@ -107,7 +107,7 @@ class GraphRouter:
     # ------------------------------------------------------------------
     # Primary resolution (writes, traversals, and the read fallback)
     # ------------------------------------------------------------------
-    def primary_of(self, vertex: int) -> Tuple[int, float]:
+    def primary_of(self, vertex: int) -> Tuple[int, int]:
         """Resolve a vertex's primary through the front-door cache.
 
         Returns ``(host, forward_cost)``: on a stale hit the request
@@ -118,7 +118,7 @@ class GraphRouter:
         believed = self.cache.lookup_from(0, vertex)
         actual = self.cluster.catalog.lookup(vertex)
         if believed == actual:
-            return actual, 0.0
+            return actual, 0
         forward = self.cluster.network.remote_hop(believed, actual)
         self.cache.learn(0, vertex, actual)
         self._forwards.inc()
@@ -127,7 +127,7 @@ class GraphRouter:
     # ------------------------------------------------------------------
     # Read routing
     # ------------------------------------------------------------------
-    def route_read(self, vertex: int, now: float) -> RouteDecision:
+    def route_read(self, vertex: int, now: int) -> RouteDecision:
         """Pick the host for a single-record read at simulated ``now``."""
         primary, forward = self.primary_of(vertex)
         if not self.config.replica_reads:
@@ -159,18 +159,18 @@ class GraphRouter:
     # Replica-read execution
     # ------------------------------------------------------------------
     def serve_replica_read(
-        self, vertex: int, decision: RouteDecision, now: float
-    ) -> Tuple[Dict[str, Any], float, float, bool]:
+        self, vertex: int, decision: RouteDecision, now: int
+    ) -> Tuple[Dict[str, Any], int, int, bool]:
         """Execute a read against the chosen replica host.
 
         Returns ``(properties, cost, staleness, degraded)``.  The cluster's
         one read body serves it: the replica host is charged the record
-        read (visit + busy seconds) of the primary's record, and a crashed
+        read (visit + busy time) of the primary's record, and a crashed
         replica host degrades the read exactly like a crashed primary
         would — timeout cost, empty result.
         """
         properties, cost, degraded = self.cluster._serve_read(
             vertex, decision.host, decision.primary
         )
-        staleness = 0.0 if degraded else self.sync.note_served(vertex, now)
+        staleness = 0 if degraded else self.sync.note_served(vertex, now)
         return properties, cost, staleness, degraded

@@ -384,9 +384,7 @@ def _corrupt(cluster, mode: str) -> None:
     elif mode == "stale_serve":
         # Pretend a replica served data far beyond the staleness bound.
         frontend = _frontend(cluster)
-        frontend.sync.max_served_staleness = (
-            frontend.config.max_staleness * 10
-        )
+        frontend.sync.max_served_staleness = frontend.sync.max_staleness * 10
     elif mode == "event_skew":
         # Forge an event that finishes before it starts on server 0's
         # timeline: breaks event-clock monotonicity.

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import nanoseconds
 from repro.core.config import RepartitionerConfig
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.hashing import HashPartitioner
@@ -490,19 +491,19 @@ class ScenarioGenerator:
     ) -> Dict[str, object]:
         """A random fault episode, already in FaultPlan.to_dict form.
 
-        Crash windows sit in absolute simulated time on the same scale
-        the workload's costs accumulate on (sub-millisecond operations,
-        tens of milliseconds per schedule), so windows genuinely cross
-        in-flight operations some of the time.
+        Crash windows sit in absolute simulated time (integer ns) on the
+        same scale the workload's costs accumulate on (sub-millisecond
+        operations, tens of milliseconds per schedule), so windows
+        genuinely cross in-flight operations some of the time.
         """
         windows = []
         for _ in range(rng.randint(0, 2)):
-            start = rng.uniform(0.0, 0.03)
+            start = nanoseconds(rng.uniform(0.0, 0.03))
             windows.append(
                 {
                     "server": rng.randrange(spec.num_servers),
                     "start": start,
-                    "end": start + rng.uniform(0.002, 0.02),
+                    "end": start + nanoseconds(rng.uniform(0.002, 0.02)),
                 }
             )
         return {

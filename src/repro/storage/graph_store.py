@@ -394,7 +394,8 @@ class GraphStore:
             if other_local and stays is not None and stays(other):
                 ghost = src == node_id
                 if ghost and not rel[REL_FLAGS] & FLAG_GHOST:
-                    self._delete_property_chain(rel[REL_FIRST_PROP])
+                    if rel[REL_FIRST_PROP] != NULL_REF:
+                        self._delete_property_chain(rel[REL_FIRST_PROP])
                     rel[REL_FIRST_PROP] = NULL_REF
                 rel[REL_FLAGS] = rel_flags(ghost)
                 side = REL_SRC_PREV if ghost else REL_DST_PREV
@@ -403,9 +404,11 @@ class GraphStore:
                 continue
             if other_local:
                 self._unlink_from_chain(rel, other, held)
-            self._delete_property_chain(rel[REL_FIRST_PROP])
+            if rel[REL_FIRST_PROP] != NULL_REF:
+                self._delete_property_chain(rel[REL_FIRST_PROP])
             relationships.delete_fields(rel)
-        self._delete_property_chain(node[NODE_FIRST_PROP])
+        if node[NODE_FIRST_PROP] != NULL_REF:
+            self._delete_property_chain(node[NODE_FIRST_PROP])
         nodes.delete(node_id)
         return len(chain)
 

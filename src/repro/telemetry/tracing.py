@@ -1,7 +1,7 @@
 """Span tracing on the *simulated* clock.
 
-The cluster's notion of time is ``HermesCluster.now`` — a float of
-simulated seconds that only advances when an operation charges its cost.
+The cluster's notion of time is ``HermesCluster.now`` — its integer-ns
+clock in seconds, which only advances when an operation charges its cost.
 Wall-clock tracers are useless here: every step of a traversal "happens"
 at the same wall instant.  Instead the tracer keeps a **causal cursor**
 per span:

@@ -227,30 +227,30 @@ def test_point_read_fetches_its_node_record_once(counts):
         assert cluster.aux.weight_of(vertex) == popularity + 1.0
 
 
-#: (start, hops) -> (response, processed, remote_hops, repr(cost)) at the parent
+#: (start, hops) -> (response, processed, remote_hops, cost in ns) at the parent
 PINNED_TRAVERSALS = {
-    (0, 1): ((0, 3, 5, 7), 4, 2, "0.00133"),
-    (1, 1): ((1, 2, 3), 3, 2, "0.00131"),
-    (2, 1): ((1, 2, 3, 6, 7), 5, 4, "0.0014000000000000002"),
-    (3, 1): ((0, 1, 2, 3, 6), 5, 2, "0.00135"),
-    (4, 1): ((4, 5, 6), 3, 2, "0.00131"),
-    (5, 1): ((0, 4, 5, 7), 4, 3, "0.001355"),
-    (6, 1): ((2, 3, 4, 6), 4, 2, "0.00133"),
-    (7, 1): ((0, 2, 5, 7), 4, 3, "0.001355"),
-    (0, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 10, "0.005030000000000001"),
-    (1, 2): ((0, 1, 2, 3, 6, 7), 11, 8, "0.003820000000000001"),
-    (2, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 17, 13, "0.004065000000000002"),
-    (3, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 17, 12, "0.005140000000000001"),
-    (4, 2): ((0, 2, 3, 4, 5, 6, 7), 9, 7, "0.0037550000000000005"),
-    (5, 2): ((0, 2, 3, 4, 5, 6, 7), 12, 10, "0.0038900000000000007"),
-    (6, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 10, "0.00503"),
-    (7, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 12, "0.003980000000000001"),
+    (0, 1): ((0, 3, 5, 7), 4, 2, 1_330_000),
+    (1, 1): ((1, 2, 3), 3, 2, 1_310_000),
+    (2, 1): ((1, 2, 3, 6, 7), 5, 4, 1_400_000),
+    (3, 1): ((0, 1, 2, 3, 6), 5, 2, 1_350_000),
+    (4, 1): ((4, 5, 6), 3, 2, 1_310_000),
+    (5, 1): ((0, 4, 5, 7), 4, 3, 1_355_000),
+    (6, 1): ((2, 3, 4, 6), 4, 2, 1_330_000),
+    (7, 1): ((0, 2, 5, 7), 4, 3, 1_355_000),
+    (0, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 10, 5_030_000),
+    (1, 2): ((0, 1, 2, 3, 6, 7), 11, 8, 3_820_000),
+    (2, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 17, 13, 4_065_000),
+    (3, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 17, 12, 5_140_000),
+    (4, 2): ((0, 2, 3, 4, 5, 6, 7), 9, 7, 3_755_000),
+    (5, 2): ((0, 2, 3, 4, 5, 6, 7), 12, 10, 3_890_000),
+    (6, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 10, 5_030_000),
+    (7, 2): ((0, 1, 2, 3, 4, 5, 6, 7), 14, 12, 3_980_000),
 }
-#: per server after all of the above: (visits, reads, writes, repr(busy_seconds))
+#: per server after all of the above: (visits, reads, writes, busy ns)
 PINNED_COUNTERS = [
-    (58, 0, 0, "0.0036100000000000047"),
-    (44, 0, 0, "0.003180000000000003"),
-    (38, 0, 0, "0.0030100000000000027"),
+    (58, 0, 0, 3_610_000),
+    (44, 0, 0, 3_180_000),
+    (38, 0, 0, 3_010_000),
 ]
 
 
@@ -262,7 +262,7 @@ def test_results_costs_and_server_counters_did_not_move():
             result.response,
             result.processed,
             result.remote_hops,
-            repr(result.cost),
+            result.cost,
         ) == pinned
         assert not result.partial
     assert [
@@ -270,7 +270,7 @@ def test_results_costs_and_server_counters_did_not_move():
             server.visits_counter.value,
             server.reads_counter.value,
             server.writes_counter.value,
-            repr(server.busy_counter.value),
+            server.busy_counter.value,
         )
         for server in cluster.servers
     ] == PINNED_COUNTERS

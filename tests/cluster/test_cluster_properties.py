@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FaultPlan
 from repro.cluster.hermes import HermesCluster
 from repro.cluster.network import (
-    BATCH_ENTRY_COST,
-    REMOTE_HOP_COST,
-    REMOTE_SERVICE_COST,
+    BATCH_ENTRY,
+    REMOTE_HOP,
+    REMOTE_SERVICE,
 )
 from repro.core.migration import build_migration_plan
 from repro.exceptions import MigrationAbortedError
@@ -96,13 +96,13 @@ def test_traversal_matches_reference_ball_and_cost_model(data):
         assert set(result.response) == k_ball(graph, start, hops)
         assert result.failed_partitions == ()
         amortized = (result.remote_hops - messages) * (
-            REMOTE_HOP_COST + REMOTE_SERVICE_COST
+            REMOTE_HOP + REMOTE_SERVICE
         )
         assert amortized >= 0
         assert result.cost == pytest.approx(
             per_entry_model(result)
             - amortized
-            + result.remote_hops * BATCH_ENTRY_COST
+            + result.remote_hops * BATCH_ENTRY
         )
 
 

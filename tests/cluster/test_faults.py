@@ -13,7 +13,7 @@ from repro.cluster.hermes import HermesCluster
 from repro.cluster.network import (
     BATCH_BASE_BYTES,
     BATCH_ENTRY_BYTES,
-    FAULT_TIMEOUT_COST,
+    FAULT_TIMEOUT,
     LinkStats,
     SimulatedNetwork,
 )
@@ -46,7 +46,7 @@ from tests.conftest import (
 class TestFaultPlan:
     def test_crash_window_validation(self):
         with pytest.raises(PartitioningError):
-            CrashWindow(server=0, start=2.0, end=1.0)
+            CrashWindow(server=0, start=2_000, end=1_000)
 
     def test_rate_validation(self):
         with pytest.raises(PartitioningError):
@@ -55,12 +55,12 @@ class TestFaultPlan:
             FaultPlan(link_loss={(0, 1): -0.1})
 
     def test_down_at(self):
-        plan = FaultPlan(crash_windows=(CrashWindow(server=1, start=1.0, end=2.0),))
-        assert not plan.down_at(1, 0.5)
-        assert plan.down_at(1, 1.0)
-        assert plan.down_at(1, 1.999)
-        assert not plan.down_at(1, 2.0)
-        assert not plan.down_at(0, 1.5)
+        plan = FaultPlan(crash_windows=(CrashWindow(server=1, start=1_000, end=2_000),))
+        assert not plan.down_at(1, 500)
+        assert plan.down_at(1, 1_000)
+        assert plan.down_at(1, 1_999)
+        assert not plan.down_at(1, 2_000)
+        assert not plan.down_at(0, 1_500)
 
     def test_link_loss_overrides_default(self):
         plan = FaultPlan(loss_rate=0.1, link_loss={(0, 1): 0.9})
@@ -75,7 +75,7 @@ class TestFaultPlan:
             results = []
             for _ in range(50):
                 try:
-                    injector.check_message(0, 1, cost=0.001)
+                    injector.check_message(0, 1, cost=1_000_000)
                     results.append("ok")
                 except FaultInjectedError as exc:
                     results.append(type(exc).__name__)
@@ -89,23 +89,23 @@ class TestFaultPlan:
 
 class TestFaultInjector:
     def test_crash_window_tracks_inflight_time(self):
-        plan = FaultPlan(crash_windows=(CrashWindow(server=0, start=1.0, end=2.0),))
+        plan = FaultPlan(crash_windows=(CrashWindow(server=0, start=1_000, end=2_000),))
         injector = FaultInjector(plan)
         assert not injector.is_down(0)
-        injector.advance(1.5)
+        injector.advance(1_500)
         assert injector.is_down(0)
-        injector.advance(1.0)  # past the restart
+        injector.advance(1_000)  # past the restart
         assert not injector.is_down(0)
         injector.reset()
         assert not injector.is_down(0)
 
     def test_check_server_charges_cost(self):
-        plan = FaultPlan(crash_windows=(CrashWindow(server=0, start=0.0, end=9.0),))
+        plan = FaultPlan(crash_windows=(CrashWindow(server=0, start=0, end=9_000),))
         injector = FaultInjector(plan)
         with pytest.raises(ServerDownError) as info:
-            injector.check_server(0, cost=0.25)
-        assert info.value.cost == 0.25
-        assert injector.inflight == 0.25
+            injector.check_server(0, cost=250)
+        assert info.value.cost == 250
+        assert injector.inflight == 250
 
 
 # ======================================================================
@@ -113,11 +113,11 @@ class TestFaultInjector:
 # ======================================================================
 class TestRetryPolicy:
     def test_backoff_is_bounded(self):
-        assert RetryPolicy.backoff(1) == 2e-3
-        assert RetryPolicy.backoff(2) == 4e-3
-        assert RetryPolicy.backoff(6) == pytest.approx(0.064)
-        assert RetryPolicy.backoff(7) == 0.1
-        assert RetryPolicy.backoff(9) == 0.1
+        assert RetryPolicy.backoff(1) == 2_000_000
+        assert RetryPolicy.backoff(2) == 4_000_000
+        assert RetryPolicy.backoff(6) == 64_000_000
+        assert RetryPolicy.backoff(7) == 100_000_000
+        assert RetryPolicy.backoff(9) == 100_000_000
 
     def test_succeeds_after_transient_failures(self):
         calls = {"n": 0}
@@ -125,24 +125,24 @@ class TestRetryPolicy:
         def op():
             calls["n"] += 1
             if calls["n"] < 3:
-                raise MessageLossError(0, 1, cost=0.1)
+                raise MessageLossError(0, 1, cost=100_000_000)
             return "done"
 
         result, wasted = RetryPolicy.call(op)
         assert result == "done"
         assert calls["n"] == 3
-        # Two failed attempts (0.1 each) plus two backoff pauses.
-        assert wasted == pytest.approx(0.1 + 2e-3 + 0.1 + 4e-3)
+        # Two failed attempts (100 ms each) plus two backoff pauses.
+        assert wasted == 100_000_000 + 2_000_000 + 100_000_000 + 4_000_000
 
     def test_exhaustion_reraises_with_cumulative_cost(self):
         def op():
-            raise MessageLossError(0, 1, cost=0.1)
+            raise MessageLossError(0, 1, cost=100_000_000)
 
         with pytest.raises(MessageLossError) as info:
             RetryPolicy.call(op)
         # Four attempt timeouts plus the three pauses between them.
         assert RetryPolicy.MAX_ATTEMPTS == 4
-        assert info.value.cost == pytest.approx(0.4 + 2e-3 + 4e-3 + 8e-3)
+        assert info.value.cost == 400_000_000 + 2_000_000 + 4_000_000 + 8_000_000
 
     def test_retry_advances_injector_and_notifies(self):
         injector = FaultInjector(FaultPlan())
@@ -150,15 +150,15 @@ class TestRetryPolicy:
 
         def op():
             if not seen:
-                raise MessageLossError(0, 1, cost=0.0)
+                raise MessageLossError(0, 1, cost=0)
             return 1
 
         result, _ = RetryPolicy.call(
             op, injector=injector, on_retry=lambda exc, pause: seen.append(pause)
         )
         assert result == 1
-        assert seen == [2e-3]
-        assert injector.inflight == pytest.approx(2e-3)
+        assert seen == [2_000_000]
+        assert injector.inflight == 2_000_000
 
     def test_non_fault_errors_propagate_immediately(self):
         calls = {"n": 0}
@@ -185,7 +185,7 @@ class TestNetworkFaults:
             cluster.network.remote_hop(0, 1)
         # A lost message is never accounted as delivered traffic.
         assert cluster.network.stats.messages == messages_before
-        assert info.value.cost == FAULT_TIMEOUT_COST
+        assert info.value.cost == FAULT_TIMEOUT
 
     def test_downed_server_rejects_requests(self):
         graph = SocialGraph()
@@ -218,7 +218,7 @@ class TestNetworkFaults:
 class TestTraversalDegradation:
     def crashed(self, server):
         return FaultPlan(
-            crash_windows=(CrashWindow(server=server, start=0.0, end=1e9),)
+            crash_windows=(CrashWindow(server=server, start=0, end=10**18),)
         )
 
     def test_partial_result_when_remote_host_down(self):
@@ -455,7 +455,7 @@ class TestFaultConservation:
             FaultPlan(
                 seed=5,
                 loss_rate=0.3,
-                crash_windows=(CrashWindow(server=1, start=0.5, end=2.0),),
+                crash_windows=(CrashWindow(server=1, start=500_000_000, end=2_000_000_000),),
             )
         )
         partials = 0

@@ -132,7 +132,7 @@ class TestReadPath:
         props, cost = small_cluster.read_vertex(vertex)
         assert props == {}
         assert cost > 0
-        assert small_cluster.now >= cost
+        assert small_cluster.now_ns >= cost
 
     def test_clock_advances(self, small_cluster):
         before = small_cluster.now

@@ -242,7 +242,7 @@ class TestFailureAndEdgePaths:
             registry.value("migration_phase_seconds_total", phase=phase, **mine)
             for phase in ("copy", "barrier", "remove")
         )
-        assert phase_sum == pytest.approx(report.total_cost)
+        assert phase_sum == pytest.approx(report.total_cost / 1e9)
 
 
 class TestReporting:

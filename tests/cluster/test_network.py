@@ -5,9 +5,9 @@ import pytest
 from repro.cluster.network import (
     BATCH_BASE_BYTES,
     BATCH_ENTRY_BYTES,
-    BATCH_ENTRY_COST,
-    LOCAL_VISIT_COST,
-    REMOTE_HOP_COST,
+    BATCH_ENTRY,
+    LOCAL_VISIT,
+    REMOTE_HOP,
     LinkStats,
     SimulatedNetwork,
 )
@@ -18,12 +18,12 @@ from repro.telemetry import Telemetry
 class TestCosts:
     def test_local_visit_cost(self):
         network = SimulatedNetwork(4)
-        assert network.local_visit() == LOCAL_VISIT_COST
+        assert network.local_visit() == LOCAL_VISIT
 
     def test_remote_hop_counts_message(self):
         network = SimulatedNetwork(4)
         cost = network.remote_hop(0, 1)
-        assert cost == REMOTE_HOP_COST
+        assert cost == REMOTE_HOP
         assert network.stats.messages == 1
         assert network.stats.per_link[(0, 1)].messages == 1
         assert network.stats.per_link[(0, 1)].bytes == 256
@@ -45,7 +45,7 @@ class TestCosts:
     def test_broadcast_reaches_everyone_else(self):
         network = SimulatedNetwork(4)
         cost = network.broadcast(0)
-        assert cost == pytest.approx(3 * REMOTE_HOP_COST)
+        assert cost == pytest.approx(3 * REMOTE_HOP)
         assert network.stats.messages == 3
 
     def test_validation(self):
@@ -139,7 +139,7 @@ class TestTelemetryMirror:
         cost += network.batched_hop(0, 1, count=3)
         hops = hub.registry.value("network_messages_total", kind="hop")
         entries = hub.histogram("network_batch_entries").sum
-        assert cost == pytest.approx(hops * REMOTE_HOP_COST + entries * BATCH_ENTRY_COST)
+        assert cost == pytest.approx(hops * REMOTE_HOP + entries * BATCH_ENTRY)
         assert "network_hop_seconds" not in {
             family.name for family in hub.registry.families()
         }

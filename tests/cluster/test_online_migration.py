@@ -358,9 +358,9 @@ class TestMatchedScheduleParity:
         assert telemetry_snapshot(serial) == telemetry_snapshot(drained)
         assert serial.network.stats == drained.network.stats
         # The generator yields costs; only its consumer moves the clock.
-        assert drained.now == 0.0
-        assert serial.now == serial_outcome[1].total_cost
-        assert sum(step.cost for step in steps) == pytest.approx(serial.now)
+        assert drained.now_ns == 0
+        assert serial.now_ns == serial_outcome[1].total_cost
+        assert sum(step.cost for step in steps) == serial.now_ns
         drained.validate()
 
     def test_rebalance_and_drained_generator_abort_identically(self):

@@ -2,7 +2,7 @@
 
 ``TraversalEngine._run_depth`` ships a frontier in one network call,
 reads each host's share in one storage pass and charges the depth per
-link and per host, its floats summed in locals (DESIGN.md §9).  The
+link and per host, counts times prices (DESIGN.md §9).  The
 depth it replaced visited one entry at a time — ``is_available``, a
 busy-counter increment per entry, ``neighbor_entries``, one
 ``lookup_from`` per neighbour — and is kept here, test-local, as the
@@ -13,13 +13,15 @@ migration committing *between two depths* of a paused traversal,
 popularity decays, a fault plan whose crash window opens mid-query and
 whose links lose messages, a workload model attached.  The reference
 also adds popularity one ``add_weight(vertex, 1.0)`` at a time.  Every
-observable must be equal, floats bit for bit: each result, the
-per-server busy seconds of each depth of a paused traversal, each
-server's visits and busy seconds, the location caches, the network's
-per-link ledger, every registry series, the clock, the fault RNG's
+observable must be equal: each result, the per-server busy time of each
+depth of a paused traversal, each server's visits and busy time, the
+location caches, the network's per-link ledger, every registry series,
+the clock (all counts and integer-nanosecond charges), the fault RNG's
 position, the model's observation sequence and every vertex and
-partition weight — after a decay, none of them whole numbers.  Tier-1 draws 150 sequences; ``--hypothesis-profile sweep``
-draws 2 000.
+partition weight bit for bit — after a decay, none of them whole
+numbers.  A second property holds a fault-free traversal's charges to
+their counts times the prices of ``repro.cluster.network``.  Tier-1
+draws 150 sequences; ``--hypothesis-profile sweep`` draws 2 000.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from hypothesis import strategies as st
 
 from repro.cluster.faults import CrashWindow, FaultPlan
 from repro.cluster.network import (
-    BATCH_ENTRY_COST,
-    REMOTE_HOP_COST,
-    REMOTE_SERVICE_COST,
+    BATCH_ENTRY,
+    CLIENT_DISPATCH,
+    LOCAL_VISIT,
+    REMOTE_HOP,
+    REMOTE_SERVICE,
 )
 from repro.core.auxiliary import AuxiliaryData
 from repro.exceptions import FaultInjectedError, ServerDownError
@@ -51,7 +55,6 @@ VERTICES = 24
 
 def per_entry_run_depth(self, frontier, depth, state):
     """The depth as it ran before the bulk read: one entry at a time."""
-    remote_service = REMOTE_SERVICE_COST
     groups = {}
     for vertex, host, from_host in frontier:
         if host != from_host and host not in state.failed:
@@ -60,15 +63,15 @@ def per_entry_run_depth(self, frontier, depth, state):
         if dst in state.failed:
             continue
         try:
-            state.cost += self._batched_hop(src, dst, count)
+            state.cost += self._retried(self.network.batched_hop, src, dst, count)
         except FaultInjectedError as exc:
             state.cost += exc.cost
             state.failed.add(dst)
             continue
         state.remote += count
-        self.servers[src].busy_counter.inc(remote_service)
-        self.servers[dst].busy_counter.inc(remote_service)
-        state.cost += remote_service
+        self.servers[src].busy_counter.inc(REMOTE_SERVICE)
+        self.servers[dst].busy_counter.inc(REMOTE_SERVICE)
+        state.cost += REMOTE_SERVICE
     next_frontier = []
 
     def process(vertex, host):
@@ -77,8 +80,8 @@ def per_entry_run_depth(self, frontier, depth, state):
             return False
         state.processed += 1
         executing.visits_counter.inc()
-        executing.busy_counter.inc(state.local_visit)
-        state.cost += state.local_visit
+        executing.busy_counter.inc(LOCAL_VISIT)
+        state.cost += LOCAL_VISIT
         state.response.add(vertex)
         if depth == state.hops or vertex in state.visited:
             return True
@@ -108,30 +111,30 @@ def per_entry_run_depth(self, frontier, depth, state):
     return next_frontier
 
 
-class CounterRun:
-    """``state.busy`` as the reference's forwards see it: each charge
-    lands on the host's busy counter at once, as ``busy_counter.inc``."""
+class ServiceCharges:
+    """``state.serviced`` as the reference's forwards see it: each
+    serviced message lands on its host's busy counter at once."""
 
     def __init__(self, servers):
         self.servers = servers
 
     def __getitem__(self, host):
-        return self.servers[host].busy_counter.value
+        return 0
 
-    def __setitem__(self, host, value):
-        self.servers[host].busy_counter.value = value
+    def __setitem__(self, host, count):
+        self.servers[host].busy_counter.inc(count * REMOTE_SERVICE)
 
 
 def reference_run_depth(self, frontier, depth, state):
-    """The reference bound as ``_run_depth``: the busy seconds a depth
-    returns are read off the counters before and after it."""
+    """The reference bound as ``_run_depth``: the busy time a depth
+    returns is read off the counters before and after it."""
     before = [server.busy_counter.value for server in self.servers]
-    state.busy = CounterRun(self.servers)
+    state.serviced = ServiceCharges(self.servers)
     next_frontier = per_entry_run_depth(self, frontier, depth, state)
     busy = {}
     for server_id, server_before in enumerate(before):
         delta = self.servers[server_id].busy_counter.value - server_before
-        if delta > 0.0:
+        if delta > 0:
             busy[server_id] = delta
     return next_frontier, busy
 
@@ -193,7 +196,7 @@ def build_twin(reference, graph_seed, placement_salt, multi_edges):
 def result_key(result):
     return (
         result.start, result.hops, result.response, result.processed,
-        result.remote_hops, repr(result.cost), result.failed_partitions,
+        result.remote_hops, result.cost, result.failed_partitions,
     )
 
 
@@ -242,21 +245,20 @@ def run_step(cluster, step, plan):
 
 def step_key(step):
     return (
-        step.kind, repr(step.cost), step.depth, step.frontier,
-        [(server, repr(seconds)) for server, seconds in step.busy.items()],
+        step.kind, step.cost, step.depth, step.frontier, list(step.busy.items()),
     )
 
 
 def observables(cluster, model):
     return {
         "servers": [
-            (server.visits_counter.value, repr(server.busy_counter.value))
+            (server.visits_counter.value, server.busy_counter.value)
             for server in cluster.servers
         ],
         "caches": sorted(cluster.location_cache.all_entries()),
         "network": (cluster.network.link_messages, cluster.network.link_bytes),
         "telemetry": telemetry_snapshot(cluster),
-        "clock": repr(cluster.now),
+        "clock": cluster.now_ns,
         "fault_rng": cluster.faults.rng.getstate() if cluster.faults else None,
         "observed": model.observed,
         "weights": weights(cluster),
@@ -288,14 +290,14 @@ steps = st.lists(
     min_size=1,
     max_size=10,
 )
-#: simulated seconds: a 2-hop query costs a few milliseconds, so windows
+#: simulated ns: a 2-hop query costs a few milliseconds, so windows
 #: this short open and close inside single queries of a ten-step run
 crash_windows = st.lists(
     st.builds(
         lambda server, start, length: CrashWindow(server, start, start + length),
         st.integers(0, SERVERS - 1),
-        st.floats(0.0, 0.05),
-        st.floats(1e-4, 0.02),
+        st.integers(0, 50_000_000),
+        st.integers(100_000, 20_000_000),
     ),
     max_size=3,
 )
@@ -338,6 +340,72 @@ def test_bulk_depth_equals_per_entry_depth(
     )
 
 
+def charges(cluster):
+    """What a traversal's charges are counted from: each server's visits
+    and busy time, the ledger, and the entries batched hops carried."""
+    network = cluster.network
+    return (
+        [server.visits_counter.value for server in cluster.servers],
+        [server.busy_counter.value for server in cluster.servers],
+        [row[:] for row in network.link_messages],
+        cluster.telemetry.registry.histogram(
+            "network_batch_entries", cluster=cluster.cluster_id
+        ).sum,
+    )
+
+
+@given(
+    graph_seed=st.integers(0, 5),
+    placement_salt=st.integers(0, SERVERS - 1),
+    multi_edges=st.lists(
+        st.tuples(st.integers(0, 11), st.integers(12, VERTICES - 1)),
+        max_size=3, unique=True,
+    ),
+    sequence=steps,
+)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+def test_drawn_traversal_cost_is_counts_times_prices(
+    graph_seed, placement_salt, multi_edges, sequence
+):
+    """Fault-free, a traversal costs its dispatch, a visit per processed
+    vertex and per message a round trip, its entries' marginals and its
+    RPC dispatch — ``dispatch + processed * visit + messages * hop +
+    entries * entry + messages * service`` in integer ns, forwarding hops
+    included as messages without entries; and each server is busy a
+    visit per vertex it processed plus a dispatch per message it sent or
+    received.  Migrations and decays between the traversals leave stale
+    location hints behind, so some depths forward."""
+    cluster, _ = build_twin(False, graph_seed, placement_salt, multi_edges)
+    for step in sequence:
+        if step[0] == "interleave":
+            step = ("traverse", step[1], step[2])
+        if step[0] != "traverse":
+            run_step(cluster, step, None)
+            continue
+        visits, busy, links, entries = charges(cluster)
+        result = cluster.traverse(step[1], step[2])
+        visits_after, busy_after, links_after, entries_after = charges(cluster)
+        sent = [
+            [after - before for before, after in zip(row, row_after)]
+            for row, row_after in zip(links, links_after)
+        ]
+        messages = sum(map(sum, sent))
+        assert result.cost == (
+            CLIENT_DISPATCH
+            + result.processed * LOCAL_VISIT
+            + messages * REMOTE_HOP
+            + int(entries_after - entries) * BATCH_ENTRY
+            + messages * REMOTE_SERVICE
+        )
+        assert sum(visits_after) - sum(visits) == result.processed
+        for server in range(SERVERS):
+            serviced = sum(sent[server]) + sum(row[server] for row in sent)
+            assert busy_after[server] - busy[server] == (
+                (visits_after[server] - visits[server]) * LOCAL_VISIT
+                + serviced * REMOTE_SERVICE
+            )
+
+
 def test_popularity_after_a_decay_equals_per_vertex_add_weight():
     """Decayed weights are not whole numbers, so adding 1.0 per returned
     vertex in another grouping would move their last bits: a partition
@@ -377,7 +445,7 @@ def test_crash_window_opening_mid_query_is_accounted_identically():
             if cluster.catalog.lookup(v) != home
         )
         cluster.attach_faults(
-            FaultPlan(crash_windows=(CrashWindow(victim, 1e-9, 1.0),))
+            FaultPlan(crash_windows=(CrashWindow(victim, 1, 10**9),))
         )
         result = cluster.traverse(start, 2)
         outcomes.append((result_key(result), observables(cluster, model)))
@@ -407,11 +475,11 @@ def test_host_dying_behind_a_stale_forward_loses_only_its_later_expansions():
         migrate_moves(cluster, {y: (old_home, new_home)})  # ... now stale
 
         delivered = (  # depth 1's two messages: home->dying (x, z), home->old_home (y)
-            2 * REMOTE_HOP_COST + 3 * BATCH_ENTRY_COST
+            2 * REMOTE_HOP + 3 * BATCH_ENTRY
         )
-        opens = cluster.now + delivered + REMOTE_HOP_COST / 2
+        opens = cluster.now_ns + delivered + REMOTE_HOP // 2
         cluster.attach_faults(
-            FaultPlan(crash_windows=(CrashWindow(dying, opens, opens + 1.0),))
+            FaultPlan(crash_windows=(CrashWindow(dying, opens, opens + 10**9),))
         )
         result = cluster.traverse(0, 2)
         assert result.failed_partitions == (dying,)

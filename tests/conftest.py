@@ -126,8 +126,9 @@ def link_down_plan(src=0, dst=1):
     return FaultPlan(link_loss={(src, dst): 1.0})
 
 
-def crash_plan(server, start=0.0, end=1e9, **kwargs):
-    """A fault plan with one crash window (default: down forever)."""
+def crash_plan(server, start=0, end=10**18, **kwargs):
+    """A fault plan with one crash window in simulated ns (default: down
+    forever)."""
     return FaultPlan(
         crash_windows=(CrashWindow(server=server, start=start, end=end),),
         **kwargs,
@@ -200,10 +201,10 @@ def per_entry_model(result):
     entry: every remote step pays its own round trip and RPC dispatch
     (the closed-form baseline of DESIGN.md section 9)."""
     return (
-        network.CLIENT_DISPATCH_COST
+        network.CLIENT_DISPATCH
         + result.remote_hops
-        * (network.REMOTE_HOP_COST + network.REMOTE_SERVICE_COST)
-        + result.processed * network.LOCAL_VISIT_COST
+        * (network.REMOTE_HOP + network.REMOTE_SERVICE)
+        + result.processed * network.LOCAL_VISIT
     )
 
 

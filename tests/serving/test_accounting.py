@@ -8,6 +8,7 @@ A tenant's counts live only in its cluster-labelled registry series:
 import json
 
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import seconds
 from repro.partitioning.base import Partitioning
 from repro.serving import (
     COMPLETED,
@@ -48,7 +49,7 @@ class TestMetering:
         for i, client in enumerate(["alpha", "alpha", "beta"]):
             outcome = frontend.submit("read", i, client=client, now=i * 1.0)
             assert outcome.status == COMPLETED
-            costs[client] += outcome.cost
+            costs[client] += seconds(outcome.cost)
         tenants = frontend.snapshot()["tenants"]
         assert tenants["alpha"]["admitted"] == 2
         assert tenants["beta"]["admitted"] == 1
@@ -63,7 +64,7 @@ class TestMetering:
 
     def test_replica_reads_are_attributed_to_their_tenant(self):
         frontend = make_pair_frontend()
-        frontend.queue.add_backlog(0, now=0.0, cost=1e-3)
+        frontend.queue.add_backlog(0, now=0, cost=1_000_000)
         offloaded = frontend.submit("read", 0, client="alpha", now=0.0)
         direct = frontend.submit("read", 1, client="beta", now=0.0)
         assert offloaded.replica_read and not direct.replica_read
@@ -112,7 +113,7 @@ class TestMetering:
         assert tenants["b"] == {
             "admitted": 1,
             "shed": 0,
-            "cost_seconds": cost,
+            "cost_seconds": seconds(cost),
             "replica_reads": 0,
         }
         assert json.loads(json.dumps(tenants)) == tenants

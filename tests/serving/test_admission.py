@@ -55,23 +55,23 @@ class TestStateMachine:
 class TestGuards:
     def test_queue_full_rejects_any_priority(self, controller):
         with pytest.raises(QueueFullError) as info:
-            controller.admit(Priority.INTERACTIVE, wait=0.0, depth=4)
+            controller.admit(Priority.INTERACTIVE, wait=0, depth=4)
         assert info.value.reason == "queue_full"
 
     def test_priority_floor_sheds_below_class(self, controller):
         controller.observe(0.7)  # THROTTLED: floor NORMAL
         with pytest.raises(OverloadShedError) as info:
-            controller.admit(Priority.BATCH, wait=0.0, depth=0)
+            controller.admit(Priority.BATCH, wait=0, depth=0)
         assert info.value.reason == "overload_shed"
         assert info.value.state == THROTTLED
         # NORMAL and above still pass.
-        controller.admit(Priority.NORMAL, wait=0.0, depth=0)
-        controller.admit(Priority.INTERACTIVE, wait=0.0, depth=0)
+        controller.admit(Priority.NORMAL, wait=0, depth=0)
+        controller.admit(Priority.INTERACTIVE, wait=0, depth=0)
 
     def test_latency_guard_sheds_regardless_of_class(self, controller):
         with pytest.raises(OverloadShedError):
-            controller.admit(Priority.INTERACTIVE, wait=2e-3, depth=0)
+            controller.admit(Priority.INTERACTIVE, wait=2_000_000, depth=0)
 
     def test_accepting_admits_everything_within_bounds(self, controller):
         for priority in Priority:
-            controller.admit(priority, wait=0.5e-3, depth=1)
+            controller.admit(priority, wait=500_000, depth=1)

@@ -158,26 +158,26 @@ class TestSynchronizer:
     def test_staleness_timeline(self):
         cluster = cut_pair_cluster()
         sync, config = self.make_sync(cluster, replica_lag=1e-3)
-        assert sync.staleness(0, now=5.0) == 0.0  # never written
-        sync.record_write([0], now=1.0)
-        assert sync.staleness(0, now=1.0004) == pytest.approx(0.0004)
+        assert sync.staleness(0, now=5_000_000_000) == 0  # never written
+        sync.record_write([0], now=1_000_000_000)
+        assert sync.staleness(0, now=1_000_400_000) == 400_000
         # Past the lag the update has applied everywhere: fresh again.
-        assert sync.staleness(0, now=1.0 + 1e-3) == 0.0
+        assert sync.staleness(0, now=1_001_000_000) == 0
 
     def test_fresh_respects_bound(self):
         cluster = cut_pair_cluster()
         sync, config = self.make_sync(cluster, replica_lag=10e-3, max_staleness=2e-3)
-        sync.record_write([0], now=0.0)
-        assert sync.fresh(0, now=1e-3)
-        assert not sync.fresh(0, now=5e-3)  # pending and past the bound
+        sync.record_write([0], now=0)
+        assert sync.fresh(0, now=1_000_000)
+        assert not sync.fresh(0, now=5_000_000)  # pending and past the bound
 
     def test_update_ships_bytes_with_link_conservation(self):
         cluster = cut_pair_cluster()
         sync, config = self.make_sync(cluster)
         before = cluster.network.stats.bytes_sent
-        costs = sync.record_write([0], now=0.0)
+        costs = sync.record_write([0], now=0)
         assert set(costs) == {1}
-        assert costs[1] > 0.0
+        assert costs[1] > 0
         assert (
             cluster.network.stats.bytes_sent
             == before + REPLICA_UPDATE_BYTES
@@ -191,24 +191,24 @@ class TestSynchronizer:
         cluster = cut_pair_cluster()
         sync, _ = self.make_sync(cluster)
         busy_before = cluster.servers[1].busy_counter.value
-        sync.record_write([0], now=0.0)
+        sync.record_write([0], now=0)
         assert cluster.servers[1].busy_counter.value > busy_before
 
     def test_lost_update_counts_failure_but_still_stamps(self):
         cluster = cut_pair_cluster()
         sync, config = self.make_sync(cluster)
         cluster.attach_faults(link_down_plan(0, 1))
-        costs = sync.record_write([0], now=0.0)
+        costs = sync.record_write([0], now=0)
         assert costs == {}
         assert sync._update_failures.value >= 1
         # The write is still stamped: reads observe staleness regardless.
-        assert sync.staleness(0, now=config.replica_lag / 2) > 0.0
+        assert sync.staleness(0, now=500_000) > 0  # inside the 1 ms lag
 
     def test_note_served_tracks_maximum(self):
         cluster = cut_pair_cluster()
         sync, _ = self.make_sync(cluster, replica_lag=10e-3, max_staleness=1.0)
-        sync.record_write([0], now=0.0)
-        sync.note_served(0, now=1e-3)
-        sync.note_served(0, now=4e-3)
-        sync.note_served(0, now=2e-3)
-        assert sync.max_served_staleness == pytest.approx(4e-3)
+        sync.record_write([0], now=0)
+        sync.note_served(0, now=1_000_000)
+        sync.note_served(0, now=4_000_000)
+        sync.note_served(0, now=2_000_000)
+        assert sync.max_served_staleness == 4_000_000

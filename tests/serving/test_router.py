@@ -60,15 +60,15 @@ class TestPrimaryResolution:
 class TestReadRouting:
     def test_ties_prefer_primary(self):
         _, router, _, _ = make_router()
-        decision = router.route_read(0, now=0.0)
+        decision = router.route_read(0, now=0)
         assert decision.host == decision.primary == 0
         assert not decision.replica_read
         assert router._replica_misses.value == 1
 
     def test_loaded_primary_offloads_to_replica(self):
         _, router, _, queue = make_router()
-        queue.add_backlog(0, now=0.0, cost=1e-3)
-        decision = router.route_read(0, now=0.0)
+        queue.add_backlog(0, now=0, cost=1_000_000)
+        decision = router.route_read(0, now=0)
         assert decision.replica_read
         assert decision.host == 1
         assert decision.primary == 0
@@ -76,8 +76,8 @@ class TestReadRouting:
 
     def test_replica_reads_disabled_always_primary(self):
         _, router, _, queue = make_router(ServingConfig(replica_reads=False))
-        queue.add_backlog(0, now=0.0, cost=1e-3)
-        decision = router.route_read(0, now=0.0)
+        queue.add_backlog(0, now=0, cost=1_000_000)
+        decision = router.route_read(0, now=0)
         assert not decision.replica_read
         assert decision.host == 0
 
@@ -85,32 +85,32 @@ class TestReadRouting:
         _, router, sync, queue = make_router(
             ServingConfig(replica_lag=10e-3, max_staleness=1e-3)
         )
-        queue.add_backlog(0, now=0.0, cost=1e-3)
-        sync.record_write([0], now=0.0)
-        decision = router.route_read(0, now=5e-3)  # pending, past the bound
+        queue.add_backlog(0, now=0, cost=1_000_000)
+        sync.record_write([0], now=0)
+        decision = router.route_read(0, now=5_000_000)  # pending, past the bound
         assert not decision.replica_read
         assert decision.host == 0
         assert router._stale_blocked.value == 1
         # After the lag window the replica serves again.
-        queue.add_backlog(0, now=20e-3, cost=1e-3)
-        decision = router.route_read(0, now=20e-3)
+        queue.add_backlog(0, now=20_000_000, cost=1_000_000)
+        decision = router.route_read(0, now=20_000_000)
         assert decision.replica_read
 
 
 class TestReplicaExecution:
     def test_replica_read_charges_replica_host(self):
         cluster, router, sync, queue = make_router()
-        queue.add_backlog(0, now=0.0, cost=1e-3)
-        decision = router.route_read(0, now=0.0)
+        queue.add_backlog(0, now=0, cost=1_000_000)
+        decision = router.route_read(0, now=0)
         assert decision.replica_read
         busy_before = cluster.servers[1].busy_counter.value
         reads_before = cluster.servers[1].reads_counter.value
         properties, cost, staleness, degraded = router.serve_replica_read(
-            0, decision, now=0.0
+            0, decision, now=0
         )
         assert not degraded
-        assert cost > 0.0
-        assert staleness == 0.0
+        assert cost > 0
+        assert staleness == 0
         assert cluster.servers[1].busy_counter.value > busy_before
         assert cluster.servers[1].reads_counter.value == reads_before + 1
 
@@ -118,18 +118,18 @@ class TestReplicaExecution:
         cluster, router, sync, queue = make_router(
             ServingConfig(replica_lag=10e-3, max_staleness=1.0)
         )
-        sync.record_write([0], now=0.0)
-        queue.add_backlog(0, now=2e-3, cost=1e-3)
-        decision = router.route_read(0, now=2e-3)
+        sync.record_write([0], now=0)
+        queue.add_backlog(0, now=2_000_000, cost=1_000_000)
+        decision = router.route_read(0, now=2_000_000)
         assert decision.replica_read
-        _, _, staleness, _ = router.serve_replica_read(0, decision, now=2e-3)
-        assert staleness == pytest.approx(2e-3)
-        assert sync.max_served_staleness == pytest.approx(2e-3)
+        _, _, staleness, _ = router.serve_replica_read(0, decision, now=2_000_000)
+        assert staleness == 2_000_000
+        assert sync.max_served_staleness == 2_000_000
 
     def test_crashed_replica_host_degrades(self):
         cluster, router, _, queue = make_router()
-        queue.add_backlog(0, now=0.0, cost=1e-3)
-        decision = router.route_read(0, now=0.0)
+        queue.add_backlog(0, now=0, cost=1_000_000)
+        decision = router.route_read(0, now=0)
         assert decision.host == 1
         cluster.attach_faults(crash_plan(1))
         properties, cost, _, degraded = router.serve_replica_read(

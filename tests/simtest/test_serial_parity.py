@@ -5,12 +5,11 @@ Every seeded simtest scenario generated serial
 before the next one starts) must reproduce the exact per-step
 statuses, clock, edge-cut, placement digest and network counters pinned
 in ``tests/simtest/fixtures/serial_reference.json`` for seeds 0-29.  The
-fixture pins the *surviving* execution paths, not a historical one: it
-was last regenerated when the per-entry traversal mode and the
-stop-the-world migration body were deleted (ISSUE 12) — the 23 seeds
-that already ran batched traversal came out with every non-``spec``
-field unchanged, the 7 that had drawn the per-entry mode (1, 9, 10, 13,
-14, 19, 27) were re-pinned.  Regenerating is deliberately manual so a
+clock is pinned as integer nanoseconds.  The fixture was last
+regenerated when simulated time became integer nanoseconds: every
+status, cut, imbalance, placement digest and traffic count came out
+unchanged, and each clock moved by at most 3.3e-15 relative to the float
+seconds it replaced.  Regenerating is deliberately manual so a
 drift cannot silently re-baseline::
 
     seeds = {}
@@ -51,8 +50,9 @@ def digest(spec, schedule):
 
     Statuses come from ``runner._apply`` per step with no interleaved
     audits (audits do not mutate the cluster, but the reference was
-    recorded without them, so the replay matches exactly).  Floats are
-    ``repr``'d: parity means the same bits, not approximately equal.
+    recorded without them, so the replay matches exactly).  The clock is
+    an int and the imbalance is ``repr``'d: parity means the same bits,
+    not approximately equal.
     """
     runner = ScenarioRunner()
     cluster = build_cluster(spec)
@@ -63,7 +63,7 @@ def digest(spec, schedule):
     return {
         "spec": spec.to_dict(),
         "statuses": statuses,
-        "now": repr(cluster.now),
+        "now": cluster.now_ns,
         "edge_cut": cluster.edge_cut(),
         "imbalance": repr(cluster.imbalance()),
         "vertices": cluster.graph.num_vertices,

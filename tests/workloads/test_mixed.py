@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.clients import ClientPool
 from repro.cluster.faults import FaultPlan
+from repro.cluster.network import seconds
 from repro.cluster.server import HermesServer
 from repro.exceptions import WorkloadError
 from repro.graph.generators import community_graph
@@ -132,8 +133,9 @@ class TestClientPool:
 
 def run_inline(cluster, trace):
     """Each operation to completion through the cluster's inline entry
-    points, one after another; returns ``(counts by type, total cost)``."""
-    counts, total = {}, 0.0
+    points, one after another; returns ``(counts by type, total cost in
+    ns)``."""
+    counts, total = {}, 0
     for operation in trace:
         if isinstance(operation, Traversal):
             total += cluster.traverse(operation.start, operation.hops).cost
@@ -178,7 +180,7 @@ class TestClientPoolConcurrent:
             counts.get("InsertVertex", 0) + counts.get("InsertEdge", 0)
         )
         assert concurrent.writes > 0
-        assert concurrent.total_cost == pytest.approx(serial_cost)
+        assert concurrent.total_cost == seconds(serial_cost)
         assert concurrent.failed_operations == 0
         concurrent_cluster.validate()
 
