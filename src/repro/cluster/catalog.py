@@ -16,11 +16,14 @@ lookup from that server is fresh.  This is the classic
 directory-hint design: commits stay cheap (no cluster-wide invalidation
 broadcast) and the forwarding charge is paid only by servers that
 actually touch a moved vertex.
+Each view also keeps a :class:`HopPlan` per vertex its server expanded,
+built by an expansion's one ``resolve_from``, served while its array is
+the store's, dropped by every mutator that may change an entry under it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import CatalogError
 from repro.partitioning.base import Partitioning
@@ -92,6 +95,30 @@ class Catalog:
         return self._placement.as_mapping()
 
 
+class HopPlan(NamedTuple):
+    """A server's expansion of a vertex: it believes ``neighbors[i]`` (the
+    store's view array) lives on ``hosts[i]``; ``groups`` and ``counts``
+    hold the neighbours per host, in first-seen host order.  Read only."""
+
+    neighbors: Sequence[int]
+    hosts: List[int]
+    groups: Dict[int, List[int]]
+    counts: Dict[int, int]
+
+
+def hop_plan(neighbors: Sequence[int], hosts: List[int]) -> HopPlan:
+    """The plan of ``neighbors`` believed on ``hosts`` (aligned)."""
+    groups: Dict[int, List[int]] = {}
+    for neighbor, host in zip(neighbors, hosts):
+        group = groups.get(host)
+        if group is None:
+            groups[host] = [neighbor]
+        else:
+            group.append(neighbor)
+    counts = {host: len(group) for host, group in groups.items()}
+    return HopPlan(neighbors, hosts, groups, counts)
+
+
 class LocationCache:
     """Per-server cached vertex locations layered over a :class:`Catalog`.
 
@@ -113,6 +140,7 @@ class LocationCache:
         self.catalog = catalog
         self.num_servers = num_servers
         self._entries: List[Dict[int, int]] = [{} for _ in range(num_servers)]
+        self._plans: List[Dict[int, HopPlan]] = [{} for _ in range(num_servers)]
         telemetry = telemetry or Telemetry()
         extra = labels or {}
         self._hits = telemetry.counter(
@@ -172,6 +200,20 @@ class LocationCache:
             hosts.append(host)
         return hosts, misses
 
+    def plan_from(
+        self, server: int, vertex: int, neighbors: Sequence[int]
+    ) -> Tuple[HopPlan, int]:
+        """``server``'s plan of ``vertex`` (view array ``neighbors``) and its
+        misses, uncounted as in :meth:`resolve_from`: the kept plan while it
+        holds that array, else one that call builds."""
+        plans = self._plans[server]
+        plan = plans.get(vertex)
+        if plan is not None and plan.neighbors is neighbors:
+            return plan, 0
+        hosts, misses = self.resolve_from(server, neighbors)
+        plan = plans[vertex] = hop_plan(neighbors, hosts)
+        return plan, misses
+
     def count_resolved(self, resolved: int, misses: int) -> None:
         """Count ``resolved`` locations, ``misses`` of them from the
         catalog: whole numbers, so one bump counts what one per vertex did."""
@@ -182,6 +224,7 @@ class LocationCache:
         """Record the location ``server`` just resolved via forwarding."""
         self._stale.inc()
         self._entries[server][vertex] = host
+        self._plans[server].clear()
 
     def on_moved(self, vertex: int, source: int, target: int) -> None:
         """A migration commit re-homed ``vertex``: the participating
@@ -189,16 +232,20 @@ class LocationCache:
         a stale entry that resolves via forwarding on next use."""
         self._entries[source][vertex] = target
         self._entries[target][vertex] = target
+        self._plans[source].clear()
+        self._plans[target].clear()
         self._invalidations.inc()
 
     def on_removed(self, vertex: int) -> None:
         """Drop ``vertex`` from every per-server view (vertex deleted)."""
-        for entries in self._entries:
+        for entries, plans in zip(self._entries, self._plans):
             entries.pop(vertex, None)
+            plans.clear()
 
     def add_server(self) -> None:
         """Grow the cache with an (empty) view for a joining server."""
         self._entries.append({})
+        self._plans.append({})
         self.num_servers += 1
 
     def purge_host(self, host: int) -> None:
@@ -210,10 +257,16 @@ class LocationCache:
             for vertex in stale:
                 del entries[vertex]
         self._entries[host].clear()
+        for plans in self._plans:
+            plans.clear()
 
     def entries_on(self, server: int) -> Dict[int, int]:
         """Snapshot of one server's cached view (tests/introspection)."""
         return dict(self._entries[server])
+
+    def plans_on(self, server: int) -> Dict[int, HopPlan]:
+        """Snapshot of one server's hop plans (tests/introspection)."""
+        return dict(self._plans[server])
 
     def all_entries(self) -> Iterator[Tuple[int, int, int]]:
         """Every cached ``(server, vertex, believed_host)`` triple.

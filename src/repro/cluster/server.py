@@ -75,7 +75,6 @@ class HermesServer:
         self.busy_counter = telemetry.counter(
             "server_busy_ns_total", "simulated busy time (integer ns)", **label
         )
-        self.busy_counter.value = 0
 
     # ------------------------------------------------------------------
     # Fault injection

@@ -25,11 +25,11 @@ migration participant) resolves via a forwarding hop charged to the
 query, after which the cache entry is corrected.
 
 A depth is **charged once per link and once per host** (DESIGN.md §9):
-its messages go out in one network call, each reachable host is asked
-once for its share (``GraphStore.read_frontier``), and the depth counts
-its visits and messages and charges each count times its integer
-nanosecond price (:mod:`repro.cluster.network`) once — exactly what
-charging each entry on its own adds up to.
+the frontier is a list of segments, each an expanded vertex's hop plan
+(its neighbours grouped by believed host, kept by the location cache),
+so links and visits are per-host counts merged in frontier order; the
+messages go out in one network call, and each count is charged times its
+integer nanosecond price (:mod:`repro.cluster.network`) once.
 
 With a recording telemetry hub each query produces a ``traversal`` span
 with one ``hop`` child span per frontier depth (sized by the simulated
@@ -51,10 +51,10 @@ frontier entry.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Dict, Generator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.cluster.catalog import Catalog, LocationCache
+from repro.cluster.catalog import Catalog, HopPlan, LocationCache, hop_plan
 from repro.cluster.faults import RetryPolicy
 from repro.cluster.network import (
     BATCH_ENTRY,
@@ -75,6 +75,11 @@ from repro.exceptions import (
     ServerDownError,
 )
 from repro.telemetry import Telemetry
+
+
+#: Frontier entries ``(plan.neighbors[i], plan.hosts[i], from_host)``, as
+#: the server ``from_host`` expanded them: ``(from_host, plan)``.
+Segment = Tuple[int, HopPlan]
 
 
 class TraversalResult(NamedTuple):
@@ -266,7 +271,9 @@ class TraversalEngine:
         # the traversal follows an edge whose endpoints live on different
         # servers, that step is a remote traversal — the per-cut-edge cost
         # that makes edge-cut the dominant performance factor (Section 1).
-        frontier: List[Tuple[int, int, int]] = [(start, home, home)]
+        root = HopPlan((start,), [home], {home: [start]}, {home: 1})
+        frontier: List[Segment] = [(home, root)]
+        entries = 1
         if injector is not None and injector.is_down(home):
             # The dispatch to the home server times out: the client gets
             # an empty partial result rather than an exception.
@@ -290,15 +297,13 @@ class TraversalEngine:
                 # the new homes) instead of paying forwarding charges.
                 frontier = self._refresh_frontier(frontier)
                 epoch = self.topology_epoch
-            depth_span = self.telemetry.span(
-                "hop", depth=depth, frontier=len(frontier)
-            )
+            depth_span = self.telemetry.span("hop", depth=depth, frontier=entries)
             cost_before = state.cost
-            next_frontier, busy = self._run_depth(frontier, depth, state)
+            next_frontier, next_entries, busy = self._run_depth(frontier, depth, state)
             spent = state.cost - cost_before
             depth_span.finish(duration=seconds(spent))
-            yield DepthStep("hop", spent, busy, depth, len(frontier))
-            frontier = next_frontier
+            yield DepthStep("hop", spent, busy, depth, entries)
+            frontier, entries = next_frontier, next_entries
 
         self._traversals.inc()
         self._processed.inc(state.processed)
@@ -322,9 +327,7 @@ class TraversalEngine:
             start, hops, response, state.processed, state.remote, state.cost, failed
         )
 
-    def _refresh_frontier(
-        self, frontier: List[Tuple[int, int, int]]
-    ) -> List[Tuple[int, int, int]]:
+    def _refresh_frontier(self, frontier: List[Segment]) -> List[Segment]:
         """Re-resolve every frontier entry's host after a topology change.
 
         Consults the discovering server's location cache (fresh for
@@ -332,90 +335,80 @@ class TraversalEngine:
         whose vertex left the catalog entirely keep their stale host and
         degrade through the normal unavailable-vertex path.
         """
-        refreshed: List[Tuple[int, int, int]] = []
-        for vertex, host, from_host in frontier:
-            try:
-                resolved = self.location_cache.lookup_from(from_host, vertex)
-            except CatalogError:
-                resolved = host
-            refreshed.append((vertex, resolved, from_host))
+        refreshed: List[Segment] = []
+        for from_host, plan in frontier:
+            hosts = []
+            for vertex, host in zip(plan.neighbors, plan.hosts):
+                try:
+                    host = self.location_cache.lookup_from(from_host, vertex)
+                except CatalogError:
+                    pass
+                hosts.append(host)
+            refreshed.append((from_host, hop_plan(plan.neighbors, hosts)))
         return refreshed
 
     # ------------------------------------------------------------------
     # Per-depth execution
     # ------------------------------------------------------------------
     def _run_depth(
-        self,
-        frontier: List[Tuple[int, int, int]],
-        depth: int,
-        state: _QueryState,
-    ) -> Tuple[List[Tuple[int, int, int]], Dict[int, int]]:
-        """Ship the frontier, read it in bulk, charge it per link and host.
+        self, frontier: List[Segment], depth: int, state: _QueryState
+    ) -> Tuple[List[Segment], int, Dict[int, int]]:
+        """Ship the frontier, read it, charge it per link and host.
 
         Each link pays one round trip (plus per-entry marginals), as a real
-        driver ships the frontier ahead of processing the responses.  A
-        final depth with no failed host asks each host once whether its
-        whole share is available and, if all are, counts each share's
-        visits at once.  Otherwise each reachable host is asked once about
-        its share's distinct vertices (nothing mutates a store inside a
-        depth) and the entries are walked in frontier order, as one can
-        change what later ones see (a ``None`` answer forwards, a forward
-        can fail its host, an expansion can find its host down).  Returns
-        the next frontier and the busy time charged per server.
+        driver ships the frontier ahead of processing the responses; links
+        and visits are the plans' per-host counts, merged in frontier
+        order.  A final depth with no failed host asks whether each share
+        is available and, if all are, keeps those visits.  Otherwise the
+        entries are walked in frontier order, as one can change what later
+        ones see (a ``None`` answer forwards, a forward can fail its host,
+        an expansion can find its host down).  Returns the next frontier,
+        its number of entries and the busy time charged per server.
         """
         servers = self.servers
         failed = state.failed
         visits = [0] * len(servers)
         state.serviced = [0] * len(servers)
-        # Remote entries per directed link and every entry per host, both
-        # in first-seen order; a host meets ``failed`` when first seen.
+        # Remote entries per directed link, in first-seen order.
         links: Dict[Tuple[int, int], int] = {}
-        shares: Dict[int, List[int]] = {}
-        for vertex, host, from_host in frontier:
-            share = shares.get(host)
-            if share is None:
-                if host in failed:
-                    continue
-                share = shares[host] = []
-            share.append(vertex)
-            if host != from_host:
-                link = (from_host, host)
-                links[link] = links.get(link, 0) + 1
+        for from_host, plan in frontier:
+            for host, count in plan.counts.items():
+                if host not in failed:
+                    visits[host] += count
+                    if host != from_host:
+                        link = (from_host, host)
+                        links[link] = links.get(link, 0) + count
         if links:
             self._ship(links, state)
 
         expand = depth < state.hops
-        bulk = not (expand or failed)
-        if bulk:
-            # Not expanding, an available vertex answers ``()``.
-            for host, share in shares.items():
-                if None in servers[host].store.read_frontier(share, False):
-                    bulk = False
-                    break
-        next_frontier: List[Tuple[int, int, int]] = []
-        if bulk:
-            for host, share in shares.items():
-                visits[host] = len(share)
-                state.response.update(share)
+        shares = None if expand or failed else self._shares(frontier)
+        next_frontier: List[Segment] = []
+        resolved = 0
+        if shares is not None:
+            state.response.update(*shares)
         else:
-            # One storage pass per reachable host over the distinct
-            # vertices of its share (a vertex reached along several paths
-            # is charged per path, but the host is asked about it once).
-            reads = {}
-            for host, share in shares.items():
-                if host not in failed:
-                    distinct = dict.fromkeys(share)
-                    answers = servers[host].store.read_frontier(distinct, expand)
-                    reads[host] = dict(zip(distinct, answers))
+            # Each entry read from its host, reusing the answers above.
+            entries = chain.from_iterable(
+                zip(plan.neighbors, plan.hosts, repeat(from_host))
+                for from_host, plan in frontier
+            )
+            visits = [0] * len(servers)
             visited = state.visited
             model = self.workload_model
-            observed = resolved = misses = 0
-            for vertex, host, from_host in frontier:
+            observed = misses = 0
+            for vertex, host, from_host in entries:
                 if host in failed:
                     # Unreachable this query — same-host entries included: a
                     # server that crashed mid-depth serves nothing further.
                     continue
-                neighbors = reads[host][vertex]
+                store = servers[host].store
+                if expand:
+                    neighbors = store.adjacency.get(vertex)
+                else:
+                    neighbors = () if vertex in store.available else None
+                if neighbors is None:
+                    (neighbors,) = store.read_frontier((vertex,), expand)
                 if neighbors is None:
                     # Unavailable (mid-migration), missing or absent here:
                     # not in the local vertex set (Section 3.2).  The cached
@@ -451,10 +444,11 @@ class TraversalEngine:
                     for neighbor in neighbors:
                         model.observe_edge(vertex, neighbor)
                     observed += len(neighbors)
-                hosts, missed = self.location_cache.resolve_from(host, neighbors)
-                resolved += len(hosts)
+                plan, missed = self.location_cache.plan_from(host, vertex, neighbors)
+                resolved += len(neighbors)
                 misses += missed
-                next_frontier.extend(zip(neighbors, hosts, repeat(host)))
+                if neighbors:
+                    next_frontier.append((host, plan))
             if observed:
                 self._model_observations.inc(observed)
             if resolved:
@@ -472,7 +466,23 @@ class TraversalEngine:
                 if count:
                     server.visits_counter.inc(count)
                 charged[host] = busy
-        return next_frontier, charged
+        return next_frontier, resolved, charged
+
+    def _shares(self, frontier: List[Segment]) -> Optional[List[List[int]]]:
+        """A final depth's shares if every entry is available on its host,
+        else None.  A share its store's availability set covers answers at
+        once; only a share holding an unknown id asks the store."""
+        servers = self.servers
+        available = [server.store.available for server in servers]
+        shares: List[List[int]] = []
+        for _, plan in frontier:
+            for host, share in plan.groups.items():
+                if not available[host].issuperset(share) and None in (
+                    servers[host].store.read_frontier(share, False)
+                ):
+                    return None
+                shares.append(share)
+        return shares
 
     def _ship(self, links: Dict[Tuple[int, int], int], state: _QueryState) -> None:
         """Send a depth's messages in link order: the query pays each

@@ -107,6 +107,10 @@ and TESTING.md):
     of that node's relationship chain gives, and every id in a store's
     availability set is an in-use, available node of that store — no
     write skipped the invalidation that should have dropped it.
+``hop-plans-fresh``
+    Every hop plan whose array is still its store's view entry equals a
+    fresh build from its server's current cache entries — no entry
+    changed behind the mutators that drop the plans built from it.
 
 A check that cannot read the cluster (a view read that finds no home
 copy, an untracked vertex) reports that as a violation of its invariant
@@ -121,6 +125,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster import server as server_states
+from repro.cluster.catalog import hop_plan
 from repro.cluster.replication import OneHopReplicator
 from repro.graph.adjacency import SocialGraph
 from repro.exceptions import (
@@ -150,6 +155,7 @@ INVARIANT_NAMES = (
     "event-clock-monotonic",
     "double-write-coherence",
     "adjacency-view-coherence",
+    "hop-plans-fresh",
 )
 
 
@@ -194,6 +200,7 @@ class InvariantAuditor:
             self._check_event_clock,
             self._check_double_write,
             self._check_adjacency_view,
+            self._check_hop_plans,
         )
         violations: List[InvariantViolation] = []
         for invariant, check in zip(INVARIANT_NAMES, checks):
@@ -752,5 +759,22 @@ class InvariantAuditor:
                             f"server {server.server_id}'s availability set "
                             f"holds node {node_id}; its node record is {state}",
                         )
+                    )
+        return out
+
+    def _check_hop_plans(self, cluster) -> List[InvariantViolation]:
+        out: List[InvariantViolation] = []
+        cache = cluster.location_cache
+        for server_id, server in enumerate(cluster.servers):
+            entries = cache.entries_on(server_id)
+            for vertex, plan in sorted(cache.plans_on(server_id).items()):
+                # A plan that outlived its array is never served again.
+                hosts = list(map(entries.get, plan.neighbors))
+                if server.store.adjacency.get(vertex) is plan.neighbors and (
+                    plan != hop_plan(plan.neighbors, hosts)
+                ):
+                    detail = f"server {server_id}'s plan of {vertex} names {plan.hosts}"
+                    out.append(
+                        InvariantViolation("hop-plans-fresh", f"{detail}, not {hosts}")
                     )
         return out

@@ -362,6 +362,16 @@ def _corrupt(cluster, mode: str) -> None:
         raise ValueError("no replicated relationship record to drop")
     elif mode == "cache_poison":
         cluster.location_cache.learn(0, 10**9, 0)
+    elif mode == "plan_drift":
+        # A cache entry a hop plan was built from, rewritten behind the
+        # cache's back to another valid server: only the plan invariant,
+        # which rebuilds each plan from the entries, can see it.
+        cache = cluster.location_cache
+        vertex = max(sorted(cluster.graph.vertices()), key=cluster.graph.degree)
+        home = cluster.catalog.lookup(vertex)
+        (neighbors,) = cluster.servers[home].store.read_frontier([vertex], True)
+        plan, _ = cache.plan_from(home, vertex, neighbors)
+        cache._entries[home][neighbors[0]] = (plan.hosts[0] + 1) % cluster.num_servers
     elif mode == "journal_leak":
         # A copy left in the window after its migration ended: nothing
         # would ever retire it.
@@ -526,6 +536,7 @@ CORRUPT_MODES = (
     "ghost_flip",
     "drop_record",
     "cache_poison",
+    "plan_drift",
     "journal_leak",
     "stats_skew",
     "heat_skew",

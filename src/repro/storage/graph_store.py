@@ -31,14 +31,14 @@ what it knows: the **adjacency view** (``adjacency``: node id ->
 neighbour ids in chain order), filled on a node's first expansion by the
 one chain walk (``_chain_fields``) that ``neighbor_entries`` and
 ``export_fields`` also consume, and the **availability set**
-(``available``), filled by a node's first availability-only answer.
-Each is filled only after one checked node access found the node in use
-and available.  The typed writers drop what a write may have changed:
-the node store drops a written or deleted node from both, the
-relationship store drops both endpoints' view entries.  A 1-hop
-traversal from a vertex of degree *d* costs 1 + 2d record accesses
-cluster-wide the first time and none once the vertex's entry and its
-neighbours' answers are warm.
+(``available``), filled by a node's first availability-only answer (a
+view entry's too).  Each is filled only after one checked node access
+found the node in use and available.  The typed writers drop what a
+write may have changed: the node store drops a written or deleted node
+from both, the relationship store drops both endpoints' view entries.
+A 1-hop traversal from a vertex of degree *d* costs 1 + 2d record
+accesses cluster-wide the first time and none once the vertex's entry
+and its neighbours' answers are warm.
 ``is_available``, ``node``, ``neighbor_entries``, ``node_properties``
 and the mutators remain the per-record boundary for point reads and
 single writes.
@@ -668,10 +668,11 @@ class GraphStore:
 
         A node the store already knows to be available is answered from
         memory: an entry of the adjacency view answers either way, and an
-        id in the availability set answers an availability-only read.
-        Both are filled only after a checked access found the node in use
-        and available, and every node write or delete drops the node from
-        both, so a hit proves what the record says.  Any other node costs
+        id in the availability set answers an availability-only read (an
+        id the view answers that way joins the set).  Both are filled
+        only after a checked access found the node in use and available,
+        and every node write or delete drops the node from both, so a hit
+        proves what the record says.  Any other node costs
         one checked node access, which reads the availability flag and
         raises for a deleted or misindexed slot; an expanded node missing
         from the view then walks its chain once, with every check of the
@@ -688,7 +689,7 @@ class GraphStore:
             return result
         available = self.available
         return [
-            () if node_id in available or node_id in view else self._check(node_id)
+            () if node_id in available else self._check(node_id)
             for node_id in node_ids
         ]
 
@@ -704,11 +705,13 @@ class GraphStore:
         return neighbors
 
     def _check(self, node_id: int) -> Optional[Tuple[()]]:
-        """An availability-only answer the store does not know yet: one
-        checked node access, and an available node joins the set."""
-        node = self.nodes.fields(node_id)
-        if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
-            return None
+        """An availability-only answer the set does not hold yet: a view
+        entry answers it, else one checked node access; an available node
+        joins the set."""
+        if node_id not in self.adjacency:
+            node = self.nodes.fields(node_id)
+            if node is None or not node[NODE_FLAGS] & FLAG_AVAILABLE:
+                return None
         self.available.add(node_id)
         return ()
 

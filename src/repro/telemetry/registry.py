@@ -47,9 +47,9 @@ class Counter:
     def __init__(self, name: str, labels: LabelKey):
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self.value = 0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         self.value += amount
 
 

@@ -180,6 +180,71 @@ class TestLocationCache:
         assert 1 not in cache.entries_on(2)
 
 
+class TestHopPlans:
+    """A server's plan of an expanded vertex: its neighbours grouped by
+    the host that server's cache names, kept while the store's array is
+    the one it was built from and dropped by every cache mutator that
+    changes an entry it may have been built from."""
+
+    def planned(self):
+        """A cache with a plan of vertex 1 (neighbours 0 and 2) on every
+        server, each built from a cache that knows neither neighbour."""
+        cluster, cache = TestLocationCache().make({0: 0, 1: 1, 2: 2})
+        neighbors = cluster.servers[1].store.read_frontier([1], True)[0]
+        for server in range(3):
+            cache.plan_from(server, 1, neighbors)
+        return cluster, cache, neighbors
+
+    def test_neighbours_are_grouped_by_host_in_first_seen_order(self):
+        cluster = build_cluster(
+            SocialGraph.from_edges([(0, 1), (0, 2), (0, 3)]),
+            {0: 0, 1: 1, 2: 0, 3: 1},
+            2,
+        )
+        cache = LocationCache(cluster.catalog, 2)
+        neighbors = cluster.servers[0].store.read_frontier([0], True)[0]
+        plan, misses = cache.plan_from(0, 0, neighbors)
+        assert list(neighbors) == [3, 2, 1]  # chain order: newest first
+        assert misses == 3
+        assert plan.neighbors is neighbors and plan.hosts == [1, 0, 1]
+        assert list(plan.groups.items()) == [(1, [3, 1]), (0, [2])]
+        assert list(plan.counts.items()) == [(1, 2), (0, 1)]
+
+    def test_a_kept_plan_serves_only_the_array_it_was_built_from(self):
+        _, cache, neighbors = self.planned()
+        plan = cache.plans_on(0)[1]
+        assert cache.plan_from(0, 1, neighbors) == (plan, 0)
+        assert cache.plan_from(0, 1, neighbors)[0] is plan
+        rebuilt, misses = cache.plan_from(0, 1, type(neighbors)("i", neighbors))
+        assert rebuilt is not plan and rebuilt.hosts == plan.hosts
+        assert misses == 0  # the entries the first build learned
+
+    def test_learn_drops_its_servers_plans(self):
+        _, cache, _ = self.planned()
+        cache.learn(0, 2, 1)
+        assert [bool(cache.plans_on(s)) for s in range(3)] == [False, True, True]
+
+    def test_on_moved_drops_the_source_and_target_plans(self):
+        _, cache, _ = self.planned()
+        cache.on_moved(2, source=1, target=0)
+        assert [bool(cache.plans_on(s)) for s in range(3)] == [False, False, True]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda cache: cache.purge_host(2), lambda cache: cache.on_removed(2)],
+        ids=["purge_host", "on_removed"],
+    )
+    def test_purge_and_remove_drop_every_plan(self, mutate):
+        _, cache, _ = self.planned()
+        mutate(cache)
+        assert [cache.plans_on(s) for s in range(3)] == [{}, {}, {}]
+
+    def test_a_joining_server_starts_without_plans(self):
+        _, cache, _ = self.planned()
+        cache.add_server()
+        assert cache.plans_on(3) == {} and len(cache.plans_on(0)) == 1
+
+
 class TestCacheAfterMigration:
     def test_migration_updates_participants(self):
         graph = SocialGraph.from_edges([(0, 1), (2, 0)])

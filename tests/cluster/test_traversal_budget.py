@@ -1,11 +1,12 @@
 """Count guard for the traversal data plane (no timing).
 
-A traversal depth ships its frontier in one network call, reads each
-host's share in one storage pass and charges the depth per link and per
-host (DESIGN.md §9) — so the Python-level calls a traversal makes are
-bounded per *processed entry*, the location cache is entered once per
-*expanded vertex*, never once per neighbour, and the telemetry registry
-is charged per depth and host, never per entry or per message.  Counted with ``sys.setprofile``, the way
+A traversal depth merges its frontier's hop plans, ships it in one
+network call and charges the depth per link and per host (DESIGN.md §9)
+— so the Python-level calls a traversal makes are bounded per *processed
+entry*, the location cache resolves neighbours once per *expanded
+vertex* and only while no plan of it is kept, never once per neighbour,
+and the telemetry registry is charged per depth and host, never per
+entry or per message.  Counted with ``sys.setprofile``, the way
 ``tests/core/test_phase1_budget.py`` counts calls into the auxiliary
 data: a regression into per-entry calls (a record object per access, a
 cache lookup per neighbour, an ``expand`` per entry) fails here as a
@@ -24,7 +25,10 @@ instrument calls per traversal to 2.9 and 19.2; on the cluster below a
 final depth, popularity in one call, the steps and the result as named
 tuples) took a warm 1-hop on ``traverse_read``'s first 500 1-hop
 operations from 105 calls to 80, and on the cluster below from 70–118
-(one ``add_weight`` per response vertex) to 58–64.
+(one ``add_weight`` per response vertex) to 58–64.  Keeping hop plans
+took the warm 1-hop there from 60–66 calls to 60–62, and the busiest
+vertex's 1- and 2-hop from 66 and 185 calls to 62 and 179 (1.27 and
+0.18 per processed entry).
 """
 
 from __future__ import annotations
@@ -120,24 +124,34 @@ def test_popularity_enters_the_auxiliary_data_once_per_query():
 
 
 def test_location_cache_is_entered_once_per_expanded_vertex():
+    """An expansion resolves its vertex's neighbours once and keeps them
+    as its server's hop plan: a cold query enters ``resolve_from`` once
+    per expanded vertex, the same query again not at all, and after a
+    write only for the vertices whose chains the write changed."""
     graph, cluster = placed_cluster()
     start = busiest_vertex(graph)
     neighbors = set(graph.neighbors(start))
 
-    _, _, one_hop = count_calls(cluster.traverse, start, 1)
-    assert one_hop["resolve_from"] == 1  # the start vertex
-    assert one_hop["lookup_from"] == 0
+    _, _, cold = count_calls(cluster.traverse, start, 2)
+    assert cold["resolve_from"] == 1 + len(neighbors)
+    assert cold["lookup_from"] == 0
 
-    _, _, two_hop = count_calls(cluster.traverse, start, 2)
-    assert two_hop["resolve_from"] == 1 + len(neighbors)
-    assert two_hop["lookup_from"] == 0
-
-    # Warm, the catalog itself is consulted for the dispatch alone, and
-    # the cache's counters are charged once per expanding depth.
+    # Warm, the catalog itself is consulted for the dispatch alone, each
+    # expanded vertex's plan is taken as kept, and the cache's counters
+    # are charged once per expanding depth.
     _, _, warm = count_calls(cluster.traverse, start, 2)
     assert warm == {
-        "resolve_from": 1 + len(neighbors), "count_resolved": 2, "lookup": 1,
+        "plan_from": 1 + len(neighbors), "count_resolved": 2, "lookup": 1,
     }
+
+    # A new edge changes the start's chain and the new neighbour's: a
+    # 1-hop re-plans the start alone, a 2-hop the new neighbour too.
+    stranger = min(set(graph.vertices()) - neighbors - {start})
+    cluster.add_edge(start, stranger)
+    _, _, one_hop = count_calls(cluster.traverse, start, 1)
+    assert one_hop["resolve_from"] == 1
+    _, _, two_hop = count_calls(cluster.traverse, start, 2)
+    assert two_hop["resolve_from"] == 1
 
 
 def test_registry_is_charged_per_depth_and_host_not_per_entry():

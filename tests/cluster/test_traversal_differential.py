@@ -1,17 +1,22 @@
 """Differential test: the per-link, per-host depth against the per-entry depth.
 
-``TraversalEngine._run_depth`` ships a frontier in one network call,
-reads each host's share in one storage pass and charges the depth per
-link and per host, counts times prices (DESIGN.md §9).  The
+``TraversalEngine._run_depth`` carries its frontier as segments of hop
+plans (each expanded vertex's neighbours grouped by believed host, kept
+by the location cache), ships it in one network call and charges the
+depth per link and per host, counts times prices (DESIGN.md §9).  The
 depth it replaced visited one entry at a time — ``is_available``, a
 busy-counter increment per entry, ``neighbor_entries``, one
 ``lookup_from`` per neighbour — and is kept here, test-local, as the
-reference.  Twin clusters, one running each, are driven through the same
-hypothesis-drawn sequence: traversals of 0–3 hops, physical migrations
-between them (stale location hints on the non-participants), a
-migration committing *between two depths* of a paused traversal,
-popularity decays, a fault plan whose crash window opens mid-query and
-whose links lose messages, a workload model attached.  The reference
+reference: it takes the segments apart into entries and hands back a
+segment per entry, so it keeps no plan, and a plan that outlives a write
+or a cache change shows up as a difference.  Twin clusters, one running
+each, are driven through the same hypothesis-drawn sequence: traversals
+of 0–3 hops, physical migrations between them (stale location hints on
+the non-participants), edge writes (between two vertices, a repeat edge
+when they are neighbours already; a new vertex with an edge), a
+migration or an edge committing *between two depths* of a paused
+traversal, popularity decays, a fault plan whose crash window opens
+mid-query and whose links lose messages, a workload model attached.  The reference
 also adds popularity one ``add_weight(vertex, 1.0)`` at a time.  Every
 observable must be equal: each result, the per-server busy time of each
 depth of a paused traversal, each server's visits and busy time, the
@@ -31,6 +36,7 @@ import types
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.catalog import hop_plan
 from repro.cluster.faults import CrashWindow, FaultPlan
 from repro.cluster.network import (
     BATCH_ENTRY,
@@ -126,17 +132,29 @@ class ServiceCharges:
 
 
 def reference_run_depth(self, frontier, depth, state):
-    """The reference bound as ``_run_depth``: the busy time a depth
-    returns is read off the counters before and after it."""
+    """The reference bound as ``_run_depth``: it takes the frontier's
+    segments apart into ``(vertex, host, from_host)`` entries and hands
+    each next entry back as a segment of its own, so it keeps no plan;
+    the busy time a depth returns is read off the counters before and
+    after it."""
     before = [server.busy_counter.value for server in self.servers]
     state.serviced = ServiceCharges(self.servers)
-    next_frontier = per_entry_run_depth(self, frontier, depth, state)
+    entries = [
+        (vertex, host, from_host)
+        for from_host, plan in frontier
+        for vertex, host in zip(plan.neighbors, plan.hosts)
+    ]
+    next_entries = per_entry_run_depth(self, entries, depth, state)
     busy = {}
     for server_id, server_before in enumerate(before):
         delta = self.servers[server_id].busy_counter.value - server_before
         if delta > 0:
             busy[server_id] = delta
-    return next_frontier, busy
+    next_frontier = [
+        (from_host, hop_plan((vertex,), [host]))
+        for vertex, host, from_host in next_entries
+    ]
+    return next_frontier, len(next_frontier), busy
 
 
 class PerVertexPopularity(AuxiliaryData):
@@ -169,23 +187,26 @@ class RecordingModel:
         self.observed.append((u, v))
 
 
+def add_repeat_edge(cluster, u, v):
+    """A second record between two neighbours, which ``add_edge``
+    refuses: the same vertex twice in one adjacency list, so twice in
+    one depth.  Its id comes from ``u``'s server, as ``add_edge``'s does."""
+    host_u, host_v = cluster.catalog.lookup(u), cluster.catalog.lookup(v)
+    rel_id = cluster.servers[host_u].store.allocate_rel_id()
+    cluster.servers[host_u].store.create_relationship(rel_id, u, v)
+    if host_v != host_u:
+        cluster.servers[host_v].store.create_relationship(rel_id, u, v, ghost=True)
+    # Counted like any record: a migration re-points the auxiliary
+    # data along the adjacency the stores list.
+    cluster.aux.add_edge(u, v)
+
+
 def build_twin(reference, graph_seed, placement_salt, multi_edges):
     graph = make_random_graph(VERTICES, 2 * VERTICES, seed=graph_seed)
     placement = {v: (v * 7 + placement_salt) % SERVERS for v in graph.vertices()}
     cluster = build_placed_cluster(graph, placement, num_servers=SERVERS)
     for u, v in multi_edges:
-        # A second record between two neighbours: the same vertex twice
-        # in one adjacency list, so twice in one depth.
-        rel_id = 10_000 + u * VERTICES + v
-        host_u, host_v = placement[u], placement[v]
-        cluster.servers[host_u].store.create_relationship(rel_id, u, v)
-        if host_v != host_u:
-            cluster.servers[host_v].store.create_relationship(
-                rel_id, u, v, ghost=True
-            )
-        # Counted like any record: a migration re-points the auxiliary
-        # data along the adjacency the stores list.
-        cluster.aux.add_edge(u, v)
+        add_repeat_edge(cluster, u, v)
     if reference:
         bind_reference(cluster)
     model = RecordingModel()
@@ -217,6 +238,24 @@ def migrate(cluster, vertices, shift, plan):
     cluster.attach_faults(plan)
 
 
+def write(cluster, step, plan):
+    """A fault-free write: an edge between two vertices (a repeat edge
+    when they are neighbours already) or a new vertex with an edge (the
+    plan is re-attached after, its RNG re-seeded — on both twins alike)."""
+    cluster.attach_faults(None)
+    if step[0] == "add_edge":
+        u, v = step[1], step[2]
+        if cluster.graph.has_edge(u, v):
+            add_repeat_edge(cluster, u, v)
+        else:
+            cluster.add_edge(u, v)
+    else:
+        vertex = max(cluster.catalog.vertices()) + 1
+        cluster.add_vertex(vertex)
+        cluster.add_edge(vertex, step[1])
+    cluster.attach_faults(plan)
+
+
 def run_step(cluster, step, plan):
     kind = step[0]
     if kind == "traverse":
@@ -227,14 +266,21 @@ def run_step(cluster, step, plan):
     if kind == "decay":
         cluster.decay_weights(step[1], floor=step[2])
         return None
-    # A traversal paused after its first depth while a migration commits.
-    _, start, hops, vertices, shift = step
+    if kind in ("add_edge", "add_vertex"):
+        write(cluster, step, plan)
+        return None
+    # A traversal paused after its first depth while a migration commits
+    # or an edge is written.
+    _, start, hops, between = step
     steps = cluster._engine.traverse_steps(start, hops)
     charged = []
     try:
         charged.append(step_key(next(steps)))  # dispatch
         charged.append(step_key(next(steps)))  # depth 0
-        migrate(cluster, vertices, shift, plan)
+        if between[0] == "add_edge":
+            write(cluster, between, plan)
+        else:
+            migrate(cluster, between[1], between[2], plan)
         while True:
             charged.append(step_key(next(steps)))
     except StopIteration as stop:
@@ -276,12 +322,22 @@ def weights(cluster):
 vertices = st.integers(0, VERTICES - 1)
 vertex_sets = st.lists(vertices, min_size=1, max_size=4, unique=True)
 shifts = st.integers(1, SERVERS - 1)
+migrations = st.tuples(st.just("migrate"), vertex_sets, shifts)
+#: between two existing vertices: a repeat edge when they are neighbours
+new_edges = st.tuples(st.just("add_edge"), vertices, vertices).filter(
+    lambda step: step[1] != step[2]
+)
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("traverse"), vertices, st.integers(0, 3)),
-        st.tuples(st.just("migrate"), vertex_sets, shifts),
+        migrations,
+        new_edges,
+        st.tuples(st.just("add_vertex"), vertices),
         st.tuples(
-            st.just("interleave"), vertices, st.integers(1, 3), vertex_sets, shifts
+            st.just("interleave"),
+            vertices,
+            st.integers(1, 3),
+            st.one_of(migrations, new_edges),
         ),
         st.tuples(
             st.just("decay"), st.sampled_from([0.37, 0.9, 1e-3]), st.sampled_from([1.0, 1e-4])

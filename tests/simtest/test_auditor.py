@@ -40,6 +40,7 @@ EXPECTED_INVARIANT = {
     "ghost_flip": "one-primary-per-edge",
     "drop_record": "one-primary-per-edge",
     "cache_poison": "location-cache-coherence",
+    "plan_drift": "hop-plans-fresh",
     "journal_leak": "undo-journal-closed",
     "stats_skew": "telemetry-conservation",
     "heat_skew": "workload-model-conservation",

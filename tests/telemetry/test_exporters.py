@@ -30,8 +30,8 @@ class TestPrometheusText:
         text = prometheus_text(make_hub().registry)
         assert "# HELP requests_total requests served" in text
         assert "# TYPE requests_total counter" in text
-        assert 'requests_total{server="0"} 3.0' in text
-        assert 'requests_total{server="1"} 4.0' in text
+        assert 'requests_total{server="0"} 3\n' in text
+        assert 'requests_total{server="1"} 4\n' in text
         assert "# TYPE edge_cut gauge" in text
         assert "edge_cut 42" in text
 
@@ -47,7 +47,7 @@ class TestPrometheusText:
     def test_label_keys_sorted(self):
         hub = Telemetry()
         hub.counter("m", src=2, dst=3).inc()
-        assert 'm{dst="3",src="2"} 1.0' in prometheus_text(hub.registry)
+        assert 'm{dst="3",src="2"} 1\n' in prometheus_text(hub.registry)
 
     def test_bucket_bounds_are_le_inclusive(self):
         """An observation exactly on a bound belongs to that bound's
