@@ -468,7 +468,6 @@ class HermesCluster:
     # ==================================================================
     # Write path
     # ==================================================================
-    @_commits
     def add_vertex(
         self,
         vertex: int,
@@ -477,6 +476,11 @@ class HermesCluster:
     ) -> int:
         """Insert a new user, placed by hash over the active servers."""
         self.check_new_vertex(vertex, weight)
+        return self._insert_vertex(vertex, weight, properties)
+
+    @_commits
+    def _insert_vertex(self, vertex: int, weight: float, properties) -> int:
+        """:meth:`add_vertex` past its pre-check, which the caller ran."""
         target = self.placement_target(vertex)
         if self.faults is not None and self.faults.is_down(target):
             # The insert times out against the crashed placement target;
@@ -492,7 +496,6 @@ class HermesCluster:
         self._advance(cost)
         return cost
 
-    @_commits
     def add_edge(
         self, u: int, v: int, properties: Optional[Dict[str, Any]] = None
     ) -> int:
@@ -504,6 +507,11 @@ class HermesCluster:
         the wasted timeout is still simulated time.
         """
         self.check_new_edge(u, v)
+        return self._insert_edge(u, v, properties)
+
+    @_commits
+    def _insert_edge(self, u: int, v: int, properties) -> int:
+        """:meth:`add_edge` past its pre-check, which the caller ran."""
         cost = CLIENT_DISPATCH
         try:
             cost += self._create_edge_records(u, v, properties)

@@ -31,7 +31,7 @@ traversal depth charges the hub once for all its messages (DESIGN.md §7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.faults import FaultInjector
 from repro.exceptions import ClusterError, FaultInjectedError
@@ -314,6 +314,28 @@ class SimulatedNetwork:
         self._transfer_bytes.inc(size)
         self._transfer_sizes.observe(size)
         return cost
+
+    def transfers(
+        self, src: int, dsts: Sequence[int], size: int
+    ) -> List[Tuple[int, int]]:
+        """:meth:`transfer` from ``src`` to each of ``dsts`` in order, as
+        counts; returns ``(dst, cost)`` of each that arrived.  Faults apply
+        per message, as in :meth:`batched_hops`, but a lost message is
+        skipped, not raised.  The registry is charged once, by totals."""
+        cost = TRANSFER_BASE + size * TRANSFER_BYTE
+        arrived = []
+        for dst in dsts:
+            try:
+                if dst != src:  # a server sends itself nothing
+                    self._send(src, dst, size, cost)
+            except FaultInjectedError:
+                continue
+            arrived.append((dst, 0 if dst == src else cost))
+        sent = sum(1 for dst, _ in arrived if dst != src)
+        self._transfer_messages.inc(sent)
+        self._transfer_bytes.inc(sent * size)
+        self._transfer_sizes.observe_many([size] * sent)
+        return arrived
 
     def export_link_metrics(self) -> None:
         """Snapshot per-link traffic into the registry as labelled gauges.

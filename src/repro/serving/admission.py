@@ -56,6 +56,7 @@ THROTTLED = "throttled"
 SHEDDING = "shedding"
 
 _STATES = (ACCEPTING, THROTTLED, SHEDDING)
+_LEVEL = {state: float(level) for level, state in enumerate(_STATES)}
 
 #: hysteresis: utilization below which the state machine steps back
 #: toward ACCEPTING (one state per observation, never oscillating across
@@ -81,6 +82,7 @@ class AdmissionController:
     ):
         self.config = config
         self.state = ACCEPTING
+        self._max_delay = nanoseconds(config.max_queue_delay)
         telemetry = telemetry or Telemetry()
         extra = labels or {}
         self._transitions = {
@@ -101,23 +103,17 @@ class AdmissionController:
     def observe(self, utilization: float) -> str:
         """Feed one utilization observation; returns the (new) state."""
         target = self._target_state(utilization)
-        current_index = _STATES.index(self.state)
-        target_index = _STATES.index(target)
-        if target_index > current_index:
-            # Escalate immediately to wherever utilization points.
-            new_state = target
-        elif (
-            target_index < current_index
-            and utilization < RESUME_UTILIZATION
-        ):
-            # De-escalate one state per observation (hysteresis).
-            new_state = _STATES[current_index - 1]
-        else:
-            new_state = self.state
-        if new_state != self.state:
-            self.state = new_state
-            self._transitions[new_state].inc()
-        self._state_gauge.set(float(_STATES.index(self.state)))
+        if target != self.state:
+            current = self.state
+            if _LEVEL[target] > _LEVEL[current]:
+                # Escalate immediately to wherever utilization points.
+                self.state = target
+            elif utilization < RESUME_UTILIZATION:
+                # De-escalate one state per observation (hysteresis).
+                self.state = _STATES[_STATES.index(current) - 1]
+            if self.state != current:
+                self._transitions[self.state].inc()
+        self._state_gauge.set(_LEVEL[self.state])
         return self.state
 
     def _target_state(self, utilization: float) -> str:
@@ -147,7 +143,7 @@ class AdmissionController:
                 f"priority {priority.name} shed in state {self.state}",
                 state=self.state,
             )
-        if wait > nanoseconds(self.config.max_queue_delay):
+        if wait > self._max_delay:
             raise OverloadShedError(
                 f"backlog {wait / 1e6:.2f} ms exceeds queue-delay bound "
                 f"{self.config.max_queue_delay * 1e3:.2f} ms",

@@ -14,7 +14,8 @@ each submission through the full pipeline:
 4. execute against the cluster (degraded outcomes from injected faults
    still complete — they consumed their timeout);
 5. writes ship replica updates (asynchronously: charged to the replica
-   hosts' backlogs, not the client's latency);
+   hosts' backlogs, not the client's latency), charged as counts; with
+   an engine attached one event per write occupies every replica host;
 6. meter the operation to its tenant.
 
 The client-observed latency of a completed operation is
@@ -202,9 +203,9 @@ class ServingFrontend:
         """The serving clock in seconds."""
         return seconds(self.now_ns)
 
-    def _replica_delivery_task(self, host: int, cost: int):
-        """One asynchronous replica-update delivery as an event."""
-        yield Work(demands=((host, cost),), kind="replica-update")
+    def _replica_delivery_task(self, demands: Tuple[Tuple[int, int], ...]):
+        """One write's asynchronous replica-update deliveries as one event."""
+        yield Work(demands=demands, kind="replica-update")
 
     def rebalance(self, force: bool = False):
         """Run the cluster's repartitioner from the front door.
@@ -315,17 +316,15 @@ class ServingFrontend:
         # 5. Writes ship replica updates, stamped at commit time.
         if not degraded and op in ("add_vertex", "add_edge"):
             touched = [args[0]] if op == "add_vertex" else [args[0], args[1]]
-            for host, async_cost in self.sync.record_write(touched, finish).items():
+            costs = self.sync.record_write(touched, finish)
+            for host, async_cost in costs.items():
                 self.queue.add_backlog(host, finish, async_cost)
-                if self.engine is not None:
-                    # The shipment is also a real event: the replica
-                    # host is occupied at delivery time on the event
-                    # timeline, not just debited on its serving backlog.
-                    self.engine.submit(
-                        self._replica_delivery_task(host, async_cost),
-                        at=finish,
-                        label=f"replica-update:{host}",
-                    )
+            if costs and self.engine is not None:
+                # The shipment is also a real event: the replica hosts
+                # are occupied at delivery time on the event timeline,
+                # not just debited on their serving backlogs.
+                delivery = self._replica_delivery_task(tuple(costs.items()))
+                self.engine.submit(delivery, at=finish, label="replica-update")
 
         # 6. Meter and report.
         outcome.status = DEGRADED if degraded else COMPLETED
@@ -391,15 +390,16 @@ class ServingFrontend:
         if op == "traverse":
             result = cluster.traverse(*args)
             return result.response, result.cost, result.partial
+        # A write was pre-checked when it was routed.
         if op == "add_vertex":
             try:
-                cost = cluster.add_vertex(*args)
+                cost = cluster._insert_vertex(*args)
             except ServerDownError as exc:
                 return None, exc.cost, True
             return args[0], cost, False
         # add_edge
         try:
-            cost = cluster.add_edge(*args)
+            cost = cluster._insert_edge(*args)
         except (FaultInjectedError, ServerDownError) as exc:
             return None, exc.cost, True
         return (args[0], args[1]), cost, False

@@ -49,7 +49,6 @@ class QueryQueue:
         labels: Optional[Dict[str, object]] = None,
     ):
         self.num_servers = num_servers
-        self.config = config
         telemetry = telemetry or Telemetry()
         extra = labels or {}
         self.admission = AdmissionController(config, telemetry=telemetry, labels=extra)
@@ -113,15 +112,14 @@ class QueryQueue:
 
     def utilization(self, now: int) -> float:
         """Hottest server's backlog over the queue-delay budget, in [0, 2]."""
-        backlog = max((free - now for free in self.free_at if free > now), default=0)
-        return min(2.0, backlog / self._max_delay)
+        return min(2.0, max(0, max(self.free_at) - now) / self._max_delay)
 
     # ------------------------------------------------------------------
     def try_admit(self, target: int, priority: Priority, now: int) -> int:
         """Admit one operation bound for ``target`` or raise its typed
         rejection.  Returns the queueing delay the operation will incur.
+        The caller has drained the queue to ``now``.
         """
-        self.drain(now)
         self._submitted.inc()
         self.admission.observe(self.utilization(now))
         wait = max(0, self.free_at[target] - now)

@@ -26,10 +26,10 @@ and maintains it in O(1) per edge, so the live placement is a *view* of
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.cluster.network import nanoseconds
-from repro.exceptions import FaultInjectedError, VertexNotFoundError
+from repro.exceptions import VertexNotFoundError
 from repro.serving.config import ServingConfig
 from repro.telemetry import Telemetry
 
@@ -45,12 +45,17 @@ class ReplicaIndex:
 
     def replicas_of(self, vertex: int) -> frozenset:
         """Partitions holding a replica of ``vertex`` (primary excluded)."""
+        return frozenset(self.replica_hosts(vertex))
+
+    def replica_hosts(self, vertex: int) -> List[int]:
+        """:meth:`replicas_of` in ascending order, read off the vertex's
+        neighbour-count row."""
         aux = self.cluster.aux
         try:
             home = aux.partition_of(vertex)
-            return frozenset(aux.neighbor_counts(vertex)) - {home}
+            return [p for p in aux.neighbor_counts(vertex) if p != home]
         except VertexNotFoundError:
-            return frozenset()
+            return []
 
     def placements(self) -> Dict[int, Set[int]]:
         """The full vertex -> replica-partition map."""
@@ -79,7 +84,6 @@ class ReplicaSynchronizer:
     ):
         self.cluster = cluster
         self.index = index
-        self.config = config
         self._lag = nanoseconds(config.replica_lag)
         self.max_staleness = nanoseconds(config.max_staleness)
         #: vertex -> simulated time of its most recent primary write
@@ -108,40 +112,30 @@ class ReplicaSynchronizer:
     def record_write(self, vertices, now: int) -> Dict[int, int]:
         """A primary write touched ``vertices`` at simulated time ``now``.
 
-        Ships one update message per replica copy through the simulated
-        network (counted in its per-link ledger and in the registry) and
-        stamps the vertices so replica reads observe bounded staleness until
-        ``now + replica_lag``.  Returns the simulated time each replica
-        host spent receiving and applying its updates — replication is
-        asynchronous, so the caller charges that to the replica servers'
-        backlogs, not to the client's latency.
+        Ships one update message per replica copy, a vertex's in one
+        ``network.transfers`` call (counted in its per-link ledger and in
+        the registry), and stamps the vertices so replica reads observe
+        bounded staleness until ``now + replica_lag``.  Returns the
+        simulated time each replica host spent receiving and applying its
+        updates — replication is asynchronous, so the caller charges that
+        to the replica servers' backlogs, not to the client's latency.
         """
         network = self.cluster.network
-        catalog = self.cluster.catalog
         servers = self.cluster.servers
-        size = REPLICA_UPDATE_BYTES
+        apply_cost = network.local_visit()  # one record write's worth of CPU
         costs: Dict[int, int] = {}
         for vertex in vertices:
             self.last_write[vertex] = now
-            host = catalog.lookup(vertex)
-            for replica_partition in sorted(self.index.replicas_of(vertex)):
-                try:
-                    shipped = network.transfer(host, replica_partition, size)
-                except FaultInjectedError:
-                    # The update is lost on the wire; the background
-                    # anti-entropy pass re-ships it inside the lag
-                    # window, so the staleness contract still holds.
-                    self._update_failures.inc()
-                    continue
-                # Applying the update costs the replica host one record
-                # write's worth of CPU.
-                apply_cost = network.local_visit()
-                servers[replica_partition].busy_counter.inc(apply_cost)
-                costs[replica_partition] = (
-                    costs.get(replica_partition, 0) + shipped + apply_cost
-                )
-                self._updates.inc()
-                self._update_bytes.inc(size)
+            replicas = self.index.replica_hosts(vertex)
+            host = self.cluster.catalog.lookup(vertex)
+            arrived = network.transfers(host, replicas, REPLICA_UPDATE_BYTES)
+            for replica, shipped in arrived:
+                servers[replica].busy_counter.inc(apply_cost)
+                costs[replica] = costs.get(replica, 0) + shipped + apply_cost
+            # A lost update is re-shipped by anti-entropy inside the lag.
+            self._update_failures.inc(len(replicas) - len(arrived))
+            self._updates.inc(len(arrived))
+            self._update_bytes.inc(len(arrived) * REPLICA_UPDATE_BYTES)
         return costs
 
     # ------------------------------------------------------------------

@@ -133,7 +133,7 @@ class GraphRouter:
         if not self.config.replica_reads:
             self._replica_misses.inc()
             return RouteDecision(primary, primary, False, forward)
-        replicas = self.index.replicas_of(vertex)
+        replicas = self.index.replica_hosts(vertex)
         if replicas and not self.sync.fresh(vertex, now):
             self._stale_blocked.inc()
             replicas = ()
@@ -145,7 +145,7 @@ class GraphRouter:
         free_at = self.queue.free_at
         host = primary
         best = free_at[primary]
-        for candidate in sorted(replicas):
+        for candidate in replicas:
             if free_at[candidate] < best:
                 host = candidate
                 best = free_at[candidate]

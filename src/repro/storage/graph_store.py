@@ -36,6 +36,8 @@ view entry's too).  Each is filled only after one checked node access
 found the node in use and available.  The typed writers drop what a
 write may have changed: the node store drops a written or deleted node
 from both, the relationship store drops both endpoints' view entries.
+A relationship's head insert writes through instead: it grows a local
+endpoint's filled entry and drops nothing (DESIGN.md §15).
 A 1-hop traversal from a vertex of degree *d* costs 1 + 2d record
 accesses cluster-wide the first time and none once the vertex's entry
 and its neighbours' answers are warm.
@@ -202,6 +204,14 @@ def _fields(store: FixedRecordStore, record_id: int) -> Tuple:
     if fields is None:
         raise RecordNotFoundError(f"record {record_id} not found")
     return fields
+
+
+def _id_array(ids: List[int]) -> Sequence[int]:
+    """Neighbour ids packed as the adjacency view keeps them."""
+    try:
+        return array("i", ids)
+    except OverflowError:
+        return array("q", ids)
 
 
 def _side(rel: Sequence, node_id: int) -> int:
@@ -484,14 +494,16 @@ class GraphStore:
             self._link_into_chain(rel, dst_node)
         if encoded:
             rel[REL_FIRST_PROP] = self._new_property_chain(rel_id, encoded)
-        self.relationships.write_fields(rel)
+        FixedRecordStore.write_fields(self.relationships, rel)
         return self.relationships.codec.decode(tuple(rel))
 
     def _link_into_chain(self, rel: List, node: Sequence) -> None:
         """Head-insert the relationship with fields ``rel`` into the chain
         of the node with fields ``node``.  ``rel``'s pointers on that side
         are set for the caller to write; the old head's ``prev`` and the
-        node's ``first_rel`` are written."""
+        node's ``first_rel`` are written past the typed writers' drops,
+        since only the node's filled view entry changes: it becomes a new
+        array with the other endpoint first (DESIGN.md §15)."""
         node_id = node[NODE_ID]
         rel_id = rel[REL_ID]
         old_first = node[NODE_FIRST_REL]
@@ -501,10 +513,14 @@ class GraphStore:
         if old_first != NULL_REF:
             first = list(_fields(self.relationships, old_first))
             first[_side(first, node_id)] = rel_id
-            self.relationships.write_fields(first)
+            FixedRecordStore.write_fields(self.relationships, first)
         node = list(node)
         node[NODE_FIRST_REL] = rel_id
-        self.nodes.write_fields(node)
+        FixedRecordStore.write_fields(self.nodes, node)
+        neighbors = self.adjacency.get(node_id)
+        if neighbors is not None:
+            other = rel[REL_DST] if side == REL_SRC_PREV else rel[REL_SRC]
+            self.adjacency[node_id] = _id_array([other, *neighbors])
 
     def _unlink_from_chain(
         self, rel: Sequence, node_id: int, held: Optional[Dict[int, List]] = None
@@ -581,7 +597,7 @@ class GraphStore:
         if node is None:
             raise StorageError(f"node {node_id} is not local")
         self._link_into_chain(rel, node)
-        self.relationships.write_fields(rel)
+        FixedRecordStore.write_fields(self.relationships, rel)
 
     def detach_endpoint(self, rel_id: int, node_id: int) -> None:
         """Unlink a relationship from one endpoint's chain, NULLing that
@@ -718,14 +734,10 @@ class GraphStore:
     def _walk_neighbors(self, node_id: int, first_rel: int) -> Sequence[int]:
         """The neighbour ids along ``node_id``'s chain, packed — how the
         adjacency view is filled, through the one checked chain walk."""
-        neighbors = [
+        return _id_array([
             rel[REL_DST] if rel[REL_SRC] == node_id else rel[REL_SRC]
             for rel in self._chain_fields(node_id, first_rel)
-        ]
-        try:
-            return array("i", neighbors)
-        except OverflowError:
-            return array("q", neighbors)
+        ])
 
     def neighbor_entries(
         self, node_id: int, include_unavailable: bool = False

@@ -34,6 +34,7 @@ from repro.core.migration import build_migration_plan
 from repro.exceptions import FaultInjectedError, MigrationAbortedError
 from repro.graph.adjacency import SocialGraph
 from repro.partitioning.hashing import HashPartitioner
+from repro.simtest.invariants import InvariantAuditor
 from tests.conftest import (
     build_placed_cluster as build_cluster,
     crash_plan,
@@ -228,6 +229,32 @@ class TestHopPlans:
         _, cache, _ = self.planned()
         cache.on_moved(2, source=1, target=0)
         assert [bool(cache.plans_on(s)) for s in range(3)] == [False, False, True]
+
+    def test_a_plan_that_lists_a_moved_vertex_is_not_served_after_the_commit(self):
+        """Plans built between a migration's copy steps and its commit name
+        the moved vertices' old homes, and the record rewrites that drop
+        their arrays come only with the remove steps: the commit itself
+        must drop them (``on_moved``), or a traversal between the commit
+        and the removes pays a stale forward."""
+        graph = SocialGraph.from_edges([(0, 1), (0, 2), (3, 2)])
+        cluster = build_cluster(graph, {0: 0, 1: 1, 2: 0, 3: 2})
+        moves = {0: (0, 1), 3: (2, 0)}
+        for vertex, (_, target) in moves.items():
+            cluster.aux.apply_move(vertex, target, cluster.graph.neighbors(vertex))
+        kinds = []
+        for step in cluster._executor.migrate_steps(build_migration_plan(moves)):
+            kinds.append(step.kind)
+            stale = [
+                violation
+                for violation in InvariantAuditor().audit(cluster)
+                if violation.invariant == "hop-plans-fresh"
+            ]
+            assert stale == []
+            # 1 sits on 0's target, 2 on 0's source and 3's target.
+            cluster.traverse(1, 1)
+            cluster.traverse(2, 1)
+        assert kinds == ["copy", "copy", "barrier", "remove", "remove"]
+        assert cluster.telemetry.registry.total("location_cache_stale_hits_total") == 0
 
     @pytest.mark.parametrize(
         "mutate",

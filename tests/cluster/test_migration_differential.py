@@ -667,11 +667,16 @@ def warm(store):
 
 
 def pair_state(store, journal):
-    return (
-        store_state(store, journal),
-        {node: list(neighbors) for node, neighbors in store.adjacency.items()},
-        sorted(store.available),
-    )
+    """``store_state``, after checking the adjacency view and availability
+    set coherent: each entry equals a fresh chain walk, each set member is
+    an available node.  Their contents may differ between the paths: the
+    per-record reference's ``create_relationship`` writes through entries
+    that the columnar import drops."""
+    for node, neighbors in store.adjacency.items():
+        walked = [entry.neighbor for entry in store.neighbor_entries(node)]
+        assert list(neighbors) == walked
+    assert all(store.is_available(node) for node in store.available)
+    return store_state(store, journal)
 
 
 @st.composite

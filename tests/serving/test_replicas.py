@@ -5,6 +5,9 @@ import pytest
 
 from repro.cluster.clients import ClientPool
 from repro.cluster.hermes import HermesCluster
+from repro.cluster.network import LOCAL_VISIT, TRANSFER_BASE, TRANSFER_BYTE
+from repro.concurrency.engine import ConcurrentExecutor
+from repro.graph.adjacency import SocialGraph
 from repro.partitioning.base import Partitioning
 from repro.partitioning.hashing import HashPartitioner
 from repro.serving import ReplicaIndex, ReplicaSynchronizer, ServingFrontend
@@ -15,6 +18,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.conservation import registry_conservation_violations
 from repro.workloads.queries import Traversal
 from tests.conftest import (
+    build_placed_cluster,
     link_down_plan,
     make_random_graph,
     migrate_moves,
@@ -212,3 +216,65 @@ class TestSynchronizer:
         sync.note_served(0, now=4_000_000)
         sync.note_served(0, now=2_000_000)
         assert sync.max_served_staleness == 4_000_000
+
+
+class TestDeliveryEvents:
+    """With an engine attached, a front-door write's replica updates ride
+    one delivery event that occupies every replica host it reached."""
+
+    #: one update's wire time plus its apply on the replica host
+    APPLY = TRANSFER_BASE + REPLICA_UPDATE_BYTES * TRANSFER_BYTE + LOCAL_VISIT
+
+    def make_frontend(self):
+        """Vertex 0 on server 0 with neighbours on servers 1 and 2; vertex
+        3 on server 0 with a neighbour there too."""
+        graph = SocialGraph.from_edges([(0, 1), (0, 2), (3, 4)])
+        cluster = build_placed_cluster(graph, {0: 0, 1: 1, 2: 2, 3: 0, 4: 0})
+        frontend = ServingFrontend(cluster)
+        cluster.serving = frontend
+        engine = ConcurrentExecutor(cluster)
+        frontend.attach_engine(engine)
+        return cluster, frontend, engine.scheduler
+
+    def deliveries(self, frontend, scheduler):
+        """Submit ``add_edge(0, 3)`` and run its delivery event; returns
+        the write's finish and its ``(task, server, start, finish)``
+        records."""
+        outcome = frontend.submit("add_edge", 0, 3, now=1.0)
+        assert outcome.status == COMPLETED
+        assert len(scheduler.handles) == 1
+        scheduler.run()
+        records = [
+            (record.task, record.server, record.start, record.finish)
+            for record in scheduler.records
+            if record.kind == "replica-update"
+        ]
+        return outcome.arrival + outcome.latency, records
+
+    def test_a_write_spawns_one_task_with_one_record_per_replica_host(self):
+        cluster, frontend, scheduler = self.make_frontend()
+        finish, records = self.deliveries(frontend, scheduler)
+        apply = self.APPLY
+        assert records == [
+            (0, 1, finish, finish + apply),
+            (0, 2, finish, finish + apply),
+        ]
+        assert frontend.queue.free_at[1:] == [finish + apply] * 2
+        assert cluster.telemetry.registry.total("replica_updates_total") == 2
+
+    def test_a_faulted_link_loses_only_its_own_update(self):
+        cluster, frontend, scheduler = self.make_frontend()
+        cluster.attach_faults(link_down_plan(0, 2))
+        sent = list(cluster.network.link_messages[0])
+        finish, records = self.deliveries(frontend, scheduler)
+        apply = self.APPLY
+        assert records == [(0, 1, finish, finish + apply)]
+        assert frontend.queue.free_at[1:] == [finish + apply, 0]
+        registry = cluster.telemetry.registry
+        assert registry.total("replica_updates_total") == 1
+        assert registry.total("replica_update_failures_total") == 1
+        assert cluster.network.link_messages[0] == [sent[0], sent[1] + 1, sent[2]]
+        assert (
+            registry_conservation_violations(cluster.telemetry, cluster.network)
+            == []
+        )

@@ -261,6 +261,36 @@ TestWarmViewDifferential = WarmViewDifferential.TestCase
 TestWarmViewDifferential.settings = settings(stateful_step_count=30, deadline=None)
 
 
+@given(store=stores(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_drawn_insert_writes_through_the_view(store, data):
+    """A relationship insert grows each local endpoint's filled entry into
+    a new array with the other endpoint first, fills no empty one, and
+    keeps every other entry (the same object) and the availability set."""
+    local = sorted(store.node_ids())
+    endpoints = st.tuples(st.integers(0, NODES - 1), st.integers(0, NODES - 1)).filter(
+        lambda pair: pair[0] != pair[1] and (pair[0] in local or pair[1] in local)
+    )
+    for src, dst in data.draw(st.lists(endpoints, min_size=1, max_size=6)):
+        # Warm a drawn part of the view and of the availability set.
+        store.read_frontier(data.draw(st.lists(st.sampled_from(local))), True)
+        store.read_frontier(data.draw(st.lists(st.sampled_from(local))), False)
+        entries, available = dict(store.adjacency), set(store.available)
+        ghost = data.draw(st.booleans())
+        store.create_relationship(store.allocate_rel_id(), src, dst, ghost=ghost)
+        assert store.available == available
+        assert store.adjacency.keys() == entries.keys()
+        for node_id, neighbors in store.adjacency.items():
+            walked = [entry.neighbor for entry in store.neighbor_entries(node_id)]
+            assert list(neighbors) == walked
+            if node_id in (src, dst):
+                other = dst if node_id == src else src
+                assert neighbors is not entries[node_id]
+                assert walked == [other, *entries[node_id]]
+            else:
+                assert neighbors is entries[node_id]
+
+
 def test_neighbour_ids_beyond_32_bits_are_kept_exactly():
     """The view packs ids in 32 bits when they fit, in 64 when not."""
     store = GraphStore()
