@@ -126,6 +126,19 @@ def test_bench_finalize(benchmark):
     assert graph.num_vertices == 20_000 and graph.ids_column is None
 
 
+def test_bench_csr_row_read(benchmark, csr_20k):
+    """One 64-vertex frontier on the 20 000-vertex CSR graph: each row
+    read (an ``intp`` copy) and its neighbours' weights gathered."""
+    graph, _ = csr_20k
+    frontier = random.Random(3).sample(range(graph.num_vertices), 64)
+    weights = graph.weights_column
+
+    def read():
+        return sum(len(weights[graph.neighbors_array(vertex)]) for vertex in frontier)
+
+    assert benchmark(read) == sum(graph.degree(vertex) for vertex in frontier)
+
+
 def test_bench_aux_bootstrap_csr(benchmark, csr_20k):
     """Auxiliary-data bootstrap from a 20 000-vertex CSR graph."""
     benchmark.pedantic(AuxiliaryData.from_graph, args=csr_20k, rounds=5, iterations=1)

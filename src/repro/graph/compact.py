@@ -10,8 +10,8 @@ million-user target needs:
   adjacency: one ``int64`` index array of length ``n + 1``, one
   ``int32``/``int64`` neighbor array of length ``2m`` whose rows are
   sorted (binary-search :meth:`~CompactGraph.has_edge` in O(log d),
-  allocation-free :meth:`~CompactGraph.neighbors_array` slices), and a
-  parallel ``float64`` vertex-weight column.  ~12-16 bytes per vertex
+  :meth:`~CompactGraph.neighbors_array` one slice copied out as ``intp``),
+  and a parallel ``float64`` vertex-weight column.  ~12-16 bytes per vertex
   and ~8-16 bytes per undirected edge, versus hundreds for dict-of-sets.
 * :class:`GraphBuilder` — a mutable ingestion buffer that accepts
   streamed edges (scalar or whole numpy batches), then finalizes to CSR
@@ -33,8 +33,8 @@ container internals — produce identical outputs on both.
 Vertex identity: external code always speaks *vertex IDs* (arbitrary
 ints).  Internally vertices live at dense indices ``0..n-1``; when the
 IDs are exactly ``0..n-1`` in order (the generators' and builders' common
-case) the mapping is the identity and neighbor access is a zero-copy
-array slice.
+case) the mapping is the identity, and a plain in-range ``int`` is its
+own index with no check beyond its type and range.
 """
 
 from __future__ import annotations
@@ -260,6 +260,9 @@ class CompactGraph:
         return index if self._ids is None else int(self._ids[index])
 
     def _index_of(self, vertex: int) -> int:
+        # A plain in-range int on an identity graph is its own index.
+        if type(vertex) is int and self._ids is None and 0 <= vertex < len(self._weights):
+            return vertex
         # A bool, float or string is no vertex id, even where it equals one.
         if type(vertex) is not int and not isinstance(vertex, np.integer):
             raise VertexNotFoundError(vertex)
@@ -301,16 +304,17 @@ class CompactGraph:
         return iter(self._ids.tolist())
 
     def neighbors_array(self, vertex: int) -> np.ndarray:
-        """The vertex's neighbor IDs as a sorted array.
+        """The vertex's neighbor IDs as a sorted ``intp`` array of its own.
 
-        For identity-mapped graphs this is a zero-copy view into the CSR
-        neighbor array (do not mutate); otherwise IDs are materialized
-        through the id column.
+        For identity-mapped graphs the ``int32`` CSR row is copied out as
+        ``intp``, so a consumer's gather (``weights_column[row]``) takes
+        numpy's direct path instead of casting the index; otherwise IDs
+        are materialized (``int64``) through the id column.
         """
         index = self._index_of(vertex)
         row = self._nbr[self._indptr[index] : self._indptr[index + 1]]
         if self._ids is None:
-            return row
+            return row.astype(np.intp)
         return self._ids[row]
 
     # The protocol's array accessor doubles as the plain accessor: the

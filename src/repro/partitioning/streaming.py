@@ -48,8 +48,8 @@ class _StreamingBase(Partitioner):
         get_placed = partitioning.get
         for vertex in order:
             placed_neighbors = [0] * num_partitions
-            # neighbors_array: a set view on dict-of-sets, a zero-copy CSR
-            # slice on CompactGraph — the scores only count members per
+            # neighbors_array: a set view on dict-of-sets, a sorted CSR
+            # row on CompactGraph — the scores only count members per
             # partition, so neighbor order is immaterial and both
             # substrates produce identical placements.
             for nbr in graph.neighbors_array(vertex):

@@ -145,6 +145,9 @@ class ServingFrontend:
             op: {p.name: p.default for p in signature(getattr(cluster, method)).parameters.values()}
             for op, method in SERVING_METHODS.items()
         }
+        #: (op, positional count, *keyword names) -> the parameters left
+        #: after the positional ones, name -> default; valid shapes only
+        self._shapes: Dict[Tuple, Dict[str, Any]] = {}
         self.config = config or ServingConfig()
         self.telemetry = cluster.telemetry
         #: serving-side simulated clock of arrivals, in ns (``now`` in s)
@@ -354,17 +357,19 @@ class ServingFrontend:
     def _bind(self, op: str, args: tuple, kwargs: Dict[str, Any]) -> Tuple:
         """The cluster call's arguments in order, defaults filled in; a call
         that method would refuse raises :class:`ClusterError` instead."""
-        parameters = self._parameters[op]
-        positional = dict(zip(parameters, args))
-        call = {**parameters, **positional, **kwargs}
-        values = tuple(call.values())
-        if (
-            max(len(args), len(call)) > len(parameters)
-            or positional.keys() & kwargs.keys()
-            or id(Parameter.empty) in map(id, values)  # a required one left out
-        ):
-            raise ClusterError(f"{op} takes {tuple(parameters)}, got {args} and {kwargs}")
-        return values
+        shape = (op, len(args), *kwargs)
+        left = self._shapes.get(shape)
+        if left is None:
+            parameters = self._parameters[op]
+            left = dict(list(parameters.items())[len(args):])
+            if (
+                len(args) > len(parameters)
+                or not kwargs.keys() <= left.keys()
+                or any(left[name] is Parameter.empty for name in left.keys() - kwargs.keys())
+            ):
+                raise ClusterError(f"{op} takes {tuple(parameters)}, got {args} and {kwargs}")
+            self._shapes[shape] = left
+        return args + tuple([kwargs.get(name, default) for name, default in left.items()])
 
     def _execute(self, op, args, decision, arrival):
         """Run the operation against the cluster.

@@ -11,9 +11,11 @@ build it replaced, kept below as a test-local oracle.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import VertexNotFoundError
 from repro.graph.adjacency import SocialGraph
 from repro.graph.compact import CompactGraph, GraphBuilder, _neighbor_dtype
 from repro.partitioning.base import Partitioning
@@ -120,6 +122,72 @@ def test_streaming_partitioners_identical_on_both_substrates(
         on_social = make().partition(social, num_partitions)
         on_compact = make().partition(compact, num_partitions)
         assert on_social.as_mapping() == on_compact.as_mapping()
+
+
+# ----------------------------------------------------------------------
+# The row contract: an intp copy of the sorted CSR row, fast path or not
+# ----------------------------------------------------------------------
+#: how a drawn start is spelled; the numpy ones take the checked path
+START_TYPES = {"int": int, "int64": np.int64, "int32": np.int32}
+
+
+@given(random_social_graph(), st.sampled_from(sorted(START_TYPES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_row_is_an_intp_copy_of_the_sorted_csr_slice(social, spelling, data):
+    compact = CompactGraph.from_social(social)
+    ids = compact.ids_column
+    column = compact.neighbor_indices.copy()
+    vertex = data.draw(st.sampled_from(list(social.vertices())))
+    start = START_TYPES[spelling](vertex)
+    index = compact.index_of(start)
+    assert type(index) is int and index == compact.index_of(np.int64(vertex))
+    lo, hi = compact.indptr[index], compact.indptr[index + 1]
+    expected = column[lo:hi] if ids is None else ids[column[lo:hi]]
+
+    row = compact.neighbors_array(start)
+    assert row.dtype == np.intp
+    assert row.tolist() == expected.tolist() == sorted(social.neighbors(vertex))
+    row[:] = -1
+    assert np.array_equal(compact.neighbor_indices, column)
+    assert compact.neighbors_array(vertex).tolist() == expected.tolist()
+
+    checked = np.int64(vertex)
+    assert compact.degree(start) == compact.degree(checked) == len(expected)
+    assert compact.weight_of(start) == compact.weight_of(checked) == social.weight(vertex)
+    for other in social.vertices():
+        assert compact.has_edge(start, other) == compact.has_edge(checked, other)
+        assert compact.has_edge(start, other) == social.has_edge(vertex, other)
+
+
+@given(random_social_graph(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_start_that_is_no_vertex_id_is_refused_on_every_read(social, data):
+    compact = CompactGraph.from_social(social)
+    vertex = data.draw(st.sampled_from(list(social.vertices())))
+    bad = data.draw(
+        st.sampled_from(
+            [
+                True,
+                False,
+                float(vertex),
+                str(vertex),
+                -1,
+                np.int64(-1),
+                max(social.vertices()) + 1,
+                np.int64(max(social.vertices()) + 1),
+            ]
+        )
+    )
+    for read in (
+        compact.neighbors_array,
+        compact.degree,
+        compact.weight_of,
+        compact.index_of,
+    ):
+        with pytest.raises(VertexNotFoundError):
+            read(bad)
+    assert compact.has_edge(bad, vertex) is False
+    assert compact.has_edge(vertex, bad) is False
 
 
 # ----------------------------------------------------------------------

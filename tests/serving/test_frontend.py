@@ -1,5 +1,7 @@
 """End-to-end front-door pipeline: route, admit, execute, account."""
 
+from inspect import signature
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,13 @@ from repro.partitioning.hashing import HashPartitioner
 from repro.serving import (
     COMPLETED,
     DEGRADED,
+    SERVING_OPS,
     SHED,
     Priority,
     ServingConfig,
     ServingFrontend,
 )
+from repro.serving.frontend import SERVING_METHODS
 from repro.simtest.invariants import InvariantAuditor
 from repro.telemetry import Telemetry, install, installed
 from tests.conftest import crash_plan, make_random_graph, telemetry_snapshot
@@ -61,6 +65,18 @@ def front_door_state(frontend):
         "edges": cluster.aux.num_edges,
         "weight": cluster.aux.total_weight(),
     }
+
+
+@st.composite
+def call_shapes(draw):
+    """A call of any shape, valid or not: ``(op, args, kwargs)``, each
+    value drawn so that repeated shapes carry different values."""
+    op = draw(st.sampled_from(SERVING_OPS))
+    names = ["vertex", "start", "hops", "weight", "properties", "u", "v", "colour"]
+    value = st.integers(-3, 3) | st.none()
+    args = tuple(draw(st.lists(value, max_size=4)))
+    keywords = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    return op, args, {name: draw(value) for name in keywords}
 
 
 @st.composite
@@ -341,6 +357,24 @@ class TestValidation:
         assert front_door_state(frontend) == before
         assert InvariantAuditor().audit(frontend.cluster) == []
         assert frontend.submit("add_edge", *NON_EDGE).status == COMPLETED
+
+    @settings(deadline=None)
+    @given(st.lists(call_shapes(), min_size=1, max_size=8))
+    def test_a_call_binds_as_the_cluster_signature_binds(self, calls):
+        """Bindings are kept per call shape: every call of a shape, first
+        or repeated, gets its own values, and a shape ``bind`` refuses
+        with TypeError is a ClusterError on every call."""
+        frontend = make_frontend()
+        for op, args, kwargs in calls:
+            method = signature(getattr(frontend.cluster, SERVING_METHODS[op]))
+            try:
+                bound = method.bind(*args, **kwargs)
+            except TypeError:
+                with pytest.raises(ClusterError):
+                    frontend._bind(op, args, kwargs)
+                continue
+            bound.apply_defaults()
+            assert frontend._bind(op, args, kwargs) == tuple(bound.arguments.values())
 
 
 class TestFaults:
